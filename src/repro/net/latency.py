@@ -20,90 +20,12 @@ from repro.geo.coords import LatLng, haversine_m
 FIBRE_SPEED_M_S = 2.0e8
 
 
-class LatencyMatrix:
-    """Precomputed fast path for a latency model (see ``matrix()``).
-
-    The network hot path asks a model for its matrix once and then
-    answers per-message delays from the matrix instead of dispatching
-    through :meth:`LatencyModel.sample`.  Two shapes exist:
-
-    * :class:`AffineLatencyMatrix` -- pair-independent models collapse
-      to two floats; the delay is ``base_s + jitter_s * draw`` (at most
-      one RNG draw, exactly mirroring the model's own arithmetic).
-    * :class:`PairwiseLatencyMatrix` -- deterministic pair-dependent
-      models (``DistanceLatency``) collapse to a lazily filled
-      per-(src, dst) table, so the haversine trigonometry runs once per
-      node pair instead of once per message.
-
-    A matrix is a snapshot: callers who mutate the underlying model
-    (e.g. rewrite ``DistanceLatency.positions``) must request a fresh
-    one -- ``SimulatedNetwork`` does this whenever its ``latency``
-    attribute is assigned, and exposes ``refresh_latency_cache()`` for
-    in-place parameter changes.
-    """
-
-    __slots__ = ()
-
-    def sample(self, src: int, dst: int, rng: DeterministicRNG) -> float:
-        """Delay in seconds for (src, dst); must match the model's draw."""
-        raise NotImplementedError
-
-
-class AffineLatencyMatrix(LatencyMatrix):
-    """Pair-independent fast path: ``base_s + jitter_s * draw``."""
-
-    __slots__ = ("base_s", "jitter_s")
-
-    def __init__(self, base_s: float, jitter_s: float) -> None:
-        self.base_s = base_s
-        self.jitter_s = jitter_s
-
-    def sample(self, src: int, dst: int, rng: DeterministicRNG) -> float:
-        """One draw scaled by jitter (none when jitter is zero)."""
-        if self.jitter_s <= 0:
-            return self.base_s
-        return self.base_s + self.jitter_s * float(rng.next_double())
-
-
-class PairwiseLatencyMatrix(LatencyMatrix):
-    """Lazy per-(src, dst) table over a deterministic pairwise model.
-
-    Only valid for models whose ``sample`` consumes no randomness (the
-    cached value must be the value every later call would have drawn).
-    """
-
-    __slots__ = ("_model", "table")
-
-    def __init__(self, model: "LatencyModel") -> None:
-        self._model = model
-        #: the live (src, dst) -> delay cache; consumers may read it
-        #: directly for lookups but must route misses through ``sample``
-        self.table: dict[tuple[int, int], float] = {}
-
-    def sample(self, src: int, dst: int, rng: DeterministicRNG) -> float:
-        """Table lookup, computing (and caching) the pair on first use."""
-        key = (src, dst)
-        got = self.table.get(key)
-        if got is None:
-            self.table[key] = got = self._model.sample(src, dst, rng)
-        return got
-
-
 class LatencyModel(abc.ABC):
     """Computes one-way propagation delay for a message."""
 
     @abc.abstractmethod
     def sample(self, src: int, dst: int, rng: DeterministicRNG) -> float:
         """Delay in seconds for a message from *src* to *dst*."""
-
-    def matrix(self) -> LatencyMatrix | None:
-        """Fast-path matrix for this model, or ``None`` when stochastic
-        pair-dependent sampling makes precomputation impossible.
-
-        The default is ``None``: subclasses opt in when a table lookup
-        (plus at most one RNG draw) reproduces ``sample`` bit-for-bit.
-        """
-        return None
 
 
 class ConstantLatency(LatencyModel):
@@ -117,10 +39,6 @@ class ConstantLatency(LatencyModel):
     def sample(self, src: int, dst: int, rng: DeterministicRNG) -> float:
         """Draw one propagation delay for (src, dst)."""
         return self.delay_s
-
-    def matrix(self) -> LatencyMatrix:
-        """Constant delay is the degenerate affine table (zero jitter)."""
-        return AffineLatencyMatrix(self.delay_s, 0.0)
 
 
 class UniformLatency(LatencyModel):
@@ -140,10 +58,6 @@ class UniformLatency(LatencyModel):
         # rng.uniform(0, jitter) but skips the range arithmetic -- this
         # runs once per simulated message
         return self.base_s + self.jitter_s * float(rng.next_double())
-
-    def matrix(self) -> LatencyMatrix:
-        """Collapse the range math to the shared affine fast path."""
-        return AffineLatencyMatrix(self.base_s, self.jitter_s)
 
 
 class LognormalLatency(LatencyModel):
@@ -199,8 +113,3 @@ class DistanceLatency(LatencyModel):
         if a is None or b is None:
             return self.default_s + self.per_hop_s
         return self.per_hop_s + haversine_m(a, b) / self.speed_m_s
-
-    def matrix(self) -> LatencyMatrix:
-        """Per-pair table: ``sample`` is deterministic (consumes no RNG),
-        so each pair's haversine is computed once and then looked up."""
-        return PairwiseLatencyMatrix(self)

@@ -27,12 +27,7 @@ from typing import Callable, Iterable
 from repro.common.config import NetworkConfig
 from repro.common.errors import NetworkError
 from repro.common.rng import DeterministicRNG
-from repro.net.latency import (
-    AffineLatencyMatrix,
-    LatencyModel,
-    PairwiseLatencyMatrix,
-    UniformLatency,
-)
+from repro.net.latency import LatencyModel, UniformLatency
 from repro.net.message import Envelope, Payload
 from repro.net.simulator import Simulator
 from repro.net.stats import TrafficStats
@@ -79,13 +74,7 @@ class SimulatedNetwork:
     ) -> None:
         self.sim = sim
         self.config = config or NetworkConfig()
-        # latency fast path (see refresh_latency_cache): the property
-        # setter below fills these from the model's matrix()
-        self._lat_affine = False
-        self._lat_base = 0.0
-        self._lat_jitter = 0.0
-        self._lat_pairs: dict[tuple[int, int], float] | None = None
-        self.latency = latency or UniformLatency(
+        self.latency: LatencyModel = latency or UniformLatency(
             self.config.base_latency_s, self.config.latency_jitter_s
         )
         self.rng = rng or DeterministicRNG(self.config.seed, "network")
@@ -110,12 +99,11 @@ class SimulatedNetwork:
         # node's backlog owns a scheduled ``_process`` event; followers
         # wait here with their (already final) fire times and are
         # scheduled as the chain advances.  This keeps the simulator
-        # heap at O(nodes + in-flight) instead of O(total backlog) --
-        # at n = 202 a quorum burst used to park thousands of
+        # heap at O(nodes + in-flight) instead of O(total backlog): at
+        # n = 202 a quorum burst would otherwise park thousands of
         # ``_process`` events in the heap, and every heappush/heappop
-        # paid the log of that backlog.  Fire times are computed at
-        # arrival exactly as before, so delivery order and the verify
-        # fingerprints are unchanged.
+        # would pay the log of that backlog.  Fire times are computed
+        # at arrival, so delivery order does not depend on the chain.
         self._proc_queue: dict[int, deque[tuple[float, Envelope]]] = {}
         # encode-once fan-out: a multicast calls ``send`` once per
         # recipient with the *same* payload object, so one (strongly
@@ -124,37 +112,6 @@ class SimulatedNetwork:
         self._cached_payload: Payload | None = None
         self._cached_kind: str = ""
         self._cached_size: int = 0
-
-    # -- latency fast path -------------------------------------------------
-
-    @property
-    def latency(self) -> LatencyModel:
-        """The propagation model; assigning one refreshes the fast path."""
-        return self._latency
-
-    @latency.setter
-    def latency(self, model: LatencyModel) -> None:
-        """Swap the propagation model and rebuild its fast-path cache."""
-        self._latency = model
-        self.refresh_latency_cache()
-
-    def refresh_latency_cache(self) -> None:
-        """Rebuild the precomputed latency matrix from the current model.
-
-        Called automatically whenever ``latency`` is assigned.  Call it
-        manually after mutating the model in place (e.g. rewriting
-        ``DistanceLatency.positions``) so cached per-pair delays cannot
-        go stale.
-        """
-        matrix = self._latency.matrix()
-        self._lat_affine = False
-        self._lat_pairs = None
-        if isinstance(matrix, AffineLatencyMatrix):
-            self._lat_affine = True
-            self._lat_base = matrix.base_s
-            self._lat_jitter = matrix.jitter_s
-        elif isinstance(matrix, PairwiseLatencyMatrix):
-            self._lat_pairs = matrix.table
 
     # -- membership -------------------------------------------------------
 
@@ -169,14 +126,6 @@ class SimulatedNetwork:
         self._handlers[node_id] = handler
         self._busy_until[node_id] = 0.0
         return NodeInterface(self, node_id)
-
-    def unregister(self, node_id: int) -> None:
-        """Detach a node; in-flight messages to it are dropped on arrival."""
-        self._handlers.pop(node_id, None)
-        self._busy_until.pop(node_id, None)
-        self._offline.discard(node_id)
-        self._partition.pop(node_id, None)
-        self._node_interval.pop(node_id, None)
 
     def is_registered(self, node_id: int) -> bool:
         """True iff *node_id* currently has a handler attached."""
@@ -267,24 +216,7 @@ class SimulatedNetwork:
             self.stats.on_drop(kind)
             return
 
-        # latency fast path: affine models collapse to two floats and at
-        # most one draw; deterministic pairwise models to a table lookup.
-        # Both reproduce model.sample() bit-for-bit (same draws, same
-        # arithmetic), so schedules and fingerprints are unchanged.
-        if self._lat_affine:
-            jitter = self._lat_jitter
-            if jitter > 0.0:
-                delay = self._lat_base + jitter * float(self.rng.next_double())
-            else:
-                delay = self._lat_base
-        elif self._lat_pairs is not None:
-            key = (src, dst)
-            cached = self._lat_pairs.get(key)
-            if cached is None:
-                self._lat_pairs[key] = cached = self._latency.sample(src, dst, self.rng)
-            delay = cached
-        else:
-            delay = self._latency.sample(src, dst, self.rng)
+        delay = self.latency.sample(src, dst, self.rng)
         if self._bandwidth_bps > 0:
             # serialize through the sender's NIC before propagation: a
             # multicast of k messages leaves the sender one after another
@@ -355,12 +287,12 @@ class SimulatedNetwork:
         if queue:
             nxt_done, nxt_env = queue[0]
             self.sim.schedule_at(nxt_done, self._process, nxt_env)
-        handler = self._handlers.get(dst)
-        if handler is None or dst in self._offline:
+        if dst in self._offline:
             self.stats.on_drop(envelope.kind)
             return
         self.stats.on_deliver(dst, envelope.kind, envelope.size_bytes)
-        handler(envelope)
+        # _arrive admitted dst as registered, and handlers are never removed
+        self._handlers[dst](envelope)
 
     def queue_depth_s(self, node_id: int) -> float:
         """Seconds of processing backlog currently queued at *node_id*."""

@@ -1,83 +1,37 @@
 """Deterministic discrete-event simulator.
 
-A tiny, fast event loop: callbacks are scheduled at absolute simulated
-times and executed in (time, insertion-order) order, so runs are exactly
+A tiny event loop: callbacks are scheduled at absolute simulated times
+and executed in (time, insertion-order) order, so runs are exactly
 reproducible.  All protocol code in this repository is written against
 this loop; nothing uses wall-clock time.
 
-Core v2 (million-request runs) replaces the flat binary heap with a
-two-tier structure that exploits the shape of consensus workloads:
-
-* **Same-timestamp buckets.**  Multicast fan-outs, zero-jitter links
-  and deterministic timers produce long runs of events at *identical*
-  times.  v1 paid ``heappush``/``heappop`` (O(log n) tuple comparisons)
-  per event; v2 keeps one bucket (an append-ordered list) per distinct
-  time and one float per bucket in the heap, so a k-way fan-out costs
-  one push plus k appends, and draining it is a plain list walk.
-* **Slotted far-timer tier.**  Homogeneous timer populations (client
-  retry timers at +600 s, duty-cycle wakeups, parked era timers) sit
-  far in the future and are usually cancelled before they fire.  v2
-  parks any event at least ``_FAR_HORIZON_S`` ahead in a coarse slot
-  keyed by ``int(time // _SLOT_WIDTH_S)`` -- an O(1) append that never
-  touches the near heap -- and promotes whole slots into the near tier
-  only when the clock approaches them.  Cancelled entries are dropped
-  wholesale at promotion time.
-
-Fire order is unchanged from v1 -- the global (time, insertion-seq)
-total order -- which the golden-fingerprint tests pin bit-for-bit.  The
-promotion invariant that makes the merge safe: slots are promoted
-*before* the next bucket begins draining, so a promoted event can never
-land in a bucket that already fired entries (promotion targets always
-have ``idx == 0``), and a seq-sort of the merged bucket restores the
-exact v1 order.
+The queue is one binary heap of ``(time, seq, event)`` tuples.  ``seq``
+is unique, so the heap orders entries by comparing floats and ints in C
+and never compares two events.  Cancellation is lazy: a cancelled entry
+stays in the heap until it surfaces or until more than half the heap is
+cancelled, when the heap is filtered and re-heapified (fire order
+depends only on the ``(time, seq)`` keys, never on the heap's layout).
 """
 
 from __future__ import annotations
 
 import itertools
-from heapq import heappop, heappush
+from heapq import heapify, heappop, heappush
 from typing import Any, Callable
 
 from repro.common.errors import NetworkError
 
-#: Cancelled entries tolerated in the queue before compaction is even
-#: considered (avoids churning tiny queues).
+#: Cancelled entries tolerated before compaction is considered at all.
 _COMPACT_MIN_CANCELLED = 64
-
-#: Events scheduled at least this far ahead of ``now`` go to the slotted
-#: far tier instead of the near heap.  Chosen above every hot-path
-#: network/protocol delay but below the retry/duty-cycle timer horizons
-#: that dominate churn.
-_FAR_HORIZON_S = 60.0
-
-#: Width of one far-tier slot in simulated seconds.  Promotion moves a
-#: whole slot at once, so the width bounds how many distinct times one
-#: promotion can push into the near heap.
-_SLOT_WIDTH_S = 32.0
-
-#: Times beyond this stay in the near tier: ``int(time // width)`` on
-#: astronomically large floats (or infinity) is not a usable slot key.
-_MAX_FAR_TIME_S = 1e15
 
 
 class ScheduledEvent:
-    """Handle to a scheduled callback; supports cancellation.
-
-    Plain ``__slots__`` records: ordering lives in the simulator's
-    bucket/slot structures, not in event comparisons (profiled in v1: a
-    Python ``__lt__`` cost ~17% of total simulation time at n = 202).
-    """
+    """Handle to a scheduled callback; supports cancellation."""
 
     __slots__ = ("time", "seq", "callback", "args", "cancelled", "_sim")
 
-    def __init__(
-        self,
-        time: float,
-        seq: int,
-        callback: Callable[..., Any],
-        args: tuple[Any, ...],
-        sim: "Simulator | None" = None,
-    ) -> None:
+    def __init__(self, time: float, seq: int, callback: Callable[..., Any],
+                 args: tuple[Any, ...], sim: "Simulator | None" = None) -> None:
         self.time = time
         self.seq = seq
         self.callback = callback
@@ -96,36 +50,8 @@ class ScheduledEvent:
             self._sim._note_cancel()
 
 
-class _Bucket:
-    """All not-yet-fired events sharing one scheduled time.
-
-    ``events[:idx]`` already fired (or were skipped as cancelled);
-    ``events[idx:]`` is the live tail in insertion-seq order.
-
-    Buckets only exist for *collisions*: a time with a single queued
-    event stores the :class:`ScheduledEvent` directly in the bucket map
-    and is upgraded here when a second event lands on the same
-    timestamp.  Distinct timestamps are the overwhelmingly common case
-    (jittered latencies rarely collide), so the singleton fast path
-    skips two allocations per scheduled event.
-    """
-
-    __slots__ = ("events", "idx")
-
-    def __init__(self) -> None:
-        self.events: list[ScheduledEvent] = []
-        self.idx = 0
-
-
-#: Shared tombstone for compacted singleton times: keeps the heap entry
-#: valid without allocating a bucket per cancelled event.  Never
-#: mutated -- every enqueue path replaces it before appending, and the
-#: drain loops only read ``events``/``idx`` before popping it.
-_EMPTY_BUCKET = _Bucket()
-
-
 class Simulator:
-    """Bucketed event loop over simulated seconds.
+    """Event loop over simulated seconds.
 
     Example::
 
@@ -136,21 +62,12 @@ class Simulator:
 
     def __init__(self) -> None:
         self._now = 0.0
-        # near tier: heap of distinct times; the map holds a bare
-        # ScheduledEvent per singleton time, upgraded to a _Bucket on
-        # timestamp collision
-        self._buckets: dict[float, _Bucket | ScheduledEvent] = {}
-        self._near_heap: list[float] = []
-        # far tier: coarse slots of distant timers, heap of slot keys
-        self._slots: dict[int, list[ScheduledEvent]] = {}
-        self._slot_heap: list[int] = []
+        self._heap: list[tuple[float, int, ScheduledEvent]] = []
         self._counter = itertools.count()
         self._events_processed = 0
         self._step_hook: Callable[[ScheduledEvent], None] | None = None
         self._tick_hook: Callable[[float], None] | None = None
-        # exact totals so ``pending``/``heap_size`` stay O(1): entries
-        # still queued (live + cancelled) and the cancelled subset
-        self._queued = 0
+        # cancelled entries still in the heap, so ``pending`` is O(1)
         self._cancelled = 0
 
     @property
@@ -166,170 +83,47 @@ class Simulator:
     @property
     def pending(self) -> int:
         """Number of scheduled, not-yet-fired, not-cancelled events."""
-        return self._queued - self._cancelled
+        return len(self._heap) - self._cancelled
 
     @property
     def heap_size(self) -> int:
         """Queued entries including cancelled ones (test/diagnostic)."""
-        return self._queued
-
-    def _enqueue(self, event: ScheduledEvent) -> ScheduledEvent:
-        """Route *event* to the near buckets or the far slot tier."""
-        time = event.time
-        if time - self._now >= _FAR_HORIZON_S and time < _MAX_FAR_TIME_S:
-            key = int(time // _SLOT_WIDTH_S)
-            slot = self._slots.get(key)
-            if slot is None:
-                self._slots[key] = slot = []
-                heappush(self._slot_heap, key)
-            slot.append(event)
-        else:
-            buckets = self._buckets
-            cur = buckets.get(time)
-            if cur is None:
-                buckets[time] = event
-                heappush(self._near_heap, time)
-            elif type(cur) is _Bucket:
-                if cur is _EMPTY_BUCKET:
-                    # compacted tombstone: resurrect as a singleton
-                    # (its heap entry is still queued)
-                    buckets[time] = event
-                else:
-                    cur.events.append(event)
-            else:
-                # second event on this timestamp: upgrade the singleton
-                # (it was enqueued first, so it keeps seq order)
-                bucket = _Bucket()
-                bucket.events.append(cur)
-                bucket.events.append(event)
-                buckets[time] = bucket
-        self._queued += 1
-        return event
+        return len(self._heap)
 
     def schedule(self, delay: float, callback: Callable[..., Any], *args: Any) -> ScheduledEvent:
         """Schedule *callback(args)* to run *delay* seconds from now.
 
         Raises:
-            NetworkError: on negative delay (events cannot rewind time).
+            NetworkError: on a negative or NaN delay.
         """
-        if delay < 0:
-            raise NetworkError(f"cannot schedule in the past (delay={delay})")
-        # _enqueue's near path is open-coded here: schedule() runs once
-        # per simulated message and the call indirection is measurable
-        # in sim.event_churn; the logic must stay identical to _enqueue
-        event = ScheduledEvent(self._now + delay, next(self._counter), callback, args, self)
-        time = event.time
-        if time - self._now >= _FAR_HORIZON_S and time < _MAX_FAR_TIME_S:
-            return self._enqueue(event)
-        buckets = self._buckets
-        cur = buckets.get(time)
-        if cur is None:
-            buckets[time] = event
-            heappush(self._near_heap, time)
-        elif type(cur) is _Bucket:
-            if cur is _EMPTY_BUCKET:
-                buckets[time] = event
-            else:
-                cur.events.append(event)
-        else:
-            bucket = _Bucket()
-            bucket.events.append(cur)
-            bucket.events.append(event)
-            buckets[time] = bucket
-        self._queued += 1
+        if not delay >= 0:
+            raise NetworkError(f"delay must be >= 0, got {delay}")
+        time = self._now + delay  # own push, not schedule_at(): one call less per message
+        event = ScheduledEvent(time, next(self._counter), callback, args, self)
+        heappush(self._heap, (time, event.seq, event))
         return event
 
     def schedule_at(self, time: float, callback: Callable[..., Any], *args: Any) -> ScheduledEvent:
-        """Schedule *callback(args)* at absolute simulated *time*."""
-        if time < self._now:
-            raise NetworkError(f"cannot schedule at {time} < now {self._now}")
-        return self._enqueue(
-            ScheduledEvent(time, next(self._counter), callback, args, self))
+        """Schedule *callback(args)* at absolute simulated *time*.
 
-    def _promotion_due(self) -> bool:
-        """True when the earliest far slot may precede the near minimum."""
-        if not self._slot_heap:
-            return False
-        if not self._near_heap:
-            return True
-        return self._slot_heap[0] * _SLOT_WIDTH_S <= self._near_heap[0]
-
-    def _promote_due_slots(self) -> None:
-        """Move every due far slot into the near buckets.
-
-        Runs before the next bucket is selected, which guarantees every
-        merge target still has ``idx == 0`` (no bucket that partially
-        fired can receive promoted events): a slot whose start does not
-        exceed a bucket's time is always promoted before that bucket
-        drains, and a slot with a later start cannot contain its time.
-        Merged buckets are re-sorted by insertion seq, restoring the
-        global (time, seq) fire order exactly.
+        Raises:
+            NetworkError: when *time* is before ``now`` or NaN.
         """
-        buckets, near_heap = self._buckets, self._near_heap
-        slot_heap = self._slot_heap
-        while slot_heap and (not near_heap or slot_heap[0] * _SLOT_WIDTH_S <= near_heap[0]):
-            key = heappop(slot_heap)
-            merged: list[_Bucket] = []
-            for event in self._slots.pop(key):
-                if event.cancelled:
-                    # natural cleanup point: cancelled far timers (the
-                    # common case for retries) never reach the near tier
-                    self._queued -= 1
-                    self._cancelled -= 1
-                    continue
-                cur = buckets.get(event.time)
-                if cur is None:
-                    buckets[event.time] = event
-                    heappush(near_heap, event.time)
-                    continue
-                if cur is _EMPTY_BUCKET:
-                    buckets[event.time] = event
-                    continue
-                if type(cur) is _Bucket:
-                    bucket = cur
-                else:
-                    bucket = _Bucket()
-                    bucket.events.append(cur)
-                    buckets[event.time] = bucket
-                if bucket.events and bucket not in merged:
-                    merged.append(bucket)
-                bucket.events.append(event)
-            for bucket in merged:
-                bucket.events.sort(key=_event_seq)
+        if not time >= self._now:
+            raise NetworkError(f"cannot schedule at time {time} (now is {self._now})")
+        event = ScheduledEvent(time, next(self._counter), callback, args, self)
+        heappush(self._heap, (time, event.seq, event))
+        return event
 
     def _note_cancel(self) -> None:
-        """A live queue entry was cancelled; compact when mostly dead.
-
-        Compaction filters cancelled entries out of every live bucket
-        tail and far slot in place.  Fired prefixes and drain indices
-        are untouched, so determinism holds.
-        """
+        """A queued entry was cancelled; compact when mostly dead."""
         self._cancelled += 1
-        if self._cancelled > _COMPACT_MIN_CANCELLED and self._cancelled * 2 > self._queued:
-            removed = 0
-            for time, cur in self._buckets.items():  # gpb: allow GPB003 -- order-free in-place filter; each bucket is compacted independently and fire order is untouched
-                if type(cur) is not _Bucket:
-                    if cur.cancelled:
-                        # value replacement keeps the heap entry valid;
-                        # the drain loop pops the empty sentinel (both
-                        # collision paths replace it before appending)
-                        self._buckets[time] = _EMPTY_BUCKET
-                        removed += 1
-                    continue
-                if cur is _EMPTY_BUCKET:
-                    continue
-                idx = cur.idx
-                events = cur.events
-                live = [e for e in events[idx:] if not e.cancelled]
-                removed += len(events) - idx - len(live)
-                # in-place so drain loops holding a local alias stay coherent
-                events[idx:] = live
-            for slot in self._slots.values():  # gpb: allow GPB003 -- order-free in-place filter; slot-internal order is preserved and promotion re-sorts by seq
-                live = [e for e in slot if not e.cancelled]
-                removed += len(slot) - len(live)
-                slot[:] = live
-            self._queued -= removed
-            self._cancelled -= removed
+        heap = self._heap
+        if self._cancelled > _COMPACT_MIN_CANCELLED and self._cancelled * 2 > len(heap):
+            # in place: a running drain loop holds an alias to the list
+            heap[:] = [entry for entry in heap if not entry[2].cancelled]
+            heapify(heap)
+            self._cancelled = 0
 
     def set_step_hook(self, hook: Callable[[ScheduledEvent], None] | None) -> None:
         """Observe every fired event (``None`` detaches).
@@ -337,62 +131,62 @@ class Simulator:
         The hook runs just before each event's callback, receiving the
         :class:`ScheduledEvent` about to fire.  ``repro.verify`` uses it
         to fingerprint the executed schedule so a replayed run can prove
-        it followed the exact event order of the original.  With no hook
-        installed the event loop pays a single ``None`` check per event.
+        it followed the exact event order of the original.
         """
         self._step_hook = hook
 
     def set_tick_hook(self, hook: Callable[[float], None] | None) -> None:
         """Observe the clock advancing to a new timestamp (``None`` detaches).
 
-        The hook fires once per *distinct* event time, after that time
-        is selected as the queue minimum but before any of its events
-        run.  At that moment no event earlier than the hook's argument
-        can ever fire (due far slots were promoted before selection and
-        new schedules land at or after ``now``), so ``repro.obs`` uses
-        it to close and flush time-series windows that end at or before
-        the new time.  The hook must observe only -- scheduling events
-        from inside it is not supported.  With no hook installed the
-        drain loops pay a single ``None`` check per distinct timestamp.
+        The hook fires once per *distinct* event time, just before the
+        clock moves to it and the first live event there runs.  No
+        event earlier than the hook's argument can fire afterwards (it
+        is the queue minimum and new schedules land at or after
+        ``now``), so ``repro.obs`` uses it to close and flush
+        time-series windows that end at or before the new time.  The
+        hook must observe only -- scheduling events from inside it is
+        not supported.
         """
         self._tick_hook = hook
 
-    def step(self) -> bool:
-        """Fire the next event.  Returns False when the queue is empty."""
-        buckets, near_heap = self._buckets, self._near_heap
-        while True:
-            if self._promotion_due():
-                self._promote_due_slots()
-            if not near_heap:
-                return False
-            time = near_heap[0]
-            if self._tick_hook is not None and time > self._now:
-                self._tick_hook(time)
-            cur = buckets[time]
-            if type(cur) is not _Bucket:
-                # singleton fast path: the dict entry is the event
-                heappop(near_heap)
-                del buckets[time]
-                event = cur
-            else:
-                idx = cur.idx
-                if idx >= len(cur.events):
-                    heappop(near_heap)
-                    del buckets[time]
-                    continue
-                event = cur.events[idx]
-                cur.idx = idx + 1
-            self._queued -= 1
+    def _drain(self, until: float | None, max_events: int | None,
+               done: Callable[[], bool] | None) -> int:
+        """Fire events in (time, seq) order; return how many fired.
+
+        Stops when the queue is empty, ``done()`` is true, the next live
+        event is later than *until*, or *max_events* have fired.  This
+        is the only place events leave the queue.
+        """
+        heap = self._heap
+        fired = 0
+        while heap:
+            time, _, event = heap[0]
             if event.cancelled:
+                heappop(heap)
                 self._cancelled -= 1
                 continue
+            if done is not None and done():
+                break
+            if until is not None and time > until:
+                break
+            if max_events is not None and fired >= max_events:
+                break
+            heappop(heap)
             event._sim = None
-            self._now = time
+            if time > self._now:
+                if self._tick_hook is not None:
+                    self._tick_hook(time)
+                self._now = time
             self._events_processed += 1
             if self._step_hook is not None:
                 self._step_hook(event)
             event.callback(*event.args)
-            return True
+            fired += 1
+        return fired
+
+    def step(self) -> bool:
+        """Fire the next event.  Returns False when the queue is empty."""
+        return self._drain(None, 1, None) == 1
 
     def export_instruments(self, registry: Any) -> None:
         """Record loop-level gauges into an observability *registry*.
@@ -412,65 +206,10 @@ class Simulator:
         When stopping at *until*, the clock is advanced to exactly
         *until* (events scheduled beyond it remain queued).
         """
-        # the inner loop walks one bucket as a plain list; the per-event
-        # cost is an index bump and a couple of attribute stores (this
-        # loop is the simulation's spine)
-        fired = 0
-        buckets, near_heap = self._buckets, self._near_heap
-        slot_heap = self._slot_heap
-        while True:
-            if slot_heap and (not near_heap or slot_heap[0] * _SLOT_WIDTH_S <= near_heap[0]):
-                self._promote_due_slots()
-            if not near_heap:
-                break
-            time = near_heap[0]
-            if until is not None and time > until:
-                break
-            if self._tick_hook is not None and time > self._now:
-                self._tick_hook(time)
-            bucket = buckets[time]
-            if type(bucket) is not _Bucket:
-                # singleton fast path: the dict entry is the event
-                if max_events is not None and fired >= max_events:
-                    return fired
-                heappop(near_heap)
-                del buckets[time]
-                self._queued -= 1
-                if bucket.cancelled:
-                    self._cancelled -= 1
-                    continue
-                bucket._sim = None
-                self._now = time
-                self._events_processed += 1
-                if self._step_hook is not None:
-                    self._step_hook(bucket)
-                bucket.callback(*bucket.args)
-                fired += 1
-                continue
-            events = bucket.events
-            idx = bucket.idx
-            while True:
-                if idx >= len(events):
-                    heappop(near_heap)
-                    del buckets[time]
-                    break
-                if max_events is not None and fired >= max_events:
-                    return fired
-                event = events[idx]
-                idx += 1
-                bucket.idx = idx
-                self._queued -= 1
-                if event.cancelled:
-                    self._cancelled -= 1
-                    continue
-                event._sim = None
-                self._now = time
-                self._events_processed += 1
-                if self._step_hook is not None:
-                    self._step_hook(event)
-                event.callback(*event.args)
-                fired += 1
-        if until is not None and until > self._now:
+        fired = self._drain(until, max_events, None)
+        heap = self._heap
+        # a live event still due by *until* means max_events ended the drain
+        if until is not None and until > self._now and not (heap and heap[0][0] <= until):
             self._now = until
         return fired
 
@@ -480,78 +219,12 @@ class Simulator:
             raise NetworkError("duration must be >= 0")
         return self.run(until=self._now + duration, max_events=max_events)
 
-    def run_until_condition(
-        self,
-        done: Callable[[], bool],
-        horizon: float | None = None,
-        max_events: int | None = None,
-    ) -> bool:
+    def run_until_condition(self, done: Callable[[], bool], horizon: float | None = None,
+                            max_events: int | None = None) -> bool:
         """Run until ``done()`` is true, the queue drains, or a cap hits.
 
         Returns:
             True iff the condition was met.
         """
-        fired = 0
-        buckets, near_heap = self._buckets, self._near_heap
-        slot_heap = self._slot_heap
-        while True:
-            if slot_heap and (not near_heap or slot_heap[0] * _SLOT_WIDTH_S <= near_heap[0]):
-                self._promote_due_slots()
-            if done():
-                return True
-            if not near_heap:
-                return False
-            time = near_heap[0]
-            if horizon is not None and time > horizon:
-                return False
-            if self._tick_hook is not None and time > self._now:
-                self._tick_hook(time)
-            bucket = buckets[time]
-            if type(bucket) is not _Bucket:
-                # singleton fast path: the dict entry is the event
-                if max_events is not None and fired >= max_events:
-                    return done()
-                heappop(near_heap)
-                del buckets[time]
-                self._queued -= 1
-                if bucket.cancelled:
-                    self._cancelled -= 1
-                    continue
-                bucket._sim = None
-                self._now = time
-                self._events_processed += 1
-                if self._step_hook is not None:
-                    self._step_hook(bucket)
-                bucket.callback(*bucket.args)
-                fired += 1
-                continue
-            events = bucket.events
-            idx = bucket.idx
-            while True:
-                if idx >= len(events):
-                    heappop(near_heap)
-                    del buckets[time]
-                    break
-                if max_events is not None and fired >= max_events:
-                    return done()
-                event = events[idx]
-                idx += 1
-                bucket.idx = idx
-                self._queued -= 1
-                if event.cancelled:
-                    self._cancelled -= 1
-                    continue
-                event._sim = None
-                self._now = time
-                self._events_processed += 1
-                if self._step_hook is not None:
-                    self._step_hook(event)
-                event.callback(*event.args)
-                fired += 1
-                if done():
-                    return True
-
-
-def _event_seq(event: ScheduledEvent) -> int:
-    """Sort key restoring insertion order in promotion-merged buckets."""
-    return event.seq
+        self._drain(horizon, max_events, done)
+        return done()

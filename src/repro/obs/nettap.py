@@ -14,7 +14,8 @@ from typing import Any, Callable
 
 from repro.net.network import SimulatedNetwork
 
-#: Subscriber signature: ``fn(at, src, dst, kind, size_bytes)``.
+#: Subscriber signature: ``fn(at, src, dst, kind, size_bytes)``, where
+#: ``size_bytes`` is the on-wire size (payload plus envelope overhead).
 TapFn = Callable[[float, int, int, str, int], None]
 
 
@@ -30,12 +31,15 @@ class NetworkTap:
         self._network = network
         self._original_send: Callable[..., Any] = network.send
         self._subscribers: list[TapFn] = []
+        # NetworkConfig is frozen, so the overhead can be read once
+        self._overhead_bytes = network.config.envelope_overhead_bytes
         network.send = self._tapped_send  # type: ignore[method-assign]
 
     def _tapped_send(self, src: int, dst: int, payload: Any) -> None:
         at = self._network.sim.now
         kind = getattr(payload, "kind", "?")
-        size = getattr(payload, "size_bytes", 0)
+        # the charged size, as TrafficStats.on_send counts it
+        size = getattr(payload, "size_bytes", 0) + self._overhead_bytes
         for fn in self._subscribers:
             fn(at, src, dst, kind, size)
         self._original_send(src, dst, payload)

@@ -61,6 +61,39 @@ class TestSimulator:
         with pytest.raises(NetworkError):
             sim.schedule_at(1.0, lambda: None)
 
+    def test_rejects_nan_times_but_parked_timers_stay_legal(self):
+        sim = Simulator()
+        fired = []
+        sim.schedule(2.0, fired.append, "b")
+        with pytest.raises(NetworkError, match="nan"):
+            sim.schedule(float("nan"), fired.append, "x")
+        with pytest.raises(NetworkError, match="nan"):
+            sim.schedule_at(float("nan"), fired.append, "x")
+        sim.schedule(1.0, fired.append, "a")
+        sim.schedule(0.5, fired.append, "z")
+        parked = [sim.schedule(1e12, fired.append, "far"),
+                  sim.schedule(float("inf"), fired.append, "never"),
+                  sim.schedule_at(float("inf"), fired.append, "never")]
+        assert sim.pending == 6
+        sim.run(until=10.0)
+        assert fired == ["z", "a", "b"] and sim.now == 10.0
+        for event in parked:
+            event.cancel()
+        assert sim.run() == 0 and sim.now == 10.0
+
+    def test_max_events_cap_does_not_tick_a_timestamp_it_did_not_reach(self):
+        sim = Simulator()
+        ticks = []
+        sim.set_tick_hook(ticks.append)
+        sim.schedule_at(1.0, lambda: None)
+        sim.schedule_at(2.0, lambda: None)
+        assert sim.run(max_events=1) == 1
+        assert ticks == [1.0]
+        sim.schedule_at(1.5, lambda: None)
+        sim.run()
+        # strictly increasing: the window-closing contract of repro.obs
+        assert ticks == [1.0, 1.5, 2.0]
+
     def test_events_scheduled_during_run_execute(self):
         sim = Simulator()
         fired = []

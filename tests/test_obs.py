@@ -218,6 +218,26 @@ class TestNetworkTap:
         assert obs.registry.snapshot()["counters"]["net.messages_sent"]["total"] == 2
         assert len(tracer.rows) == 1
 
+    def test_every_counter_of_a_byte_agrees_under_envelope_overhead(self):
+        from repro.common.config import NetworkConfig
+        from repro.net.message import RawPayload
+
+        sim = Simulator()
+        net = SimulatedNetwork(sim, NetworkConfig(envelope_overhead_bytes=32))
+        for node in range(3):
+            net.register(node, lambda env: None)
+        obs = Observability()
+        obs.bind(sim, net)
+        tracer = MessageTracer(net)
+        net.send(0, 1, RawPayload("a.x", 10))
+        net.multicast(0, [0, 1, 2], RawPayload("a.y", 100))
+        sim.run()
+        assert net.stats.bytes_sent == (10 + 32) + 2 * (100 + 32)
+        assert sum(row.size_bytes for row in tracer.rows) == net.stats.bytes_sent
+        counters = obs.registry.snapshot()["counters"]
+        assert counters["net.bytes_sent"]["total"] == net.stats.bytes_sent
+        assert tracer.bytes_by_kind() == dict(net.stats.bytes_by_kind)
+
 
 class TestZeroOverhead:
     """An attached observer must not change the event schedule."""
