@@ -209,13 +209,14 @@ class DecodeBoundsRule(Rule):
     Python slices do not raise on overrun: ``data[start:start + 4]`` on
     a truncated frame silently yields fewer bytes, and
     ``int.from_bytes`` happily mis-parses the remainder into a plausible
-    length -- the classic silent-misparse path codec v2 must never
+    length -- the classic silent-misparse path the codec must never
     reintroduce.  In any function whose name starts with ``decode``,
     subscripting a parameter is flagged unless an earlier (or same-line)
     comparison involving ``len(<param>)`` guards the access.  The
-    bounds-checked :class:`repro.codec.primitives.Reader` cursor (and
-    its non-consuming ``peek``) is the preferred fix: it raises
-    ``ValidationError`` with the exact shortfall instead of mis-parsing.
+    length-checked :class:`repro.codec.primitives.Record` (``unpack``
+    for a whole frame, ``unpack_head`` for a record followed by more)
+    is the preferred fix: it raises ``ValidationError`` with the exact
+    shortfall instead of mis-parsing.
     """
 
     rule_id = "GPB012"
@@ -243,8 +244,8 @@ class DecodeBoundsRule(Rule):
                             module, node,
                             f"'{param}' is indexed before any len({param}) "
                             "bounds check; a truncated frame mis-parses "
-                            "silently -- use the bounds-checked Reader "
-                            "(e.g. Reader.peek) or check first",
+                            "silently -- unpack it with a length-checked "
+                            "Record (e.g. Record.unpack_head) or check first",
                         )
 
     @staticmethod

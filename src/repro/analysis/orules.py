@@ -99,8 +99,9 @@ class EventVocabularyRule(Rule):
     records events nobody queries), so every consumer must import the
     constant instead.  Exemptions: eventlog modules themselves (the
     single definition site), the ``obs``/``codec`` packages (the codec
-    registry's keys are required to be pure literals by GPB006; wire
-    kinds that double as event kinds stay literal there), docstrings,
+    names wire kinds, some of which double as event kinds; the
+    ``WIRE_MESSAGES`` keys, pure literals for GPB006, carry inline
+    allows), docstrings,
     and ``kind = ...`` class attributes (message-class wire-kind
     declarations).
 

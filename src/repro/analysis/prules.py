@@ -9,6 +9,7 @@ and no signature shares mutable default state between calls.
 from __future__ import annotations
 
 import ast
+import struct
 from typing import Iterable, Iterator
 
 from repro.analysis.findings import Finding
@@ -81,20 +82,25 @@ class InlineQuorumArithmeticRule(Rule):
 class CodecHandlerCoverageRule(Rule):
     """Every codec-registered wire message must have a live handler.
 
-    The codec registry (``repro/codec/registry.py``, the literal
-    ``WIRE_MESSAGES`` dict) names, for each wire kind, its encoder and
-    decoder in the codec module and -- for kinds that are dispatched at
-    runtime -- the module and callable that handles it.  This rule
-    re-reads the registry from the AST and verifies each named function
-    actually exists, so a message type cannot be added to the wire
-    without its runtime half (or renamed away from under the registry)
-    silently.  Entries with an empty ``handler`` are data layouts
-    embedded in other messages and only have their codec half checked;
-    registry entries must be pure literals for the rule to read them.
+    The codec registry (the literal ``WIRE_MESSAGES`` dict in
+    ``repro/common/wire_layout.py``) gives, for each wire kind, the
+    ``struct`` layout of its fixed record, its encoder and decoder in
+    the codec module and -- for kinds that are dispatched at runtime --
+    the module and callable that handles it.  This rule re-reads the
+    registry from the AST and verifies each named function actually
+    exists, so a message type cannot be added to the wire without its
+    runtime half (or renamed away from under the registry) silently.
+    Entries with an empty ``handler`` are data layouts embedded in other
+    messages and only have their codec half checked.  Every entry must
+    also carry a ``layout`` (and may carry an ``item`` and a ``tail``)
+    that ``struct.calcsize`` accepts: the codec packs with those
+    strings and the message classes size themselves from them, so a
+    missing or malformed one would otherwise surface only at import.
+    Registry entries must be pure literals for the rule to read them.
     """
 
     rule_id = "GPB006"
-    title = "codec registry entries must name existing codec + handler functions"
+    title = "codec registry entries must carry a valid layout and name existing codec + handler functions"
 
     def check_project(self, project: Project) -> Iterable[Finding]:
         """Cross-check WIRE_MESSAGES entries against their target modules."""
@@ -141,6 +147,14 @@ class CodecHandlerCoverageRule(Rule):
 
     def _check_entry(self, project: Project, module: Module, anchor: ast.AST,
                      kind: str, spec: dict) -> Iterable[Finding]:
+        for part in ("layout", "item", "tail"):
+            layout = spec.get(part, None if part == "layout" else "")
+            try:
+                struct.calcsize(">" + layout)
+            except (TypeError, struct.error):
+                yield self.finding(
+                    module, anchor,
+                    f"{kind!r}: {part} {layout!r} is not a struct format")
         codec_module = spec.get("codec_module", "")
         for role in ("encoder", "decoder"):
             name = spec.get(role, "")

@@ -71,7 +71,7 @@ class PoWBlock:
 
     @property
     def size_bytes(self) -> int:
-        """Serialized size in bytes (verified by repro.codec)."""
+        """Serialized size in bytes (modelled, not encoded)."""
         # header + one 32-byte id per transaction payload reference;
         # actual tx bodies travel once with the block
         return 80 + 200 * len(self.tx_ids)
@@ -90,7 +90,7 @@ class _BlockGossip:
 
     @property
     def size_bytes(self) -> int:
-        """Serialized size in bytes (verified by repro.codec)."""
+        """Serialized size in bytes (modelled, not encoded)."""
         return self.block.size_bytes
 
 
@@ -107,7 +107,7 @@ class _TxGossip:
 
     @property
     def size_bytes(self) -> int:
-        """Serialized size in bytes (verified by repro.codec)."""
+        """Serialized size in bytes (modelled, not encoded)."""
         return 200  # same operation size as the PBFT experiments
 
 

@@ -5,14 +5,15 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.common.errors import ValidationError
+from repro.common.wire_layout import wire_struct
 from repro.crypto.hashing import digest_concat, HASH_BYTES
-from repro.crypto.keys import SIGNATURE_BYTES
 from repro.crypto.merkle import MerkleTree
 from repro.chain.transaction import Transaction
 
-#: Serialized size of the fixed header fields (height, era, view, seq,
-#: proposer, timestamp) excluding the two digests it also carries.
-_HEADER_FIXED_BYTES = 48
+#: Serialized header size (height, era, view, seq, proposer, reserved
+#: bytes, timestamp, two digests, signature), read once from the layout
+#: repro.codec packs with.
+_HEADER_BYTES = wire_struct("chain.block_header").size
 
 
 @dataclass(frozen=True, slots=True)
@@ -65,7 +66,7 @@ class BlockHeader:
     @property
     def size_bytes(self) -> int:
         """Serialized header size: fixed fields + two digests + signature."""
-        return _HEADER_FIXED_BYTES + 2 * HASH_BYTES + SIGNATURE_BYTES
+        return _HEADER_BYTES
 
 
 class Block:

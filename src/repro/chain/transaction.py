@@ -17,13 +17,15 @@ import enum
 from dataclasses import dataclass, field
 
 from repro.common.errors import ValidationError
+from repro.common.wire_layout import wire_struct
 from repro.crypto.hashing import digest_concat, sha256_hex
-from repro.crypto.keys import SIGNATURE_BYTES
 from repro.geo.reports import GeoReport
 
-#: Fixed serialized size of the non-payload transaction fields:
-#: ids, fee, nonce and framing.
-_TX_HEADER_BYTES = 40
+#: Serialized size of everything around the payload -- the header (ids,
+#: fee, nonce, framing) before it, the geo record and signature after
+#: it -- read once from the layouts repro.codec packs with.
+_TX_FIXED_BYTES = (wire_struct("chain.transaction").size
+                   + wire_struct("chain.transaction", "tail").size)
 
 
 @dataclass(frozen=True, slots=True)
@@ -95,7 +97,7 @@ class Transaction:
     @property
     def size_bytes(self) -> int:
         """On-wire size: header + payload + trailing geo + signature."""
-        return _TX_HEADER_BYTES + self.payload_bytes + self.geo.size_bytes + SIGNATURE_BYTES
+        return _TX_FIXED_BYTES + self.payload_bytes
 
 
 @dataclass(frozen=True, slots=True)

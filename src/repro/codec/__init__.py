@@ -7,7 +7,7 @@ binary encoding, and the test suite proves
 ``len(encode(msg)) == msg.size_bytes`` for every type, plus full
 decode(encode(x)) == x round-trips.
 
-Layout conventions (documented in DESIGN.md):
+Layout conventions (per-kind table in docs/protocol.md, section 10):
 
 * integers -- 4-byte big-endian unsigned;
 * timestamps / fees -- 8-byte IEEE-754 doubles;
@@ -18,7 +18,6 @@ Layout conventions (documented in DESIGN.md):
   the enclosing fixed header.
 """
 
-from repro.codec.primitives import Reader, Writer
 from repro.codec.wire import (
     decode_block,
     decode_block_header,
@@ -52,8 +51,6 @@ from repro.codec.wire import (
 )
 
 __all__ = [
-    "Reader",
-    "Writer",
     "encode_prepare",
     "decode_prepare",
     "encode_commit",

@@ -1,136 +1,82 @@
-"""Binary primitives: a cursor-based writer/reader pair.
+"""Binary primitive: one checked fixed-size record.
 
-All multi-byte integers are big-endian; floats are IEEE-754 doubles.
-The Reader raises on truncated input and can assert full consumption,
-so codec bugs surface as errors rather than silent misparses.
+Every frame the codec lays out starts with (and often *is*) a fixed
+record whose :mod:`struct` format comes from the shared layout table.
+:class:`Record` wraps the compiled format with the checks ``struct``
+itself does not make, so codec bugs and malformed frames surface as
+:class:`~repro.common.errors.ValidationError` rather than as silent
+misparses: ``struct`` pads or truncates a wrong-length ``Ns`` field
+without complaint, and reports every other problem as a bare
+``struct.error``.
 """
 
 from __future__ import annotations
 
+import re
 import struct
+from typing import Any
 
 from repro.common.errors import ValidationError
+from repro.common.wire_layout import wire_struct
+
+#: One format code with its optional repeat count, e.g. ``32s`` or ``I``.
+_CODE = re.compile(r"(\d*)([a-zA-Z?])")
 
 
-class Writer:
-    """Append-only byte assembler."""
+class Record:
+    """One layout of a wire kind: pack, exact unpack, head unpack, and
+    unpack of a run of records.
 
-    def __init__(self) -> None:
-        self._parts: list[bytes] = []
+    Attributes:
+        size: the record's length in bytes.
+    """
 
-    def u8(self, value: int) -> "Writer":
-        """One unsigned byte."""
-        if not 0 <= value < 2**8:
-            raise ValidationError(f"u8 out of range: {value}")
-        self._parts.append(value.to_bytes(1, "big"))
-        return self
+    def __init__(self, kind: str, part: str = "layout") -> None:
+        self._struct = wire_struct(kind, part)
+        self._name = f"{kind} {part}"
+        self.size = self._struct.size
+        # (position among the packed values, width) of each raw-bytes field
+        raw: list[tuple[int, int]] = []
+        position = 0
+        for count, code in _CODE.findall(self._struct.format):
+            if code == "s":
+                raw.append((position, int(count or 1)))
+                position += 1
+            elif code != "x":
+                position += int(count or 1)
+        self._raw = tuple(raw)
 
-    def u32(self, value: int) -> "Writer":
-        """4-byte unsigned big-endian integer."""
-        if not 0 <= value < 2**32:
-            raise ValidationError(f"u32 out of range: {value}")
-        self._parts.append(value.to_bytes(4, "big"))
-        return self
+    def pack(self, *values: Any) -> bytes:
+        """The record's bytes; integers must fit their field and raw
+        fields must have exactly their width."""
+        try:
+            data = self._struct.pack(*values)
+        except struct.error as exc:
+            raise ValidationError(f"{self._name}: {exc}") from exc
+        for position, width in self._raw:
+            if len(values[position]) != width:
+                raise ValidationError(f"{self._name}: raw field expected {width} "
+                                      f"bytes, got {len(values[position])}")
+        return data
 
-    def u64(self, value: int) -> "Writer":
-        """8-byte unsigned big-endian integer."""
-        if not 0 <= value < 2**64:
-            raise ValidationError(f"u64 out of range: {value}")
-        self._parts.append(value.to_bytes(8, "big"))
-        return self
+    def unpack(self, data: bytes) -> tuple[Any, ...]:
+        """The fields of a buffer that is exactly one record long."""
+        if len(data) != self.size:
+            raise ValidationError(f"{self._name}: need exactly {self.size} "
+                                  f"bytes, got {len(data)}")
+        return self._struct.unpack(data)
 
-    def f64(self, value: float) -> "Writer":
-        """8-byte IEEE-754 double."""
-        self._parts.append(struct.pack(">d", value))
-        return self
+    def unpack_head(self, data: bytes) -> tuple[tuple[Any, ...], bytes]:
+        """The fields of the record *data* starts with, and the rest."""
+        if len(data) < self.size:
+            raise ValidationError(f"{self._name}: truncated, need {self.size} "
+                                  f"bytes, have {len(data)}")
+        return self._struct.unpack_from(data), data[self.size:]
 
-    def raw(self, data: bytes, expected_len: int | None = None) -> "Writer":
-        """Raw bytes, optionally length-checked against the layout."""
-        if expected_len is not None and len(data) != expected_len:
-            raise ValidationError(
-                f"raw field expected {expected_len} bytes, got {len(data)}"
-            )
-        self._parts.append(bytes(data))
-        return self
-
-    def pad(self, count: int) -> "Writer":
-        """Zero padding (fixed-size header slack)."""
-        if count < 0:
-            raise ValidationError("padding must be >= 0")
-        self._parts.append(b"\x00" * count)
-        return self
-
-    def bytes(self) -> bytes:
-        """The assembled buffer."""
-        return b"".join(self._parts)
-
-    def __len__(self) -> int:
-        return sum(len(p) for p in self._parts)
-
-
-class Reader:
-    """Cursor-based parser over one buffer."""
-
-    def __init__(self, data: bytes) -> None:
-        self._data = bytes(data)
-        self._pos = 0
-
-    @property
-    def remaining(self) -> int:
-        """Unconsumed byte count."""
-        return len(self._data) - self._pos
-
-    def _take(self, count: int) -> bytes:
-        if self.remaining < count:
-            raise ValidationError(
-                f"truncated message: need {count} bytes, have {self.remaining}"
-            )
-        chunk = self._data[self._pos:self._pos + count]
-        self._pos += count
-        return chunk
-
-    def u8(self) -> int:
-        """One unsigned byte."""
-        return self._take(1)[0]
-
-    def u32(self) -> int:
-        """4-byte unsigned big-endian integer."""
-        return int.from_bytes(self._take(4), "big")
-
-    def u64(self) -> int:
-        """8-byte unsigned big-endian integer."""
-        return int.from_bytes(self._take(8), "big")
-
-    def f64(self) -> float:
-        """8-byte IEEE-754 double."""
-        return struct.unpack(">d", self._take(8))[0]
-
-    def raw(self, count: int) -> bytes:
-        """Exactly *count* raw bytes."""
-        return self._take(count)
-
-    def peek(self, count: int, *, offset: int = 0) -> bytes:
-        """*count* bytes starting *offset* past the cursor, not consumed.
-
-        Length-prefix look-ahead for variable-size records: bounds are
-        checked exactly like :meth:`raw`, so a truncated buffer fails
-        with :class:`ValidationError` instead of a silent short slice.
-        """
-        if count < 0 or offset < 0:
-            raise ValidationError("peek count/offset must be >= 0")
-        if self.remaining < offset + count:
-            raise ValidationError(
-                f"truncated message: need {offset + count} bytes ahead, "
-                f"have {self.remaining}"
-            )
-        start = self._pos + offset
-        return self._data[start:start + count]
-
-    def skip(self, count: int) -> None:
-        """Discard padding."""
-        self._take(count)
-
-    def expect_end(self) -> None:
-        """Raise unless the buffer is fully consumed (layout check)."""
-        if self.remaining != 0:
-            raise ValidationError(f"{self.remaining} trailing bytes after decode")
+    def unpack_each(self, data: bytes) -> list[tuple[Any, ...]]:
+        """The fields of every record in a buffer that holds a whole
+        number of them and nothing else."""
+        if len(data) % self.size:
+            raise ValidationError(f"{self._name}: {len(data)} bytes is not a "
+                                  f"whole number of {self.size}-byte records")
+        return list(self._struct.iter_unpack(data))

@@ -1,146 +1,7 @@
-"""Declarative registry of every wire message type the codec lays out.
+"""The wire-message table, under the name the codec's users import;
+it lives in :mod:`repro.common.wire_layout`, below the message modules
+that read their sizes from it."""
 
-Each entry maps a message kind (the ``kind`` string the dispatchers
-switch on) to its codec functions and, when the message is dispatched at
-runtime, the module and callable that handles it.  The registry is the
-single source of truth cross-checked by the static analyzer
-(:mod:`repro.analysis`, rule ``GPB006``): the analyzer re-reads this
-dict from the AST and verifies that every named encoder/decoder exists
-in the codec module and that every named handler exists in its handler
-module, so a message type can never be added to the wire without a
-matching runtime handler (or vice versa) passing review.
+from repro.common.wire_layout import WIRE_MESSAGES
 
-Entry fields (all strings; empty string means "not applicable"):
-
-* ``encoder`` / ``decoder`` -- function names in ``codec_module``.
-  View-change and new-view messages are encode-only today (the
-  simulation never re-parses them; their byte layout backs the traffic
-  accounting), so their ``decoder`` is empty.
-* ``codec_module`` -- repo-relative path suffix of the codec module.
-* ``handler_module`` / ``handler`` -- where the runtime consumes the
-  message.  Data layouts that are embedded in other messages rather
-  than dispatched by kind (transactions, blocks, era-switch payloads)
-  carry an empty handler.
-
-The dict is a *pure literal* so the analyzer can evaluate it without
-importing this package.
-"""
-
-from __future__ import annotations
-
-#: Wire-kind -> codec/handler wiring, cross-checked by rule GPB006.
-WIRE_MESSAGES: dict[str, dict[str, str]] = {
-    "pbft.request": {
-        "encoder": "encode_request",
-        "decoder": "decode_request",
-        "codec_module": "repro/codec/wire.py",
-        "handler_module": "repro/pbft/replica.py",
-        "handler": "on_request",
-    },
-    "pbft.pre_prepare": {
-        "encoder": "encode_pre_prepare",
-        "decoder": "decode_pre_prepare",
-        "codec_module": "repro/codec/wire.py",
-        "handler_module": "repro/pbft/replica.py",
-        "handler": "on_pre_prepare",
-    },
-    "pbft.prepare": {
-        "encoder": "encode_prepare",
-        "decoder": "decode_prepare",
-        "codec_module": "repro/codec/wire.py",
-        "handler_module": "repro/pbft/replica.py",
-        "handler": "on_prepare",
-    },
-    "pbft.commit": {
-        "encoder": "encode_commit",
-        "decoder": "decode_commit",
-        "codec_module": "repro/codec/wire.py",
-        "handler_module": "repro/pbft/replica.py",
-        "handler": "on_commit",
-    },
-    "pbft.checkpoint": {
-        "encoder": "encode_checkpoint",
-        "decoder": "decode_checkpoint",
-        "codec_module": "repro/codec/wire.py",
-        "handler_module": "repro/pbft/replica.py",
-        "handler": "on_checkpoint",
-    },
-    "pbft.reply": {
-        "encoder": "encode_reply",
-        "decoder": "decode_reply",
-        "codec_module": "repro/codec/wire.py",
-        "handler_module": "repro/pbft/client.py",
-        "handler": "on_reply",
-    },
-    "pbft.view_change": {
-        "encoder": "encode_view_change",
-        "decoder": "",
-        "codec_module": "repro/codec/wire.py",
-        "handler_module": "repro/pbft/replica.py",
-        "handler": "on_view_change",
-    },
-    "pbft.new_view": {
-        "encoder": "encode_new_view",
-        "decoder": "",
-        "codec_module": "repro/codec/wire.py",
-        "handler_module": "repro/pbft/replica.py",
-        "handler": "on_new_view",
-    },
-    "geo.report": {
-        "encoder": "encode_geo_report",
-        "decoder": "decode_geo_report",
-        "codec_module": "repro/codec/wire.py",
-        "handler_module": "repro/core/node.py",
-        "handler": "_on_geo_report",
-    },
-    # data layouts: embedded in other messages, never dispatched by kind
-    "chain.transaction": {
-        "encoder": "encode_transaction",
-        "decoder": "decode_transaction",
-        "codec_module": "repro/codec/wire.py",
-        "handler_module": "",
-        "handler": "",
-    },
-    "chain.block": {
-        "encoder": "encode_block",
-        "decoder": "decode_block",
-        "codec_module": "repro/codec/wire.py",
-        "handler_module": "",
-        "handler": "",
-    },
-    "chain.block_header": {
-        "encoder": "encode_block_header",
-        "decoder": "decode_block_header",
-        "codec_module": "repro/codec/wire.py",
-        "handler_module": "",
-        "handler": "",
-    },
-    "gpbft.era_switch": {
-        "encoder": "encode_era_switch",
-        "decoder": "decode_era_switch",
-        "codec_module": "repro/codec/wire.py",
-        "handler_module": "",
-        "handler": "",
-    },
-    "gpbft.xzone_tx": {
-        "encoder": "encode_xzone_tx",
-        "decoder": "decode_xzone_tx",
-        "codec_module": "repro/codec/wire.py",
-        "handler_module": "repro/core/hierarchy.py",
-        "handler": "_on_xzone_tx",
-    },
-    "gpbft.zone_checkpoint": {
-        "encoder": "encode_zone_checkpoint",
-        "decoder": "decode_zone_checkpoint",
-        "codec_module": "repro/codec/wire.py",
-        "handler_module": "repro/core/hierarchy.py",
-        "handler": "_on_zone_checkpoint",
-    },
-    "pbft.prepared_proof": {
-        "encoder": "encode_prepared_proof",
-        "decoder": "",
-        "codec_module": "repro/codec/wire.py",
-        "handler_module": "",
-        "handler": "",
-    },
-}
+__all__ = ["WIRE_MESSAGES"]

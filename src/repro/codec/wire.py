@@ -4,6 +4,11 @@ Every encoder produces exactly ``msg.size_bytes`` bytes -- the test
 suite enforces it -- so the communication costs the experiments charge
 are the costs a real deployment of these layouts would pay.
 
+Every fixed record is a :class:`~repro.codec.primitives.Record` built
+from the shared layout table (``WIRE_MESSAGES``), the same table the
+message modules compute their sizes from; what is variable in a frame
+is sized by a length its head carries or by the bytes that remain.
+
 Signatures are not stored on the message objects (the simulation
 verifies via the key registry), so encoders accept the 64-byte
 signature as a parameter (zeroes by default) and decoders return it
@@ -12,7 +17,7 @@ alongside the message.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Iterable
 
 from repro.chain.transaction import (
     ConfigAction,
@@ -20,7 +25,7 @@ from repro.chain.transaction import (
     NormalTransaction,
     Transaction,
 )
-from repro.codec.primitives import Reader, Writer
+from repro.codec.primitives import Record
 from repro.common.errors import ValidationError
 from repro.crypto.keys import SIGNATURE_BYTES
 from repro.geo.coords import LatLng
@@ -52,37 +57,47 @@ _TX_KIND_CONFIG = 2
 _ACTION_CODE = {ConfigAction.ADD_ENDORSER: 1, ConfigAction.REMOVE_ENDORSER: 2}
 _CODE_ACTION = {v: k for k, v in _ACTION_CODE.items()}
 
+#: A normal transaction's key and value lengths share one header word.
+_LENGTH_BITS = 16
+_LENGTH_MAX = (1 << _LENGTH_BITS) - 1
 
-def _check_sig(signature: bytes) -> bytes:
-    if len(signature) != SIGNATURE_BYTES:
-        raise ValidationError(f"signature must be {SIGNATURE_BYTES} bytes")
-    return signature
+_GEO = Record("geo.report")
+_TX = Record("chain.transaction")
+_TX_TAIL = Record("chain.transaction", "tail")
+_REQUEST = Record("pbft.request")
+_PRE_PREPARE = Record("pbft.pre_prepare")
+_PREPARE = Record("pbft.prepare")
+_COMMIT = Record("pbft.commit")
+_CHECKPOINT = Record("pbft.checkpoint")
+_REPLY = Record("pbft.reply")
+_BLOCK_HEADER = Record("chain.block_header")
+_ERA_SWITCH = Record("gpbft.era_switch")
+_ERA_SWITCH_ID = Record("gpbft.era_switch", "item")
+_XZONE = Record("gpbft.xzone_tx")
+_XZONE_TAIL = Record("gpbft.xzone_tx", "tail")
+_ZONE_CHECKPOINT = Record("gpbft.zone_checkpoint")
+_PREPARED_PROOF = Record("pbft.prepared_proof")
+_VIEW_CHANGE = Record("pbft.view_change")
+_NEW_VIEW = Record("pbft.new_view")
+_NEW_VIEW_VOTE = Record("pbft.new_view", "item")
+
+
+def _expect_end(rest: bytes) -> None:
+    if rest:
+        raise ValidationError(f"{len(rest)} trailing bytes after decode")
 
 
 # -- geographic info ----------------------------------------------------------
 
 def encode_geo_report(report: GeoReport) -> bytes:
     """32-byte record: node u32 + pad 4 + lng f64 + lat f64 + ts f64."""
-    return (
-        Writer()
-        .u32(report.node)
-        .pad(4)  # reserved
-        .f64(report.position.lng)
-        .f64(report.position.lat)
-        .f64(report.timestamp)
-        .bytes()
-    )
+    return _GEO.pack(report.node, report.position.lng, report.position.lat,
+                     report.timestamp)
 
 
 def decode_geo_report(data: bytes) -> GeoReport:
     """Inverse of :func:`encode_geo_report`."""
-    reader = Reader(data)
-    node = reader.u32()
-    reader.skip(4)
-    lng = reader.f64()
-    lat = reader.f64()
-    ts = reader.f64()
-    reader.expect_end()
+    node, lng, lat, ts = _GEO.unpack(data)
     return GeoReport(node=node, position=LatLng(lat, lng), timestamp=ts)
 
 
@@ -90,74 +105,71 @@ def decode_geo_report(data: bytes) -> GeoReport:
 
 def encode_transaction(tx: Transaction, signature: bytes = _ZERO_SIG) -> bytes:
     """Fixed 40-byte header + payload region + geo record + signature."""
-    _check_sig(signature)
-    writer = Writer()
     if isinstance(tx, NormalTransaction):
         key = tx.key.encode()
         value = tx.value.encode()
+        if len(key) > _LENGTH_MAX or len(value) > _LENGTH_MAX:
+            raise ValidationError(f"key and value ({len(key)} and {len(value)} "
+                                  f"B) must each fit a {_LENGTH_BITS}-bit length")
         if 4 + len(key) + len(value) > tx.payload_bytes:
-            raise ValidationError(
-                f"key+value ({len(key)}+{len(value)} B) exceed the declared "
-                f"payload of {tx.payload_bytes} B"
-            )
-        (writer.u8(_TX_KIND_NORMAL).u32(tx.sender).u32(tx.nonce).f64(tx.fee)
-         .u32(tx.payload_bytes)
-         .u32(len(key) << 16 | len(value))
-         .pad(15))
-        writer.raw(key).raw(value)
-        writer.pad(tx.payload_bytes - len(key) - len(value))
+            raise ValidationError(f"key+value ({len(key)}+{len(value)} B) exceed "
+                                  f"the declared payload of {tx.payload_bytes} B")
+        header = _TX.pack(_TX_KIND_NORMAL, tx.sender, tx.nonce, tx.fee,
+                          tx.payload_bytes,
+                          len(key) << _LENGTH_BITS | len(value), 0)
+        payload = (key + value).ljust(tx.payload_bytes, b"\x00")
     elif isinstance(tx, ConfigTransaction):
-        (writer.u8(_TX_KIND_CONFIG).u32(tx.sender).u32(tx.nonce).f64(tx.fee)
-         .u32(tx.payload_bytes)
-         .u32(tx.subject)
-         .u8(_ACTION_CODE[tx.action])
-         .pad(14))
-        writer.pad(tx.payload_bytes)
+        header = _TX.pack(_TX_KIND_CONFIG, tx.sender, tx.nonce, tx.fee,
+                          tx.payload_bytes, tx.subject,
+                          _ACTION_CODE[tx.action])
+        payload = bytes(tx.payload_bytes)
     else:
         raise ValidationError(f"no wire layout for {type(tx).__name__}")
-    writer.raw(encode_geo_report(tx.geo), expected_len=32)
-    writer.raw(signature, expected_len=SIGNATURE_BYTES)
-    return writer.bytes()
+    return header + payload + _TX_TAIL.pack(encode_geo_report(tx.geo), signature)
 
 
-def decode_transaction(data: bytes) -> tuple[Transaction, bytes]:
-    """Inverse of :func:`encode_transaction`; returns (tx, signature)."""
-    reader = Reader(data)
-    kind = reader.u8()
-    sender = reader.u32()
-    nonce = reader.u32()
-    fee = reader.f64()
-    payload_bytes = reader.u32()
+def _read_transaction(data: bytes) -> tuple[Transaction, bytes, bytes]:
+    """The transaction frame *data* starts with: (tx, signature, rest)."""
+    (kind, sender, nonce, fee, payload_bytes, word, code), rest = \
+        _TX.unpack_head(data)
+    if len(rest) < payload_bytes:
+        raise ValidationError(f"truncated transaction: {payload_bytes} B of "
+                              f"payload declared, {len(rest)} remain")
+    payload, rest = rest[:payload_bytes], rest[payload_bytes:]
+    (geo_bytes, signature), rest = _TX_TAIL.unpack_head(rest)
+    geo = decode_geo_report(geo_bytes)
+    tx: Transaction
     if kind == _TX_KIND_NORMAL:
-        lengths = reader.u32()
-        key_len, value_len = lengths >> 16, lengths & 0xFFFF
-        reader.skip(15)
-        key = reader.raw(key_len).decode()
-        value = reader.raw(value_len).decode()
-        reader.skip(payload_bytes - key_len - value_len)
-        geo = decode_geo_report(reader.raw(32))
-        signature = reader.raw(SIGNATURE_BYTES)
-        reader.expect_end()
-        tx: Transaction = NormalTransaction(
+        key_len, value_len = word >> _LENGTH_BITS, word & _LENGTH_MAX
+        if key_len + value_len > payload_bytes:
+            raise ValidationError(f"key+value ({key_len}+{value_len} B) exceed "
+                                  f"the declared payload of {payload_bytes} B")
+        try:
+            key = payload[:key_len].decode()
+            value = payload[key_len:key_len + value_len].decode()
+        except UnicodeDecodeError as exc:
+            raise ValidationError(f"key/value is not UTF-8: {exc}") from exc
+        tx = NormalTransaction(
             sender=sender, nonce=nonce, fee=fee, geo=geo,
             payload_bytes=payload_bytes, key=key, value=value,
         )
     elif kind == _TX_KIND_CONFIG:
-        subject = reader.u32()
-        action = _CODE_ACTION.get(reader.u8())
+        action = _CODE_ACTION.get(code)
         if action is None:
             raise ValidationError("unknown config action code")
-        reader.skip(14)
-        reader.skip(payload_bytes)
-        geo = decode_geo_report(reader.raw(32))
-        signature = reader.raw(SIGNATURE_BYTES)
-        reader.expect_end()
         tx = ConfigTransaction(
             sender=sender, nonce=nonce, fee=fee, geo=geo,
-            payload_bytes=payload_bytes, action=action, subject=subject,
+            payload_bytes=payload_bytes, action=action, subject=word,
         )
     else:
         raise ValidationError(f"unknown transaction kind tag {kind}")
+    return tx, signature, rest
+
+
+def decode_transaction(data: bytes) -> tuple[Transaction, bytes]:
+    """Inverse of :func:`encode_transaction`; returns (tx, signature)."""
+    tx, signature, rest = _read_transaction(data)
+    _expect_end(rest)
     return tx, signature
 
 
@@ -165,54 +177,36 @@ def decode_transaction(data: bytes) -> tuple[Transaction, bytes]:
 
 def encode_prepare(msg: Prepare, signature: bytes = _ZERO_SIG) -> bytes:
     """view u32 + seq u32 + sender u32 + digest 32 + signature 64."""
-    _check_sig(signature)
-    return (Writer().u32(msg.view).u32(msg.seq).u32(msg.sender)
-            .raw(msg.digest, 32).raw(signature, 64).bytes())
+    return _PREPARE.pack(msg.view, msg.seq, msg.sender, msg.digest, signature)
 
 
 def decode_prepare(data: bytes, epoch: int = 0) -> tuple[Prepare, bytes]:
     """Inverse of :func:`encode_prepare` (epoch rides in the view word)."""
-    reader = Reader(data)
-    view, seq, sender = reader.u32(), reader.u32(), reader.u32()
-    digest = reader.raw(32)
-    signature = reader.raw(64)
-    reader.expect_end()
+    view, seq, sender, digest, signature = _PREPARE.unpack(data)
     return Prepare(view=view, seq=seq, digest=digest, sender=sender,
                    epoch=epoch), signature
 
 
 def encode_commit(msg: Commit, signature: bytes = _ZERO_SIG) -> bytes:
     """Same layout as prepare."""
-    _check_sig(signature)
-    return (Writer().u32(msg.view).u32(msg.seq).u32(msg.sender)
-            .raw(msg.digest, 32).raw(signature, 64).bytes())
+    return _COMMIT.pack(msg.view, msg.seq, msg.sender, msg.digest, signature)
 
 
 def decode_commit(data: bytes, epoch: int = 0) -> tuple[Commit, bytes]:
     """Inverse of :func:`encode_commit`."""
-    reader = Reader(data)
-    view, seq, sender = reader.u32(), reader.u32(), reader.u32()
-    digest = reader.raw(32)
-    signature = reader.raw(64)
-    reader.expect_end()
+    view, seq, sender, digest, signature = _COMMIT.unpack(data)
     return Commit(view=view, seq=seq, digest=digest, sender=sender,
                   epoch=epoch), signature
 
 
 def encode_checkpoint(msg: Checkpoint, signature: bytes = _ZERO_SIG) -> bytes:
     """seq u32 + sender u32 + digest 32 + signature 64."""
-    _check_sig(signature)
-    return (Writer().u32(msg.seq).u32(msg.sender)
-            .raw(msg.state_digest, 32).raw(signature, 64).bytes())
+    return _CHECKPOINT.pack(msg.seq, msg.sender, msg.state_digest, signature)
 
 
 def decode_checkpoint(data: bytes, epoch: int = 0) -> tuple[Checkpoint, bytes]:
     """Inverse of :func:`encode_checkpoint`."""
-    reader = Reader(data)
-    seq, sender = reader.u32(), reader.u32()
-    digest = reader.raw(32)
-    signature = reader.raw(64)
-    reader.expect_end()
+    seq, sender, digest, signature = _CHECKPOINT.unpack(data)
     return Checkpoint(seq=seq, state_digest=digest, sender=sender,
                       epoch=epoch), signature
 
@@ -221,10 +215,8 @@ def encode_reply(msg: Reply, signature: bytes = _ZERO_SIG) -> bytes:
     """view u32 + client u32 + sender u32 + timestamp f64 + digest 32
     + signature 64.  The request id is not on the wire: the client
     matches replies by (client, timestamp), as in classic PBFT."""
-    _check_sig(signature)
-    return (Writer().u32(msg.view).u32(msg.client).u32(msg.sender)
-            .f64(msg.timestamp).raw(msg.result_digest, 32)
-            .raw(signature, 64).bytes())
+    return _REPLY.pack(msg.view, msg.client, msg.sender, msg.timestamp,
+                       msg.result_digest, signature)
 
 
 def decode_reply(data: bytes, request_id: str = "") -> tuple[Reply, bytes]:
@@ -235,12 +227,7 @@ def decode_reply(data: bytes, request_id: str = "") -> tuple[Reply, bytes]:
         request_id: supplied by the receiver's pending-request table
             (keyed by client + timestamp); empty when unknown.
     """
-    reader = Reader(data)
-    view, client, sender = reader.u32(), reader.u32(), reader.u32()
-    timestamp = reader.f64()
-    digest = reader.raw(32)
-    signature = reader.raw(64)
-    reader.expect_end()
+    view, client, sender, timestamp, digest, signature = _REPLY.unpack(data)
     return Reply(view=view, timestamp=timestamp, client=client, sender=sender,
                  request_id=request_id, result_digest=digest), signature
 
@@ -254,14 +241,10 @@ def encode_request(msg: ClientRequest, op_bytes: bytes,
         op_bytes: the serialized operation; its length must equal the
             operation's declared ``size_bytes`` (layout honesty check).
     """
-    _check_sig(signature)
     if len(op_bytes) != msg.op.size_bytes:
-        raise ValidationError(
-            f"operation encodes to {len(op_bytes)} B but declares "
-            f"{msg.op.size_bytes} B"
-        )
-    return (Writer().u32(msg.client).f64(msg.timestamp)
-            .raw(signature, 64).raw(op_bytes).bytes())
+        raise ValidationError(f"operation encodes to {len(op_bytes)} B but "
+                              f"declares {msg.op.size_bytes} B")
+    return _REQUEST.pack(msg.client, msg.timestamp, signature) + op_bytes
 
 
 def decode_request(data: bytes) -> tuple[int, float, bytes, bytes]:
@@ -271,11 +254,7 @@ def decode_request(data: bytes) -> tuple[int, float, bytes, bytes]:
         (client, timestamp, signature, op_bytes); the caller decodes the
         operation with the codec matching its kind.
     """
-    reader = Reader(data)
-    client = reader.u32()
-    timestamp = reader.f64()
-    signature = reader.raw(64)
-    op_bytes = reader.raw(reader.remaining)
+    (client, timestamp, signature), op_bytes = _REQUEST.unpack_head(data)
     return client, timestamp, signature, op_bytes
 
 
@@ -283,15 +262,11 @@ def encode_pre_prepare(msg: PrePrepare, request_bytes: bytes,
                        signature: bytes = _ZERO_SIG) -> bytes:
     """view u32 + seq u32 + sender u32 + digest 32 + signature 64 +
     the piggybacked request bytes."""
-    _check_sig(signature)
     if len(request_bytes) != msg.request.size_bytes:
-        raise ValidationError(
-            f"request encodes to {len(request_bytes)} B but declares "
-            f"{msg.request.size_bytes} B"
-        )
-    return (Writer().u32(msg.view).u32(msg.seq).u32(msg.sender)
-            .raw(msg.digest, 32).raw(signature, 64)
-            .raw(request_bytes).bytes())
+        raise ValidationError(f"request encodes to {len(request_bytes)} B but "
+                              f"declares {msg.request.size_bytes} B")
+    return _PRE_PREPARE.pack(msg.view, msg.seq, msg.sender, msg.digest,
+                             signature) + request_bytes
 
 
 def decode_pre_prepare(data: bytes) -> tuple[int, int, int, bytes, bytes, bytes]:
@@ -300,11 +275,8 @@ def decode_pre_prepare(data: bytes) -> tuple[int, int, int, bytes, bytes, bytes]
     Returns:
         (view, seq, sender, digest, signature, request_bytes).
     """
-    reader = Reader(data)
-    view, seq, sender = reader.u32(), reader.u32(), reader.u32()
-    digest = reader.raw(32)
-    signature = reader.raw(64)
-    request_bytes = reader.raw(reader.remaining)
+    (view, seq, sender, digest, signature), request_bytes = \
+        _PRE_PREPARE.unpack_head(data)
     return view, seq, sender, digest, signature, request_bytes
 
 
@@ -314,63 +286,47 @@ def encode_block_header(header: BlockHeader,
                         signature: bytes = _ZERO_SIG) -> bytes:
     """Fixed header: height/era/view/seq/proposer u32s + pad + timestamp
     f64 + parent 32 + tx_root 32 + signature 64 (matches
-    ``BlockHeader.size_bytes``: 48 fixed + 64 digests + 64 signature)."""
-    _check_sig(signature)
-    return (
-        Writer()
-        .u32(header.height).u32(header.era).u32(header.view)
-        .u32(header.seq).u32(header.proposer)
-        .pad(20)  # reserved: future header fields
-        .f64(header.timestamp)
-        .raw(header.parent, 32)
-        .raw(header.tx_root, 32)
-        .raw(signature, 64)
-        .bytes()
-    )
+    ``BlockHeader.size_bytes``; the 20 reserved bytes leave room for
+    future header fields)."""
+    return _BLOCK_HEADER.pack(header.height, header.era, header.view,
+                              header.seq, header.proposer, header.timestamp,
+                              header.parent, header.tx_root, signature)
+
+
+def _read_block_header(data: bytes) -> tuple[BlockHeader, bytes, bytes]:
+    """The header frame *data* starts with: (header, signature, rest)."""
+    from repro.chain.block import BlockHeader
+
+    (height, era, view, seq, proposer, timestamp, parent, tx_root,
+     signature), rest = _BLOCK_HEADER.unpack_head(data)
+    header = BlockHeader(height=height, parent=parent, era=era, view=view,
+                         seq=seq, proposer=proposer, timestamp=timestamp,
+                         tx_root=tx_root)
+    return header, signature, rest
 
 
 def decode_block_header(data: bytes) -> tuple[BlockHeader, bytes]:
     """Inverse of :func:`encode_block_header`; returns (header, sig)."""
-    from repro.chain.block import BlockHeader
-
-    reader = Reader(data)
-    height, era, view, seq, proposer = (reader.u32() for _ in range(5))
-    reader.skip(20)
-    timestamp = reader.f64()
-    parent = reader.raw(32)
-    tx_root = reader.raw(32)
-    signature = reader.raw(64)
-    reader.expect_end()
-    header = BlockHeader(height=height, parent=parent, era=era, view=view,
-                         seq=seq, proposer=proposer, timestamp=timestamp,
-                         tx_root=tx_root)
+    header, signature, rest = _read_block_header(data)
+    _expect_end(rest)
     return header, signature
 
 
 def encode_block(block: Block, signature: bytes = _ZERO_SIG) -> bytes:
     """Header followed by each transaction's encoding, in order."""
-    writer = Writer()
-    writer.raw(encode_block_header(block.header, signature))
-    for tx in block.transactions:
-        writer.raw(encode_transaction(tx))
-    return writer.bytes()
+    return encode_block_header(block.header, signature) + b"".join(
+        encode_transaction(tx) for tx in block.transactions)
 
 
 def decode_block(data: bytes) -> Block:
-    """Inverse of :func:`encode_block` (transactions must be the fixed
-    200-byte normal/config layouts used across the experiments)."""
+    """Inverse of :func:`encode_block`: the header, then transaction
+    frames (each one's extent follows from its own header) to the end."""
     from repro.chain.block import Block
 
-    reader = Reader(data)
-    header_bytes = reader.raw(48 + 64 + 64)
-    header, _sig = decode_block_header(header_bytes)
+    header, _sig, rest = _read_block_header(data)
     txs: list[Transaction] = []
-    while reader.remaining:
-        # peek the declared payload length to find this tx's extent:
-        # header 40 (payload_len at offset 17) + payload + geo 32 + sig 64
-        payload_len = int.from_bytes(reader.peek(4, offset=17), "big")
-        tx_len = 40 + payload_len + 32 + 64
-        tx, _ = decode_transaction(reader.raw(tx_len))
+    while rest:
+        tx, _tx_sig, rest = _read_transaction(rest)
         txs.append(tx)
     return Block(header, tuple(txs))
 
@@ -379,82 +335,77 @@ def decode_block(data: bytes) -> Block:
 
 def encode_era_switch(op: EraSwitchOperation) -> bytes:
     """counts u32 x3 + new_era u32 + committee + added + removed ids."""
-    writer = (Writer().u32(op.new_era).u32(len(op.committee))
-              .u32(len(op.added)).u32(len(op.removed)))
-    for node in list(op.committee) + list(op.added) + list(op.removed):
-        writer.u32(node)
-    return writer.bytes()
+    return _ERA_SWITCH.pack(
+        op.new_era, len(op.committee), len(op.added), len(op.removed),
+    ) + b"".join(_ERA_SWITCH_ID.pack(node)
+                 for node in (*op.committee, *op.added, *op.removed))
 
 
 def decode_era_switch(data: bytes) -> EraSwitchOperation:
     """Inverse of :func:`encode_era_switch`."""
     from repro.core.messages import EraSwitchOperation
 
-    reader = Reader(data)
-    new_era = reader.u32()
-    n_committee, n_added, n_removed = reader.u32(), reader.u32(), reader.u32()
-    committee = tuple(reader.u32() for _ in range(n_committee))
-    added = tuple(reader.u32() for _ in range(n_added))
-    removed = tuple(reader.u32() for _ in range(n_removed))
-    reader.expect_end()
-    return EraSwitchOperation(new_era=new_era, committee=committee,
-                              added=added, removed=removed)
+    (new_era, n_committee, n_added, n_removed), rest = \
+        _ERA_SWITCH.unpack_head(data)
+    # the ids are sized by the bytes that remain, never by the counts
+    ids = [node for (node,) in _ERA_SWITCH_ID.unpack_each(rest)]
+    if len(ids) != n_committee + n_added + n_removed:
+        raise ValidationError(f"era switch declares {n_committee}+{n_added}+"
+                              f"{n_removed} ids, carries {len(ids)}")
+    added_at = n_committee + n_added
+    return EraSwitchOperation(new_era=new_era,
+                              committee=tuple(ids[:n_committee]),
+                              added=tuple(ids[n_committee:added_at]),
+                              removed=tuple(ids[added_at:]))
 
 
 # -- hierarchical (zone-sharded) messages -------------------------------------
 
 def encode_xzone_tx(msg: InterZoneTx, signature: bytes = _ZERO_SIG) -> bytes:
     """src + dst zone u32s, the embedded transaction frame, gateway sig."""
-    _check_sig(signature)
-    writer = Writer().u32(msg.src_zone).u32(msg.dst_zone)
-    writer.raw(encode_transaction(msg.tx), expected_len=msg.tx.size_bytes)
-    writer.raw(signature, expected_len=SIGNATURE_BYTES)
-    return writer.bytes()
+    return (_XZONE.pack(msg.src_zone, msg.dst_zone)
+            + encode_transaction(msg.tx) + _XZONE_TAIL.pack(signature))
+
+
+def _read_xzone_tx(data: bytes) -> tuple[InterZoneTx, bytes, bytes]:
+    """The envelope frame *data* starts with: (envelope, signature, rest)."""
+    from repro.core.messages import InterZoneTx
+
+    (src_zone, dst_zone), rest = _XZONE.unpack_head(data)
+    tx, _tx_sig, rest = _read_transaction(rest)
+    (signature,), rest = _XZONE_TAIL.unpack_head(rest)
+    return (InterZoneTx(src_zone=src_zone, dst_zone=dst_zone, tx=tx),
+            signature, rest)
 
 
 def decode_xzone_tx(data: bytes) -> tuple[InterZoneTx, bytes]:
     """Inverse of :func:`encode_xzone_tx`; returns (envelope, signature)."""
-    from repro.core.messages import InterZoneTx
-
-    reader = Reader(data)
-    src_zone = reader.u32()
-    dst_zone = reader.u32()
-    if reader.remaining < SIGNATURE_BYTES:
-        raise ValidationError("inter-zone tx frame too short")
-    tx, _tx_sig = decode_transaction(
-        reader.raw(reader.remaining - SIGNATURE_BYTES))
-    signature = reader.raw(SIGNATURE_BYTES)
-    reader.expect_end()
-    return InterZoneTx(src_zone=src_zone, dst_zone=dst_zone, tx=tx), signature
+    envelope, signature, rest = _read_xzone_tx(data)
+    _expect_end(rest)
+    return envelope, signature
 
 
 def encode_zone_checkpoint(op: ZoneCheckpointOperation) -> bytes:
     """zone/seq/era/height/count u32s + 32-byte head + envelope frames."""
-    writer = (Writer().u32(op.zone).u32(op.seq).u32(op.era).u32(op.height)
-              .u32(len(op.txs)))
-    writer.raw(op.head, expected_len=32)
-    for env in op.txs:
-        writer.raw(encode_xzone_tx(env), expected_len=env.size_bytes)
-    return writer.bytes()
+    return _ZONE_CHECKPOINT.pack(
+        op.zone, op.seq, op.era, op.height, len(op.txs), op.head,
+    ) + b"".join(encode_xzone_tx(env) for env in op.txs)
 
 
 def decode_zone_checkpoint(data: bytes) -> ZoneCheckpointOperation:
     """Inverse of :func:`encode_zone_checkpoint`."""
     from repro.core.messages import ZoneCheckpointOperation
 
-    reader = Reader(data)
-    zone, seq, era, height, count = (reader.u32() for _ in range(5))
-    head = reader.raw(32)
-    txs = []
-    for _ in range(count):
-        # peek the embedded tx's declared payload length to find this
-        # envelope's extent: zones 8 + tx header 40 (payload_len at
-        # offset 17) + payload + geo 32 + tx sig 64 + gateway sig 64
-        payload_len = int.from_bytes(reader.peek(4, offset=8 + 17), "big")
-        env_len = 8 + 40 + payload_len + 32 + 64 + SIGNATURE_BYTES
-        env, _sig = decode_xzone_tx(reader.raw(env_len))
-        txs.append(env)
-    reader.expect_end()
+    (zone, seq, era, height, count, head), rest = \
+        _ZONE_CHECKPOINT.unpack_head(data)
+    # the envelopes are sized by the bytes that remain, never by the count
+    txs: list[InterZoneTx] = []
+    while rest:
+        envelope, _sig, rest = _read_xzone_tx(rest)
+        txs.append(envelope)
+    if len(txs) != count:
+        raise ValidationError(f"zone checkpoint declares {count} envelopes, "
+                              f"carries {len(txs)}")
     return ZoneCheckpointOperation(zone=zone, seq=seq, era=era,
                                    height=height, head=head, txs=tuple(txs))
 
@@ -466,32 +417,36 @@ def encode_prepared_proof(proof: PreparedProof, request_bytes: bytes) -> bytes:
     one prepare-sized certificate entry per recorded vote."""
     if len(request_bytes) != proof.request.size_bytes:
         raise ValidationError("request bytes do not match the declared size")
-    writer = (Writer().u32(proof.view).u32(proof.seq).u32(proof.prepare_count)
-              .raw(proof.digest, 32).raw(request_bytes))
-    for i in range(proof.prepare_count):
-        # certificate entries: the prepares backing the proof.  The
-        # simulation keeps only their count; the wire carries
-        # reconstructed entries (view, seq, sender placeholder, digest,
-        # signature placeholder) of exactly prepare size.
-        writer.u32(proof.view).u32(proof.seq).u32(i)
-        writer.raw(proof.digest, 32)
-        writer.pad(SIGNATURE_BYTES)
-    return writer.bytes()
+    # certificate entries: the prepares backing the proof.  The
+    # simulation keeps only their count; the wire carries reconstructed
+    # prepare records (sender and signature are placeholders).
+    return _PREPARED_PROOF.pack(
+        proof.view, proof.seq, proof.prepare_count, proof.digest,
+    ) + request_bytes + b"".join(
+        _PREPARE.pack(proof.view, proof.seq, i, proof.digest, _ZERO_SIG)
+        for i in range(proof.prepare_count))
+
+
+def _embedded(messages: Iterable[PreparedProof | PrePrepare],
+              blobs: Iterable[bytes], what: str) -> bytes:
+    """The pre-encoded frames of *messages*, joined, each checked
+    against the size its message declares."""
+    frames = []
+    for message, blob in zip(messages, blobs):
+        if len(blob) != message.size_bytes:
+            raise ValidationError(f"{what} bytes do not match the declared size")
+        frames.append(blob)
+    return b"".join(frames)
 
 
 def encode_view_change(msg: ViewChange, proofs_bytes: list[bytes],
                        signature: bytes = _ZERO_SIG) -> bytes:
     """new_view + last_stable_seq + sender + proof-count u32s,
     signature, then each encoded prepared proof."""
-    _check_sig(signature)
-    writer = (Writer().u32(msg.new_view).u32(msg.last_stable_seq)
-              .u32(msg.sender).u32(len(msg.prepared))
-              .raw(signature, 64))
-    for proof, blob in zip(msg.prepared, proofs_bytes):
-        if len(blob) != proof.size_bytes:
-            raise ValidationError("proof bytes do not match the declared size")
-        writer.raw(blob)
-    return writer.bytes()
+    return _VIEW_CHANGE.pack(
+        msg.new_view, msg.last_stable_seq, msg.sender, len(msg.prepared),
+        signature,
+    ) + _embedded(msg.prepared, proofs_bytes, "proof")
 
 
 def encode_new_view(msg: NewView, pre_prepares_bytes: list[bytes],
@@ -499,14 +454,9 @@ def encode_new_view(msg: NewView, pre_prepares_bytes: list[bytes],
     """new_view + sender + vote-count + pre-prepare-count u32s,
     signature, one (sender u32 + signature) per view-change vote, then
     the re-issued pre-prepare bytes."""
-    _check_sig(signature)
-    writer = (Writer().u32(msg.new_view).u32(msg.sender)
-              .u32(len(msg.view_change_senders)).u32(len(msg.pre_prepares))
-              .raw(signature, 64))
-    for sender in msg.view_change_senders:
-        writer.u32(sender).pad(SIGNATURE_BYTES)
-    for pp, blob in zip(msg.pre_prepares, pre_prepares_bytes):
-        if len(blob) != pp.size_bytes:
-            raise ValidationError("pre-prepare bytes do not match the declared size")
-        writer.raw(blob)
-    return writer.bytes()
+    return _NEW_VIEW.pack(
+        msg.new_view, msg.sender, len(msg.view_change_senders),
+        len(msg.pre_prepares), signature,
+    ) + b"".join(
+        _NEW_VIEW_VOTE.pack(sender) for sender in msg.view_change_senders
+    ) + _embedded(msg.pre_prepares, pre_prepares_bytes, "pre-prepare")

@@ -40,7 +40,6 @@ from repro.common.errors import ConsensusError
 from repro.common.eventlog import (
     EV_HIER_CHECKPOINT_COMMITTED,
     EV_HIER_CHECKPOINT_SUBMITTED,
-    EV_PBFT_STATE_TRANSFER,
     EV_TX_COMMITTED,
     EV_XZONE_COMMITTED,
     EV_XZONE_DELIVERED,
@@ -56,6 +55,7 @@ from repro.crypto.hashing import sha256
 from repro.net.network import SimulatedNetwork
 from repro.net.simulator import Simulator
 from repro.pbft.client import PBFTClient
+from repro.pbft.cluster import charge_state_transfer
 from repro.pbft.faults import FaultModel
 from repro.pbft.replica import PBFTReplica
 
@@ -387,11 +387,8 @@ class HierarchicalDeployment:
                 if peer.last_executed >= target_seq:
                     snapshot = self.checkpoint_logs[peer_id]
                     self.checkpoint_logs[seat].install_snapshot(snapshot)
-                    snapshot_bytes = 32 + 64 + 200 * len(snapshot.ops)
-                    self.backbone.stats.on_send(
-                        peer_id, EV_PBFT_STATE_TRANSFER, snapshot_bytes)
-                    self.backbone.stats.on_deliver(
-                        seat, EV_PBFT_STATE_TRANSFER, snapshot_bytes)
+                    charge_state_transfer(self.backbone.stats, peer_id, seat,
+                                          len(snapshot.ops))
                     return peer.last_executed
             return None
 

@@ -15,6 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.common.errors import ConsensusError
+from repro.common.wire_layout import wire_struct
 from repro.crypto.keys import SIGNATURE_BYTES
 from repro.crypto.hashing import digest_concat
 from repro.chain.block import Block
@@ -22,6 +23,14 @@ from repro.chain.transaction import Transaction
 from repro.geo.reports import GeoReport
 
 _INT_BYTES = 4
+
+#: Fixed parts of the frames repro.codec lays out, read once from the
+#: layouts it packs with (WIRE_MESSAGES).
+_ERA_SWITCH_BYTES = wire_struct("gpbft.era_switch").size
+_ERA_SWITCH_ID_BYTES = wire_struct("gpbft.era_switch", "item").size
+_XZONE_BYTES = (wire_struct("gpbft.xzone_tx").size
+                + wire_struct("gpbft.xzone_tx", "tail").size)
+_ZONE_CHECKPOINT_BYTES = wire_struct("gpbft.zone_checkpoint").size
 
 
 @dataclass(frozen=True, slots=True)
@@ -37,7 +46,8 @@ class GeoReportMsg:
 
     @property
     def size_bytes(self) -> int:
-        """Serialized size in bytes (verified by repro.codec)."""
+        """The 32-byte report record (verified by repro.codec) plus the
+        device's detached signature (modelled, not encoded)."""
         return self.report.size_bytes + SIGNATURE_BYTES
 
 
@@ -68,7 +78,8 @@ class CommitteeInfo:
 
     @property
     def size_bytes(self) -> int:
-        """Serialized size in bytes (verified by repro.codec)."""
+        """Serialized size in bytes (modelled, not encoded: era and
+        sender words, one word per member, a signature)."""
         return 2 * _INT_BYTES + _INT_BYTES * len(self.committee) + SIGNATURE_BYTES
 
 
@@ -86,7 +97,8 @@ class TxSubmission:
 
     @property
     def size_bytes(self) -> int:
-        """Serialized size in bytes (verified by repro.codec)."""
+        """Serialized size in bytes (modelled, not encoded: the
+        transaction frame plus one flag word)."""
         return self.tx.size_bytes + _INT_BYTES
 
 
@@ -149,7 +161,8 @@ class EraSwitchOperation:
         """Serialized size in bytes (verified by repro.codec)."""
         # wire layout (repro.codec): new_era + three list-length words,
         # then one word per listed node id
-        return _INT_BYTES * (4 + len(self.committee) + len(self.added) + len(self.removed))
+        return _ERA_SWITCH_BYTES + _ERA_SWITCH_ID_BYTES * (
+            len(self.committee) + len(self.added) + len(self.removed))
 
     def signing_bytes(self) -> bytes:
         """Canonical bytes committed to by request digests."""
@@ -181,7 +194,8 @@ class BlockProposalOperation:
 
     @property
     def size_bytes(self) -> int:
-        """Serialized size in bytes (verified by repro.codec)."""
+        """Serialized size in bytes: the block frame (verified by
+        repro.codec) plus the producer word (modelled, not encoded)."""
         return self.block.size_bytes + _INT_BYTES
 
     def signing_bytes(self) -> bytes:
@@ -219,7 +233,7 @@ class InterZoneTx:
         """Serialized size in bytes (verified by repro.codec)."""
         # wire layout (repro.codec): src + dst zone words, the embedded
         # transaction frame, and the source gateway's signature
-        return 2 * _INT_BYTES + self.tx.size_bytes + SIGNATURE_BYTES
+        return _XZONE_BYTES + self.tx.size_bytes
 
 
 @dataclass(frozen=True, slots=True)
@@ -265,7 +279,7 @@ class ZoneCheckpointOperation:
         """Serialized size in bytes (verified by repro.codec)."""
         # wire layout (repro.codec): zone + seq + era + height + count
         # words, the 32-byte head, then the envelope frames
-        return (5 * _INT_BYTES + len(self.head)
+        return (_ZONE_CHECKPOINT_BYTES
                 + sum(env.size_bytes for env in self.txs))
 
     def signing_bytes(self) -> bytes:

@@ -13,8 +13,13 @@ import bisect
 from dataclasses import dataclass
 
 from repro.common.errors import GeoError
+from repro.common.wire_layout import wire_struct
 from repro.geo.coords import LatLng
 from repro.geo.geohash import geohash_encode
+
+#: Serialized size of one report record, read once from the layout
+#: repro.codec packs with (WIRE_MESSAGES).
+_REPORT_BYTES = wire_struct("geo.report").size
 
 
 @dataclass(frozen=True, slots=True)
@@ -42,7 +47,7 @@ class GeoReport:
     @property
     def size_bytes(self) -> int:
         """Serialized size: two 8-byte doubles + 8-byte timestamp + id."""
-        return 8 + 8 + 8 + 8
+        return _REPORT_BYTES
 
 
 class ReportHistory:

@@ -65,6 +65,15 @@ class _ExecutedLog:
         self._digest = other._digest
 
 
+def charge_state_transfer(stats, src: int, dst: int, n_ops: int) -> None:
+    """Charge one ``pbft.state_transfer`` message from *src* to *dst*:
+    a snapshot of *n_ops* operations, modelled (not encoded) as a digest,
+    a signature and one default 200-byte transaction frame per operation."""
+    snapshot_bytes = 32 + 64 + 200 * n_ops
+    stats.on_send(src, EV_PBFT_STATE_TRANSFER, snapshot_bytes)
+    stats.on_deliver(dst, EV_PBFT_STATE_TRANSFER, snapshot_bytes)
+
+
 class PBFTCluster:
     """N replicas + M clients on a fresh simulator and network.
 
@@ -182,11 +191,8 @@ class PBFTCluster:
         return lambda dst, payload: self.network.send(src, dst, payload)
 
     def _make_state_transfer(self, node: int):
-        """Checkpoint catch-up: install the state of an up-to-date peer.
-
-        Charges one ``pbft.state_transfer`` message of the snapshot's
-        size on the traffic counters (a real transfer would stream it).
-        """
+        """Checkpoint catch-up: install the state of an up-to-date peer
+        and charge the snapshot (a real transfer would stream it)."""
 
         def transfer(target_seq: int) -> int | None:
             for peer_id, peer in self.replicas.items():
@@ -194,11 +200,8 @@ class PBFTCluster:
                     continue
                 if peer.last_executed >= target_seq:
                     self.executors[node].install_snapshot(self.executors[peer_id])
-                    snapshot_bytes = 32 + 64 + 200 * len(self.executors[peer_id].ops)
-                    self.network.stats.on_send(peer_id, EV_PBFT_STATE_TRANSFER,
-                                               snapshot_bytes)
-                    self.network.stats.on_deliver(node, EV_PBFT_STATE_TRANSFER,
-                                                  snapshot_bytes)
+                    charge_state_transfer(self.network.stats, peer_id, node,
+                                          len(self.executors[peer_id].ops))
                     return peer.last_executed
             return None
 

@@ -13,15 +13,22 @@ from dataclasses import dataclass, field
 from typing import ClassVar, Protocol, runtime_checkable
 
 from repro.common.errors import ConsensusError
+from repro.common.wire_layout import wire_struct
 from repro.crypto.hashing import digest_concat, HASH_BYTES
-from repro.crypto.keys import SIGNATURE_BYTES
 
-_INT_BYTES = 4
-_TS_BYTES = 8
-
-#: Fixed wire size of a prepare/commit: view + seq + sender words, the
-#: request digest and the signature (verified by repro.codec).
-_VOTE_BYTES = 3 * _INT_BYTES + HASH_BYTES + SIGNATURE_BYTES
+#: Fixed-record sizes, read once from the layouts repro.codec packs
+#: with (WIRE_MESSAGES), so a layout and the bytes charged for it
+#: cannot disagree.
+_REQUEST_BYTES = wire_struct("pbft.request").size
+_PRE_PREPARE_BYTES = wire_struct("pbft.pre_prepare").size
+_PREPARE_BYTES = wire_struct("pbft.prepare").size
+_COMMIT_BYTES = wire_struct("pbft.commit").size
+_CHECKPOINT_BYTES = wire_struct("pbft.checkpoint").size
+_REPLY_BYTES = wire_struct("pbft.reply").size
+_PREPARED_PROOF_BYTES = wire_struct("pbft.prepared_proof").size
+_VIEW_CHANGE_BYTES = wire_struct("pbft.view_change").size  # gpb: allow GPB009 -- wire kind, not an event
+_NEW_VIEW_BYTES = wire_struct("pbft.new_view").size  # gpb: allow GPB009 -- wire kind, not an event
+_NEW_VIEW_VOTE_BYTES = wire_struct("pbft.new_view", "item").size  # gpb: allow GPB009 -- wire kind, not an event
 
 
 @runtime_checkable
@@ -86,7 +93,7 @@ class ClientRequest:
         """Serialized size in bytes (verified by repro.codec, memoized)."""
         size = self._size
         if size is None:
-            size = _INT_BYTES + _TS_BYTES + SIGNATURE_BYTES + self.op.size_bytes
+            size = _REQUEST_BYTES + self.op.size_bytes
             object.__setattr__(self, "_size", size)
         return size
 
@@ -135,7 +142,7 @@ class PrePrepare:
     @property
     def size_bytes(self) -> int:
         """Serialized size in bytes (verified by repro.codec)."""
-        return 3 * _INT_BYTES + HASH_BYTES + SIGNATURE_BYTES + self.request.size_bytes
+        return _PRE_PREPARE_BYTES + self.request.size_bytes
 
 
 @dataclass(frozen=True, slots=True)
@@ -153,7 +160,7 @@ class Prepare:
     kind: ClassVar[str] = "pbft.prepare"
 
     #: Serialized size in bytes (constant; verified by repro.codec).
-    size_bytes: ClassVar[int] = _VOTE_BYTES
+    size_bytes: ClassVar[int] = _PREPARE_BYTES
 
 
 @dataclass(frozen=True, slots=True)
@@ -170,7 +177,7 @@ class Commit:
     kind: ClassVar[str] = "pbft.commit"
 
     #: Serialized size in bytes (constant; verified by repro.codec).
-    size_bytes: ClassVar[int] = _VOTE_BYTES
+    size_bytes: ClassVar[int] = _COMMIT_BYTES
 
 
 @dataclass(frozen=True, slots=True)
@@ -188,7 +195,7 @@ class Reply:
     kind: ClassVar[str] = "pbft.reply"
 
     #: Serialized size in bytes (constant; verified by repro.codec).
-    size_bytes: ClassVar[int] = 3 * _INT_BYTES + _TS_BYTES + HASH_BYTES + SIGNATURE_BYTES
+    size_bytes: ClassVar[int] = _REPLY_BYTES
 
 
 @dataclass(frozen=True, slots=True)
@@ -205,7 +212,7 @@ class Checkpoint:
     kind: ClassVar[str] = "pbft.checkpoint"
 
     #: Serialized size in bytes (constant; verified by repro.codec).
-    size_bytes: ClassVar[int] = 2 * _INT_BYTES + HASH_BYTES + SIGNATURE_BYTES
+    size_bytes: ClassVar[int] = _CHECKPOINT_BYTES
 
 
 @dataclass(frozen=True, slots=True)
@@ -228,8 +235,8 @@ class PreparedProof:
         """Serialized size in bytes (verified by repro.codec)."""
         # wire layout: view + seq + prepare_count words, digest, the
         # request bytes, then one prepare-sized certificate entry per vote
-        cert = self.prepare_count * (3 * _INT_BYTES + HASH_BYTES + SIGNATURE_BYTES)
-        return 3 * _INT_BYTES + HASH_BYTES + self.request.size_bytes + cert
+        cert = self.prepare_count * _PREPARE_BYTES
+        return _PREPARED_PROOF_BYTES + self.request.size_bytes + cert
 
 
 @dataclass(frozen=True, slots=True)
@@ -250,11 +257,7 @@ class ViewChange:
         """Serialized size in bytes (verified by repro.codec)."""
         # wire layout: new_view + last_stable_seq + sender + proof count,
         # signature, then the prepared proofs
-        return (
-            4 * _INT_BYTES
-            + SIGNATURE_BYTES
-            + sum(p.size_bytes for p in self.prepared)
-        )
+        return _VIEW_CHANGE_BYTES + sum(p.size_bytes for p in self.prepared)
 
 
 @dataclass(frozen=True, slots=True)
@@ -277,10 +280,9 @@ class NewView:
         # wire layout: new_view + sender + two count words, signature,
         # one (sender word + signature) per view-change vote, then the
         # re-issued pre-prepares
-        proof = len(self.view_change_senders) * (_INT_BYTES + SIGNATURE_BYTES)
+        proof = len(self.view_change_senders) * _NEW_VIEW_VOTE_BYTES
         return (
-            4 * _INT_BYTES
-            + SIGNATURE_BYTES
+            _NEW_VIEW_BYTES
             + proof
             + sum(p.size_bytes for p in self.pre_prepares)
         )

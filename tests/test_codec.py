@@ -2,6 +2,9 @@
 round-trips must be lossless.  These turn the traffic-accounting model
 behind Figures 5-6 and Table III into a verified property."""
 
+import re
+from pathlib import Path
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -24,8 +27,9 @@ from repro.codec import (
     encode_request,
     encode_transaction,
 )
-from repro.codec.primitives import Reader, Writer
+from repro.codec.primitives import Record
 from repro.common.errors import ValidationError
+from repro.common.wire_layout import WIRE_MESSAGES, wire_struct
 from repro.crypto.hashing import sha256
 from repro.geo.coords import LatLng
 from repro.geo.reports import GeoReport
@@ -64,33 +68,64 @@ def request(op_bytes=200):
 
 
 class TestPrimitives:
+    """The checked record type, over two layouts of the shared table:
+    ``geo.report`` (u32 + pad + three f64) and ``pbft.prepare`` (three
+    u32 + 32 raw + 64 raw)."""
+
+    GEO = Record("geo.report")
+    PREPARE = Record("pbft.prepare")
+
     def test_u32_roundtrip_and_bounds(self):
-        data = Writer().u32(0).u32(2**32 - 1).bytes()
-        reader = Reader(data)
-        assert reader.u32() == 0 and reader.u32() == 2**32 - 1
+        for node in (0, 2**32 - 1):
+            assert self.GEO.unpack(self.GEO.pack(node, 0.0, 0.0, 0.0))[0] == node
         with pytest.raises(ValidationError):
-            Writer().u32(-1)
+            self.GEO.pack(-1, 0.0, 0.0, 0.0)
         with pytest.raises(ValidationError):
-            Writer().u32(2**32)
+            self.GEO.pack(2**32, 0.0, 0.0, 0.0)
 
     def test_f64_roundtrip_exact(self):
         value = 1234.5678912345
-        assert Reader(Writer().f64(value).bytes()).f64() == value
+        assert self.GEO.unpack(self.GEO.pack(1, value, 0.0, 0.0))[1] == value
 
     def test_truncation_detected(self):
-        reader = Reader(b"\x00\x01")
+        data = self.GEO.pack(1, 2.0, 3.0, 4.0)
         with pytest.raises(ValidationError):
-            reader.u32()
+            self.GEO.unpack(data[:-1])
+        with pytest.raises(ValidationError):
+            self.GEO.unpack_head(data[:-1])
 
     def test_trailing_bytes_detected(self):
-        reader = Reader(b"\x00" * 5)
-        reader.u32()
+        data = self.GEO.pack(1, 2.0, 3.0, 4.0)
         with pytest.raises(ValidationError):
-            reader.expect_end()
+            self.GEO.unpack(data + b"\x00")
+        fields, rest = self.GEO.unpack_head(data + b"\x07")
+        assert fields == (1, 2.0, 3.0, 4.0) and rest == b"\x07"
+        assert self.GEO.unpack_each(data + data) == [fields, fields]
+        with pytest.raises(ValidationError):
+            self.GEO.unpack_each(data + b"\x07")
 
     def test_raw_length_check(self):
-        with pytest.raises(ValidationError):
-            Writer().raw(b"abc", expected_len=4)
+        # struct alone would pad the short digest and cut the long one
+        for digest in (b"abc", D + b"\x00"):
+            with pytest.raises(ValidationError):
+                self.PREPARE.pack(0, 1, 2, digest, SIG)
+        assert len(self.PREPARE.pack(0, 1, 2, D, SIG)) == self.PREPARE.size == 108
+
+
+class TestLayoutTable:
+    def test_protocol_doc_shows_every_layout_and_size(self):
+        doc = (Path(__file__).resolve().parent.parent / "docs"
+               / "protocol.md").read_text()
+        for kind, entry in WIRE_MESSAGES.items():
+            row = re.search(rf"^\| `{re.escape(kind)}` \| (.+?) \| (\d+) \|.*$",
+                            doc, re.M)
+            assert row, f"{kind} missing from docs/protocol.md"
+            assert row.group(1).strip("`") == (entry["layout"] or "(empty)")
+            assert int(row.group(2)) == wire_struct(kind).size
+            for part in ("item", "tail"):
+                if part in entry:
+                    size = wire_struct(kind, part).size
+                    assert f"{part} `{entry[part]}` ({size}:" in row.group(0)
 
 
 class TestGeoReportCodec:
@@ -132,6 +167,37 @@ class TestTransactionCodec:
         tx = normal_tx()
         data = bytearray(encode_transaction(tx))
         data[0] = 99
+        with pytest.raises(ValidationError):
+            decode_transaction(bytes(data))
+
+    def test_lengths_past_the_payload_rejected(self):
+        # the u32 at offset 21 packs key_len << 16 | value_len; a cursor
+        # that rewinds on a negative skip used to read a 46-byte
+        # key+value out of this 8-byte payload, across the geo record
+        # and into the signature.  ASCII-only geo doubles and signature
+        # keep the over-read bytes decodable, so only the bound rejects.
+        tx = NormalTransaction(
+            sender=3, nonce=9, fee=1.25, key="k", value="v", payload_bytes=8,
+            geo=GeoReport(node=3, position=LatLng(2.0, 2.0), timestamp=2.0))
+        data = bytearray(encode_transaction(tx, b"s" * 64))
+        assert int.from_bytes(data[21:25], "big") == (1 << 16) | 1
+        data[21:25] = ((6 << 16) | 40).to_bytes(4, "big")
+        with pytest.raises(ValidationError):
+            decode_transaction(bytes(data))
+
+    @pytest.mark.parametrize("field", ["key", "value"])
+    def test_length_past_16_bits_rejected(self, field):
+        # both lengths share one u32 as 16-bit halves: 70000 used to
+        # wrap to 4464 and decode as a different transaction
+        tx = normal_tx(**{field: "v" * 70000}, payload_bytes=80000)
+        with pytest.raises(ValidationError):
+            encode_transaction(tx)
+
+    @pytest.mark.parametrize("field", ["key", "value"])
+    def test_non_utf8_key_value_is_a_named_error(self, field):
+        tx = normal_tx(key="kk", value="vv")
+        data = bytearray(encode_transaction(tx))
+        data[40 + ("key", "value").index(field) * 2] = 0xFF
         with pytest.raises(ValidationError):
             decode_transaction(bytes(data))
 
@@ -298,6 +364,38 @@ class TestEraSwitchCodec:
         data = encode_era_switch(op)
         assert len(data) == op.size_bytes
         assert decode_era_switch(data) == op
+
+    def test_count_past_the_remaining_bytes_rejected(self):
+        from repro.codec.wire import decode_era_switch
+
+        # 16 bytes that declare 0xEBF6F7 committee ids and carry none
+        frame = (2).to_bytes(4, "big") + (0xEBF6F7).to_bytes(4, "big") + bytes(8)
+        with pytest.raises(ValidationError, match="declares"):
+            decode_era_switch(frame)
+        # one id present, two declared
+        with pytest.raises(ValidationError, match="declares"):
+            decode_era_switch((2).to_bytes(4, "big") + (2).to_bytes(4, "big")
+                              + bytes(8) + (7).to_bytes(4, "big"))
+
+
+class TestZoneCheckpointCodec:
+    def test_count_past_the_remaining_bytes_rejected(self):
+        from repro.codec.wire import (
+            decode_zone_checkpoint,
+            encode_zone_checkpoint,
+        )
+        from repro.core.messages import InterZoneTx, ZoneCheckpointOperation
+
+        op = ZoneCheckpointOperation(
+            zone=0, seq=1, era=0, height=4, head=D,
+            txs=(InterZoneTx(src_zone=0, dst_zone=1, tx=normal_tx()),))
+        data = bytearray(encode_zone_checkpoint(op))
+        assert decode_zone_checkpoint(bytes(data)) == op
+        assert int.from_bytes(data[16:20], "big") == 1  # the count word
+        for count in (2, 0xFFFFFFFF):
+            data[16:20] = count.to_bytes(4, "big")
+            with pytest.raises(ValidationError, match="declares"):
+                decode_zone_checkpoint(bytes(data))
 
 
 class TestCodecProperties:

@@ -386,7 +386,7 @@ class TestMalformedInputRejection:
         mutated[pos] ^= flip
         try:
             decode(bytes(mutated))
-        except (ReproError, UnicodeDecodeError):
+        except ReproError:
             pass  # structured rejection is the contract
         # a flip inside an opaque digest/signature/padding field may
         # decode as a *different* valid message; that is fine -- only
@@ -399,5 +399,5 @@ class TestMalformedInputRejection:
         _, decode = FRAMES[name]
         try:
             decode(data)
-        except (ReproError, UnicodeDecodeError):
+        except ReproError:
             pass
