@@ -15,13 +15,24 @@ second" (section IV-B), collecting a quorum of ~2n/3 messages takes
 ~2n/(3s) seconds per phase -- the O(n/s) consensus-latency bound the
 evaluation confirms.  Propagation alone would never reproduce that.
 
+Only completions are simulator events.  ``send`` fixes the arrival time
+and files the message in the destination's *inbox*, a heap ordered by
+(arrival time, send order).  A busy node owns one simulator entry, the
+completion of the message in service; when it fires, the earliest
+message that has arrived by then starts its slot, which therefore ends
+at ``max(previous completion, arrival) + interval``.  An idle node owns
+one *wake* entry at its earliest pending arrival.  A message arriving
+while its destination is offline is dropped without taking a slot, as
+if an event had fired at its arrival (after a fault at that instant).
+
 The network also supports iid message drops and group partitions, used by
 fault-injection tests and the view-change machinery.
 """
 
 from __future__ import annotations
 
-from collections import deque
+from collections import defaultdict
+from heapq import heapify, heappop, heappush
 from typing import Callable, Iterable
 
 from repro.common.config import NetworkConfig
@@ -29,7 +40,7 @@ from repro.common.errors import NetworkError
 from repro.common.rng import DeterministicRNG
 from repro.net.latency import LatencyModel, UniformLatency
 from repro.net.message import Envelope, Payload
-from repro.net.simulator import Simulator
+from repro.net.simulator import ScheduledEvent, Simulator
 from repro.net.stats import TrafficStats
 
 #: Type of the callback a node registers to receive processed messages.
@@ -80,31 +91,26 @@ class SimulatedNetwork:
         self.rng = rng or DeterministicRNG(self.config.seed, "network")
         self.stats = TrafficStats()
         self._handlers: dict[int, Handler] = {}
-        self._busy_until: dict[int, float] = {}
         # sender-side NIC serialization (only when bandwidth modelling on)
-        self._tx_busy_until: dict[int, float] = {}
-        self._offline: set[int] = set()
+        self._tx_free_at: dict[int, float] = {}
+        self._offline: dict[int, float] = {}  # node -> offline since
         self._partition: dict[int, int] = {}
         self._processing_interval = 1.0 / self.config.processing_rate
         # per-node processing-interval overrides (heterogeneous device
-        # profiles); empty for uniform fleets, so the hot path below
-        # falls through to the scalar with identical float arithmetic
+        # profiles); empty for uniform fleets
         self._node_interval: dict[int, float] = {}
         # NetworkConfig is frozen, so the per-send scalars can be read
         # once instead of through two attribute hops per message
         self._overhead_bytes = self.config.envelope_overhead_bytes
         self._drop_probability = self.config.drop_probability
         self._bandwidth_bps = self.config.bandwidth_bps
-        # per-destination processing queue: only the *head* message of a
-        # node's backlog owns a scheduled ``_process`` event; followers
-        # wait here with their (already final) fire times and are
-        # scheduled as the chain advances.  This keeps the simulator
-        # heap at O(nodes + in-flight) instead of O(total backlog): at
-        # n = 202 a quorum burst would otherwise park thousands of
-        # ``_process`` events in the heap, and every heappush/heappop
-        # would pay the log of that backlog.  Fire times are computed
-        # at arrival, so delivery order does not depend on the chain.
-        self._proc_queue: dict[int, deque[tuple[float, Envelope]]] = {}
+        # per-destination inbox of (arrival time, envelope id, envelope);
+        # ids rise with send order, so ties keep it.  The simulator heap
+        # holds one entry per node -- the completion of the message in
+        # service or the wake of an idle node -- never the backlog.
+        self._inbox: defaultdict[int, list[tuple[float, int, Envelope]]] = defaultdict(list)
+        self._serving: set[int] = set()
+        self._wakes: dict[int, ScheduledEvent] = {}
         # encode-once fan-out: a multicast calls ``send`` once per
         # recipient with the *same* payload object, so one (strongly
         # referenced) cache entry answers kind/size for the whole burst
@@ -124,24 +130,16 @@ class SimulatedNetwork:
         if node_id in self._handlers:
             raise NetworkError(f"node {node_id} already registered")
         self._handlers[node_id] = handler
-        self._busy_until[node_id] = 0.0
         return NodeInterface(self, node_id)
-
-    def is_registered(self, node_id: int) -> bool:
-        """True iff *node_id* currently has a handler attached."""
-        return node_id in self._handlers
-
-    @property
-    def node_ids(self) -> list[int]:
-        """Sorted ids of all registered nodes."""
-        return sorted(self._handlers)
 
     def set_processing_interval(self, node_id: int, interval_s: float) -> None:
         """Override the per-message processing time of one node.
 
         Heterogeneous device profiles use this to model CPU class: a
         constrained board takes ``interval_s`` seconds per received
-        message instead of the uniform ``1 / processing_rate``.
+        message instead of the uniform ``1 / processing_rate``.  It
+        applies to messages whose service starts after the call; the
+        one in service keeps the slot it was given.
 
         Raises:
             NetworkError: on an unknown node or non-positive interval.
@@ -161,9 +159,19 @@ class SimulatedNetwork:
     def set_offline(self, node_id: int, offline: bool = True) -> None:
         """Silently discard all traffic to/from *node_id* while offline."""
         if offline:
-            self._offline.add(node_id)
-        else:
-            self._offline.discard(node_id)
+            self._offline.setdefault(node_id, self.sim.now)
+            return
+        since = self._offline.pop(node_id, None)
+        inbox = self._inbox.get(node_id)
+        if since is None or not inbox:
+            return
+        # what arrived during the outage and still waits behind the
+        # backlog was lost on arrival; earlier arrivals keep their slot
+        now = self.sim.now
+        for entry in [entry for entry in inbox if since <= entry[0] < now]:
+            self.stats.on_drop(entry[2].kind)
+            inbox.remove(entry)
+        heapify(inbox)
 
     def set_partition(self, groups: dict[int, int] | None) -> None:
         """Partition nodes into groups; traffic only flows within a group.
@@ -193,15 +201,9 @@ class SimulatedNetwork:
             self._cached_payload = payload
             self._cached_kind = kind
             self._cached_size = size
-        envelope = Envelope(
-            src=src,
-            dst=dst,
-            payload=payload,
-            overhead_bytes=self._overhead_bytes,
-            sent_at=self.sim.now,
-            kind=kind,
-            size_bytes=size,
-        )
+        now = self.sim.now
+        envelope = Envelope(src, dst, payload, self._overhead_bytes, now,
+                            kind=kind, size_bytes=size)
         # bytes are charged per recipient even though the payload's wire
         # image was computed once for the whole fan-out
         self.stats.on_send(src, kind, size)
@@ -221,11 +223,21 @@ class SimulatedNetwork:
             # serialize through the sender's NIC before propagation: a
             # multicast of k messages leaves the sender one after another
             tx_time = size * 8.0 / self._bandwidth_bps
-            tx_start = max(self.sim.now, self._tx_busy_until.get(src, 0.0))
+            tx_start = max(now, self._tx_free_at.get(src, 0.0))
             tx_done = tx_start + tx_time
-            self._tx_busy_until[src] = tx_done
-            delay += tx_done - self.sim.now
-        self.sim.schedule(delay, self._arrive, envelope)
+            self._tx_free_at[src] = tx_done
+            delay += tx_done - now
+        if not delay >= 0:
+            raise NetworkError(f"delay must be >= 0, got {delay}")
+        arrive = now + delay
+        heappush(self._inbox[dst], (arrive, envelope.envelope_id, envelope))
+        if dst in self._serving:
+            return  # admitted when the message in service completes
+        wake = self._wakes.get(dst)
+        if wake is None or arrive < wake.time:
+            if wake is not None:
+                wake.cancel()
+            self._wakes[dst] = self.sim.schedule_at(arrive, self._wake, dst)
 
     def multicast(self, src: int, dsts: Iterable[int], payload: Payload) -> None:
         """Send *payload* to every destination in *dsts* except *src*.
@@ -241,59 +253,45 @@ class SimulatedNetwork:
 
     # -- delivery -------------------------------------------------------------
 
-    def _arrive(self, envelope: Envelope) -> None:
-        """Message reached the destination NIC; enqueue for processing.
+    def _wake(self, dst: int) -> None:
+        """The earliest message bound for idle node *dst* has arrived."""
+        del self._wakes[dst]
+        self._serving.add(dst)
+        self._serve_next(dst)
 
-        The processing-slot end time is fixed here, exactly as if the
-        ``_process`` event were scheduled immediately; but only the
-        backlog head actually sits in the simulator heap -- the rest
-        wait in the node's FIFO until :meth:`_process` chains them in.
+    def _serve_next(self, dst: int) -> None:
+        """Start the slot of the earliest arrived message, or go idle.
+
+        The arrival-time checks run here: an unregistered node is never
+        busy, so its inbox is read at the instant of arrival, and an
+        offline one lost whatever arrived since it went down.
         """
-        dst = envelope.dst
-        if dst not in self._handlers or dst in self._offline:
-            self.stats.on_drop(envelope.kind)
-            return
+        inbox = self._inbox[dst]
         now = self.sim.now
-        start = self._busy_until.get(dst, 0.0)
-        if start < now:
-            start = now
-        overrides = self._node_interval
-        if overrides:
-            done = start + overrides.get(dst, self._processing_interval)
-        else:
-            done = start + self._processing_interval
-        self._busy_until[dst] = done
-        queue = self._proc_queue.get(dst)
-        if queue:
-            queue.append((done, envelope))
+        while inbox and inbox[0][0] <= now:
+            arrive, _, envelope = heappop(inbox)
+            since = self._offline.get(dst)
+            if dst not in self._handlers or (since is not None and arrive >= since):
+                self.stats.on_drop(envelope.kind)
+                continue
+            interval = self._node_interval.get(dst, self._processing_interval)
+            self.sim.schedule_at(now + interval, self._process, envelope)
             return
-        if queue is None:
-            self._proc_queue[dst] = queue = deque()
-        queue.append((done, envelope))
-        self.sim.schedule_at(done, self._process, envelope)
+        self._serving.discard(dst)
+        if inbox:
+            self._wakes[dst] = self.sim.schedule_at(inbox[0][0], self._wake, dst)
 
     def _process(self, envelope: Envelope) -> None:
         """Processing slot finished; hand the message to the node.
 
-        Chains the next queued message (if any) into the simulator
-        before delivering, mirroring the sequence numbers the eager
-        scheduling would have produced for this node.
+        The next slot starts first, so the node's next completion is
+        sequenced ahead of anything the handler schedules.
         """
         dst = envelope.dst
-        # the queue exists whenever a head event fires (created by
-        # _arrive, never deleted) and this envelope is its head
-        queue = self._proc_queue[dst]
-        queue.popleft()
-        if queue:
-            nxt_done, nxt_env = queue[0]
-            self.sim.schedule_at(nxt_done, self._process, nxt_env)
+        self._serve_next(dst)
         if dst in self._offline:
             self.stats.on_drop(envelope.kind)
             return
         self.stats.on_deliver(dst, envelope.kind, envelope.size_bytes)
-        # _arrive admitted dst as registered, and handlers are never removed
+        # service only starts for a registered dst; handlers are never removed
         self._handlers[dst](envelope)
-
-    def queue_depth_s(self, node_id: int) -> float:
-        """Seconds of processing backlog currently queued at *node_id*."""
-        return max(0.0, self._busy_until.get(node_id, 0.0) - self.sim.now)

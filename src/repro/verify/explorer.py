@@ -319,16 +319,23 @@ class ScheduleFingerprint:
     Installed as the simulator's step hook; each fired event contributes
     its absolute time and callback qualname.  Two runs with equal
     fingerprints executed the same schedule, which is how replay proves
-    determinism.
+    determinism.  Callbacks named in *skip* are left out, so a change to
+    the network's own bookkeeping events can be told apart from a change
+    to what handlers, timers and faults did; ``events`` counts the rest.
     """
 
-    def __init__(self) -> None:
+    def __init__(self, skip: frozenset[str] = frozenset()) -> None:
         self._hash = hashlib.sha256(b"repro.verify/fingerprint")
+        self._skip = skip
+        self.events = 0
 
     def hook(self, event) -> None:
         """Step-hook callback: fold one fired event into the hash."""
         callback = event.callback
         name = getattr(callback, "__qualname__", type(callback).__name__)
+        if name in self._skip:
+            return
+        self.events += 1
         self._hash.update(f"{event.time!r}|{name};".encode())
 
     def hexdigest(self) -> str:

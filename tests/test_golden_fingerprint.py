@@ -12,16 +12,33 @@ If a test in this file fails after an intentional protocol change (new
 message kind, different timer layout, ...), re-derive the goldens with
 ``repro.verify.explorer.run_schedule`` and update them in the same
 commit that changes the behavior -- never to paper over a perf patch.
+
+Each scenario pins two streams.  ``fingerprint`` / ``events`` cover every
+simulator event, including the network's own wake of an idle node, so
+they move whenever the network changes how many events a message costs.
+``handler_fingerprint`` / ``handler_events`` leave that callback out:
+what remains is every completion, timer, submission and fault, and it
+must survive any change to the delivery path.  PR 14 replaced the
+per-message arrival event with lazy admission; the handler stream was
+pinned to what the parent (b3b758a) produced with its arrival callback
+left out, and the change reproduces it with its wake left out -- every
+handler, timer and fault fires at the same time in the same order.
 """
 
-from repro.verify.explorer import Schedule, run_schedule
+from repro.verify import explorer
+from repro.verify.explorer import Schedule, ScheduleFingerprint, run_schedule
+
+#: The network's own bookkeeping callback (an idle node's wake-up).
+NETWORK_OWN = frozenset({"SimulatedNetwork._wake"})
 
 #: Fixed G-PBFT scenario: 40 nodes, seed 7, five client submissions.
 GOLDEN_GPBFT = {
     "schedule": dict(protocol="gpbft", n=40, seed=7, submissions=5,
                      horizon_s=120.0),
-    "fingerprint": "256d62bb66ebf103",
-    "events": 31608,
+    "fingerprint": "8be05f62217e7d59",
+    "events": 15888,
+    "handler_fingerprint": "bfa140ba2af35b87",
+    "handler_events": 15809,
     "executed": 200,
     # Identical committed chain on every sampled endorser.
     "chain": [
@@ -38,8 +55,10 @@ GOLDEN_GPBFT = {
 GOLDEN_PBFT = {
     "schedule": dict(protocol="pbft", n=40, seed=3, submissions=4,
                      horizon_s=90.0),
-    "fingerprint": "5eb83847a725a4d3",
-    "events": 25292,
+    "fingerprint": "80295c7311ba7720",
+    "events": 12730,
+    "handler_fingerprint": "aeb0db8d668ccd3d",
+    "handler_events": 12648,
     "executed": 160,
     # Every non-faulty replica converges to this application state.
     "state_digest":
@@ -47,12 +66,34 @@ GOLDEN_PBFT = {
 }
 
 
+class _BothStreams(ScheduleFingerprint):
+    """The full fingerprint, feeding a second one without NETWORK_OWN."""
+
+    def __init__(self):
+        super().__init__()
+        self.handlers = ScheduleFingerprint(skip=NETWORK_OWN)
+
+    def hook(self, event):
+        super().hook(event)
+        self.handlers.hook(event)
+
+
+def _run_pinned(golden, monkeypatch):
+    """Run the scenario once and check every pinned stream value."""
+    both = _BothStreams()
+    monkeypatch.setattr(explorer, "ScheduleFingerprint", lambda: both)
+    out = run_schedule(Schedule(**golden["schedule"]))
+    assert both.handlers.hexdigest() == golden["handler_fingerprint"]
+    assert both.handlers.events == golden["handler_events"]
+    assert out.result.fingerprint == golden["fingerprint"]
+    assert out.result.events == both.events == golden["events"]
+    assert out.result.executed == golden["executed"]
+    return out
+
+
 class TestGoldenGpbft:
-    def test_schedule_matches_golden(self):
-        out = run_schedule(Schedule(**GOLDEN_GPBFT["schedule"]))
-        assert out.result.fingerprint == GOLDEN_GPBFT["fingerprint"]
-        assert out.result.events == GOLDEN_GPBFT["events"]
-        assert out.result.executed == GOLDEN_GPBFT["executed"]
+    def test_schedule_matches_golden(self, monkeypatch):
+        out = _run_pinned(GOLDEN_GPBFT, monkeypatch)
         for node_id in (0, 1, 2):
             node = out.host.nodes[node_id]
             chain = [
@@ -63,11 +104,8 @@ class TestGoldenGpbft:
 
 
 class TestGoldenPbft:
-    def test_schedule_matches_golden(self):
-        out = run_schedule(Schedule(**GOLDEN_PBFT["schedule"]))
-        assert out.result.fingerprint == GOLDEN_PBFT["fingerprint"]
-        assert out.result.events == GOLDEN_PBFT["events"]
-        assert out.result.executed == GOLDEN_PBFT["executed"]
+    def test_schedule_matches_golden(self, monkeypatch):
+        out = _run_pinned(GOLDEN_PBFT, monkeypatch)
         digests = {
             replica._state_digest_fn().hex()
             for replica in out.host.replicas.values()

@@ -1,0 +1,317 @@
+"""Model-based property test for the network's delivery path.
+
+One generated program -- unicast and multicast bursts, crashes and
+recoveries in the middle of a backlog, partitions, random drops,
+per-node processing intervals, sends to an id nobody registered -- is
+run twice: on :class:`repro.net.network.SimulatedNetwork` and on an
+eager oracle that spends one event on every arrival and one on every
+completion, over a plain list it re-sorts by ``(time, seq)`` before
+each fire.  The two must hand the same messages to the same handlers at
+the same simulated times and end with equal traffic counters.  Nothing
+here depends on how the network stores its backlog, so the test holds
+for any implementation of the arrive-then-serve contract.
+
+What the contract leaves open is the order of two completions at
+*different* nodes at exactly the same instant.  With jittered latency
+that never happens, handlers answer what they receive, and the global
+call sequence must match.  With constant latency it happens all the
+time, handlers only record, and the comparison is per node.
+"""
+
+from __future__ import annotations
+
+import pytest
+from hypothesis import example, given, settings, strategies as st
+
+from repro.common.config import NetworkConfig
+from repro.common.errors import NetworkError
+from repro.common.rng import DeterministicRNG
+from repro.net.latency import ConstantLatency, LatencyModel, UniformLatency
+from repro.net.message import RawPayload
+from repro.net.network import SimulatedNetwork
+from repro.net.simulator import Simulator
+from repro.net.stats import TrafficStats
+
+NODES = (0, 1, 2, 3, 4)
+NOBODY = 99
+
+
+class _Oracle:
+    """One event per arrival, one per completion, slots handed out FIFO."""
+
+    def __init__(self, config, latency):
+        self.now, self._seq, self._events = 0.0, 0, []
+        self.config, self.latency = config, latency
+        self.rng = DeterministicRNG(config.seed, "network")
+        self.stats = TrafficStats()
+        self.handlers, self.offline, self.partition = {}, set(), {}
+        self.intervals, self.fifo = {}, {}
+
+    def schedule_at(self, time, callback, *args):
+        self._events.append((time, self._seq, callback, args))
+        self._seq += 1
+
+    def run(self):
+        while self._events:
+            self._events.sort(key=lambda event: event[:2])
+            self.now, _, callback, args = self._events.pop(0)
+            callback(*args)
+
+    def set_offline(self, node, offline):
+        (self.offline.add if offline else self.offline.discard)(node)
+
+    def set_partition(self, groups):
+        self.partition = dict(groups or {})
+
+    def set_processing_interval(self, node, interval):
+        self.intervals[node] = interval
+
+    def send(self, src, dst, payload):
+        size = payload.size_bytes + self.config.envelope_overhead_bytes
+        self.stats.on_send(src, payload.kind, size)
+        p = self.config.drop_probability
+        if (src in self.offline or dst in self.offline
+                or self.partition.get(src, -1) != self.partition.get(dst, -1)
+                or (p > 0 and self.rng.random() < p)):
+            return self.stats.on_drop(payload.kind)
+        delay = self.latency.sample(src, dst, self.rng)
+        self.schedule_at(self.now + delay, self._arrive, src, dst, payload, size)
+
+    def _arrive(self, src, dst, payload, size):
+        if dst not in self.handlers or dst in self.offline:
+            return self.stats.on_drop(payload.kind)
+        queue = self.fifo.setdefault(dst, [])
+        queue.append((src, payload, size))
+        if len(queue) == 1:
+            self._start_slot(dst)
+
+    def _start_slot(self, dst):
+        interval = self.intervals.get(dst, 1.0 / self.config.processing_rate)
+        self.schedule_at(self.now + interval, self._complete, dst)
+
+    def _complete(self, dst):
+        src, payload, size = self.fifo[dst].pop(0)
+        if self.fifo[dst]:
+            self._start_slot(dst)
+        if dst in self.offline:
+            return self.stats.on_drop(payload.kind)
+        self.stats.on_deliver(dst, payload.kind, size)
+        self.handlers[dst](self.now, dst, src, payload)
+
+
+class _Run:
+    """Drives one program against the real network or the oracle."""
+
+    def __init__(self, config, latency, real, echo):
+        self.calls, self.echo = [], echo
+        if real:
+            self.sim = Simulator()
+            self.net = SimulatedNetwork(self.sim, config, latency)
+            for node in NODES:
+                self.net.register(node, lambda e: self.handle(
+                    self.sim.now, e.dst, e.src, e.payload))
+            self.at, self.send = self.sim.schedule_at, self.net.send
+        else:
+            self.sim = self.net = oracle = _Oracle(config, latency)
+            oracle.handlers = dict.fromkeys(NODES, self.handle)
+            self.at, self.send = oracle.schedule_at, oracle.send
+
+    def handle(self, now, dst, src, payload):
+        self.calls.append((now, dst, src, payload))
+        ttl = payload.body[1]
+        if self.echo and ttl > 0:
+            answer = RawPayload(payload.kind, payload.size_bytes, (payload.body[0], ttl - 1))
+            for peer in (src, (dst + ttl) % len(NODES)):
+                if peer != dst:
+                    self.send(dst, peer, answer)
+
+    def apply(self, op):
+        kind, _, *args = op
+        if kind == "send":
+            src, dst, count, size, ttl = args
+            for i in range(count):
+                self.send(src, dst, RawPayload(f"k{size % 3}", size, (i, ttl)))
+        elif kind == "multicast":
+            src, size, ttl = args
+            payload = RawPayload("cast", size, (0, ttl))
+            for dst in NODES + (NOBODY,):
+                if dst != src:
+                    self.send(src, dst, payload)
+        elif kind == "offline":
+            self.net.set_offline(*args)
+        elif kind == "partition":
+            self.net.set_partition(dict(zip(NODES, args[0])) if args[0] else None)
+        else:
+            assert kind == "interval", op
+            self.net.set_processing_interval(*args)
+
+    def run(self, program):
+        for op in program:  # queued first: at a tie, an op precedes traffic
+            self.at(op[1], self.apply, op)
+        self.sim.run()
+        return self.calls, self.net.stats.snapshot()
+
+
+# everything on a 0.05 s grid, like the 0.1 s slot: ties are the rule
+_times = st.integers(0, 24).map(lambda k: k * 0.05)
+_node = st.sampled_from(NODES)
+_size = st.integers(1, 400)
+_ttl = st.integers(0, 2)
+_ops = st.one_of(
+    st.tuples(st.just("send"), _times, _node, st.sampled_from(NODES + (NOBODY,)),
+              st.integers(1, 12), _size, _ttl),
+    st.tuples(st.just("multicast"), _times, _node, _size, _ttl),
+    st.tuples(st.just("offline"), _times, _node, st.booleans()),
+    st.tuples(st.just("partition"), _times,
+              st.one_of(st.none(), st.tuples(*[st.integers(0, 1)] * len(NODES)))),
+    st.tuples(st.just("interval"), _times, _node,
+              st.sampled_from([0.05, 0.1, 0.25, 0.013])),
+)
+_latency = st.one_of(
+    st.tuples(st.just("uniform"), st.sampled_from([0.0, 0.01, 0.3]),
+              st.sampled_from([0.005, 0.2])),
+    st.tuples(st.just("constant"), st.sampled_from([0.0, 0.05, 0.1, 0.017])),
+)
+
+
+@given(program=st.lists(_ops, min_size=1, max_size=25), latency=_latency,
+       drop=st.sampled_from([0.0, 0.0, 0.3]), seed=st.integers(0, 5))
+@settings(max_examples=300, deadline=None, derandomize=True)
+# an arrival at the very instant of a crash is lost, one at the very
+# instant of recovery is kept, also behind a backlog: faults go first
+@example(program=[("send", 0.0, 1, 0, 1, 10, 0), ("offline", 0.0, 0, True),
+                  ("offline", 0.05, 0, False)],
+         latency=("constant", 0.0), drop=0.0, seed=0)
+@example(program=[("send", 0.0, 1, 0, 3, 10, 0), ("send", 0.1, 1, 0, 1, 10, 0),
+                  ("offline", 0.1, 0, True), ("offline", 3 * 0.05, 0, False)],
+         latency=("constant", 0.05), drop=0.0, seed=0)
+@example(program=[("send", 0.0, 1, 0, 3, 10, 0), ("send", 0.05, 1, 0, 1, 10, 0),
+                  ("offline", 0.1, 0, True), ("offline", 0.2, 0, False)],
+         latency=("constant", 0.05), drop=0.0, seed=0)
+@example(program=[("send", 0.0, 1, 0, 3, 10, 0), ("send", 0.05, 1, 0, 1, 10, 0),
+                  ("offline", 0.1, 0, True), ("offline", 3 * 0.05, 0, True),
+                  ("offline", 0.2, 0, False)],
+         latency=("constant", 0.05), drop=0.0, seed=0)
+def test_network_matches_the_event_per_arrival_model(program, latency, drop, seed):
+    config = NetworkConfig(processing_rate=10.0, drop_probability=drop, seed=seed)
+    jittered = latency[0] == "uniform"
+
+    def model():
+        return UniformLatency(*latency[1:]) if jittered else ConstantLatency(latency[1])
+
+    real = _Run(config, model(), real=True, echo=jittered)
+    calls, stats = real.run(program)
+    want_calls, want_stats = _Run(config, model(), real=False, echo=jittered).run(program)
+    if not jittered:  # same-instant completions at different nodes: any order
+        calls.sort(key=lambda call: call[:2])
+        want_calls.sort(key=lambda call: call[:2])
+    assert calls == want_calls
+    assert stats == want_stats
+    assert real.sim.pending == 0 and not any(real.net._inbox.values())
+
+
+class _Scripted(LatencyModel):
+    """Hands out the listed delays, one per send."""
+
+    def __init__(self, *delays):
+        self._delays = list(delays)
+
+    def sample(self, src, dst, rng):
+        return self._delays.pop(0)
+
+
+class TestOfflineWindowsAgainstABacklog:
+    """Node 0 serves three early arrivals at 0.11, 0.21 and 0.31."""
+
+    def _net(self, *later_delays):
+        sim = Simulator()
+        net = SimulatedNetwork(sim, NetworkConfig(processing_rate=10.0),
+                               _Scripted(0.01, 0.01, 0.01, *later_delays))
+        got = []
+        net.register(0, lambda e: got.append((round(sim.now, 6), e.payload.kind)))
+        net.register(1, lambda e: None)
+        for kind in ("a1", "a2", "a3") + tuple(f"x{i}" for i in range(len(later_delays))):
+            net.send(1, 0, RawPayload(kind, 10))
+        return sim, net, got
+
+    def test_arrival_while_offline_and_busy_is_dropped_without_taking_a_slot(self):
+        sim, net, got = self._net(0.15, 0.36)
+        sim.schedule_at(0.12, net.set_offline, 0, True)
+        sim.schedule_at(0.35, net.set_offline, 0, False)
+        sim.run()
+        # a2, a3 complete while down; x0 arrived while down and the node is
+        # still down when the backlog reaches it at 0.31; x1 finds it idle
+        assert got == [(0.11, "a1"), (0.46, "x1")]
+        assert net.stats.messages_dropped == 3
+
+    def test_arrival_before_the_crash_is_delivered_when_its_slot_ends_after_recovery(self):
+        sim, net, got = self._net()
+        sim.schedule_at(0.12, net.set_offline, 0, True)
+        sim.schedule_at(0.25, net.set_offline, 0, False)
+        sim.run()
+        assert got == [(0.11, "a1"), (0.31, "a3")]
+        assert net.stats.messages_dropped == 1
+
+    def test_arrival_inside_a_window_that_ends_before_the_backlog_reaches_it_is_dropped(self):
+        sim, net, got = self._net(0.15, 0.2)
+        sim.schedule_at(0.12, net.set_offline, 0, True)
+        sim.schedule_at(0.18, net.set_offline, 0, False)
+        sim.run()
+        # x0 (arrived 0.15) is gone and took no slot: x1 is served right after a3
+        assert got == [(0.11, "a1"), (0.21, "a2"), (0.31, "a3"), (0.41, "x1")]
+        assert net.stats.messages_dropped == 1
+
+
+class TestContractEdges:
+    def test_interval_override_applies_to_slots_that_start_after_the_call(self):
+        sim = Simulator()
+        net = SimulatedNetwork(sim, NetworkConfig(processing_rate=10.0),
+                               ConstantLatency(0.0))
+        times = []
+        net.register(0, lambda e: times.append(round(sim.now, 6)))
+        net.register(1, lambda e: None)
+        for _ in range(3):
+            net.send(1, 0, RawPayload("k", 10))
+        sim.schedule_at(0.05, net.set_processing_interval, 0, 0.5)
+        sim.run()
+        # the message in service keeps its 0.1 s slot; the two queued
+        # behind it start theirs after the call and take 0.5 s each
+        assert times == [0.1, 0.6, 1.1]
+
+    @pytest.mark.parametrize("delay", [-0.25, float("nan")])
+    @pytest.mark.parametrize("busy", [False, True])
+    def test_bad_delay_from_the_latency_model_is_refused_by_send(self, delay, busy):
+        sim = Simulator()
+        net = SimulatedNetwork(sim, latency=_Scripted(0.0, delay))
+        net.register(0, lambda e: None)
+        net.register(1, lambda e: None)
+        net.send(1, 0, RawPayload("k", 10))
+        if busy:
+            sim.step()  # the wake: node 0 is now serving, no event per send
+        with pytest.raises(NetworkError, match=f"delay must be >= 0, got {delay}"):
+            net.send(1, 0, RawPayload("k", 10))
+
+
+def test_backlogged_burst_costs_one_event_per_message_and_a_node_sized_heap():
+    nodes = 202
+    sim = Simulator()
+    net = SimulatedNetwork(sim, NetworkConfig(processing_rate=10.0))
+    for node in range(nodes):
+        net.register(node, lambda e: None)
+    peak = 0
+
+    def watch(_event):
+        nonlocal peak
+        peak = max(peak, sim.heap_size)
+
+    payload = RawPayload("burst", 100)
+    for src in range(nodes):
+        net.multicast(src, range(nodes), payload)
+        peak = max(peak, sim.heap_size)
+    sim.set_step_hook(watch)
+    sim.run()
+    assert net.stats.messages_delivered == nodes * (nodes - 1)
+    assert sim.events_processed <= 1.05 * net.stats.messages_delivered
+    # one completion or wake per node, plus superseded wakes not yet
+    # compacted away; an event per in-flight message would be ~nodes**2
+    assert peak <= 3 * nodes
