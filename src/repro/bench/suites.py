@@ -119,8 +119,8 @@ def _sim_event_churn():
 def _net_multicast_fanout():
     """One node multicasting to 63 peers, 50 bursts through the loop.
 
-    Covers the encode-once payload cache, per-recipient stats
-    accounting, and the per-node processing chains.
+    Covers the batched fan-out (one stats charge, one jitter draw, one
+    pass over the inboxes) and the per-node processing chains.
     """
 
     def thunk() -> None:

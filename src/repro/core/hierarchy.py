@@ -52,7 +52,7 @@ from repro.common.rng import DeterministicRNG
 from repro.core.deployment import GPBFTDeployment
 from repro.core.messages import InterZoneTx, ZoneCheckpointOperation
 from repro.crypto.hashing import sha256
-from repro.net.network import SimulatedNetwork
+from repro.net.network import NodeInterface, SimulatedNetwork
 from repro.net.simulator import Simulator
 from repro.pbft.client import PBFTClient
 from repro.pbft.cluster import charge_state_transfer
@@ -325,7 +325,7 @@ class HierarchicalDeployment:
                 node_id=seat,
                 committee=self.seats,
                 sim=self.sim,
-                send=self._sender(seat),
+                transport=NodeInterface(self.backbone, seat),
                 config=self.config.pbft,
                 executor=self._seat_executor(seat, ledger),
                 state_digest_fn=ledger.digest,
@@ -343,7 +343,7 @@ class HierarchicalDeployment:
                 node_id=backbone_id,
                 committee=self.seats,
                 sim=self.sim,
-                send=self._sender(backbone_id),
+                transport=NodeInterface(self.backbone, backbone_id),
                 config=self.config.pbft,
                 event_log=self.events,
                 obs=obs,
@@ -360,9 +360,6 @@ class HierarchicalDeployment:
         self._submit_counter = 0
 
     # -- plumbing ----------------------------------------------------------
-
-    def _sender(self, src: int):
-        return lambda dst, payload: self.backbone.send(src, dst, payload)
 
     @staticmethod
     def _replica_handler(replica: PBFTReplica):

@@ -63,6 +63,7 @@ from repro.core.messages import (
 )
 from repro.geo.coords import LatLng, haversine_m
 from repro.geo.reports import GeoReport
+from repro.net.network import NodeInterface, SimulatedNetwork
 from repro.net.simulator import Simulator
 from repro.pbft.client import PBFTClient
 from repro.pbft.faults import FaultModel, HonestFaults
@@ -70,7 +71,6 @@ from repro.pbft.messages import ClientRequest
 from repro.pbft.replica import PBFTReplica
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.net.network import SimulatedNetwork
     from repro.obs.core import Observability
     from repro.workloads.profiles import DeviceProfile
 
@@ -83,7 +83,9 @@ class GPBFTNode:
             caller (the deployment wires the handler).
         position: current physical location.
         sim: shared simulator.
-        network: shared simulated network (used through a send closure).
+        network: shared simulated network.  The replica sends through a
+            plain handle onto it; the node is the transport of its own
+            client (``send``, ``multicast``), which may address the node.
         genesis: the chain's genesis block.
         config: full protocol configuration.
         directory: shared node-id -> position map used for
@@ -107,7 +109,7 @@ class GPBFTNode:
         node_id: int,
         position: LatLng,
         sim: Simulator,
-        network: "SimulatedNetwork",
+        network: SimulatedNetwork,
         genesis: GenesisBlock,
         config: GPBFTConfig | None = None,
         directory: dict[int, LatLng] | None = None,
@@ -180,7 +182,7 @@ class GPBFTNode:
             node_id=node_id,
             committee=self.committee,
             sim=sim,
-            send=self._send,
+            transport=self,
             config=self.config.pbft,
             event_log=event_log,
             route_fn=self._first_hop,
@@ -203,13 +205,30 @@ class GPBFTNode:
         if self.events is not None:
             self.events.record(self.sim.now, kind, node=self.node_id, **data)
 
-    def _send(self, dst: int, payload) -> None:
-        """Transport closure: local destinations bypass the network."""
+    def send(self, dst: int, payload) -> None:
+        """Transport: a copy addressed to this node bypasses the network."""
         if dst == self.node_id:
             # zero-cost local hand-off, still asynchronous for determinism
             self.sim.schedule(0.0, self._dispatch, payload)
         else:
             self.network.send(self.node_id, dst, payload)
+
+    def multicast(self, dsts, payload) -> None:
+        """Transport: *payload* to every id in *dsts*, this node included
+        when listed.
+
+        The local hand-off keeps its place in the simulator's sequence
+        order -- destinations before this node, the node, those after --
+        so equal-time events fire as per-copy sends would have fired them.
+        """
+        me = self.node_id
+        if me not in dsts:
+            self.network.multicast(me, dsts, payload)
+            return
+        at = dsts.index(me)
+        self.network.multicast(me, dsts[:at], payload)
+        self.sim.schedule(0.0, self._dispatch, payload)
+        self.network.multicast(me, dsts[at + 1:], payload)
 
     def _first_hop(self) -> int:
         """Route a new request to the geographically nearest endorser."""
@@ -282,9 +301,7 @@ class GPBFTNode:
     def send_geo_report(self) -> GeoReport:
         """Upload one ``<lng, lat, ts>`` report to every endorser."""
         report = GeoReport(node=self.node_id, position=self.position, timestamp=self.sim.now)
-        msg = GeoReportMsg(report)
-        for member in self.committee:
-            self._send(member, msg)
+        self.multicast(self.committee, GeoReportMsg(report))
         return report
 
     def _on_geo_report(self, msg: GeoReportMsg) -> None:
@@ -328,7 +345,7 @@ class GPBFTNode:
         if self.mode == "per_tx":
             return self.client.submit(TxOperation(tx))
         self._record(EV_TX_SUBMITTED, tx_id=tx.tx_id)
-        self._send(self._first_hop(), TxSubmission(tx))
+        self.send(self._first_hop(), TxSubmission(tx))
         return tx.tx_id
 
     # ------------------------------------------------------------------
@@ -341,7 +358,7 @@ class GPBFTNode:
             node_id=self.node_id,
             committee=self.committee,
             sim=self.sim,
-            send=self._send,
+            transport=NodeInterface(self.network, self.node_id),
             config=self.config.pbft,
             executor=self._execute_operation,
             state_digest_fn=lambda: self.ledger.state.root,
@@ -524,10 +541,8 @@ class GPBFTNode:
         if added and not msg.forwarded:
             # gossip once to the rest of the committee so any producer
             # can pack it
-            fwd = TxSubmission(msg.tx, forwarded=True)
-            for member in self.committee:
-                if member != self.node_id:
-                    self._send(member, fwd)
+            self.network.multicast(
+                self.node_id, self.committee, TxSubmission(msg.tx, forwarded=True))
 
     # ------------------------------------------------------------------
     # Algorithm-1 audits and era switches
@@ -655,9 +670,7 @@ class GPBFTNode:
         # activating (one byzantine announcer must not be able to lie)
         if self.node_id in survivors:
             info = CommitteeInfo(era=self.era, committee=self.committee, sender=self.node_id)
-            for node in sorted(self.directory):
-                if node != self.node_id:
-                    self._send(node, info)
+            self.network.multicast(self.node_id, sorted(self.directory), info)
 
     def _on_committee_info(self, info: CommitteeInfo) -> None:
         if info.era <= self.era and info.committee == self.committee:

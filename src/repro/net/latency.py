@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import abc
 import math
+from typing import Sequence
 
 from repro.common.errors import NetworkError
 from repro.common.rng import DeterministicRNG
@@ -26,6 +27,17 @@ class LatencyModel(abc.ABC):
     @abc.abstractmethod
     def sample(self, src: int, dst: int, rng: DeterministicRNG) -> float:
         """Delay in seconds for a message from *src* to *dst*."""
+
+    def sample_many(
+        self, src: int, dsts: Sequence[int], rng: DeterministicRNG
+    ) -> list[float]:
+        """Delays for one message from *src* to each of *dsts*, in order.
+
+        Must consume *rng* exactly as ``sample`` called once per
+        destination would, so a multicast and the same per-copy sends
+        leave the stream in the same state.
+        """
+        return [self.sample(src, dst, rng) for dst in dsts]
 
 
 class ConstantLatency(LatencyModel):
@@ -58,6 +70,17 @@ class UniformLatency(LatencyModel):
         # rng.uniform(0, jitter) but skips the range arithmetic -- this
         # runs once per simulated message
         return self.base_s + self.jitter_s * float(rng.next_double())
+
+    def sample_many(
+        self, src: int, dsts: Sequence[int], rng: DeterministicRNG
+    ) -> list[float]:
+        """One vectorised draw: the same doubles, in the same order, as
+        ``len(dsts)`` scalar draws (``tests/test_net.py`` pins this)."""
+        base = self.base_s
+        if self.jitter_s <= 0:
+            return [base] * len(dsts)
+        jitter = self.jitter_s
+        return [base + jitter * x for x in rng.next_double(len(dsts)).tolist()]
 
 
 class LognormalLatency(LatencyModel):

@@ -40,9 +40,8 @@ class Envelope:
     created once per (message, recipient) pair -- the single hottest
     allocation in the simulator -- so ``kind`` and ``size_bytes`` are
     stamped at construction instead of delegating to payload properties
-    on every stats/queueing touch.  The network's encode-once fan-out
-    passes both precomputed so a multicast of k copies consults the
-    payload exactly once.
+    on every stats/queueing touch.  The network passes both precomputed:
+    ``multicast`` reads them from the payload once for all k copies.
 
     Attributes:
         src: sender node id.

@@ -25,6 +25,14 @@ one *wake* entry at its earliest pending arrival.  A message arriving
 while its destination is offline is dropped without taking a slot, as
 if an event had fired at its arrival (after a fault at that instant).
 
+``multicast`` is ``send`` for a whole fan-out -- PBFT's prepare and
+commit phases are all-to-all broadcasts, so this is where the traffic
+is: the payload's kind and size are read once, the traffic counters are
+charged once with a copy count, the latency model is asked for every
+delay in one call, and one pass files the copies.  It is the same
+simulation as one ``send`` per destination: the same random draws in
+the same order, the same envelope order and the same wakes.
+
 The network also supports iid message drops and group partitions, used by
 fault-injection tests and the view-change machinery.
 """
@@ -33,7 +41,7 @@ from __future__ import annotations
 
 from collections import defaultdict
 from heapq import heapify, heappop, heappush
-from typing import Callable, Iterable
+from typing import Callable, Iterable, Protocol, Sequence
 
 from repro.common.config import NetworkConfig
 from repro.common.errors import NetworkError
@@ -47,8 +55,32 @@ from repro.net.stats import TrafficStats
 Handler = Callable[[Envelope], None]
 
 
+class Transport(Protocol):
+    """What a protocol engine sends through: one node's way out.
+
+    Replicas, clients and G-PBFT nodes hold one of these instead of the
+    network, so the same engine runs on a cluster, inside an era and on
+    the hierarchy's backbone.
+    """
+
+    def send(self, dst: int, payload: Payload) -> None:
+        """Unicast *payload* to *dst*."""
+
+    def multicast(self, dsts: Sequence[int], payload: Payload) -> None:
+        """Send *payload* to every id in *dsts*.
+
+        What happens to the holder's own id, if listed, is the handle's
+        business: :class:`NodeInterface` skips it, a G-PBFT node hands
+        itself the copy.
+        """
+
+
 class NodeInterface:
-    """A node's handle onto the network (returned by ``register``)."""
+    """A node's handle onto the network: the plain :class:`Transport`.
+
+    ``register`` returns one; a host that must build the engine before
+    it can register the engine's handler makes one directly.
+    """
 
     __slots__ = ("_network", "node_id")
 
@@ -111,13 +143,10 @@ class SimulatedNetwork:
         self._inbox: defaultdict[int, list[tuple[float, int, Envelope]]] = defaultdict(list)
         self._serving: set[int] = set()
         self._wakes: dict[int, ScheduledEvent] = {}
-        # encode-once fan-out: a multicast calls ``send`` once per
-        # recipient with the *same* payload object, so one (strongly
-        # referenced) cache entry answers kind/size for the whole burst
-        # without re-walking the payload's size model per copy
-        self._cached_payload: Payload | None = None
-        self._cached_kind: str = ""
-        self._cached_size: int = 0
+        # iid drops interleave their draws with the delays copy by copy
+        # and a bandwidth model queues copies through the sender's NIC:
+        # with either on, a multicast is its per-copy sends
+        self._copy_by_copy = self._drop_probability > 0 or self._bandwidth_bps > 0
 
     # -- membership -------------------------------------------------------
 
@@ -168,10 +197,15 @@ class SimulatedNetwork:
         # what arrived during the outage and still waits behind the
         # backlog was lost on arrival; earlier arrivals keep their slot
         now = self.sim.now
-        for entry in [entry for entry in inbox if since <= entry[0] < now]:
-            self.stats.on_drop(entry[2].kind)
-            inbox.remove(entry)
-        heapify(inbox)
+        kept = []
+        for entry in inbox:
+            if since <= entry[0] < now:
+                self.stats.on_drop(entry[2].kind)
+            else:
+                kept.append(entry)
+        if len(kept) != len(inbox):
+            inbox[:] = kept
+            heapify(inbox)
 
     def set_partition(self, groups: dict[int, int] | None) -> None:
         """Partition nodes into groups; traffic only flows within a group.
@@ -192,20 +226,8 @@ class SimulatedNetwork:
         because the bytes left the sender either way."""
         if src not in self._handlers:
             raise NetworkError(f"unknown sender {src}")
-        if payload is self._cached_payload:
-            kind = self._cached_kind
-            size = self._cached_size
-        else:
-            kind = payload.kind
-            size = payload.size_bytes + self._overhead_bytes
-            self._cached_payload = payload
-            self._cached_kind = kind
-            self._cached_size = size
-        now = self.sim.now
-        envelope = Envelope(src, dst, payload, self._overhead_bytes, now,
-                            kind=kind, size_bytes=size)
-        # bytes are charged per recipient even though the payload's wire
-        # image was computed once for the whole fan-out
+        kind = payload.kind
+        size = payload.size_bytes + self._overhead_bytes
         self.stats.on_send(src, kind, size)
 
         if src in self._offline or dst in self._offline:
@@ -218,6 +240,7 @@ class SimulatedNetwork:
             self.stats.on_drop(kind)
             return
 
+        now = self.sim.now
         delay = self.latency.sample(src, dst, self.rng)
         if self._bandwidth_bps > 0:
             # serialize through the sender's NIC before propagation: a
@@ -230,6 +253,8 @@ class SimulatedNetwork:
         if not delay >= 0:
             raise NetworkError(f"delay must be >= 0, got {delay}")
         arrive = now + delay
+        envelope = Envelope(src, dst, payload, self._overhead_bytes, now,
+                            kind=kind, size_bytes=size)
         heappush(self._inbox[dst], (arrive, envelope.envelope_id, envelope))
         if dst in self._serving:
             return  # admitted when the message in service completes
@@ -242,14 +267,69 @@ class SimulatedNetwork:
     def multicast(self, src: int, dsts: Iterable[int], payload: Payload) -> None:
         """Send *payload* to every destination in *dsts* except *src*.
 
-        Deliberately routed through :meth:`send` per destination: test
-        and verification harnesses (``SendPerturber``, ``MessageTracer``)
-        wrap ``send`` to observe or perturb each copy, and the
-        encode-once cache already collapses the per-copy payload work.
+        One operation for the whole fan-out, equal in every simulated
+        respect to one :meth:`send` per destination in *dsts* order:
+        bytes are charged per recipient, a copy to an offline or
+        other-partition destination is charged and counted as dropped
+        without drawing a delay, the delays are the doubles the per-copy
+        draws would have produced, envelope ids and wakes follow
+        destination order.
+
+        The copies go through :meth:`send` one by one when drops or the
+        bandwidth model are on (see ``_copy_by_copy``) and when ``send``
+        has been replaced on this instance: a harness that assigns
+        ``network.send`` (``NetworkTap``, ``SendPerturber``, a capture
+        tap) sees, and decides on, every copy of every broadcast.
         """
-        for dst in dsts:
-            if dst != src:
-                self.send(src, dst, payload)
+        # a replaced ``send`` is any callable but the class's own method;
+        # a harness that detaches by assigning the original back qualifies
+        # for the batched path again
+        if (self._copy_by_copy
+                or getattr(self.send, "__func__", None) is not type(self).send):
+            for dst in dsts:
+                if dst != src:
+                    self.send(src, dst, payload)
+            return
+        targets = [dst for dst in dsts if dst != src]
+        if not targets:
+            return
+        if src not in self._handlers:
+            raise NetworkError(f"unknown sender {src}")
+        kind = payload.kind
+        size = payload.size_bytes + self._overhead_bytes
+        stats = self.stats
+        stats.on_send(src, kind, size, len(targets))
+        offline = self._offline
+        if offline or self._partition:
+            group = self._partition.get
+            own = group(src, -1)
+            live = [] if src in offline else [
+                dst for dst in targets
+                if dst not in offline and group(dst, -1) == own]
+            if len(live) < len(targets):
+                stats.on_drop(kind, len(targets) - len(live))
+                targets = live
+
+        now = self.sim.now
+        overhead = self._overhead_bytes
+        inbox = self._inbox
+        serving = self._serving
+        wakes = self._wakes
+        schedule_at = self.sim.schedule_at
+        for dst, delay in zip(targets, self.latency.sample_many(src, targets, self.rng)):
+            if not delay >= 0:
+                raise NetworkError(f"delay must be >= 0, got {delay}")
+            arrive = now + delay
+            envelope = Envelope(src, dst, payload, overhead, now,
+                                kind=kind, size_bytes=size)
+            heappush(inbox[dst], (arrive, envelope.envelope_id, envelope))
+            if dst in serving:
+                continue  # admitted when the message in service completes
+            wake = wakes.get(dst)
+            if wake is None or arrive < wake.time:
+                if wake is not None:
+                    wake.cancel()
+                wakes[dst] = schedule_at(arrive, self._wake, dst)
 
     # -- delivery -------------------------------------------------------------
 

@@ -65,14 +65,19 @@ class TrafficStats:
         self.messages_sent_by_node: dict[int, int] = defaultdict(int)
         self.messages_received_by_node: dict[int, int] = defaultdict(int)
 
-    def on_send(self, src: int, kind: str, size_bytes: int) -> None:
-        """Record a message leaving *src*."""
-        self.messages_sent += 1
-        self.bytes_sent += size_bytes
-        self.bytes_by_kind[kind] += size_bytes
-        self.messages_by_kind[kind] += 1
-        self.bytes_sent_by_node[src] += size_bytes
-        self.messages_sent_by_node[src] += 1
+    def on_send(self, src: int, kind: str, size_bytes: int, copies: int = 1) -> None:
+        """Record *copies* messages of *size_bytes* each leaving *src*.
+
+        A multicast charges its whole fan-out in one call; bytes are
+        still counted per recipient.
+        """
+        total = size_bytes * copies
+        self.messages_sent += copies
+        self.bytes_sent += total
+        self.bytes_by_kind[kind] += total
+        self.messages_by_kind[kind] += copies
+        self.bytes_sent_by_node[src] += total
+        self.messages_sent_by_node[src] += copies
 
     def on_deliver(self, dst: int, kind: str, size_bytes: int) -> None:
         """Record a message fully processed at *dst*."""
@@ -81,9 +86,9 @@ class TrafficStats:
         self.bytes_received_by_node[dst] += size_bytes
         self.messages_received_by_node[dst] += 1
 
-    def on_drop(self, kind: str) -> None:
-        """Record a lost message."""
-        self.messages_dropped += 1
+    def on_drop(self, kind: str, copies: int = 1) -> None:
+        """Record *copies* lost messages."""
+        self.messages_dropped += copies
 
     @property
     def kilobytes_sent(self) -> float:

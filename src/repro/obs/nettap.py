@@ -6,6 +6,12 @@ wrapping ``network.send`` -- stacking monkeypatches whose detach order
 matters -- a :class:`NetworkTap` wraps it exactly once and fans out to
 subscribers.  :func:`tap_network` is the get-or-create entry point;
 the tap uninstalls itself when its last subscriber leaves.
+
+Wrapping ``send`` is enough to see broadcasts too: while ``send`` is
+replaced on a network, its ``multicast`` hands every copy to the
+replacement one by one, in destination order, so subscribers get one
+``(at, src, dst, kind, size)`` call per copy and the run draws the same
+delays and fires the same events as the untapped, batched one.
 """
 
 from __future__ import annotations

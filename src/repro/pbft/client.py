@@ -21,13 +21,12 @@ from repro.common.config import PBFTConfig
 from repro.common.errors import ConsensusError
 from repro.common.eventlog import EV_REQUEST_COMPLETED, EV_REQUEST_SUBMITTED, EventLog
 from repro.common.quorum import tolerated_faults
+from repro.net.network import Transport
 from repro.net.simulator import ScheduledEvent, Simulator
 from repro.pbft.messages import ClientRequest, Operation, Reply
 
 if TYPE_CHECKING:
     from repro.obs.core import Observability
-
-SendFn = Callable[[int, object], None]
 
 #: Completed-latency entries kept per client before the oldest are
 #: evicted (GPB015 bound convention).  Far above any per-client request
@@ -52,7 +51,7 @@ class PBFTClient:
         node_id: the client's network id (not a committee member).
         committee: current replica ids, in rotation order.
         sim: simulator for retry timers.
-        send: transport callback.
+        transport: this client's way out (``send`` and ``multicast``).
         config: supplies the retry timeout.
         event_log: latency event sink.
         on_complete: optional callback ``(request_id, latency_s)`` fired
@@ -67,7 +66,7 @@ class PBFTClient:
         node_id: int,
         committee: tuple[int, ...] | list[int],
         sim: Simulator,
-        send: SendFn,
+        transport: Transport,
         config: PBFTConfig | None = None,
         event_log: EventLog | None = None,
         on_complete: Callable[[str, float], None] | None = None,
@@ -79,7 +78,7 @@ class PBFTClient:
         self.node_id = node_id
         self.committee = tuple(committee)
         self.sim = sim
-        self._send = send
+        self._transport = transport
         self.config = config or PBFTConfig()
         self.events = event_log
         self._on_complete = on_complete
@@ -118,7 +117,7 @@ class PBFTClient:
         if self._obs is not None:
             self._obs.request_submitted(self.node_id, rid, len(self.committee))
         first_hop = self._route_fn() if self._route_fn is not None else self.believed_primary
-        self._send(first_hop, request)
+        self._transport.send(first_hop, request)
         entry.timer = self.sim.schedule(self.config.request_retry_timeout_s, self._retry, rid)
         return rid
 
@@ -171,8 +170,7 @@ class PBFTClient:
             return
         # broadcast so backups forward to the primary and arm timers
         entry.retries += 1
-        for replica in self.committee:
-            self._send(replica, entry.request)
+        self._transport.multicast(self.committee, entry.request)
         timeout = self.config.request_retry_timeout_s
         factor = self.config.retry_backoff_factor
         if factor != 1.0:  # gpb: allow GPB004 -- 1.0 is the exact no-backoff sentinel from config, never the result of arithmetic

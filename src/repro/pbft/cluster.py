@@ -18,7 +18,7 @@ from repro.common.config import (
 from repro.common.errors import ConsensusError
 from repro.common.eventlog import EV_PBFT_STATE_TRANSFER, EventLog
 from repro.crypto.hashing import sha256
-from repro.net.network import SimulatedNetwork
+from repro.net.network import NodeInterface, SimulatedNetwork
 from repro.net.simulator import Simulator
 from repro.pbft.client import PBFTClient
 from repro.pbft.faults import FaultModel
@@ -147,7 +147,7 @@ class PBFTCluster:
                 node_id=node,
                 committee=self.committee,
                 sim=self.sim,
-                send=self._sender(node),
+                transport=NodeInterface(self.network, node),
                 config=self.config.pbft,
                 executor=executed.execute,
                 state_digest_fn=executed.digest,
@@ -179,16 +179,13 @@ class PBFTCluster:
                 node_id=node,
                 committee=self.committee,
                 sim=self.sim,
-                send=self._sender(node),
+                transport=NodeInterface(self.network, node),
                 config=self.config.pbft,
                 event_log=self.events,
                 obs=obs,
             )
             self.clients[node] = client
             self.network.register(node, self._client_handler(client))
-
-    def _sender(self, src: int):
-        return lambda dst, payload: self.network.send(src, dst, payload)
 
     def _make_state_transfer(self, node: int):
         """Checkpoint catch-up: install the state of an up-to-date peer

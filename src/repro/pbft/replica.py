@@ -17,9 +17,10 @@ watermarks, and view changes, following Castro & Liskov (OSDI'99):
   the new primary assembles 2f+1 view-change votes into a new-view with
   re-issued pre-prepares.
 
-The replica is transport-agnostic: it talks through ``send(dst, payload)``
-and a simulator for timers, so the same engine runs under the baseline
-PBFT deployment and inside every G-PBFT era.
+The replica is transport-agnostic: it talks through a transport handle
+(``send(dst, payload)`` and ``multicast(dsts, payload)``) and a simulator
+for timers, so the same engine runs under the baseline PBFT deployment
+and inside every G-PBFT era.
 """
 
 from __future__ import annotations
@@ -41,6 +42,7 @@ from repro.common.eventlog import (
 from repro.common.ids import primary_for_view
 from repro.common.quorum import max_faulty, quorum_size
 from repro.crypto.hashing import sha256
+from repro.net.network import Transport
 from repro.net.simulator import ScheduledEvent, Simulator
 from repro.pbft.faults import FaultModel, HonestFaults
 from repro.pbft.log import MessageLog
@@ -75,9 +77,6 @@ _K_NEW_VIEW = NewView.kind
 #: Signature of the executor callback: (operation, seq, view) -> result digest.
 Executor = Callable[[object, int, int], bytes]
 
-#: Signature of the transport send callback.
-SendFn = Callable[[int, object], None]
-
 
 class PBFTReplica:
     """One replica of the PBFT service.
@@ -86,7 +85,8 @@ class PBFTReplica:
         node_id: this replica's id (must appear in *committee*).
         committee: ordered replica ids; order fixes primary rotation.
         sim: simulator used for view-change timers.
-        send: transport callback ``send(dst, payload)``.
+        transport: this replica's way out: ``send(dst, payload)`` and
+            ``multicast(dsts, payload)``, which skips this replica's id.
         config: protocol timeouts and checkpoint cadence.
         executor: applies an ordered operation, returns a result digest.
         state_digest_fn: returns the current state digest (checkpoints).
@@ -109,7 +109,7 @@ class PBFTReplica:
         node_id: int,
         committee: tuple[int, ...] | list[int],
         sim: Simulator,
-        send: SendFn,
+        transport: Transport,
         config: PBFTConfig | None = None,
         executor: Executor | None = None,
         state_digest_fn: Callable[[], bytes] | None = None,
@@ -129,7 +129,7 @@ class PBFTReplica:
             raise ConsensusError(f"replica {node_id} not in committee {self.committee}")
         self.node_id = node_id
         self.sim = sim
-        self._send = send
+        self._transport = transport
         self.config = config or PBFTConfig()
         self._executor = executor or (lambda op, seq, view: sha256(op.signing_bytes()))
         self._state_digest_fn = state_digest_fn or (lambda: sha256(b"state"))
@@ -209,19 +209,15 @@ class PBFTReplica:
             return
         if dst == self.node_id:
             return
-        self._send(dst, payload)
+        self._transport.send(dst, payload)
 
     def _multicast(self, payload) -> None:
         # fault models are pure per-call (see FaultModel), so one
-        # suppress check covers the whole fan-out; the loop then stays
-        # free of per-destination attribute lookups
+        # suppress check covers the whole fan-out
         if self.faults.suppress_send(payload.kind):
             return
-        send = self._send
-        me = self.node_id
-        for dst in self.committee:
-            if dst != me:
-                send(dst, payload)
+        # the transport skips our own id
+        self._transport.multicast(self.committee, payload)
 
     def shutdown(self) -> None:
         """Stop participating and cancel every pending timer.
@@ -230,7 +226,7 @@ class PBFTReplica:
         before the new-era committee relaunches.
         """
         self.stopped = True
-        for timer in self._timers.values():
+        for timer in self._timers.values():  # gpb: allow GPB003 -- cancel() is per-timer and idempotent, so the order cannot be observed
             timer.cancel()
         self._timers.clear()
         if self._view_change_timer is not None:
@@ -331,23 +327,20 @@ class PBFTReplica:
         self._pending.setdefault(rid, request)
         digest = request.digest()
         self._record(EV_PBFT_ASSIGNED, seq=seq, view=self.view, request_id=rid)
-        # per-destination send so byzantine primaries can equivocate
-        for dst in self.committee:
-            if dst == self.node_id:
-                continue
-            msg = PrePrepare(
-                view=self.view,
-                seq=seq,
-                digest=self.faults.mutate_digest(digest, dst),
-                request=request,
-                sender=self.node_id,
-                epoch=self.epoch,
-            )
-            self._unicast(dst, msg)
         own = PrePrepare(
             view=self.view, seq=seq, digest=digest, request=request,
             sender=self.node_id, epoch=self.epoch,
         )
+        mutate = self.faults.mutate_digest
+        if all(mutate(digest, dst) == digest for dst in self.committee):
+            self._multicast(own)
+        else:
+            # an equivocating primary: one pre-prepare per destination
+            for dst in self.committee:
+                self._unicast(dst, PrePrepare(
+                    view=self.view, seq=seq, digest=mutate(digest, dst),
+                    request=request, sender=self.node_id, epoch=self.epoch,
+                ))
         self.log.add_pre_prepare(own)
         if self._obs is not None:
             self._obs.pbft_preprepare(self.node_id, self.epoch, self.view, seq, rid)
@@ -588,7 +581,7 @@ class PBFTReplica:
         if new_view <= self.view:
             return
         self.in_view_change = True
-        for timer in self._timers.values():
+        for timer in self._timers.values():  # gpb: allow GPB003 -- cancel() is per-timer and idempotent, so the order cannot be observed
             timer.cancel()
         self._timers.clear()
         proofs = tuple(

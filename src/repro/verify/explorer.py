@@ -270,6 +270,11 @@ class RunOutcome:
 class SendPerturber:
     """Taps a network's send path to drop or delay-reorder messages.
 
+    While ``network.send`` is replaced, ``network.multicast`` hands every
+    copy of a broadcast to the replacement one by one, so each copy gets
+    its own drop/delay decision and an idle perturber (no window open)
+    leaves the schedule exactly as the batched path produces it.
+
     Attach order matters for replay: the perturber wraps ``network.send``
     first, and a :class:`~repro.net.tracer.MessageTracer` (when used)
     wraps the perturber, so traces capture attempted sends while the

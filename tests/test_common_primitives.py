@@ -56,6 +56,15 @@ class TestDeterministicRNG:
         child2 = DeterministicRNG(1).fork("net")
         assert child1.random() == child2.random()
 
+    def test_vector_draw_is_the_scalar_draws_and_leaves_the_same_state(self):
+        # the network draws a multicast's jitter in one call; the run is
+        # bit-identical to per-copy draws only while this holds
+        vector, scalar = DeterministicRNG(9, "network"), DeterministicRNG(9, "network")
+        for k in (1, 3, 201):
+            assert vector.next_double(k).tolist() == [
+                float(scalar.next_double()) for _ in range(k)]
+        assert vector.random() == scalar.random()
+
     def test_uniform_bounds(self):
         rng = DeterministicRNG(3)
         for _ in range(100):

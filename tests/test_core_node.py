@@ -85,6 +85,25 @@ class TestNodeRouting:
         dep = GPBFTDeployment(n_nodes=4, n_endorsers=4, seed=22, start_reports=False)
         assert dep.nodes[2]._first_hop() == 2
 
+    def test_multicast_keeps_the_local_hand_off_between_its_neighbours(self):
+        # zero latency: every copy is due now, so the simulator's
+        # sequence order is the only order there is
+        from repro.common.config import NetworkConfig
+
+        config = GPBFTConfig(network=NetworkConfig(
+            base_latency_s=0.0, latency_jitter_s=0.0))
+        dep = GPBFTDeployment(n_nodes=4, n_endorsers=4, seed=26, config=config,
+                              start_reports=False)
+        fired = []
+        dep.sim.set_step_hook(lambda event: fired.append(
+            (event.callback.__name__, event.args[0])))
+        dep.nodes[1].send_geo_report()
+        dep.sim.run(until=0.0)
+        report = fired[1][1]
+        assert fired == [("_wake", 0), ("_dispatch", report),
+                         ("_wake", 2), ("_wake", 3)]
+        assert report.kind == "geo.report"
+
     def test_move_updates_directory(self):
         dep = GPBFTDeployment(n_nodes=4, n_endorsers=4, seed=23, start_reports=False)
         new_pos = HK.offset_m(300.0, 0.0)

@@ -1,15 +1,17 @@
 """Model-based property test for the network's delivery path.
 
 One generated program -- unicast and multicast bursts, crashes and
-recoveries in the middle of a backlog, partitions, random drops,
-per-node processing intervals, sends to an id nobody registered -- is
-run twice: on :class:`repro.net.network.SimulatedNetwork` and on an
+recoveries in the middle of a backlog, partitions, random drops, a
+sender-side bandwidth limit, per-node processing intervals, sends to an
+id nobody registered -- is run twice: on :class:`repro.net.network.SimulatedNetwork` and on an
 eager oracle that spends one event on every arrival and one on every
 completion, over a plain list it re-sorts by ``(time, seq)`` before
 each fire.  The two must hand the same messages to the same handlers at
 the same simulated times and end with equal traffic counters.  Nothing
 here depends on how the network stores its backlog, so the test holds
-for any implementation of the arrive-then-serve contract.
+for any implementation of the arrive-then-serve contract.  The real
+side hands each multicast to ``SimulatedNetwork.multicast``; the oracle
+only knows per-copy sends, so the batched fan-out is held to them.
 
 What the contract leaves open is the order of two completions at
 *different* nodes at exactly the same instant.  With jittered latency
@@ -26,7 +28,8 @@ from hypothesis import example, given, settings, strategies as st
 from repro.common.config import NetworkConfig
 from repro.common.errors import NetworkError
 from repro.common.rng import DeterministicRNG
-from repro.net.latency import ConstantLatency, LatencyModel, UniformLatency
+from repro.net.latency import (
+    ConstantLatency, LatencyModel, LognormalLatency, UniformLatency)
 from repro.net.message import RawPayload
 from repro.net.network import SimulatedNetwork
 from repro.net.simulator import Simulator
@@ -45,7 +48,7 @@ class _Oracle:
         self.rng = DeterministicRNG(config.seed, "network")
         self.stats = TrafficStats()
         self.handlers, self.offline, self.partition = {}, set(), {}
-        self.intervals, self.fifo = {}, {}
+        self.intervals, self.fifo, self.tx_free_at = {}, {}, {}
 
     def schedule_at(self, time, callback, *args):
         self._events.append((time, self._seq, callback, args))
@@ -75,7 +78,17 @@ class _Oracle:
                 or (p > 0 and self.rng.random() < p)):
             return self.stats.on_drop(payload.kind)
         delay = self.latency.sample(src, dst, self.rng)
+        if self.config.bandwidth_bps > 0:  # copies leave the sender in turn
+            tx_done = (max(self.now, self.tx_free_at.get(src, 0.0))
+                       + size * 8.0 / self.config.bandwidth_bps)
+            self.tx_free_at[src] = tx_done
+            delay += tx_done - self.now
         self.schedule_at(self.now + delay, self._arrive, src, dst, payload, size)
+
+    def multicast(self, src, dsts, payload):
+        for dst in dsts:
+            if dst != src:
+                self.send(src, dst, payload)
 
     def _arrive(self, src, dst, payload, size):
         if dst not in self.handlers or dst in self.offline:
@@ -111,10 +124,12 @@ class _Run:
                 self.net.register(node, lambda e: self.handle(
                     self.sim.now, e.dst, e.src, e.payload))
             self.at, self.send = self.sim.schedule_at, self.net.send
+            self.multicast = self.net.multicast
         else:
             self.sim = self.net = oracle = _Oracle(config, latency)
             oracle.handlers = dict.fromkeys(NODES, self.handle)
             self.at, self.send = oracle.schedule_at, oracle.send
+            self.multicast = oracle.multicast
 
     def handle(self, now, dst, src, payload):
         self.calls.append((now, dst, src, payload))
@@ -133,10 +148,8 @@ class _Run:
                 self.send(src, dst, RawPayload(f"k{size % 3}", size, (i, ttl)))
         elif kind == "multicast":
             src, size, ttl = args
-            payload = RawPayload("cast", size, (0, ttl))
-            for dst in NODES + (NOBODY,):
-                if dst != src:
-                    self.send(src, dst, payload)
+            self.multicast(src, NODES + (NOBODY,),
+                           RawPayload("cast", size, (0, ttl)))
         elif kind == "offline":
             self.net.set_offline(*args)
         elif kind == "partition":
@@ -171,33 +184,41 @@ _latency = st.one_of(
     st.tuples(st.just("uniform"), st.sampled_from([0.0, 0.01, 0.3]),
               st.sampled_from([0.005, 0.2])),
     st.tuples(st.just("constant"), st.sampled_from([0.0, 0.05, 0.1, 0.017])),
+    st.tuples(st.just("lognormal"), st.sampled_from([0.02, 0.2]),
+              st.sampled_from([0.0, 0.5])),
 )
+_MODELS = {"uniform": UniformLatency, "constant": ConstantLatency,
+           "lognormal": LognormalLatency}
 
 
 @given(program=st.lists(_ops, min_size=1, max_size=25), latency=_latency,
-       drop=st.sampled_from([0.0, 0.0, 0.3]), seed=st.integers(0, 5))
+       drop=st.sampled_from([0.0, 0.0, 0.3]),
+       bandwidth=st.sampled_from([0.0, 0.0, 50_000.0]), seed=st.integers(0, 5))
 @settings(max_examples=300, deadline=None, derandomize=True)
 # an arrival at the very instant of a crash is lost, one at the very
 # instant of recovery is kept, also behind a backlog: faults go first
 @example(program=[("send", 0.0, 1, 0, 1, 10, 0), ("offline", 0.0, 0, True),
                   ("offline", 0.05, 0, False)],
-         latency=("constant", 0.0), drop=0.0, seed=0)
+         latency=("constant", 0.0), drop=0.0, bandwidth=0.0, seed=0)
 @example(program=[("send", 0.0, 1, 0, 3, 10, 0), ("send", 0.1, 1, 0, 1, 10, 0),
                   ("offline", 0.1, 0, True), ("offline", 3 * 0.05, 0, False)],
-         latency=("constant", 0.05), drop=0.0, seed=0)
+         latency=("constant", 0.05), drop=0.0, bandwidth=0.0, seed=0)
 @example(program=[("send", 0.0, 1, 0, 3, 10, 0), ("send", 0.05, 1, 0, 1, 10, 0),
                   ("offline", 0.1, 0, True), ("offline", 0.2, 0, False)],
-         latency=("constant", 0.05), drop=0.0, seed=0)
+         latency=("constant", 0.05), drop=0.0, bandwidth=0.0, seed=0)
 @example(program=[("send", 0.0, 1, 0, 3, 10, 0), ("send", 0.05, 1, 0, 1, 10, 0),
                   ("offline", 0.1, 0, True), ("offline", 3 * 0.05, 0, True),
                   ("offline", 0.2, 0, False)],
-         latency=("constant", 0.05), drop=0.0, seed=0)
-def test_network_matches_the_event_per_arrival_model(program, latency, drop, seed):
-    config = NetworkConfig(processing_rate=10.0, drop_probability=drop, seed=seed)
-    jittered = latency[0] == "uniform"
+         latency=("constant", 0.05), drop=0.0, bandwidth=0.0, seed=0)
+def test_network_matches_the_event_per_arrival_model(
+        program, latency, drop, bandwidth, seed):
+    config = NetworkConfig(processing_rate=10.0, drop_probability=drop,
+                           bandwidth_bps=bandwidth, seed=seed)
+    # equal delays make equal-time completions; sigma 0 is a constant
+    jittered = latency[0] != "constant" and latency[-1] > 0
 
     def model():
-        return UniformLatency(*latency[1:]) if jittered else ConstantLatency(latency[1])
+        return _MODELS[latency[0]](*latency[1:])
 
     real = _Run(config, model(), real=True, echo=jittered)
     calls, stats = real.run(program)
@@ -290,6 +311,14 @@ class TestContractEdges:
             sim.step()  # the wake: node 0 is now serving, no event per send
         with pytest.raises(NetworkError, match=f"delay must be >= 0, got {delay}"):
             net.send(1, 0, RawPayload("k", 10))
+
+    @pytest.mark.parametrize("delay", [-0.25, float("nan")])
+    def test_bad_delay_from_the_latency_model_is_refused_by_multicast(self, delay):
+        net = SimulatedNetwork(Simulator(), latency=_Scripted(0.0, delay))
+        for node in range(3):
+            net.register(node, lambda e: None)
+        with pytest.raises(NetworkError, match=f"delay must be >= 0, got {delay}"):
+            net.multicast(0, range(3), RawPayload("k", 10))
 
 
 def test_backlogged_burst_costs_one_event_per_message_and_a_node_sized_heap():

@@ -92,9 +92,17 @@ class TestEpochScoping:
         from repro.pbft.replica import PBFTReplica
 
         sent = []
+
+        class Recorder:
+            def send(self, dst, payload):
+                sent.append((dst, payload))
+
+            def multicast(self, dsts, payload):
+                sent.extend((dst, payload) for dst in dsts)
+
         replica = PBFTReplica(
             node_id=1, committee=(0, 1, 2, 3), sim=Simulator(),
-            send=lambda dst, payload: sent.append((dst, payload)), epoch=2,
+            transport=Recorder(), epoch=2,
         )
         req = request()
         foreign = PrePrepare(view=0, seq=1, digest=req.digest(),

@@ -150,6 +150,39 @@ class TestByzantine:
         cluster.run(until=2000)
         assert cluster.all_agree()
 
+    @staticmethod
+    def _pre_prepares_by_destination(cluster):
+        seen = {}
+        send = cluster.network.send
+
+        def capture(src, dst, payload):
+            if payload.kind == "pbft.pre_prepare":
+                seen[dst] = payload
+            send(src, dst, payload)
+
+        cluster.network.send = capture
+        cluster.submit(RawOperation("op"))
+        cluster.run(until=5)
+        return seen
+
+    def test_equivocating_primary_still_corrupts_odd_destinations(self):
+        cluster = PBFTCluster(4, 1, config=fast_config(),
+                              faults={0: EquivocatingFaults()})
+        seen = self._pre_prepares_by_destination(cluster)
+        assert sorted(seen) == [1, 2, 3]
+        true = seen[2].request.digest()
+        assert seen[2].digest == true
+        assert seen[1].digest == seen[3].digest != true
+        # the primary's own log keeps the true digest
+        assert cluster.replicas[0].log.get(0, 1).pre_prepare.digest == true
+
+    def test_honest_primary_multicasts_the_pre_prepare_it_logs(self):
+        cluster = PBFTCluster(4, 1, config=fast_config())
+        seen = self._pre_prepares_by_destination(cluster)
+        logged = cluster.replicas[0].log.get(0, 1).pre_prepare
+        assert sorted(seen) == [1, 2, 3]
+        assert all(copy is logged for copy in seen.values())
+
     def test_mute_replica_does_not_block_quorum(self):
         cluster = PBFTCluster(4, 1, config=fast_config(),
                               faults={3: MuteFaults()})

@@ -344,9 +344,16 @@ class TestBoundedMemorySatellites:
         config = replace(GPBFTConfig().pbft, request_retry_timeout_s=1.0,
                          retry_backoff_factor=2.0, retry_backoff_max_s=4.0)
         sim = Simulator()
+
+        class Recorder:
+            def send(self, dst, payload):
+                sent.append((sim.now, dst))
+
+            def multicast(self, dsts, payload):
+                sent.extend((sim.now, dst) for dst in dsts)
+
         client = PBFTClient(node_id=100, committee=(0, 1, 2, 3), sim=sim,
-                            send=lambda dst, payload: sent.append(
-                                (sim.now, dst)), config=config)
+                            transport=Recorder(), config=config)
         from repro.pbft.messages import RawOperation
 
         client.submit(RawOperation(op_id="op", size_bytes=8))

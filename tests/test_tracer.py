@@ -53,6 +53,22 @@ class TestCapture:
         assert tracer.dropped == 2
         assert tracer.rows[0].kind == "k2"  # oldest fell off
 
+    def test_multicast_rows_are_the_rows_of_its_per_copy_sends(self):
+        captured = []
+        for batched in (True, False):
+            sim, net = small_net()
+            tracer = MessageTracer(net)
+            payload = RawPayload("a.x", 100)
+            if batched:
+                net.multicast(1, (0, 1, 2), payload)
+            else:
+                for dst in (0, 2):
+                    net.send(1, dst, payload)
+            sim.run()
+            captured.append((tracer.rows, net.stats.snapshot()))
+        assert captured[0] == captured[1]
+        assert [(r.src, r.dst) for r in captured[0][0]] == [(1, 0), (1, 2)]
+
     def test_detach_restores_send(self):
         sim, net = small_net()
         tracer = MessageTracer(net)

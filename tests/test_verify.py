@@ -21,9 +21,11 @@ from repro.common.eventlog import EV_PBFT_ENTERED_VIEW, Event, EventLog
 from repro.experiments.engine import Engine
 from repro.verify import InvariantViolation, MonitorHarness
 from repro.verify.cli import main as verify_main
+from repro.verify import explorer
 from repro.verify.explorer import (
     Perturbation,
     Schedule,
+    SendPerturber,
     explore,
     generate_schedule,
     run_schedule,
@@ -140,6 +142,52 @@ class TestRunSchedule:
         violation = outcome.result.violation
         assert violation["monitor"] == "cross-shard-prefix"
         assert "never ordered" in violation["message"]
+
+
+class TestPerturberSeesEveryCopy:
+    """``SendPerturber`` replaces ``network.send``; broadcasts are batched
+    below it, so the network has to hand it their copies one by one."""
+
+    def test_a_certain_drop_window_silences_every_copy_of_a_multicast(self):
+        from repro.common.rng import DeterministicRNG
+        from repro.net.message import RawPayload
+        from repro.net.network import SimulatedNetwork
+        from repro.net.simulator import Simulator
+
+        sim = Simulator()
+        net = SimulatedNetwork(sim)
+        got = []
+        for node in range(5):
+            net.register(node, got.append)
+        perturber = SendPerturber(net, DeterministicRNG(0, "verify/perturb"))
+        perturber.add_window(Perturbation(op="drop", at=0.0, until=1.0, p=1.0))
+        net.multicast(0, range(5), RawPayload("k", 10))
+        sim.run()
+        assert got == [] and net.stats.messages_sent == 0
+        sim.schedule_at(2.0, net.multicast, 0, range(5), RawPayload("k", 10))
+        sim.run()
+        assert sorted(e.dst for e in got) == [1, 2, 3, 4]  # window over
+
+    @pytest.mark.parametrize("schedule", [
+        _clean(),
+        _clean(seed=5, perturbations=(
+            Perturbation(op="crash", at=0.5, until=20.0, node=0),
+            Perturbation(op="partition", at=1.2, until=6.0, nodes=(1, 2)))),
+        Schedule(protocol="gpbft", n=8, seed=4, submissions=3,
+                 horizon_s=90.0, era_switch_at=10.0),
+        _zoned(),
+    ], ids=["pbft", "pbft-crash-partition", "gpbft-era-switch", "zoned"])
+    def test_an_idle_perturber_leaves_the_fingerprint_unchanged(
+            self, schedule, monkeypatch):
+        # run_schedule always attaches a perturber, so every pinned
+        # fingerprint is a per-copy run; without one, broadcasts take
+        # the batched path and must produce the very same event stream
+        per_copy = run_schedule(schedule).result
+        monkeypatch.setattr(explorer, "SendPerturber", lambda network, rng: None)
+        batched = run_schedule(schedule).result
+        assert per_copy.ok and batched.ok
+        assert (batched.fingerprint, batched.events, batched.executed) == (
+            per_copy.fingerprint, per_copy.events, per_copy.executed)
 
 
 class TestMonitorHarness:
