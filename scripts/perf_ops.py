@@ -1,0 +1,116 @@
+#!/usr/bin/env python3
+"""Count what one benchmark round costs the interpreter: a counter that repeats.
+
+    scripts/perf_ops.py WORKLOAD [--seed N] [--top K] [--max-calls-per-msg X]
+
+Builds one round of a ``perfbench`` workload (imported read-only from
+this checkout), runs its timed ``run`` call under ``sys.settrace`` with
+opcode events on, and prints Python-level calls and bytecode
+instructions, both also per delivered message, then the top *K*
+functions by instructions with their calls and instructions per call.
+
+The counts depend on the code and the seed and on nothing else, so one
+run per side is an exact A/B on a machine whose wall clock drifts: copy
+this file into the other checkout's ``scripts/`` and run it there.  They
+say nothing about time spent inside C (heap operations, hashing), which
+is what ``scripts/perf_ab.py`` is for.  A traced round takes 30-60 times
+its plain wall time.
+
+With ``--max-calls-per-msg`` the exit code is 1 when the round spent
+more Python calls per delivered message than that (CI's hot-path guard).
+"""
+
+from __future__ import annotations
+
+import argparse
+import sys
+from collections import defaultdict
+from pathlib import Path
+from types import CodeType, FrameType
+from typing import Any
+
+ROOT = Path(__file__).resolve().parent.parent
+for _entry in (str(ROOT / "src"), str(ROOT)):
+    if _entry not in sys.path:
+        sys.path.insert(0, _entry)
+
+
+class OpCounter:
+    """Per-code-object call and instruction counts of a traced region."""
+
+    def __init__(self) -> None:
+        self.calls: defaultdict[CodeType, int] = defaultdict(int)
+        self.instructions: defaultdict[CodeType, int] = defaultdict(int)
+
+    def _on_call(self, frame: FrameType, event: str, arg: Any) -> Any:
+        self.calls[frame.f_code] += 1
+        frame.f_trace_opcodes = True
+        frame.f_trace_lines = False
+        return self._on_opcode
+
+    def _on_opcode(self, frame: FrameType, event: str, arg: Any) -> Any:
+        if event == "opcode":
+            self.instructions[frame.f_code] += 1
+        return self._on_opcode
+
+    def run(self, fn: Any) -> None:
+        """Call *fn()* with counting on; frames already running are not counted."""
+        sys.settrace(self._on_call)
+        try:
+            fn()
+        finally:
+            sys.settrace(None)
+
+
+def _name(code: CodeType) -> str:
+    path = Path(code.co_filename)
+    try:
+        where = str(path.resolve().relative_to(ROOT))
+    except ValueError:
+        where = path.name
+    return f"{where}:{code.co_qualname}"
+
+
+def main(argv: list[str] | None = None) -> int:
+    """Trace one round and print the counts."""
+    from perfbench.workloads import BY_NAME
+
+    parser = argparse.ArgumentParser(
+        prog="scripts/perf_ops.py", description=__doc__.split("\n\n")[0])
+    parser.add_argument("workload", choices=sorted(BY_NAME))
+    parser.add_argument("--seed", type=int, default=0)
+    parser.add_argument("--top", type=int, default=10, metavar="K")
+    parser.add_argument("--max-calls-per-msg", type=float, default=None, metavar="X")
+    args = parser.parse_args(argv)
+
+    workload = BY_NAME[args.workload](args.seed)
+    counter = OpCounter()
+    counter.run(workload.run)
+    outcome = workload.outcome()
+
+    calls = sum(counter.calls.values())
+    instructions = sum(counter.instructions.values())
+    msgs = outcome.msgs
+    print(f"workload {args.workload}  seed {args.seed}  sim_digest {outcome.digest[:16]}")
+    print(f"delivered messages     {msgs:>12d}")
+    print(f"python calls           {calls:>12d}  {calls / msgs:8.2f} per message")
+    print(f"bytecode instructions  {instructions:>12d}  {instructions / msgs:8.1f} per message")
+    print(f"\n| function | instructions | share | calls | per call |\n|---|---|---|---|---|")
+    ranked = sorted(counter.instructions, key=lambda c: (-counter.instructions[c], _name(c)))
+    for code in ranked[:args.top]:
+        n, k = counter.instructions[code], counter.calls[code]
+        print(f"| `{_name(code)}` | {n} | {n / instructions:.1%} | {k} | "
+              f"{n / k if k else 0.0:.1f} |")
+    if outcome.problems:
+        print("perf_ops: the round failed its output checks: "
+              + "; ".join(outcome.problems), file=sys.stderr)
+        return 1
+    if args.max_calls_per_msg is not None and calls / msgs > args.max_calls_per_msg:
+        print(f"perf_ops: {calls / msgs:.2f} calls per delivered message exceeds "
+              f"{args.max_calls_per_msg}", file=sys.stderr)
+        return 1
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -67,7 +67,7 @@ from repro.net.network import NodeInterface, SimulatedNetwork
 from repro.net.simulator import Simulator
 from repro.pbft.client import PBFTClient
 from repro.pbft.faults import FaultModel, HonestFaults
-from repro.pbft.messages import ClientRequest
+from repro.pbft.messages import ClientRequest, Reply
 from repro.pbft.replica import PBFTReplica
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -259,25 +259,23 @@ class GPBFTNode:
 
     def _dispatch(self, payload) -> None:
         kind = getattr(payload, "kind", "")
-        if kind == "geo.report":
-            self._on_geo_report(payload)
-        elif kind == "gpbft.committee_info":
-            self._on_committee_info(payload)
-        elif kind == "tx.submit":
-            self._on_tx_submission(payload)
-        elif kind == "pbft.reply":
-            self.client.receive(payload)
-        elif kind == "pbft.request":
-            self._on_pbft_request(payload)
-        elif kind.startswith("pbft."):
-            if self.replica is not None and not self.switching:
+        handler = self._HANDLERS.get(kind)
+        if handler is not None:
+            handler(self, payload)
+        elif kind.startswith("pbft.") and not self.switching:
+            # the replica's kinds -- prepares and commits, nine tenths of
+            # an endorser's traffic -- pay one table miss and no call
+            if self.replica is not None:
                 self.replica.receive(payload)
-            elif not self.switching:
+            else:
                 # not (yet) an active endorser: keep a bounded window of
                 # consensus traffic in case a CommitteeInfo is in flight
                 self._preactivation_buffer.append(payload)
                 if len(self._preactivation_buffer) > self._preactivation_cap:
                     self._preactivation_buffer.pop(0)
+
+    def _on_reply(self, reply) -> None:
+        self.client.receive(reply)
 
     # ------------------------------------------------------------------
     # device role: geo reports + transactions
@@ -716,3 +714,14 @@ class GPBFTNode:
 
     # populated by the deployment; kept overridable for tests
     _chain_sync_hook: Callable | None = None
+
+    #: kind -> handler of the kinds the node consumes itself, one lookup
+    #: per delivered message; the rest of ``pbft.*`` is the replica's
+    #: (see ``_dispatch``).  Class-level: see ``PBFTReplica._HANDLERS``.
+    _HANDLERS = {
+        Reply.kind: _on_reply,
+        ClientRequest.kind: _on_pbft_request,
+        "geo.report": _on_geo_report,
+        "gpbft.committee_info": _on_committee_info,
+        "tx.submit": _on_tx_submission,
+    }

@@ -10,7 +10,7 @@ paper's chain-based function ``G(v, t)``.
 from __future__ import annotations
 
 import bisect
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from repro.common.errors import GeoError
 from repro.common.wire_layout import wire_struct
@@ -26,6 +26,12 @@ _REPORT_BYTES = wire_struct("geo.report").size
 class GeoReport:
     """One ``<longitude, latitude, timestamp>`` upload from a device.
 
+    The geohash cell is an immutable function of the frozen position
+    and is asked for again and again -- by every endorser's election
+    table, once per report a stationarity walk passes -- so the last
+    ``(precision, cell)`` answer is kept on the report: one slot, since
+    a deployment asks at one precision.
+
     Attributes:
         node: reporting device id.
         position: claimed location.
@@ -35,14 +41,19 @@ class GeoReport:
     node: int
     position: LatLng
     timestamp: float
+    _cell: tuple[int, str] | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.timestamp < 0:
             raise GeoError(f"report timestamp must be >= 0, got {self.timestamp}")
 
     def geohash(self, precision: int = 12) -> str:
-        """Geohash of the claimed position at *precision*."""
-        return geohash_encode(self.position, precision)
+        """Geohash of the claimed position at *precision* (memoized)."""
+        cached = self._cell
+        if cached is None or cached[0] != precision:
+            cached = (precision, geohash_encode(self.position, precision))
+            object.__setattr__(self, "_cell", cached)
+        return cached[1]
 
     @property
     def size_bytes(self) -> int:

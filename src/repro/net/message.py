@@ -9,13 +9,10 @@ exposing ``size_bytes`` and a ``kind`` string.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from typing import Any, Protocol, runtime_checkable
 
 from repro.common.errors import NetworkError
-
-_envelope_ids = itertools.count()
 
 
 @runtime_checkable
@@ -34,62 +31,40 @@ class Payload(Protocol):
 
 
 class Envelope:
-    """One message in flight.
+    """One message in flight, built by the network and by nothing else.
 
-    A plain ``__slots__`` class rather than a dataclass: envelopes are
-    created once per (message, recipient) pair -- the single hottest
-    allocation in the simulator -- so ``kind`` and ``size_bytes`` are
-    stamped at construction instead of delegating to payload properties
-    on every stats/queueing touch.  The network passes both precomputed:
-    ``multicast`` reads them from the payload once for all k copies.
+    A plain ``__slots__`` class rather than a dataclass: one is created
+    per (message, recipient) pair -- the single hottest allocation in
+    the simulator -- so the constructor only stores.  Every field is
+    required and none is checked: the network has already refused an
+    unknown sender, read ``kind`` and ``size_bytes`` off the payload once
+    for all k copies of a multicast, and drawn the id.
 
     Attributes:
         src: sender node id.
         dst: destination node id.
         payload: the protocol message.
-        overhead_bytes: framing + signature bytes charged by the network.
-        sent_at: simulated send time, stamped by the network.
-        envelope_id: unique id for tracing/debugging.
-        kind: the payload's message kind (stamped from the payload).
+        kind: the payload's message kind.
         size_bytes: total on-wire size: payload plus framing overhead.
+        envelope_id: unique, rising with send order; breaks arrival-time
+            ties in the destination's inbox.
     """
 
-    __slots__ = (
-        "src", "dst", "payload", "overhead_bytes", "sent_at",
-        "envelope_id", "kind", "size_bytes",
-    )
+    __slots__ = ("src", "dst", "payload", "kind", "size_bytes", "envelope_id")
 
-    def __init__(
-        self,
-        src: int,
-        dst: int,
-        payload: Payload,
-        overhead_bytes: int = 0,
-        sent_at: float = 0.0,
-        envelope_id: int | None = None,
-        kind: str | None = None,
-        size_bytes: int | None = None,
-    ) -> None:
-        if src < 0 or dst < 0:
-            raise NetworkError(f"invalid endpoints src={src} dst={dst}")
-        if overhead_bytes < 0:
-            raise NetworkError("overhead_bytes must be >= 0")
+    def __init__(self, src: int, dst: int, payload: Payload, kind: str,
+                 size_bytes: int, envelope_id: int) -> None:
         self.src = src
         self.dst = dst
         self.payload = payload
-        self.overhead_bytes = overhead_bytes
-        self.sent_at = sent_at
-        self.envelope_id = next(_envelope_ids) if envelope_id is None else envelope_id
-        self.kind = payload.kind if kind is None else kind
-        self.size_bytes = (
-            payload.size_bytes + overhead_bytes if size_bytes is None else size_bytes
-        )
+        self.kind = kind
+        self.size_bytes = size_bytes
+        self.envelope_id = envelope_id
 
     def __repr__(self) -> str:
         return (
             f"Envelope(src={self.src}, dst={self.dst}, kind={self.kind!r}, "
-            f"size_bytes={self.size_bytes}, sent_at={self.sent_at}, "
-            f"envelope_id={self.envelope_id})"
+            f"size_bytes={self.size_bytes}, envelope_id={self.envelope_id})"
         )
 
 

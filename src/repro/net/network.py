@@ -15,15 +15,22 @@ second" (section IV-B), collecting a quorum of ~2n/3 messages takes
 ~2n/(3s) seconds per phase -- the O(n/s) consensus-latency bound the
 evaluation confirms.  Propagation alone would never reproduce that.
 
-Only completions are simulator events.  ``send`` fixes the arrival time
-and files the message in the destination's *inbox*, a heap ordered by
-(arrival time, send order).  A busy node owns one simulator entry, the
-completion of the message in service; when it fires, the earliest
-message that has arrived by then starts its slot, which therefore ends
-at ``max(previous completion, arrival) + interval``.  An idle node owns
-one *wake* entry at its earliest pending arrival.  A message arriving
-while its destination is offline is dropped without taking a slot, as
-if an event had fired at its arrival (after a fault at that instant).
+Everything the network knows about one node id sits in one record, its
+*port*: the receive handler, the *inbox* -- a heap of the messages bound
+for it, ordered by (arrival time, send order) -- the processing interval,
+since when it has been offline, whether a message is in service, and the
+wake it has armed.  ``send`` looks the destination's port up once, fixes
+the arrival time and files the message in the inbox; the simulator
+events that follow carry the port, so delivery never looks a node up.
+
+Only completions are simulator events.  A busy node owns one simulator
+entry, the completion of the message in service; when it fires, the
+earliest message that has arrived by then starts its slot, which
+therefore ends at ``max(previous completion, arrival) + interval``.  An
+idle node owns one *wake* entry at its earliest pending arrival.  A
+message arriving while its destination is offline is dropped without
+taking a slot, as if an event had fired at its arrival (after a fault at
+that instant).
 
 ``multicast`` is ``send`` for a whole fan-out -- PBFT's prepare and
 commit phases are all-to-all broadcasts, so this is where the traffic
@@ -39,7 +46,7 @@ fault-injection tests and the view-change machinery.
 
 from __future__ import annotations
 
-from collections import defaultdict
+import itertools
 from heapq import heapify, heappop, heappush
 from typing import Callable, Iterable, Protocol, Sequence
 
@@ -97,6 +104,33 @@ class NodeInterface:
         self._network.multicast(self.node_id, dsts, payload)
 
 
+class _Port:
+    """What the network keeps for one node id (see the module docstring).
+
+    Attributes:
+        node_id: the id this port belongs to.
+        handler: receive callback; ``None`` until the id registers, and
+            for a destination nobody ever registers.
+        inbox: heap of ``(arrival time, envelope id, envelope)``.
+        interval: seconds one message occupies the node.
+        offline_since: when the node went offline, ``None`` while up.
+        serving: a message is in service (a completion is scheduled).
+        wake: the armed wake of an idle node with pending arrivals.
+    """
+
+    __slots__ = ("node_id", "handler", "inbox", "interval",
+                 "offline_since", "serving", "wake")
+
+    def __init__(self, node_id: int, interval: float) -> None:
+        self.node_id = node_id
+        self.handler: Handler | None = None
+        self.inbox: list[tuple[float, int, Envelope]] = []
+        self.interval = interval
+        self.offline_since: float | None = None
+        self.serving = False
+        self.wake: ScheduledEvent | None = None
+
+
 class SimulatedNetwork:
     """Deterministic network over a :class:`Simulator`.
 
@@ -122,27 +156,24 @@ class SimulatedNetwork:
         )
         self.rng = rng or DeterministicRNG(self.config.seed, "network")
         self.stats = TrafficStats()
-        self._handlers: dict[int, Handler] = {}
+        # node id -> port, made on first mention: by register, by a
+        # fault, or by a message to an id nobody has registered.  The
+        # simulator heap holds one entry per port -- the completion of
+        # the message in service or the wake of an idle node -- never
+        # the backlog.
+        self._ports: dict[int, _Port] = {}
+        self._offline_count = 0
         # sender-side NIC serialization (only when bandwidth modelling on)
         self._tx_free_at: dict[int, float] = {}
-        self._offline: dict[int, float] = {}  # node -> offline since
         self._partition: dict[int, int] = {}
         self._processing_interval = 1.0 / self.config.processing_rate
-        # per-node processing-interval overrides (heterogeneous device
-        # profiles); empty for uniform fleets
-        self._node_interval: dict[int, float] = {}
+        # ids rise with send order, so equal arrival times keep it
+        self._envelope_ids = itertools.count()
         # NetworkConfig is frozen, so the per-send scalars can be read
         # once instead of through two attribute hops per message
         self._overhead_bytes = self.config.envelope_overhead_bytes
         self._drop_probability = self.config.drop_probability
         self._bandwidth_bps = self.config.bandwidth_bps
-        # per-destination inbox of (arrival time, envelope id, envelope);
-        # ids rise with send order, so ties keep it.  The simulator heap
-        # holds one entry per node -- the completion of the message in
-        # service or the wake of an idle node -- never the backlog.
-        self._inbox: defaultdict[int, list[tuple[float, int, Envelope]]] = defaultdict(list)
-        self._serving: set[int] = set()
-        self._wakes: dict[int, ScheduledEvent] = {}
         # iid drops interleave their draws with the delays copy by copy
         # and a bandwidth model queues copies through the sender's NIC:
         # with either on, a multicast is its per-copy sends
@@ -150,15 +181,25 @@ class SimulatedNetwork:
 
     # -- membership -------------------------------------------------------
 
+    def _port(self, node_id: int) -> _Port:
+        """Get-or-create the port of *node_id*."""
+        port = self._ports.get(node_id)
+        if port is None:
+            port = self._ports[node_id] = _Port(node_id, self._processing_interval)
+        return port
+
     def register(self, node_id: int, handler: Handler) -> NodeInterface:
         """Attach *handler* as the receive callback of *node_id*.
 
         Raises:
-            NetworkError: if the id is already registered.
+            NetworkError: if the id is negative or already registered.
         """
-        if node_id in self._handlers:
+        if node_id < 0:
+            raise NetworkError(f"invalid node id {node_id}")
+        port = self._port(node_id)
+        if port.handler is not None:
             raise NetworkError(f"node {node_id} already registered")
-        self._handlers[node_id] = handler
+        port.handler = handler
         return NodeInterface(self, node_id)
 
     def set_processing_interval(self, node_id: int, interval_s: float) -> None:
@@ -173,26 +214,35 @@ class SimulatedNetwork:
         Raises:
             NetworkError: on an unknown node or non-positive interval.
         """
-        if node_id not in self._handlers:
+        port = self._ports.get(node_id)
+        if port is None or port.handler is None:
             raise NetworkError(f"unknown node {node_id}")
         if interval_s <= 0:
             raise NetworkError("processing interval must be positive")
-        self._node_interval[node_id] = interval_s
+        port.interval = interval_s
 
     def processing_interval(self, node_id: int) -> float:
         """Effective per-message processing time of *node_id*."""
-        return self._node_interval.get(node_id, self._processing_interval)
+        port = self._ports.get(node_id)
+        return self._processing_interval if port is None else port.interval
 
     # -- fault injection ----------------------------------------------------
 
     def set_offline(self, node_id: int, offline: bool = True) -> None:
         """Silently discard all traffic to/from *node_id* while offline."""
+        port = self._port(node_id)
+        since = port.offline_since
         if offline:
-            self._offline.setdefault(node_id, self.sim.now)
+            if since is None:
+                port.offline_since = self.sim.now
+                self._offline_count += 1
             return
-        since = self._offline.pop(node_id, None)
-        inbox = self._inbox.get(node_id)
-        if since is None or not inbox:
+        if since is None:
+            return
+        port.offline_since = None
+        self._offline_count -= 1
+        inbox = port.inbox
+        if not inbox:
             return
         # what arrived during the outage and still waits behind the
         # backlog was lost on arrival; earlier arrivals keep their slot
@@ -224,13 +274,17 @@ class SimulatedNetwork:
     def send(self, src: int, dst: int, payload: Payload) -> None:
         """Unicast *payload*; accounting happens even if later dropped,
         because the bytes left the sender either way."""
-        if src not in self._handlers:
+        sender = self._ports.get(src)
+        if sender is None or sender.handler is None:
             raise NetworkError(f"unknown sender {src}")
         kind = payload.kind
         size = payload.size_bytes + self._overhead_bytes
         self.stats.on_send(src, kind, size)
 
-        if src in self._offline or dst in self._offline:
+        port = self._ports.get(dst)
+        if port is None:
+            port = self._port(dst)
+        if sender.offline_since is not None or port.offline_since is not None:
             self.stats.on_drop(kind)
             return
         if self._partition and self._group(src) != self._group(dst):
@@ -253,16 +307,16 @@ class SimulatedNetwork:
         if not delay >= 0:
             raise NetworkError(f"delay must be >= 0, got {delay}")
         arrive = now + delay
-        envelope = Envelope(src, dst, payload, self._overhead_bytes, now,
-                            kind=kind, size_bytes=size)
-        heappush(self._inbox[dst], (arrive, envelope.envelope_id, envelope))
-        if dst in self._serving:
+        envelope_id = next(self._envelope_ids)
+        heappush(port.inbox, (arrive, envelope_id,
+                              Envelope(src, dst, payload, kind, size, envelope_id)))
+        if port.serving:
             return  # admitted when the message in service completes
-        wake = self._wakes.get(dst)
+        wake = port.wake
         if wake is None or arrive < wake.time:
             if wake is not None:
                 wake.cancel()
-            self._wakes[dst] = self.sim.schedule_at(arrive, self._wake, dst)
+            port.wake = self.sim.schedule_at(arrive, self._wake, port)
 
     def multicast(self, src: int, dsts: Iterable[int], payload: Payload) -> None:
         """Send *payload* to every destination in *dsts* except *src*.
@@ -273,7 +327,8 @@ class SimulatedNetwork:
         other-partition destination is charged and counted as dropped
         without drawing a delay, the delays are the doubles the per-copy
         draws would have produced, envelope ids and wakes follow
-        destination order.
+        destination order.  Each destination's port is looked up once
+        and takes its copy, its serving test and its wake from there.
 
         The copies go through :meth:`send` one by one when drops or the
         bandwidth model are on (see ``_copy_by_copy``) and when ``send``
@@ -293,85 +348,87 @@ class SimulatedNetwork:
         targets = [dst for dst in dsts if dst != src]
         if not targets:
             return
-        if src not in self._handlers:
+        ports = self._ports.get
+        sender = ports(src)
+        if sender is None or sender.handler is None:
             raise NetworkError(f"unknown sender {src}")
         kind = payload.kind
         size = payload.size_bytes + self._overhead_bytes
         stats = self.stats
         stats.on_send(src, kind, size, len(targets))
-        offline = self._offline
-        if offline or self._partition:
+        if self._offline_count or self._partition:
             group = self._partition.get
             own = group(src, -1)
-            live = [] if src in offline else [
+            live = [] if sender.offline_since is not None else [
                 dst for dst in targets
-                if dst not in offline and group(dst, -1) == own]
+                if ((port := ports(dst)) is None or port.offline_since is None)
+                and group(dst, -1) == own]
             if len(live) < len(targets):
                 stats.on_drop(kind, len(targets) - len(live))
                 targets = live
 
         now = self.sim.now
-        overhead = self._overhead_bytes
-        inbox = self._inbox
-        serving = self._serving
-        wakes = self._wakes
+        envelope_ids = self._envelope_ids
         schedule_at = self.sim.schedule_at
         for dst, delay in zip(targets, self.latency.sample_many(src, targets, self.rng)):
             if not delay >= 0:
                 raise NetworkError(f"delay must be >= 0, got {delay}")
             arrive = now + delay
-            envelope = Envelope(src, dst, payload, overhead, now,
-                                kind=kind, size_bytes=size)
-            heappush(inbox[dst], (arrive, envelope.envelope_id, envelope))
-            if dst in serving:
+            port = ports(dst)
+            if port is None:
+                port = self._port(dst)
+            envelope_id = next(envelope_ids)
+            heappush(port.inbox, (arrive, envelope_id,
+                                  Envelope(src, dst, payload, kind, size, envelope_id)))
+            if port.serving:
                 continue  # admitted when the message in service completes
-            wake = wakes.get(dst)
+            wake = port.wake
             if wake is None or arrive < wake.time:
                 if wake is not None:
                     wake.cancel()
-                wakes[dst] = schedule_at(arrive, self._wake, dst)
+                port.wake = schedule_at(arrive, self._wake, port)
 
     # -- delivery -------------------------------------------------------------
 
-    def _wake(self, dst: int) -> None:
-        """The earliest message bound for idle node *dst* has arrived."""
-        del self._wakes[dst]
-        self._serving.add(dst)
-        self._serve_next(dst)
+    def _wake(self, port: _Port) -> None:
+        """The earliest message bound for the idle node has arrived: a
+        completion with nothing to hand over."""
+        port.wake = None
+        port.serving = True
+        self._process(port, None)
 
-    def _serve_next(self, dst: int) -> None:
-        """Start the slot of the earliest arrived message, or go idle.
-
-        The arrival-time checks run here: an unregistered node is never
-        busy, so its inbox is read at the instant of arrival, and an
-        offline one lost whatever arrived since it went down.
-        """
-        inbox = self._inbox[dst]
-        now = self.sim.now
-        while inbox and inbox[0][0] <= now:
-            arrive, _, envelope = heappop(inbox)
-            since = self._offline.get(dst)
-            if dst not in self._handlers or (since is not None and arrive >= since):
-                self.stats.on_drop(envelope.kind)
-                continue
-            interval = self._node_interval.get(dst, self._processing_interval)
-            self.sim.schedule_at(now + interval, self._process, envelope)
-            return
-        self._serving.discard(dst)
-        if inbox:
-            self._wakes[dst] = self.sim.schedule_at(inbox[0][0], self._wake, dst)
-
-    def _process(self, envelope: Envelope) -> None:
-        """Processing slot finished; hand the message to the node.
+    def _process(self, port: _Port, envelope: Envelope | None) -> None:
+        """A processing slot finished: start the next, hand *envelope* over.
 
         The next slot starts first, so the node's next completion is
-        sequenced ahead of anything the handler schedules.
+        sequenced ahead of anything the handler schedules.  It goes to
+        the earliest message that has arrived by now, and the
+        arrival-time checks run here: a node nobody registered is never
+        busy, so its inbox is read at the instant of arrival, and an
+        offline one lost whatever arrived since it went down.  With
+        nothing to serve the node goes idle, behind a wake if a message
+        is still on its way.
         """
-        dst = envelope.dst
-        self._serve_next(dst)
-        if dst in self._offline:
+        inbox = port.inbox
+        sim = self.sim
+        now = sim.now
+        while inbox and inbox[0][0] <= now:
+            arrive, _, due = heappop(inbox)
+            since = port.offline_since
+            if port.handler is None or (since is not None and arrive >= since):
+                self.stats.on_drop(due.kind)
+                continue
+            sim.schedule_at(now + port.interval, self._process, port, due)
+            break
+        else:
+            port.serving = False
+            if inbox:
+                port.wake = sim.schedule_at(inbox[0][0], self._wake, port)
+        if envelope is None:
+            return
+        if port.offline_since is not None:
             self.stats.on_drop(envelope.kind)
             return
-        self.stats.on_deliver(dst, envelope.kind, envelope.size_bytes)
-        # service only starts for a registered dst; handlers are never removed
-        self._handlers[dst](envelope)
+        self.stats.on_deliver(port.node_id, envelope.kind, envelope.size_bytes)
+        # service only starts at a registered port; handlers are never removed
+        port.handler(envelope)

@@ -58,10 +58,15 @@ class Simulator:
         sim = Simulator()
         sim.schedule(1.5, print, "fires at t=1.5")
         sim.run()
+
+    Attributes:
+        now: current simulated time in seconds.  A plain attribute that
+            only the loop assigns: every handler and timer reads the
+            clock, most of them more than once per message.
     """
 
     def __init__(self) -> None:
-        self._now = 0.0
+        self.now = 0.0
         self._heap: list[tuple[float, int, ScheduledEvent]] = []
         self._counter = itertools.count()
         self._events_processed = 0
@@ -69,11 +74,6 @@ class Simulator:
         self._tick_hook: Callable[[float], None] | None = None
         # cancelled entries still in the heap, so ``pending`` is O(1)
         self._cancelled = 0
-
-    @property
-    def now(self) -> float:
-        """Current simulated time in seconds."""
-        return self._now
 
     @property
     def events_processed(self) -> int:
@@ -98,7 +98,7 @@ class Simulator:
         """
         if not delay >= 0:
             raise NetworkError(f"delay must be >= 0, got {delay}")
-        time = self._now + delay  # own push, not schedule_at(): one call less per message
+        time = self.now + delay  # own push, not schedule_at(): one call less per message
         event = ScheduledEvent(time, next(self._counter), callback, args, self)
         heappush(self._heap, (time, event.seq, event))
         return event
@@ -109,8 +109,8 @@ class Simulator:
         Raises:
             NetworkError: when *time* is before ``now`` or NaN.
         """
-        if not time >= self._now:
-            raise NetworkError(f"cannot schedule at time {time} (now is {self._now})")
+        if not time >= self.now:
+            raise NetworkError(f"cannot schedule at time {time} (now is {self.now})")
         event = ScheduledEvent(time, next(self._counter), callback, args, self)
         heappush(self._heap, (time, event.seq, event))
         return event
@@ -173,10 +173,10 @@ class Simulator:
                 break
             heappop(heap)
             event._sim = None
-            if time > self._now:
+            if time > self.now:
                 if self._tick_hook is not None:
                     self._tick_hook(time)
-                self._now = time
+                self.now = time
             self._events_processed += 1
             if self._step_hook is not None:
                 self._step_hook(event)
@@ -195,7 +195,7 @@ class Simulator:
         keeps zero imports from :mod:`repro.obs`; called once at
         capture teardown, never on the hot path.
         """
-        registry.gauge("sim.now_s").set(self._now)
+        registry.gauge("sim.now_s").set(self.now)
         registry.gauge("sim.events_processed").set(float(self._events_processed))
         registry.gauge("sim.pending_events").set(float(self.pending))
 
@@ -209,15 +209,15 @@ class Simulator:
         fired = self._drain(until, max_events, None)
         heap = self._heap
         # a live event still due by *until* means max_events ended the drain
-        if until is not None and until > self._now and not (heap and heap[0][0] <= until):
-            self._now = until
+        if until is not None and until > self.now and not (heap and heap[0][0] <= until):
+            self.now = until
         return fired
 
     def run_for(self, duration: float, max_events: int | None = None) -> int:
         """Run for *duration* simulated seconds from the current time."""
         if duration < 0:
             raise NetworkError("duration must be >= 0")
-        return self.run(until=self._now + duration, max_events=max_events)
+        return self.run(until=self.now + duration, max_events=max_events)
 
     def run_until_condition(self, done: Callable[[], bool], horizon: float | None = None,
                             max_events: int | None = None) -> bool:

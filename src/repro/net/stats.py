@@ -50,14 +50,26 @@ class TrafficSnapshot:
 
 
 class TrafficStats:
-    """Mutable traffic counters updated by the simulated network."""
+    """Mutable traffic counters updated by the simulated network.
+
+    A byte is counted in one place: a send adds to the per-kind and the
+    per-sender maps, a delivery to the per-receiver maps, a loss to
+    ``messages_dropped``.  The four totals are sums over those maps,
+    taken when read -- which is once per measurement, against one update
+    per message.
+
+    Attributes:
+        messages_dropped: messages lost to faults, partitions or drops.
+        bytes_by_kind: bytes sent, by message kind.
+        messages_by_kind: messages sent, by message kind.
+        bytes_sent_by_node: bytes sent, by sender id.
+        messages_sent_by_node: messages sent, by sender id.
+        bytes_received_by_node: bytes delivered, by receiver id.
+        messages_received_by_node: messages delivered, by receiver id.
+    """
 
     def __init__(self) -> None:
-        self.messages_sent = 0
-        self.messages_delivered = 0
         self.messages_dropped = 0
-        self.bytes_sent = 0
-        self.bytes_delivered = 0
         self.bytes_by_kind: dict[str, int] = defaultdict(int)
         self.messages_by_kind: dict[str, int] = defaultdict(int)
         self.bytes_sent_by_node: dict[int, int] = defaultdict(int)
@@ -72,8 +84,6 @@ class TrafficStats:
         still counted per recipient.
         """
         total = size_bytes * copies
-        self.messages_sent += copies
-        self.bytes_sent += total
         self.bytes_by_kind[kind] += total
         self.messages_by_kind[kind] += copies
         self.bytes_sent_by_node[src] += total
@@ -81,14 +91,32 @@ class TrafficStats:
 
     def on_deliver(self, dst: int, kind: str, size_bytes: int) -> None:
         """Record a message fully processed at *dst*."""
-        self.messages_delivered += 1
-        self.bytes_delivered += size_bytes
         self.bytes_received_by_node[dst] += size_bytes
         self.messages_received_by_node[dst] += 1
 
     def on_drop(self, kind: str, copies: int = 1) -> None:
         """Record *copies* lost messages."""
         self.messages_dropped += copies
+
+    @property
+    def messages_sent(self) -> int:
+        """Messages sent, over all kinds."""
+        return sum(self.messages_by_kind.values())
+
+    @property
+    def bytes_sent(self) -> int:
+        """Bytes sent, over all kinds."""
+        return sum(self.bytes_by_kind.values())
+
+    @property
+    def messages_delivered(self) -> int:
+        """Messages delivered, over all receivers."""
+        return sum(self.messages_received_by_node.values())
+
+    @property
+    def bytes_delivered(self) -> int:
+        """Bytes delivered, over all receivers."""
+        return sum(self.bytes_received_by_node.values())
 
     @property
     def kilobytes_sent(self) -> float:

@@ -77,6 +77,9 @@ class PBFTClient:
             raise ConsensusError("client needs a non-empty committee")
         self.node_id = node_id
         self.committee = tuple(committee)
+        # a reply's sender is checked once per reply received: a probe,
+        # not a scan of the committee (kept in step by update_committee)
+        self._committee_set = frozenset(self.committee)
         self.sim = sim
         self._transport = transport
         self.config = config or PBFTConfig()
@@ -131,7 +134,7 @@ class PBFTClient:
         entry = self._pending.get(reply.request_id)
         if entry is None or entry.completed:
             return
-        if reply.sender not in self.committee:
+        if reply.sender not in self._committee_set:
             return
         self.view_hint = max(self.view_hint, reply.view)
         senders = entry.replies.setdefault(reply.result_digest, set())
@@ -195,5 +198,6 @@ class PBFTClient:
         if not committee:
             raise ConsensusError("committee must be non-empty")
         self.committee = tuple(committee)
+        self._committee_set = frozenset(self.committee)
         self.f = tolerated_faults(len(self.committee))
         self.view_hint = 0

@@ -18,7 +18,7 @@ from repro.common.quorum import max_faulty, quorum_size
 from repro.pbft.messages import ClientRequest, Commit, Prepare, PrePrepare
 
 
-@dataclass
+@dataclass(slots=True)
 class InstanceState:
     """Everything known about one (view, seq) consensus instance.
 
@@ -26,7 +26,9 @@ class InstanceState:
     incrementally by :class:`MessageLog` as votes arrive -- both
     predicates are monotone (vote sets only grow), so the flags flip
     once and the hot-path checks become attribute reads instead of
-    re-counting the vote sets per message.
+    re-counting the vote sets per message.  ``digest`` is the accepted
+    pre-prepare's, or the first vote's while none has arrived; votes
+    for another digest are not counted.
     """
 
     view: int
@@ -41,10 +43,6 @@ class InstanceState:
     executed: bool = False
     prepared_flag: bool = False
     committed_flag: bool = False
-
-    def matches(self, digest: bytes) -> bool:
-        """True iff *digest* agrees with the accepted pre-prepare."""
-        return self.digest is None or self.digest == digest
 
 
 #: Cap on retained equivocation evidence.  One conflicting digest is
@@ -94,19 +92,6 @@ class MessageLog:
             self._instances[key] = state
         return state
 
-    def get(self, view: int, seq: int) -> InstanceState | None:
-        """The instance record for (view, seq), or None (no creation)."""
-        return self._instances.get((view, seq))
-
-    def _refresh(self, state: InstanceState) -> None:
-        """Re-derive the monotone quorum flags after a vote was added."""
-        if not state.prepared_flag:
-            if state.pre_prepare is not None and len(state.prepares) >= self.prepare_quorum:
-                state.prepared_flag = True
-        if state.prepared_flag and not state.committed_flag:
-            if len(state.commits) >= self.commit_quorum:
-                state.committed_flag = True
-
     def instances(self) -> list[InstanceState]:
         """All tracked instances, in (view, seq) order."""
         return [self._instances[key] for key in sorted(self._instances)]
@@ -142,36 +127,60 @@ class MessageLog:
         state.pre_prepare = msg
         state.digest = msg.digest
         state.request = msg.request
-        # the primary's pre-prepare doubles as its prepare
+        # the primary's pre-prepare doubles as its prepare, and may be
+        # what completes a quorum of votes that arrived ahead of it
         state.prepares.add(msg.sender)
-        self._refresh(state)
+        if len(state.prepares) >= self.prepare_quorum:
+            state.prepared_flag = True
+            if len(state.commits) >= self.commit_quorum:
+                state.committed_flag = True
         return True
 
-    def add_prepare(self, msg: Prepare) -> bool:
-        """Accept a prepare; returns False on digest mismatch/duplicate."""
-        state = self.instance(msg.view, msg.seq)
-        if not state.matches(msg.digest):
-            return False
-        if state.digest is None:
-            state.digest = msg.digest
-        if msg.sender in state.prepares:
-            return False
-        state.prepares.add(msg.sender)
-        self._refresh(state)
-        return True
+    def add_prepare(self, msg: Prepare) -> InstanceState:
+        """Count a prepare and hand back the instance it belongs to.
 
-    def add_commit(self, msg: Commit) -> bool:
-        """Accept a commit; returns False on digest mismatch/duplicate."""
-        state = self.instance(msg.view, msg.seq)
-        if not state.matches(msg.digest):
-            return False
+        One body per vote: get-or-create, digest check, count, flags.
+        The instance comes back whether or not the vote counted, so the
+        caller advances it without a second lookup; a vote for another
+        digest leaves ``prepares`` as it was, and so does a sender that
+        already voted (the set ignores it).
+        """
+        key = (msg.view, msg.seq)
+        state = self._instances.get(key)
+        if state is None:
+            state = self._instances[key] = InstanceState(msg.view, msg.seq)
         if state.digest is None:
             state.digest = msg.digest
-        if msg.sender in state.commits:
-            return False
-        state.commits.add(msg.sender)
-        self._refresh(state)
-        return True
+        elif state.digest != msg.digest:
+            return state
+        prepares = state.prepares
+        prepares.add(msg.sender)
+        if (not state.prepared_flag and state.pre_prepare is not None
+                and len(prepares) >= self.prepare_quorum):
+            state.prepared_flag = True
+            if len(state.commits) >= self.commit_quorum:
+                state.committed_flag = True
+        return state
+
+    def add_commit(self, msg: Commit) -> InstanceState:
+        """Count a commit and hand back the instance it belongs to.
+
+        Same contract as :meth:`add_prepare`, on ``commits``.
+        """
+        key = (msg.view, msg.seq)
+        state = self._instances.get(key)
+        if state is None:
+            state = self._instances[key] = InstanceState(msg.view, msg.seq)
+        if state.digest is None:
+            state.digest = msg.digest
+        elif state.digest != msg.digest:
+            return state
+        commits = state.commits
+        commits.add(msg.sender)
+        if (state.prepared_flag and not state.committed_flag
+                and len(commits) >= self.commit_quorum):
+            state.committed_flag = True
+        return state
 
     # -- predicates -------------------------------------------------------------
 

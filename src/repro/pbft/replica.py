@@ -45,7 +45,7 @@ from repro.crypto.hashing import sha256
 from repro.net.network import Transport
 from repro.net.simulator import ScheduledEvent, Simulator
 from repro.pbft.faults import FaultModel, HonestFaults
-from repro.pbft.log import MessageLog
+from repro.pbft.log import InstanceState, MessageLog
 from repro.pbft.messages import (
     Checkpoint,
     ClientRequest,
@@ -62,17 +62,12 @@ from repro.pbft.messages import (
 if TYPE_CHECKING:
     from repro.obs.core import Observability
 
-#: Wire kinds hoisted from the message classes: the receive() dispatch
-#: compares against these once per delivered message, and sourcing them
-#: from the ``kind`` ClassVars keeps the dispatch table and the codec
-#: registry in one vocabulary (GPB009 bans re-typing the strings here).
-_K_PREPARE = Prepare.kind
-_K_COMMIT = Commit.kind
-_K_PRE_PREPARE = PrePrepare.kind
-_K_REQUEST = ClientRequest.kind
-_K_CHECKPOINT = Checkpoint.kind
-_K_VIEW_CHANGE = ViewChange.kind
-_K_NEW_VIEW = NewView.kind
+#: The two kinds that are votes: O(n^2) per instance where everything
+#: else is O(n) or rarer.  ``receive`` holds the one gate both pass.
+#: Sourced from the ``kind`` ClassVars, like the dispatch table, so the
+#: dispatch and the codec registry share one vocabulary (GPB009 bans
+#: re-typing the strings here).
+_VOTE_KINDS = frozenset((Prepare.kind, Commit.kind))
 
 #: Signature of the executor callback: (operation, seq, view) -> result digest.
 Executor = Callable[[object, int, int], bytes]
@@ -266,31 +261,31 @@ class PBFTReplica:
     # -- dispatch ---------------------------------------------------------------
 
     def receive(self, payload) -> None:
-        """Entry point for every protocol message addressed to us."""
+        """Entry point for every protocol message addressed to us.
+
+        Votes pass their gate here, once for both phases: one for a
+        later view waits for that view, one for another view, during a
+        view change or from outside the committee is ignored.
+        """
         if self.stopped:
             return
-        if self.faults.drop_incoming(payload.kind):
+        kind = payload.kind
+        if self.faults.drop_incoming(kind):
             return
         if getattr(payload, "epoch", self.epoch) != self.epoch:
             return  # stale traffic from another era
-        # ordered by observed frequency: prepares/commits are O(n^2) per
-        # instance, everything else O(n) or rarer
-        kind = payload.kind
-        if kind == _K_PREPARE:
-            self.on_prepare(payload)
-        elif kind == _K_COMMIT:
-            self.on_commit(payload)
-        elif kind == _K_PRE_PREPARE:
-            self.on_pre_prepare(payload)
-        elif kind == _K_REQUEST:
-            self.on_request(payload)
-        elif kind == _K_CHECKPOINT:
-            self.on_checkpoint(payload)
-        elif kind == _K_VIEW_CHANGE:
-            self.on_view_change(payload)
-        elif kind == _K_NEW_VIEW:
-            self.on_new_view(payload)
-        # unknown kinds are ignored: the node may co-host other protocols
+        handler = self._HANDLERS.get(kind)
+        if handler is None:
+            return  # unknown kinds are ignored: the node may co-host other protocols
+        if kind in _VOTE_KINDS:
+            view = payload.view
+            if view != self.view:
+                if view > self.view:
+                    self._stash_future(payload)
+                return
+            if self.in_view_change or payload.sender not in self._committee_set:
+                return
+        handler(self, payload)
 
     # -- client requests -----------------------------------------------------------
 
@@ -331,8 +326,10 @@ class PBFTReplica:
             view=self.view, seq=seq, digest=digest, request=request,
             sender=self.node_id, epoch=self.epoch,
         )
+        # read per request: tests swap ``faults`` on a live replica
         mutate = self.faults.mutate_digest
-        if all(mutate(digest, dst) == digest for dst in self.committee):
+        if (type(self.faults).mutate_digest is FaultModel.mutate_digest
+                or all(mutate(digest, dst) == digest for dst in self.committee)):
             self._multicast(own)
         else:
             # an equivocating primary: one pre-prepare per destination
@@ -344,7 +341,7 @@ class PBFTReplica:
         self.log.add_pre_prepare(own)
         if self._obs is not None:
             self._obs.pbft_preprepare(self.node_id, self.epoch, self.view, seq, rid)
-        self._maybe_commit(self.view, seq)
+        self._advance(self.log.instance(self.view, seq))
 
     # -- three phases ------------------------------------------------------------------
 
@@ -381,53 +378,41 @@ class PBFTReplica:
             )
             self._multicast(prepare)
             self.log.add_prepare(prepare)
-        self._maybe_commit(msg.view, msg.seq)
+        self._advance(state)
 
     def on_prepare(self, msg: Prepare) -> None:
-        """Record a peer's prepare and advance if a quorum formed."""
-        if msg.view > self.view:
-            self._stash_future(msg)
-            return
-        if msg.view != self.view or self.in_view_change:
-            return
-        if msg.sender not in self._committee_set:
-            return
-        self.log.add_prepare(msg)
-        self._maybe_commit(msg.view, msg.seq)
+        """Count a peer's prepare (gated by :meth:`receive`) and advance."""
+        self._advance(self.log.add_prepare(msg))
 
-    def _maybe_commit(self, view: int, seq: int) -> None:
-        # single lookup; the incremental quorum flags make both phase
-        # checks plain attribute reads (this runs once per vote received)
-        state = self.log.get(view, seq)
-        if state is None or not state.prepared_flag:
+    def on_commit(self, msg: Commit) -> None:
+        """Count a peer's commit (gated by :meth:`receive`) and advance."""
+        self._advance(self.log.add_commit(msg))
+
+    def _advance(self, state: InstanceState) -> None:
+        """Take *state* as far as its votes allow: multicast our commit
+        once it is prepared, execute once it is committed-local.
+
+        Runs on every vote, counted or not -- a duplicate can be what
+        resumes execution after a state transfer -- so both checks are
+        reads of the log's incrementally kept flags.
+        """
+        if not state.prepared_flag:
             return
         if not state.commit_sent:
             state.commit_sent = True
             if self._obs is not None and state.request is not None:
                 self._obs.pbft_prepared(
-                    self.node_id, self.epoch, view, seq,
+                    self.node_id, self.epoch, state.view, state.seq,
                     state.request.request_id,
                 )
             commit = Commit(
-                view=view, seq=seq, digest=state.digest,
+                view=state.view, seq=state.seq, digest=state.digest,
                 sender=self.node_id, epoch=self.epoch,
             )
             self._multicast(commit)
             self.log.add_commit(commit)
         if state.committed_flag:
             self._maybe_execute(state)
-
-    def on_commit(self, msg: Commit) -> None:
-        """Record a peer's commit and execute once committed-local."""
-        if msg.view > self.view:
-            self._stash_future(msg)
-            return
-        if msg.view != self.view or self.in_view_change:
-            return
-        if msg.sender not in self._committee_set:
-            return
-        self.log.add_commit(msg)
-        self._maybe_commit(msg.view, msg.seq)
 
     # -- execution ---------------------------------------------------------------------
 
@@ -701,7 +686,7 @@ class PBFTReplica:
         for pp in pre_prepares:
             self.log.add_pre_prepare(pp)
             self._assigned[pp.request.request_id] = pp.seq
-            self._maybe_commit(new_view, pp.seq)
+            self._advance(self.log.instance(new_view, pp.seq))
         self._drain_parked_requests()
 
     def on_new_view(self, msg: NewView) -> None:
@@ -742,3 +727,16 @@ class PBFTReplica:
             for msg in self._future_messages.pop(view):
                 if view == new_view:
                     self.receive(msg)
+
+    #: kind -> handler, one lookup per delivered message.  Class-level:
+    #: a dict of bound methods per replica would be paid at set-up by
+    #: every member of every committee.
+    _HANDLERS = {
+        Prepare.kind: on_prepare,
+        Commit.kind: on_commit,
+        PrePrepare.kind: on_pre_prepare,
+        ClientRequest.kind: on_request,
+        Checkpoint.kind: on_checkpoint,
+        ViewChange.kind: on_view_change,
+        NewView.kind: on_new_view,
+    }

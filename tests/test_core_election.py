@@ -89,6 +89,32 @@ class TestElectionTable:
         assert removed > 0
         assert len(table.history(1)) <= 6
 
+    def test_a_report_is_encoded_once_however_many_tables_observe_it(self, monkeypatch):
+        # every endorser's table sees the same report object (one multicast
+        # payload), and each stationarity walk asks for its cell again
+        import repro.geo.reports as reports
+
+        encoded = []
+
+        def counting(position, precision):
+            encoded.append(precision)
+            return real(position, precision)
+
+        real = reports.geohash_encode
+        monkeypatch.setattr(reports, "geohash_encode", counting)
+        tables = [ElectionTable(FAST) for _ in range(40)]
+        first = GeoReport(node=1, position=HK, timestamp=0.0)
+        second = GeoReport(node=1, position=HK, timestamp=600.0)
+        for report in (first, second):
+            for table in tables:
+                table.observe(report)
+        assert encoded == [FAST.csc_precision] * 2
+        assert tables[-1].geographic_timer(1, 600.0) == 600.0
+        # the slot holds one precision; another one re-encodes, correctly
+        assert first.geohash(5) == real(HK, 5) and first.geohash(5) == first.geohash(12)[:5]
+        assert encoded[2:] == [5, 12]
+        assert first == GeoReport(node=1, position=HK, timestamp=0.0)  # memo not compared
+
 
 class TestAlgorithm1:
     def test_stationary_endorser_revalidated(self):

@@ -95,8 +95,10 @@ class TestNodeRouting:
         dep = GPBFTDeployment(n_nodes=4, n_endorsers=4, seed=26, config=config,
                               start_reports=False)
         fired = []
+        # a wake carries the destination's port, the hand-off the payload
         dep.sim.set_step_hook(lambda event: fired.append(
-            (event.callback.__name__, event.args[0])))
+            (event.callback.__name__,
+             getattr(event.args[0], "node_id", event.args[0]))))
         dep.nodes[1].send_geo_report()
         dep.sim.run(until=0.0)
         report = fired[1][1]

@@ -4,6 +4,7 @@ import pytest
 
 from repro.common.config import NetworkConfig
 from repro.common.errors import NetworkError
+from repro.common.eventlog import EV_PBFT_STATE_TRANSFER
 from repro.common.rng import DeterministicRNG
 from repro.geo.coords import LatLng
 from repro.net.latency import (
@@ -12,7 +13,7 @@ from repro.net.latency import (
     LognormalLatency,
     UniformLatency,
 )
-from repro.net.message import Envelope, RawPayload
+from repro.net.message import RawPayload
 from repro.net.network import SimulatedNetwork
 from repro.net.simulator import Simulator
 from repro.net.stats import TrafficStats
@@ -505,7 +506,89 @@ class TestTrafficStats:
         assert stats.kilobytes_sent == pytest.approx(2.0)
 
     def test_envelope_validation(self):
-        with pytest.raises(NetworkError):
-            Envelope(src=-1, dst=0, payload=RawPayload("k", 1))
+        # only the network builds envelopes, from registered senders: the
+        # endpoint check sits where an id enters, not on every copy
+        net = SimulatedNetwork(Simulator())
+        with pytest.raises(NetworkError, match="invalid node id -1"):
+            net.register(-1, lambda e: None)
+        with pytest.raises(NetworkError, match="unknown sender -1"):
+            net.send(-1, 0, RawPayload("k", 1))
         with pytest.raises(NetworkError):
             RawPayload("k", -5)
+
+
+class _EagerTotals:
+    """The four totals kept the old way: bumped on every call."""
+
+    def __init__(self, stats):
+        self.sent = self.sent_bytes = self.delivered = self.delivered_bytes = 0
+        on_send, on_deliver = stats.on_send, stats.on_deliver
+
+        def counted_send(src, kind, size_bytes, copies=1):
+            self.sent += copies
+            self.sent_bytes += size_bytes * copies
+            on_send(src, kind, size_bytes, copies)
+
+        def counted_deliver(dst, kind, size_bytes):
+            self.delivered += 1
+            self.delivered_bytes += size_bytes
+            on_deliver(dst, kind, size_bytes)
+
+        stats.on_send, stats.on_deliver = counted_send, counted_deliver
+
+    def agree_with(self, stats):
+        return (stats.messages_sent, stats.bytes_sent, stats.messages_delivered,
+                stats.bytes_delivered) == (self.sent, self.sent_bytes,
+                                           self.delivered, self.delivered_bytes)
+
+
+class TestDerivedTotals:
+    """The totals are sums over the per-kind and per-node maps."""
+
+    def _traffic(self):
+        from repro.pbft.cluster import charge_state_transfer
+
+        sim = Simulator()
+        net = SimulatedNetwork(sim, NetworkConfig(processing_rate=50.0))
+        eager = _EagerTotals(net.stats)
+        for node in range(5):
+            net.register(node, lambda e: None)
+        net.send(0, 1, RawPayload("a", 100))
+        net.multicast(2, range(5), RawPayload("b", 40))
+        net.set_offline(3)                      # loses the "b" on its way to it
+        net.multicast(0, range(5), RawPayload("a", 7))    # one copy dropped at send
+        net.send(1, 99, RawPayload("c", 5))     # nobody there: dropped on arrival
+        charge_state_transfer(net.stats, 4, 0, n_ops=3)
+        return sim, net, eager
+
+    def test_totals_match_eager_counters_mid_run_and_after(self):
+        sim, net, eager = self._traffic()
+        assert eager.agree_with(net.stats)      # sent, nothing delivered yet
+        assert net.stats.messages_delivered == 1    # the charged transfer
+        sim.run()
+        assert eager.agree_with(net.stats)
+        stats = net.stats
+        assert stats.messages_sent == 1 + 4 + 4 + 1 + 1
+        assert stats.messages_dropped == 3
+        assert stats.messages_delivered == stats.messages_sent - 3
+        assert stats.bytes_sent == sum(stats.bytes_sent_by_node.values())
+        assert stats.messages_sent == sum(stats.messages_sent_by_node.values())
+
+    def test_snapshot_delta_and_reset_read_the_same_sums(self):
+        sim, net, eager = self._traffic()
+        before = net.stats.snapshot()
+        assert (before.messages_sent, before.bytes_sent) == (eager.sent, eager.sent_bytes)
+        sim.run()
+        net.send(0, 1, RawPayload("a", 100))
+        sim.run()
+        delta = net.stats.snapshot().delta(before)
+        overhead = net.config.envelope_overhead_bytes
+        assert (delta.messages_sent, delta.bytes_sent) == (1, 100 + overhead)
+        assert delta.messages_delivered == eager.delivered - before.messages_delivered
+        assert delta.bytes_delivered == eager.delivered_bytes - before.bytes_delivered
+        assert delta.messages_by_kind == {"a": 1, "b": 0, "c": 0, EV_PBFT_STATE_TRANSFER: 0}
+        net.stats.reset()
+        empty = net.stats.snapshot()
+        assert (empty.messages_sent, empty.bytes_sent, empty.messages_delivered,
+                empty.bytes_delivered, empty.messages_dropped) == (0, 0, 0, 0, 0)
+        assert empty.bytes_by_kind == {} and net.stats.kilobytes_sent == 0.0

@@ -228,7 +228,7 @@ def test_network_matches_the_event_per_arrival_model(
         want_calls.sort(key=lambda call: call[:2])
     assert calls == want_calls
     assert stats == want_stats
-    assert real.sim.pending == 0 and not any(real.net._inbox.values())
+    assert real.sim.pending == 0 and not any(port.inbox for port in real.net._ports.values())
 
 
 class _Scripted(LatencyModel):

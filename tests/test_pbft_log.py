@@ -60,7 +60,11 @@ class TestQuorums:
         log = MessageLog(4, 1)
         log.add_pre_prepare(pre_prepare())
         for _ in range(5):
-            assert log.add_prepare(Prepare(view=0, seq=1, digest=D, sender=1)) in (True, False)
+            state = log.add_prepare(Prepare(view=0, seq=1, digest=D, sender=1))
+            assert state.prepares == {0, 1}  # the primary and one voter, once
+        for _ in range(5):
+            state = log.add_commit(Commit(view=0, seq=1, digest=D, sender=1))
+            assert state.commits == {1}
         assert not log.prepared(0, 1)
 
 
@@ -76,12 +80,33 @@ class TestConflicts:
     def test_mismatched_prepare_rejected(self):
         log = MessageLog(4, 1)
         log.add_pre_prepare(pre_prepare(digest=D))
-        assert not log.add_prepare(Prepare(view=0, seq=1, digest=D2, sender=1))
+        state = log.add_prepare(Prepare(view=0, seq=1, digest=D2, sender=1))
+        assert state is log.instance(0, 1)  # handed back, vote not counted
+        assert state.prepares == {0} and state.digest == D
 
     def test_mismatched_commit_rejected(self):
         log = MessageLog(4, 1)
         log.add_pre_prepare(pre_prepare(digest=D))
-        assert not log.add_commit(Commit(view=0, seq=1, digest=D2, sender=1))
+        state = log.add_commit(Commit(view=0, seq=1, digest=D2, sender=1))
+        assert state is log.instance(0, 1)
+        assert state.commits == set() and state.digest == D
+
+    def test_first_vote_fixes_the_digest_until_the_pre_prepare_arrives(self):
+        log = MessageLog(4, 1)
+        assert log.add_commit(Commit(view=0, seq=1, digest=D, sender=2)).commits == {2}
+        assert log.add_prepare(Prepare(view=0, seq=1, digest=D2, sender=3)).prepares == set()
+        assert not log.add_pre_prepare(pre_prepare(digest=D2))
+        assert log.conflicts == [(0, 1, D, D2)]
+
+    def test_votes_ahead_of_the_pre_prepare_count_when_it_arrives(self):
+        log = MessageLog(4, 1)
+        for s in (1, 2):
+            log.add_prepare(Prepare(view=0, seq=1, digest=D, sender=s))
+        for s in (0, 1, 2):
+            state = log.add_commit(Commit(view=0, seq=1, digest=D, sender=s))
+        assert not state.prepared_flag and not state.committed_flag
+        assert log.add_pre_prepare(pre_prepare())
+        assert state.prepared_flag and state.committed_flag
 
 
 class TestViewChangeSupport:

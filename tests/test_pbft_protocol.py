@@ -174,12 +174,12 @@ class TestByzantine:
         assert seen[2].digest == true
         assert seen[1].digest == seen[3].digest != true
         # the primary's own log keeps the true digest
-        assert cluster.replicas[0].log.get(0, 1).pre_prepare.digest == true
+        assert cluster.replicas[0].log.instance(0, 1).pre_prepare.digest == true
 
     def test_honest_primary_multicasts_the_pre_prepare_it_logs(self):
         cluster = PBFTCluster(4, 1, config=fast_config())
         seen = self._pre_prepares_by_destination(cluster)
-        logged = cluster.replicas[0].log.get(0, 1).pre_prepare
+        logged = cluster.replicas[0].log.instance(0, 1).pre_prepare
         assert sorted(seen) == [1, 2, 3]
         assert all(copy is logged for copy in seen.values())
 
