@@ -2,7 +2,7 @@
 
 PYTHON ?= python
 
-.PHONY: install test lint typecheck bench bench-smoke bench-pytest agg-smoke sweep-smoke verify-smoke shard-smoke packs-smoke trace-smoke figures figures-paper charts examples clean
+.PHONY: install test lint typecheck bench-pytest agg-smoke sweep-smoke verify-smoke shard-smoke packs-smoke trace-smoke figures figures-paper charts examples clean
 
 install:
 	pip install -e ".[dev]"
@@ -21,15 +21,8 @@ lint:
 typecheck:
 	PYTHONPATH=src $(PYTHON) scripts/run_typecheck.py
 
-# hot-path performance suite -> BENCH_gpbft.json (docs/performance.md);
-# bench-smoke is the --quick subset CI runs on every push
-bench:
-	PYTHONPATH=src $(PYTHON) -m repro.bench
-
-bench-smoke:
-	PYTHONPATH=src $(PYTHON) -m repro.bench --quick
-
-# the pytest-benchmark tables/figures suite (one bench per experiment)
+# the pytest-benchmark suite: one bench per table/figure, plus micro and
+# scale points (docs/performance.md)
 bench-pytest:
 	$(PYTHON) -m pytest benchmarks/ --benchmark-only
 

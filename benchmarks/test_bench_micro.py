@@ -3,9 +3,11 @@
 These are real repeated-round pytest-benchmark measurements (unlike the
 figure benches, which run once).  They catch performance regressions in
 the pieces every experiment leans on: the event loop, the network's
-serial-queue model, geohash encoding, merkle trees, and signatures.
+serial-queue model, the wire codec, geohash encoding, merkle trees, and
+signatures.
 """
 
+from repro.codec import decode_prepare, decode_request, encode_prepare, encode_request
 from repro.common.rng import DeterministicRNG
 from repro.crypto.keys import KeyPair
 from repro.crypto.merkle import MerkleTree
@@ -14,6 +16,7 @@ from repro.geo.geohash import geohash_encode
 from repro.net.message import RawPayload
 from repro.net.network import SimulatedNetwork
 from repro.net.simulator import Simulator
+from repro.pbft.messages import ClientRequest, Prepare, RawOperation
 
 HK = LatLng(22.3193, 114.1694)
 
@@ -43,6 +46,21 @@ def test_network_message_throughput(benchmark):
         return len(received)
 
     assert benchmark(deliver_5k_messages) == 4_500
+
+
+def test_codec_prepare_roundtrip(benchmark):
+    vote = Prepare(view=3, seq=17, digest=bytes(range(32)), sender=5)
+    decoded, _signature = benchmark(lambda: decode_prepare(encode_prepare(vote)))
+    assert decoded == vote
+
+
+def test_codec_request_roundtrip(benchmark):
+    op = RawOperation(op_id="bench-op", size_bytes=64)
+    request = ClientRequest(client=1, timestamp=2.5, op=op)
+    op_bytes = op.signing_bytes().ljust(op.size_bytes, b"\0")[:op.size_bytes]
+    client, timestamp, _signature, decoded_op = benchmark(
+        lambda: decode_request(encode_request(request, op_bytes)))
+    assert (client, timestamp, decoded_op) == (1, 2.5, op_bytes)
 
 
 def test_geohash_encode(benchmark):

@@ -23,9 +23,9 @@ Package tour (bottom of the import graph first):
 
 Quickstart::
 
-    from repro.core import GPBFTDeployment
+    from repro.common.config import TopologySpec
 
-    dep = GPBFTDeployment(n_nodes=12, n_endorsers=4, seed=42)
+    dep = TopologySpec.single(12, 4, seed=42).build()
     device = dep.nodes[10]
     device.submit_transaction(device.next_transaction(key="temp", value="25C"))
     dep.run(until=60.0)

@@ -38,8 +38,8 @@ from repro.analysis.rules import (
 
 #: Packages whose code runs inside the simulation (results must be a
 #: pure function of seed + config).  Telemetry layers (`experiments`,
-#: `bench`, `obs`) and the entropy-sanctioned `crypto` package are
-#: deliberately absent.
+#: `obs`) and the entropy-sanctioned `crypto` package are deliberately
+#: absent.
 _SIM_PACKAGES = (
     "pbft", "core", "net", "chain", "workloads", "sybil", "geo",
     "baselines", "verify", "metrics", "common", "codec",
@@ -318,9 +318,7 @@ class VocabularyDriftRule(Rule):
     literal).  Families are the first dotted segment of every known
     kind, so new families extend coverage automatically.  Exemptions
     mirror GPB009 -- eventlog modules, the ``obs``/``codec`` packages,
-    docstrings, ``kind =`` assignments -- plus ``bench`` (benchmark
-    point names share the family prefixes but are their own namespace,
-    pinned by the golden ``BENCH_gpbft.json``).
+    docstrings, ``kind =`` assignments.
     """
 
     rule_id = "GPB013"
@@ -337,7 +335,7 @@ class VocabularyDriftRule(Rule):
         for rel in sorted(project.modules):
             module = project.modules[rel]
             if rel.endswith("eventlog.py") or in_package(
-                    module, "obs", "codec", "bench"):
+                    module, "obs", "codec"):
                 continue
             for node in ast.walk(module.tree):
                 if (isinstance(node, ast.Constant)

@@ -240,14 +240,23 @@ class Engine:
         return self.cache_dir / f"{spec.cache_key()}.json"
 
     def _cache_read(self, spec: PointSpec) -> float | list[float] | None:
+        """The cached value of *spec*, or ``None`` on a miss.
+
+        Only an entry this engine could have written for this spec at
+        this version is trusted; anything else under the key (torn,
+        foreign or hand-edited) is a miss and gets overwritten.
+        """
         if not self.use_cache:
             return None
-        path = self._cache_path(spec)
         try:
-            data = json.loads(path.read_text())
-        except (OSError, json.JSONDecodeError):
+            data = json.loads(self._cache_path(spec).read_text())
+        except (OSError, ValueError):  # ValueError: bad JSON or bad UTF-8
             return None
-        return data["value"]
+        if (not isinstance(data, dict)
+                or data.get("spec") != spec.to_json()
+                or data.get("version") != repro.__version__):
+            return None
+        return data.get("value")
 
     def _cache_write(self, spec: PointSpec, value, wall_s: float,
                      events: int) -> None:

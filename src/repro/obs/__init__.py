@@ -17,7 +17,7 @@ The :class:`~repro.obs.core.Observability` facade ties the pillars
 together and is what protocol components accept as an optional ``obs``
 parameter; passing ``None`` (the default) keeps every hot path on a
 single ``is not None`` check, so goldens stay bit-identical and the
-bench gate sees no regression.
+benchmark's ``sim_digest`` does not move.
 
 City-scale (million-request) runs opt into the v2 pipeline through an
 :class:`~repro.obs.obsconfig.ObsConfig`: streamed time-series windows

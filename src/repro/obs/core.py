@@ -3,7 +3,7 @@
 Components accept ``obs: Observability | None = None`` and guard every
 call with ``if self._obs is not None`` -- the whole layer disappears
 behind one predictable branch when disabled, which is what keeps
-goldens bit-identical and the bench ``--compare`` gate quiet.
+goldens and the benchmark's ``sim_digest`` bit-identical.
 
 The facade owns one :class:`~repro.obs.spans.Tracer` and one
 :class:`~repro.obs.instruments.Registry` and exposes protocol-shaped

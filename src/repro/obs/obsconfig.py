@@ -27,7 +27,7 @@ class ObsConfig:
         window_s: width of one simulated-time aggregation window.
         timeseries: enable windowed frame aggregation even without a
             ``frames_path`` (frames then live only in the bounded tail
-            buffer, e.g. for bench summaries and flight-recorder dumps).
+            buffer, e.g. for flight-recorder dumps).
         frames_path: JSONL file the window frames stream into, one
             frame per line, flushed incrementally as windows close.
         frames_tail: how many recent frames the in-memory tail keeps

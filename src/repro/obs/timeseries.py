@@ -157,8 +157,8 @@ class Timeseries:
     One instance serves every zone of a run (zone-labeled clones of
     the :class:`~repro.obs.core.Observability` facade all feed it);
     frames flush to *path* as JSONL when given, and the newest
-    *frames_tail* frames stay in a bounded in-memory ring for bench
-    summaries and flight-recorder dumps.
+    *frames_tail* frames stay in a bounded in-memory ring for
+    flight-recorder dumps.
     """
 
     def __init__(self, window_s: float, path: str | None = None,

@@ -114,6 +114,25 @@ class TestEngineCache:
         assert value > 0
         assert engine.telemetry.cache_misses == 1
 
+    @pytest.mark.parametrize("entry", [
+        b'{"spec": {}}',
+        b"[1, 2]",
+        b'{"value": 123.0, "version": "0.0.0", "spec": {"protocol": "gpbft"}}',
+        b'{"events": 1, "spec": {"kind": "traf',
+        b"\xff\xfe",
+    ], ids=["no-value", "not-a-dict", "foreign-spec-and-version", "truncated",
+            "not-utf8"])
+    def test_bad_cache_entry_is_a_miss_and_overwritten(self, tmp_path, entry):
+        spec = self._spec()
+        path = tmp_path / f"{spec.cache_key()}.json"
+        path.write_bytes(entry)
+        engine = Engine(jobs=1, cache_dir=tmp_path)
+        assert engine.run(spec) == run_point(spec)
+        assert (engine.telemetry.cache_misses, engine.telemetry.cache_hits) == (1, 0)
+        rewritten = json.loads(path.read_text())
+        assert rewritten["spec"] == spec.to_json()
+        assert rewritten["version"] == repro.__version__
+
     def test_duplicate_specs_computed_once(self, tmp_path):
         engine = Engine(jobs=1, cache_dir=tmp_path)
         values = engine.map([self._spec(), self._spec()])

@@ -1,0 +1,44 @@
+"""Tests: commands the docs, Makefile and CI name point at things that exist.
+
+A deletion that misses one mention leaves an instruction nobody can
+run; these fail on it.  ``perfbench/README.md`` is part of the frozen
+benchmark and is not read here.
+"""
+
+import re
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parents[1]
+SOURCES = [ROOT / "README.md", ROOT / "Makefile",
+           ROOT / ".github" / "workflows" / "ci.yml",
+           *sorted((ROOT / "docs").glob("*.md"))]
+MAKE_TARGETS = set(re.findall(r"^([a-z][\w-]*):", (ROOT / "Makefile").read_text(),
+                              re.MULTILINE))
+
+
+def _named(pattern):
+    """``(file name, match)`` for every match of *pattern* in SOURCES."""
+    return sorted({(path.name, found) for path in SOURCES
+                   for found in re.findall(pattern, path.read_text(), re.MULTILINE)})
+
+
+@pytest.mark.parametrize("source,module", _named(r"python3? -m (repro(?:\.\w+)+)"))
+def test_named_module_is_runnable(source, module):
+    path = ROOT / "src" / Path(*module.split("."))
+    assert (path / "__main__.py").is_file() or path.with_suffix(".py").is_file(), (
+        f"{source} names `python -m {module}`, which does not exist")
+
+
+# a target is what `make` is followed by when the command ends there
+# (backtick, end of line, trailing comment): "make a run's ..." is prose
+@pytest.mark.parametrize("source,target",
+                         _named(r"\bmake ([a-z][\w-]*)(?=`|\s*$|\s+#)"))
+def test_named_make_target_exists(source, target):
+    assert target in MAKE_TARGETS, f"{source} names `make {target}`"
+
+
+@pytest.mark.parametrize("source,script", _named(r"\bscripts/\w+\.py\b"))
+def test_named_script_exists(source, script):
+    assert (ROOT / script).is_file(), f"{source} names {script}"
