@@ -2,7 +2,7 @@
 
 PYTHON ?= python
 
-.PHONY: install test lint typecheck bench-pytest agg-smoke sweep-smoke verify-smoke shard-smoke packs-smoke trace-smoke figures figures-paper charts examples clean
+.PHONY: install test lint loc typecheck bench-pytest agg-smoke sweep-smoke verify-smoke shard-smoke packs-smoke trace-smoke figures figures-paper charts examples clean
 
 install:
 	pip install -e ".[dev]"
@@ -15,6 +15,15 @@ test:
 lint:
 	PYTHONPATH=src $(PYTHON) -m repro.analysis src tests examples --strict-baseline
 	$(PYTHON) scripts/check_docstrings.py
+
+# ROADMAP item 4, "success is a number": src/ may shrink but not grow
+# unnoticed.  Lower the ceiling to what a PR lands at; raising it needs
+# a reason in CHANGES.md.
+LOC_CEILING = 22913
+loc:
+	@lines=$$(find src -name '*.py' | xargs cat | wc -l); \
+	echo "src/ Python lines: $$lines (ceiling $(LOC_CEILING))"; \
+	test $$lines -le $(LOC_CEILING)
 
 # mypy --strict over the typed core (repro.codec/common/crypto/geo),
 # ratcheted by typecheck-ratchet.toml; skips with a notice if mypy is absent

@@ -20,8 +20,8 @@ from repro.common.config import (
     ElectionConfig,
     EraConfig,
     GPBFTConfig,
+    TopologySpec,
 )
-from repro.core import GPBFTDeployment
 from repro.experiments.engine import PointSpec, run_point
 from repro.geo.coords import LatLng, Region
 from repro.net.latency import ConstantLatency, DistanceLatency, LognormalLatency
@@ -74,9 +74,8 @@ def _era_period_sweep():
     rows = []
     horizon = 600.0
     for period in (30.0, 120.0, 600.0):
-        dep = GPBFTDeployment(n_nodes=8, n_endorsers=6,
-                              config=_fast_config(era_period=1e12),
-                              seed=3, start_reports=False)
+        dep = TopologySpec.single(
+            8, 6, config=_fast_config(era_period=1e12), seed=3, start_reports=False).build()
         # force composition-preserving switches every `period` seconds
         def reschedule(p=period, d=dep):
             d.force_era_switch()
@@ -108,9 +107,8 @@ def test_ablation_era_period(run_once):
 def _election_threshold_sweep():
     rows = []
     for hours in (0.5, 1.0, 2.0):
-        dep = GPBFTDeployment(n_nodes=10, n_endorsers=4,
-                              config=_fast_config(stationary_hours=hours),
-                              seed=4)
+        dep = TopologySpec.single(
+            10, 4, config=_fast_config(stationary_hours=hours), seed=4).build()
         filled_at = None
         horizon = 6 * 7200.0
         while dep.sim.now < horizon:
@@ -138,10 +136,9 @@ def _sybil_sweep():
     rows = []
     for count in (4, 8, 16):
         for protected in (False, True):
-            dep = GPBFTDeployment(n_nodes=10, n_endorsers=4,
-                                  config=_fast_config(), seed=5,
-                                  sybil_protection=protected, region=DENSE,
-                                  witness_range_m=200.0)
+            dep = TopologySpec.single(
+                10, 4, config=_fast_config(), seed=5, sybil_protection=protected, region=DENSE,
+                witness_range_m=200.0).build()
             attacker = dep.add_sybils(count, strategy=SybilStrategy.EMPTY_CELL)
             dep.run(until=3 * 7200.0 + 100)
             rows.append((count, protected,
@@ -172,9 +169,9 @@ def _witness_density_sweep():
     rows = []
     for half_side_m in (100.0, 250.0, 700.0):
         region = Region.around(LatLng(22.3193, 114.1694), half_side_m=half_side_m)
-        dep = GPBFTDeployment(n_nodes=12, n_endorsers=4, config=_fast_config(),
-                              seed=6, sybil_protection=True, region=region,
-                              witness_range_m=200.0)
+        dep = TopologySpec.single(
+            12, 4, config=_fast_config(), seed=6, sybil_protection=True, region=region,
+            witness_range_m=200.0).build()
         dep.run(until=3 * 7200.0 + 100)
         honest_elected = sum(1 for m in dep.committee if 4 <= m < 12)
         rows.append((2 * half_side_m, honest_elected))
@@ -196,7 +193,7 @@ def test_ablation_witness_density(run_once):
 
 
 def _latency_model_sweep():
-    from repro.pbft import PBFTCluster, RawOperation
+    from repro.pbft import RawOperation
 
     from repro.common.rng import DeterministicRNG
 
@@ -210,7 +207,7 @@ def _latency_model_sweep():
     }
     for name, model in models.items():
         def latency_for(n, model=model):
-            cluster = PBFTCluster(n, 1)
+            cluster = TopologySpec.cluster(n, 1).build()
             cluster.network.latency = model
             rid = cluster.submit(RawOperation("probe", size_bytes=200))
             cluster.run(until=10_000)

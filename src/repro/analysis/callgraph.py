@@ -125,10 +125,6 @@ class CallGraph:
 
     # -- queries -----------------------------------------------------------
 
-    def qual_of(self, node: ast.AST) -> str | None:
-        """The qualified name owning a function-def node, if known."""
-        return self._by_node.get(node)
-
     def callees(self, qual: str) -> list[CallEdge]:
         """Outgoing edges of *qual* (empty for unknown names)."""
         return self.edges.get(qual, [])
@@ -156,57 +152,6 @@ class CallGraph:
                 if edge.callee not in seen:
                     work.append(edge.callee)
         return seen
-
-    def taint_fixpoint(self, direct: dict[str, str]) -> dict[str, str]:
-        """Propagate a property backwards from callees to callers.
-
-        Args:
-            direct: function qual -> description for functions that
-                exhibit the property directly.
-
-        Returns:
-            function qual -> description for every function that can
-            reach a direct exhibitor, the description naming the source.
-            Directly-exhibiting functions map to their own description.
-        """
-        tainted: dict[str, str] = dict(direct)
-        work = list(direct)
-        while work:
-            current = work.pop()
-            why = tainted[current]
-            for caller in self.callers.get(current, ()):
-                if caller not in tainted:
-                    tainted[caller] = why
-                    work.append(caller)
-        return tainted
-
-    def path_to(self, start: str, targets: set[str]) -> list[str]:
-        """A shortest call path from *start* into *targets* (BFS).
-
-        Returns the node sequence including both endpoints, or ``[]``
-        when unreachable.
-        """
-        if start in targets:
-            return [start]
-        prev: dict[str, str] = {}
-        work = [start]
-        seen = {start}
-        while work:
-            nxt: list[str] = []
-            for current in work:
-                for edge in self.edges.get(current, []):
-                    if edge.callee in seen:
-                        continue
-                    seen.add(edge.callee)
-                    prev[edge.callee] = current
-                    if edge.callee in targets:
-                        path = [edge.callee]
-                        while path[-1] != start:
-                            path.append(prev[path[-1]])
-                        return list(reversed(path))
-                    nxt.append(edge.callee)
-            work = nxt
-        return []
 
     # -- dumps -------------------------------------------------------------
 

@@ -47,7 +47,6 @@ class Ledger:
     def __init__(self, genesis: GenesisBlock) -> None:
         self.genesis = genesis
         self._blocks: list[Block] = [genesis.block()]
-        self._by_digest: dict[bytes, Block] = {self._blocks[0].digest(): self._blocks[0]}
         self._forks: list[ForkEvidence] = []
         self.state = LedgerState()
 
@@ -75,10 +74,6 @@ class Ledger:
         if not 0 <= height < len(self._blocks):
             raise ChainError(f"no block at height {height} (chain height {self.height})")
         return self._blocks[height]
-
-    def by_digest(self, digest: bytes) -> Block | None:
-        """Look a block up by digest, or ``None``."""
-        return self._by_digest.get(digest)
 
     @property
     def forks(self) -> tuple[ForkEvidence, ...]:
@@ -127,5 +122,4 @@ class Ledger:
                 f"{block.header.parent.hex()[:12]} != {self.head.digest().hex()[:12]}"
             )
         self._blocks.append(block)
-        self._by_digest[block.digest()] = block
         self.state.apply_block(block)

@@ -19,7 +19,6 @@ the simulation; the derivations are documented inline and verified by
 from __future__ import annotations
 
 import dataclasses
-import warnings
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any
 
@@ -292,25 +291,6 @@ class GPBFTConfig:
 #: unique across zones while leaving room for sybils appended per zone.
 ZONE_ID_STRIDE = 10_000
 
-#: Constructor-deprecation keys that already warned this process.
-_DEPRECATED_ONCE: set[str] = set()
-
-
-def warn_constructor_deprecated(key: str, message: str) -> None:
-    """Emit a ``DeprecationWarning`` once per process for *key*.
-
-    Legacy keyword-plumbing constructors (``GPBFTDeployment(n_nodes=...)``,
-    ``PBFTCluster(n_replicas=...)``) call this on their first use so
-    existing scripts keep working but see exactly one nudge towards
-    :class:`TopologySpec`.  Tests may clear :data:`_DEPRECATED_ONCE` to
-    re-arm the warning.
-    """
-    if key in _DEPRECATED_ONCE:
-        return
-    _DEPRECATED_ONCE.add(key)
-    warnings.warn(message, DeprecationWarning, stacklevel=3)
-
-
 @dataclass(frozen=True, slots=True)
 class ZoneSpec:
     """Shape of one zone in a :class:`TopologySpec`.
@@ -319,7 +299,7 @@ class ZoneSpec:
         name: unique short label for the zone (``"z0"``, ...).
         n_nodes: number of IoT nodes placed in the zone.
         n_endorsers: committee size; ``None`` defers to the committee
-            policy cap exactly like the legacy constructor default.
+            policy cap (``min(n_nodes, max_endorsers)``).
         region: bounding box the zone's nodes are sampled from; ``None``
             falls back to the deployment default region.
         fixed_fraction: probability that a non-endorser node is
@@ -365,15 +345,13 @@ class ZoneSpec:
 class TopologySpec:
     """Declarative description of a whole simulation topology.
 
-    One spec covers all three host shapes, replacing the scattered
-    keyword plumbing that used to live in ``GPBFTDeployment``,
-    ``PBFTCluster`` and the workload builders:
+    One spec covers all three host shapes and is the only way to build
+    any of them:
 
     * ``protocol="pbft"`` -- a flat replica cluster
       (:meth:`cluster`),
     * ``protocol="gpbft"`` with one zone -- the paper's single-committee
-      deployment (:meth:`single`), bit-identical to the legacy
-      constructor for the same parameters,
+      deployment (:meth:`single`),
     * ``protocol="gpbft"`` with several zones -- the hierarchical
       deployment with a top-level committee ordering inter-zone traffic
       (:meth:`zoned`).
@@ -446,12 +424,7 @@ class TopologySpec:
                profiles: "FleetMix | None" = None,
                workload: str = "objects",
                event_capacity: int | None = None) -> "TopologySpec":
-        """The paper's one-committee deployment as a degenerate topology.
-
-        ``TopologySpec.single(...).build()`` is bit-identical (same RNG
-        draw sequence, same schedule fingerprint) to the legacy
-        ``GPBFTDeployment`` keyword constructor with the same values.
-        """
+        """The paper's one-committee deployment as a degenerate topology."""
         zone = ZoneSpec(name="z0", n_nodes=n_nodes, n_endorsers=n_endorsers,
                         region=region, fixed_fraction=fixed_fraction,
                         profiles=profiles, workload=workload)
@@ -530,10 +503,9 @@ class TopologySpec:
     def zone_seed(self, index: int) -> int:
         """Deterministic RNG seed for zone *index*.
 
-        Single-zone topologies reuse the topology seed unchanged (this
-        is what keeps the degenerate case bit-identical to the legacy
-        constructor); multi-zone topologies decorrelate zones with a
-        fixed affine derivation.
+        Single-zone topologies reuse the topology seed unchanged;
+        multi-zone topologies decorrelate zones with a fixed affine
+        derivation.
         """
         _require(0 <= index < len(self.zones), f"no zone {index}")
         if len(self.zones) == 1:

@@ -63,12 +63,6 @@ class DeterministicRNG:
         """
         return low + (high - low) * float(self.next_double())
 
-    def uniform_array(
-        self, low: float, high: float, size: int
-    ) -> np.ndarray[tuple[int, ...], np.dtype[np.float64]]:
-        """Vectorised uniform draws (used by trace/workload generators)."""
-        return self._gen.uniform(low, high, size=size)
-
     def exponential(self, mean: float) -> float:
         """One exponential draw with the given mean (inter-arrival times)."""
         return float(self._gen.exponential(mean))

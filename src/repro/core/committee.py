@@ -75,16 +75,6 @@ class CommitteeManager:
         """Current committee size."""
         return len(self._members)
 
-    @property
-    def at_capacity(self) -> bool:
-        """True iff the committee reached max_endorsers."""
-        return self.size >= self.policy.max_endorsers
-
-    @property
-    def below_minimum(self) -> bool:
-        """True iff the system must stop committing (too few endorsers)."""
-        return self.size < self.policy.min_endorsers
-
     def is_member(self, node: int) -> bool:
         """True iff *node* is in the current committee."""
         return node in self._members

@@ -11,11 +11,7 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING
 
-from repro.common.config import (
-    GPBFTConfig,
-    TopologySpec,
-    warn_constructor_deprecated,
-)
+from repro.common.config import GPBFTConfig, TopologySpec
 from repro.common.errors import ConsensusError
 from repro.common.eventlog import EventLog
 from repro.common.rng import DeterministicRNG
@@ -36,83 +32,49 @@ DEFAULT_REGION = Region.around(LatLng(22.3193, 114.1694), half_side_m=500.0)
 class GPBFTDeployment:
     """N IoT nodes running G-PBFT in one simulated region.
 
-    The preferred constructor argument is a single-zone
-    :class:`~repro.common.config.TopologySpec` (build one with
-    ``TopologySpec.single(...)``); the legacy keyword signature below
-    still works but emits a one-shot ``DeprecationWarning``.
+    Build one with ``TopologySpec.single(...).build()``.
 
     Args:
-        n_nodes: a :class:`TopologySpec`, or (legacy) the total number
-            of participating nodes (endorsers + plain devices).
-        n_endorsers: size of the genesis committee; defaults to
+        spec: a single-zone gpbft
+            :class:`~repro.common.config.TopologySpec`.  Its zone gives
+            the node count, the genesis committee size (default
             ``min(n_nodes, max_endorsers)``, which is how the paper's
-            sweeps populate the committee ("when the number of nodes is
+            sweeps populate the committee: "when the number of nodes is
             smaller than the maximal value ... all eligible nodes can
-            join", section V-B).
-        config: protocol configuration bundle.
-        region: deployment area; nodes are placed uniformly inside.
-        mode: ``"per_tx"`` or ``"block"`` ordering (see
-            :class:`~repro.core.node.GPBFTNode`).
-        fixed_fraction: fraction of *non-endorser* devices that are
-            fixed (endorsers are always fixed installations).
-        seed: experiment seed (placement, report jitter, network).
+            join", section V-B), the region nodes are placed uniformly
+            inside, and the fraction of *non-endorser* devices that are
+            fixed (endorsers are always fixed installations); the spec
+            itself gives the configuration bundle, the ordering mode
+            (see :class:`~repro.core.node.GPBFTNode`), the experiment
+            seed (placement, report jitter, network), whether every
+            node's periodic geo-report loop is armed, the block-mode
+            producer cadence, and the Sybil defence (the geographic
+            report-admission filter on every endorser, with the device
+            observation range of its witness oracle).
         sim: pass an existing simulator to co-host other components.
-        start_reports: arm every node's periodic geo-report loop.
-        block_interval_s: producer cadence in block mode.
-        sybil_protection: install the geographic report-admission filter
-            (exclusivity + witness corroboration) on every endorser.
-        witness_range_m: device observation range for the witness oracle.
         faults: node id -> fault model (crash/byzantine injection).
+        obs: optional observability facade, bound to this network.
     """
 
     def __init__(
         self,
-        n_nodes: TopologySpec | int | None = None,
-        n_endorsers: int | None = None,
-        config: GPBFTConfig | None = None,
-        region: Region = DEFAULT_REGION,
-        mode: str = "per_tx",
-        fixed_fraction: float = 1.0,
-        seed: int = 0,
+        spec: TopologySpec,
+        *,
         sim: Simulator | None = None,
-        start_reports: bool = True,
-        block_interval_s: float = 5.0,
-        sybil_protection: bool = False,
-        witness_range_m: float = 150.0,
         faults: dict | None = None,
         obs: "Observability | None" = None,
     ) -> None:
-        id_base = 0
-        profiles = None
-        if isinstance(n_nodes, TopologySpec):
-            self.spec = n_nodes
-            zone = self.spec.deployment_zone()
-            profiles = zone.profiles
-            n_nodes = zone.n_nodes
-            n_endorsers = zone.n_endorsers
-            config = self.spec.config
-            region = zone.region if zone.region is not None else DEFAULT_REGION
-            mode = self.spec.mode
-            fixed_fraction = zone.fixed_fraction
-            seed = self.spec.zone_seed(0)
-            start_reports = self.spec.start_reports
-            block_interval_s = self.spec.block_interval_s
-            sybil_protection = self.spec.sybil_protection
-            witness_range_m = self.spec.witness_range_m
-            id_base = zone.id_base
-        else:
-            if n_nodes is None:
-                raise ConsensusError(
-                    "GPBFTDeployment needs a TopologySpec or n_nodes")
-            self.spec = None
-            warn_constructor_deprecated(
-                "GPBFTDeployment",
-                "building GPBFTDeployment from raw keywords is deprecated; "
-                "construct it via TopologySpec.single(...).build() "
-                "(see docs/hierarchy.md)",
-            )
-        self.id_base = id_base
-        self.config = config or GPBFTConfig()
+        self.spec = spec
+        zone = spec.deployment_zone()
+        profiles = zone.profiles
+        n_nodes = zone.n_nodes
+        n_endorsers = zone.n_endorsers
+        region = zone.region if zone.region is not None else DEFAULT_REGION
+        mode = spec.mode
+        seed = spec.zone_seed(0)
+        start_reports = spec.start_reports
+        self.id_base = id_base = zone.id_base
+        self.config = spec.config or GPBFTConfig()
         policy = self.config.committee
         if n_endorsers is None:
             n_endorsers = min(n_nodes, policy.max_endorsers)
@@ -122,16 +84,13 @@ class GPBFTDeployment:
             )
         if n_endorsers > n_nodes:
             raise ConsensusError("cannot have more endorsers than nodes")
-        if not 0.0 <= fixed_fraction <= 1.0:
-            raise ConsensusError("fixed_fraction must be in [0, 1]")
 
         self.sim = sim or Simulator()
         self.rng = DeterministicRNG(seed, "deployment")
         self.network = SimulatedNetwork(
             self.sim, self.config.network, rng=DeterministicRNG(seed, "network")
         )
-        self.events = EventLog(
-            capacity=self.spec.event_capacity if self.spec is not None else None)
+        self.events = EventLog(capacity=spec.event_capacity)
         self.obs = obs
         if obs is not None:
             obs.bind(self.sim, self.network)
@@ -171,7 +130,7 @@ class GPBFTDeployment:
             if profiles is not None else {})
         self.availability: list = []
         for node_id in range(id_base, id_base + n_nodes):
-            fixed = node_id in endorser_ids or placement.random() < fixed_fraction
+            fixed = node_id in endorser_ids or placement.random() < zone.fixed_fraction
             node = GPBFTNode(
                 node_id=node_id,
                 position=self.positions[node_id],
@@ -184,7 +143,7 @@ class GPBFTDeployment:
                 rng=self.rng.fork(f"node/{node_id}"),
                 fixed=fixed,
                 mode=mode,
-                block_interval_s=block_interval_s,
+                block_interval_s=spec.block_interval_s,
                 faults=(faults or {}).get(node_id),
                 obs=obs,
                 profile=self.profile_map.get(node_id),
@@ -198,10 +157,10 @@ class GPBFTDeployment:
             self._apply_profiles()
 
         # -- Sybil defence -----------------------------------------------------
-        self.sybil_protection = sybil_protection
-        self.witness_range_m = witness_range_m
+        self.sybil_protection = spec.sybil_protection
+        self.witness_range_m = witness_range_m = spec.witness_range_m
         self._oracle = None
-        if sybil_protection:
+        if self.sybil_protection:
             from repro.geo.verification import LocationAuditor
             from repro.sybil.detection import GroundTruthWitnessOracle, ReportAdmission
 
@@ -392,13 +351,6 @@ class GPBFTDeployment:
         shortest = min(len(c) for c in chains)
         head = [c[:shortest] for c in chains]
         return all(c == head[0] for c in head)
-
-    def force_audit(self) -> None:
-        """Run one Algorithm-1 audit on every endorser immediately
-        (experiments use this instead of waiting for the era period)."""
-        for node in self.endorsers:
-            if node.replica is not None and not node.switching:
-                node._run_audit()
 
     def force_era_switch(self) -> None:
         """Commit a composition-preserving era switch right now.

@@ -121,10 +121,6 @@ class SpatialIndex:
                 found_ring = ring
         return best
 
-    def within_any(self) -> bool:
-        """True iff the index holds at least one point."""
-        return bool(self._positions)
-
     def within(self, query: LatLng, radius_m: float) -> list[int]:
         """All indexed nodes within *radius_m* of *query*, sorted by id."""
         if radius_m < 0:

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from typing import Iterator
 
 from repro.common.errors import GeoError
-from repro.geo.coords import LatLng, Region, haversine_m
+from repro.geo.coords import Region
 from repro.geo.geohash import geohash_encode
 
 #: Geohash length used to label zone centres (~1.2 km cells -- zone
@@ -107,26 +107,3 @@ class ZoneMap:
     def zones(self) -> tuple[Zone, ...]:
         """The cells, in index order."""
         return self._zones
-
-    def zone_at(self, index: int) -> Zone:
-        """The zone with *index* (raises ``GeoError`` out of range)."""
-        if not 0 <= index < len(self._zones):
-            raise GeoError(f"no zone with index {index}")
-        return self._zones[index]
-
-    def zone_of(self, point: LatLng) -> int:
-        """Index of the zone containing *point*.
-
-        A point inside a cell maps to that cell (first match in index
-        order on shared edges); a point outside every cell maps to the
-        nearest cell centre, with the lower index winning exact ties --
-        fully deterministic either way.
-        """
-        for zone in self._zones:
-            if zone.region.contains(point):
-                return zone.index
-        best = min(
-            (haversine_m(point, zone.region.center), zone.index)
-            for zone in self._zones
-        )
-        return best[1]

@@ -2,22 +2,17 @@
 
 * :mod:`repro.metrics.latency` -- consensus-latency samples and the
   boxplot statistics Figure 3 plots (min / Q1 / median / Q3 / max);
-* :mod:`repro.metrics.traffic` -- communication-cost helpers built on
-  the network's byte counters (Figures 5-6, Table III);
 * :mod:`repro.metrics.collector` -- experiment result containers and
   text rendering (tables, ASCII series).
 """
 
 from repro.metrics.latency import BoxplotStats, LatencySamples
-from repro.metrics.traffic import traffic_for_window, per_kind_breakdown
 from repro.metrics.collector import SweepResult, SweepPoint, render_table, render_series
 from repro.metrics.throughput import ThroughputSample, throughput_from_events
 
 __all__ = [
     "BoxplotStats",
     "LatencySamples",
-    "traffic_for_window",
-    "per_kind_breakdown",
     "SweepResult",
     "SweepPoint",
     "render_table",

@@ -332,9 +332,13 @@ class SimulatedNetwork:
 
         The copies go through :meth:`send` one by one when drops or the
         bandwidth model are on (see ``_copy_by_copy``) and when ``send``
-        has been replaced on this instance: a harness that assigns
-        ``network.send`` (``NetworkTap``, ``SendPerturber``, a capture
-        tap) sees, and decides on, every copy of every broadcast.
+        has been replaced on this instance: whoever assigns
+        ``network.send`` sees, and decides on, every copy of every
+        broadcast.  Three things still do: a
+        :class:`~repro.net.tracer.MessageTracer` (a row per copy), a
+        ``SendPerturber`` armed with a drop or delay window (a verdict
+        per copy), and ``perfbench``'s payload capture.  Observability
+        does not -- it reads :attr:`stats`.
         """
         # a replaced ``send`` is any callable but the class's own method;
         # a harness that detaches by assigning the original back qualifies

@@ -6,10 +6,11 @@ focused ("only pbft.* between endorsers 0-3"), and the renderer prints a
 text sequence diagram -- the fastest way to see *why* a consensus round
 stalled when a test fails.
 
-The tracer rides the shared :class:`repro.obs.nettap.NetworkTap`, so it
-coexists with the observability layer's traffic counters on a single
-wrapped ``send`` -- one tap point on the network path, any number of
-subscribers.
+A row per message needs every copy of every broadcast, so the tracer
+replaces ``send`` on the network instance; ``multicast`` then hands it
+the copies one by one (the same simulation, copy by copy).  It wraps
+whatever ``send`` it finds, so it stacks on a
+:class:`~repro.verify.explorer.SendPerturber`; detach in reverse order.
 
 Usage::
 
@@ -20,11 +21,13 @@ Usage::
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass
+from itertools import islice
 
 from repro.common.errors import NetworkError
+from repro.net.message import Payload
 from repro.net.network import SimulatedNetwork
-from repro.obs.nettap import NetworkTap, tap_network
 
 
 @dataclass(frozen=True, slots=True)
@@ -60,11 +63,13 @@ class MessageTracer:
         self.kinds = tuple(kinds)
         self.nodes = set(nodes) if nodes is not None else None
         self.capacity = capacity
-        self.rows: list[TraceRow] = []
+        self.rows: deque[TraceRow] = deque(maxlen=capacity)
         self.dropped = 0
         self._network = network
-        self._tap: NetworkTap = tap_network(network)
-        self._tap.subscribe(self._on_send)
+        # NetworkConfig is frozen, so the overhead can be read once
+        self._overhead_bytes = network.config.envelope_overhead_bytes
+        self._original_send = network.send
+        network.send = self._send  # type: ignore[method-assign]
 
     def _matches(self, src: int, dst: int, kind: str) -> bool:
         if self.kinds and not kind.startswith(self.kinds):
@@ -73,18 +78,20 @@ class MessageTracer:
             return False
         return True
 
-    def _on_send(self, at: float, src: int, dst: int, kind: str, size: int) -> None:
+    def _send(self, src: int, dst: int, payload: Payload) -> None:
+        kind = payload.kind
         if self._matches(src, dst, kind):
-            if len(self.rows) >= self.capacity:
-                self.rows.pop(0)
-                self.dropped += 1
-            self.rows.append(
-                TraceRow(at=at, src=src, dst=dst, kind=kind, size_bytes=size)
-            )
+            if len(self.rows) == self.capacity:
+                self.dropped += 1  # the append below pushes the oldest out
+            # the charged size, as TrafficStats.on_send counts it
+            self.rows.append(TraceRow(
+                at=self._network.sim.now, src=src, dst=dst, kind=kind,
+                size_bytes=payload.size_bytes + self._overhead_bytes))
+        self._original_send(src, dst, payload)
 
     def detach(self) -> None:
-        """Stop recording; the shared tap uninstalls itself when idle."""
-        self._tap.unsubscribe(self._on_send)
+        """Stop recording: restore the ``send`` the tracer found."""
+        self._network.send = self._original_send  # type: ignore[method-assign]
 
     # -- queries ---------------------------------------------------------
 
@@ -115,7 +122,7 @@ class MessageTracer:
             limit: rows rendered.
             participants: column order; inferred from traffic if omitted.
         """
-        rows = self.rows[:limit]
+        rows = list(islice(self.rows, limit))
         if not rows:
             return "(no messages captured)"
         if participants is None:

@@ -29,7 +29,6 @@ spans (:mod:`repro.obs.sampling`), and a post-mortem flight recorder
 from repro.obs.core import Observability
 from repro.obs.flightrec import FlightRecorder
 from repro.obs.instruments import Counter, Gauge, Histogram, Registry
-from repro.obs.nettap import NetworkTap, tap_network
 from repro.obs.obsconfig import ObsConfig
 from repro.obs.sampling import HeadSampler, sample_key
 from repro.obs.spans import Span, Tracer
@@ -41,7 +40,6 @@ __all__ = [
     "Gauge",
     "HeadSampler",
     "Histogram",
-    "NetworkTap",
     "ObsConfig",
     "Observability",
     "QuantileSketch",
@@ -50,6 +48,5 @@ __all__ = [
     "Timeseries",
     "Tracer",
     "sample_key",
-    "tap_network",
     "validate_frame",
 ]

@@ -43,7 +43,7 @@ class Capture:
 
     def snapshot(self) -> dict:
         """Deterministic instrument snapshot."""
-        return self.obs.registry.snapshot()
+        return self.obs.snapshot()
 
 
 def capture_run(

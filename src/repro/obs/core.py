@@ -44,9 +44,9 @@ import copy
 from typing import Any
 
 from repro.net.simulator import Simulator
+from repro.net.stats import TrafficStats
 from repro.obs.flightrec import FlightRecorder
 from repro.obs.instruments import Registry
-from repro.obs.nettap import tap_network
 from repro.obs.obsconfig import ObsConfig
 from repro.obs.sampling import HeadSampler
 from repro.obs.spans import Tracer
@@ -86,6 +86,8 @@ class Observability:
         self.registry = Registry()
         self._bound_sim: Simulator | None = None
         self._zone: str | None = None
+        # the stats of every bound network; zone clones share the list
+        self._watched: list[TrafficStats] = []
         cfg = self.config
         self.sampler: HeadSampler | None = (
             HeadSampler(cfg.sample_rate) if cfg.sampling_active else None)
@@ -97,7 +99,7 @@ class Observability:
         self.flight: FlightRecorder | None = (
             FlightRecorder(
                 cfg,
-                instruments=self.registry.snapshot,
+                instruments=self.snapshot,
                 frames=(lambda: list(ts.frames_tail)) if ts is not None else None,
             )
             if cfg.flight_active else None)
@@ -122,20 +124,23 @@ class Observability:
         The clone's protocol methods feed the same tracer, registry,
         time-series, and flight recorder, but frames and rings carry
         *zone* instead of the default label.  Bind the clone to the
-        zone's own network to tap its sends under that label.
+        zone's own network to report its traffic under that label.
         """
         clone = copy.copy(self)
         clone._zone = zone
         return clone
 
     def bind(self, sim: Simulator, network: Any | None = None) -> None:
-        """Drive span timestamps from *sim* and tap *network* sends.
+        """Drive span timestamps from *sim* and watch *network*'s traffic.
 
-        Tapping registers ``net.messages_sent`` / ``net.bytes_sent``
-        counters with one labeled child per wire kind.  The tap is the
-        shared one from :func:`repro.obs.nettap.tap_network`, so a
-        :class:`~repro.net.tracer.MessageTracer` on the same network
-        coexists with it on a single wrapped send path.
+        Nothing is installed on the network: its
+        :class:`~repro.net.stats.TrafficStats` already count every
+        message and byte per wire kind, so binding only remembers them.
+        The ``net.messages_sent`` / ``net.bytes_sent`` counters (one
+        labeled child per kind) are brought level with the stats when
+        the instruments are read (:meth:`snapshot`, a flight-recorder
+        dump, :meth:`finish`), and each time-series frame takes the
+        difference between two window closes under this facade's zone.
 
         With the time-series or heartbeat active, binding also installs
         the simulator tick hook that closes windows as simulated time
@@ -146,26 +151,35 @@ class Observability:
         self._bound_sim = sim
         self.tracer.bind_clock(lambda: sim.now)
         if network is not None:
-            messages = self.registry.counter("net.messages_sent")
-            size = self.registry.counter("net.bytes_sent")
-            ts = self.timeseries
-            if ts is None:
-                def on_send(at: float, src: int, dst: int, kind: str,
-                            nbytes: int) -> None:
-                    messages.child(kind).inc()
-                    size.child(kind).inc(nbytes)
-            else:
-                zone = self.zone
-
-                def on_send(at: float, src: int, dst: int, kind: str,
-                            nbytes: int) -> None:
-                    messages.child(kind).inc()
-                    size.child(kind).inc(nbytes)
-                    ts.on_send(zone, nbytes, at)
-
-            tap_network(network).subscribe(on_send)
+            self.registry.counter("net.messages_sent")
+            self.registry.counter("net.bytes_sent")
+            self._watched.append(network.stats)  # gpb: allow GPB016 -- one entry per bound network, never per message
+            if self.timeseries is not None:
+                self.timeseries.watch(self.zone, network.stats)
         if self.timeseries is not None or self._hb is not None:
             sim.set_tick_hook(self._on_tick)
+
+    def _level_net_counters(self) -> None:
+        """Bring the ``net.*`` counters level with the watched stats."""
+        watched = self._watched
+        if not watched:
+            return
+        for name, per_network in (
+                ("net.messages_sent", [s.messages_by_kind for s in watched]),
+                ("net.bytes_sent", [s.bytes_by_kind for s in watched])):
+            totals: dict[str, int] = {}
+            for by_kind in per_network:
+                for kind, value in by_kind.items():
+                    totals[kind] = totals.get(kind, 0) + value
+            counter = self.registry.counter(name)
+            for kind, value in totals.items():
+                child = counter.child(kind)
+                child.inc(value - child.value)
+
+    def snapshot(self) -> dict:
+        """Deterministic instrument snapshot, ``net.*`` counters level."""
+        self._level_net_counters()
+        return self.registry.snapshot()
 
     def _on_tick(self, time: float) -> None:
         """Simulator tick hook: flush closed windows, maybe heartbeat."""
@@ -207,6 +221,7 @@ class Observability:
         """Seal the capture: close spans, flush windows, export gauges."""
         if self._bound_sim is not None:
             self._bound_sim.export_instruments(self.registry)
+        self._level_net_counters()
         if self.timeseries is not None:
             self.timeseries.finish(self._now())
         self.tracer.finish()

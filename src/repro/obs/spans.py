@@ -189,33 +189,3 @@ class Tracer:
     def open_count(self) -> int:
         """How many spans are currently open."""
         return len(self._open)
-
-
-class NoopTracer(Tracer):
-    """A tracer that records nothing; every method is a cheap no-op.
-
-    Exists so code paths can hold an always-valid tracer reference
-    without per-call ``None`` checks; components on bit-identity hot
-    paths still prefer ``obs is None`` guards, which are cheaper.
-    """
-
-    @property
-    def enabled(self) -> bool:
-        """Always False: nothing is recorded."""
-        return False
-
-    def open(self, key: str, name: str, cat: str = "span", node: int = -1,
-             parent_key: str | None = None, at: float | None = None,
-             **args: Any) -> Span | None:
-        """Discard the open; always returns ``None``."""
-        return None
-
-    def close(self, key: str, at: float | None = None, **args: Any) -> Span | None:
-        """Discard the close; always returns ``None``."""
-        return None
-
-    def instant(self, name: str, cat: str = "instant", node: int = -1,
-                at: float | None = None, **args: Any) -> Span:
-        """Return a throwaway span without recording it."""
-        return Span(sid=-1, parent=-1, name=name, cat=cat, node=node,
-                    start=0.0, end=0.0, args={})

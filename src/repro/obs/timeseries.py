@@ -11,7 +11,9 @@ resident set as a thousand-request minute.
 Per-frame content (see :func:`validate_frame` for the schema):
 
 * counters -- requests submitted / committed, view changes, era
-  switches, messages and bytes sent;
+  switches, messages and bytes sent (read off each watched network's
+  :class:`~repro.net.stats.TrafficStats` when the window closes, never
+  counted per message);
 * commit latency -- count/sum/min/max plus p50/p95/p99 from a
   bounded-memory log-bucket sketch (:class:`QuantileSketch`);
 * gauges -- max mempool depth seen in the window, and (on the
@@ -35,9 +37,12 @@ from __future__ import annotations
 import math
 import sys
 from collections import deque
-from typing import Any, TextIO
+from typing import TYPE_CHECKING, Any, TextIO
 
 from repro.obs.spans import ObservabilityError
+
+if TYPE_CHECKING:
+    from repro.net.stats import TrafficStats
 
 #: Version of the frame layout; bump on incompatible changes.
 FRAME_SCHEMA = 1
@@ -151,6 +156,19 @@ class _ZoneWindow:
         self.sketch: QuantileSketch | None = None
 
 
+class _Watch:
+    """One watched network: its zone label, its live counters, and the
+    totals as of the last window close."""
+
+    __slots__ = ("zone", "stats", "messages", "bytes")
+
+    def __init__(self, zone: str, stats: "TrafficStats") -> None:
+        self.zone = zone
+        self.stats = stats
+        self.messages = stats.messages_sent
+        self.bytes = stats.bytes_sent
+
+
 class Timeseries:
     """The streaming pipeline: accumulate per window, flush on close.
 
@@ -172,6 +190,7 @@ class Timeseries:
         self._window = 0
         self._zones: dict[str, _ZoneWindow] = {}
         self._inflight: dict[str, float] = {}
+        self._watched: list[_Watch] = []
 
     # -- recording --------------------------------------------------------
 
@@ -212,11 +231,28 @@ class Timeseries:
         """An era switch completed in *zone*."""
         self._acc(zone, now).era_switches += 1
 
-    def on_send(self, zone: str, nbytes: int, now: float) -> None:
-        """One network send in *zone* (fed by the network tap)."""
-        acc = self._acc(zone, now)
-        acc.messages += 1
-        acc.bytes += nbytes
+    def watch(self, zone: str, stats: "TrafficStats") -> None:
+        """Report what *stats* counts from now on as *zone*'s traffic.
+
+        Every window close reads the totals and puts the difference
+        since the previous close into the closing window.  With the
+        simulator tick hook driving :meth:`advance`, a close happens
+        before the first event of the new window runs, so the
+        difference is exactly what was sent inside the window.
+        """
+        self._watched.append(_Watch(zone, stats))  # gpb: allow GPB016 -- one entry per watched network, never per message
+
+    def _pull_traffic(self) -> None:
+        """Credit the open window with the traffic since the last close."""
+        for watch in self._watched:
+            messages, nbytes = watch.stats.messages_sent, watch.stats.bytes_sent
+            if messages != watch.messages or nbytes != watch.bytes:
+                acc = self._zones.get(watch.zone)
+                if acc is None:
+                    acc = self._zones[watch.zone] = _ZoneWindow()
+                acc.messages += messages - watch.messages
+                acc.bytes += nbytes - watch.bytes
+                watch.messages, watch.bytes = messages, nbytes
 
     def depth(self, zone: str, depth: int, now: float) -> None:
         """Mempool depth sample; the frame keeps the window max."""
@@ -243,6 +279,7 @@ class Timeseries:
         target = int(to_time // self.window_s)
         if target <= self._window:
             return 0
+        self._pull_traffic()
         flushed = self._flush_window(partial=False) if self._zones else 0
         self._window = target
         return flushed
@@ -250,6 +287,7 @@ class Timeseries:
     def finish(self, now: float) -> int:
         """Flush closed windows plus the final partial one; close file."""
         flushed = self.advance(now)
+        self._pull_traffic()
         if self._zones:
             flushed += self._flush_window(partial=True)
         if self._fh is not None:
@@ -296,6 +334,9 @@ class Timeseries:
             if self._fh is not None:
                 self._fh.write(json.dumps(
                     frame, sort_keys=True, separators=(",", ":")) + "\n")
+        if self._fh is not None:
+            # once per closed window: a run killed later leaves whole lines
+            self._fh.flush()
         self._zones.clear()
         return count
 

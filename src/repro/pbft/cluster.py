@@ -10,11 +10,7 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING
 
-from repro.common.config import (
-    GPBFTConfig,
-    TopologySpec,
-    warn_constructor_deprecated,
-)
+from repro.common.config import GPBFTConfig, TopologySpec
 from repro.common.errors import ConsensusError
 from repro.common.eventlog import EV_PBFT_STATE_TRANSFER, EventLog
 from repro.crypto.hashing import sha256
@@ -77,18 +73,16 @@ def charge_state_transfer(stats, src: int, dst: int, n_ops: int) -> None:
 class PBFTCluster:
     """N replicas + M clients on a fresh simulator and network.
 
-    The preferred constructor argument is a pbft
-    :class:`~repro.common.config.TopologySpec` (build one with
-    ``TopologySpec.cluster(...)``); the legacy keyword signature below
-    still works but emits a one-shot ``DeprecationWarning``.
+    Build one with ``TopologySpec.cluster(...).build()``.
 
     Args:
-        n_replicas: a :class:`TopologySpec`, or (legacy) the committee
-            size (>= 4).
-        n_clients: number of client endpoints (ids follow the replicas).
-        config: full configuration bundle (network + pbft sections used).
+        spec: a pbft :class:`~repro.common.config.TopologySpec`: the
+            committee size (>= 4), the number of client endpoints (ids
+            follow the replicas) and the configuration bundle (network
+            + pbft sections used).
         faults: optional map replica id -> :class:`FaultModel`.
         sim: pass an existing simulator to co-host other components.
+        obs: optional observability facade, bound to this network.
 
     Attributes:
         replicas: id -> :class:`PBFTReplica`.
@@ -98,33 +92,20 @@ class PBFTCluster:
 
     def __init__(
         self,
-        n_replicas: TopologySpec | int = 4,
-        n_clients: int = 1,
-        config: GPBFTConfig | None = None,
+        spec: TopologySpec,
+        *,
         faults: dict[int, FaultModel] | None = None,
         sim: Simulator | None = None,
         obs: "Observability | None" = None,
     ) -> None:
-        if isinstance(n_replicas, TopologySpec):
-            self.spec = n_replicas
-            n_replicas, n_clients, config = self.spec.cluster_shape()
-        else:
-            self.spec = None
-            warn_constructor_deprecated(
-                "PBFTCluster",
-                "building PBFTCluster from raw keywords is deprecated; "
-                "construct it via TopologySpec.cluster(...).build() "
-                "(see docs/hierarchy.md)",
-            )
+        self.spec = spec
+        n_replicas, n_clients, config = spec.cluster_shape()
         if n_replicas < 4:
             raise ConsensusError("PBFT needs at least 4 replicas")
-        if n_clients < 0:
-            raise ConsensusError("n_clients must be >= 0")
         self.config = config or GPBFTConfig()
         self.sim = sim or Simulator()
         self.network = SimulatedNetwork(self.sim, self.config.network)
-        self.events = EventLog(
-            capacity=self.spec.event_capacity if self.spec is not None else None)
+        self.events = EventLog(capacity=spec.event_capacity)
         self.obs = obs
         if obs is not None:
             obs.bind(self.sim, self.network)
@@ -162,9 +143,8 @@ class PBFTCluster:
         # heterogeneous replica hardware: CPU class scales each
         # replica's receive-side processing rate (no mix = no-op)
         self.profile_map: dict[int, object] = {}
-        profiles = self.spec.profiles if self.spec is not None else None
-        if profiles is not None:
-            self.profile_map = profiles.assign(self.committee)
+        if spec.profiles is not None:
+            self.profile_map = spec.profiles.assign(self.committee)
             base_rate = self.config.network.processing_rate
             for node in self.committee:
                 profile = self.profile_map[node]
@@ -229,12 +209,6 @@ class PBFTCluster:
     def run(self, until: float | None = None, max_events: int | None = None) -> int:
         """Advance the simulation (delegates to the simulator)."""
         return self.sim.run(until=until, max_events=max_events)
-
-    def run_until_quiescent(self, max_events: int = 5_000_000) -> None:
-        """Drain every scheduled event (timers included) up to a safety cap."""
-        fired = self.sim.run(max_events=max_events)
-        if fired >= max_events:
-            raise ConsensusError(f"simulation did not quiesce within {max_events} events")
 
     def committed_ops(self, node: int) -> list[str]:
         """Op ids executed by *node*, in execution order."""

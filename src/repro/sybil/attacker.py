@@ -114,10 +114,6 @@ class SybilAttacker:
         """One periodic report claiming the identity's fabricated spot."""
         return GeoReport(node=identity.node_id, position=identity.claimed_position, timestamp=now)
 
-    def fabricate_all(self, now: float) -> list[GeoReport]:
-        """Reports for every identity at time *now*."""
-        return [self.fabricate_report(identity, now) for identity in self.identities]
-
     def committee_fraction(self, committee) -> float:
         """Fraction of *committee* the attacker controls."""
         if not committee:

@@ -268,12 +268,14 @@ class RunOutcome:
 
 
 class SendPerturber:
-    """Taps a network's send path to drop or delay-reorder messages.
+    """Replaces a network's ``send`` to drop or delay-reorder messages.
 
     While ``network.send`` is replaced, ``network.multicast`` hands every
     copy of a broadcast to the replacement one by one, so each copy gets
-    its own drop/delay decision and an idle perturber (no window open)
-    leaves the schedule exactly as the batched path produces it.
+    its own drop/delay decision.  That is the same simulation as the
+    batched path -- an idle perturber (no window open) changes nothing --
+    but not the same code, so :func:`run_schedule` attaches one only to
+    a schedule that carries a ``drop`` or ``delay`` window.
 
     Attach order matters for replay: the perturber wraps ``network.send``
     first, and a :class:`~repro.net.tracer.MessageTracer` (when used)
@@ -282,7 +284,7 @@ class SendPerturber:
     identical with or without tracing.
 
     Args:
-        network: the network to tap (tapped immediately).
+        network: the network to perturb (``send`` replaced immediately).
         rng: stream for the per-message drop/delay coin flips.
     """
 
@@ -375,10 +377,16 @@ def _build_host(schedule: Schedule):
     return spec.build(faults=faults)
 
 
-def _apply_perturbations(schedule: Schedule, host,
-                         perturber: SendPerturber) -> None:
-    """Arm every perturbation on the host's simulator and network."""
+def _apply_perturbations(schedule: Schedule, host) -> None:
+    """Arm every perturbation on the host's simulator and network.
+
+    Crashes and partitions are network faults; ``drop`` / ``delay``
+    windows need a verdict per message, so the first one attaches a
+    :class:`SendPerturber`.  A schedule without them leaves ``send``
+    alone and runs the batched ``multicast``.
+    """
     sim, network = host.sim, host.network
+    perturber: SendPerturber | None = None
     for p in schedule.perturbations:
         if p.op == "crash":
             sim.schedule_at(p.at, network.set_offline, p.node, True)
@@ -388,6 +396,9 @@ def _apply_perturbations(schedule: Schedule, host,
             sim.schedule_at(p.at, network.set_partition, groups)
             sim.schedule_at(p.until, network.set_partition, None)
         else:  # drop / delay: handled per message inside the window
+            if perturber is None:
+                perturber = SendPerturber(
+                    network, DeterministicRNG(schedule.seed, "verify/perturb"))
             perturber.add_window(p)
 
 
@@ -416,12 +427,10 @@ def run_schedule(schedule: Schedule, with_tracer: bool = False) -> RunOutcome:
     fingerprint; see :class:`SendPerturber`).
     """
     host = _build_host(schedule)
-    perturber = SendPerturber(
-        host.network, DeterministicRNG(schedule.seed, "verify/perturb"))
+    _apply_perturbations(schedule, host)
     tracer = MessageTracer(host.network) if with_tracer else None
     fingerprint = ScheduleFingerprint()
     host.sim.set_step_hook(fingerprint.hook)
-    _apply_perturbations(schedule, host, perturber)
     _schedule_submissions(schedule, host)
     if schedule.era_switch_at is not None:
         host.sim.schedule_at(schedule.era_switch_at, host.force_era_switch)

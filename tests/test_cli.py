@@ -101,19 +101,3 @@ class TestSvgOutput:
 
         table = TableResult(table_id="t", values={}, text="x")
         assert _write_svgs("table2", table, "quick", tmp_path) == []
-
-
-class TestTrafficMeasureHelper:
-    def test_measure_single_tx_cost(self):
-        from repro.metrics.traffic import measure_single_tx_cost
-        from repro.pbft import PBFTCluster, RawOperation
-
-        cluster = PBFTCluster(4, 1)
-
-        def run_tx():
-            cluster.submit(RawOperation("one"))
-            cluster.run(until=60)
-
-        delta = measure_single_tx_cost(cluster.network.stats, run_tx)
-        assert delta.bytes_sent > 0
-        assert "pbft.commit" in delta.bytes_by_kind

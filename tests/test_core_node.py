@@ -2,9 +2,8 @@
 
 import pytest
 
-from repro.common.config import GPBFTConfig
+from repro.common.config import GPBFTConfig, TopologySpec
 from repro.common.errors import ConsensusError
-from repro.core import GPBFTDeployment
 from repro.core.messages import (
     BlockProposalOperation,
     CommitteeInfo,
@@ -73,7 +72,7 @@ class TestCoreMessages:
 
 class TestNodeRouting:
     def test_first_hop_is_nearest_endorser(self):
-        dep = GPBFTDeployment(n_nodes=8, n_endorsers=4, seed=21, start_reports=False)
+        dep = TopologySpec.single(8, 4, seed=21, start_reports=False).build()
         device = dep.nodes[7]
         hop = device._first_hop()
         assert hop in dep.committee
@@ -82,7 +81,7 @@ class TestNodeRouting:
             assert dist_hop <= device.position.distance_to(dep.directory[member]) + 1e-9
 
     def test_member_routes_to_itself(self):
-        dep = GPBFTDeployment(n_nodes=4, n_endorsers=4, seed=22, start_reports=False)
+        dep = TopologySpec.single(4, 4, seed=22, start_reports=False).build()
         assert dep.nodes[2]._first_hop() == 2
 
     def test_multicast_keeps_the_local_hand_off_between_its_neighbours(self):
@@ -92,8 +91,7 @@ class TestNodeRouting:
 
         config = GPBFTConfig(network=NetworkConfig(
             base_latency_s=0.0, latency_jitter_s=0.0))
-        dep = GPBFTDeployment(n_nodes=4, n_endorsers=4, seed=26, config=config,
-                              start_reports=False)
+        dep = TopologySpec.single(4, 4, seed=26, config=config, start_reports=False).build()
         fired = []
         # a wake carries the destination's port, the hand-off the payload
         dep.sim.set_step_hook(lambda event: fired.append(
@@ -107,7 +105,7 @@ class TestNodeRouting:
         assert report.kind == "geo.report"
 
     def test_move_updates_directory(self):
-        dep = GPBFTDeployment(n_nodes=4, n_endorsers=4, seed=23, start_reports=False)
+        dep = TopologySpec.single(4, 4, seed=23, start_reports=False).build()
         new_pos = HK.offset_m(300.0, 0.0)
         dep.nodes[3].move_to(new_pos)
         assert dep.directory[3] == new_pos
@@ -115,22 +113,21 @@ class TestNodeRouting:
 
 class TestNodeLifecycle:
     def test_geo_reports_ignored_by_devices(self):
-        dep = GPBFTDeployment(n_nodes=6, n_endorsers=4, seed=24, start_reports=False)
+        dep = TopologySpec.single(6, 4, seed=24, start_reports=False).build()
         device = dep.nodes[5]
         report = GeoReport(node=1, position=HK, timestamp=0.0)
         device._on_geo_report(GeoReportMsg(report))
         assert device.election_table.tracked_nodes == []
 
     def test_tx_submission_requires_membership(self):
-        dep = GPBFTDeployment(n_nodes=6, n_endorsers=4, seed=25,
-                              mode="block", start_reports=False)
+        dep = TopologySpec.single(6, 4, seed=25, mode="block", start_reports=False).build()
         device = dep.nodes[5]
         device._on_tx_submission(TxSubmission(make_tx()))
         assert len(device.mempool) == 0
 
     def test_committee_info_needs_f_plus_one_votes(self):
         # committee of 4 -> f+1 = 2 matching announcements required
-        dep = GPBFTDeployment(n_nodes=6, n_endorsers=4, seed=26, start_reports=False)
+        dep = TopologySpec.single(6, 4, seed=26, start_reports=False).build()
         device = dep.nodes[5]
         assert device.replica is None
         info0 = CommitteeInfo(era=1, committee=(0, 1, 2, 3, 5), sender=0)
@@ -143,7 +140,7 @@ class TestNodeLifecycle:
         assert device.era == 1
 
     def test_duplicate_sender_votes_not_double_counted(self):
-        dep = GPBFTDeployment(n_nodes=6, n_endorsers=4, seed=26, start_reports=False)
+        dep = TopologySpec.single(6, 4, seed=26, start_reports=False).build()
         device = dep.nodes[5]
         info = CommitteeInfo(era=1, committee=(0, 1, 2, 3, 5), sender=0)
         device._on_committee_info(info)
@@ -151,7 +148,7 @@ class TestNodeLifecycle:
         assert not device.is_member
 
     def test_conflicting_announcements_do_not_merge(self):
-        dep = GPBFTDeployment(n_nodes=6, n_endorsers=4, seed=26, start_reports=False)
+        dep = TopologySpec.single(6, 4, seed=26, start_reports=False).build()
         device = dep.nodes[5]
         device._on_committee_info(
             CommitteeInfo(era=1, committee=(0, 1, 2, 3, 5), sender=0))
@@ -161,7 +158,7 @@ class TestNodeLifecycle:
         assert not device.is_member
 
     def test_committee_info_deactivates_removed_member(self):
-        dep = GPBFTDeployment(n_nodes=5, n_endorsers=5, seed=27, start_reports=False)
+        dep = TopologySpec.single(5, 5, seed=27, start_reports=False).build()
         member = dep.nodes[4]
         assert member.replica is not None
         for sender in (0, 1):  # f+1 = 2 for a committee of 5
@@ -171,7 +168,7 @@ class TestNodeLifecycle:
         assert member.replica is None
 
     def test_stale_committee_info_ignored(self):
-        dep = GPBFTDeployment(n_nodes=5, n_endorsers=4, seed=28, start_reports=False)
+        dep = TopologySpec.single(5, 4, seed=28, start_reports=False).build()
         node = dep.nodes[0]
         node.era = 3
         node._on_committee_info(CommitteeInfo(era=1, committee=(1, 2, 3, 4), sender=1))
@@ -179,7 +176,7 @@ class TestNodeLifecycle:
         assert node.is_member
 
     def test_requests_buffered_while_switching(self):
-        dep = GPBFTDeployment(n_nodes=5, n_endorsers=4, seed=29, start_reports=False)
+        dep = TopologySpec.single(5, 4, seed=29, start_reports=False).build()
         node = dep.nodes[0]
         node.switching = True
         from repro.pbft.messages import ClientRequest
@@ -188,7 +185,7 @@ class TestNodeLifecycle:
         assert len(node._switch_buffer) == 1
 
     def test_duplicate_era_switch_is_noop(self):
-        dep = GPBFTDeployment(n_nodes=5, n_endorsers=4, seed=30, start_reports=False)
+        dep = TopologySpec.single(5, 4, seed=30, start_reports=False).build()
         node = dep.nodes[0]
         stale = EraSwitchOperation(new_era=5, committee=(0, 1, 2, 3), added=(), removed=())
         node._execute_era_switch(stale)  # era 0 + 1 != 5
@@ -196,7 +193,7 @@ class TestNodeLifecycle:
         assert node.era == 0
 
     def test_next_transaction_increments_nonce(self):
-        dep = GPBFTDeployment(n_nodes=4, n_endorsers=4, seed=31, start_reports=False)
+        dep = TopologySpec.single(4, 4, seed=31, start_reports=False).build()
         node = dep.nodes[0]
         t1 = node.next_transaction()
         t2 = node.next_transaction()
@@ -204,16 +201,14 @@ class TestNodeLifecycle:
         assert t1.tx_id != t2.tx_id
 
     def test_stale_block_proposal_ignored(self):
-        dep = GPBFTDeployment(n_nodes=4, n_endorsers=4, seed=32,
-                              mode="block", start_reports=False)
+        dep = TopologySpec.single(4, 4, seed=32, mode="block", start_reports=False).build()
         node = dep.nodes[0]
         stale = Block.assemble(5, b"\x00" * 32, 0, 0, 0, 1, 0.0, [])
         node._execute_block_proposal(BlockProposalOperation(block=stale, producer=1))
         assert node.ledger.height == 0
 
     def test_bad_parent_block_flags_producer(self):
-        dep = GPBFTDeployment(n_nodes=4, n_endorsers=4, seed=33,
-                              mode="block", start_reports=False)
+        dep = TopologySpec.single(4, 4, seed=33, mode="block", start_reports=False).build()
         node = dep.nodes[0]
         bad = Block.assemble(1, b"\x42" * 32, 0, 0, 0, 2, 0.0, [])
         node._execute_block_proposal(BlockProposalOperation(block=bad, producer=2))

@@ -5,8 +5,8 @@ figures in EXPERIMENTS.md are only meaningful if rerunning the harness
 regenerates them exactly.
 """
 
-from repro.core import GPBFTDeployment
-from repro.pbft import PBFTCluster, RawOperation
+from repro.common.config import TopologySpec
+from repro.pbft import RawOperation
 from repro.common.eventlog import EV_REQUEST_COMPLETED
 
 
@@ -14,7 +14,7 @@ def _pbft_trace(seed: int):
     from repro.common.config import GPBFTConfig, NetworkConfig
 
     config = GPBFTConfig(network=NetworkConfig(seed=seed))
-    cluster = PBFTCluster(7, 2, config=config)
+    cluster = TopologySpec.cluster(7, 2, config=config).build()
     for i, cid in enumerate(sorted(cluster.clients) * 3):
         cluster.clients[cid].submit(RawOperation(f"op-{i}"))
     cluster.run(until=300)
@@ -24,7 +24,7 @@ def _pbft_trace(seed: int):
 
 
 def _gpbft_trace(seed: int):
-    dep = GPBFTDeployment(n_nodes=10, n_endorsers=4, seed=seed)
+    dep = TopologySpec.single(10, 4, seed=seed).build()
     for device in (6, 7, 8):
         dep.submit_from(device)
     dep.run(until=300)

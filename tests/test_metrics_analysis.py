@@ -26,8 +26,6 @@ from repro.metrics.collector import (
     render_table,
 )
 from repro.metrics.latency import BoxplotStats, LatencySamples
-from repro.net.stats import TrafficStats
-from repro.metrics.traffic import per_kind_breakdown, protocol_only_kilobytes
 
 
 class TestBoxplotStats:
@@ -94,22 +92,6 @@ class TestSweepResult:
         assert "median" in rows
         table = render_table(["a", "b"], [["1", "2"]], title="T")
         assert table.splitlines()[0] == "T"
-
-
-class TestTrafficHelpers:
-    def test_per_kind_breakdown_sorted(self):
-        stats = TrafficStats()
-        stats.on_send(0, "small", 100)
-        stats.on_send(0, "big", 10_000)
-        rows = per_kind_breakdown(stats.snapshot())
-        assert rows[0][0] == "big"
-
-    def test_protocol_only_filter(self):
-        stats = TrafficStats()
-        stats.on_send(0, "pbft.prepare", 1024)
-        stats.on_send(0, "geo.report", 4096)
-        kb = protocol_only_kilobytes(stats.snapshot())
-        assert kb == pytest.approx(1.0)
 
 
 class TestAnalysisModels:

@@ -324,7 +324,7 @@ class TestSimulatedNetwork:
         net.send = tapped
         net.multicast(1, range(4), RawPayload("k", 10))
         assert seen == [0, 2, 3]
-        net.send = original  # how NetworkTap and SendPerturber detach
+        net.send = original  # how MessageTracer and SendPerturber detach
         charges = []
         net.stats.on_send = lambda *args: charges.append(args)
         net.multicast(1, range(4), RawPayload("k", 10))

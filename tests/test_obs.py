@@ -14,8 +14,8 @@ from dataclasses import replace
 
 import pytest
 
-from repro.common.config import GPBFTConfig
-from repro.core.deployment import GPBFTDeployment
+from repro.common.config import GPBFTConfig, TopologySpec
+from repro.common.eventlog import EV_PBFT_STATE_TRANSFER
 from repro.net.network import SimulatedNetwork
 from repro.net.simulator import Simulator
 from repro.net.tracer import MessageTracer
@@ -29,9 +29,8 @@ from repro.obs.export import (
     write_spans_jsonl,
 )
 from repro.obs.instruments import Counter, Gauge, Histogram, Registry
-from repro.obs.nettap import tap_network
 from repro.obs.report import attribute_phases, era_timeline, percentile, render_report
-from repro.obs.spans import NoopTracer, ObservabilityError, Tracer
+from repro.obs.spans import ObservabilityError, Tracer
 
 
 class TestTracer:
@@ -94,14 +93,6 @@ class TestTracer:
             assert tracer.is_open("k")
         assert not tracer.is_open("k")
         assert len(tracer.spans) == 1
-
-    def test_noop_tracer_records_nothing(self):
-        tracer = NoopTracer()
-        assert not tracer.enabled
-        assert tracer.open("k", "x") is None
-        tracer.instant("i")
-        assert tracer.close("k") is None
-        assert tracer.spans == []
 
 
 class TestInstruments:
@@ -169,74 +160,76 @@ class TestInstruments:
         assert list(reg.snapshot()["counters"]) == ["a", "b"]
 
 
-class TestNetworkTap:
-    def _net(self):
+class TestObsReadsTrafficStats:
+    """``TrafficStats`` counts the bytes; observability only reads them."""
+
+    def _net(self, overhead=0):
+        from repro.common.config import NetworkConfig
+
         sim = Simulator()
-        net = SimulatedNetwork(sim, GPBFTConfig().network)
-        net.register(0, lambda env: None)
-        net.register(1, lambda env: None)
+        net = SimulatedNetwork(
+            sim, NetworkConfig(envelope_overhead_bytes=overhead))
+        for node in range(3):
+            net.register(node, lambda env: None)
         return sim, net
 
-    def test_single_tap_fans_out_to_subscribers(self):
-        from repro.net.message import RawPayload
-
+    def test_bind_leaves_send_alone(self):
         sim, net = self._net()
-        seen_a, seen_b = [], []
-        tap = tap_network(net)
-        assert tap_network(net) is tap  # get-or-create
-        tap.subscribe(lambda *row: seen_a.append(row))
-        tap.subscribe(lambda *row: seen_b.append(row))
-        net.send(0, 1, RawPayload("a.x", 10))
-        assert seen_a == [(0.0, 0, 1, "a.x", 10)]
-        assert seen_b == seen_a
+        Observability().bind(sim, net)
+        assert "send" not in vars(net)
 
-    def test_last_unsubscribe_restores_send(self):
+    def test_tracer_detach_restores_send(self):
         sim, net = self._net()
-        original = SimulatedNetwork.send.__get__(net)
-        fn = lambda *row: None
-        tap = tap_network(net)
-        tap.subscribe(fn)
-        assert net.send != original
-        tap.unsubscribe(fn)
+        tracer = MessageTracer(net)
+        assert "send" in vars(net)
+        tracer.detach()
         assert net.send.__func__ is SimulatedNetwork.send
 
-    def test_message_tracer_and_obs_share_one_tap(self):
+    def test_message_tracer_and_obs_coexist(self):
         from repro.net.message import RawPayload
 
         sim, net = self._net()
         obs = Observability()
         obs.bind(sim, net)
         tracer = MessageTracer(net)
-        assert tap_network(net).subscriber_count == 2
         net.send(0, 1, RawPayload("a.x", 10))
         assert len(tracer.rows) == 1
-        snap = obs.registry.snapshot()
-        assert snap["counters"]["net.messages_sent"]["total"] == 1
+        assert obs.snapshot()["counters"]["net.messages_sent"]["total"] == 1
         tracer.detach()
         # obs still counts after the tracer leaves
         net.send(0, 1, RawPayload("a.y", 10))
-        assert obs.registry.snapshot()["counters"]["net.messages_sent"]["total"] == 2
+        assert obs.snapshot()["counters"]["net.messages_sent"]["total"] == 2
         assert len(tracer.rows) == 1
 
-    def test_every_counter_of_a_byte_agrees_under_envelope_overhead(self):
-        from repro.common.config import NetworkConfig
+    def test_mid_run_snapshot_equals_the_stats_per_kind(self):
         from repro.net.message import RawPayload
+        from repro.pbft.cluster import charge_state_transfer
 
-        sim = Simulator()
-        net = SimulatedNetwork(sim, NetworkConfig(envelope_overhead_bytes=32))
-        for node in range(3):
-            net.register(node, lambda env: None)
+        sim, net = self._net(overhead=32)
         obs = Observability()
         obs.bind(sim, net)
         tracer = MessageTracer(net)
         net.send(0, 1, RawPayload("a.x", 10))
         net.multicast(0, [0, 1, 2], RawPayload("a.y", 100))
-        sim.run()
         assert net.stats.bytes_sent == (10 + 32) + 2 * (100 + 32)
+        # every send went through ``send``, so the tracer saw all of them
         assert sum(row.size_bytes for row in tracer.rows) == net.stats.bytes_sent
-        counters = obs.registry.snapshot()["counters"]
-        assert counters["net.bytes_sent"]["total"] == net.stats.bytes_sent
         assert tracer.bytes_by_kind() == dict(net.stats.bytes_by_kind)
+        # a modelled transfer is charged straight to the stats: no ``send``
+        charge_state_transfer(net.stats, 1, 2, n_ops=3)
+        for _ in range(2):  # reading twice must not count twice
+            counters = obs.snapshot()["counters"]
+            assert counters["net.messages_sent"] == {
+                "total": net.stats.messages_sent,
+                "children": dict(sorted(net.stats.messages_by_kind.items()))}
+            assert counters["net.bytes_sent"] == {
+                "total": net.stats.bytes_sent,
+                "children": dict(sorted(net.stats.bytes_by_kind.items()))}
+        assert EV_PBFT_STATE_TRANSFER in counters["net.bytes_sent"]["children"]
+        sim.run()
+        obs.finish()
+        assert (obs.registry.snapshot()["counters"]["net.bytes_sent"]["total"]
+                == net.stats.bytes_sent)
 
 
 class TestZeroOverhead:
@@ -245,8 +238,7 @@ class TestZeroOverhead:
     def _run(self, obs):
         base = GPBFTConfig()
         config = base.replace(network=replace(base.network, seed=7))
-        dep = GPBFTDeployment(n_nodes=10, config=config, seed=7,
-                              start_reports=False, obs=obs)
+        dep = TopologySpec.single(10, config=config, seed=7, start_reports=False).build(obs=obs)
         ids = sorted(dep.nodes)
         for k in range(5):
             dep.sim.schedule_at(1.0 + 0.75 * k, dep.submit_from,

@@ -22,6 +22,7 @@ from repro.common.eventlog import (
     EventLog,
 )
 from repro.net.simulator import Simulator
+from repro.net.stats import TrafficStats
 from repro.obs.capture import capture_run
 from repro.obs.cli import main as obs_main
 from repro.obs.core import Observability
@@ -150,12 +151,14 @@ class TestHeadSampler:
 class TestTimeseries:
     def test_frame_carries_window_counters_and_latency(self):
         ts = Timeseries(window_s=10.0)
+        stats = TrafficStats()
+        ts.watch("z0", stats)
         ts.submitted("z0", "r1", 1.0)
         ts.submitted("z0", "r2", 2.0)
         ts.completed("z0", "r1", 3.0)
         ts.view_change("z0", 4.0)
         ts.era_switch("z0", 5.0)
-        ts.on_send("z0", 700, 6.0)
+        stats.on_send(0, "pbft.prepare", 700)
         ts.depth("z0", 3, 6.5)
         ts.depth("z0", 9, 7.0)
         ts.depth("z0", 5, 7.5)
@@ -235,6 +238,19 @@ class TestTimeseries:
         assert a
         frames = load_frames(str(tmp_path / "a.jsonl"))
         assert all(f["schema"] == FRAME_SCHEMA for f in frames)
+
+    def test_an_unfinished_run_leaves_every_closed_window_on_disk(self, tmp_path):
+        # a killed run never reaches finish(): what it closed must already
+        # be whole lines load_frames accepts
+        path = tmp_path / "killed.jsonl"
+        ts = Timeseries(window_s=1.0, path=str(path))
+        for k in range(5):
+            ts.submitted("z0", f"a{k}", k + 0.25)
+            ts.submitted("z1", f"b{k}", k + 0.5)
+        assert [(f["window"], f["zone"]) for f in load_frames(str(path))] == [
+            (w, z) for w in range(4) for z in ("z0", "z1")]
+        ts.finish(4.75)
+        assert len(load_frames(str(path))) == 10
 
     def test_frames_tail_is_bounded(self):
         ts = Timeseries(window_s=1.0, frames_tail=4)
@@ -468,6 +484,22 @@ class TestCaptureV2:
         a = (tmp_path / "a.jsonl").read_bytes()
         assert a == (tmp_path / "b.jsonl").read_bytes()
         assert a
+
+    def test_city_frames_file_is_pinned(self, tmp_path):
+        # four zones, each cluster's traffic read off its own TrafficStats
+        # at every window close: the bytes of the file the send tap wrote
+        import hashlib
+
+        from repro.experiments.engine import PointSpec, run_point
+
+        path = tmp_path / "frames.jsonl"
+        out = run_point(PointSpec.make(
+            "gpbft", "agg", 3000, 5, zones=4, duration_s=1800.0,
+            drain_slack_s=600.0, timeseries=True, window_s=60.0,
+            frames_path=str(path), sample_rate=0.05, flight_recorder=True))
+        assert out["obs"]["frames_written"] == 152
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == (
+            "62a6aae49727ff3157fef3a3d810425bc838ff955d4fba81e5615ebb015cde60")
 
     def test_sampled_capture_records_fewer_request_spans(self):
         full = capture_run(**self.CONFIG)

@@ -7,12 +7,11 @@ retry path.
 
 import pytest
 
-from repro.common.config import GPBFTConfig, NetworkConfig, PBFTConfig
+from repro.common.config import GPBFTConfig, NetworkConfig, PBFTConfig, TopologySpec
 from repro.common.errors import ConsensusError
 from repro.pbft import (
     CrashFaults,
     EquivocatingFaults,
-    PBFTCluster,
     RawOperation,
 )
 from repro.pbft.faults import MuteFaults, SelectiveDropFaults
@@ -28,14 +27,14 @@ def fast_config(**pbft_overrides) -> GPBFTConfig:
 
 class TestNormalCase:
     def test_single_request_commits_everywhere(self):
-        cluster = PBFTCluster(4, 1)
+        cluster = TopologySpec.cluster(4, 1).build()
         rid = cluster.submit(RawOperation("op"))
         cluster.run(until=60)
         assert rid in cluster.any_client.completed
         assert all(cluster.committed_ops(n) == ["op"] for n in cluster.replicas)
 
     def test_many_requests_identical_order(self):
-        cluster = PBFTCluster(7, 3)
+        cluster = TopologySpec.cluster(7, 3).build()
         for i, cid in enumerate(sorted(cluster.clients) * 4):
             cluster.clients[cid].submit(RawOperation(f"op-{i}"))
         cluster.run(until=600)
@@ -45,7 +44,7 @@ class TestNormalCase:
 
     def test_latency_grows_with_committee_size(self):
         def latency(n):
-            cluster = PBFTCluster(n, 1)
+            cluster = TopologySpec.cluster(n, 1).build()
             rid = cluster.submit(RawOperation("x"))
             cluster.run(until=600)
             return cluster.any_client.completed[rid]
@@ -54,10 +53,10 @@ class TestNormalCase:
 
     def test_committee_below_four_rejected(self):
         with pytest.raises(ConsensusError):
-            PBFTCluster(3, 1)
+            TopologySpec.cluster(3, 1).build()
 
     def test_duplicate_submission_is_single_execution(self):
-        cluster = PBFTCluster(4, 1)
+        cluster = TopologySpec.cluster(4, 1).build()
         client = cluster.any_client
         op = RawOperation("dup")
         client.submit(op)
@@ -69,7 +68,7 @@ class TestNormalCase:
 class TestCheckpoints:
     def test_stable_checkpoint_advances_watermark(self):
         config = fast_config(checkpoint_interval=4, watermark_window=16)
-        cluster = PBFTCluster(4, 1, config=config)
+        cluster = TopologySpec.cluster(4, 1, config=config).build()
         for i in range(8):
             cluster.submit(RawOperation(f"op-{i}"))
         cluster.run(until=300)
@@ -79,7 +78,7 @@ class TestCheckpoints:
 
     def test_log_garbage_collected(self):
         config = fast_config(checkpoint_interval=2, watermark_window=8)
-        cluster = PBFTCluster(4, 1, config=config)
+        cluster = TopologySpec.cluster(4, 1, config=config).build()
         for i in range(6):
             cluster.submit(RawOperation(f"op-{i}"))
         cluster.run(until=300)
@@ -91,7 +90,7 @@ class TestCheckpoints:
         # window of 4 with 6 requests: the last two must wait for a
         # checkpoint, then commit
         config = fast_config(checkpoint_interval=2, watermark_window=4)
-        cluster = PBFTCluster(4, 1, config=config)
+        cluster = TopologySpec.cluster(4, 1, config=config).build()
         for i in range(6):
             cluster.submit(RawOperation(f"op-{i}"))
         cluster.run(until=600)
@@ -100,8 +99,8 @@ class TestCheckpoints:
 
 class TestViewChange:
     def test_crashed_primary_replaced(self):
-        cluster = PBFTCluster(4, 1, config=fast_config(),
-                              faults={0: CrashFaults(crashed=True)})
+        cluster = TopologySpec.cluster(
+            4, 1, config=fast_config()).build(faults={0: CrashFaults(crashed=True)})
         rid = cluster.submit(RawOperation("op"))
         cluster.run(until=600)
         assert rid in cluster.any_client.completed
@@ -110,7 +109,7 @@ class TestViewChange:
         assert cluster.all_agree()
 
     def test_progress_after_mid_run_crash(self):
-        cluster = PBFTCluster(4, 1, config=fast_config())
+        cluster = TopologySpec.cluster(4, 1, config=fast_config()).build()
         cluster.submit(RawOperation("before"))
         cluster.run(until=30)
         cluster.replicas[0].faults = CrashFaults(crashed=True)
@@ -122,16 +121,17 @@ class TestViewChange:
         assert ops == ["before", "after"]
 
     def test_two_successive_primary_crashes(self):
-        cluster = PBFTCluster(7, 1, config=fast_config(),
-                              faults={0: CrashFaults(crashed=True),
-                                      1: CrashFaults(crashed=True)})
+        cluster = TopologySpec.cluster(
+            7, 1, config=fast_config()).build(
+                faults={0: CrashFaults(crashed=True),
+                        1: CrashFaults(crashed=True)})
         rid = cluster.submit(RawOperation("op"))
         cluster.run(until=2000)
         assert rid in cluster.any_client.completed
         assert cluster.all_agree()
 
     def test_executed_requests_not_reexecuted_after_view_change(self):
-        cluster = PBFTCluster(4, 1, config=fast_config())
+        cluster = TopologySpec.cluster(4, 1, config=fast_config()).build()
         cluster.submit(RawOperation("op-a"))
         cluster.run(until=30)
         cluster.replicas[0].faults = CrashFaults(crashed=True)
@@ -144,8 +144,8 @@ class TestViewChange:
 
 class TestByzantine:
     def test_equivocating_primary_never_violates_safety(self):
-        cluster = PBFTCluster(4, 1, config=fast_config(),
-                              faults={0: EquivocatingFaults()})
+        cluster = TopologySpec.cluster(
+            4, 1, config=fast_config()).build(faults={0: EquivocatingFaults()})
         cluster.submit(RawOperation("op"))
         cluster.run(until=2000)
         assert cluster.all_agree()
@@ -166,8 +166,8 @@ class TestByzantine:
         return seen
 
     def test_equivocating_primary_still_corrupts_odd_destinations(self):
-        cluster = PBFTCluster(4, 1, config=fast_config(),
-                              faults={0: EquivocatingFaults()})
+        cluster = TopologySpec.cluster(
+            4, 1, config=fast_config()).build(faults={0: EquivocatingFaults()})
         seen = self._pre_prepares_by_destination(cluster)
         assert sorted(seen) == [1, 2, 3]
         true = seen[2].request.digest()
@@ -177,39 +177,41 @@ class TestByzantine:
         assert cluster.replicas[0].log.instance(0, 1).pre_prepare.digest == true
 
     def test_honest_primary_multicasts_the_pre_prepare_it_logs(self):
-        cluster = PBFTCluster(4, 1, config=fast_config())
+        cluster = TopologySpec.cluster(4, 1, config=fast_config()).build()
         seen = self._pre_prepares_by_destination(cluster)
         logged = cluster.replicas[0].log.instance(0, 1).pre_prepare
         assert sorted(seen) == [1, 2, 3]
         assert all(copy is logged for copy in seen.values())
 
     def test_mute_replica_does_not_block_quorum(self):
-        cluster = PBFTCluster(4, 1, config=fast_config(),
-                              faults={3: MuteFaults()})
+        cluster = TopologySpec.cluster(
+            4, 1, config=fast_config()).build(faults={3: MuteFaults()})
         rid = cluster.submit(RawOperation("op"))
         cluster.run(until=600)
         assert rid in cluster.any_client.completed
 
     def test_commit_dropping_backup_tolerated(self):
-        cluster = PBFTCluster(4, 1, config=fast_config(),
-                              faults={2: SelectiveDropFaults({"pbft.commit"})})
+        cluster = TopologySpec.cluster(
+            4, 1, config=fast_config()).build(faults={2: SelectiveDropFaults({"pbft.commit"})})
         rid = cluster.submit(RawOperation("op"))
         cluster.run(until=600)
         assert rid in cluster.any_client.completed
 
     def test_f_crashes_tolerated_but_f_plus_one_blocks(self):
         # f = 2 for n = 7: two crashes fine
-        cluster = PBFTCluster(7, 1, config=fast_config(),
-                              faults={5: CrashFaults(crashed=True),
-                                      6: CrashFaults(crashed=True)})
+        cluster = TopologySpec.cluster(
+            7, 1, config=fast_config()).build(
+                faults={5: CrashFaults(crashed=True),
+                        6: CrashFaults(crashed=True)})
         rid = cluster.submit(RawOperation("ok"))
         cluster.run(until=600)
         assert rid in cluster.any_client.completed
         # three crashes (f+1): no commitment possible
-        cluster = PBFTCluster(7, 1, config=fast_config(),
-                              faults={4: CrashFaults(crashed=True),
-                                      5: CrashFaults(crashed=True),
-                                      6: CrashFaults(crashed=True)})
+        cluster = TopologySpec.cluster(
+            7, 1, config=fast_config()).build(
+                faults={4: CrashFaults(crashed=True),
+                        5: CrashFaults(crashed=True),
+                        6: CrashFaults(crashed=True)})
         rid = cluster.submit(RawOperation("stuck"))
         cluster.run(until=2000)
         assert rid not in cluster.any_client.completed
@@ -221,7 +223,7 @@ class TestStateTransfer:
 
         config = fast_config(checkpoint_interval=4, watermark_window=32)
         faults = {3: CrashFaults(crashed=False)}
-        return PBFTCluster(4, 1, config=config, faults=faults), faults
+        return TopologySpec.cluster(4, 1, config=config).build(faults=faults), faults
 
     def test_recovered_replica_catches_up_via_checkpoint(self):
         cluster, faults = self._cluster()
@@ -258,20 +260,20 @@ class TestClient:
     def test_retry_broadcast_reaches_new_primary(self):
         # primary silently drops requests (but participates otherwise):
         # the client's retry broadcast must trigger recovery
-        cluster = PBFTCluster(4, 1, config=fast_config(),
-                              faults={0: SelectiveDropFaults({"pbft.request"})})
+        cluster = TopologySpec.cluster(
+            4, 1, config=fast_config()).build(faults={0: SelectiveDropFaults({"pbft.request"})})
         rid = cluster.submit(RawOperation("op"))
         cluster.run(until=2000)
         assert rid in cluster.any_client.completed
 
     def test_view_hint_follows_replies(self):
-        cluster = PBFTCluster(4, 1, config=fast_config(),
-                              faults={0: CrashFaults(crashed=True)})
+        cluster = TopologySpec.cluster(
+            4, 1, config=fast_config()).build(faults={0: CrashFaults(crashed=True)})
         cluster.submit(RawOperation("op"))
         cluster.run(until=600)
         assert cluster.any_client.believed_primary == 1
 
     def test_update_committee_validates(self):
-        cluster = PBFTCluster(4, 1)
+        cluster = TopologySpec.cluster(4, 1).build()
         with pytest.raises(ConsensusError):
             cluster.any_client.update_committee(())

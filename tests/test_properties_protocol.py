@@ -14,6 +14,7 @@ from repro.common.config import (
     GPBFTConfig,
     NetworkConfig,
     PBFTConfig,
+    TopologySpec,
     VerifyConfig,
 )
 from repro.common.errors import ReproError, ValidationError
@@ -21,7 +22,7 @@ from repro.codec import decode_prepare, decode_transaction
 from repro.core.committee import CommitteeManager
 from repro.core.era import EraHistory
 from repro.core.incentive import select_producer
-from repro.pbft import PBFTCluster, RawOperation
+from repro.pbft import RawOperation
 
 committee_strategy = st.sets(
     st.integers(min_value=0, max_value=200), min_size=4, max_size=30
@@ -137,7 +138,7 @@ class TestMonitoredConsensusProperties:
                             request_retry_timeout_s=20.0),
             verify=VerifyConfig(monitors=True),
         )
-        cluster = PBFTCluster(4, 1, config=config)
+        cluster = TopologySpec.cluster(4, 1, config=config).build()
         assert cluster.monitors is not None
         for k, at in enumerate(sorted(times)):
             cluster.sim.schedule_at(at, cluster.any_client.submit,

@@ -42,3 +42,12 @@ def test_named_make_target_exists(source, target):
 @pytest.mark.parametrize("source,script", _named(r"\bscripts/\w+\.py\b"))
 def test_named_script_exists(source, script):
     assert (ROOT / script).is_file(), f"{source} names {script}"
+
+
+def test_net_imports_nothing_from_obs():
+    # observability reads the network's counters; the network must not
+    # know it is being watched
+    for path in sorted((ROOT / "src" / "repro" / "net").glob("*.py")):
+        found = re.findall(r"^\s*(?:from|import) repro\.obs\b.*", path.read_text(),
+                           re.MULTILINE)
+        assert not found, f"{path.name} imports repro.obs: {found}"

@@ -1,22 +1,17 @@
-"""The TopologySpec API: validation, build dispatch, deprecation
-shims, 1-zone bit-identity, and the hierarchical (multi-zone) layer.
+"""The TopologySpec API: validation, build dispatch, and the
+hierarchical (multi-zone) layer.
 
-The unified spec replaces the scattered keyword plumbing in
-``GPBFTDeployment`` / ``PBFTCluster``; these tests pin the contract:
+``TopologySpec.*().build()`` is the only way to build a host; these
+tests pin the contract:
 
-* a degenerate 1-zone spec builds a deployment bit-identical to the
-  legacy constructor (same chains, same completion latencies);
-* the legacy constructors still work but warn exactly once per process;
+* each spec shape builds its host class;
 * a multi-zone spec builds a hierarchical deployment whose top-level
   committee orders inter-zone transactions through zone checkpoints,
   and the cross-shard prefix monitor catches a planted bypass.
 """
 
-import warnings
-
 import pytest
 
-from repro.common import config as config_mod
 from repro.common.config import (
     GPBFTConfig,
     TopologySpec,
@@ -115,61 +110,6 @@ class TestBuildDispatch:
         assert len(host.zones) == 2
         assert sorted(host.nodes) == \
             list(range(5)) + list(range(ZONE_ID_STRIDE, ZONE_ID_STRIDE + 5))
-
-
-class TestDeprecationShims:
-    def _legacy_warnings(self, build):
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            build()
-        return [w for w in caught if issubclass(w.category, DeprecationWarning)]
-
-    def test_legacy_gpbft_constructor_warns_once(self):
-        config_mod._DEPRECATED_ONCE.discard("GPBFTDeployment")
-        build = lambda: GPBFTDeployment(n_nodes=5, n_endorsers=4,
-                                        start_reports=False)
-        first = self._legacy_warnings(build)
-        assert len(first) == 1 and "TopologySpec" in str(first[0].message)
-        assert self._legacy_warnings(build) == []
-
-    def test_legacy_pbft_constructor_warns_once(self):
-        config_mod._DEPRECATED_ONCE.discard("PBFTCluster")
-        build = lambda: PBFTCluster(n_replicas=4, n_clients=1)
-        first = self._legacy_warnings(build)
-        assert len(first) == 1 and "TopologySpec" in str(first[0].message)
-        assert self._legacy_warnings(build) == []
-
-    def test_spec_construction_does_not_warn(self):
-        warned = self._legacy_warnings(
-            lambda: TopologySpec.single(5, 4, start_reports=False).build())
-        assert warned == []
-
-
-class TestSingleZoneBitIdentity:
-    """TopologySpec.single(...).build() == legacy constructor, bit for bit."""
-
-    def _run(self, dep):
-        node_ids = sorted(dep.nodes)
-        for k, node_id in enumerate(node_ids):
-            node = dep.nodes[node_id]
-            tx = node.next_transaction(key=f"id{k}", value=str(k))
-            dep.sim.schedule_at(1.0 + k, node.submit_transaction, tx)
-        dep.run_for(60.0)
-        head = dep.nodes[dep.committee[0]]
-        chain = [head.ledger.block_at(h).digest().hex()
-                 for h in range(head.ledger.height + 1)]
-        return chain, sorted(dep.completed_latencies().items())
-
-    def test_chains_and_latencies_identical(self):
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", DeprecationWarning)
-            legacy = GPBFTDeployment(n_nodes=8, n_endorsers=4,
-                                     config=GPBFTConfig(), region=REGION,
-                                     seed=5, start_reports=False)
-        spec_built = TopologySpec.single(8, 4, config=GPBFTConfig(),
-                                         region=REGION, seed=5,
-                                         start_reports=False).build()
-        assert self._run(legacy) == self._run(spec_built)
 
 
 class TestHierarchicalDeployment:

@@ -2,12 +2,13 @@
 
 import pytest
 
+from repro.common.config import TopologySpec
 from repro.common.errors import NetworkError
 from repro.net.message import RawPayload
 from repro.net.network import SimulatedNetwork
 from repro.net.simulator import Simulator
 from repro.net.tracer import MessageTracer
-from repro.pbft import PBFTCluster, RawOperation
+from repro.pbft import RawOperation
 
 
 def small_net():
@@ -74,7 +75,7 @@ class TestCapture:
         tracer = MessageTracer(net)
         tracer.detach()
         net.send(0, 1, RawPayload("a.x", 100))
-        assert tracer.rows == []
+        assert not tracer.rows
         sim.run()  # message still delivered through the original path
         assert net.stats.messages_delivered == 1
 
@@ -93,7 +94,7 @@ class TestCapture:
 
 class TestQueriesAndRendering:
     def _traced_consensus(self):
-        cluster = PBFTCluster(4, 1)
+        cluster = TopologySpec.cluster(4, 1).build()
         tracer = MessageTracer(cluster.network, kinds=("pbft.",))
         cluster.submit(RawOperation("op"))
         cluster.run(until=60)
@@ -119,7 +120,7 @@ class TestQueriesAndRendering:
     def test_between_window(self):
         _, tracer = self._traced_consensus()
         everything = tracer.between(0.0, 1e9)
-        assert everything == tracer.rows
+        assert everything == list(tracer.rows)
         assert tracer.between(1e6, 2e6) == []
 
     def test_sequence_render(self):

@@ -146,7 +146,8 @@ class TestRunSchedule:
 
 class TestPerturberSeesEveryCopy:
     """``SendPerturber`` replaces ``network.send``; broadcasts are batched
-    below it, so the network has to hand it their copies one by one."""
+    below it, so the network has to hand it their copies one by one.
+    Only a schedule with a ``drop`` or ``delay`` window gets one."""
 
     def test_a_certain_drop_window_silences_every_copy_of_a_multicast(self):
         from repro.common.rng import DeterministicRNG
@@ -179,15 +180,34 @@ class TestPerturberSeesEveryCopy:
     ], ids=["pbft", "pbft-crash-partition", "gpbft-era-switch", "zoned"])
     def test_an_idle_perturber_leaves_the_fingerprint_unchanged(
             self, schedule, monkeypatch):
-        # run_schedule always attaches a perturber, so every pinned
-        # fingerprint is a per-copy run; without one, broadcasts take
-        # the batched path and must produce the very same event stream
-        per_copy = run_schedule(schedule).result
-        monkeypatch.setattr(explorer, "SendPerturber", lambda network, rng: None)
-        batched = run_schedule(schedule).result
+        # without a drop or delay window run_schedule leaves ``send``
+        # alone and broadcasts take the batched path; an attached
+        # perturber with no window open forces the per-copy path, which
+        # must produce the very same event stream
+        from repro.common.rng import DeterministicRNG
+
+        batched = run_schedule(schedule)
+        assert "send" not in vars(batched.host.network)
+        build = explorer._build_host
+
+        def with_idle_perturber(schedule):
+            host = build(schedule)
+            SendPerturber(host.network,
+                          DeterministicRNG(schedule.seed, "verify/perturb"))
+            return host
+
+        monkeypatch.setattr(explorer, "_build_host", with_idle_perturber)
+        per_copy = run_schedule(schedule)
+        assert "send" in vars(per_copy.host.network)
+        batched, per_copy = batched.result, per_copy.result
         assert per_copy.ok and batched.ok
         assert (batched.fingerprint, batched.events, batched.executed) == (
             per_copy.fingerprint, per_copy.events, per_copy.executed)
+
+    def test_a_drop_or_delay_window_attaches_the_perturber(self):
+        schedule = _clean(perturbations=(
+            Perturbation(op="delay", at=1.0, until=2.0, p=0.5, extra_s=0.2),))
+        assert "send" in vars(run_schedule(schedule).host.network)
 
 
 class TestMonitorHarness:
