@@ -8,13 +8,21 @@ this checkout), runs its timed ``run`` call under ``sys.settrace`` with
 opcode events on, and prints Python-level calls and bytecode
 instructions, both also per delivered message, then the top *K*
 functions by instructions with their calls and instructions per call.
+Before that it runs one plain round of the same seed and prints what the
+cyclic garbage collector did during it: passes per generation and
+seconds spent inside them.  Every object that outlives a young
+generation -- a copy waiting in a backlogged inbox -- is scanned again,
+and neither the bytecode counts nor the benchmark's per-layer times show
+it (a pause is filed under whichever layer was allocating).
 
 The counts depend on the code and the seed and on nothing else, so one
 run per side is an exact A/B on a machine whose wall clock drifts: copy
 this file into the other checkout's ``scripts/`` and run it there.  They
 say nothing about time spent inside C (heap operations, hashing), which
-is what ``scripts/perf_ab.py`` is for.  A traced round takes 30-60 times
-its plain wall time.
+is what ``scripts/perf_ab.py`` is for.  The collector's pass counts
+repeat as long as nothing else in the process allocates differently;
+its seconds are a clock reading and do not.  A traced round takes 30-60
+times its plain wall time.
 
 With ``--max-calls-per-msg`` the exit code is 1 when the round spent
 more Python calls per delivered message than that (CI's hot-path guard).
@@ -23,7 +31,9 @@ more Python calls per delivered message than that (CI's hot-path guard).
 from __future__ import annotations
 
 import argparse
+import gc
 import sys
+import time
 from collections import defaultdict
 from pathlib import Path
 from types import CodeType, FrameType
@@ -62,6 +72,30 @@ class OpCounter:
             sys.settrace(None)
 
 
+def collector_line(fn: Any) -> str:
+    """Call *fn()* untraced; report the collector's passes and seconds."""
+    seconds = 0.0
+    started = 0.0
+
+    def on_gc(phase: str, info: dict[str, int]) -> None:
+        nonlocal seconds, started
+        if phase == "start":
+            started = time.perf_counter()
+        else:
+            seconds += time.perf_counter() - started
+
+    gc.collect()
+    before = [gen["collections"] for gen in gc.get_stats()]
+    gc.callbacks.append(on_gc)
+    try:
+        fn()
+    finally:
+        gc.callbacks.remove(on_gc)
+    passes = [gen["collections"] - was for gen, was in zip(gc.get_stats(), before)]
+    return (f"collector passes       gen0 {passes[0]}  gen1 {passes[1]}  "
+            f"gen2 {passes[2]}  {seconds:.3f} s inside (plain round)")
+
+
 def _name(code: CodeType) -> str:
     path = Path(code.co_filename)
     try:
@@ -83,6 +117,7 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--max-calls-per-msg", type=float, default=None, metavar="X")
     args = parser.parse_args(argv)
 
+    collector = collector_line(BY_NAME[args.workload](args.seed).run)
     workload = BY_NAME[args.workload](args.seed)
     counter = OpCounter()
     counter.run(workload.run)
@@ -95,6 +130,7 @@ def main(argv: list[str] | None = None) -> int:
     print(f"delivered messages     {msgs:>12d}")
     print(f"python calls           {calls:>12d}  {calls / msgs:8.2f} per message")
     print(f"bytecode instructions  {instructions:>12d}  {instructions / msgs:8.1f} per message")
+    print(collector)
     print(f"\n| function | instructions | share | calls | per call |\n|---|---|---|---|---|")
     ranked = sorted(counter.instructions, key=lambda c: (-counter.instructions[c], _name(c)))
     for code in ranked[:args.top]:

@@ -195,8 +195,9 @@ class EventLog:
         return self._counts.get(kind, 0)
 
     def record(self, at: float, kind: str, node: int = -1, **data: Any) -> Event:
-        """Convenience: build an :class:`Event` and append it."""
-        event = Event(at=at, kind=kind, node=node, data=dict(data))
+        """Convenience: build an :class:`Event` around this call's own
+        ``data`` dict and append it."""
+        event = Event(at=at, kind=kind, node=node, data=data)
         self.append(event)
         return event
 

@@ -70,7 +70,7 @@ WIRE_MESSAGES: dict[str, dict[str, str]] = {
         "decoder": "decode_prepare",
         "codec_module": "repro/codec/wire.py",
         "handler_module": "repro/pbft/replica.py",
-        "handler": "on_prepare",
+        "handler": "receive",
     },
     "pbft.commit": {
         "layout": "III32s64s",
@@ -78,7 +78,7 @@ WIRE_MESSAGES: dict[str, dict[str, str]] = {
         "decoder": "decode_commit",
         "codec_module": "repro/codec/wire.py",
         "handler_module": "repro/pbft/replica.py",
-        "handler": "on_commit",
+        "handler": "receive",
     },
     "pbft.checkpoint": {
         "layout": "II32s64s",

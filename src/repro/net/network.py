@@ -22,6 +22,8 @@ since when it has been offline, whether a message is in service, and the
 wake it has armed.  ``send`` looks the destination's port up once, fixes
 the arrival time and files the message in the inbox; the simulator
 events that follow carry the port, so delivery never looks a node up.
+A message in flight is one object: an :class:`Envelope` is a tuple led
+by ``(arrive, envelope_id)``, so the inbox heap holds and orders it as is.
 
 Only completions are simulator events.  A busy node owns one simulator
 entry, the completion of the message in service; when it fires, the
@@ -111,7 +113,7 @@ class _Port:
         node_id: the id this port belongs to.
         handler: receive callback; ``None`` until the id registers, and
             for a destination nobody ever registers.
-        inbox: heap of ``(arrival time, envelope id, envelope)``.
+        inbox: heap of envelopes, which order by (arrival time, id).
         interval: seconds one message occupies the node.
         offline_since: when the node went offline, ``None`` while up.
         serving: a message is in service (a completion is scheduled).
@@ -124,7 +126,7 @@ class _Port:
     def __init__(self, node_id: int, interval: float) -> None:
         self.node_id = node_id
         self.handler: Handler | None = None
-        self.inbox: list[tuple[float, int, Envelope]] = []
+        self.inbox: list[Envelope] = []
         self.interval = interval
         self.offline_since: float | None = None
         self.serving = False
@@ -248,11 +250,11 @@ class SimulatedNetwork:
         # backlog was lost on arrival; earlier arrivals keep their slot
         now = self.sim.now
         kept = []
-        for entry in inbox:
-            if since <= entry[0] < now:
-                self.stats.on_drop(entry[2].kind)
+        for envelope in inbox:
+            if since <= envelope.arrive < now:
+                self.stats.on_drop(envelope.kind)
             else:
-                kept.append(entry)
+                kept.append(envelope)
         if len(kept) != len(inbox):
             inbox[:] = kept
             heapify(inbox)
@@ -307,9 +309,8 @@ class SimulatedNetwork:
         if not delay >= 0:
             raise NetworkError(f"delay must be >= 0, got {delay}")
         arrive = now + delay
-        envelope_id = next(self._envelope_ids)
-        heappush(port.inbox, (arrive, envelope_id,
-                              Envelope(src, dst, payload, kind, size, envelope_id)))
+        heappush(port.inbox, Envelope(
+            (arrive, next(self._envelope_ids), src, dst, payload, kind, size)))
         if port.serving:
             return  # admitted when the message in service completes
         wake = port.wake
@@ -381,9 +382,8 @@ class SimulatedNetwork:
             port = ports(dst)
             if port is None:
                 port = self._port(dst)
-            envelope_id = next(envelope_ids)
-            heappush(port.inbox, (arrive, envelope_id,
-                                  Envelope(src, dst, payload, kind, size, envelope_id)))
+            heappush(port.inbox, Envelope(
+                (arrive, next(envelope_ids), src, dst, payload, kind, size)))
             if port.serving:
                 continue  # admitted when the message in service completes
             wake = port.wake
@@ -416,10 +416,10 @@ class SimulatedNetwork:
         inbox = port.inbox
         sim = self.sim
         now = sim.now
-        while inbox and inbox[0][0] <= now:
-            arrive, _, due = heappop(inbox)
+        while inbox and inbox[0][0] <= now:  # the head's ``arrive``, by index
+            due = heappop(inbox)
             since = port.offline_since
-            if port.handler is None or (since is not None and arrive >= since):
+            if port.handler is None or (since is not None and due.arrive >= since):
                 self.stats.on_drop(due.kind)
                 continue
             sim.schedule_at(now + port.interval, self._process, port, due)

@@ -62,13 +62,6 @@ from repro.pbft.messages import (
 if TYPE_CHECKING:
     from repro.obs.core import Observability
 
-#: The two kinds that are votes: O(n^2) per instance where everything
-#: else is O(n) or rarer.  ``receive`` holds the one gate both pass.
-#: Sourced from the ``kind`` ClassVars, like the dispatch table, so the
-#: dispatch and the codec registry share one vocabulary (GPB009 bans
-#: re-typing the strings here).
-_VOTE_KINDS = frozenset((Prepare.kind, Commit.kind))
-
 #: Signature of the executor callback: (operation, seq, view) -> result digest.
 Executor = Callable[[object, int, int], bytes]
 
@@ -263,21 +256,22 @@ class PBFTReplica:
     def receive(self, payload) -> None:
         """Entry point for every protocol message addressed to us.
 
-        Votes pass their gate here, once for both phases: one for a
-        later view waits for that view, one for another view, during a
-        view change or from outside the committee is ignored.
+        Prepares and commits -- O(n^2) per instance where everything
+        else is O(n) or rarer -- pass their one gate here and are counted
+        where they land: one for a later view waits for that view, one
+        for another era or view, during a view change or from outside
+        the committee is ignored.  The log methods are looked up per
+        call: ``perfbench`` wraps them on the class.
         """
         if self.stopped:
             return
         kind = payload.kind
         if self.faults.drop_incoming(kind):
             return
-        if getattr(payload, "epoch", self.epoch) != self.epoch:
-            return  # stale traffic from another era
-        handler = self._HANDLERS.get(kind)
-        if handler is None:
-            return  # unknown kinds are ignored: the node may co-host other protocols
-        if kind in _VOTE_KINDS:
+        is_prepare = kind == Prepare.kind
+        if is_prepare or kind == Commit.kind:
+            if payload.epoch != self.epoch:
+                return  # stale traffic from another era
             view = payload.view
             if view != self.view:
                 if view > self.view:
@@ -285,7 +279,17 @@ class PBFTReplica:
                 return
             if self.in_view_change or payload.sender not in self._committee_set:
                 return
-        handler(self, payload)
+            if is_prepare:
+                self._advance(self.log.add_prepare(payload))
+            else:
+                self._advance(self.log.add_commit(payload))
+            return
+        if getattr(payload, "epoch", self.epoch) != self.epoch:
+            return  # stale traffic from another era
+        handler = self._HANDLERS.get(kind)
+        if handler is not None:
+            # unknown kinds are ignored: the node may co-host other protocols
+            handler(self, payload)
 
     # -- client requests -----------------------------------------------------------
 
@@ -379,14 +383,6 @@ class PBFTReplica:
             self._multicast(prepare)
             self.log.add_prepare(prepare)
         self._advance(state)
-
-    def on_prepare(self, msg: Prepare) -> None:
-        """Count a peer's prepare (gated by :meth:`receive`) and advance."""
-        self._advance(self.log.add_prepare(msg))
-
-    def on_commit(self, msg: Commit) -> None:
-        """Count a peer's commit (gated by :meth:`receive`) and advance."""
-        self._advance(self.log.add_commit(msg))
 
     def _advance(self, state: InstanceState) -> None:
         """Take *state* as far as its votes allow: multicast our commit
@@ -728,12 +724,10 @@ class PBFTReplica:
                 if view == new_view:
                     self.receive(msg)
 
-    #: kind -> handler, one lookup per delivered message.  Class-level:
-    #: a dict of bound methods per replica would be paid at set-up by
-    #: every member of every committee.
+    #: kind -> handler of every kind but the two votes, which ``receive``
+    #: counts itself.  Class-level: a dict of bound methods per replica
+    #: would be paid at set-up by every member of every committee.
     _HANDLERS = {
-        Prepare.kind: on_prepare,
-        Commit.kind: on_commit,
         PrePrepare.kind: on_pre_prepare,
         ClientRequest.kind: on_request,
         Checkpoint.kind: on_checkpoint,

@@ -102,6 +102,19 @@ class TestEventLog:
         assert log.first("b").data["extra"] == 7
         assert log.last("a").at == 1.0
 
+    def test_records_never_share_a_data_dict(self):
+        # record() keeps the **data dict of its call instead of copying
+        # it; that is only sound while every call gets a dict of its own
+        log = EventLog()
+        shared = {"seq": 1}
+        first = log.record(1.0, "a", **shared)
+        second = log.record(2.0, "a", **shared)
+        bare = log.record(3.0, "a"), log.record(4.0, "a")
+        first.data["seq"] = 99
+        assert second.data == shared == {"seq": 1}
+        assert first.data is not second.data and first.data is not shared
+        assert bare[0].data == {} and bare[0].data is not bare[1].data
+
     def test_count_is_maintained(self):
         log = EventLog()
         for i in range(5):

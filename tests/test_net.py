@@ -13,7 +13,7 @@ from repro.net.latency import (
     LognormalLatency,
     UniformLatency,
 )
-from repro.net.message import RawPayload
+from repro.net.message import Envelope, RawPayload
 from repro.net.network import SimulatedNetwork
 from repro.net.simulator import Simulator
 from repro.net.stats import TrafficStats
@@ -384,6 +384,69 @@ class TestSimulatedNetwork:
         net.register(1, lambda e: None)
         net.send(0, 1, RawPayload("k", 100))
         assert net.stats.bytes_sent == 150
+
+    def test_the_envelope_is_what_the_inbox_holds(self):
+        sim = Simulator()
+        net = SimulatedNetwork(sim, NetworkConfig(envelope_overhead_bytes=20),
+                               ConstantLatency(0.25))
+        got = []
+        for node in range(3):
+            net.register(node, got.append)
+        payload = RawPayload("k", 100)
+        net.send(0, 1, payload)
+        net.multicast(0, range(3), payload)
+        filed = [entry for node in (1, 2) for entry in net._ports[node].inbox]
+        assert len(filed) == 3 and all(type(entry) is Envelope for entry in filed)
+        sim.run()
+        # the handler is handed the filed object itself, not a re-wrapping
+        assert sorted(map(id, got)) == sorted(map(id, filed))
+        first = min(got)
+        assert (first.arrive, first.envelope_id, first.src, first.dst, first.payload,
+                first.kind, first.size_bytes) == (0.25, 0, 0, 1, payload, "k", 120)
+        assert first == (0.25, 0, 0, 1, payload, "k", 120)
+        assert "kind='k'" in repr(first) and "arrive=0.25" in repr(first)
+
+    def test_envelope_is_immutable(self):
+        envelope = Envelope((1.0, 7, 0, 1, RawPayload("k", 1), "k", 1))
+        for name in ("arrive", "envelope_id", "src", "dst", "payload", "kind",
+                     "size_bytes", "anything_else"):
+            with pytest.raises(AttributeError):
+                setattr(envelope, name, 0)
+        with pytest.raises(TypeError):
+            envelope[0] = 2.0
+        assert not hasattr(envelope, "__dict__")
+
+    @pytest.mark.parametrize("batched", [False, True])
+    def test_same_instant_copies_are_served_in_send_order_without_comparing_payloads(
+            self, batched):
+        class Incomparable:
+            kind, size_bytes = "k", 10
+
+            def __init__(self, tag):
+                self.tag = tag
+
+            def _refuse(self, other):
+                raise AssertionError("an inbox comparison reached the payload")
+
+            __lt__ = __le__ = __gt__ = __ge__ = __eq__ = __ne__ = _refuse
+            __hash__ = None
+
+        sim = Simulator()
+        net = SimulatedNetwork(sim, latency=ConstantLatency(0.5))
+        served = []
+        net.register(0, lambda e: served.append((e.src, e.payload.tag)))
+        for node in (1, 2):
+            net.register(node, lambda e: None)
+        # same source, destination and arrival time, so only the id differs
+        # ahead of the payload; a third copy from another sender in between
+        for src, tag in ((1, "a"), (2, "b"), (1, "c"), (1, "d")):
+            if batched:
+                net.multicast(src, (0, src), Incomparable(tag))
+            else:
+                net.send(src, 0, Incomparable(tag))
+        assert len({e.arrive for e in net._ports[0].inbox}) == 1
+        sim.run()
+        assert served == [(1, "a"), (2, "b"), (1, "c"), (1, "d")]
 
 
 class TestSimulatorCompaction:

@@ -14,7 +14,10 @@ from repro.pbft import (
     EquivocatingFaults,
     RawOperation,
 )
-from repro.pbft.faults import MuteFaults, SelectiveDropFaults
+from repro.net.simulator import Simulator
+from repro.pbft.faults import HonestFaults, MuteFaults, SelectiveDropFaults
+from repro.pbft.messages import ClientRequest, Commit, Prepare, PrePrepare
+from repro.pbft.replica import PBFTReplica
 from repro.common.eventlog import EV_PBFT_STATE_TRANSFER
 
 
@@ -277,3 +280,104 @@ class TestClient:
         cluster = TopologySpec.cluster(4, 1).build()
         with pytest.raises(ConsensusError):
             cluster.any_client.update_committee(())
+
+
+class _Outbox:
+    """A transport that only records what the replica sends."""
+
+    def __init__(self):
+        self.sent = []
+
+    def send(self, dst, payload):
+        self.sent.append((dst, payload))
+
+    def multicast(self, dsts, payload):
+        self.sent.append((tuple(dsts), payload))
+
+
+@pytest.mark.parametrize("vote_cls,votes_of", [(Prepare, "prepares"), (Commit, "commits")])
+class TestVoteGate:
+    """``receive`` gates a prepare or commit and counts it in one function."""
+
+    DIGEST = b"\x07" * 32
+
+    def _replica(self, view=1):
+        outbox = _Outbox()
+        replica = PBFTReplica(node_id=1, committee=(0, 1, 2, 3), sim=Simulator(),
+                              transport=outbox, epoch=2)
+        replica.view = view
+        return replica, outbox
+
+    def _vote(self, vote_cls, sender=2, view=1, epoch=2):
+        return vote_cls(view=view, seq=1, digest=self.DIGEST, sender=sender, epoch=epoch)
+
+    def test_a_vote_that_passes_is_counted(self, vote_cls, votes_of):
+        replica, _ = self._replica()
+        replica.receive(self._vote(vote_cls))
+        replica.receive(self._vote(vote_cls, sender=3))
+        replica.receive(self._vote(vote_cls, sender=3))  # a duplicate counts once
+        [state] = replica.log.instances()
+        assert (state.view, state.seq, state.digest) == (1, 1, self.DIGEST)
+        assert getattr(state, votes_of) == {2, 3}
+
+    @pytest.mark.parametrize("changed", [
+        dict(epoch=1), dict(epoch=3),  # another era
+        dict(view=0),                  # a view already left
+        dict(sender=4),                # not a committee member
+    ])
+    def test_a_vote_that_fails_the_gate_is_ignored(self, vote_cls, votes_of, changed):
+        replica, outbox = self._replica()
+        replica.receive(self._vote(vote_cls, **changed))
+        assert replica.log.instances() == [] and replica._future_messages == {}
+        assert outbox.sent == []
+
+    def test_a_vote_during_a_view_change_is_ignored(self, vote_cls, votes_of):
+        replica, _ = self._replica()
+        replica.in_view_change = True
+        replica.receive(self._vote(vote_cls))
+        assert replica.log.instances() == [] and replica._future_messages == {}
+
+    def test_a_stopped_or_deaf_replica_counts_nothing(self, vote_cls, votes_of):
+        replica, _ = self._replica()
+        replica.faults = SelectiveDropFaults({vote_cls.kind})
+        replica.receive(self._vote(vote_cls))
+        replica.faults = CrashFaults(crashed=True)
+        replica.receive(self._vote(vote_cls))
+        replica.faults, replica.stopped = HonestFaults(), True
+        replica.receive(self._vote(vote_cls))
+        assert replica.log.instances() == []
+
+    def test_a_vote_for_a_later_view_waits_for_that_view(self, vote_cls, votes_of):
+        replica, _ = self._replica()
+        early = self._vote(vote_cls, view=3)
+        replica.receive(early)
+        assert replica.log.instances() == []
+        assert replica._future_messages == {3: [early]}
+        replica._enter_view(2)  # not its view yet
+        assert replica.log.instances() == [] and replica._future_messages == {3: [early]}
+        replica._enter_view(3)
+        [state] = replica.log.instances()
+        assert state.view == 3 and getattr(state, votes_of) == {2}
+        assert replica._future_messages == {}
+
+
+def test_counted_votes_advance_the_instance_from_receive():
+    # the quorum-completing prepare makes the replica multicast its commit,
+    # and the quorum-completing commit makes it execute and reply: the
+    # advance runs off the same call that counted the vote
+    outbox = _Outbox()
+    executed = []
+    replica = PBFTReplica(node_id=1, committee=(0, 1, 2, 3), sim=Simulator(),
+                          transport=outbox,
+                          executor=lambda op, seq, view: executed.append(seq) or b"r" * 32)
+    request = ClientRequest(client=9, timestamp=0.0, op=RawOperation("op"))
+    digest = request.digest()
+    replica.receive(PrePrepare(view=0, seq=1, digest=digest, request=request, sender=0))
+    assert [p.kind for _, p in outbox.sent] == [Prepare.kind]
+    replica.receive(Prepare(view=0, seq=1, digest=digest, sender=2))
+    assert [p.kind for _, p in outbox.sent] == [Prepare.kind, Commit.kind]
+    replica.receive(Commit(view=0, seq=1, digest=digest, sender=0))
+    assert executed == []
+    replica.receive(Commit(view=0, seq=1, digest=digest, sender=2))
+    assert executed == [1]
+    assert outbox.sent[-1][0] == 9 and outbox.sent[-1][1].kind == "pbft.reply"

@@ -2,10 +2,14 @@
 
 A deletion that misses one mention leaves an instruction nobody can
 run; these fail on it.  ``perfbench/README.md`` is part of the frozen
-benchmark and is not read here.
+benchmark and is not read here.  The last test runs pytest itself under
+the repo's ``pyproject.toml``: its warning filter is an instruction too.
 """
 
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -51,3 +55,42 @@ def test_net_imports_nothing_from_obs():
         found = re.findall(r"^\s*(?:from|import) repro\.obs\b.*", path.read_text(),
                            re.MULTILINE)
         assert not found, f"{path.name} imports repro.obs: {found}"
+
+
+_PROBE = """\
+import warnings
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+
+@settings(database=None)
+@given(st.integers())
+def test_small(n):
+    assert n < 5
+
+
+def test_a_deprecation_attributed_to_the_tests_is_an_error():
+    with pytest.raises(DeprecationWarning, match="ours to fix"):
+        warnings.warn("ours to fix", DeprecationWarning)
+"""
+
+
+def test_a_failing_hypothesis_test_prints_its_example_under_the_repo_config(tmp_path):
+    # reporting a Hypothesis failure imports third-party modules that warn
+    # of deprecations at import time; turned into errors there, they abort
+    # the session from inside pytest's report hook
+    package = tmp_path / "tests"
+    package.mkdir()
+    (package / "__init__.py").write_text("")
+    (package / "test_probe.py").write_text(_PROBE)
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    env.pop("PYTEST_ADDOPTS", None)
+    proc = subprocess.run(
+        [sys.executable, "-m", "pytest", "-c", str(ROOT / "pyproject.toml"),
+         "--rootdir", str(tmp_path), "-p", "no:cacheprovider", str(package)],
+        cwd=tmp_path, env=env, capture_output=True, text=True, timeout=120)
+    out = proc.stdout + proc.stderr
+    assert "INTERNALERROR" not in out, out
+    assert "Falsifying example" in out, out
+    assert "1 failed, 1 passed" in out, out
