@@ -7,10 +7,9 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable, Sequence
 
-from repro.analysis.baseline import Baseline, inline_allowed
+from repro.analysis.baseline import Baseline, inline_allowed, inline_ids
 from repro.analysis.drules import determinism_rules
 from repro.analysis.findings import Finding
-from repro.analysis.irules import interprocedural_rules
 from repro.analysis.orules import observability_rules
 from repro.analysis.prules import protocol_rules
 from repro.analysis.rules import Module, Project, Rule
@@ -26,8 +25,7 @@ _SKIP_DIRS = frozenset({
 
 def all_rules() -> list[Rule]:
     """The registered rule set, in id order."""
-    rules = [*determinism_rules(), *protocol_rules(),
-             *observability_rules(), *interprocedural_rules()]
+    rules = [*determinism_rules(), *protocol_rules(), *observability_rules()]
     return sorted(rules, key=lambda r: r.rule_id)
 
 
@@ -39,7 +37,8 @@ class AnalysisResult:
         findings: unsuppressed violations, in stable location order.
         suppressed: violations silenced by the baseline or inline allows.
         stale_suppressions: human-readable descriptions of baseline
-            entries that matched nothing (candidates for deletion).
+            entries that matched nothing and of inline allows naming an
+            unregistered rule id (candidates for deletion).
         files_analyzed: how many files were parsed and checked.
     """
 
@@ -98,20 +97,20 @@ def load_modules(paths: Sequence[Path]) -> Project:
     return Project(modules=modules)
 
 
-def analyze(paths: Sequence[Path], baseline: Baseline | None = None,
-            rules: Sequence[Rule] | None = None) -> AnalysisResult:
-    """Run *rules* (default: all registered) over *paths*.
+def analyze(paths: Sequence[Path],
+            baseline: Baseline | None = None) -> AnalysisResult:
+    """Run every registered rule over *paths*.
 
     Suppression order: inline allows are checked first, then baseline
     entries; a finding silenced by either lands in ``suppressed``.
     """
     project = load_modules(paths)
-    active_rules = list(rules) if rules is not None else all_rules()
+    rules = all_rules()
     raw: list[Finding] = []
     for rel in sorted(project.modules):
-        for rule in active_rules:
+        for rule in rules:
             raw.extend(rule.check_module(project.modules[rel]))
-    for rule in active_rules:
+    for rule in rules:
         raw.extend(rule.check_project(project))
 
     result = AnalysisResult(files_analyzed=len(project.modules))
@@ -128,4 +127,12 @@ def analyze(paths: Sequence[Path], baseline: Baseline | None = None,
             f"{e.path}:{e.line or '*'}: {e.rule} ({e.reason})"
             for e in baseline.stale_entries()
         ]
+    registered = {rule.rule_id for rule in rules}
+    for rel in sorted(project.modules):
+        for lineno, line in enumerate(project.modules[rel].lines, start=1):
+            if "gpb:" in line:
+                result.stale_suppressions.extend(
+                    f"{rel}:{lineno}: {rule_id} (inline allow of a rule "
+                    "that is not registered)"
+                    for rule_id in sorted(inline_ids(line) - registered))
     return result

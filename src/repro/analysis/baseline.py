@@ -20,8 +20,9 @@ Two suppression channels exist, both requiring a justification:
   The marker must sit on the flagged line; multiple ids are
   comma-separated, and the text after ``--`` is the justification.
 
-Suppressions that match no finding are reported as *stale* so the
-baseline shrinks as code is fixed (``--strict-baseline`` turns stale
+Baseline entries that match no finding, and inline allows naming a
+rule id nothing registers (a retired rule), are reported as *stale* so
+suppressions shrink as code is fixed (``--strict-baseline`` turns stale
 entries into a failure).
 """
 
@@ -39,7 +40,7 @@ except ModuleNotFoundError:  # pragma: no cover - 3.10 fallback
 from repro.analysis.findings import Finding
 from repro.common.errors import ConfigurationError
 
-#: Inline marker: ``# gpb: allow GPB001[,GPB002] [-- reason]``.
+#: Inline marker: ``# gpb: allow GPB001[,GPB003] [-- reason]``.
 _INLINE_RE = re.compile(
     r"#\s*gpb:\s*allow\s+(?P<ids>GPB\d{3}(?:\s*,\s*GPB\d{3})*)"
     r"(?:\s*--\s*(?P<reason>.*\S))?"
@@ -70,7 +71,7 @@ class BaselineEntry:
             return False
         if self.line is not None and finding.line != self.line:
             return False
-        norm = self.path.replace("\\", "/").lstrip("./")
+        norm = self.path.replace("\\", "/").removeprefix("./")
         return finding.path == norm or finding.path.endswith("/" + norm) or \
             norm.endswith("/" + finding.path)
 
@@ -127,12 +128,15 @@ class Baseline:
         return [e for i, e in enumerate(self.entries) if i not in self._used]
 
 
+def inline_ids(line: str) -> set[str]:
+    """Rule ids named by the inline allow marker on *line* (empty if none)."""
+    match = _INLINE_RE.search(line)
+    if not match:
+        return set()
+    return {part.strip() for part in match.group("ids").split(",")}
+
+
 def inline_allowed(lines: list[str], finding: Finding) -> bool:
     """Whether the flagged line carries a matching inline allow marker."""
-    if not 1 <= finding.line <= len(lines):
-        return False
-    match = _INLINE_RE.search(lines[finding.line - 1])
-    if not match:
-        return False
-    ids = {part.strip() for part in match.group("ids").split(",")}
-    return finding.rule_id in ids
+    return (1 <= finding.line <= len(lines)
+            and finding.rule_id in inline_ids(lines[finding.line - 1]))

@@ -1,7 +1,7 @@
 """Project-wide call graph with import and module-attribute resolution.
 
-The interprocedural rules (GPB010-GPB015, :mod:`repro.analysis.irules`)
-need to answer "who can call whom" across the whole analyzed tree.  This
+The interprocedural arms of GPB001, GPB003, GPB005 and GPB015 need to
+answer "who can call whom" across the whole analyzed tree.  This
 module builds that graph once per analysis from nothing but the parsed
 ASTs:
 
@@ -87,9 +87,9 @@ class CallEdge:
 
     ``dynamic`` marks edges produced by the dispatch fallback (receiver
     type unknown -- every same-named method linked) rather than a
-    unique static resolution.  ``args`` keeps the call's positional
-    argument nodes so argument-binding rules (GPB014) can inspect what
-    flows into each parameter.
+    unique static resolution.  ``call`` keeps the call node so the
+    argument-binding arm of GPB005 can inspect what flows into each
+    parameter.
     """
 
     caller: str
@@ -106,7 +106,11 @@ class CallGraph:
     def __init__(self) -> None:
         self.functions: dict[str, FunctionInfo] = {}
         self.edges: dict[str, list[CallEdge]] = {}
-        self.callers: dict[str, set[str]] = {}
+        #: callee -> its statically-resolved incoming edges, in build
+        #: order.  Dynamic-dispatch edges stay out: every reverse query
+        #: asks where a value comes from, and name collisions would
+        #: flood that answer with noise.
+        self.callers: dict[str, list[CallEdge]] = {}
         #: qual of every function owning each AST function node.
         self._by_node: dict[ast.AST, str] = {}
 
@@ -119,9 +123,10 @@ class CallGraph:
         self._by_node[info.node] = info.qual
 
     def add_edge(self, edge: CallEdge) -> None:
-        """Record a caller->callee edge in both directions."""
+        """Record a caller->callee edge (and its reverse when static)."""
         self.edges.setdefault(edge.caller, []).append(edge)
-        self.callers.setdefault(edge.callee, set()).add(edge.caller)
+        if not edge.dynamic:
+            self.callers.setdefault(edge.callee, []).append(edge)
 
     # -- queries -----------------------------------------------------------
 

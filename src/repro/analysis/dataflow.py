@@ -5,26 +5,26 @@ Three value classes matter for reproducibility (docs/static-analysis.md
 
 * **ambient values** -- wall-clock reads and ambient randomness.  A
   function *exhibits* the class when its body contains one of the
-  GPB001/GPB002 source calls; the class then propagates backwards to
-  every caller that can reach an exhibitor (:func:`propagate`), which is
-  how GPB010 closes the intraprocedural gap ("a helper two frames deep
-  calls ``time.time()``").
+  GPB001 source calls (:func:`ambient_kind`); the class then propagates
+  backwards to every static caller that can reach an exhibitor
+  (:func:`propagate`), which is how GPB001's transitive arm closes the
+  intraprocedural gap ("a helper two frames deep calls ``time.time()``").
 * **forked RNG streams** -- values produced by ``rng.fork(...)`` /
   ``random.Random(...)`` / ``DeterministicRNG(...)``, including through
   factory helpers that *return* such a value
-  (:func:`rng_returning_functions` runs that fixpoint).  GPB011 uses
-  this to recognize a stream variable no matter how it was minted.
+  (:func:`rng_returning_functions` runs that fixpoint).  GPB003's
+  shared-stream arm uses this to recognize a stream variable no matter
+  how it was minted.
 * **hot-path collections** -- attributes initialized to ``list``/
-  ``deque``/``dict`` containers on protocol classes; GPB015 combines
-  :func:`collection_attributes` with call-graph reachability from the
-  message-handler entry points.
+  ``deque``/``dict`` containers (:func:`collection_attributes`); GPB015
+  combines them with call-graph reachability from the message-handler
+  entry points.
 
-Propagation is deliberately an over-approximation: dynamic-dispatch
-edges can be included or excluded per query (``include_dynamic``),
-because taint through "every method with this name" is the right
-default for reachability questions (GPB015) but floods source-tracking
-questions (GPB010) with name-collision noise.  All fixpoints are
-worklist-based and cycle-safe.
+Source tracking runs over statically-resolved edges only (the graph's
+``callers`` index): taint through "every method with this name" would
+flood it with name-collision noise, while reachability questions
+(GPB015) walk the dynamic edges too.  All fixpoints are worklist-based
+and cycle-safe.
 """
 
 from __future__ import annotations
@@ -34,12 +34,45 @@ from dataclasses import dataclass
 from typing import Iterator
 
 from repro.analysis.callgraph import CallGraph
-from repro.analysis.drules import (
-    _AMBIENT_RANDOM_CALLS,
-    _AMBIENT_RANDOM_PREFIXES,
-    _WALL_CLOCK_CALLS,
-)
 from repro.analysis.rules import Module, Project, call_name
+
+#: Wall-clock entry points whose results differ between reruns.
+_WALL_CLOCK_CALLS = frozenset({
+    "time.time",
+    "time.time_ns",
+    "time.monotonic",
+    "time.monotonic_ns",
+    "time.perf_counter",
+    "time.perf_counter_ns",
+    "datetime.now",
+    "datetime.utcnow",
+    "datetime.today",
+    "datetime.datetime.now",
+    "datetime.datetime.utcnow",
+    "datetime.date.today",
+    "date.today",
+})
+
+#: Ambient entropy sources that bypass the seeded RNG tree.
+_AMBIENT_RANDOM_PREFIXES = ("random.", "np.random.", "numpy.random.")
+_AMBIENT_RANDOM_CALLS = frozenset({
+    "os.urandom",
+    "secrets.token_bytes",
+    "secrets.token_hex",
+    "secrets.randbelow",
+    "uuid.uuid1",
+    "uuid.uuid4",
+})
+
+
+def ambient_kind(name: str) -> str:
+    """``"clock"`` or ``"entropy"`` when the callee *name* is an ambient
+    source, else ``""``."""
+    if name in _WALL_CLOCK_CALLS:
+        return "clock"
+    if name in _AMBIENT_RANDOM_CALLS or name.startswith(_AMBIENT_RANDOM_PREFIXES):
+        return "entropy"
+    return ""
 
 
 @dataclass(frozen=True, slots=True)
@@ -59,63 +92,25 @@ class Taint:
     depth: int
 
 
-def ambient_sources(project: Project, graph: CallGraph,
-                    *, exempt_packages: tuple[str, ...] = ("crypto",),
-                    ) -> dict[str, Taint]:
-    """Functions directly reading the wall clock or ambient entropy.
+def propagate(graph: CallGraph, direct: dict[str, Taint]) -> dict[str, Taint]:
+    """Close *direct* backwards over static call edges (callee -> callers).
 
-    Mirrors the GPB001/GPB002 source sets (suppressions do not matter
-    here: an allowed telemetry read still taints its callers -- whether
-    the *caller* is a problem is the caller-side rule's decision).
-    Modules under *exempt_packages* and the ``rng.py`` wrapper never
-    seed taint.
+    Breadth-first over :attr:`CallGraph.callers`, so each function
+    records the *shortest* chain to an exhibitor and recursion cycles
+    terminate.
     """
-    sources: dict[str, Taint] = {}
-    for rel in sorted(project.modules):
-        module = project.modules[rel]
-        segs = module.segments()
-        if any(p in segs for p in exempt_packages) or rel.endswith("/rng.py"):
-            continue
-        for node in ast.walk(module.tree):
-            if not isinstance(node, ast.Call):
-                continue
-            name = call_name(node)
-            if (name in _WALL_CLOCK_CALLS or name in _AMBIENT_RANDOM_CALLS
-                    or name.startswith(_AMBIENT_RANDOM_PREFIXES)):
-                qual = graph.enclosing_function(module, node)
-                if qual is not None and qual not in sources:
-                    sources[qual] = Taint(
-                        source=qual, reason=f"{name}()", depth=0)
-    return sources
-
-
-def propagate(graph: CallGraph, direct: dict[str, Taint],
-              *, include_dynamic: bool = False) -> dict[str, Taint]:
-    """Close *direct* backwards over call edges (callee -> callers).
-
-    Breadth-first over the reverse graph, so each function records the
-    *shortest* chain to an exhibitor and recursion cycles terminate.
-    Dynamic-dispatch edges participate only with ``include_dynamic``.
-    """
-    callers: dict[str, list[str]] = {}
-    for caller, edges in graph.edges.items():
-        for edge in edges:
-            if edge.dynamic and not include_dynamic:
-                continue
-            callers.setdefault(edge.callee, []).append(caller)
-
     tainted: dict[str, Taint] = dict(direct)
     frontier = sorted(direct)
     while frontier:
         nxt: list[str] = []
         for current in frontier:
             taint = tainted[current]
-            for caller in callers.get(current, ()):
-                if caller not in tainted:
-                    tainted[caller] = Taint(
+            for edge in graph.callers.get(current, ()):
+                if edge.caller not in tainted:
+                    tainted[edge.caller] = Taint(
                         source=taint.source, reason=taint.reason,
                         depth=taint.depth + 1)
-                    nxt.append(caller)
+                    nxt.append(edge.caller)
         frontier = sorted(nxt)
     return tainted
 
@@ -125,30 +120,22 @@ _RNG_CONSTRUCTORS = frozenset({"Random", "DeterministicRNG"})
 
 
 def is_rng_expression(node: ast.AST, rng_factories: set[str],
-                      graph: CallGraph, module: Module) -> bool:
+                      graph: CallGraph) -> bool:
     """Whether *node* evaluates to a forked/constructed RNG stream.
 
     True for ``<expr>.fork(...)`` calls, ``Random(...)`` /
-    ``DeterministicRNG(...)`` constructions, and calls that resolve to a
-    function in *rng_factories* (a qual set from
+    ``DeterministicRNG(...)`` constructions, and calls statically
+    resolved to a function in *rng_factories* (a qual set from
     :func:`rng_returning_functions`).
     """
     if not isinstance(node, ast.Call):
         return False
     name = call_name(node)
     terminal = name.rsplit(".", 1)[-1] if name else ""
-    if terminal == "fork":
+    if terminal == "fork" or terminal in _RNG_CONSTRUCTORS:
         return True
-    if terminal in _RNG_CONSTRUCTORS:
-        return True
-    if rng_factories:
-        caller = graph.enclosing_function(module, node)
-        if caller is not None:
-            for edge in graph.callees(caller):
-                if (edge.call is node and not edge.dynamic
-                        and edge.callee in rng_factories):
-                    return True
-    return False
+    return any(edge.call is node for factory in rng_factories
+               for edge in graph.callers.get(factory, ()))
 
 
 def rng_returning_functions(project: Project, graph: CallGraph) -> set[str]:
@@ -158,24 +145,23 @@ def rng_returning_functions(project: Project, graph: CallGraph) -> set[str]:
     expression directly; later rounds add wrappers returning a call to
     an already-known factory, until nothing changes.
     """
+    returns: dict[str, list[ast.expr]] = {}
+    for qual, info in graph.functions.items():
+        module = project.modules[info.module]
+        returns[qual] = [
+            node.value for node in ast.walk(info.node)
+            if isinstance(node, ast.Return) and node.value is not None
+            and graph.enclosing_function(module, node) == qual]
     factories: set[str] = set()
     changed = True
     while changed:
         changed = False
-        for qual, info in graph.functions.items():
-            if qual in factories:
-                continue
-            module = project.modules.get(info.module)
-            if module is None:
-                continue
-            for node in ast.walk(info.node):
-                if (isinstance(node, ast.Return) and node.value is not None
-                        and graph.enclosing_function(module, node) == qual
-                        and is_rng_expression(
-                            node.value, factories, graph, module)):
-                    factories.add(qual)
-                    changed = True
-                    break
+        for qual, values in returns.items():
+            if qual not in factories and any(
+                    is_rng_expression(value, factories, graph)
+                    for value in values):
+                factories.add(qual)
+                changed = True
     return factories
 
 
@@ -191,9 +177,13 @@ def collection_attributes(cls: ast.ClassDef) -> set[str]:
     Matches ``self.x = []`` / ``self.x = deque()`` / annotated variants
     -- the shapes an append/extend can grow without bound.  Attributes
     holding project objects (``self.ledger = Ledger(...)``) are excluded
-    so method calls that merely *look* like ``list.append`` don't count.
+    so method calls that merely *look* like ``list.append`` don't count,
+    and so is any attribute ever built as ``deque(maxlen=...)``: a ring
+    displaces instead of growing, and deleting its ``maxlen`` turns it
+    back into a plain container.
     """
     names: set[str] = set()
+    rings: set[str] = set()
     for node in ast.walk(cls):
         target = None
         if isinstance(node, ast.Assign) and len(node.targets) == 1:
@@ -201,12 +191,17 @@ def collection_attributes(cls: ast.ClassDef) -> set[str]:
         elif isinstance(node, ast.AnnAssign):
             target = node.target
         value = getattr(node, "value", None)
-        if (isinstance(target, ast.Attribute)
+        if not (isinstance(target, ast.Attribute)
                 and isinstance(target.value, ast.Name)
-                and target.value.id == "self"
-                and value is not None and _is_container(value)):
+                and target.value.id == "self" and value is not None):
+            continue
+        if (isinstance(value, ast.Call)
+                and call_name(value).rsplit(".", 1)[-1] == "deque"
+                and any(kw.arg == "maxlen" for kw in value.keywords)):
+            rings.add(target.attr)
+        elif _is_container(value):
             names.add(target.attr)
-    return names
+    return names - rings
 
 
 def _is_container(node: ast.AST) -> bool:

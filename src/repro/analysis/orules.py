@@ -1,26 +1,29 @@
-"""Observability rules: event vocabulary, span hygiene, bounded growth.
+"""Vocabulary and bounded-growth rules (GPB009, GPB015).
 
 The event-kind vocabulary lives as ``EV_*`` constants in
-``repro/common/eventlog.py`` (satellite of the observability layer);
-this module's rule reads those assignments straight from the AST --
-exactly like GPB006 reads ``WIRE_MESSAGES`` -- and flags raw kind
-literals anywhere else, so a typo'd kind cannot silently split the
-vocabulary.  It also polices span bodies: code timed by a simulated
--time span must not consult the wall clock, or the span lies.
+``repro/common/eventlog.py``; GPB009 reads those assignments (and the
+other kind vocabularies) straight from the AST -- exactly like GPB006
+reads ``WIRE_MESSAGES`` -- and flags raw or drifted kind literals
+anywhere else, so a typo'd kind cannot silently split the vocabulary.
+GPB015 polices the memory contract: a collection grown per message or
+per event needs a visible bound.
 """
 
 from __future__ import annotations
 
 import ast
+import re
 from typing import Iterable, Iterator
 
+from repro.analysis.callgraph import CallGraph
 from repro.analysis.dataflow import (
     classes_of,
     collection_attributes,
     has_bound_evidence,
 )
 from repro.analysis.findings import Finding
-from repro.analysis.rules import Module, Project, Rule, call_name, in_package
+from repro.analysis.prules import CodecHandlerCoverageRule
+from repro.analysis.rules import Module, Project, Rule, in_package
 
 
 def _vocabulary(project: Project) -> dict[str, str]:
@@ -75,188 +78,214 @@ def _is_docstring(module: Module, node: ast.Constant) -> bool:
     return isinstance(parents.get(node), ast.Expr)
 
 
-def _inside_span_body(module: Module, node: ast.AST) -> bool:
-    """True when *node* sits inside a ``with ...span(...):`` body."""
-    for parent in module.parents_of(node):
-        if isinstance(parent, ast.With):
-            for item in parent.items:
-                expr = item.context_expr
-                if isinstance(expr, ast.Call):
-                    callee = call_name(expr)
-                    if callee == "span" or callee.endswith(".span"):
-                        return True
-    return False
+#: Shape of an event-kind string: lowercase dotted words.
+_KIND_SHAPE = re.compile(r"^[a-z][a-z0-9_]*(\.[a-z0-9_]+)+$")
+
+
+def _declared_message_kinds(graph: CallGraph) -> set[str]:
+    """Kinds declared by message classes across the project.
+
+    A ``kind()`` method or property returning a string literal is a
+    *definition site* of the wire/dispatch namespace, so literals
+    matching it are vocabulary, not drift.
+    """
+    return {
+        ret.value.value
+        for info in graph.functions.values() if info.name == "kind"
+        for ret in ast.walk(info.node)
+        if isinstance(ret, ast.Return) and isinstance(ret.value, ast.Constant)
+        and isinstance(ret.value.value, str)
+    }
+
+
+def _wire_kinds(project: Project) -> set[str]:
+    """Wire kinds registered in any ``WIRE_MESSAGES`` literal."""
+    kinds: set[str] = set()
+    for rel in sorted(project.modules):
+        registry = CodecHandlerCoverageRule._find_registry(project.modules[rel])
+        if registry is None:
+            continue
+        for key in registry.keys:
+            if isinstance(key, ast.Constant) and isinstance(key.value, str):
+                kinds.add(key.value)
+    return kinds
 
 
 class EventVocabularyRule(Rule):
-    """Event kinds must come from the ``EV_*`` vocabulary, and span
-    bodies must not read the wall clock.
+    """Event kinds must come from the ``EV_*`` vocabulary, and
+    kind-shaped literals must match a known kind.
 
     The event-kind vocabulary is the set of ``EV_*`` string constants
     in ``repro/common/eventlog.py``.  Writing one of those strings as
     a raw literal anywhere else re-spells the vocabulary by hand: the
     constant and the literal can drift apart silently (a typo'd kind
     records events nobody queries), so every consumer must import the
-    constant instead.  Exemptions: eventlog modules themselves (the
-    single definition site), the ``obs``/``codec`` packages (the codec
-    names wire kinds, some of which double as event kinds; the
-    ``WIRE_MESSAGES`` keys, pure literals for GPB006, carry inline
-    allows), docstrings,
-    and ``kind = ...`` class attributes (message-class wire-kind
-    declarations).
+    constant instead.
 
-    The second arm guards span integrity: inside a ``with
-    tracer.span(...)`` body, a direct ``time.*`` call measures wall
-    time while the enclosing span measures simulated time -- mixing
-    the two produces plausible-looking but meaningless attributions.
-    Use the simulator clock, or hoist the wall-clock read out of the
-    span.
+    The drift arm catches the more dangerous near-miss: a dotted
+    lowercase literal in a known kind family (``tx.*``, ``pbft.*``,
+    ...) that matches *nothing* -- a typo'd or stale kind that records
+    events nobody queries, dispatches messages nobody sends, or queries
+    events nobody records.  Three vocabularies are legitimate and read
+    straight from the AST: the ``EV_*`` event kinds, the wire kinds
+    keyed in ``WIRE_MESSAGES``, and message-class kind declarations (a
+    ``kind()`` method or property returning a string literal).
+    Families are the first dotted segment of every known kind, so new
+    families extend coverage automatically.
+
+    Both arms share one exemption list: eventlog modules themselves
+    (the single definition site), the ``obs``/``codec`` packages (the
+    codec names wire kinds, some of which double as event kinds; the
+    ``WIRE_MESSAGES`` keys, pure literals for GPB006, carry inline
+    allows), docstrings, and ``kind = ...`` class attributes
+    (message-class wire-kind declarations).
     """
 
     rule_id = "GPB009"
-    title = "event kinds must use the shared EV_* vocabulary; no wall clock in span bodies"
+    title = "event kinds must use the shared EV_* vocabulary; no kind-shaped literal may drift from it"
 
     def check_project(self, project: Project) -> Iterable[Finding]:
-        """Flag raw vocabulary literals and wall-clock reads in spans."""
+        """Flag raw vocabulary literals and family-shaped unknown kinds."""
         vocab = _vocabulary(project)
+        known = (set(vocab) | _wire_kinds(project)
+                 | _declared_message_kinds(project.callgraph()))
+        families = {kind.split(".", 1)[0] for kind in known}
         for rel in sorted(project.modules):
             module = project.modules[rel]
             if rel.endswith("eventlog.py") or in_package(module, "obs", "codec"):
                 continue
-            yield from self._check_module(module, vocab)
-
-    def _check_module(self, module: Module,
-                      vocab: dict[str, str]) -> Iterator[Finding]:
-        for node in ast.walk(module.tree):
-            if (
-                isinstance(node, ast.Constant)
-                and isinstance(node.value, str)
-                and node.value in vocab
-                and not _is_docstring(module, node)
-                and "kind" not in set(_assign_target_names(module, node))
-            ):
-                yield self.finding(
-                    module, node,
-                    f"raw event-kind literal {node.value!r}; import "
-                    f"{vocab[node.value]} from repro.common.eventlog",
-                )
-            elif (
-                isinstance(node, ast.Call)
-                and call_name(node).startswith("time.")
-                and _inside_span_body(module, node)
-            ):
-                yield self.finding(
-                    module, node,
-                    f"wall-clock call {call_name(node)}() inside a span "
-                    "body; spans measure simulated time",
-                )
+            for node in ast.walk(module.tree):
+                if not (isinstance(node, ast.Constant)
+                        and isinstance(node.value, str)):
+                    continue
+                kind = node.value
+                if kind in vocab:
+                    message = (f"raw event-kind literal {kind!r}; import "
+                               f"{vocab[kind]} from repro.common.eventlog")
+                elif (_KIND_SHAPE.match(kind)
+                      and kind.split(".", 1)[0] in families
+                      and kind not in known):
+                    message = (f"kind-shaped literal {kind!r} matches no "
+                               "EV_* constant, wire kind, or declared "
+                               "message kind; fix the typo or register "
+                               "the kind")
+                else:
+                    continue
+                if (not _is_docstring(module, node)
+                        and "kind" not in _assign_target_names(module, node)):
+                    yield self.finding(module, node, message)
 
 
 #: ``self.<attr>.<method>(...)`` calls that grow a collection.
 _GROW_METHODS = frozenset({"append", "appendleft", "extend", "extendleft"})
 
+#: Hot-path packages whose handler chains GPB015 polices.
+_HANDLER_PACKAGES = ("pbft", "core", "net", "chain")
 
-def _maxlen_attributes(cls: ast.ClassDef) -> set[str]:
-    """Attributes initialized as ``deque(maxlen=...)`` anywhere in *cls*.
+#: Function names treated as message-handler chain entry points.
+_HANDLER_ENTRY_NAMES = ("receive", "deliver")
 
-    A maxlen'd deque is a ring: appends displace instead of grow, so
-    these attributes are bounded by construction and exempt from
-    GPB016 -- which is exactly the property the rule machine-checks,
-    because deleting the ``maxlen`` keyword turns the attribute back
-    into a flagged plain container.
+#: GPB015's finding message per scope.
+_HANDLER_GROWTH = (
+    "self.{attr} grows inside a message-handler chain with no visible "
+    "bound in {cls}; cap it, prune it, or justify the append-only contract")
+_OBS_GROWTH = (
+    "self.{attr} grows without a visible bound in observability class "
+    "{cls}; ring it (deque(maxlen=...)), prune it, or justify the "
+    "capture-scoped contract")
+
+
+def _grown_attribute(node: ast.AST) -> str | None:
+    """The ``X`` of a ``self.X.append/extend(...)`` call, if any."""
+    if not isinstance(node, ast.Call):
+        return None
+    func = node.func
+    if (isinstance(func, ast.Attribute)
+            and func.attr in _GROW_METHODS
+            and isinstance(func.value, ast.Attribute)
+            and isinstance(func.value.value, ast.Name)
+            and func.value.value.id == "self"):
+        return func.value.attr
+    return None
+
+
+class UnboundedGrowthRule(Rule):
+    """Collections grown per message or per event need a visible bound.
+
+    At 100k nodes, an ``append`` per message with no matching prune is
+    an out-of-memory with a delay fuse; at city scale the same holds
+    for the observability pipeline, which exists so million-request
+    runs hold O(windows) memory.  The rule flags
+    ``self.<attr>.append/extend(...)`` when *attr* is a plain container
+    (initialized to a ``list``/``deque``/... in its class) and the
+    class shows no bound evidence anywhere: a
+    ``pop``/``popleft``/``clear``/``remove`` call, a ``del
+    self.attr[...]``, a re-slicing assignment, a ``len(self.attr)``
+    capacity guard, or a drain-reset.  Two scopes:
+
+    * **handler chains** -- classes in the ``pbft``/``core``/``net``/
+      ``chain`` packages, for growth inside any function reachable
+      (dynamic dispatch included -- over-approximation is the point)
+      from a handler entry (``on_*``/``receive``/``deliver`` in those
+      packages);
+    * **the observability layer** -- any method of a ``repro.obs``
+      class, where an unbounded buffer silently re-introduces the
+      O(run-length) footprint the pipeline was built to remove.
+
+    In both, attributes built as ``deque(maxlen=...)`` (the
+    flight-recorder rings, the frames tail) are bounded by construction
+    and exempt, so deleting a ``maxlen`` keyword turns the attribute
+    back into a finding the moment it happens.  Collections that are
+    legitimately append-only or capture-scoped (the chain itself, the
+    v1 span list) carry an inline allow naming that contract.
     """
-    names: set[str] = set()
-    for node in ast.walk(cls):
-        target = None
-        if isinstance(node, ast.Assign) and len(node.targets) == 1:
-            target = node.targets[0]
-        elif isinstance(node, ast.AnnAssign):
-            target = node.target
-        value = getattr(node, "value", None)
-        if (
-            isinstance(target, ast.Attribute)
-            and isinstance(target.value, ast.Name)
-            and target.value.id == "self"
-            and isinstance(value, ast.Call)
-            and call_name(value).rsplit(".", 1)[-1] == "deque"
-            and any(kw.arg == "maxlen" for kw in value.keywords)
-        ):
-            names.add(target.attr)
-    return names
 
-
-class UnboundedObsGrowthRule(Rule):
-    """Observability-layer collections must be visibly bounded.
-
-    The v2 observability pipeline exists so million-request runs hold
-    O(windows) memory, which makes ``repro.obs`` itself the worst
-    place for an unbounded ``append``: a buffer that grows per event
-    or per request silently re-introduces the O(run-length) footprint
-    the pipeline was built to remove -- and it does so only at city
-    scale, where the OOM arrives hours in.
-
-    The rule flags ``self.<attr>.append/extend(...)`` inside any
-    ``repro.obs`` class when *attr* is a plain container and the class
-    shows no bound evidence (a ``pop``/``clear``/``remove`` call, a
-    ``del self.attr[...]``, a re-slicing assignment, a ``len()``
-    capacity guard, or a drain-reset).  Attributes built as
-    ``deque(maxlen=...)`` -- the flight-recorder rings, the frames
-    tail -- are bounded by construction and exempt, so removing a
-    ``maxlen`` is caught the moment it happens.  Legitimately
-    capture-scoped buffers (the v1 span list) carry an inline allow
-    naming that contract.
-    """
-
-    rule_id = "GPB016"
-    title = "no unbounded collection growth inside the observability layer"
+    rule_id = "GPB015"
+    title = "no unbounded collection growth in message-handler chains or the observability layer"
 
     def check_project(self, project: Project) -> Iterable[Finding]:
-        """Flag evidence-free container growth in ``repro.obs`` classes."""
+        """Flag evidence-free growth in handler chains and obs classes."""
+        graph = project.callgraph()
+        reachable = graph.reachable_from(
+            qual for qual, info in graph.functions.items()
+            if (info.name.startswith("on_")
+                or info.name in _HANDLER_ENTRY_NAMES)
+            and in_package(project.modules[info.module], *_HANDLER_PACKAGES))
         for rel in sorted(project.modules):
             module = project.modules[rel]
-            if not in_package(module, "obs"):
+            if in_package(module, "obs"):
+                scope, message = None, _OBS_GROWTH
+            elif in_package(module, *_HANDLER_PACKAGES):
+                scope, message = reachable, _HANDLER_GROWTH
+            else:
                 continue
             for cls in classes_of(module):
-                yield from self._check_class(module, cls)
+                yield from self._check_class(
+                    module, graph, cls, scope, message)
 
-    def _check_class(self, module: Module,
-                     cls: ast.ClassDef) -> Iterator[Finding]:
-        containers = collection_attributes(cls) - _maxlen_attributes(cls)
+    def _check_class(self, module: Module, graph: CallGraph,
+                     cls: ast.ClassDef, scope: set[str] | None,
+                     message: str) -> Iterator[Finding]:
+        """Flag growth of *cls*'s containers inside *scope* (``None``:
+        every method)."""
+        containers = collection_attributes(cls)
         if not containers:
             return
         bounded: dict[str, bool] = {}
         for node in ast.walk(cls):
-            attr = self._grown_attribute(node)
-            if attr is None or attr not in containers:
+            attr = _grown_attribute(node)
+            if attr not in containers:
+                continue
+            if (scope is not None
+                    and graph.enclosing_function(module, node) not in scope):
                 continue
             if attr not in bounded:
                 bounded[attr] = has_bound_evidence(cls, attr)
             if not bounded[attr]:
                 yield self.finding(
-                    module, node,
-                    f"self.{attr} grows without a visible bound in "
-                    f"observability class {cls.name}; ring it "
-                    "(deque(maxlen=...)), prune it, or justify the "
-                    "capture-scoped contract",
-                )
-
-    @staticmethod
-    def _grown_attribute(node: ast.AST) -> str | None:
-        """The attr name in ``self.<attr>.append/extend(...)``, or None."""
-        if not isinstance(node, ast.Call):
-            return None
-        func = node.func
-        if (
-            isinstance(func, ast.Attribute)
-            and func.attr in _GROW_METHODS
-            and isinstance(func.value, ast.Attribute)
-            and isinstance(func.value.value, ast.Name)
-            and func.value.value.id == "self"
-        ):
-            return func.value.attr
-        return None
+                    module, node, message.format(attr=attr, cls=cls.name))
 
 
 def observability_rules() -> list[Rule]:
-    """The observability rule set (GPB009, GPB016)."""
-    return [EventVocabularyRule(), UnboundedObsGrowthRule()]
+    """The vocabulary and bounded-growth rule set (GPB009, GPB015)."""
+    return [EventVocabularyRule(), UnboundedGrowthRule()]

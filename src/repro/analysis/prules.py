@@ -1,9 +1,10 @@
-"""Protocol-safety rules (GPB005-GPB008).
+"""Protocol-safety rules (GPB005-GPB008, GPB012).
 
 These rules encode the BFT-specific review checklist: quorum arithmetic
 lives in one audited helper, every codec-registered wire message has a
 runtime handler, protocol hot paths never swallow exceptions broadly,
-and no signature shares mutable default state between calls.
+no signature shares mutable default state between calls, and wire
+decoders bounds-check before they index.
 """
 
 from __future__ import annotations
@@ -12,6 +13,7 @@ import ast
 import struct
 from typing import Iterable, Iterator
 
+from repro.analysis.callgraph import CallEdge, CallGraph
 from repro.analysis.findings import Finding
 from repro.analysis.rules import (
     Module,
@@ -34,49 +36,128 @@ def _is_const(node: ast.AST, value: int) -> bool:
     return isinstance(node, ast.Constant) and node.value == value
 
 
-class InlineQuorumArithmeticRule(Rule):
-    """Quorum thresholds must come from ``repro.common.quorum``.
+def _quorum_operand(node: ast.BinOp) -> ast.expr | None:
+    """The ``x`` of a ``k*x + 1`` shape (k in {2, 3}), in any operand order."""
+    if not isinstance(node.op, ast.Add):
+        return None
+    for mult, one in ((node.left, node.right), (node.right, node.left)):
+        if not (_is_const(one, 1) and isinstance(mult, ast.BinOp)
+                and isinstance(mult.op, ast.Mult)):
+            continue
+        for coeff, var in ((mult.left, mult.right), (mult.right, mult.left)):
+            if _is_const(coeff, 2) or _is_const(coeff, 3):
+                return var
+    return None
 
-    Inline ``2*f + 1`` (or ``3*f + 1``) expressions scattered across
-    replicas, logs, and view-change code are where quorum off-by-ones
-    hide -- the exact bug class the runtime quorum-certificate monitor
-    exists to catch after the fact.  Compute thresholds with
+
+def _is_max_faulty_shape(node: ast.BinOp) -> bool:
+    """Match ``(<non-constant> - 1) // 3``."""
+    return (isinstance(node.op, ast.FloorDiv)
+            and _is_const(node.right, 3)
+            and isinstance(node.left, ast.BinOp)
+            and isinstance(node.left.op, ast.Sub)
+            and _is_const(node.left.right, 1)
+            and not isinstance(node.left.left, ast.Constant))
+
+
+class InlineQuorumArithmeticRule(Rule):
+    """Quorum thresholds and fault bounds must come from
+    ``repro.common.quorum`` -- even across call boundaries.
+
+    Inline quorum arithmetic scattered across replicas, logs, and
+    view-change code is where quorum off-by-ones hide -- the exact bug
+    class the runtime quorum-certificate monitor exists to catch after
+    the fact.  Compute thresholds with
     :func:`repro.common.quorum.quorum_size` /
     :func:`repro.common.quorum.max_faulty` /
     :func:`repro.common.quorum.weak_certificate_size` instead, so the
-    arithmetic exists exactly once.  The helper module itself
-    (``quorum.py``) is exempt.
+    arithmetic exists exactly once.  Three arms, all exempting the
+    helper module itself (``quorum.py``):
+
+    * **inline quorum arithmetic**: ``2*f + 1`` / ``3*f + 1`` on a
+      fault bound named ``f`` (or ``<obj>.f``).
+    * **inline max-faulty arithmetic**: any non-constant
+      ``(n - 1) // 3`` expression re-derives the fault bound by hand;
+      use :func:`repro.common.quorum.max_faulty` (raises for ``n < 4``)
+      or :func:`repro.common.quorum.tolerated_faults` (degenerate
+      committees allowed).
+    * **parameter flow**: a function computing ``2*p + 1`` /
+      ``3*p + 1`` on one of its *parameters* hides the fault bound
+      behind another name, but if any resolved call site passes an
+      f-bound into that parameter, the arithmetic is quorum math in
+      disguise; the call graph supplies the caller so the finding can
+      name the flow.
     """
 
     rule_id = "GPB005"
-    title = "no inline 2f+1 quorum arithmetic outside repro.common.quorum"
+    title = "no inline quorum or fault-bound arithmetic outside repro.common.quorum"
 
-    def check_module(self, module: Module) -> Iterable[Finding]:
-        """Flag ``2*f + 1`` / ``3*f + 1`` shaped expressions."""
-        if module.rel.endswith("/quorum.py") or module.rel == "quorum.py":
+    def check_project(self, project: Project) -> Iterable[Finding]:
+        """Flag quorum and max-faulty shapes, inline or via a parameter."""
+        graph = project.callgraph()
+        for rel in sorted(project.modules):
+            if rel.endswith("/quorum.py") or rel == "quorum.py":
+                continue
+            module = project.modules[rel]
+            for node in ast.walk(module.tree):
+                if not isinstance(node, ast.BinOp):
+                    continue
+                if _is_max_faulty_shape(node):
+                    yield self.finding(
+                        module, node,
+                        "inline fault-bound arithmetic ((n - 1) // 3); use "
+                        "repro.common.quorum.max_faulty() or "
+                        "tolerated_faults()",
+                    )
+                    continue
+                operand = _quorum_operand(node)
+                if operand is None:
+                    continue
+                if _is_f_like(operand):
+                    yield self.finding(
+                        module, node,
+                        "inline quorum arithmetic; use "
+                        "repro.common.quorum.quorum_size()/max_faulty()",
+                    )
+                elif isinstance(operand, ast.Name):
+                    yield from self._check_param_flow(
+                        module, graph, node, operand.id)
+
+    def _check_param_flow(self, module: Module, graph: CallGraph,
+                          node: ast.BinOp, param: str) -> Iterator[Finding]:
+        qual = graph.enclosing_function(module, node)
+        if qual is None:
             return
-        for node in ast.walk(module.tree):
-            if isinstance(node, ast.BinOp) and self._is_quorum_shape(node):
+        info = graph.functions[qual]
+        if param not in info.params:
+            return
+        index = info.params.index(param)
+        for edge in graph.callers.get(qual, ()):
+            arg = self._argument_for(edge, info.cls is not None, index, param)
+            if arg is not None and _is_f_like(arg):
                 yield self.finding(
                     module, node,
-                    "inline quorum arithmetic; use "
-                    "repro.common.quorum.quorum_size()/max_faulty()",
+                    f"inline quorum arithmetic on parameter '{param}', "
+                    f"which receives the fault bound from "
+                    f"{edge.caller.rsplit('::', 1)[-1]}() "
+                    f"({edge.caller.split('::')[0]}:{edge.lineno}); use "
+                    "repro.common.quorum.quorum_size()",
                 )
+                return
 
     @staticmethod
-    def _is_quorum_shape(node: ast.BinOp) -> bool:
-        """Match ``k*f + 1`` for k in {2, 3}, in any operand order."""
-        if not isinstance(node.op, ast.Add):
-            return False
-        for mult, one in ((node.left, node.right), (node.right, node.left)):
-            if not _is_const(one, 1):
-                continue
-            if not (isinstance(mult, ast.BinOp) and isinstance(mult.op, ast.Mult)):
-                continue
-            for coeff, var in ((mult.left, mult.right), (mult.right, mult.left)):
-                if (_is_const(coeff, 2) or _is_const(coeff, 3)) and _is_f_like(var):
-                    return True
-        return False
+    def _argument_for(edge: CallEdge, is_method: bool, index: int,
+                      name: str) -> ast.AST | None:
+        """The caller expression bound to parameter *index* / *name*."""
+        for keyword in edge.call.keywords:
+            if keyword.arg == name:
+                return keyword.value
+        offset = 1 if is_method and isinstance(edge.call.func,
+                                               ast.Attribute) else 0
+        position = index - offset
+        if 0 <= position < len(edge.call.args):
+            return edge.call.args[position]
+        return None
 
 
 class CodecHandlerCoverageRule(Rule):
@@ -305,9 +386,71 @@ class MutableDefaultRule(Rule):
         return False
 
 
+class DecodeBoundsRule(Rule):
+    """Wire decoders must bounds-check before indexing into the buffer.
+
+    Python slices do not raise on overrun: ``data[start:start + 4]`` on
+    a truncated frame silently yields fewer bytes, and
+    ``int.from_bytes`` happily mis-parses the remainder into a plausible
+    length -- the classic silent-misparse path the codec must never
+    reintroduce.  In any function whose name starts with ``decode``,
+    subscripting a parameter is flagged unless an earlier (or same-line)
+    comparison involving ``len(<param>)`` guards the access.  The
+    length-checked :class:`repro.codec.primitives.Record` (``unpack``
+    for a whole frame, ``unpack_head`` for a record followed by more)
+    is the preferred fix: it raises ``ValidationError`` with the exact
+    shortfall instead of mis-parsing.
+    """
+
+    rule_id = "GPB012"
+    title = "no unchecked buffer indexing in wire decoders"
+
+    def check_module(self, module: Module) -> Iterable[Finding]:
+        """Flag param subscripts in decode* functions before a len check."""
+        for func in ast.walk(module.tree):
+            if not isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            if not func.name.startswith("decode"):
+                continue
+            params = {a.arg for a in (*func.args.posonlyargs, *func.args.args,
+                                      *func.args.kwonlyargs)}
+            checks = self._len_check_lines(func, params)
+            for node in ast.walk(func):
+                if (isinstance(node, ast.Subscript)
+                        and isinstance(node.value, ast.Name)
+                        and node.value.id in params):
+                    param = node.value.id
+                    guarded = any(line <= node.lineno
+                                  for line in checks.get(param, ()))
+                    if not guarded:
+                        yield self.finding(
+                            module, node,
+                            f"'{param}' is indexed before any len({param}) "
+                            "bounds check; a truncated frame mis-parses "
+                            "silently -- unpack it with a length-checked "
+                            "Record (e.g. Record.unpack_head) or check first",
+                        )
+
+    @staticmethod
+    def _len_check_lines(func: ast.AST, params: set[str]) -> dict[str, list[int]]:
+        """param -> line numbers of comparisons involving ``len(param)``."""
+        checks: dict[str, list[int]] = {}
+        for node in ast.walk(func):
+            if not isinstance(node, ast.Compare):
+                continue
+            for operand in (node.left, *node.comparators):
+                for sub in ast.walk(operand):
+                    if (isinstance(sub, ast.Call) and call_name(sub) == "len"
+                            and sub.args and isinstance(sub.args[0], ast.Name)
+                            and sub.args[0].id in params):
+                        checks.setdefault(sub.args[0].id, []).append(node.lineno)
+        return checks
+
+
 def protocol_rules() -> Iterator[Rule]:
     """Instantiate the P-rule set in id order."""
     yield InlineQuorumArithmeticRule()
     yield CodecHandlerCoverageRule()
     yield BroadExceptRule()
     yield MutableDefaultRule()
+    yield DecodeBoundsRule()

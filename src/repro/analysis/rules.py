@@ -12,14 +12,17 @@ Two hook points exist:
 * :meth:`Rule.check_module` runs once per analyzed file and covers
   single-file properties (wall-clock calls, float equality, ...);
 * :meth:`Rule.check_project` runs once per analysis with access to
-  every parsed module and covers cross-file properties (the codec
-  registry / handler coverage rule).
+  every parsed module and the call graph, and covers cross-file
+  properties (the codec registry, the interprocedural arms).
 
-New rules register themselves by appearing in ``ALL_RULES`` (populated
-by :mod:`repro.analysis.drules` and :mod:`repro.analysis.prules`); the
-fixture self-test (``tests/test_analysis_rules.py``) requires one
-planted violation per registered rule, so adding a rule without fixture
-coverage fails the suite.
+A rule is one bug class; each way of writing that bug is an *arm* of
+the rule with its own finding message.  Rules are registered by
+:func:`repro.analysis.analyzer.all_rules` from
+:mod:`repro.analysis.drules`, :mod:`repro.analysis.prules` and
+:mod:`repro.analysis.orules`; the fixture self-test
+(``tests/test_analysis_rules.py``) requires at least one planted
+violation per rule and findings on the fixture tree that are exactly
+the plants; each arm keeps a plant of its own.
 """
 
 from __future__ import annotations

@@ -242,8 +242,8 @@ class GPBFTDeployment:
             node.ledger.append(block)
             total += block.size_bytes
         if total > 0:
-            self.network.stats.on_send(from_node, "chain.sync", total)  # gpb: allow GPB013 -- traffic-stats category, not an event/wire kind; chain-sync bytes are accounted, never encoded or dispatched
-            self.network.stats.on_deliver(node.node_id, "chain.sync", total)  # gpb: allow GPB013 -- traffic-stats category, not an event/wire kind
+            self.network.stats.on_send(from_node, "chain.sync", total)  # gpb: allow GPB009 -- traffic-stats category, not an event/wire kind; chain-sync bytes are accounted, never encoded or dispatched
+            self.network.stats.on_deliver(node.node_id, "chain.sync", total)  # gpb: allow GPB009 -- traffic-stats category, not an event/wire kind
 
     # ------------------------------------------------------------------
     # attacker injection

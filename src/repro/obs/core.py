@@ -153,7 +153,7 @@ class Observability:
         if network is not None:
             self.registry.counter("net.messages_sent")
             self.registry.counter("net.bytes_sent")
-            self._watched.append(network.stats)  # gpb: allow GPB016 -- one entry per bound network, never per message
+            self._watched.append(network.stats)  # gpb: allow GPB015 -- one entry per bound network, never per message
             if self.timeseries is not None:
                 self.timeseries.watch(self.zone, network.stats)
         if self.timeseries is not None or self._hb is not None:

@@ -240,7 +240,7 @@ class Timeseries:
         before the first event of the new window runs, so the
         difference is exactly what was sent inside the window.
         """
-        self._watched.append(_Watch(zone, stats))  # gpb: allow GPB016 -- one entry per watched network, never per message
+        self._watched.append(_Watch(zone, stats))  # gpb: allow GPB015 -- one entry per watched network, never per message
 
     def _pull_traffic(self) -> None:
         """Credit the open window with the traffic since the last close."""

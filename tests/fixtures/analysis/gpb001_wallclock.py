@@ -1,4 +1,4 @@
-"""Planted violation: GPB001 (wall-clock call) at exactly one site."""
+"""Planted violation: GPB001's wall-clock arm at exactly one site."""
 
 import time
 

@@ -1,9 +1,10 @@
-"""Planted violation: GPB006 (codec registry without a live handler).
+"""Planted violations: GPB006 (codec registry entries that cannot work).
 
-The registry below names a handler that does not exist in
-``gpb006_handlers.py`` -- the analyzer must flag exactly that entry.
-The codec half (encoder/decoder) resolves fine and the layout is a valid
-``struct`` format, so that is the only finding.
+The first entry names a handler that does not exist in
+``gpb006_handlers.py`` (its codec half resolves fine and its layout is
+a valid ``struct`` format); the second is a pure data layout whose
+``layout`` is not a ``struct`` format.  Each entry carries exactly one
+finding, anchored at its key.
 """
 
 WIRE_MESSAGES = {
@@ -14,5 +15,13 @@ WIRE_MESSAGES = {
         "codec_module": "fixtures/analysis/gpb006_handlers.py",
         "handler_module": "fixtures/analysis/gpb006_handlers.py",
         "handler": "on_ping",
+    },
+    "test.blob": {  # PLANT: GPB006 -- layout "I3" is not a struct format
+        "layout": "I3",
+        "encoder": "",
+        "decoder": "",
+        "codec_module": "",
+        "handler_module": "",
+        "handler": "",
     },
 }

@@ -1,4 +1,5 @@
-"""GPB015 fixture: unbounded collection growth inside a handler chain.
+"""GPB015 fixture, handler-chain scope: unbounded collection growth
+inside a handler chain.
 
 ``Handler.on_ping`` is a handler entry; the evidence list it grows
 through ``EvidenceLog.note`` has no prune, cap, or capacity guard
