@@ -15,7 +15,7 @@ import pytest
 from repro.common.config import TopologySpec
 from repro.experiments.engine import PointSpec, run_point
 from repro.experiments.profiles import active_profile
-from repro.experiments.runner import last_event_count
+from repro.experiments.scenario import last_event_count
 from repro.workloads.profiles import (
     GATEWAY_CLASS, INFRA_CLASS, SENSOR_CLASS, FleetMix)
 

@@ -12,20 +12,14 @@ runs an identical transaction workload at two network sizes and reports:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from repro.baselines.dbft import DBFTConfig, DBFTNetwork
 from repro.baselines.pos import PoSConfig, PoSNetwork
 from repro.baselines.pow import PoWConfig, PoWNetwork
-from repro.common.config import (
-    CommitteeConfig,
-    EraConfig,
-    GPBFTConfig,
-    TopologySpec,
-)
-from repro.core.messages import TxOperation
+from repro.common.eventlog import EV_REQUEST_COMPLETED
+from repro.experiments import scenario
 from repro.metrics.collector import render_table
-from repro.pbft.messages import RawOperation
 
 
 @dataclass(frozen=True, slots=True)
@@ -64,42 +58,23 @@ def _mean(values) -> float:
     return sum(values) / len(values) if values else float("nan")
 
 
-def _measure_pbft(n: int, seed: int) -> tuple[float, float]:
-    config = GPBFTConfig().replace(
-        committee=CommitteeConfig(min_endorsers=4, max_endorsers=max(4, n))
-    )
-    cluster = TopologySpec.cluster(
-        n_replicas=n, n_clients=1, config=config).build()
-    before = cluster.network.stats.bytes_sent
-    for k in range(_N_TXS):
-        cluster.sim.schedule_at(
-            1.0 + k * _TX_SPACING_S, cluster.any_client.submit,
-            RawOperation(f"cmp-{seed}-{k}", size_bytes=200),
-        )
-    cluster.run(until=_HORIZON_S)
-    # sorted: float aggregation must not depend on dict completion order
-    latencies = sorted(cluster.any_client.completed.values())
-    kb = (cluster.network.stats.bytes_sent - before) / 1024.0
-    return _mean(latencies), kb / max(1, len(latencies))
+def _measure(protocol: str, n: int, seed: int) -> tuple[float, float]:
+    """PBFT over all *n* replicas, or G-PBFT with a committee of 8.
 
-
-def _measure_gpbft(n: int, seed: int, cap: int = 8) -> tuple[float, float]:
-    base = GPBFTConfig()
-    config = base.replace(
-        committee=CommitteeConfig(min_endorsers=4, max_endorsers=cap),
-        era=EraConfig(period_s=1e12),
-    )
-    dep = TopologySpec.single(n, min(n, cap), config=config,
-                              seed=seed, start_reports=False).build()
-    before = dep.network.stats.bytes_sent
-    submitter = dep.nodes[max(dep.nodes)]
+    The last member -- PBFT's one client, a G-PBFT device -- submits
+    every transaction.
+    """
+    host = scenario.topology(protocol, n,
+                             scenario.experiment_config(seed, 8)).build()
+    before = host.network.stats.bytes_sent
+    tag = f"cmp-{seed}" if protocol == "pbft" else "cmp"
     for k in range(_N_TXS):
-        tx = submitter.next_transaction(key=f"cmp{k}", value=str(k))
-        dep.sim.schedule_at(1.0 + k * _TX_SPACING_S,
-                            submitter.client.submit, TxOperation(tx))
-    dep.run(until=_HORIZON_S)
-    latencies = sorted(submitter.client.completed.values())
-    kb = (dep.network.stats.bytes_sent - before) / 1024.0
+        scenario.submit(host, protocol, tag, k, -1, 1.0 + k * _TX_SPACING_S)
+    scenario.run(host.sim, _HORIZON_S)
+    # sorted: float aggregation must not depend on completion order
+    latencies = sorted(e.data["latency"]
+                       for e in host.events.of_kind(EV_REQUEST_COMPLETED))
+    kb = (host.network.stats.bytes_sent - before) / 1024.0
     return _mean(latencies), kb / max(1, len(latencies))
 
 
@@ -147,12 +122,12 @@ def measured_table4(n_small: int = 8, n_large: int = 32, seed: int = 0) -> tuple
     """
     rows: list[MechanismRow] = []
 
-    lat_s, _ = _measure_pbft(n_small, seed)
-    lat_l, kb = _measure_pbft(n_large, seed)
+    lat_s, _ = _measure("pbft", n_small, seed)
+    lat_l, kb = _measure("pbft", n_large, seed)
     rows.append(MechanismRow("PBFT", lat_s, lat_l, kb, 0.0, "<33.3% faulty replicas"))
 
-    lat_s, _ = _measure_gpbft(n_small, seed)
-    lat_l, kb = _measure_gpbft(n_large, seed)
+    lat_s, _ = _measure("gpbft", n_small, seed)
+    lat_l, kb = _measure("gpbft", n_large, seed)
     rows.append(MechanismRow("G-PBFT", lat_s, lat_l, kb, 0.0, "<33.3% endorsers"))
 
     lat_s, _ = _measure_dbft(n_small, seed)

@@ -114,6 +114,22 @@ def _positive_int(raw: str) -> int:
     return value
 
 
+def _positive_float(raw: str) -> float:
+    """argparse type for a duration: a float > 0."""
+    value = float(raw)
+    if not value > 0:
+        raise argparse.ArgumentTypeError("must be > 0")
+    return value
+
+
+def _fraction(raw: str) -> float:
+    """argparse type for ``--sample-rate``: a float in [0, 1]."""
+    value = float(raw)
+    if not 0.0 <= value <= 1.0:
+        raise argparse.ArgumentTypeError("must be in [0, 1]")
+    return value
+
+
 def _cache_dir(raw: str) -> Path:
     """argparse type for ``--cache-dir``: a non-empty path."""
     if not raw:
@@ -195,7 +211,7 @@ def _agg_main(argv: list[str]) -> int:
     parser.add_argument("--zones", type=_positive_int, default=8)
     parser.add_argument("--replicas-per-zone", type=_positive_int, default=4)
     parser.add_argument("--pool-size", type=_positive_int, default=4)
-    parser.add_argument("--duration", type=float, default=3_600.0,
+    parser.add_argument("--duration", type=_positive_float, default=3_600.0,
                         help="simulated seconds of offered load")
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--profile", choices=("diurnal", "poisson", "flash"),
@@ -203,17 +219,17 @@ def _agg_main(argv: list[str]) -> int:
     parser.add_argument("--drain-slack", type=float, default=7_200.0)
     parser.add_argument("--timeseries", action="store_true",
                         help="aggregate window frames even without --frames")
-    parser.add_argument("--window", type=float, default=60.0,
+    parser.add_argument("--window", type=_positive_float, default=60.0,
                         help="simulated seconds per time-series window")
     parser.add_argument("--frames", default=None,
                         help="stream window frames (JSONL) here")
-    parser.add_argument("--sample-rate", type=float, default=None,
+    parser.add_argument("--sample-rate", type=_fraction, default=None,
                         help="fraction of request ids traced end-to-end")
     parser.add_argument("--flight-recorder", action="store_true",
                         help="keep bounded event rings and dump on trouble")
     parser.add_argument("--dump-dir", default=None,
                         help="directory for flight-recorder dump bundles")
-    parser.add_argument("--heartbeat", type=float, default=None,
+    parser.add_argument("--heartbeat", type=_positive_float, default=None,
                         help="wall seconds between live progress lines")
     args = parser.parse_args(argv)
 

@@ -36,7 +36,7 @@ DEFAULT_CACHE_DIR = Path("results") / "cache"
 POINT_KINDS = ("latency", "traffic", "tps", "era-churn", "verify", "pack",
                "agg")
 
-#: Protocols understood by :func:`run_point` (era-churn is G-PBFT only).
+#: Protocols understood by :func:`run_point`.
 PROTOCOLS = ("pbft", "gpbft")
 
 
@@ -114,57 +114,39 @@ class PointSpec:
 def run_point(spec: PointSpec) -> float | list[float] | dict:
     """Run one experiment point; the single dispatch behind every sweep.
 
-    Replaces the four historical per-protocol entry points (removed
-    after one release as deprecated wrappers) plus the extension
-    TPS/era-churn measurements.
+    Each kind has one body; latency, traffic and tps take the protocol,
+    verify reads it from its schedule, and the rest are G-PBFT only.
 
     Returns:
         A list of per-transaction samples for latency points, a single
         float for traffic (KB), tps (tx/s) and era-churn (s) points,
-        and a result dict for verify (monitored schedule) and agg
-        (aggregated city-scale day) points.
+        and a result dict for verify (monitored schedule), pack
+        (scenario outcome) and agg (aggregated city-scale day) points.
 
     Raises:
-        ConfigurationError: when the (protocol, kind) pair is unknown.
+        ConfigurationError: when no body serves the (protocol, kind) pair.
     """
     # imported lazily: runner/extensions/verify import this module for Engine
     from repro.experiments import extensions, runner
     from repro.verify import explorer as verify_explorer
     from repro.workloads import packs as workload_packs
 
-    n, kwargs = int(spec.x), spec.kwargs()
-    dispatch = {
-        ("pbft", "latency"): lambda: runner._pbft_latency_point(
-            n, spec.seed, **kwargs),
-        ("gpbft", "latency"): lambda: runner._gpbft_latency_point(
-            n, spec.seed, **kwargs),
-        ("pbft", "traffic"): lambda: runner._pbft_traffic_point(
-            n, spec.seed, **kwargs),
-        ("gpbft", "traffic"): lambda: runner._gpbft_traffic_point(
-            n, spec.seed, **kwargs),
-        ("pbft", "tps"): lambda: extensions._pbft_tps(
-            n, spec.seed, **kwargs),
-        ("gpbft", "tps"): lambda: extensions._gpbft_tps(
-            n, spec.seed, **kwargs),
-        ("gpbft", "era-churn"): lambda: extensions._era_churn_point(
-            spec.x, seed=spec.seed, **kwargs),
-        ("pbft", "verify"): lambda: verify_explorer._verify_point(
-            n, spec.seed, **kwargs),
-        ("gpbft", "verify"): lambda: verify_explorer._verify_point(
-            n, spec.seed, **kwargs),
-        ("gpbft", "pack"): lambda: workload_packs._pack_point(
-            n, spec.seed, **kwargs),
-        ("gpbft", "agg"): lambda: runner._gpbft_agg_point(
-            n, spec.seed, **kwargs),
-    }
-    try:
-        impl = dispatch[(spec.protocol, spec.kind)]
-    except KeyError:
+    protocol, n, seed, kwargs = spec.protocol, int(spec.x), spec.seed, spec.kwargs()
+    if protocol != "gpbft" and spec.kind in ("era-churn", "pack", "agg"):
         raise ConfigurationError(
-            f"no point implementation for protocol={spec.protocol!r} "
-            f"kind={spec.kind!r}"
-        ) from None
-    return impl()
+            f"no point implementation for protocol={protocol!r} "
+            f"kind={spec.kind!r}")
+    dispatch = {
+        "latency": lambda: runner._latency_point(protocol, n, seed, **kwargs),
+        "traffic": lambda: runner._traffic_point(protocol, n, seed, **kwargs),
+        "tps": lambda: extensions._tps_point(protocol, n, seed, **kwargs),
+        "era-churn": lambda: extensions._era_churn_point(
+            spec.x, seed=seed, **kwargs),
+        "verify": lambda: verify_explorer._verify_point(n, seed, **kwargs),
+        "pack": lambda: workload_packs._pack_point(n, seed, **kwargs),
+        "agg": lambda: runner._gpbft_agg_point(n, seed, **kwargs),
+    }
+    return dispatch[spec.kind]()
 
 
 def _execute_point(spec: PointSpec) -> tuple[float | list[float] | dict, float, int]:
@@ -172,12 +154,12 @@ def _execute_point(spec: PointSpec) -> tuple[float | list[float] | dict, float, 
 
     Top-level so it pickles into :class:`ProcessPoolExecutor` workers.
     """
-    from repro.experiments import runner
+    from repro.experiments import scenario
 
     started = time.perf_counter()
     value = run_point(spec)
     wall_s = time.perf_counter() - started
-    return value, wall_s, runner.last_event_count()
+    return value, wall_s, scenario.last_event_count()
 
 
 @dataclass(frozen=True, slots=True)

@@ -12,66 +12,36 @@ rendered report, like the figure harness.
 
 from __future__ import annotations
 
-from dataclasses import replace
-
-from repro.common.config import (
-    CommitteeConfig, EraConfig, GPBFTConfig, TopologySpec)
 from repro.common.eventlog import EV_REQUEST_COMPLETED
 from repro.common.rng import DeterministicRNG
-from repro.core.messages import TxOperation
+from repro.experiments import scenario
 from repro.experiments.engine import Engine, PointSpec
 from repro.experiments.figures import FigureResult
-from repro.experiments.runner import TX_OP_BYTES, _note_events
+from repro.experiments.runner import _cap_param
 from repro.metrics.collector import SweepResult, render_series
 from repro.metrics.throughput import throughput_from_events
-from repro.pbft.messages import RawOperation
 
 
-def _saturating_config(seed: int, max_endorsers: int) -> GPBFTConfig:
-    base = GPBFTConfig()
-    return base.replace(
-        network=replace(base.network, seed=seed),
-        committee=CommitteeConfig(min_endorsers=4, max_endorsers=max_endorsers),
-        era=EraConfig(period_s=1e12, switch_duration_s=0.25),
-    )
+def _tps_point(protocol: str, n: int, seed: int, offered_interval_s: float,
+               horizon_s: float, max_endorsers: int = 40) -> float:
+    """Committed tx/s after the first 20 % of *horizon_s*.
 
-
-def _pbft_tps(n: int, seed: int, offered_interval_s: float, horizon_s: float) -> float:
-    config = _saturating_config(seed, max_endorsers=max(n, 4))
-    cluster = TopologySpec.cluster(n_replicas=n, n_clients=4,
-                                   config=config).build()
-    client_ids = sorted(cluster.clients)
-    t, k = 1.0, 0
-    while t < horizon_s:
-        client = cluster.clients[client_ids[k % len(client_ids)]]
-        op = RawOperation(op_id=f"tps-{seed}-{k}", size_bytes=TX_OP_BYTES)
-        cluster.sim.schedule_at(t, client.submit, op)
-        t += offered_interval_s
-        k += 1
-    cluster.sim.run(until=horizon_s)
-    _note_events(cluster.sim)
-    sample = throughput_from_events(cluster.events, start=horizon_s * 0.2,
-                                    end=horizon_s)
-    return sample.tps
-
-
-def _gpbft_tps(n: int, seed: int, offered_interval_s: float, horizon_s: float,
-               max_endorsers: int) -> float:
-    config = _saturating_config(seed, max_endorsers=max_endorsers)
-    dep = TopologySpec.single(n, min(n, max_endorsers), config=config,
-                              seed=seed, start_reports=False).build()
-    node_ids = sorted(dep.nodes)
+    One request every *offered_interval_s* from ``t = 1``: PBFT's four
+    clients take turns, G-PBFT picks a random node each time.
+    """
+    host = scenario.topology(protocol, n,
+                             scenario.experiment_config(seed, max_endorsers),
+                             clients=4).build()
+    tag = f"tps-{seed}" if protocol == "pbft" else "tps"
     rng = DeterministicRNG(seed, "tps")
     t, k = 1.0, 0
     while t < horizon_s:
-        node = dep.nodes[node_ids[rng.integers(0, len(node_ids))]]
-        tx = node.next_transaction(key=f"tps{k}", value=str(k))
-        dep.sim.schedule_at(t, node.client.submit, TxOperation(tx))
+        m = k if protocol == "pbft" else rng.integers(0, n)
+        scenario.submit(host, protocol, tag, k, m, t)
         t += offered_interval_s
         k += 1
-    dep.sim.run(until=horizon_s)
-    _note_events(dep.sim)
-    sample = throughput_from_events(dep.events, start=horizon_s * 0.2,
+    scenario.run(host.sim, horizon_s)
+    sample = throughput_from_events(host.events, start=horizon_s * 0.2,
                                     end=horizon_s)
     return sample.tps
 
@@ -92,18 +62,13 @@ def throughput_experiment(
     """
     eng = engine if engine is not None else Engine(jobs=1, use_cache=False)
     node_counts = list(node_counts)
-    specs = [
-        PointSpec.make("pbft", "tps", n, seed,
+    values = eng.map([
+        PointSpec.make(protocol, "tps", n, seed,
                        offered_interval_s=offered_interval_s,
-                       horizon_s=horizon_s)
-        for n in node_counts
-    ] + [
-        PointSpec.make("gpbft", "tps", n, seed,
-                       offered_interval_s=offered_interval_s,
-                       horizon_s=horizon_s, max_endorsers=max_endorsers)
-        for n in node_counts
-    ]
-    values = eng.map(specs)
+                       horizon_s=horizon_s,
+                       **_cap_param(protocol, max_endorsers))
+        for protocol in ("pbft", "gpbft") for n in node_counts
+    ])
     pbft = SweepResult("PBFT", "number of nodes", "committed tx/s")
     gpbft = SweepResult("G-PBFT", "number of nodes", "committed tx/s")
     for i, n in enumerate(node_counts):
@@ -121,27 +86,23 @@ def throughput_experiment(
 def _era_churn_point(interval: float, horizon_s: float,
                      offered_interval_s: float, seed: int) -> float:
     """Mean commit latency with era switches forced every *interval* s."""
-    config = _saturating_config(seed, max_endorsers=8)
-    dep = TopologySpec.single(10, 8, config=config, seed=seed,
-                              start_reports=False).build()
+    host = scenario.topology("gpbft", 10,
+                             scenario.experiment_config(seed, 8)).build()
 
-    def reschedule(d=dep, period=interval):
+    def reschedule(d=host, period=interval):
         d.force_era_switch()
         d.sim.schedule(period, reschedule)
 
-    dep.sim.schedule(interval, reschedule)
+    host.sim.schedule(interval, reschedule)
     t, k = 1.0, 0
     while t < horizon_s:
-        node = dep.nodes[8 + (k % 2)]
-        tx = node.next_transaction(key=f"churn{k}", value=str(k))
-        dep.sim.schedule_at(t, node.client.submit, TxOperation(tx))
+        scenario.submit(host, "gpbft", "churn", k, 8 + k % 2, t)
         t += offered_interval_s
         k += 1
-    dep.sim.run(until=horizon_s + 120.0)
-    _note_events(dep.sim)
+    scenario.run(host.sim, horizon_s + 120.0)
     latencies = [
         e.data["latency"]
-        for e in dep.events.of_kind(EV_REQUEST_COMPLETED)
+        for e in host.events.of_kind(EV_REQUEST_COMPLETED)
         if "era-switch" not in e.data["request_id"]
     ]
     if not latencies:

@@ -15,13 +15,8 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
 
-from repro.common.config import TopologySpec
 from repro.common.errors import ConfigurationError
-
-if TYPE_CHECKING:
-    from repro.common.config import GPBFTConfig
 
 
 @dataclass(frozen=True, slots=True)
@@ -73,27 +68,6 @@ class ExperimentProfile:
         if protocol == "gpbft":
             kwargs["max_endorsers"] = self.max_endorsers
         return kwargs
-
-    def topology(self, protocol: str, n: int, *,
-                 config: "GPBFTConfig | None" = None,
-                 seed: int = 0) -> TopologySpec:
-        """The :class:`TopologySpec` for one sweep point of this profile.
-
-        PBFT points map to a flat replica cluster; G-PBFT points map to
-        the paper's single-committee deployment with the committee
-        capped at :attr:`max_endorsers`.
-
-        Raises:
-            ConfigurationError: on an unknown protocol name.
-        """
-        if protocol == "pbft":
-            return TopologySpec.cluster(n_replicas=n, n_clients=1,
-                                        config=config)
-        if protocol == "gpbft":
-            return TopologySpec.single(n, min(n, self.max_endorsers),
-                                       config=config, seed=seed,
-                                       start_reports=False)
-        raise ConfigurationError(f"unknown protocol {protocol!r}")
 
 
 #: Laptop-scale profile: same saturation shape, two orders less work.

@@ -1,4 +1,8 @@
-"""Point measurements and sweeps behind every figure and table.
+"""Point bodies and sweeps behind every figure and table.
+
+Each point kind has one body that takes the protocol and builds,
+submits and runs through :mod:`repro.experiments.scenario`; only what
+the measurement itself needs differs.
 
 Latency points reproduce section V-B's setup: transactions arrive at a
 constant aggregate rate (n nodes each proposing every R seconds gives
@@ -7,23 +11,21 @@ discarded, and the next ``measured`` commit latencies are the sample.
 
 Traffic points reproduce section V-C's setup: exactly one transaction is
 proposed and the byte counters are diffed around its consensus.
+
+Agg points run a whole city-scale day on zoned committees that share
+one simulator, so they keep their own build and drain loop.
 """
 
 from __future__ import annotations
 
 from dataclasses import replace
 
-from repro.common.config import (
-    CommitteeConfig,
-    EraConfig,
-    GPBFTConfig,
-    TopologySpec,
-)
+from repro.common.config import TopologySpec
 from repro.common.errors import ConfigurationError, ConsensusError
 from repro.common.eventlog import EV_PBFT_EXECUTED, EV_REQUEST_COMPLETED
 from repro.common.quorum import tolerated_faults
 from repro.common.rng import DeterministicRNG
-from repro.core.messages import TxOperation
+from repro.experiments import scenario
 from repro.experiments.engine import Engine, PointSpec
 from repro.metrics.collector import SweepResult
 from repro.net.simulator import Simulator
@@ -36,43 +38,6 @@ from repro.workloads.streams import (
     PoissonSuperposition,
     RateProfile,
 )
-
-#: Serialized size of the transaction payload used across experiments --
-#: matches a NormalTransaction (200 B) so PBFT and G-PBFT move the same op.
-TX_OP_BYTES = 200
-
-#: Hard ceiling on simulator events per repetition; a run that exceeds it
-#: is diverging (saturated queues) and its pending latencies are censored
-#: at the run horizon rather than waited for.
-MAX_EVENTS_PER_RUN = 40_000_000
-
-
-#: Simulator events processed by the most recent point in this process;
-#: read by the engine worker for per-point telemetry.
-_last_event_count = 0
-
-
-def _note_events(sim) -> None:
-    """Record *sim*'s processed-event counter for engine telemetry."""
-    global _last_event_count
-    _last_event_count = sim.events_processed
-
-
-def last_event_count() -> int:
-    """Simulator events processed by the most recent point in this process."""
-    return _last_event_count
-
-
-def _experiment_config(seed: int, max_endorsers: int) -> GPBFTConfig:
-    base = GPBFTConfig()
-    return base.replace(
-        network=replace(base.network, seed=seed),
-        committee=CommitteeConfig(min_endorsers=4, max_endorsers=max_endorsers),
-        # per-tx latency/traffic points measure steady-state consensus;
-        # era churn has its own experiments, so park the audit far away
-        era=EraConfig(period_s=1e12, switch_duration_s=base.era.switch_duration_s),
-    )
-
 
 
 def _arrival_times(total: int, mean_interval: float, seed: int) -> list[float]:
@@ -92,7 +57,6 @@ def _arrival_times(total: int, mean_interval: float, seed: int) -> list[float]:
     return times
 
 
-
 def _quorum_execution_latency(events, rid: str, submitted_at: float, f: int) -> float | None:
     """Latency until the (f+1)-th replica wrote *rid* to its ledger.
 
@@ -109,53 +73,8 @@ def _quorum_execution_latency(events, rid: str, submitted_at: float, f: int) -> 
     return times[f] - submitted_at
 
 
-def _pbft_latency_point(
-    n: int,
-    seed: int,
-    proposal_period_s: float,
-    measured: int,
-    warmup: int,
-) -> list[float]:
-    """Measured commit latencies of one PBFT repetition at *n* replicas.
-
-    Transactions are submitted by rotating clients at the aggregate rate
-    n / proposal_period_s; returns the latencies of the ``measured``
-    commits after ``warmup``.
-    """
-    total = warmup + measured
-    config = _experiment_config(seed, max_endorsers=max(n, 4))
-    cluster = TopologySpec.cluster(
-        n_replicas=n, n_clients=min(n, total), config=config).build()
-    client_ids = sorted(cluster.clients)
-    interval = proposal_period_s / n
-    submissions: list[tuple[str, float]] = []  # (request id, submit time)
-    for k, at in enumerate(_arrival_times(total, interval, seed)):
-        client = cluster.clients[client_ids[k % len(client_ids)]]
-        op = RawOperation(op_id=f"tx-{seed}-{k}", size_bytes=TX_OP_BYTES)
-        submissions.append((f"{client.node_id}:{op.op_id}", at))
-        cluster.sim.schedule_at(at, client.submit, op)
-    horizon = 1.0 + total * interval + 100_000.0
-    # hoisted out of the condition: the lambda runs once per simulator
-    # event, so it must not rebuild views of the cluster each call
-    clients = list(cluster.clients.values())  # gpb: allow GPB003 -- only summed over (completion counts), so iteration order is unobservable
-    cluster.sim.run_until_condition(
-        lambda: sum(len(c.completed) for c in clients) >= total,
-        horizon=horizon,
-        max_events=MAX_EVENTS_PER_RUN,
-    )
-    _note_events(cluster.sim)
-    f = tolerated_faults(n)
-    sample = []
-    for rid, at in submissions[warmup:]:
-        latency = _quorum_execution_latency(cluster.events, rid, at, f)
-        if latency is not None:
-            sample.append(latency)
-    if not sample:
-        raise ConsensusError(f"no transactions committed at n={n} (horizon too short?)")
-    return sample
-
-
-def _gpbft_latency_point(
+def _latency_point(
+    protocol: str,
     n: int,
     seed: int,
     proposal_period_s: float,
@@ -164,50 +83,39 @@ def _gpbft_latency_point(
     max_endorsers: int = 40,
     era_switch_at_tx: int | None = None,
 ) -> list[float]:
-    """Measured commit latencies of one G-PBFT repetition at *n* nodes.
+    """Measured commit latencies of one repetition at *n* nodes.
 
-    The committee holds min(n, max_endorsers) endorsers; devices submit
-    through their nearest endorser.  When *era_switch_at_tx* is set, an
-    era switch is forced right before that (0-based) submission so its
-    latency shows the switch-period bump (the Fig. 3b outlier).
+    Members take turns submitting at the aggregate rate
+    n / proposal_period_s -- PBFT clients, or G-PBFT devices through
+    their nearest endorser of a committee capped at *max_endorsers*;
+    returns the latencies of the ``measured`` commits after ``warmup``.
+    When *era_switch_at_tx* is set (G-PBFT), an era switch is forced
+    right before that (0-based) submission so its latency shows the
+    switch-period bump (the Fig. 3b outlier).
     """
     total = warmup + measured
-    config = _experiment_config(seed, max_endorsers=max_endorsers)
-    dep = TopologySpec.single(
-        n,
-        min(n, max_endorsers),
-        config=config,
-        seed=seed,
-        start_reports=False,
-    ).build()
-    node_ids = sorted(dep.nodes)
+    host = scenario.topology(protocol, n,
+                             scenario.experiment_config(seed, max_endorsers),
+                             clients=min(n, total)).build()
+    tag = f"tx-{seed}" if protocol == "pbft" else "lat"
     interval = proposal_period_s / n
-    submissions: list[tuple[str, float]] = []
-    extra_ops = 0
+    submissions: list[tuple[str, float]] = []  # (request id, submit time)
+    expected = total
     for k, at in enumerate(_arrival_times(total, interval, seed)):
-        node = dep.nodes[node_ids[k % len(node_ids)]]
-        if era_switch_at_tx is not None and k == era_switch_at_tx:
-            dep.sim.schedule_at(max(0.0, at - 0.05), dep.force_era_switch)
-            extra_ops += 1  # the switch op itself also completes
-        tx = node.next_transaction(key=f"lat{k}", value=str(k))
-        submissions.append((f"{node.node_id}:{tx.tx_id}", at))
-        dep.sim.schedule_at(at, node.client.submit, TxOperation(tx))
-    horizon = 1.0 + total * interval + 100_000.0
-    expected = total + extra_ops
-    dep.sim.run_until_condition(
-        lambda: dep.events.count(EV_REQUEST_COMPLETED) >= expected,
-        horizon=horizon,
-        max_events=MAX_EVENTS_PER_RUN,
-    )
-    _note_events(dep.sim)
-    f = tolerated_faults(min(n, max_endorsers))
+        if k == era_switch_at_tx:
+            host.sim.schedule_at(max(0.0, at - 0.05), host.force_era_switch)
+            expected += 1  # the switch op itself also completes
+        submissions.append((scenario.submit(host, protocol, tag, k, k, at), at))
+    scenario.run(host.sim, 1.0 + total * interval + 100_000.0,
+                 done=lambda: host.events.count(EV_REQUEST_COMPLETED) >= expected)
+    f = tolerated_faults(len(host.committee))
     sample = []
     for rid, at in submissions[warmup:]:
-        latency = _quorum_execution_latency(dep.events, rid, at, f)
+        latency = _quorum_execution_latency(host.events, rid, at, f)
         if latency is not None:
             sample.append(latency)
     if not sample:
-        raise ConsensusError(f"no transactions committed at n={n}")
+        raise ConsensusError(f"no transactions committed at n={n} (horizon too short?)")
     return sample
 
 
@@ -255,68 +163,31 @@ def _obs_result(obs) -> dict:
     return summary
 
 
-def _pbft_traffic_point(
-    n: int,
-    seed: int = 0,
-    timeseries: bool | None = None,
-    window_s: float | None = None,
-    frames_path: str | None = None,
-    sample_rate: float | None = None,
-    flight_recorder: bool | None = None,
-    dump_dir: str | None = None,
-    heartbeat_s: float | None = None,
-) -> float:
-    """KB moved by one transaction through PBFT with *n* replicas."""
-    config = _experiment_config(seed, max_endorsers=max(n, 4))
-    obs = _obs_from_params(timeseries, window_s, frames_path, sample_rate,
-                           flight_recorder, dump_dir, heartbeat_s)
-    cluster = TopologySpec.cluster(
-        n_replicas=n, n_clients=1, config=config).build(obs=obs)
-    before = cluster.network.stats.snapshot()
-    cluster.submit(RawOperation(op_id=f"traffic-{seed}", size_bytes=TX_OP_BYTES))
-    # hoisted: ``any_client`` re-resolves the min client id per call and
-    # the condition runs once per simulator event
-    client = cluster.any_client
-    cluster.sim.run_until_condition(
-        lambda: len(client.completed) >= 1,
-        horizon=100_000.0,
-        max_events=MAX_EVENTS_PER_RUN,
-    )
-    _note_events(cluster.sim)
+def _traffic_point(protocol: str, n: int, seed: int = 0,
+                   max_endorsers: int = 40, **obs_params) -> float:
+    """KB moved by one transaction with *n* nodes.
+
+    The transaction comes from the last member -- a device when a
+    G-PBFT deployment has devices -- and the count covers the whole
+    protocol surface it exercises: request forwarding, consensus among
+    the committee, and replies.  *obs_params* are
+    :func:`_obs_from_params`'s.
+    """
+    obs = _obs_from_params(**obs_params)
+    host = scenario.topology(
+        protocol, n, scenario.experiment_config(seed, max_endorsers)).build(obs=obs)
+    before = host.network.stats.snapshot()
+    scenario.submit(host, protocol, "traffic", seed, -1, None)  # one request, now
+
+    def done() -> bool:
+        return host.events.count(EV_REQUEST_COMPLETED) >= 1
+
+    scenario.run(host.sim, 100_000.0, done=done)
     if obs is not None:
         obs.finish()
-    if not client.completed:
+    if not done():
         raise ConsensusError(f"traffic tx failed to commit at n={n}")
-    return cluster.network.stats.snapshot().delta(before).kilobytes_sent
-
-
-def _gpbft_traffic_point(n: int, seed: int = 0, max_endorsers: int = 40) -> float:
-    """KB moved by one transaction through G-PBFT with *n* nodes.
-
-    Includes the full protocol surface the deployment exercises for that
-    transaction (request forwarding, consensus among the committee, and
-    replies to the device).
-    """
-    config = _experiment_config(seed, max_endorsers=max_endorsers)
-    dep = TopologySpec.single(
-        n,
-        min(n, max_endorsers),
-        config=config,
-        seed=seed,
-        start_reports=False,
-    ).build()
-    submitter = dep.nodes[max(dep.nodes)]  # a device when devices exist
-    before = dep.network.stats.snapshot()
-    submitter.submit_transaction()
-    dep.sim.run_until_condition(
-        lambda: len(submitter.client.completed) >= 1,
-        horizon=100_000.0,
-        max_events=MAX_EVENTS_PER_RUN,
-    )
-    _note_events(dep.sim)
-    if not submitter.client.completed:
-        raise ConsensusError(f"traffic tx failed to commit at n={n}")
-    return dep.network.stats.snapshot().delta(before).kilobytes_sent
+    return host.network.stats.snapshot().delta(before).kilobytes_sent
 
 
 def _agg_submit(client, zone: str, slot: int):
@@ -333,7 +204,7 @@ def _agg_submit(client, zone: str, slot: int):
         k = count[0]
         count[0] = k + 1
         client.submit(RawOperation(
-            op_id=f"agg-{zone}-{slot}-{k}", size_bytes=TX_OP_BYTES))
+            op_id=f"agg-{zone}-{slot}-{k}", size_bytes=scenario.TX_BYTES))
 
     return submit
 
@@ -373,13 +244,7 @@ def _gpbft_agg_point(
     drain_slack_s: float = 7_200.0,
     max_events: int | None = None,
     processing_rate: float = 50.0,
-    timeseries: bool | None = None,
-    window_s: float | None = None,
-    frames_path: str | None = None,
-    sample_rate: float | None = None,
-    flight_recorder: bool | None = None,
-    dump_dir: str | None = None,
-    heartbeat_s: float | None = None,
+    **obs_params,
 ) -> dict:
     """One aggregated city-scale day: *n* requests across zoned committees.
 
@@ -408,10 +273,10 @@ def _gpbft_agg_point(
         spec.  With any observability param set, an ``obs`` sub-dict
         summarizes frames written, spans kept, and dumps fired.
 
-    The observability params (all ``None``-off, see
+    The observability params (*obs_params*, all ``None``-off, see
     :func:`_obs_from_params`) switch on the v2 pipeline: per-zone
-    window frames streamed to *frames_path*, head-sampled tracing at
-    *sample_rate*, and per-zone flight-recorder rings.  Day-long runs
+    window frames streamed to ``frames_path``, head-sampled tracing at
+    ``sample_rate``, and per-zone flight-recorder rings.  Day-long runs
     should sample (e.g. 0.001) -- unsampled span buffering is exactly
     the O(requests) memory this pipeline exists to avoid.
     """
@@ -421,8 +286,7 @@ def _gpbft_agg_point(
         start_reports=False, workload=workload,
         event_capacity=event_capacity)
     sim = Simulator()
-    obs = _obs_from_params(timeseries, window_s, frames_path, sample_rate,
-                           flight_recorder, dump_dir, heartbeat_s)
+    obs = _obs_from_params(**obs_params)
     if obs is not None:
         obs.bind(sim)
     per_zone_rate = n / zones / duration_s
@@ -431,7 +295,7 @@ def _gpbft_agg_point(
     procs: list[PoissonArrivals] = []
     for index, zone in enumerate(spec.zones):
         zseed = spec.zone_seed(index)
-        config = _experiment_config(zseed, max_endorsers=max(replicas_per_zone, 4))
+        config = scenario.experiment_config(zseed, max(replicas_per_zone, 4))
         # day-long runs exercise the capped exponential retry backoff;
         # the default (factor 1.0) is reserved for the legacy schedule
         config = config.replace(pbft=replace(
@@ -478,8 +342,8 @@ def _gpbft_agg_point(
                 sim.schedule_at(duration_s, proc.stop)
                 procs.append(proc)
     cap = max_events if max_events is not None else max(
-        MAX_EVENTS_PER_RUN, 200 * n)
-    sim.run(until=duration_s, max_events=cap)
+        scenario.MAX_EVENTS_PER_RUN, 200 * n)
+    scenario.run(sim, duration_s, max_events=cap)
     for stream in streams:
         stream.stop()
     offered = (sum(s.submitted for s in streams)
@@ -490,8 +354,7 @@ def _gpbft_agg_point(
     while sim.now < horizon:
         if sum(c.completed_count for c in all_clients) >= offered:
             break
-        sim.run(until=min(sim.now + 60.0, horizon), max_events=cap)
-    _note_events(sim)
+        scenario.run(sim, min(sim.now + 60.0, horizon), max_events=cap)
     result = {
         "offered": offered,
         "completed": sum(c.completed_count for c in all_clients),
@@ -521,22 +384,16 @@ def latency_point_specs(
     max_endorsers: int = 40,
 ) -> list[PointSpec]:
     """The latency sweep's point specs (one per ``(n, rep)`` pair)."""
-    specs = []
-    for n in node_counts:
-        for rep in range(reps):
-            seed = 1000 * n + rep
-            if protocol == "pbft":
-                specs.append(PointSpec.make(
-                    "pbft", "latency", n, seed,
-                    proposal_period_s=proposal_period_s,
-                    measured=measured, warmup=warmup))
-            else:
-                specs.append(PointSpec.make(
-                    "gpbft", "latency", n, seed,
-                    proposal_period_s=proposal_period_s,
-                    measured=measured, warmup=warmup,
-                    max_endorsers=max_endorsers))
-    return specs
+    return [PointSpec.make(protocol, "latency", n, 1000 * n + rep,
+                           proposal_period_s=proposal_period_s,
+                           measured=measured, warmup=warmup,
+                           **_cap_param(protocol, max_endorsers))
+            for n in node_counts for rep in range(reps)]
+
+
+def _cap_param(protocol: str, max_endorsers: int) -> dict:
+    """The committee-cap param of a spec; PBFT specs carry none."""
+    return {} if protocol == "pbft" else {"max_endorsers": max_endorsers}
 
 
 def latency_sweep(
@@ -588,13 +445,9 @@ def traffic_sweep(
         raise ConsensusError(f"unknown protocol {protocol!r}")
     eng = engine if engine is not None else Engine(jobs=1, use_cache=False)
     node_counts = list(node_counts)
-    if protocol == "pbft":
-        specs = [PointSpec.make("pbft", "traffic", n) for n in node_counts]
-    else:
-        specs = [PointSpec.make("gpbft", "traffic", n,
-                                max_endorsers=max_endorsers)
-                 for n in node_counts]
-    values = eng.map(specs)
+    values = eng.map([PointSpec.make(protocol, "traffic", n,
+                                     **_cap_param(protocol, max_endorsers))
+                      for n in node_counts])
     result = SweepResult(
         name="PBFT" if protocol == "pbft" else "G-PBFT",
         x_label="number of nodes",

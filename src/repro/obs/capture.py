@@ -1,25 +1,21 @@
 """Instrumented scenario capture: one run in, spans + instruments out.
 
-:func:`capture_run` builds the same fixed scenarios the verify
-explorer runs (one submission every 0.75 s from ``t = 1``) but with an
-:class:`~repro.obs.core.Observability` attached, runs to the horizon,
-and returns the sealed capture.  This is what ``python -m repro.obs
-capture`` and the ``--trace`` flag of the experiments CLI call.
+:func:`capture_run` is the verify explorer's :class:`Schedule` run (one
+submission every 0.75 s from ``t = 1``, see
+:func:`repro.verify.explorer.run_schedule`) with the invariant monitors
+off and an :class:`~repro.obs.core.Observability` attached; it runs to
+the horizon and returns the sealed capture.  This is what ``python -m
+repro.obs capture`` and the ``--trace`` flag of the experiments CLI
+call.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
-from repro.common.config import GPBFTConfig, TopologySpec
-from repro.common.errors import ConfigurationError
 from repro.obs.core import Observability
 from repro.obs.obsconfig import ObsConfig
 from repro.obs.spans import Span
-from repro.pbft.messages import RawOperation
-
-#: Matches the verify explorer's synthetic transaction payload size.
-_TX_BYTES = 200
 
 
 @dataclass
@@ -68,31 +64,17 @@ def capture_run(
             recorder); ``None`` keeps the all-off v1 behavior.
 
     Raises:
-        ConfigurationError: on an unknown protocol or a PBFT era switch.
+        ConfigurationError: on anything the explorer's
+            :class:`~repro.verify.explorer.Schedule` rejects -- an
+            unknown protocol, ``n < 4``, no submissions, a non-positive
+            horizon, or a PBFT era switch.
     """
-    if protocol not in ("pbft", "gpbft"):
-        raise ConfigurationError(f"unknown protocol {protocol!r}")
-    if era_switch_at is not None and protocol != "gpbft":
-        raise ConfigurationError("era_switch_at requires protocol gpbft")
-    base = GPBFTConfig()
-    config = base.replace(network=replace(base.network, seed=seed))
+    from repro.verify.explorer import Schedule, run_schedule
+
+    schedule = Schedule(protocol=protocol, n=n, seed=seed,
+                        submissions=submissions, horizon_s=horizon_s,
+                        era_switch_at=era_switch_at)
     obs = Observability(obs_config)
-    if protocol == "pbft":
-        host = TopologySpec.cluster(
-            n_replicas=n, n_clients=1, config=config).build(obs=obs)
-        client = host.any_client
-        for k in range(submissions):
-            op = RawOperation(op_id=f"cap-{seed}-{k}", size_bytes=_TX_BYTES)
-            host.sim.schedule_at(1.0 + 0.75 * k, client.submit, op)
-    else:
-        host = TopologySpec.single(
-            n, config=config, seed=seed, start_reports=False).build(obs=obs)
-        ids = sorted(host.nodes)
-        for k in range(submissions):
-            host.sim.schedule_at(
-                1.0 + 0.75 * k, host.submit_from, ids[k % len(ids)])
-        if era_switch_at is not None:
-            host.sim.schedule_at(era_switch_at, host.force_era_switch)
-    host.sim.run(until=horizon_s)
+    host = run_schedule(schedule, obs=obs).host
     obs.finish()
     return Capture(obs=obs, host=host, protocol=protocol)

@@ -29,6 +29,7 @@ import json
 import sys
 from typing import Any, Iterable, TextIO
 
+from repro.common.errors import ConfigurationError
 from repro.obs.capture import capture_run
 from repro.obs.export import (
     load_spans,
@@ -242,6 +243,7 @@ def main(argv: list[str] | None = None) -> int:
         if args.command == "report":
             return _cmd_report(args)
         return _cmd_validate(args)
-    except (ObservabilityError, OSError, json.JSONDecodeError) as exc:
+    except (ConfigurationError, ObservabilityError, OSError,
+            json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

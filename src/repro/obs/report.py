@@ -46,21 +46,14 @@ class RequestPhases:
     total: float
 
 
-def percentile(values: list[float], q: float) -> float:
-    """Nearest-rank percentile of *values* (q in [0, 100]).
-
-    Deterministic and interpolation-free: the returned value is always
-    one of the inputs, so goldens do not depend on float rounding.
-    """
-    if not values:
-        raise ValueError("percentile of empty list")
-    ordered = sorted(values)
-    rank = max(1, -(-len(ordered) * q // 100))  # ceil without float math
-    return ordered[int(rank) - 1]
-
-
 def _kth(values: list[float], k: int) -> float | None:
-    """k-th smallest of *values* (1-based), or None if too few."""
+    """k-th smallest of *values* (1-based), or None if too few.
+
+    The one order statistic here: phase milestones take the ``f + 1``-th
+    and the table's nearest-rank percentile ``q`` the
+    ``ceil(len * q / 100)``-th, so every value shown is one of the inputs
+    and goldens do not depend on float rounding.
+    """
     if len(values) < k:
         return None
     return sorted(values)[k - 1]
@@ -167,12 +160,10 @@ def phase_table(breakdowns: list[RequestPhases]) -> str:
                 values = [b.total for b in group]
             else:
                 values = [b.phases[phase] for b in group]
-            lines.append(
-                f"{size:>9}  {phase:<12} {len(values):>5} "
-                f"{percentile(values, 50) * 1e3:>9.2f} "
-                f"{percentile(values, 95) * 1e3:>9.2f} "
-                f"{percentile(values, 99) * 1e3:>9.2f}"
-            )
+            # nearest rank: ceil(len * q / 100), without float math
+            cells = " ".join(f"{_kth(values, -(-len(values) * q // 100)) * 1e3:>9.2f}"
+                             for q in (50, 95, 99))
+            lines.append(f"{size:>9}  {phase:<12} {len(values):>5} {cells}")
     return "\n".join(lines)
 
 

@@ -8,8 +8,9 @@ Usage::
     gpbft-experiments verify --replay results/repro/violation-....json
 
 Exit codes: ``0`` -- exploration clean / replay reproduced, ``1`` --
-exploration found violations (artifacts written), ``2`` -- replay did
-not reproduce the artifact.
+exploration found violations (artifacts written), ``2`` -- a bad
+argument value (one ``error:`` line naming it) or a replay that did not
+reproduce the artifact.
 """
 
 from __future__ import annotations
@@ -18,6 +19,7 @@ import argparse
 import sys
 from pathlib import Path
 
+from repro.common.errors import ConfigurationError
 from repro.experiments.engine import Engine
 from repro.verify.explorer import (
     DEFAULT_ARTIFACT_DIR,
@@ -84,18 +86,22 @@ def main(argv: list[str] | None = None) -> int:
         result = replay_artifact(args.replay)
         print(result.summary())
         return 0 if result.reproduced else 2
-    report = explore(
-        protocol=args.protocol,
-        n=args.n,
-        seeds=range(args.seeds),
-        submissions=args.submissions,
-        horizon_s=args.horizon,
-        faults=tuple(args.fault),
-        engine=Engine(jobs=args.jobs, use_cache=False),
-        out_dir=args.out,
-        shrink_budget=args.shrink_budget,
-        zones=args.zones,
-    )
+    try:
+        report = explore(
+            protocol=args.protocol,
+            n=args.n,
+            seeds=range(args.seeds),
+            submissions=args.submissions,
+            horizon_s=args.horizon,
+            faults=tuple(args.fault),
+            engine=Engine(jobs=args.jobs, use_cache=False),
+            out_dir=args.out,
+            shrink_budget=args.shrink_budget,
+            zones=args.zones,
+        )
+    except ConfigurationError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     print(report.text())
     return 0 if report.ok else 1
 

@@ -16,6 +16,10 @@ Every run also computes a *schedule fingerprint* -- a rolling hash over
 the exact (time, callback) stream the simulator executed -- so
 :mod:`repro.verify.replay` can prove that a replayed artifact followed
 the original event order bit-for-bit.
+
+Runs build, submit and run through :mod:`repro.experiments.scenario`.
+The same run with monitors off and an observability facade attached is
+what :func:`repro.obs.capture.capture_run` records.
 """
 
 from __future__ import annotations
@@ -32,6 +36,7 @@ from repro.common.config import GPBFTConfig, TopologySpec, VerifyConfig
 from repro.common.errors import ConfigurationError
 from repro.common.eventlog import EV_PBFT_EXECUTED
 from repro.common.rng import DeterministicRNG
+from repro.experiments import scenario
 from repro.experiments.engine import Engine, PointSpec
 from repro.net.network import SimulatedNetwork
 from repro.net.tracer import MessageTracer
@@ -42,7 +47,6 @@ from repro.pbft.faults import (
     QuorumUndercountFaults,
     XZoneBypassFaults,
 )
-from repro.pbft.messages import RawOperation
 from repro.verify.invariants import InvariantViolation
 
 #: Default directory for failing-schedule repro artifacts.
@@ -62,9 +66,6 @@ FAULT_REGISTRY = {
 
 #: Perturbation operations a schedule may contain.
 PERTURBATION_OPS = ("crash", "partition", "drop", "delay")
-
-#: Serialized payload bytes of explorer-submitted operations.
-_TX_BYTES = 200
 
 #: Safety cap on simulator events per schedule run.
 MAX_EVENTS_PER_SCHEDULE = 5_000_000
@@ -350,31 +351,23 @@ class ScheduleFingerprint:
         return self._hash.hexdigest()[:16]
 
 
-def _schedule_config(schedule: Schedule) -> GPBFTConfig:
-    """The monitored configuration for one schedule run."""
+def _build_host(schedule: Schedule, obs=None):
+    """Construct the cluster/deployment for *schedule*.
+
+    Monitored by default; with *obs* the run is an instrumented capture
+    instead, monitors off and the observability facade attached.
+    """
     base = GPBFTConfig()
-    return base.replace(
-        network=replace(base.network, seed=schedule.seed),
-        verify=VerifyConfig(monitors=True),
-    )
-
-
-def _build_host(schedule: Schedule):
-    """Construct the monitored cluster/deployment for *schedule*."""
-    config = _schedule_config(schedule)
+    config = base.replace(network=replace(base.network, seed=schedule.seed),
+                          verify=VerifyConfig(monitors=obs is None))
     faults = {node: FAULT_REGISTRY[name]() for node, name in schedule.faults}
-    if schedule.protocol == "pbft":
-        spec = TopologySpec.cluster(n_replicas=schedule.n, n_clients=1,
-                                    config=config)
-    elif schedule.zones > 1:
-        spec = TopologySpec.zoned(schedule.zones,
-                                  schedule.n // schedule.zones,
+    if schedule.zones > 1:
+        spec = TopologySpec.zoned(schedule.zones, schedule.n // schedule.zones,
                                   config=config, seed=schedule.seed,
                                   start_reports=False)
     else:
-        spec = TopologySpec.single(schedule.n, config=config,
-                                   seed=schedule.seed, start_reports=False)
-    return spec.build(faults=faults)
+        spec = scenario.topology(schedule.protocol, schedule.n, config)
+    return spec.build(faults=faults, obs=obs)
 
 
 def _apply_perturbations(schedule: Schedule, host) -> None:
@@ -402,42 +395,40 @@ def _apply_perturbations(schedule: Schedule, host) -> None:
             perturber.add_window(p)
 
 
-def _schedule_submissions(schedule: Schedule, host) -> None:
-    """Arm the workload: one submission every 0.75 s from t = 1."""
-    if schedule.protocol == "pbft":
-        client = host.any_client
-        for k in range(schedule.submissions):
-            op = RawOperation(op_id=f"vtx-{schedule.seed}-{k}",
-                              size_bytes=_TX_BYTES)
-            host.sim.schedule_at(1.0 + 0.75 * k, client.submit, op)
-    else:
-        ids = sorted(host.nodes)
-        for k in range(schedule.submissions):
-            host.sim.schedule_at(1.0 + 0.75 * k, host.submit_from,
-                                 ids[k % len(ids)])
-
-
-def run_schedule(schedule: Schedule, with_tracer: bool = False) -> RunOutcome:
+def run_schedule(schedule: Schedule, with_tracer: bool = False,
+                 obs=None) -> RunOutcome:
     """Execute *schedule* under full invariant monitoring.
 
     Returns a :class:`RunOutcome`; a monitor violation is captured in
     ``outcome.result.violation`` rather than propagating.  With
     *with_tracer* a :class:`~repro.net.tracer.MessageTracer` records the
     message flow for replay rendering (without altering the schedule
-    fingerprint; see :class:`SendPerturber`).
+    fingerprint; see :class:`SendPerturber`).  With *obs* the run is
+    instrumented instead of monitored (see :func:`_build_host`).
+
+    The workload is one submission every 0.75 s from ``t = 1``: PBFT
+    through :func:`~repro.experiments.scenario.submit`, G-PBFT as each
+    node's own next transaction (``submit_from``, which a zoned host
+    alternates across zones).
     """
-    host = _build_host(schedule)
+    host = _build_host(schedule, obs)
     _apply_perturbations(schedule, host)
     tracer = MessageTracer(host.network) if with_tracer else None
     fingerprint = ScheduleFingerprint()
     host.sim.set_step_hook(fingerprint.hook)
-    _schedule_submissions(schedule, host)
+    for k in range(schedule.submissions):
+        at = 1.0 + 0.75 * k
+        if schedule.protocol == "pbft":
+            scenario.submit(host, "pbft", f"vtx-{schedule.seed}", k, 0, at)
+        else:
+            ids = sorted(host.nodes)
+            host.sim.schedule_at(at, host.submit_from, ids[k % len(ids)])
     if schedule.era_switch_at is not None:
         host.sim.schedule_at(schedule.era_switch_at, host.force_era_switch)
 
     violation: dict | None = None
     try:
-        host.sim.run(until=schedule.horizon_s,
+        scenario.run(host.sim, schedule.horizon_s,
                      max_events=MAX_EVENTS_PER_SCHEDULE)
         if host.monitors is not None:
             host.monitors.check_final()
@@ -462,16 +453,12 @@ def _verify_point(n: int, seed: int, schedule: str) -> dict:
     :func:`repro.experiments.engine.run_point`; *n* and *seed* are part
     of the cache key and must match the schedule's own fields.
     """
-    from repro.experiments import runner
-
     sched = Schedule.from_json(json.loads(schedule))
     if sched.n != n or sched.seed != seed:
         raise ConfigurationError(
             f"verify point (n={n}, seed={seed}) does not match its "
             f"schedule (n={sched.n}, seed={sched.seed})")
-    outcome = run_schedule(sched)
-    runner._note_events(outcome.host.sim)
-    return outcome.result.to_json()
+    return run_schedule(sched).result.to_json()
 
 
 def schedule_spec(schedule: Schedule) -> PointSpec:
@@ -502,6 +489,9 @@ def generate_schedule(
     partition splits one zone's seats from the rest, the explorer's way
     of cutting zones apart.
     """
+    # validated before any draw, so a bad size fails as a ConfigurationError
+    base = Schedule(protocol=protocol, n=n, seed=seed, submissions=submissions,
+                    horizon_s=horizon_s, faults=tuple(faults), zones=zones)
     rng = DeterministicRNG(seed, "verify/schedule")
     n_seats = max(4, zones)
     count = rng.integers(1, max_perturbations + 1)
@@ -536,12 +526,8 @@ def generate_schedule(
     era_switch_at = None
     if protocol == "gpbft" and rng.random() < 0.5:
         era_switch_at = rng.uniform(2.0, max(3.0, horizon_s * 0.5))
-    return Schedule(
-        protocol=protocol, n=n, seed=seed, submissions=submissions,
-        horizon_s=horizon_s, era_switch_at=era_switch_at,
-        perturbations=tuple(perturbations), faults=tuple(faults),
-        zones=zones,
-    )
+    return dataclasses.replace(base, era_switch_at=era_switch_at,
+                               perturbations=tuple(perturbations))
 
 
 def shrink_schedule(

@@ -175,11 +175,13 @@ def _monitored(config: GPBFTConfig) -> GPBFTConfig:
 
 
 def _run_guarded(host, until: float) -> str | None:
-    """Run *host* to *until*; returns the tripped monitor name or None."""
+    """Run *host* to *until* via ``scenario.run``; tripped monitor or None."""
+    # imported here: repro.workloads must not load repro.experiments
+    from repro.experiments import scenario
     from repro.verify.invariants import InvariantViolation
 
     try:
-        host.run(until=until)
+        scenario.run(host.sim, until)
     except InvariantViolation as violation:
         return violation.monitor
     return None
@@ -245,8 +247,6 @@ def _blackout_pack(n: int, seed: int) -> dict:
         1 for rid, at in submitted.items()
         if at >= dark_end and rid in completed)
 
-    from repro.experiments import runner
-    runner._note_events(hier.sim)
     return {
         "submitted": len(submitted),
         "committed": committed,
@@ -290,8 +290,6 @@ def _flash_crowd_pack(n: int, seed: int) -> dict:
     committed, rate = _commit_stats(submitted, completed)
     latencies = [completed[rid] for rid in submitted if rid in completed]
 
-    from repro.experiments import runner
-    runner._note_events(dep.sim)
     return {
         "submitted": len(submitted),
         "committed": committed,
@@ -356,13 +354,12 @@ def _sybil_drip_pack(n: int, seed: int) -> dict:
         committed, rate = _commit_stats(submitted, dep.completed_latencies())
         return dep, sybil_ids, rejected, seats, committed, rate, violation
 
-    dep, sybil_ids, rejected, seats, committed, rate, violation = _campaign(True)
     # control: the identical campaign without the admission filter must
     # place Sybil identities on the committee, or the pack is vacuous
+    # (run first: the engine reports the events of the last run)
     _, _, _, control_seats, _, _, _ = _campaign(False)
+    dep, sybil_ids, rejected, seats, committed, rate, violation = _campaign(True)
 
-    from repro.experiments import runner
-    runner._note_events(dep.sim)
     return {
         "submitted": 4,
         "committed": committed,
@@ -433,8 +430,6 @@ def _churn_storm_pack(n: int, seed: int) -> dict:
     violation = _run_guarded(dep, until=7300.0)
     committed, rate = _commit_stats(submitted, dep.completed_latencies())
 
-    from repro.experiments import runner
-    runner._note_events(dep.sim)
     return {
         "submitted": len(submitted),
         "committed": committed,
@@ -582,8 +577,11 @@ def main(argv: list[str] | None = None) -> int:
     if unknown:
         parser.error(f"unknown pack(s): {', '.join(unknown)}")
 
-    engine = Engine(jobs=args.jobs, cache_dir=args.cache_dir,
-                    use_cache=not args.no_cache)
+    try:
+        engine = Engine(jobs=args.jobs, cache_dir=args.cache_dir,
+                        use_cache=not args.no_cache)
+    except ConfigurationError as exc:
+        parser.error(str(exc))
     all_ok = True
     for name in names:
         result = run_pack(PACKS[name], engine=engine, scale=args.scale)

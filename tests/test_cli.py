@@ -101,3 +101,43 @@ class TestSvgOutput:
 
         table = TableResult(table_id="t", values={}, text="x")
         assert _write_svgs("table2", table, "quick", tmp_path) == []
+
+
+def _exit_code(entry, argv) -> int:
+    """What *entry* exits with: its return value, or argparse's exit."""
+    try:
+        return entry(argv)
+    except SystemExit as exc:
+        return exc.code
+
+
+class TestBadValuesExit2:
+    """A bad value exits 2 with one error line naming it, never a traceback."""
+
+    def test_verify(self, capsys):
+        assert _exit_code(main, ["verify", "--n", "2", "--seeds", "1"]) == 2
+        assert capsys.readouterr().err == "error: schedules need n >= 4\n"
+
+    @pytest.mark.parametrize("flag,value", [
+        ("--duration", "0"), ("--window", "0"), ("--sample-rate", "2"),
+        ("--heartbeat", "-1")])
+    def test_agg(self, flag, value, capsys):
+        argv = ["agg", "--requests", "8", "--zones", "2", "--duration", "10",
+                flag, value]
+        assert _exit_code(main, argv) == 2
+        assert f"error: argument {flag}: must be" in capsys.readouterr().err
+
+    def test_packs(self, capsys):
+        assert _exit_code(main, ["packs", "flash_crowd", "--jobs", "0"]) == 2
+        assert capsys.readouterr().err.splitlines()[-1].endswith(
+            "error: jobs must be >= 1")
+
+    @pytest.mark.parametrize("argv,line", [
+        (["-n", "2"], "error: schedules need n >= 4"),
+        (["--horizon", "-3"], "error: horizon_s must be positive")],
+        ids=["n", "horizon"])
+    def test_obs_capture(self, argv, line, capsys):
+        from repro.obs.cli import main as obs_main
+
+        assert _exit_code(obs_main, ["capture", *argv]) == 2
+        assert capsys.readouterr().err == line + "\n"

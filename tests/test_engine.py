@@ -60,7 +60,7 @@ class TestRunPoint:
         # the spec dispatch must hit the same implementation (and value)
         # as calling the point function directly
         spec = PointSpec.make("pbft", "latency", 4, 7, **LAT)
-        direct = runner._pbft_latency_point(4, 7, 600.0, 2, 1)
+        direct = runner._latency_point("pbft", 4, 7, 600.0, 2, 1)
         assert run_point(spec) == direct
 
     def test_traffic_dispatch(self):

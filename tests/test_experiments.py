@@ -6,14 +6,20 @@ reports carry the paper's comparisons.  The full-scale reproduction runs
 live in ``benchmarks/``.
 """
 
+import json
+from pathlib import Path
+
 import pytest
 
 from repro.common.errors import ConfigurationError, ConsensusError
-from repro.experiments.engine import PointSpec, run_point
+from repro.experiments.engine import PointSpec, _execute_point, run_point
 from repro.experiments.profiles import PAPER, QUICK, active_profile
 from repro.experiments.runner import latency_sweep, traffic_sweep
 from repro.experiments.tables import table2
 from repro.analysis.models import pbft_traffic_bytes
+from repro.verify.explorer import generate_schedule, schedule_spec
+
+PAPER_RESULTS = Path(__file__).resolve().parents[1] / "results" / "paper_results.json"
 
 
 def _latency(protocol, n, seed, period, measured, warmup, **params):
@@ -135,3 +141,75 @@ class TestTable2:
     def test_rendering_has_header(self):
         text = table2().text
         assert "CSC" in text and "geographic timer" in text.lower()
+
+
+def _recorded(kind: str, max_n: float = float("inf")):
+    """``(protocol, n, samples)`` of every recorded paper point up to *max_n*."""
+    data = json.loads(PAPER_RESULTS.read_text())[kind]
+    return [(protocol, int(point["x"]), point["samples"])
+            for protocol in ("pbft", "gpbft")
+            for point in data[protocol]["points"] if point["x"] <= max_n]
+
+
+class TestPaperResultsRecompute:
+    """The cheap half of ``results/paper_results.json``, at full precision."""
+
+    def test_every_traffic_point(self):
+        mismatches = []
+        for protocol, n, samples in _recorded("traffic"):
+            extra = {"max_endorsers": PAPER.max_endorsers} if protocol == "gpbft" else {}
+            value = run_point(PointSpec.make(protocol, "traffic", n, 0, **extra))
+            if [value] != samples:
+                mismatches.append((protocol, n, value, samples))
+        assert mismatches == []
+
+    def test_latency_points_up_to_40_nodes(self):
+        mismatches = []
+        for protocol, n, samples in _recorded("latency", max_n=40):
+            reps = len(samples) // PAPER.measured_txs
+            got = []
+            for rep in range(reps):
+                got.extend(run_point(PointSpec.make(
+                    protocol, "latency", n, 1000 * n + rep,
+                    **PAPER.latency_point_kwargs(protocol))))
+            if got != samples:
+                mismatches.append((protocol, n))
+        assert mismatches == []
+
+
+#: One smoke-size point per (protocol, kind) pair the tests above leave
+#: out, pinned to its value and the simulator event count the engine
+#: reports for it.
+PINNED = [
+    (PointSpec.make("pbft", "tps", 16, 5, offered_interval_s=1.0, horizon_s=80.0),
+     0.296875, 13141),
+    (PointSpec.make("gpbft", "tps", 16, 5, offered_interval_s=1.0, horizon_s=80.0,
+                    max_endorsers=8),
+     0.609375, 6813),
+    (PointSpec.make("gpbft", "era-churn", 5.0, 0, horizon_s=100.0,
+                    offered_interval_s=3.0),
+     9.163030237014087, 16240),
+    (schedule_spec(generate_schedule("pbft", 7, 2, submissions=4, horizon_s=60.0)),
+     {"events": 378, "executed": 25, "fingerprint": "2a6e080657749c9d",
+      "ok": True, "violation": None}, 378),
+    (schedule_spec(generate_schedule("gpbft", 8, 0, submissions=4, horizon_s=60.0,
+                                     zones=2)),
+     {"events": 351, "executed": 8, "fingerprint": "69f361e6613544ef",
+      "ok": True, "violation": None}, 351),
+    (PointSpec.make("gpbft", "pack", 16, 0, pack="regional_blackout"),
+     {"blackout_lost": 1, "commit_rate": 0.8571428571428571, "committed": 6,
+      "era_switches": 0, "recovered_commits": 2, "submitted": 7,
+      "violation": None}, 932),
+    (PointSpec.make("gpbft", "agg", 120, 0, zones=2, duration_s=60.0,
+                    drain_slack_s=600.0),
+     {"completed": 124, "events": 4798, "offered": 124, "pool_size": 4,
+      "profile": "diurnal", "sim_now_s": 60.0, "workload": "aggregate",
+      "zones": 2}, 4798),
+]
+
+
+@pytest.mark.parametrize("spec,value,events", PINNED,
+                         ids=[f"{spec.protocol}-{spec.kind}" for spec, _, _ in PINNED])
+def test_pinned_smoke_point(spec, value, events):
+    got, _wall, got_events = _execute_point(spec)
+    assert (got, got_events) == (value, events)

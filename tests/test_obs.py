@@ -29,7 +29,10 @@ from repro.obs.export import (
     write_spans_jsonl,
 )
 from repro.obs.instruments import Counter, Gauge, Histogram, Registry
-from repro.obs.report import attribute_phases, era_timeline, percentile, render_report
+from repro.obs.report import (
+    PHASES, RequestPhases, _kth, attribute_phases, era_timeline, phase_table,
+    render_report,
+)
 from repro.obs.spans import ObservabilityError, Tracer
 
 
@@ -312,12 +315,13 @@ class TestExport:
 
 class TestReport:
     def test_percentile_nearest_rank(self):
-        values = [float(v) for v in range(1, 11)]
-        assert percentile(values, 50) == 5.0
-        assert percentile(values, 95) == 10.0
-        assert percentile([3.0], 99) == 3.0
-        with pytest.raises(ValueError):
-            percentile([], 50)
+        # the table's p50/p95/p99 are the ceil(len * q / 100)-th values
+        rows = [RequestPhases(f"r{v}", 4, dict.fromkeys(PHASES, v / 1e3), v / 1e3)
+                for v in range(1, 11)]
+        assert phase_table(rows).splitlines()[-1].split()[-3:] == [
+            "5.00", "10.00", "10.00"]
+        assert _kth([3.0, 1.0, 2.0], 2) == 2.0
+        assert _kth([3.0], 2) is None
 
     def test_golden_phase_breakdown_n10(self):
         """Golden: fixed n=10 G-PBFT scenario, seed 7, era switch at t=8.

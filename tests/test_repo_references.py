@@ -57,6 +57,19 @@ def test_net_imports_nothing_from_obs():
         assert not found, f"{path.name} imports repro.obs: {found}"
 
 
+def test_the_benchmark_loads_no_experiment_or_verify_module():
+    # perfbench times the modules it imports; the experiment harness and
+    # the explorer riding along would cost every benchmark process memory
+    probe = ("import sys, perfbench.workloads; "
+             "print(' '.join(m for m in sys.modules "
+             "if m.startswith(('repro.experiments', 'repro.verify'))))")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(ROOT / "src"), str(ROOT)]))
+    proc = subprocess.run([sys.executable, "-c", probe], cwd=ROOT, env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == []
+
+
 _PROBE = """\
 import warnings
 

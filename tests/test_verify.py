@@ -190,8 +190,8 @@ class TestPerturberSeesEveryCopy:
         assert "send" not in vars(batched.host.network)
         build = explorer._build_host
 
-        def with_idle_perturber(schedule):
-            host = build(schedule)
+        def with_idle_perturber(schedule, obs=None):
+            host = build(schedule, obs)
             SendPerturber(host.network,
                           DeterministicRNG(schedule.seed, "verify/perturb"))
             return host
