@@ -53,7 +53,8 @@ class GPBFTDeployment:
             observation range of its witness oracle).
         sim: pass an existing simulator to co-host other components.
         faults: node id -> fault model (crash/byzantine injection).
-        obs: optional observability facade, bound to this network.
+        obs: optional observability facade, bound to this network and
+            subscribed to the event log.
     """
 
     def __init__(
@@ -91,7 +92,6 @@ class GPBFTDeployment:
             self.sim, self.config.network, rng=DeterministicRNG(seed, "network")
         )
         self.events = EventLog(capacity=spec.event_capacity)
-        self.obs = obs
         if obs is not None:
             obs.bind(self.sim, self.network)
         self.region = region

@@ -11,10 +11,6 @@ no-commit-during-switch invariant.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
-
-if TYPE_CHECKING:
-    from repro.obs.core import Observability
 
 from repro.common.errors import EraSwitchError
 
@@ -39,17 +35,14 @@ class EraRecord:
 
 
 class EraHistory:
-    """Append-only record of eras and the switch periods between them."""
+    """Append-only record of eras and the switch periods between them.
 
-    def __init__(
-        self,
-        initial_committee,
-        started_at: float = 0.0,
-        obs: "Observability | None" = None,
-        owner: int = -1,
-    ) -> None:
-        self._obs = obs
-        self._owner = owner
+    Pure bookkeeping: the owning node records ``era.switch_started`` /
+    ``era.switch_completed`` on its event log, which is where monitors
+    and :mod:`repro.obs` read switches from.
+    """
+
+    def __init__(self, initial_committee, started_at: float = 0.0) -> None:
         first = EraRecord(
             era=0,
             committee=tuple(sorted(initial_committee)),
@@ -83,8 +76,6 @@ class EraHistory:
         if self._switching_since is not None:
             raise EraSwitchError("era switch already in progress")
         self._switching_since = at
-        if self._obs is not None:
-            self._obs.era_switch_started(self._owner, self.current.era + 1, at)
 
     def complete_switch(self, at: float, committee) -> EraRecord:
         """Finish the switch: the next era starts now with *committee*.
@@ -105,9 +96,6 @@ class EraHistory:
         )
         self._records.append(record)
         self._switching_since = None
-        if self._obs is not None:
-            self._obs.era_switch_completed(
-                self._owner, record.era, at, committee_size=len(record.committee))
         return record
 
     def validate(self) -> None:

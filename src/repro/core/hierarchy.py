@@ -225,8 +225,6 @@ class ZoneGateway:
         self.hier.events.record(now, EV_XZONE_DELIVERED,
                                 node=self.backbone_id, tx_id=tx_id,
                                 zone=self.index, src_zone=env.src_zone)
-        if self.hier.obs is not None:
-            self.hier.obs.xzone_delivered(self.name)
         target = self.deployment.committee[0]
         self.deployment.nodes[target].submit_transaction(env.tx)
 
@@ -261,7 +259,6 @@ class HierarchicalDeployment:
         self.spec = spec
         self.config = spec.config or GPBFTConfig()
         self.sim = sim or Simulator()
-        self.obs = obs
         self.mode = spec.mode
         self.checkpoint_interval_s = spec.checkpoint_interval_s
         self.events = EventLog(capacity=spec.event_capacity)
@@ -314,6 +311,8 @@ class HierarchicalDeployment:
         self.network = self.backbone
         if obs is not None:
             obs.bind(self.sim, self.backbone)
+            # no flight-recorder ring for this log: obs facts only
+            obs.listen(self.events, [zone.name for zone in spec.zones])
 
         self.seats = tuple(range(n_seats))
         self.checkpoint_logs: dict[int, _CheckpointLedger] = {}
@@ -346,7 +345,6 @@ class HierarchicalDeployment:
                 transport=NodeInterface(self.backbone, backbone_id),
                 config=self.config.pbft,
                 event_log=self.events,
-                obs=obs,
             )
             gateway = ZoneGateway(
                 self, index, spec.zones[index].name, dep, client,
@@ -416,9 +414,6 @@ class HierarchicalDeployment:
         self.events.record(self.sim.now, EV_HIER_CHECKPOINT_SUBMITTED,
                            node=gateway.backbone_id, zone=gateway.index,
                            seq=op.seq, txs=len(op.txs))
-        if self.obs is not None:
-            self.obs.zone_checkpoint_submitted(gateway.name, op.seq,
-                                               len(op.txs))
         return op
 
     def _on_zone_checkpoint(self, seat: int, op: ZoneCheckpointOperation,
@@ -435,9 +430,6 @@ class HierarchicalDeployment:
             self.events.record(self.sim.now, EV_HIER_CHECKPOINT_COMMITTED,
                                node=seat, zone=op.zone, seq=op.seq,
                                txs=len(op.txs), top_seq=top_seq)
-            if self.obs is not None:
-                self.obs.zone_checkpoint_committed(
-                    self.spec.zones[op.zone].name, op.seq, len(op.txs))
         for pos, env in enumerate(op.txs):
             if self._delivery_seat(env.dst_zone) == seat:
                 self.gateways[env.dst_zone]._on_xzone_tx(
@@ -449,8 +441,6 @@ class HierarchicalDeployment:
         self.events.record(event.at, EV_XZONE_COMMITTED, node=event.node,
                            tx_id=env.tx.tx_id, zone=gateway.index,
                            src_zone=env.src_zone)
-        if self.obs is not None:
-            self.obs.xzone_committed(gateway.name)
 
     # -- workload ----------------------------------------------------------
 

@@ -152,7 +152,7 @@ class GPBFTNode:
         self.committee = genesis.endorser_ids
         self.committee_manager = CommitteeManager(self.committee, genesis.policy)
         self.era = 0
-        self.era_history = EraHistory(self.committee, obs=obs, owner=node_id)
+        self.era_history = EraHistory(self.committee)
         self.incentive = IncentiveEngine(self.config.incentive)
         self.replica: PBFTReplica | None = None
         self.switching = False
@@ -186,7 +186,6 @@ class GPBFTNode:
             config=self.config.pbft,
             event_log=event_log,
             route_fn=self._first_hop,
-            obs=obs,
         )
 
         if self.is_member:
@@ -589,12 +588,8 @@ class GPBFTNode:
             qualified=len(qualified),
             planned_add=len(delta.added),
             planned_remove=len(delta.removed),
+            candidates=len(candidates),
         )
-        if self.obs is not None:
-            self.obs.election_round(
-                self.node_id, self.era,
-                candidates=len(candidates), elected=len(qualified),
-            )
         if delta.empty:
             return
         # the lowest-id valid continuing member proposes the switch;

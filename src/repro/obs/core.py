@@ -1,15 +1,13 @@
-"""The :class:`Observability` facade protocol components talk to.
+"""The :class:`Observability` facade: spans and instruments for a run.
 
-Components accept ``obs: Observability | None = None`` and guard every
-call with ``if self._obs is not None`` -- the whole layer disappears
-behind one predictable branch when disabled, which is what keeps
-goldens and the benchmark's ``sim_digest`` bit-identical.
-
-The facade owns one :class:`~repro.obs.spans.Tracer` and one
-:class:`~repro.obs.instruments.Registry` and exposes protocol-shaped
-methods (``pbft_preprepare``, ``era_switch_completed``, ...) so call
-sites stay one line and the span-key scheme lives in exactly one
-place:
+Protocol code reports each fact once, to its host's
+:class:`~repro.common.eventlog.EventLog`; a host built with a facade
+subscribes it there (:meth:`Observability.attach_host`), and the facade
+turns records into spans and instruments.  Without a facade nothing
+subscribes, which is what keeps goldens and the benchmark's
+``sim_digest`` bit-identical.  The five facts no log records arrive
+through guarded hook calls (see :class:`Observability`).  The span-key
+scheme lives in exactly one place:
 
 ==================================  =======================================
 key                                 span
@@ -18,7 +16,8 @@ key                                 span
 ``prep/{node}/{epoch}/{view}/{s}``  one replica's prepare phase for seq *s*
 ``comm/{node}/{epoch}/{view}/{s}``  one replica's commit phase for seq *s*
 ``vc/{node}/{epoch}/{view}``        one replica's view change into *view*
-``era/{owner}/{era}``               switch period into era *era*
+``era/{node}/{era}``                one node's switch period into *era*
+``ckpt/{zone}/{seq}``               zone checkpoint *seq*, submit to commit
 ==================================  =======================================
 
 An :class:`~repro.obs.obsconfig.ObsConfig` opts a capture into the v2
@@ -30,8 +29,8 @@ city-scale pieces, all off by default:
   ``prep``, ``comm``) keyed by a stable hash of the request id --
   view-change, era, and checkpoint spans are always traced, and the
   time-series sees every request regardless of the sample rate;
-* the flight recorder (:attr:`Observability.flight`), attached to host
-  event logs via :meth:`Observability.attach_host`.
+* the flight recorder (:attr:`Observability.flight`), mirroring host
+  event logs into per-group rings via :meth:`Observability.attach_host`.
 
 Zone-sharded runs call :meth:`Observability.for_zone` per zone: the
 clones share one tracer, registry, time-series, and recorder, but
@@ -41,8 +40,10 @@ label frames and rings with their zone.
 from __future__ import annotations
 
 import copy
-from typing import Any
+from typing import Any, Sequence
 
+from repro.common import eventlog as ev
+from repro.common.eventlog import Event, EventLog
 from repro.net.simulator import Simulator
 from repro.net.stats import TrafficStats
 from repro.obs.flightrec import FlightRecorder
@@ -68,9 +69,17 @@ DEFAULT_ZONE = "all"
 class Observability:
     """Tracer + instrument registry (+ v2 pipeline) behind one object.
 
-    Construct one per capture, :meth:`bind` it to the simulator (and
-    optionally the network), pass it to the deployment/cluster, and
-    call :meth:`finish` before exporting.
+    Construct one per capture, pass it to the host
+    (``TopologySpec.build(obs=...)`` binds and attaches it), and call
+    :meth:`finish` before exporting.
+
+    A fact an event log records reaches the facade only through that
+    log (the kind -> handler table ``_HANDLERS``).  A fact gets a hook
+    method only when no log records it; five do: ``pbft_preprepare``
+    and ``pbft_prepared`` (an event per phase would put
+    ``EventLog.record`` on the obs-off hot path), ``state_transfer``
+    (it counts attempts; the log records successes only),
+    ``geo_report`` and ``mempool_depth``.
 
     Attributes:
         config: the :class:`ObsConfig` in effect (defaults all-off).
@@ -194,28 +203,24 @@ class Observability:
         elif self._hb is not None and sim is not None:
             self._hb.maybe_beat(time, sim.events_processed)
 
-    def attach_host(self, host: Any, group: str | None = None) -> None:
-        """Wire the flight recorder into one cluster/deployment.
+    def attach_host(self, host: Any) -> None:
+        """Listen to one cluster/deployment's event log.
 
-        No-op unless the recorder is active.  Mirrors the host's event
-        log into the ring for *group* (default: this facade's zone
-        label, or a fresh ``g{n}`` group), and points the host's
-        monitor harness ``on_violation`` hook at the recorder so an
+        With the flight recorder active, the log is also mirrored into
+        the ring of this facade's zone label (or a fresh ``g{n}``
+        group), and the host's monitor harness ``on_violation`` hook
+        points at the recorder so an
         :class:`~repro.verify.invariants.InvariantViolation` dumps a
         post-mortem bundle before propagating.
         """
         flight = self.flight
-        if flight is None:
-            return
-        if group is None:
-            group = (self._zone if self._zone is not None
-                     else f"g{len(flight.groups)}")
-        events = getattr(host, "events", None)
-        if events is not None:
-            flight.attach(events, group)
-        monitors = getattr(host, "monitors", None)
-        if monitors is not None and hasattr(monitors, "on_violation"):
-            monitors.on_violation = flight.on_violation
+        if flight is not None:
+            flight.attach(host.events, self._zone if self._zone is not None
+                          else f"g{len(flight.groups)}")
+            monitors = getattr(host, "monitors", None)
+            if monitors is not None and hasattr(monitors, "on_violation"):
+                monitors.on_violation = flight.on_violation
+        self.listen(host.events)
 
     def finish(self) -> None:
         """Seal the capture: close spans, flush windows, export gauges."""
@@ -226,29 +231,114 @@ class Observability:
             self.timeseries.finish(self._now())
         self.tracer.finish()
 
-    # -- request lifecycle ------------------------------------------------
+    # -- facts read off event logs ----------------------------------------
 
-    def request_submitted(self, node: int, rid: str, committee_size: int) -> None:
-        """Client submitted request *rid* to a committee of that size."""
+    def listen(self, events: EventLog, zone_names: Sequence[str] = ()) -> None:
+        """Turn every future record in *events* into spans and instruments.
+
+        *zone_names* labels the zone index ``hier.*`` / ``xzone.*``
+        events carry (a hierarchy's own log).
+        """
+        handlers = self._HANDLERS
+
+        def on_event(event: Event) -> None:
+            handler = handlers.get(event.kind)
+            if handler is not None:
+                handler(self, event, zone_names)
+
+        events.subscribe(on_event)
+
+    def _request_submitted(self, event: Event, _zones: Sequence[str]) -> None:
+        """A client submitted a request to a committee of that size."""
+        rid = event.data["request_id"]
         if self.timeseries is not None:
-            self.timeseries.submitted(self.zone, rid, self._now())
+            self.timeseries.submitted(self.zone, rid, event.at)
         if self.sampler is not None and not self.sampler.sampled(rid):
             return
-        self.tracer.open(
-            f"req/{rid}", "request", cat="request", node=node,
-            request_id=rid, committee_size=committee_size,
-        )
+        self.tracer.open(f"req/{rid}", "request", cat="request", node=event.node,
+                         request_id=rid, committee_size=event.data["committee_size"])
 
-    def request_completed(self, node: int, rid: str) -> None:
-        """Client saw a reply quorum for *rid*; records e2e latency."""
+    def _request_completed(self, event: Event, _zones: Sequence[str]) -> None:
+        """A client saw a reply quorum; records e2e latency."""
+        rid = event.data["request_id"]
         if self.timeseries is not None:
-            self.timeseries.completed(self.zone, rid, self._now())
+            self.timeseries.completed(self.zone, rid, event.at)
         span = self.tracer.close(f"req/{rid}")
         if span is not None:
-            self.registry.histogram(
-                "request.latency_s", LATENCY_EDGES).observe(span.duration)
+            self.registry.histogram("request.latency_s", LATENCY_EDGES).observe(span.duration)
 
-    # -- pbft phases ------------------------------------------------------
+    def _pbft_executed(self, event: Event, _zones: Sequence[str]) -> None:
+        """A replica collected its commit quorum and executed the request."""
+        data = event.data
+        if self.sampler is not None and not self.sampler.sampled(data["request_id"]):
+            return
+        span = self.tracer.close(f"comm/{event.node}/{data['epoch']}/{data['view']}/{data['seq']}")
+        if span is not None:
+            self.registry.histogram(
+                "pbft.quorum_wait_s", PHASE_EDGES).child("commit").observe(span.duration)
+
+    def _view_change_started(self, event: Event, _zones: Sequence[str]) -> None:
+        """A replica broadcast a view-change vote."""
+        epoch, new_view = event.data["epoch"], event.data["new_view"]
+        self.registry.counter("pbft.view_changes").inc()
+        if self.timeseries is not None:
+            self.timeseries.view_change(self.zone, event.at)
+        self.tracer.open(f"vc/{event.node}/{epoch}/{new_view}", "view-change", cat="view",
+                         node=event.node, epoch=epoch, new_view=new_view)
+
+    def _view_entered(self, event: Event, _zones: Sequence[str]) -> None:
+        """A replica entered a view (closes a pending view-change span)."""
+        self.tracer.close(f"vc/{event.node}/{event.data['epoch']}/{event.data['view']}")
+
+    def _era_switch_started(self, event: Event, _zones: Sequence[str]) -> None:
+        """A node's switch into the next era began."""
+        era = event.data["new_era"]
+        self.tracer.open(f"era/{event.node}/{era}", "era-switch", cat="era",
+                         node=event.node, at=event.at, era=era)
+
+    def _era_switch_completed(self, event: Event, _zones: Sequence[str]) -> None:
+        """A node's switch finished; records its downtime."""
+        if self.timeseries is not None:
+            self.timeseries.era_switch(self.zone, event.at)
+        span = self.tracer.close(f"era/{event.node}/{event.data['era']}", at=event.at,
+                                 committee_size=event.data["committee_size"])
+        if span is not None:
+            self.registry.histogram(
+                "era.switch_downtime_s", DOWNTIME_EDGES).observe(span.duration)
+
+    def _election_round(self, event: Event, _zones: Sequence[str]) -> None:
+        """An endorser-election audit ran on a node."""
+        data = event.data
+        self.registry.counter("gpbft.election_rounds").inc()
+        self.tracer.instant("election", cat="election", node=event.node, era=data["era"],
+                            candidates=data["candidates"], elected=data["qualified"])
+
+    def _zone_checkpoint_submitted(self, event: Event, zones: Sequence[str]) -> None:
+        """A zone gateway submitted a checkpoint to the top layer."""
+        zone, seq = zones[event.data["zone"]], event.data["seq"]
+        self.tracer.open(f"ckpt/{zone}/{seq}", "zone-checkpoint", cat="hier",
+                         zone=zone, seq=seq, txs=event.data["txs"])
+        self.registry.counter("hier.checkpoints_submitted").child(zone).inc()
+
+    def _zone_checkpoint_committed(self, event: Event, zones: Sequence[str]) -> None:
+        """The top layer committed a zone checkpoint; records latency."""
+        zone = zones[event.data["zone"]]
+        span = self.tracer.close(f"ckpt/{zone}/{event.data['seq']}")
+        if span is not None:
+            self.registry.histogram(
+                "hier.checkpoint_latency_s", LATENCY_EDGES).observe(span.duration)
+        self.registry.counter("hier.checkpoints_committed").child(zone).inc()
+        self.registry.counter("hier.xzone_txs_ordered").inc(event.data["txs"])
+
+    def _xzone_delivered(self, event: Event, zones: Sequence[str]) -> None:
+        """An ordered inter-zone tx reached its destination gateway."""
+        self.registry.counter("hier.xzone_txs_delivered").child(zones[event.data["zone"]]).inc()
+
+    def _xzone_committed(self, event: Event, zones: Sequence[str]) -> None:
+        """The destination zone committed a delivered inter-zone tx."""
+        self.registry.counter("hier.xzone_txs_committed").child(zones[event.data["zone"]]).inc()
+
+    # -- hooks: facts no event log records --------------------------------
 
     def pbft_preprepare(self, node: int, epoch: int, view: int, seq: int, rid: str) -> None:
         """Replica accepted (or issued) the pre-prepare for *seq*."""
@@ -274,65 +364,13 @@ class Observability:
             request_id=rid, epoch=epoch, view=view, seq=seq,
         )
 
-    def pbft_executed(self, node: int, epoch: int, view: int, seq: int, rid: str) -> None:
-        """Replica collected its commit quorum and executed *seq*."""
-        if self.sampler is not None and not self.sampler.sampled(rid):
-            return
-        span = self.tracer.close(f"comm/{node}/{epoch}/{view}/{seq}")
-        if span is not None:
-            self.registry.histogram(
-                "pbft.quorum_wait_s", PHASE_EDGES).child("commit").observe(span.duration)
-
-    # -- view changes -----------------------------------------------------
-
-    def view_change_started(self, node: int, epoch: int, new_view: int) -> None:
-        """Replica broadcast a view-change vote for *new_view*."""
-        self.registry.counter("pbft.view_changes").inc()
-        if self.timeseries is not None:
-            self.timeseries.view_change(self.zone, self._now())
-        self.tracer.open(
-            f"vc/{node}/{epoch}/{new_view}", "view-change", cat="view",
-            node=node, epoch=epoch, new_view=new_view,
-        )
-
-    def view_entered(self, node: int, epoch: int, view: int) -> None:
-        """Replica entered *view* (closes a pending view-change span)."""
-        self.tracer.close(f"vc/{node}/{epoch}/{view}")
-
-    # -- eras and elections -----------------------------------------------
-
-    def era_switch_started(self, owner: int, era: int, at: float) -> None:
-        """A switch into era *era* began on *owner*'s timeline."""
-        self.tracer.open(
-            f"era/{owner}/{era}", "era-switch", cat="era", node=owner,
-            at=at, era=era,
-        )
-
-    def era_switch_completed(
-        self, owner: int, era: int, at: float, committee_size: int,
-    ) -> None:
-        """The switch into era *era* finished; records its downtime."""
-        if self.timeseries is not None:
-            self.timeseries.era_switch(self.zone, at)
-        span = self.tracer.close(
-            f"era/{owner}/{era}", at=at, committee_size=committee_size)
-        if span is not None:
-            self.registry.histogram(
-                "era.switch_downtime_s", DOWNTIME_EDGES).observe(span.duration)
-
-    def election_round(self, node: int, era: int, candidates: int, elected: int) -> None:
-        """An endorser-election audit ran on *node* for era *era*."""
-        self.registry.counter("gpbft.election_rounds").inc()
-        self.tracer.instant(
-            "election", cat="election", node=node,
-            era=era, candidates=candidates, elected=elected,
-        )
+    def state_transfer(self, node: int) -> None:
+        """Replica *node* requested a state transfer (success or not)."""
+        self.registry.counter("pbft.state_transfers").inc()
 
     def geo_report(self, node: int) -> None:
         """A location report was accepted into the election table."""
         self.registry.counter("gpbft.geo_reports").inc()
-
-    # -- mempool / state transfer ----------------------------------------
 
     def mempool_depth(self, node: int, depth: int) -> None:
         """Mempool depth on *node* after a transaction arrived."""
@@ -341,33 +379,19 @@ class Observability:
         if self.timeseries is not None:
             self.timeseries.depth(self.zone, depth, self._now())
 
-    def state_transfer(self, node: int) -> None:
-        """Replica *node* requested a state transfer."""
-        self.registry.counter("pbft.state_transfers").inc()
 
-    # -- hierarchical (zone-sharded) deployments --------------------------
-
-    def zone_checkpoint_submitted(self, zone: str, seq: int, txs: int) -> None:
-        """Zone gateway submitted checkpoint *seq* to the top layer."""
-        self.tracer.open(
-            f"ckpt/{zone}/{seq}", "zone-checkpoint", cat="hier",
-            zone=zone, seq=seq, txs=txs,
-        )
-        self.registry.counter("hier.checkpoints_submitted").child(zone).inc()
-
-    def zone_checkpoint_committed(self, zone: str, seq: int, txs: int) -> None:
-        """Top layer committed zone checkpoint *seq*; records latency."""
-        span = self.tracer.close(f"ckpt/{zone}/{seq}")
-        if span is not None:
-            self.registry.histogram(
-                "hier.checkpoint_latency_s", LATENCY_EDGES).observe(span.duration)
-        self.registry.counter("hier.checkpoints_committed").child(zone).inc()
-        self.registry.counter("hier.xzone_txs_ordered").inc(txs)
-
-    def xzone_delivered(self, zone: str) -> None:
-        """An ordered inter-zone tx reached destination *zone*'s gateway."""
-        self.registry.counter("hier.xzone_txs_delivered").child(zone).inc()
-
-    def xzone_committed(self, zone: str) -> None:
-        """Destination *zone* committed a delivered inter-zone tx."""
-        self.registry.counter("hier.xzone_txs_committed").child(zone).inc()
+    #: event kind -> handler ``(self, event, zone_names)``
+    _HANDLERS = {
+        ev.EV_REQUEST_SUBMITTED: _request_submitted,
+        ev.EV_REQUEST_COMPLETED: _request_completed,
+        ev.EV_PBFT_EXECUTED: _pbft_executed,
+        ev.EV_PBFT_VIEW_CHANGE: _view_change_started,
+        ev.EV_PBFT_ENTERED_VIEW: _view_entered,
+        ev.EV_ERA_SWITCH_STARTED: _era_switch_started,
+        ev.EV_ERA_SWITCH_COMPLETED: _era_switch_completed,
+        ev.EV_GPBFT_AUDIT: _election_round,
+        ev.EV_HIER_CHECKPOINT_SUBMITTED: _zone_checkpoint_submitted,
+        ev.EV_HIER_CHECKPOINT_COMMITTED: _zone_checkpoint_committed,
+        ev.EV_XZONE_DELIVERED: _xzone_delivered,
+        ev.EV_XZONE_COMMITTED: _xzone_committed,
+    }

@@ -9,13 +9,14 @@ The client emits ``request.submitted`` / ``request.completed`` events;
 consensus latency in the experiments is exactly the difference of those
 two timestamps, matching the paper's definition: "the latency from the
 time when a transaction is sent ... to the time when the transaction is
-written to the ledger after consensus" (section V-B).
+written to the ledger after consensus" (section V-B).  Those two events
+are all :mod:`repro.obs` sees of a client: it reads them off the log.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Callable
+from typing import Callable
 
 from repro.common.config import PBFTConfig
 from repro.common.errors import ConsensusError
@@ -24,9 +25,6 @@ from repro.common.quorum import tolerated_faults
 from repro.net.network import Transport
 from repro.net.simulator import ScheduledEvent, Simulator
 from repro.pbft.messages import ClientRequest, Operation, Reply
-
-if TYPE_CHECKING:
-    from repro.obs.core import Observability
 
 #: Completed-latency entries kept per client before the oldest are
 #: evicted (GPB015 bound convention).  Far above any per-client request
@@ -53,9 +51,8 @@ class PBFTClient:
         sim: simulator for retry timers.
         transport: this client's way out (``send`` and ``multicast``).
         config: supplies the retry timeout.
-        event_log: latency event sink.
-        on_complete: optional callback ``(request_id, latency_s)`` fired
-            when a request reaches its f+1 reply quorum.
+        event_log: latency event sink; ``request.submitted`` carries the
+            committee size and ``request.completed`` the latency.
         route_fn: where to send a *new* request; defaults to the believed
             primary.  G-PBFT devices route to their nearest endorser
             instead (paper: "clients ... send it to nearby endorsers").
@@ -69,9 +66,7 @@ class PBFTClient:
         transport: Transport,
         config: PBFTConfig | None = None,
         event_log: EventLog | None = None,
-        on_complete: Callable[[str, float], None] | None = None,
         route_fn: Callable[[], int] | None = None,
-        obs: "Observability | None" = None,
     ) -> None:
         if not committee:
             raise ConsensusError("client needs a non-empty committee")
@@ -84,9 +79,7 @@ class PBFTClient:
         self._transport = transport
         self.config = config or PBFTConfig()
         self.events = event_log
-        self._on_complete = on_complete
         self._route_fn = route_fn
-        self._obs = obs
         self.f = tolerated_faults(len(self.committee))
         self.view_hint = 0
         self._pending: dict[str, _PendingRequest] = {}
@@ -116,9 +109,8 @@ class PBFTClient:
         self._pending[rid] = entry
         self._submit_times[rid] = self.sim.now
         if self.events is not None:
-            self.events.record(self.sim.now, EV_REQUEST_SUBMITTED, node=self.node_id, request_id=rid)
-        if self._obs is not None:
-            self._obs.request_submitted(self.node_id, rid, len(self.committee))
+            self.events.record(self.sim.now, EV_REQUEST_SUBMITTED, node=self.node_id,
+                               request_id=rid, committee_size=len(self.committee))
         first_hop = self._route_fn() if self._route_fn is not None else self.believed_primary
         self._transport.send(first_hop, request)
         entry.timer = self.sim.schedule(self.config.request_retry_timeout_s, self._retry, rid)
@@ -150,8 +142,7 @@ class PBFTClient:
             self.completed[rid] = latency
             self.completed_count += 1
             if len(self.completed) > self.completed_bound:
-                # evict the oldest entry (dicts preserve insertion
-                # order); long runs read latencies via on_complete
+                # evict the oldest entry (dicts preserve insertion order)
                 del self.completed[next(iter(self.completed))]
             del self._pending[rid]
             if self.events is not None:
@@ -162,10 +153,6 @@ class PBFTClient:
                     request_id=rid,
                     latency=latency,
                 )
-            if self._obs is not None:
-                self._obs.request_completed(self.node_id, rid)
-            if self._on_complete is not None:
-                self._on_complete(rid, latency)
 
     def _retry(self, rid: str) -> None:
         entry = self._pending.get(rid)

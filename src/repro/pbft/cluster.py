@@ -82,7 +82,8 @@ class PBFTCluster:
             + pbft sections used).
         faults: optional map replica id -> :class:`FaultModel`.
         sim: pass an existing simulator to co-host other components.
-        obs: optional observability facade, bound to this network.
+        obs: optional observability facade, bound to this network and
+            subscribed to the event log.
 
     Attributes:
         replicas: id -> :class:`PBFTReplica`.
@@ -106,7 +107,6 @@ class PBFTCluster:
         self.sim = sim or Simulator()
         self.network = SimulatedNetwork(self.sim, self.config.network)
         self.events = EventLog(capacity=spec.event_capacity)
-        self.obs = obs
         if obs is not None:
             obs.bind(self.sim, self.network)
         self.committee = tuple(range(n_replicas))
@@ -162,7 +162,6 @@ class PBFTCluster:
                 transport=NodeInterface(self.network, node),
                 config=self.config.pbft,
                 event_log=self.events,
-                obs=obs,
             )
             self.clients[node] = client
             self.network.register(node, self._client_handler(client))

@@ -90,6 +90,9 @@ class PBFTReplica:
             state, returning the sequence it installed up to (or None
             when no peer could serve the transfer).  Castro-Liskov
             section 4.6 ("state transfer").
+        obs: observability facade for the facts *event_log* does not
+            carry (phase entries, state-transfer attempts); the rest it
+            reads off the log.
     """
 
     def __init__(
@@ -446,8 +449,6 @@ class PBFTReplica:
             epoch=self.epoch, prepares=len(state.prepares),
             commits=len(state.commits),
         )
-        if self._obs is not None:
-            self._obs.pbft_executed(self.node_id, self.epoch, state.view, seq, rid)
         reply = Reply(
             view=state.view,
             timestamp=request.timestamp,
@@ -586,8 +587,6 @@ class PBFTReplica:
             epoch=self.epoch,
         )
         self._record(EV_PBFT_VIEW_CHANGE, new_view=new_view, epoch=self.epoch)
-        if self._obs is not None:
-            self._obs.view_change_started(self.node_id, self.epoch, new_view)
         if self._view_change_timer is not None:
             self._view_change_timer.cancel()
         self._view_change_timer = self.sim.schedule(
@@ -716,8 +715,6 @@ class PBFTReplica:
             v: votes for v, votes in self._view_change_votes.items() if v > new_view
         }
         self._record(EV_PBFT_ENTERED_VIEW, view=new_view, epoch=self.epoch)
-        if self._obs is not None:
-            self._obs.view_entered(self.node_id, self.epoch, new_view)
         # replay protocol messages that arrived before we entered the view
         for view in sorted(v for v in self._future_messages if v <= new_view):
             for msg in self._future_messages.pop(view):

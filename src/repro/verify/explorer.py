@@ -27,6 +27,7 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import json
+import math
 from dataclasses import dataclass, field, replace
 from functools import partial
 from pathlib import Path
@@ -99,6 +100,13 @@ class Perturbation:
     def __post_init__(self) -> None:
         if self.op not in PERTURBATION_OPS:
             raise ConfigurationError(f"unknown perturbation op {self.op!r}")
+        for name in ("at", "until", "extra_s"):
+            if not math.isfinite(getattr(self, name)):
+                raise ConfigurationError(f"perturbation {name} must be finite")
+        if not 0.0 <= self.p <= 1.0:
+            raise ConfigurationError("perturbation p must be in [0, 1]")
+        if self.extra_s < 0:
+            raise ConfigurationError("perturbation extra_s must be >= 0")
         if self.at < 0 or self.until < self.at:
             raise ConfigurationError(
                 f"perturbation window [{self.at}, {self.until}) is invalid")
@@ -160,10 +168,15 @@ class Schedule:
             raise ConfigurationError("schedules need n >= 4")
         if self.submissions < 1:
             raise ConfigurationError("schedules need >= 1 submission")
+        if not math.isfinite(self.horizon_s):
+            raise ConfigurationError("horizon_s must be finite")
         if self.horizon_s <= 0:
             raise ConfigurationError("horizon_s must be positive")
-        if self.era_switch_at is not None and self.protocol != "gpbft":
-            raise ConfigurationError("era_switch_at requires protocol gpbft")
+        if self.era_switch_at is not None:
+            if self.protocol != "gpbft":
+                raise ConfigurationError("era_switch_at requires protocol gpbft")
+            if not math.isfinite(self.era_switch_at):
+                raise ConfigurationError("era_switch_at must be finite")
         if self.zones < 1:
             raise ConfigurationError("zones must be >= 1")
         if self.zones > 1:

@@ -115,8 +115,12 @@ class TestBadValuesExit2:
     """A bad value exits 2 with one error line naming it, never a traceback."""
 
     def test_verify(self, capsys):
-        assert _exit_code(main, ["verify", "--n", "2", "--seeds", "1"]) == 2
-        assert capsys.readouterr().err == "error: schedules need n >= 4\n"
+        for argv, line in (
+                (["--n", "2"], "error: schedules need n >= 4"),
+                (["--horizon", "nan"], "error: horizon_s must be finite"),
+                (["--horizon", "inf"], "error: horizon_s must be finite")):
+            assert _exit_code(main, ["verify", *argv, "--seeds", "1"]) == 2
+            assert capsys.readouterr().err == line + "\n"
 
     @pytest.mark.parametrize("flag,value", [
         ("--duration", "0"), ("--window", "0"), ("--sample-rate", "2"),
@@ -134,8 +138,11 @@ class TestBadValuesExit2:
 
     @pytest.mark.parametrize("argv,line", [
         (["-n", "2"], "error: schedules need n >= 4"),
-        (["--horizon", "-3"], "error: horizon_s must be positive")],
-        ids=["n", "horizon"])
+        (["--horizon", "-3"], "error: horizon_s must be positive"),
+        (["--horizon", "nan"], "error: horizon_s must be finite"),
+        (["--protocol", "gpbft", "--era-switch-at", "nan"],
+         "error: era_switch_at must be finite")],
+        ids=["n", "horizon", "horizon-nan", "era-switch-nan"])
     def test_obs_capture(self, argv, line, capsys):
         from repro.obs.cli import main as obs_main
 

@@ -9,13 +9,17 @@ n=10 G-PBFT scenario.
 
 from __future__ import annotations
 
+import hashlib
 import json
 from dataclasses import replace
 
 import pytest
 
-from repro.common.config import GPBFTConfig, TopologySpec
+from repro.common.config import (
+    ElectionConfig, EraConfig, GPBFTConfig, PBFTConfig, TopologySpec,
+)
 from repro.common.eventlog import EV_PBFT_STATE_TRANSFER
+from repro.experiments import scenario
 from repro.net.network import SimulatedNetwork
 from repro.net.simulator import Simulator
 from repro.net.tracer import MessageTracer
@@ -29,6 +33,7 @@ from repro.obs.export import (
     write_spans_jsonl,
 )
 from repro.obs.instruments import Counter, Gauge, Histogram, Registry
+from repro.obs.obsconfig import ObsConfig
 from repro.obs.report import (
     PHASES, RequestPhases, _kth, attribute_phases, era_timeline, phase_table,
     render_report,
@@ -364,6 +369,111 @@ class TestReport:
         cap = capture_run(protocol="pbft", n=4, submissions=2, seed=0,
                           horizon_s=15.0)
         assert "era switches: none recorded" in render_report(cap.spans)
+
+
+def _pin_config(seed: int, **fields) -> GPBFTConfig:
+    base = GPBFTConfig()
+    return base.replace(network=replace(base.network, seed=seed), **fields)
+
+
+def _pin_pbft(obs):
+    """A 7-replica cluster, two clients, six requests."""
+    host = TopologySpec.cluster(7, n_clients=2, config=_pin_config(3)).build(obs=obs)
+    for k in range(6):
+        scenario.submit(host, "pbft", "pin", k, k % 2, 1.0 + 0.5 * k)
+    host.sim.run(until=30.0)
+
+
+def _pin_gpbft(obs, switches=(9.0,)):
+    """14 nodes, 4 endorsers: fast elections add ten, plus forced switches."""
+    config = _pin_config(4, era=EraConfig(period_s=15.0), election=ElectionConfig(
+        stationary_hours=0.003, report_interval_s=3.0, min_reports=1,
+        audit_window_s=60.0))
+    host = TopologySpec.single(14, 4, config=config, seed=4).build(obs=obs)
+    ids = sorted(host.nodes)
+    for k in range(8):
+        host.sim.schedule_at(1.0 + 2.0 * k, host.submit_from, ids[k % len(ids)])
+    for at in switches:
+        host.sim.schedule_at(at, host.force_era_switch)
+    host.sim.run(until=70.0)
+
+
+def _pin_zoned(obs):
+    """Two zones of five: inter-zone and zone-local traffic interleaved."""
+    host = TopologySpec.zoned(2, 5, config=_pin_config(5), seed=5,
+                              start_reports=False).build(obs=obs)
+    ids = sorted(host.nodes)
+    for k in range(6):
+        host.sim.schedule_at(1.0 + 0.75 * k, host.submit_xzone, ids[k % len(ids)])
+        host.sim.schedule_at(1.3 + 0.75 * k, host.submit_from, ids[(k + 3) % len(ids)])
+    host.sim.run(until=40.0)
+
+
+def _pin_crash(obs):
+    """A backup misses checkpoints (state transfer), then the primary dies."""
+    config = _pin_config(6, pbft=PBFTConfig(
+        checkpoint_interval=4, watermark_window=8, view_change_timeout_s=6.0,
+        request_retry_timeout_s=4.0))
+    host = TopologySpec.cluster(7, config=config).build(obs=obs)
+    host.sim.schedule_at(0.5, host.network.set_offline, 6, True)
+    host.sim.schedule_at(7.0, host.network.set_offline, 6, False)
+    host.sim.schedule_at(8.0, host.network.set_offline, 0, True)
+    for k in range(16):
+        scenario.submit(host, "pbft", "crash", k, 0, 1.0 + 0.75 * k)
+    host.sim.run(until=60.0)
+
+
+#: SHA-256 of (spans JSONL, instrument snapshot, window frames) per
+#: capture; every protocol fact obs records shows up in one of them.
+CAPTURE_PINS = {
+    "pbft": (_pin_pbft, (
+        "47063197af2d146de5e5e097aac6422b6ee0280a7873e2d63be355ff8e652cf1",
+        "32a39a28808f36f35913439aa057e9cbf1d96edd4b73b2265bece299fe260c2a",
+        "a498c2940dcbab1ae3e268fb84097e771b4db3e81ec0dd7b4484a56bfaddac32")),
+    "gpbft": (_pin_gpbft, (
+        "053b591ea88d59fc21c8bfbaedf37711a1ca36412290582b0e69388440b083a4",
+        "005b17c928fd898a988d4a2d25cdc16bd57b755cc26a6a0d8a0cf4a4fa7bd11e",
+        "3f0ab535e3924dc68cd3d855c298599139db75d394cd77bfff64f22e8a094776")),
+    "zoned": (_pin_zoned, (
+        "326ad2d1c9ffb5ab2b6c926d341d31c286de0f22431706c886cec2f6df3ae8fb",
+        "3d81a86cde96b7fbf3f1d42aa6e42f600ae9eadb541987cb7e2cc100cab73c13",
+        "afd8eb1a04db82c6325fc7ba1e6b052dfb9c95c2e7a9b55d80cd6c686d1d10ff")),
+    "crash": (_pin_crash, (
+        "28c269816e039afb5eb102820632f4e6f7b55fc1b4e845c0d52396fd56de18ec",
+        "a5891d4c608a2d55e223e8b67d41d5b1c08d54ad37f74127bfe51df6b53426a9",
+        "38b3da326ddc6f40da0ecf3a4c84243478bae8e76cb1344eaebb8c555eed7c0f")),
+}
+
+
+@pytest.mark.parametrize("name", sorted(CAPTURE_PINS))
+def test_capture_outputs_are_pinned(name, tmp_path):
+    build, expected = CAPTURE_PINS[name]
+    obs = Observability(ObsConfig(timeseries=True, window_s=5.0))
+    build(obs)
+    obs.finish()
+    spans = tmp_path / "spans.jsonl"
+    write_spans_jsonl(obs.tracer.spans, spans)
+    digests = [hashlib.sha256(blob).hexdigest() for blob in (
+        spans.read_bytes(),
+        json.dumps(obs.snapshot(), sort_keys=True).encode(),
+        json.dumps(list(obs.timeseries.frames_tail), sort_keys=True).encode())]
+    assert tuple(digests) == expected
+
+
+def test_era_spans_name_the_era_each_node_enters():
+    # the ten endorsers elected into era 2 adopt it from committee
+    # announcements, without a switch of their own; their first switch
+    # is into era 3, and their spans must say so
+    obs = Observability()
+    _pin_gpbft(obs, switches=(9.0, 40.0))
+    obs.finish()
+    eras = {}
+    for span in obs.tracer.spans:
+        if span.name == "era-switch":
+            eras.setdefault(span.node, []).append(span.args["era"])
+    assert eras == {node: [1, 2, 3] if node < 4 else [3] for node in range(14)}
+    assert [(row["era"], row["nodes"]) for row in era_timeline(obs.tracer.spans)] == [
+        (1, 4), (2, 4), (3, 14)]
 
 
 class TestCli:

@@ -19,6 +19,8 @@ import pytest
 from repro.common.eventlog import (
     EV_PBFT_ASSIGNED,
     EV_PBFT_VIEW_CHANGE,
+    EV_REQUEST_COMPLETED,
+    EV_REQUEST_SUBMITTED,
     EventLog,
 )
 from repro.net.simulator import Simulator
@@ -410,7 +412,7 @@ class TestObservabilityFacadeV2:
     def test_attach_host_routes_violations_to_the_recorder(self):
         obs = Observability(ObsConfig(flight_recorder=True))
         host = _StubHost()
-        obs.attach_host(host, group="z0")
+        obs.for_zone("z0").attach_host(host)
         host.events.record(1.0, EV_PBFT_ASSIGNED, node=0, seq=1)
         assert host.monitors.on_violation == obs.flight.on_violation
         with pytest.raises(InvariantViolation):
@@ -424,8 +426,13 @@ class TestObservabilityFacadeV2:
         za, zb = obs.for_zone("zA"), obs.for_zone("zB")
         assert za.timeseries is obs.timeseries
         assert za.tracer is obs.tracer
-        za.request_submitted(0, "r1", 4)
-        zb.request_submitted(1, "r2", 4)
+        log_a, log_b = EventLog(), EventLog()
+        za.listen(log_a)
+        zb.listen(log_b)
+        log_a.record(0.0, EV_REQUEST_SUBMITTED, node=0, request_id="r1",
+                     committee_size=4)
+        log_b.record(0.0, EV_REQUEST_SUBMITTED, node=1, request_id="r2",
+                     committee_size=4)
         obs.timeseries.finish(1.0)
         assert [f["zone"] for f in obs.timeseries.frames_tail] == ["zA", "zB"]
 
@@ -449,9 +456,12 @@ class TestObservabilityFacadeV2:
     def test_sampling_thins_spans_but_not_the_timeseries(self):
         obs = Observability(ObsConfig(timeseries=True, window_s=60.0,
                                       sample_rate=0.0))
+        log = EventLog()
+        obs.listen(log)
         for k in range(25):
-            obs.request_submitted(0, f"r{k}", 4)
-            obs.request_completed(0, f"r{k}")
+            log.record(0.0, EV_REQUEST_SUBMITTED, node=0, request_id=f"r{k}",
+                       committee_size=4)
+            log.record(0.0, EV_REQUEST_COMPLETED, node=0, request_id=f"r{k}")
         obs.timeseries.finish(1.0)
         assert obs.tracer.spans == []
         frame = obs.timeseries.frames_tail[-1]

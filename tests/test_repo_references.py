@@ -57,6 +57,25 @@ def test_net_imports_nothing_from_obs():
         assert not found, f"{path.name} imports repro.obs: {found}"
 
 
+@pytest.mark.parametrize("module", ["pbft/client.py", "core/era.py"])
+def test_event_log_writers_import_nothing_from_obs(module):
+    # a client's requests and a node's era switches reach obs through
+    # the event log they are recorded on, never through a direct call
+    text = (ROOT / "src" / "repro" / module).read_text()
+    found = re.findall(r"^\s*(?:from|import) repro\.obs\b.*", text, re.MULTILINE)
+    assert not found, f"{module} imports repro.obs: {found}"
+
+
+def test_observability_hooks_are_the_facts_no_log_records():
+    from repro.obs.core import Observability
+
+    wiring = {"bind", "for_zone", "snapshot", "attach_host", "listen", "finish"}
+    hooks = {name for name, value in vars(Observability).items()
+             if callable(value) and not name.startswith("_")} - wiring
+    assert hooks == {"pbft_preprepare", "pbft_prepared", "state_transfer",
+                     "geo_report", "mempool_depth"}
+
+
 def test_the_benchmark_loads_no_experiment_or_verify_module():
     # perfbench times the modules it imports; the experiment harness and
     # the explorer riding along would cost every benchmark process memory

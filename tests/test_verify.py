@@ -78,6 +78,19 @@ class TestScheduleModel:
         with pytest.raises(ConfigurationError):
             Perturbation(op="warp", at=1.0)
 
+    @pytest.mark.parametrize("fields,message", [
+        (dict(at=float("nan"), until=2.0), "perturbation at must be finite"),
+        (dict(at=1.0, until=float("inf")), "perturbation until must be finite"),
+        (dict(at=1.0, until=2.0, extra_s=float("nan")),
+         "perturbation extra_s must be finite"),
+        (dict(at=1.0, until=2.0, extra_s=-0.5), "perturbation extra_s must be >= 0"),
+        (dict(at=1.0, until=2.0, p=1.5), r"perturbation p must be in \[0, 1\]"),
+        (dict(at=1.0, until=2.0, p=float("nan")), r"perturbation p must be in \[0, 1\]"),
+    ])
+    def test_perturbation_rejects_non_finite_and_out_of_range(self, fields, message):
+        with pytest.raises(ConfigurationError, match=message):
+            Perturbation(op="delay", **fields)
+
     def test_generate_is_deterministic_and_valid(self):
         for protocol, n in (("pbft", 4), ("gpbft", 6)):
             one = generate_schedule(protocol, n, seed=11)
