@@ -32,7 +32,7 @@ Quickstart::
     assert dep.nodes[0].ledger.state.get("temp") == "25C"
 """
 
-__version__ = "1.2.0"
+__version__ = "1.3.0"
 
 __all__ = [
     "common",

@@ -15,9 +15,10 @@ Modules:
 * :mod:`repro.net.message` -- size-accounted message envelopes;
 * :mod:`repro.net.latency` -- pluggable propagation-delay models;
 * :mod:`repro.net.network` -- the network itself: interfaces, unicast,
-  multicast, drops, partitions, serial receive-queues;
-* :mod:`repro.net.stats` -- per-node / per-kind traffic accounting;
-* :mod:`repro.net.tracer` -- message-flow capture and sequence diagrams.
+  multicast, faults (offline nodes, partitions, drops), serial
+  receive-queues;
+* :mod:`repro.net.stats` -- per-node / per-kind traffic accounting, the
+  one record of what was sent, dropped and delivered.
 """
 
 from repro.net.simulator import Simulator, ScheduledEvent
@@ -31,7 +32,6 @@ from repro.net.latency import (
 )
 from repro.net.network import SimulatedNetwork, NodeInterface
 from repro.net.stats import TrafficStats, TrafficSnapshot
-from repro.net.tracer import MessageTracer, TraceRow
 
 __all__ = [
     "Simulator",
@@ -47,6 +47,4 @@ __all__ = [
     "NodeInterface",
     "TrafficStats",
     "TrafficSnapshot",
-    "MessageTracer",
-    "TraceRow",
 ]

@@ -42,8 +42,10 @@ delay in one call, and one pass files the copies.  It is the same
 simulation as one ``send`` per destination: the same random draws in
 the same order, the same envelope order and the same wakes.
 
-The network also supports iid message drops and group partitions, used by
-fault-injection tests and the view-change machinery.
+The network also supports offline nodes, group partitions and iid
+message drops (``set_offline``, ``set_partition``, ``set_drop_probability``),
+used by fault-injection tests, the schedule explorer and the view-change
+machinery.
 """
 
 from __future__ import annotations
@@ -268,6 +270,21 @@ class SimulatedNetwork:
         """
         self._partition = dict(groups) if groups else {}
 
+    def set_drop_probability(self, p: float) -> None:
+        """Lose each message sent from now on independently with chance *p*.
+
+        Replaces the configured ``drop_probability``; ``0`` stops the
+        loss.  A lost copy is charged and counted as dropped, like any
+        other network drop.
+
+        Raises:
+            NetworkError: unless ``0 <= p <= 1``.
+        """
+        if not 0.0 <= p <= 1.0:
+            raise NetworkError(f"drop probability must be in [0, 1], got {p}")
+        self._drop_probability = p
+        self._copy_by_copy = p > 0 or self._bandwidth_bps > 0
+
     def _group(self, node_id: int) -> int:
         return self._partition.get(node_id, -1)
 
@@ -333,13 +350,9 @@ class SimulatedNetwork:
 
         The copies go through :meth:`send` one by one when drops or the
         bandwidth model are on (see ``_copy_by_copy``) and when ``send``
-        has been replaced on this instance: whoever assigns
-        ``network.send`` sees, and decides on, every copy of every
-        broadcast.  Three things still do: a
-        :class:`~repro.net.tracer.MessageTracer` (a row per copy), a
-        ``SendPerturber`` armed with a drop or delay window (a verdict
-        per copy), and ``perfbench``'s payload capture.  Observability
-        does not -- it reads :attr:`stats`.
+        has been replaced on this instance.  Nothing in ``repro``
+        replaces it; the fallback is kept for ``perfbench``'s payload
+        capture, which must see every copy of every broadcast.
         """
         # a replaced ``send`` is any callable but the class's own method;
         # a harness that detaches by assigning the original back qualifies

@@ -42,6 +42,19 @@ def _fault(raw: str) -> tuple[int, str]:
         raise argparse.ArgumentTypeError(f"bad node id {node!r}") from None
 
 
+def _at_least(low: int):
+    """argparse type for an integer flag that must be ``>= low``."""
+    def parse(raw: str) -> int:
+        try:
+            value = int(raw)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"invalid int value: {raw!r}") from None
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be >= {low}, got {value}")
+        return value
+    return parse
+
+
 def build_parser() -> argparse.ArgumentParser:
     """Build the argparse parser for ``repro verify``."""
     parser = argparse.ArgumentParser(
@@ -56,7 +69,7 @@ def build_parser() -> argparse.ArgumentParser:
                         default="pbft", help="protocol to explore")
     parser.add_argument("--n", type=int, default=4,
                         help="committee / deployment size")
-    parser.add_argument("--seeds", type=int, default=8,
+    parser.add_argument("--seeds", type=_at_least(1), default=8,
                         help="number of seeded schedules to explore")
     parser.add_argument("--submissions", type=int, default=5,
                         help="transactions submitted per schedule")
@@ -74,7 +87,7 @@ def build_parser() -> argparse.ArgumentParser:
                         help="worker processes for the schedule fan-out")
     parser.add_argument("--out", type=Path, default=DEFAULT_ARTIFACT_DIR,
                         help="directory for failing-schedule artifacts")
-    parser.add_argument("--shrink-budget", type=int, default=48,
+    parser.add_argument("--shrink-budget", type=_at_least(0), default=48,
                         help="max extra runs spent shrinking a failure")
     return parser
 
@@ -82,11 +95,11 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     """Run exploration or replay; returns the process exit code."""
     args = build_parser().parse_args(argv)
-    if args.replay is not None:
-        result = replay_artifact(args.replay)
-        print(result.summary())
-        return 0 if result.reproduced else 2
     try:
+        if args.replay is not None:
+            result = replay_artifact(args.replay)
+            print(result.summary())
+            return 0 if result.reproduced else 2
         report = explore(
             protocol=args.protocol,
             n=args.n,

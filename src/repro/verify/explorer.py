@@ -39,8 +39,8 @@ from repro.common.eventlog import EV_PBFT_EXECUTED
 from repro.common.rng import DeterministicRNG
 from repro.experiments import scenario
 from repro.experiments.engine import Engine, PointSpec
-from repro.net.network import SimulatedNetwork
-from repro.net.tracer import MessageTracer
+from repro.net.latency import LatencyModel
+from repro.net.simulator import Simulator
 from repro.pbft.faults import (
     CrashFaults,
     EquivocatingFaults,
@@ -269,69 +269,47 @@ class ScheduleResult:
 
 @dataclass
 class RunOutcome:
-    """A schedule run's result plus the live objects behind it.
+    """A schedule run's result plus the host behind it.
 
-    Only :attr:`result` crosses process boundaries; the host, harness
-    and tracer are for in-process inspection (shrinking, replay
-    rendering, tests).
+    Only :attr:`result` crosses process boundaries; the host is for
+    in-process inspection (shrinking, tests).
     """
 
     result: ScheduleResult
     host: object
-    tracer: MessageTracer | None = None
 
 
-class SendPerturber:
-    """Replaces a network's ``send`` to drop or delay-reorder messages.
+class DelayWindowLatency(LatencyModel):
+    """A latency model that holds messages back inside ``delay`` windows.
 
-    While ``network.send`` is replaced, ``network.multicast`` hands every
-    copy of a broadcast to the replacement one by one, so each copy gets
-    its own drop/delay decision.  That is the same simulation as the
-    batched path -- an idle perturber (no window open) changes nothing --
-    but not the same code, so :func:`run_schedule` attaches one only to
-    a schedule that carries a ``drop`` or ``delay`` window.
-
-    Attach order matters for replay: the perturber wraps ``network.send``
-    first, and a :class:`~repro.net.tracer.MessageTracer` (when used)
-    wraps the perturber, so traces capture attempted sends while the
-    scheduled-event stream -- and hence the schedule fingerprint -- is
-    identical with or without tracing.
+    While a window is open, a message's delay grows by the window's
+    ``extra_s`` with probability ``p`` (the first open window whose coin
+    lands wins), reordering it past later traffic.  ``sample_many`` is
+    the base class's, one ``sample`` per destination, so a multicast
+    stays one network pass and draws what its per-copy sends would.
 
     Args:
-        network: the network to perturb (``send`` replaced immediately).
-        rng: stream for the per-message drop/delay coin flips.
+        base: the host's own latency model.
+        windows: the schedule's ``delay`` perturbations.
+        sim: the clock the windows are read against.
+        rng: stream for the per-message coin flips.
     """
 
-    def __init__(self, network: SimulatedNetwork, rng: DeterministicRNG) -> None:
-        self.network = network
+    def __init__(self, base: LatencyModel, windows: list[Perturbation],
+                 sim: Simulator, rng: DeterministicRNG) -> None:
+        self.base = base
+        self.windows = windows
+        self.sim = sim
         self.rng = rng
-        self.windows: list[Perturbation] = []
-        self._original_send = network.send
-        network.send = self._send  # type: ignore[method-assign]
 
-    def add_window(self, perturbation: Perturbation) -> None:
-        """Arm a ``drop`` or ``delay`` window."""
-        self.windows.append(perturbation)
-
-    def _send(self, src: int, dst: int, payload) -> None:
-        now = self.network.sim.now
+    def sample(self, src: int, dst: int, rng: DeterministicRNG) -> float:
+        """The base delay, plus ``extra_s`` when an open window's coin lands."""
+        delay = self.base.sample(src, dst, rng)
+        now = self.sim.now
         for window in self.windows:
-            if window.at <= now < window.until:
-                if window.op == "drop" and self.rng.random() < window.p:
-                    return
-                if window.op == "delay" and self.rng.random() < window.p:
-                    self.network.sim.schedule(
-                        window.extra_s, self._deliver, src, dst, payload)
-                    return
-        self._original_send(src, dst, payload)
-
-    def _deliver(self, src: int, dst: int, payload) -> None:
-        """Release a held message into the real send path."""
-        self._original_send(src, dst, payload)
-
-    def detach(self) -> None:
-        """Restore the network's original send path."""
-        self.network.send = self._original_send  # type: ignore[method-assign]
+            if window.at <= now < window.until and self.rng.random() < window.p:
+                return delay + window.extra_s
+        return delay
 
 
 class ScheduleFingerprint:
@@ -384,15 +362,17 @@ def _build_host(schedule: Schedule, obs=None):
 
 
 def _apply_perturbations(schedule: Schedule, host) -> None:
-    """Arm every perturbation on the host's simulator and network.
+    """Arm every perturbation as a fault of the host's network.
 
-    Crashes and partitions are network faults; ``drop`` / ``delay``
-    windows need a verdict per message, so the first one attaches a
-    :class:`SendPerturber`.  A schedule without them leaves ``send``
-    alone and runs the batched ``multicast``.
+    Crashes, partitions and ``drop`` windows are scheduled at their
+    edges: a drop edge sets the network's loss to ``1 - prod(1 - p)``
+    over the drop windows open from then on, the rate their independent
+    per-window coins would give.  ``delay`` windows wrap the network's
+    latency model in a :class:`DelayWindowLatency`.
     """
     sim, network = host.sim, host.network
-    perturber: SendPerturber | None = None
+    drops = [p for p in schedule.perturbations if p.op == "drop"]
+    delays = [p for p in schedule.perturbations if p.op == "delay"]
     for p in schedule.perturbations:
         if p.op == "crash":
             sim.schedule_at(p.at, network.set_offline, p.node, True)
@@ -401,23 +381,23 @@ def _apply_perturbations(schedule: Schedule, host) -> None:
             groups = {node: 0 for node in p.nodes}
             sim.schedule_at(p.at, network.set_partition, groups)
             sim.schedule_at(p.until, network.set_partition, None)
-        else:  # drop / delay: handled per message inside the window
-            if perturber is None:
-                perturber = SendPerturber(
-                    network, DeterministicRNG(schedule.seed, "verify/perturb"))
-            perturber.add_window(p)
+        elif p.op == "drop":
+            for edge in (p.at, p.until):
+                kept = math.prod(1.0 - w.p for w in drops if w.at <= edge < w.until)
+                sim.schedule_at(edge, network.set_drop_probability, 1.0 - kept)
+    if delays:
+        network.latency = DelayWindowLatency(
+            network.latency, delays, sim,
+            DeterministicRNG(schedule.seed, "verify/perturb"))
 
 
-def run_schedule(schedule: Schedule, with_tracer: bool = False,
-                 obs=None) -> RunOutcome:
+def run_schedule(schedule: Schedule, obs=None) -> RunOutcome:
     """Execute *schedule* under full invariant monitoring.
 
     Returns a :class:`RunOutcome`; a monitor violation is captured in
-    ``outcome.result.violation`` rather than propagating.  With
-    *with_tracer* a :class:`~repro.net.tracer.MessageTracer` records the
-    message flow for replay rendering (without altering the schedule
-    fingerprint; see :class:`SendPerturber`).  With *obs* the run is
-    instrumented instead of monitored (see :func:`_build_host`).
+    ``outcome.result.violation`` rather than propagating.  With *obs*
+    the run is instrumented instead of monitored (see
+    :func:`_build_host`).
 
     The workload is one submission every 0.75 s from ``t = 1``: PBFT
     through :func:`~repro.experiments.scenario.submit`, G-PBFT as each
@@ -426,7 +406,6 @@ def run_schedule(schedule: Schedule, with_tracer: bool = False,
     """
     host = _build_host(schedule, obs)
     _apply_perturbations(schedule, host)
-    tracer = MessageTracer(host.network) if with_tracer else None
     fingerprint = ScheduleFingerprint()
     host.sim.set_step_hook(fingerprint.hook)
     for k in range(schedule.submissions):
@@ -456,7 +435,7 @@ def run_schedule(schedule: Schedule, with_tracer: bool = False,
         events=host.sim.events_processed,
         executed=host.events.count(EV_PBFT_EXECUTED),
     )
-    return RunOutcome(result=result, host=host, tracer=tracer)
+    return RunOutcome(result=result, host=host)
 
 
 def _verify_point(n: int, seed: int, schedule: str) -> dict:
@@ -498,7 +477,7 @@ def generate_schedule(
 
     In multi-zone schedules (``zones > 1``) crash and partition
     perturbations target the *backbone* -- the top-level committee
-    seats -- since that is the network the perturber wraps there; a
+    seats -- since that is the network the faults act on there; a
     partition splits one zone's seats from the rest, the explorer's way
     of cutting zones apart.
     """

@@ -122,6 +122,29 @@ class TestBadValuesExit2:
             assert _exit_code(main, ["verify", *argv, "--seeds", "1"]) == 2
             assert capsys.readouterr().err == line + "\n"
 
+    @pytest.mark.parametrize("flag,value,bound", [
+        ("--seeds", "0", ">= 1"), ("--seeds", "-1", ">= 1"),
+        ("--shrink-budget", "-5", ">= 0")])
+    def test_verify_counts(self, flag, value, bound, capsys):
+        assert _exit_code(main, ["verify", flag, value]) == 2
+        assert f"error: argument {flag}: must be {bound}, got {value}" in (
+            capsys.readouterr().err)
+
+    @pytest.mark.parametrize("content,line", [
+        (None, "error: cannot read artifact {path}: "),
+        ("[]", "error: artifact {path} is not a repro.verify/schedule-artifact file"),
+        ('{"format": "repro.verify/schedule-artifact",'
+         ' "minimal": {"schedule": {"protocol": "pbft"}}}',
+         "error: artifact {path}: minimal.schedule has no field 'n'")],
+        ids=["missing", "list", "schedule-without-n"])
+    def test_verify_replay_bad_artifact(self, content, line, tmp_path, capsys):
+        path = tmp_path / "artifact.json"
+        if content is not None:
+            path.write_text(content)
+        assert _exit_code(main, ["verify", "--replay", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(line.format(path=path)) and err.count("\n") == 1
+
     @pytest.mark.parametrize("flag,value", [
         ("--duration", "0"), ("--window", "0"), ("--sample-rate", "2"),
         ("--heartbeat", "-1")])

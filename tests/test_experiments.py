@@ -190,8 +190,8 @@ PINNED = [
                     offered_interval_s=3.0),
      9.163030237014087, 16240),
     (schedule_spec(generate_schedule("pbft", 7, 2, submissions=4, horizon_s=60.0)),
-     {"events": 378, "executed": 25, "fingerprint": "2a6e080657749c9d",
-      "ok": True, "violation": None}, 378),
+     {"events": 380, "executed": 25, "fingerprint": "765a0635cbc029aa",
+      "ok": True, "violation": None}, 380),
     (schedule_spec(generate_schedule("gpbft", 8, 0, submissions=4, horizon_s=60.0,
                                      zones=2)),
      {"events": 351, "executed": 8, "fingerprint": "69f361e6613544ef",

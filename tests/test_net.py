@@ -260,6 +260,12 @@ class TestSimulatedNetwork:
         sim.run()
         assert 50 < len(got) < 150  # roughly half survive
 
+    @pytest.mark.parametrize("p", [-0.1, 1.5, float("nan")])
+    def test_set_drop_probability_rejects_values_outside_0_1(self, p):
+        _, net = self._net()
+        with pytest.raises(NetworkError, match=r"drop probability must be in \[0, 1\]"):
+            net.set_drop_probability(p)
+
     def test_multicast_skips_sender(self):
         sim, net = self._net()
         got = {i: [] for i in range(3)}
@@ -324,7 +330,7 @@ class TestSimulatedNetwork:
         net.send = tapped
         net.multicast(1, range(4), RawPayload("k", 10))
         assert seen == [0, 2, 3]
-        net.send = original  # how MessageTracer and SendPerturber detach
+        net.send = original  # how a harness that taps sends detaches
         charges = []
         net.stats.on_send = lambda *args: charges.append(args)
         net.multicast(1, range(4), RawPayload("k", 10))

@@ -22,7 +22,6 @@ from repro.common.eventlog import EV_PBFT_STATE_TRANSFER
 from repro.experiments import scenario
 from repro.net.network import SimulatedNetwork
 from repro.net.simulator import Simulator
-from repro.net.tracer import MessageTracer
 from repro.obs.capture import capture_run
 from repro.obs.core import Observability
 from repro.obs.export import (
@@ -186,29 +185,6 @@ class TestObsReadsTrafficStats:
         Observability().bind(sim, net)
         assert "send" not in vars(net)
 
-    def test_tracer_detach_restores_send(self):
-        sim, net = self._net()
-        tracer = MessageTracer(net)
-        assert "send" in vars(net)
-        tracer.detach()
-        assert net.send.__func__ is SimulatedNetwork.send
-
-    def test_message_tracer_and_obs_coexist(self):
-        from repro.net.message import RawPayload
-
-        sim, net = self._net()
-        obs = Observability()
-        obs.bind(sim, net)
-        tracer = MessageTracer(net)
-        net.send(0, 1, RawPayload("a.x", 10))
-        assert len(tracer.rows) == 1
-        assert obs.snapshot()["counters"]["net.messages_sent"]["total"] == 1
-        tracer.detach()
-        # obs still counts after the tracer leaves
-        net.send(0, 1, RawPayload("a.y", 10))
-        assert obs.snapshot()["counters"]["net.messages_sent"]["total"] == 2
-        assert len(tracer.rows) == 1
-
     def test_mid_run_snapshot_equals_the_stats_per_kind(self):
         from repro.net.message import RawPayload
         from repro.pbft.cluster import charge_state_transfer
@@ -216,13 +192,9 @@ class TestObsReadsTrafficStats:
         sim, net = self._net(overhead=32)
         obs = Observability()
         obs.bind(sim, net)
-        tracer = MessageTracer(net)
         net.send(0, 1, RawPayload("a.x", 10))
         net.multicast(0, [0, 1, 2], RawPayload("a.y", 100))
         assert net.stats.bytes_sent == (10 + 32) + 2 * (100 + 32)
-        # every send went through ``send``, so the tracer saw all of them
-        assert sum(row.size_bytes for row in tracer.rows) == net.stats.bytes_sent
-        assert tracer.bytes_by_kind() == dict(net.stats.bytes_by_kind)
         # a modelled transfer is charged straight to the stats: no ``send``
         charge_state_transfer(net.stats, 1, 2, n_ops=3)
         for _ in range(2):  # reading twice must not count twice

@@ -36,6 +36,16 @@ class TestNormalCase:
         assert rid in cluster.any_client.completed
         assert all(cluster.committed_ops(n) == ["op"] for n in cluster.replicas)
 
+    def test_message_counts_match_pbft_complexity(self):
+        cluster = TopologySpec.cluster(4, 1).build()
+        cluster.submit(RawOperation("op"))
+        cluster.run(until=60)
+        counts = cluster.network.stats.messages_by_kind
+        # n = 4: 3 pre-prepares, 3x3 prepares, 4x3 commits
+        assert counts["pbft.pre_prepare"] == 3
+        assert counts["pbft.prepare"] == 9
+        assert counts["pbft.commit"] == 12
+
     def test_many_requests_identical_order(self):
         cluster = TopologySpec.cluster(7, 3).build()
         for i, cid in enumerate(sorted(cluster.clients) * 4):

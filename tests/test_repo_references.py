@@ -6,6 +6,7 @@ benchmark and is not read here.  The last test runs pytest itself under
 the repo's ``pyproject.toml``: its warning filter is an instruction too.
 """
 
+import ast
 import os
 import re
 import subprocess
@@ -55,6 +56,19 @@ def test_net_imports_nothing_from_obs():
         found = re.findall(r"^\s*(?:from|import) repro\.obs\b.*", path.read_text(),
                            re.MULTILINE)
         assert not found, f"{path.name} imports repro.obs: {found}"
+
+
+def test_nothing_in_src_replaces_a_network_send():
+    # every perturbation is a network fault or a latency model; a module
+    # that assigns ``send`` would push every broadcast onto the per-copy
+    # path the benchmark never times
+    found = []
+    for path in sorted((ROOT / "src").rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if (isinstance(node, ast.Attribute) and node.attr == "send"
+                    and isinstance(node.ctx, ast.Store)):
+                found.append(f"{path.relative_to(ROOT)}:{node.lineno}")
+    assert found == []
 
 
 @pytest.mark.parametrize("module", ["pbft/client.py", "core/era.py"])

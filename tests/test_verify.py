@@ -24,8 +24,8 @@ from repro.verify.cli import main as verify_main
 from repro.verify import explorer
 from repro.verify.explorer import (
     Perturbation,
+    DelayWindowLatency,
     Schedule,
-    SendPerturber,
     explore,
     generate_schedule,
     run_schedule,
@@ -130,12 +130,6 @@ class TestRunSchedule:
         assert first.fingerprint == second.fingerprint
         assert first.executed >= 3
 
-    def test_tracer_does_not_perturb_the_fingerprint(self):
-        untraced = run_schedule(_clean()).result
-        traced = run_schedule(_clean(), with_tracer=True)
-        assert traced.result.fingerprint == untraced.fingerprint
-        assert traced.tracer is not None
-
     def test_planted_quorum_bug_trips_the_certificate_monitor(self):
         outcome = run_schedule(_clean(faults=QUORUM_BUG))
         assert not outcome.result.ok
@@ -157,70 +151,92 @@ class TestRunSchedule:
         assert "never ordered" in violation["message"]
 
 
-class TestPerturberSeesEveryCopy:
-    """``SendPerturber`` replaces ``network.send``; broadcasts are batched
-    below it, so the network has to hand it their copies one by one.
-    Only a schedule with a ``drop`` or ``delay`` window gets one."""
+class TestPerturbationsAreNetworkFaults:
+    """Every perturbation acts through the network's own fault state or
+    its latency model; nothing replaces ``network.send``."""
 
-    def test_a_certain_drop_window_silences_every_copy_of_a_multicast(self):
-        from repro.common.rng import DeterministicRNG
-        from repro.net.message import RawPayload
+    def _faulted_net(self, *perturbations):
+        from repro.net.latency import ConstantLatency
         from repro.net.network import SimulatedNetwork
         from repro.net.simulator import Simulator
 
         sim = Simulator()
-        net = SimulatedNetwork(sim)
+        net = SimulatedNetwork(sim, latency=ConstantLatency(0.01))
         got = []
         for node in range(5):
-            net.register(node, got.append)
-        perturber = SendPerturber(net, DeterministicRNG(0, "verify/perturb"))
-        perturber.add_window(Perturbation(op="drop", at=0.0, until=1.0, p=1.0))
-        net.multicast(0, range(5), RawPayload("k", 10))
+            net.register(node, lambda env: got.append((env.dst, sim.now)))
+        explorer._apply_perturbations(_clean(perturbations=perturbations),
+                                      SimpleNamespace(sim=sim, network=net))
+        return sim, net, got
+
+    def test_a_certain_drop_window_loses_every_copy_of_a_multicast(self):
+        from repro.net.message import RawPayload
+
+        sim, net, got = self._faulted_net(
+            Perturbation(op="drop", at=0.5, until=1.0, p=1.0))
+        sim.schedule_at(0.7, net.multicast, 0, range(5), RawPayload("k", 10))
         sim.run()
-        assert got == [] and net.stats.messages_sent == 0
+        # charged and counted as dropped, like any other network loss
+        assert got == []
+        assert (net.stats.messages_sent, net.stats.messages_dropped) == (4, 4)
         sim.schedule_at(2.0, net.multicast, 0, range(5), RawPayload("k", 10))
         sim.run()
-        assert sorted(e.dst for e in got) == [1, 2, 3, 4]  # window over
+        assert sorted(dst for dst, _ in got) == [1, 2, 3, 4]  # window over
+        assert net.stats.messages_dropped == 4
 
-    @pytest.mark.parametrize("schedule", [
-        _clean(),
-        _clean(seed=5, perturbations=(
+    def test_a_certain_delay_window_holds_each_copy_back_extra_s(
+            self, monkeypatch):
+        from repro.net.message import RawPayload
+
+        arrivals = {}
+        for window in ((), (Perturbation(op="delay", at=0.0, until=1.0,
+                                         p=1.0, extra_s=0.25),)):
+            sim, net, got = self._faulted_net(*window)
+            calls, sample_many = [], net.latency.sample_many
+
+            def spy(src, dsts, rng):
+                calls.append(dsts)
+                return sample_many(src, dsts, rng)
+
+            monkeypatch.setattr(net.latency, "sample_many", spy)
+            sim.schedule_at(0.5, net.multicast, 0, range(5), RawPayload("k", 10))
+            sim.run()
+            assert calls == [[1, 2, 3, 4]]  # one pass for the fan-out
+            arrivals[bool(window)] = dict(got)
+        assert isinstance(net.latency, DelayWindowLatency)
+        assert arrivals[True] == pytest.approx(
+            {dst: at + 0.25 for dst, at in arrivals[False].items()})
+
+    @pytest.mark.parametrize("schedule,pinned", [
+        (_clean(), ("33aa4e9a1ba14b02", 115, 12)),
+        (_clean(seed=5, perturbations=(
             Perturbation(op="crash", at=0.5, until=20.0, node=0),
             Perturbation(op="partition", at=1.2, until=6.0, nodes=(1, 2)))),
-        Schedule(protocol="gpbft", n=8, seed=4, submissions=3,
-                 horizon_s=90.0, era_switch_at=10.0),
-        _zoned(),
+         ("81ae5b5685286f5c", 7, 0)),
+        (Schedule(protocol="gpbft", n=8, seed=4, submissions=3,
+                  horizon_s=90.0, era_switch_at=10.0),
+         ("c3f8fa233fd1e6d8", 713, 40)),
+        (_zoned(), ("a87500875a183c0d", 349, 8)),
     ], ids=["pbft", "pbft-crash-partition", "gpbft-era-switch", "zoned"])
-    def test_an_idle_perturber_leaves_the_fingerprint_unchanged(
-            self, schedule, monkeypatch):
-        # without a drop or delay window run_schedule leaves ``send``
-        # alone and broadcasts take the batched path; an attached
-        # perturber with no window open forces the per-copy path, which
-        # must produce the very same event stream
-        from repro.common.rng import DeterministicRNG
+    def test_schedules_without_drop_or_delay_keep_their_fingerprints(
+            self, schedule, pinned):
+        # recorded when drop and delay windows still replaced ``send``:
+        # making them network faults moved none of these
+        result = run_schedule(schedule).result
+        assert result.ok
+        assert (result.fingerprint, result.events, result.executed) == pinned
 
-        batched = run_schedule(schedule)
-        assert "send" not in vars(batched.host.network)
-        build = explorer._build_host
-
-        def with_idle_perturber(schedule, obs=None):
-            host = build(schedule, obs)
-            SendPerturber(host.network,
-                          DeterministicRNG(schedule.seed, "verify/perturb"))
-            return host
-
-        monkeypatch.setattr(explorer, "_build_host", with_idle_perturber)
-        per_copy = run_schedule(schedule)
-        assert "send" in vars(per_copy.host.network)
-        batched, per_copy = batched.result, per_copy.result
-        assert per_copy.ok and batched.ok
-        assert (batched.fingerprint, batched.events, batched.executed) == (
-            per_copy.fingerprint, per_copy.events, per_copy.executed)
-
-    def test_a_drop_or_delay_window_attaches_the_perturber(self):
-        schedule = _clean(perturbations=(
-            Perturbation(op="delay", at=1.0, until=2.0, p=0.5, extra_s=0.2),))
-        assert "send" in vars(run_schedule(schedule).host.network)
+    @pytest.mark.parametrize("perturbation", [
+        Perturbation(op="crash", at=2.0, until=10.0, node=1),
+        Perturbation(op="partition", at=2.0, until=10.0, nodes=(0, 1)),
+        Perturbation(op="drop", at=2.0, until=10.0, p=0.3),
+        Perturbation(op="delay", at=2.0, until=10.0, p=0.5, extra_s=0.4),
+    ], ids=lambda p: p.op)
+    def test_no_perturbation_replaces_send(self, perturbation):
+        host = run_schedule(_clean(perturbations=(perturbation,))).host
+        assert "send" not in vars(host.network)
+        assert isinstance(host.network.latency, DelayWindowLatency) == (
+            perturbation.op == "delay")
 
 
 class TestMonitorHarness:
@@ -342,6 +358,12 @@ class TestReplay:
         summary = replay.summary()
         assert "reproduced" in summary.lower()
         assert expected_monitor in summary
+        # the summary ends with the events the monitor saw before it fired
+        trace = replay.actual.violation["trace"]
+        lines = summary.splitlines()
+        assert lines[-len(trace) - 1] == "trace window (oldest first):"
+        assert [line.split()[2] for line in lines[-len(trace):]] == [
+            event["kind"] for event in trace]
 
     def test_artifact_is_loadable_and_versioned(self, tmp_path):
         artifact = load_artifact(self._artifact(tmp_path))
