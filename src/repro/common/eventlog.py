@@ -18,8 +18,9 @@ vocabulary.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Any, Callable, Iterator
+
+from repro.common.record import TupleRecord
 
 # -- event-kind vocabulary -------------------------------------------------
 # Request lifecycle (client side).
@@ -102,9 +103,13 @@ EVENT_KINDS: frozenset[str] = frozenset({
 })
 
 
-@dataclass(frozen=True, slots=True)
-class Event:
-    """One timestamped occurrence.
+_new = tuple.__new__
+
+
+class Event(TupleRecord):
+    """One timestamped occurrence: the immutable tuple ``(at, kind, node, data)``.
+
+    :meth:`EventLog.record` builds the tuple directly, with no Python frame.
 
     Attributes:
         at: simulated time in seconds.
@@ -113,10 +118,15 @@ class Event:
         data: free-form payload (request ids, era numbers, byte counts...).
     """
 
+    __slots__ = ()
     at: float
     kind: str
-    node: int = -1
-    data: dict[str, Any] = field(default_factory=dict)
+    node: int
+    data: dict[str, Any]
+
+    def __new__(cls, at: float, kind: str, node: int = -1,
+                data: dict[str, Any] | None = None) -> Event:
+        return _new(cls, (at, kind, node, {} if data is None else data))
 
 
 class EventLog:
@@ -160,7 +170,7 @@ class EventLog:
     def subscribe(self, callback: Callable[[Event], None]) -> None:
         """Call *callback(event)* synchronously on every future append.
 
-        Callbacks run inside :meth:`append`, after the event is stored,
+        Callbacks run inside :meth:`record`, after the event is stored,
         so a subscriber that raises aborts the appending simulation step
         with full context -- exactly what invariant monitors want.
         """
@@ -172,33 +182,33 @@ class EventLog:
             self._subscribers.remove(callback)
 
     def append(self, event: Event) -> None:
-        """Record *event*; raises ValueError on a time regression."""
-        if self._events and event.at < self._events[-1].at - 1e-9:
-            raise ValueError(
-                f"event log regression: {event.kind} at {event.at} after "
-                f"{self._events[-1].kind} at {self._events[-1].at}"
-            )
-        self._events.append(event)
-        self._counts[event.kind] = self._counts.get(event.kind, 0) + 1
-        self.total_appended += 1
-        capacity = self._capacity
-        if capacity is not None and len(self._events) > 2 * capacity:
-            # amortized ring: trim half the list at once so appends stay
-            # O(1) instead of shifting the whole list per event
-            del self._events[: len(self._events) - capacity]
-        if self._subscribers:
-            for callback in self._subscribers:
-                callback(event)
+        """Record *event* (as :meth:`record` would build it)."""
+        self.record(event.at, event.kind, event.node, **event.data)
 
     def count(self, kind: str) -> int:
         """O(1) count of events of *kind* (hot-loop friendly)."""
         return self._counts.get(kind, 0)
 
     def record(self, at: float, kind: str, node: int = -1, **data: Any) -> Event:
-        """Convenience: build an :class:`Event` around this call's own
-        ``data`` dict and append it."""
-        event = Event(at=at, kind=kind, node=node, data=data)
-        self.append(event)
+        """Build an :class:`Event` around this call's own ``data`` dict
+        and append it; raises ValueError on a time regression."""
+        event = _new(Event, (at, kind, node, data))
+        events = self._events
+        if events and at < events[-1][0] - 1e-9:
+            last = events[-1]
+            raise ValueError(f"event log regression: {kind} at {at} "
+                             f"after {last.kind} at {last.at}")
+        events.append(event)
+        self._counts[kind] = self._counts.get(kind, 0) + 1
+        self.total_appended += 1
+        capacity = self._capacity
+        if capacity is not None and len(events) > 2 * capacity:
+            # amortized ring: trim half the list at once so appends stay
+            # O(1) instead of shifting the whole list per event
+            del events[: len(events) - capacity]
+        if self._subscribers:
+            for callback in self._subscribers:
+                callback(event)
         return event
 
     def of_kind(self, kind: str) -> list[Event]:

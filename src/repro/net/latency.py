@@ -66,21 +66,21 @@ class UniformLatency(LatencyModel):
         """Draw one propagation delay for (src, dst)."""
         if self.jitter_s <= 0:
             return self.base_s
-        # one next_double scaled by jitter: bit-identical to
+        # one double scaled by jitter: bit-identical to
         # rng.uniform(0, jitter) but skips the range arithmetic -- this
         # runs once per simulated message
-        return self.base_s + self.jitter_s * float(rng.next_double())
+        return self.base_s + self.jitter_s * rng.doubles(1)[0]
 
     def sample_many(
         self, src: int, dsts: Sequence[int], rng: DeterministicRNG
     ) -> list[float]:
-        """One vectorised draw: the same doubles, in the same order, as
-        ``len(dsts)`` scalar draws (``tests/test_net.py`` pins this)."""
+        """The same doubles, in the same order, as ``len(dsts)`` scalar
+        draws (``tests/test_net.py`` pins this)."""
         base = self.base_s
         if self.jitter_s <= 0:
             return [base] * len(dsts)
         jitter = self.jitter_s
-        return [base + jitter * x for x in rng.next_double(len(dsts)).tolist()]
+        return [base + jitter * x for x in rng.doubles(len(dsts))]
 
 
 class LognormalLatency(LatencyModel):

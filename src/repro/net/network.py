@@ -118,12 +118,15 @@ class _Port:
         inbox: heap of envelopes, which order by (arrival time, id).
         interval: seconds one message occupies the node.
         offline_since: when the node went offline, ``None`` while up.
-        serving: a message is in service (a completion is scheduled).
+        serving: the message in service (its completion is queued), or
+            ``None`` while the node is idle.
+        done: the node's completion event, made at its first slot and
+            re-queued for every slot after it.
         wake: the armed wake of an idle node with pending arrivals.
     """
 
     __slots__ = ("node_id", "handler", "inbox", "interval",
-                 "offline_since", "serving", "wake")
+                 "offline_since", "serving", "done", "wake")
 
     def __init__(self, node_id: int, interval: float) -> None:
         self.node_id = node_id
@@ -131,7 +134,8 @@ class _Port:
         self.inbox: list[Envelope] = []
         self.interval = interval
         self.offline_since: float | None = None
-        self.serving = False
+        self.serving: Envelope | None = None
+        self.done: ScheduledEvent | None = None
         self.wake: ScheduledEvent | None = None
 
 
@@ -328,7 +332,7 @@ class SimulatedNetwork:
         arrive = now + delay
         heappush(port.inbox, Envelope(
             (arrive, next(self._envelope_ids), src, dst, payload, kind, size)))
-        if port.serving:
+        if port.serving is not None:
             return  # admitted when the message in service completes
         wake = port.wake
         if wake is None or arrive < wake.time:
@@ -354,16 +358,20 @@ class SimulatedNetwork:
         replaces it; the fallback is kept for ``perfbench``'s payload
         capture, which must see every copy of every broadcast.
         """
-        # a replaced ``send`` is any callable but the class's own method;
-        # a harness that detaches by assigning the original back qualifies
-        # for the batched path again
-        if (self._copy_by_copy
-                or getattr(self.send, "__func__", None) is not type(self).send):
+        # a replaced ``send`` is an instance attribute other than the
+        # class's own method; a harness that detaches by assigning the
+        # original back qualifies for the batched path again
+        replaced = self.__dict__.get("send")
+        if self._copy_by_copy or (
+                replaced is not None
+                and getattr(replaced, "__func__", None) is not type(self).send):
             for dst in dsts:
                 if dst != src:
                     self.send(src, dst, payload)
             return
-        targets = [dst for dst in dsts if dst != src]
+        targets = list(dsts)
+        while src in targets:  # C-level scans: no comprehension frame
+            targets.remove(src)
         if not targets:
             return
         ports = self._ports.get
@@ -397,7 +405,7 @@ class SimulatedNetwork:
                 port = self._port(dst)
             heappush(port.inbox, Envelope(
                 (arrive, next(envelope_ids), src, dst, payload, kind, size)))
-            if port.serving:
+            if port.serving is not None:
                 continue  # admitted when the message in service completes
             wake = port.wake
             if wake is None or arrive < wake.time:
@@ -411,11 +419,10 @@ class SimulatedNetwork:
         """The earliest message bound for the idle node has arrived: a
         completion with nothing to hand over."""
         port.wake = None
-        port.serving = True
-        self._process(port, None)
+        self._process(port)
 
-    def _process(self, port: _Port, envelope: Envelope | None) -> None:
-        """A processing slot finished: start the next, hand *envelope* over.
+    def _process(self, port: _Port) -> None:
+        """A processing slot finished: start the next, hand its message over.
 
         The next slot starts first, so the node's next completion is
         sequenced ahead of anything the handler schedules.  It goes to
@@ -424,8 +431,11 @@ class SimulatedNetwork:
         busy, so its inbox is read at the instant of arrival, and an
         offline one lost whatever arrived since it went down.  With
         nothing to serve the node goes idle, behind a wake if a message
-        is still on its way.
+        is still on its way.  The completion is the port's one event,
+        re-queued; only the first is scheduled, so a wrapper of
+        ``schedule_at`` sees every completion's callback.
         """
+        envelope = port.serving
         inbox = port.inbox
         sim = self.sim
         now = sim.now
@@ -435,10 +445,14 @@ class SimulatedNetwork:
             if port.handler is None or (since is not None and due.arrive >= since):
                 self.stats.on_drop(due.kind)
                 continue
-            sim.schedule_at(now + port.interval, self._process, port, due)
+            port.serving = due
+            if port.done is None:
+                port.done = sim.schedule_at(now + port.interval, self._process, port)
+            else:
+                sim.requeue(port.done, now + port.interval)
             break
         else:
-            port.serving = False
+            port.serving = None
             if inbox:
                 port.wake = sim.schedule_at(inbox[0][0], self._wake, port)
         if envelope is None:

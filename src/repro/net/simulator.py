@@ -16,6 +16,7 @@ depends only on the ``(time, seq)`` keys, never on the heap's layout).
 from __future__ import annotations
 
 import itertools
+import math
 from heapq import heapify, heappop, heappush
 from typing import Any, Callable
 
@@ -115,6 +116,24 @@ class Simulator:
         heappush(self._heap, (time, event.seq, event))
         return event
 
+    def requeue(self, event: ScheduledEvent, time: float) -> None:
+        """Queue *event*, which has fired and is not queued, again at *time*.
+
+        It takes a fresh ``seq`` from :meth:`schedule_at`'s counter, so it
+        fires exactly where a new event would; a busy node re-queues its
+        one completion per message instead of building one.
+
+        Raises:
+            NetworkError: when *time* is before ``now`` or NaN.
+        """
+        if not time >= self.now:
+            raise NetworkError(f"cannot schedule at time {time} (now is {self.now})")
+        event.time = time
+        event.seq = seq = next(self._counter)
+        event.cancelled = False
+        event._sim = self
+        heappush(self._heap, (time, seq, event))
+
     def _note_cancel(self) -> None:
         """A queued entry was cancelled; compact when mostly dead."""
         self._cancelled += 1
@@ -131,7 +150,9 @@ class Simulator:
         The hook runs just before each event's callback, receiving the
         :class:`ScheduledEvent` about to fire.  ``repro.verify`` uses it
         to fingerprint the executed schedule so a replayed run can prove
-        it followed the exact event order of the original.
+        it followed the exact event order of the original.  The hook
+        must read the event, not keep it: a re-queued event (see
+        :meth:`requeue`) is the same object at its next firing.
         """
         self._step_hook = hook
 
@@ -205,7 +226,11 @@ class Simulator:
 
         When stopping at *until*, the clock is advanced to exactly
         *until* (events scheduled beyond it remain queued).
+
+        Raises:
+            NetworkError: when *until* is NaN (it would drain the queue).
         """
+        _check_bound("until", until)
         fired = self._drain(until, max_events, None)
         heap = self._heap
         # a live event still due by *until* means max_events ended the drain
@@ -214,9 +239,13 @@ class Simulator:
         return fired
 
     def run_for(self, duration: float, max_events: int | None = None) -> int:
-        """Run for *duration* simulated seconds from the current time."""
-        if duration < 0:
-            raise NetworkError("duration must be >= 0")
+        """Run for *duration* simulated seconds from the current time.
+
+        Raises:
+            NetworkError: on a negative or NaN *duration*.
+        """
+        if not duration >= 0:
+            raise NetworkError(f"duration must be >= 0, got {duration}")
         return self.run(until=self.now + duration, max_events=max_events)
 
     def run_until_condition(self, done: Callable[[], bool], horizon: float | None = None,
@@ -225,6 +254,16 @@ class Simulator:
 
         Returns:
             True iff the condition was met.
+
+        Raises:
+            NetworkError: when *horizon* is NaN.
         """
+        _check_bound("horizon", horizon)
         self._drain(horizon, max_events, done)
         return done()
+
+
+def _check_bound(name: str, value: float | None) -> None:
+    """Refuse a NaN run bound: ``time > nan`` is never true."""
+    if value is not None and math.isnan(value):
+        raise NetworkError(f"{name} must not be NaN")

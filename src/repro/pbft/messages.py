@@ -10,11 +10,15 @@ single request moves ~81,000 of them, i.e. ~8.6 MB -- the paper reports
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import ClassVar, Protocol, runtime_checkable
+from typing import TYPE_CHECKING, ClassVar, Protocol, runtime_checkable
 
 from repro.common.errors import ConsensusError
+from repro.common.record import TupleRecord
 from repro.common.wire_layout import wire_struct
 from repro.crypto.hashing import digest_concat, HASH_BYTES
+
+if TYPE_CHECKING:
+    from typing_extensions import Self
 
 #: Fixed-record sizes, read once from the layouts repro.codec packs
 #: with (WIRE_MESSAGES), so a layout and the bytes charged for it
@@ -119,25 +123,43 @@ class ClientRequest:
         return rid
 
 
-@dataclass(frozen=True, slots=True)
-class PrePrepare:
+_new = tuple.__new__
+
+
+class _Message(TupleRecord):
+    """A hot message kind: an immutable tuple led by the class's ``kind``.
+
+    Like :class:`~repro.net.message.Envelope`, one is built per phase and
+    read by every peer.  A subclass declares its fields and writes
+    ``__new__`` (see :class:`~repro.common.record.TupleRecord`); it sets
+    ``kind`` and ``size_bytes`` (verified by repro.codec) at class level.
+    The leading kind keeps a prepare from equalling a commit with the
+    same fields.  ``epoch`` (the G-PBFT era) rides in the view word on
+    the wire, so it adds no bytes.
+    """
+
+    __slots__ = ()
+    _lead = 1
+    kind = ""
+
+
+class PrePrepare(_Message):
     """<PRE-PREPARE, v, n, d> signed by the primary, piggybacking the request."""
 
+    __slots__ = ()
+    kind = "pbft.pre_prepare"
     view: int
     seq: int
     digest: bytes
     request: ClientRequest
     sender: int
-    #: consensus epoch (G-PBFT era).  Folded into the view word on the
-    #: wire -- view numbering restarts each era -- so it adds no bytes.
-    epoch: int = 0
+    epoch: int
 
-    def __post_init__(self) -> None:
-        if len(self.digest) != HASH_BYTES:
+    def __new__(cls, view: int, seq: int, digest: bytes, request: ClientRequest,
+                sender: int, epoch: int = 0) -> Self:
+        if len(digest) != HASH_BYTES:
             raise ConsensusError("pre-prepare digest must be 32 bytes")
-
-    #: Message kind for dispatch and traffic accounting.
-    kind: ClassVar[str] = "pbft.pre_prepare"
+        return _new(cls, (cls.kind, view, seq, digest, request, sender, epoch))
 
     @property
     def size_bytes(self) -> int:
@@ -145,45 +167,42 @@ class PrePrepare:
         return _PRE_PREPARE_BYTES + self.request.size_bytes
 
 
-@dataclass(frozen=True, slots=True)
-class Prepare:
+class _Vote(_Message):
+    __slots__ = ()
+    view: int
+    seq: int
+    digest: bytes
+    sender: int
+    epoch: int
+
+    def __new__(cls, view: int, seq: int, digest: bytes, sender: int,
+                epoch: int = 0) -> Self:
+        return _new(cls, (cls.kind, view, seq, digest, sender, epoch))
+
+
+class Prepare(_Vote):
     """<PREPARE, v, n, d, i> multicast by backup *i* after accepting a
     pre-prepare."""
 
-    view: int
-    seq: int
-    digest: bytes
-    sender: int
-    epoch: int = 0
-
-    #: Message kind for dispatch and traffic accounting.
-    kind: ClassVar[str] = "pbft.prepare"
-
-    #: Serialized size in bytes (constant; verified by repro.codec).
-    size_bytes: ClassVar[int] = _PREPARE_BYTES
+    __slots__ = ()
+    kind = "pbft.prepare"
+    size_bytes = _PREPARE_BYTES
 
 
-@dataclass(frozen=True, slots=True)
-class Commit:
+class Commit(_Vote):
     """<COMMIT, v, n, d, i> multicast once a replica is *prepared*."""
 
-    view: int
-    seq: int
-    digest: bytes
-    sender: int
-    epoch: int = 0
-
-    #: Message kind for dispatch and traffic accounting.
-    kind: ClassVar[str] = "pbft.commit"
-
-    #: Serialized size in bytes (constant; verified by repro.codec).
-    size_bytes: ClassVar[int] = _COMMIT_BYTES
+    __slots__ = ()
+    kind = "pbft.commit"
+    size_bytes = _COMMIT_BYTES
 
 
-@dataclass(frozen=True, slots=True)
-class Reply:
+class Reply(_Message):
     """<REPLY, v, t, c, i, r> sent to the client after execution."""
 
+    __slots__ = ()
+    kind = "pbft.reply"
+    size_bytes = _REPLY_BYTES
     view: int
     timestamp: float
     client: int
@@ -191,28 +210,27 @@ class Reply:
     request_id: str
     result_digest: bytes
 
-    #: Message kind for dispatch and traffic accounting.
-    kind: ClassVar[str] = "pbft.reply"
+    def __new__(cls, view: int, timestamp: float, client: int, sender: int,
+                request_id: str, result_digest: bytes) -> Self:
+        return _new(cls, (cls.kind, view, timestamp, client, sender, request_id,
+                          result_digest))
 
-    #: Serialized size in bytes (constant; verified by repro.codec).
-    size_bytes: ClassVar[int] = _REPLY_BYTES
 
-
-@dataclass(frozen=True, slots=True)
-class Checkpoint:
+class Checkpoint(_Message):
     """<CHECKPOINT, n, d, i>: replica *i* reached sequence *n* with state
     digest *d*."""
 
+    __slots__ = ()
+    kind = "pbft.checkpoint"
+    size_bytes = _CHECKPOINT_BYTES
     seq: int
     state_digest: bytes
     sender: int
-    epoch: int = 0
+    epoch: int
 
-    #: Message kind for dispatch and traffic accounting.
-    kind: ClassVar[str] = "pbft.checkpoint"
-
-    #: Serialized size in bytes (constant; verified by repro.codec).
-    size_bytes: ClassVar[int] = _CHECKPOINT_BYTES
+    def __new__(cls, seq: int, state_digest: bytes, sender: int,
+                epoch: int = 0) -> Self:
+        return _new(cls, (cls.kind, seq, state_digest, sender, epoch))
 
 
 @dataclass(frozen=True, slots=True)

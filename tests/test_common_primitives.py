@@ -1,10 +1,34 @@
 """Unit tests: ids, RNG, and event log (repro.common)."""
 
+import copy
+import pickle
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.common.eventlog import Event, EventLog
 from repro.common.ids import node_name, primary_for_view, validate_node_id
 from repro.common.rng import DeterministicRNG
+
+
+def _shuffled(rng):
+    items = list(range(8))
+    rng.shuffle(items)
+    return items
+
+
+#: Every single draw of DeterministicRNG but doubles(), by name.
+_DRAWS = {
+    "random": lambda rng: rng.random(),
+    "uniform": lambda rng: rng.uniform(2.0, 5.0),
+    "integers": lambda rng: rng.integers(0, 2**31),
+    "exponential": lambda rng: rng.exponential(2.0),
+    "lognormal": lambda rng: rng.lognormal(0.0, 0.5),
+    "choice": lambda rng: rng.choice("abcdef"),
+    "shuffle": _shuffled,
+    "weighted_index": lambda rng: rng.weighted_index([1.0, 2.0, 3.0]),
+}
 
 
 class TestIds:
@@ -60,10 +84,34 @@ class TestDeterministicRNG:
         # the network draws a multicast's jitter in one call; the run is
         # bit-identical to per-copy draws only while this holds
         vector, scalar = DeterministicRNG(9, "network"), DeterministicRNG(9, "network")
-        for k in (1, 3, 201):
-            assert vector.next_double(k).tolist() == [
-                float(scalar.next_double()) for _ in range(k)]
+        for k in (1, 3, 201, 300):
+            assert vector.doubles(k) == [scalar.random() for _ in range(k)]
         assert vector.random() == scalar.random()
+        assert vector.exponential(1.0) == scalar.exponential(1.0)
+
+    def test_resync_restores_the_half_word_integers_caches(self):
+        # a bounded integers() draw caches half a 64-bit word; rewinding
+        # a block with advance() alone would throw it away
+        buffered, reference = DeterministicRNG(3, "x"), DeterministicRNG(3, "x")
+        assert buffered.integers(0, 2**31) == reference.integers(0, 2**31)
+        assert buffered.doubles(2) == [reference.random(), reference.random()]
+        assert buffered.integers(0, 2**31) == reference.integers(0, 2**31)
+
+    @settings(max_examples=80, deadline=None, derandomize=True)
+    @given(ops=st.lists(st.one_of(
+        st.integers(min_value=0, max_value=600),
+        st.sampled_from(sorted(_DRAWS))), max_size=30))
+    def test_any_interleaving_equals_the_unbuffered_stream(self, ops):
+        # ints are doubles(k) calls, k up to beyond one block; the
+        # reference never calls doubles(), so it never buffers
+        buffered, reference = DeterministicRNG(11, "mix"), DeterministicRNG(11, "mix")
+        for op in ops:
+            if isinstance(op, int):
+                assert buffered.doubles(op) == [reference.random() for _ in range(op)]
+            else:
+                assert _DRAWS[op](buffered) == _DRAWS[op](reference), op
+        for draw in ("integers", "random", "exponential"):
+            assert _DRAWS[draw](buffered) == _DRAWS[draw](reference), draw
 
     def test_uniform_bounds(self):
         rng = DeterministicRNG(3)
@@ -137,6 +185,28 @@ class TestEventLog:
         log.record(3.0, "x", node=3)
         assert [e.node for e in log.of_kind("x")] == [1, 3]
         assert [e.node for e in log.where(lambda e: e.node > 1)] == [2, 3]
+
+    def test_event_builds_by_keyword_and_round_trips(self):
+        event = Event(at=1.5, kind="a")
+        assert (event.at, event.kind, event.node, event.data) == (1.5, "a", -1, {})
+        assert Event(at=1.5, kind="a").data is not event.data
+        assert event == Event(1.5, "a", -1, {})
+        recorded = EventLog().record(2.0, "b", node=3, seq=4)
+        assert recorded == Event(at=2.0, kind="b", node=3, data={"seq": 4})
+        assert repr(recorded) == "Event(at=2.0, kind='b', node=3, data={'seq': 4})"
+        for twin in (pickle.loads(pickle.dumps(recorded)), copy.copy(recorded),
+                     copy.deepcopy(recorded), eval(repr(recorded))):
+            assert twin == recorded and type(twin) is Event
+
+    def test_subscribers_run_in_order_after_the_event_is_stored(self):
+        log = EventLog()
+        seen = []
+        log.subscribe(lambda e: seen.append(("first", e.kind, len(log))))
+        log.subscribe(lambda e: seen.append(("second", e.kind, len(log))))
+        log.record(1.0, "a")
+        log.append(Event(at=2.0, kind="b"))
+        assert seen == [("first", "a", 1), ("second", "a", 1),
+                        ("first", "b", 2), ("second", "b", 2)]
 
     def test_clear_resets_counts(self):
         log = EventLog()

@@ -82,6 +82,44 @@ class TestSimulator:
             event.cancel()
         assert sim.run() == 0 and sim.now == 10.0
 
+    @pytest.mark.parametrize("call, name", [
+        (lambda sim: sim.run(until=float("nan")), "until"),
+        (lambda sim: sim.run_for(float("nan")), "duration"),
+        (lambda sim: sim.run_until_condition(lambda: False, horizon=float("nan")),
+         "horizon"),
+    ], ids=["run", "run_for", "run_until_condition"])
+    def test_a_nan_run_bound_is_refused_instead_of_draining_the_queue(self, call, name):
+        sim = Simulator()
+        fired = []
+        sim.schedule(1e6, fired.append, "timer")
+        with pytest.raises(NetworkError, match=name):
+            call(sim)
+        assert fired == [] and sim.now == 0.0 and sim.pending == 1
+
+    def test_a_requeued_event_keeps_pending_heap_and_cancel_accounting_exact(self):
+        sim = Simulator()
+        fired = []
+        event = sim.schedule_at(1.0, fired.append, "again")
+        sim.schedule_at(2.0, fired.append, "other")
+        sim.run(until=1.0)
+        assert fired == ["again"] and (sim.pending, sim.heap_size) == (1, 1)
+        sim.requeue(event, 2.0)  # same time, later seq: fires second
+        assert (sim.pending, sim.heap_size) == (2, 2)
+        sim.run(until=2.0)
+        assert fired == ["again", "other", "again"]
+        sim.requeue(event, 3.0)
+        event.cancel()
+        event.cancel()
+        assert (sim.pending, sim.heap_size) == (0, 1)
+        assert sim.run() == 0 and (sim.pending, sim.heap_size) == (0, 0)
+        sim.requeue(event, 4.0)  # a cancelled one can come back
+        assert sim.pending == 1 and sim.run() == 1 and fired[-1] == "again"
+        event.cancel()  # after firing: no longer counted anywhere
+        assert (sim.pending, sim.heap_size) == (0, 0)
+        for bad in (float("nan"), 3.5):
+            with pytest.raises(NetworkError, match="cannot schedule"):
+                sim.requeue(event, bad)
+
     def test_max_events_cap_does_not_tick_a_timestamp_it_did_not_reach(self):
         sim = Simulator()
         ticks = []

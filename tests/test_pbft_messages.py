@@ -6,9 +6,14 @@ A prepare/commit must be exactly 108 B -- with n = 202 that yields the
 paper's ~8.6 MB per request.
 """
 
+import copy
+import inspect
+import pickle
+
 import pytest
 
 from repro.common.errors import ConsensusError
+from repro.common.eventlog import Event
 from repro.crypto.hashing import sha256
 from repro.pbft.messages import (
     Checkpoint,
@@ -115,10 +120,58 @@ class TestEpochScoping:
         assert any(p.kind == "pbft.prepare" for _, p in sent)
 
 
+def phase_messages():
+    """One of each tuple message kind."""
+    req = request()
+    return [
+        PrePrepare(view=0, seq=1, digest=req.digest(), request=req, sender=0),
+        Prepare(view=0, seq=1, digest=D, sender=2, epoch=3),
+        Commit(view=0, seq=1, digest=D, sender=2),
+        Reply(view=0, timestamp=0.5, client=1, sender=2, request_id="1:op",
+              result_digest=D),
+        Checkpoint(seq=10, state_digest=D, sender=1),
+    ]
+
+
+class TestTupleMessages:
+    def test_a_prepare_never_equals_a_commit_with_the_same_fields(self):
+        prepare = Prepare(view=0, seq=1, digest=D, sender=2)
+        commit = Commit(view=0, seq=1, digest=D, sender=2)
+        assert prepare != commit
+        assert len({prepare, commit}) == 2
+        assert prepare == Prepare(0, 1, D, 2, 0) and hash(prepare) == hash(Prepare(0, 1, D, 2))
+
+    @pytest.mark.parametrize("msg", phase_messages(), ids=lambda m: m.kind)
+    def test_pickle_copy_and_repr_round_trip(self, msg):
+        names = {cls.__name__: cls for cls in (PrePrepare, Prepare, Commit, Reply,
+                                               Checkpoint, ClientRequest, RawOperation)}
+        for twin in (pickle.loads(pickle.dumps(msg)), copy.copy(msg),
+                     copy.deepcopy(msg), eval(repr(msg), names)):
+            assert twin == msg and type(twin) is type(msg)
+        assert repr(msg).startswith(f"{type(msg).__name__}(")
+
+    @pytest.mark.parametrize("msg", phase_messages(), ids=lambda m: m.kind)
+    def test_kind_and_size_are_class_level_and_fields_are_read_only(self, msg):
+        cls = type(msg)
+        assert msg.kind == cls.kind and msg[0] == cls.kind
+        if cls is not PrePrepare:
+            assert msg.size_bytes == cls.size_bytes
+        with pytest.raises(AttributeError):
+            msg.sender = 9
+        assert not hasattr(msg, "__dict__")
+
+    @pytest.mark.parametrize("cls", [PrePrepare, Prepare, Commit, Reply, Checkpoint, Event])
+    def test_declared_fields_are_the_constructor_parameters_in_order(self, cls):
+        # a field declared out of step with __new__ would read the wrong item
+        assert cls._fields == tuple(inspect.signature(cls.__new__).parameters)[1:]
+
+
 class TestValidation:
     def test_pre_prepare_digest_length_checked(self):
         with pytest.raises(ConsensusError):
             PrePrepare(view=0, seq=1, digest=b"short", request=request(), sender=0)
+        with pytest.raises(ConsensusError, match="32 bytes"):
+            PrePrepare(view=0, seq=1, digest=D[:31], request=request(), sender=0)
 
     def test_request_id_format(self):
         assert request().request_id == "1:op"
