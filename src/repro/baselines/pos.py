@@ -138,8 +138,7 @@ class PoSNetwork:
         self.sim.schedule(self.config.slot_interval_s, self._run_slot)
 
     def _make_handler(self, validator: int):
-        def handle(envelope) -> None:
-            payload = envelope.payload
+        def handle(payload) -> None:
             if payload.kind == "pos.tx":
                 self.mempools[validator].add(payload.tx_id)
             elif payload.kind == "pos.block":

@@ -208,8 +208,7 @@ class PoWNetwork:
         self._schedule_next_block()
 
     def _make_handler(self, miner: int):
-        def handle(envelope) -> None:
-            payload = envelope.payload
+        def handle(payload) -> None:
             if payload.kind == "pow.block":
                 self._accept_block(miner, payload.block)
             elif payload.kind == "pow.tx":

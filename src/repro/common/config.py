@@ -19,6 +19,7 @@ the simulation; the derivations are documented inline and verified by
 from __future__ import annotations
 
 import dataclasses
+import math
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any
 
@@ -85,6 +86,10 @@ class NetworkConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
+        for name in ("processing_rate", "base_latency_s", "latency_jitter_s",
+                     "bandwidth_bps"):
+            value = getattr(self, name)
+            _require(math.isfinite(value), f"{name} must be finite, got {value}")
         _require(self.processing_rate > 0, "processing_rate must be positive")
         _require(self.base_latency_s >= 0, "base_latency_s must be >= 0")
         _require(self.latency_jitter_s >= 0, "latency_jitter_s must be >= 0")

@@ -150,7 +150,7 @@ class GPBFTDeployment:
             )
             node._chain_sync_hook = self._chain_sync
             self.nodes[node_id] = node
-            self.network.register(node_id, node.on_envelope)
+            self.network.register(node_id, node.receive)
             if start_reports:
                 node.start_reporting()
         if self.profile_map:
@@ -298,7 +298,7 @@ class GPBFTDeployment:
             )
             node._chain_sync_hook = self._chain_sync
             self.nodes[identity.node_id] = node
-            self.network.register(identity.node_id, node.on_envelope)
+            self.network.register(identity.node_id, node.receive)
             # physics: the attacker's hardware sits at its true position
             self.directory[identity.node_id] = identity.true_position
             if self.sybil_protection and self._oracle is not None:

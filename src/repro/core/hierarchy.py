@@ -55,7 +55,7 @@ from repro.crypto.hashing import sha256
 from repro.net.network import NodeInterface, SimulatedNetwork
 from repro.net.simulator import Simulator
 from repro.pbft.client import PBFTClient
-from repro.pbft.cluster import charge_state_transfer
+from repro.pbft.cluster import state_transfer
 from repro.pbft.faults import FaultModel
 from repro.pbft.replica import PBFTReplica
 
@@ -142,9 +142,8 @@ class ZoneGateway:
 
     # -- backbone side -----------------------------------------------------
 
-    def on_envelope(self, envelope) -> None:
+    def receive(self, payload) -> None:
         """Backbone dispatch: PBFT replies plus direct envelope traffic."""
-        payload = envelope.payload
         if isinstance(payload, InterZoneTx):
             # only a bypassing (faulty) source gateway sends these
             # directly; an honest top layer delivers via checkpoints
@@ -329,11 +328,12 @@ class HierarchicalDeployment:
                 executor=self._seat_executor(seat, ledger),
                 state_digest_fn=ledger.digest,
                 event_log=self.events,
-                state_transfer_fn=self._make_state_transfer(seat),
+                state_transfer_fn=state_transfer(
+                    seat, self.replicas, self.checkpoint_logs, self.backbone.stats),
                 obs=obs,
             )
             self.replicas[seat] = replica
-            self.backbone.register(seat, self._replica_handler(replica))
+            self.backbone.register(seat, replica.receive)
 
         self.gateways: list[ZoneGateway] = []
         for index, dep in enumerate(self.zones):
@@ -349,7 +349,7 @@ class HierarchicalDeployment:
             gateway = ZoneGateway(
                 self, index, spec.zones[index].name, dep, client,
                 backbone_id, faults=gateway_faults.get(index))
-            self.backbone.register(backbone_id, gateway.on_envelope)
+            self.backbone.register(backbone_id, gateway.receive)
             self.gateways.append(gateway)
             self.sim.schedule(self.checkpoint_interval_s,
                               gateway._checkpoint_tick)
@@ -359,10 +359,6 @@ class HierarchicalDeployment:
 
     # -- plumbing ----------------------------------------------------------
 
-    @staticmethod
-    def _replica_handler(replica: PBFTReplica):
-        return lambda envelope: replica.receive(envelope.payload)
-
     def _seat_executor(self, seat: int, ledger: _CheckpointLedger):
         def execute(op, seq: int, view: int) -> bytes:
             digest = ledger.execute(op, seq, view)
@@ -370,24 +366,6 @@ class HierarchicalDeployment:
                 self._on_zone_checkpoint(seat, op, seq)
             return digest
         return execute
-
-    def _make_state_transfer(self, seat: int):
-        """Checkpoint catch-up between seats (mirrors PBFTCluster's)."""
-
-        def transfer(target_seq: int) -> int | None:
-            for peer_id in self.seats:
-                peer = self.replicas[peer_id]
-                if peer_id == seat or peer.faults.crashed:
-                    continue
-                if peer.last_executed >= target_seq:
-                    snapshot = self.checkpoint_logs[peer_id]
-                    self.checkpoint_logs[seat].install_snapshot(snapshot)
-                    charge_state_transfer(self.backbone.stats, peer_id, seat,
-                                          len(snapshot.ops))
-                    return peer.last_executed
-            return None
-
-        return transfer
 
     def _delivery_seat(self, zone_index: int) -> int:
         """The lowest seat operated by *zone_index* (its delivery agent)."""

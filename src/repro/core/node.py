@@ -252,11 +252,9 @@ class GPBFTNode:
     # inbound dispatch
     # ------------------------------------------------------------------
 
-    def on_envelope(self, envelope) -> None:
-        """Network handler registered by the deployment."""
-        self._dispatch(envelope.payload)
-
     def _dispatch(self, payload) -> None:
+        """Handle one inbound payload: from the network, or handed to
+        itself by a send or multicast that lists this node."""
         kind = getattr(payload, "kind", "")
         handler = self._HANDLERS.get(kind)
         if handler is not None:
@@ -272,6 +270,11 @@ class GPBFTNode:
                 self._preactivation_buffer.append(payload)
                 if len(self._preactivation_buffer) > self._preactivation_cap:
                     self._preactivation_buffer.pop(0)
+
+    #: The handler the deployment registers with the network.  The same
+    #: function as the local hand-off, whose scheduled callback keeps the
+    #: qualname ``GPBFTNode._dispatch`` that schedule fingerprints hash.
+    receive = _dispatch
 
     def _on_reply(self, reply) -> None:
         self.client.receive(reply)

@@ -12,17 +12,18 @@ Modules:
 
 * :mod:`repro.net.simulator` -- the event loop (priority queue of timed
   callbacks, cancellable handles);
-* :mod:`repro.net.message` -- size-accounted message envelopes;
+* :mod:`repro.net.message` -- the size-accounted payload protocol;
 * :mod:`repro.net.latency` -- pluggable propagation-delay models;
 * :mod:`repro.net.network` -- the network itself: interfaces, unicast,
   multicast, faults (offline nodes, partitions, drops), serial
-  receive-queues;
+  receive-queues of plain-tuple envelopes; a registered handler is
+  called with each delivered payload, ``handler(payload)``;
 * :mod:`repro.net.stats` -- per-node / per-kind traffic accounting, the
   one record of what was sent, dropped and delivered.
 """
 
 from repro.net.simulator import Simulator, ScheduledEvent
-from repro.net.message import Envelope, Payload
+from repro.net.message import Payload
 from repro.net.latency import (
     LatencyModel,
     ConstantLatency,
@@ -36,7 +37,6 @@ from repro.net.stats import TrafficStats, TrafficSnapshot
 __all__ = [
     "Simulator",
     "ScheduledEvent",
-    "Envelope",
     "Payload",
     "LatencyModel",
     "ConstantLatency",

@@ -18,12 +18,19 @@ evaluation confirms.  Propagation alone would never reproduce that.
 Everything the network knows about one node id sits in one record, its
 *port*: the receive handler, the *inbox* -- a heap of the messages bound
 for it, ordered by (arrival time, send order) -- the processing interval,
-since when it has been offline, whether a message is in service, and the
-wake it has armed.  ``send`` looks the destination's port up once, fixes
-the arrival time and files the message in the inbox; the simulator
-events that follow carry the port, so delivery never looks a node up.
-A message in flight is one object: an :class:`Envelope` is a tuple led
-by ``(arrive, envelope_id)``, so the inbox heap holds and orders it as is.
+since when it has been offline, whether a message is in service, the
+wake it has armed, and what it has delivered.  ``send`` looks the
+destination's port up once, fixes the arrival time and files the message
+in the inbox; the simulator events that follow carry the port, so
+delivery never looks a node up.  A message in flight is one plain tuple,
+its *envelope*, which the inbox heap holds and orders as is::
+
+    (arrive, envelope_id, src, dst, payload, kind, size_bytes)   # 0..6
+
+``envelope_id`` is unique and rises with send order, so a comparison
+stops there; ``size_bytes`` includes framing.  A handler is called with
+the payload alone, ``handler(payload)``; the port counts the delivery,
+and :class:`TrafficStats` reads the ports.
 
 Only completions are simulator events.  A busy node owns one simulator
 entry, the completion of the message in service; when it fires, the
@@ -51,6 +58,7 @@ machinery.
 from __future__ import annotations
 
 import itertools
+import math
 from heapq import heapify, heappop, heappush
 from typing import Callable, Iterable, Protocol, Sequence
 
@@ -58,12 +66,12 @@ from repro.common.config import NetworkConfig
 from repro.common.errors import NetworkError
 from repro.common.rng import DeterministicRNG
 from repro.net.latency import LatencyModel, UniformLatency
-from repro.net.message import Envelope, Payload
+from repro.net.message import Payload
 from repro.net.simulator import ScheduledEvent, Simulator
 from repro.net.stats import TrafficStats
 
-#: Type of the callback a node registers to receive processed messages.
-Handler = Callable[[Envelope], None]
+#: A node's receive callback: it is handed each processed payload.
+Handler = Callable[[Payload], None]
 
 
 class Transport(Protocol):
@@ -115,7 +123,7 @@ class _Port:
         node_id: the id this port belongs to.
         handler: receive callback; ``None`` until the id registers, and
             for a destination nobody ever registers.
-        inbox: heap of envelopes, which order by (arrival time, id).
+        inbox: heap of envelopes (see the module docstring).
         interval: seconds one message occupies the node.
         offline_since: when the node went offline, ``None`` while up.
         serving: the message in service (its completion is queued), or
@@ -123,20 +131,24 @@ class _Port:
         done: the node's completion event, made at its first slot and
             re-queued for every slot after it.
         wake: the armed wake of an idle node with pending arrivals.
+        delivered, delivered_bytes: messages handed to the handler, and
+            their on-wire bytes.
     """
 
-    __slots__ = ("node_id", "handler", "inbox", "interval",
-                 "offline_since", "serving", "done", "wake")
+    __slots__ = ("node_id", "handler", "inbox", "interval", "offline_since",
+                 "serving", "done", "wake", "delivered", "delivered_bytes")
 
     def __init__(self, node_id: int, interval: float) -> None:
         self.node_id = node_id
         self.handler: Handler | None = None
-        self.inbox: list[Envelope] = []
+        self.inbox: list[tuple] = []
         self.interval = interval
         self.offline_since: float | None = None
-        self.serving: Envelope | None = None
+        self.serving: tuple | None = None
         self.done: ScheduledEvent | None = None
         self.wake: ScheduledEvent | None = None
+        self.delivered = 0
+        self.delivered_bytes = 0
 
 
 class SimulatedNetwork:
@@ -163,13 +175,13 @@ class SimulatedNetwork:
             self.config.base_latency_s, self.config.latency_jitter_s
         )
         self.rng = rng or DeterministicRNG(self.config.seed, "network")
-        self.stats = TrafficStats()
         # node id -> port, made on first mention: by register, by a
         # fault, or by a message to an id nobody has registered.  The
         # simulator heap holds one entry per port -- the completion of
         # the message in service or the wake of an idle node -- never
         # the backlog.
         self._ports: dict[int, _Port] = {}
+        self.stats = TrafficStats(self._ports)
         self._offline_count = 0
         # sender-side NIC serialization (only when bandwidth modelling on)
         self._tx_free_at: dict[int, float] = {}
@@ -199,6 +211,9 @@ class SimulatedNetwork:
     def register(self, node_id: int, handler: Handler) -> NodeInterface:
         """Attach *handler* as the receive callback of *node_id*.
 
+        It is called with each processed message's payload alone, the
+        object that was sent: a host registers its engine's ``receive``.
+
         Raises:
             NetworkError: if the id is negative or already registered.
         """
@@ -220,13 +235,15 @@ class SimulatedNetwork:
         one in service keeps the slot it was given.
 
         Raises:
-            NetworkError: on an unknown node or non-positive interval.
+            NetworkError: on an unknown node, or an interval that is not
+                a positive finite number of seconds.
         """
         port = self._ports.get(node_id)
         if port is None or port.handler is None:
             raise NetworkError(f"unknown node {node_id}")
-        if interval_s <= 0:
-            raise NetworkError("processing interval must be positive")
+        if not (interval_s > 0 and math.isfinite(interval_s)):
+            raise NetworkError(f"processing interval of node {node_id} must be "
+                               f"positive and finite, got {interval_s}")
         port.interval = interval_s
 
     def processing_interval(self, node_id: int) -> float:
@@ -257,8 +274,8 @@ class SimulatedNetwork:
         now = self.sim.now
         kept = []
         for envelope in inbox:
-            if since <= envelope.arrive < now:
-                self.stats.on_drop(envelope.kind)
+            if since <= envelope[0] < now:  # arrive
+                self.stats.on_drop(envelope[5])  # kind
             else:
                 kept.append(envelope)
         if len(kept) != len(inbox):
@@ -330,8 +347,8 @@ class SimulatedNetwork:
         if not delay >= 0:
             raise NetworkError(f"delay must be >= 0, got {delay}")
         arrive = now + delay
-        heappush(port.inbox, Envelope(
-            (arrive, next(self._envelope_ids), src, dst, payload, kind, size)))
+        heappush(port.inbox,
+                 (arrive, next(self._envelope_ids), src, dst, payload, kind, size))
         if port.serving is not None:
             return  # admitted when the message in service completes
         wake = port.wake
@@ -403,8 +420,8 @@ class SimulatedNetwork:
             port = ports(dst)
             if port is None:
                 port = self._port(dst)
-            heappush(port.inbox, Envelope(
-                (arrive, next(envelope_ids), src, dst, payload, kind, size)))
+            heappush(port.inbox,
+                     (arrive, next(envelope_ids), src, dst, payload, kind, size))
             if port.serving is not None:
                 continue  # admitted when the message in service completes
             wake = port.wake
@@ -439,11 +456,11 @@ class SimulatedNetwork:
         inbox = port.inbox
         sim = self.sim
         now = sim.now
-        while inbox and inbox[0][0] <= now:  # the head's ``arrive``, by index
+        while inbox and inbox[0][0] <= now:  # the head's ``arrive``
             due = heappop(inbox)
             since = port.offline_since
-            if port.handler is None or (since is not None and due.arrive >= since):
-                self.stats.on_drop(due.kind)
+            if port.handler is None or (since is not None and due[0] >= since):
+                self.stats.on_drop(due[5])  # kind
                 continue
             port.serving = due
             if port.done is None:
@@ -458,8 +475,9 @@ class SimulatedNetwork:
         if envelope is None:
             return
         if port.offline_since is not None:
-            self.stats.on_drop(envelope.kind)
+            self.stats.on_drop(envelope[5])  # kind
             return
-        self.stats.on_deliver(port.node_id, envelope.kind, envelope.size_bytes)
+        port.delivered += 1
+        port.delivered_bytes += envelope[6]  # size_bytes
         # service only starts at a registered port; handlers are never removed
-        port.handler(envelope)
+        port.handler(envelope[4])  # payload

@@ -10,6 +10,10 @@ from __future__ import annotations
 
 from collections import defaultdict
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING, Mapping
+
+if TYPE_CHECKING:
+    from repro.net.network import _Port
 
 
 @dataclass(frozen=True, slots=True)
@@ -53,10 +57,15 @@ class TrafficStats:
     """Mutable traffic counters updated by the simulated network.
 
     A byte is counted in one place: a send adds to the per-kind and the
-    per-sender maps, a delivery to the per-receiver maps, a loss to
-    ``messages_dropped``.  The four totals are sums over those maps,
-    taken when read -- which is once per measurement, against one update
-    per message.
+    per-sender maps, a loss to ``messages_dropped``, a delivery to the
+    receiving port's ``delivered``/``delivered_bytes`` (no call), and
+    :meth:`on_deliver` charges a modelled transfer -- a state transfer, a
+    chain sync.  The per-receiver maps and the totals fold ports and
+    charges when read -- once per measurement, against one update per
+    message.
+
+    Args:
+        ports: the network's live node id -> port table; none standalone.
 
     Attributes:
         messages_dropped: messages lost to faults, partitions or drops.
@@ -64,18 +73,18 @@ class TrafficStats:
         messages_by_kind: messages sent, by message kind.
         bytes_sent_by_node: bytes sent, by sender id.
         messages_sent_by_node: messages sent, by sender id.
-        bytes_received_by_node: bytes delivered, by receiver id.
-        messages_received_by_node: messages delivered, by receiver id.
     """
 
-    def __init__(self) -> None:
+    def __init__(self, ports: Mapping[int, "_Port"] | None = None) -> None:
+        self._ports: Mapping[int, "_Port"] = {} if ports is None else ports
         self.messages_dropped = 0
         self.bytes_by_kind: dict[str, int] = defaultdict(int)
         self.messages_by_kind: dict[str, int] = defaultdict(int)
         self.bytes_sent_by_node: dict[int, int] = defaultdict(int)
-        self.bytes_received_by_node: dict[int, int] = defaultdict(int)
         self.messages_sent_by_node: dict[int, int] = defaultdict(int)
-        self.messages_received_by_node: dict[int, int] = defaultdict(int)
+        # deliveries charged by ``on_deliver``, by receiver id
+        self._charged_bytes: dict[int, int] = defaultdict(int)
+        self._charged_messages: dict[int, int] = defaultdict(int)
 
     def on_send(self, src: int, kind: str, size_bytes: int, copies: int = 1) -> None:
         """Record *copies* messages of *size_bytes* each leaving *src*.
@@ -90,9 +99,9 @@ class TrafficStats:
         self.messages_sent_by_node[src] += copies
 
     def on_deliver(self, dst: int, kind: str, size_bytes: int) -> None:
-        """Record a message fully processed at *dst*."""
-        self.bytes_received_by_node[dst] += size_bytes
-        self.messages_received_by_node[dst] += 1
+        """Charge a modelled transfer to *dst*; ports count the rest."""
+        self._charged_bytes[dst] += size_bytes
+        self._charged_messages[dst] += 1
 
     def on_drop(self, kind: str, copies: int = 1) -> None:
         """Record *copies* lost messages."""
@@ -107,6 +116,24 @@ class TrafficStats:
     def bytes_sent(self) -> int:
         """Bytes sent, over all kinds."""
         return sum(self.bytes_by_kind.values())
+
+    def _received(self, charged: dict[int, int], attribute: str) -> dict[int, int]:
+        """*charged* plus each delivering port's *attribute* count."""
+        received = dict(charged)
+        for node_id, port in self._ports.items():
+            if port.delivered:
+                received[node_id] = received.get(node_id, 0) + getattr(port, attribute)
+        return received
+
+    @property
+    def messages_received_by_node(self) -> dict[int, int]:
+        """Messages delivered, by receiver id."""
+        return self._received(self._charged_messages, "delivered")
+
+    @property
+    def bytes_received_by_node(self) -> dict[int, int]:
+        """Bytes delivered, by receiver id."""
+        return self._received(self._charged_bytes, "delivered_bytes")
 
     @property
     def messages_delivered(self) -> int:
@@ -136,5 +163,7 @@ class TrafficStats:
         )
 
     def reset(self) -> None:
-        """Zero every counter."""
-        self.__init__()
+        """Zero every counter, the ports' delivery counts included."""
+        self.__init__(self._ports)
+        for port in self._ports.values():  # gpb: allow GPB003 -- zeroes each port; order cannot matter
+            port.delivered = port.delivered_bytes = 0

@@ -70,6 +70,25 @@ def charge_state_transfer(stats, src: int, dst: int, n_ops: int) -> None:
     stats.on_deliver(dst, EV_PBFT_STATE_TRANSFER, snapshot_bytes)
 
 
+def state_transfer(node: int, replicas: dict[int, PBFTReplica], logs, stats):
+    """Checkpoint catch-up for *node*: its ``state_transfer_fn``, which
+    installs the executed log (in *logs*) of the first live peer in
+    *replicas* past the target and charges the snapshot (a real
+    transfer would stream it)."""
+
+    def transfer(target_seq: int) -> int | None:
+        for peer_id, peer in replicas.items():
+            if peer_id == node or peer.faults.crashed:
+                continue
+            if peer.last_executed >= target_seq:
+                logs[node].install_snapshot(logs[peer_id])
+                charge_state_transfer(stats, peer_id, node, len(logs[peer_id].ops))
+                return peer.last_executed
+        return None
+
+    return transfer
+
+
 class PBFTCluster:
     """N replicas + M clients on a fresh simulator and network.
 
@@ -134,11 +153,12 @@ class PBFTCluster:
                 state_digest_fn=executed.digest,
                 event_log=self.events,
                 faults=faults.get(node),
-                state_transfer_fn=self._make_state_transfer(node),
+                state_transfer_fn=state_transfer(
+                    node, self.replicas, self.executors, self.network.stats),
                 obs=obs,
             )
             self.replicas[node] = replica
-            self.network.register(node, self._replica_handler(replica))
+            self.network.register(node, replica.receive)
 
         # heterogeneous replica hardware: CPU class scales each
         # replica's receive-side processing rate (no mix = no-op)
@@ -164,32 +184,7 @@ class PBFTCluster:
                 event_log=self.events,
             )
             self.clients[node] = client
-            self.network.register(node, self._client_handler(client))
-
-    def _make_state_transfer(self, node: int):
-        """Checkpoint catch-up: install the state of an up-to-date peer
-        and charge the snapshot (a real transfer would stream it)."""
-
-        def transfer(target_seq: int) -> int | None:
-            for peer_id, peer in self.replicas.items():
-                if peer_id == node or peer.faults.crashed:
-                    continue
-                if peer.last_executed >= target_seq:
-                    self.executors[node].install_snapshot(self.executors[peer_id])
-                    charge_state_transfer(self.network.stats, peer_id, node,
-                                          len(self.executors[peer_id].ops))
-                    return peer.last_executed
-            return None
-
-        return transfer
-
-    @staticmethod
-    def _replica_handler(replica: PBFTReplica):
-        return lambda envelope: replica.receive(envelope.payload)
-
-    @staticmethod
-    def _client_handler(client: PBFTClient):
-        return lambda envelope: client.receive(envelope.payload)
+            self.network.register(node, client.receive)
 
     # -- convenience -----------------------------------------------------------
 

@@ -257,7 +257,8 @@ class PBFTReplica:
     # -- dispatch ---------------------------------------------------------------
 
     def receive(self, payload) -> None:
-        """Entry point for every protocol message addressed to us.
+        """Entry point for every protocol message addressed to us; hosts
+        register it with the network as the handler itself.
 
         Prepares and commits -- O(n^2) per instance where everything
         else is O(n) or rarer -- pass their one gate here and are counted
@@ -283,9 +284,11 @@ class PBFTReplica:
             if self.in_view_change or payload.sender not in self._committee_set:
                 return
             if is_prepare:
-                self._advance(self.log.add_prepare(payload))
+                state = self.log.add_prepare(payload)
             else:
-                self._advance(self.log.add_commit(payload))
+                state = self.log.add_commit(payload)
+            if state.prepared_flag:  # ``_advance`` has nothing to do before
+                self._advance(state)
             return
         if getattr(payload, "epoch", self.epoch) != self.epoch:
             return  # stale traffic from another era
@@ -391,9 +394,11 @@ class PBFTReplica:
         """Take *state* as far as its votes allow: multicast our commit
         once it is prepared, execute once it is committed-local.
 
-        Runs on every vote, counted or not -- a duplicate can be what
-        resumes execution after a state transfer -- so both checks are
-        reads of the log's incrementally kept flags.
+        Runs on every vote for a prepared instance, counted or not -- a
+        duplicate can be what resumes execution after a state transfer --
+        so both checks are reads of the log's incrementally kept flags.
+        A vote for an instance not yet prepared has nothing to take
+        further, and ``receive`` skips the call.
         """
         if not state.prepared_flag:
             return

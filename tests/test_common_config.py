@@ -32,6 +32,14 @@ class TestNetworkConfig:
         with pytest.raises(ConfigurationError):
             NetworkConfig(base_latency_s=-0.001)
 
+    @pytest.mark.parametrize("field", [
+        "processing_rate", "base_latency_s", "latency_jitter_s", "bandwidth_bps"])
+    def test_rejects_a_non_finite_float(self, field):
+        # an infinite latency used to move every arrival, and run(), to t = inf
+        for value in (float("inf"), float("nan")):
+            with pytest.raises(ConfigurationError, match=f"^{field} must be finite"):
+                NetworkConfig(**{field: value})
+
     def test_rejects_bad_drop_probability(self):
         with pytest.raises(ConfigurationError):
             NetworkConfig(drop_probability=1.0)

@@ -3,18 +3,17 @@
 The paper's cost model is the delivered message (section IV-B: a node
 "can receive and process *s* messages per second"), and in this
 simulator a delivered message is a chain of Python calls: the event
-loop, the network's completion, the node's handler, the replica's
-dispatch, the log's vote count.  These tests count the calls
-(``sys.setprofile``: a count, not a clock, so it repeats exactly on any
-machine) while a small cluster and a small deployment each commit 20
-requests, and hold the count per delivered message under a bound set
-10 % above what the path of ``docs/performance.md`` ("PR 29") measures:
-16.63 calls on the cluster, 20.67 on the deployment, where the path
-before it took 17.96 and 22.00 (the frozen-dataclass messages' and
-events' constructors, a new completion event per slot and the
-multicast's filtering comprehension, one frame each).  A lookup, a
-wrapper or a second pass added per message shows here before it shows
-in a benchmark.
+loop, the network's completion, the registered ``receive`` itself, the
+log's vote count.  These tests count the calls (``sys.setprofile``: a
+count, not a clock, so it repeats exactly on any machine) while a small
+cluster and a small deployment each commit 20 requests, and hold the
+count per delivered message under a bound set 10 % above what the path
+of ``docs/performance.md`` ("PR 30") measures: 14.59 calls on the
+cluster, 18.66 on the deployment, where the path before it took 16.63
+and 20.67 (a host wrapper frame around ``receive``, a ``TrafficStats``
+call per delivery and an ``_advance`` call per vote on an instance not
+yet prepared).  A lookup, a wrapper or a second pass added per message
+shows here before it shows in a benchmark.
 """
 
 from __future__ import annotations
@@ -54,7 +53,7 @@ def test_four_replica_cluster_stays_within_its_call_budget():
     assert client.completed_count == REQUESTS
     delivered = cluster.network.stats.messages_delivered
     assert delivered == 29 * REQUESTS  # 1 request, 3+9+12 phase messages, 4 replies
-    assert calls / delivered < 18.3
+    assert calls / delivered < 16.1
 
 
 def test_six_endorser_deployment_stays_within_its_call_budget():
@@ -66,4 +65,4 @@ def test_six_endorser_deployment_stays_within_its_call_budget():
     delivered = dep.network.stats.messages_delivered
     # the request, its forward to the primary, 5 + 25 + 30 phase messages, 6 replies
     assert delivered == 68 * REQUESTS
-    assert calls / delivered < 22.8
+    assert calls / delivered < 20.6

@@ -1,5 +1,7 @@
 """Unit tests: simulator, network, latency models, stats (repro.net)."""
 
+import inspect
+
 import pytest
 
 from repro.common.config import NetworkConfig
@@ -13,7 +15,7 @@ from repro.net.latency import (
     LognormalLatency,
     UniformLatency,
 )
-from repro.net.message import Envelope, RawPayload
+from repro.net.message import RawPayload
 from repro.net.network import SimulatedNetwork
 from repro.net.simulator import Simulator
 from repro.net.stats import TrafficStats
@@ -219,18 +221,38 @@ class TestSimulatedNetwork:
         sim, net = self._net()
         got = []
         net.register(0, got.append)
-        net.register(1, lambda e: None)
+        net.register(1, lambda p: None)
         net.send(1, 0, RawPayload("k", 100))
         sim.run()
         assert len(got) == 1
         assert net.stats.bytes_sent == 100
         assert net.stats.messages_delivered == 1
 
+    def test_the_handler_is_handed_the_sent_payload_itself(self):
+        sim, net = self._net()
+        got = {node: [] for node in range(4)}
+        for node in range(4):
+            net.register(node, got[node].append)
+        unicast, broadcast = RawPayload("k", 10), RawPayload("k", 20)
+        net.send(0, 1, unicast)
+        net.multicast(0, range(4), broadcast)
+        sim.run()
+        assert got[0] == [] and {id(p) for p in got[1]} == {id(unicast), id(broadcast)}
+        assert got[2][0] is broadcast and got[3][0] is broadcast
+
+    @pytest.mark.parametrize("interval", [float("nan"), float("inf"), 0.0, -0.1])
+    def test_processing_interval_must_be_positive_and_finite(self, interval):
+        sim, net = self._net()
+        net.register(3, lambda p: None)
+        with pytest.raises(NetworkError, match=f"node 3 .*got {interval}"):
+            net.set_processing_interval(3, interval)
+        assert net.processing_interval(3) == pytest.approx(0.1)
+
     def test_duplicate_registration_rejected(self):
         _, net = self._net()
-        net.register(0, lambda e: None)
+        net.register(0, lambda p: None)
         with pytest.raises(NetworkError):
-            net.register(0, lambda e: None)
+            net.register(0, lambda p: None)
 
     def test_unknown_sender_rejected(self):
         _, net = self._net()
@@ -239,7 +261,7 @@ class TestSimulatedNetwork:
 
     def test_send_to_unregistered_is_dropped(self):
         sim, net = self._net()
-        net.register(0, lambda e: None)
+        net.register(0, lambda p: None)
         net.send(0, 42, RawPayload("k", 10))
         sim.run()
         assert net.stats.messages_dropped == 1
@@ -250,8 +272,8 @@ class TestSimulatedNetwork:
         sim, net = self._net(processing_rate=10.0, base_latency_s=0.0,
                              latency_jitter_s=0.0)
         times = []
-        net.register(0, lambda e: times.append(sim.now))
-        net.register(1, lambda e: None)
+        net.register(0, lambda p: times.append(sim.now))
+        net.register(1, lambda p: None)
         for _ in range(10):
             net.send(1, 0, RawPayload("k", 10))
         sim.run()
@@ -262,7 +284,7 @@ class TestSimulatedNetwork:
         sim, net = self._net()
         got = []
         net.register(0, got.append)
-        net.register(1, lambda e: None)
+        net.register(1, lambda p: None)
         net.set_offline(0)
         net.send(1, 0, RawPayload("k", 10))
         sim.run()
@@ -277,7 +299,7 @@ class TestSimulatedNetwork:
         got_a, got_b = [], []
         net.register(0, got_a.append)
         net.register(1, got_b.append)
-        net.register(2, lambda e: None)
+        net.register(2, lambda p: None)
         net.set_partition({0: 1, 1: 2, 2: 1})
         net.send(2, 0, RawPayload("k", 10))  # same group
         net.send(2, 1, RawPayload("k", 10))  # cross group
@@ -292,7 +314,7 @@ class TestSimulatedNetwork:
         sim, net = self._net(drop_probability=0.5, seed=7)
         got = []
         net.register(0, got.append)
-        net.register(1, lambda e: None)
+        net.register(1, lambda p: None)
         for _ in range(200):
             net.send(1, 0, RawPayload("k", 10))
         sim.run()
@@ -345,20 +367,21 @@ class TestSimulatedNetwork:
         net.stats.on_send = counted_on_send
         got = []
         for node in range(202):
-            net.register(node, got.append)
+            net.register(node, lambda p, node=node: got.append(node))
         net.multicast(7, range(202), RawPayload("k", 10))
         assert calls == {"send": 0, "on_send": 1, "sample_many": 1, "sample": 0}
         assert net.stats.messages_sent == 201
         assert net.stats.bytes_sent == 201 * (10 + net.config.envelope_overhead_bytes)
-        sim.run()
-        assert sorted(e.dst for e in got) == [n for n in range(202) if n != 7]
-        ids = [e.envelope_id for e in sorted(got, key=lambda e: e.dst)]
+        others = [n for n in range(202) if n != 7]
+        ids = [net._ports[dst].inbox[0][1] for dst in others]
         assert ids == sorted(ids)  # envelope ids rise in destination order
+        sim.run()
+        assert sorted(got) == others
 
     def test_replaced_send_sees_every_copy_until_the_original_is_put_back(self):
         sim, net = self._net()
         for node in range(4):
-            net.register(node, lambda e: None)
+            net.register(node, lambda p: None)
         original, seen = net.send, []
 
         def tapped(src, dst, payload):
@@ -378,12 +401,12 @@ class TestSimulatedNetwork:
         sim, net = self._net()
         got = []
         for node in range(5):
-            net.register(node, got.append)
+            net.register(node, lambda p, node=node: got.append(node))
         net.set_offline(2)
         net.set_partition({0: 1, 1: 1, 2: 1, 3: 1})  # 4 is on its own
         net.multicast(0, range(5), RawPayload("k", 10))
         sim.run()
-        assert sorted(e.dst for e in got) == [1, 3]
+        assert sorted(got) == [1, 3]
         assert net.stats.messages_sent == 4 and net.stats.messages_dropped == 2
         net.set_offline(0)  # an offline sender loses the whole fan-out
         net.multicast(0, range(5), RawPayload("k", 10))
@@ -396,8 +419,8 @@ class TestSimulatedNetwork:
             bandwidth_bps=8000.0, base_latency_s=0.0, latency_jitter_s=0.0,
             processing_rate=1e9))
         times = []
-        net.register(0, lambda e: times.append(sim.now))
-        net.register(1, lambda e: None)
+        net.register(0, lambda p: times.append(sim.now))
+        net.register(1, lambda p: None)
         for _ in range(3):
             net.send(1, 0, RawPayload("k", 1000))  # 1 s each at 8 kbit/s
         sim.run()
@@ -409,8 +432,8 @@ class TestSimulatedNetwork:
             bandwidth_bps=0.0, base_latency_s=0.0, latency_jitter_s=0.0,
             processing_rate=1e9))
         times = []
-        net.register(0, lambda e: times.append(sim.now))
-        net.register(1, lambda e: None)
+        net.register(0, lambda p: times.append(sim.now))
+        net.register(1, lambda p: None)
         for _ in range(3):
             net.send(1, 0, RawPayload("k", 10_000))
         sim.run()
@@ -424,8 +447,8 @@ class TestSimulatedNetwork:
     def test_envelope_overhead_charged(self):
         sim = Simulator()
         net = SimulatedNetwork(sim, NetworkConfig(envelope_overhead_bytes=50))
-        net.register(0, lambda e: None)
-        net.register(1, lambda e: None)
+        net.register(0, lambda p: None)
+        net.register(1, lambda p: None)
         net.send(0, 1, RawPayload("k", 100))
         assert net.stats.bytes_sent == 150
 
@@ -439,26 +462,16 @@ class TestSimulatedNetwork:
         payload = RawPayload("k", 100)
         net.send(0, 1, payload)
         net.multicast(0, range(3), payload)
-        filed = [entry for node in (1, 2) for entry in net._ports[node].inbox]
-        assert len(filed) == 3 and all(type(entry) is Envelope for entry in filed)
+        filed = sorted(entry for node in (1, 2) for entry in net._ports[node].inbox)
+        # a plain tuple: immutable, no Python frame to build, no field names
+        assert all(type(entry) is tuple for entry in filed)
+        assert filed == [(0.25, 0, 0, 1, payload, "k", 120),
+                         (0.25, 1, 0, 1, payload, "k", 120),
+                         (0.25, 2, 0, 2, payload, "k", 120)]
         sim.run()
-        # the handler is handed the filed object itself, not a re-wrapping
-        assert sorted(map(id, got)) == sorted(map(id, filed))
-        first = min(got)
-        assert (first.arrive, first.envelope_id, first.src, first.dst, first.payload,
-                first.kind, first.size_bytes) == (0.25, 0, 0, 1, payload, "k", 120)
-        assert first == (0.25, 0, 0, 1, payload, "k", 120)
-        assert "kind='k'" in repr(first) and "arrive=0.25" in repr(first)
-
-    def test_envelope_is_immutable(self):
-        envelope = Envelope((1.0, 7, 0, 1, RawPayload("k", 1), "k", 1))
-        for name in ("arrive", "envelope_id", "src", "dst", "payload", "kind",
-                     "size_bytes", "anything_else"):
-            with pytest.raises(AttributeError):
-                setattr(envelope, name, 0)
-        with pytest.raises(TypeError):
-            envelope[0] = 2.0
-        assert not hasattr(envelope, "__dict__")
+        assert len(got) == 3 and all(entry is payload for entry in got)
+        assert [(net._ports[node].delivered, net._ports[node].delivered_bytes)
+                for node in range(3)] == [(0, 0), (2, 240), (1, 120)]
 
     @pytest.mark.parametrize("batched", [False, True])
     def test_same_instant_copies_are_served_in_send_order_without_comparing_payloads(
@@ -478,19 +491,55 @@ class TestSimulatedNetwork:
         sim = Simulator()
         net = SimulatedNetwork(sim, latency=ConstantLatency(0.5))
         served = []
-        net.register(0, lambda e: served.append((e.src, e.payload.tag)))
+        net.register(0, lambda p: served.append(p.tag))
         for node in (1, 2):
-            net.register(node, lambda e: None)
+            net.register(node, lambda p: None)
         # same source, destination and arrival time, so only the id differs
         # ahead of the payload; a third copy from another sender in between
-        for src, tag in ((1, "a"), (2, "b"), (1, "c"), (1, "d")):
+        for src, tag in ((1, "1a"), (2, "2b"), (1, "1c"), (1, "1d")):
             if batched:
                 net.multicast(src, (0, src), Incomparable(tag))
             else:
                 net.send(src, 0, Incomparable(tag))
-        assert len({e.arrive for e in net._ports[0].inbox}) == 1
+        assert len({entry[0] for entry in net._ports[0].inbox}) == 1  # arrive
         sim.run()
-        assert served == [(1, "a"), (2, "b"), (1, "c"), (1, "d")]
+        assert served == ["1a", "2b", "1c", "1d"]
+
+
+class TestHostsRegisterBoundReceive:
+    """Every built host hands the network its engine's bound method, so
+    a delivery runs no wrapper frame between ``_process`` and ``receive``."""
+
+    def _assert_bound_receive(self, network, owners):
+        handlers = {node_id: port.handler for node_id, port in network._ports.items()
+                    if port.handler is not None}
+        assert handlers and set(handlers) == set(owners)
+        for node_id, handler in handlers.items():
+            assert inspect.ismethod(handler), (node_id, handler)
+            assert handler.__self__ is owners[node_id]
+            assert handler.__func__ is type(owners[node_id]).receive
+
+    def test_cluster(self):
+        from repro.common.config import TopologySpec
+
+        cluster = TopologySpec.cluster(4, n_clients=2).build()
+        self._assert_bound_receive(cluster.network,
+                                   {**cluster.replicas, **cluster.clients})
+
+    def test_deployment(self):
+        from repro.common.config import TopologySpec
+
+        dep = TopologySpec.single(6, 4, start_reports=False).build()
+        self._assert_bound_receive(dep.network, dep.nodes)
+
+    def test_hierarchy(self):
+        from repro.common.config import TopologySpec
+
+        hier = TopologySpec.zoned(2, 5, start_reports=False).build()
+        for zone in hier.zones:
+            self._assert_bound_receive(zone.network, zone.nodes)
+        gateways = {gateway.backbone_id: gateway for gateway in hier.gateways}
+        self._assert_bound_receive(hier.backbone, {**hier.replicas, **gateways})
 
 
 class TestSimulatorCompaction:
@@ -546,7 +595,7 @@ class TestStatsUnderMulticast:
         # call, but every recipient is still charged the full message size
         sim, net = self._net()
         for i in range(5):
-            net.register(i, lambda e: None)
+            net.register(i, lambda p: None)
         net.multicast(0, range(5), RawPayload("pbft.prepare", 100))
         sim.run()
         assert net.stats.messages_sent == 4
@@ -567,7 +616,7 @@ class TestStatsUnderMulticast:
         sim_b, net_b = self._net()
         for net in (net_a, net_b):
             for i in range(6):
-                net.register(i, lambda e: None)
+                net.register(i, lambda p: None)
         shared = RawPayload("pbft.commit", 108)
         net_a.multicast(0, range(6), shared)
         for dst in range(1, 6):
@@ -583,7 +632,7 @@ class TestStatsUnderMulticast:
         # payload on every send, so per-kind accounting stays exact
         sim, net = self._net()
         for i in range(3):
-            net.register(i, lambda e: None)
+            net.register(i, lambda p: None)
         a = RawPayload("kind.a", 10)
         b = RawPayload("kind.b", 30)
         for _ in range(4):
@@ -612,12 +661,24 @@ class TestTrafficStats:
         stats.on_send(0, "a", 2048)
         assert stats.kilobytes_sent == pytest.approx(2.0)
 
+    def test_standalone_stats_count_what_on_deliver_charges(self):
+        stats = TrafficStats()
+        stats.on_deliver(3, "a", 40)
+        stats.on_deliver(3, "a", 2)
+        stats.on_deliver(5, "b", 0)
+        assert stats.messages_received_by_node == {3: 2, 5: 1}
+        assert stats.bytes_received_by_node == {3: 42, 5: 0}
+        assert (stats.messages_delivered, stats.bytes_delivered) == (3, 42)
+        stats.reset()
+        assert stats.snapshot() == TrafficStats().snapshot()
+        assert stats.messages_received_by_node == {}
+
     def test_envelope_validation(self):
         # only the network builds envelopes, from registered senders: the
         # endpoint check sits where an id enters, not on every copy
         net = SimulatedNetwork(Simulator())
         with pytest.raises(NetworkError, match="invalid node id -1"):
-            net.register(-1, lambda e: None)
+            net.register(-1, lambda p: None)
         with pytest.raises(NetworkError, match="unknown sender -1"):
             net.send(-1, 0, RawPayload("k", 1))
         with pytest.raises(NetworkError):
@@ -625,10 +686,16 @@ class TestTrafficStats:
 
 
 class _EagerTotals:
-    """The four totals kept the old way: bumped on every call."""
+    """The four totals kept the old way: bumped on every event.
 
-    def __init__(self, stats):
+    Sends and charged transfers are counted on the stats' calls, network
+    deliveries by :meth:`handler`, which each node registers.
+    """
+
+    def __init__(self, net):
         self.sent = self.sent_bytes = self.delivered = self.delivered_bytes = 0
+        self._overhead = net.config.envelope_overhead_bytes
+        stats = net.stats
         on_send, on_deliver = stats.on_send, stats.on_deliver
 
         def counted_send(src, kind, size_bytes, copies=1):
@@ -642,6 +709,10 @@ class _EagerTotals:
             on_deliver(dst, kind, size_bytes)
 
         stats.on_send, stats.on_deliver = counted_send, counted_deliver
+
+    def handler(self, payload):
+        self.delivered += 1
+        self.delivered_bytes += payload.size_bytes + self._overhead
 
     def agree_with(self, stats):
         return (stats.messages_sent, stats.bytes_sent, stats.messages_delivered,
@@ -657,9 +728,9 @@ class TestDerivedTotals:
 
         sim = Simulator()
         net = SimulatedNetwork(sim, NetworkConfig(processing_rate=50.0))
-        eager = _EagerTotals(net.stats)
+        eager = _EagerTotals(net)
         for node in range(5):
-            net.register(node, lambda e: None)
+            net.register(node, eager.handler)
         net.send(0, 1, RawPayload("a", 100))
         net.multicast(2, range(5), RawPayload("b", 40))
         net.set_offline(3)                      # loses the "b" on its way to it
@@ -699,3 +770,31 @@ class TestDerivedTotals:
         assert (empty.messages_sent, empty.bytes_sent, empty.messages_delivered,
                 empty.bytes_delivered, empty.messages_dropped) == (0, 0, 0, 0, 0)
         assert empty.bytes_by_kind == {} and net.stats.kilobytes_sent == 0.0
+
+    def test_a_charged_transfer_folds_into_port_counts_through_delta_and_reset(self):
+        from repro.pbft.cluster import charge_state_transfer
+
+        sim, net, eager = self._traffic()
+        sim.run()
+        stats = net.stats
+        before, received = stats.snapshot(), stats.messages_received_by_node
+        charge_state_transfer(stats, 1, 2, n_ops=1)   # 32 + 64 + 200 bytes at 2
+        net.send(0, 2, RawPayload("a", 10))           # port-counted at 2
+        assert stats.messages_received_by_node[2] == received[2] + 1
+        sim.run()
+        assert eager.agree_with(stats)
+        delta = stats.snapshot().delta(before)
+        assert (delta.messages_delivered, delta.bytes_delivered) == (2, 296 + 10)
+        assert stats.messages_received_by_node[2] == received[2] + 2
+        assert sum(stats.bytes_received_by_node.values()) == stats.bytes_delivered
+        stats.reset()
+        assert not any(port.delivered or port.delivered_bytes
+                       for port in net._ports.values())
+        assert stats.messages_received_by_node == stats.bytes_received_by_node == {}
+        net.send(0, 1, RawPayload("a", 10))
+        charge_state_transfer(stats, 1, 3, n_ops=0)
+        sim.run()
+        assert stats.messages_received_by_node == {1: 1, 3: 1}
+        assert stats.bytes_received_by_node == {1: 10, 3: 96}
+        assert (stats.messages_sent, stats.messages_delivered, stats.bytes_delivered) \
+            == (2, 2, 106)

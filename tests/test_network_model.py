@@ -7,7 +7,9 @@ id nobody registered -- is run twice: on :class:`repro.net.network.SimulatedNetw
 eager oracle that spends one event on every arrival and one on every
 completion, over a plain list it re-sorts by ``(time, seq)`` before
 each fire.  The two must hand the same messages to the same handlers at
-the same simulated times and end with equal traffic counters.  Nothing
+the same simulated times and end with equal traffic counters.  A
+handler is handed the payload alone, so every generated payload names
+its sender in its body, and the oracle checks that name.  Nothing
 here depends on how the network stores its backlog, so the test holds
 for any implementation of the arrive-then-serve contract.  The real
 side hands each multicast to ``SimulatedNetwork.multicast``; the oracle
@@ -121,8 +123,8 @@ class _Run:
             self.sim = Simulator()
             self.net = SimulatedNetwork(self.sim, config, latency)
             for node in NODES:
-                self.net.register(node, lambda e: self.handle(
-                    self.sim.now, e.dst, e.src, e.payload))
+                self.net.register(node, lambda p, node=node: self.handle(
+                    self.sim.now, node, p.body[2], p))
             self.at, self.send = self.sim.schedule_at, self.net.send
             self.multicast = self.net.multicast
         else:
@@ -135,7 +137,8 @@ class _Run:
         self.calls.append((now, dst, src, payload))
         ttl = payload.body[1]
         if self.echo and ttl > 0:
-            answer = RawPayload(payload.kind, payload.size_bytes, (payload.body[0], ttl - 1))
+            answer = RawPayload(payload.kind, payload.size_bytes,
+                                (payload.body[0], ttl - 1, dst))
             for peer in (src, (dst + ttl) % len(NODES)):
                 if peer != dst:
                     self.send(dst, peer, answer)
@@ -145,11 +148,11 @@ class _Run:
         if kind == "send":
             src, dst, count, size, ttl = args
             for i in range(count):
-                self.send(src, dst, RawPayload(f"k{size % 3}", size, (i, ttl)))
+                self.send(src, dst, RawPayload(f"k{size % 3}", size, (i, ttl, src)))
         elif kind == "multicast":
             src, size, ttl = args
             self.multicast(src, NODES + (NOBODY,),
-                           RawPayload("cast", size, (0, ttl)))
+                           RawPayload("cast", size, (0, ttl, src)))
         elif kind == "offline":
             self.net.set_offline(*args)
         elif kind == "partition":
@@ -249,8 +252,8 @@ class TestOfflineWindowsAgainstABacklog:
         net = SimulatedNetwork(sim, NetworkConfig(processing_rate=10.0),
                                _Scripted(0.01, 0.01, 0.01, *later_delays))
         got = []
-        net.register(0, lambda e: got.append((round(sim.now, 6), e.payload.kind)))
-        net.register(1, lambda e: None)
+        net.register(0, lambda p: got.append((round(sim.now, 6), p.kind)))
+        net.register(1, lambda p: None)
         for kind in ("a1", "a2", "a3") + tuple(f"x{i}" for i in range(len(later_delays))):
             net.send(1, 0, RawPayload(kind, 10))
         return sim, net, got
@@ -289,8 +292,8 @@ class TestContractEdges:
         net = SimulatedNetwork(sim, NetworkConfig(processing_rate=10.0),
                                ConstantLatency(0.0))
         times = []
-        net.register(0, lambda e: times.append(round(sim.now, 6)))
-        net.register(1, lambda e: None)
+        net.register(0, lambda p: times.append(round(sim.now, 6)))
+        net.register(1, lambda p: None)
         for _ in range(3):
             net.send(1, 0, RawPayload("k", 10))
         sim.schedule_at(0.05, net.set_processing_interval, 0, 0.5)
@@ -304,8 +307,8 @@ class TestContractEdges:
     def test_bad_delay_from_the_latency_model_is_refused_by_send(self, delay, busy):
         sim = Simulator()
         net = SimulatedNetwork(sim, latency=_Scripted(0.0, delay))
-        net.register(0, lambda e: None)
-        net.register(1, lambda e: None)
+        net.register(0, lambda p: None)
+        net.register(1, lambda p: None)
         net.send(1, 0, RawPayload("k", 10))
         if busy:
             sim.step()  # the wake: node 0 is now serving, no event per send
@@ -316,7 +319,7 @@ class TestContractEdges:
     def test_bad_delay_from_the_latency_model_is_refused_by_multicast(self, delay):
         net = SimulatedNetwork(Simulator(), latency=_Scripted(0.0, delay))
         for node in range(3):
-            net.register(node, lambda e: None)
+            net.register(node, lambda p: None)
         with pytest.raises(NetworkError, match=f"delay must be >= 0, got {delay}"):
             net.multicast(0, range(3), RawPayload("k", 10))
 
@@ -326,7 +329,7 @@ def test_backlogged_burst_costs_one_event_per_message_and_a_node_sized_heap():
     sim = Simulator()
     net = SimulatedNetwork(sim, NetworkConfig(processing_rate=10.0))
     for node in range(nodes):
-        net.register(node, lambda e: None)
+        net.register(node, lambda p: None)
     peak = 0
 
     def watch(_event):

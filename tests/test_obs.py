@@ -177,7 +177,7 @@ class TestObsReadsTrafficStats:
         net = SimulatedNetwork(
             sim, NetworkConfig(envelope_overhead_bytes=overhead))
         for node in range(3):
-            net.register(node, lambda env: None)
+            net.register(node, lambda payload: None)
         return sim, net
 
     def test_bind_leaves_send_alone(self):

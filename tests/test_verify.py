@@ -164,7 +164,7 @@ class TestPerturbationsAreNetworkFaults:
         net = SimulatedNetwork(sim, latency=ConstantLatency(0.01))
         got = []
         for node in range(5):
-            net.register(node, lambda env: got.append((env.dst, sim.now)))
+            net.register(node, lambda p, node=node: got.append((node, sim.now)))
         explorer._apply_perturbations(_clean(perturbations=perturbations),
                                       SimpleNamespace(sim=sim, network=net))
         return sim, net, got
