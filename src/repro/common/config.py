@@ -10,7 +10,7 @@ experiment, test, and example pulls them from one place:
 * era-switch duration of about **0.25 s** (section V-B),
 * election threshold of **72 h** of stationarity (section III-B3).
 
-Calibration constants (processing rate, envelope overhead) are chosen so
+Calibration constants (processing rate, payload sizes) are chosen so
 the *shape and order of magnitude* of the paper's Table III fall out of
 the simulation; the derivations are documented inline and verified by
 ``tests/test_analysis.py`` and the Table III benchmark.
@@ -45,6 +45,11 @@ def _require(condition: bool, message: str) -> None:
         raise ConfigurationError(message)
 
 
+def _require_finite(section: object, name: str) -> None:
+    value = getattr(section, name)
+    _require(math.isfinite(value), f"{name} must be finite, got {value}")
+
+
 @dataclass(frozen=True)
 class NetworkConfig:
     """Parameters of the simulated message-passing substrate.
@@ -62,43 +67,28 @@ class NetworkConfig:
         base_latency_s: fixed propagation delay added to every delivery.
         latency_jitter_s: half-width of the uniform jitter applied on top
             of ``base_latency_s``.
-        envelope_overhead_bytes: extra bytes charged for framing on every
-            message.  Defaults to 0 because protocol payloads already
-            account their full serialized size (ints 4 B, timestamps 8 B,
-            digests 32 B, signatures 64 B); with those sizes a single
-            PBFT request at n = 202 moves ~8.6 MB -- Table III's 8571 KB.
-        drop_probability: iid probability a unicast message is lost.
-        bandwidth_bps: sender-side link bandwidth in bits/second; each
-            outgoing message serializes through the sender's NIC for
-            ``size * 8 / bandwidth`` seconds before propagating.  0
-            (the default) disables transmission modelling -- the paper's
-            analysis attributes latency to receive-side processing, and
-            the default calibration follows it.
         seed: base seed for the network's jitter/drop random stream.
+
+    Nothing else is modelled: the paper's analysis attributes latency to
+    receive-side processing, so senders have unlimited bandwidth, and a
+    message costs exactly its payload's serialized size (ints 4 B,
+    timestamps 8 B, digests 32 B, signatures 64 B) -- with those sizes a
+    single PBFT request at n = 202 moves ~8.6 MB, Table III's 8571 KB.
+    Message loss is a fault, set on the built network with
+    ``SimulatedNetwork.set_drop_probability``.
     """
 
     processing_rate: float = 10.0
     base_latency_s: float = 0.010
     latency_jitter_s: float = 0.005
-    envelope_overhead_bytes: int = 0
-    drop_probability: float = 0.0
-    bandwidth_bps: float = 0.0
     seed: int = 0
 
     def __post_init__(self) -> None:
-        for name in ("processing_rate", "base_latency_s", "latency_jitter_s",
-                     "bandwidth_bps"):
-            value = getattr(self, name)
-            _require(math.isfinite(value), f"{name} must be finite, got {value}")
+        for name in ("processing_rate", "base_latency_s", "latency_jitter_s"):
+            _require_finite(self, name)
         _require(self.processing_rate > 0, "processing_rate must be positive")
         _require(self.base_latency_s >= 0, "base_latency_s must be >= 0")
         _require(self.latency_jitter_s >= 0, "latency_jitter_s must be >= 0")
-        _require(self.envelope_overhead_bytes >= 0, "envelope overhead must be >= 0")
-        _require(
-            0.0 <= self.drop_probability < 1.0,
-            "drop_probability must be in [0, 1)",
-        )
-        _require(self.bandwidth_bps >= 0, "bandwidth_bps must be >= 0")
 
 
 @dataclass(frozen=True)
@@ -127,6 +117,9 @@ class PBFTConfig:
     retry_backoff_max_s: float = float("inf")
 
     def __post_init__(self) -> None:
+        for name in ("view_change_timeout_s", "request_retry_timeout_s",
+                     "retry_backoff_factor"):
+            _require_finite(self, name)
         _require(self.checkpoint_interval > 0, "checkpoint_interval must be > 0")
         _require(
             self.watermark_window >= self.checkpoint_interval,
@@ -254,15 +247,9 @@ class VerifyConfig:
             the moment one is breached.  Off by default: the monitored
             path costs extra work per protocol event, and perf sweeps
             must measure the unmonitored system.
-        trace_window: number of most-recent events attached to a
-            violation as its offending trace window.
     """
 
     monitors: bool = False
-    trace_window: int = 256
-
-    def __post_init__(self) -> None:
-        _require(self.trace_window >= 1, "trace_window must be >= 1")
 
 
 @dataclass(frozen=True)
@@ -307,17 +294,16 @@ class ZoneSpec:
             policy cap (``min(n_nodes, max_endorsers)``).
         region: bounding box the zone's nodes are sampled from; ``None``
             falls back to the deployment default region.
-        fixed_fraction: probability that a non-endorser node is
-            stationary (eligible for election after the CSC threshold).
         id_base: first global node id of the zone; node ids are
             ``id_base .. id_base + n_nodes - 1``.
         profiles: hardware composition of the zone's fleet
             (:class:`repro.workloads.profiles.FleetMix`); ``None``
             (default) keeps the uniform fleet, bit-identical to the
             unprofiled simulation.
-        workload: how the zone's light clients are driven.
-            ``"objects"`` (default) keeps one arrival process per client
-            object; ``"aggregate"`` replaces them with one per-zone
+        workload: how the zone's light clients are driven, read by the
+            engine's ``agg`` point (no host reads it).  ``"objects"``
+            (default) keeps one arrival process per client object;
+            ``"aggregate"`` replaces them with one per-zone
             :class:`repro.workloads.streams.AggregatedArrivals` stream
             over a small pool of virtual client identities, which is
             what makes million-request city-scale runs tractable.
@@ -327,7 +313,6 @@ class ZoneSpec:
     n_nodes: int
     n_endorsers: int | None = None
     region: "Region | None" = None
-    fixed_fraction: float = 1.0
     id_base: int = 0
     profiles: "FleetMix | None" = None
     workload: str = "objects"
@@ -337,8 +322,6 @@ class ZoneSpec:
         _require(self.n_nodes >= 1, "zone needs at least one node")
         _require(self.n_endorsers is None or self.n_endorsers >= 1,
                  "n_endorsers must be >= 1 when given")
-        _require(0.0 <= self.fixed_fraction <= 1.0,
-                 "fixed_fraction must lie in [0, 1]")
         _require(self.id_base >= 0, "id_base must be >= 0")
         _require(self.workload in ("objects", "aggregate"),
                  f"unknown workload {self.workload!r}")
@@ -375,8 +358,6 @@ class TopologySpec:
     witness_range_m: float = 150.0
     n_replicas: int = 4
     n_clients: int = 1
-    checkpoint_interval_s: float = 2.0
-    top_committee_size: int | None = None
     profiles: "FleetMix | None" = None
     #: bound on every host event log (ring of newest events, exact
     #: per-kind counts); ``None`` keeps the unbounded append-only log
@@ -387,9 +368,9 @@ class TopologySpec:
                  f"unknown protocol {self.protocol!r}")
         _require(self.mode in ("per_tx", "block"),
                  f"unknown mode {self.mode!r}")
+        for name in ("block_interval_s", "witness_range_m"):
+            _require_finite(self, name)
         _require(self.block_interval_s > 0.0, "block_interval_s must be > 0")
-        _require(self.checkpoint_interval_s > 0.0,
-                 "checkpoint_interval_s must be > 0")
         _require(self.witness_range_m > 0.0, "witness_range_m must be > 0")
         _require(self.event_capacity is None or self.event_capacity >= 1,
                  "event_capacity must be >= 1 when given")
@@ -412,8 +393,6 @@ class TopologySpec:
         if len(self.zones) > 1:
             _require(all(zone.region is not None for zone in self.zones),
                      "multi-zone topologies need a region per zone")
-            _require(self.n_seats >= len(self.zones),
-                     "top committee needs at least one seat per zone")
 
     # -- builders ----------------------------------------------------------
 
@@ -421,7 +400,7 @@ class TopologySpec:
     def single(cls, n_nodes: int, n_endorsers: int | None = None, *,
                config: GPBFTConfig | None = None,
                region: "Region | None" = None,
-               mode: str = "per_tx", fixed_fraction: float = 1.0,
+               mode: str = "per_tx",
                seed: int = 0, start_reports: bool = True,
                block_interval_s: float = 5.0,
                sybil_protection: bool = False,
@@ -431,8 +410,7 @@ class TopologySpec:
                event_capacity: int | None = None) -> "TopologySpec":
         """The paper's one-committee deployment as a degenerate topology."""
         zone = ZoneSpec(name="z0", n_nodes=n_nodes, n_endorsers=n_endorsers,
-                        region=region, fixed_fraction=fixed_fraction,
-                        profiles=profiles, workload=workload)
+                        region=region, profiles=profiles, workload=workload)
         return cls(protocol="gpbft", zones=(zone,), seed=seed, config=config,
                    mode=mode, start_reports=start_reports,
                    block_interval_s=block_interval_s,
@@ -455,10 +433,8 @@ class TopologySpec:
               endorsers_per_zone: int | None = None,
               region: "Region | None" = None,
               config: GPBFTConfig | None = None, seed: int = 0,
-              mode: str = "per_tx", fixed_fraction: float = 1.0,
+              mode: str = "per_tx",
               start_reports: bool = True,
-              checkpoint_interval_s: float = 2.0,
-              top_committee_size: int | None = None,
               profiles: "FleetMix | None" = None,
               workload: str = "objects",
               event_capacity: int | None = None) -> "TopologySpec":
@@ -480,15 +456,12 @@ class TopologySpec:
         zones = tuple(
             ZoneSpec(name=cell.name, n_nodes=nodes_per_zone,
                      n_endorsers=endorsers_per_zone, region=cell.region,
-                     fixed_fraction=fixed_fraction,
                      id_base=cell.index * ZONE_ID_STRIDE,
                      profiles=profiles, workload=workload)
             for cell in grid
         )
         return cls(protocol="gpbft", zones=zones, seed=seed, config=config,
                    mode=mode, start_reports=start_reports,
-                   checkpoint_interval_s=checkpoint_interval_s,
-                   top_committee_size=top_committee_size,
                    event_capacity=event_capacity)
 
     # -- derived views -----------------------------------------------------
@@ -497,13 +470,6 @@ class TopologySpec:
     def n_zones(self) -> int:
         """Number of zones (0 for pbft topologies)."""
         return len(self.zones)
-
-    @property
-    def n_seats(self) -> int:
-        """Size of the top-level checkpoint committee."""
-        if self.top_committee_size is not None:
-            return self.top_committee_size
-        return max(4, len(self.zones))
 
     def zone_seed(self, index: int) -> int:
         """Deterministic RNG seed for zone *index*.
@@ -528,7 +494,6 @@ class TopologySpec:
             block_interval_s=self.block_interval_s,
             sybil_protection=self.sybil_protection,
             witness_range_m=self.witness_range_m,
-            checkpoint_interval_s=self.checkpoint_interval_s,
             event_capacity=self.event_capacity)
 
     def deployment_zone(self) -> ZoneSpec:

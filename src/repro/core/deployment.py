@@ -100,7 +100,7 @@ class GPBFTDeployment:
         if self.config.verify.monitors:
             from repro.verify.invariants import MonitorHarness
 
-            self.monitors = MonitorHarness(self, self.config.verify)
+            self.monitors = MonitorHarness(self)
         if obs is not None:
             obs.attach_host(self)
 
@@ -130,7 +130,6 @@ class GPBFTDeployment:
             if profiles is not None else {})
         self.availability: list = []
         for node_id in range(id_base, id_base + n_nodes):
-            fixed = node_id in endorser_ids or placement.random() < zone.fixed_fraction
             node = GPBFTNode(
                 node_id=node_id,
                 position=self.positions[node_id],
@@ -141,7 +140,6 @@ class GPBFTDeployment:
                 directory=self.directory,
                 event_log=self.events,
                 rng=self.rng.fork(f"node/{node_id}"),
-                fixed=fixed,
                 mode=mode,
                 block_interval_s=spec.block_interval_s,
                 faults=(faults or {}).get(node_id),
@@ -293,7 +291,6 @@ class GPBFTDeployment:
                 directory=self.directory,
                 event_log=self.events,
                 rng=self.rng.fork(f"sybil/{identity.node_id}"),
-                fixed=True,
                 mode=self.mode,
             )
             node._chain_sync_hook = self._chain_sync

@@ -62,6 +62,14 @@ from repro.pbft.replica import PBFTReplica
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.obs.core import Observability
 
+#: Simulated seconds between a gateway's checkpoint batches.
+CHECKPOINT_INTERVAL_S = 2.0
+
+
+def top_seats(n_zones: int) -> int:
+    """Seats of the top-level committee: one per zone, never below 4."""
+    return max(4, n_zones)
+
 
 class _CheckpointLedger:
     """Executor behind one top-layer seat: an ordered checkpoint log."""
@@ -156,8 +164,7 @@ class ZoneGateway:
         if self._pending:
             op = self.hier._assemble_checkpoint(self)
             self.client.submit(op)
-        self.hier.sim.schedule(self.hier.checkpoint_interval_s,
-                               self._checkpoint_tick)
+        self.hier.sim.schedule(CHECKPOINT_INTERVAL_S, self._checkpoint_tick)
 
     def next_checkpoint_seq(self) -> int:
         """Monotonic per-gateway checkpoint counter."""
@@ -259,7 +266,6 @@ class HierarchicalDeployment:
         self.config = spec.config or GPBFTConfig()
         self.sim = sim or Simulator()
         self.mode = spec.mode
-        self.checkpoint_interval_s = spec.checkpoint_interval_s
         self.events = EventLog(capacity=spec.event_capacity)
         self.zone_map = spec.zone_map()
 
@@ -278,8 +284,7 @@ class HierarchicalDeployment:
                 default_monitors,
             )
             self._harness = MonitorHarness(
-                self, self.config.verify,
-                monitors=default_monitors()
+                self, monitors=default_monitors()
                 + [CrossShardPrefixConsistencyMonitor()])
 
         # -- zone deployments (own networks, event logs, monitors) --------
@@ -302,7 +307,7 @@ class HierarchicalDeployment:
 
         # -- top layer: backbone network + seats + gateways ----------------
         n_zones = len(self.zones)
-        n_seats = spec.n_seats
+        n_seats = top_seats(n_zones)
         self.backbone = SimulatedNetwork(
             self.sim, self.config.network,
             rng=DeterministicRNG(spec.seed, "hier/backbone"))
@@ -351,8 +356,7 @@ class HierarchicalDeployment:
                 backbone_id, faults=gateway_faults.get(index))
             self.backbone.register(backbone_id, gateway.receive)
             self.gateways.append(gateway)
-            self.sim.schedule(self.checkpoint_interval_s,
-                              gateway._checkpoint_tick)
+            self.sim.schedule(CHECKPOINT_INTERVAL_S, gateway._checkpoint_tick)
 
         self._xzone_nonce = 0
         self._submit_counter = 0

@@ -92,7 +92,6 @@ class GPBFTNode:
             nearest-endorser routing (models the CSC registry).
         event_log: shared experiment event log.
         rng: per-node random stream (report phase jitter).
-        fixed: False for mobile devices (they can be moved by workloads).
         mode: ``"per_tx"`` (each transaction is one consensus instance,
             the paper's measured configuration) or ``"block"``
             (timer-weighted producers batch the mempool into blocks).
@@ -115,7 +114,6 @@ class GPBFTNode:
         directory: dict[int, LatLng] | None = None,
         event_log: EventLog | None = None,
         rng: DeterministicRNG | None = None,
-        fixed: bool = True,
         mode: str = "per_tx",
         block_interval_s: float = 5.0,
         faults: FaultModel | None = None,
@@ -133,7 +131,6 @@ class GPBFTNode:
         self.directory = directory if directory is not None else {node_id: position}
         self.events = event_log
         self.rng = rng or DeterministicRNG(0, f"node/{node_id}")
-        self.fixed = fixed
         self.mode = mode
         self.block_interval_s = block_interval_s
         self.faults = faults or HonestFaults()

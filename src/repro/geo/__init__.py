@@ -5,7 +5,7 @@ Everything location-related that G-PBFT consumes lives here:
 * :mod:`repro.geo.coords` -- validated latitude/longitude pairs, haversine
   distance, and rectangular deployment regions;
 * :mod:`repro.geo.geohash` -- a complete base-32 geohash codec (encode,
-  decode, bounding boxes, neighbours);
+  decode, bounding boxes);
 * :mod:`repro.geo.csc` -- Crypto-Spatial Coordinates: the hierarchical
   (geohash, contract-address) pair from FOAM that the election table keys
   on (paper section III-B3);
@@ -20,7 +20,7 @@ Everything location-related that G-PBFT consumes lives here:
 """
 
 from repro.geo.coords import LatLng, Region, haversine_m, EARTH_RADIUS_M
-from repro.geo.geohash import geohash_encode, geohash_decode, geohash_bounds, geohash_neighbors
+from repro.geo.geohash import geohash_encode, geohash_decode, geohash_bounds
 from repro.geo.csc import CryptoSpatialCoordinate
 from repro.geo.reports import GeoReport, ReportHistory
 from repro.geo.verification import LocationAuditor, WitnessStatement, AuditVerdict
@@ -37,7 +37,6 @@ __all__ = [
     "geohash_encode",
     "geohash_decode",
     "geohash_bounds",
-    "geohash_neighbors",
     "CryptoSpatialCoordinate",
     "GeoReport",
     "ReportHistory",

@@ -105,30 +105,6 @@ def geohash_decode(geohash: str) -> LatLng:
     return LatLng((south + north) / 2, (west + east) / 2)
 
 
-def geohash_neighbors(geohash: str) -> list[str]:
-    """The up-to-8 same-precision cells surrounding *geohash*.
-
-    Computed by decoding the cell centre, stepping one cell width in each
-    compass direction, and re-encoding.  Cells that would step over a
-    pole are skipped; longitude wraps.
-    """
-    south, west, north, east = geohash_bounds(geohash)
-    lat_step = north - south
-    lng_step = east - west
-    center = geohash_decode(geohash)
-    out: list[str] = []
-    for dlat in (-1, 0, 1):
-        for dlng in (-1, 0, 1):
-            if dlat == 0 and dlng == 0:
-                continue
-            lat = center.lat + dlat * lat_step
-            if not -90.0 <= lat <= 90.0:
-                continue
-            lng = ((center.lng + dlng * lng_step + 180.0) % 360.0) - 180.0
-            out.append(geohash_encode(LatLng(lat, lng), precision=len(geohash)))
-    return out
-
-
 def cell_size_m(precision: int) -> tuple[float, float]:
     """Approximate (height_m, width_m at the equator) of a geohash cell."""
     if not 1 <= precision <= MAX_PRECISION:

@@ -28,7 +28,7 @@ class Payload(Protocol):
 
     @property
     def size_bytes(self) -> int:
-        """Serialized payload size in bytes (excludes envelope framing)."""
+        """Serialized payload size in bytes: what the network charges."""
         ...
 
 

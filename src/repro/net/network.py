@@ -28,9 +28,10 @@ its *envelope*, which the inbox heap holds and orders as is::
     (arrive, envelope_id, src, dst, payload, kind, size_bytes)   # 0..6
 
 ``envelope_id`` is unique and rises with send order, so a comparison
-stops there; ``size_bytes`` includes framing.  A handler is called with
-the payload alone, ``handler(payload)``; the port counts the delivery,
-and :class:`TrafficStats` reads the ports.
+stops there; ``size_bytes`` is the payload's serialized size, all a
+message costs on the wire.  A handler is called with the payload alone,
+``handler(payload)``; the port counts the delivery, and
+:class:`TrafficStats` reads the ports.
 
 Only completions are simulator events.  A busy node owns one simulator
 entry, the completion of the message in service; when it fires, the
@@ -156,7 +157,7 @@ class SimulatedNetwork:
 
     Args:
         sim: the event loop to schedule deliveries on.
-        config: rates, overheads, drop probability.
+        config: processing rate, latency and seed.
         latency: propagation model; defaults to uniform jitter from config.
         rng: random stream for jitter and drops; forked from config.seed
             when omitted.
@@ -183,21 +184,15 @@ class SimulatedNetwork:
         self._ports: dict[int, _Port] = {}
         self.stats = TrafficStats(self._ports)
         self._offline_count = 0
-        # sender-side NIC serialization (only when bandwidth modelling on)
-        self._tx_free_at: dict[int, float] = {}
         self._partition: dict[int, int] = {}
         self._processing_interval = 1.0 / self.config.processing_rate
         # ids rise with send order, so equal arrival times keep it
         self._envelope_ids = itertools.count()
-        # NetworkConfig is frozen, so the per-send scalars can be read
-        # once instead of through two attribute hops per message
-        self._overhead_bytes = self.config.envelope_overhead_bytes
-        self._drop_probability = self.config.drop_probability
-        self._bandwidth_bps = self.config.bandwidth_bps
-        # iid drops interleave their draws with the delays copy by copy
-        # and a bandwidth model queues copies through the sender's NIC:
-        # with either on, a multicast is its per-copy sends
-        self._copy_by_copy = self._drop_probability > 0 or self._bandwidth_bps > 0
+        # iid drops (off until ``set_drop_probability``) interleave their
+        # draws with the delays copy by copy: with them on, a multicast
+        # is its per-copy sends
+        self._drop_probability = 0.0
+        self._copy_by_copy = False
 
     # -- membership -------------------------------------------------------
 
@@ -294,9 +289,9 @@ class SimulatedNetwork:
     def set_drop_probability(self, p: float) -> None:
         """Lose each message sent from now on independently with chance *p*.
 
-        Replaces the configured ``drop_probability``; ``0`` stops the
-        loss.  A lost copy is charged and counted as dropped, like any
-        other network drop.
+        ``0``, the setting a network starts with, stops the loss.  A lost
+        copy is charged and counted as dropped, like any other network
+        drop.
 
         Raises:
             NetworkError: unless ``0 <= p <= 1``.
@@ -304,7 +299,7 @@ class SimulatedNetwork:
         if not 0.0 <= p <= 1.0:
             raise NetworkError(f"drop probability must be in [0, 1], got {p}")
         self._drop_probability = p
-        self._copy_by_copy = p > 0 or self._bandwidth_bps > 0
+        self._copy_by_copy = p > 0
 
     def _group(self, node_id: int) -> int:
         return self._partition.get(node_id, -1)
@@ -318,7 +313,7 @@ class SimulatedNetwork:
         if sender is None or sender.handler is None:
             raise NetworkError(f"unknown sender {src}")
         kind = payload.kind
-        size = payload.size_bytes + self._overhead_bytes
+        size = payload.size_bytes
         self.stats.on_send(src, kind, size)
 
         port = self._ports.get(dst)
@@ -336,14 +331,6 @@ class SimulatedNetwork:
 
         now = self.sim.now
         delay = self.latency.sample(src, dst, self.rng)
-        if self._bandwidth_bps > 0:
-            # serialize through the sender's NIC before propagation: a
-            # multicast of k messages leaves the sender one after another
-            tx_time = size * 8.0 / self._bandwidth_bps
-            tx_start = max(now, self._tx_free_at.get(src, 0.0))
-            tx_done = tx_start + tx_time
-            self._tx_free_at[src] = tx_done
-            delay += tx_done - now
         if not delay >= 0:
             raise NetworkError(f"delay must be >= 0, got {delay}")
         arrive = now + delay
@@ -369,11 +356,11 @@ class SimulatedNetwork:
         destination order.  Each destination's port is looked up once
         and takes its copy, its serving test and its wake from there.
 
-        The copies go through :meth:`send` one by one when drops or the
-        bandwidth model are on (see ``_copy_by_copy``) and when ``send``
-        has been replaced on this instance.  Nothing in ``repro``
-        replaces it; the fallback is kept for ``perfbench``'s payload
-        capture, which must see every copy of every broadcast.
+        The copies go through :meth:`send` one by one when drops are on
+        (see ``_copy_by_copy``) and when ``send`` has been replaced on
+        this instance.  Nothing in ``repro`` replaces it; the fallback is
+        kept for ``perfbench``'s payload capture, which must see every
+        copy of every broadcast.
         """
         # a replaced ``send`` is an instance attribute other than the
         # class's own method; a harness that detaches by assigning the
@@ -396,7 +383,7 @@ class SimulatedNetwork:
         if sender is None or sender.handler is None:
             raise NetworkError(f"unknown sender {src}")
         kind = payload.kind
-        size = payload.size_bytes + self._overhead_bytes
+        size = payload.size_bytes
         stats = self.stats
         stats.on_send(src, kind, size, len(targets))
         if self._offline_count or self._partition:

@@ -14,6 +14,7 @@ runs opt in to windows, sampling, and the recorder explicitly.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from repro.obs.spans import ObservabilityError
@@ -62,6 +63,10 @@ class ObsConfig:
 
     def __post_init__(self) -> None:
         """Validate the knobs; raises ObservabilityError on misuse."""
+        for name in ("window_s", "storm_window_s", "heartbeat_s"):
+            value = getattr(self, name)
+            if value is not None and not math.isfinite(value):
+                raise ObservabilityError(f"{name} must be finite, got {value}")
         if self.window_s <= 0:
             raise ObservabilityError(f"window_s must be > 0, got {self.window_s}")
         if not (0.0 <= self.sample_rate <= 1.0):

@@ -133,7 +133,7 @@ class PBFTCluster:
         if self.config.verify.monitors:
             from repro.verify.invariants import MonitorHarness
 
-            self.monitors = MonitorHarness(self, self.config.verify)
+            self.monitors = MonitorHarness(self)
         if obs is not None:
             obs.attach_host(self)
         faults = faults or {}

@@ -37,6 +37,7 @@ from repro.common.config import GPBFTConfig, TopologySpec, VerifyConfig
 from repro.common.errors import ConfigurationError
 from repro.common.eventlog import EV_PBFT_EXECUTED
 from repro.common.rng import DeterministicRNG
+from repro.core.hierarchy import top_seats
 from repro.experiments import scenario
 from repro.experiments.engine import Engine, PointSpec
 from repro.net.latency import LatencyModel
@@ -485,7 +486,7 @@ def generate_schedule(
     base = Schedule(protocol=protocol, n=n, seed=seed, submissions=submissions,
                     horizon_s=horizon_s, faults=tuple(faults), zones=zones)
     rng = DeterministicRNG(seed, "verify/schedule")
-    n_seats = max(4, zones)
+    n_seats = top_seats(zones)
     count = rng.integers(1, max_perturbations + 1)
     perturbations: list[Perturbation] = []
     for _ in range(count):

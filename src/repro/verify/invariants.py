@@ -34,7 +34,6 @@ from __future__ import annotations
 from collections import deque
 from typing import Any, Callable, NoReturn
 
-from repro.common.config import VerifyConfig
 from repro.common.errors import EraSwitchError, ReproError
 from repro.common.eventlog import (
     EV_ERA_SWITCH_COMPLETED,
@@ -48,6 +47,9 @@ from repro.common.eventlog import (
     Event,
 )
 from repro.common.quorum import quorum_size
+
+#: Most-recent events a violation carries as its offending trace window.
+TRACE_WINDOW = 256
 
 
 class InvariantViolation(ReproError):
@@ -379,8 +381,6 @@ class MonitorHarness:
         host: a :class:`~repro.pbft.cluster.PBFTCluster` or
             :class:`~repro.core.deployment.GPBFTDeployment` (anything
             with an ``events`` :class:`~repro.common.eventlog.EventLog`).
-        config: verification settings; defaults to monitors-on with the
-            default trace window.
         monitors: monitor instances to attach; defaults to
             :func:`default_monitors`.
 
@@ -401,12 +401,10 @@ class MonitorHarness:
 
     on_violation: Callable[[InvariantViolation], None] | None = None
 
-    def __init__(self, host, config: VerifyConfig | None = None,
-                 monitors: list[Monitor] | None = None) -> None:
+    def __init__(self, host, monitors: list[Monitor] | None = None) -> None:
         self.host = host
-        self.config = config or VerifyConfig(monitors=True)
         self.monitors = list(monitors) if monitors is not None else default_monitors()
-        self.trace: deque[Event] = deque(maxlen=self.config.trace_window)
+        self.trace: deque[Event] = deque(maxlen=TRACE_WINDOW)
         host.events.subscribe(self._on_event)
 
     # -- host accessors ---------------------------------------------------

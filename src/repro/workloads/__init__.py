@@ -7,13 +7,13 @@ scenes into reproducible simulation inputs:
 
 * :mod:`repro.workloads.fleet` -- device-fleet builders: grids of fixed
   infrastructure, scattered sensors, mobile devices;
-* :mod:`repro.workloads.mobility` -- mobility models (stationary with
-  GPS jitter, random waypoint) that drive mobile nodes on the simulator;
+* :mod:`repro.workloads.mobility` -- the random-waypoint mobility
+  model and the driver that moves mobile nodes on the simulator;
 * :mod:`repro.workloads.arrivals` -- transaction arrival processes
   (constant-rate per node, Poisson) used by the latency experiments;
 * :mod:`repro.workloads.streams` -- aggregated per-zone arrival streams
-  (rate profiles + thinning, plus a draw-for-draw exact equivalence
-  mode) that make million-request city-scale runs tractable;
+  (rate profiles + thinning) that make million-request city-scale runs
+  tractable;
 * :mod:`repro.workloads.scenarios` -- packaged end-to-end scenes
   (smart-city car monitoring, parking-lot payments, RFID asset
   tracking);
@@ -26,18 +26,14 @@ scenes into reproducible simulation inputs:
 """
 
 from repro.workloads.fleet import FleetSpec, grid_positions, scatter_positions
-from repro.workloads.mobility import StationaryModel, RandomWaypointModel, MobilityDriver
+from repro.workloads.mobility import RandomWaypointModel, MobilityDriver
 from repro.workloads.arrivals import ConstantRateArrivals, PoissonArrivals, ArrivalProcess
 from repro.workloads.streams import (
     AggregatedArrivals,
     DiurnalWave,
-    ExactAggregatedArrivals,
     FlashCrowdBurst,
     PoissonSuperposition,
     RateProfile,
-    constant_delay,
-    poisson_delay,
-    schedule_fingerprint,
 )
 from repro.workloads.scenarios import (
     smart_city_scenario,
@@ -82,7 +78,6 @@ __all__ = [
     "FleetSpec",
     "grid_positions",
     "scatter_positions",
-    "StationaryModel",
     "RandomWaypointModel",
     "MobilityDriver",
     "ConstantRateArrivals",
@@ -90,13 +85,9 @@ __all__ = [
     "ArrivalProcess",
     "AggregatedArrivals",
     "DiurnalWave",
-    "ExactAggregatedArrivals",
     "FlashCrowdBurst",
     "PoissonSuperposition",
     "RateProfile",
-    "constant_delay",
-    "poisson_delay",
-    "schedule_fingerprint",
     "smart_city_scenario",
     "parking_lot_scenario",
     "asset_tracking_scenario",

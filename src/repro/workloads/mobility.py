@@ -1,8 +1,8 @@
 """Mobility models and the driver that applies them on the simulator.
 
-Fixed devices stay put (optionally with sub-cell GPS jitter); mobile
-devices follow a random-waypoint model: pick a destination in the
-region, walk there at a sampled speed, pause, repeat.  Movement is what
+Fixed devices stay put (no driver moves them); mobile devices follow a
+random-waypoint model: pick a destination in the region, walk there at
+a sampled speed, pause, repeat.  Movement is what
 makes Algorithm 1 evict endorsers and refuse mobile candidates, so these
 models directly exercise the paper's election machinery.
 """
@@ -23,30 +23,6 @@ class MobilityModel(abc.ABC):
     @abc.abstractmethod
     def step(self, current: LatLng, dt: float, rng: DeterministicRNG) -> LatLng:
         """Position after *dt* seconds starting from *current*."""
-
-
-class StationaryModel(MobilityModel):
-    """A fixed installation, optionally with GPS jitter.
-
-    Args:
-        jitter_m: half-width of the uniform position noise per fix.
-            Zero (default) models a wired location source like CSC
-            registration; a few metres models raw GPS.
-    """
-
-    def __init__(self, jitter_m: float = 0.0) -> None:
-        if jitter_m < 0:
-            raise ConfigurationError("jitter must be >= 0")
-        self.jitter_m = jitter_m
-
-    def step(self, current: LatLng, dt: float, rng: DeterministicRNG) -> LatLng:
-        """Advance the position by *dt* seconds."""
-        if self.jitter_m == 0:
-            return current
-        return current.offset_m(
-            rng.uniform(-self.jitter_m, self.jitter_m),
-            rng.uniform(-self.jitter_m, self.jitter_m),
-        )
 
 
 class RandomWaypointModel(MobilityModel):

@@ -392,10 +392,8 @@ def _churn_storm_pack(n: int, seed: int) -> dict:
     region = dep.region
 
     def _mobilize(node_id: int) -> MobilityDriver:
-        node = dep.nodes[node_id]
-        node.fixed = False
         driver = MobilityDriver(
-            node,
+            dep.nodes[node_id],
             RandomWaypointModel(region, speed_min_mps=5.0, speed_max_mps=15.0,
                                 pause_s=0.0),
             dep.sim, rng.fork(f"storm/{node_id}"), interval_s=120.0,
@@ -403,17 +401,13 @@ def _churn_storm_pack(n: int, seed: int) -> dict:
         driver.start()
         return driver
 
-    def _settle(driver: MobilityDriver) -> None:
-        driver.stop()
-        driver.node.fixed = True
-
     # wave 1: the top half of the genesis committee goes mobile at t=0
     wave1 = [_mobilize(node_id)
              for node_id in range(n_endorsers - 3, n_endorsers)]
     # wave 2 at mid-run: three replacements go mobile, wave 1 settles
     def _swap_waves() -> None:
         for driver in wave1:
-            _settle(driver)
+            driver.stop()
         for node_id in range(n_endorsers, n_endorsers + 3):
             _mobilize(node_id)
 

@@ -99,7 +99,6 @@ def smart_city_scenario(
     arrivals = []
     for vid in range(n_lamps, total):
         node = deployment.nodes[vid]
-        node.fixed = False
         mobility.append(
             MobilityDriver(
                 node,
@@ -171,8 +170,6 @@ def asset_tracking_scenario(
         )
         for aid in range(n_readers, total)
     ]
-    for aid in range(n_readers, total):
-        deployment.nodes[aid].fixed = False
 
     def scan(reader_id: int) -> None:
         reader = deployment.nodes[reader_id]

@@ -5,68 +5,32 @@ cannot afford one :class:`~repro.workloads.arrivals.ArrivalProcess`
 object -- and one live timer -- per light client: a million-request day
 across thousands of devices spends most of its wall clock maintaining
 idle per-client timers.  This module replaces a zone's client
-population with **one** stream object that drives a small pool of
-virtual client identities:
-
-* :class:`AggregatedArrivals` -- a non-homogeneous Poisson stream shaped
-  by a :class:`RateProfile` (constant superposition, diurnal wave,
-  flash-crowd burst), thinned with the standard Lewis-Shedler
-  acceptance draw.  One candidate timer exists at any moment regardless
-  of how many clients the stream represents.
-* :class:`ExactAggregatedArrivals` -- the *equivalence mode*: it
-  replays ``k`` per-client arrival processes draw-for-draw from one
-  object, producing the request-for-request identical submission
-  schedule (same per-client RNG streams, same times, same tie order).
-  The property tests in ``tests/test_streams.py`` pin this against real
-  :class:`ConstantRateArrivals` / :class:`PoissonArrivals` populations.
-
-Both variants dispatch submissions round-robin (statistical mode) or
-per mirrored client (exact mode) into caller-supplied zero-argument
-callbacks, so they slot into any ``PBFTClient.submit``-compatible path,
-and both can record a rolling SHA-256 *schedule fingerprint* over
-``(time, slot)`` pairs for equivalence checking without retaining the
-schedule itself.
+population with **one** :class:`AggregatedArrivals` stream: a
+non-homogeneous Poisson stream shaped by a :class:`RateProfile`
+(constant superposition, diurnal wave, flash-crowd burst), thinned with
+the standard Lewis-Shedler acceptance draw.  One candidate timer exists
+at any moment regardless of how many clients the stream represents, and
+accepted submissions rotate round-robin through caller-supplied
+zero-argument callbacks, so the stream slots into any
+``PBFTClient.submit``-compatible path.
 """
 
 from __future__ import annotations
 
 import abc
-import heapq
 import math
 from typing import Callable, Sequence
 
 from repro.common.errors import ConfigurationError
 from repro.common.rng import DeterministicRNG
-from repro.crypto.hashing import sha256
 from repro.net.simulator import ScheduledEvent, Simulator
-from repro.obs.instruments import Counter
-
-#: Delay function signature mirrored from ``ArrivalProcess._next_delay``.
-DelayFn = Callable[[DeterministicRNG], float]
 
 
-def constant_delay(period_s: float) -> DelayFn:
-    """Delay function of :class:`ConstantRateArrivals` (fixed period)."""
-    if period_s <= 0:
-        raise ConfigurationError("period must be positive")
-
-    def delay(rng: DeterministicRNG) -> float:
-        """One constant inter-arrival period (rng unused, kept for symmetry)."""
-        return period_s
-
-    return delay
-
-
-def poisson_delay(mean_period_s: float) -> DelayFn:
-    """Delay function of :class:`PoissonArrivals` (exponential draws)."""
-    if mean_period_s <= 0:
-        raise ConfigurationError("mean period must be positive")
-
-    def delay(rng: DeterministicRNG) -> float:
-        """One exponential inter-arrival draw from the client's stream."""
-        return rng.exponential(mean_period_s)
-
-    return delay
+def _require_finite(**values: float) -> None:
+    """Refuse a non-finite profile parameter, naming it."""
+    for name, value in values.items():
+        if not math.isfinite(value):
+            raise ConfigurationError(f"{name} must be finite, got {value}")
 
 
 class RateProfile(abc.ABC):
@@ -91,6 +55,7 @@ class PoissonSuperposition(RateProfile):
     """
 
     def __init__(self, n_clients: int, mean_period_s: float) -> None:
+        _require_finite(mean_period_s=mean_period_s)
         if n_clients < 1:
             raise ConfigurationError("need at least one client")
         if mean_period_s <= 0:
@@ -119,6 +84,8 @@ class DiurnalWave(RateProfile):
 
     def __init__(self, base_rps: float, amplitude_rps: float,
                  period_s: float = 86_400.0, phase_s: float = 0.0) -> None:
+        _require_finite(base_rps=base_rps, amplitude_rps=amplitude_rps,
+                        period_s=period_s, phase_s=phase_s)
         if base_rps <= 0:
             raise ConfigurationError("base rate must be positive")
         if amplitude_rps < 0:
@@ -150,6 +117,8 @@ class FlashCrowdBurst(RateProfile):
 
     def __init__(self, base_rps: float, burst_rps: float,
                  at_s: float, duration_s: float) -> None:
+        _require_finite(base_rps=base_rps, burst_rps=burst_rps,
+                        at_s=at_s, duration_s=duration_s)
         if base_rps <= 0:
             raise ConfigurationError("base rate must be positive")
         if burst_rps < 0:
@@ -174,48 +143,7 @@ class FlashCrowdBurst(RateProfile):
         return self.base_rps + self.burst_rps
 
 
-class _StreamBase:
-    """Shared plumbing: submit pool, counters, rolling fingerprint."""
-
-    def __init__(self, sim: Simulator,
-                 submits: Sequence[Callable[[], object]],
-                 record_fingerprint: bool = False,
-                 offered_counter: Counter | None = None) -> None:
-        if not submits:
-            raise ConfigurationError("need at least one submit callback")
-        self.sim = sim
-        self.submits = tuple(submits)
-        self.submitted = 0
-        self.limit: int | None = None
-        self._timer: ScheduledEvent | None = None
-        self._offered = offered_counter
-        self._digest = sha256(b"arrival-stream") if record_fingerprint else None
-
-    def stop(self) -> None:
-        """Cancel any future submissions."""
-        if self._timer is not None:
-            self._timer.cancel()
-            self._timer = None
-
-    def fingerprint_hex(self) -> str:
-        """Rolling SHA-256 over every ``(time, slot)`` submission so far."""
-        if self._digest is None:
-            raise ConfigurationError(
-                "stream was built with record_fingerprint=False")
-        return self._digest.hex()
-
-    def _dispatch(self, slot: int) -> None:
-        """Fire submit slot *slot* and update counters/fingerprint."""
-        if self._digest is not None:
-            self._digest = sha256(
-                self._digest + f"{self.sim.now!r}|{slot};".encode())
-        self.submits[slot]()
-        self.submitted += 1
-        if self._offered is not None:
-            self._offered.inc()
-
-
-class AggregatedArrivals(_StreamBase):
+class AggregatedArrivals:
     """One thinned Poisson stream standing in for a zone's client fleet.
 
     Candidate arrivals are drawn at the profile's peak rate and accepted
@@ -232,26 +160,26 @@ class AggregatedArrivals(_StreamBase):
         rng: deterministic stream for candidate and acceptance draws.
         profile: aggregate rate shape; ``profile.rate(t)`` must never
             exceed ``profile.peak_rate()``.
-        record_fingerprint: keep a rolling schedule digest (off by
-            default -- it hashes on every submission).
-        offered_counter: optional obs counter bumped per submission, so
-            per-zone offered load survives aggregation.
     """
 
     def __init__(self, sim: Simulator,
                  submits: Sequence[Callable[[], object]],
-                 rng: DeterministicRNG, profile: RateProfile,
-                 record_fingerprint: bool = False,
-                 offered_counter: Counter | None = None) -> None:
-        super().__init__(sim, submits, record_fingerprint, offered_counter)
+                 rng: DeterministicRNG, profile: RateProfile) -> None:
+        if not submits:
+            raise ConfigurationError("need at least one submit callback")
         peak = profile.peak_rate()
         if peak <= 0:
             raise ConfigurationError("profile peak rate must be positive")
+        self.sim = sim
+        self.submits = tuple(submits)
         self.rng = rng
         self.profile = profile
+        self.submitted = 0
+        self.limit: int | None = None
         self._peak = peak
         self._until: float | None = None
         self._slot = 0
+        self._timer: ScheduledEvent | None = None
 
     def start(self, until: float | None = None, limit: int | None = None) -> None:
         """Begin submitting until *until* seconds and/or *limit* requests."""
@@ -259,6 +187,12 @@ class AggregatedArrivals(_StreamBase):
         self.limit = limit
         self._timer = self.sim.schedule(
             self.rng.exponential(1.0 / self._peak), self._candidate)
+
+    def stop(self) -> None:
+        """Cancel any future submissions."""
+        if self._timer is not None:
+            self._timer.cancel()
+            self._timer = None
 
     def _candidate(self) -> None:
         """One thinning step: accept-or-skip, then schedule the next."""
@@ -269,122 +203,9 @@ class AggregatedArrivals(_StreamBase):
         if self.limit is not None and self.submitted >= self.limit:
             return
         if self.rng.random() * self._peak < self.profile.rate(now):
-            self._dispatch(self._slot)
+            self.submits[self._slot]()
+            self.submitted += 1
             self._slot = (self._slot + 1) % len(self.submits)
         if self.limit is None or self.submitted < self.limit:
             self._timer = self.sim.schedule(
                 self.rng.exponential(1.0 / self._peak), self._candidate)
-
-
-class ExactAggregatedArrivals(_StreamBase):
-    """Replays *k* per-client arrival processes from one object.
-
-    Equivalence mode: given the same per-client RNG streams, this
-    produces the request-for-request identical submission schedule --
-    same times, same clients, same tie order -- as ``k`` separate
-    :class:`~repro.workloads.arrivals.ArrivalProcess` objects, while
-    keeping exactly one live simulator timer.
-
-    The mirroring is draw-for-draw.  Each client keeps its own RNG;
-    :meth:`start` reproduces ``_next_delay() * rng.random()`` (in that
-    evaluation order) for the random phase, and every submission
-    reproduces the post-fire ``_next_delay()`` reschedule.  Ties are
-    broken by *reschedule order* -- the order the underlying per-client
-    timers would have entered the simulator heap -- not merely by
-    client index, which matters when clients with different periods
-    collide.
-
-    Args:
-        sim: shared simulator.
-        submits: one zero-argument submission callback per mirrored
-            client, index-aligned with *rngs*.
-        rngs: one deterministic stream per client -- fork these exactly
-            as the per-client objects would (same labels, same parent).
-        delay_fns: per-client inter-arrival draw, index-aligned; build
-            with :func:`constant_delay` / :func:`poisson_delay`.  A
-            single function is broadcast to every client.
-    """
-
-    def __init__(self, sim: Simulator,
-                 submits: Sequence[Callable[[], object]],
-                 rngs: Sequence[DeterministicRNG],
-                 delay_fns: DelayFn | Sequence[DelayFn],
-                 record_fingerprint: bool = False,
-                 offered_counter: Counter | None = None) -> None:
-        super().__init__(sim, submits, record_fingerprint, offered_counter)
-        if len(rngs) != len(self.submits):
-            raise ConfigurationError("need one rng per submit callback")
-        if callable(delay_fns):
-            delay_fns = [delay_fns] * len(self.submits)
-        if len(delay_fns) != len(self.submits):
-            raise ConfigurationError("need one delay fn per submit callback")
-        self.rngs = tuple(rngs)
-        self.delay_fns = tuple(delay_fns)
-        self.per_client: list[int] = [0] * len(self.submits)
-        # (next_time, reschedule_order, client): the order counter mirrors
-        # the simulator insertion sequence the per-client timers would
-        # have used, so coincident times fire in the identical order
-        self._heap: list[tuple[float, int, int]] = []
-        self._order = 0
-
-    def start(self, limit: int | None = None,
-              phase: float | Sequence[float] | None = None) -> None:
-        """Begin submitting; mirrors ``ArrivalProcess.start`` per client.
-
-        Args:
-            limit: cap on total submissions across all clients
-                (``None`` = unbounded); the property tests drive both
-                worlds with the same horizon rather than limits.
-            phase: fixed initial offset -- one float broadcast to every
-                client or a per-client sequence; ``None`` draws each
-                client's random phase exactly like the per-client
-                object would.
-        """
-        self.limit = limit
-        for i, rng in enumerate(self.rngs):
-            if phase is None:
-                # evaluation order matters: the per-client object computes
-                # _next_delay() first, then multiplies by rng.random()
-                delay = self.delay_fns[i](rng) * rng.random()
-            elif isinstance(phase, (int, float)):
-                delay = float(phase)
-            else:
-                delay = phase[i]
-            heapq.heappush(self._heap, (self.sim.now + delay, self._order, i))
-            self._order += 1
-        self._arm()
-
-    def _arm(self) -> None:
-        """Point the single simulator timer at the earliest pending client."""
-        if not self._heap:
-            return
-        if self.limit is not None and self.submitted >= self.limit:
-            return
-        # absolute-time arming: schedule_at reproduces the per-client
-        # timer's fire instant bit-exactly (now + (t - now) != t in floats)
-        self._timer = self.sim.schedule_at(self._heap[0][0], self._fire)
-
-    def _fire(self) -> None:
-        """Submit for the due client, redraw its next arrival, re-arm."""
-        self._timer = None
-        _, _, client = heapq.heappop(self._heap)
-        self._dispatch(client)
-        self.per_client[client] += 1
-        next_time = self.sim.now + self.delay_fns[client](self.rngs[client])
-        heapq.heappush(self._heap, (next_time, self._order, client))
-        self._order += 1
-        self._arm()
-
-
-def schedule_fingerprint(schedule: Sequence[tuple[float, int]]) -> str:
-    """Reference fingerprint over an explicit ``(time, slot)`` schedule.
-
-    Computes the same rolling digest as the in-stream recorder; the
-    property tests run real per-client arrival processes, collect their
-    submissions, and compare this against the aggregate stream's
-    :meth:`_StreamBase.fingerprint_hex`.
-    """
-    digest = sha256(b"arrival-stream")
-    for t, slot in schedule:
-        digest = sha256(digest + f"{t!r}|{slot};".encode())
-    return digest.hex()

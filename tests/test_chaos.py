@@ -32,11 +32,11 @@ N_REPLICAS = 7  # f = 2
 FAST_PBFT = PBFTConfig(view_change_timeout_s=5.0, request_retry_timeout_s=20.0)
 
 
-def _config(seed: int, drop: float = 0.0) -> GPBFTConfig:
+def _config(seed: int) -> GPBFTConfig:
     # invariant monitors ride along on every chaos schedule: any safety
     # break raises mid-run with the offending trace window attached
     return GPBFTConfig(
-        network=NetworkConfig(seed=seed, drop_probability=drop),
+        network=NetworkConfig(seed=seed),
         pbft=FAST_PBFT,
         verify=VerifyConfig(monitors=True),
     )
@@ -116,7 +116,8 @@ class TestPBFTChaos:
            seed=st.integers(min_value=0, max_value=1000))
     @settings(max_examples=10, deadline=None)
     def test_agreement_under_random_message_loss(self, drop, seed):
-        cluster = TopologySpec.cluster(N_REPLICAS, 1, config=_config(seed, drop=drop)).build()
+        cluster = TopologySpec.cluster(N_REPLICAS, 1, config=_config(seed)).build()
+        cluster.network.set_drop_probability(drop)
         for k in range(4):
             cluster.sim.schedule_at(1.0 + 10.0 * k, cluster.any_client.submit,
                                     RawOperation(f"lossy-{k}"))

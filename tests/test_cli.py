@@ -164,8 +164,10 @@ class TestBadValuesExit2:
         (["--horizon", "-3"], "error: horizon_s must be positive"),
         (["--horizon", "nan"], "error: horizon_s must be finite"),
         (["--protocol", "gpbft", "--era-switch-at", "nan"],
-         "error: era_switch_at must be finite")],
-        ids=["n", "horizon", "horizon-nan", "era-switch-nan"])
+         "error: era_switch_at must be finite"),
+        (["-n", "4", "--submissions", "2", "--horizon", "20", "--timeseries",
+          "--window", "nan"], "error: window_s must be finite, got nan")],
+        ids=["n", "horizon", "horizon-nan", "era-switch-nan", "window-nan"])
     def test_obs_capture(self, argv, line, capsys):
         from repro.obs.cli import main as obs_main
 

@@ -12,6 +12,7 @@ from repro.common.config import (
     IncentiveConfig,
     NetworkConfig,
     PBFTConfig,
+    TopologySpec,
 )
 from repro.common.errors import ConfigurationError
 
@@ -20,7 +21,6 @@ class TestNetworkConfig:
     def test_defaults_are_valid(self):
         cfg = NetworkConfig()
         assert cfg.processing_rate > 0
-        assert cfg.drop_probability == 0.0
 
     def test_rejects_nonpositive_processing_rate(self):
         with pytest.raises(ConfigurationError):
@@ -33,18 +33,12 @@ class TestNetworkConfig:
             NetworkConfig(base_latency_s=-0.001)
 
     @pytest.mark.parametrize("field", [
-        "processing_rate", "base_latency_s", "latency_jitter_s", "bandwidth_bps"])
+        "processing_rate", "base_latency_s", "latency_jitter_s"])
     def test_rejects_a_non_finite_float(self, field):
         # an infinite latency used to move every arrival, and run(), to t = inf
         for value in (float("inf"), float("nan")):
             with pytest.raises(ConfigurationError, match=f"^{field} must be finite"):
                 NetworkConfig(**{field: value})
-
-    def test_rejects_bad_drop_probability(self):
-        with pytest.raises(ConfigurationError):
-            NetworkConfig(drop_probability=1.0)
-        with pytest.raises(ConfigurationError):
-            NetworkConfig(drop_probability=-0.1)
 
     def test_is_frozen(self):
         cfg = NetworkConfig()
@@ -62,6 +56,19 @@ class TestPBFTConfig:
             PBFTConfig(view_change_timeout_s=0)
         with pytest.raises(ConfigurationError):
             PBFTConfig(request_retry_timeout_s=-1)
+
+    @pytest.mark.parametrize("field", [
+        "view_change_timeout_s", "request_retry_timeout_s", "retry_backoff_factor"])
+    def test_rejects_an_infinite_timer_setting(self, field):
+        with pytest.raises(ConfigurationError, match=f"^{field} must be finite"):
+            PBFTConfig(**{field: float("inf")})
+
+
+class TestTopologySpec:
+    @pytest.mark.parametrize("field", ["block_interval_s", "witness_range_m"])
+    def test_rejects_an_infinite_float(self, field):
+        with pytest.raises(ConfigurationError, match=f"^{field} must be finite"):
+            TopologySpec.single(4, **{field: float("inf")})
 
 
 class TestCommitteeConfig:

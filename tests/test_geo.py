@@ -14,7 +14,6 @@ from repro.geo.geohash import (
     geohash_bounds,
     geohash_decode,
     geohash_encode,
-    geohash_neighbors,
 )
 from repro.geo.reports import GeoReport, ReportHistory
 from repro.geo.verification import (
@@ -163,13 +162,6 @@ class TestGeohash:
             geohash_bounds("abci")  # 'i' is not in the alphabet
         with pytest.raises(GeoError):
             geohash_bounds("")
-
-    def test_neighbors_share_precision_and_differ(self):
-        gh = geohash_encode(HK, 7)
-        neighbors = geohash_neighbors(gh)
-        assert 3 <= len(neighbors) <= 8
-        assert all(len(n) == 7 for n in neighbors)
-        assert gh not in neighbors
 
     def test_equator_and_meridian_points(self):
         for point in (LatLng(0.0, 0.0), LatLng(0.0, 179.9), LatLng(0.0, -180.0)):

@@ -85,11 +85,9 @@ class TestBlockModeFaults:
 
 class TestNetworkFaults:
     def test_message_drops_slow_but_do_not_stop_consensus(self):
-        from dataclasses import replace
-
-        config = fast_config()
-        config = config.replace(network=replace(config.network, drop_probability=0.05))
-        dep = TopologySpec.single(8, 4, config=config, seed=55, start_reports=False).build()
+        dep = TopologySpec.single(
+            8, 4, config=fast_config(), seed=55, start_reports=False).build()
+        dep.network.set_drop_probability(0.05)
         rids = [dep.submit_from(i) for i in (5, 6, 7)]
         dep.run(until=5000)
         done = dep.completed_latencies()

@@ -286,9 +286,9 @@ class TestCombinedConditions:
         from dataclasses import replace
 
         config = fast_config()
-        config = config.replace(network=replace(config.network,
-                                                drop_probability=0.03, seed=60))
+        config = config.replace(network=replace(config.network, seed=60))
         dep = TopologySpec.single(10, 6, config=config, seed=60, start_reports=False).build()
+        dep.network.set_drop_probability(0.03)
         rid1 = dep.submit_from(8)
         dep.sim.schedule(1.0, dep.force_era_switch)
         dep.run(until=3000)

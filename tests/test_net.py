@@ -311,7 +311,8 @@ class TestSimulatedNetwork:
         assert len(got_b) == 1
 
     def test_drop_probability(self):
-        sim, net = self._net(drop_probability=0.5, seed=7)
+        sim, net = self._net(seed=7)
+        net.set_drop_probability(0.5)
         got = []
         net.register(0, got.append)
         net.register(1, lambda p: None)
@@ -371,7 +372,7 @@ class TestSimulatedNetwork:
         net.multicast(7, range(202), RawPayload("k", 10))
         assert calls == {"send": 0, "on_send": 1, "sample_many": 1, "sample": 0}
         assert net.stats.messages_sent == 201
-        assert net.stats.bytes_sent == 201 * (10 + net.config.envelope_overhead_bytes)
+        assert net.stats.bytes_sent == 201 * 10
         others = [n for n in range(202) if n != 7]
         ids = [net._ports[dst].inbox[0][1] for dst in others]
         assert ids == sorted(ids)  # envelope ids rise in destination order
@@ -413,24 +414,11 @@ class TestSimulatedNetwork:
         sim.run()
         assert net.stats.messages_sent == 8 and net.stats.messages_dropped == 6
 
-    def test_bandwidth_serializes_sender(self):
-        sim = Simulator()
-        net = SimulatedNetwork(sim, NetworkConfig(
-            bandwidth_bps=8000.0, base_latency_s=0.0, latency_jitter_s=0.0,
-            processing_rate=1e9))
-        times = []
-        net.register(0, lambda p: times.append(sim.now))
-        net.register(1, lambda p: None)
-        for _ in range(3):
-            net.send(1, 0, RawPayload("k", 1000))  # 1 s each at 8 kbit/s
-        sim.run()
-        assert times == pytest.approx([1.0, 2.0, 3.0])
-
     def test_bandwidth_zero_means_unlimited(self):
+        # senders have no NIC model: large messages leave at once
         sim = Simulator()
         net = SimulatedNetwork(sim, NetworkConfig(
-            bandwidth_bps=0.0, base_latency_s=0.0, latency_jitter_s=0.0,
-            processing_rate=1e9))
+            base_latency_s=0.0, latency_jitter_s=0.0, processing_rate=1e9))
         times = []
         net.register(0, lambda p: times.append(sim.now))
         net.register(1, lambda p: None)
@@ -439,23 +427,9 @@ class TestSimulatedNetwork:
         sim.run()
         assert all(t < 0.001 for t in times)
 
-    def test_negative_bandwidth_rejected(self):
-        from repro.common.errors import ConfigurationError
-        with pytest.raises(ConfigurationError):
-            NetworkConfig(bandwidth_bps=-1.0)
-
-    def test_envelope_overhead_charged(self):
-        sim = Simulator()
-        net = SimulatedNetwork(sim, NetworkConfig(envelope_overhead_bytes=50))
-        net.register(0, lambda p: None)
-        net.register(1, lambda p: None)
-        net.send(0, 1, RawPayload("k", 100))
-        assert net.stats.bytes_sent == 150
-
     def test_the_envelope_is_what_the_inbox_holds(self):
         sim = Simulator()
-        net = SimulatedNetwork(sim, NetworkConfig(envelope_overhead_bytes=20),
-                               ConstantLatency(0.25))
+        net = SimulatedNetwork(sim, latency=ConstantLatency(0.25))
         got = []
         for node in range(3):
             net.register(node, got.append)
@@ -465,13 +439,13 @@ class TestSimulatedNetwork:
         filed = sorted(entry for node in (1, 2) for entry in net._ports[node].inbox)
         # a plain tuple: immutable, no Python frame to build, no field names
         assert all(type(entry) is tuple for entry in filed)
-        assert filed == [(0.25, 0, 0, 1, payload, "k", 120),
-                         (0.25, 1, 0, 1, payload, "k", 120),
-                         (0.25, 2, 0, 2, payload, "k", 120)]
+        assert filed == [(0.25, 0, 0, 1, payload, "k", 100),
+                         (0.25, 1, 0, 1, payload, "k", 100),
+                         (0.25, 2, 0, 2, payload, "k", 100)]
         sim.run()
         assert len(got) == 3 and all(entry is payload for entry in got)
         assert [(net._ports[node].delivered, net._ports[node].delivered_bytes)
-                for node in range(3)] == [(0, 0), (2, 240), (1, 120)]
+                for node in range(3)] == [(0, 0), (2, 200), (1, 100)]
 
     @pytest.mark.parametrize("batched", [False, True])
     def test_same_instant_copies_are_served_in_send_order_without_comparing_payloads(
@@ -588,7 +562,7 @@ class TestSimulatorCompaction:
 class TestStatsUnderMulticast:
     def _net(self):
         sim = Simulator()
-        return sim, SimulatedNetwork(sim, NetworkConfig(envelope_overhead_bytes=20))
+        return sim, SimulatedNetwork(sim)
 
     def test_bytes_charged_per_recipient(self):
         # multicast reads kind/size once and charges the burst in one
@@ -599,14 +573,14 @@ class TestStatsUnderMulticast:
         net.multicast(0, range(5), RawPayload("pbft.prepare", 100))
         sim.run()
         assert net.stats.messages_sent == 4
-        assert net.stats.bytes_sent == 4 * 120
+        assert net.stats.bytes_sent == 4 * 100
         assert net.stats.messages_by_kind == {"pbft.prepare": 4}
-        assert net.stats.bytes_by_kind == {"pbft.prepare": 4 * 120}
+        assert net.stats.bytes_by_kind == {"pbft.prepare": 4 * 100}
         assert net.stats.messages_delivered == 4
-        assert net.stats.bytes_delivered == 4 * 120
+        assert net.stats.bytes_delivered == 4 * 100
         for dst in range(1, 5):
-            assert net.stats.bytes_received_by_node[dst] == 120
-        assert net.stats.bytes_sent_by_node[0] == 4 * 120
+            assert net.stats.bytes_received_by_node[dst] == 100
+        assert net.stats.bytes_sent_by_node[0] == 4 * 100
 
     def test_multicast_accounting_identical_to_individual_sends(self):
         # same traffic, two paths: one payload object fanned out in one
@@ -639,7 +613,7 @@ class TestStatsUnderMulticast:
             net.send(0, 1, a)
             net.send(0, 2, b)
         sim.run()
-        assert net.stats.bytes_by_kind == {"kind.a": 4 * 30, "kind.b": 4 * 50}
+        assert net.stats.bytes_by_kind == {"kind.a": 4 * 10, "kind.b": 4 * 30}
         assert net.stats.messages_by_kind == {"kind.a": 4, "kind.b": 4}
         assert net.stats.messages_delivered == 8
 
@@ -694,7 +668,6 @@ class _EagerTotals:
 
     def __init__(self, net):
         self.sent = self.sent_bytes = self.delivered = self.delivered_bytes = 0
-        self._overhead = net.config.envelope_overhead_bytes
         stats = net.stats
         on_send, on_deliver = stats.on_send, stats.on_deliver
 
@@ -712,7 +685,7 @@ class _EagerTotals:
 
     def handler(self, payload):
         self.delivered += 1
-        self.delivered_bytes += payload.size_bytes + self._overhead
+        self.delivered_bytes += payload.size_bytes
 
     def agree_with(self, stats):
         return (stats.messages_sent, stats.bytes_sent, stats.messages_delivered,
@@ -760,8 +733,7 @@ class TestDerivedTotals:
         net.send(0, 1, RawPayload("a", 100))
         sim.run()
         delta = net.stats.snapshot().delta(before)
-        overhead = net.config.envelope_overhead_bytes
-        assert (delta.messages_sent, delta.bytes_sent) == (1, 100 + overhead)
+        assert (delta.messages_sent, delta.bytes_sent) == (1, 100)
         assert delta.messages_delivered == eager.delivered - before.messages_delivered
         assert delta.bytes_delivered == eager.delivered_bytes - before.bytes_delivered
         assert delta.messages_by_kind == {"a": 1, "b": 0, "c": 0, EV_PBFT_STATE_TRANSFER: 0}

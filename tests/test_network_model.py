@@ -1,9 +1,9 @@
 """Model-based property test for the network's delivery path.
 
 One generated program -- unicast and multicast bursts, crashes and
-recoveries in the middle of a backlog, partitions, random drops, a
-sender-side bandwidth limit, per-node processing intervals, sends to an
-id nobody registered -- is run twice: on :class:`repro.net.network.SimulatedNetwork` and on an
+recoveries in the middle of a backlog, partitions, random drops,
+per-node processing intervals, sends to an id nobody registered -- is
+run twice: on :class:`repro.net.network.SimulatedNetwork` and on an
 eager oracle that spends one event on every arrival and one on every
 completion, over a plain list it re-sorts by ``(time, seq)`` before
 each fire.  The two must hand the same messages to the same handlers at
@@ -44,13 +44,13 @@ NOBODY = 99
 class _Oracle:
     """One event per arrival, one per completion, slots handed out FIFO."""
 
-    def __init__(self, config, latency):
+    def __init__(self, config, latency, drop):
         self.now, self._seq, self._events = 0.0, 0, []
-        self.config, self.latency = config, latency
+        self.config, self.latency, self.drop = config, latency, drop
         self.rng = DeterministicRNG(config.seed, "network")
         self.stats = TrafficStats()
         self.handlers, self.offline, self.partition = {}, set(), {}
-        self.intervals, self.fifo, self.tx_free_at = {}, {}, {}
+        self.intervals, self.fifo = {}, {}
 
     def schedule_at(self, time, callback, *args):
         self._events.append((time, self._seq, callback, args))
@@ -72,19 +72,14 @@ class _Oracle:
         self.intervals[node] = interval
 
     def send(self, src, dst, payload):
-        size = payload.size_bytes + self.config.envelope_overhead_bytes
+        size = payload.size_bytes
         self.stats.on_send(src, payload.kind, size)
-        p = self.config.drop_probability
+        p = self.drop
         if (src in self.offline or dst in self.offline
                 or self.partition.get(src, -1) != self.partition.get(dst, -1)
                 or (p > 0 and self.rng.random() < p)):
             return self.stats.on_drop(payload.kind)
         delay = self.latency.sample(src, dst, self.rng)
-        if self.config.bandwidth_bps > 0:  # copies leave the sender in turn
-            tx_done = (max(self.now, self.tx_free_at.get(src, 0.0))
-                       + size * 8.0 / self.config.bandwidth_bps)
-            self.tx_free_at[src] = tx_done
-            delay += tx_done - self.now
         self.schedule_at(self.now + delay, self._arrive, src, dst, payload, size)
 
     def multicast(self, src, dsts, payload):
@@ -117,18 +112,19 @@ class _Oracle:
 class _Run:
     """Drives one program against the real network or the oracle."""
 
-    def __init__(self, config, latency, real, echo):
+    def __init__(self, config, latency, drop, real, echo):
         self.calls, self.echo = [], echo
         if real:
             self.sim = Simulator()
             self.net = SimulatedNetwork(self.sim, config, latency)
+            self.net.set_drop_probability(drop)
             for node in NODES:
                 self.net.register(node, lambda p, node=node: self.handle(
                     self.sim.now, node, p.body[2], p))
             self.at, self.send = self.sim.schedule_at, self.net.send
             self.multicast = self.net.multicast
         else:
-            self.sim = self.net = oracle = _Oracle(config, latency)
+            self.sim = self.net = oracle = _Oracle(config, latency, drop)
             oracle.handlers = dict.fromkeys(NODES, self.handle)
             self.at, self.send = oracle.schedule_at, oracle.send
             self.multicast = oracle.multicast
@@ -195,37 +191,35 @@ _MODELS = {"uniform": UniformLatency, "constant": ConstantLatency,
 
 
 @given(program=st.lists(_ops, min_size=1, max_size=25), latency=_latency,
-       drop=st.sampled_from([0.0, 0.0, 0.3]),
-       bandwidth=st.sampled_from([0.0, 0.0, 50_000.0]), seed=st.integers(0, 5))
+       drop=st.sampled_from([0.0, 0.0, 0.3]), seed=st.integers(0, 5))
 @settings(max_examples=300, deadline=None, derandomize=True)
 # an arrival at the very instant of a crash is lost, one at the very
 # instant of recovery is kept, also behind a backlog: faults go first
 @example(program=[("send", 0.0, 1, 0, 1, 10, 0), ("offline", 0.0, 0, True),
                   ("offline", 0.05, 0, False)],
-         latency=("constant", 0.0), drop=0.0, bandwidth=0.0, seed=0)
+         latency=("constant", 0.0), drop=0.0, seed=0)
 @example(program=[("send", 0.0, 1, 0, 3, 10, 0), ("send", 0.1, 1, 0, 1, 10, 0),
                   ("offline", 0.1, 0, True), ("offline", 3 * 0.05, 0, False)],
-         latency=("constant", 0.05), drop=0.0, bandwidth=0.0, seed=0)
+         latency=("constant", 0.05), drop=0.0, seed=0)
 @example(program=[("send", 0.0, 1, 0, 3, 10, 0), ("send", 0.05, 1, 0, 1, 10, 0),
                   ("offline", 0.1, 0, True), ("offline", 0.2, 0, False)],
-         latency=("constant", 0.05), drop=0.0, bandwidth=0.0, seed=0)
+         latency=("constant", 0.05), drop=0.0, seed=0)
 @example(program=[("send", 0.0, 1, 0, 3, 10, 0), ("send", 0.05, 1, 0, 1, 10, 0),
                   ("offline", 0.1, 0, True), ("offline", 3 * 0.05, 0, True),
                   ("offline", 0.2, 0, False)],
-         latency=("constant", 0.05), drop=0.0, bandwidth=0.0, seed=0)
-def test_network_matches_the_event_per_arrival_model(
-        program, latency, drop, bandwidth, seed):
-    config = NetworkConfig(processing_rate=10.0, drop_probability=drop,
-                           bandwidth_bps=bandwidth, seed=seed)
+         latency=("constant", 0.05), drop=0.0, seed=0)
+def test_network_matches_the_event_per_arrival_model(program, latency, drop, seed):
+    config = NetworkConfig(processing_rate=10.0, seed=seed)
     # equal delays make equal-time completions; sigma 0 is a constant
     jittered = latency[0] != "constant" and latency[-1] > 0
 
     def model():
         return _MODELS[latency[0]](*latency[1:])
 
-    real = _Run(config, model(), real=True, echo=jittered)
+    real = _Run(config, model(), drop, real=True, echo=jittered)
     calls, stats = real.run(program)
-    want_calls, want_stats = _Run(config, model(), real=False, echo=jittered).run(program)
+    want_calls, want_stats = _Run(config, model(), drop, real=False,
+                                  echo=jittered).run(program)
     if not jittered:  # same-instant completions at different nodes: any order
         calls.sort(key=lambda call: call[:2])
         want_calls.sort(key=lambda call: call[:2])

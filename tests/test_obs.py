@@ -170,12 +170,9 @@ class TestInstruments:
 class TestObsReadsTrafficStats:
     """``TrafficStats`` counts the bytes; observability only reads them."""
 
-    def _net(self, overhead=0):
-        from repro.common.config import NetworkConfig
-
+    def _net(self):
         sim = Simulator()
-        net = SimulatedNetwork(
-            sim, NetworkConfig(envelope_overhead_bytes=overhead))
+        net = SimulatedNetwork(sim)
         for node in range(3):
             net.register(node, lambda payload: None)
         return sim, net
@@ -189,12 +186,12 @@ class TestObsReadsTrafficStats:
         from repro.net.message import RawPayload
         from repro.pbft.cluster import charge_state_transfer
 
-        sim, net = self._net(overhead=32)
+        sim, net = self._net()
         obs = Observability()
         obs.bind(sim, net)
         net.send(0, 1, RawPayload("a.x", 10))
         net.multicast(0, [0, 1, 2], RawPayload("a.y", 100))
-        assert net.stats.bytes_sent == (10 + 32) + 2 * (100 + 32)
+        assert net.stats.bytes_sent == 10 + 2 * 100
         # a modelled transfer is charged straight to the stats: no ``send``
         charge_state_transfer(net.stats, 1, 2, n_ops=3)
         for _ in range(2):  # reading twice must not count twice

@@ -72,6 +72,12 @@ class TestObsConfig:
         with pytest.raises(ObservabilityError):
             ObsConfig(**kwargs)
 
+    @pytest.mark.parametrize("field", ["window_s", "storm_window_s", "heartbeat_s"])
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    def test_non_finite_seconds_are_refused_by_name(self, field, value):
+        with pytest.raises(ObservabilityError, match=f"{field} must be finite"):
+            ObsConfig(**{field: value})
+
 
 class TestQuantileSketch:
     def test_empty_quantile_raises(self):

@@ -49,13 +49,35 @@ def test_named_script_exists(source, script):
     assert (ROOT / script).is_file(), f"{source} names {script}"
 
 
-def test_net_imports_nothing_from_obs():
-    # observability reads the network's counters; the network must not
-    # know it is being watched
-    for path in sorted((ROOT / "src" / "repro" / "net").glob("*.py")):
-        found = re.findall(r"^\s*(?:from|import) repro\.obs\b.*", path.read_text(),
-                           re.MULTILINE)
-        assert not found, f"{path.name} imports repro.obs: {found}"
+def _runtime_obs_imports(tree):
+    """Line numbers of ``repro.obs`` imports outside ``if TYPE_CHECKING:``."""
+    found = []
+    for node in ast.iter_child_nodes(tree):
+        if (isinstance(node, ast.If) and isinstance(node.test, ast.Name)
+                and node.test.id == "TYPE_CHECKING"):
+            found += _runtime_obs_imports(ast.Module(node.orelse, []))
+            continue
+        if isinstance(node, ast.ImportFrom):
+            names = [node.module or ""]
+        elif isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        else:
+            found += _runtime_obs_imports(node)
+            continue
+        if any(name == "repro.obs" or name.startswith("repro.obs.") for name in names):
+            found.append(node.lineno)
+    return found
+
+
+@pytest.mark.parametrize("package", ["net", "pbft", "core", "chain", "geo", "crypto",
+                                     "codec", "common", "workloads"])
+def test_protocol_packages_import_nothing_from_obs(package):
+    # observability listens to event logs and reads the network's
+    # counters; protocol code must not know it is being watched (a
+    # type-only import names the class and loads nothing)
+    for path in sorted((ROOT / "src" / "repro" / package).rglob("*.py")):
+        found = _runtime_obs_imports(ast.parse(path.read_text(), str(path)))
+        assert not found, f"{path.relative_to(ROOT)} imports repro.obs at lines {found}"
 
 
 def test_nothing_in_src_replaces_a_network_send():

@@ -1,162 +1,26 @@
-"""Aggregated arrival streams: equivalence, thinning, bounded-memory wiring.
+"""Aggregated arrival streams: thinning, rate profiles, bounded memory.
 
-The load-bearing property: :class:`ExactAggregatedArrivals` with *k*
-virtual clients reproduces the submission schedule of *k* independent
-per-client arrival processes request-for-request -- same times, same
-clients, same tie order, same rolling fingerprints.  Alongside it, the
-statistical thinning mode, the rate profiles, and the satellite memory
-bounds (event-log capacity rings, client completion caps, retry
-backoff) that make the million-request aggregated day tractable.
+The statistical thinning stream and its rate profiles, alongside the
+satellite memory bounds (event-log capacity rings, client completion
+caps, retry backoff) that make the million-request aggregated day
+tractable.
 """
 
 import math
 
 import pytest
-from hypothesis import given, settings, strategies as st
 
 from repro.common.config import GPBFTConfig, TopologySpec, ZoneSpec
 from repro.common.errors import ConfigurationError
-from repro.common.eventlog import EV_REQUEST_SUBMITTED, Event, EventLog
+from repro.common.eventlog import EV_REQUEST_SUBMITTED, EventLog
 from repro.common.rng import DeterministicRNG
 from repro.net.simulator import Simulator
-from repro.obs.instruments import Counter
-from repro.workloads.arrivals import ConstantRateArrivals, PoissonArrivals
 from repro.workloads.streams import (
     AggregatedArrivals,
     DiurnalWave,
-    ExactAggregatedArrivals,
     FlashCrowdBurst,
     PoissonSuperposition,
-    constant_delay,
-    poisson_delay,
-    schedule_fingerprint,
 )
-
-
-def _per_client_schedule(kind, k, periods, seed, horizon):
-    """Run k real per-client arrival processes; return their schedule."""
-    sim = Simulator()
-    root = DeterministicRNG(seed)
-    schedule = []
-    procs = []
-    for i in range(k):
-        rng = root.fork(f"client-{i}")
-        submit = (lambda j: lambda: schedule.append((sim.now, j)))(i)
-        if kind == "constant":
-            procs.append(ConstantRateArrivals(sim, submit, rng, periods[i]))
-        else:
-            procs.append(PoissonArrivals(sim, submit, rng, periods[i]))
-    for proc in procs:
-        proc.start()
-    sim.run(until=horizon)
-    return schedule
-
-
-def _aggregate_schedule(kind, k, periods, seed, horizon):
-    """Run the exact aggregate mirror; return (schedule, fingerprint)."""
-    sim = Simulator()
-    root = DeterministicRNG(seed)
-    rngs = [root.fork(f"client-{i}") for i in range(k)]
-    schedule = []
-    submits = [(lambda j: lambda: schedule.append((sim.now, j)))(i)
-               for i in range(k)]
-    make = constant_delay if kind == "constant" else poisson_delay
-    agg = ExactAggregatedArrivals(
-        sim, submits, rngs, [make(p) for p in periods],
-        record_fingerprint=True)
-    agg.start()
-    sim.run(until=horizon)
-    return schedule, agg.fingerprint_hex()
-
-
-class TestExactEquivalence:
-    """The ISSUE's property: aggregate == per-client objects, exactly."""
-
-    @settings(max_examples=25, deadline=None)
-    @given(
-        kind=st.sampled_from(["constant", "poisson"]),
-        k=st.integers(min_value=1, max_value=6),
-        seed=st.integers(min_value=0, max_value=2**31),
-        data=st.data(),
-    )
-    def test_schedules_identical(self, kind, k, seed, data):
-        periods = [
-            data.draw(st.floats(min_value=0.2, max_value=5.0))
-            for _ in range(k)
-        ]
-        objects = _per_client_schedule(kind, k, periods, seed, horizon=40.0)
-        aggregate, fingerprint = _aggregate_schedule(
-            kind, k, periods, seed, horizon=40.0)
-        assert objects == aggregate
-        assert schedule_fingerprint(objects) == fingerprint
-
-    def test_tie_order_follows_reschedule_order(self):
-        # periods 1 s and 2 s with fixed phases collide at every even
-        # second; the slower client's timer entered the heap earlier,
-        # so per-object simulation fires it first -- index order would
-        # be wrong here
-        sim1 = Simulator()
-        sched1 = []
-        root1 = DeterministicRNG(3)
-        a = ConstantRateArrivals(
-            sim1, lambda: sched1.append((sim1.now, 0)), root1.fork("c0"), 1.0)
-        b = ConstantRateArrivals(
-            sim1, lambda: sched1.append((sim1.now, 1)), root1.fork("c1"), 2.0)
-        a.start(phase=1.0)
-        b.start(phase=2.0)
-        sim1.run(until=10.0)
-
-        sim2 = Simulator()
-        sched2 = []
-        root2 = DeterministicRNG(3)
-        agg = ExactAggregatedArrivals(
-            sim2,
-            [lambda: sched2.append((sim2.now, 0)),
-             lambda: sched2.append((sim2.now, 1))],
-            [root2.fork("c0"), root2.fork("c1")],
-            [constant_delay(1.0), constant_delay(2.0)])
-        agg.start(phase=[1.0, 2.0])
-        sim2.run(until=10.0)
-
-        assert (2.0, 1) in sched1 and sched1.index((2.0, 1)) < sched1.index((2.0, 0))
-        assert sched1 == sched2
-
-    def test_single_live_timer(self):
-        sim = Simulator()
-        agg = ExactAggregatedArrivals(
-            sim, [lambda: None] * 8,
-            [DeterministicRNG(1).fork(f"c{i}") for i in range(8)],
-            constant_delay(1.0))
-        agg.start(phase=0.5)
-        # 8 mirrored clients, but only the stream's one timer is queued
-        assert sim.pending == 1
-
-    def test_per_client_counts_and_limit(self):
-        sim = Simulator()
-        agg = ExactAggregatedArrivals(
-            sim, [lambda: None, lambda: None],
-            [DeterministicRNG(5).fork("a"), DeterministicRNG(5).fork("b")],
-            constant_delay(1.0))
-        agg.start(limit=5, phase=[0.25, 0.75])
-        sim.run(until=100.0)
-        assert agg.submitted == 5
-        assert sum(agg.per_client) == 5
-
-    def test_validation(self):
-        sim = Simulator()
-        rng = DeterministicRNG(0)
-        with pytest.raises(ConfigurationError):
-            ExactAggregatedArrivals(sim, [], [], constant_delay(1.0))
-        with pytest.raises(ConfigurationError):
-            ExactAggregatedArrivals(sim, [lambda: None], [rng, rng],
-                                    constant_delay(1.0))
-        with pytest.raises(ConfigurationError):
-            ExactAggregatedArrivals(sim, [lambda: None], [rng],
-                                    [constant_delay(1.0), constant_delay(2.0)])
-        with pytest.raises(ConfigurationError):
-            constant_delay(0.0)
-        with pytest.raises(ConfigurationError):
-            poisson_delay(-1.0)
 
 
 class TestRateProfiles:
@@ -193,26 +57,48 @@ class TestRateProfiles:
             FlashCrowdBurst(base_rps=1.0, burst_rps=1.0, at_s=-1.0,
                             duration_s=10.0)
 
+    @pytest.mark.parametrize("value", [math.inf, math.nan])
+    def test_poisson_superposition_refuses_non_finite(self, value):
+        with pytest.raises(ConfigurationError, match="mean_period_s must be finite"):
+            PoissonSuperposition(n_clients=10, mean_period_s=value)
+
+    @pytest.mark.parametrize("value", [math.inf, math.nan])
+    @pytest.mark.parametrize("field", ["base_rps", "amplitude_rps",
+                                       "period_s", "phase_s"])
+    def test_diurnal_wave_refuses_non_finite(self, field, value):
+        kwargs = {"base_rps": 1.0, "amplitude_rps": 0.0, field: value}
+        with pytest.raises(ConfigurationError, match=f"{field} must be finite"):
+            DiurnalWave(**kwargs)
+
+    @pytest.mark.parametrize("value", [math.inf, math.nan])
+    @pytest.mark.parametrize("field", ["base_rps", "burst_rps", "at_s",
+                                       "duration_s"])
+    def test_flash_crowd_burst_refuses_non_finite(self, field, value):
+        kwargs = {"base_rps": 1.0, "burst_rps": 0.0, "at_s": 0.0,
+                  "duration_s": 1.0, field: value}
+        with pytest.raises(ConfigurationError, match=f"{field} must be finite"):
+            FlashCrowdBurst(**kwargs)
+
 
 class TestAggregatedArrivals:
-    def _run(self, seed, profile, horizon, pool=3, record=False, counter=None):
+    def _run(self, seed, profile, horizon, pool=3):
         sim = Simulator()
         schedule = []
         submits = [(lambda j: lambda: schedule.append((sim.now, j)))(i)
                    for i in range(pool)]
         stream = AggregatedArrivals(
-            sim, submits, DeterministicRNG(seed, "stream"), profile,
-            record_fingerprint=record, offered_counter=counter)
+            sim, submits, DeterministicRNG(seed, "stream"), profile)
         stream.start(until=horizon)
         sim.run(until=horizon + 1.0)
         return schedule, stream
 
     def test_deterministic_and_round_robin(self):
         profile = PoissonSuperposition(10, 5.0)
-        first, stream1 = self._run(7, profile, 200.0, record=True)
-        second, stream2 = self._run(7, profile, 200.0, record=True)
-        assert first == second
-        assert stream1.fingerprint_hex() == stream2.fingerprint_hex()
+        first, _ = self._run(7, profile, 200.0)
+        second, _ = self._run(7, profile, 200.0)
+        # the recorded (sim.now, slot) schedules of two runs are equal
+        assert len(first) > 100 and first == second
+        assert self._run(8, profile, 200.0)[0] != first
         # accepted submissions rotate through the pool in slot order
         assert [slot for _, slot in first[:6]] == [0, 1, 2, 0, 1, 2]
 
@@ -235,23 +121,38 @@ class TestAggregatedArrivals:
         assert 800 <= len(inside) <= 1200
 
     def test_limit_and_counter(self):
-        counter = Counter("workload.offered")
         profile = PoissonSuperposition(5, 1.0)
         sim = Simulator()
-        stream = AggregatedArrivals(
-            sim, [lambda: None], DeterministicRNG(1), profile,
-            offered_counter=counter.child("z0"))
+        stream = AggregatedArrivals(sim, [lambda: None], DeterministicRNG(1),
+                                    profile)
         stream.start(limit=25)
         sim.run(until=1e6)
         assert stream.submitted == 25
-        assert counter.value == 25
-        assert counter.child("z0").value == 25
+        assert sim.pending == 0  # the limit stops the candidate timer
 
-    def test_fingerprint_requires_opt_in(self):
-        profile = PoissonSuperposition(5, 1.0)
-        _, stream = self._run(1, profile, 10.0, record=False)
-        with pytest.raises(ConfigurationError):
-            stream.fingerprint_hex()
+    def test_single_live_timer(self):
+        # a pool of 8 clients, but only the stream's one timer is queued
+        sim = Simulator()
+        stream = AggregatedArrivals(sim, [lambda: None] * 8,
+                                    DeterministicRNG(1), PoissonSuperposition(8, 1.0))
+        stream.start()
+        assert sim.pending == 1
+        sim.run(until=50.0)
+        assert stream.submitted > 100 and sim.pending == 1
+        stream.stop()
+        assert sim.pending == 0
+
+    def test_validation(self):
+        sim = Simulator()
+        with pytest.raises(ConfigurationError, match="submit callback"):
+            AggregatedArrivals(sim, [], DeterministicRNG(0),
+                               PoissonSuperposition(1, 1.0))
+
+    def test_an_infinite_rate_is_refused_before_the_stream_runs(self):
+        # an infinite peak made every candidate delay 0: run() never returned
+        with pytest.raises(ConfigurationError, match="base_rps must be finite"):
+            AggregatedArrivals(Simulator(), [lambda: None], DeterministicRNG(0),
+                               DiurnalWave(base_rps=math.inf, amplitude_rps=0.0))
 
 
 class TestAggPoint:

@@ -22,7 +22,7 @@ from repro.common.config import (
 from repro.common.errors import ConfigurationError
 from repro.common.eventlog import EV_XZONE_COMMITTED, EV_XZONE_ORDERED
 from repro.core.deployment import GPBFTDeployment
-from repro.core.hierarchy import HierarchicalDeployment
+from repro.core.hierarchy import HierarchicalDeployment, top_seats
 from repro.geo.coords import LatLng, Region
 from repro.pbft.cluster import PBFTCluster
 from repro.pbft.faults import XZoneBypassFaults
@@ -72,7 +72,7 @@ class TestSpecValidation:
     def test_zoned_builder_shape(self):
         spec = TopologySpec.zoned(3, 5)
         assert spec.n_zones == 3
-        assert spec.n_seats == 4  # max(4, n_zones)
+        assert top_seats(spec.n_zones) == 4  # max(4, n_zones)
         assert [z.id_base for z in spec.zones] == \
             [0, ZONE_ID_STRIDE, 2 * ZONE_ID_STRIDE]
         assert len({z.name for z in spec.zones}) == 3

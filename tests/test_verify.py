@@ -15,7 +15,6 @@ from types import SimpleNamespace
 
 import pytest
 
-from repro.common.config import VerifyConfig
 from repro.common.errors import ConfigurationError
 from repro.common.eventlog import EV_PBFT_ENTERED_VIEW, Event, EventLog
 from repro.experiments.engine import Engine
@@ -246,8 +245,7 @@ class TestMonitorHarness:
 
     def test_view_monotonicity_fires_on_regression(self):
         host = self._host()
-        harness = MonitorHarness(host, VerifyConfig(monitors=True),
-                                 monitors=[ViewChangeMonotonicityMonitor()])
+        harness = MonitorHarness(host, monitors=[ViewChangeMonotonicityMonitor()])
         host.events.append(Event(1.0, EV_PBFT_ENTERED_VIEW, 0, {"view": 2}))
         with pytest.raises(InvariantViolation) as exc:
             host.events.append(Event(2.0, EV_PBFT_ENTERED_VIEW, 0, {"view": 2}))
@@ -260,8 +258,7 @@ class TestMonitorHarness:
 
     def test_epochs_have_independent_view_timelines(self):
         host = self._host()
-        MonitorHarness(host, VerifyConfig(monitors=True),
-                       monitors=[ViewChangeMonotonicityMonitor()])
+        MonitorHarness(host, monitors=[ViewChangeMonotonicityMonitor()])
         host.events.append(Event(1.0, EV_PBFT_ENTERED_VIEW, 0,
                                  {"view": 5, "epoch": 0}))
         # same node re-entering view 1 in the next epoch is legal
@@ -270,8 +267,7 @@ class TestMonitorHarness:
 
     def test_detach_stops_monitoring(self):
         host = self._host()
-        harness = MonitorHarness(host, VerifyConfig(monitors=True),
-                                 monitors=[ViewChangeMonotonicityMonitor()])
+        harness = MonitorHarness(host, monitors=[ViewChangeMonotonicityMonitor()])
         host.events.append(Event(1.0, EV_PBFT_ENTERED_VIEW, 0, {"view": 3}))
         harness.detach()
         host.events.append(Event(2.0, EV_PBFT_ENTERED_VIEW, 0, {"view": 1}))

@@ -11,7 +11,6 @@ from repro.workloads.fleet import FleetSpec, fleet_positions, grid_positions, sc
 from repro.workloads.mobility import (
     MobilityDriver,
     RandomWaypointModel,
-    StationaryModel,
 )
 from repro.common.eventlog import EV_REQUEST_COMPLETED
 from repro.workloads.scenarios import (
@@ -51,16 +50,6 @@ class TestFleet:
 
 
 class TestMobility:
-    def test_stationary_without_jitter_never_moves(self):
-        model = StationaryModel()
-        assert model.step(HK, 60.0, DeterministicRNG(1)) == HK
-
-    def test_stationary_jitter_stays_close(self):
-        model = StationaryModel(jitter_m=5.0)
-        rng = DeterministicRNG(2)
-        pos = model.step(HK, 60.0, rng)
-        assert HK.distance_to(pos) < 10.0
-
     def test_random_waypoint_moves_within_speed_budget(self):
         model = RandomWaypointModel(REGION, speed_min_mps=2.0, speed_max_mps=5.0,
                                     pause_s=0.0)
@@ -91,8 +80,6 @@ class TestMobility:
         assert node.moves == before
 
     def test_model_validation(self):
-        with pytest.raises(ConfigurationError):
-            StationaryModel(jitter_m=-1.0)
         with pytest.raises(ConfigurationError):
             RandomWaypointModel(REGION, speed_min_mps=0.0)
         with pytest.raises(ConfigurationError):
