@@ -12,14 +12,13 @@ Two kinds of *analysis* live here:
 
 * The **determinism & protocol-safety static analyzer** (``python -m
   repro.analysis src/``, ``make lint``): ten AST-based rules, one per
-  bug class, that reject wall-clock/ambient-randomness reads (direct or
-  reached through calls), unordered iteration feeding ordered code or a
-  shared RNG stream, float equality on coordinates and latencies,
-  inline quorum and fault-bound arithmetic, codec-registry entries
-  without layouts or runtime handlers, broad ``except`` in protocol hot
-  paths, mutable default arguments, raw or drifted event-kind literals,
-  unchecked buffer indexing in decoders, and unbounded collection
-  growth.  It is the *static* half of the verification story whose
+  bug class, that reject wall-clock/ambient-randomness reads, unordered
+  iteration feeding ordered code, float equality on coordinates and
+  latencies, inline quorum and fault-bound arithmetic, codec-registry
+  entries without layouts or runtime handlers, broad ``except`` in
+  protocol hot paths, mutable default arguments, raw or drifted
+  event-kind literals, unchecked buffer indexing in decoders, and
+  unbounded collection growth.  It is the *static* half of the verification story whose
   *runtime* half is :mod:`repro.verify`; see
   ``docs/static-analysis.md`` for the catalog and suppression syntax.
 """

@@ -18,7 +18,7 @@ import sys
 from pathlib import Path
 from typing import Sequence
 
-from repro.analysis.analyzer import AnalysisResult, all_rules, analyze, load_modules
+from repro.analysis.analyzer import AnalysisResult, all_rules, analyze
 from repro.analysis.baseline import Baseline
 from repro.common.errors import ConfigurationError
 
@@ -56,10 +56,6 @@ def _build_parser() -> argparse.ArgumentParser:
                         help="fail (exit 1) when baseline entries are stale")
     parser.add_argument("--format", choices=("text", "json", "sarif"),
                         default="text", help="finding output format")
-    parser.add_argument("--callgraph", choices=("dot", "json"), default=None,
-                        metavar="{dot,json}",
-                        help="dump the interprocedural call graph instead "
-                             "of running rules")
     parser.add_argument("--list-rules", action="store_true",
                         help="print the rule ids and titles, then exit")
     parser.add_argument("--doc", action="store_true",
@@ -123,16 +119,6 @@ def main(argv: Sequence[str] | None = None) -> int:
     if args.doc:
         print(render_rule_catalog())
         return 0
-    if args.callgraph:
-        try:
-            project = load_modules([Path(p) for p in paths])
-        except ConfigurationError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
-        graph = project.callgraph()
-        print(graph.to_dot() if args.callgraph == "dot" else graph.to_json())
-        return 0
-
     baseline = None
     if not args.no_baseline:
         baseline_path = Path(args.baseline) if args.baseline else Path(DEFAULT_BASELINE)

@@ -4,8 +4,7 @@ Every simulation result in this repository must be a pure function of
 its :class:`~repro.common.rng.DeterministicRNG` seed and configuration:
 the sweep cache, the schedule explorer's replay fingerprints, and the
 paper-figure pipelines all assume bit-identical reruns.  These rules
-reject the constructs that historically break that property, in one
-function and -- through :mod:`repro.analysis.dataflow` -- across calls.
+reject the constructs that historically break that property.
 """
 
 from __future__ import annotations
@@ -13,17 +12,9 @@ from __future__ import annotations
 import ast
 from typing import Iterable, Iterator
 
-from repro.analysis.dataflow import (
-    Taint,
-    ambient_kind,
-    is_rng_expression,
-    propagate,
-    rng_returning_functions,
-)
 from repro.analysis.findings import Finding
 from repro.analysis.rules import (
     Module,
-    Project,
     Rule,
     call_name,
     dotted_name,
@@ -44,23 +35,51 @@ _ORDER_PRESERVING_CALLS = frozenset({
 })
 
 
-#: Packages whose code runs inside the simulation (results must be a
-#: pure function of seed + config).  Telemetry layers (`experiments`,
-#: `obs`) and the entropy-sanctioned `crypto` package are deliberately
-#: absent.
-_SIM_PACKAGES = (
-    "pbft", "core", "net", "chain", "workloads", "sybil", "geo",
-    "baselines", "verify", "metrics", "common", "codec",
-)
+#: Wall-clock entry points whose results differ between reruns.
+_WALL_CLOCK_CALLS = frozenset({
+    "time.time",
+    "time.time_ns",
+    "time.monotonic",
+    "time.monotonic_ns",
+    "time.perf_counter",
+    "time.perf_counter_ns",
+    "datetime.now",
+    "datetime.utcnow",
+    "datetime.today",
+    "datetime.datetime.now",
+    "datetime.datetime.utcnow",
+    "datetime.date.today",
+    "date.today",
+})
+
+#: Ambient entropy sources that bypass the seeded RNG tree.
+_AMBIENT_RANDOM_PREFIXES = ("random.", "np.random.", "numpy.random.")
+_AMBIENT_RANDOM_CALLS = frozenset({
+    "os.urandom",
+    "secrets.token_bytes",
+    "secrets.token_hex",
+    "secrets.randbelow",
+    "uuid.uuid1",
+    "uuid.uuid4",
+})
+
+
+def _ambient_kind(name: str) -> str:
+    """``"clock"`` or ``"entropy"`` when the callee *name* is an ambient
+    source, else ``""``."""
+    if name in _WALL_CLOCK_CALLS:
+        return "clock"
+    if name in _AMBIENT_RANDOM_CALLS or name.startswith(_AMBIENT_RANDOM_PREFIXES):
+        return "entropy"
+    return ""
 
 
 class AmbientSourceRule(Rule):
-    """Runs must not read the wall clock or ambient entropy, directly or
-    through a call chain.
+    """Runs must not read the wall clock or ambient entropy.
 
     A run that depends on when it executed, or on process-global
     entropy, silently poisons the sweep result cache and breaks
-    schedule-replay fingerprints.  Three arms:
+    schedule-replay fingerprints.  Two arms:
 
     * **wall clock** -- calls to ``time.time()``, ``time.monotonic()``,
       ``time.perf_counter()`` (and their ``_ns`` variants) or
@@ -78,81 +97,38 @@ class AmbientSourceRule(Rule):
       from one) instead; the wrapper module itself (``rng.py``) and the
       ``crypto`` package are the only places allowed to touch raw
       entropy.
-    * **transitive reach** -- taint is seeded at every function whose
-      body makes one of those calls (suppressed or not -- an allowed
-      telemetry read still taints its callers) and propagated backwards
-      over statically-resolved call edges; any function in a simulation
-      package (``pbft``/``core``/``net``/``chain``/``workloads``/
-      ``sybil``/``geo``/``baselines``/``verify``/``metrics``/``common``/
-      ``codec``) that can reach a source it does not contain itself is
-      flagged.  The finding anchors at the call site that enters the
-      tainted chain and names the root source, so the fix (plumb the
-      simulator clock / a forked stream through) is one hop away.
-      Dynamic-dispatch edges are excluded from propagation: "every
-      method named ``run``" would drown the signal in name collisions
-      (a documented under-approximation).
+
+    Both arms flag every read, wherever it sits, so each one needs a
+    reviewed inline allow; a simulation helper cannot start reading
+    the clock without one.
     """
 
     rule_id = "GPB001"
-    title = "no wall-clock time or ambient randomness, directly or reached from simulation code"
+    title = "no wall-clock time or ambient randomness"
 
-    def check_project(self, project: Project) -> Iterable[Finding]:
-        """Flag direct source calls, then sim-package calls whose static
-        call chain reaches one."""
-        graph = project.callgraph()
-        direct: dict[str, Taint] = {}
-        for rel in sorted(project.modules):
-            module = project.modules[rel]
-            if in_package(module, "crypto"):
+    def check_module(self, module: Module) -> Iterable[Finding]:
+        """Flag wall-clock and ambient-entropy calls."""
+        if in_package(module, "crypto"):
+            return
+        rng_wrapper = module.rel.endswith("/rng.py")
+        for node in ast.walk(module.tree):
+            if not isinstance(node, ast.Call):
                 continue
-            rng_wrapper = rel.endswith("/rng.py")
-            for node in ast.walk(module.tree):
-                if not isinstance(node, ast.Call):
-                    continue
-                name = call_name(node)
-                kind = ambient_kind(name)
-                if not kind:
-                    continue
-                if kind == "clock":
-                    yield self.finding(
-                        module, node,
-                        f"wall-clock call {name}() makes runs "
-                        "time-dependent; use the simulator clock",
-                    )
-                elif not rng_wrapper:
-                    yield self.finding(
-                        module, node,
-                        f"ambient randomness {name}() bypasses the seeded "
-                        "DeterministicRNG tree; fork a labelled stream "
-                        "instead",
-                    )
-                if not rng_wrapper:
-                    # suppressed or not, a source read taints its callers
-                    qual = graph.enclosing_function(module, node)
-                    if qual is not None and qual not in direct:
-                        direct[qual] = Taint(
-                            source=qual, reason=f"{name}()", depth=0)
-        tainted = propagate(graph, direct)
-        for qual in sorted(tainted):
-            if qual in direct:
-                continue  # the direct read is the finding there
-            module = project.modules[graph.functions[qual].module]
-            if not in_package(module, *_SIM_PACKAGES):
-                continue
-            # the shallowest chain, then the earliest call site, so the
-            # anchor is stable across runs
-            edge = min(
-                (e for e in graph.callees(qual)
-                 if not e.dynamic and e.callee in tainted),
-                key=lambda e: (tainted[e.callee].depth, e.lineno, e.col))
-            taint = tainted[edge.callee]
-            yield self.finding(
-                module, edge.call,
-                f"call to {edge.callee.rsplit('::', 1)[-1]}() reaches "
-                f"{taint.reason} (defined in {taint.source.split('::')[0]}) "
-                f"{taint.depth + 1} call(s) deep; plumb the simulator "
-                "clock / a forked stream through instead",
-            )
+            name = call_name(node)
+            kind = _ambient_kind(name)
+            if kind == "clock":
+                yield self.finding(
+                    module, node,
+                    f"wall-clock call {name}() makes runs "
+                    "time-dependent; use the simulator clock",
+                )
+            elif kind and not rng_wrapper:
+                yield self.finding(
+                    module, node,
+                    f"ambient randomness {name}() bypasses the seeded "
+                    "DeterministicRNG tree; fork a labelled stream "
+                    "instead",
+                )
 
 
 def _is_unordered(node: ast.AST) -> str:
@@ -185,23 +161,12 @@ class UnorderedIterationRule(Rule):
     ``len``/``any``/``all``/``set``/``sorted``/``Counter``/``mean``).
     Fix by sorting with an explicit total key, or suppress with a
     justification when the insertion order *is* the contract (e.g. a
-    FIFO pool).  This arm is syntactic: values bound to sets earlier are
+    FIFO pool).  The rule is syntactic: values bound to sets earlier are
     out of scope, as are dict views passed to opaque functions.
-
-    The shared-stream arm covers the case where the loop body looks
-    harmless but the draws are not: ``DeterministicRNG.fork(label)``
-    exists so each consumer owns an independent stream, and handing
-    *one* stream to many consumers inside a ``for`` loop over an
-    unordered collection makes every draw depend on the incidental
-    iteration order.  It tracks variables bound from ``.fork(...)``,
-    ``Random(...)``/``DeterministicRNG(...)``, or a factory function
-    returning one (resolved through the call graph), and flags calls
-    that pass such a variable inside that loop.  Fix by forking one
-    labelled sub-stream per consumer, or sort the iteration.
     """
 
     rule_id = "GPB003"
-    title = "no unordered set/dict-view iteration feeding ordered code or a shared RNG stream"
+    title = "no unordered set/dict-view iteration feeding ordered code"
 
     def check_module(self, module: Module) -> Iterable[Finding]:
         """Flag unsorted iteration over syntactic set/dict-view values."""
@@ -214,44 +179,6 @@ class UnorderedIterationRule(Rule):
                     "contract; sort with an explicit key or justify a "
                     "suppression",
                 )
-
-    def check_project(self, project: Project) -> Iterable[Finding]:
-        """Flag stream variables consumed inside unordered loops."""
-        graph = project.callgraph()
-        factories = rng_returning_functions(project, graph)
-        for rel in sorted(project.modules):
-            module = project.modules[rel]
-            for func in ast.walk(module.tree):
-                if not isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                    continue
-                streams = {
-                    node.targets[0].id for node in ast.walk(func)
-                    if isinstance(node, ast.Assign) and len(node.targets) == 1
-                    and isinstance(node.targets[0], ast.Name)
-                    and is_rng_expression(node.value, factories, graph)
-                }
-                if not streams:
-                    continue
-                for loop in ast.walk(func):
-                    if isinstance(loop, ast.For) and _is_unordered(loop.iter):
-                        yield from self._flag_consumers(module, loop, streams)
-
-    def _flag_consumers(self, module: Module, loop: ast.For,
-                        streams: set[str]) -> Iterator[Finding]:
-        for stmt in loop.body:
-            for node in ast.walk(stmt):
-                if not isinstance(node, ast.Call):
-                    continue
-                for arg in node.args:
-                    if isinstance(arg, ast.Name) and arg.id in streams:
-                        yield self.finding(
-                            module, node,
-                            f"forked RNG stream '{arg.id}' is passed to "
-                            f"{call_name(node) or 'a consumer'}() inside "
-                            "unordered iteration; draws become "
-                            "order-dependent -- fork one labelled "
-                            "sub-stream per consumer",
-                        )
 
     def _is_order_sensitive(self, module: Module, node: ast.AST) -> bool:
         """True when *node* is consumed in an order-sensitive position."""

@@ -15,15 +15,9 @@ import ast
 import re
 from typing import Iterable, Iterator
 
-from repro.analysis.callgraph import CallGraph
-from repro.analysis.dataflow import (
-    classes_of,
-    collection_attributes,
-    has_bound_evidence,
-)
 from repro.analysis.findings import Finding
 from repro.analysis.prules import CodecHandlerCoverageRule
-from repro.analysis.rules import Module, Project, Rule, in_package
+from repro.analysis.rules import Module, Project, Rule, call_name, in_package
 
 
 def _vocabulary(project: Project) -> dict[str, str]:
@@ -82,7 +76,7 @@ def _is_docstring(module: Module, node: ast.Constant) -> bool:
 _KIND_SHAPE = re.compile(r"^[a-z][a-z0-9_]*(\.[a-z0-9_]+)+$")
 
 
-def _declared_message_kinds(graph: CallGraph) -> set[str]:
+def _declared_message_kinds(project: Project) -> set[str]:
     """Kinds declared by message classes across the project.
 
     A ``kind()`` method or property returning a string literal is a
@@ -91,8 +85,11 @@ def _declared_message_kinds(graph: CallGraph) -> set[str]:
     """
     return {
         ret.value.value
-        for info in graph.functions.values() if info.name == "kind"
-        for ret in ast.walk(info.node)
+        for module in project.modules.values()
+        for func in ast.walk(module.tree)
+        if isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef))
+        and func.name == "kind"
+        for ret in ast.walk(func)
         if isinstance(ret, ast.Return) and isinstance(ret.value, ast.Constant)
         and isinstance(ret.value.value, str)
     }
@@ -148,7 +145,7 @@ class EventVocabularyRule(Rule):
         """Flag raw vocabulary literals and family-shaped unknown kinds."""
         vocab = _vocabulary(project)
         known = (set(vocab) | _wire_kinds(project)
-                 | _declared_message_kinds(project.callgraph()))
+                 | _declared_message_kinds(project))
         families = {kind.split(".", 1)[0] for kind in known}
         for rel in sorted(project.modules):
             module = project.modules[rel]
@@ -176,19 +173,142 @@ class EventVocabularyRule(Rule):
                     yield self.finding(module, node, message)
 
 
+#: Container constructors that make an attribute a growth candidate.
+_COLLECTION_FACTORIES = frozenset({
+    "list", "dict", "set", "deque", "defaultdict", "OrderedDict",
+})
+
+
+def _collection_attributes(cls: ast.ClassDef) -> set[str]:
+    """Attribute names initialized to plain containers anywhere in *cls*.
+
+    Matches ``self.x = []`` / ``self.x = deque()`` / annotated variants
+    -- the shapes an append/extend can grow without bound.  Attributes
+    holding project objects (``self.ledger = Ledger(...)``) are excluded
+    so method calls that merely *look* like ``list.append`` don't count,
+    and so is any attribute ever built as ``deque(maxlen=...)``: a ring
+    displaces instead of growing, and deleting its ``maxlen`` turns it
+    back into a plain container.
+    """
+    names: set[str] = set()
+    rings: set[str] = set()
+    for node in ast.walk(cls):
+        target = None
+        if isinstance(node, ast.Assign) and len(node.targets) == 1:
+            target = node.targets[0]
+        elif isinstance(node, ast.AnnAssign):
+            target = node.target
+        value = getattr(node, "value", None)
+        if not (isinstance(target, ast.Attribute)
+                and isinstance(target.value, ast.Name)
+                and target.value.id == "self" and value is not None):
+            continue
+        if (isinstance(value, ast.Call)
+                and call_name(value).rsplit(".", 1)[-1] == "deque"
+                and any(kw.arg == "maxlen" for kw in value.keywords)):
+            rings.add(target.attr)
+        elif _is_container(value):
+            names.add(target.attr)
+    return names - rings
+
+
+def _is_container(node: ast.AST) -> bool:
+    if isinstance(node, (ast.List, ast.Dict, ast.Set, ast.ListComp,
+                         ast.DictComp, ast.SetComp)):
+        return True
+    if isinstance(node, ast.Call):
+        terminal = call_name(node).rsplit(".", 1)[-1]
+        return terminal in _COLLECTION_FACTORIES
+    return False
+
+
+#: Call attributes / statements accepted as evidence that an attribute
+#: is pruned, drained, or capacity-guarded somewhere in its class.
+_SHRINK_METHODS = frozenset({"pop", "popleft", "popitem", "clear", "remove"})
+
+
+def _has_bound_evidence(cls: ast.ClassDef, attr: str) -> bool:
+    """Whether *cls* visibly bounds the growth of ``self.<attr>``.
+
+    Evidence, scanned across every method of the class:
+
+    * a shrink call: ``self.attr.pop()/popleft()/clear()/remove()``;
+    * a ``del self.attr[...]`` slice/index deletion;
+    * a re-slicing assignment ``self.attr = self.attr[...]``;
+    * a comparison involving ``len(self.attr)`` (a capacity guard);
+    * a drain-reset -- ``self.attr = []`` (or tuple-unpacked
+      equivalent) in any method other than ``__init__``, where the
+      same shape is just the initializer.
+    """
+    for method in ast.walk(cls):
+        if (isinstance(method, (ast.FunctionDef, ast.AsyncFunctionDef))
+                and method.name != "__init__"
+                and _has_drain_reset(method, attr)):
+            return True
+    for node in ast.walk(cls):
+        if isinstance(node, ast.Call):
+            func = node.func
+            if (isinstance(func, ast.Attribute)
+                    and func.attr in _SHRINK_METHODS
+                    and _is_self_attr(func.value, attr)):
+                return True
+        elif isinstance(node, ast.Delete):
+            for target in node.targets:
+                if (isinstance(target, ast.Subscript)
+                        and _is_self_attr(target.value, attr)):
+                    return True
+        elif isinstance(node, ast.Assign):
+            if any(_is_self_attr(t, attr) for t in node.targets) and any(
+                    _is_self_attr(sub.value, attr)
+                    for sub in ast.walk(node.value)
+                    if isinstance(sub, ast.Subscript)):
+                return True
+        elif isinstance(node, ast.Compare):
+            for operand in (node.left, *node.comparators):
+                if (isinstance(operand, ast.Call)
+                        and call_name(operand) == "len"
+                        and operand.args
+                        and _is_self_attr(operand.args[0], attr)):
+                    return True
+    return False
+
+
+def _has_drain_reset(method: ast.AST, attr: str) -> bool:
+    """A fresh-container assignment to ``self.<attr>`` inside *method*.
+
+    Handles both ``self.attr = []`` and the tuple-unpacked
+    ``self.a, self.b = [], []`` drain idiom.
+    """
+    for node in ast.walk(method):
+        if not isinstance(node, ast.Assign):
+            continue
+        for target in node.targets:
+            if _is_self_attr(target, attr) and _is_container(node.value):
+                return True
+            if (isinstance(target, ast.Tuple)
+                    and isinstance(node.value, ast.Tuple)
+                    and len(target.elts) == len(node.value.elts)):
+                for t, v in zip(target.elts, node.value.elts):
+                    if _is_self_attr(t, attr) and _is_container(v):
+                        return True
+    return False
+
+
+def _is_self_attr(node: ast.AST, attr: str) -> bool:
+    return (isinstance(node, ast.Attribute) and node.attr == attr
+            and isinstance(node.value, ast.Name) and node.value.id == "self")
+
+
 #: ``self.<attr>.<method>(...)`` calls that grow a collection.
 _GROW_METHODS = frozenset({"append", "appendleft", "extend", "extendleft"})
 
-#: Hot-path packages whose handler chains GPB015 polices.
-_HANDLER_PACKAGES = ("pbft", "core", "net", "chain")
-
-#: Function names treated as message-handler chain entry points.
-_HANDLER_ENTRY_NAMES = ("receive", "deliver")
+#: Hot-path packages whose classes GPB015 polices.
+_PROTOCOL_PACKAGES = ("pbft", "core", "net", "chain")
 
 #: GPB015's finding message per scope.
-_HANDLER_GROWTH = (
-    "self.{attr} grows inside a message-handler chain with no visible "
-    "bound in {cls}; cap it, prune it, or justify the append-only contract")
+_PROTOCOL_GROWTH = (
+    "self.{attr} grows with no visible bound in protocol class {cls}; "
+    "cap it, prune it, or justify the append-only contract")
 _OBS_GROWTH = (
     "self.{attr} grows without a visible bound in observability class "
     "{cls}; ring it (deque(maxlen=...)), prune it, or justify the "
@@ -221,16 +341,16 @@ class UnboundedGrowthRule(Rule):
     class shows no bound evidence anywhere: a
     ``pop``/``popleft``/``clear``/``remove`` call, a ``del
     self.attr[...]``, a re-slicing assignment, a ``len(self.attr)``
-    capacity guard, or a drain-reset.  Two scopes:
+    capacity guard, or a drain-reset.  Every method of a class is in
+    scope -- handlers, timers and event-log subscribers alike, however
+    they are registered -- in two places:
 
-    * **handler chains** -- classes in the ``pbft``/``core``/``net``/
-      ``chain`` packages, for growth inside any function reachable
-      (dynamic dispatch included -- over-approximation is the point)
-      from a handler entry (``on_*``/``receive``/``deliver`` in those
-      packages);
-    * **the observability layer** -- any method of a ``repro.obs``
-      class, where an unbounded buffer silently re-introduces the
-      O(run-length) footprint the pipeline was built to remove.
+    * **protocol classes** -- classes in the ``pbft``/``core``/``net``/
+      ``chain`` packages, where one append per message, commit or
+      event compounds over a long run;
+    * **the observability layer** -- classes in ``repro.obs``, where an
+      unbounded buffer silently re-introduces the O(run-length)
+      footprint the pipeline was built to remove.
 
     In both, attributes built as ``deque(maxlen=...)`` (the
     flight-recorder rings, the frames tail) are bounded by construction
@@ -241,49 +361,30 @@ class UnboundedGrowthRule(Rule):
     """
 
     rule_id = "GPB015"
-    title = "no unbounded collection growth in message-handler chains or the observability layer"
+    title = "no unbounded collection growth in protocol classes or the observability layer"
 
-    def check_project(self, project: Project) -> Iterable[Finding]:
-        """Flag evidence-free growth in handler chains and obs classes."""
-        graph = project.callgraph()
-        reachable = graph.reachable_from(
-            qual for qual, info in graph.functions.items()
-            if (info.name.startswith("on_")
-                or info.name in _HANDLER_ENTRY_NAMES)
-            and in_package(project.modules[info.module], *_HANDLER_PACKAGES))
-        for rel in sorted(project.modules):
-            module = project.modules[rel]
-            if in_package(module, "obs"):
-                scope, message = None, _OBS_GROWTH
-            elif in_package(module, *_HANDLER_PACKAGES):
-                scope, message = reachable, _HANDLER_GROWTH
-            else:
-                continue
-            for cls in classes_of(module):
-                yield from self._check_class(
-                    module, graph, cls, scope, message)
-
-    def _check_class(self, module: Module, graph: CallGraph,
-                     cls: ast.ClassDef, scope: set[str] | None,
-                     message: str) -> Iterator[Finding]:
-        """Flag growth of *cls*'s containers inside *scope* (``None``:
-        every method)."""
-        containers = collection_attributes(cls)
-        if not containers:
+    def check_module(self, module: Module) -> Iterable[Finding]:
+        """Flag evidence-free growth in protocol and obs classes."""
+        if in_package(module, "obs"):
+            message = _OBS_GROWTH
+        elif in_package(module, *_PROTOCOL_PACKAGES):
+            message = _PROTOCOL_GROWTH
+        else:
             return
-        bounded: dict[str, bool] = {}
-        for node in ast.walk(cls):
-            attr = _grown_attribute(node)
-            if attr not in containers:
+        for cls in module.tree.body:
+            if not isinstance(cls, ast.ClassDef):
                 continue
-            if (scope is not None
-                    and graph.enclosing_function(module, node) not in scope):
-                continue
-            if attr not in bounded:
-                bounded[attr] = has_bound_evidence(cls, attr)
-            if not bounded[attr]:
-                yield self.finding(
-                    module, node, message.format(attr=attr, cls=cls.name))
+            containers = _collection_attributes(cls)
+            bounded: dict[str, bool] = {}
+            for node in ast.walk(cls):
+                attr = _grown_attribute(node)
+                if attr not in containers:
+                    continue
+                if attr not in bounded:
+                    bounded[attr] = _has_bound_evidence(cls, attr)
+                if not bounded[attr]:
+                    yield self.finding(
+                        module, node, message.format(attr=attr, cls=cls.name))
 
 
 def observability_rules() -> list[Rule]:

@@ -13,7 +13,6 @@ import ast
 import struct
 from typing import Iterable, Iterator
 
-from repro.analysis.callgraph import CallEdge, CallGraph
 from repro.analysis.findings import Finding
 from repro.analysis.rules import (
     Module,
@@ -25,7 +24,7 @@ from repro.analysis.rules import (
 )
 
 
-def _is_f_like(node: ast.AST) -> bool:
+def _is_f_like(node: ast.AST | None) -> bool:
     """True for the canonical fault-bound names: ``f`` or ``<obj>.f``."""
     if isinstance(node, ast.Name):
         return node.id == "f"
@@ -62,7 +61,7 @@ def _is_max_faulty_shape(node: ast.BinOp) -> bool:
 
 class InlineQuorumArithmeticRule(Rule):
     """Quorum thresholds and fault bounds must come from
-    ``repro.common.quorum`` -- even across call boundaries.
+    ``repro.common.quorum``.
 
     Inline quorum arithmetic scattered across replicas, logs, and
     view-change code is where quorum off-by-ones hide -- the exact bug
@@ -71,7 +70,7 @@ class InlineQuorumArithmeticRule(Rule):
     :func:`repro.common.quorum.quorum_size` /
     :func:`repro.common.quorum.max_faulty` /
     :func:`repro.common.quorum.weak_certificate_size` instead, so the
-    arithmetic exists exactly once.  Three arms, all exempting the
+    arithmetic exists exactly once.  Two arms, both exempting the
     helper module itself (``quorum.py``):
 
     * **inline quorum arithmetic**: ``2*f + 1`` / ``3*f + 1`` on a
@@ -81,83 +80,31 @@ class InlineQuorumArithmeticRule(Rule):
       use :func:`repro.common.quorum.max_faulty` (raises for ``n < 4``)
       or :func:`repro.common.quorum.tolerated_faults` (degenerate
       committees allowed).
-    * **parameter flow**: a function computing ``2*p + 1`` /
-      ``3*p + 1`` on one of its *parameters* hides the fault bound
-      behind another name, but if any resolved call site passes an
-      f-bound into that parameter, the arithmetic is quorum math in
-      disguise; the call graph supplies the caller so the finding can
-      name the flow.
     """
 
     rule_id = "GPB005"
     title = "no inline quorum or fault-bound arithmetic outside repro.common.quorum"
 
-    def check_project(self, project: Project) -> Iterable[Finding]:
-        """Flag quorum and max-faulty shapes, inline or via a parameter."""
-        graph = project.callgraph()
-        for rel in sorted(project.modules):
-            if rel.endswith("/quorum.py") or rel == "quorum.py":
+    def check_module(self, module: Module) -> Iterable[Finding]:
+        """Flag inline quorum and max-faulty shapes."""
+        if module.rel.endswith("/quorum.py") or module.rel == "quorum.py":
+            return
+        for node in ast.walk(module.tree):
+            if not isinstance(node, ast.BinOp):
                 continue
-            module = project.modules[rel]
-            for node in ast.walk(module.tree):
-                if not isinstance(node, ast.BinOp):
-                    continue
-                if _is_max_faulty_shape(node):
-                    yield self.finding(
-                        module, node,
-                        "inline fault-bound arithmetic ((n - 1) // 3); use "
-                        "repro.common.quorum.max_faulty() or "
-                        "tolerated_faults()",
-                    )
-                    continue
-                operand = _quorum_operand(node)
-                if operand is None:
-                    continue
-                if _is_f_like(operand):
-                    yield self.finding(
-                        module, node,
-                        "inline quorum arithmetic; use "
-                        "repro.common.quorum.quorum_size()/max_faulty()",
-                    )
-                elif isinstance(operand, ast.Name):
-                    yield from self._check_param_flow(
-                        module, graph, node, operand.id)
-
-    def _check_param_flow(self, module: Module, graph: CallGraph,
-                          node: ast.BinOp, param: str) -> Iterator[Finding]:
-        qual = graph.enclosing_function(module, node)
-        if qual is None:
-            return
-        info = graph.functions[qual]
-        if param not in info.params:
-            return
-        index = info.params.index(param)
-        for edge in graph.callers.get(qual, ()):
-            arg = self._argument_for(edge, info.cls is not None, index, param)
-            if arg is not None and _is_f_like(arg):
+            if _is_max_faulty_shape(node):
                 yield self.finding(
                     module, node,
-                    f"inline quorum arithmetic on parameter '{param}', "
-                    f"which receives the fault bound from "
-                    f"{edge.caller.rsplit('::', 1)[-1]}() "
-                    f"({edge.caller.split('::')[0]}:{edge.lineno}); use "
-                    "repro.common.quorum.quorum_size()",
+                    "inline fault-bound arithmetic ((n - 1) // 3); use "
+                    "repro.common.quorum.max_faulty() or "
+                    "tolerated_faults()",
                 )
-                return
-
-    @staticmethod
-    def _argument_for(edge: CallEdge, is_method: bool, index: int,
-                      name: str) -> ast.AST | None:
-        """The caller expression bound to parameter *index* / *name*."""
-        for keyword in edge.call.keywords:
-            if keyword.arg == name:
-                return keyword.value
-        offset = 1 if is_method and isinstance(edge.call.func,
-                                               ast.Attribute) else 0
-        position = index - offset
-        if 0 <= position < len(edge.call.args):
-            return edge.call.args[position]
-        return None
+            elif _is_f_like(_quorum_operand(node)):
+                yield self.finding(
+                    module, node,
+                    "inline quorum arithmetic; use "
+                    "repro.common.quorum.quorum_size()/max_faulty()",
+                )
 
 
 class CodecHandlerCoverageRule(Rule):

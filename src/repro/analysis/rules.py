@@ -10,10 +10,12 @@ records with precise ``file:line:col`` locations.
 Two hook points exist:
 
 * :meth:`Rule.check_module` runs once per analyzed file and covers
-  single-file properties (wall-clock calls, float equality, ...);
+  single-file properties (wall-clock calls, float equality, unbounded
+  growth, ...);
 * :meth:`Rule.check_project` runs once per analysis with access to
-  every parsed module and the call graph, and covers cross-file
-  properties (the codec registry, the interprocedural arms).
+  every parsed module, and covers the two properties that read a
+  cross-file table: the codec registry (GPB006) and the event-kind
+  vocabulary (GPB009).
 
 A rule is one bug class; each way of writing that bug is an *arm* of
 the rule with its own finding message.  Rules are registered by
@@ -81,19 +83,6 @@ class Project:
     """Every module of one analysis run, keyed by normalized path."""
 
     modules: dict[str, Module]
-    _callgraph: object = None
-
-    def callgraph(self):
-        """The project-wide call graph, built once and cached.
-
-        Lazy so single-file intraprocedural runs never pay for graph
-        construction; the import is local because
-        :mod:`repro.analysis.callgraph` imports this module.
-        """
-        if self._callgraph is None:
-            from repro.analysis.callgraph import build_callgraph
-            self._callgraph = build_callgraph(self)
-        return self._callgraph
 
     def find_suffix(self, suffix: str) -> Module | None:
         """The unique module whose path ends with *suffix*, if any."""
@@ -118,7 +107,7 @@ class Rule:
         return ()
 
     def check_project(self, project: Project) -> Iterable[Finding]:
-        """Yield findings needing the whole module set (cross-file rules)."""
+        """Yield findings needing the whole module set (cross-file tables)."""
         return ()
 
     # -- shared helpers ---------------------------------------------------

@@ -1,15 +1,13 @@
-"""Mobility models and the driver that applies them on the simulator.
+"""The random-waypoint mobility model and the driver that applies it.
 
 Fixed devices stay put (no driver moves them); mobile devices follow a
 random-waypoint model: pick a destination in the region, walk there at
 a sampled speed, pause, repeat.  Movement is what
-makes Algorithm 1 evict endorsers and refuse mobile candidates, so these
-models directly exercise the paper's election machinery.
+makes Algorithm 1 evict endorsers and refuse mobile candidates, so the
+model directly exercises the paper's election machinery.
 """
 
 from __future__ import annotations
-
-import abc
 
 from repro.common.errors import ConfigurationError
 from repro.common.rng import DeterministicRNG
@@ -17,15 +15,7 @@ from repro.geo.coords import LatLng, Region
 from repro.net.simulator import Simulator
 
 
-class MobilityModel(abc.ABC):
-    """Produces a device's next position given the elapsed interval."""
-
-    @abc.abstractmethod
-    def step(self, current: LatLng, dt: float, rng: DeterministicRNG) -> LatLng:
-        """Position after *dt* seconds starting from *current*."""
-
-
-class RandomWaypointModel(MobilityModel):
+class RandomWaypointModel:
     """The classic random-waypoint model inside a bounded region.
 
     Args:
@@ -89,7 +79,7 @@ class MobilityDriver:
     Args:
         node: any object with ``position`` and ``move_to(LatLng)``
             (a :class:`repro.core.node.GPBFTNode` in practice).
-        model: the mobility model to advance.
+        model: the waypoint model to advance.
         sim: shared simulator.
         rng: deterministic stream for the model's draws.
         interval_s: how often positions are updated.
@@ -98,7 +88,7 @@ class MobilityDriver:
     def __init__(
         self,
         node,
-        model: MobilityModel,
+        model: RandomWaypointModel,
         sim: Simulator,
         rng: DeterministicRNG,
         interval_s: float = 60.0,

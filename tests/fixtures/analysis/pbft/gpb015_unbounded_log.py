@@ -1,9 +1,11 @@
-"""GPB015 fixture, handler-chain scope: unbounded collection growth
-inside a handler chain.
+"""GPB015 fixture, protocol-class scope: unbounded collection growth in
+a ``pbft`` class.
 
-``Handler.on_ping`` is a handler entry; the evidence list it grows
-through ``EvidenceLog.note`` has no prune, cap, or capacity guard
-anywhere in its class.
+``EvidenceLog._seen`` grows per handled message, and
+``CommitWatcher.seen`` grows per event through a private subscriber
+that is registered with ``events.subscribe`` rather than named like a
+handler.  Neither class has a prune, cap, or capacity guard for its
+list anywhere.
 """
 
 
@@ -21,3 +23,12 @@ class Handler:
 
     def on_ping(self, msg):
         self._log.note(msg)
+
+
+class CommitWatcher:
+    def __init__(self, events):
+        self.seen = []
+        events.subscribe(self._on_event)
+
+    def _on_event(self, event):
+        self.seen.append(event.tx_id)  # PLANT: GPB015

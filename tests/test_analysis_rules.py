@@ -6,7 +6,10 @@ the offending line.  The tests assert the analyzer finds *exactly*
 those plants -- no misses (an arm regressed) and no extras (a rule got
 noisy) -- plus the suppression machinery, the CLI exit codes, and the
 acceptance gate that the real tree is clean under the checked-in
-baseline.
+baseline.  Plants sit under ``pbft/`` or ``obs/`` where a rule scopes
+by package; GPB015's ``pbft`` plant includes a list grown from a
+private event-log subscriber, which only a scan of every method of a
+protocol class reaches.
 """
 
 from __future__ import annotations

@@ -20,7 +20,11 @@ from repro.common.config import (
     ZoneSpec,
 )
 from repro.common.errors import ConfigurationError
-from repro.common.eventlog import EV_XZONE_COMMITTED, EV_XZONE_ORDERED
+from repro.common.eventlog import (
+    EV_XZONE_COMMITTED,
+    EV_XZONE_DELIVERED,
+    EV_XZONE_ORDERED,
+)
 from repro.core.deployment import GPBFTDeployment
 from repro.core.hierarchy import HierarchicalDeployment, top_seats
 from repro.geo.coords import LatLng, Region
@@ -142,3 +146,23 @@ class TestHierarchicalDeployment:
         events = [e for e in hier.events if e.kind == EV_XZONE_COMMITTED]
         assert events and all(e.data["src_zone"] == 1 and e.data["zone"] == 0
                               for e in events)
+
+    def test_duplicate_delivery_after_commit_is_ignored(self):
+        spec = TopologySpec.zoned(2, 6, config=_monitored(), seed=1,
+                                  start_reports=False)
+        hier = spec.build()
+        first = hier.submit_xzone(0, dst_zone=1)
+        env = hier.gateways[0]._outbound[first]
+        hier.submit_xzone(1, dst_zone=1)
+        hier.run_for(40.0)
+        commit_order = [e.data["tx_id"] for e in hier.events
+                        if e.kind == EV_XZONE_COMMITTED
+                        and e.data["zone"] == 1]
+        assert len(commit_order) == 2
+        assert hier.committed_xzone(1) == commit_order
+        delivered = hier.events.count(EV_XZONE_DELIVERED)
+        hier.gateways[1].receive(env)  # a late duplicate of a committed tx
+        hier.run_for(40.0)
+        assert hier.events.count(EV_XZONE_DELIVERED) == delivered
+        assert hier.committed_xzone(1) == commit_order
+        hier.monitors.check_final()
