@@ -19,7 +19,7 @@ lint:
 # ROADMAP item 4, "success is a number": src/ may shrink but not grow
 # unnoticed.  Lower the ceiling to what a PR lands at; raising it needs
 # a reason in CHANGES.md.
-LOC_CEILING = 21375
+LOC_CEILING = 21230
 loc:
 	@lines=$$(find src -name '*.py' | xargs cat | wc -l); \
 	echo "src/ Python lines: $$lines (ceiling $(LOC_CEILING))"; \
@@ -75,8 +75,8 @@ packs-smoke:
 	PYTHONPATH=src $(PYTHON) -m repro.experiments packs \
 		regional_blackout flash_crowd
 
-# instrumented capture -> chrome trace + span dump, schema-validated,
-# phase-breakdown report printed (docs/observability.md)
+# instrumented capture -> chrome trace + span dump + flight dump,
+# schema-validated, phase-breakdown report printed (docs/observability.md)
 trace-smoke:
 	PYTHONPATH=src $(PYTHON) -m repro.obs capture --protocol gpbft \
 		-n 10 --submissions 5 --seed 7 --horizon 40 --era-switch-at 8 \
@@ -84,6 +84,7 @@ trace-smoke:
 		--dump-dir dumps --dump
 	PYTHONPATH=src $(PYTHON) -m repro.obs validate trace.json
 	test -s dumps/flight-000-on-demand.json
+	PYTHONPATH=src $(PYTHON) -m repro.obs validate dumps/flight-000-on-demand.json
 	PYTHONPATH=src $(PYTHON) -m repro.experiments agg --requests 2000 \
 		--zones 4 --duration 600 --seed 7 --timeseries --window 60 \
 		--frames frames-agg.jsonl --sample-rate 0.25 --flight-recorder

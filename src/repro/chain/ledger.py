@@ -1,44 +1,18 @@
-"""Per-node chain storage with linkage validation and fork detection.
+"""Per-node chain storage with linkage validation.
 
 The paper evicts endorsers that "miss a block or cause a fork"
-(section III-B3); the ledger is where both conditions are observed.  A
-fork here means two *different* blocks presented for the same height --
-the ledger keeps the first and records the conflict so the committee can
-attribute blame to the proposer.
+(section III-B3).  The ledger refuses a *different* block offered for a
+height it already holds with a :class:`ForkError`; every append in the
+node offers the next height, so cross-replica divergence is what
+:class:`~repro.verify.invariants.PrefixConsistencyMonitor` checks.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
-from repro.common.errors import ChainError
-from repro.common.errors import ForkError  # re-exported for callers
+from repro.common.errors import ChainError, ForkError
 from repro.chain.block import Block
 from repro.chain.genesis import GenesisBlock
 from repro.chain.state import LedgerState
-
-
-@dataclass(frozen=True, slots=True)
-class ForkEvidence:
-    """Record of an attempted fork at one height.
-
-    Attributes:
-        height: chain height where the conflict occurred.
-        accepted: digest of the block the ledger kept.
-        rejected: digest of the conflicting block.
-        proposer: node that proposed the rejected block.
-    """
-
-    height: int
-    accepted: bytes
-    rejected: bytes
-    proposer: int
-
-
-#: Cap on retained fork evidence.  A single conflicting block already
-#: convicts its proposer; an equivocating peer replaying forks forever
-#: must not grow node memory without bound.
-MAX_FORK_EVIDENCE = 64
 
 
 class Ledger:
@@ -47,7 +21,6 @@ class Ledger:
     def __init__(self, genesis: GenesisBlock) -> None:
         self.genesis = genesis
         self._blocks: list[Block] = [genesis.block()]
-        self._forks: list[ForkEvidence] = []
         self.state = LedgerState()
 
     # -- queries ------------------------------------------------------------
@@ -75,11 +48,6 @@ class Ledger:
             raise ChainError(f"no block at height {height} (chain height {self.height})")
         return self._blocks[height]
 
-    @property
-    def forks(self) -> tuple[ForkEvidence, ...]:
-        """Every fork attempt observed so far."""
-        return tuple(self._forks)
-
     def contains_tx(self, tx_id: str) -> bool:
         """True iff a committed block contains transaction *tx_id*."""
         return self.state.applied(tx_id)
@@ -90,8 +58,7 @@ class Ledger:
         """Append *block* at the next height.
 
         Raises:
-            ForkError: if a *different* block already occupies the height
-                (the conflict is recorded as fork evidence first).
+            ForkError: if a *different* block already occupies the height.
             ChainError: on bad parent linkage or height gaps.
         """
         expected_height = self.height + 1
@@ -99,14 +66,6 @@ class Ledger:
             existing = self._blocks[block.header.height]
             if existing.digest() == block.digest():
                 return  # idempotent re-append of the same block
-            evidence = ForkEvidence(
-                height=block.header.height,
-                accepted=existing.digest(),
-                rejected=block.digest(),
-                proposer=block.header.proposer,
-            )
-            if len(self._forks) < MAX_FORK_EVIDENCE:
-                self._forks.append(evidence)
             raise ForkError(
                 f"fork at height {block.header.height}: proposer {block.header.proposer} "
                 f"offered {block.digest().hex()[:12]} but chain has "

@@ -24,6 +24,7 @@ from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any
 
 from repro.common.errors import ConfigurationError
+from repro.common.eventlog import TRACE_WINDOW
 
 if TYPE_CHECKING:
     from repro.geo.coords import Region
@@ -358,9 +359,9 @@ class TopologySpec:
     witness_range_m: float = 150.0
     n_replicas: int = 4
     n_clients: int = 1
-    profiles: "FleetMix | None" = None
     #: bound on every host event log (ring of newest events, exact
-    #: per-kind counts); ``None`` keeps the unbounded append-only log
+    #: per-kind counts); ``None`` keeps the unbounded append-only log.
+    #: At least ``TRACE_WINDOW``, so a post-mortem's window is whole.
     event_capacity: int | None = None
 
     def __post_init__(self) -> None:
@@ -372,17 +373,14 @@ class TopologySpec:
             _require_finite(self, name)
         _require(self.block_interval_s > 0.0, "block_interval_s must be > 0")
         _require(self.witness_range_m > 0.0, "witness_range_m must be > 0")
-        _require(self.event_capacity is None or self.event_capacity >= 1,
-                 "event_capacity must be >= 1 when given")
+        _require(self.event_capacity is None
+                 or self.event_capacity >= TRACE_WINDOW,
+                 f"event_capacity must be >= {TRACE_WINDOW} when given")
         if self.protocol == "pbft":
             _require(not self.zones, "pbft topologies take no zones")
             _require(self.n_replicas >= 1, "n_replicas must be >= 1")
             _require(self.n_clients >= 1, "n_clients must be >= 1")
-            if self.profiles is not None:
-                self.profiles.validate_for(self.n_replicas)
             return
-        _require(self.profiles is None,
-                 "gpbft topologies carry profiles per zone (ZoneSpec.profiles)")
         _require(len(self.zones) >= 1, "gpbft topologies need >= 1 zone")
         names = [zone.name for zone in self.zones]
         _require(len(set(names)) == len(names), "zone names must be unique")
@@ -421,11 +419,10 @@ class TopologySpec:
     @classmethod
     def cluster(cls, n_replicas: int = 4, n_clients: int = 1, *,
                 config: GPBFTConfig | None = None,
-                profiles: "FleetMix | None" = None,
                 event_capacity: int | None = None) -> "TopologySpec":
         """A flat PBFT replica cluster (no geography, no zones)."""
         return cls(protocol="pbft", zones=(), n_replicas=n_replicas,
-                   n_clients=n_clients, config=config, profiles=profiles,
+                   n_clients=n_clients, config=config,
                    event_capacity=event_capacity)
 
     @classmethod

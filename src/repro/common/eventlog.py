@@ -103,6 +103,11 @@ EVENT_KINDS: frozenset[str] = frozenset({
 })
 
 
+#: Most recent events a post-mortem carries: an invariant violation's
+#: trace window and each flight-recorder ring are a log's last this-many
+#: events (:meth:`EventLog.tail`).
+TRACE_WINDOW = 256
+
 _new = tuple.__new__
 
 
@@ -211,6 +216,10 @@ class EventLog:
                 callback(event)
         return event
 
+    def tail(self, n: int) -> list[Event]:
+        """The newest *n* retained events, oldest first."""
+        return self._events[-n:] if n > 0 else []
+
     def of_kind(self, kind: str) -> list[Event]:
         """All events whose kind equals *kind*, in time order."""
         return [e for e in self._events if e.kind == kind]
@@ -237,3 +246,26 @@ class EventLog:
         """Drop all recorded events (used between experiment repetitions)."""
         self._events.clear()
         self._counts.clear()
+
+
+def event_to_json(event: Event) -> dict[str, Any]:
+    """Flatten an :class:`Event` into a JSON-able dict."""
+    return {
+        "at": event.at,
+        "kind": event.kind,
+        "node": event.node,
+        "data": {k: jsonable(v) for k, v in event.data.items()},
+    }
+
+
+def jsonable(value: Any) -> Any:
+    """Best-effort conversion of event payload values to JSON types."""
+    if isinstance(value, (str, int, float, bool)) or value is None:
+        return value
+    if isinstance(value, bytes):
+        return value.hex()
+    if isinstance(value, (list, tuple, set, frozenset)):
+        return [jsonable(v) for v in value]
+    if isinstance(value, dict):
+        return {str(k): jsonable(v) for k, v in value.items()}
+    return repr(value)

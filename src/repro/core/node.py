@@ -24,7 +24,7 @@ from __future__ import annotations
 from typing import TYPE_CHECKING, Callable
 
 from repro.common.config import GPBFTConfig
-from repro.common.errors import ChainError, ConsensusError, ForkError, GeoError
+from repro.common.errors import ChainError, ConsensusError, GeoError
 from repro.common.eventlog import (
     EV_BLOCK_COMMITTED,
     EV_BLOCK_PROPOSED,
@@ -455,7 +455,7 @@ class GPBFTNode:
             return  # stale proposal (parallel producer lost the race)
         try:
             self.ledger.append(block)
-        except (ForkError, ChainError):
+        except ChainError:
             self._suspects.add(op.producer)
             self.incentive.exclude(op.producer)
             self._record(EV_BLOCK_REJECTED, producer=op.producer, height=block.header.height)

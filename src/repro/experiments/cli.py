@@ -226,7 +226,7 @@ def _agg_main(argv: list[str]) -> int:
     parser.add_argument("--sample-rate", type=_fraction, default=None,
                         help="fraction of request ids traced end-to-end")
     parser.add_argument("--flight-recorder", action="store_true",
-                        help="keep bounded event rings and dump on trouble")
+                        help="dump recent events post mortem on trouble")
     parser.add_argument("--dump-dir", default=None,
                         help="directory for flight-recorder dump bundles")
     parser.add_argument("--heartbeat", type=_positive_float, default=None,

@@ -8,7 +8,7 @@ three pillars, all driven by *simulated* time (never wall clock):
   records request-lifecycle and system-episode spans with parent-child
   nesting.
 - :mod:`repro.obs.instruments` -- a typed registry of counters, gauges,
-  and fixed-bucket histograms with a deterministic snapshot API.
+  and quantile sketches with a deterministic snapshot API.
 - :mod:`repro.obs.export` / :mod:`repro.obs.report` -- Chrome
   trace-event JSON + JSONL span dumps and a per-phase latency report
   (``python -m repro.obs report``).
@@ -28,7 +28,7 @@ spans (:mod:`repro.obs.sampling`), and a post-mortem flight recorder
 
 from repro.obs.core import Observability
 from repro.obs.flightrec import FlightRecorder
-from repro.obs.instruments import Counter, Gauge, Histogram, Registry
+from repro.obs.instruments import Counter, Gauge, Registry
 from repro.obs.obsconfig import ObsConfig
 from repro.obs.sampling import HeadSampler, sample_key
 from repro.obs.spans import Span, Tracer
@@ -39,7 +39,6 @@ __all__ = [
     "FlightRecorder",
     "Gauge",
     "HeadSampler",
-    "Histogram",
     "ObsConfig",
     "Observability",
     "QuantileSketch",

@@ -12,7 +12,8 @@ Subcommands:
 - ``validate`` -- check a trace file.  JSONL inputs (span dumps or
   window frames) stream line-by-line, so a million-frame file costs
   constant memory; the first malformed record exits 2 with its line
-  number.  Chrome traces are one JSON object and validate whole.
+  number.  Chrome traces and flight-recorder dumps are one JSON object
+  each and validate whole.
 
 Typical session::
 
@@ -38,6 +39,7 @@ from repro.obs.export import (
     write_chrome_trace,
     write_spans_jsonl,
 )
+from repro.obs.flightrec import validate_dump
 from repro.obs.obsconfig import ObsConfig
 from repro.obs.report import render_report, render_timeline
 from repro.obs.spans import ObservabilityError
@@ -77,7 +79,7 @@ def build_parser() -> argparse.ArgumentParser:
     cap.add_argument("--sample-rate", type=float, default=1.0,
                      help="fraction of request ids traced (head sampling)")
     cap.add_argument("--flight-recorder", action="store_true",
-                     help="keep bounded event rings for post-mortem dumps")
+                     help="enable post-mortem dumps of recent events")
     cap.add_argument("--dump-dir", default=None,
                      help="directory for flight-recorder dump bundles")
     cap.add_argument("--dump", action="store_true",
@@ -229,6 +231,11 @@ def _cmd_validate(args: argparse.Namespace) -> int:
             return 0
     with open(args.file) as fh:
         doc = json.load(fh)
+    if isinstance(doc, dict) and "schema" in doc and "rings" in doc:
+        validate_dump(doc)
+        events = sum(len(ring) for ring in doc["rings"].values())
+        print(f"{args.file}: valid flight dump ({events} ring events)")
+        return 0
     validate_chrome_trace(doc)
     print(f"{args.file}: valid chrome trace ({len(doc['traceEvents'])} events)")
     return 0

@@ -29,8 +29,9 @@ city-scale pieces, all off by default:
   ``prep``, ``comm``) keyed by a stable hash of the request id --
   view-change, era, and checkpoint spans are always traced, and the
   time-series sees every request regardless of the sample rate;
-* the flight recorder (:attr:`Observability.flight`), mirroring host
-  event logs into per-group rings via :meth:`Observability.attach_host`.
+* the flight recorder (:attr:`Observability.flight`), which dumps each
+  attached host log's recent events as a per-group ring
+  (:meth:`Observability.attach_host`).
 
 Zone-sharded runs call :meth:`Observability.for_zone` per zone: the
 clones share one tracer, registry, time-series, and recorder, but
@@ -52,15 +53,6 @@ from repro.obs.obsconfig import ObsConfig
 from repro.obs.sampling import HeadSampler
 from repro.obs.spans import Tracer
 from repro.obs.timeseries import Heartbeat, Timeseries
-
-#: Bucket edges (seconds) for phase / quorum wait histograms.
-PHASE_EDGES = (0.01, 0.025, 0.05, 0.1, 0.25, 0.5, 1.0, 2.5, 5.0)
-#: Bucket edges (seconds) for end-to-end request latency.
-LATENCY_EDGES = (0.05, 0.1, 0.25, 0.5, 1.0, 2.5, 5.0, 10.0)
-#: Bucket edges (seconds) for era-switch downtime (paper claims ~0.25 s).
-DOWNTIME_EDGES = (0.05, 0.1, 0.25, 0.5, 1.0, 2.5)
-#: Bucket edges (transactions) for mempool depth.
-DEPTH_EDGES = (1.0, 2.0, 5.0, 10.0, 25.0, 50.0, 100.0)
 
 #: Frame zone label for captures that never call :meth:`for_zone`.
 DEFAULT_ZONE = "all"
@@ -206,9 +198,9 @@ class Observability:
     def attach_host(self, host: Any) -> None:
         """Listen to one cluster/deployment's event log.
 
-        With the flight recorder active, the log is also mirrored into
-        the ring of this facade's zone label (or a fresh ``g{n}``
-        group), and the host's monitor harness ``on_violation`` hook
+        With the flight recorder active, the log is also attached as the
+        ring of this facade's zone label (or a fresh ``g{n}`` group),
+        and the host's monitor harness ``on_violation`` hook
         points at the recorder so an
         :class:`~repro.verify.invariants.InvariantViolation` dumps a
         post-mortem bundle before propagating.
@@ -265,7 +257,7 @@ class Observability:
             self.timeseries.completed(self.zone, rid, event.at)
         span = self.tracer.close(f"req/{rid}")
         if span is not None:
-            self.registry.histogram("request.latency_s", LATENCY_EDGES).observe(span.duration)
+            self.registry.sketch("request.latency_s").observe(span.duration)
 
     def _pbft_executed(self, event: Event, _zones: Sequence[str]) -> None:
         """A replica collected its commit quorum and executed the request."""
@@ -274,8 +266,7 @@ class Observability:
             return
         span = self.tracer.close(f"comm/{event.node}/{data['epoch']}/{data['view']}/{data['seq']}")
         if span is not None:
-            self.registry.histogram(
-                "pbft.quorum_wait_s", PHASE_EDGES).child("commit").observe(span.duration)
+            self.registry.sketch("pbft.commit_wait_s").observe(span.duration)
 
     def _view_change_started(self, event: Event, _zones: Sequence[str]) -> None:
         """A replica broadcast a view-change vote."""
@@ -303,8 +294,7 @@ class Observability:
         span = self.tracer.close(f"era/{event.node}/{event.data['era']}", at=event.at,
                                  committee_size=event.data["committee_size"])
         if span is not None:
-            self.registry.histogram(
-                "era.switch_downtime_s", DOWNTIME_EDGES).observe(span.duration)
+            self.registry.sketch("era.switch_downtime_s").observe(span.duration)
 
     def _election_round(self, event: Event, _zones: Sequence[str]) -> None:
         """An endorser-election audit ran on a node."""
@@ -325,8 +315,7 @@ class Observability:
         zone = zones[event.data["zone"]]
         span = self.tracer.close(f"ckpt/{zone}/{event.data['seq']}")
         if span is not None:
-            self.registry.histogram(
-                "hier.checkpoint_latency_s", LATENCY_EDGES).observe(span.duration)
+            self.registry.sketch("hier.checkpoint_latency_s").observe(span.duration)
         self.registry.counter("hier.checkpoints_committed").child(zone).inc()
         self.registry.counter("hier.xzone_txs_ordered").inc(event.data["txs"])
 
@@ -356,8 +345,7 @@ class Observability:
             return
         span = self.tracer.close(f"prep/{node}/{epoch}/{view}/{seq}")
         if span is not None:
-            self.registry.histogram(
-                "pbft.quorum_wait_s", PHASE_EDGES).child("prepare").observe(span.duration)
+            self.registry.sketch("pbft.prepare_wait_s").observe(span.duration)
         self.tracer.open(
             f"comm/{node}/{epoch}/{view}/{seq}", "commit", cat="phase",
             node=node, parent_key=f"req/{rid}",
@@ -375,7 +363,7 @@ class Observability:
     def mempool_depth(self, node: int, depth: int) -> None:
         """Mempool depth on *node* after a transaction arrived."""
         self.registry.gauge("mempool.depth").set(depth)
-        self.registry.histogram("mempool.depth_dist", DEPTH_EDGES).observe(depth)
+        self.registry.sketch("mempool.depth_dist").observe(depth)
         if self.timeseries is not None:
             self.timeseries.depth(self.zone, depth, self._now())
 

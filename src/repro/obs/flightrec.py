@@ -1,12 +1,14 @@
-"""Post-mortem flight recorder: bounded event rings + dump bundles.
+"""Post-mortem flight recorder: dump bundles of each group's recent events.
 
 Replaying a failed day-long run to diagnose it costs another day-long
-run.  The flight recorder keeps the diagnosis *in* the failing run: a
-bounded ring buffer of the most recent events per node group (a zone,
-a cluster) is always a few hundred events deep, and when something
-goes wrong the recorder writes a single JSON bundle containing
+run.  The flight recorder keeps the diagnosis *in* the failing run: it
+holds the event log of each node group (a zone, a cluster), and when
+something goes wrong it writes a single JSON bundle containing
 
-* the ring contents for every attached group (the last N events each),
+* a ring per attached group: the log's last
+  :data:`~repro.common.eventlog.TRACE_WINDOW` events
+  (:meth:`~repro.common.eventlog.EventLog.tail`), the same window an
+  invariant violation carries,
 * a snapshot of the instrument registry at dump time,
 * the tail of the window frames from the streaming time-series, and
 * whatever the trigger wants to attach (e.g. the serialized
@@ -16,8 +18,8 @@ Dumps fire on three triggers: an invariant violation (wired through
 ``MonitorHarness.on_violation``), a view-change storm (more than
 ``storm_threshold`` view-change events inside one ``storm_window_s``
 for a single group), or an explicit :meth:`FlightRecorder.dump` call.
-Memory is bounded everywhere: rings are ``deque(maxlen=...)``, and the
-in-memory dump list keeps only the most recent few bundles.
+The recorder stores no events of its own, and the in-memory dump list
+keeps only the most recent few bundles.
 """
 
 from __future__ import annotations
@@ -27,7 +29,14 @@ import os
 from collections import deque
 from typing import Any, Callable
 
-from repro.common.eventlog import EV_PBFT_VIEW_CHANGE, Event, EventLog
+from repro.common.eventlog import (
+    EV_PBFT_VIEW_CHANGE,
+    TRACE_WINDOW,
+    Event,
+    EventLog,
+    event_to_json,
+    jsonable,
+)
 from repro.obs.obsconfig import ObsConfig
 
 #: Version of the dump bundle layout; bump on incompatible changes.
@@ -37,29 +46,8 @@ DUMP_SCHEMA = 1
 _DUMPS_KEPT = 4
 
 
-def _jsonable(value: Any) -> Any:
-    """Coerce *value* into something ``json.dumps`` accepts as-is."""
-    if value is None or isinstance(value, (bool, int, float, str)):
-        return value
-    if isinstance(value, dict):
-        return {str(k): _jsonable(v) for k, v in value.items()}
-    if isinstance(value, (list, tuple, set, frozenset)):
-        return [_jsonable(v) for v in value]
-    return str(value)
-
-
-def _event_to_dict(event: Event) -> dict:
-    """Flatten one ring event for the dump bundle."""
-    return {
-        "at": event.at,
-        "kind": event.kind,
-        "node": event.node,
-        "data": {k: _jsonable(v) for k, v in event.data.items()},
-    }
-
-
 class FlightRecorder:
-    """Bounded per-group event rings with triggered post-mortem dumps.
+    """Per-group event logs with triggered post-mortem dumps.
 
     Attributes:
         dumps: the most recent in-memory dump bundles, oldest first
@@ -73,7 +61,7 @@ class FlightRecorder:
         self._config = config
         self._instruments = instruments
         self._frames = frames
-        self._rings: dict[str, deque[Event]] = {}
+        self._logs: dict[str, EventLog] = {}
         self._storm_start: dict[str, float] = {}
         self._storm_count: dict[str, int] = {}
         self._seq = 0
@@ -83,21 +71,13 @@ class FlightRecorder:
     @property
     def groups(self) -> list[str]:
         """Attached group names, sorted."""
-        return sorted(self._rings)
+        return sorted(self._logs)
 
     def attach(self, events: EventLog, group: str) -> None:
-        """Mirror *events* into the bounded ring for *group*.
+        """Dump *events*' tail as *group*'s ring, and watch it for storms."""
+        self._logs[group] = events
 
-        Multiple logs may share a group (their events interleave in
-        arrival order); attaching is append-only and never replays
-        events already in the log.
-        """
-        ring = self._rings.get(group)
-        if ring is None:
-            ring = self._rings[group] = deque(maxlen=self._config.ring_capacity)
-
-        def on_event(event: Event, _ring: deque = ring, _group: str = group) -> None:
-            _ring.append(event)
+        def on_event(event: Event, _group: str = group) -> None:
             if event.kind == EV_PBFT_VIEW_CHANGE:
                 self._on_view_change(_group, event.at)
 
@@ -133,7 +113,7 @@ class FlightRecorder:
              extra: dict | None = None) -> dict:
         """Write one post-mortem bundle; returns it as a dict.
 
-        The bundle always embeds every attached ring plus, when the
+        The bundle always embeds every attached group's ring plus, when the
         facade provided them, the instrument snapshot and the window
         frame tail.  With a ``dump_dir`` configured the bundle is also
         written to ``flight-{seq:03d}-{reason}.json`` in that
@@ -146,12 +126,13 @@ class FlightRecorder:
             "reason": reason,
             "at": at,
             "rings": {
-                group: [_event_to_dict(e) for e in self._rings[group]]
-                for group in sorted(self._rings)
+                group: [event_to_json(e)
+                        for e in self._logs[group].tail(TRACE_WINDOW)]
+                for group in sorted(self._logs)
             },
             "instruments": self._instruments() if self._instruments else None,
             "frames": self._frames() if self._frames else None,
-            "extra": _jsonable(extra) if extra is not None else None,
+            "extra": jsonable(extra) if extra is not None else None,
         }
         self._seq += 1
         self.dumps.append(bundle)

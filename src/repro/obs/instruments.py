@@ -1,4 +1,4 @@
-"""Typed metric instruments: counters, gauges, fixed-bucket histograms.
+"""Typed metric instruments: counters, gauges, quantile sketches.
 
 Instruments answer "how much / how many" questions that spans are too
 granular for: messages sent per wire kind, quorum wait distributions,
@@ -7,15 +7,17 @@ name with get-or-create semantics, and :meth:`Registry.snapshot`
 renders everything as one sorted, JSON-ready dict -- the same run
 always snapshots to the same bytes.
 
-Counters and histograms support *labeled children* (one child per wire
-kind, per phase, ...) which roll up into the parent automatically.
+A distribution is a :class:`~repro.obs.timeseries.QuantileSketch`, the
+summary a window frame's ``latency`` carries, so every percentile one
+capture reports follows one definition.  Counters support *labeled
+children* (one child per wire kind, ...) which roll up into the parent
+automatically.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_left
-
 from repro.obs.spans import ObservabilityError
+from repro.obs.timeseries import QuantileSketch
 
 
 class Counter:
@@ -76,91 +78,24 @@ class Gauge:
         return {"value": self.value}
 
 
-class Histogram:
-    """Fixed-bucket histogram with ``le`` (less-or-equal) bucket edges.
-
-    An observation lands in the first bucket whose edge is >= the
-    value; values above the last edge land in the implicit overflow
-    bucket.  Edge membership uses :func:`bisect.bisect_left`, so a
-    value exactly on an edge goes to that edge's bucket without any
-    float equality comparison.
-    """
-
-    def __init__(self, name: str, edges: tuple[float, ...]) -> None:
-        if not edges:
-            raise ObservabilityError(f"histogram {name}: needs at least one bucket edge")
-        if list(edges) != sorted(edges):
-            raise ObservabilityError(f"histogram {name}: edges must be ascending: {edges}")
-        if len(set(edges)) != len(edges):
-            raise ObservabilityError(f"histogram {name}: duplicate edges: {edges}")
-        self.name = name
-        self.edges = tuple(float(e) for e in edges)
-        # one slot per edge plus the overflow bucket
-        self.counts = [0] * (len(self.edges) + 1)
-        self.count = 0
-        self.total = 0.0
-        self.min: float | None = None
-        self.max: float | None = None
-        self._children: dict[str, Histogram] = {}
-        self._parent: Histogram | None = None
-
-    def observe(self, value: float) -> None:
-        """Record *value* into its bucket (and into any parent)."""
-        self.counts[bisect_left(self.edges, value)] += 1
-        self.count += 1
-        self.total += value
-        if self.min is None or value < self.min:
-            self.min = value
-        if self.max is None or value > self.max:
-            self.max = value
-        if self._parent is not None:
-            self._parent.observe(value)
-
-    def child(self, label: str) -> "Histogram":
-        """Get-or-create the sub-histogram for *label* (same edges)."""
-        got = self._children.get(label)
-        if got is None:
-            got = Histogram(f"{self.name}[{label}]", self.edges)
-            got._parent = self
-            self._children[label] = got
-        return got
-
-    def snapshot(self) -> dict:
-        """JSON-ready state: edges, bucket counts, count/sum/min/max."""
-        out: dict = {
-            "edges": list(self.edges),
-            "counts": list(self.counts),
-            "count": self.count,
-            "sum": self.total,
-            "min": self.min,
-            "max": self.max,
-        }
-        if self._children:
-            out["children"] = {
-                label: self._children[label].snapshot()
-                for label in sorted(self._children)
-            }
-        return out
-
-
 class Registry:
     """Named instrument store with typed get-or-create accessors.
 
-    Asking for an existing name with a different instrument kind (or a
-    histogram with different edges) raises: silent redefinition would
-    split a metric across two objects.
+    Asking for an existing name with a different instrument kind
+    raises: silent redefinition would split a metric across two
+    objects.
     """
 
     def __init__(self) -> None:
         self._counters: dict[str, Counter] = {}
         self._gauges: dict[str, Gauge] = {}
-        self._histograms: dict[str, Histogram] = {}
+        self._sketches: dict[str, QuantileSketch] = {}
 
     def _check_free(self, name: str, own: dict) -> None:
         for kind, table in (
             ("counter", self._counters),
             ("gauge", self._gauges),
-            ("histogram", self._histograms),
+            ("sketch", self._sketches),
         ):
             if table is not own and name in table:
                 raise ObservabilityError(f"instrument {name!r} already exists as a {kind}")
@@ -183,28 +118,21 @@ class Registry:
             self._gauges[name] = got
         return got
 
-    def histogram(self, name: str, edges: tuple[float, ...]) -> Histogram:
-        """Get-or-create the histogram called *name* with *edges*.
-
-        Raises:
-            ObservabilityError: if *name* exists with different edges.
-        """
-        got = self._histograms.get(name)
+    def sketch(self, name: str) -> QuantileSketch:
+        """Get-or-create the quantile sketch called *name*."""
+        got = self._sketches.get(name)
         if got is None:
-            self._check_free(name, self._histograms)
-            got = Histogram(name, edges)
-            self._histograms[name] = got
-        elif got.edges != tuple(float(e) for e in edges):
-            raise ObservabilityError(
-                f"histogram {name!r} exists with edges {got.edges}, asked for {edges}"
-            )
+            self._check_free(name, self._sketches)
+            got = QuantileSketch()
+            self._sketches[name] = got
         return got
 
     def snapshot(self) -> dict:
         """Deterministic JSON-ready dump of every instrument.
 
         Keys are sorted at every level, so the same run always
-        snapshots to the same bytes.
+        snapshots to the same bytes.  A sketch appears once it holds an
+        observation, as a frame's ``latency`` summary.
         """
         return {
             "counters": {
@@ -214,8 +142,8 @@ class Registry:
             "gauges": {
                 name: self._gauges[name].snapshot() for name in sorted(self._gauges)
             },
-            "histograms": {
-                name: self._histograms[name].snapshot()
-                for name in sorted(self._histograms)
+            "sketches": {
+                name: self._sketches[name].summary()
+                for name in sorted(self._sketches) if self._sketches[name].count
             },
         }

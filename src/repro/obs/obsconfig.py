@@ -37,10 +37,10 @@ class ObsConfig:
             by a stable hash of the id (1.0 = trace everything, the v1
             behavior).  Instruments and window frames always see every
             request; sampling only thins the span stream.
-        flight_recorder: enable the per-group event ring buffers even
-            without a ``dump_dir`` (dumps then stay in memory on
+        flight_recorder: enable post-mortem dumps of each group's
+            recent events even without a ``dump_dir`` (dumps then
+            stay in memory on
             :attr:`~repro.obs.flightrec.FlightRecorder.dumps`).
-        ring_capacity: events retained per node group's ring.
         dump_dir: directory post-mortem JSON bundles are written into.
         storm_threshold: view-change events within one storm window
             that trigger an automatic dump (0 disables the trigger).
@@ -55,7 +55,6 @@ class ObsConfig:
     frames_tail: int = 128
     sample_rate: float = 1.0
     flight_recorder: bool = False
-    ring_capacity: int = 256
     dump_dir: str | None = None
     storm_threshold: int = 50
     storm_window_s: float = 60.0
@@ -75,9 +74,6 @@ class ObsConfig:
         if self.frames_tail < 1:
             raise ObservabilityError(
                 f"frames_tail must be >= 1, got {self.frames_tail}")
-        if self.ring_capacity < 1:
-            raise ObservabilityError(
-                f"ring_capacity must be >= 1, got {self.ring_capacity}")
         if self.storm_threshold < 0:
             raise ObservabilityError(
                 f"storm_threshold must be >= 0, got {self.storm_threshold}")

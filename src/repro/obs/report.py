@@ -16,6 +16,11 @@ milestone, so with committee size *c* and ``k = f + 1``:
 giving ``pre-prepare = t1 - t0``, ``prepare = t2 - t1``,
 ``commit = t3 - t2`` and ``reply = t_end - t3`` with ``t0``/``t_end``
 the request span's bounds.
+
+The table's p50/p95/p99 come from a
+:class:`~repro.obs.timeseries.QuantileSketch` per cell, the summary a
+window frame's ``latency`` carries, so a capture's percentiles follow
+one definition wherever they are printed.
 """
 
 from __future__ import annotations
@@ -24,6 +29,7 @@ from dataclasses import dataclass
 
 from repro.common.quorum import max_faulty, weak_certificate_size
 from repro.obs.spans import Span
+from repro.obs.timeseries import QuantileSketch
 
 #: The request phases, in protocol order.
 PHASES = ("pre-prepare", "prepare", "commit", "reply")
@@ -49,10 +55,8 @@ class RequestPhases:
 def _kth(values: list[float], k: int) -> float | None:
     """k-th smallest of *values* (1-based), or None if too few.
 
-    The one order statistic here: phase milestones take the ``f + 1``-th
-    and the table's nearest-rank percentile ``q`` the
-    ``ceil(len * q / 100)``-th, so every value shown is one of the inputs
-    and goldens do not depend on float rounding.
+    The phase milestones are the ``f + 1``-th, an order statistic the
+    protocol defines, so each is one of the inputs exactly.
     """
     if len(values) < k:
         return None
@@ -160,9 +164,11 @@ def phase_table(breakdowns: list[RequestPhases]) -> str:
                 values = [b.total for b in group]
             else:
                 values = [b.phases[phase] for b in group]
-            # nearest rank: ceil(len * q / 100), without float math
-            cells = " ".join(f"{_kth(values, -(-len(values) * q // 100)) * 1e3:>9.2f}"
-                             for q in (50, 95, 99))
+            sketch = QuantileSketch()
+            for value in values:
+                sketch.observe(value)
+            cells = " ".join(f"{sketch.quantile(q) * 1e3:>9.2f}"
+                             for q in (0.50, 0.95, 0.99))
             lines.append(f"{size:>9}  {phase:<12} {len(values):>5} {cells}")
     return "\n".join(lines)
 

@@ -160,18 +160,6 @@ class PBFTCluster:
             self.replicas[node] = replica
             self.network.register(node, replica.receive)
 
-        # heterogeneous replica hardware: CPU class scales each
-        # replica's receive-side processing rate (no mix = no-op)
-        self.profile_map: dict[int, object] = {}
-        if spec.profiles is not None:
-            self.profile_map = spec.profiles.assign(self.committee)
-            base_rate = self.config.network.processing_rate
-            for node in self.committee:
-                profile = self.profile_map[node]
-                if profile.cpu_scale != 1.0:  # gpb: allow GPB004 -- 1.0 is the exact uniform sentinel, never the result of arithmetic
-                    self.network.set_processing_interval(
-                        node, profile.processing_interval_s(base_rate))
-
         self.clients: dict[int, PBFTClient] = {}
         for i in range(n_clients):
             node = n_replicas + i

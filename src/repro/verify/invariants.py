@@ -31,8 +31,7 @@ the hot paths pay a single truthiness check (see
 
 from __future__ import annotations
 
-from collections import deque
-from typing import Any, Callable, NoReturn
+from typing import Callable, NoReturn
 
 from repro.common.errors import EraSwitchError, ReproError
 from repro.common.eventlog import (
@@ -44,12 +43,11 @@ from repro.common.eventlog import (
     EV_TX_COMMITTED,
     EV_XZONE_COMMITTED,
     EV_XZONE_ORDERED,
+    TRACE_WINDOW,
     Event,
+    event_to_json,
 )
 from repro.common.quorum import quorum_size
-
-#: Most-recent events a violation carries as its offending trace window.
-TRACE_WINDOW = 256
 
 
 class InvariantViolation(ReproError):
@@ -60,8 +58,8 @@ class InvariantViolation(ReproError):
         message: human-readable description of the violation.
         event: the offending :class:`~repro.common.eventlog.Event`
             (``None`` for end-of-run checks).
-        trace: the most recent events before the violation, oldest
-            first, as plain dicts (the harness's trace window).
+        trace: the host log's last ``TRACE_WINDOW`` events when the
+            violation was raised, oldest first, as plain dicts.
     """
 
     def __init__(self, monitor: str, message: str,
@@ -81,29 +79,6 @@ class InvariantViolation(ReproError):
             "event": event_to_json(self.event) if self.event else None,
             "trace": self.trace,
         }
-
-
-def event_to_json(event: Event) -> dict:
-    """Flatten an :class:`Event` into a JSON-able dict."""
-    return {
-        "at": event.at,
-        "kind": event.kind,
-        "node": event.node,
-        "data": {k: _jsonable(v) for k, v in event.data.items()},
-    }
-
-
-def _jsonable(value: Any) -> Any:
-    """Best-effort conversion of event payload values to JSON types."""
-    if isinstance(value, (str, int, float, bool)) or value is None:
-        return value
-    if isinstance(value, bytes):
-        return value.hex()
-    if isinstance(value, (list, tuple, set, frozenset)):
-        return [_jsonable(v) for v in value]
-    if isinstance(value, dict):
-        return {str(k): _jsonable(v) for k, v in value.items()}
-    return repr(value)
 
 
 class Monitor:
@@ -394,7 +369,7 @@ class MonitorHarness:
         on_violation: optional callback receiving each
             :class:`InvariantViolation` *before* it is raised.  The
             observability flight recorder hooks this to dump a
-            post-mortem bundle while the evidence (event rings,
+            post-mortem bundle while the evidence (recent events,
             instrument state, window frames) is still live; the
             violation propagates unchanged afterwards.
     """
@@ -404,7 +379,6 @@ class MonitorHarness:
     def __init__(self, host, monitors: list[Monitor] | None = None) -> None:
         self.host = host
         self.monitors = list(monitors) if monitors is not None else default_monitors()
-        self.trace: deque[Event] = deque(maxlen=TRACE_WINDOW)
         host.events.subscribe(self._on_event)
 
     # -- host accessors ---------------------------------------------------
@@ -446,18 +420,18 @@ class MonitorHarness:
     # -- event flow -------------------------------------------------------
 
     def _on_event(self, event: Event) -> None:
-        self.trace.append(event)
         for monitor in self.monitors:
             monitor.on_event(self, event)
 
     def fail(self, monitor: Monitor, message: str,
              event: Event | None = None) -> NoReturn:
-        """Raise a structured violation with the current trace window."""
+        """Raise a structured violation carrying the host log's last
+        :data:`~repro.common.eventlog.TRACE_WINDOW` events."""
         violation = InvariantViolation(
             monitor=monitor.name,
             message=message,
             event=event,
-            trace=[event_to_json(e) for e in self.trace],
+            trace=[event_to_json(e) for e in self.host.events.tail(TRACE_WINDOW)],
         )
         if self.on_violation is not None:
             self.on_violation(violation)

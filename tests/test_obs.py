@@ -31,13 +31,16 @@ from repro.obs.export import (
     write_chrome_trace,
     write_spans_jsonl,
 )
-from repro.obs.instruments import Counter, Gauge, Histogram, Registry
+from repro.obs.instruments import Counter, Gauge, Registry
 from repro.obs.obsconfig import ObsConfig
 from repro.obs.report import (
     PHASES, RequestPhases, _kth, attribute_phases, era_timeline, phase_table,
     render_report,
 )
 from repro.obs.spans import ObservabilityError, Tracer
+from repro.obs.timeseries import (
+    FRAME_COUNTERS, FRAME_SCHEMA, QuantileSketch, validate_frame,
+)
 
 
 class TestTracer:
@@ -121,46 +124,42 @@ class TestInstruments:
         g.set(1.0)
         assert g.snapshot() == {"value": 1.0}
 
-    def test_histogram_edge_membership_is_le(self):
-        h = Histogram("h", (1.0, 2.0, 5.0))
-        for v in (0.5, 1.0, 1.0001, 2.0, 5.0, 5.0001, 99.0):
-            h.observe(v)
-        # buckets: <=1, <=2, <=5, overflow
-        assert h.counts == [2, 2, 1, 2]
-        assert h.count == 7
-        assert h.min == 0.5 and h.max == 99.0
-        assert h.total == pytest.approx(113.5002)
-
-    def test_histogram_children_roll_up(self):
-        h = Histogram("wait", (1.0,))
-        h.child("prepare").observe(0.5)
-        h.child("commit").observe(2.0)
-        assert h.count == 2
-        assert h.counts == [1, 1]
-
-    def test_histogram_validates_edges(self):
-        with pytest.raises(ObservabilityError):
-            Histogram("h", ())
-        with pytest.raises(ObservabilityError):
-            Histogram("h", (2.0, 1.0))
-        with pytest.raises(ObservabilityError):
-            Histogram("h", (1.0, 1.0))
-
     def test_registry_get_or_create_and_kind_clash(self):
         reg = Registry()
         assert reg.counter("x") is reg.counter("x")
         with pytest.raises(ObservabilityError):
             reg.gauge("x")
-        reg.histogram("h", (1.0, 2.0))
-        with pytest.raises(ObservabilityError):
-            reg.histogram("h", (1.0, 3.0))
+        with pytest.raises(ObservabilityError, match="already exists as a counter"):
+            reg.sketch("x")
+
+    def test_sketch_is_get_or_create(self):
+        reg = Registry()
+        sketch = reg.sketch("wait")
+        assert isinstance(sketch, QuantileSketch)
+        assert reg.sketch("wait") is sketch
+
+    def test_snapshot_sketches_are_frame_latency_summaries(self):
+        # a sketch snapshots as exactly what a frame's ``latency`` holds
+        reg = Registry()
+        for value in (0.5, 12.0, 300.0):
+            reg.sketch("wait").observe(value)
+        reg.sketch("untouched")
+        summary = reg.snapshot()["sketches"]["wait"]
+        assert summary == reg.sketch("wait").summary()
+        assert set(summary) == {"count", "sum", "min", "max", "p50", "p95", "p99"}
+        validate_frame({"schema": FRAME_SCHEMA, "window": 0, "start": 0.0,
+                        "end": 1.0, "zone": "all", "gauges": {},
+                        "counters": dict.fromkeys(FRAME_COUNTERS, 0),
+                        "latency": summary})
+        # a sketch with no observation has no summary to show yet
+        assert "untouched" not in reg.snapshot()["sketches"]
 
     def test_snapshot_is_sorted_and_json_stable(self):
         reg = Registry()
         reg.counter("b").inc()
         reg.counter("a").inc()
         reg.gauge("g").set(1.5)
-        reg.histogram("h", (1.0,)).observe(0.5)
+        reg.sketch("h").observe(0.5)
         one = json.dumps(reg.snapshot(), sort_keys=True)
         two = json.dumps(reg.snapshot(), sort_keys=True)
         assert one == two
@@ -289,11 +288,23 @@ class TestExport:
 
 class TestReport:
     def test_percentile_nearest_rank(self):
-        # the table's p50/p95/p99 are the ceil(len * q / 100)-th values
-        rows = [RequestPhases(f"r{v}", 4, dict.fromkeys(PHASES, v / 1e3), v / 1e3)
-                for v in range(1, 11)]
-        assert phase_table(rows).splitlines()[-1].split()[-3:] == [
-            "5.00", "10.00", "10.00"]
+        # a cell's p50/p95/p99 are what a QuantileSketch of its values
+        # reports, the summary a window frame carries
+        values = [v / 1e3 for v in (1, 2, 3, 5, 8, 13, 21, 34, 55, 89)]
+        rows = [RequestPhases(f"r{k}", 4, dict.fromkeys(PHASES, v), 2 * v)
+                for k, v in enumerate(values)]
+        sketch = QuantileSketch()
+        for value in values:
+            sketch.observe(value)
+        summary = sketch.summary()
+        expected = [f"{summary[q] * 1e3:.2f}" for q in ("p50", "p95", "p99")]
+        lines = phase_table(rows).splitlines()
+        for line in lines[2:-1]:
+            assert line.split()[-3:] == expected
+        # the exact nearest ranks are 8 and 89 ms; the sketch reports its
+        # bucket's upper edge, at most 10 % above
+        assert expected == ["8.02", "95.56", "95.56"]
+        # the f + 1 milestones stay exact order statistics
         assert _kth([3.0, 1.0, 2.0], 2) == 2.0
         assert _kth([3.0], 2) is None
 
@@ -323,8 +334,11 @@ class TestReport:
         assert timeline[0]["downtime_s"] == pytest.approx(1.428868, abs=1e-5)
         snap = cap.snapshot()
         assert snap["counters"]["net.messages_sent"]["total"] == 1417
-        assert snap["histograms"]["era.switch_downtime_s"]["count"] == 10  # gpb: allow GPB009 -- observability instrument name, its own namespace
-        assert snap["histograms"]["pbft.quorum_wait_s"]["count"] == 140  # gpb: allow GPB009 -- observability instrument name, its own namespace
+        sketches = snap["sketches"]
+        assert sketches["era.switch_downtime_s"]["count"] == 10  # gpb: allow GPB009 -- observability instrument name, its own namespace
+        prepares = sketches["pbft.prepare_wait_s"]["count"]  # gpb: allow GPB009 -- observability instrument name, its own namespace
+        commits = sketches["pbft.commit_wait_s"]["count"]  # gpb: allow GPB009 -- observability instrument name, its own namespace
+        assert prepares + commits == 140
 
     def test_render_report_has_phase_table_and_era_line(self):
         cap = capture_run(protocol="gpbft", n=10, submissions=3, seed=2,
@@ -397,19 +411,19 @@ def _pin_crash(obs):
 CAPTURE_PINS = {
     "pbft": (_pin_pbft, (
         "47063197af2d146de5e5e097aac6422b6ee0280a7873e2d63be355ff8e652cf1",
-        "32a39a28808f36f35913439aa057e9cbf1d96edd4b73b2265bece299fe260c2a",
+        "4d95debc91a49cca6e19334ac750ee9f053786f46bdb080587f0a6715ca3b32a",
         "a498c2940dcbab1ae3e268fb84097e771b4db3e81ec0dd7b4484a56bfaddac32")),
     "gpbft": (_pin_gpbft, (
         "053b591ea88d59fc21c8bfbaedf37711a1ca36412290582b0e69388440b083a4",
-        "005b17c928fd898a988d4a2d25cdc16bd57b755cc26a6a0d8a0cf4a4fa7bd11e",
+        "8e68f5e5975db9e72e70533d7562fe6cfceb692a4c295e7fc38743ef9633eb37",
         "3f0ab535e3924dc68cd3d855c298599139db75d394cd77bfff64f22e8a094776")),
     "zoned": (_pin_zoned, (
         "326ad2d1c9ffb5ab2b6c926d341d31c286de0f22431706c886cec2f6df3ae8fb",
-        "3d81a86cde96b7fbf3f1d42aa6e42f600ae9eadb541987cb7e2cc100cab73c13",
+        "fdc853bb04a6fc2f279a05e587cea2de31a547701e5ad45fe6233f93a1f7e19f",
         "afd8eb1a04db82c6325fc7ba1e6b052dfb9c95c2e7a9b55d80cd6c686d1d10ff")),
     "crash": (_pin_crash, (
         "28c269816e039afb5eb102820632f4e6f7b55fc1b4e845c0d52396fd56de18ec",
-        "a5891d4c608a2d55e223e8b67d41d5b1c08d54ad37f74127bfe51df6b53426a9",
+        "22f8a99d17bc238679755007c5e349f238bec1b896b5626890a7427d90a1c4e3",
         "38b3da326ddc6f40da0ecf3a4c84243478bae8e76cb1344eaebb8c555eed7c0f")),
 }
 
@@ -463,7 +477,7 @@ class TestCli:
         out = capsys.readouterr().out
         assert "era 1:" in out and "p50 ms" in out
         snapshot = json.loads(metrics.read_text())
-        assert set(snapshot) == {"counters", "gauges", "histograms"}
+        assert set(snapshot) == {"counters", "gauges", "sketches"}
         assert snapshot["gauges"]["sim.events_processed"]["value"] > 0
 
     def test_validate_rejects_non_trace_json(self, tmp_path):

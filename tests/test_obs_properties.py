@@ -3,8 +3,9 @@
 Two contracts the whole layer leans on:
 
 * hierarchy -- a labeled child feeds its parent, so a counter's total
-  always equals the sum of its children (plus direct increments) and a
-  histogram's bucket counts are the elementwise sum of its children's;
+  always equals the sum of its children (plus direct increments);
+* one name, one instrument -- the registry's sketches are get-or-create
+  and never share a name with a counter or gauge;
 * determinism -- registry and instrument snapshots are sorted at every
   level, so the same operations snapshot identically no matter the
   order instruments or labels were first touched in.
@@ -20,10 +21,12 @@ from __future__ import annotations
 import json
 import math
 
+import pytest
 from hypothesis import given, strategies as st
 
-from repro.obs.instruments import Counter, Histogram, Registry
+from repro.obs.instruments import Counter, Registry
 from repro.obs.sampling import HeadSampler, sample_key
+from repro.obs.spans import ObservabilityError
 from repro.obs.timeseries import QuantileSketch
 
 # strategies -----------------------------------------------------------------
@@ -74,20 +77,32 @@ class TestCounterHierarchy:
             sum(snap.get("children", {}).values()) + sum(direct))
 
 
-class TestHistogramHierarchy:
+class TestSketchRegistry:
     @given(observations=obs_list)
-    def test_count_and_buckets_are_sums_of_children(self, observations):
-        hist = Histogram("quorum_wait_s", edges=(0.1, 1.0, 10.0))
+    def test_sketch_is_get_or_create_per_name(self, observations):
+        registry = Registry()
         for label, value in observations:
-            hist.child(label).observe(value)
-        snap = hist.snapshot()
-        children = snap.get("children", {}).values()
-        assert snap["count"] == sum(c["count"] for c in children)
-        assert snap["count"] == len(observations)
-        for i, count in enumerate(snap["counts"]):
-            assert count == sum(c["counts"][i] for c in children)
-        assert math.isclose(snap["sum"], sum(v for _, v in observations),
-                            rel_tol=1e-9, abs_tol=1e-9)
+            registry.sketch(label).observe(value)
+        sketches = registry.snapshot()["sketches"]
+        assert sorted(sketches) == sorted({label for label, _ in observations})
+        for label, summary in sketches.items():
+            values = [v for name, v in observations if name == label]
+            assert registry.sketch(label).count == summary["count"] == len(values)
+            assert math.isclose(summary["sum"], sum(values),
+                                rel_tol=1e-9, abs_tol=1e-8)
+
+    @given(name=label_strategy,
+           other=st.sampled_from(["counter", "gauge"]),
+           sketch_first=st.booleans())
+    def test_a_sketch_name_never_names_another_kind(self, name, other,
+                                                    sketch_first):
+        registry = Registry()
+        first, second = ((registry.sketch, getattr(registry, other))
+                         if sketch_first else
+                         (getattr(registry, other), registry.sketch))
+        first(name)
+        with pytest.raises(ObservabilityError, match="already exists"):
+            second(name)
 
 
 class TestSnapshotDeterminism:

@@ -16,13 +16,17 @@ import json
 
 import pytest
 
+from repro.common.config import GPBFTConfig, TopologySpec, VerifyConfig
 from repro.common.eventlog import (
     EV_PBFT_ASSIGNED,
     EV_PBFT_VIEW_CHANGE,
     EV_REQUEST_COMPLETED,
     EV_REQUEST_SUBMITTED,
+    TRACE_WINDOW,
     EventLog,
+    event_to_json,
 )
+from repro.experiments import scenario
 from repro.net.simulator import Simulator
 from repro.net.stats import TrafficStats
 from repro.obs.capture import capture_run
@@ -40,6 +44,7 @@ from repro.obs.timeseries import (
     load_frames,
     validate_frame,
 )
+from repro.pbft.faults import QuorumUndercountFaults
 from repro.verify.invariants import InvariantViolation, MonitorHarness
 
 
@@ -63,7 +68,6 @@ class TestObsConfig:
         {"sample_rate": -0.1},
         {"sample_rate": 1.5},
         {"frames_tail": 0},
-        {"ring_capacity": 0},
         {"storm_threshold": -1},
         {"storm_window_s": 0.0},
         {"heartbeat_s": 0.0},
@@ -316,8 +320,7 @@ class TestHeartbeat:
 
 
 def _storm_config(**kwargs):
-    base = dict(flight_recorder=True, ring_capacity=8,
-                storm_threshold=3, storm_window_s=10.0)
+    base = dict(flight_recorder=True, storm_threshold=3, storm_window_s=10.0)
     base.update(kwargs)
     return ObsConfig(**base)
 
@@ -327,12 +330,12 @@ class TestFlightRecorder:
         flight = FlightRecorder(_storm_config())
         log = EventLog()
         flight.attach(log, "z0")
-        for k in range(20):
+        for k in range(300):
             log.record(float(k), EV_PBFT_ASSIGNED, node=1, seq=k)
-        bundle = flight.dump("on-demand", at=20.0)
+        bundle = flight.dump("on-demand", at=300.0)
         ring = bundle["rings"]["z0"]
-        assert len(ring) == 8
-        assert [e["data"]["seq"] for e in ring] == list(range(12, 20))
+        assert len(ring) == TRACE_WINDOW == 256
+        assert [e["data"]["seq"] for e in ring] == list(range(44, 300))
 
     def test_storm_dump_fires_exactly_once_at_threshold(self):
         flight = FlightRecorder(_storm_config())
@@ -426,6 +429,25 @@ class TestObservabilityFacadeV2:
         bundle = obs.flight.dumps[-1]
         assert bundle["reason"] == "invariant-violation"
         assert [e["kind"] for e in bundle["rings"]["z0"]] == [EV_PBFT_ASSIGNED]
+
+    def test_violation_dump_and_violation_carry_one_window(self):
+        # the dump's ring and the violation's trace are both the host
+        # log's last TRACE_WINDOW events, serialized by event_to_json
+        obs = Observability(ObsConfig(flight_recorder=True))
+        config = GPBFTConfig(verify=VerifyConfig(monitors=True))
+        host = TopologySpec.cluster(4, config=config).build(
+            obs=obs, faults={0: QuorumUndercountFaults()})
+        for k in range(3):
+            scenario.submit(host, "pbft", "w", k, 0, 1.0 + k)
+        with pytest.raises(InvariantViolation):
+            host.sim.run(until=60.0)
+        bundle = obs.flight.dumps[-1]
+        assert bundle["reason"] == "invariant-violation"
+        violation = bundle["extra"]["violation"]
+        ring = bundle["rings"]["g0"]
+        assert violation["trace"] == ring
+        assert ring == [event_to_json(e) for e in host.events.tail(TRACE_WINDOW)]
+        assert ring[-1] == violation["event"]
 
     def test_zone_clones_share_the_pipeline_and_label_frames(self):
         obs = Observability(ObsConfig(timeseries=True, window_s=10.0))
@@ -558,6 +580,24 @@ class TestValidateCli:
         assert obs_main(["validate", str(path)]) == 2
         err = capsys.readouterr().err
         assert f"{path}:2:" in err and "not JSON" in err
+
+    def test_flight_dump_from_capture_validates(self, tmp_path, capsys):
+        # a dump is one indented JSON object: it validates whole, as a dump
+        dumps = tmp_path / "dumps"
+        assert obs_main(["capture", "--protocol", "gpbft", "-n", "10",
+                         "--submissions", "5", "--seed", "7", "--horizon", "40",
+                         "--era-switch-at", "8", "--spans",
+                         str(tmp_path / "spans.jsonl"), "--dump-dir", str(dumps),
+                         "--dump"]) == 0
+        path = dumps / "flight-000-on-demand.json"
+        capsys.readouterr()
+        assert obs_main(["validate", str(path)]) == 0
+        assert "valid flight dump (159 ring events)" in capsys.readouterr().out
+        doc = json.loads(path.read_text())
+        doc["rings"]["g0"].append({"kind": "no-at"})
+        path.write_text(json.dumps(doc, indent=1))
+        assert obs_main(["validate", str(path)]) == 2
+        assert "dump ring 'g0' holds a malformed event" in capsys.readouterr().err
 
     def test_report_renders_a_frames_timeline(self, tmp_path, capsys):
         path = tmp_path / "frames.jsonl"

@@ -12,7 +12,7 @@ import pytest
 
 from repro.common.config import GPBFTConfig, TopologySpec, ZoneSpec
 from repro.common.errors import ConfigurationError
-from repro.common.eventlog import EV_REQUEST_SUBMITTED, EventLog
+from repro.common.eventlog import EV_REQUEST_SUBMITTED, TRACE_WINDOW, EventLog
 from repro.common.rng import DeterministicRNG
 from repro.net.simulator import Simulator
 from repro.workloads.streams import (
@@ -227,6 +227,17 @@ class TestBoundedMemorySatellites:
         for i in range(1200):
             cluster.events.record(float(i), EV_REQUEST_SUBMITTED)
         assert len(cluster.events) <= 1000
+
+    def test_event_capacity_holds_a_whole_trace_window(self):
+        # a ring of C keeps at least its newest C events, so C >= the
+        # post-mortem window keeps every dump's window whole
+        with pytest.raises(ConfigurationError, match=f">= {TRACE_WINDOW}"):
+            TopologySpec.cluster(4, event_capacity=TRACE_WINDOW - 1)
+        cluster = TopologySpec.cluster(4, event_capacity=TRACE_WINDOW).build()
+        for i in range(3 * TRACE_WINDOW + 7):
+            cluster.events.record(float(i), EV_REQUEST_SUBMITTED, seq=i)
+        assert [e.data["seq"] for e in cluster.events.tail(TRACE_WINDOW)] == list(
+            range(2 * TRACE_WINDOW + 7, 3 * TRACE_WINDOW + 7))
 
     def test_client_completion_bound_and_backoff_default(self):
         from repro.pbft.client import COMPLETED_BOUND

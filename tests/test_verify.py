@@ -16,7 +16,7 @@ from types import SimpleNamespace
 import pytest
 
 from repro.common.errors import ConfigurationError
-from repro.common.eventlog import EV_PBFT_ENTERED_VIEW, Event, EventLog
+from repro.common.eventlog import EV_PBFT_ENTERED_VIEW, Event, EventLog, event_to_json
 from repro.experiments.engine import Engine
 from repro.verify import InvariantViolation, MonitorHarness
 from repro.verify.cli import main as verify_main
@@ -31,10 +31,7 @@ from repro.verify.explorer import (
     shrink_schedule,
     write_artifact,
 )
-from repro.verify.invariants import (
-    ViewChangeMonotonicityMonitor,
-    event_to_json,
-)
+from repro.verify.invariants import ViewChangeMonotonicityMonitor
 from repro.verify.replay import load_artifact, replay_artifact
 
 QUORUM_BUG = ((1, "quorum_undercount"),)
