@@ -6,8 +6,12 @@
 Builds one round of a ``perfbench`` workload (imported read-only from
 this checkout), runs its timed ``run`` call under ``sys.settrace`` with
 opcode events on, and prints Python-level calls and bytecode
-instructions, both also per delivered message, then the top *K*
-functions by instructions with their calls and instructions per call.
+instructions, both also per delivered message, the send operations
+(calls of the network's ``send`` and ``multicast``) with the delivered
+copies per operation, then the top *K* functions by instructions with
+their calls and instructions per call.  A cost that is paid per
+operation, not per copy, weighs most where an operation reaches few
+copies: a small committee.
 Before that it runs one plain round of the same seed and prints what the
 cyclic garbage collector did during it: passes per generation and
 seconds spent inside them.  Every object that outlives a young
@@ -108,6 +112,7 @@ def _name(code: CodeType) -> str:
 def main(argv: list[str] | None = None) -> int:
     """Trace one round and print the counts."""
     from perfbench.workloads import BY_NAME
+    from repro.net.network import SimulatedNetwork
 
     parser = argparse.ArgumentParser(
         prog="scripts/perf_ops.py", description=__doc__.split("\n\n")[0])
@@ -126,10 +131,16 @@ def main(argv: list[str] | None = None) -> int:
     calls = sum(counter.calls.values())
     instructions = sum(counter.instructions.values())
     msgs = outcome.msgs
+    # a multicast that goes copy by copy (iid drops on, or a replaced
+    # ``send``) adds its sends to this; no benchmark round does
+    ops = sum(counter.calls[fn.__code__]
+              for fn in (SimulatedNetwork.send, SimulatedNetwork.multicast))
     print(f"workload {args.workload}  seed {args.seed}  sim_digest {outcome.digest[:16]}")
     print(f"delivered messages     {msgs:>12d}")
     print(f"python calls           {calls:>12d}  {calls / msgs:8.2f} per message")
     print(f"bytecode instructions  {instructions:>12d}  {instructions / msgs:8.1f} per message")
+    print(f"send operations        {ops:>12d}  {msgs / ops if ops else 0.0:8.2f} "
+          f"delivered copies per operation")
     print(collector)
     print(f"\n| function | instructions | share | calls | per call |\n|---|---|---|---|---|")
     ranked = sorted(counter.instructions, key=lambda c: (-counter.instructions[c], _name(c)))

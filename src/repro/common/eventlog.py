@@ -4,7 +4,9 @@ Consensus experiments need an audit trail: when each request entered the
 system, when each phase transition fired, when era switches started and
 finished.  :class:`EventLog` is an append-only, time-ordered record that
 experiments query after the run (e.g. to compute consensus latency as
-``committed.at - submitted.at``).
+``committed.at - submitted.at``).  It stores the fields of its events in
+parallel columns and builds :class:`Event` tuples only for a reader, so
+a long audit trail is not rescanned by the cyclic garbage collector.
 
 This module is also the single home of the event-kind vocabulary: every
 kind ever recorded into an :class:`EventLog` is a module-level ``EV_*``
@@ -18,6 +20,7 @@ vocabulary.
 
 from __future__ import annotations
 
+from functools import partial
 from typing import Any, Callable, Iterator
 
 from repro.common.record import TupleRecord
@@ -134,12 +137,22 @@ class Event(TupleRecord):
         return _new(cls, (at, kind, node, {} if data is None else data))
 
 
+#: One row of an :class:`EventLog`'s columns as an :class:`Event`, built in C.
+_event = partial(_new, Event)
+
+
 class EventLog:
     """Append-only event store with simple query helpers.
 
     Events must be appended in non-decreasing time order, which the
     discrete-event simulator guarantees; the log enforces it so that a
     scheduling bug surfaces here rather than as a corrupted experiment.
+
+    It keeps four parallel columns (``at``, ``kind``, ``node``, ``data``)
+    and builds an :class:`Event` only for a reader or a subscriber: an
+    event tuple holds a dict, so the cyclic collector tracks every one
+    it retains, while the columns' floats, strings, ints and dicts of
+    atomic values are never tracked.
 
     Live consumers (e.g. the invariant monitors of ``repro.verify``) can
     :meth:`subscribe` a callback that fires synchronously on every
@@ -159,7 +172,10 @@ class EventLog:
     def __init__(self, capacity: int | None = None) -> None:
         if capacity is not None and capacity < 1:
             raise ValueError("capacity must be >= 1 when given")
-        self._events: list[Event] = []
+        self._at: list[float] = []
+        self._kind: list[str] = []
+        self._node: list[int] = []
+        self._data: list[dict[str, Any]] = []
         self._counts: dict[str, int] = {}
         self._subscribers: list[Callable[[Event], None]] = []
         self._capacity = capacity
@@ -167,10 +183,14 @@ class EventLog:
         self.total_appended = 0
 
     def __len__(self) -> int:
-        return len(self._events)
+        return len(self._at)
 
     def __iter__(self) -> Iterator[Event]:
-        return iter(self._events)
+        return map(_event, zip(self._at, self._kind, self._node, self._data))
+
+    def _row(self, index: int) -> Event:
+        return _new(Event, (self._at[index], self._kind[index],
+                            self._node[index], self._data[index]))
 
     def subscribe(self, callback: Callable[[Event], None]) -> None:
         """Call *callback(event)* synchronously on every future append.
@@ -195,22 +215,26 @@ class EventLog:
         return self._counts.get(kind, 0)
 
     def record(self, at: float, kind: str, node: int = -1, **data: Any) -> Event:
-        """Build an :class:`Event` around this call's own ``data`` dict
-        and append it; raises ValueError on a time regression."""
-        event = _new(Event, (at, kind, node, data))
-        events = self._events
-        if events and at < events[-1][0] - 1e-9:
-            last = events[-1]
+        """Append an event around this call's own ``data`` dict, returned
+        as an :class:`Event`; raises ValueError on a time regression."""
+        times = self._at
+        if times and at < times[-1] - 1e-9:
             raise ValueError(f"event log regression: {kind} at {at} "
-                             f"after {last.kind} at {last.at}")
-        events.append(event)
+                             f"after {self._kind[-1]} at {times[-1]}")
+        times.append(at)
+        self._kind.append(kind)
+        self._node.append(node)
+        self._data.append(data)
         self._counts[kind] = self._counts.get(kind, 0) + 1
         self.total_appended += 1
         capacity = self._capacity
-        if capacity is not None and len(events) > 2 * capacity:
-            # amortized ring: trim half the list at once so appends stay
-            # O(1) instead of shifting the whole list per event
-            del events[: len(events) - capacity]
+        if capacity is not None and len(times) > 2 * capacity:
+            # amortized ring: trim half the columns at once so appends
+            # stay O(1) instead of shifting them on every event
+            cut = len(times) - capacity
+            for column in (times, self._kind, self._node, self._data):
+                del column[:cut]
+        event = _new(Event, (at, kind, node, data))
         if self._subscribers:
             for callback in self._subscribers:
                 callback(event)
@@ -218,33 +242,39 @@ class EventLog:
 
     def tail(self, n: int) -> list[Event]:
         """The newest *n* retained events, oldest first."""
-        return self._events[-n:] if n > 0 else []
+        if n <= 0:
+            return []
+        return list(map(_event, zip(self._at[-n:], self._kind[-n:],
+                                    self._node[-n:], self._data[-n:])))
 
     def of_kind(self, kind: str) -> list[Event]:
         """All events whose kind equals *kind*, in time order."""
-        return [e for e in self._events if e.kind == kind]
+        kinds = self._kind
+        return [self._row(i) for i in range(len(kinds)) if kinds[i] == kind]
 
     def where(self, predicate: Callable[[Event], bool]) -> list[Event]:
         """All events matching *predicate*, in time order."""
-        return [e for e in self._events if predicate(e)]
+        return [e for e in self if predicate(e)]
 
     def first(self, kind: str) -> Event | None:
         """The earliest event of *kind*, or ``None``."""
-        for e in self._events:
-            if e.kind == kind:
-                return e
-        return None
+        try:
+            return self._row(self._kind.index(kind))
+        except ValueError:
+            return None
 
     def last(self, kind: str) -> Event | None:
         """The latest event of *kind*, or ``None``."""
-        for e in reversed(self._events):
-            if e.kind == kind:
-                return e
+        kinds = self._kind
+        for index in range(len(kinds) - 1, -1, -1):
+            if kinds[index] == kind:
+                return self._row(index)
         return None
 
     def clear(self) -> None:
         """Drop all recorded events (used between experiment repetitions)."""
-        self._events.clear()
+        for column in (self._at, self._kind, self._node, self._data):
+            column.clear()
         self._counts.clear()
 
 

@@ -148,10 +148,10 @@ class PrivateKey:
 
 
 def _compute_tag(secret: bytes, message: bytes) -> bytes:
-    """HMAC-SHA256 expanded to SIGNATURE_BYTES via two counter rounds."""
-    t1 = hmac.new(secret, b"\x01" + message, hashlib.sha256).digest()
-    t2 = hmac.new(secret, b"\x02" + message, hashlib.sha256).digest()
-    return t1 + t2
+    """HMAC-SHA256 expanded to SIGNATURE_BYTES via two counter rounds
+    (``hmac.digest``: the one-shot C path, no HMAC object)."""
+    return (hmac.digest(secret, b"\x01" + message, "sha256")
+            + hmac.digest(secret, b"\x02" + message, "sha256"))
 
 
 @dataclass(frozen=True, slots=True)

@@ -19,7 +19,7 @@ Everything the network knows about one node id sits in one record, its
 *port*: the receive handler, the *inbox* -- a heap of the messages bound
 for it, ordered by (arrival time, send order) -- the processing interval,
 since when it has been offline, whether a message is in service, the
-wake it has armed, and what it has delivered.  ``send`` looks the
+wake it has armed, and what it has sent and delivered.  ``send`` looks the
 destination's port up once, fixes the arrival time and files the message
 in the inbox; the simulator events that follow carry the port, so
 delivery never looks a node up.  A message in flight is one plain tuple,
@@ -30,8 +30,9 @@ its *envelope*, which the inbox heap holds and orders as is::
 ``envelope_id`` is unique and rises with send order, so a comparison
 stops there; ``size_bytes`` is the payload's serialized size, all a
 message costs on the wire.  A handler is called with the payload alone,
-``handler(payload)``; the port counts the delivery, and
-:class:`TrafficStats` reads the ports.
+``handler(payload)``.  Ports count their own sends and deliveries, a
+send bumps :class:`TrafficStats`' per-kind maps in place, and the stats
+read the ports when asked: no counter costs a call.
 
 Only completions are simulator events.  A busy node owns one simulator
 entry, the completion of the message in service; when it fires, the
@@ -45,10 +46,16 @@ that instant).
 ``multicast`` is ``send`` for a whole fan-out -- PBFT's prepare and
 commit phases are all-to-all broadcasts, so this is where the traffic
 is: the payload's kind and size are read once, the traffic counters are
-charged once with a copy count, the latency model is asked for every
-delay in one call, and one pass files the copies.  It is the same
-simulation as one ``send`` per destination: the same random draws in
-the same order, the same envelope order and the same wakes.
+charged once with a copy count, every delay is drawn in one call, and
+one pass files the copies.  It is the same simulation as one ``send``
+per destination: the same random draws in the same order, the same
+envelope order and the same wakes.
+
+A small committee's send reaches two or three copies, so what an
+operation costs before its first copy weighs as much as a copy.  For an
+exact :class:`UniformLatency` with jitter, the default, the network
+draws the doubles itself and computes ``now + (base + jitter * x)``, the
+model's own expression; any other model is asked through ``sample``.
 
 The network also supports offline nodes, group partitions and iid
 message drops (``set_offline``, ``set_partition``, ``set_drop_probability``),
@@ -60,6 +67,7 @@ from __future__ import annotations
 
 import itertools
 import math
+from functools import partial
 from heapq import heapify, heappop, heappush
 from typing import Callable, Iterable, Protocol, Sequence
 
@@ -100,21 +108,25 @@ class NodeInterface:
 
     ``register`` returns one; a host that must build the engine before
     it can register the engine's handler makes one directly.
+
+    Attributes:
+        multicast: ``multicast(dsts, payload)`` sends to every id in
+            *dsts* but this one: the network's ``multicast`` with the id
+            bound by ``functools.partial``, so the handle adds no frame.
     """
 
-    __slots__ = ("_network", "node_id")
+    __slots__ = ("_network", "node_id", "multicast")
 
     def __init__(self, network: "SimulatedNetwork", node_id: int) -> None:
         self._network = network
         self.node_id = node_id
+        self.multicast: Callable[[Iterable[int], Payload], None] = partial(
+            network.multicast, node_id)
 
     def send(self, dst: int, payload: Payload) -> None:
-        """Unicast *payload* to *dst*."""
+        """Unicast *payload* to *dst* (through ``network.send`` as it is
+        now: a harness may replace it on the instance)."""
         self._network.send(self.node_id, dst, payload)
-
-    def multicast(self, dsts: Iterable[int], payload: Payload) -> None:
-        """Send *payload* to every id in *dsts* (skipping self)."""
-        self._network.multicast(self.node_id, dsts, payload)
 
 
 class _Port:
@@ -132,12 +144,14 @@ class _Port:
         done: the node's completion event, made at its first slot and
             re-queued for every slot after it.
         wake: the armed wake of an idle node with pending arrivals.
+        sent, sent_bytes: copies sent, dropped ones too, and their bytes.
         delivered, delivered_bytes: messages handed to the handler, and
             their on-wire bytes.
     """
 
     __slots__ = ("node_id", "handler", "inbox", "interval", "offline_since",
-                 "serving", "done", "wake", "delivered", "delivered_bytes")
+                 "serving", "done", "wake", "sent", "sent_bytes", "delivered",
+                 "delivered_bytes")
 
     def __init__(self, node_id: int, interval: float) -> None:
         self.node_id = node_id
@@ -148,6 +162,8 @@ class _Port:
         self.serving: tuple | None = None
         self.done: ScheduledEvent | None = None
         self.wake: ScheduledEvent | None = None
+        self.sent = 0
+        self.sent_bytes = 0
         self.delivered = 0
         self.delivered_bytes = 0
 
@@ -172,7 +188,7 @@ class SimulatedNetwork:
     ) -> None:
         self.sim = sim
         self.config = config or NetworkConfig()
-        self.latency: LatencyModel = latency or UniformLatency(
+        self.latency = latency or UniformLatency(
             self.config.base_latency_s, self.config.latency_jitter_s
         )
         self.rng = rng or DeterministicRNG(self.config.seed, "network")
@@ -193,6 +209,20 @@ class SimulatedNetwork:
         # is its per-copy sends
         self._drop_probability = 0.0
         self._copy_by_copy = False
+
+    @property
+    def latency(self) -> LatencyModel:
+        """The propagation model; assigning one applies to later sends."""
+        return self._latency
+
+    @latency.setter
+    def latency(self, model: LatencyModel) -> None:
+        """Use *model*; an exact :class:`UniformLatency` with jitter is
+        drawn inline (a subclass may sample otherwise)."""
+        self._latency = model
+        self._uniform = ((model.base_s, model.jitter_s)
+                         if type(model) is UniformLatency and model.jitter_s > 0
+                         else None)
 
     # -- membership -------------------------------------------------------
 
@@ -314,26 +344,33 @@ class SimulatedNetwork:
             raise NetworkError(f"unknown sender {src}")
         kind = payload.kind
         size = payload.size_bytes
-        self.stats.on_send(src, kind, size)
+        sender.sent += 1
+        sender.sent_bytes += size
+        stats = self.stats
+        stats.bytes_by_kind[kind] += size
+        stats.messages_by_kind[kind] += 1
 
         port = self._ports.get(dst)
         if port is None:
             port = self._port(dst)
         if sender.offline_since is not None or port.offline_since is not None:
-            self.stats.on_drop(kind)
+            stats.on_drop(kind)
             return
         if self._partition and self._group(src) != self._group(dst):
-            self.stats.on_drop(kind)
+            stats.on_drop(kind)
             return
         if self._drop_probability > 0 and self.rng.random() < self._drop_probability:
-            self.stats.on_drop(kind)
+            stats.on_drop(kind)
             return
 
-        now = self.sim.now
-        delay = self.latency.sample(src, dst, self.rng)
-        if not delay >= 0:
-            raise NetworkError(f"delay must be >= 0, got {delay}")
-        arrive = now + delay
+        uniform = self._uniform
+        if uniform is None:
+            delay = self._latency.sample(src, dst, self.rng)
+            if not delay >= 0:
+                raise NetworkError(f"delay must be >= 0, got {delay}")
+            arrive = self.sim.now + delay
+        else:
+            arrive = self.sim.now + (uniform[0] + uniform[1] * self.rng.doubles(1)[0])
         heappush(port.inbox,
                  (arrive, next(self._envelope_ids), src, dst, payload, kind, size))
         if port.serving is not None:
@@ -384,8 +421,12 @@ class SimulatedNetwork:
             raise NetworkError(f"unknown sender {src}")
         kind = payload.kind
         size = payload.size_bytes
+        copies = len(targets)
+        sender.sent += copies
+        sender.sent_bytes += size * copies
         stats = self.stats
-        stats.on_send(src, kind, size, len(targets))
+        stats.bytes_by_kind[kind] += size * copies
+        stats.messages_by_kind[kind] += copies
         if self._offline_count or self._partition:
             group = self._partition.get
             own = group(src, -1)
@@ -393,17 +434,27 @@ class SimulatedNetwork:
                 dst for dst in targets
                 if ((port := ports(dst)) is None or port.offline_since is None)
                 and group(dst, -1) == own]
-            if len(live) < len(targets):
-                stats.on_drop(kind, len(targets) - len(live))
+            if len(live) < copies:
+                stats.on_drop(kind, copies - len(live))
                 targets = live
 
+        uniform = self._uniform
+        if uniform is None:
+            # any other model's own delays, checked, then filed as
+            # 0.0 + 1.0 * delay: the delay itself, bit for bit
+            draws = self._latency.sample_many(src, targets, self.rng)
+            for delay in draws:
+                if not delay >= 0:
+                    raise NetworkError(f"delay must be >= 0, got {delay}")
+            base, jitter = 0.0, 1.0
+        else:
+            base, jitter = uniform
+            draws = self.rng.doubles(len(targets))
         now = self.sim.now
         envelope_ids = self._envelope_ids
         schedule_at = self.sim.schedule_at
-        for dst, delay in zip(targets, self.latency.sample_many(src, targets, self.rng)):
-            if not delay >= 0:
-                raise NetworkError(f"delay must be >= 0, got {delay}")
-            arrive = now + delay
+        for dst, x in zip(targets, draws):
+            arrive = now + (base + jitter * x)
             port = ports(dst)
             if port is None:
                 port = self._port(dst)

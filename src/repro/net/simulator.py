@@ -11,6 +11,12 @@ and never compares two events.  Cancellation is lazy: a cancelled entry
 stays in the heap until it surfaces or until more than half the heap is
 cancelled, when the heap is filtered and re-heapified (fire order
 depends only on the ``(time, seq)`` keys, never on the heap's layout).
+
+Two loops fire the same events in the same order.  ``run`` with no
+event cap and no hook takes the plain one, which tests only
+``cancelled`` and the time bound per event; ``step``, a cap,
+``run_until_condition`` and a step or tick hook take the general one.
+A hook cannot be set while a drain runs.
 """
 
 from __future__ import annotations
@@ -73,6 +79,7 @@ class Simulator:
         self._events_processed = 0
         self._step_hook: Callable[[ScheduledEvent], None] | None = None
         self._tick_hook: Callable[[float], None] | None = None
+        self._draining = False
         # cancelled entries still in the heap, so ``pending`` is O(1)
         self._cancelled = 0
 
@@ -153,7 +160,12 @@ class Simulator:
         it followed the exact event order of the original.  The hook
         must read the event, not keep it: a re-queued event (see
         :meth:`requeue`) is the same object at its next firing.
+
+        Raises:
+            NetworkError: when called while events are being drained.
         """
+        if self._draining:
+            raise NetworkError("cannot set the step hook while events are being drained")
         self._step_hook = hook
 
     def set_tick_hook(self, hook: Callable[[float], None] | None) -> None:
@@ -167,7 +179,12 @@ class Simulator:
         time-series windows that end at or before the new time.  The
         hook must observe only -- scheduling events from inside it is
         not supported.
+
+        Raises:
+            NetworkError: when called while events are being drained.
         """
+        if self._draining:
+            raise NetworkError("cannot set the tick hook while events are being drained")
         self._tick_hook = hook
 
     def _drain(self, until: float | None, max_events: int | None,
@@ -175,34 +192,64 @@ class Simulator:
         """Fire events in (time, seq) order; return how many fired.
 
         Stops when the queue is empty, ``done()`` is true, the next live
-        event is later than *until*, or *max_events* have fired.  This
-        is the only place events leave the queue.
+        event is later than *until*, or *max_events* have fired.  With
+        none of those and no hook, :meth:`_drain_plain` is the same loop
+        without the tests.
         """
         heap = self._heap
         fired = 0
-        while heap:
-            time, _, event = heap[0]
-            if event.cancelled:
+        self._draining = True
+        try:
+            while heap:
+                time, _, event = heap[0]
+                if event.cancelled:
+                    heappop(heap)
+                    self._cancelled -= 1
+                    continue
+                if done is not None and done():
+                    break
+                if until is not None and time > until:
+                    break
+                if max_events is not None and fired >= max_events:
+                    break
                 heappop(heap)
-                self._cancelled -= 1
-                continue
-            if done is not None and done():
-                break
-            if until is not None and time > until:
-                break
-            if max_events is not None and fired >= max_events:
-                break
-            heappop(heap)
-            event._sim = None
-            if time > self.now:
-                if self._tick_hook is not None:
-                    self._tick_hook(time)
-                self.now = time
-            self._events_processed += 1
-            if self._step_hook is not None:
-                self._step_hook(event)
-            event.callback(*event.args)
-            fired += 1
+                event._sim = None
+                if time > self.now:
+                    if self._tick_hook is not None:
+                        self._tick_hook(time)
+                    self.now = time
+                self._events_processed += 1
+                if self._step_hook is not None:
+                    self._step_hook(event)
+                event.callback(*event.args)
+                fired += 1
+        finally:
+            self._draining = False
+        return fired
+
+    def _drain_plain(self, until: float) -> int:
+        """:meth:`_drain` with no cap, condition or hook (*until* may be
+        inf); ``events_processed`` is levelled once, at the end."""
+        heap = self._heap
+        fired = 0
+        self._draining = True
+        try:
+            while heap:
+                time, _, event = heap[0]
+                if event.cancelled:
+                    heappop(heap)
+                    self._cancelled -= 1
+                    continue
+                if time > until:
+                    break
+                heappop(heap)
+                event._sim = None
+                self.now = time  # the queue minimum: never earlier than now
+                fired += 1
+                event.callback(*event.args)
+        finally:
+            self._events_processed += fired
+            self._draining = False
         return fired
 
     def step(self) -> bool:
@@ -231,7 +278,10 @@ class Simulator:
             NetworkError: when *until* is NaN (it would drain the queue).
         """
         _check_bound("until", until)
-        fired = self._drain(until, max_events, None)
+        if max_events is None and self._step_hook is None and self._tick_hook is None:
+            fired = self._drain_plain(math.inf if until is None else until)
+        else:
+            fired = self._drain(until, max_events, None)
         heap = self._heap
         # a live event still due by *until* means max_events ended the drain
         if until is not None and until > self.now and not (heap and heap[0][0] <= until):

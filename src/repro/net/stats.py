@@ -2,8 +2,11 @@
 
 Figures 5-6 and Table III of the paper report communication cost in KB
 for a single transaction; :class:`TrafficStats` is the ground truth those
-experiments read.  Counters can be snapshotted and diffed so a harness
-can measure exactly one consensus instance inside a longer run.
+experiments read.  The network's ports count their own sends and
+deliveries, and a send bumps the per-kind maps in place, so no message
+costs a call here; the per-node maps and totals are folded when read.
+Counters can be snapshotted and diffed so a harness can measure exactly
+one consensus instance inside a longer run.
 """
 
 from __future__ import annotations
@@ -56,13 +59,12 @@ class TrafficSnapshot:
 class TrafficStats:
     """Mutable traffic counters updated by the simulated network.
 
-    A byte is counted in one place: a send adds to the per-kind and the
-    per-sender maps, a loss to ``messages_dropped``, a delivery to the
-    receiving port's ``delivered``/``delivered_bytes`` (no call), and
-    :meth:`on_deliver` charges a modelled transfer -- a state transfer, a
-    chain sync.  The per-receiver maps and the totals fold ports and
-    charges when read -- once per measurement, against one update per
-    message.
+    A byte is counted in one place, with no call: a network send bumps
+    the per-kind maps and the sending port's ``sent``/``sent_bytes``, a
+    delivery the receiving port's ``delivered``/``delivered_bytes``.
+    :meth:`on_send` and :meth:`on_deliver` charge a modelled transfer --
+    a state transfer, a chain sync -- that no port carries.  The per-node
+    maps and the totals fold ports and charges when read.
 
     Args:
         ports: the network's live node id -> port table; none standalone.
@@ -71,8 +73,6 @@ class TrafficStats:
         messages_dropped: messages lost to faults, partitions or drops.
         bytes_by_kind: bytes sent, by message kind.
         messages_by_kind: messages sent, by message kind.
-        bytes_sent_by_node: bytes sent, by sender id.
-        messages_sent_by_node: messages sent, by sender id.
     """
 
     def __init__(self, ports: Mapping[int, "_Port"] | None = None) -> None:
@@ -80,23 +80,18 @@ class TrafficStats:
         self.messages_dropped = 0
         self.bytes_by_kind: dict[str, int] = defaultdict(int)
         self.messages_by_kind: dict[str, int] = defaultdict(int)
-        self.bytes_sent_by_node: dict[int, int] = defaultdict(int)
-        self.messages_sent_by_node: dict[int, int] = defaultdict(int)
-        # deliveries charged by ``on_deliver``, by receiver id
+        # transfers charged by ``on_send``/``on_deliver``, by node id
+        self._charged_sent_bytes: dict[int, int] = defaultdict(int)
+        self._charged_sent: dict[int, int] = defaultdict(int)
         self._charged_bytes: dict[int, int] = defaultdict(int)
         self._charged_messages: dict[int, int] = defaultdict(int)
 
-    def on_send(self, src: int, kind: str, size_bytes: int, copies: int = 1) -> None:
-        """Record *copies* messages of *size_bytes* each leaving *src*.
-
-        A multicast charges its whole fan-out in one call; bytes are
-        still counted per recipient.
-        """
-        total = size_bytes * copies
-        self.bytes_by_kind[kind] += total
-        self.messages_by_kind[kind] += copies
-        self.bytes_sent_by_node[src] += total
-        self.messages_sent_by_node[src] += copies
+    def on_send(self, src: int, kind: str, size_bytes: int) -> None:
+        """Charge a modelled transfer of *size_bytes* from *src*."""
+        self.bytes_by_kind[kind] += size_bytes
+        self.messages_by_kind[kind] += 1
+        self._charged_sent_bytes[src] += size_bytes
+        self._charged_sent[src] += 1
 
     def on_deliver(self, dst: int, kind: str, size_bytes: int) -> None:
         """Charge a modelled transfer to *dst*; ports count the rest."""
@@ -117,23 +112,35 @@ class TrafficStats:
         """Bytes sent, over all kinds."""
         return sum(self.bytes_by_kind.values())
 
-    def _received(self, charged: dict[int, int], attribute: str) -> dict[int, int]:
-        """*charged* plus each delivering port's *attribute* count."""
-        received = dict(charged)
+    def _by_node(self, charged: dict[int, int], count: str,
+                 attribute: str) -> defaultdict[int, int]:
+        """*charged* plus each port's *attribute* where its *count* is
+        set; a ``defaultdict``, so a silent id reads 0."""
+        total = defaultdict(int, charged)
         for node_id, port in self._ports.items():
-            if port.delivered:
-                received[node_id] = received.get(node_id, 0) + getattr(port, attribute)
-        return received
+            if getattr(port, count):
+                total[node_id] += getattr(port, attribute)
+        return total
 
     @property
-    def messages_received_by_node(self) -> dict[int, int]:
+    def messages_sent_by_node(self) -> defaultdict[int, int]:
+        """Messages sent, by sender id."""
+        return self._by_node(self._charged_sent, "sent", "sent")
+
+    @property
+    def bytes_sent_by_node(self) -> defaultdict[int, int]:
+        """Bytes sent, by sender id."""
+        return self._by_node(self._charged_sent_bytes, "sent", "sent_bytes")
+
+    @property
+    def messages_received_by_node(self) -> defaultdict[int, int]:
         """Messages delivered, by receiver id."""
-        return self._received(self._charged_messages, "delivered")
+        return self._by_node(self._charged_messages, "delivered", "delivered")
 
     @property
-    def bytes_received_by_node(self) -> dict[int, int]:
+    def bytes_received_by_node(self) -> defaultdict[int, int]:
         """Bytes delivered, by receiver id."""
-        return self._received(self._charged_bytes, "delivered_bytes")
+        return self._by_node(self._charged_bytes, "delivered", "delivered_bytes")
 
     @property
     def messages_delivered(self) -> int:
@@ -163,7 +170,7 @@ class TrafficStats:
         )
 
     def reset(self) -> None:
-        """Zero every counter, the ports' delivery counts included."""
+        """Zero every counter, the ports' send and delivery counts included."""
         self.__init__(self._ports)
         for port in self._ports.values():  # gpb: allow GPB003 -- zeroes each port; order cannot matter
-            port.delivered = port.delivered_bytes = 0
+            port.sent = port.sent_bytes = port.delivered = port.delivered_bytes = 0

@@ -40,6 +40,8 @@ class _PendingRequest:
     timer: ScheduledEvent | None = None
     completed: bool = False
     retries: int = 0
+    #: the backed-off retry delay has reached ``retry_backoff_max_s``
+    capped: bool = False
 
 
 class PBFTClient:
@@ -166,8 +168,15 @@ class PBFTClient:
         if factor != 1.0:  # gpb: allow GPB004 -- 1.0 is the exact no-backoff sentinel from config, never the result of arithmetic
             # exponential backoff up to the configured ceiling; the
             # default factor of 1.0 skips this branch entirely, keeping
-            # the constant retransmission schedule bit-identical
-            timeout = min(timeout * factor**entry.retries, self.config.retry_backoff_max_s)
+            # the constant retransmission schedule bit-identical.  With a
+            # factor > 1 a delay at the ceiling stays there, so its power,
+            # which overflows after enough retries, is not evaluated again
+            ceiling = self.config.retry_backoff_max_s
+            if entry.capped:
+                timeout = ceiling
+            else:
+                timeout = min(timeout * factor**entry.retries, ceiling)
+                entry.capped = timeout == ceiling
         entry.timer = self.sim.schedule(timeout, self._retry, rid)
 
     @property

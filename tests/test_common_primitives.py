@@ -1,6 +1,7 @@
 """Unit tests: ids, RNG, and event log (repro.common)."""
 
 import copy
+import gc
 import pickle
 
 import pytest
@@ -207,6 +208,37 @@ class TestEventLog:
         log.append(Event(at=2.0, kind="b"))
         assert seen == [("first", "a", 1), ("second", "a", 1),
                         ("first", "b", 2), ("second", "b", 2)]
+
+    def test_records_add_no_object_the_collector_tracks(self):
+        # the log keeps columns, not Event tuples (a tuple holding a dict
+        # is always tracked): 10 000 atomic events cost the collector nothing
+        log = EventLog()
+        gc.collect()
+        before = len(gc.get_objects())
+        for i in range(10_000):
+            log.record(float(i), "tick", node=i % 4, seq=i, request_id=f"r{i}")
+        gc.collect()
+        assert len(gc.get_objects()) - before < 50
+        assert len(log) == 10_000 and log.count("tick") == 10_000
+
+    def test_ring_tail_of_kind_and_clear_read_the_columns(self):
+        log = EventLog(capacity=4)
+        for i in range(11):
+            log.record(float(i), "even" if i % 2 == 0 else "odd", node=i, seq=i)
+        # trimmed to the newest 4 when it passed 8, then two more appended
+        assert [e.node for e in log] == [5, 6, 7, 8, 9, 10]
+        assert log.tail(3) == [Event(8.0, "even", 8, {"seq": 8}),
+                               Event(9.0, "odd", 9, {"seq": 9}),
+                               Event(10.0, "even", 10, {"seq": 10})]
+        assert all(type(e) is Event for e in log.tail(100))
+        assert len(log.tail(100)) == 6 and log.tail(0) == log.tail(-1) == []
+        assert [e.at for e in log.of_kind("odd")] == [5.0, 7.0, 9.0]
+        assert (log.first("odd").node, log.last("odd").node) == (5, 9)
+        assert log.first("absent") is None and log.last("absent") is None
+        assert log.count("even") == 6 and log.total_appended == 11
+        log.clear()
+        assert list(log) == [] and log.tail(5) == [] and log.of_kind("odd") == []
+        assert log.count("odd") == 0 and log.total_appended == 11
 
     def test_clear_resets_counts(self):
         log = EventLog()

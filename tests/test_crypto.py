@@ -49,6 +49,14 @@ class TestKeys:
     def test_different_nodes_different_keys(self):
         assert KeyPair.generate(6).public.value != KeyPair.generate(7).public.value
 
+    def test_signature_bytes_are_pinned(self):
+        # two HMAC-SHA256 counter rounds under the node's derived secret;
+        # any change to how a tag is computed moves this value
+        sig = KeyPair.generate(3).sign(b"g-pbft tag")
+        assert sig.value.hex() == (
+            "220640ead23b5da0e4ab277aef8a2675719c484bc16e96d1c67809d69cac9194"
+            "fd8e7d2b5e66bf8e0226482196f7c95b20694893c6729c306d512087ce6a781c")
+
     def test_signature_size_matches_ed25519(self):
         kp = KeyPair.generate(8)
         assert kp.sign(b"x").size_bytes == SIGNATURE_BYTES == 64

@@ -111,3 +111,49 @@ class TestGoldenPbft:
             for replica in out.host.replicas.values()
         }
         assert digests == {GOLDEN_PBFT["state_digest"]}
+
+
+def _cluster_run(fingerprint, hooked, monkeypatch):
+    """A 4-replica cluster committing 12 requests, its schedule folded
+    into *fingerprint*: by the step hook, or -- on the plain loop, which
+    takes no hook -- by a wrapper around every scheduled callback."""
+    from types import SimpleNamespace
+
+    from repro.common.config import TopologySpec
+    from repro.net import simulator
+    from repro.pbft.messages import RawOperation
+
+    if not hooked:
+        class Seen(simulator.ScheduledEvent):
+            __slots__ = ()
+
+            def __init__(self, time, seq, callback, args, sim=None):
+                def fire(*args):
+                    # the plain loop sets ``now`` to the event's time
+                    fingerprint.hook(SimpleNamespace(time=sim.now, callback=callback))
+                    callback(*args)
+                super().__init__(time, seq, fire, args, sim)
+
+        def general(*args):
+            raise AssertionError("a run with no hook must take the plain loop")
+
+        monkeypatch.setattr(simulator, "ScheduledEvent", Seen)
+        monkeypatch.setattr(simulator.Simulator, "_drain", general)
+    cluster = TopologySpec.cluster(4, n_clients=1).build()
+    if hooked:
+        cluster.sim.set_step_hook(fingerprint.hook)
+    client = cluster.any_client
+    for k in range(12):
+        cluster.sim.schedule_at(0.5 + 0.3 * k, client.submit,
+                                RawOperation(op_id=f"plain-{k}"))
+    cluster.sim.run(until=60.0)
+    monkeypatch.undo()
+    return (fingerprint.hexdigest(), fingerprint.events, cluster.sim.events_processed,
+            client.completed_count, cluster.network.stats.snapshot())
+
+
+def test_plain_and_hooked_loops_fire_the_same_schedule(monkeypatch):
+    hooked = _cluster_run(ScheduleFingerprint(), True, monkeypatch)
+    plain = _cluster_run(ScheduleFingerprint(), False, monkeypatch)
+    assert plain == hooked
+    assert hooked[1] == hooked[2] > 0 and hooked[3] == 12

@@ -162,6 +162,41 @@ class TestSimulator:
         assert not met  # queue drained first
 
 
+    @pytest.mark.parametrize("drain", ["run", "run_until", "step", "run_max"])
+    def test_setting_a_hook_mid_drain_raises(self, drain):
+        sim = Simulator()
+        errors = []
+
+        def attach():
+            for setter in (sim.set_step_hook, sim.set_tick_hook):
+                with pytest.raises(NetworkError, match="while events are being drained"):
+                    setter(lambda *args: None)
+                errors.append(setter)
+
+        sim.schedule(1.0, attach)
+        {"run": lambda: sim.run(), "run_until": lambda: sim.run(until=5.0),
+         "step": sim.step, "run_max": lambda: sim.run(max_events=3)}[drain]()
+        assert len(errors) == 2
+        sim.set_step_hook(None)  # between drains it is allowed again
+        sim.set_tick_hook(None)
+
+    def test_plain_drain_counts_events_once_even_when_a_callback_raises(self):
+        sim = Simulator()
+
+        def fail():
+            raise RuntimeError("handler failed")
+
+        sim.schedule(1.0, lambda: None)
+        sim.schedule(2.0, fail)
+        sim.schedule(3.0, lambda: None)
+        with pytest.raises(RuntimeError):
+            sim.run()
+        # the one that raised counts, as in the general loop
+        assert (sim.events_processed, sim.now, sim.pending) == (2, 2.0, 1)
+        sim.set_step_hook(lambda event: None)  # the drain is over
+        assert sim.run() == 1 and sim.events_processed == 3
+
+
 class TestLatencyModels:
     def test_constant(self):
         model = ConstantLatency(0.05)
@@ -337,7 +372,7 @@ class TestSimulatedNetwork:
         assert got[0] == [] and len(got[1]) == 1 and len(got[2]) == 1
 
     def test_wide_multicast_is_one_charge_one_draw_and_no_send(self, monkeypatch):
-        calls = {"send": 0, "on_send": 0, "sample_many": 0, "sample": 0}
+        calls = {"send": 0, "sample_many": 0, "sample": 0}
 
         class Counting(UniformLatency):
             def sample(self, src, dst, rng):
@@ -354,36 +389,42 @@ class TestSimulatedNetwork:
             calls["send"] += 1
             original(net, src, dst, payload)
 
+        def refuse(*args):
+            raise AssertionError("a network send is charged inline, not by on_send")
+
         # on the class: an instance-level replacement would, by contract,
         # make multicast go copy by copy
         monkeypatch.setattr(SimulatedNetwork, "send", counted_send)
-        sim = Simulator()
-        net = SimulatedNetwork(sim, latency=Counting(0.01, 0.005))
-        on_send = net.stats.on_send
+        # an exact UniformLatency is drawn by the network, a subclass asked
+        for model, asked in ((UniformLatency, 0), (Counting, 1)):
+            sim = Simulator()
+            net = SimulatedNetwork(sim, latency=model(0.01, 0.005))
+            net.stats.on_send = refuse
+            draws, doubles = [], net.rng.doubles
+            monkeypatch.setattr(net.rng, "doubles", lambda k: draws.append(k) or doubles(k))
+            got = []
+            for node in range(202):
+                net.register(node, lambda p, node=node: got.append(node))
+            net.multicast(7, range(202), RawPayload("k", 10))
+            assert calls == {"send": 0, "sample_many": asked, "sample": 0}
+            assert draws == [201]
+            sender = net._ports[7]
+            assert (sender.sent, sender.sent_bytes) == (201, 201 * 10)
+            assert net.stats.messages_sent == 201
+            assert net.stats.bytes_sent == 201 * 10
+            others = [n for n in range(202) if n != 7]
+            ids = [net._ports[dst].inbox[0][1] for dst in others]
+            assert ids == sorted(ids)  # envelope ids rise in destination order
+            sim.run()
+            assert sorted(got) == others
 
-        def counted_on_send(*args):
-            calls["on_send"] += 1
-            on_send(*args)
-
-        net.stats.on_send = counted_on_send
-        got = []
-        for node in range(202):
-            net.register(node, lambda p, node=node: got.append(node))
-        net.multicast(7, range(202), RawPayload("k", 10))
-        assert calls == {"send": 0, "on_send": 1, "sample_many": 1, "sample": 0}
-        assert net.stats.messages_sent == 201
-        assert net.stats.bytes_sent == 201 * 10
-        others = [n for n in range(202) if n != 7]
-        ids = [net._ports[dst].inbox[0][1] for dst in others]
-        assert ids == sorted(ids)  # envelope ids rise in destination order
-        sim.run()
-        assert sorted(got) == others
-
-    def test_replaced_send_sees_every_copy_until_the_original_is_put_back(self):
+    def test_replaced_send_sees_every_copy_until_the_original_is_put_back(self, monkeypatch):
         sim, net = self._net()
         for node in range(4):
             net.register(node, lambda p: None)
-        original, seen = net.send, []
+        original, seen, draws = net.send, [], []
+        doubles = net.rng.doubles
+        monkeypatch.setattr(net.rng, "doubles", lambda k: draws.append(k) or doubles(k))
 
         def tapped(src, dst, payload):
             seen.append(dst)
@@ -391,12 +432,57 @@ class TestSimulatedNetwork:
 
         net.send = tapped
         net.multicast(1, range(4), RawPayload("k", 10))
-        assert seen == [0, 2, 3]
+        assert seen == [0, 2, 3] and draws == [1, 1, 1]
         net.send = original  # how a harness that taps sends detaches
-        charges = []
-        net.stats.on_send = lambda *args: charges.append(args)
         net.multicast(1, range(4), RawPayload("k", 10))
-        assert seen == [0, 2, 3] and charges == [(1, "k", 10, 3)]
+        # batched again: one draw for the three copies, none seen by a tap
+        assert seen == [0, 2, 3] and draws == [1, 1, 1, 3]
+        assert (net._ports[1].sent, net._ports[1].sent_bytes) == (6, 60)
+
+    @pytest.mark.parametrize("subclass", [False, True])
+    def test_multicast_files_what_per_copy_sends_file(self, subclass):
+        # the exact UniformLatency is drawn inline, a subclass through its
+        # sample_many: either way the same arrivals and envelope order as
+        # one send per destination, and the stream left where they leave it
+        model = type("Jitter", (UniformLatency,), {}) if subclass else UniformLatency
+
+        def run(batched):
+            sim = Simulator()
+            net = SimulatedNetwork(sim, NetworkConfig(processing_rate=20.0),
+                                   latency=model(0.01, 0.005))
+            got = []
+            for node in range(6):
+                net.register(node, lambda p, node=node: got.append((node, sim.now, p.kind)))
+            for src in range(3):
+                payload = RawPayload(f"k{src}", 10)
+                if batched:
+                    net.multicast(src, range(6), payload)
+                else:
+                    for dst in range(6):
+                        if dst != src:
+                            net.send(src, dst, payload)
+            # every filed envelope but its payload object
+            filed = {node: sorted(e[:4] + e[5:] for e in port.inbox)
+                     for node, port in net._ports.items()}
+            sim.run()
+            return filed, got, net.rng.random()
+
+        assert run(batched=True) == run(batched=False)
+
+    def test_assigning_latency_after_construction_delays_send_and_multicast(self):
+        sim, net = self._net()
+        for node in range(3):
+            net.register(node, lambda p: None)
+        net.latency = ConstantLatency(0.5)
+        net.send(0, 1, RawPayload("k", 10))
+        net.multicast(0, range(3), RawPayload("k", 10))
+        assert [e[0] for e in net._ports[1].inbox] == [0.5, 0.5]
+        assert [e[0] for e in net._ports[2].inbox] == [0.5]
+        net.latency = UniformLatency(2.0, 1.0)  # back to the inline draws
+        net.send(0, 2, RawPayload("k", 10))
+        net.multicast(1, range(3), RawPayload("k", 10))
+        late = [e[0] for node in range(3) for e in net._ports[node].inbox if e[0] > 0.5]
+        assert len(late) == 3 and all(2.0 <= t < 3.0 for t in late)
 
     def test_multicast_charges_then_drops_offline_and_partitioned_copies(self):
         sim, net = self._net()
@@ -660,21 +746,23 @@ class TestTrafficStats:
 
 
 class _EagerTotals:
-    """The four totals kept the old way: bumped on every event.
+    """The four totals kept apart from the per-kind maps the totals sum.
 
-    Sends and charged transfers are counted on the stats' calls, network
-    deliveries by :meth:`handler`, which each node registers.
+    Network sends are read off the ports' own counters, charged
+    transfers are counted on the stats' calls, and network deliveries by
+    :meth:`handler`, which each node registers.
     """
 
     def __init__(self, net):
-        self.sent = self.sent_bytes = self.delivered = self.delivered_bytes = 0
+        self.net = net
+        self.charged = self.charged_bytes = self.delivered = self.delivered_bytes = 0
         stats = net.stats
         on_send, on_deliver = stats.on_send, stats.on_deliver
 
-        def counted_send(src, kind, size_bytes, copies=1):
-            self.sent += copies
-            self.sent_bytes += size_bytes * copies
-            on_send(src, kind, size_bytes, copies)
+        def counted_send(src, kind, size_bytes):
+            self.charged += 1
+            self.charged_bytes += size_bytes
+            on_send(src, kind, size_bytes)
 
         def counted_deliver(dst, kind, size_bytes):
             self.delivered += 1
@@ -682,6 +770,14 @@ class _EagerTotals:
             on_deliver(dst, kind, size_bytes)
 
         stats.on_send, stats.on_deliver = counted_send, counted_deliver
+
+    @property
+    def sent(self):
+        return self.charged + sum(port.sent for port in self.net._ports.values())
+
+    @property
+    def sent_bytes(self):
+        return self.charged_bytes + sum(port.sent_bytes for port in self.net._ports.values())
 
     def handler(self, payload):
         self.delivered += 1
@@ -724,6 +820,9 @@ class TestDerivedTotals:
         assert stats.messages_delivered == stats.messages_sent - 3
         assert stats.bytes_sent == sum(stats.bytes_sent_by_node.values())
         assert stats.messages_sent == sum(stats.messages_sent_by_node.values())
+        # the sender's port and the charged transfer, per node
+        assert stats.messages_sent_by_node == {0: 1 + 4, 1: 1, 2: 4, 4: 1}
+        assert stats.messages_sent_by_node[3] == 0  # a silent id reads 0
 
     def test_snapshot_delta_and_reset_read_the_same_sums(self):
         sim, net, eager = self._traffic()

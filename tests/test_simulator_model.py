@@ -219,9 +219,21 @@ _ops = st.one_of(
 @given(program=st.lists(_ops, min_size=1, max_size=30))
 @settings(max_examples=200, deadline=None, derandomize=True)
 def test_simulator_matches_the_sorted_list_model(program):
+    _check_against_the_model(program, hooked=True)
+
+
+@given(program=st.lists(_ops, min_size=1, max_size=30))
+@settings(max_examples=200, deadline=None, derandomize=True)
+def test_plain_loop_matches_the_sorted_list_model(program):
+    # no tick hook: every ``run`` without ``max_events`` takes the plain loop
+    _check_against_the_model(program, hooked=False)
+
+
+def _check_against_the_model(program, hooked):
     sim, ref = Simulator(), _Reference()
     real, model = _Run(sim), _Run(ref)
-    sim.set_tick_hook(real.tick)
+    if hooked:
+        sim.set_tick_hook(real.tick)
     for op in program + [("run",)]:
         clock, mark, was_pending = sim.now, len(real.trace), ref.pending
         real.apply(op)
@@ -232,7 +244,8 @@ def test_simulator_matches_the_sorted_list_model(program):
         assert (sim.now, sim.pending, sim.events_processed) == (
             ref.now, ref.pending, ref.events_processed), op
         assert sim.pending <= sim.heap_size <= len(ref.queue), op
-        _check_ticks(real.trace[mark:], clock)
+        if hooked:
+            _check_ticks(real.trace[mark:], clock)
         if op[0] in ("cancel", "mass_cancel") and ref.pending < was_pending:
             # straight after a cancel that hit a queued event, a queue
             # that is mostly dead has been compacted

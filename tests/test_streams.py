@@ -275,3 +275,33 @@ class TestBoundedMemorySatellites:
         assert retry_times[:5] == [0.0, 1.0, 3.0, 7.0, 11.0]
         gaps = [b - a for a, b in zip(retry_times[2:], retry_times[3:])]
         assert gaps == pytest.approx([4.0] * len(gaps))
+
+    @pytest.mark.parametrize("factor, ceiling, retries", [(1e100, 300.0, 6),
+                                                          (2.0, 4.0, 1030)])
+    def test_backoff_at_its_ceiling_never_overflows(self, factor, ceiling, retries):
+        # factor ** retries overflows a float on the 4th retry at 1e100 and
+        # the 1024th at 2; a delay at the ceiling must stay there instead
+        from dataclasses import replace
+
+        from repro.pbft.client import PBFTClient
+        from repro.pbft.messages import RawOperation
+
+        config = replace(GPBFTConfig().pbft, request_retry_timeout_s=1.0,
+                         retry_backoff_factor=factor, retry_backoff_max_s=ceiling)
+        sim = Simulator()
+        broadcasts = []
+
+        class Recorder:
+            def send(self, dst, payload):
+                pass
+
+            def multicast(self, dsts, payload):
+                broadcasts.append(sim.now)
+
+        client = PBFTClient(node_id=100, committee=(0, 1, 2, 3), sim=sim,
+                            transport=Recorder(), config=config)
+        client.submit(RawOperation(op_id="op", size_bytes=8))
+        sim.run(until=1.0 + ceiling * (retries - 1))
+        assert len(broadcasts) == retries
+        gaps = [b - a for a, b in zip(broadcasts, broadcasts[1:])]
+        assert gaps[-1] == ceiling and max(gaps) == ceiling
