@@ -8,8 +8,8 @@ script resumes where it stopped (useful under wall-clock limits) and
 ``--budget`` bounds one invocation's runtime.
 
 The completed sweeps are serialized to ``results/paper_results.json``
-via :meth:`SweepResult.to_json` (format 2); a legacy format-1 file is
-migrated into the point cache on first run.  The recorded numbers feed
+via :meth:`SweepResult.to_json` (format 2, the only format
+``summarize_paper_results.py`` reads).  The recorded numbers feed
 EXPERIMENTS.md's paper-vs-measured tables.
 """
 
@@ -43,35 +43,6 @@ def _specs(kind: str, protocol: str, n: int, reps: int) -> list[PointSpec]:
     ]
 
 
-def migrate_legacy(engine: Engine, reps: int) -> int:
-    """Seed the point cache from a format-1 results file, if present.
-
-    Format 1 hand-rolled ``protocol:n[:rep]`` cell keys; its values were
-    produced by the same deterministic points, so they transfer to the
-    cache verbatim rather than being recomputed.
-    """
-    if not RESULTS.exists():
-        return 0
-    data = json.loads(RESULTS.read_text())
-    if data.get("format") == 2:
-        return 0
-    migrated = 0
-    for key, kb in data.get("traffic", {}).items():
-        protocol, n = key.split(":")
-        spec = _specs("traffic", protocol, int(n), reps)[0]
-        if engine._cache_read(spec) is None:
-            engine._cache_write(spec, kb, 0.0, 0)
-            migrated += 1
-    for key, samples in data.get("latency", {}).items():
-        protocol, n, rep = key.split(":")
-        spec = PointSpec.make(protocol, "latency", int(n), 1000 * int(n) + int(rep),
-                              **PAPER.latency_point_kwargs(protocol))
-        if engine._cache_read(spec) is None:
-            engine._cache_write(spec, samples, 0.0, 0)
-            migrated += 1
-    return migrated
-
-
 def save(sweeps: dict[str, dict[str, SweepResult]]) -> None:
     """Serialize the completed sweeps (format 2, SweepResult.to_json)."""
     RESULTS.parent.mkdir(parents=True, exist_ok=True)
@@ -96,9 +67,6 @@ def main() -> int:
     args = parser.parse_args()
 
     engine = Engine(jobs=args.jobs, cache_dir=CACHE_DIR)
-    migrated = migrate_legacy(engine, args.reps)
-    if migrated:
-        print(f"migrated {migrated} legacy cells into {CACHE_DIR}")
 
     deadline = time.perf_counter() + args.budget
     sweeps: dict[str, dict[str, SweepResult]] = {

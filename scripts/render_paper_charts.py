@@ -24,7 +24,7 @@ def build_sweeps(data: dict) -> dict[str, SweepResult]:
     if data.get("format") != 2:
         raise SystemExit(
             f"{RESULTS} is a legacy format-1 file; rerun "
-            "scripts/record_paper_results.py to migrate it"
+            "scripts/record_paper_results.py to record it afresh"
         )
     return {
         f"{protocol}_{kind}": SweepResult.from_json(sweep)

@@ -22,7 +22,7 @@ def load_sweeps() -> dict[str, dict[str, SweepResult]]:
     if data.get("format") != 2:
         raise SystemExit(
             f"{RESULTS} is a legacy format-1 file; rerun "
-            "scripts/record_paper_results.py to migrate it"
+            "scripts/record_paper_results.py to record it afresh"
         )
     return {
         kind: {protocol: SweepResult.from_json(sweep)

@@ -23,45 +23,13 @@ Two kinds of *analysis* live here:
   ``docs/static-analysis.md`` for the catalog and suppression syntax.
 """
 
-from repro.analysis.analyzer import AnalysisResult, all_rules, analyze
-from repro.analysis.baseline import Baseline, BaselineEntry
+from repro.analysis.analyzer import all_rules, analyze
+from repro.analysis.baseline import Baseline
 from repro.analysis.findings import Finding
-from repro.analysis.rules import Module, Project, Rule
-from repro.analysis.models import (
-    pbft_phase_seconds,
-    pbft_consensus_seconds,
-    gpbft_consensus_seconds,
-    pbft_message_count,
-    gpbft_message_count,
-    pbft_traffic_bytes,
-    gpbft_traffic_bytes,
-    predicted_loaded_latency,
-    predicted_speedup,
-    predicted_traffic_reduction,
-    utilization,
-    queueing_delay_factor,
-)
 
 __all__ = [
-    "AnalysisResult",
     "Baseline",
-    "BaselineEntry",
     "Finding",
-    "Module",
-    "Project",
-    "Rule",
     "all_rules",
     "analyze",
-    "pbft_phase_seconds",
-    "pbft_consensus_seconds",
-    "gpbft_consensus_seconds",
-    "pbft_message_count",
-    "gpbft_message_count",
-    "pbft_traffic_bytes",
-    "gpbft_traffic_bytes",
-    "predicted_loaded_latency",
-    "predicted_speedup",
-    "predicted_traffic_reduction",
-    "utilization",
-    "queueing_delay_factor",
 ]

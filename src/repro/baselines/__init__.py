@@ -22,18 +22,8 @@ leader election, fork resolution, and gossip costs -- enough to measure
 the table's dimensions, not full reimplementations of Bitcoin/NEO.
 """
 
-from repro.baselines.pow import PoWNetwork, PoWConfig
-from repro.baselines.pos import PoSNetwork, PoSConfig
-from repro.baselines.dbft import DBFTNetwork, DBFTConfig
-from repro.baselines.comparison import measured_table4, MechanismRow
+from repro.baselines.comparison import measured_table4
 
 __all__ = [
-    "PoWNetwork",
-    "PoWConfig",
-    "PoSNetwork",
-    "PoSConfig",
-    "DBFTNetwork",
-    "DBFTConfig",
     "measured_table4",
-    "MechanismRow",
 ]

@@ -15,9 +15,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.common.config import GPBFTConfig, TopologySpec
+from repro.common.config import GPBFTConfig, NetworkConfig, TopologySpec
 from repro.common.errors import ConfigurationError
 from repro.pbft.messages import RawOperation
+
+#: Block capacity (transactions).
+MAX_TXS_PER_BLOCK = 500
 
 
 @dataclass(frozen=True, slots=True)
@@ -27,12 +30,10 @@ class DBFTConfig:
     Attributes:
         n_delegates: committee size (NEO runs 7).
         block_interval_s: minimum spacing between blocks (15 s in NEO).
-        max_txs_per_block: block capacity.
     """
 
     n_delegates: int = 7
     block_interval_s: float = 15.0
-    max_txs_per_block: int = 500
 
     def __post_init__(self) -> None:
         if self.n_delegates < 4:
@@ -71,7 +72,6 @@ class DBFTNetwork:
     Args:
         n_validators: total stakeholders (only delegates run consensus).
         config: dBFT parameters.
-        gpbft_config: substrate configuration (network/pbft sections).
         seed: deterministic run seed.
     """
 
@@ -79,7 +79,6 @@ class DBFTNetwork:
         self,
         n_validators: int,
         config: DBFTConfig | None = None,
-        gpbft_config: GPBFTConfig | None = None,
         seed: int = 0,
     ) -> None:
         self.config = config or DBFTConfig()
@@ -90,10 +89,7 @@ class DBFTNetwork:
         stakes = {v: 1.0 + (v % 5) for v in range(n_validators)}
         votes = {v: v % self.config.n_delegates for v in range(n_validators)}
         self.delegates = elect_delegates(stakes, votes, self.config.n_delegates)
-        from dataclasses import replace
-
-        base = gpbft_config or GPBFTConfig()
-        cluster_config = base.replace(network=replace(base.network, seed=seed))
+        cluster_config = GPBFTConfig(network=NetworkConfig(seed=seed))
         self.cluster = TopologySpec.cluster(
             n_replicas=len(self.delegates), n_clients=1, config=cluster_config
         ).build()
@@ -108,7 +104,7 @@ class DBFTNetwork:
     def _produce_block(self) -> None:
         """Pack pending txs into one block-operation and order it."""
         if self._pending:
-            batch = self._pending[: self.config.max_txs_per_block]
+            batch = self._pending[:MAX_TXS_PER_BLOCK]
             del self._pending[: len(batch)]
             self._block_counter += 1
             op_id = f"dbft-block-{self._block_counter}"

@@ -23,6 +23,9 @@ from repro.common.rng import DeterministicRNG
 from repro.net.network import SimulatedNetwork
 from repro.net.simulator import Simulator
 
+#: Block capacity (transactions).
+MAX_TXS_PER_BLOCK = 500
+
 
 @dataclass(frozen=True, slots=True)
 class PoSConfig:
@@ -31,12 +34,10 @@ class PoSConfig:
     Attributes:
         slot_interval_s: seconds between slots (block time).
         confirmations: depth at which a transaction is final.
-        max_txs_per_block: block capacity.
     """
 
     slot_interval_s: float = 15.0
     confirmations: int = 2
-    max_txs_per_block: int = 500
 
     def __post_init__(self) -> None:
         if self.slot_interval_s <= 0:
@@ -102,7 +103,6 @@ class PoSNetwork:
         n_validators: network size.
         config: PoS parameters.
         stakes: validator -> stake; uniform when omitted.
-        network_config: substrate parameters.
         seed: deterministic run seed.
     """
 
@@ -111,7 +111,6 @@ class PoSNetwork:
         n_validators: int,
         config: PoSConfig | None = None,
         stakes: dict[int, float] | None = None,
-        network_config: NetworkConfig | None = None,
         seed: int = 0,
     ) -> None:
         if n_validators < 1:
@@ -123,8 +122,7 @@ class PoSNetwork:
             raise ConfigurationError("stakes must cover exactly the validator set")
         self.sim = Simulator()
         self.network = SimulatedNetwork(
-            self.sim, network_config or NetworkConfig(seed=seed, processing_rate=1e9)
-        )
+            self.sim, NetworkConfig(seed=seed, processing_rate=1e9))
         self.rng = DeterministicRNG(seed, "pos")
         self.events = EventLog()
         self.mempools: dict[int, set[str]] = {v: set() for v in range(n_validators)}
@@ -148,7 +146,7 @@ class PoSNetwork:
     def _run_slot(self) -> None:
         self._slot += 1
         leader = slot_leader(self.stakes, self._slot)
-        txs = tuple(sorted(self.mempools[leader]))[: self.config.max_txs_per_block]
+        txs = tuple(sorted(self.mempools[leader]))[:MAX_TXS_PER_BLOCK]
         block = _PoSBlock(slot=self._slot, proposer=leader, tx_ids=txs)
         self.mempools[leader] -= set(txs)
         self.chain.append(block)
@@ -175,11 +173,11 @@ class PoSNetwork:
 
     # -- workload & measurement -------------------------------------------
 
-    def submit_tx(self, tx_id: str, origin: int = 0) -> None:
-        """Announce a transaction to every validator's mempool."""
+    def submit_tx(self, tx_id: str) -> None:
+        """Announce a transaction from validator 0 to every mempool."""
         self._tx_submit_times[tx_id] = self.sim.now
-        self.mempools[origin].add(tx_id)
-        self.network.multicast(origin, range(self.n), _TxGossip(tx_id))
+        self.mempools[0].add(tx_id)
+        self.network.multicast(0, range(self.n), _TxGossip(tx_id))
 
     def run(self, until: float) -> None:
         """Advance the simulation."""

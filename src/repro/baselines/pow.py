@@ -17,7 +17,7 @@ work expended (rate x elapsed time), and orphan rate.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro.common.config import NetworkConfig
 from repro.common.errors import ConfigurationError
@@ -27,6 +27,11 @@ from repro.crypto.hashing import digest_concat, sha256
 from repro.net.network import SimulatedNetwork
 from repro.net.simulator import Simulator
 
+#: Hashes/second each miner expends (sets the computing-overhead metric).
+HASH_RATE_PER_MINER = 1e6
+#: Block capacity (transactions).
+MAX_TXS_PER_BLOCK = 500
+
 
 @dataclass(frozen=True, slots=True)
 class PoWConfig:
@@ -35,25 +40,16 @@ class PoWConfig:
     Attributes:
         block_interval_s: expected time between blocks network-wide
             (600 s in Bitcoin; IoT chains use tens of seconds).
-        hash_rate_per_miner: hashes/second each miner expends (sets the
-            computing-overhead metric; identical miners by default).
         confirmations: chain depth at which a transaction is final
             (6 in Bitcoin folklore).
-        block_header_bytes: serialized header size (80 B in Bitcoin).
-        max_txs_per_block: block capacity.
     """
 
     block_interval_s: float = 30.0
-    hash_rate_per_miner: float = 1e6
     confirmations: int = 3
-    block_header_bytes: int = 80
-    max_txs_per_block: int = 500
 
     def __post_init__(self) -> None:
         if self.block_interval_s <= 0:
             raise ConfigurationError("block interval must be positive")
-        if self.hash_rate_per_miner <= 0:
-            raise ConfigurationError("hash rate must be positive")
         if self.confirmations < 1:
             raise ConfigurationError("confirmations must be >= 1")
 
@@ -151,7 +147,6 @@ class PoWNetwork:
     Args:
         n_miners: network size.
         config: PoW parameters.
-        network_config: substrate parameters (latency etc.).
         seed: deterministic run seed.
     """
 
@@ -159,7 +154,6 @@ class PoWNetwork:
         self,
         n_miners: int,
         config: PoWConfig | None = None,
-        network_config: NetworkConfig | None = None,
         seed: int = 0,
     ) -> None:
         if n_miners < 1:
@@ -167,8 +161,7 @@ class PoWNetwork:
         self.config = config or PoWConfig()
         self.sim = Simulator()
         self.network = SimulatedNetwork(
-            self.sim, network_config or NetworkConfig(seed=seed, processing_rate=1e9)
-        )
+            self.sim, NetworkConfig(seed=seed, processing_rate=1e9))
         self.rng = DeterministicRNG(seed, "pow")
         self.events = EventLog()
         self.n = n_miners
@@ -190,7 +183,7 @@ class PoWNetwork:
     def _mine_block(self) -> None:
         winner = self.rng.integers(0, self.n)
         state = self.miners[winner]
-        txs = tuple(sorted(state.mempool))[: self.config.max_txs_per_block]
+        txs = tuple(sorted(state.mempool))[:MAX_TXS_PER_BLOCK]
         parent = state.best
         block = PoWBlock(
             digest=digest_concat(parent.digest, str(winner).encode(),
@@ -249,13 +242,13 @@ class PoWNetwork:
 
     # -- workload ------------------------------------------------------------
 
-    def submit_tx(self, tx_id: str, origin: int = 0) -> None:
-        """Announce a transaction from *origin*'s mempool to everyone."""
+    def submit_tx(self, tx_id: str) -> None:
+        """Announce a transaction from miner 0's mempool to everyone."""
         self._tx_submit_times[tx_id] = self.sim.now
-        state = self.miners[origin]
+        state = self.miners[0]
         state.seen_txs.add(tx_id)
         state.mempool.add(tx_id)
-        self.network.multicast(origin, range(self.n), _TxGossip(tx_id))
+        self.network.multicast(0, range(self.n), _TxGossip(tx_id))
 
     def run(self, until: float) -> None:
         """Advance the simulation."""
@@ -272,4 +265,4 @@ class PoWNetwork:
 
     def hash_work(self) -> float:
         """Total hashes expended so far (the computing-overhead metric)."""
-        return self.n * self.config.hash_rate_per_miner * self.sim.now
+        return self.n * HASH_RATE_PER_MINER * self.sim.now

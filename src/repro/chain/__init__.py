@@ -16,30 +16,3 @@ the consensus engine that orders its blocks:
 * :mod:`repro.chain.state` -- the key-value state machine transactions
   mutate.
 """
-
-from repro.chain.transaction import (
-    Transaction,
-    NormalTransaction,
-    ConfigTransaction,
-    ConfigAction,
-)
-from repro.chain.block import Block, BlockHeader
-from repro.chain.genesis import GenesisBlock, EndorserRecord, build_genesis
-from repro.chain.ledger import Ledger
-from repro.chain.mempool import Mempool
-from repro.chain.state import LedgerState
-
-__all__ = [
-    "Transaction",
-    "NormalTransaction",
-    "ConfigTransaction",
-    "ConfigAction",
-    "Block",
-    "BlockHeader",
-    "GenesisBlock",
-    "EndorserRecord",
-    "build_genesis",
-    "Ledger",
-    "Mempool",
-    "LedgerState",
-]

@@ -113,7 +113,6 @@ def build_genesis(
     endorser_positions: dict[int, LatLng],
     policy: CommitteeConfig | None = None,
     precision: int = 12,
-    chain_id: str = "gpbft-sim",
 ) -> GenesisBlock:
     """Build a genesis block for core endorsers at the given positions.
 
@@ -121,10 +120,9 @@ def build_genesis(
         endorser_positions: node id -> fixed physical location.
         policy: admittance policy; defaults to the paper's (min 4, max 40).
         precision: CSC geohash precision.
-        chain_id: deployment label.
     """
     records = tuple(
         EndorserRecord.for_node(node, pos, precision)
         for node, pos in sorted(endorser_positions.items())
     )
-    return GenesisBlock(endorsers=records, policy=policy or CommitteeConfig(), chain_id=chain_id)
+    return GenesisBlock(endorsers=records, policy=policy or CommitteeConfig())

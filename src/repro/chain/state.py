@@ -1,17 +1,18 @@
 """The key-value state machine committed transactions mutate.
 
 Normal transactions write ``key -> value`` (the latest write wins, like a
-sensor reading register); configuration transactions accumulate committee
-membership changes that the era-switch machinery reads off at the next
-switch.  The state keeps a running digest so replicas can cheaply compare
-that they executed the same history (PBFT checkpoint semantics).
+sensor reading register); configuration transactions change no key:
+committees change through era-switch operations, not through the state.
+Every transaction, configuration ones included, is applied once and
+folded into a running digest, so replicas can cheaply compare that they
+executed the same history (PBFT checkpoint semantics).
 """
 
 from __future__ import annotations
 
 from repro.common.errors import ValidationError
 from repro.crypto.hashing import digest_concat, sha256
-from repro.chain.transaction import ConfigAction, ConfigTransaction, NormalTransaction, Transaction
+from repro.chain.transaction import ConfigTransaction, NormalTransaction, Transaction
 
 
 class LedgerState:
@@ -20,8 +21,6 @@ class LedgerState:
     def __init__(self) -> None:
         self._kv: dict[str, str] = {}
         self._applied_tx: set[str] = set()
-        self._pending_adds: list[int] = []
-        self._pending_removes: list[int] = []
         self._root = sha256(b"genesis-state")
         self.transactions_applied = 0
 
@@ -40,18 +39,6 @@ class LedgerState:
         """Running digest over the applied history."""
         return self._root
 
-    @property
-    def pending_membership_changes(self) -> tuple[list[int], list[int]]:
-        """(adds, removes) accumulated since the last drain."""
-        return (list(self._pending_adds), list(self._pending_removes))
-
-    def drain_membership_changes(self) -> tuple[list[int], list[int]]:
-        """Return and clear accumulated (adds, removes) -- called by the
-        era-switch machinery when it snapshots the next committee."""
-        adds, removes = self._pending_adds, self._pending_removes
-        self._pending_adds, self._pending_removes = [], []
-        return (adds, removes)
-
     # -- mutation -------------------------------------------------------------
 
     def apply_transaction(self, tx: Transaction) -> bool:
@@ -64,13 +51,8 @@ class LedgerState:
             return False
         if isinstance(tx, NormalTransaction):
             self._kv[tx.key] = tx.value
-        elif isinstance(tx, ConfigTransaction):
-            if tx.action is ConfigAction.ADD_ENDORSER:
-                self._pending_adds.append(tx.subject)
-            else:
-                self._pending_removes.append(tx.subject)
-        elif type(tx) is Transaction:
-            pass  # base transactions carry no state effect
+        elif isinstance(tx, ConfigTransaction) or type(tx) is Transaction:
+            pass  # no key-value effect: only the digest below records it
         else:
             raise ValidationError(f"unknown transaction kind {type(tx).__name__}")
         self._applied_tx.add(tx.tx_id)

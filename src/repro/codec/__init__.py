@@ -37,7 +37,6 @@ from repro.codec.wire import (
     encode_commit,
     encode_era_switch,
     encode_geo_report,
-    encode_new_view,
     encode_prepared_proof,
     encode_view_change,
     encode_prepare,
@@ -78,6 +77,5 @@ __all__ = [
     "encode_zone_checkpoint",
     "decode_zone_checkpoint",
     "encode_view_change",
-    "encode_new_view",
     "encode_prepared_proof",
 ]

@@ -11,60 +11,3 @@ subpackages so it can sit at the bottom of the import graph.  It provides:
 * :mod:`repro.common.eventlog` -- a lightweight structured event recorder,
 * :mod:`repro.common.wire_layout` -- the table of wire-message layouts.
 """
-
-from repro.common.errors import (
-    ReproError,
-    ConfigurationError,
-    CryptoError,
-    SignatureError,
-    GeoError,
-    NetworkError,
-    ChainError,
-    ValidationError,
-    ConsensusError,
-    EraSwitchError,
-    MembershipError,
-)
-from repro.common.ids import NodeId, Era, View, SeqNum, RequestId
-from repro.common.config import (
-    NetworkConfig,
-    PBFTConfig,
-    CommitteeConfig,
-    ElectionConfig,
-    EraConfig,
-    IncentiveConfig,
-    GPBFTConfig,
-    SECONDS_PER_HOUR,
-)
-from repro.common.rng import DeterministicRNG
-from repro.common.eventlog import Event, EventLog
-
-__all__ = [
-    "ReproError",
-    "ConfigurationError",
-    "CryptoError",
-    "SignatureError",
-    "GeoError",
-    "NetworkError",
-    "ChainError",
-    "ValidationError",
-    "ConsensusError",
-    "EraSwitchError",
-    "MembershipError",
-    "NodeId",
-    "Era",
-    "View",
-    "SeqNum",
-    "RequestId",
-    "NetworkConfig",
-    "PBFTConfig",
-    "CommitteeConfig",
-    "ElectionConfig",
-    "EraConfig",
-    "IncentiveConfig",
-    "GPBFTConfig",
-    "SECONDS_PER_HOUR",
-    "DeterministicRNG",
-    "Event",
-    "EventLog",
-]

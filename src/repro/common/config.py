@@ -262,7 +262,6 @@ class GPBFTConfig:
     committee: CommitteeConfig = field(default_factory=CommitteeConfig)
     election: ElectionConfig = field(default_factory=ElectionConfig)
     era: EraConfig = field(default_factory=EraConfig)
-    incentive: IncentiveConfig = field(default_factory=IncentiveConfig)
     verify: VerifyConfig = field(default_factory=VerifyConfig)
 
     def replace(self, **overrides: object) -> "GPBFTConfig":
@@ -403,18 +402,15 @@ class TopologySpec:
                block_interval_s: float = 5.0,
                sybil_protection: bool = False,
                witness_range_m: float = 150.0,
-               profiles: "FleetMix | None" = None,
-               workload: str = "objects",
-               event_capacity: int | None = None) -> "TopologySpec":
+               profiles: "FleetMix | None" = None) -> "TopologySpec":
         """The paper's one-committee deployment as a degenerate topology."""
         zone = ZoneSpec(name="z0", n_nodes=n_nodes, n_endorsers=n_endorsers,
-                        region=region, profiles=profiles, workload=workload)
+                        region=region, profiles=profiles)
         return cls(protocol="gpbft", zones=(zone,), seed=seed, config=config,
                    mode=mode, start_reports=start_reports,
                    block_interval_s=block_interval_s,
                    sybil_protection=sybil_protection,
-                   witness_range_m=witness_range_m,
-                   event_capacity=event_capacity)
+                   witness_range_m=witness_range_m)
 
     @classmethod
     def cluster(cls, n_replicas: int = 4, n_clients: int = 1, *,
@@ -428,38 +424,30 @@ class TopologySpec:
     @classmethod
     def zoned(cls, n_zones: int, nodes_per_zone: int, *,
               endorsers_per_zone: int | None = None,
-              region: "Region | None" = None,
               config: GPBFTConfig | None = None, seed: int = 0,
-              mode: str = "per_tx",
               start_reports: bool = True,
-              profiles: "FleetMix | None" = None,
               workload: str = "objects",
               event_capacity: int | None = None) -> "TopologySpec":
         """A hierarchical topology: *n_zones* equal cells in a row.
 
-        The deployment area (default: a strip around the paper's Hong
-        Kong site sized to the zone count) is split into a ``1 x
-        n_zones`` grid; zone *i* gets node ids starting at
-        ``i * ZONE_ID_STRIDE``.  A *profiles* mix is replicated into
-        every zone.
+        The deployment area, a strip around the paper's Hong Kong site
+        sized to the zone count, is split into a ``1 x n_zones`` grid;
+        zone *i* gets node ids starting at ``i * ZONE_ID_STRIDE``.
         """
         _require(n_zones >= 2, "zoned topologies need >= 2 zones")
         from repro.geo.coords import LatLng, Region
         from repro.geo.zones import ZoneMap
-        if region is None:
-            region = Region.around(LatLng(22.3193, 114.1694),
-                                   half_side_m=600.0 * n_zones)
+        region = Region.around(LatLng(22.3193, 114.1694),
+                               half_side_m=600.0 * n_zones)
         grid = ZoneMap.grid(region, rows=1, cols=n_zones)
         zones = tuple(
             ZoneSpec(name=cell.name, n_nodes=nodes_per_zone,
                      n_endorsers=endorsers_per_zone, region=cell.region,
-                     id_base=cell.index * ZONE_ID_STRIDE,
-                     profiles=profiles, workload=workload)
+                     id_base=cell.index * ZONE_ID_STRIDE, workload=workload)
             for cell in grid
         )
         return cls(protocol="gpbft", zones=zones, seed=seed, config=config,
-                   mode=mode, start_reports=start_reports,
-                   event_capacity=event_capacity)
+                   start_reports=start_reports, event_capacity=event_capacity)
 
     # -- derived views -----------------------------------------------------
 

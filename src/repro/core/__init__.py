@@ -20,38 +20,8 @@ baseline PBFT engine (:mod:`repro.pbft`), the blockchain substrate
 * :mod:`repro.core.deployment` -- harness wiring a full G-PBFT network.
 """
 
-from repro.core.messages import (
-    GeoReportMsg,
-    CommitteeInfo,
-    TxOperation,
-    EraSwitchOperation,
-    BlockProposalOperation,
-    TxSubmission,
-)
-from repro.core.election import ElectionTable, ElectionEntry
-from repro.core.authentication import AuthenticationResult, authenticate_geographic
-from repro.core.committee import CommitteeManager
-from repro.core.incentive import IncentiveEngine, select_producer
-from repro.core.era import EraRecord, EraHistory
-from repro.core.node import GPBFTNode
 from repro.core.deployment import GPBFTDeployment
 
 __all__ = [
-    "GeoReportMsg",
-    "CommitteeInfo",
-    "TxOperation",
-    "EraSwitchOperation",
-    "BlockProposalOperation",
-    "TxSubmission",
-    "ElectionTable",
-    "ElectionEntry",
-    "AuthenticationResult",
-    "authenticate_geographic",
-    "CommitteeManager",
-    "IncentiveEngine",
-    "select_producer",
-    "EraRecord",
-    "EraHistory",
-    "GPBFTNode",
     "GPBFTDeployment",
 ]

@@ -241,7 +241,7 @@ class GPBFTDeployment:
             total += block.size_bytes
         if total > 0:
             self.network.stats.on_send(from_node, "chain.sync", total)  # gpb: allow GPB009 -- traffic-stats category, not an event/wire kind; chain-sync bytes are accounted, never encoded or dispatched
-            self.network.stats.on_deliver(node.node_id, "chain.sync", total)  # gpb: allow GPB009 -- traffic-stats category, not an event/wire kind
+            self.network.stats.on_deliver(node.node_id, total)
 
     # ------------------------------------------------------------------
     # attacker injection
@@ -251,15 +251,14 @@ class GPBFTDeployment:
         self,
         count: int,
         strategy=None,
-        true_position: LatLng | None = None,
         seed: int = 99,
     ):
         """Register *count* Sybil identities controlled by one attacker.
 
         Each identity is a full protocol node whose *reported* position
         is the fabricated claim, while the ground-truth directory records
-        the attacker's single true position -- so witness oracles see the
-        physics, not the lie.
+        the attacker's single true position, the region's centre -- so
+        witness oracles see the physics, not the lie.
 
         Returns:
             The :class:`~repro.sybil.attacker.SybilAttacker` holding the
@@ -271,7 +270,7 @@ class GPBFTDeployment:
 
         strategy = strategy or SybilStrategy.EMPTY_CELL
         attacker = SybilAttacker(
-            true_position=true_position or self.region.center,
+            true_position=self.region.center,
             region=self.region,
             strategy=strategy,
             rng=DeterministicRNG(seed, "sybil"),

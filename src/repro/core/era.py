@@ -42,12 +42,12 @@ class EraHistory:
     and :mod:`repro.obs` read switches from.
     """
 
-    def __init__(self, initial_committee, started_at: float = 0.0) -> None:
+    def __init__(self, initial_committee) -> None:
         first = EraRecord(
             era=0,
             committee=tuple(sorted(initial_committee)),
-            started_at=started_at,
-            switch_started_at=started_at,
+            started_at=0.0,
+            switch_started_at=0.0,
         )
         self._records: list[EraRecord] = [first]
         self._switching_since: float | None = None

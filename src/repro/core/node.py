@@ -150,7 +150,7 @@ class GPBFTNode:
         self.committee_manager = CommitteeManager(self.committee, genesis.policy)
         self.era = 0
         self.era_history = EraHistory(self.committee)
-        self.incentive = IncentiveEngine(self.config.incentive)
+        self.incentive = IncentiveEngine()
         self.replica: PBFTReplica | None = None
         self.switching = False
         self.halted_below_minimum = False
@@ -280,13 +280,9 @@ class GPBFTNode:
     # device role: geo reports + transactions
     # ------------------------------------------------------------------
 
-    def start_reporting(self, jitter: bool = True) -> None:
-        """Begin the periodic location-report loop."""
-        delay = (
-            self.rng.uniform(0.0, self.config.election.report_interval_s)
-            if jitter
-            else 0.0
-        )
+    def start_reporting(self) -> None:
+        """Begin the periodic location-report loop at a random phase."""
+        delay = self.rng.uniform(0.0, self.config.election.report_interval_s)
         self._report_timer = self.sim.schedule(delay, self._report_loop)
 
     def _report_loop(self) -> None:
@@ -313,7 +309,7 @@ class GPBFTNode:
             pass  # stale or out-of-order report; the chain keeps canonical order
         else:
             if self.obs is not None:
-                self.obs.geo_report(self.node_id)
+                self.obs.geo_report()
 
     def next_transaction(self, key: str = "data", value: str = "", fee: float = 1.0) -> Transaction:
         """Build this device's next normal transaction (geo-tagged)."""
@@ -508,7 +504,7 @@ class GPBFTNode:
             self._produce_attempt = 0
         timers = self.election_table.timers(self.committee, self.sim.now)
         producer = select_producer(
-            timers, self.era, height, self.config.incentive.timer_weighting,
+            timers, self.era, height, self.incentive.config.timer_weighting,
             attempt=self._produce_attempt,
         )
         if producer != self.node_id:
@@ -534,7 +530,7 @@ class GPBFTNode:
             return
         added = self.mempool.add(msg.tx)
         if added and self.obs is not None:
-            self.obs.mempool_depth(self.node_id, len(self.mempool))
+            self.obs.mempool_depth(len(self.mempool))
         if added and not msg.forwarded:
             # gossip once to the rest of the committee so any producer
             # can pack it

@@ -16,25 +16,3 @@ not need real elliptic-curve cryptography -- we need a scheme with the
 Signature and digest byte sizes mirror Ed25519/SHA-256 (64 B and 32 B) so
 that communication-cost accounting stays realistic.
 """
-
-from repro.crypto.hashing import sha256, sha256_hex, digest_concat, HASH_BYTES
-from repro.crypto.keys import KeyPair, PrivateKey, PublicKey, Signature, SIGNATURE_BYTES
-from repro.crypto.merkle import MerkleTree, MerkleProof, merkle_root
-from repro.crypto.address import Address, address_from_public_key
-
-__all__ = [
-    "sha256",
-    "sha256_hex",
-    "digest_concat",
-    "HASH_BYTES",
-    "KeyPair",
-    "PrivateKey",
-    "PublicKey",
-    "Signature",
-    "SIGNATURE_BYTES",
-    "MerkleTree",
-    "MerkleProof",
-    "merkle_root",
-    "Address",
-    "address_from_public_key",
-]

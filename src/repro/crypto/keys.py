@@ -162,7 +162,7 @@ class KeyPair:
     public: PublicKey
 
     @classmethod
-    def generate(cls, node_id: int, domain: bytes = b"gpbft") -> "KeyPair":
+    def generate(cls, node_id: int) -> "KeyPair":
         """Deterministically derive the key pair for *node_id*.
 
         Determinism keeps experiment runs reproducible: the same seed and
@@ -170,7 +170,7 @@ class KeyPair:
         """
         if node_id < 0:
             raise CryptoError("node_id must be non-negative")
-        secret = hashlib.sha256(domain + b":sk:" + str(node_id).encode()).digest()
+        secret = hashlib.sha256(b"gpbft:sk:" + str(node_id).encode()).digest()
         private = PrivateKey(secret)
         return cls(private=private, public=private.public_key)
 

@@ -68,7 +68,7 @@ PAPER_TABLE3 = {
 }
 
 
-def table3(profile: ExperimentProfile | None = None, reps: int | None = None,
+def table3(profile: ExperimentProfile | None = None,
            engine: Engine | None = None) -> TableResult:
     """Table III: latency and cost at the headline node count.
 
@@ -78,7 +78,7 @@ def table3(profile: ExperimentProfile | None = None, reps: int | None = None,
     p = profile or active_profile()
     eng = engine if engine is not None else Engine(jobs=1, use_cache=False)
     n = p.headline_n
-    reps = reps if reps is not None else p.reps
+    reps = p.reps
     specs = []
     for protocol in ("pbft", "gpbft"):
         for rep in range(reps):
@@ -165,16 +165,16 @@ def table4(engine: Engine | None = None) -> TableResult:
     return TableResult(table_id="table4", values=values, text=rendered)
 
 
-def table4_measured(n_small: int = 8, n_large: int = 32, seed: int = 0) -> TableResult:
+def table4_measured() -> TableResult:
     """Table IV, measured: run PBFT/G-PBFT/dBFT/PoW/PoS on one workload.
 
     An extension beyond the paper: the qualitative High/Low entries are
     replaced by live latency, scalability, traffic, and hash-work
-    measurements from :mod:`repro.baselines`.
+    measurements from :mod:`repro.baselines` at 8 and 32 nodes, seed 0.
     """
     from repro.baselines import measured_table4
 
-    rows, text = measured_table4(n_small=n_small, n_large=n_large, seed=seed)
+    rows, text = measured_table4(n_small=8, n_large=32, seed=0)
     values = {row.name: {
         "latency_small_s": row.latency_small_s,
         "latency_large_s": row.latency_large_s,

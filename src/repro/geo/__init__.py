@@ -14,35 +14,7 @@ Everything location-related that G-PBFT consumes lives here:
 * :mod:`repro.geo.verification` -- neighbour-witness plausibility checks
   that back the paper's Sybil-resistance argument (section IV-A1);
 * :mod:`repro.geo.index` -- a geohash-bucketed spatial index for
-  nearest-endorser routing and witness discovery;
+  witness discovery;
 * :mod:`repro.geo.zones` -- rectangular zone partitions of the map for
   hierarchical (sharded) deployments.
 """
-
-from repro.geo.coords import LatLng, Region, haversine_m, EARTH_RADIUS_M
-from repro.geo.geohash import geohash_encode, geohash_decode, geohash_bounds
-from repro.geo.csc import CryptoSpatialCoordinate
-from repro.geo.reports import GeoReport, ReportHistory
-from repro.geo.verification import LocationAuditor, WitnessStatement, AuditVerdict
-from repro.geo.index import SpatialIndex, IndexedDirectory
-from repro.geo.zones import Zone, ZoneMap
-
-__all__ = [
-    "Zone",
-    "ZoneMap",
-    "LatLng",
-    "Region",
-    "haversine_m",
-    "EARTH_RADIUS_M",
-    "geohash_encode",
-    "geohash_decode",
-    "geohash_bounds",
-    "CryptoSpatialCoordinate",
-    "GeoReport",
-    "ReportHistory",
-    "LocationAuditor",
-    "WitnessStatement",
-    "AuditVerdict",
-    "SpatialIndex",
-    "IndexedDirectory",
-]

@@ -1,10 +1,11 @@
-"""A geohash-bucketed spatial index for nearest-neighbour queries.
+"""A geohash-bucketed spatial index for range and nearest-neighbour queries.
 
-Devices route transactions to their *nearest endorser* (paper: clients
-"send it to nearby endorsers").  A linear scan over the committee is
-fine at 40 endorsers but the index also serves witness discovery
-("which devices can observe this claim?") over the whole population,
-where O(n) per report would dominate large simulations.
+The index serves witness discovery ("which devices can observe this
+claim?", :meth:`SpatialIndex.within`) over the whole population, where
+O(n) per report would dominate large simulations.  Routing a request to
+the *nearest endorser* does not use it: ``GPBFTNode._first_hop`` scans
+the committee (40 endorsers at most) linearly, and its tie-breaks are
+part of what the run digests pin.
 
 The structure is a uniform grid keyed by geohash cells at a fixed
 precision.  Nearest-neighbour search expands rings of cells around the
@@ -84,17 +85,16 @@ class SpatialIndex:
                 out.append(geohash_encode(LatLng(lat, lng), self.precision))
         return out
 
-    def nearest(self, query: LatLng, exclude=(), max_rings: int = 64) -> int | None:
+    def nearest(self, query: LatLng, exclude=()) -> int | None:
         """The indexed node closest to *query* (great-circle metric).
 
         Args:
             query: search position.
             exclude: node ids to skip.
-            max_rings: search-radius cap in grid rings.
 
         Returns:
             The nearest node id, or ``None`` when the index (minus the
-            exclusions) is empty or beyond the ring cap.
+            exclusions) is empty or more than 64 grid rings away.
         """
         if not self._positions:
             return None
@@ -102,7 +102,7 @@ class SpatialIndex:
         best: int | None = None
         best_d = float("inf")
         found_ring: int | None = None
-        for ring in range(max_rings + 1):
+        for ring in range(65):
             if found_ring is not None and ring > found_ring + 1:
                 break  # one guard ring past the first hit is sufficient
             cells = (
@@ -150,13 +150,13 @@ class IndexedDirectory(dict):
 
     Drop-in replacement for the plain ``dict`` the deployment shares
     with every node: assignments keep :attr:`index` synchronized, so
-    witness oracles and routing can answer range queries in near-O(1)
-    instead of scanning the whole population per report.
+    witness oracles can answer range queries in near-O(1) instead of
+    scanning the whole population per report.
     """
 
-    def __init__(self, *args, precision: int = 6, **kwargs) -> None:
+    def __init__(self, *args, **kwargs) -> None:
         super().__init__(*args, **kwargs)
-        self.index = SpatialIndex(precision=precision)
+        self.index = SpatialIndex()
         for node, position in self.items():
             self.index.insert(node, position)
 

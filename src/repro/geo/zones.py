@@ -68,8 +68,7 @@ class ZoneMap:
         self._zones = zones
 
     @classmethod
-    def grid(cls, region: Region, rows: int, cols: int,
-             precision: int = ZONE_GEOHASH_PRECISION) -> "ZoneMap":
+    def grid(cls, region: Region, rows: int, cols: int) -> "ZoneMap":
         """Split *region* into a ``rows x cols`` grid of equal cells.
 
         Cells are numbered row-major from the south-west corner; each is
@@ -93,7 +92,7 @@ class ZoneMap:
                     index=index,
                     name=f"z{index}",
                     region=cell,
-                    geohash=geohash_encode(cell.center, precision),
+                    geohash=geohash_encode(cell.center, ZONE_GEOHASH_PRECISION),
                 ))
         return cls(tuple(zones))
 

@@ -153,14 +153,14 @@ def render_table(headers: list[str], rows: list[list[str]], title: str = "") -> 
     return "\n".join(lines)
 
 
-def render_series(result: SweepResult, width: int = 50) -> str:
-    """ASCII bar rendering of a sweep's means (stand-in for a figure)."""
+def render_series(result: SweepResult) -> str:
+    """ASCII bars, up to 50 wide, of a sweep's means (stand-in for a figure)."""
     if not result.points:
         return f"{result.name}: (empty)"
     peak = max(result.means) or 1.0
     lines = [f"{result.name} -- {result.y_label} vs {result.x_label}"]
     for point in result.points:
-        bar = "#" * max(1, round(width * point.mean / peak))
+        bar = "#" * max(1, round(50 * point.mean / peak))
         lines.append(f"{point.x:8.0f} | {bar} {point.mean:.3f}")
     return "\n".join(lines)
 

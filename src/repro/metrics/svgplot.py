@@ -16,7 +16,7 @@ from xml.sax.saxutils import escape
 from repro.common.errors import ConfigurationError
 from repro.metrics.collector import SweepResult
 
-#: Default canvas geometry (pixels).
+#: Canvas geometry (pixels).
 WIDTH, HEIGHT = 640, 400
 MARGIN_L, MARGIN_R, MARGIN_T, MARGIN_B = 70, 20, 40, 50
 
@@ -48,35 +48,34 @@ def _nice_ticks(lo: float, hi: float, target: int = 6) -> list[float]:
 class _Canvas:
     """Linear data-to-pixel mapping plus SVG element accumulation."""
 
-    def __init__(self, x_lo, x_hi, y_lo, y_hi, width=WIDTH, height=HEIGHT):
-        self.width, self.height = width, height
+    def __init__(self, x_lo, x_hi, y_lo, y_hi):
         self.x_lo, self.x_hi = x_lo, max(x_hi, x_lo + 1e-9)
         self.y_lo, self.y_hi = y_lo, max(y_hi, y_lo + 1e-9)
         self.elements: list[str] = []
 
     def px(self, x: float) -> float:
         frac = (x - self.x_lo) / (self.x_hi - self.x_lo)
-        return MARGIN_L + frac * (self.width - MARGIN_L - MARGIN_R)
+        return MARGIN_L + frac * (WIDTH - MARGIN_L - MARGIN_R)
 
     def py(self, y: float) -> float:
         frac = (y - self.y_lo) / (self.y_hi - self.y_lo)
-        return self.height - MARGIN_B - frac * (self.height - MARGIN_T - MARGIN_B)
+        return HEIGHT - MARGIN_B - frac * (HEIGHT - MARGIN_T - MARGIN_B)
 
     def add(self, element: str) -> None:
         self.elements.append(element)
 
-    def text(self, x, y, content, size=12, anchor="middle", color="#333", rotate=None):
+    def text(self, x, y, content, size=12, anchor="middle", rotate=None):
         transform = f' transform="rotate({rotate} {x} {y})"' if rotate else ""
         self.add(
             f'<text x="{x:.1f}" y="{y:.1f}" font-size="{size}" '
-            f'text-anchor="{anchor}" fill="{color}" '
+            f'text-anchor="{anchor}" fill="#333" '
             f'font-family="sans-serif"{transform}>{escape(str(content))}</text>'
         )
 
     def axes(self, title: str, x_label: str, y_label: str) -> None:
-        left, right = MARGIN_L, self.width - MARGIN_R
-        top, bottom = MARGIN_T, self.height - MARGIN_B
-        self.add(f'<rect x="0" y="0" width="{self.width}" height="{self.height}" '
+        left, right = MARGIN_L, WIDTH - MARGIN_R
+        top, bottom = MARGIN_T, HEIGHT - MARGIN_B
+        self.add(f'<rect x="0" y="0" width="{WIDTH}" height="{HEIGHT}" '
                  f'fill="white"/>')
         for x in _nice_ticks(self.x_lo, self.x_hi):
             px = self.px(x)
@@ -93,15 +92,15 @@ class _Canvas:
                  f'stroke="#333"/>')
         self.add(f'<line x1="{left}" y1="{top}" x2="{left}" y2="{bottom}" '
                  f'stroke="#333"/>')
-        self.text(self.width / 2, 22, title, size=15)
-        self.text(self.width / 2, self.height - 12, x_label, size=12)
-        self.text(16, self.height / 2, y_label, size=12, rotate=-90)
+        self.text(WIDTH / 2, 22, title, size=15)
+        self.text(WIDTH / 2, HEIGHT - 12, x_label, size=12)
+        self.text(16, HEIGHT / 2, y_label, size=12, rotate=-90)
 
     def render(self) -> str:
         body = "\n".join(self.elements)
         return (
-            f'<svg xmlns="http://www.w3.org/2000/svg" width="{self.width}" '
-            f'height="{self.height}" viewBox="0 0 {self.width} {self.height}">\n'
+            f'<svg xmlns="http://www.w3.org/2000/svg" width="{WIDTH}" '
+            f'height="{HEIGHT}" viewBox="0 0 {WIDTH} {HEIGHT}">\n'
             f"{body}\n</svg>\n"
         )
 
@@ -153,7 +152,7 @@ def boxplot_chart(sweep: SweepResult, title: str = "") -> str:
     canvas = _Canvas(min(sweep.xs), max(sweep.xs), 0.0, y_hi * 1.05)
     canvas.axes(title or f"{sweep.name}: {sweep.y_label}",
                 sweep.x_label, sweep.y_label)
-    half_w = max(4.0, (canvas.width - MARGIN_L - MARGIN_R)
+    half_w = max(4.0, (WIDTH - MARGIN_L - MARGIN_R)
                  / max(1, len(sweep.points)) * 0.18)
     color = PALETTE[0]
     for point, st in zip(sweep.points, stats):

@@ -51,7 +51,6 @@ def throughput_from_events(
     start: float,
     end: float,
     commit_kind: str = EV_REQUEST_COMPLETED,
-    submit_kind: str = EV_REQUEST_SUBMITTED,
 ) -> ThroughputSample:
     """Measure TPS over the window [start, end) of an event log.
 
@@ -60,7 +59,8 @@ def throughput_from_events(
         start: window start (skip the warm-up transient).
         end: window end.
         commit_kind: event kind counted as a commit.
-        submit_kind: event kind counted as offered load.
+
+    Offered load counts ``EV_REQUEST_SUBMITTED`` events.
     """
     if end <= start:
         raise ConfigurationError("window end must be after start")
@@ -68,6 +68,6 @@ def throughput_from_events(
         1 for e in events.of_kind(commit_kind) if start <= e.at < end
     )
     offered = sum(
-        1 for e in events.of_kind(submit_kind) if start <= e.at < end
+        1 for e in events.of_kind(EV_REQUEST_SUBMITTED) if start <= e.at < end
     )
     return ThroughputSample(committed=committed, window_s=end - start, offered=offered)

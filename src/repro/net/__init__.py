@@ -21,30 +21,3 @@ Modules:
 * :mod:`repro.net.stats` -- per-node / per-kind traffic accounting, the
   one record of what was sent, dropped and delivered.
 """
-
-from repro.net.simulator import Simulator, ScheduledEvent
-from repro.net.message import Payload
-from repro.net.latency import (
-    LatencyModel,
-    ConstantLatency,
-    UniformLatency,
-    LognormalLatency,
-    DistanceLatency,
-)
-from repro.net.network import SimulatedNetwork, NodeInterface
-from repro.net.stats import TrafficStats, TrafficSnapshot
-
-__all__ = [
-    "Simulator",
-    "ScheduledEvent",
-    "Payload",
-    "LatencyModel",
-    "ConstantLatency",
-    "UniformLatency",
-    "LognormalLatency",
-    "DistanceLatency",
-    "SimulatedNetwork",
-    "NodeInterface",
-    "TrafficStats",
-    "TrafficSnapshot",
-]

@@ -109,7 +109,6 @@ class DistanceLatency(LatencyModel):
     Args:
         positions: node id -> physical location.
         per_hop_s: fixed per-message forwarding cost added on top.
-        speed_m_s: signal speed (fibre by default).
         default_s: delay used for nodes with unknown positions.
     """
 
@@ -117,16 +116,12 @@ class DistanceLatency(LatencyModel):
         self,
         positions: dict[int, LatLng],
         per_hop_s: float = 0.001,
-        speed_m_s: float = FIBRE_SPEED_M_S,
         default_s: float = 0.010,
     ) -> None:
         if per_hop_s < 0 or default_s < 0:
             raise NetworkError("latency parameters must be >= 0")
-        if speed_m_s <= 0:
-            raise NetworkError("speed must be positive")
         self.positions = dict(positions)
         self.per_hop_s = per_hop_s
-        self.speed_m_s = speed_m_s
         self.default_s = default_s
 
     def sample(self, src: int, dst: int, rng: DeterministicRNG) -> float:
@@ -135,4 +130,4 @@ class DistanceLatency(LatencyModel):
         b = self.positions.get(dst)
         if a is None or b is None:
             return self.default_s + self.per_hop_s
-        return self.per_hop_s + haversine_m(a, b) / self.speed_m_s
+        return self.per_hop_s + haversine_m(a, b) / FIBRE_SPEED_M_S

@@ -300,7 +300,7 @@ class SimulatedNetwork:
         kept = []
         for envelope in inbox:
             if since <= envelope[0] < now:  # arrive
-                self.stats.on_drop(envelope[5])  # kind
+                self.stats.on_drop()
             else:
                 kept.append(envelope)
         if len(kept) != len(inbox):
@@ -354,13 +354,13 @@ class SimulatedNetwork:
         if port is None:
             port = self._port(dst)
         if sender.offline_since is not None or port.offline_since is not None:
-            stats.on_drop(kind)
+            stats.on_drop()
             return
         if self._partition and self._group(src) != self._group(dst):
-            stats.on_drop(kind)
+            stats.on_drop()
             return
         if self._drop_probability > 0 and self.rng.random() < self._drop_probability:
-            stats.on_drop(kind)
+            stats.on_drop()
             return
 
         uniform = self._uniform
@@ -435,7 +435,7 @@ class SimulatedNetwork:
                 if ((port := ports(dst)) is None or port.offline_since is None)
                 and group(dst, -1) == own]
             if len(live) < copies:
-                stats.on_drop(kind, copies - len(live))
+                stats.on_drop(copies - len(live))
                 targets = live
 
         uniform = self._uniform
@@ -498,7 +498,7 @@ class SimulatedNetwork:
             due = heappop(inbox)
             since = port.offline_since
             if port.handler is None or (since is not None and due[0] >= since):
-                self.stats.on_drop(due[5])  # kind
+                self.stats.on_drop()
                 continue
             port.serving = due
             if port.done is None:
@@ -513,7 +513,7 @@ class SimulatedNetwork:
         if envelope is None:
             return
         if port.offline_since is not None:
-            self.stats.on_drop(envelope[5])  # kind
+            self.stats.on_drop()
             return
         port.delivered += 1
         port.delivered_bytes += envelope[6]  # size_bytes

@@ -288,7 +288,7 @@ class Simulator:
             self.now = until
         return fired
 
-    def run_for(self, duration: float, max_events: int | None = None) -> int:
+    def run_for(self, duration: float) -> int:
         """Run for *duration* simulated seconds from the current time.
 
         Raises:
@@ -296,7 +296,7 @@ class Simulator:
         """
         if not duration >= 0:
             raise NetworkError(f"duration must be >= 0, got {duration}")
-        return self.run(until=self.now + duration, max_events=max_events)
+        return self.run(until=self.now + duration)
 
     def run_until_condition(self, done: Callable[[], bool], horizon: float | None = None,
                             max_events: int | None = None) -> bool:

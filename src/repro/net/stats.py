@@ -93,12 +93,12 @@ class TrafficStats:
         self._charged_sent_bytes[src] += size_bytes
         self._charged_sent[src] += 1
 
-    def on_deliver(self, dst: int, kind: str, size_bytes: int) -> None:
+    def on_deliver(self, dst: int, size_bytes: int) -> None:
         """Charge a modelled transfer to *dst*; ports count the rest."""
         self._charged_bytes[dst] += size_bytes
         self._charged_messages[dst] += 1
 
-    def on_drop(self, kind: str, copies: int = 1) -> None:
+    def on_drop(self, copies: int = 1) -> None:
         """Record *copies* lost messages."""
         self.messages_dropped += copies
 

@@ -27,25 +27,9 @@ spans (:mod:`repro.obs.sampling`), and a post-mortem flight recorder
 """
 
 from repro.obs.core import Observability
-from repro.obs.flightrec import FlightRecorder
-from repro.obs.instruments import Counter, Gauge, Registry
 from repro.obs.obsconfig import ObsConfig
-from repro.obs.sampling import HeadSampler, sample_key
-from repro.obs.spans import Span, Tracer
-from repro.obs.timeseries import QuantileSketch, Timeseries, validate_frame
 
 __all__ = [
-    "Counter",
-    "FlightRecorder",
-    "Gauge",
-    "HeadSampler",
     "ObsConfig",
     "Observability",
-    "QuantileSketch",
-    "Registry",
-    "Span",
-    "Timeseries",
-    "Tracer",
-    "sample_key",
-    "validate_frame",
 ]

@@ -352,16 +352,16 @@ class Observability:
             request_id=rid, epoch=epoch, view=view, seq=seq,
         )
 
-    def state_transfer(self, node: int) -> None:
-        """Replica *node* requested a state transfer (success or not)."""
+    def state_transfer(self) -> None:
+        """A replica requested a state transfer (success or not)."""
         self.registry.counter("pbft.state_transfers").inc()
 
-    def geo_report(self, node: int) -> None:
+    def geo_report(self) -> None:
         """A location report was accepted into the election table."""
         self.registry.counter("gpbft.geo_reports").inc()
 
-    def mempool_depth(self, node: int, depth: int) -> None:
-        """Mempool depth on *node* after a transaction arrived."""
+    def mempool_depth(self, depth: int) -> None:
+        """Mempool depth on a node after a transaction arrived."""
         self.registry.gauge("mempool.depth").set(depth)
         self.registry.sketch("mempool.depth_dist").observe(depth)
         if self.timeseries is not None:

@@ -158,12 +158,9 @@ class Tracer:
         return span
 
     @contextmanager
-    def span(
-        self, key: str, name: str, cat: str = "span", node: int = -1,
-        parent_key: str | None = None, **args: Any,
-    ) -> Iterator[Span | None]:
+    def span(self, key: str, name: str, **args: Any) -> Iterator[Span | None]:
         """Context manager: open on entry, close on exit."""
-        opened = self.open(key, name, cat=cat, node=node, parent_key=parent_key, **args)
+        opened = self.open(key, name, **args)
         try:
             yield opened
         finally:

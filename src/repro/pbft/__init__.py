@@ -19,42 +19,11 @@ Modules:
   deployment (replicas + clients + ledgers) over one simulator.
 """
 
-from repro.pbft.messages import (
-    Operation,
-    RawOperation,
-    ClientRequest,
-    PrePrepare,
-    Prepare,
-    Commit,
-    Reply,
-    Checkpoint,
-    ViewChange,
-    NewView,
-)
-from repro.pbft.log import MessageLog, InstanceState
-from repro.pbft.replica import PBFTReplica
-from repro.pbft.client import PBFTClient
-from repro.pbft.faults import FaultModel, HonestFaults, CrashFaults, EquivocatingFaults
-from repro.pbft.cluster import PBFTCluster
+from repro.pbft.messages import RawOperation
+from repro.pbft.faults import CrashFaults, EquivocatingFaults
 
 __all__ = [
-    "Operation",
     "RawOperation",
-    "ClientRequest",
-    "PrePrepare",
-    "Prepare",
-    "Commit",
-    "Reply",
-    "Checkpoint",
-    "ViewChange",
-    "NewView",
-    "MessageLog",
-    "InstanceState",
-    "PBFTReplica",
-    "PBFTClient",
-    "FaultModel",
-    "HonestFaults",
     "CrashFaults",
     "EquivocatingFaults",
-    "PBFTCluster",
 ]

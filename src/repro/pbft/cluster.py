@@ -67,7 +67,7 @@ def charge_state_transfer(stats, src: int, dst: int, n_ops: int) -> None:
     a signature and one default 200-byte transaction frame per operation."""
     snapshot_bytes = 32 + 64 + 200 * n_ops
     stats.on_send(src, EV_PBFT_STATE_TRANSFER, snapshot_bytes)
-    stats.on_deliver(dst, EV_PBFT_STATE_TRANSFER, snapshot_bytes)
+    stats.on_deliver(dst, snapshot_bytes)
 
 
 def state_transfer(node: int, replicas: dict[int, PBFTReplica], logs, stats):

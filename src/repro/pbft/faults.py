@@ -93,26 +93,18 @@ class MuteFaults(FaultModel):
 class QuorumUndercountFaults(FaultModel):
     """Deliberate quorum-counting bug (a *mutation*, not an attack).
 
-    A replica with this model treats ``2f+1 + skew`` votes as a full
-    quorum -- with the default skew of -2 it declares *prepared* /
-    *committed-local* two votes early, exactly the class of
-    off-by-a-vote bug a refactor of the counting logic could introduce.
+    A replica with this model treats ``2f+1 - 2`` votes as a full
+    quorum: it declares *prepared* / *committed-local* two votes early,
+    exactly the class of off-by-a-vote bug a refactor of the counting
+    logic could introduce.
     ``repro.verify``'s mutation self-test installs it and asserts that
     the quorum-certificate monitor flags the premature execution and
     that the schedule explorer finds and shrinks a failing schedule.
-
-    Args:
-        skew: signed vote offset applied to both phase thresholds.
     """
 
-    def __init__(self, skew: int = -2) -> None:
-        if skew >= 0:
-            raise ConsensusError("an undercount skew must be negative")
-        self.skew = skew
-
     def quorum_skew(self, phase: str) -> int:
-        """Shave ``|skew|`` votes off both quorum thresholds."""
-        return self.skew
+        """Shave two votes off both quorum thresholds."""
+        return -2
 
 
 class SelectiveDropFaults(FaultModel):

@@ -527,7 +527,7 @@ class PBFTReplica:
         if self._state_transfer_fn is None:
             return
         if self._obs is not None:
-            self._obs.state_transfer(self.node_id)
+            self._obs.state_transfer()
         installed = self._state_transfer_fn(target_seq)
         if installed is not None and installed > self.last_executed:
             self.last_executed = installed

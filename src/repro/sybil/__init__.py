@@ -12,13 +12,12 @@ recognized as fake by physically-present neighbours.
   ground-truth witness oracle for simulations.
 """
 
-from repro.sybil.attacker import SybilAttacker, SybilStrategy, SybilIdentity
+from repro.sybil.attacker import SybilAttacker, SybilStrategy
 from repro.sybil.detection import ReportAdmission, GroundTruthWitnessOracle
 
 __all__ = [
     "SybilAttacker",
     "SybilStrategy",
-    "SybilIdentity",
     "ReportAdmission",
     "GroundTruthWitnessOracle",
 ]

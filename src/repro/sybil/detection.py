@@ -25,6 +25,10 @@ from repro.geo.verification import (
     honest_statements,
 )
 
+#: How far a subject's true position may be from its claimed one and
+#: still pass a witness's short-range identity check (GPS tolerance).
+VERIFY_TOLERANCE_M = 30.0
+
 
 class GroundTruthWitnessOracle:
     """Produces the witness statements physics would allow.
@@ -33,30 +37,26 @@ class GroundTruthWitnessOracle:
 
     * ``witness_range_m`` -- how far a witness can *observe* (who is
       competent to testify about a claim);
-    * ``verify_tolerance_m`` -- how far the subject's true position may
-      be from its claimed position and still pass the witness's
-      short-range identity check (GPS tolerance, a few tens of metres).
+    * :data:`VERIFY_TOLERANCE_M` -- how far the subject's true position
+      may be from its claimed position (a few tens of metres).
 
     The gap between them is the Sybil bound the paper argues for: one
-    physical radio can only sustain claims within ``verify_tolerance_m``
-    of wherever it actually sits, no matter how many identities it owns.
+    physical radio can only sustain claims within the tolerance of
+    wherever it actually sits, no matter how many identities it owns.
 
     Args:
         positions: ground-truth node id -> position map (the deployment
             directory -- the simulation's physics).
         witness_range_m: observation range of devices.
-        verify_tolerance_m: identity-at-position verification tolerance.
     """
 
     def __init__(
         self,
         positions: dict[int, LatLng],
         witness_range_m: float = 150.0,
-        verify_tolerance_m: float = 30.0,
     ) -> None:
         self.positions = positions
         self.witness_range_m = witness_range_m
-        self.verify_tolerance_m = verify_tolerance_m
 
     def statements(self, report: GeoReport) -> list[WitnessStatement]:
         """Honest neighbours' testimony about *report*.
@@ -68,7 +68,7 @@ class GroundTruthWitnessOracle:
         true_pos = self.positions.get(report.node)
         truthful = (
             true_pos is not None
-            and true_pos.distance_to(report.position) <= self.verify_tolerance_m
+            and true_pos.distance_to(report.position) <= VERIFY_TOLERANCE_M
         )
         index = getattr(self.positions, "index", None)
         if index is not None:

@@ -16,18 +16,9 @@ Three cooperating pieces:
 See ``docs/verification.md`` for the catalog and workflows.
 """
 
-from repro.verify.invariants import (
-    CrossShardPrefixConsistencyMonitor,
-    InvariantViolation,
-    Monitor,
-    MonitorHarness,
-    default_monitors,
-)
+from repro.verify.invariants import InvariantViolation, MonitorHarness
 
 __all__ = [
-    "CrossShardPrefixConsistencyMonitor",
     "InvariantViolation",
-    "Monitor",
     "MonitorHarness",
-    "default_monitors",
 ]

@@ -659,7 +659,6 @@ def explore(
     engine: Engine | None = None,
     out_dir: Path | str | None = None,
     shrink_budget: int = 48,
-    max_perturbations: int = 3,
     zones: int = 1,
 ) -> ExplorationReport:
     """Fan seeded schedules across the engine and shrink any failure.
@@ -674,8 +673,7 @@ def explore(
     out = Path(out_dir) if out_dir is not None else DEFAULT_ARTIFACT_DIR
     schedules = [
         generate_schedule(protocol, n, seed, submissions=submissions,
-                          horizon_s=horizon_s, faults=faults,
-                          max_perturbations=max_perturbations, zones=zones)
+                          horizon_s=horizon_s, faults=faults, zones=zones)
         for seed in seeds
     ]
     values = eng.map([schedule_spec(s) for s in schedules])

@@ -25,71 +25,14 @@ scenes into reproducible simulation inputs:
   Sybil drip, endorser churn storm).
 """
 
-from repro.workloads.fleet import FleetSpec, grid_positions, scatter_positions
-from repro.workloads.mobility import RandomWaypointModel, MobilityDriver
-from repro.workloads.arrivals import ConstantRateArrivals, PoissonArrivals, ArrivalProcess
-from repro.workloads.streams import (
-    AggregatedArrivals,
-    DiurnalWave,
-    FlashCrowdBurst,
-    PoissonSuperposition,
-    RateProfile,
-)
+from repro.workloads.arrivals import PoissonArrivals
 from repro.workloads.scenarios import (
     smart_city_scenario,
-    parking_lot_scenario,
     asset_tracking_scenario,
-    Scenario,
-)
-from repro.workloads.profiles import (
-    AvailabilityDriver,
-    DeviceProfile,
-    DutyCycle,
-    FleetMix,
-    GATEWAY_CLASS,
-    INFRA_CLASS,
-    PROFILE_TIERS,
-    SENSOR_CLASS,
-    schedule_blackout,
-)
-from repro.workloads.packs import (
-    ExpectedOutcome,
-    PackResult,
-    PACKS,
-    ScenarioPack,
-    run_pack,
 )
 
 __all__ = [
-    "AvailabilityDriver",
-    "DeviceProfile",
-    "DutyCycle",
-    "FleetMix",
-    "GATEWAY_CLASS",
-    "INFRA_CLASS",
-    "PROFILE_TIERS",
-    "SENSOR_CLASS",
-    "schedule_blackout",
-    "ExpectedOutcome",
-    "PackResult",
-    "PACKS",
-    "ScenarioPack",
-    "run_pack",
-    "FleetSpec",
-    "grid_positions",
-    "scatter_positions",
-    "RandomWaypointModel",
-    "MobilityDriver",
-    "ConstantRateArrivals",
     "PoissonArrivals",
-    "ArrivalProcess",
-    "AggregatedArrivals",
-    "DiurnalWave",
-    "FlashCrowdBurst",
-    "PoissonSuperposition",
-    "RateProfile",
     "smart_city_scenario",
-    "parking_lot_scenario",
     "asset_tracking_scenario",
-    "Scenario",
 ]

@@ -64,7 +64,6 @@ def _apply_grid_layout(deployment: GPBFTDeployment, node_ids, region: Region) ->
 def smart_city_scenario(
     n_lamps: int = 25,
     n_vehicles: int = 15,
-    region: Region | None = None,
     config: GPBFTConfig | None = None,
     tx_period_s: float = 30.0,
     seed: int = 0,
@@ -74,14 +73,15 @@ def smart_city_scenario(
     Args:
         n_lamps: fixed street lamps (genesis committee comes from these).
         n_vehicles: mobile vehicles submitting transactions.
-        region: city district; ~1 km square by default.
         config: protocol configuration.
+
+    The city district is a ~1 km square.
         tx_period_s: per-vehicle constant submission period.
         seed: experiment seed.
     """
     if n_lamps < 4:
         raise ConfigurationError("need at least 4 lamps to form a committee")
-    region = region or Region.around(LatLng(22.3193, 114.1694), half_side_m=500.0)
+    region = Region.around(LatLng(22.3193, 114.1694), half_side_m=500.0)
     config = config or GPBFTConfig()
     total = n_lamps + n_vehicles
     n_endorsers = min(n_lamps, config.committee.max_endorsers)
@@ -130,8 +130,6 @@ def smart_city_scenario(
 def asset_tracking_scenario(
     n_readers: int = 9,
     n_assets: int = 12,
-    region: Region | None = None,
-    config: GPBFTConfig | None = None,
     sighting_range_m: float = 60.0,
     scan_period_s: float = 20.0,
     seed: int = 0,
@@ -146,13 +144,11 @@ def asset_tracking_scenario(
     """
     if n_readers < 4:
         raise ConfigurationError("need at least 4 RFID readers")
-    region = region or Region.around(LatLng(22.3100, 114.2100), half_side_m=100.0)
-    config = config or GPBFTConfig()
+    region = Region.around(LatLng(22.3100, 114.2100), half_side_m=100.0)
     total = n_readers + n_assets
     deployment = TopologySpec.single(
         total,
-        min(n_readers, config.committee.max_endorsers),
-        config=config,
+        min(n_readers, GPBFTConfig().committee.max_endorsers),
         region=region,
         seed=seed,
     ).build()
@@ -202,8 +198,6 @@ def asset_tracking_scenario(
 def parking_lot_scenario(
     n_machines: int = 8,
     n_cars: int = 30,
-    region: Region | None = None,
-    config: GPBFTConfig | None = None,
     payment_period_s: float = 120.0,
     seed: int = 0,
 ) -> Scenario:
@@ -214,13 +208,11 @@ def parking_lot_scenario(
     """
     if n_machines < 4:
         raise ConfigurationError("need at least 4 payment machines")
-    region = region or Region.around(LatLng(22.3050, 114.1800), half_side_m=120.0)
-    config = config or GPBFTConfig()
+    region = Region.around(LatLng(22.3050, 114.1800), half_side_m=120.0)
     total = n_machines + n_cars
     deployment = TopologySpec.single(
         total,
-        min(n_machines, config.committee.max_endorsers),
-        config=config,
+        min(n_machines, GPBFTConfig().committee.max_endorsers),
         region=region,
         seed=seed,
     ).build()

@@ -19,6 +19,7 @@ from repro.chain.transaction import (
     ConfigTransaction,
     NormalTransaction,
 )
+from repro.crypto.hashing import digest_concat
 from repro.crypto.merkle import MerkleTree
 from repro.geo.coords import LatLng
 from repro.geo.reports import GeoReport
@@ -193,17 +194,18 @@ class TestLedgerState:
         s1.apply_transaction(tx(nonce=1))
         assert s1.root != s2.root
 
-    def test_membership_changes_drain(self):
+    def test_config_transaction_applies_once_and_advances_the_root(self):
         state = LedgerState()
-        state.apply_transaction(ConfigTransaction(
-            sender=0, nonce=0, fee=0.0, geo=geo(0),
-            action=ConfigAction.ADD_ENDORSER, subject=9))
-        state.apply_transaction(ConfigTransaction(
-            sender=0, nonce=1, fee=0.0, geo=geo(0),
-            action=ConfigAction.REMOVE_ENDORSER, subject=2))
-        adds, removes = state.drain_membership_changes()
-        assert adds == [9] and removes == [2]
-        assert state.pending_membership_changes == ([], [])
+        for nonce, action in enumerate(ConfigAction):
+            config_tx = ConfigTransaction(sender=0, nonce=nonce, fee=0.0, geo=geo(0),
+                                          action=action, subject=9)
+            before = state.root
+            assert state.apply_transaction(config_tx)
+            assert state.applied(config_tx.tx_id)
+            assert state.root == digest_concat(before, config_tx.signing_bytes())
+            assert not state.apply_transaction(config_tx)
+            assert state.root == digest_concat(before, config_tx.signing_bytes())
+        assert state.transactions_applied == 2
 
 
 class TestMempool:

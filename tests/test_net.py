@@ -723,9 +723,9 @@ class TestTrafficStats:
 
     def test_standalone_stats_count_what_on_deliver_charges(self):
         stats = TrafficStats()
-        stats.on_deliver(3, "a", 40)
-        stats.on_deliver(3, "a", 2)
-        stats.on_deliver(5, "b", 0)
+        stats.on_deliver(3, 40)
+        stats.on_deliver(3, 2)
+        stats.on_deliver(5, 0)
         assert stats.messages_received_by_node == {3: 2, 5: 1}
         assert stats.bytes_received_by_node == {3: 42, 5: 0}
         assert (stats.messages_delivered, stats.bytes_delivered) == (3, 42)
@@ -764,10 +764,10 @@ class _EagerTotals:
             self.charged_bytes += size_bytes
             on_send(src, kind, size_bytes)
 
-        def counted_deliver(dst, kind, size_bytes):
+        def counted_deliver(dst, size_bytes):
             self.delivered += 1
             self.delivered_bytes += size_bytes
-            on_deliver(dst, kind, size_bytes)
+            on_deliver(dst, size_bytes)
 
         stats.on_send, stats.on_deliver = counted_send, counted_deliver
 

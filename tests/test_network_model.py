@@ -78,7 +78,7 @@ class _Oracle:
         if (src in self.offline or dst in self.offline
                 or self.partition.get(src, -1) != self.partition.get(dst, -1)
                 or (p > 0 and self.rng.random() < p)):
-            return self.stats.on_drop(payload.kind)
+            return self.stats.on_drop()
         delay = self.latency.sample(src, dst, self.rng)
         self.schedule_at(self.now + delay, self._arrive, src, dst, payload, size)
 
@@ -89,7 +89,7 @@ class _Oracle:
 
     def _arrive(self, src, dst, payload, size):
         if dst not in self.handlers or dst in self.offline:
-            return self.stats.on_drop(payload.kind)
+            return self.stats.on_drop()
         queue = self.fifo.setdefault(dst, [])
         queue.append((src, payload, size))
         if len(queue) == 1:
@@ -104,8 +104,8 @@ class _Oracle:
         if self.fifo[dst]:
             self._start_slot(dst)
         if dst in self.offline:
-            return self.stats.on_drop(payload.kind)
-        self.stats.on_deliver(dst, payload.kind, size)
+            return self.stats.on_drop()
+        self.stats.on_deliver(dst, size)
         self.handlers[dst](self.now, dst, src, payload)
 
 
