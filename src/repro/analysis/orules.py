@@ -357,7 +357,7 @@ class UnboundedGrowthRule(Rule):
     and exempt, so deleting a ``maxlen`` keyword turns the attribute
     back into a finding the moment it happens.  Collections that are
     legitimately append-only or capture-scoped (the chain itself, the
-    v1 span list) carry an inline allow naming that contract.
+    tracer's closed-span list) carry an inline allow naming that contract.
     """
 
     rule_id = "GPB015"

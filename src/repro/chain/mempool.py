@@ -57,16 +57,6 @@ class Mempool:
     def __contains__(self, tx_id: str) -> bool:
         return tx_id in self._pool
 
-    @property
-    def capacity(self) -> int:
-        """Maximum resident transactions."""
-        return self._capacity
-
-    @property
-    def policy(self) -> str:
-        """Behaviour at the capacity boundary."""
-        return self._policy
-
     def add(self, tx: Transaction) -> bool:
         """Insert *tx*; returns False when already pooled or rejected.
 
@@ -101,10 +91,6 @@ class Mempool:
         self.evicted += 1
         return True
 
-    def remove(self, tx_id: str) -> bool:
-        """Drop one transaction; returns False when absent."""
-        return self._pool.pop(tx_id, None) is not None
-
     def remove_committed(self, txs) -> int:
         """Drop every transaction of a committed block; returns count."""
         removed = 0
@@ -135,7 +121,3 @@ class Mempool:
         for tx in batch:
             self._pool.pop(tx.tx_id, None)
         return batch
-
-    def clear(self) -> None:
-        """Empty the pool."""
-        self._pool.clear()

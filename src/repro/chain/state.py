@@ -1,18 +1,17 @@
 """The key-value state machine committed transactions mutate.
 
 Normal transactions write ``key -> value`` (the latest write wins, like a
-sensor reading register); configuration transactions change no key:
-committees change through era-switch operations, not through the state.
-Every transaction, configuration ones included, is applied once and
-folded into a running digest, so replicas can cheaply compare that they
-executed the same history (PBFT checkpoint semantics).
+sensor reading register); committees change through era-switch
+operations, not through the state.  Every transaction is applied once
+and folded into a running digest, so replicas can cheaply compare that
+they executed the same history (PBFT checkpoint semantics).
 """
 
 from __future__ import annotations
 
 from repro.common.errors import ValidationError
 from repro.crypto.hashing import digest_concat, sha256
-from repro.chain.transaction import ConfigTransaction, NormalTransaction, Transaction
+from repro.chain.transaction import NormalTransaction, Transaction
 
 
 class LedgerState:
@@ -49,12 +48,9 @@ class LedgerState:
         """
         if tx.tx_id in self._applied_tx:
             return False
-        if isinstance(tx, NormalTransaction):
-            self._kv[tx.key] = tx.value
-        elif isinstance(tx, ConfigTransaction) or type(tx) is Transaction:
-            pass  # no key-value effect: only the digest below records it
-        else:
+        if not isinstance(tx, NormalTransaction):
             raise ValidationError(f"unknown transaction kind {type(tx).__name__}")
+        self._kv[tx.key] = tx.value
         self._applied_tx.add(tx.tx_id)
         self.transactions_applied += 1
         self._root = digest_concat(self._root, tx.signing_bytes())

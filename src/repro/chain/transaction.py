@@ -1,19 +1,18 @@
-"""Transactions: the two kinds the paper defines (section III-B2).
+"""Transactions (section III-B2).
 
-* **Normal transactions** change ledger state for application use --
-  sensor readings, mobile-payment records, RFID signal strengths.  Both
-  clients and endorsers may propose them.
-* **Configuration transactions** modify chain configuration -- adding new
-  or removing obsolete endorsers.  Only current endorsers may propose
-  them inside the consensus committee.
+**Normal transactions** change ledger state for application use --
+sensor readings, mobile-payment records, RFID signal strengths.  Both
+clients and endorsers may propose them.  They "carry the geographic
+information at the end of the transaction body", which is how the
+election table gets fed.
 
-Both kinds "carry the geographic information at the end of the
-transaction body", which is how the election table gets fed.
+The paper's configuration transactions -- adding or removing endorsers
+-- are not ledger transactions here: the committee changes only through
+an era switch (:mod:`repro.core.era`, sections III-B4 and III-E).
 """
 
 from __future__ import annotations
 
-import enum
 from dataclasses import dataclass, field
 
 from repro.common.errors import ValidationError
@@ -119,36 +118,3 @@ class NormalTransaction(Transaction):
 
     def _body_bytes(self) -> bytes:
         return digest_concat(self.key.encode(), self.value.encode())
-
-
-class ConfigAction(enum.Enum):
-    """What a configuration transaction does to the committee."""
-
-    ADD_ENDORSER = "add_endorser"
-    REMOVE_ENDORSER = "remove_endorser"
-
-
-@dataclass(frozen=True, slots=True)
-class ConfigTransaction(Transaction):
-    """Committee-membership change; era switches commit these.
-
-    Attributes:
-        action: add or remove.
-        subject: the endorser id being added/removed.
-    """
-
-    action: ConfigAction = ConfigAction.ADD_ENDORSER
-    subject: int = -1
-
-    def __post_init__(self) -> None:
-        super(ConfigTransaction, self).__post_init__()
-        if self.subject < 0:
-            raise ValidationError("config transaction must name a subject node")
-
-    @property
-    def kind(self) -> str:
-        """Message kind for dispatch and traffic accounting."""
-        return "tx.config"
-
-    def _body_bytes(self) -> bytes:
-        return digest_concat(self.action.value.encode(), str(self.subject).encode())

@@ -19,12 +19,7 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Iterable
 
-from repro.chain.transaction import (
-    ConfigAction,
-    ConfigTransaction,
-    NormalTransaction,
-    Transaction,
-)
+from repro.chain.transaction import NormalTransaction, Transaction
 from repro.codec.primitives import Record
 from repro.common.errors import ValidationError
 from repro.crypto.keys import SIGNATURE_BYTES
@@ -50,12 +45,8 @@ if TYPE_CHECKING:
 
 _ZERO_SIG = b"\x00" * SIGNATURE_BYTES
 
-#: Transaction kind tags in the wire header.
+#: Transaction kind tag in the wire header (the only kind there is).
 _TX_KIND_NORMAL = 1
-_TX_KIND_CONFIG = 2
-
-_ACTION_CODE = {ConfigAction.ADD_ENDORSER: 1, ConfigAction.REMOVE_ENDORSER: 2}
-_CODE_ACTION = {v: k for k, v in _ACTION_CODE.items()}
 
 #: A normal transaction's key and value lengths share one header word.
 _LENGTH_BITS = 16
@@ -105,64 +96,47 @@ def decode_geo_report(data: bytes) -> GeoReport:
 
 def encode_transaction(tx: Transaction, signature: bytes = _ZERO_SIG) -> bytes:
     """Fixed 40-byte header + payload region + geo record + signature."""
-    if isinstance(tx, NormalTransaction):
-        key = tx.key.encode()
-        value = tx.value.encode()
-        if len(key) > _LENGTH_MAX or len(value) > _LENGTH_MAX:
-            raise ValidationError(f"key and value ({len(key)} and {len(value)} "
-                                  f"B) must each fit a {_LENGTH_BITS}-bit length")
-        if 4 + len(key) + len(value) > tx.payload_bytes:
-            raise ValidationError(f"key+value ({len(key)}+{len(value)} B) exceed "
-                                  f"the declared payload of {tx.payload_bytes} B")
-        header = _TX.pack(_TX_KIND_NORMAL, tx.sender, tx.nonce, tx.fee,
-                          tx.payload_bytes,
-                          len(key) << _LENGTH_BITS | len(value), 0)
-        payload = (key + value).ljust(tx.payload_bytes, b"\x00")
-    elif isinstance(tx, ConfigTransaction):
-        header = _TX.pack(_TX_KIND_CONFIG, tx.sender, tx.nonce, tx.fee,
-                          tx.payload_bytes, tx.subject,
-                          _ACTION_CODE[tx.action])
-        payload = bytes(tx.payload_bytes)
-    else:
+    if not isinstance(tx, NormalTransaction):
         raise ValidationError(f"no wire layout for {type(tx).__name__}")
+    key = tx.key.encode()
+    value = tx.value.encode()
+    if len(key) > _LENGTH_MAX or len(value) > _LENGTH_MAX:
+        raise ValidationError(f"key and value ({len(key)} and {len(value)} "
+                              f"B) must each fit a {_LENGTH_BITS}-bit length")
+    if 4 + len(key) + len(value) > tx.payload_bytes:
+        raise ValidationError(f"key+value ({len(key)}+{len(value)} B) exceed "
+                              f"the declared payload of {tx.payload_bytes} B")
+    header = _TX.pack(_TX_KIND_NORMAL, tx.sender, tx.nonce, tx.fee,
+                      tx.payload_bytes,
+                      len(key) << _LENGTH_BITS | len(value), 0)
+    payload = (key + value).ljust(tx.payload_bytes, b"\x00")
     return header + payload + _TX_TAIL.pack(encode_geo_report(tx.geo), signature)
 
 
 def _read_transaction(data: bytes) -> tuple[Transaction, bytes, bytes]:
     """The transaction frame *data* starts with: (tx, signature, rest)."""
-    (kind, sender, nonce, fee, payload_bytes, word, code), rest = \
+    (kind, sender, nonce, fee, payload_bytes, word, _), rest = \
         _TX.unpack_head(data)
     if len(rest) < payload_bytes:
         raise ValidationError(f"truncated transaction: {payload_bytes} B of "
                               f"payload declared, {len(rest)} remain")
     payload, rest = rest[:payload_bytes], rest[payload_bytes:]
     (geo_bytes, signature), rest = _TX_TAIL.unpack_head(rest)
-    geo = decode_geo_report(geo_bytes)
-    tx: Transaction
-    if kind == _TX_KIND_NORMAL:
-        key_len, value_len = word >> _LENGTH_BITS, word & _LENGTH_MAX
-        if key_len + value_len > payload_bytes:
-            raise ValidationError(f"key+value ({key_len}+{value_len} B) exceed "
-                                  f"the declared payload of {payload_bytes} B")
-        try:
-            key = payload[:key_len].decode()
-            value = payload[key_len:key_len + value_len].decode()
-        except UnicodeDecodeError as exc:
-            raise ValidationError(f"key/value is not UTF-8: {exc}") from exc
-        tx = NormalTransaction(
-            sender=sender, nonce=nonce, fee=fee, geo=geo,
-            payload_bytes=payload_bytes, key=key, value=value,
-        )
-    elif kind == _TX_KIND_CONFIG:
-        action = _CODE_ACTION.get(code)
-        if action is None:
-            raise ValidationError("unknown config action code")
-        tx = ConfigTransaction(
-            sender=sender, nonce=nonce, fee=fee, geo=geo,
-            payload_bytes=payload_bytes, action=action, subject=word,
-        )
-    else:
+    if kind != _TX_KIND_NORMAL:
         raise ValidationError(f"unknown transaction kind tag {kind}")
+    key_len, value_len = word >> _LENGTH_BITS, word & _LENGTH_MAX
+    if key_len + value_len > payload_bytes:
+        raise ValidationError(f"key+value ({key_len}+{value_len} B) exceed "
+                              f"the declared payload of {payload_bytes} B")
+    try:
+        key = payload[:key_len].decode()
+        value = payload[key_len:key_len + value_len].decode()
+    except UnicodeDecodeError as exc:
+        raise ValidationError(f"key/value is not UTF-8: {exc}") from exc
+    tx = NormalTransaction(
+        sender=sender, nonce=nonce, fee=fee, geo=decode_geo_report(geo_bytes),
+        payload_bytes=payload_bytes, key=key, value=value,
+    )
     return tx, signature, rest
 
 

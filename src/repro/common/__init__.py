@@ -4,7 +4,7 @@ This package deliberately has no dependencies on other ``repro``
 subpackages so it can sit at the bottom of the import graph.  It provides:
 
 * :mod:`repro.common.errors` -- the exception hierarchy,
-* :mod:`repro.common.ids` -- strongly-typed identifiers (nodes, eras, views),
+* :mod:`repro.common.quorum` -- quorum thresholds and primary rotation,
 * :mod:`repro.common.config` -- validated configuration dataclasses and the
   calibration constants used to shape-match the paper's numbers,
 * :mod:`repro.common.rng` -- deterministic, forkable random streams,

@@ -252,31 +252,6 @@ class EventLog:
         kinds = self._kind
         return [self._row(i) for i in range(len(kinds)) if kinds[i] == kind]
 
-    def where(self, predicate: Callable[[Event], bool]) -> list[Event]:
-        """All events matching *predicate*, in time order."""
-        return [e for e in self if predicate(e)]
-
-    def first(self, kind: str) -> Event | None:
-        """The earliest event of *kind*, or ``None``."""
-        try:
-            return self._row(self._kind.index(kind))
-        except ValueError:
-            return None
-
-    def last(self, kind: str) -> Event | None:
-        """The latest event of *kind*, or ``None``."""
-        kinds = self._kind
-        for index in range(len(kinds) - 1, -1, -1):
-            if kinds[index] == kind:
-                return self._row(index)
-        return None
-
-    def clear(self) -> None:
-        """Drop all recorded events (used between experiment repetitions)."""
-        for column in (self._at, self._kind, self._node, self._data):
-            column.clear()
-        self._counts.clear()
-
 
 def event_to_json(event: Event) -> dict[str, Any]:
     """Flatten an :class:`Event` into a JSON-able dict."""

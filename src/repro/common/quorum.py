@@ -1,4 +1,4 @@
-"""Shared Byzantine quorum arithmetic.
+"""Shared Byzantine quorum arithmetic and primary rotation.
 
 Every quorum threshold in the protocol stack must come from this module
 rather than inline ``2*f + 1`` expressions: the static analyzer
@@ -55,11 +55,6 @@ def quorum_size(f: int) -> int:
     return 2 * f + 1
 
 
-def quorum_for_n(n: int) -> int:
-    """Quorum threshold expressed from the committee size directly."""
-    return quorum_size(max_faulty(n))
-
-
 def weak_certificate_size(f: int) -> int:
     """The ``f + 1`` threshold proving at least one honest vote.
 
@@ -72,3 +67,20 @@ def weak_certificate_size(f: int) -> int:
     if f < 0:
         raise QuorumError(f"fault bound must be >= 0, got {f}")
     return f + 1
+
+
+def primary_for_view(view: int, committee_size: int) -> int:
+    """Return the index of the primary replica for *view*.
+
+    PBFT rotates the primary round-robin: ``p = v mod |R|`` (Castro &
+    Liskov, OSDI'99 section 4).  The result is an *index into the ordered
+    committee*, not a node id.
+
+    Raises:
+        ValueError: if the committee is empty or the view negative.
+    """
+    if committee_size <= 0:
+        raise ValueError("committee must be non-empty")
+    if view < 0:
+        raise ValueError("view must be non-negative")
+    return view % committee_size

@@ -45,16 +45,6 @@ class DeterministicRNG:
         self._used = 0
         self._saved: dict[str, Any] = {}
 
-    @property
-    def seed(self) -> int:
-        """The integer seed this stream was created with."""
-        return self._seed
-
-    @property
-    def label(self) -> str:
-        """The stream label this RNG was forked under."""
-        return self._label
-
     def fork(self, label: str) -> "DeterministicRNG":
         """Derive an independent child stream identified by *label*."""
         return DeterministicRNG(self._seed, f"{self._label}/{label}")

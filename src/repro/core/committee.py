@@ -38,7 +38,10 @@ class MembershipDelta:
 
 
 class CommitteeManager:
-    """Tracks the current committee and computes membership deltas.
+    """Checks a committee against the admittance policy and plans deltas.
+
+    The node's ``committee`` is the one copy of the membership; a node
+    builds a new manager for each era's committee.
 
     Args:
         initial: era-0 committee (from the genesis block).
@@ -66,18 +69,9 @@ class CommitteeManager:
         self._members = members
 
     @property
-    def members(self) -> tuple[int, ...]:
-        """Current committee, sorted ascending (defines view rotation)."""
-        return self._members
-
-    @property
     def size(self) -> int:
         """Current committee size."""
         return len(self._members)
-
-    def is_member(self, node: int) -> bool:
-        """True iff *node* is in the current committee."""
-        return node in self._members
 
     # -- election -----------------------------------------------------------
 
@@ -128,32 +122,3 @@ class CommitteeManager:
         return MembershipDelta(
             added=tuple(additions), removed=tuple(removable), rejected=rejected
         )
-
-    def apply_delta(self, delta: MembershipDelta) -> tuple[int, ...]:
-        """Apply *delta*, returning the new committee.
-
-        Raises:
-            MembershipError: if the delta was not produced for the
-                current committee (unknown removals, duplicate adds) or
-                violates the policy bounds.
-        """
-        member_set = set(self._members)
-        unknown = set(delta.removed) - member_set
-        if unknown:
-            raise MembershipError(f"cannot remove non-members: {sorted(unknown)}")
-        duplicate = set(delta.added) & member_set
-        if duplicate:
-            raise MembershipError(f"cannot re-add members: {sorted(duplicate)}")
-        banned = set(delta.added) & self.policy.blacklist
-        if banned:
-            raise MembershipError(f"cannot add blacklisted nodes: {sorted(banned)}")
-        new = tuple(sorted((member_set - set(delta.removed)) | set(delta.added)))
-        if len(new) > self.policy.max_endorsers:
-            raise MembershipError(
-                f"delta would grow committee to {len(new)} > max "
-                f"{self.policy.max_endorsers}"
-            )
-        if len(new) < 4:
-            raise MembershipError("delta would shrink committee below the PBFT floor of 4")
-        self._members = new
-        return new

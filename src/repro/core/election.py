@@ -77,11 +77,6 @@ class ElectionTable:
         """All table rows of *node*, oldest first (Table II rendering)."""
         return list(self._rows.get(node, []))
 
-    @property
-    def tracked_nodes(self) -> list[int]:
-        """Every device that has ever reported, sorted."""
-        return sorted(self._histories)
-
     # -- timers ------------------------------------------------------------
 
     def geographic_timer(self, node: int, now: float) -> float:

@@ -62,11 +62,6 @@ class EraHistory:
         """The full era timeline."""
         return tuple(self._records)
 
-    @property
-    def switching(self) -> bool:
-        """True during a switch period (no transactions may commit)."""
-        return self._switching_since is not None
-
     def begin_switch(self, at: float) -> None:
         """Mark the start of a switch period.
 
@@ -129,14 +124,6 @@ class EraHistory:
             (r.switch_started_at, r.started_at)
             for r in self._records[1:]
         ]
-
-    def in_switch_period(self, t: float) -> bool:
-        """True iff *t* falls inside any completed switch period, or the
-        one currently open."""
-        for start, end in self.switch_periods():
-            if start <= t < end:
-                return True
-        return self._switching_since is not None and t >= self._switching_since
 
     def total_switch_time(self) -> float:
         """Seconds spent switching so far (completed switches only)."""

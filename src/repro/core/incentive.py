@@ -106,10 +106,6 @@ class IncentiveEngine:
         """Clear a sanction."""
         self._excluded.discard(node)
 
-    def is_excluded(self, node: int) -> bool:
-        """True iff *node* currently receives no rewards."""
-        return node in self._excluded
-
     # -- payouts ------------------------------------------------------------
 
     def on_block(self, height: int, producer: int, endorsers, total_fee: float) -> RewardEvent:
@@ -153,7 +149,3 @@ class IncentiveEngine:
     def balance(self, node: int) -> float:
         """Current balance of *node*."""
         return self.balances.get(node, 0.0)
-
-    def total_paid(self) -> float:
-        """Sum of every balance (for conservation checks in tests)."""
-        return sum(self.balances.values())

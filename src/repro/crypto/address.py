@@ -28,24 +28,9 @@ class Address:
         if len(self.value) != ADDRESS_BYTES:
             raise CryptoError(f"address must be {ADDRESS_BYTES} bytes, got {len(self.value)}")
 
-    @classmethod
-    def from_hex(cls, text: str) -> "Address":
-        """Parse a ``0x``-prefixed (or bare) hex address string."""
-        cleaned = text[2:] if text.startswith("0x") else text
-        try:
-            raw = bytes.fromhex(cleaned)
-        except ValueError as exc:
-            raise CryptoError(f"invalid address hex: {text!r}") from exc
-        return cls(raw)
-
     def hex(self) -> str:
         """``0x``-prefixed lowercase hex rendering."""
         return "0x" + self.value.hex()
-
-    @property
-    def size_bytes(self) -> int:
-        """Serialized size used in communication-cost accounting."""
-        return ADDRESS_BYTES
 
     def __str__(self) -> str:
         return self.hex()
@@ -54,12 +39,3 @@ class Address:
 def address_from_public_key(public_key: PublicKey) -> Address:
     """Derive the account address of *public_key* (last 20 digest bytes)."""
     return Address(sha256(b"addr:" + public_key.value)[-ADDRESS_BYTES:])
-
-
-def contract_address(owner: Address, nonce: int) -> Address:
-    """Derive the deterministic address of the *nonce*-th contract
-    deployed by *owner* -- used for CSC smart-contract anchors."""
-    if nonce < 0:
-        raise CryptoError("contract nonce must be non-negative")
-    payload = b"contract:" + owner.value + nonce.to_bytes(8, "big")
-    return Address(sha256(payload)[-ADDRESS_BYTES:])

@@ -110,15 +110,6 @@ class PublicKey:
         _VERIFY_CACHE[key] = ok
         return ok
 
-    @property
-    def size_bytes(self) -> int:
-        """Serialized size used in communication-cost accounting."""
-        return PUBLIC_KEY_BYTES
-
-    def hex(self) -> str:
-        """Lowercase hex rendering (used in addresses and logs)."""
-        return self.value.hex()
-
 
 class PrivateKey:
     """Signing half of a key pair.  Never placed inside protocol messages."""
@@ -144,7 +135,7 @@ class PrivateKey:
         return Signature(_compute_tag(self._secret, bytes(message)))
 
     def __repr__(self) -> str:  # pragma: no cover - avoid leaking secrets
-        return f"PrivateKey(public={self._public.hex()[:12]}...)"
+        return f"PrivateKey(public={self._public.value.hex()[:12]}...)"
 
 
 def _compute_tag(secret: bytes, message: bytes) -> bytes:

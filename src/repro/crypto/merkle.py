@@ -1,8 +1,8 @@
 """Merkle trees for block transaction roots.
 
-Blocks commit to their transaction list through a binary merkle tree so
-clients can verify inclusion with a logarithmic proof -- the standard
-blockchain construction the paper's prototype inherits from its substrate.
+Blocks commit to their transaction list through a binary merkle tree --
+the standard blockchain construction the paper's prototype inherits from
+its substrate.
 
 Leaves are hashed with a ``0x00`` prefix and interior nodes with ``0x01``
 to rule out second-preimage attacks that conflate a leaf with a node.
@@ -10,8 +10,6 @@ Odd levels duplicate the final element (Bitcoin-style).
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 from repro.crypto.hashing import sha256
 from repro.common.errors import CryptoError
@@ -31,27 +29,6 @@ def _hash_node(left: bytes, right: bytes) -> bytes:
     return sha256(_NODE_PREFIX + left + right)
 
 
-@dataclass(frozen=True, slots=True)
-class MerkleProof:
-    """Inclusion proof for one leaf.
-
-    Attributes:
-        leaf_index: position of the proven leaf in the original list.
-        siblings: bottom-up list of ``(is_right, digest)`` pairs where
-            ``is_right`` says the sibling sits to the right of the path.
-    """
-
-    leaf_index: int
-    siblings: tuple[tuple[bool, bytes], ...]
-
-    def verify(self, leaf_data: bytes, root: bytes) -> bool:
-        """Check that *leaf_data* at ``leaf_index`` hashes up to *root*."""
-        acc = _hash_leaf(leaf_data)
-        for is_right, sibling in self.siblings:
-            acc = _hash_node(acc, sibling) if is_right else _hash_node(sibling, acc)
-        return acc == root
-
-
 class MerkleTree:
     """Binary merkle tree over an ordered list of byte strings."""
 
@@ -59,51 +36,17 @@ class MerkleTree:
         for leaf in leaves:
             if not isinstance(leaf, (bytes, bytearray)):
                 raise CryptoError("merkle leaves must be bytes")
-        self._leaves = [bytes(x) for x in leaves]
-        self._levels: list[list[bytes]] = []
-        self._build()
-
-    def _build(self) -> None:
-        if not self._leaves:
-            self._levels = [[EMPTY_ROOT]]
-            return
-        level = [_hash_leaf(leaf) for leaf in self._leaves]
-        self._levels = [level]
+        level = [_hash_leaf(bytes(leaf)) for leaf in leaves] or [EMPTY_ROOT]
         while len(level) > 1:
             if len(level) % 2 == 1:
-                level = level + [level[-1]]
+                level.append(level[-1])
             level = [_hash_node(level[i], level[i + 1]) for i in range(0, len(level), 2)]
-            self._levels.append(level)
+        self._root = level[0]
 
     @property
     def root(self) -> bytes:
         """Digest committing to the whole leaf list."""
-        return self._levels[-1][0]
-
-    def __len__(self) -> int:
-        return len(self._leaves)
-
-    def proof(self, index: int) -> MerkleProof:
-        """Build the inclusion proof for the leaf at *index*.
-
-        Raises:
-            IndexError: if *index* is out of range.
-            CryptoError: if the tree is empty.
-        """
-        if not self._leaves:
-            raise CryptoError("cannot prove inclusion in an empty tree")
-        if not 0 <= index < len(self._leaves):
-            raise IndexError(f"leaf index {index} out of range [0, {len(self._leaves)})")
-        siblings: list[tuple[bool, bytes]] = []
-        pos = index
-        for level in self._levels[:-1]:
-            padded = level + [level[-1]] if len(level) % 2 == 1 else level
-            if pos % 2 == 0:
-                siblings.append((True, padded[pos + 1]))
-            else:
-                siblings.append((False, padded[pos - 1]))
-            pos //= 2
-        return MerkleProof(leaf_index=index, siblings=tuple(siblings))
+        return self._root
 
 
 def merkle_root(leaves: list[bytes]) -> bytes:

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 import time
@@ -90,19 +91,6 @@ def build_parser() -> argparse.ArgumentParser:
         default=DEFAULT_CACHE_DIR,
         help=f"point cache directory (default: {DEFAULT_CACHE_DIR})",
     )
-    parser.add_argument(
-        "--trace",
-        type=Path,
-        default=None,
-        help="also run one instrumented G-PBFT capture at the profile's "
-             "committee cap and write a Chrome trace-event JSON here",
-    )
-    parser.add_argument(
-        "--metrics",
-        type=Path,
-        default=None,
-        help="write the instrumented capture's metric snapshot (JSON) here",
-    )
     return parser
 
 
@@ -119,6 +107,14 @@ def _positive_float(raw: str) -> float:
     value = float(raw)
     if not value > 0:
         raise argparse.ArgumentTypeError("must be > 0")
+    return value
+
+
+def _non_negative_float(raw: str) -> float:
+    """argparse type for ``--drain-slack``: a finite float >= 0."""
+    value = float(raw)
+    if not 0.0 <= value < math.inf:
+        raise argparse.ArgumentTypeError("must be a finite number >= 0")
     return value
 
 
@@ -160,37 +156,6 @@ def _write_svgs(name: str, result, profile_name: str, out_dir: Path) -> list[Pat
     return written
 
 
-def _write_observability(profile, trace_path: Path | None,
-                         metrics_path: Path | None) -> None:
-    """Run one instrumented capture and write the requested artifacts.
-
-    The capture uses the profile's committee cap (``max_endorsers``)
-    with an era switch mid-run, so the trace shows both the per-phase
-    request anatomy and an era-switch stall at the scale the
-    experiments just measured.
-    """
-    import json
-
-    from repro.obs.capture import capture_run
-    from repro.obs.export import write_chrome_trace
-
-    capture = capture_run(
-        protocol="gpbft",
-        n=max(4, profile.max_endorsers),
-        submissions=8,
-        seed=0,
-        horizon_s=60.0,
-        era_switch_at=12.0,
-    )
-    if trace_path is not None:
-        write_chrome_trace(capture.spans, trace_path)
-        print(f"[trace written to {trace_path} ({len(capture.spans)} spans)]")
-    if metrics_path is not None:
-        metrics_path.write_text(
-            json.dumps(capture.snapshot(), sort_keys=True, indent=2) + "\n")
-        print(f"[metrics written to {metrics_path}]")
-
-
 def _agg_main(argv: list[str]) -> int:
     """The ``agg`` subcommand: one aggregated city-scale run, direct.
 
@@ -198,8 +163,8 @@ def _agg_main(argv: list[str]) -> int:
     engine cache (a run with observability output files is about the
     artifacts, not the cached scalar) and prints its result dict as
     JSON.  The ``--timeseries`` / ``--frames`` / ``--sample-rate`` /
-    ``--flight-recorder`` flags switch on the v2 observability
-    pipeline for exactly this run.
+    ``--flight-recorder`` flags switch on windowed frames, head
+    sampling and the flight recorder for exactly this run.
     """
     parser = argparse.ArgumentParser(
         prog="python -m repro.experiments agg",
@@ -216,7 +181,9 @@ def _agg_main(argv: list[str]) -> int:
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--profile", choices=("diurnal", "poisson", "flash"),
                         default="diurnal")
-    parser.add_argument("--drain-slack", type=float, default=7_200.0)
+    parser.add_argument("--drain-slack", type=_non_negative_float,
+                        default=7_200.0,
+                        help="simulated seconds to drain after the load ends")
     parser.add_argument("--timeseries", action="store_true",
                         help="aggregate window frames even without --frames")
     parser.add_argument("--window", type=_positive_float, default=60.0,
@@ -305,8 +272,6 @@ def main(argv: list[str] | None = None) -> int:
             for path in _write_svgs(name, result, args.profile, args.svg):
                 print(f"[chart written to {path}]")
     print(f"[{engine.summary()}]")
-    if args.trace is not None or args.metrics is not None:
-        _write_observability(profile, args.trace, args.metrics)
     return 0
 
 

@@ -133,7 +133,7 @@ def _obs_from_params(
     Every parameter defaults to ``None`` so
     :meth:`~repro.experiments.engine.PointSpec.make` drops them from
     the cache key: a point that never mentions observability keeps the
-    exact golden fingerprint it had before v2 existed.  Returns
+    cache key and golden fingerprint of an uninstrumented run.  Returns
     ``None`` (observability fully absent) when no param is given.
     """
     params = (timeseries, window_s, frames_path, sample_rate,
@@ -274,7 +274,7 @@ def _gpbft_agg_point(
         summarizes frames written, spans kept, and dumps fired.
 
     The observability params (*obs_params*, all ``None``-off, see
-    :func:`_obs_from_params`) switch on the v2 pipeline: per-zone
+    :func:`_obs_from_params`) switch on observability: per-zone
     window frames streamed to ``frames_path``, head-sampled tracing at
     ``sample_rate``, and per-zone flight-recorder rings.  Day-long runs
     should sample (e.g. 0.001) -- unsampled span buffering is exactly

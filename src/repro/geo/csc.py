@@ -2,19 +2,16 @@
 
 The paper (section III-B3) adopts the FOAM CSC standard: a CSC binds a
 location (geohash) to a blockchain identity (smart-contract address) so
-devices "make an immutable claim to historical locations".  A CSC is
-hierarchical -- truncating the geohash yields the CSC of the enclosing,
-coarser cell.
+devices "make an immutable claim to historical locations".
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.common.errors import GeoError
 from repro.crypto.address import Address
 from repro.geo.coords import LatLng
-from repro.geo.geohash import geohash_encode, geohash_decode, geohash_bounds
+from repro.geo.geohash import geohash_bounds, geohash_encode
 
 
 @dataclass(frozen=True, slots=True)
@@ -36,38 +33,6 @@ class CryptoSpatialCoordinate:
     def from_point(cls, point: LatLng, anchor: Address, precision: int = 12) -> "CryptoSpatialCoordinate":
         """Build the CSC of *point* at *precision* characters."""
         return cls(geohash=geohash_encode(point, precision), anchor=anchor)
-
-    @property
-    def precision(self) -> int:
-        """Geohash length; longer means a more specific location."""
-        return len(self.geohash)
-
-    @property
-    def center(self) -> LatLng:
-        """Centre of the claimed cell."""
-        return geohash_decode(self.geohash)
-
-    def parent(self, levels: int = 1) -> "CryptoSpatialCoordinate":
-        """The CSC of the enclosing cell *levels* steps coarser.
-
-        Raises:
-            GeoError: if truncation would leave an empty geohash.
-        """
-        if levels < 1:
-            raise GeoError("levels must be >= 1")
-        if levels >= len(self.geohash):
-            raise GeoError(
-                f"cannot take {levels} parent levels of a {len(self.geohash)}-char geohash"
-            )
-        return CryptoSpatialCoordinate(self.geohash[:-levels], self.anchor)
-
-    def covers(self, other: "CryptoSpatialCoordinate") -> bool:
-        """True iff *other*'s cell lies within this CSC's cell."""
-        return other.geohash.startswith(self.geohash)
-
-    def same_cell(self, other: "CryptoSpatialCoordinate") -> bool:
-        """True iff both CSCs claim exactly the same cell (any anchor)."""
-        return self.geohash == other.geohash
 
     def key(self) -> str:
         """Stable string key used by election tables and logs."""

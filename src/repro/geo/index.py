@@ -54,15 +54,6 @@ class SpatialIndex:
         self._cell_of[node] = cell
         self._positions[node] = position
 
-    def remove(self, node: int) -> bool:
-        """Drop *node*; returns False when it was not indexed."""
-        cell = self._cell_of.pop(node, None)
-        if cell is None:
-            return False
-        self._cells[cell].discard(node)
-        del self._positions[node]
-        return True
-
     def position(self, node: int) -> LatLng | None:
         """Indexed position of *node*, or ``None``."""
         return self._positions.get(node)
@@ -151,7 +142,8 @@ class IndexedDirectory(dict):
     Drop-in replacement for the plain ``dict`` the deployment shares
     with every node: assignments keep :attr:`index` synchronized, so
     witness oracles can answer range queries in near-O(1) instead of
-    scanning the whole population per report.
+    scanning the whole population per report.  Nodes are only ever
+    added or moved, never removed: a ``del`` would leave the index stale.
     """
 
     def __init__(self, *args, **kwargs) -> None:
@@ -163,13 +155,3 @@ class IndexedDirectory(dict):
     def __setitem__(self, node: int, position: LatLng) -> None:
         super().__setitem__(node, position)
         self.index.insert(node, position)
-
-    def __delitem__(self, node: int) -> None:
-        super().__delitem__(node)
-        self.index.remove(node)
-
-    def pop(self, node, *default):
-        """Remove *node*, keeping the spatial index in sync."""
-        value = super().pop(node, *default)
-        self.index.remove(node)
-        return value

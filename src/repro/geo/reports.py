@@ -73,11 +73,6 @@ class ReportHistory:
         self._times: list[float] = []
         self._reports: list[GeoReport] = []
 
-    @property
-    def node(self) -> int:
-        """The device whose reports this history holds."""
-        return self._node
-
     def __len__(self) -> int:
         return len(self._reports)
 
@@ -105,10 +100,6 @@ class ReportHistory:
         lo = bisect.bisect_left(self._times, now - lookback_s)
         hi = bisect.bisect_right(self._times, now)
         return self._reports[lo:hi]
-
-    def latest(self) -> GeoReport | None:
-        """Most recent report, or ``None`` when empty."""
-        return self._reports[-1] if self._reports else None
 
     def stationary_since(self, precision: int = 12) -> float | None:
         """Earliest timestamp from which every later report shares the

@@ -106,10 +106,6 @@ class LocationAuditor:
         # cell geohash -> list of (node, timestamp) claims seen so far
         self._claims: dict[str, list[tuple[int, float]]] = {}
 
-    def reset(self) -> None:
-        """Forget all previously registered claims."""
-        self._claims.clear()
-
     def check_exclusivity(self, report: GeoReport) -> tuple[int, ...]:
         """Register *report*'s cell claim and return conflicting node ids.
 

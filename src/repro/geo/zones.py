@@ -102,7 +102,3 @@ class ZoneMap:
     def __iter__(self) -> Iterator[Zone]:
         return iter(self._zones)
 
-    @property
-    def zones(self) -> tuple[Zone, ...]:
-        """The cells, in index order."""
-        return self._zones

@@ -89,11 +89,6 @@ class LatencySamples:
             raise ConfigurationError(f"negative latency {latency_s}")
         self._samples.append(float(latency_s))
 
-    def extend(self, latencies) -> None:
-        """Record many latencies."""
-        for value in latencies:
-            self.add(value)
-
     def add_from_events(self, events: EventLog) -> int:
         """Pull every ``request.completed`` latency out of *events*."""
         added = 0
@@ -101,11 +96,6 @@ class LatencySamples:
             self.add(event.data["latency"])
             added += 1
         return added
-
-    @property
-    def values(self) -> list[float]:
-        """The raw samples, in insertion order."""
-        return list(self._samples)
 
     def stats(self) -> BoxplotStats:
         """Boxplot summary of everything recorded so far."""

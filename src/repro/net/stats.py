@@ -81,7 +81,6 @@ class TrafficStats:
         self.bytes_by_kind: dict[str, int] = defaultdict(int)
         self.messages_by_kind: dict[str, int] = defaultdict(int)
         # transfers charged by ``on_send``/``on_deliver``, by node id
-        self._charged_sent_bytes: dict[int, int] = defaultdict(int)
         self._charged_sent: dict[int, int] = defaultdict(int)
         self._charged_bytes: dict[int, int] = defaultdict(int)
         self._charged_messages: dict[int, int] = defaultdict(int)
@@ -90,7 +89,6 @@ class TrafficStats:
         """Charge a modelled transfer of *size_bytes* from *src*."""
         self.bytes_by_kind[kind] += size_bytes
         self.messages_by_kind[kind] += 1
-        self._charged_sent_bytes[src] += size_bytes
         self._charged_sent[src] += 1
 
     def on_deliver(self, dst: int, size_bytes: int) -> None:
@@ -128,11 +126,6 @@ class TrafficStats:
         return self._by_node(self._charged_sent, "sent", "sent")
 
     @property
-    def bytes_sent_by_node(self) -> defaultdict[int, int]:
-        """Bytes sent, by sender id."""
-        return self._by_node(self._charged_sent_bytes, "sent", "sent_bytes")
-
-    @property
     def messages_received_by_node(self) -> defaultdict[int, int]:
         """Messages delivered, by receiver id."""
         return self._by_node(self._charged_messages, "delivered", "delivered")
@@ -168,9 +161,3 @@ class TrafficStats:
             bytes_by_kind=dict(self.bytes_by_kind),
             messages_by_kind=dict(self.messages_by_kind),
         )
-
-    def reset(self) -> None:
-        """Zero every counter, the ports' send and delivery counts included."""
-        self.__init__(self._ports)
-        for port in self._ports.values():  # gpb: allow GPB003 -- zeroes each port; order cannot matter
-            port.sent = port.sent_bytes = port.delivered = port.delivered_bytes = 0

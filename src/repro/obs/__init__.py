@@ -19,7 +19,7 @@ parameter; passing ``None`` (the default) keeps every hot path on a
 single ``is not None`` check, so goldens stay bit-identical and the
 benchmark's ``sim_digest`` does not move.
 
-City-scale (million-request) runs opt into the v2 pipeline through an
+City-scale (million-request) runs opt in through an
 :class:`~repro.obs.obsconfig.ObsConfig`: streamed time-series windows
 (:mod:`repro.obs.timeseries`), deterministic head sampling of request
 spans (:mod:`repro.obs.sampling`), and a post-mortem flight recorder

@@ -60,8 +60,8 @@ def capture_run(
         seed: root seed for network jitter and placement.
         horizon_s: simulated seconds to run.
         era_switch_at: G-PBFT only -- force an era switch at this time.
-        obs_config: v2 pipeline settings (windows, sampling, flight
-            recorder); ``None`` keeps the all-off v1 behavior.
+        obs_config: windows, sampling and flight-recorder settings;
+            ``None`` turns all three off and keeps every span.
 
     Raises:
         ConfigurationError: on anything the explorer's

@@ -4,8 +4,8 @@ Subcommands:
 
 - ``capture`` -- run one instrumented scenario and write the trace
   (Chrome trace-event JSON), span dump (JSONL), instrument snapshot,
-  and/or streamed window frames to files.  The v2 pipeline (windows,
-  head sampling, flight recorder) switches on via flags.
+  and/or streamed window frames to files.  Time-series windows, head
+  sampling and the flight recorder switch on via flags.
 - ``report`` -- read a trace/span file and print the per-phase latency
   tables plus the era-switch downtime timeline; given a frames JSONL
   file it prints the per-zone window timeline instead.
@@ -98,7 +98,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _obs_config(args: argparse.Namespace) -> ObsConfig | None:
-    """An :class:`ObsConfig` from capture flags (None = all-off v1)."""
+    """An :class:`ObsConfig` from capture flags (None: every span kept
+    in memory, no windows, no flight recorder)."""
     wants_flight = args.flight_recorder or args.dump_dir or args.dump
     if not (args.frames or args.timeseries or args.sample_rate < 1.0
             or wants_flight or args.heartbeat is not None):

@@ -20,7 +20,7 @@ key                                 span
 ``ckpt/{zone}/{seq}``               zone checkpoint *seq*, submit to commit
 ==================================  =======================================
 
-An :class:`~repro.obs.obsconfig.ObsConfig` opts a capture into the v2
+An :class:`~repro.obs.obsconfig.ObsConfig` opts a capture into the
 city-scale pieces, all off by default:
 
 * windowed time-series frames (:attr:`Observability.timeseries`),
@@ -59,7 +59,8 @@ DEFAULT_ZONE = "all"
 
 
 class Observability:
-    """Tracer + instrument registry (+ v2 pipeline) behind one object.
+    """Tracer, instrument registry and the optional time-series, sampler
+    and flight recorder behind one object.
 
     Construct one per capture, pass it to the host
     (``TopologySpec.build(obs=...)`` binds and attaches it), and call
@@ -78,7 +79,7 @@ class Observability:
         timeseries: the shared :class:`Timeseries`, or ``None``.
         flight: the shared :class:`FlightRecorder`, or ``None``.
         sampler: the :class:`HeadSampler`, or ``None`` when tracing
-            every request (the v1 behavior).
+            every request (the default).
     """
 
     def __init__(self, config: ObsConfig | None = None) -> None:

@@ -1,4 +1,4 @@
-"""One configuration object for the observability v2 feature set.
+"""One configuration object for the city-scale observability features.
 
 :class:`ObsConfig` ties the three city-scale pieces together -- the
 streaming time-series pipeline (:mod:`repro.obs.timeseries`), the
@@ -6,9 +6,9 @@ deterministic head sampler (:mod:`repro.obs.sampling`), and the flight
 recorder (:mod:`repro.obs.flightrec`) -- behind one frozen dataclass
 that :class:`~repro.obs.core.Observability` accepts at construction.
 
-The default config disables every v2 feature, which keeps the v1
-contract intact: a default-constructed ``Observability`` records every
-span, buffers them in memory, and never writes a file.  Million-request
+The default config disables all three: a default-constructed
+``Observability`` records every span, buffers them in memory, and never
+writes a file.  Million-request
 runs opt in to windows, sampling, and the recorder explicitly.
 """
 
@@ -22,7 +22,7 @@ from repro.obs.spans import ObservabilityError
 
 @dataclass(frozen=True, slots=True)
 class ObsConfig:
-    """Settings for the v2 observability pipeline.
+    """Settings for windows, head sampling and the flight recorder.
 
     Attributes:
         window_s: width of one simulated-time aggregation window.
@@ -34,8 +34,8 @@ class ObsConfig:
         frames_tail: how many recent frames the in-memory tail keeps
             (bounds memory; also what a flight-recorder dump embeds).
         sample_rate: fraction of request ids traced end-to-end, keyed
-            by a stable hash of the id (1.0 = trace everything, the v1
-            behavior).  Instruments and window frames always see every
+            by a stable hash of the id (1.0, the default, traces
+            everything).  Instruments and window frames always see every
             request; sampling only thins the span stream.
         flight_recorder: enable post-mortem dumps of each group's
             recent events even without a ``dump_dir`` (dumps then

@@ -42,7 +42,7 @@ def sample_key(rid: str) -> float:
 class HeadSampler:
     """Stateless keep/drop decision for request-scoped spans.
 
-    ``rate=1.0`` keeps everything (the v1 behavior); ``rate=0.0``
+    ``rate=1.0`` keeps every request span (the default); ``rate=0.0``
     drops every request span.  Instruments and window frames are not
     affected by sampling -- only the span stream is thinned.
     """

@@ -15,9 +15,8 @@ bit-identical to an untraced run.
 
 from __future__ import annotations
 
-from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import Any, Callable, Iterator
+from typing import Any, Callable
 
 from repro.common.errors import ReproError
 
@@ -73,11 +72,6 @@ class Tracer:
         self._next_sid = 0
         self._open: dict[str, Span] = {}
         self._closed: list[Span] = []
-
-    @property
-    def enabled(self) -> bool:
-        """True for a real tracer; the no-op subclass reports False."""
-        return True
 
     def bind_clock(self, clock: Callable[[], float]) -> None:
         """Use *clock* (e.g. ``lambda: sim.now``) for default timestamps."""
@@ -139,10 +133,6 @@ class Tracer:
         self._closed.append(span)  # gpb: allow GPB015 -- capture-scoped span buffer; city-scale runs bound it via head sampling (ObsConfig.sample_rate)
         return span
 
-    def is_open(self, key: str) -> bool:
-        """True iff a span is currently open under *key*."""
-        return key in self._open
-
     def instant(
         self, name: str, cat: str = "instant", node: int = -1,
         at: float | None = None, **args: Any,
@@ -156,16 +146,6 @@ class Tracer:
         self._next_sid += 1
         self._closed.append(span)  # gpb: allow GPB015 -- capture-scoped span buffer; instants are rare (elections), not per-request
         return span
-
-    @contextmanager
-    def span(self, key: str, name: str, **args: Any) -> Iterator[Span | None]:
-        """Context manager: open on entry, close on exit."""
-        opened = self.open(key, name, **args)
-        try:
-            yield opened
-        finally:
-            if opened is not None:
-                self.close(key)
 
     def finish(self, at: float | None = None) -> None:
         """Close every still-open span, flagging it ``unclosed=True``.
@@ -181,8 +161,3 @@ class Tracer:
     def spans(self) -> list[Span]:
         """All closed spans, in close order."""
         return list(self._closed)
-
-    @property
-    def open_count(self) -> int:
-        """How many spans are currently open."""
-        return len(self._open)

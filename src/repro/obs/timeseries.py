@@ -1,7 +1,7 @@
 """Streaming windowed time-series for unbounded-length runs.
 
-The v1 tracer buffers one span per request, which caps it at tens of
-thousands of requests.  This module is the city-scale path: protocol
+An unsampled tracer buffers one span per request, which caps it at tens
+of thousands of requests.  This module is the city-scale path: protocol
 signals are aggregated into fixed-width *simulated-time* windows, one
 frame per (window, zone), and each frame is flushed to a JSONL file
 the moment its window closes.  Memory is O(one open window) plus a

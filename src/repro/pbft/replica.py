@@ -39,8 +39,7 @@ from repro.common.eventlog import (
     EV_PBFT_VIEW_CHANGE,
     EventLog,
 )
-from repro.common.ids import primary_for_view
-from repro.common.quorum import max_faulty, quorum_size
+from repro.common.quorum import max_faulty, primary_for_view, quorum_size
 from repro.crypto.hashing import sha256
 from repro.net.network import Transport
 from repro.net.simulator import ScheduledEvent, Simulator

@@ -1,4 +1,4 @@
-"""``repro verify``: schedule exploration and artifact replay CLI.
+"""``gpbft-experiments verify``: schedule exploration and artifact replay CLI.
 
 Usage::
 

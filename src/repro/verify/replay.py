@@ -10,7 +10,8 @@ schedule, not merely a similar one.  The summary ends with the
 violation's trace window: the last events the monitor saw before it
 fired.
 
-Used by ``repro verify --replay <artifact>`` and the regression tests.
+Used by ``python -m repro.experiments verify --replay <artifact>`` and
+the regression tests.
 """
 
 from __future__ import annotations

@@ -5,8 +5,6 @@ car-monitoring system, payment machines in a parking lot, RFID receivers
 in location tracking (sections I, III-B).  This package turns those
 scenes into reproducible simulation inputs:
 
-* :mod:`repro.workloads.fleet` -- device-fleet builders: grids of fixed
-  infrastructure, scattered sensors, mobile devices;
 * :mod:`repro.workloads.mobility` -- the random-waypoint mobility
   model and the driver that moves mobile nodes on the simulator;
 * :mod:`repro.workloads.arrivals` -- transaction arrival processes
@@ -15,8 +13,8 @@ scenes into reproducible simulation inputs:
   (rate profiles + thinning) that make million-request city-scale runs
   tractable;
 * :mod:`repro.workloads.scenarios` -- packaged end-to-end scenes
-  (smart-city car monitoring, parking-lot payments, RFID asset
-  tracking);
+  (smart-city car monitoring, RFID asset tracking) and the
+  installation grid they place fixed devices on;
 * :mod:`repro.workloads.profiles` -- heterogeneous device classes
   (sensor / gateway / infrastructure tiers) with CPU, memory, and
   duty-cycle constraints, plus fleet mixes and availability drivers;

@@ -4,9 +4,8 @@
   lamp of a car monitoring system"): a grid of street lamps (fixed,
   electable) plus vehicles roaming the district (mobile clients that
   upload sighting transactions).
-* **Parking-lot payments** ("a payment machine in a parking lot"):
-  payment machines (fixed, electable) plus parked cars' phones
-  submitting payment transactions.
+* **RFID asset tracking** (section III-B): fixed RFID readers scanning
+  tagged assets that roam a warehouse.
 
 Each builder returns a :class:`Scenario` bundling the deployment,
 mobility drivers, and arrival processes, ready to ``run()``.
@@ -14,6 +13,7 @@ mobility drivers, and arrival processes, ready to ``run()``.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 from repro.common.config import GPBFTConfig, TopologySpec
@@ -22,7 +22,6 @@ from repro.common.rng import DeterministicRNG
 from repro.core.deployment import GPBFTDeployment
 from repro.geo.coords import LatLng, Region
 from repro.workloads.arrivals import ArrivalProcess, ConstantRateArrivals
-from repro.workloads.fleet import grid_positions
 from repro.workloads.mobility import MobilityDriver, RandomWaypointModel
 
 
@@ -52,6 +51,31 @@ class Scenario:
     def run(self, duration_s: float) -> None:
         """Advance the simulation by *duration_s* seconds."""
         self.deployment.run_for(duration_s)
+
+
+def grid_positions(region: Region, count: int) -> list[LatLng]:
+    """Place *count* devices on a regular grid inside *region*.
+
+    Street lamps and payment machines are installed on regular layouts;
+    a near-square grid with edge margins models that.
+    """
+    if count <= 0:
+        return []
+    cols = max(1, math.ceil(math.sqrt(count)))
+    rows = max(1, math.ceil(count / cols))
+    out: list[LatLng] = []
+    for index in range(count):
+        r, c = divmod(index, cols)
+        # margins of half a cell keep devices off the region boundary
+        frac_lat = (r + 0.5) / rows
+        frac_lng = (c + 0.5) / cols
+        out.append(
+            LatLng(
+                region.south + frac_lat * (region.north - region.south),
+                region.west + frac_lng * (region.east - region.west),
+            )
+        )
+    return out
 
 
 def _apply_grid_layout(deployment: GPBFTDeployment, node_ids, region: Region) -> None:
@@ -191,48 +215,5 @@ def asset_tracking_scenario(
         description=(
             f"asset tracking: {n_readers} RFID readers scanning every "
             f"{scan_period_s}s, {n_assets} tagged assets roaming"
-        ),
-    )
-
-
-def parking_lot_scenario(
-    n_machines: int = 8,
-    n_cars: int = 30,
-    payment_period_s: float = 120.0,
-    seed: int = 0,
-) -> Scenario:
-    """Payment machines in a parking lot collect payments from cars.
-
-    Cars are stationary while parked (they submit payments but move too
-    rarely to qualify as endorsers within an experiment's horizon).
-    """
-    if n_machines < 4:
-        raise ConfigurationError("need at least 4 payment machines")
-    region = Region.around(LatLng(22.3050, 114.1800), half_side_m=120.0)
-    total = n_machines + n_cars
-    deployment = TopologySpec.single(
-        total,
-        min(n_machines, GPBFTConfig().committee.max_endorsers),
-        region=region,
-        seed=seed,
-    ).build()
-    _apply_grid_layout(deployment, range(n_machines), region)
-
-    rng = DeterministicRNG(seed, "parking-lot")
-    arrivals = [
-        ConstantRateArrivals(
-            deployment.sim,
-            deployment.nodes[cid].submit_transaction,
-            rng.fork(f"pay/{cid}"),
-            period_s=payment_period_s,
-        )
-        for cid in range(n_machines, total)
-    ]
-    return Scenario(
-        deployment=deployment,
-        arrivals=arrivals,
-        description=(
-            f"parking-lot payments: {n_machines} machines, {n_cars} cars, "
-            f"payment every {payment_period_s}s"
         ),
     )

@@ -29,7 +29,6 @@ from repro.analysis.cli import main as analysis_main, render_rule_catalog
 from repro.common.errors import ConfigurationError, QuorumError
 from repro.common.quorum import (
     max_faulty,
-    quorum_for_n,
     quorum_size,
     weak_certificate_size,
 )
@@ -272,10 +271,6 @@ class TestQuorumHelpers:
         assert [quorum_size(f) for f in (0, 1, 2, 13)] == [1, 3, 5, 27]
         with pytest.raises(QuorumError):
             quorum_size(-1)
-
-    def test_quorum_for_n_composes(self):
-        assert quorum_for_n(4) == 3
-        assert quorum_for_n(202) == 2 * ((202 - 1) // 3) + 1
 
     def test_weak_certificate_size(self):
         assert weak_certificate_size(1) == 2

@@ -14,11 +14,7 @@ from repro.chain.genesis import build_genesis
 from repro.chain.ledger import Ledger
 from repro.chain.mempool import Mempool
 from repro.chain.state import LedgerState
-from repro.chain.transaction import (
-    ConfigAction,
-    ConfigTransaction,
-    NormalTransaction,
-)
+from repro.chain.transaction import NormalTransaction
 from repro.crypto.hashing import digest_concat
 from repro.crypto.merkle import MerkleTree
 from repro.geo.coords import LatLng
@@ -55,16 +51,6 @@ class TestTransactions:
             NormalTransaction(sender=-1, nonce=0, fee=0.0, geo=geo())
         with pytest.raises(ValidationError):
             NormalTransaction(sender=1, nonce=0, fee=-1.0, geo=geo())
-
-    def test_config_tx_requires_subject(self):
-        with pytest.raises(ValidationError):
-            ConfigTransaction(sender=1, nonce=0, fee=0.0, geo=geo())
-
-    def test_config_tx_kinds(self):
-        c = ConfigTransaction(sender=1, nonce=0, fee=0.0, geo=geo(),
-                              action=ConfigAction.REMOVE_ENDORSER, subject=5)
-        assert c.kind == "tx.config"
-        assert c.tx_id != tx().tx_id
 
 
 class TestBlocks:
@@ -194,17 +180,16 @@ class TestLedgerState:
         s1.apply_transaction(tx(nonce=1))
         assert s1.root != s2.root
 
-    def test_config_transaction_applies_once_and_advances_the_root(self):
+    def test_transaction_applies_once_and_advances_the_root(self):
         state = LedgerState()
-        for nonce, action in enumerate(ConfigAction):
-            config_tx = ConfigTransaction(sender=0, nonce=nonce, fee=0.0, geo=geo(0),
-                                          action=action, subject=9)
+        for nonce in range(2):
+            t = tx(nonce=nonce)
             before = state.root
-            assert state.apply_transaction(config_tx)
-            assert state.applied(config_tx.tx_id)
-            assert state.root == digest_concat(before, config_tx.signing_bytes())
-            assert not state.apply_transaction(config_tx)
-            assert state.root == digest_concat(before, config_tx.signing_bytes())
+            assert state.apply_transaction(t)
+            assert state.applied(t.tx_id)
+            assert state.root == digest_concat(before, t.signing_bytes())
+            assert not state.apply_transaction(t)
+            assert state.root == digest_concat(before, t.signing_bytes())
         assert state.transactions_applied == 2
 
 

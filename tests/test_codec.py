@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.chain.transaction import ConfigAction, ConfigTransaction, NormalTransaction
+from repro.chain.transaction import NormalTransaction
 from repro.codec import (
     decode_checkpoint,
     decode_commit,
@@ -150,13 +150,14 @@ class TestTransactionCodec:
         assert signature == SIG
         assert decoded.tx_id == tx.tx_id
 
-    def test_config_size_and_roundtrip(self):
-        tx = ConfigTransaction(sender=0, nonce=1, fee=0.0, geo=geo(0),
-                               action=ConfigAction.REMOVE_ENDORSER, subject=12)
-        data = encode_transaction(tx, SIG)
-        assert len(data) == tx.size_bytes
-        decoded, _ = decode_transaction(data)
-        assert decoded == tx
+    def test_former_config_frame_rejected(self):
+        # kind tag 2 with action code 1 was an add-endorser config
+        # transaction; membership now changes only by era switch
+        data = bytearray(encode_transaction(normal_tx(), SIG))
+        assert data[0] == 1 and data[25] == 0
+        data[0], data[25] = 2, 1
+        with pytest.raises(ValidationError, match="kind tag 2"):
+            decode_transaction(bytes(data))
 
     def test_oversized_key_value_rejected(self):
         tx = normal_tx(key="k" * 60, value="v" * 60, payload_bytes=64)

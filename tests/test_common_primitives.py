@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.common.eventlog import Event, EventLog
-from repro.common.ids import node_name, primary_for_view, validate_node_id
+from repro.common.quorum import primary_for_view
 from repro.common.rng import DeterministicRNG
 
 
@@ -33,23 +33,6 @@ _DRAWS = {
 
 
 class TestIds:
-    def test_node_name_formatting(self):
-        assert node_name(7) == "node-0007"
-        assert node_name(1234) == "node-1234"
-
-    def test_validate_accepts_zero(self):
-        assert validate_node_id(0) == 0
-
-    def test_validate_rejects_negative(self):
-        with pytest.raises(ValueError):
-            validate_node_id(-1)
-
-    def test_validate_rejects_bool_and_float(self):
-        with pytest.raises(TypeError):
-            validate_node_id(True)
-        with pytest.raises(TypeError):
-            validate_node_id(1.5)  # type: ignore[arg-type]
-
     def test_primary_rotates_round_robin(self):
         assert [primary_for_view(v, 4) for v in range(6)] == [0, 1, 2, 3, 0, 1]
 
@@ -148,8 +131,8 @@ class TestEventLog:
         log.record(1.0, "a", node=1)
         log.record(2.0, "b", node=2, extra=7)
         assert len(log) == 2
-        assert log.first("b").data["extra"] == 7
-        assert log.last("a").at == 1.0
+        assert log.of_kind("b")[0].data["extra"] == 7
+        assert log.of_kind("a")[-1].at == 1.0
 
     def test_records_never_share_a_data_dict(self):
         # record() keeps the **data dict of its call instead of copying
@@ -185,7 +168,7 @@ class TestEventLog:
         log.record(2.0, "y", node=2)
         log.record(3.0, "x", node=3)
         assert [e.node for e in log.of_kind("x")] == [1, 3]
-        assert [e.node for e in log.where(lambda e: e.node > 1)] == [2, 3]
+        assert [e.node for e in log if e.node > 1] == [2, 3]
 
     def test_event_builds_by_keyword_and_round_trips(self):
         event = Event(at=1.5, kind="a")
@@ -221,7 +204,7 @@ class TestEventLog:
         assert len(gc.get_objects()) - before < 50
         assert len(log) == 10_000 and log.count("tick") == 10_000
 
-    def test_ring_tail_of_kind_and_clear_read_the_columns(self):
+    def test_ring_tail_and_of_kind_read_the_columns(self):
         log = EventLog(capacity=4)
         for i in range(11):
             log.record(float(i), "even" if i % 2 == 0 else "odd", node=i, seq=i)
@@ -233,18 +216,5 @@ class TestEventLog:
         assert all(type(e) is Event for e in log.tail(100))
         assert len(log.tail(100)) == 6 and log.tail(0) == log.tail(-1) == []
         assert [e.at for e in log.of_kind("odd")] == [5.0, 7.0, 9.0]
-        assert (log.first("odd").node, log.last("odd").node) == (5, 9)
-        assert log.first("absent") is None and log.last("absent") is None
+        assert log.of_kind("absent") == []
         assert log.count("even") == 6 and log.total_appended == 11
-        log.clear()
-        assert list(log) == [] and log.tail(5) == [] and log.of_kind("odd") == []
-        assert log.count("odd") == 0 and log.total_appended == 11
-
-    def test_clear_resets_counts(self):
-        log = EventLog()
-        log.record(1.0, "x")
-        log.clear()
-        assert len(log) == 0
-        assert log.count("x") == 0
-        log.record(0.5, "x")  # earlier time allowed after clear
-        assert log.count("x") == 1

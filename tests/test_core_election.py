@@ -170,8 +170,9 @@ class TestCommitteeManager:
     def test_plan_and_apply_additions(self):
         cm = CommitteeManager([0, 1, 2, 3])
         delta = cm.plan_delta(qualified=[7, 8], invalid=[])
-        assert delta.added == (7, 8)
-        assert cm.apply_delta(delta) == (0, 1, 2, 3, 7, 8)
+        assert delta.added == (7, 8) and delta.removed == ()
+        # the next era's committee is a valid one under the same policy
+        CommitteeManager((0, 1, 2, 3) + delta.added, cm.policy)
 
     def test_capacity_respected(self):
         cm = CommitteeManager([0, 1, 2, 3], CommitteeConfig(max_endorsers=5))
@@ -202,17 +203,7 @@ class TestCommitteeManager:
     def test_eviction_with_replacement(self):
         cm = CommitteeManager([0, 1, 2, 3, 4])
         delta = cm.plan_delta(qualified=[9], invalid=[2])
-        new = cm.apply_delta(delta)
-        assert 2 not in new and 9 in new
-
-    def test_apply_rejects_inconsistent_delta(self):
-        from repro.core.committee import MembershipDelta
-
-        cm = CommitteeManager([0, 1, 2, 3])
-        with pytest.raises(MembershipError):
-            cm.apply_delta(MembershipDelta(added=(), removed=(9,), rejected={}))
-        with pytest.raises(MembershipError):
-            cm.apply_delta(MembershipDelta(added=(2,), removed=(), rejected={}))
+        assert delta.removed == (2,) and delta.added == (9,)
 
 
 class TestIncentive:
@@ -222,7 +213,7 @@ class TestIncentive:
         assert engine.balance(0) == pytest.approx(7.0)
         for e in (1, 2, 3):
             assert engine.balance(e) == pytest.approx(1.0)
-        assert engine.total_paid() == pytest.approx(10.0)
+        assert sum(engine.balances.values()) == pytest.approx(10.0)
 
     def test_excluded_producer_forfeits(self):
         engine = IncentiveEngine()
@@ -238,7 +229,7 @@ class TestIncentive:
         engine.on_block(1, producer=0, endorsers=[0, 1, 2, 3], total_fee=10.0)
         assert engine.balance(3) == 0.0
         assert engine.balance(1) == pytest.approx(1.0)  # not redistributed
-        assert engine.total_paid() == pytest.approx(9.0)
+        assert sum(engine.balances.values()) == pytest.approx(9.0)
 
     def test_reinstate(self):
         engine = IncentiveEngine()
@@ -284,20 +275,11 @@ class TestEraHistory:
         hist = EraHistory([0, 1, 2, 3])
         assert hist.current.era == 0
         hist.begin_switch(10.0)
-        assert hist.switching
+        assert hist.switch_periods() == []
         record = hist.complete_switch(10.25, [0, 1, 2, 3, 7])
         assert record.era == 1
-        assert not hist.switching
         assert hist.switch_periods() == [(10.0, 10.25)]
         assert hist.total_switch_time() == pytest.approx(0.25)
-
-    def test_in_switch_period(self):
-        hist = EraHistory([0, 1, 2, 3])
-        hist.begin_switch(10.0)
-        assert hist.in_switch_period(10.1)
-        hist.complete_switch(10.25, [0, 1, 2, 3])
-        assert hist.in_switch_period(10.1)
-        assert not hist.in_switch_period(10.3)
 
     def test_double_begin_rejected(self):
         hist = EraHistory([0, 1, 2, 3])

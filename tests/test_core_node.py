@@ -117,7 +117,7 @@ class TestNodeLifecycle:
         device = dep.nodes[5]
         report = GeoReport(node=1, position=HK, timestamp=0.0)
         device._on_geo_report(GeoReportMsg(report))
-        assert device.election_table.tracked_nodes == []
+        assert device.election_table.history(1) is None
 
     def test_tx_submission_requires_membership(self):
         dep = TopologySpec.single(6, 4, seed=25, mode="block", start_reports=False).build()
@@ -213,4 +213,4 @@ class TestNodeLifecycle:
         bad = Block.assemble(1, b"\x42" * 32, 0, 0, 0, 2, 0.0, [])
         node._execute_block_proposal(BlockProposalOperation(block=bad, producer=2))
         assert 2 in node._suspects
-        assert node.incentive.is_excluded(2)
+        assert 2 in node.incentive._excluded

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.common.errors import CryptoError
-from repro.crypto.address import Address, address_from_public_key, contract_address
+from repro.crypto.address import Address, address_from_public_key
 from repro.crypto.hashing import HASH_BYTES, digest_concat, sha256, sha256_hex
 from repro.crypto.keys import KeyPair, PrivateKey, PublicKey, Signature, SIGNATURE_BYTES
 from repro.crypto.merkle import EMPTY_ROOT, MerkleTree, merkle_root
@@ -82,38 +82,16 @@ class TestMerkle:
     def test_empty_tree_root(self):
         assert MerkleTree([]).root == EMPTY_ROOT
 
-    def test_single_leaf_proof(self):
-        tree = MerkleTree([b"only"])
-        proof = tree.proof(0)
-        assert proof.verify(b"only", tree.root)
-
-    def test_all_proofs_verify(self):
-        leaves = [f"leaf-{i}".encode() for i in range(9)]  # odd count
-        tree = MerkleTree(leaves)
-        for i, leaf in enumerate(leaves):
-            assert tree.proof(i).verify(leaf, tree.root)
-
-    def test_proof_fails_for_wrong_leaf(self):
-        leaves = [b"a", b"b", b"c", b"d"]
-        tree = MerkleTree(leaves)
-        assert not tree.proof(1).verify(b"x", tree.root)
-
-    def test_proof_fails_for_wrong_root(self):
-        tree = MerkleTree([b"a", b"b"])
-        other = MerkleTree([b"a", b"c"])
-        assert not tree.proof(0).verify(b"a", other.root)
-
     def test_root_changes_with_order(self):
         assert merkle_root([b"a", b"b"]) != merkle_root([b"b", b"a"])
 
-    def test_proof_out_of_range(self):
-        tree = MerkleTree([b"a"])
-        with pytest.raises(IndexError):
-            tree.proof(1)
+    def test_odd_level_duplicates_its_last_node(self):
+        def node(left, right):
+            return sha256(b"\x01" + left + right)
 
-    def test_empty_tree_proof_raises(self):
-        with pytest.raises(CryptoError):
-            MerkleTree([]).proof(0)
+        a, b, c = (sha256(b"\x00" + x) for x in (b"a", b"b", b"c"))
+        expected = node(node(a, b), node(c, c))
+        assert merkle_root([b"a", b"b", b"c"]) == expected
 
     def test_rejects_non_bytes_leaves(self):
         with pytest.raises(CryptoError):
@@ -125,28 +103,11 @@ class TestAddress:
         pk = KeyPair.generate(10).public
         assert address_from_public_key(pk) == address_from_public_key(pk)
 
-    def test_hex_roundtrip(self):
-        addr = address_from_public_key(KeyPair.generate(11).public)
-        assert Address.from_hex(addr.hex()) == addr
-
     def test_hex_prefix(self):
         addr = address_from_public_key(KeyPair.generate(12).public)
         assert addr.hex().startswith("0x")
         assert len(addr.hex()) == 42
 
-    def test_bad_hex_rejected(self):
-        with pytest.raises(CryptoError):
-            Address.from_hex("0xnothex")
-
     def test_wrong_length_rejected(self):
         with pytest.raises(CryptoError):
             Address(b"\x01" * 19)
-
-    def test_contract_addresses_differ_by_nonce(self):
-        owner = address_from_public_key(KeyPair.generate(13).public)
-        assert contract_address(owner, 0) != contract_address(owner, 1)
-
-    def test_contract_rejects_negative_nonce(self):
-        owner = address_from_public_key(KeyPair.generate(14).public)
-        with pytest.raises(CryptoError):
-            contract_address(owner, -1)

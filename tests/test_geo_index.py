@@ -39,13 +39,6 @@ class TestBasics:
         assert index.nearest(far) == 1
         assert haversine_m(index.position(1), far) == 0.0
 
-    def test_remove(self):
-        index = SpatialIndex()
-        index.insert(1, HK)
-        assert index.remove(1) is True
-        assert index.remove(1) is False
-        assert index.nearest(HK) is None
-
     def test_precision_validation(self):
         with pytest.raises(GeoError):
             SpatialIndex(precision=0)

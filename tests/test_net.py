@@ -666,7 +666,7 @@ class TestStatsUnderMulticast:
         assert net.stats.bytes_delivered == 4 * 100
         for dst in range(1, 5):
             assert net.stats.bytes_received_by_node[dst] == 100
-        assert net.stats.bytes_sent_by_node[0] == 4 * 100
+        assert net._ports[0].sent_bytes == 4 * 100
 
     def test_multicast_accounting_identical_to_individual_sends(self):
         # same traffic, two paths: one payload object fanned out in one
@@ -729,9 +729,6 @@ class TestTrafficStats:
         assert stats.messages_received_by_node == {3: 2, 5: 1}
         assert stats.bytes_received_by_node == {3: 42, 5: 0}
         assert (stats.messages_delivered, stats.bytes_delivered) == (3, 42)
-        stats.reset()
-        assert stats.snapshot() == TrafficStats().snapshot()
-        assert stats.messages_received_by_node == {}
 
     def test_envelope_validation(self):
         # only the network builds envelopes, from registered senders: the
@@ -818,13 +815,12 @@ class TestDerivedTotals:
         assert stats.messages_sent == 1 + 4 + 4 + 1 + 1
         assert stats.messages_dropped == 3
         assert stats.messages_delivered == stats.messages_sent - 3
-        assert stats.bytes_sent == sum(stats.bytes_sent_by_node.values())
         assert stats.messages_sent == sum(stats.messages_sent_by_node.values())
         # the sender's port and the charged transfer, per node
         assert stats.messages_sent_by_node == {0: 1 + 4, 1: 1, 2: 4, 4: 1}
         assert stats.messages_sent_by_node[3] == 0  # a silent id reads 0
 
-    def test_snapshot_delta_and_reset_read_the_same_sums(self):
+    def test_snapshot_and_delta_read_the_same_sums(self):
         sim, net, eager = self._traffic()
         before = net.stats.snapshot()
         assert (before.messages_sent, before.bytes_sent) == (eager.sent, eager.sent_bytes)
@@ -836,13 +832,8 @@ class TestDerivedTotals:
         assert delta.messages_delivered == eager.delivered - before.messages_delivered
         assert delta.bytes_delivered == eager.delivered_bytes - before.bytes_delivered
         assert delta.messages_by_kind == {"a": 1, "b": 0, "c": 0, EV_PBFT_STATE_TRANSFER: 0}
-        net.stats.reset()
-        empty = net.stats.snapshot()
-        assert (empty.messages_sent, empty.bytes_sent, empty.messages_delivered,
-                empty.bytes_delivered, empty.messages_dropped) == (0, 0, 0, 0, 0)
-        assert empty.bytes_by_kind == {} and net.stats.kilobytes_sent == 0.0
 
-    def test_a_charged_transfer_folds_into_port_counts_through_delta_and_reset(self):
+    def test_a_charged_transfer_folds_into_port_counts_through_delta(self):
         from repro.pbft.cluster import charge_state_transfer
 
         sim, net, eager = self._traffic()
@@ -858,14 +849,3 @@ class TestDerivedTotals:
         assert (delta.messages_delivered, delta.bytes_delivered) == (2, 296 + 10)
         assert stats.messages_received_by_node[2] == received[2] + 2
         assert sum(stats.bytes_received_by_node.values()) == stats.bytes_delivered
-        stats.reset()
-        assert not any(port.delivered or port.delivered_bytes
-                       for port in net._ports.values())
-        assert stats.messages_received_by_node == stats.bytes_received_by_node == {}
-        net.send(0, 1, RawPayload("a", 10))
-        charge_state_transfer(stats, 1, 3, n_ops=0)
-        sim.run()
-        assert stats.messages_received_by_node == {1: 1, 3: 1}
-        assert stats.bytes_received_by_node == {1: 10, 3: 96}
-        assert (stats.messages_sent, stats.messages_delivered, stats.bytes_delivered) \
-            == (2, 2, 106)

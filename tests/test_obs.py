@@ -92,17 +92,9 @@ class TestTracer:
         tracer.open("b", "late", at=1.0)
         tracer.open("a", "late2", at=2.0)
         tracer.finish(at=10.0)
-        assert tracer.open_count == 0
+        assert len(tracer.spans) == 2
         assert all(s.args.get("unclosed") for s in tracer.spans)
         assert all(s.end == 10.0 for s in tracer.spans)
-
-    def test_span_contextmanager(self):
-        tracer = Tracer()
-        with tracer.span("k", "work") as span:
-            assert span is not None
-            assert tracer.is_open("k")
-        assert not tracer.is_open("k")
-        assert len(tracer.spans) == 1
 
 
 class TestInstruments:

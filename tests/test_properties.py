@@ -4,7 +4,7 @@ import math
 
 from hypothesis import given, settings, strategies as st
 
-from repro.common.ids import primary_for_view
+from repro.common.quorum import primary_for_view
 from repro.common.rng import DeterministicRNG
 from repro.crypto.hashing import digest_concat
 from repro.crypto.keys import KeyPair
@@ -63,22 +63,6 @@ class TestHaversineProperties:
 
 
 class TestMerkleProperties:
-    @given(leaves=st.lists(st.binary(min_size=0, max_size=64), min_size=1, max_size=40))
-    def test_every_proof_verifies(self, leaves):
-        tree = MerkleTree(leaves)
-        for i, leaf in enumerate(leaves):
-            assert tree.proof(i).verify(leaf, tree.root)
-
-    @given(leaves=st.lists(st.binary(min_size=1, max_size=16), min_size=2, max_size=20),
-           index=st.integers(min_value=0, max_value=19))
-    def test_proof_rejects_other_leaf(self, leaves, index):
-        index = index % len(leaves)
-        other = (index + 1) % len(leaves)
-        if leaves[index] == leaves[other]:
-            return  # identical leaves legitimately share proofs
-        tree = MerkleTree(leaves)
-        assert not tree.proof(index).verify(leaves[other], tree.root)
-
     @given(leaves=st.lists(st.binary(min_size=1, max_size=16), min_size=1, max_size=16))
     def test_root_deterministic(self, leaves):
         assert MerkleTree(leaves).root == MerkleTree(list(leaves)).root
@@ -137,9 +121,10 @@ class TestIncentiveProperties:
         engine.on_block(1, producer=0, endorsers=list(range(n)), total_fee=fee)
         if n == 1:
             # lone producer: endorser pool has nobody to pay
-            assert engine.total_paid() <= fee + 1e-6
+            assert sum(engine.balances.values()) <= fee + 1e-6
         else:
-            assert math.isclose(engine.total_paid(), fee, rel_tol=1e-9, abs_tol=1e-6)
+            assert math.isclose(sum(engine.balances.values()), fee,
+                                rel_tol=1e-9, abs_tol=1e-6)
 
     @given(timers=st.dictionaries(st.integers(min_value=0, max_value=50),
                                   st.floats(min_value=0.0, max_value=1e5,

@@ -15,7 +15,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.chain.block import Block
-from repro.chain.transaction import ConfigAction, ConfigTransaction, NormalTransaction
+from repro.chain.transaction import NormalTransaction
 from repro.codec import (
     decode_block,
     decode_block_header,
@@ -298,21 +298,6 @@ class TestRoundTripProperties:
         data = encode_zone_checkpoint(op)
         assert len(data) == op.size_bytes
         assert decode_zone_checkpoint(data) == op
-
-    @given(sender=small_u32s, nonce=small_u32s,
-           action=st.sampled_from(list(ConfigAction)),
-           subject=small_u32s)
-    @settings(max_examples=50)
-    def test_config_transaction(self, sender, nonce, action, subject):
-        tx = ConfigTransaction(sender=sender, nonce=nonce, fee=0.0,
-                               geo=GeoReport(node=sender,
-                                             position=LatLng(1.0, 2.0),
-                                             timestamp=0.0),
-                               action=action, subject=subject)
-        data = encode_transaction(tx, SIG)
-        assert len(data) == tx.size_bytes
-        decoded, _ = decode_transaction(data)
-        assert decoded == tx
 
 
 class TestEncodeOnlySizeHonesty:

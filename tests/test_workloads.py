@@ -7,7 +7,6 @@ from repro.common.rng import DeterministicRNG
 from repro.geo.coords import LatLng, Region
 from repro.net.simulator import Simulator
 from repro.workloads.arrivals import ConstantRateArrivals, PoissonArrivals
-from repro.workloads.fleet import FleetSpec, fleet_positions, grid_positions, scatter_positions
 from repro.workloads.mobility import (
     MobilityDriver,
     RandomWaypointModel,
@@ -15,7 +14,7 @@ from repro.workloads.mobility import (
 from repro.common.eventlog import EV_REQUEST_COMPLETED
 from repro.workloads.scenarios import (
     asset_tracking_scenario,
-    parking_lot_scenario,
+    grid_positions,
     smart_city_scenario,
 )
 
@@ -32,21 +31,6 @@ class TestFleet:
         positions = grid_positions(REGION, 10)
         assert len(positions) == 10
         assert len({(p.lat, p.lng) for p in positions}) == 10
-
-    def test_scatter_inside_region(self):
-        rng = DeterministicRNG(1)
-        for pos in scatter_positions(REGION, 30, rng):
-            assert REGION.contains(pos)
-
-    def test_spec_totals(self):
-        spec = FleetSpec(n_fixed_infrastructure=5, n_fixed_sensors=3, n_mobile=2)
-        assert spec.total == 10
-        infra, sensors, mobile = fleet_positions(REGION, spec, DeterministicRNG(2))
-        assert (len(infra), len(sensors), len(mobile)) == (5, 3, 2)
-
-    def test_negative_counts_rejected(self):
-        with pytest.raises(ConfigurationError):
-            FleetSpec(n_fixed_infrastructure=-1)
 
 
 class TestMobility:
@@ -148,15 +132,6 @@ class TestScenarios:
         )
         assert moved == 2
 
-    def test_parking_lot_builds_and_runs(self):
-        scenario = parking_lot_scenario(n_machines=4, n_cars=6,
-                                        payment_period_s=30.0, seed=3)
-        scenario.start(tx_limit_per_node=1)
-        scenario.run(120.0)
-        dep = scenario.deployment
-        assert dep.events.count(EV_REQUEST_COMPLETED) == 6
-        assert dep.ledgers_consistent()
-
     def test_asset_tracking_records_positions_on_chain(self):
         scenario = asset_tracking_scenario(n_readers=6, n_assets=4, seed=4)
         scenario.start()
@@ -179,8 +154,6 @@ class TestScenarios:
     def test_too_few_infrastructure_rejected(self):
         with pytest.raises(ConfigurationError):
             smart_city_scenario(n_lamps=3)
-        with pytest.raises(ConfigurationError):
-            parking_lot_scenario(n_machines=2)
         with pytest.raises(ConfigurationError):
             asset_tracking_scenario(n_readers=3)
 
