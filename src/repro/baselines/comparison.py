@@ -58,11 +58,12 @@ def _mean(values) -> float:
     return sum(values) / len(values) if values else float("nan")
 
 
-def _measure(protocol: str, n: int, seed: int) -> tuple[float, float]:
+def _measure(protocol: str, n: int, seed: int) -> tuple[float, float, float]:
     """PBFT over all *n* replicas, or G-PBFT with a committee of 8.
 
     The last member -- PBFT's one client, a G-PBFT device -- submits
-    every transaction.
+    every transaction.  Returns (mean latency, KB per committed
+    transaction, 0.0 hashes).
     """
     host = scenario.topology(protocol, n,
                              scenario.experiment_config(seed, 8)).build()
@@ -75,43 +76,22 @@ def _measure(protocol: str, n: int, seed: int) -> tuple[float, float]:
     latencies = sorted(e.data["latency"]
                        for e in host.events.of_kind(EV_REQUEST_COMPLETED))
     kb = (host.network.stats.bytes_sent - before) / 1024.0
-    return _mean(latencies), kb / max(1, len(latencies))
+    return _mean(latencies), kb / max(1, len(latencies)), 0.0
 
 
-def _measure_dbft(n: int, seed: int) -> tuple[float, float]:
-    net = DBFTNetwork(n_validators=n, config=DBFTConfig(), seed=seed)
+def _measure_chain(net, horizon_s: float = _HORIZON_S) -> tuple[float, float, float]:
+    """A dBFT, PoW or PoS network under the same workload, run to
+    *horizon_s*: (mean latency, KB and hashes per committed transaction;
+    only PoW hashes)."""
     before = net.network.stats.bytes_sent
     for k in range(_N_TXS):
         net.sim.schedule_at(1.0 + k * _TX_SPACING_S, net.submit_tx, f"tx-{k}")
-    net.run(until=_HORIZON_S)
-    latencies = sorted(net.commit_latencies().values())
-    kb = (net.network.stats.bytes_sent - before) / 1024.0
-    return _mean(latencies), kb / max(1, len(latencies))
-
-
-def _measure_pow(n: int, seed: int) -> tuple[float, float, float]:
-    net = PoWNetwork(n_miners=n, config=PoWConfig(block_interval_s=30.0),
-                     seed=seed)
-    before = net.network.stats.bytes_sent
-    for k in range(_N_TXS):
-        net.sim.schedule_at(1.0 + k * _TX_SPACING_S, net.submit_tx, f"tx-{k}")
-    net.run(until=_HORIZON_S * 2)  # confirmations need several blocks
+    net.run(until=horizon_s)
     latencies = sorted(net.commit_latencies().values())
     kb = (net.network.stats.bytes_sent - before) / 1024.0
     per_tx = max(1, len(latencies))
-    return _mean(latencies), kb / per_tx, net.hash_work() / per_tx
-
-
-def _measure_pos(n: int, seed: int) -> tuple[float, float]:
-    net = PoSNetwork(n_validators=n, config=PoSConfig(slot_interval_s=15.0),
-                     seed=seed)
-    before = net.network.stats.bytes_sent
-    for k in range(_N_TXS):
-        net.sim.schedule_at(1.0 + k * _TX_SPACING_S, net.submit_tx, f"tx-{k}")
-    net.run(until=_HORIZON_S)
-    latencies = sorted(net.commit_latencies().values())
-    kb = (net.network.stats.bytes_sent - before) / 1024.0
-    return _mean(latencies), kb / max(1, len(latencies))
+    hashes = net.hash_work() / per_tx if isinstance(net, PoWNetwork) else 0.0
+    return _mean(latencies), kb / per_tx, hashes
 
 
 def measured_table4(n_small: int = 8, n_large: int = 32, seed: int = 0) -> tuple[list[MechanismRow], str]:
@@ -120,27 +100,27 @@ def measured_table4(n_small: int = 8, n_large: int = 32, seed: int = 0) -> tuple
     Returns:
         (rows, rendered text table).
     """
+    mechanisms = (
+        ("PBFT", lambda n: _measure("pbft", n, seed), "<33.3% faulty replicas"),
+        ("G-PBFT", lambda n: _measure("gpbft", n, seed), "<33.3% endorsers"),
+        ("dBFT", lambda n: _measure_chain(
+            DBFTNetwork(n_validators=n, config=DBFTConfig(), seed=seed)),
+         "<33.3% delegates"),
+        # confirmations need several blocks: PoW runs twice as long
+        ("PoW", lambda n: _measure_chain(
+            PoWNetwork(n_miners=n, config=PoWConfig(block_interval_s=30.0),
+                       seed=seed), _HORIZON_S * 2),
+         "<50% hash rate (<25% w/ selfish mining)"),
+        ("PoS", lambda n: _measure_chain(
+            PoSNetwork(n_validators=n, config=PoSConfig(slot_interval_s=15.0),
+                       seed=seed)),
+         "<50% stake"),
+    )
     rows: list[MechanismRow] = []
-
-    lat_s, _ = _measure("pbft", n_small, seed)
-    lat_l, kb = _measure("pbft", n_large, seed)
-    rows.append(MechanismRow("PBFT", lat_s, lat_l, kb, 0.0, "<33.3% faulty replicas"))
-
-    lat_s, _ = _measure("gpbft", n_small, seed)
-    lat_l, kb = _measure("gpbft", n_large, seed)
-    rows.append(MechanismRow("G-PBFT", lat_s, lat_l, kb, 0.0, "<33.3% endorsers"))
-
-    lat_s, _ = _measure_dbft(n_small, seed)
-    lat_l, kb = _measure_dbft(n_large, seed)
-    rows.append(MechanismRow("dBFT", lat_s, lat_l, kb, 0.0, "<33.3% delegates"))
-
-    lat_s, _, _ = _measure_pow(n_small, seed)
-    lat_l, kb, hashes = _measure_pow(n_large, seed)
-    rows.append(MechanismRow("PoW", lat_s, lat_l, kb, hashes, "<50% hash rate (<25% w/ selfish mining)"))
-
-    lat_s, _ = _measure_pos(n_small, seed)
-    lat_l, kb = _measure_pos(n_large, seed)
-    rows.append(MechanismRow("PoS", lat_s, lat_l, kb, 0.0, "<50% stake"))
+    for name, measure, tolerance in mechanisms:
+        lat_s, _, _ = measure(n_small)
+        lat_l, kb, hashes = measure(n_large)
+        rows.append(MechanismRow(name, lat_s, lat_l, kb, hashes, tolerance))
 
     text = render_table(
         ["mechanism", f"latency @{n_small} (s)", f"latency @{n_large} (s)",

@@ -24,6 +24,7 @@ from repro.common.errors import ConfigurationError
 from repro.common.eventlog import EV_POW_COMMITTED, EV_POW_MINED, EventLog
 from repro.common.rng import DeterministicRNG
 from repro.crypto.hashing import digest_concat, sha256
+from repro.net.message import RawPayload
 from repro.net.network import SimulatedNetwork
 from repro.net.simulator import Simulator
 
@@ -31,6 +32,10 @@ from repro.net.simulator import Simulator
 HASH_RATE_PER_MINER = 1e6
 #: Block capacity (transactions).
 MAX_TXS_PER_BLOCK = 500
+#: Kinds of the two gossips, each a ``RawPayload``: a mined block, and a
+#: transaction announcement carrying the tx id.
+BLOCK_KIND = "pow.block"  # gpb: allow GPB009 -- the kind's one definition site, as a message class's kind() would be
+TX_KIND = "pow.tx"  # gpb: allow GPB009 -- the kind's one definition site, as a message class's kind() would be
 
 
 @dataclass(frozen=True, slots=True)
@@ -71,40 +76,6 @@ class PoWBlock:
         # header + one 32-byte id per transaction payload reference;
         # actual tx bodies travel once with the block
         return 80 + 200 * len(self.tx_ids)
-
-
-@dataclass(frozen=True, slots=True)
-class _BlockGossip:
-    """Envelope payload carrying one block."""
-
-    block: PoWBlock
-
-    @property
-    def kind(self) -> str:
-        """Message kind for dispatch and traffic accounting."""
-        return "pow.block"
-
-    @property
-    def size_bytes(self) -> int:
-        """Serialized size in bytes (modelled, not encoded)."""
-        return self.block.size_bytes
-
-
-@dataclass(frozen=True, slots=True)
-class _TxGossip:
-    """Envelope payload carrying one transaction announcement."""
-
-    tx_id: str
-
-    @property
-    def kind(self) -> str:
-        """Message kind for dispatch and traffic accounting."""
-        return "pow.tx"
-
-    @property
-    def size_bytes(self) -> int:
-        """Serialized size in bytes (modelled, not encoded)."""
-        return 200  # same operation size as the PBFT experiments
 
 
 GENESIS = PoWBlock(digest=sha256(b"pow-genesis"), parent=b"\x00" * 32,
@@ -197,18 +168,19 @@ class PoWNetwork:
         self.events.record(self.sim.now, EV_POW_MINED, node=winner,
                            height=block.height, txs=len(txs))
         self._accept_block(winner, block)
-        self.network.multicast(winner, range(self.n), _BlockGossip(block))
+        self.network.multicast(
+            winner, range(self.n), RawPayload(BLOCK_KIND, block.size_bytes, block))
         self._schedule_next_block()
 
     def _make_handler(self, miner: int):
         def handle(payload) -> None:
-            if payload.kind == "pow.block":
-                self._accept_block(miner, payload.block)
-            elif payload.kind == "pow.tx":
+            if payload.kind == BLOCK_KIND:
+                self._accept_block(miner, payload.body)
+            elif payload.kind == TX_KIND:
                 state = self.miners[miner]
-                if payload.tx_id not in state.seen_txs:
-                    state.seen_txs.add(payload.tx_id)
-                    state.mempool.add(payload.tx_id)
+                if payload.body not in state.seen_txs:
+                    state.seen_txs.add(payload.body)
+                    state.mempool.add(payload.body)
         return handle
 
     def _accept_block(self, miner: int, block: PoWBlock) -> None:
@@ -248,7 +220,8 @@ class PoWNetwork:
         state = self.miners[0]
         state.seen_txs.add(tx_id)
         state.mempool.add(tx_id)
-        self.network.multicast(0, range(self.n), _TxGossip(tx_id))
+        # same operation size as the PBFT experiments
+        self.network.multicast(0, range(self.n), RawPayload(TX_KIND, 200, tx_id))
 
     def run(self, until: float) -> None:
         """Advance the simulation."""

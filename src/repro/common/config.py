@@ -472,14 +472,8 @@ class TopologySpec:
         """The single-zone topology describing zone *index* alone."""
         _require(self.protocol == "gpbft", "only gpbft topologies have zones")
         _require(0 <= index < len(self.zones), f"no zone {index}")
-        return TopologySpec(
-            protocol="gpbft", zones=(self.zones[index],),
-            seed=self.zone_seed(index), config=self.config, mode=self.mode,
-            start_reports=self.start_reports,
-            block_interval_s=self.block_interval_s,
-            sybil_protection=self.sybil_protection,
-            witness_range_m=self.witness_range_m,
-            event_capacity=self.event_capacity)
+        return dataclasses.replace(self, zones=(self.zones[index],),
+                                   seed=self.zone_seed(index))
 
     def deployment_zone(self) -> ZoneSpec:
         """The sole zone of a single-zone gpbft topology."""

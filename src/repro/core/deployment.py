@@ -21,6 +21,7 @@ from repro.geo.coords import LatLng, Region
 from repro.geo.index import IndexedDirectory
 from repro.net.network import SimulatedNetwork
 from repro.net.simulator import Simulator
+from repro.pbft.cluster import prefixes_agree
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.obs.core import Observability
@@ -71,9 +72,7 @@ class GPBFTDeployment:
         n_nodes = zone.n_nodes
         n_endorsers = zone.n_endorsers
         region = zone.region if zone.region is not None else DEFAULT_REGION
-        mode = spec.mode
         seed = spec.zone_seed(0)
-        start_reports = spec.start_reports
         self.id_base = id_base = zone.id_base
         self.config = spec.config or GPBFTConfig()
         policy = self.config.committee
@@ -95,7 +94,7 @@ class GPBFTDeployment:
         if obs is not None:
             obs.bind(self.sim, self.network)
         self.region = region
-        self.mode = mode
+        self.mode = spec.mode
         self.monitors = None
         if self.config.verify.monitors:
             from repro.verify.invariants import MonitorHarness
@@ -129,56 +128,68 @@ class GPBFTDeployment:
             profiles.assign(range(id_base, id_base + n_nodes))
             if profiles is not None else {})
         self.availability: list = []
-        for node_id in range(id_base, id_base + n_nodes):
-            node = GPBFTNode(
-                node_id=node_id,
-                position=self.positions[node_id],
-                sim=self.sim,
-                network=self.network,
-                genesis=self.genesis,
-                config=self.config,
-                directory=self.directory,
-                event_log=self.events,
-                rng=self.rng.fork(f"node/{node_id}"),
-                mode=mode,
-                block_interval_s=spec.block_interval_s,
-                faults=(faults or {}).get(node_id),
-                obs=obs,
-                profile=self.profile_map.get(node_id),
-            )
-            node._chain_sync_hook = self._chain_sync
-            self.nodes[node_id] = node
-            self.network.register(node_id, node.receive)
-            if start_reports:
-                node.start_reporting()
-        if self.profile_map:
-            self._apply_profiles()
-
-        # -- Sybil defence -----------------------------------------------------
+        # Sybil defence: each node's report-admission filter asks this oracle
         self.sybil_protection = spec.sybil_protection
-        self.witness_range_m = witness_range_m = spec.witness_range_m
+        self.witness_range_m = spec.witness_range_m
         self._oracle = None
         if self.sybil_protection:
-            from repro.geo.verification import LocationAuditor
-            from repro.sybil.detection import GroundTruthWitnessOracle, ReportAdmission
+            from repro.sybil.detection import GroundTruthWitnessOracle
 
-            self._oracle = GroundTruthWitnessOracle(self.directory, witness_range_m)
-            for _, node in sorted(self.nodes.items()):
-                node.admission = ReportAdmission(
-                    LocationAuditor(
-                        witness_range_m=witness_range_m,
-                        precision=self.config.election.csc_precision,
-                        # a cell claim holds for a full reporting round: one 1 m^2
-                        # cell hosts one fixed device, so a second identity
-                        # claiming it inside the round is a duplicate
-                        round_seconds=self.config.election.report_interval_s,
-                    ),
-                    self._oracle,
-                )
-        self._start_reports = start_reports
+            self._oracle = GroundTruthWitnessOracle(self.directory, self.witness_range_m)
+        self._obs = obs
+        self._start_reports = spec.start_reports
+        for node_id in range(id_base, id_base + n_nodes):
+            self._add_node(node_id, self.positions[node_id], f"node/{node_id}",
+                           faults=(faults or {}).get(node_id),
+                           profile=self.profile_map.get(node_id))
+        if self.profile_map:
+            self._apply_profiles()
         self._next_node_id = id_base + n_nodes
 
     # ------------------------------------------------------------------
+
+    def _add_node(self, node_id: int, position: LatLng, rng_label: str, *,
+                  faults=None, profile=None) -> GPBFTNode:
+        """Build, wire and register one node -- genesis population and
+        Sybil identity alike -- that reports *position* and draws from
+        the deployment RNG's *rng_label* fork."""
+        node = GPBFTNode(
+            node_id=node_id,
+            position=position,
+            sim=self.sim,
+            network=self.network,
+            genesis=self.genesis,
+            config=self.config,
+            directory=self.directory,
+            event_log=self.events,
+            rng=self.rng.fork(rng_label),
+            mode=self.mode,
+            block_interval_s=self.spec.block_interval_s,
+            faults=faults,
+            obs=self._obs,
+            profile=profile,
+        )
+        node._chain_sync_hook = self._chain_sync
+        self.nodes[node_id] = node
+        self.network.register(node_id, node.receive)
+        if self._oracle is not None:
+            from repro.geo.verification import LocationAuditor
+            from repro.sybil.detection import ReportAdmission
+
+            node.admission = ReportAdmission(
+                LocationAuditor(
+                    witness_range_m=self.witness_range_m,
+                    precision=self.config.election.csc_precision,
+                    # a cell claim holds for a full reporting round: one 1 m^2
+                    # cell hosts one fixed device, so a second identity
+                    # claiming it inside the round is a duplicate
+                    round_seconds=self.config.election.report_interval_s,
+                ),
+                self._oracle,
+            )
+        if self._start_reports:
+            node.start_reporting()
+        return node
 
     def _apply_profiles(self) -> None:
         """Wire per-node hardware profiles into the network and clock.
@@ -264,9 +275,7 @@ class GPBFTDeployment:
             The :class:`~repro.sybil.attacker.SybilAttacker` holding the
             created identities.
         """
-        from repro.geo.verification import LocationAuditor
         from repro.sybil.attacker import SybilAttacker, SybilStrategy
-        from repro.sybil.detection import ReportAdmission
 
         strategy = strategy or SybilStrategy.EMPTY_CELL
         attacker = SybilAttacker(
@@ -277,40 +286,11 @@ class GPBFTDeployment:
         )
         ids = list(range(self._next_node_id, self._next_node_id + count))
         self._next_node_id += count
-        honest_positions = {i: p for i, p in self.positions.items()}
-        identities = attacker.spawn_identities(ids, honest_positions)
-        for identity in identities:
-            node = GPBFTNode(
-                node_id=identity.node_id,
-                position=identity.claimed_position,
-                sim=self.sim,
-                network=self.network,
-                genesis=self.genesis,
-                config=self.config,
-                directory=self.directory,
-                event_log=self.events,
-                rng=self.rng.fork(f"sybil/{identity.node_id}"),
-                mode=self.mode,
-            )
-            node._chain_sync_hook = self._chain_sync
-            self.nodes[identity.node_id] = node
-            self.network.register(identity.node_id, node.receive)
+        for identity in attacker.spawn_identities(ids, dict(self.positions)):
+            self._add_node(identity.node_id, identity.claimed_position,
+                           f"sybil/{identity.node_id}")
             # physics: the attacker's hardware sits at its true position
             self.directory[identity.node_id] = identity.true_position
-            if self.sybil_protection and self._oracle is not None:
-                node.admission = ReportAdmission(
-                    LocationAuditor(
-                        witness_range_m=self.witness_range_m,
-                        precision=self.config.election.csc_precision,
-                        # a cell claim holds for a full reporting round: one 1 m^2
-                        # cell hosts one fixed device, so a second identity
-                        # claiming it inside the round is a duplicate
-                        round_seconds=self.config.election.report_interval_s,
-                    ),
-                    self._oracle,
-                )
-            if self._start_reports:
-                node.start_reporting()
         return attacker
 
     # ------------------------------------------------------------------
@@ -338,15 +318,9 @@ class GPBFTDeployment:
 
     def ledgers_consistent(self) -> bool:
         """True iff every active endorser holds a prefix-consistent chain."""
-        chains = []
-        for node in self.endorsers:
-            chain = [node.ledger.block_at(h).digest() for h in range(node.ledger.height + 1)]
-            chains.append(chain)
-        if not chains:
-            return True
-        shortest = min(len(c) for c in chains)
-        head = [c[:shortest] for c in chains]
-        return all(c == head[0] for c in head)
+        return prefixes_agree(
+            [node.ledger.block_at(h).digest() for h in range(node.ledger.height + 1)]
+            for node in self.endorsers)
 
     def force_era_switch(self) -> None:
         """Commit a composition-preserving era switch right now.

@@ -51,11 +51,10 @@ from repro.common.eventlog import (
 from repro.common.rng import DeterministicRNG
 from repro.core.deployment import GPBFTDeployment
 from repro.core.messages import InterZoneTx, ZoneCheckpointOperation
-from repro.crypto.hashing import sha256
 from repro.net.network import NodeInterface, SimulatedNetwork
 from repro.net.simulator import Simulator
 from repro.pbft.client import PBFTClient
-from repro.pbft.cluster import state_transfer
+from repro.pbft.cluster import ExecutedLog, prefixes_agree, state_transfer
 from repro.pbft.faults import FaultModel
 from repro.pbft.replica import PBFTReplica
 
@@ -69,27 +68,6 @@ CHECKPOINT_INTERVAL_S = 2.0
 def top_seats(n_zones: int) -> int:
     """Seats of the top-level committee: one per zone, never below 4."""
     return max(4, n_zones)
-
-
-class _CheckpointLedger:
-    """Executor behind one top-layer seat: an ordered checkpoint log."""
-
-    def __init__(self) -> None:
-        self.ops: list[tuple[int, str]] = []
-        self._digest = sha256(b"hier-checkpoints")
-
-    def execute(self, op, seq: int, view: int) -> bytes:
-        self.ops.append((seq, op.op_id))
-        self._digest = sha256(self._digest + op.signing_bytes())
-        return self._digest
-
-    def digest(self) -> bytes:
-        return self._digest
-
-    def install_snapshot(self, other: "_CheckpointLedger") -> None:
-        """Adopt a peer's state wholesale (checkpoint state transfer)."""
-        self.ops = list(other.ops)
-        self._digest = other._digest
 
 
 class _CompositeMonitors:
@@ -321,10 +299,10 @@ class HierarchicalDeployment:
             obs.listen(self.events, [zone.name for zone in spec.zones])
 
         self.seats = tuple(range(n_seats))
-        self.checkpoint_logs: dict[int, _CheckpointLedger] = {}
+        self.checkpoint_logs: dict[int, ExecutedLog] = {}
         self.replicas: dict[int, PBFTReplica] = {}
         for seat in self.seats:
-            ledger = _CheckpointLedger()
+            ledger = ExecutedLog()
             self.checkpoint_logs[seat] = ledger
             replica = PBFTReplica(
                 node_id=seat,
@@ -365,7 +343,7 @@ class HierarchicalDeployment:
 
     # -- plumbing ----------------------------------------------------------
 
-    def _seat_executor(self, seat: int, ledger: _CheckpointLedger):
+    def _seat_executor(self, seat: int, ledger: ExecutedLog):
         def execute(op, seq: int, view: int) -> bytes:
             digest = ledger.execute(op, seq, view)
             if isinstance(op, ZoneCheckpointOperation):
@@ -495,14 +473,9 @@ class HierarchicalDeployment:
         """Every zone's chains agree AND the seats' checkpoint logs do."""
         if not all(dep.ledgers_consistent() for dep in self.zones):
             return False
-        logs = [
-            [op_id for _seq, op_id in sorted(self.checkpoint_logs[seat].ops)]
-            for seat in self.seats
-            if not self.replicas[seat].faults.crashed
-        ]
-        shortest = min(len(log) for log in logs) if logs else 0
-        head = [log[:shortest] for log in logs]
-        return all(h == head[0] for h in head)
+        return prefixes_agree(self.checkpoint_logs[seat].op_ids()
+                              for seat in self.seats
+                              if not self.replicas[seat].faults.crashed)
 
     def force_era_switch(self) -> None:
         """Trigger an immediate era switch in zone 0 (explorer hook)."""

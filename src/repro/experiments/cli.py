@@ -102,27 +102,11 @@ def _positive_int(raw: str) -> int:
     return value
 
 
-def _positive_float(raw: str) -> float:
-    """argparse type for a duration: a float > 0."""
-    value = float(raw)
-    if not value > 0:
-        raise argparse.ArgumentTypeError("must be > 0")
-    return value
-
-
 def _non_negative_float(raw: str) -> float:
     """argparse type for ``--drain-slack``: a finite float >= 0."""
     value = float(raw)
     if not 0.0 <= value < math.inf:
         raise argparse.ArgumentTypeError("must be a finite number >= 0")
-    return value
-
-
-def _fraction(raw: str) -> float:
-    """argparse type for ``--sample-rate``: a float in [0, 1]."""
-    value = float(raw)
-    if not 0.0 <= value <= 1.0:
-        raise argparse.ArgumentTypeError("must be in [0, 1]")
     return value
 
 
@@ -162,10 +146,14 @@ def _agg_main(argv: list[str]) -> int:
     Runs :func:`repro.experiments.runner._gpbft_agg_point` without the
     engine cache (a run with observability output files is about the
     artifacts, not the cached scalar) and prints its result dict as
-    JSON.  The ``--timeseries`` / ``--frames`` / ``--sample-rate`` /
-    ``--flight-recorder`` flags switch on windowed frames, head
-    sampling and the flight recorder for exactly this run.
+    JSON.  The observability flags are ``repro.obs capture``'s
+    (:func:`repro.obs.cli.add_obs_flags`): they switch on windowed
+    frames, head sampling and the flight recorder for exactly this run.
     """
+    from repro.experiments import runner
+    from repro.obs import Observability
+    from repro.obs.cli import add_obs_flags, obs_config, positive_float
+
     parser = argparse.ArgumentParser(
         prog="python -m repro.experiments agg",
         description="Run one aggregated city-scale day with optional "
@@ -176,7 +164,7 @@ def _agg_main(argv: list[str]) -> int:
     parser.add_argument("--zones", type=_positive_int, default=8)
     parser.add_argument("--replicas-per-zone", type=_positive_int, default=4)
     parser.add_argument("--pool-size", type=_positive_int, default=4)
-    parser.add_argument("--duration", type=_positive_float, default=3_600.0,
+    parser.add_argument("--duration", type=positive_float, default=3_600.0,
                         help="simulated seconds of offered load")
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--profile", choices=("diurnal", "poisson", "flash"),
@@ -184,27 +172,10 @@ def _agg_main(argv: list[str]) -> int:
     parser.add_argument("--drain-slack", type=_non_negative_float,
                         default=7_200.0,
                         help="simulated seconds to drain after the load ends")
-    parser.add_argument("--timeseries", action="store_true",
-                        help="aggregate window frames even without --frames")
-    parser.add_argument("--window", type=_positive_float, default=60.0,
-                        help="simulated seconds per time-series window")
-    parser.add_argument("--frames", default=None,
-                        help="stream window frames (JSONL) here")
-    parser.add_argument("--sample-rate", type=_fraction, default=None,
-                        help="fraction of request ids traced end-to-end")
-    parser.add_argument("--flight-recorder", action="store_true",
-                        help="dump recent events post mortem on trouble")
-    parser.add_argument("--dump-dir", default=None,
-                        help="directory for flight-recorder dump bundles")
-    parser.add_argument("--heartbeat", type=_positive_float, default=None,
-                        help="wall seconds between live progress lines")
+    add_obs_flags(parser)
     args = parser.parse_args(argv)
 
-    from repro.experiments import runner
-
-    wants_obs = (args.timeseries or args.frames or args.sample_rate is not None
-                 or args.flight_recorder or args.dump_dir
-                 or args.heartbeat is not None)
+    config = obs_config(args)
     result = runner._gpbft_agg_point(
         args.requests, args.seed,
         zones=args.zones,
@@ -213,13 +184,7 @@ def _agg_main(argv: list[str]) -> int:
         duration_s=args.duration,
         profile=args.profile,
         drain_slack_s=args.drain_slack,
-        timeseries=args.timeseries or None,
-        window_s=args.window if wants_obs else None,
-        frames_path=args.frames,
-        sample_rate=args.sample_rate,
-        flight_recorder=args.flight_recorder or None,
-        dump_dir=args.dump_dir,
-        heartbeat_s=args.heartbeat,
+        obs=Observability(config) if config is not None else None,
     )
     print(json.dumps(result, sort_keys=True, indent=2))
     return 0

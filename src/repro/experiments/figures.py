@@ -30,6 +30,24 @@ class FigureResult:
         return self.text
 
 
+def _latency_pair(p: ExperimentProfile,
+                  eng: Engine | None) -> tuple[SweepResult, ...]:
+    """The PBFT and G-PBFT latency sweeps Figures 3 and 4 share."""
+    return tuple(
+        latency_sweep(protocol, p.latency_node_counts, p.reps,
+                      p.proposal_period_s, p.measured_txs, p.warmup_txs,
+                      p.max_endorsers, engine=eng)
+        for protocol in ("pbft", "gpbft"))
+
+
+def _traffic_pair(p: ExperimentProfile,
+                  eng: Engine | None) -> tuple[SweepResult, ...]:
+    """The PBFT and G-PBFT traffic sweeps Figures 5 and 6 share."""
+    return tuple(traffic_sweep(protocol, p.traffic_node_counts,
+                               p.max_endorsers, engine=eng)
+                 for protocol in ("pbft", "gpbft"))
+
+
 def figure3(profile: ExperimentProfile | None = None,
             engine: Engine | None = None) -> FigureResult:
     """Fig. 3: latency boxplots per group, PBFT (a) and G-PBFT (b).
@@ -40,14 +58,7 @@ def figure3(profile: ExperimentProfile | None = None,
     """
     p = profile or active_profile()
     eng = engine if engine is not None else Engine(jobs=1, use_cache=False)
-    pbft = latency_sweep(
-        "pbft", p.latency_node_counts, p.reps, p.proposal_period_s,
-        p.measured_txs, p.warmup_txs, engine=eng,
-    )
-    gpbft = latency_sweep(
-        "gpbft", p.latency_node_counts, p.reps, p.proposal_period_s,
-        p.measured_txs, p.warmup_txs, p.max_endorsers, engine=eng,
-    )
+    pbft, gpbft = _latency_pair(p, eng)
     outlier_n = p.latency_node_counts[-1]
     outlier_samples = eng.run(PointSpec.make(
         "gpbft", "latency", outlier_n, seed=7777,
@@ -80,15 +91,7 @@ def figure4(profile: ExperimentProfile | None = None,
             engine: Engine | None = None) -> FigureResult:
     """Fig. 4: average consensus latency, PBFT vs G-PBFT."""
     p = profile or active_profile()
-    eng = engine if engine is not None else Engine(jobs=1, use_cache=False)
-    pbft = latency_sweep(
-        "pbft", p.latency_node_counts, p.reps, p.proposal_period_s,
-        p.measured_txs, p.warmup_txs, engine=eng,
-    )
-    gpbft = latency_sweep(
-        "gpbft", p.latency_node_counts, p.reps, p.proposal_period_s,
-        p.measured_txs, p.warmup_txs, p.max_endorsers, engine=eng,
-    )
+    pbft, gpbft = _latency_pair(p, engine)
     n = p.latency_node_counts[-1]
     ratio = gpbft.mean_at(n) / pbft.mean_at(n)
     text = "\n\n".join(
@@ -110,10 +113,7 @@ def figure5(profile: ExperimentProfile | None = None,
             engine: Engine | None = None) -> FigureResult:
     """Fig. 5: single-transaction communication cost sweeps."""
     p = profile or active_profile()
-    eng = engine if engine is not None else Engine(jobs=1, use_cache=False)
-    pbft = traffic_sweep("pbft", p.traffic_node_counts, engine=eng)
-    gpbft = traffic_sweep("gpbft", p.traffic_node_counts, p.max_endorsers,
-                          engine=eng)
+    pbft, gpbft = _traffic_pair(p, engine)
     text = "\n\n".join(
         [
             "Figure 5a -- PBFT communication cost per transaction",
@@ -130,10 +130,7 @@ def figure6(profile: ExperimentProfile | None = None,
             engine: Engine | None = None) -> FigureResult:
     """Fig. 6: communication-cost comparison at matching node counts."""
     p = profile or active_profile()
-    eng = engine if engine is not None else Engine(jobs=1, use_cache=False)
-    pbft = traffic_sweep("pbft", p.traffic_node_counts, engine=eng)
-    gpbft = traffic_sweep("gpbft", p.traffic_node_counts, p.max_endorsers,
-                          engine=eng)
+    pbft, gpbft = _traffic_pair(p, engine)
     n = p.traffic_node_counts[-1]
     ratio = gpbft.mean_at(n) / pbft.mean_at(n)
     text = "\n\n".join(

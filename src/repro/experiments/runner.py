@@ -19,6 +19,7 @@ one simulator, so they keep their own build and drain loop.
 from __future__ import annotations
 
 from dataclasses import replace
+from typing import TYPE_CHECKING
 
 from repro.common.config import TopologySpec
 from repro.common.errors import ConfigurationError, ConsensusError
@@ -38,6 +39,9 @@ from repro.workloads.streams import (
     PoissonSuperposition,
     RateProfile,
 )
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.obs import Observability
 
 
 def _arrival_times(total: int, mean_interval: float, seed: int) -> list[float]:
@@ -119,40 +123,6 @@ def _latency_point(
     return sample
 
 
-def _obs_from_params(
-    timeseries: bool | None = None,
-    window_s: float | None = None,
-    frames_path: str | None = None,
-    sample_rate: float | None = None,
-    flight_recorder: bool | None = None,
-    dump_dir: str | None = None,
-    heartbeat_s: float | None = None,
-):
-    """An :class:`~repro.obs.Observability` from sparse point params.
-
-    Every parameter defaults to ``None`` so
-    :meth:`~repro.experiments.engine.PointSpec.make` drops them from
-    the cache key: a point that never mentions observability keeps the
-    cache key and golden fingerprint of an uninstrumented run.  Returns
-    ``None`` (observability fully absent) when no param is given.
-    """
-    params = (timeseries, window_s, frames_path, sample_rate,
-              flight_recorder, dump_dir, heartbeat_s)
-    if all(p is None for p in params):
-        return None
-    from repro.obs import ObsConfig, Observability
-
-    return Observability(ObsConfig(
-        window_s=window_s if window_s is not None else 60.0,
-        timeseries=bool(timeseries),
-        frames_path=frames_path,
-        sample_rate=sample_rate if sample_rate is not None else 1.0,
-        flight_recorder=bool(flight_recorder),
-        dump_dir=dump_dir,
-        heartbeat_s=heartbeat_s,
-    ))
-
-
 def _obs_result(obs) -> dict:
     """Deterministic summary of one point's observability output."""
     summary: dict = {"spans": len(obs.tracer.spans)}
@@ -164,18 +134,16 @@ def _obs_result(obs) -> dict:
 
 
 def _traffic_point(protocol: str, n: int, seed: int = 0,
-                   max_endorsers: int = 40, **obs_params) -> float:
+                   max_endorsers: int = 40) -> float:
     """KB moved by one transaction with *n* nodes.
 
     The transaction comes from the last member -- a device when a
     G-PBFT deployment has devices -- and the count covers the whole
     protocol surface it exercises: request forwarding, consensus among
-    the committee, and replies.  *obs_params* are
-    :func:`_obs_from_params`'s.
+    the committee, and replies.
     """
-    obs = _obs_from_params(**obs_params)
     host = scenario.topology(
-        protocol, n, scenario.experiment_config(seed, max_endorsers)).build(obs=obs)
+        protocol, n, scenario.experiment_config(seed, max_endorsers)).build()
     before = host.network.stats.snapshot()
     scenario.submit(host, protocol, "traffic", seed, -1, None)  # one request, now
 
@@ -183,8 +151,6 @@ def _traffic_point(protocol: str, n: int, seed: int = 0,
         return host.events.count(EV_REQUEST_COMPLETED) >= 1
 
     scenario.run(host.sim, 100_000.0, done=done)
-    if obs is not None:
-        obs.finish()
     if not done():
         raise ConsensusError(f"traffic tx failed to commit at n={n}")
     return host.network.stats.snapshot().delta(before).kilobytes_sent
@@ -244,7 +210,7 @@ def _gpbft_agg_point(
     drain_slack_s: float = 7_200.0,
     max_events: int | None = None,
     processing_rate: float = 50.0,
-    **obs_params,
+    obs: "Observability | None" = None,
 ) -> dict:
     """One aggregated city-scale day: *n* requests across zoned committees.
 
@@ -270,15 +236,15 @@ def _gpbft_agg_point(
         A dict with ``offered`` / ``completed`` request counts, total
         simulator ``events``, the final simulated clock ``sim_now_s``,
         and the zone/workload shape -- all deterministic for a given
-        spec.  With any observability param set, an ``obs`` sub-dict
-        summarizes frames written, spans kept, and dumps fired.
+        spec.  With *obs* given, an ``obs`` sub-dict summarizes frames
+        written, spans kept, and dumps fired.
 
-    The observability params (*obs_params*, all ``None``-off, see
-    :func:`_obs_from_params`) switch on observability: per-zone
-    window frames streamed to ``frames_path``, head-sampled tracing at
-    ``sample_rate``, and per-zone flight-recorder rings.  Day-long runs
-    should sample (e.g. 0.001) -- unsampled span buffering is exactly
-    the O(requests) memory this pipeline exists to avoid.
+    *obs* (the ``agg`` CLI's, never an engine param: a cache hit would
+    skip the files the run exists to write) switches on what its
+    config asks for: per-zone window frames, head-sampled tracing and
+    per-zone flight-recorder rings.  Day-long runs should sample (e.g.
+    0.001) -- unsampled span buffering is exactly the O(requests)
+    memory this pipeline exists to avoid.
     """
     spec = TopologySpec.zoned(
         zones, nodes_per_zone=pool_size,
@@ -286,7 +252,6 @@ def _gpbft_agg_point(
         start_reports=False, workload=workload,
         event_capacity=event_capacity)
     sim = Simulator()
-    obs = _obs_from_params(**obs_params)
     if obs is not None:
         obs.bind(sim)
     per_zone_rate = n / zones / duration_s

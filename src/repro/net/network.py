@@ -144,14 +144,13 @@ class _Port:
         done: the node's completion event, made at its first slot and
             re-queued for every slot after it.
         wake: the armed wake of an idle node with pending arrivals.
-        sent, sent_bytes: copies sent, dropped ones too, and their bytes.
+        sent: copies sent, dropped ones too.
         delivered, delivered_bytes: messages handed to the handler, and
             their on-wire bytes.
     """
 
     __slots__ = ("node_id", "handler", "inbox", "interval", "offline_since",
-                 "serving", "done", "wake", "sent", "sent_bytes", "delivered",
-                 "delivered_bytes")
+                 "serving", "done", "wake", "sent", "delivered", "delivered_bytes")
 
     def __init__(self, node_id: int, interval: float) -> None:
         self.node_id = node_id
@@ -163,7 +162,6 @@ class _Port:
         self.done: ScheduledEvent | None = None
         self.wake: ScheduledEvent | None = None
         self.sent = 0
-        self.sent_bytes = 0
         self.delivered = 0
         self.delivered_bytes = 0
 
@@ -345,7 +343,6 @@ class SimulatedNetwork:
         kind = payload.kind
         size = payload.size_bytes
         sender.sent += 1
-        sender.sent_bytes += size
         stats = self.stats
         stats.bytes_by_kind[kind] += size
         stats.messages_by_kind[kind] += 1
@@ -423,7 +420,6 @@ class SimulatedNetwork:
         size = payload.size_bytes
         copies = len(targets)
         sender.sent += copies
-        sender.sent_bytes += size * copies
         stats = self.stats
         stats.bytes_by_kind[kind] += size * copies
         stats.messages_by_kind[kind] += copies

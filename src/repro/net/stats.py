@@ -60,8 +60,9 @@ class TrafficStats:
     """Mutable traffic counters updated by the simulated network.
 
     A byte is counted in one place, with no call: a network send bumps
-    the per-kind maps and the sending port's ``sent``/``sent_bytes``, a
-    delivery the receiving port's ``delivered``/``delivered_bytes``.
+    the per-kind maps (the only record of bytes sent) and the sending
+    port's ``sent``, a delivery the receiving port's
+    ``delivered``/``delivered_bytes``.
     :meth:`on_send` and :meth:`on_deliver` charge a modelled transfer --
     a state transfer, a chain sync -- that no port carries.  The per-node
     maps and the totals fold ports and charges when read.

@@ -5,8 +5,7 @@ submission every 0.75 s from ``t = 1``, see
 :func:`repro.verify.explorer.run_schedule`) with the invariant monitors
 off and an :class:`~repro.obs.core.Observability` attached; it runs to
 the horizon and returns the sealed capture.  This is what ``python -m
-repro.obs capture`` and the ``--trace`` flag of the experiments CLI
-call.
+repro.obs capture`` calls.
 """
 
 from __future__ import annotations

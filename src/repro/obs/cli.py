@@ -8,12 +8,16 @@ Subcommands:
   sampling and the flight recorder switch on via flags.
 - ``report`` -- read a trace/span file and print the per-phase latency
   tables plus the era-switch downtime timeline; given a frames JSONL
-  file it prints the per-zone window timeline instead.
-- ``validate`` -- check a trace file.  JSONL inputs (span dumps or
-  window frames) stream line-by-line, so a million-frame file costs
-  constant memory; the first malformed record exits 2 with its line
-  number.  Chrome traces and flight-recorder dumps are one JSON object
-  each and validate whole.
+  file it prints the per-zone window timeline instead.  A flight dump
+  has neither, so it exits 2 naming the format.
+- ``validate`` -- check any of the four formats.  JSONL inputs (span
+  dumps or window frames) stream line-by-line, so a million-frame file
+  costs constant memory; the first malformed record exits 2 with its
+  line number.  Chrome traces and flight-recorder dumps are one JSON
+  object each and validate whole.
+
+Both subcommands tell the formats apart with
+:func:`repro.obs.export.sniff`.
 
 Typical session::
 
@@ -25,16 +29,18 @@ Typical session::
 from __future__ import annotations
 
 import argparse
-import itertools
 import json
+import math
 import sys
-from typing import Any, Iterable, TextIO
+from typing import Any
 
 from repro.common.errors import ConfigurationError
 from repro.obs.capture import capture_run
 from repro.obs.export import (
+    check_span_row,
     load_spans,
-    span_from_dict,
+    read_jsonl,
+    sniff,
     validate_chrome_trace,
     write_chrome_trace,
     write_spans_jsonl,
@@ -43,7 +49,7 @@ from repro.obs.flightrec import validate_dump
 from repro.obs.obsconfig import ObsConfig
 from repro.obs.report import render_report, render_timeline
 from repro.obs.spans import ObservabilityError
-from repro.obs.timeseries import validate_frame
+from repro.obs.timeseries import load_frames, validate_frame
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -70,22 +76,9 @@ def build_parser() -> argparse.ArgumentParser:
                      help="write the instrument snapshot (JSON) here")
     cap.add_argument("--report", action="store_true",
                      help="also print the phase-breakdown report")
-    cap.add_argument("--window", type=float, default=60.0,
-                     help="simulated seconds per time-series window")
-    cap.add_argument("--frames", default=None,
-                     help="stream window frames (JSONL) here")
-    cap.add_argument("--timeseries", action="store_true",
-                     help="aggregate window frames even without --frames")
-    cap.add_argument("--sample-rate", type=float, default=1.0,
-                     help="fraction of request ids traced (head sampling)")
-    cap.add_argument("--flight-recorder", action="store_true",
-                     help="enable post-mortem dumps of recent events")
-    cap.add_argument("--dump-dir", default=None,
-                     help="directory for flight-recorder dump bundles")
+    add_obs_flags(cap)
     cap.add_argument("--dump", action="store_true",
                      help="write an on-demand dump bundle at end of run")
-    cap.add_argument("--heartbeat", type=float, default=None,
-                     help="wall seconds between live progress lines")
 
     rep = sub.add_parser(
         "report", help="phase breakdown (spans) or window timeline (frames)")
@@ -97,28 +90,63 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _obs_config(args: argparse.Namespace) -> ObsConfig | None:
-    """An :class:`ObsConfig` from capture flags (None: every span kept
-    in memory, no windows, no flight recorder)."""
-    wants_flight = args.flight_recorder or args.dump_dir or args.dump
-    if not (args.frames or args.timeseries or args.sample_rate < 1.0
-            or wants_flight or args.heartbeat is not None):
+def positive_float(raw: str) -> float:
+    """argparse type for a duration: a finite float > 0."""
+    value = float(raw)
+    if not 0.0 < value < math.inf:
+        raise argparse.ArgumentTypeError("must be a finite number > 0")
+    return value
+
+
+def _fraction(raw: str) -> float:
+    """argparse type for ``--sample-rate``: a float in [0, 1]."""
+    value = float(raw)
+    if not 0.0 <= value <= 1.0:
+        raise argparse.ArgumentTypeError("must be in [0, 1]")
+    return value
+
+
+def add_obs_flags(parser: argparse.ArgumentParser) -> None:
+    """Declare the observability flags ``repro.obs capture`` and
+    ``repro.experiments agg`` share; :func:`obs_config` reads them."""
+    parser.add_argument("--timeseries", action="store_true",
+                        help="aggregate window frames even without --frames")
+    parser.add_argument("--window", type=positive_float, default=60.0,
+                        help="simulated seconds per time-series window")
+    parser.add_argument("--frames", default=None,
+                        help="stream window frames (JSONL) here")
+    parser.add_argument("--sample-rate", type=_fraction, default=None,
+                        help="fraction of request ids traced end-to-end "
+                             "(head sampling; default 1)")
+    parser.add_argument("--flight-recorder", action="store_true",
+                        help="dump recent events post mortem on trouble")
+    parser.add_argument("--dump-dir", default=None,
+                        help="directory for flight-recorder dump bundles")
+    parser.add_argument("--heartbeat", type=positive_float, default=None,
+                        help="wall seconds between live progress lines")
+
+
+def obs_config(args: argparse.Namespace, *,
+               flight_recorder: bool = False) -> ObsConfig | None:
+    """The :class:`ObsConfig` the :func:`add_obs_flags` flags ask for
+    (*flight_recorder* acts as its flag), or ``None`` when no flag but
+    ``--window`` is given."""
+    flight = args.flight_recorder or flight_recorder
+    if not (args.timeseries or args.frames or args.sample_rate is not None
+            or flight or args.dump_dir or args.heartbeat is not None):
         return None
     return ObsConfig(
         window_s=args.window,
         timeseries=args.timeseries,
         frames_path=args.frames,
-        sample_rate=args.sample_rate,
-        flight_recorder=bool(wants_flight),
+        sample_rate=1.0 if args.sample_rate is None else args.sample_rate,
+        flight_recorder=flight,
         dump_dir=args.dump_dir,
         heartbeat_s=args.heartbeat,
     )
 
 
 def _cmd_capture(args: argparse.Namespace) -> int:
-    config = _obs_config(args)
-    if args.dump and (config is None or not config.flight_active):
-        raise ObservabilityError("--dump requires the flight recorder")
     capture = capture_run(
         protocol=args.protocol,
         n=args.n,
@@ -126,7 +154,7 @@ def _cmd_capture(args: argparse.Namespace) -> int:
         seed=args.seed,
         horizon_s=args.horizon,
         era_switch_at=args.era_switch_at,
-        obs_config=config,
+        obs_config=obs_config(args, flight_recorder=args.dump),
     )
     obs = capture.obs
     spans = capture.spans
@@ -156,89 +184,40 @@ def _cmd_capture(args: argparse.Namespace) -> int:
 
 
 def _cmd_report(args: argparse.Namespace) -> int:
-    head = _first_record(args.file)
-    if isinstance(head, dict) and "window" in head and "sid" not in head:
-        from repro.obs.timeseries import load_frames
-
+    kind, _ = sniff(args.file)
+    if kind == "frames file":
         print(render_timeline(load_frames(args.file)))
-        return 0
-    print(render_report(load_spans(args.file)))
+    else:
+        print(render_report(load_spans(args.file)))
     return 0
 
 
-def _first_record(path: str) -> Any:
-    """The first line of *path* parsed as JSON, or None."""
-    with open(path) as fh:
-        first = fh.readline()
-    try:
-        return json.loads(first)
-    except json.JSONDecodeError:
-        return None
-
-
-def _validate_record(row: Any) -> str:
-    """Check one JSONL record; returns its kind ("span" or "frame")."""
+def _check_record(row: Any) -> None:
+    """Check one record of a JSONL span dump or frames file."""
     if not isinstance(row, dict):
         raise ObservabilityError("record is not an object")
     if "sid" in row:
-        try:
-            span_from_dict(row)
-        except (KeyError, TypeError) as exc:
-            raise ObservabilityError(f"malformed span record: {exc}") from exc
-        return "span"
-    if "window" in row:
+        check_span_row(row)
+    elif "window" in row:
         validate_frame(row)
-        return "frame"
-    raise ObservabilityError(
-        "record is neither a span (no 'sid') nor a window frame (no 'window')")
-
-
-def _validate_stream(path: str, lines: Iterable[str]) -> int:
-    """Validate JSONL records one line at a time; returns the count.
-
-    Raises:
-        ObservabilityError: tagged ``{path}:{lineno}`` for the first
-            malformed line -- the caller maps this to exit code 2.
-    """
-    count = 0
-    for lineno, line in enumerate(lines, start=1):
-        if not line.strip():
-            continue
-        try:
-            row = json.loads(line)
-        except json.JSONDecodeError as exc:
-            raise ObservabilityError(
-                f"{path}:{lineno}: not JSON ({exc.msg})") from exc
-        try:
-            _validate_record(row)
-        except ObservabilityError as exc:
-            raise ObservabilityError(f"{path}:{lineno}: {exc}") from exc
-        count += 1
-    return count
+    else:
+        raise ObservabilityError(
+            "record is neither a span (no 'sid') nor a window frame "
+            "(no 'window')")
 
 
 def _cmd_validate(args: argparse.Namespace) -> int:
-    fh: TextIO
-    with open(args.file) as fh:
-        first = fh.readline()
-        try:
-            head = json.loads(first) if first.strip() else None
-        except json.JSONDecodeError:
-            head = None
-        if isinstance(head, dict) and "traceEvents" not in head:
-            # JSONL span dump or frames file: stream, never load whole
-            count = _validate_stream(args.file, itertools.chain([first], fh))
-            print(f"{args.file}: valid jsonl ({count} records)")
-            return 0
-    with open(args.file) as fh:
-        doc = json.load(fh)
-    if isinstance(doc, dict) and "schema" in doc and "rings" in doc:
+    kind, doc = sniff(args.file)
+    if doc is None:
+        count = sum(1 for _ in read_jsonl(args.file, _check_record))
+        print(f"{args.file}: valid jsonl ({count} records)")
+    elif kind == "flight dump":
         validate_dump(doc)
         events = sum(len(ring) for ring in doc["rings"].values())
-        print(f"{args.file}: valid flight dump ({events} ring events)")
-        return 0
-    validate_chrome_trace(doc)
-    print(f"{args.file}: valid chrome trace ({len(doc['traceEvents'])} events)")
+        print(f"{args.file}: valid {kind} ({events} ring events)")
+    else:
+        validate_chrome_trace(doc)
+        print(f"{args.file}: valid {kind} ({len(doc['traceEvents'])} events)")
     return 0
 
 

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import json
 from pathlib import Path
+from typing import Any, Callable, Iterator
 
 from repro.obs.spans import ObservabilityError, Span
 
@@ -110,24 +111,65 @@ def write_spans_jsonl(spans: list[Span], path: str | Path) -> None:
     Path(path).write_text("\n".join(lines) + ("\n" if lines else ""))
 
 
-def load_spans(path: str | Path) -> list[Span]:
-    """Load spans from either export format (auto-detected).
+def read_jsonl(path: str | Path, check: Callable[[Any], None]) -> Iterator[Any]:
+    """Stream JSONL file *path*'s records, each passed to *check* first,
+    in constant memory; blank lines are skipped.  The first line that
+    is not JSON or that *check* rejects raises an ObservabilityError
+    tagged ``{path}:{lineno}``."""
+    with open(path) as fh:
+        for lineno, line in enumerate(fh, start=1):
+            if not line.strip():
+                continue
+            try:
+                row = json.loads(line)
+                check(row)
+            except json.JSONDecodeError as exc:
+                raise ObservabilityError(
+                    f"{path}:{lineno}: not JSON ({exc.msg})") from exc
+            except ObservabilityError as exc:
+                raise ObservabilityError(f"{path}:{lineno}: {exc}") from exc
+            yield row
 
-    A file that parses whole as a JSON object with a ``traceEvents``
-    key is treated as Chrome trace JSON; anything else as JSONL span
-    rows (one :func:`span_to_dict` object per line).
 
-    Raises:
-        ObservabilityError: on empty or unparseable input.
+def sniff(path: str | Path) -> tuple[str, Any]:
+    """``(format, doc)`` of observability file *path*, told apart by its
+    first line: ``"span dump"`` or ``"frames file"`` for JSONL (*doc*
+    is ``None``: stream it with :func:`read_jsonl`), else the whole file
+    parsed into *doc* -- a ``"flight dump"``, or what must be a
+    ``"chrome trace"``.  A file that is neither JSONL nor one JSON
+    document, an empty one included, raises ``json.JSONDecodeError``.
     """
-    text = Path(path).read_text()
-    if not text.strip():
-        raise ObservabilityError(f"{path}: empty trace file")
+    with open(path) as fh:
+        first = fh.readline()
     try:
-        doc = json.loads(text)
+        head = json.loads(first)
     except json.JSONDecodeError:
-        doc = None  # multi-line JSONL: parse line by line below
-    if isinstance(doc, dict) and "traceEvents" in doc:
+        head = None  # an indented document: parse it whole below
+    if not isinstance(head, dict) or "traceEvents" in head or "rings" in head:
+        with open(path) as fh:
+            doc = json.load(fh)
+        dump = isinstance(doc, dict) and "rings" in doc
+        return ("flight dump" if dump else "chrome trace"), doc
+    frames = "window" in head and "sid" not in head
+    return ("frames file" if frames else "span dump"), None
+
+
+def check_span_row(row: Any) -> None:
+    """Raise an ObservabilityError unless *row* is a span row."""
+    if not isinstance(row, dict) or "sid" not in row:
+        raise ObservabilityError("not a span row")
+    try:
+        span_from_dict(row)
+    except (KeyError, TypeError) as exc:
+        raise ObservabilityError(f"malformed span record: {exc}") from exc
+
+
+def load_spans(path: str | Path) -> list[Span]:
+    """Load spans from either export format, told apart by
+    :func:`sniff`; any other file raises an ObservabilityError."""
+    kind, doc = sniff(path)
+    if kind == "chrome trace":
+        validate_chrome_trace(doc)
         spans = []
         for ev in doc["traceEvents"]:
             args = dict(ev.get("args", {}))
@@ -138,22 +180,12 @@ def load_spans(path: str | Path) -> list[Span]:
                 parent=parent,
                 name=ev["name"],
                 cat=ev.get("cat", "span"),
-                node=ev.get("tid", -1),
+                node=ev["tid"],
                 start=ev["ts"] / 1e6,
                 end=(ev["ts"] + ev.get("dur", 0)) / 1e6,
                 args=args,
             ))
         return spans
-    spans = []
-    for lineno, line in enumerate(text.splitlines(), start=1):
-        if not line.strip():
-            continue
-        try:
-            row = json.loads(line)
-        except json.JSONDecodeError as exc:
-            raise ObservabilityError(
-                f"{path}:{lineno}: not a JSONL span dump ({exc})") from exc
-        if not isinstance(row, dict) or "sid" not in row:
-            raise ObservabilityError(f"{path}:{lineno}: not a span row")
-        spans.append(span_from_dict(row))
-    return spans
+    if kind != "span dump":
+        raise ObservabilityError(f"{path}: a {kind} holds no spans")
+    return [span_from_dict(row) for row in read_jsonl(path, check_span_row)]

@@ -39,6 +39,7 @@ import sys
 from collections import deque
 from typing import TYPE_CHECKING, Any, TextIO
 
+from repro.obs.export import read_jsonl
 from repro.obs.spans import ObservabilityError
 
 if TYPE_CHECKING:
@@ -383,25 +384,9 @@ def validate_frame(row: Any) -> None:
 
 
 def load_frames(path: str) -> list[dict]:
-    """Read and validate a frames JSONL file (small files / tests)."""
-    import json
-
-    frames: list[dict] = []
-    with open(path) as fh:
-        for lineno, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
-            try:
-                row = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise ObservabilityError(
-                    f"{path}:{lineno}: not JSON ({exc})") from exc
-            try:
-                validate_frame(row)
-            except ObservabilityError as exc:
-                raise ObservabilityError(f"{path}:{lineno}: {exc}") from exc
-            frames.append(row)
-    return frames
+    """Read and validate a frames JSONL file (small files / tests); the
+    first malformed line raises, tagged ``{path}:{lineno}``."""
+    return list(read_jsonl(path, validate_frame))
 
 
 def _rss_mb() -> float:

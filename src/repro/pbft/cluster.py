@@ -33,8 +33,12 @@ if TYPE_CHECKING:
 _EXECUTED_OPS_BOUND = 50_000
 
 
-class _ExecutedLog:
-    """Minimal deterministic executor: a bounded op log + rolling digest."""
+class ExecutedLog:
+    """Minimal deterministic executor: a bounded op log + rolling digest.
+
+    Every flat-PBFT replica executes into one, and so does every seat of
+    the hierarchy's top committee (:mod:`repro.core.hierarchy`).
+    """
 
     def __init__(self) -> None:
         self.ops: list[tuple[int, str]] = []
@@ -44,6 +48,7 @@ class _ExecutedLog:
         self._digest = sha256(b"exec-log")
 
     def execute(self, op, seq: int, view: int) -> bytes:
+        """Log *op* at *seq* and fold it into the digest; returns it."""
         self.ops.append((seq, op.op_id))
         if len(self.ops) > 2 * self.bound:
             # amortized trim: drop the oldest half in one slice so the
@@ -53,12 +58,25 @@ class _ExecutedLog:
         return self._digest
 
     def digest(self) -> bytes:
+        """The rolling state digest over every executed op."""
         return self._digest
 
-    def install_snapshot(self, other: "_ExecutedLog") -> None:
+    def install_snapshot(self, other: "ExecutedLog") -> None:
         """Adopt a peer's state wholesale (checkpoint state transfer)."""
         self.ops = list(other.ops)
         self._digest = other._digest
+
+    def op_ids(self) -> list[str]:
+        """Executed op ids in sequence order."""
+        return [op_id for _seq, op_id in sorted(self.ops)]
+
+
+def prefixes_agree(sequences) -> bool:
+    """True iff the *sequences* (executed ops, chain digests) agree up
+    to the length of the shortest; no sequence at all agrees."""
+    sequences = list(sequences)
+    shortest = min(map(len, sequences), default=0)
+    return len({tuple(s[:shortest]) for s in sequences}) <= 1
 
 
 def charge_state_transfer(stats, src: int, dst: int, n_ops: int) -> None:
@@ -138,10 +156,10 @@ class PBFTCluster:
             obs.attach_host(self)
         faults = faults or {}
 
-        self.executors: dict[int, _ExecutedLog] = {}
+        self.executors: dict[int, ExecutedLog] = {}
         self.replicas: dict[int, PBFTReplica] = {}
         for node in self.committee:
-            executed = _ExecutedLog()
+            executed = ExecutedLog()
             self.executors[node] = executed
             replica = PBFTReplica(
                 node_id=node,
@@ -194,15 +212,10 @@ class PBFTCluster:
 
     def committed_ops(self, node: int) -> list[str]:
         """Op ids executed by *node*, in execution order."""
-        return [op_id for _seq, op_id in sorted(self.executors[node].ops)]
+        return self.executors[node].op_ids()
 
     def all_agree(self) -> bool:
         """True iff every non-crashed replica executed the same op sequence."""
-        sequences = [
-            self.committed_ops(node)
-            for node, replica in self.replicas.items()
-            if not replica.faults.crashed
-        ]
-        reference_len = min(len(s) for s in sequences) if sequences else 0
-        head = [s[:reference_len] for s in sequences]
-        return all(h == head[0] for h in head)
+        return prefixes_agree(self.committed_ops(node)
+                              for node, replica in self.replicas.items()
+                              if not replica.faults.crashed)

@@ -178,6 +178,9 @@ class Schedule:
                 raise ConfigurationError("era_switch_at requires protocol gpbft")
             if not math.isfinite(self.era_switch_at):
                 raise ConfigurationError("era_switch_at must be finite")
+            if self.era_switch_at < 0:
+                raise ConfigurationError(
+                    f"era_switch_at must be >= 0, got {self.era_switch_at}")
         if self.zones < 1:
             raise ConfigurationError("zones must be >= 1")
         if self.zones > 1:

@@ -166,11 +166,29 @@ class TestBadValuesExit2:
         (["--horizon", "nan"], "error: horizon_s must be finite"),
         (["--protocol", "gpbft", "--era-switch-at", "nan"],
          "error: era_switch_at must be finite"),
-        (["-n", "4", "--submissions", "2", "--horizon", "20", "--timeseries",
-          "--window", "nan"], "error: window_s must be finite, got nan")],
-        ids=["n", "horizon", "horizon-nan", "era-switch-nan", "window-nan"])
+        (["--protocol", "gpbft", "--era-switch-at", "-5"],
+         "error: era_switch_at must be >= 0, got -5.0")],
+        ids=["n", "horizon", "horizon-nan", "era-switch-nan",
+             "era-switch-negative"])
     def test_obs_capture(self, argv, line, capsys):
         from repro.obs.cli import main as obs_main
 
         assert _exit_code(obs_main, ["capture", *argv]) == 2
         assert capsys.readouterr().err == line + "\n"
+
+    @pytest.mark.parametrize("flag,value", [
+        ("--window", "0"), ("--window", "nan"), ("--window", "inf"),
+        ("--sample-rate", "2"), ("--sample-rate", "nan"),
+        ("--heartbeat", "-1")])
+    @pytest.mark.parametrize("cli", ["capture", "agg"])
+    def test_obs_flags(self, cli, flag, value, capsys):
+        # capture and agg declare the flags once, so both reject alike
+        from repro.obs.cli import main as obs_main
+
+        if cli == "capture":
+            code = _exit_code(obs_main, ["capture", "-n", "4", flag, value])
+        else:
+            code = _exit_code(main, ["agg", "--requests", "8", "--zones", "2",
+                                     "--duration", "10", flag, value])
+        assert code == 2
+        assert f"error: argument {flag}: must be" in capsys.readouterr().err

@@ -408,10 +408,10 @@ class TestSimulatedNetwork:
             net.multicast(7, range(202), RawPayload("k", 10))
             assert calls == {"send": 0, "sample_many": asked, "sample": 0}
             assert draws == [201]
-            sender = net._ports[7]
-            assert (sender.sent, sender.sent_bytes) == (201, 201 * 10)
+            assert net._ports[7].sent == 201
             assert net.stats.messages_sent == 201
-            assert net.stats.bytes_sent == 201 * 10
+            assert net.stats.bytes_sent == 201 * 10  # payload size x copies
+            assert net.stats.bytes_by_kind == {"k": 201 * 10}
             others = [n for n in range(202) if n != 7]
             ids = [net._ports[dst].inbox[0][1] for dst in others]
             assert ids == sorted(ids)  # envelope ids rise in destination order
@@ -437,7 +437,8 @@ class TestSimulatedNetwork:
         net.multicast(1, range(4), RawPayload("k", 10))
         # batched again: one draw for the three copies, none seen by a tap
         assert seen == [0, 2, 3] and draws == [1, 1, 1, 3]
-        assert (net._ports[1].sent, net._ports[1].sent_bytes) == (6, 60)
+        assert net._ports[1].sent == 6
+        assert net.stats.bytes_by_kind == {"k": 6 * 10}  # size x copies
 
     @pytest.mark.parametrize("subclass", [False, True])
     def test_multicast_files_what_per_copy_sends_file(self, subclass):
@@ -666,7 +667,6 @@ class TestStatsUnderMulticast:
         assert net.stats.bytes_delivered == 4 * 100
         for dst in range(1, 5):
             assert net.stats.bytes_received_by_node[dst] == 100
-        assert net._ports[0].sent_bytes == 4 * 100
 
     def test_multicast_accounting_identical_to_individual_sends(self):
         # same traffic, two paths: one payload object fanned out in one
@@ -745,14 +745,16 @@ class TestTrafficStats:
 class _EagerTotals:
     """The four totals kept apart from the per-kind maps the totals sum.
 
-    Network sends are read off the ports' own counters, charged
-    transfers are counted on the stats' calls, and network deliveries by
+    Network sends are counted off the ports' own counters, their bytes
+    as payload size x copies by :meth:`send` and :meth:`multicast`,
+    charged transfers on the stats' calls, and network deliveries by
     :meth:`handler`, which each node registers.
     """
 
     def __init__(self, net):
         self.net = net
         self.charged = self.charged_bytes = self.delivered = self.delivered_bytes = 0
+        self.wire_bytes = 0
         stats = net.stats
         on_send, on_deliver = stats.on_send, stats.on_deliver
 
@@ -774,7 +776,16 @@ class _EagerTotals:
 
     @property
     def sent_bytes(self):
-        return self.charged_bytes + sum(port.sent_bytes for port in self.net._ports.values())
+        return self.charged_bytes + self.wire_bytes
+
+    def send(self, src, dst, payload):
+        self.wire_bytes += payload.size_bytes
+        self.net.send(src, dst, payload)
+
+    def multicast(self, src, dsts, payload):
+        copies = sum(1 for dst in dsts if dst != src)
+        self.wire_bytes += payload.size_bytes * copies
+        self.net.multicast(src, dsts, payload)
 
     def handler(self, payload):
         self.delivered += 1
@@ -797,11 +808,11 @@ class TestDerivedTotals:
         eager = _EagerTotals(net)
         for node in range(5):
             net.register(node, eager.handler)
-        net.send(0, 1, RawPayload("a", 100))
-        net.multicast(2, range(5), RawPayload("b", 40))
+        eager.send(0, 1, RawPayload("a", 100))
+        eager.multicast(2, range(5), RawPayload("b", 40))
         net.set_offline(3)                      # loses the "b" on its way to it
-        net.multicast(0, range(5), RawPayload("a", 7))    # one copy dropped at send
-        net.send(1, 99, RawPayload("c", 5))     # nobody there: dropped on arrival
+        eager.multicast(0, range(5), RawPayload("a", 7))  # one copy dropped at send
+        eager.send(1, 99, RawPayload("c", 5))   # nobody there: dropped on arrival
         charge_state_transfer(net.stats, 4, 0, n_ops=3)
         return sim, net, eager
 
@@ -813,6 +824,8 @@ class TestDerivedTotals:
         assert eager.agree_with(net.stats)
         stats = net.stats
         assert stats.messages_sent == 1 + 4 + 4 + 1 + 1
+        # payload size x copies, plus the 32 + 64 + 3 x 200 byte snapshot
+        assert stats.bytes_sent == 100 + 4 * 40 + 4 * 7 + 5 + 696
         assert stats.messages_dropped == 3
         assert stats.messages_delivered == stats.messages_sent - 3
         assert stats.messages_sent == sum(stats.messages_sent_by_node.values())
@@ -841,7 +854,7 @@ class TestDerivedTotals:
         stats = net.stats
         before, received = stats.snapshot(), stats.messages_received_by_node
         charge_state_transfer(stats, 1, 2, n_ops=1)   # 32 + 64 + 200 bytes at 2
-        net.send(0, 2, RawPayload("a", 10))           # port-counted at 2
+        eager.send(0, 2, RawPayload("a", 10))         # port-counted at 2
         assert stats.messages_received_by_node[2] == received[2] + 1
         sim.run()
         assert eager.agree_with(stats)

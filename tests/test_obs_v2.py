@@ -528,13 +528,14 @@ class TestCaptureV2:
         # at every window close: the bytes of the file the send tap wrote
         import hashlib
 
-        from repro.experiments.engine import PointSpec, run_point
+        from repro.experiments.runner import _gpbft_agg_point
 
         path = tmp_path / "frames.jsonl"
-        out = run_point(PointSpec.make(
-            "gpbft", "agg", 3000, 5, zones=4, duration_s=1800.0,
-            drain_slack_s=600.0, timeseries=True, window_s=60.0,
-            frames_path=str(path), sample_rate=0.05, flight_recorder=True))
+        out = _gpbft_agg_point(
+            3000, 5, zones=4, duration_s=1800.0, drain_slack_s=600.0,
+            obs=Observability(ObsConfig(
+                timeseries=True, window_s=60.0, frames_path=str(path),
+                sample_rate=0.05, flight_recorder=True)))
         assert out["obs"]["frames_written"] == 152
         assert hashlib.sha256(path.read_bytes()).hexdigest() == (
             "62a6aae49727ff3157fef3a3d810425bc838ff955d4fba81e5615ebb015cde60")
@@ -606,3 +607,26 @@ class TestValidateCli:
         out = capsys.readouterr().out
         assert "window frames: 3" in out
         assert "z0" in out
+
+    def test_report_on_a_flight_dump_names_the_format(self, tmp_path, capsys):
+        # report and validate tell formats apart the same way: a dump
+        # validates, and report says it has nothing to render
+        dumps = tmp_path / "dumps"
+        assert obs_main(["capture", "--protocol", "pbft", "-n", "4",
+                         "--submissions", "1", "--horizon", "10",
+                         "--spans", str(tmp_path / "spans.jsonl"),
+                         "--dump-dir", str(dumps), "--dump"]) == 0
+        path = dumps / "flight-000-on-demand.json"
+        capsys.readouterr()
+        assert obs_main(["validate", str(path)]) == 0
+        assert obs_main(["report", str(path)]) == 2
+        assert capsys.readouterr().err == (
+            f"error: {path}: a flight dump holds no spans\n")
+
+    @pytest.mark.parametrize("command", ["report", "validate"])
+    def test_an_empty_file_fails_alike_under_both(self, command, tmp_path, capsys):
+        path = tmp_path / "empty.jsonl"
+        path.write_text("")
+        assert obs_main([command, str(path)]) == 2
+        assert capsys.readouterr().err == (
+            "error: Expecting value: line 1 column 1 (char 0)\n")

@@ -154,3 +154,18 @@ class TestEndToEndAttack:
         dep.run(until=dep.sim.now + 120)
         assert rid in dep.nodes[9].client.completed
         assert dep.ledgers_consistent()
+
+    def test_sybil_nodes_are_built_like_every_other_node(self):
+        from repro.obs import Observability
+
+        obs = Observability()
+        dep = TopologySpec.single(
+            10, 4, config=FAST, seed=7, sybil_protection=True, region=DENSE,
+            mode="block", block_interval_s=2.0).build(obs=obs)
+        attacker = dep.add_sybils(3, strategy=SybilStrategy.EMPTY_CELL)
+        for identity in attacker.identities:
+            node = dep.nodes[identity.node_id]
+            assert node.block_interval_s == 2.0 and node.obs is obs  # gpb: allow GPB004 -- the spec value handed through unchanged, never computed
+            assert node.admission is not None
+            assert node.position == identity.claimed_position
+            assert dep.directory[identity.node_id] == identity.true_position
