@@ -2,9 +2,9 @@
 
 The event-kind vocabulary lives as ``EV_*`` constants in
 ``repro/common/eventlog.py``; GPB009 reads those assignments (and the
-other kind vocabularies) straight from the AST -- exactly like GPB006
-reads ``WIRE_MESSAGES`` -- and flags raw or drifted kind literals
-anywhere else, so a typo'd kind cannot silently split the vocabulary.
+other kind vocabularies, ``WIRE_MESSAGES`` keys among them) straight
+from the AST and flags raw or drifted kind literals anywhere else, so a
+typo'd kind cannot silently split the vocabulary.
 GPB015 polices the memory contract: a collection grown per message or
 per event needs a visible bound.
 """
@@ -16,8 +16,20 @@ import re
 from typing import Iterable, Iterator
 
 from repro.analysis.findings import Finding
-from repro.analysis.prules import CodecHandlerCoverageRule
 from repro.analysis.rules import Module, Project, Rule, call_name, in_package
+
+
+def _assignments(module: Module) -> Iterator[tuple[str, ast.AST | None]]:
+    """(name, value) of every module-level ``NAME = value`` assignment,
+    plain or annotated."""
+    for node in module.tree.body:
+        target = None
+        if isinstance(node, ast.Assign) and len(node.targets) == 1:
+            target = node.targets[0]
+        elif isinstance(node, ast.AnnAssign):
+            target = node.target
+        if isinstance(target, ast.Name):
+            yield target.id, node.value
 
 
 def _vocabulary(project: Project) -> dict[str, str]:
@@ -29,24 +41,13 @@ def _vocabulary(project: Project) -> dict[str, str]:
     """
     vocab: dict[str, str] = {}
     for rel in sorted(project.modules):
-        module = project.modules[rel]
         if not rel.endswith("eventlog.py"):
             continue
-        for node in module.tree.body:
-            target = None
-            if isinstance(node, ast.Assign) and len(node.targets) == 1:
-                target = node.targets[0]
-            elif isinstance(node, ast.AnnAssign):
-                target = node.target
-            value = getattr(node, "value", None)
-            if (
-                isinstance(target, ast.Name)
-                and target.id.startswith("EV_")
-                and target.id.isupper()
-                and isinstance(value, ast.Constant)
-                and isinstance(value.value, str)
-            ):
-                vocab[value.value] = target.id
+        for name, value in _assignments(project.modules[rel]):
+            if (name.startswith("EV_") and name.isupper()
+                    and isinstance(value, ast.Constant)
+                    and isinstance(value.value, str)):
+                vocab[value.value] = name
     return vocab
 
 
@@ -96,15 +97,14 @@ def _declared_message_kinds(project: Project) -> set[str]:
 
 
 def _wire_kinds(project: Project) -> set[str]:
-    """Wire kinds registered in any ``WIRE_MESSAGES`` literal."""
+    """Wire kinds keyed in any module-level ``WIRE_MESSAGES`` literal."""
     kinds: set[str] = set()
     for rel in sorted(project.modules):
-        registry = CodecHandlerCoverageRule._find_registry(project.modules[rel])
-        if registry is None:
-            continue
-        for key in registry.keys:
-            if isinstance(key, ast.Constant) and isinstance(key.value, str):
-                kinds.add(key.value)
+        for name, value in _assignments(project.modules[rel]):
+            if name == "WIRE_MESSAGES" and isinstance(value, ast.Dict):
+                kinds.update(key.value for key in value.keys
+                             if isinstance(key, ast.Constant)
+                             and isinstance(key.value, str))
     return kinds
 
 
@@ -133,9 +133,9 @@ class EventVocabularyRule(Rule):
     Both arms share one exemption list: eventlog modules themselves
     (the single definition site), the ``obs``/``codec`` packages (the
     codec names wire kinds, some of which double as event kinds; the
-    ``WIRE_MESSAGES`` keys, pure literals for GPB006, carry inline
-    allows), docstrings, and ``kind = ...`` class attributes
-    (message-class wire-kind declarations).
+    two such ``WIRE_MESSAGES`` keys carry inline allows), docstrings,
+    and ``kind = ...`` class attributes (message-class wire-kind
+    declarations).
     """
 
     rule_id = "GPB009"

@@ -1,22 +1,21 @@
-"""Protocol-safety rules (GPB005-GPB008, GPB012).
+"""Protocol-safety rules (GPB005, GPB007, GPB008).
 
 These rules encode the BFT-specific review checklist: quorum arithmetic
-lives in one audited helper, every codec-registered wire message has a
-runtime handler, protocol hot paths never swallow exceptions broadly,
-no signature shares mutable default state between calls, and wire
-decoders bounds-check before they index.
+lives in one audited helper, protocol hot paths never swallow
+exceptions broadly, and no signature shares mutable default state
+between calls.  The codec registry and the decoders' bounds are checked
+by tests that import them (``tests/test_codec.py``,
+``tests/test_wire_roundtrip.py``), not by reading their source.
 """
 
 from __future__ import annotations
 
 import ast
-import struct
 from typing import Iterable, Iterator
 
 from repro.analysis.findings import Finding
 from repro.analysis.rules import (
     Module,
-    Project,
     Rule,
     call_name,
     dotted_name,
@@ -105,122 +104,6 @@ class InlineQuorumArithmeticRule(Rule):
                     "inline quorum arithmetic; use "
                     "repro.common.quorum.quorum_size()/max_faulty()",
                 )
-
-
-class CodecHandlerCoverageRule(Rule):
-    """Every codec-registered wire message must have a live handler.
-
-    The codec registry (the literal ``WIRE_MESSAGES`` dict in
-    ``repro/common/wire_layout.py``) gives, for each wire kind, the
-    ``struct`` layout of its fixed record, its encoder and decoder in
-    the codec module and -- for kinds that are dispatched at runtime --
-    the module and callable that handles it.  This rule re-reads the
-    registry from the AST and verifies each named function actually
-    exists, so a message type cannot be added to the wire without its
-    runtime half (or renamed away from under the registry) silently.
-    Entries with an empty ``handler`` are data layouts embedded in other
-    messages and only have their codec half checked.  Every entry must
-    also carry a ``layout`` (and may carry an ``item`` and a ``tail``)
-    that ``struct.calcsize`` accepts: the codec packs with those
-    strings and the message classes size themselves from them, so a
-    missing or malformed one would otherwise surface only at import.
-    Registry entries must be pure literals for the rule to read them.
-    """
-
-    rule_id = "GPB006"
-    title = "codec registry entries must carry a valid layout and name existing codec + handler functions"
-
-    def check_project(self, project: Project) -> Iterable[Finding]:
-        """Cross-check WIRE_MESSAGES entries against their target modules."""
-        for rel in sorted(project.modules):
-            module = project.modules[rel]
-            registry = self._find_registry(module)
-            if registry is None:
-                continue
-            yield from self._check_registry(project, module, registry)
-
-    @staticmethod
-    def _find_registry(module: Module) -> ast.Dict | None:
-        """The ``WIRE_MESSAGES = {...}`` literal of *module*, if present."""
-        for node in module.tree.body:
-            target = None
-            if isinstance(node, ast.Assign) and len(node.targets) == 1:
-                target = node.targets[0]
-            elif isinstance(node, ast.AnnAssign):
-                target = node.target
-            if (isinstance(target, ast.Name) and target.id == "WIRE_MESSAGES"
-                    and isinstance(getattr(node, "value", None), ast.Dict)):
-                return node.value
-        return None
-
-    def _check_registry(self, project: Project, module: Module,
-                        registry: ast.Dict) -> Iterable[Finding]:
-        for key, value in zip(registry.keys, registry.values):
-            if not (isinstance(key, ast.Constant) and isinstance(key.value, str)):
-                yield self.finding(module, key or registry,
-                                   "registry keys must be string literals")
-                continue
-            kind = key.value
-            try:
-                spec = ast.literal_eval(value)
-            except ValueError:
-                yield self.finding(module, value,
-                                   f"entry for {kind!r} is not a pure literal")
-                continue
-            if not isinstance(spec, dict):
-                yield self.finding(module, value,
-                                   f"entry for {kind!r} must be a dict")
-                continue
-            yield from self._check_entry(project, module, key, kind, spec)
-
-    def _check_entry(self, project: Project, module: Module, anchor: ast.AST,
-                     kind: str, spec: dict) -> Iterable[Finding]:
-        for part in ("layout", "item", "tail"):
-            layout = spec.get(part, None if part == "layout" else "")
-            try:
-                struct.calcsize(">" + layout)
-            except (TypeError, struct.error):
-                yield self.finding(
-                    module, anchor,
-                    f"{kind!r}: {part} {layout!r} is not a struct format")
-        codec_module = spec.get("codec_module", "")
-        for role in ("encoder", "decoder"):
-            name = spec.get(role, "")
-            if name and codec_module:
-                yield from self._require_def(
-                    project, module, anchor, kind, codec_module, name, role)
-        handler = spec.get("handler", "")
-        handler_module = spec.get("handler_module", "")
-        if handler and not handler_module:
-            yield self.finding(
-                module, anchor,
-                f"{kind!r} names handler {handler!r} without a handler_module")
-        elif handler_module and not handler:
-            yield self.finding(
-                module, anchor,
-                f"{kind!r} names handler_module {handler_module!r} "
-                "without a handler")
-        elif handler:
-            yield from self._require_def(
-                project, module, anchor, kind, handler_module, handler, "handler")
-
-    def _require_def(self, project: Project, module: Module, anchor: ast.AST,
-                     kind: str, target_module: str, name: str,
-                     role: str) -> Iterable[Finding]:
-        target = project.find_suffix(target_module)
-        if target is None:
-            yield self.finding(
-                module, anchor,
-                f"{kind!r}: {role} module {target_module!r} is not part of "
-                "the analyzed tree")
-            return
-        for node in ast.walk(target.tree):
-            if (isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
-                    and node.name == name):
-                return
-        yield self.finding(
-            module, anchor,
-            f"{kind!r}: {role} {name!r} does not exist in {target.rel}")
 
 
 #: Package segments that form the consensus-critical hot path.
@@ -333,71 +216,8 @@ class MutableDefaultRule(Rule):
         return False
 
 
-class DecodeBoundsRule(Rule):
-    """Wire decoders must bounds-check before indexing into the buffer.
-
-    Python slices do not raise on overrun: ``data[start:start + 4]`` on
-    a truncated frame silently yields fewer bytes, and
-    ``int.from_bytes`` happily mis-parses the remainder into a plausible
-    length -- the classic silent-misparse path the codec must never
-    reintroduce.  In any function whose name starts with ``decode``,
-    subscripting a parameter is flagged unless an earlier (or same-line)
-    comparison involving ``len(<param>)`` guards the access.  The
-    length-checked :class:`repro.codec.primitives.Record` (``unpack``
-    for a whole frame, ``unpack_head`` for a record followed by more)
-    is the preferred fix: it raises ``ValidationError`` with the exact
-    shortfall instead of mis-parsing.
-    """
-
-    rule_id = "GPB012"
-    title = "no unchecked buffer indexing in wire decoders"
-
-    def check_module(self, module: Module) -> Iterable[Finding]:
-        """Flag param subscripts in decode* functions before a len check."""
-        for func in ast.walk(module.tree):
-            if not isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                continue
-            if not func.name.startswith("decode"):
-                continue
-            params = {a.arg for a in (*func.args.posonlyargs, *func.args.args,
-                                      *func.args.kwonlyargs)}
-            checks = self._len_check_lines(func, params)
-            for node in ast.walk(func):
-                if (isinstance(node, ast.Subscript)
-                        and isinstance(node.value, ast.Name)
-                        and node.value.id in params):
-                    param = node.value.id
-                    guarded = any(line <= node.lineno
-                                  for line in checks.get(param, ()))
-                    if not guarded:
-                        yield self.finding(
-                            module, node,
-                            f"'{param}' is indexed before any len({param}) "
-                            "bounds check; a truncated frame mis-parses "
-                            "silently -- unpack it with a length-checked "
-                            "Record (e.g. Record.unpack_head) or check first",
-                        )
-
-    @staticmethod
-    def _len_check_lines(func: ast.AST, params: set[str]) -> dict[str, list[int]]:
-        """param -> line numbers of comparisons involving ``len(param)``."""
-        checks: dict[str, list[int]] = {}
-        for node in ast.walk(func):
-            if not isinstance(node, ast.Compare):
-                continue
-            for operand in (node.left, *node.comparators):
-                for sub in ast.walk(operand):
-                    if (isinstance(sub, ast.Call) and call_name(sub) == "len"
-                            and sub.args and isinstance(sub.args[0], ast.Name)
-                            and sub.args[0].id in params):
-                        checks.setdefault(sub.args[0].id, []).append(node.lineno)
-        return checks
-
-
 def protocol_rules() -> Iterator[Rule]:
     """Instantiate the P-rule set in id order."""
     yield InlineQuorumArithmeticRule()
-    yield CodecHandlerCoverageRule()
     yield BroadExceptRule()
     yield MutableDefaultRule()
-    yield DecodeBoundsRule()

@@ -13,9 +13,8 @@ Two hook points exist:
   single-file properties (wall-clock calls, float equality, unbounded
   growth, ...);
 * :meth:`Rule.check_project` runs once per analysis with access to
-  every parsed module, and covers the two properties that read a
-  cross-file table: the codec registry (GPB006) and the event-kind
-  vocabulary (GPB009).
+  every parsed module, and covers the one property that reads a
+  cross-file table: the event-kind vocabulary (GPB009).
 
 A rule is one bug class; each way of writing that bug is an *arm* of
 the rule with its own finding message.  Rules are registered by
@@ -83,15 +82,6 @@ class Project:
     """Every module of one analysis run, keyed by normalized path."""
 
     modules: dict[str, Module]
-
-    def find_suffix(self, suffix: str) -> Module | None:
-        """The unique module whose path ends with *suffix*, if any."""
-        norm = suffix.lstrip("/")
-        matches = [
-            m for rel, m in self.modules.items()
-            if rel == norm or rel.endswith("/" + norm)
-        ]
-        return matches[0] if len(matches) == 1 else None
 
 
 class Rule:

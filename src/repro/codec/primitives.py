@@ -6,8 +6,8 @@ record whose :mod:`struct` format comes from the shared layout table.
 itself does not make, so codec bugs and malformed frames surface as
 :class:`~repro.common.errors.ValidationError` rather than as silent
 misparses: ``struct`` pads or truncates a wrong-length ``Ns`` field
-without complaint, and reports every other problem as a bare
-``struct.error``.
+without complaint, skips ``x`` padding without reading it, and reports
+every other problem as a bare ``struct.error``.
 """
 
 from __future__ import annotations
@@ -35,16 +35,23 @@ class Record:
         self._struct = wire_struct(kind, part)
         self._name = f"{kind} {part}"
         self.size = self._struct.size
-        # (position among the packed values, width) of each raw-bytes field
+        # (position among the packed values, width) of each raw-bytes
+        # field, and (start, end, zeroes) of each run of padding bytes
         raw: list[tuple[int, int]] = []
-        position = 0
+        pads: list[tuple[int, int, bytes]] = []
+        position = offset = 0
         for count, code in _CODE.findall(self._struct.format):
-            if code == "s":
-                raw.append((position, int(count or 1)))
+            width = struct.calcsize(">" + count + code)
+            if code == "x":
+                pads.append((offset, offset + width, bytes(width)))
+            elif code == "s":
+                raw.append((position, width))
                 position += 1
-            elif code != "x":
+            else:
                 position += int(count or 1)
+            offset += width
         self._raw = tuple(raw)
+        self._pads = tuple(pads)
 
     def pack(self, *values: Any) -> bytes:
         """The record's bytes; integers must fit their field and raw
@@ -59,11 +66,20 @@ class Record:
                                       f"bytes, got {len(values[position])}")
         return data
 
+    def _check_pads(self, data: bytes, base: int = 0) -> None:
+        """Refuse the record at *base* unless its padding is zeroes."""
+        for start, end, zeroes in self._pads:
+            if data[base + start:base + end] != zeroes:
+                raise ValidationError(f"{self._name}: nonzero padding at "
+                                      f"bytes {start}-{end - 1}")
+
     def unpack(self, data: bytes) -> tuple[Any, ...]:
         """The fields of a buffer that is exactly one record long."""
         if len(data) != self.size:
             raise ValidationError(f"{self._name}: need exactly {self.size} "
                                   f"bytes, got {len(data)}")
+        if self._pads:
+            self._check_pads(data)
         return self._struct.unpack(data)
 
     def unpack_head(self, data: bytes) -> tuple[tuple[Any, ...], bytes]:
@@ -71,6 +87,8 @@ class Record:
         if len(data) < self.size:
             raise ValidationError(f"{self._name}: truncated, need {self.size} "
                                   f"bytes, have {len(data)}")
+        if self._pads:
+            self._check_pads(data)
         return self._struct.unpack_from(data), data[self.size:]
 
     def unpack_each(self, data: bytes) -> list[tuple[Any, ...]]:
@@ -79,4 +97,7 @@ class Record:
         if len(data) % self.size:
             raise ValidationError(f"{self._name}: {len(data)} bytes is not a "
                                   f"whole number of {self.size}-byte records")
+        if self._pads:
+            for base in range(0, len(data), self.size):
+                self._check_pads(data, base)
         return list(self._struct.iter_unpack(data))

@@ -13,6 +13,11 @@ Signatures are not stored on the message objects (the simulation
 verifies via the key registry), so encoders accept the 64-byte
 signature as a parameter (zeroes by default) and decoders return it
 alongside the message.
+
+Decoding is the exact inverse of encoding: a decoder returns a value
+that re-encodes to its input (bar embedded frames' signatures, which
+are dropped) or raises ``ValidationError``, chained to the message
+class's own error when the class refuses a field's value.
 """
 
 from __future__ import annotations
@@ -21,7 +26,7 @@ from typing import TYPE_CHECKING, Iterable
 
 from repro.chain.transaction import NormalTransaction, Transaction
 from repro.codec.primitives import Record
-from repro.common.errors import ValidationError
+from repro.common.errors import ConsensusError, GeoError, ValidationError
 from repro.crypto.keys import SIGNATURE_BYTES
 from repro.geo.coords import LatLng
 from repro.geo.reports import GeoReport
@@ -89,7 +94,10 @@ def encode_geo_report(report: GeoReport) -> bytes:
 def decode_geo_report(data: bytes) -> GeoReport:
     """Inverse of :func:`encode_geo_report`."""
     node, lng, lat, ts = _GEO.unpack(data)
-    return GeoReport(node=node, position=LatLng(lat, lng), timestamp=ts)
+    try:
+        return GeoReport(node=node, position=LatLng(lat, lng), timestamp=ts)
+    except GeoError as exc:
+        raise ValidationError(f"geo.report: {exc}") from exc
 
 
 # -- transactions ----------------------------------------------------------------
@@ -103,7 +111,7 @@ def encode_transaction(tx: Transaction, signature: bytes = _ZERO_SIG) -> bytes:
     if len(key) > _LENGTH_MAX or len(value) > _LENGTH_MAX:
         raise ValidationError(f"key and value ({len(key)} and {len(value)} "
                               f"B) must each fit a {_LENGTH_BITS}-bit length")
-    if 4 + len(key) + len(value) > tx.payload_bytes:
+    if len(key) + len(value) > tx.payload_bytes:
         raise ValidationError(f"key+value ({len(key)}+{len(value)} B) exceed "
                               f"the declared payload of {tx.payload_bytes} B")
     header = _TX.pack(_TX_KIND_NORMAL, tx.sender, tx.nonce, tx.fee,
@@ -115,7 +123,7 @@ def encode_transaction(tx: Transaction, signature: bytes = _ZERO_SIG) -> bytes:
 
 def _read_transaction(data: bytes) -> tuple[Transaction, bytes, bytes]:
     """The transaction frame *data* starts with: (tx, signature, rest)."""
-    (kind, sender, nonce, fee, payload_bytes, word, _), rest = \
+    (kind, sender, nonce, fee, payload_bytes, word, action), rest = \
         _TX.unpack_head(data)
     if len(rest) < payload_bytes:
         raise ValidationError(f"truncated transaction: {payload_bytes} B of "
@@ -124,10 +132,15 @@ def _read_transaction(data: bytes) -> tuple[Transaction, bytes, bytes]:
     (geo_bytes, signature), rest = _TX_TAIL.unpack_head(rest)
     if kind != _TX_KIND_NORMAL:
         raise ValidationError(f"unknown transaction kind tag {kind}")
+    if action:
+        raise ValidationError(f"reserved action byte is {action}, not 0")
     key_len, value_len = word >> _LENGTH_BITS, word & _LENGTH_MAX
-    if key_len + value_len > payload_bytes:
+    used = key_len + value_len
+    if used > payload_bytes:
         raise ValidationError(f"key+value ({key_len}+{value_len} B) exceed "
                               f"the declared payload of {payload_bytes} B")
+    if payload.count(0, used) != payload_bytes - used:
+        raise ValidationError("nonzero fill after the key and value")
     try:
         key = payload[:key_len].decode()
         value = payload[key_len:key_len + value_len].decode()
@@ -327,10 +340,13 @@ def decode_era_switch(data: bytes) -> EraSwitchOperation:
         raise ValidationError(f"era switch declares {n_committee}+{n_added}+"
                               f"{n_removed} ids, carries {len(ids)}")
     added_at = n_committee + n_added
-    return EraSwitchOperation(new_era=new_era,
-                              committee=tuple(ids[:n_committee]),
-                              added=tuple(ids[n_committee:added_at]),
-                              removed=tuple(ids[added_at:]))
+    try:
+        return EraSwitchOperation(new_era=new_era,
+                                  committee=tuple(ids[:n_committee]),
+                                  added=tuple(ids[n_committee:added_at]),
+                                  removed=tuple(ids[added_at:]))
+    except ConsensusError as exc:
+        raise ValidationError(f"gpbft.era_switch: {exc}") from exc
 
 
 # -- hierarchical (zone-sharded) messages -------------------------------------
@@ -348,8 +364,11 @@ def _read_xzone_tx(data: bytes) -> tuple[InterZoneTx, bytes, bytes]:
     (src_zone, dst_zone), rest = _XZONE.unpack_head(data)
     tx, _tx_sig, rest = _read_transaction(rest)
     (signature,), rest = _XZONE_TAIL.unpack_head(rest)
-    return (InterZoneTx(src_zone=src_zone, dst_zone=dst_zone, tx=tx),
-            signature, rest)
+    try:
+        envelope = InterZoneTx(src_zone=src_zone, dst_zone=dst_zone, tx=tx)
+    except ConsensusError as exc:
+        raise ValidationError(f"gpbft.xzone_tx: {exc}") from exc
+    return envelope, signature, rest
 
 
 def decode_xzone_tx(data: bytes) -> tuple[InterZoneTx, bytes]:

@@ -201,15 +201,6 @@ class EventLog:
         """
         self._subscribers.append(callback)
 
-    def unsubscribe(self, callback: Callable[[Event], None]) -> None:
-        """Detach a previously subscribed callback (idempotent)."""
-        if callback in self._subscribers:
-            self._subscribers.remove(callback)
-
-    def append(self, event: Event) -> None:
-        """Record *event* (as :meth:`record` would build it)."""
-        self.record(event.at, event.kind, event.node, **event.data)
-
     def count(self, kind: str) -> int:
         """O(1) count of events of *kind* (hot-loop friendly)."""
         return self._counts.get(kind, 0)

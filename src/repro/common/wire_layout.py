@@ -3,13 +3,13 @@
 Each entry maps a message kind (the ``kind`` string the dispatchers
 switch on) to the byte layout of its frame, its codec functions and,
 when the message is dispatched at runtime, the module and callable that
-handles it.  Three readers share it: :mod:`repro.codec.wire` packs and
-unpacks every frame with records built from the layout strings; the
-message modules compute the fixed part of each ``size_bytes`` from the
-same strings, so a layout and the bytes charged for it cannot disagree;
-and the static analyzer (:mod:`repro.analysis`, rule ``GPB006``)
-re-reads the dict from the AST and verifies every layout, encoder,
-decoder and handler it names.  The table sits in ``repro.common`` (and
+handles it.  Two readers share it: :mod:`repro.codec.wire` packs and
+unpacks every frame with records built from the layout strings, and
+the message modules compute the fixed part of each ``size_bytes`` from
+the same strings, so a layout and the bytes charged for it cannot
+disagree.  ``tests/test_codec.py`` holds every layout, encoder, decoder
+and handler the table names to what the code defines.  The table sits
+in ``repro.common`` (and
 is re-exported by :mod:`repro.codec.registry`) because ``repro.codec``
 imports the message modules, which must read it without importing
 ``repro.codec`` back.
@@ -38,15 +38,15 @@ Codec and handler fields (empty string means "not applicable"):
   than dispatched by kind (transactions, blocks, era-switch payloads)
   carry an empty handler.
 
-The dict is a *pure literal* so the analyzer can evaluate it without
-importing this package.
+The dict is a *pure literal*: the analyzer's event-kind rule
+(``GPB009``) reads its keys from the AST as a vocabulary of wire kinds.
 """
 
 from __future__ import annotations
 
 import struct
 
-#: Wire-kind -> layout + codec/handler wiring, cross-checked by rule GPB006.
+#: Wire-kind -> layout + codec/handler wiring (checked by tests/test_codec.py).
 WIRE_MESSAGES: dict[str, dict[str, str]] = {
     "pbft.request": {
         "layout": "Id64s",
@@ -96,7 +96,7 @@ WIRE_MESSAGES: dict[str, dict[str, str]] = {
         "handler_module": "repro/pbft/client.py",
         "handler": "on_reply",
     },
-    "pbft.view_change": {  # gpb: allow GPB009 -- wire kind that doubles as an event kind; GPB006 needs the table to be a pure literal
+    "pbft.view_change": {  # gpb: allow GPB009 -- wire kind that doubles as an event kind; GPB009 reads the table's keys as literals
         "layout": "IIII64s",
         "encoder": "encode_view_change",
         "decoder": "",
@@ -104,7 +104,7 @@ WIRE_MESSAGES: dict[str, dict[str, str]] = {
         "handler_module": "repro/pbft/replica.py",
         "handler": "on_view_change",
     },
-    "pbft.new_view": {  # gpb: allow GPB009 -- wire kind that doubles as an event kind; GPB006 needs the table to be a pure literal
+    "pbft.new_view": {  # gpb: allow GPB009 -- wire kind that doubles as an event kind; GPB009 reads the table's keys as literals
         "layout": "IIII64s",
         "item": "I64x",
         "encoder": "encode_new_view",

@@ -71,7 +71,7 @@ def top_seats(n_zones: int) -> int:
 
 
 class _CompositeMonitors:
-    """Fans ``check_final``/``detach`` out to every attached harness."""
+    """Fans ``check_final`` out to every attached harness."""
 
     def __init__(self, harnesses) -> None:
         self.harnesses = [h for h in harnesses if h is not None]
@@ -79,10 +79,6 @@ class _CompositeMonitors:
     def check_final(self) -> None:
         for harness in self.harnesses:
             harness.check_final()
-
-    def detach(self) -> None:
-        for harness in self.harnesses:
-            harness.detach()
 
 
 class ZoneGateway:

@@ -26,7 +26,7 @@ The five default monitors cover the protocol's core safety surface:
 
 Monitoring is opt-in via ``GPBFTConfig.verify.monitors``; with it off
 the hot paths pay a single truthiness check (see
-``EventLog.append``), keeping experiment sweeps unaffected.
+``EventLog.record``), keeping experiment sweeps unaffected.
 """
 
 from __future__ import annotations
@@ -362,8 +362,7 @@ class MonitorHarness:
     The harness subscribes immediately; every event recorded by *host*
     from then on flows through every monitor, and a violation raises
     :class:`InvariantViolation` out of the simulation step that caused
-    it.  Call :meth:`check_final` after the run for end-of-run checks
-    and :meth:`detach` to stop observing.
+    it.  Call :meth:`check_final` after the run for end-of-run checks.
 
     Attributes:
         on_violation: optional callback receiving each
@@ -441,7 +440,3 @@ class MonitorHarness:
         """Run every monitor's end-of-simulation checks."""
         for monitor in self.monitors:
             monitor.finish(self)
-
-    def detach(self) -> None:
-        """Stop observing the host's event stream (idempotent)."""
-        self.host.events.unsubscribe(self._on_event)

@@ -86,34 +86,6 @@ class TestMutationSelfTest:
             assert re.match(r".+:\d+:\d+: GPB\d{3} .+", finding.render())
 
 
-class TestRegistryLayouts:
-    """GPB006's layout arm: the message names what is wrong with each
-    malformed layout (the fixture tree plants one of them)."""
-
-    @pytest.mark.parametrize("layout_line, complaint", [
-        ("", "layout None is not a struct format"),
-        ('"layout": "I3",', "is not a struct format"),
-        ('"layout": "II", "tail": "64z",', "is not a struct format"),
-        ('"layout": 4,', "is not a struct format"),
-    ])
-    def test_missing_or_malformed_layout_is_flagged(self, tmp_path,
-                                                    layout_line, complaint):
-        (tmp_path / "registry.py").write_text(
-            'WIRE_MESSAGES = {"t.ping": {' + layout_line + ' "encoder": "", '
-            '"decoder": "", "codec_module": "", "handler_module": "", '
-            '"handler": ""}}\n')
-        findings = analyze([tmp_path]).findings
-        assert [f.rule_id for f in findings] == ["GPB006"]
-        assert complaint in findings[0].message
-
-    def test_valid_layouts_pass(self, tmp_path):
-        (tmp_path / "registry.py").write_text(
-            'WIRE_MESSAGES = {"t.ping": {"layout": "BI4xd32s", "item": "I", '
-            '"tail": "", "encoder": "", "decoder": "", "codec_module": "", '
-            '"handler_module": "", "handler": ""}}\n')
-        assert analyze([tmp_path]).findings == []
-
-
 class TestSuppressions:
     def test_inline_allow_silences_a_finding(self, tmp_path):
         bad = 'import time\n\ndef stamp():\n    return time.time()\n'

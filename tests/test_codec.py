@@ -2,7 +2,11 @@
 round-trips must be lossless.  These turn the traffic-accounting model
 behind Figures 5-6 and Table III into a verified property."""
 
+import ast
+import importlib
+import inspect
 import re
+import struct
 from pathlib import Path
 
 import pytest
@@ -45,6 +49,7 @@ from repro.pbft.messages import (
     ViewChange,
 )
 
+REPO_ROOT = Path(__file__).resolve().parent.parent
 HK = LatLng(22.3193, 114.1694)
 D = sha256(b"digest")
 SIG = bytes(range(64))
@@ -112,10 +117,93 @@ class TestPrimitives:
         assert len(self.PREPARE.pack(0, 1, 2, D, SIG)) == self.PREPARE.size == 108
 
 
+def _module(path):
+    """The module a table path such as ``repro/codec/wire.py`` names."""
+    return importlib.import_module(path.removesuffix(".py").replace("/", "."))
+
+
+def _defines_callable(module, name):
+    """True when *module* defines a callable *name* at module level or
+    on a class the module itself defines."""
+    classes = inspect.getmembers(module, inspect.isclass)
+    owners = [module] + [cls for _, cls in classes
+                         if cls.__module__ == module.__name__]
+    return any(callable(vars(owner).get(name)) for owner in owners)
+
+
+def check_registry_entry(kind):
+    """Everything ``WIRE_MESSAGES[kind]`` names exists: its layouts
+    compile, its codec functions are callables of its codec module, and
+    its handler, when it has one, is a callable its module defines."""
+    entry = WIRE_MESSAGES[kind]
+    for part in ("layout", "item", "tail"):
+        if part == "layout" or part in entry:
+            wire_struct(kind, part)
+    for role in ("encoder", "decoder"):
+        if entry[role]:
+            function = getattr(_module(entry["codec_module"]), entry[role], None)
+            assert callable(function), f"{kind}: no {role} {entry[role]!r}"
+    handler, handler_module = entry["handler"], entry["handler_module"]
+    assert bool(handler) == bool(handler_module), (
+        f"{kind}: handler and handler_module must be set together")
+    if handler:
+        assert _defines_callable(_module(handler_module), handler), (
+            f"{kind}: {handler_module} defines no callable {handler!r}")
+
+
+class TestRegistryWiring:
+    """The wire table holds what it names: the codec packs with its
+    layouts, and its codec and handler names are the functions the
+    runtime calls."""
+
+    @pytest.mark.parametrize("kind", sorted(WIRE_MESSAGES))
+    def test_entry_resolves(self, kind):
+        check_registry_entry(kind)
+
+    def test_table_is_a_pure_literal(self):
+        # GPB009 reads the table's keys from the AST, as a wire-kind
+        # vocabulary, without importing it
+        tree = ast.parse((REPO_ROOT / "src" / "repro" / "common"
+                          / "wire_layout.py").read_text())
+        tables = [node.value for node in tree.body
+                  if isinstance(node, ast.AnnAssign)
+                  and getattr(node.target, "id", "") == "WIRE_MESSAGES"]
+        assert len(tables) == 1
+        assert ast.literal_eval(tables[0]) == WIRE_MESSAGES
+
+    @pytest.mark.parametrize("entry", [
+        {},
+        {"layout": "I3"},
+        {"layout": "II", "tail": "64z"},
+        {"layout": 4},
+    ], ids=["missing", "bad-count", "bad-tail", "not-a-string"])
+    def test_malformed_layout_is_refused(self, monkeypatch, entry):
+        monkeypatch.setitem(WIRE_MESSAGES, "test.blob", entry)
+        with pytest.raises((struct.error, KeyError, TypeError)):
+            check_registry_entry("test.blob")
+
+    def test_valid_layouts_compile(self, monkeypatch):
+        monkeypatch.setitem(WIRE_MESSAGES, "test.ping", {
+            "layout": "BI4xd32s", "item": "I", "tail": "", "encoder": "",
+            "decoder": "", "codec_module": "", "handler_module": "",
+            "handler": ""})
+        check_registry_entry("test.ping")
+
+    @pytest.mark.parametrize("field, name", [
+        ("decoder", "decode_nothing"),
+        ("handler", "on_nothing"),
+    ])
+    def test_a_name_that_does_not_resolve_is_refused(self, monkeypatch,
+                                                      field, name):
+        monkeypatch.setitem(WIRE_MESSAGES, "pbft.checkpoint",
+                            {**WIRE_MESSAGES["pbft.checkpoint"], field: name})
+        with pytest.raises(AssertionError, match=name):
+            check_registry_entry("pbft.checkpoint")
+
+
 class TestLayoutTable:
     def test_protocol_doc_shows_every_layout_and_size(self):
-        doc = (Path(__file__).resolve().parent.parent / "docs"
-               / "protocol.md").read_text()
+        doc = (REPO_ROOT / "docs" / "protocol.md").read_text()
         for kind, entry in WIRE_MESSAGES.items():
             row = re.search(rf"^\| `{re.escape(kind)}` \| (.+?) \| (\d+) \|.*$",
                             doc, re.M)
@@ -185,6 +273,17 @@ class TestTransactionCodec:
         data[21:25] = ((6 << 16) | 40).to_bytes(4, "big")
         with pytest.raises(ValidationError):
             decode_transaction(bytes(data))
+
+    def test_key_and_value_filling_the_payload_re_encode(self):
+        # the lengths word lives in the header, not the payload: a key
+        # and value that fill the declared 64 bytes decode, so they must
+        # encode too (the encoder used to count 4 bytes for the word)
+        data = bytearray(encode_transaction(normal_tx(), SIG))
+        data[21:25] = ((4 << 16) | 60).to_bytes(4, "big")
+        data[40:104] = b"temp" + b"v" * 60
+        tx, signature = decode_transaction(bytes(data))
+        assert (tx.key, tx.value, tx.payload_bytes) == ("temp", "v" * 60, 64)
+        assert encode_transaction(tx, signature) == bytes(data)
 
     @pytest.mark.parametrize("field", ["key", "value"])
     def test_length_past_16_bits_rejected(self, field):

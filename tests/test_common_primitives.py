@@ -160,7 +160,7 @@ class TestEventLog:
         log = EventLog()
         log.record(5.0, "a")
         with pytest.raises(ValueError):
-            log.append(Event(at=1.0, kind="b"))
+            log.record(1.0, "b")
 
     def test_of_kind_and_where(self):
         log = EventLog()
@@ -188,7 +188,7 @@ class TestEventLog:
         log.subscribe(lambda e: seen.append(("first", e.kind, len(log))))
         log.subscribe(lambda e: seen.append(("second", e.kind, len(log))))
         log.record(1.0, "a")
-        log.append(Event(at=2.0, kind="b"))
+        log.record(2.0, "b")
         assert seen == [("first", "a", 1), ("second", "a", 1),
                         ("first", "b", 2), ("second", "b", 2)]
 

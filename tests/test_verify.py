@@ -16,7 +16,7 @@ from types import SimpleNamespace
 import pytest
 
 from repro.common.errors import ConfigurationError
-from repro.common.eventlog import EV_PBFT_ENTERED_VIEW, Event, EventLog, event_to_json
+from repro.common.eventlog import EV_PBFT_ENTERED_VIEW, EventLog, event_to_json
 from repro.experiments.engine import Engine
 from repro.verify import InvariantViolation, MonitorHarness
 from repro.verify.cli import main as verify_main
@@ -242,32 +242,22 @@ class TestMonitorHarness:
 
     def test_view_monotonicity_fires_on_regression(self):
         host = self._host()
-        harness = MonitorHarness(host, monitors=[ViewChangeMonotonicityMonitor()])
-        host.events.append(Event(1.0, EV_PBFT_ENTERED_VIEW, 0, {"view": 2}))
+        MonitorHarness(host, monitors=[ViewChangeMonotonicityMonitor()])
+        host.events.record(1.0, EV_PBFT_ENTERED_VIEW, 0, view=2)
         with pytest.raises(InvariantViolation) as exc:
-            host.events.append(Event(2.0, EV_PBFT_ENTERED_VIEW, 0, {"view": 2}))
+            host.events.record(2.0, EV_PBFT_ENTERED_VIEW, 0, view=2)
         violation = exc.value
         assert violation.monitor == "view-monotonicity"
         # the trace window ends with the offending event, serializably
         trace = violation.to_json()["trace"]
         assert trace[-1] == event_to_json(violation.event)
-        harness.detach()
 
     def test_epochs_have_independent_view_timelines(self):
         host = self._host()
         MonitorHarness(host, monitors=[ViewChangeMonotonicityMonitor()])
-        host.events.append(Event(1.0, EV_PBFT_ENTERED_VIEW, 0,
-                                 {"view": 5, "epoch": 0}))
+        host.events.record(1.0, EV_PBFT_ENTERED_VIEW, 0, view=5, epoch=0)
         # same node re-entering view 1 in the next epoch is legal
-        host.events.append(Event(2.0, EV_PBFT_ENTERED_VIEW, 0,
-                                 {"view": 1, "epoch": 1}))
-
-    def test_detach_stops_monitoring(self):
-        host = self._host()
-        harness = MonitorHarness(host, monitors=[ViewChangeMonotonicityMonitor()])
-        host.events.append(Event(1.0, EV_PBFT_ENTERED_VIEW, 0, {"view": 3}))
-        harness.detach()
-        host.events.append(Event(2.0, EV_PBFT_ENTERED_VIEW, 0, {"view": 1}))
+        host.events.record(2.0, EV_PBFT_ENTERED_VIEW, 0, view=1, epoch=1)
 
 
 class TestMutationSelfTest:
