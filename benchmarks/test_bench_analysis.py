@@ -6,12 +6,12 @@
   reduction.
 
 This bench measures both on unloaded single transactions and checks the
-closed-form models in :mod:`repro.analysis.models` track the simulator.
+closed-form models in :mod:`repro.metrics.models` track the simulator.
 """
 
 import pytest
 
-from repro.analysis.models import (
+from repro.metrics.models import (
     pbft_consensus_seconds,
     pbft_traffic_bytes,
     predicted_traffic_reduction,

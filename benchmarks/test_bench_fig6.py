@@ -6,7 +6,7 @@ widens with network size (section IV-C: reduction (c/n)^2).
 """
 
 from repro.experiments.figures import figure6
-from repro.analysis.models import predicted_traffic_reduction
+from repro.metrics.models import predicted_traffic_reduction
 
 
 def test_figure6(run_once, profile, engine):

@@ -17,8 +17,9 @@ Package tour (bottom of the import graph first):
 * :mod:`repro.core`    -- G-PBFT itself (election, eras, incentives, nodes)
 * :mod:`repro.sybil`   -- attacker models and the geographic defences
 * :mod:`repro.workloads` -- fleets, mobility, arrivals, scenarios
-* :mod:`repro.metrics` -- latency/traffic measurement and rendering
-* :mod:`repro.analysis` -- the paper's closed-form models (section IV)
+* :mod:`repro.metrics` -- latency/traffic measurement and rendering,
+  and the paper's closed-form models (section IV)
+* :mod:`repro.analysis` -- the determinism & protocol-safety analyzer
 * :mod:`repro.experiments` -- regenerates every table and figure
 
 Quickstart::

@@ -340,8 +340,8 @@ class HierarchicalDeployment:
     # -- plumbing ----------------------------------------------------------
 
     def _seat_executor(self, seat: int, ledger: ExecutedLog):
-        def execute(op, seq: int, view: int) -> bytes:
-            digest = ledger.execute(op, seq, view)
+        def execute(op, seq: int) -> bytes:
+            digest = ledger.execute(op, seq)
             if isinstance(op, ZoneCheckpointOperation):
                 self._on_zone_checkpoint(seat, op, seq)
             return digest
@@ -444,11 +444,6 @@ class HierarchicalDeployment:
         return self.zones[self.zone_of_node(node_id)].submit_from(node_id)
 
     # -- running and inspection --------------------------------------------
-
-    def run(self, until: float | None = None,
-            max_events: int | None = None) -> int:
-        """Advance the simulation."""
-        return self.sim.run(until=until, max_events=max_events)
 
     def run_for(self, duration: float) -> int:
         """Advance the simulation by *duration* seconds."""

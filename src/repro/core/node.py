@@ -414,9 +414,9 @@ class GPBFTNode:
     # execution of ordered operations
     # ------------------------------------------------------------------
 
-    def _execute_operation(self, op, seq: int, view: int) -> bytes:
+    def _execute_operation(self, op, seq: int) -> bytes:
         if isinstance(op, TxOperation):
-            self._execute_tx(op.tx, seq, view)
+            self._execute_tx(op.tx, seq)
         elif isinstance(op, EraSwitchOperation):
             self._execute_era_switch(op)
         elif isinstance(op, BlockProposalOperation):
@@ -424,26 +424,30 @@ class GPBFTNode:
         # unknown (e.g. null) operations advance state without effect
         return self.ledger.state.root
 
-    def _execute_tx(self, tx: Transaction, seq: int, view: int) -> None:
+    def _execute_tx(self, tx: Transaction, seq: int) -> None:
         if self.ledger.contains_tx(tx.tx_id):
             return
-        proposer = self.committee[view % len(self.committee)]
+        # every replica must assemble a byte-identical block, so only
+        # agreed data goes in: replicas may commit one request in
+        # different local views (prepared in view v, re-proposed in
+        # v + 1), so neither the view nor its primary may, nor the
+        # local execution time
+        proposer = self.committee[0]
         block = Block.assemble(
             height=self.ledger.height + 1,
             parent=self.ledger.head.digest(),
             era=self.era,
-            view=view,
+            view=0,
             seq=seq,
             proposer=proposer,
-            # the tx's own timestamp: every replica must assemble a
-            # byte-identical block regardless of when it executes
             timestamp=tx.geo.timestamp,
             transactions=[tx],
         )
         self.ledger.append(block)
         self.incentive.on_block(block.header.height, proposer, self.committee, tx.fee)
         self._observe_tx_geo(tx)
-        self._record(EV_TX_COMMITTED, tx_id=tx.tx_id, height=block.header.height)
+        self._record(EV_TX_COMMITTED, tx_id=tx.tx_id, height=block.header.height,
+                     digest=block.digest())
 
     def _execute_block_proposal(self, op: BlockProposalOperation) -> None:
         block = op.block
@@ -466,7 +470,8 @@ class GPBFTNode:
         self.mempool.remove_committed(block.transactions)
         for tx in block.transactions:
             self._observe_tx_geo(tx)
-            self._record(EV_TX_COMMITTED, tx_id=tx.tx_id, height=block.header.height)
+            self._record(EV_TX_COMMITTED, tx_id=tx.tx_id, height=block.header.height,
+                         digest=block.digest())
         self._record(EV_BLOCK_COMMITTED, producer=op.producer, height=block.header.height,
                      txs=len(block.transactions))
 

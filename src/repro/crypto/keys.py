@@ -66,11 +66,6 @@ class Signature:
                 f"signature must be {SIGNATURE_BYTES} bytes, got {len(self.value)}"
             )
 
-    @property
-    def size_bytes(self) -> int:
-        """Serialized size used in communication-cost accounting."""
-        return SIGNATURE_BYTES
-
 
 @dataclass(frozen=True, slots=True)
 class PublicKey:

@@ -2,7 +2,7 @@
 
 The ``paper`` profile mirrors section V: node counts from 4 up to 202,
 ten repetitions per group, and a constant per-node proposal frequency
-calibrated (see :mod:`repro.analysis.models`) so that PBFT at 202 nodes
+calibrated (see :mod:`repro.metrics.models`) so that PBFT at 202 nodes
 runs near saturation -- utilisation 2*202^2/(9000*10) ~ 0.91, which is
 what pushes its measured latency toward the paper's ~251 s.
 

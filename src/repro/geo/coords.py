@@ -101,10 +101,6 @@ class Region:
         sw = center.offset_m(-half_side_m, -half_side_m)
         return cls(south=sw.lat, west=sw.lng, north=ne.lat, east=ne.lng)
 
-    def contains(self, point: LatLng) -> bool:
-        """True iff *point* lies inside (or on the edge of) the box."""
-        return self.south <= point.lat <= self.north and self.west <= point.lng <= self.east
-
     @property
     def center(self) -> LatLng:
         """Geometric centre of the box."""

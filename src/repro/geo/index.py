@@ -54,10 +54,6 @@ class SpatialIndex:
         self._cell_of[node] = cell
         self._positions[node] = position
 
-    def position(self, node: int) -> LatLng | None:
-        """Indexed position of *node*, or ``None``."""
-        return self._positions.get(node)
-
     # -- queries ------------------------------------------------------------
 
     def _ring_cells(self, center_lat: float, center_lng: float, ring: int):

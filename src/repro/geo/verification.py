@@ -67,11 +67,6 @@ class AuditResult:
     contradicting: int = 0
     conflicting_nodes: tuple[int, ...] = field(default_factory=tuple)
 
-    @property
-    def accepted(self) -> bool:
-        """True iff the claim survived every check."""
-        return self.verdict is AuditVerdict.VALID
-
 
 class LocationAuditor:
     """Audits location claims using exclusivity and witness corroboration.

@@ -3,5 +3,7 @@
 * :mod:`repro.metrics.latency` -- consensus-latency samples and the
   boxplot statistics Figure 3 plots (min / Q1 / median / Q3 / max);
 * :mod:`repro.metrics.collector` -- experiment result containers and
-  text rendering (tables, ASCII series).
+  text rendering (tables, ASCII series);
+* :mod:`repro.metrics.models` -- the paper's closed-form latency and
+  traffic models (section IV), sized by the wire layouts.
 """

@@ -40,11 +40,6 @@ class ThroughputSample:
         """Committed transactions per simulated second."""
         return self.committed / self.window_s
 
-    @property
-    def saturated(self) -> bool:
-        """True when commits lag offers -- the system is the bottleneck."""
-        return self.committed < self.offered
-
 
 def throughput_from_events(
     events: EventLog,

@@ -47,7 +47,7 @@ class ExecutedLog:
         self.bound = _EXECUTED_OPS_BOUND
         self._digest = sha256(b"exec-log")
 
-    def execute(self, op, seq: int, view: int) -> bytes:
+    def execute(self, op, seq: int) -> bytes:
         """Log *op* at *seq* and fold it into the digest; returns it."""
         self.ops.append((seq, op.op_id))
         if len(self.ops) > 2 * self.bound:

@@ -61,8 +61,9 @@ from repro.pbft.messages import (
 if TYPE_CHECKING:
     from repro.obs.core import Observability
 
-#: Signature of the executor callback: (operation, seq, view) -> result digest.
-Executor = Callable[[object, int, int], bytes]
+#: Signature of the executor callback: (operation, seq) -> result digest.
+#: No view: replicas may commit one request in different local views.
+Executor = Callable[[object, int], bytes]
 
 
 class PBFTReplica:
@@ -121,7 +122,7 @@ class PBFTReplica:
         self.sim = sim
         self._transport = transport
         self.config = config or PBFTConfig()
-        self._executor = executor or (lambda op, seq, view: sha256(op.signing_bytes()))
+        self._executor = executor or (lambda op, seq: sha256(op.signing_bytes()))
         self._state_digest_fn = state_digest_fn or (lambda: sha256(b"state"))
         self.events = event_log
         self.faults = faults or HonestFaults()
@@ -445,7 +446,7 @@ class PBFTReplica:
             # re-proposed after a view change but already executed here:
             # consume the sequence number without re-running the operation
             return
-        result = self._executor(request.op, seq, state.view)
+        result = self._executor(request.op, seq)
         # vote counts ride on the event so quorum-certificate monitors
         # can audit the execution without reaching into the log
         self._record(

@@ -105,7 +105,8 @@ class PrefixConsistencyMonitor(Monitor):
 
     Tracks the (epoch, sequence) -> request id mapping across every
     ``pbft.executed`` event and, in per-transaction mode, the ledger
-    height -> transaction id mapping across ``tx.committed`` events.
+    height -> (transaction id, block digest) mapping across
+    ``tx.committed`` events, so a fork fails at the commit that makes it.
     :meth:`finish` additionally runs the host's own whole-ledger
     consistency check (``all_agree`` / ``ledgers_consistent``).
     """
@@ -114,7 +115,7 @@ class PrefixConsistencyMonitor(Monitor):
 
     def __init__(self) -> None:
         self._slots: dict[tuple[int, int], str] = {}
-        self._heights: dict[int, str] = {}
+        self._heights: dict[int, tuple[str, bytes]] = {}
 
     def on_event(self, harness: "MonitorHarness", event: Event) -> None:
         """Cross-check executed slots and committed heights."""
@@ -131,14 +132,13 @@ class PrefixConsistencyMonitor(Monitor):
                 ), event)
         elif event.kind == EV_TX_COMMITTED and harness.mode == "per_tx":
             height = event.data["height"]
-            tx_id = event.data["tx_id"]
-            seen = self._heights.get(height)
-            if seen is None:
-                self._heights[height] = tx_id
-            elif seen != tx_id:
+            block = (event.data["tx_id"], event.data["digest"])
+            seen = self._heights.setdefault(height, block)
+            if seen != block:
                 harness.fail(self, (
-                    f"height {height} holds tx {tx_id!r} on node "
-                    f"{event.node} but {seen!r} elsewhere"
+                    f"height {height} holds tx {block[0]!r} in block "
+                    f"{block[1].hex()[:16]} on node {event.node} but tx "
+                    f"{seen[0]!r} in block {seen[1].hex()[:16]} elsewhere"
                 ), event)
 
     def finish(self, harness: "MonitorHarness") -> None:

@@ -12,6 +12,7 @@ the properties that must hold under *any* schedule:
   moment and drops eventually stop, submitted requests commit.
 """
 
+import json
 from dataclasses import replace
 
 import pytest
@@ -24,8 +25,11 @@ from repro.common.config import (
     TopologySpec,
     VerifyConfig,
 )
+from repro.chain.block import Block
+from repro.common.eventlog import EV_ERA_SWITCH_COMPLETED, EV_TX_COMMITTED
+from repro.core.node import GPBFTNode
 from repro.pbft import CrashFaults, RawOperation
-from repro.common.eventlog import EV_ERA_SWITCH_COMPLETED
+from repro.verify.invariants import InvariantViolation
 
 N_REPLICAS = 7  # f = 2
 FAST_PBFT = PBFTConfig(view_change_timeout_s=5.0, request_retry_timeout_s=20.0)
@@ -127,6 +131,12 @@ class TestPBFTChaos:
         cluster.monitors.check_final()
 
 
+RECORDED_FORKS = [
+    [(1.0, 0, True), (1.0, 2, True), (2.0, 0, False), (22.0, 2, False)],
+    [(1.0, 1, True), (2.0, 0, True), (2.0, 1, False)],
+]
+
+
 def _run_crash_script(script, seed):
     """Six endorsers crash and recover as *script* says while three
     devices submit at t = 1, 21 and 41; returns the deployment at 800 s."""
@@ -153,16 +163,46 @@ class TestGPBFTChaos:
         assert dep.ledgers_consistent()
         dep.monitors.check_final()
 
-    # the two recorded schedules that do fork the ledgers: omission faults
-    # beyond f may cost liveness, never safety.  Strict, so the fix has to
-    # remove the marks.
-    @pytest.mark.xfail(strict=True, reason="ROADMAP item 1(a)")
-    @pytest.mark.parametrize("script", [
-        [(1.0, 0, True), (1.0, 2, True), (2.0, 0, False), (22.0, 2, False)],
-        [(1.0, 1, True), (2.0, 0, True), (2.0, 1, False)],
-    ], ids=["two-crashed-at-once", "three-step"])
+    # the two recorded schedules that forked the ledgers while a block
+    # header took the replica's local commit view: replicas commit a
+    # re-proposed request in different views.  Omission faults beyond f
+    # may cost liveness, never safety.
+    @pytest.mark.parametrize("script", RECORDED_FORKS, ids=["two-crashed-at-once", "three-step"])
     def test_recorded_crash_scripts_do_not_fork_the_ledgers(self, script):
-        assert _run_crash_script(script, seed=0).ledgers_consistent()
+        for seed in range(100):
+            assert _run_crash_script(script, seed).ledgers_consistent(), seed
+
+    def test_a_header_in_the_local_view_fails_at_the_commit(self, monkeypatch):
+        # plant the old bug: the header takes the executing replica's
+        # view and that view's primary; the streaming check must stop
+        # the run at the first diverging tx.committed, not at finish
+        executing = []
+        execute_tx = GPBFTNode._execute_tx
+        assemble = Block.assemble
+
+        def planted_execute_tx(node, tx, seq):
+            executing.append(node)
+            try:
+                execute_tx(node, tx, seq)
+            finally:
+                executing.pop()
+
+        def planted_assemble(**fields):
+            if executing:  # not genesis
+                node = executing[-1]
+                view = node.replica.view
+                fields.update(view=view, proposer=node.committee[view % len(node.committee)])
+            return assemble(**fields)
+
+        monkeypatch.setattr(GPBFTNode, "_execute_tx", planted_execute_tx)
+        monkeypatch.setattr(Block, "assemble", planted_assemble)
+        with pytest.raises(InvariantViolation) as caught:
+            _run_crash_script(RECORDED_FORKS[0], seed=0)
+        assert caught.value.monitor == "prefix-consistency"
+        assert caught.value.event.kind == EV_TX_COMMITTED
+        # the digest rides as bytes and is written out as hex
+        report = json.loads(json.dumps(caught.value.to_json()))
+        assert report["event"]["data"]["digest"] == caught.value.event.data["digest"].hex()
 
     def test_era_switch_under_partition_heals_without_fork(self):
         # an era switch proposed while the committee is split 2-2 cannot

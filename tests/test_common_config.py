@@ -1,5 +1,7 @@
 """Unit tests: configuration validation (repro.common.config)."""
 
+# gpb: allow-file GPB004 -- exact asserts on config defaults and round-tripped field values; any drift is a config-serialization bug
+
 import dataclasses
 
 import pytest

@@ -1,5 +1,7 @@
 """Unit tests: ids, RNG, and event log (repro.common)."""
 
+# gpb: allow-file GPB004 -- exact asserts on deterministic primitive outputs (seeded RNG draws round-trip bit-identically)
+
 import copy
 import gc
 import pickle

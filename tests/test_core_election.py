@@ -1,5 +1,7 @@
 """Unit tests: election table, Algorithm 1, committee, incentive, eras."""
 
+# gpb: allow-file GPB004 -- exact asserts on zero/initial scores and deterministic election tallies
+
 import pytest
 
 from repro.common.config import CommitteeConfig, ElectionConfig

@@ -59,7 +59,7 @@ class TestKeys:
 
     def test_signature_size_matches_ed25519(self):
         kp = KeyPair.generate(8)
-        assert kp.sign(b"x").size_bytes == SIGNATURE_BYTES == 64
+        assert len(kp.sign(b"x").value) == SIGNATURE_BYTES == 64
 
     def test_unknown_public_key_verifies_nothing(self):
         pk = PublicKey(b"\x55" * 32)

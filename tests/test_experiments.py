@@ -6,6 +6,8 @@ reports carry the paper's comparisons.  The full-scale reproduction runs
 live in ``benchmarks/``.
 """
 
+# gpb: allow-file GPB004 -- exact asserts that cached sweep results replay bit-identically (the cache contract under test)
+
 import json
 from pathlib import Path
 
@@ -16,7 +18,7 @@ from repro.experiments.engine import PointSpec, _execute_point, run_point
 from repro.experiments.profiles import PAPER, QUICK, active_profile
 from repro.experiments.runner import latency_sweep, traffic_sweep
 from repro.experiments.tables import table2
-from repro.analysis.models import pbft_traffic_bytes
+from repro.metrics.models import pbft_traffic_bytes
 from repro.verify.explorer import generate_schedule, schedule_spec
 
 PAPER_RESULTS = Path(__file__).resolve().parents[1] / "results" / "paper_results.json"

@@ -28,7 +28,6 @@ class TestBasics:
         index = SpatialIndex()
         index.insert(1, HK)
         assert 1 in index and len(index) == 1
-        assert index.position(1) == HK
 
     def test_move_updates_bucket(self):
         index = SpatialIndex(precision=7)
@@ -37,7 +36,8 @@ class TestBasics:
         index.insert(1, far)
         assert len(index) == 1
         assert index.nearest(far) == 1
-        assert haversine_m(index.position(1), far) == 0.0
+        assert index.within(far, 0.0) == [1]
+        assert index.within(HK, 1000.0) == []
 
     def test_precision_validation(self):
         with pytest.raises(GeoError):

@@ -1,10 +1,12 @@
 """Tests: metrics (latency, traffic, collector) and analysis models."""
 
+# gpb: allow-file GPB004 -- exact asserts on percentile/mean arithmetic over hand-built samples chosen to be exactly representable
+
 import math
 
 import pytest
 
-from repro.analysis.models import (
+from repro.metrics.models import (
     gpbft_consensus_seconds,
     gpbft_message_count,
     gpbft_traffic_bytes,
@@ -134,7 +136,7 @@ class TestAnalysisModels:
         assert math.isinf(queueing_delay_factor(1.0))
 
     def test_loaded_latency_model(self):
-        from repro.analysis.models import predicted_loaded_latency
+        from repro.metrics.models import predicted_loaded_latency
 
         # light load ~ unloaded; saturation -> infinity
         light = predicted_loaded_latency(40, 10.0, 1e9)
@@ -144,7 +146,7 @@ class TestAnalysisModels:
         assert math.isinf(predicted_loaded_latency(202, 10.0, 4000.0))
 
     def test_loaded_latency_tracks_simulation(self):
-        from repro.analysis.models import predicted_loaded_latency
+        from repro.metrics.models import predicted_loaded_latency
         from repro.experiments.engine import PointSpec, run_point
 
         # mid-utilisation point: model within ~2x of measurement

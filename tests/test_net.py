@@ -1,5 +1,7 @@
 """Unit tests: simulator, network, latency models, stats (repro.net)."""
 
+# gpb: allow-file GPB004 -- exact asserts on deterministic delivery times from seeded latency models
+
 import inspect
 
 import pytest

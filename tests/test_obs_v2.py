@@ -9,6 +9,8 @@ the zero-overhead guarantee that enabling the v2 pipeline leaves the
 event schedule bit-identical.
 """
 
+# gpb: allow-file GPB004 -- exact asserts on window boundaries (integer multiples of window_s, exact in IEEE-754) and frame fields from the deterministic pipeline
+
 from __future__ import annotations
 
 import io

@@ -379,7 +379,7 @@ def test_counted_votes_advance_the_instance_from_receive():
     executed = []
     replica = PBFTReplica(node_id=1, committee=(0, 1, 2, 3), sim=Simulator(),
                           transport=outbox,
-                          executor=lambda op, seq, view: executed.append(seq) or b"r" * 32)
+                          executor=lambda op, seq: executed.append(seq) or b"r" * 32)
     request = ClientRequest(client=9, timestamp=0.0, op=RawOperation("op"))
     digest = request.digest()
     replica.receive(PrePrepare(view=0, seq=1, digest=digest, request=request, sender=0))

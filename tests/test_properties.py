@@ -1,5 +1,7 @@
 """Property-based tests (hypothesis) on core data structures and invariants."""
 
+# gpb: allow-file GPB004 -- hypothesis properties assert exact round-trips of encoded floats (codec must be lossless)
+
 import math
 
 from hypothesis import given, settings, strategies as st

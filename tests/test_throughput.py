@@ -11,11 +11,6 @@ class TestThroughputSample:
     def test_tps(self):
         sample = ThroughputSample(committed=50, window_s=10.0, offered=50)
         assert sample.tps == pytest.approx(5.0)
-        assert not sample.saturated
-
-    def test_saturation_flag(self):
-        sample = ThroughputSample(committed=30, window_s=10.0, offered=50)
-        assert sample.saturated
 
     def test_validation(self):
         with pytest.raises(ConfigurationError):
