@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import ast
 import re
+from pathlib import Path
 from typing import Iterable, Iterator
 
 from repro.analysis.findings import Finding
@@ -171,6 +172,24 @@ class EventVocabularyRule(Rule):
                 if (not _is_docstring(module, node)
                         and "kind" not in _assign_target_names(module, node)):
                     yield self.finding(module, node, message)
+
+    def judges_allows(self, project: Project) -> bool:
+        """Only on a run over the whole package holding ``eventlog.py``:
+        the known kinds come from across it, so on part of it a finding
+        the whole tree has can vanish and its allow look stale."""
+        analyzed = {module.path.resolve() for module in project.modules.values()}
+        roots = {_package_root(module.path) for rel, module
+                 in project.modules.items() if rel.endswith("eventlog.py")}
+        return bool(roots) and all(path.resolve() in analyzed
+                                   for root in roots for path in root.rglob("*.py"))
+
+
+def _package_root(path: Path) -> Path:
+    """Outermost package directory holding *path*, else its directory."""
+    root = path.resolve().parent
+    while (root.parent / "__init__.py").is_file():
+        root = root.parent
+    return root
 
 
 #: Container constructors that make an attribute a growth candidate.
