@@ -19,7 +19,7 @@ lint:
 # ROADMAP item 4, "success is a number": src/ may shrink but not grow
 # unnoticed.  Lower the ceiling to what a PR lands at; raising it needs
 # a reason in CHANGES.md.
-LOC_CEILING = 19846
+LOC_CEILING = 19775
 loc:
 	@lines=$$(find src -name '*.py' | xargs cat | wc -l); \
 	echo "src/ Python lines: $$lines (ceiling $(LOC_CEILING))"; \
@@ -84,6 +84,7 @@ trace-smoke:
 		--trace trace.json --spans spans.jsonl --report \
 		--dump-dir dumps --dump
 	PYTHONPATH=src $(PYTHON) -m repro.obs validate trace.json
+	PYTHONPATH=src $(PYTHON) -m repro.obs validate spans.jsonl
 	PYTHONPATH=src $(PYTHON) -m repro.obs report spans.jsonl
 	test -s dumps/flight-000-on-demand.json
 	PYTHONPATH=src $(PYTHON) -m repro.obs validate dumps/flight-000-on-demand.json

@@ -4,41 +4,16 @@
 submission every 0.75 s from ``t = 1``, see
 :func:`repro.verify.explorer.run_schedule`) with the invariant monitors
 off and an :class:`~repro.obs.core.Observability` attached; it runs to
-the horizon and returns the sealed capture.  This is what ``python -m
-repro.obs capture`` calls.
+the horizon and returns the sealed facade with the host.  This is what
+``python -m repro.obs capture`` calls.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import Any
 
 from repro.obs.core import Observability
 from repro.obs.obsconfig import ObsConfig
-from repro.obs.spans import Span
-
-
-@dataclass
-class Capture:
-    """One finished instrumented run.
-
-    Attributes:
-        obs: the observability facade (already :meth:`finish`-ed).
-        host: the cluster/deployment that ran (for ad-hoc inspection).
-        protocol: ``"pbft"`` or ``"gpbft"``.
-    """
-
-    obs: Observability
-    host: object
-    protocol: str
-
-    @property
-    def spans(self) -> list[Span]:
-        """All spans recorded during the run."""
-        return self.obs.tracer.spans
-
-    def snapshot(self) -> dict:
-        """Deterministic instrument snapshot."""
-        return self.obs.snapshot()
 
 
 def capture_run(
@@ -49,8 +24,10 @@ def capture_run(
     horizon_s: float = 60.0,
     era_switch_at: float | None = None,
     obs_config: ObsConfig | None = None,
-) -> Capture:
-    """Run one instrumented scenario and return the sealed capture.
+) -> tuple[Observability, Any]:
+    """Run one instrumented scenario; returns ``(obs, host)``: the
+    :meth:`~Observability.finish`-ed facade and the cluster/deployment
+    that ran.
 
     Args:
         protocol: ``"pbft"`` (flat cluster) or ``"gpbft"`` (deployment).
@@ -76,4 +53,4 @@ def capture_run(
     obs = Observability(obs_config)
     host = run_schedule(schedule, obs=obs).host
     obs.finish()
-    return Capture(obs=obs, host=host, protocol=protocol)
+    return obs, host

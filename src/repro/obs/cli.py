@@ -12,7 +12,8 @@ Subcommands:
   has neither, so it exits 2 naming the format.
 - ``validate`` -- check any of the four formats.  JSONL inputs (span
   dumps or window frames) stream line-by-line, so a million-frame file
-  costs constant memory; the first malformed record exits 2 with its
+  costs constant memory; every record must be of the format the first
+  line announced, and the first malformed record exits 2 with its
   line number.  Chrome traces and flight-recorder dumps are one JSON
   object each and validate whole.
 
@@ -32,7 +33,6 @@ import argparse
 import json
 import math
 import sys
-from typing import Any
 
 from repro.common.errors import ConfigurationError
 from repro.obs.capture import capture_run
@@ -147,7 +147,7 @@ def obs_config(args: argparse.Namespace, *,
 
 
 def _cmd_capture(args: argparse.Namespace) -> int:
-    capture = capture_run(
+    obs, host = capture_run(
         protocol=args.protocol,
         n=args.n,
         submissions=args.submissions,
@@ -156,8 +156,7 @@ def _cmd_capture(args: argparse.Namespace) -> int:
         era_switch_at=args.era_switch_at,
         obs_config=obs_config(args, flight_recorder=args.dump),
     )
-    obs = capture.obs
-    spans = capture.spans
+    spans = obs.tracer.spans
     if args.trace:
         write_chrome_trace(spans, args.trace)
         print(f"wrote {len(spans)} spans to {args.trace} (chrome trace)")
@@ -166,14 +165,14 @@ def _cmd_capture(args: argparse.Namespace) -> int:
         print(f"wrote {len(spans)} spans to {args.spans} (jsonl)")
     if args.metrics:
         with open(args.metrics, "w") as fh:
-            json.dump(capture.snapshot(), fh, sort_keys=True, indent=2)
+            json.dump(obs.snapshot(), fh, sort_keys=True, indent=2)
             fh.write("\n")
         print(f"wrote instrument snapshot to {args.metrics}")
     if args.frames and obs.timeseries is not None:
         print(f"wrote {obs.timeseries.frames_written} window frames "
               f"to {args.frames} (jsonl)")
     if args.dump and obs.flight is not None:
-        obs.flight.dump("on-demand", at=capture.host.sim.now)
+        obs.flight.dump("on-demand", at=host.sim.now)
     if obs.flight is not None and obs.flight.dump_paths:
         for path in obs.flight.dump_paths:
             print(f"wrote flight-recorder dump to {path}")
@@ -192,24 +191,11 @@ def _cmd_report(args: argparse.Namespace) -> int:
     return 0
 
 
-def _check_record(row: Any) -> None:
-    """Check one record of a JSONL span dump or frames file."""
-    if not isinstance(row, dict):
-        raise ObservabilityError("record is not an object")
-    if "sid" in row:
-        check_span_row(row)
-    elif "window" in row:
-        validate_frame(row)
-    else:
-        raise ObservabilityError(
-            "record is neither a span (no 'sid') nor a window frame "
-            "(no 'window')")
-
-
 def _cmd_validate(args: argparse.Namespace) -> int:
     kind, doc = sniff(args.file)
     if doc is None:
-        count = sum(1 for _ in read_jsonl(args.file, _check_record))
+        check = check_span_row if kind == "span dump" else validate_frame
+        count = sum(1 for _ in read_jsonl(args.file, check))
         print(f"{args.file}: valid jsonl ({count} records)")
     elif kind == "flight dump":
         validate_dump(doc)
@@ -230,7 +216,6 @@ def main(argv: list[str] | None = None) -> int:
         if args.command == "report":
             return _cmd_report(args)
         return _cmd_validate(args)
-    except (ConfigurationError, ObservabilityError, OSError,
-            json.JSONDecodeError) as exc:
+    except (ConfigurationError, ObservabilityError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -26,12 +26,16 @@ city-scale pieces, all off by default:
 * windowed time-series frames (:attr:`Observability.timeseries`),
   flushed as windows close via the simulator tick hook;
 * deterministic head sampling of request-scoped spans (``req``,
-  ``prep``, ``comm``) keyed by a stable hash of the request id --
-  view-change, era, and checkpoint spans are always traced, and the
-  time-series sees every request regardless of the sample rate;
+  ``prep``, ``comm``) keyed by a stable hash of the request id; the
+  sketches read off those spans (``request.latency_s``,
+  ``pbft.prepare_wait_s``, ``pbft.commit_wait_s``) follow the sample,
+  while view-change, era and checkpoint spans, the counters and the
+  time-series see every request whatever the rate;
 * the flight recorder (:attr:`Observability.flight`), which dumps each
   attached host log's recent events as a per-group ring
-  (:meth:`Observability.attach_host`).
+  (:meth:`Observability.attach_host`).  The facade's own subscription
+  feeds it the log's view changes, so a host log carries one obs
+  subscriber whatever is on.
 
 Zone-sharded runs call :meth:`Observability.for_zone` per zone: the
 clones share one tracer, registry, time-series, and recorder, but
@@ -46,21 +50,20 @@ from typing import Any, Sequence
 from repro.common import eventlog as ev
 from repro.common.eventlog import Event, EventLog
 from repro.net.simulator import Simulator
-from repro.net.stats import TrafficStats
 from repro.obs.flightrec import FlightRecorder
 from repro.obs.instruments import Registry
 from repro.obs.obsconfig import ObsConfig
-from repro.obs.sampling import HeadSampler
+from repro.obs.sampling import sample_key
 from repro.obs.spans import Tracer
-from repro.obs.timeseries import Heartbeat, Timeseries
+from repro.obs.timeseries import Heartbeat, Timeseries, Watch
 
 #: Frame zone label for captures that never call :meth:`for_zone`.
 DEFAULT_ZONE = "all"
 
 
 class Observability:
-    """Tracer, instrument registry and the optional time-series, sampler
-    and flight recorder behind one object.
+    """Tracer, instrument registry and the optional time-series, head
+    sampling and flight recorder behind one object.
 
     Construct one per capture, pass it to the host
     (``TopologySpec.build(obs=...)`` binds and attaches it), and call
@@ -78,8 +81,6 @@ class Observability:
         config: the :class:`ObsConfig` in effect (defaults all-off).
         timeseries: the shared :class:`Timeseries`, or ``None``.
         flight: the shared :class:`FlightRecorder`, or ``None``.
-        sampler: the :class:`HeadSampler`, or ``None`` when tracing
-            every request (the default).
     """
 
     def __init__(self, config: ObsConfig | None = None) -> None:
@@ -88,23 +89,21 @@ class Observability:
         self.registry = Registry()
         self._bound_sim: Simulator | None = None
         self._zone: str | None = None
-        # the stats of every bound network; zone clones share the list
-        self._watched: list[TrafficStats] = []
+        # every bound network; zone clones share the list, and both the
+        # net.* counters and the window frames read it
+        self._watched: list[Watch] = []
         cfg = self.config
-        self.sampler: HeadSampler | None = (
-            HeadSampler(cfg.sample_rate) if cfg.sampling_active else None)
         self.timeseries: Timeseries | None = (
-            Timeseries(cfg.window_s, path=cfg.frames_path,
-                       frames_tail=cfg.frames_tail)
-            if cfg.timeseries_active else None)
+            Timeseries(cfg.window_s, path=cfg.frames_path, watched=self._watched)
+            if cfg.timeseries or cfg.frames_path is not None else None)
         ts = self.timeseries
         self.flight: FlightRecorder | None = (
             FlightRecorder(
-                cfg,
+                cfg.dump_dir,
                 instruments=self.snapshot,
                 frames=(lambda: list(ts.frames_tail)) if ts is not None else None,
             )
-            if cfg.flight_active else None)
+            if cfg.flight_recorder or cfg.dump_dir is not None else None)
         self._hb: Heartbeat | None = (
             Heartbeat(cfg.heartbeat_s) if cfg.heartbeat_s is not None else None)
 
@@ -155,9 +154,7 @@ class Observability:
         if network is not None:
             self.registry.counter("net.messages_sent")
             self.registry.counter("net.bytes_sent")
-            self._watched.append(network.stats)  # gpb: allow GPB015 -- one entry per bound network, never per message
-            if self.timeseries is not None:
-                self.timeseries.watch(self.zone, network.stats)
+            self._watched.append(Watch(self.zone, network.stats))  # gpb: allow GPB015 -- one entry per bound network, never per message
         if self.timeseries is not None or self._hb is not None:
             sim.set_tick_hook(self._on_tick)
 
@@ -167,8 +164,8 @@ class Observability:
         if not watched:
             return
         for name, per_network in (
-                ("net.messages_sent", [s.messages_by_kind for s in watched]),
-                ("net.bytes_sent", [s.bytes_by_kind for s in watched])):
+                ("net.messages_sent", [w.stats.messages_by_kind for w in watched]),
+                ("net.bytes_sent", [w.stats.bytes_by_kind for w in watched])):
             totals: dict[str, int] = {}
             for by_kind in per_network:
                 for kind, value in by_kind.items():
@@ -201,19 +198,21 @@ class Observability:
 
         With the flight recorder active, the log is also attached as the
         ring of this facade's zone label (or a fresh ``g{n}`` group),
-        and the host's monitor harness ``on_violation`` hook
+        its view changes feed the recorder's storm trigger, and the
+        host's monitor harness ``on_violation`` hook
         points at the recorder so an
         :class:`~repro.verify.invariants.InvariantViolation` dumps a
         post-mortem bundle before propagating.
         """
         flight = self.flight
+        group = None
         if flight is not None:
-            flight.attach(host.events, self._zone if self._zone is not None
-                          else f"g{len(flight.groups)}")
+            group = self._zone if self._zone is not None else f"g{len(flight.groups)}"
+            flight.attach(host.events, group)
             monitors = getattr(host, "monitors", None)
             if monitors is not None and hasattr(monitors, "on_violation"):
                 monitors.on_violation = flight.on_violation
-        self.listen(host.events)
+        self.listen(host.events, storm_group=group)
 
     def finish(self) -> None:
         """Seal the capture: close spans, flush windows, export gauges."""
@@ -226,13 +225,25 @@ class Observability:
 
     # -- facts read off event logs ----------------------------------------
 
-    def listen(self, events: EventLog, zone_names: Sequence[str] = ()) -> None:
+    def listen(self, events: EventLog, zone_names: Sequence[str] = (),
+               storm_group: str | None = None) -> None:
         """Turn every future record in *events* into spans and instruments.
 
         *zone_names* labels the zone index ``hier.*`` / ``xzone.*``
-        events carry (a hierarchy's own log).
+        events carry (a hierarchy's own log).  With *storm_group*, each
+        view change first counts toward that flight-recorder group's
+        storm trigger, so a storm dump holds the instruments as they
+        stood before the view change that tripped it.
         """
         handlers = self._HANDLERS
+        flight = self.flight
+        if storm_group is not None and flight is not None:
+            def view_change(obs: Observability, event: Event,
+                            zones: Sequence[str]) -> None:
+                flight.view_change(storm_group, event.at)
+                obs._view_change_started(event, zones)
+
+            handlers = {**handlers, ev.EV_PBFT_VIEW_CHANGE: view_change}
 
         def on_event(event: Event) -> None:
             handler = handlers.get(event.kind)
@@ -241,12 +252,17 @@ class Observability:
 
         events.subscribe(on_event)
 
+    def _traced(self, rid: str) -> bool:
+        """Whether request *rid*'s spans are kept (head sampling)."""
+        rate = self.config.sample_rate
+        return rate >= 1.0 or sample_key(rid) < rate
+
     def _request_submitted(self, event: Event, _zones: Sequence[str]) -> None:
         """A client submitted a request to a committee of that size."""
         rid = event.data["request_id"]
         if self.timeseries is not None:
             self.timeseries.submitted(self.zone, rid, event.at)
-        if self.sampler is not None and not self.sampler.sampled(rid):
+        if not self._traced(rid):
             return
         self.tracer.open(f"req/{rid}", "request", cat="request", node=event.node,
                          request_id=rid, committee_size=event.data["committee_size"])
@@ -263,7 +279,7 @@ class Observability:
     def _pbft_executed(self, event: Event, _zones: Sequence[str]) -> None:
         """A replica collected its commit quorum and executed the request."""
         data = event.data
-        if self.sampler is not None and not self.sampler.sampled(data["request_id"]):
+        if not self._traced(data["request_id"]):
             return
         span = self.tracer.close(f"comm/{event.node}/{data['epoch']}/{data['view']}/{data['seq']}")
         if span is not None:
@@ -332,7 +348,7 @@ class Observability:
 
     def pbft_preprepare(self, node: int, epoch: int, view: int, seq: int, rid: str) -> None:
         """Replica accepted (or issued) the pre-prepare for *seq*."""
-        if self.sampler is not None and not self.sampler.sampled(rid):
+        if not self._traced(rid):
             return
         self.tracer.open(
             f"prep/{node}/{epoch}/{view}/{seq}", "prepare", cat="phase",
@@ -342,7 +358,7 @@ class Observability:
 
     def pbft_prepared(self, node: int, epoch: int, view: int, seq: int, rid: str) -> None:
         """Replica collected its prepare quorum and broadcast commit."""
-        if self.sampler is not None and not self.sampler.sampled(rid):
+        if not self._traced(rid):
             return
         span = self.tracer.close(f"prep/{node}/{epoch}/{view}/{seq}")
         if span is not None:

@@ -53,8 +53,11 @@ def chrome_trace(spans: list[Span]) -> dict:
     """Render *spans* as a Chrome trace-event JSON object.
 
     Each span becomes one complete ("X") event; ``args`` carries the
-    span id, parent id, and payload so the conversion is lossless and
-    :func:`load_spans` can invert it.
+    span id, parent id, and payload, so :func:`load_spans` recovers
+    every field.  Times are not exact: ``ts`` and ``dur`` are
+    microsecond floats and the end comes back as ``ts + dur``, so a
+    start or end may move in its last bits.  The JSONL dump is the
+    exact round trip.
     """
     events = []
     for span in spans:
@@ -137,7 +140,8 @@ def sniff(path: str | Path) -> tuple[str, Any]:
     is ``None``: stream it with :func:`read_jsonl`), else the whole file
     parsed into *doc* -- a ``"flight dump"``, or what must be a
     ``"chrome trace"``.  A file that is neither JSONL nor one JSON
-    document, an empty one included, raises ``json.JSONDecodeError``.
+    document, an empty one included, raises an ObservabilityError
+    tagged ``{path}:{lineno}``.
     """
     with open(path) as fh:
         first = fh.readline()
@@ -147,7 +151,11 @@ def sniff(path: str | Path) -> tuple[str, Any]:
         head = None  # an indented document: parse it whole below
     if not isinstance(head, dict) or "traceEvents" in head or "rings" in head:
         with open(path) as fh:
-            doc = json.load(fh)
+            try:
+                doc = json.load(fh)
+            except json.JSONDecodeError as exc:
+                raise ObservabilityError(
+                    f"{path}:{exc.lineno}: not JSON ({exc.msg})") from exc
         dump = isinstance(doc, dict) and "rings" in doc
         return ("flight dump" if dump else "chrome trace"), doc
     frames = "window" in head and "sid" not in head

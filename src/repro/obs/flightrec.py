@@ -15,11 +15,13 @@ something goes wrong it writes a single JSON bundle containing
   :class:`~repro.verify.invariants.InvariantViolation`).
 
 Dumps fire on three triggers: an invariant violation (wired through
-``MonitorHarness.on_violation``), a view-change storm (more than
-``storm_threshold`` view-change events inside one ``storm_window_s``
-for a single group), or an explicit :meth:`FlightRecorder.dump` call.
-The recorder stores no events of its own, and the in-memory dump list
-keeps only the most recent few bundles.
+``MonitorHarness.on_violation``), a view-change storm
+(:data:`STORM_THRESHOLD` view-change events inside one
+:data:`STORM_WINDOW_S` for a single group, counted by
+:meth:`FlightRecorder.view_change`, which the facade calls from its own
+event-log dispatch), or an explicit :meth:`FlightRecorder.dump` call.
+The recorder stores no events of its own and subscribes to no log, and
+the in-memory dump list keeps only the most recent few bundles.
 """
 
 from __future__ import annotations
@@ -29,15 +31,7 @@ import os
 from collections import deque
 from typing import Any, Callable
 
-from repro.common.eventlog import (
-    EV_PBFT_VIEW_CHANGE,
-    TRACE_WINDOW,
-    Event,
-    EventLog,
-    event_to_json,
-    jsonable,
-)
-from repro.obs.obsconfig import ObsConfig
+from repro.common.eventlog import TRACE_WINDOW, EventLog, event_to_json, jsonable
 
 #: Version of the dump bundle layout; bump on incompatible changes.
 DUMP_SCHEMA = 1
@@ -45,9 +39,21 @@ DUMP_SCHEMA = 1
 #: In-memory dump bundles retained (dumps on disk are never pruned).
 _DUMPS_KEPT = 4
 
+#: View changes inside one storm window that trigger an automatic dump.
+STORM_THRESHOLD = 50
+
+#: Width of the view-change storm window, in simulated seconds.
+STORM_WINDOW_S = 60.0
+
 
 class FlightRecorder:
     """Per-group event logs with triggered post-mortem dumps.
+
+    Args:
+        dump_dir: directory each bundle is written into, or ``None`` to
+            keep dumps in memory only.
+        instruments: returns the instrument snapshot a bundle embeds.
+        frames: returns the window-frame tail a bundle embeds.
 
     Attributes:
         dumps: the most recent in-memory dump bundles, oldest first
@@ -55,10 +61,10 @@ class FlightRecorder:
         dump_paths: files written so far, in order.
     """
 
-    def __init__(self, config: ObsConfig,
+    def __init__(self, dump_dir: str | None = None,
                  instruments: Callable[[], dict] | None = None,
                  frames: Callable[[], list[dict]] | None = None) -> None:
-        self._config = config
+        self._dump_dir = dump_dir
         self._instruments = instruments
         self._frames = frames
         self._logs: dict[str, EventLog] = {}
@@ -74,32 +80,23 @@ class FlightRecorder:
         return sorted(self._logs)
 
     def attach(self, events: EventLog, group: str) -> None:
-        """Dump *events*' tail as *group*'s ring, and watch it for storms."""
+        """Dump *events*' tail as *group*'s ring."""
         self._logs[group] = events
 
-        def on_event(event: Event, _group: str = group) -> None:
-            if event.kind == EV_PBFT_VIEW_CHANGE:
-                self._on_view_change(_group, event.at)
-
-        events.subscribe(on_event)
-
-    def _on_view_change(self, group: str, at: float) -> None:
-        """Count view changes per group; dump once when a storm trips."""
-        threshold = self._config.storm_threshold
-        if threshold <= 0:
-            return
+    def view_change(self, group: str, at: float) -> None:
+        """Count *group*'s view changes; dump once when a storm trips."""
         start = self._storm_start.get(group)
-        if start is None or at >= start + self._config.storm_window_s:
+        if start is None or at >= start + STORM_WINDOW_S:
             self._storm_start[group] = at
             self._storm_count[group] = 1
             return
         self._storm_count[group] += 1
-        if self._storm_count[group] == threshold:
+        if self._storm_count[group] == STORM_THRESHOLD:
             self.dump("view-change-storm", at=at, extra={
                 "group": group,
-                "view_changes": threshold,
+                "view_changes": STORM_THRESHOLD,
                 "window_start": start,
-                "window_s": self._config.storm_window_s,
+                "window_s": STORM_WINDOW_S,
             })
 
     def on_violation(self, violation: Any) -> None:
@@ -136,10 +133,10 @@ class FlightRecorder:
         }
         self._seq += 1
         self.dumps.append(bundle)
-        if self._config.dump_dir is not None:
-            os.makedirs(self._config.dump_dir, exist_ok=True)
+        if self._dump_dir is not None:
+            os.makedirs(self._dump_dir, exist_ok=True)
             path = os.path.join(
-                self._config.dump_dir,
+                self._dump_dir,
                 f"flight-{bundle['seq']:03d}-{reason}.json")
             with open(path, "w") as fh:
                 json.dump(bundle, fh, sort_keys=True, indent=1)

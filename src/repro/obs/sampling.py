@@ -5,7 +5,8 @@ the trace with a *random* coin would make every capture different.
 Head sampling instead derives the keep/drop decision from the request
 id itself: ``sample_key(rid)`` maps the id through SHA-256 onto a
 uniform point in ``[0, 1)``, and the request is traced iff that point
-falls below the configured rate.  The decision is therefore
+falls below the configured rate, ``sample_key(rid) < rate``.  The
+decision is therefore
 
 * **stable across call sites** -- every replica and the client agree
   on whether ``rid`` is sampled without sharing any state, so a kept
@@ -23,8 +24,6 @@ from __future__ import annotations
 
 import hashlib
 
-from repro.obs.spans import ObservabilityError
-
 #: 2**64, the denominator mapping an 8-byte digest prefix onto [0, 1).
 _KEY_SPACE = float(1 << 64)
 
@@ -38,26 +37,3 @@ def sample_key(rid: str) -> float:
     digest = hashlib.sha256(rid.encode("utf-8")).digest()
     return int.from_bytes(digest[:8], "big") / _KEY_SPACE
 
-
-class HeadSampler:
-    """Stateless keep/drop decision for request-scoped spans.
-
-    ``rate=1.0`` keeps every request span (the default); ``rate=0.0``
-    drops every request span.  Instruments and window frames are not
-    affected by sampling -- only the span stream is thinned.
-    """
-
-    __slots__ = ("rate",)
-
-    def __init__(self, rate: float) -> None:
-        if not (0.0 <= rate <= 1.0):
-            raise ObservabilityError(f"sample rate must be in [0, 1], got {rate}")
-        self.rate = rate
-
-    def sampled(self, rid: str) -> bool:
-        """Whether request *rid* is traced (same answer on every node)."""
-        if self.rate >= 1.0:
-            return True
-        if self.rate <= 0.0:
-            return False
-        return sample_key(rid) < self.rate

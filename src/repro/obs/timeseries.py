@@ -37,7 +37,7 @@ from __future__ import annotations
 import math
 import sys
 from collections import deque
-from typing import TYPE_CHECKING, Any, TextIO
+from typing import TYPE_CHECKING, Any, Sequence, TextIO
 
 from repro.obs.export import read_jsonl
 from repro.obs.spans import ObservabilityError
@@ -64,6 +64,9 @@ _SKETCH_INV_LOG = 1.0 / math.log(_SKETCH_GROWTH)
 #: In-flight submit-time entries retained before the oldest are shed
 #: (requests that never complete must not leak the map).
 _INFLIGHT_CAP = 200_000
+
+#: Newest frames kept in memory (what a flight-recorder dump embeds).
+FRAMES_TAIL = 128
 
 #: Counter keys every frame carries, in schema order.
 FRAME_COUNTERS = ("bytes_sent", "commits", "era_switches",
@@ -157,9 +160,13 @@ class _ZoneWindow:
         self.sketch: QuantileSketch | None = None
 
 
-class _Watch:
-    """One watched network: its zone label, its live counters, and the
-    totals as of the last window close."""
+class Watch:
+    """One bound network: its zone label, its live counters, and the
+    totals as of the last window close.
+
+    The facade keeps one list of these, which both its ``net.*``
+    counters and the window frames read.
+    """
 
     __slots__ = ("zone", "stats", "messages", "bytes")
 
@@ -176,22 +183,25 @@ class Timeseries:
     One instance serves every zone of a run (zone-labeled clones of
     the :class:`~repro.obs.core.Observability` facade all feed it);
     frames flush to *path* as JSONL when given, and the newest
-    *frames_tail* frames stay in a bounded in-memory ring for
-    flight-recorder dumps.
+    :data:`FRAMES_TAIL` frames stay in a bounded in-memory ring for
+    flight-recorder dumps.  *watched* is the facade's live list of
+    bound networks: every window close reads their totals and puts the
+    difference since the previous close into the closing window.  With
+    the simulator tick hook driving :meth:`advance`, a close happens
+    before the first event of the new window runs, so the difference is
+    exactly what was sent inside the window.
     """
 
     def __init__(self, window_s: float, path: str | None = None,
-                 frames_tail: int = 128) -> None:
-        if window_s <= 0:
-            raise ObservabilityError(f"window_s must be > 0, got {window_s}")
+                 watched: Sequence[Watch] = ()) -> None:
         self.window_s = float(window_s)
         self.frames_written = 0
-        self.frames_tail: deque[dict] = deque(maxlen=frames_tail)
+        self.frames_tail: deque[dict] = deque(maxlen=FRAMES_TAIL)
         self._fh: TextIO | None = open(path, "w") if path is not None else None
         self._window = 0
         self._zones: dict[str, _ZoneWindow] = {}
         self._inflight: dict[str, float] = {}
-        self._watched: list[_Watch] = []
+        self._watched = watched
 
     # -- recording --------------------------------------------------------
 
@@ -231,17 +241,6 @@ class Timeseries:
     def era_switch(self, zone: str, now: float) -> None:
         """An era switch completed in *zone*."""
         self._acc(zone, now).era_switches += 1
-
-    def watch(self, zone: str, stats: "TrafficStats") -> None:
-        """Report what *stats* counts from now on as *zone*'s traffic.
-
-        Every window close reads the totals and puts the difference
-        since the previous close into the closing window.  With the
-        simulator tick hook driving :meth:`advance`, a close happens
-        before the first event of the new window runs, so the
-        difference is exactly what was sent inside the window.
-        """
-        self._watched.append(_Watch(zone, stats))  # gpb: allow GPB015 -- one entry per watched network, never per message
 
     def _pull_traffic(self) -> None:
         """Credit the open window with the traffic since the last close."""

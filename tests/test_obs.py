@@ -260,21 +260,24 @@ class TestExport:
         jsonl = tmp_path / "t.jsonl"
         write_chrome_trace(spans, chrome)
         write_spans_jsonl(spans, jsonl)
-        for path in (chrome, jsonl):
-            loaded = load_spans(path)
-            assert [(s.name, s.node, s.args.get("request_id")) for s in loaded] == \
-                   [(s.name, s.node, s.args.get("request_id")) for s in spans]
-            assert [s.start for s in loaded] == pytest.approx([s.start for s in spans])
+        assert load_spans(jsonl) == spans
+        # Chrome times are microsecond floats, and the end comes back as
+        # ts + dur: every field but the times survives exactly
+        loaded = load_spans(chrome)
+        assert [replace(s, start=0.0, end=0.0) for s in loaded] == \
+               [replace(s, start=0.0, end=0.0) for s in spans]
+        for got, want in zip(loaded, spans):
+            assert (got.start, got.end) == pytest.approx((want.start, want.end))
 
     def test_same_seed_exports_identical_bytes(self, tmp_path):
         files = []
         for i in (0, 1):
-            cap = capture_run(protocol="gpbft", n=10, submissions=3,
+            cap, _ = capture_run(protocol="gpbft", n=10, submissions=3,
                               seed=5, horizon_s=20.0)
             chrome = tmp_path / f"c{i}.json"
             jsonl = tmp_path / f"s{i}.jsonl"
-            write_chrome_trace(cap.spans, chrome)
-            write_spans_jsonl(cap.spans, jsonl)
+            write_chrome_trace(cap.tracer.spans, chrome)
+            write_spans_jsonl(cap.tracer.spans, jsonl)
             files.append((chrome.read_bytes(), jsonl.read_bytes(),
                           json.dumps(cap.snapshot(), sort_keys=True)))
         assert files[0] == files[1]
@@ -309,10 +312,10 @@ class TestReport:
         fingerprints: any change to message layout, timers, or span
         instrumentation shows up here.
         """
-        cap = capture_run(protocol="gpbft", n=10, submissions=5, seed=7,
+        cap, _ = capture_run(protocol="gpbft", n=10, submissions=5, seed=7,
                           horizon_s=40.0, era_switch_at=8.0)
-        assert len(cap.spans) == 156
-        breakdowns = attribute_phases(cap.spans)
+        assert len(cap.tracer.spans) == 156
+        breakdowns = attribute_phases(cap.tracer.spans)
         assert len(breakdowns) == 6  # 5 submissions + the era-switch op
         assert all(b.committee_size == 10 for b in breakdowns)
         first = breakdowns[0]
@@ -321,7 +324,7 @@ class TestReport:
         assert first.phases["commit"] == pytest.approx(0.9, abs=1e-5)
         assert first.phases["reply"] == pytest.approx(0.998361, abs=1e-5)
         assert first.total == pytest.approx(2.520398, abs=1e-5)
-        timeline = era_timeline(cap.spans)
+        timeline = era_timeline(cap.tracer.spans)
         assert len(timeline) == 1
         assert timeline[0]["era"] == 1
         assert timeline[0]["nodes"] == 10
@@ -335,17 +338,17 @@ class TestReport:
         assert prepares + commits == 140
 
     def test_render_report_has_phase_table_and_era_line(self):
-        cap = capture_run(protocol="gpbft", n=10, submissions=3, seed=2,
+        cap, _ = capture_run(protocol="gpbft", n=10, submissions=3, seed=2,
                           horizon_s=30.0, era_switch_at=6.0)
-        text = render_report(cap.spans)
+        text = render_report(cap.tracer.spans)
         for needle in ("pre-prepare", "prepare", "commit", "reply",
                        "p50 ms", "era switches:", "era 1:"):
             assert needle in text, f"missing {needle!r} in report"
 
     def test_report_without_era_switches_says_so(self):
-        cap = capture_run(protocol="pbft", n=4, submissions=2, seed=0,
+        cap, _ = capture_run(protocol="pbft", n=4, submissions=2, seed=0,
                           horizon_s=15.0)
-        assert "era switches: none recorded" in render_report(cap.spans)
+        assert "era switches: none recorded" in render_report(cap.tracer.spans)
 
 
 def _pin_config(seed: int, **fields) -> GPBFTConfig:

@@ -24,8 +24,10 @@ import math
 import pytest
 from hypothesis import given, strategies as st
 
+from repro.obs.core import Observability
 from repro.obs.instruments import Counter, Registry
-from repro.obs.sampling import HeadSampler, sample_key
+from repro.obs.obsconfig import ObsConfig
+from repro.obs.sampling import sample_key
 from repro.obs.spans import ObservabilityError
 from repro.obs.timeseries import QuantileSketch
 
@@ -191,5 +193,5 @@ class TestSamplingProperties:
     def test_sampling_is_monotone_in_the_rate(self, rid, low, high):
         if low > high:
             low, high = high, low
-        if HeadSampler(low).sampled(rid):
-            assert HeadSampler(high).sampled(rid)
+        if Observability(ObsConfig(sample_rate=low))._traced(rid):
+            assert Observability(ObsConfig(sample_rate=high))._traced(rid)

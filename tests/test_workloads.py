@@ -1,5 +1,8 @@
 """Tests: fleets, mobility, arrivals, scenarios (repro.workloads)."""
 
+import importlib.util
+from pathlib import Path
+
 import pytest
 
 from repro.common.errors import ConfigurationError
@@ -11,7 +14,9 @@ from repro.workloads.mobility import (
     MobilityDriver,
     RandomWaypointModel,
 )
-from repro.common.eventlog import EV_REQUEST_COMPLETED
+from repro.common.eventlog import (
+    EV_PBFT_VIEW_CHANGE, EV_REQUEST_COMPLETED, EV_REQUEST_SUBMITTED,
+)
 from repro.workloads.scenarios import (
     asset_tracking_scenario,
     grid_positions,
@@ -151,6 +156,20 @@ class TestScenarios:
         scenario.run(300.0)
         assert any(d.node.position != starts[d.node.node_id]
                    for d in scenario.mobility)
+
+    def test_the_shipped_asset_demo_runs_inside_capacity(self):
+        path = Path(__file__).resolve().parents[1] / "examples" / "asset_tracking.py"
+        spec = importlib.util.spec_from_file_location("asset_tracking_demo", path)
+        demo = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(demo)
+        scenario = asset_tracking_scenario(**demo.CONFIG)
+        scenario.start()
+        scenario.run(demo.DURATION_S)
+        events = scenario.deployment.events
+        assert events.count(EV_PBFT_VIEW_CHANGE) == 0
+        submitted = events.count(EV_REQUEST_SUBMITTED)
+        assert submitted > 0
+        assert events.count(EV_REQUEST_COMPLETED) >= 0.95 * submitted
 
     def test_too_few_infrastructure_rejected(self):
         with pytest.raises(ConfigurationError):
