@@ -22,7 +22,9 @@ interquartile distance, pairs better / worse / tied and a verdict:
 ``within bound``  anything else.
 
 Exit code 1 if any run failed (non-zero exit, ``failed`` > 0 or not
-``correct``), else 0.
+``correct``), else 0.  ``--pairs`` below 2 is refused with exit code 2
+before any run: no pair leaves nothing to summarise, and one leaves no
+interquartile distance to judge the medians by.
 """
 
 from __future__ import annotations
@@ -75,6 +77,14 @@ def judge(parent: list[float], change: list[float], better: str,
     return cells, verdict
 
 
+def pair_count(text: str) -> int:
+    """``--pairs``' type: at least two, the fewest with a spread."""
+    value = int(text)
+    if value < 2:
+        raise argparse.ArgumentTypeError(f"must be at least 2, got {value}")
+    return value
+
+
 def main(argv: list[str] | None = None) -> int:
     """Parse the command line, run the pairs, print both tables."""
     parser = argparse.ArgumentParser(
@@ -82,7 +92,7 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("parent", type=Path, help="checkout of the parent commit")
     parser.add_argument("change", type=Path, help="checkout of the change")
     parser.add_argument("--workload", action="append", required=True)
-    parser.add_argument("--pairs", type=int, default=10)
+    parser.add_argument("--pairs", type=pair_count, default=10)
     parser.add_argument("--first-seed", type=int, default=1)
     parser.add_argument("--seconds", type=float, default=None,
                         help="run length (default: the benchmark's)")

@@ -30,12 +30,15 @@ times its plain wall time.
 
 With ``--max-calls-per-msg`` the exit code is 1 when the round spent
 more Python calls per delivered message than that (CI's hot-path guard).
+A bound that no round can exceed or meet (``nan``, ``inf``, zero or
+negative) is refused with exit code 2 before anything runs.
 """
 
 from __future__ import annotations
 
 import argparse
 import gc
+import math
 import sys
 import time
 from collections import defaultdict
@@ -109,6 +112,15 @@ def _name(code: CodeType) -> str:
     return f"{where}:{code.co_qualname}"
 
 
+def positive_finite(text: str) -> float:
+    """``--max-calls-per-msg``'s type: a bound a round can pass or fail
+    (``calls / msgs > nan`` is never true, so ``nan`` would pass them all)."""
+    value = float(text)
+    if not (math.isfinite(value) and value > 0):
+        raise argparse.ArgumentTypeError(f"must be a positive finite number, got {text!r}")
+    return value
+
+
 def main(argv: list[str] | None = None) -> int:
     """Trace one round and print the counts."""
     from perfbench.workloads import BY_NAME
@@ -119,7 +131,8 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("workload", choices=sorted(BY_NAME))
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--top", type=int, default=10, metavar="K")
-    parser.add_argument("--max-calls-per-msg", type=float, default=None, metavar="X")
+    parser.add_argument("--max-calls-per-msg", type=positive_finite, default=None,
+                        metavar="X")
     args = parser.parse_args(argv)
 
     collector = collector_line(BY_NAME[args.workload](args.seed).run)

@@ -40,7 +40,8 @@ class DeterministicRNG:
         self._bits = np.random.PCG64(int.from_bytes(digest[:8], "big"))
         self._gen = np.random.Generator(self._bits)
         # doubles drawn ahead by ``doubles``: the block, how many of it
-        # were handed out, and the generator state it was drawn from
+        # were handed out, and the generator state it was drawn from.
+        # ``SimulatedNetwork`` takes doubles from the first two itself.
         self._block: list[float] = []
         self._used = 0
         self._saved: dict[str, Any] = {}

@@ -56,6 +56,8 @@ operation costs before its first copy weighs as much as a copy.  For an
 exact :class:`UniformLatency` with jitter, the default, the network
 draws the doubles itself and computes ``now + (base + jitter * x)``, the
 model's own expression; any other model is asked through ``sample``.
+It reads the doubles straight from the stream's drawn block while it
+lasts, the values ``doubles`` would return, and calls it only to refill.
 
 The network also supports offline nodes, group partitions and iid
 message drops (``set_offline``, ``set_partition``, ``set_drop_probability``),
@@ -367,7 +369,14 @@ class SimulatedNetwork:
                 raise NetworkError(f"delay must be >= 0, got {delay}")
             arrive = self.sim.now + delay
         else:
-            arrive = self.sim.now + (uniform[0] + uniform[1] * self.rng.doubles(1)[0])
+            rng = self.rng  # ``rng.doubles(1)[0]``, no call while the block lasts
+            used = rng._used
+            if used < len(rng._block):
+                rng._used = used + 1
+                x = rng._block[used]
+            else:
+                x = rng.doubles(1)[0]
+            arrive = self.sim.now + (uniform[0] + uniform[1] * x)
         heappush(port.inbox,
                  (arrive, next(self._envelope_ids), src, dst, payload, kind, size))
         if port.serving is not None:
@@ -445,7 +454,14 @@ class SimulatedNetwork:
             base, jitter = 0.0, 1.0
         else:
             base, jitter = uniform
-            draws = self.rng.doubles(len(targets))
+            rng = self.rng  # ``rng.doubles(k)``, no call while the block lasts
+            used = rng._used
+            end = used + len(targets)
+            if end <= len(rng._block):
+                rng._used = end
+                draws = rng._block[used:end]
+            else:
+                draws = rng.doubles(len(targets))
         now = self.sim.now
         envelope_ids = self._envelope_ids
         schedule_at = self.sim.schedule_at
@@ -482,9 +498,9 @@ class SimulatedNetwork:
         busy, so its inbox is read at the instant of arrival, and an
         offline one lost whatever arrived since it went down.  With
         nothing to serve the node goes idle, behind a wake if a message
-        is still on its way.  The completion is the port's one event,
-        re-queued; only the first is scheduled, so a wrapper of
-        ``schedule_at`` sees every completion's callback.
+        is still on its way.  The completion is the port's one event:
+        only the first is scheduled, so a wrapper of ``schedule_at`` sees
+        every completion's callback, and each later slot re-queues it here.
         """
         envelope = port.serving
         inbox = port.inbox
@@ -497,10 +513,16 @@ class SimulatedNetwork:
                 self.stats.on_drop()
                 continue
             port.serving = due
-            if port.done is None:
+            done = port.done
+            if done is None:
                 port.done = sim.schedule_at(now + port.interval, self._process, port)
             else:
-                sim.requeue(port.done, now + port.interval)
+                # pushed back as ``schedule_at`` files a new event (a fresh
+                # seq); it fired, so ``cancelled`` is already False
+                done.time = time = now + port.interval
+                done.seq = seq = next(sim._counter)
+                done._sim = sim
+                heappush(sim._heap, (time, seq, done))
             break
         else:
             port.serving = None

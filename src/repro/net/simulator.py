@@ -12,6 +12,10 @@ stays in the heap until it surfaces or until more than half the heap is
 cancelled, when the heap is filtered and re-heapified (fire order
 depends only on the ``(time, seq)`` keys, never on the heap's layout).
 
+A busy network port re-queues its one completion event itself, without
+``schedule_at``'s frame: new ``time``, a fresh ``seq`` from ``_counter``
+and ``_sim`` set, pushed onto ``_heap``.
+
 Two loops fire the same events in the same order.  ``run`` with no
 event cap and no hook takes the plain one, which tests only
 ``cancelled`` and the time bound per event; ``step``, a cap,
@@ -123,24 +127,6 @@ class Simulator:
         heappush(self._heap, (time, event.seq, event))
         return event
 
-    def requeue(self, event: ScheduledEvent, time: float) -> None:
-        """Queue *event*, which has fired and is not queued, again at *time*.
-
-        It takes a fresh ``seq`` from :meth:`schedule_at`'s counter, so it
-        fires exactly where a new event would; a busy node re-queues its
-        one completion per message instead of building one.
-
-        Raises:
-            NetworkError: when *time* is before ``now`` or NaN.
-        """
-        if not time >= self.now:
-            raise NetworkError(f"cannot schedule at time {time} (now is {self.now})")
-        event.time = time
-        event.seq = seq = next(self._counter)
-        event.cancelled = False
-        event._sim = self
-        heappush(self._heap, (time, seq, event))
-
     def _note_cancel(self) -> None:
         """A queued entry was cancelled; compact when mostly dead."""
         self._cancelled += 1
@@ -158,8 +144,8 @@ class Simulator:
         :class:`ScheduledEvent` about to fire.  ``repro.verify`` uses it
         to fingerprint the executed schedule so a replayed run can prove
         it followed the exact event order of the original.  The hook
-        must read the event, not keep it: a re-queued event (see
-        :meth:`requeue`) is the same object at its next firing.
+        must read the event, not keep it: a busy network port re-queues
+        its one completion event, so the same object fires again.
 
         Raises:
             NetworkError: when called while events are being drained.

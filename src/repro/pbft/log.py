@@ -109,21 +109,24 @@ class MessageLog:
 
     # -- message admission ----------------------------------------------------
 
-    def add_pre_prepare(self, msg: PrePrepare) -> bool:
-        """Accept a pre-prepare; returns False on conflict or duplicate.
+    def add_pre_prepare(self, msg: PrePrepare) -> InstanceState | None:
+        """Accept a pre-prepare and return its instance; ``None`` on conflict or duplicate.
 
         A conflicting digest for an already-accepted (view, seq) is
         recorded as equivocation evidence and rejected.
         """
-        state = self.instance(msg.view, msg.seq)
+        key = (msg.view, msg.seq)
+        state = self._instances.get(key)
+        if state is None:
+            state = self._instances[key] = InstanceState(msg.view, msg.seq)
         if state.pre_prepare is not None:
             if state.digest != msg.digest:
                 self._record_conflict(msg.view, msg.seq, state.digest, msg.digest)
-            return False
+            return None
         if state.digest is not None and state.digest != msg.digest:
             # prepares arrived first with a different digest
             self._record_conflict(msg.view, msg.seq, state.digest, msg.digest)
-            return False
+            return None
         state.pre_prepare = msg
         state.digest = msg.digest
         state.request = msg.request
@@ -134,7 +137,7 @@ class MessageLog:
             state.prepared_flag = True
             if len(state.commits) >= self.commit_quorum:
                 state.committed_flag = True
-        return True
+        return state
 
     def add_prepare(self, msg: Prepare) -> InstanceState:
         """Count a prepare and hand back the instance it belongs to.

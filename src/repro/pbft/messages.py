@@ -77,9 +77,11 @@ class ClientRequest:
     """<REQUEST, o, t, c>: a client asks the service to execute *op*.
 
     The digest, wire size and request id are immutable functions of the
-    frozen fields, so they are computed once and memoized: every replica
-    re-derives the digest while validating pre-prepares, which made this
-    the hottest hash call in large-committee runs.
+    frozen fields, so they are computed once: every replica re-derives
+    the digest while validating pre-prepares, which made this the
+    hottest hash call in large-committee runs.  The digest and size are
+    memoized on first use; the request id, read about fifteen times per
+    request, is a plain field set at construction.
     """
 
     client: int
@@ -87,7 +89,8 @@ class ClientRequest:
     op: Operation
     _digest: bytes | None = field(default=None, init=False, repr=False, compare=False)
     _size: int | None = field(default=None, init=False, repr=False, compare=False)
-    _rid: str | None = field(default=None, init=False, repr=False, compare=False)
+    #: Stable id pairing requests with replies and latency events.
+    request_id: str = field(init=False, repr=False, compare=False)
 
     #: Message kind for dispatch and traffic accounting.
     kind: ClassVar[str] = "pbft.request"
@@ -113,14 +116,8 @@ class ClientRequest:
             object.__setattr__(self, "_digest", digest)
         return digest
 
-    @property
-    def request_id(self) -> str:
-        """Stable id pairing requests with replies and latency events."""
-        rid = self._rid
-        if rid is None:
-            rid = f"{self.client}:{self.op.op_id}"
-            object.__setattr__(self, "_rid", rid)
-        return rid
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "request_id", f"{self.client}:{self.op.op_id}")
 
 
 _new = tuple.__new__

@@ -133,6 +133,8 @@ class PBFTReplica:
         self.n = len(self.committee)
         self.f = max_faulty(self.n)
         self.view = 0
+        # the current view's primary, kept in step by ``_enter_view``
+        self._primary = self.committee[0]
         self.next_seq = 1
         # quorum thresholds resolved once: honest models skew by 0, so
         # the hot-path predicates stay plain integer comparisons
@@ -175,12 +177,26 @@ class PBFTReplica:
     @property
     def primary(self) -> int:
         """Node id of the current view's primary."""
-        return self.committee[primary_for_view(self.view, self.n)]
+        return self._primary
 
     @property
     def is_primary(self) -> bool:
         """True iff this replica leads the current view."""
-        return self.primary == self.node_id
+        return self._primary == self.node_id
+
+    @property
+    def faults(self) -> FaultModel:
+        """Byzantine/crash behaviour; may be reassigned on a live replica."""
+        return self._faults
+
+    @faults.setter
+    def faults(self, model: FaultModel) -> None:
+        """Use *model*; unless it overrides ``drop_incoming`` or
+        ``suppress_send``, both answer ``crashed``, which is read instead."""
+        self._faults = model
+        cls = type(model)
+        self._filters = (cls.drop_incoming is not FaultModel.drop_incoming
+                         or cls.suppress_send is not FaultModel.suppress_send)
 
     def primary_of(self, view: int) -> int:
         """Primary of an arbitrary *view*."""
@@ -196,7 +212,8 @@ class PBFTReplica:
             self.events.record(self.sim.now, kind, node=self.node_id, **data)
 
     def _unicast(self, dst: int, payload) -> None:
-        if self.faults.suppress_send(payload.kind):
+        faults = self._faults
+        if faults.suppress_send(payload.kind) if self._filters else faults.crashed:
             return
         if dst == self.node_id:
             return
@@ -205,7 +222,8 @@ class PBFTReplica:
     def _multicast(self, payload) -> None:
         # fault models are pure per-call (see FaultModel), so one
         # suppress check covers the whole fan-out
-        if self.faults.suppress_send(payload.kind):
+        faults = self._faults
+        if faults.suppress_send(payload.kind) if self._filters else faults.crashed:
             return
         # the transport skips our own id
         self._transport.multicast(self.committee, payload)
@@ -270,7 +288,8 @@ class PBFTReplica:
         if self.stopped:
             return
         kind = payload.kind
-        if self.faults.drop_incoming(kind):
+        faults = self._faults
+        if faults.drop_incoming(kind) if self._filters else faults.crashed:
             return
         is_prepare = kind == Prepare.kind
         if is_prepare or kind == Commit.kind:
@@ -287,7 +306,8 @@ class PBFTReplica:
                 state = self.log.add_prepare(payload)
             else:
                 state = self.log.add_commit(payload)
-            if state.prepared_flag:  # ``_advance`` has nothing to do before
+            # ``_advance`` has work only until our commit is out, and once committed
+            if state.committed_flag or state.prepared_flag and not state.commit_sent:
                 self._advance(state)
             return
         if getattr(payload, "epoch", self.epoch) != self.epoch:
@@ -310,12 +330,13 @@ class PBFTReplica:
         if self.in_view_change:
             self._pending.setdefault(rid, request)
             return
-        if self.is_primary:
+        primary = self._primary
+        if primary == self.node_id:
             self._assign_and_propose(request)
         else:
             # forward to the primary and watch it for liveness
             self._pending.setdefault(rid, request)
-            self._unicast(self.primary, request)
+            self._unicast(primary, request)
             self._start_timer(rid)
 
     def _assign_and_propose(self, request: ClientRequest) -> None:
@@ -331,14 +352,17 @@ class PBFTReplica:
         self._assigned[rid] = seq
         self._pending.setdefault(rid, request)
         digest = request.digest()
-        self._record(EV_PBFT_ASSIGNED, seq=seq, view=self.view, request_id=rid)
+        events = self.events
+        if events is not None:
+            events.record(self.sim.now, EV_PBFT_ASSIGNED, node=self.node_id,
+                          seq=seq, view=self.view, request_id=rid)
         own = PrePrepare(
             view=self.view, seq=seq, digest=digest, request=request,
             sender=self.node_id, epoch=self.epoch,
         )
         # read per request: tests swap ``faults`` on a live replica
-        mutate = self.faults.mutate_digest
-        if (type(self.faults).mutate_digest is FaultModel.mutate_digest
+        mutate = self._faults.mutate_digest
+        if (type(self._faults).mutate_digest is FaultModel.mutate_digest
                 or all(mutate(digest, dst) == digest for dst in self.committee)):
             self._multicast(own)
         else:
@@ -348,10 +372,11 @@ class PBFTReplica:
                     view=self.view, seq=seq, digest=mutate(digest, dst),
                     request=request, sender=self.node_id, epoch=self.epoch,
                 ))
-        self.log.add_pre_prepare(own)
+        state = self.log.add_pre_prepare(own)
         if self._obs is not None:
             self._obs.pbft_preprepare(self.node_id, self.epoch, self.view, seq, rid)
-        self._advance(self.log.instance(self.view, seq))
+        # refused only when a forged vote fixed another digest first
+        self._advance(state or self.log.instance(self.view, seq))
 
     # -- three phases ------------------------------------------------------------------
 
@@ -365,13 +390,14 @@ class PBFTReplica:
             return
         if msg.view != self.view or self.in_view_change:
             return
-        if msg.sender != self.primary:
+        if msg.sender != self._primary:
             return  # only the view's primary may pre-prepare
         if not (self.stable_seq < msg.seq <= self.high_watermark):
             return
         if msg.digest != msg.request.digest():
             return  # primary lied about the request body
-        if not self.log.add_pre_prepare(msg):
+        state = self.log.add_pre_prepare(msg)
+        if state is None:
             return
         self._pending.setdefault(msg.request.request_id, msg.request)
         if self._obs is not None:
@@ -379,7 +405,6 @@ class PBFTReplica:
                 self.node_id, self.epoch, msg.view, msg.seq,
                 msg.request.request_id,
             )
-        state = self.log.instance(msg.view, msg.seq)
         if not state.prepare_sent:
             state.prepare_sent = True
             prepare = Prepare(
@@ -394,11 +419,11 @@ class PBFTReplica:
         """Take *state* as far as its votes allow: multicast our commit
         once it is prepared, execute once it is committed-local.
 
-        Runs on every vote for a prepared instance, counted or not -- a
-        duplicate can be what resumes execution after a state transfer --
-        so both checks are reads of the log's incrementally kept flags.
-        A vote for an instance not yet prepared has nothing to take
-        further, and ``receive`` skips the call.
+        Both checks are reads of the log's incrementally kept flags.
+        ``receive`` calls it for a vote, counted or not, only where there
+        is work: on a committed instance -- a duplicate can be what
+        resumes execution after a state transfer -- and on a prepared one
+        whose commit is not out yet.
         """
         if not state.prepared_flag:
             return
@@ -449,11 +474,11 @@ class PBFTReplica:
         result = self._executor(request.op, seq)
         # vote counts ride on the event so quorum-certificate monitors
         # can audit the execution without reaching into the log
-        self._record(
-            EV_PBFT_EXECUTED, seq=seq, view=state.view, request_id=rid,
-            epoch=self.epoch, prepares=len(state.prepares),
-            commits=len(state.commits),
-        )
+        events = self.events
+        if events is not None:
+            events.record(self.sim.now, EV_PBFT_EXECUTED, node=self.node_id, seq=seq,
+                          view=state.view, request_id=rid, epoch=self.epoch,
+                          prepares=len(state.prepares), commits=len(state.commits))
         reply = Reply(
             view=state.view,
             timestamp=request.timestamp,
@@ -712,6 +737,7 @@ class PBFTReplica:
 
     def _enter_view(self, new_view: int) -> None:
         self.view = new_view
+        self._primary = self.primary_of(new_view)
         self.in_view_change = False
         if self._view_change_timer is not None:
             self._view_change_timer.cancel()

@@ -100,30 +100,6 @@ class TestSimulator:
             call(sim)
         assert fired == [] and sim.now == 0.0 and sim.pending == 1
 
-    def test_a_requeued_event_keeps_pending_heap_and_cancel_accounting_exact(self):
-        sim = Simulator()
-        fired = []
-        event = sim.schedule_at(1.0, fired.append, "again")
-        sim.schedule_at(2.0, fired.append, "other")
-        sim.run(until=1.0)
-        assert fired == ["again"] and (sim.pending, sim.heap_size) == (1, 1)
-        sim.requeue(event, 2.0)  # same time, later seq: fires second
-        assert (sim.pending, sim.heap_size) == (2, 2)
-        sim.run(until=2.0)
-        assert fired == ["again", "other", "again"]
-        sim.requeue(event, 3.0)
-        event.cancel()
-        event.cancel()
-        assert (sim.pending, sim.heap_size) == (0, 1)
-        assert sim.run() == 0 and (sim.pending, sim.heap_size) == (0, 0)
-        sim.requeue(event, 4.0)  # a cancelled one can come back
-        assert sim.pending == 1 and sim.run() == 1 and fired[-1] == "again"
-        event.cancel()  # after firing: no longer counted anywhere
-        assert (sim.pending, sim.heap_size) == (0, 0)
-        for bad in (float("nan"), 3.5):
-            with pytest.raises(NetworkError, match="cannot schedule"):
-                sim.requeue(event, bad)
-
     def test_max_events_cap_does_not_tick_a_timestamp_it_did_not_reach(self):
         sim = Simulator()
         ticks = []
@@ -253,6 +229,31 @@ class TestSimulatedNetwork:
         sim = Simulator()
         cfg = NetworkConfig(**kwargs)
         return sim, SimulatedNetwork(sim, cfg)
+
+    def test_a_busy_port_requeues_its_completion_with_exact_accounting(self):
+        # the fired completion goes back as a new event would: a fresh
+        # seq, so it fires after an event scheduled earlier for the same
+        # instant, and the pending and heap counts stay exact
+        sim = Simulator()
+        net = SimulatedNetwork(sim, NetworkConfig(processing_rate=1.0),
+                               latency=ConstantLatency(0.0))
+        got = []
+        net.register(0, lambda p: None)
+        net.register(1, lambda p: got.append((sim.now, p.kind)))
+        net.send(0, 1, RawPayload("a", 10))
+        net.send(0, 1, RawPayload("b", 10))
+        marker = sim.schedule_at(2.0, lambda: got.append((sim.now, "marker")))
+        sim.run(until=0.5)
+        done = net._ports[1].done
+        assert done.time == 1.0 and (sim.pending, sim.heap_size) == (2, 2)
+        sim.run(until=1.0)
+        assert got == [(1.0, "a")]
+        assert net._ports[1].done is done and done.time == 2.0 and done.seq > marker.seq
+        assert (sim.pending, sim.heap_size) == (2, 2)
+        sim.run()
+        assert got == [(1.0, "a"), (2.0, "marker"), (2.0, "b")]
+        done.cancel()  # after firing: no longer counted anywhere
+        assert (sim.pending, sim.heap_size) == (0, 0)
 
     def test_delivery_and_accounting(self):
         sim, net = self._net()
@@ -420,13 +421,17 @@ class TestSimulatedNetwork:
             sim.run()
             assert sorted(got) == others
 
-    def test_replaced_send_sees_every_copy_until_the_original_is_put_back(self, monkeypatch):
+    def test_replaced_send_sees_every_copy_until_the_original_is_put_back(self):
         sim, net = self._net()
         for node in range(4):
             net.register(node, lambda p: None)
-        original, seen, draws = net.send, [], []
-        doubles = net.rng.doubles
-        monkeypatch.setattr(net.rng, "doubles", lambda k: draws.append(k) or doubles(k))
+        original, seen = net.send, []
+        # what the six copies must draw: the stream's first six doubles
+        expected = DeterministicRNG(net.config.seed, "network").doubles(7)
+        base, jitter = net.latency.base_s, net.latency.jitter_s
+
+        def arrivals(dst):  # in send order (envelope id), not heap order
+            return [e[0] for e in sorted(net._ports[dst].inbox, key=lambda e: e[1])]
 
         def tapped(src, dst, payload):
             seen.append(dst)
@@ -434,11 +439,16 @@ class TestSimulatedNetwork:
 
         net.send = tapped
         net.multicast(1, range(4), RawPayload("k", 10))
-        assert seen == [0, 2, 3] and draws == [1, 1, 1]
+        assert seen == [0, 2, 3]
         net.send = original  # how a harness that taps sends detaches
         net.multicast(1, range(4), RawPayload("k", 10))
-        # batched again: one draw for the three copies, none seen by a tap
-        assert seen == [0, 2, 3] and draws == [1, 1, 1, 3]
+        # batched again: none seen by a tap, and the three copies took the
+        # next three doubles in destination order, as three sends would
+        assert seen == [0, 2, 3]
+        for dst, first, second in ((0, 0, 3), (2, 1, 4), (3, 2, 5)):
+            assert arrivals(dst) == [base + jitter * expected[first],
+                                     base + jitter * expected[second]]
+        assert net.rng.random() == expected[6]  # six doubles drawn, no more
         assert net._ports[1].sent == 6
         assert net.stats.bytes_by_kind == {"k": 6 * 10}  # size x copies
 

@@ -155,6 +155,54 @@ class TestViewChange:
             assert ops.count("op-a") == 1
 
 
+class TestLiveReplicaFollowsItsFaultModelAndView:
+    """A replica keeps what it reads per message -- whether its fault model
+    filters by kind, and its view's primary -- in step with every change
+    made to a live replica.  Each step fails if that is read stale."""
+
+    def test_crash_recover_swap_and_view_change(self):
+        cluster = TopologySpec.cluster(4, 1, config=fast_config()).build(
+            faults={0: CrashFaults(), 1: CrashFaults()})
+        replica, peer = cluster.replicas[1], cluster.replicas[2]
+        stats = cluster.network.stats
+
+        def request(name):
+            """Messages the replica sent while *name* committed."""
+            before = stats.messages_sent_by_node[1]
+            cluster.submit(RawOperation(name))
+            cluster.run(until=cluster.sim.now + 30)
+            return stats.messages_sent_by_node[1] - before
+
+        # crash() on the model in place: deaf and mute from the next message
+        replica.faults.crash()
+        assert request("while-crashed") == 0
+        assert peer.last_executed == 1 and replica.log.instances() == []
+        # recover(): it hears the pre-prepare of seq 2 and answers it
+        replica.faults.recover()
+        assert request("recovered") > 0
+        assert replica.log.instance(0, 2).pre_prepare is not None
+        # a model that filters by kind, assigned to the live replica: it
+        # neither hears the others' commits nor sends its own
+        replica.faults = SelectiveDropFaults({Commit.kind})
+        assert request("deaf-to-commits") > 0
+        assert replica.log.instance(0, 3).prepared_flag
+        assert replica.log.instance(0, 3).commits == {1}
+        assert peer.log.instance(0, 3).commits == {0, 2, 3}
+        # a completed view change: the primary is the new view's
+        replica.faults = HonestFaults()
+        assert replica.primary == 0 and not replica.is_primary
+        cluster.replicas[0].faults.crash()
+        cluster.submit(RawOperation("after-view-change"))
+        cluster.run(until=cluster.sim.now + 600)
+        for node in (1, 2, 3):
+            member = cluster.replicas[node]
+            assert member.view == 1 and member.primary == 1
+        assert replica.is_primary and not peer.is_primary
+        assert cluster.committed_ops(2) == [
+            "while-crashed", "recovered", "deaf-to-commits", "after-view-change"]
+        assert len(cluster.any_client.completed) == 4
+
+
 class TestByzantine:
     def test_equivocating_primary_never_violates_safety(self):
         cluster = TopologySpec.cluster(
@@ -315,7 +363,7 @@ class TestVoteGate:
         outbox = _Outbox()
         replica = PBFTReplica(node_id=1, committee=(0, 1, 2, 3), sim=Simulator(),
                               transport=outbox, epoch=2)
-        replica.view = view
+        replica._enter_view(view)  # keeps the primary in step with the view
         return replica, outbox
 
     def _vote(self, vote_cls, sender=2, view=1, epoch=2):
