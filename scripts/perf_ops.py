@@ -13,11 +13,16 @@ their calls and instructions per call.  A cost that is paid per
 operation, not per copy, weighs most where an operation reaches few
 copies: a small committee.
 Before that it runs one plain round of the same seed and prints what the
-cyclic garbage collector did during it: passes per generation and
-seconds spent inside them.  Every object that outlives a young
-generation -- a copy waiting in a backlogged inbox -- is scanned again,
-and neither the bytecode counts nor the benchmark's per-layer times show
-it (a pause is filed under whichever layer was allocating).
+cyclic garbage collector did during it -- passes per generation and
+seconds spent inside them -- and then the cyclic garbage the round left:
+what ``gc.collect()`` finds while the workload is still referenced.
+The simulator pauses the collector while it drains events, so the
+passes are the few made outside a drain (building and reading the
+round), about 0 / 0 / 0; neither the bytecode counts nor the
+benchmark's per-layer times would show a pass (it is filed under
+whichever layer was allocating).  The garbage count is what the pause
+leaves for the next pass after the drain, and reads 0 as long as
+reference counting frees everything a round churns.
 
 The counts depend on the code and the seed and on nothing else, so one
 run per side is an exact A/B on a machine whose wall clock drifts: copy
@@ -80,7 +85,8 @@ class OpCounter:
 
 
 def collector_line(fn: Any) -> str:
-    """Call *fn()* untraced; report the collector's passes and seconds."""
+    """Call *fn()* untraced; report the collector's passes and seconds,
+    and the cyclic garbage left while *fn* (a bound ``run``) is alive."""
     seconds = 0.0
     started = 0.0
 
@@ -100,7 +106,8 @@ def collector_line(fn: Any) -> str:
         gc.callbacks.remove(on_gc)
     passes = [gen["collections"] - was for gen, was in zip(gc.get_stats(), before)]
     return (f"collector passes       gen0 {passes[0]}  gen1 {passes[1]}  "
-            f"gen2 {passes[2]}  {seconds:.3f} s inside (plain round)")
+            f"gen2 {passes[2]}  {seconds:.3f} s inside (plain round)\n"
+            f"cyclic garbage         {gc.collect():>12d}  objects the plain round left")
 
 
 def _name(code: CodeType) -> str:
