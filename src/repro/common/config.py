@@ -182,6 +182,7 @@ class ElectionConfig:
     csc_precision: int = 12
 
     def __post_init__(self) -> None:
+        _require_finite(self, "report_interval_s")
         _require(self.stationary_hours > 0, "stationary_hours must be > 0")
         _require(self.report_interval_s > 0, "report_interval_s must be > 0")
         _require(self.min_reports >= 1, "min_reports must be >= 1")
@@ -204,6 +205,9 @@ class EraConfig:
     switch_duration_s: float = DEFAULT_ERA_SWITCH_SECONDS
 
     def __post_init__(self) -> None:
+        # an infinite timer re-arms at inf + inf: the clock ends at inf
+        for name in ("period_s", "switch_duration_s"):
+            _require_finite(self, name)
         _require(self.period_s > 0, "era period must be > 0")
         _require(self.switch_duration_s >= 0, "switch duration must be >= 0")
 

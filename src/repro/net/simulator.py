@@ -16,18 +16,14 @@ A busy network port re-queues its one completion event itself, without
 ``schedule_at``'s frame: new ``time``, a fresh ``seq`` from ``_counter``
 and ``_sim`` set, pushed onto ``_heap``.
 
-Two loops fire the same events in the same order.  ``run`` with no
-event cap and no hook takes the plain one, which tests only
-``cancelled`` and the time bound per event; ``step``, a cap,
-``run_until_condition`` and a step or tick hook take the general one.
-A hook cannot be set while a drain runs.
-
-Both loops pause CPython's cyclic collector while they fire events and
-restore it on exit, a raise included; one that finds it off (a caller's
-choice, an outer drain) leaves it off.  Reference counting frees what a
-drain churns (``tests/test_gc_pause.py`` keeps it so), so a pass would
-only re-scan live envelopes, votes and timers; a cycle a callback does
-make is collected at the first pass after the drain.
+One loop, ``_drain``, serves ``run``, ``run_for``, ``step`` and
+``run_until_condition``, with or without a hook.  It pauses CPython's
+cyclic collector while it fires events and restores it on exit, a raise
+included; a drain that finds it off (a caller's choice, an outer drain)
+leaves it off.  Reference counting frees what a drain churns
+(``tests/test_gc_pause.py`` keeps it so), so a pass would only re-scan
+live envelopes, votes and timers; a cycle a callback does make is
+collected at the first pass after the drain.
 """
 
 from __future__ import annotations
@@ -185,52 +181,22 @@ class Simulator:
                done: Callable[[], bool] | None) -> int:
         """Fire events in (time, seq) order; return how many fired.
 
-        Stops when the queue is empty, ``done()`` is true, the next live
-        event is later than *until*, or *max_events* have fired.  With
-        none of those and no hook, :meth:`_drain_plain` is the same loop
-        without the tests.
+        Stops when the queue is empty, the next live event is later than
+        *until*, ``done()`` is true, or *max_events* have fired.  The cap
+        and the condition share one flag and the two hooks another, so a
+        plain ``run`` pays two flag tests per event.  A hooked drain
+        counts ``events_processed`` per event, since the hooks may read
+        it; an unhooked one adds its count on exit.  Both add, so a
+        nested drain's events count too.
         """
         heap = self._heap
+        until = math.inf if until is None else until
+        bounded = max_events is not None or done is not None
+        tick, step = self._tick_hook, self._step_hook
+        hooked = tick is not None or step is not None
         fired = 0
-        self._draining = True
-        collecting = gc.isenabled()
-        gc.disable()
-        try:
-            while heap:
-                time, _, event = heap[0]
-                if event.cancelled:
-                    heappop(heap)
-                    self._cancelled -= 1
-                    continue
-                if done is not None and done():
-                    break
-                if until is not None and time > until:
-                    break
-                if max_events is not None and fired >= max_events:
-                    break
-                heappop(heap)
-                event._sim = None
-                if time > self.now:
-                    if self._tick_hook is not None:
-                        self._tick_hook(time)
-                    self.now = time
-                self._events_processed += 1
-                if self._step_hook is not None:
-                    self._step_hook(event)
-                event.callback(*event.args)
-                fired += 1
-        finally:
-            self._draining = False
-            if collecting:
-                gc.enable()
-        return fired
-
-    def _drain_plain(self, until: float) -> int:
-        """:meth:`_drain` with no cap, condition or hook (*until* may be
-        inf); ``events_processed`` is levelled once, at the end."""
-        heap = self._heap
-        fired = 0
-        self._draining = True
+        # a nested drain must not re-open the outer one to hook changes
+        draining, self._draining = self._draining, True
         collecting = gc.isenabled()
         gc.disable()
         try:
@@ -242,14 +208,26 @@ class Simulator:
                     continue
                 if time > until:
                     break
+                if bounded and (done is not None and done()
+                                or max_events is not None and fired >= max_events):
+                    break
                 heappop(heap)
                 event._sim = None
-                self.now = time  # the queue minimum: never earlier than now
+                if hooked:
+                    if time > self.now and tick is not None:
+                        tick(time)
+                    self.now = time
+                    self._events_processed += 1
+                    if step is not None:
+                        step(event)
+                else:
+                    self.now = time  # the queue minimum: never earlier than now
                 fired += 1
                 event.callback(*event.args)
         finally:
-            self._events_processed += fired
-            self._draining = False
+            if not hooked:
+                self._events_processed += fired
+            self._draining = draining
             if collecting:
                 gc.enable()
         return fired
@@ -280,10 +258,7 @@ class Simulator:
             NetworkError: when *until* is NaN (it would drain the queue).
         """
         _check_bound("until", until)
-        if max_events is None and self._step_hook is None and self._tick_hook is None:
-            fired = self._drain_plain(math.inf if until is None else until)
-        else:
-            fired = self._drain(until, max_events, None)
+        fired = self._drain(until, max_events, None)
         heap = self._heap
         # a live event still due by *until* means max_events ended the drain
         if until is not None and until > self.now and not (heap and heap[0][0] <= until):

@@ -149,13 +149,11 @@ class PBFTReplica:
         self.stopped = False
         self.in_view_change = False
 
-        # request_id -> (seq, Reply) once executed; replay protection + resends
-        self._executed_requests: dict[str, Reply] = {}
-        # execution order of request ids, for checkpoint-time GC of the
-        # replay-protection map (unbounded otherwise on long runs)
-        self._executed_order: list[tuple[int, str]] = []
-        # seq -> instance chosen for execution (first committed wins)
-        self._committed_by_seq: dict[int, tuple[int, int]] = {}
+        # request_id -> (seq, Reply) once executed; replay protection +
+        # resends, garbage-collected at each stable checkpoint
+        self._executed_requests: dict[str, tuple[int, Reply]] = {}
+        # seq -> view of the instance chosen for execution (first committed wins)
+        self._committed_by_seq: dict[int, int] = {}
         # request_id -> pending ClientRequest (backup is waiting on primary)
         self._pending: dict[str, ClientRequest] = {}
         self._timers: dict[str, ScheduledEvent] = {}
@@ -326,7 +324,7 @@ class PBFTReplica:
         done = self._executed_requests.get(rid)
         if done is not None:
             # retransmission of an executed request: resend the reply
-            self._unicast(request.client, done)
+            self._unicast(request.client, done[1])
             return
         if self.in_view_change:
             self._pending.setdefault(rid, request)
@@ -451,14 +449,14 @@ class PBFTReplica:
         if not instance.committed_flag:
             return
         seq = instance.seq
-        self._committed_by_seq.setdefault(seq, (instance.view, seq))
+        self._committed_by_seq.setdefault(seq, instance.view)
         # execute every consecutive committed sequence
         while True:
             nxt = self.last_executed + 1
-            key = self._committed_by_seq.get(nxt)
-            if key is None:
+            view = self._committed_by_seq.get(nxt)
+            if view is None:
                 break
-            state = self.log.instance(*key)
+            state = self.log.instance(view, nxt)
             if state.request is None or state.executed:
                 break
             self._execute(state)
@@ -489,8 +487,7 @@ class PBFTReplica:
             request_id=rid,
             result_digest=result,
         )
-        self._executed_requests[rid] = reply
-        self._executed_order.append((seq, rid))
+        self._executed_requests[rid] = (seq, reply)
         self._pending.pop(rid, None)
         self._cancel_timer(rid)
         self._unicast(request.client, reply)
@@ -528,14 +525,9 @@ class PBFTReplica:
             # GC replay protection for requests the whole quorum has
             # durably executed -- they can never be legitimately
             # re-proposed past a stable checkpoint
-            keep_from = 0
-            for index, (seq, rid) in enumerate(self._executed_order):
-                if seq > msg.seq:
-                    keep_from = index
-                    break
-                self._executed_requests.pop(rid, None)
-                keep_from = index + 1
-            del self._executed_order[:keep_from]
+            for rid in [r for r, (s, _) in self._executed_requests.items()
+                        if s <= msg.seq]:
+                del self._executed_requests[rid]
             # assignment memory ages out with the same argument: every
             # assigned seq <= the stable checkpoint has been executed
             # (execution is gap-free in seq order), so only in-flight

@@ -119,6 +119,17 @@ class TestEraConfig:
             EraConfig(period_s=0)
 
 
+@pytest.mark.parametrize("section, field", [
+    (EraConfig, "period_s"), (EraConfig, "switch_duration_s"),
+    (ElectionConfig, "report_interval_s")])
+@pytest.mark.parametrize("value", [float("inf"), float("nan")])
+def test_a_non_finite_era_or_report_period_is_refused(section, field, value):
+    # an infinite era timer re-armed at inf + inf: a run spent its whole
+    # event cap with the clock at inf
+    with pytest.raises(ConfigurationError, match=f"^{field} must be finite"):
+        section(**{field: value})
+
+
 class TestIncentiveConfig:
     def test_paper_split(self):
         cfg = IncentiveConfig()

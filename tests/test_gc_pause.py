@@ -155,9 +155,9 @@ def _loaded_sim():
 
 def test_run_restores_the_collector(collector):
     sim, seen = _loaded_sim()
-    sim.run(until=2.0)           # the plain loop
+    sim.run(until=2.0)           # a time bound
     assert gc.isenabled() is collector
-    sim.run(max_events=1)        # the general loop
+    sim.run(max_events=1)        # an event cap
     assert gc.isenabled() is collector
     sim.run_for(10.0)
     assert gc.isenabled() is collector

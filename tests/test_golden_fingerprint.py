@@ -115,8 +115,8 @@ class TestGoldenPbft:
 
 def _cluster_run(fingerprint, hooked, monkeypatch):
     """A 4-replica cluster committing 12 requests, its schedule folded
-    into *fingerprint*: by the step hook, or -- on the plain loop, which
-    takes no hook -- by a wrapper around every scheduled callback."""
+    into *fingerprint*: by the step hook, or -- with no hook -- by a
+    wrapper around every scheduled callback."""
     from types import SimpleNamespace
 
     from repro.common.config import TopologySpec
@@ -129,16 +129,12 @@ def _cluster_run(fingerprint, hooked, monkeypatch):
 
             def __init__(self, time, seq, callback, args, sim=None):
                 def fire(*args):
-                    # the plain loop sets ``now`` to the event's time
+                    # the drain sets ``now`` to the event's time
                     fingerprint.hook(SimpleNamespace(time=sim.now, callback=callback))
                     callback(*args)
                 super().__init__(time, seq, fire, args, sim)
 
-        def general(*args):
-            raise AssertionError("a run with no hook must take the plain loop")
-
         monkeypatch.setattr(simulator, "ScheduledEvent", Seen)
-        monkeypatch.setattr(simulator.Simulator, "_drain", general)
     cluster = TopologySpec.cluster(4, n_clients=1).build()
     if hooked:
         cluster.sim.set_step_hook(fingerprint.hook)
@@ -152,7 +148,7 @@ def _cluster_run(fingerprint, hooked, monkeypatch):
             client.completed_count, cluster.network.stats.snapshot())
 
 
-def test_plain_and_hooked_loops_fire_the_same_schedule(monkeypatch):
+def test_one_loop_fires_the_same_schedule_with_and_without_a_step_hook(monkeypatch):
     hooked = _cluster_run(ScheduleFingerprint(), True, monkeypatch)
     plain = _cluster_run(ScheduleFingerprint(), False, monkeypatch)
     assert plain == hooked

@@ -167,3 +167,44 @@ class TestAnalysisModels:
             queueing_delay_factor(-0.1)
         with pytest.raises(ConfigurationError):
             utilization(10, 1.0, 0.0)
+
+
+def _one_request_traffic(protocol, n):
+    """A fault-free single request at constant latency, run to rest;
+    returns the network's counters and whether the submitter (the last
+    member) is an endorser."""
+    from repro.experiments import scenario
+    from repro.net.latency import ConstantLatency
+
+    host = scenario.topology(protocol, n, scenario.experiment_config(0, 40)).build()
+    host.network.latency = ConstantLatency(0.01)
+    scenario.submit(host, protocol, "oracle", 0, -1, None)
+    scenario.run(host.sim, 10_000.0)
+    assert host.events.count(EV_REQUEST_COMPLETED) == 1
+    endorser = protocol == "gpbft" and max(host.nodes) in host.committee
+    return host.network.stats, endorser
+
+
+class TestModelIsTheOracle:
+    """The section IV closed forms against the simulator's own counters."""
+
+    @pytest.mark.parametrize("n", [4, 7, 13, 40, 58])
+    def test_pbft_traffic_is_the_model_exactly(self, n):
+        stats, _ = _one_request_traffic("pbft", n)
+        assert (stats.messages_sent, stats.bytes_sent) == (
+            pbft_message_count(n), pbft_traffic_bytes(n))
+
+    @pytest.mark.parametrize("n", [4, 7, 13, 40, 58])
+    def test_gpbft_traffic_is_the_model_plus_its_named_residual(self, n):
+        from repro.experiments.scenario import TX_BYTES
+        from repro.metrics.models import REPLY_BYTES, REQUEST_OVERHEAD_BYTES
+
+        stats, endorser = _one_request_traffic("gpbft", n)
+        # a device's request takes one forwarding hop to its endorser; an
+        # endorser that submits hands its own reply over locally
+        hops, local = (0, 1) if endorser else (1, 0)
+        assert endorser is (n <= 40)
+        assert (stats.messages_sent, stats.bytes_sent) == (
+            gpbft_message_count(n, 40) + hops - local,
+            gpbft_traffic_bytes(n, 40) + hops * (REQUEST_OVERHEAD_BYTES + TX_BYTES)
+            - local * REPLY_BYTES)

@@ -169,10 +169,66 @@ class TestSimulator:
         sim.schedule(3.0, lambda: None)
         with pytest.raises(RuntimeError):
             sim.run()
-        # the one that raised counts, as in the general loop
+        # the one that raised counts
         assert (sim.events_processed, sim.now, sim.pending) == (2, 2.0, 1)
         sim.set_step_hook(lambda event: None)  # the drain is over
         assert sim.run() == 1 and sim.events_processed == 3
+
+    def test_a_nested_drain_leaves_hooks_locked_until_the_outer_one_ends(self):
+        sim = Simulator()
+        errors = []
+
+        def nest():
+            sim.step()
+            with pytest.raises(NetworkError, match="while events are being drained"):
+                sim.set_step_hook(lambda event: None)
+            errors.append(True)
+
+        sim.schedule(1.0, nest)
+        sim.schedule(2.0, lambda: None)
+        sim.run()
+        assert errors == [True]
+        sim.set_step_hook(None)
+
+    @pytest.mark.parametrize("hooked", [False, True])
+    def test_a_nested_drain_counts_its_events(self, hooked):
+        sim = Simulator()
+        if hooked:
+            sim.set_step_hook(lambda event: None)
+        sim.schedule(1.0, sim.step)  # fires the 2.0 event from inside
+        sim.schedule(2.0, lambda: None)
+        sim.schedule(3.0, lambda: None)
+        assert sim.run() == 2  # the outer drain's own events
+        assert sim.events_processed == 3
+
+    @pytest.mark.parametrize("drain", ["run", "run_until", "step", "run_max", "condition"])
+    def test_hooks_read_the_exact_event_count(self, drain):
+        sim = Simulator()
+        at_tick, at_step = [], []
+        sim.set_tick_hook(lambda time: at_tick.append(sim.events_processed))
+        sim.set_step_hook(lambda event: at_step.append(sim.events_processed))
+        sim.schedule(0.5, lambda: None)
+        sim.step()
+        for t in (1.0, 1.0, 2.5, 4.0):
+            sim.schedule_at(t, sim.step if t == 2.5 else lambda: None)
+        {"run": lambda: sim.run(), "run_until": lambda: sim.run(until=9.0),
+         "step": lambda: [sim.step() for _ in range(3)],
+         "run_max": lambda: sim.run(max_events=3),
+         "condition": lambda: sim.run_until_condition(lambda: False)}[drain]()
+        # the tick hook sees the events before its time, the step hook
+        # counts the one about to fire; the 2.5 event steps the 4.0 one
+        assert at_tick == [0, 1, 3, 4]
+        assert at_step == [1, 2, 3, 4, 5]
+        assert sim.events_processed == 5
+
+    @pytest.mark.parametrize("cap", [0, -3])
+    def test_a_cap_of_zero_or_below_fires_nothing(self, cap):
+        sim = Simulator()
+        fired = []
+        sim.schedule(1.0, fired.append, "x")
+        assert sim.run(max_events=cap) == 0
+        assert sim.run_until_condition(lambda: False, max_events=cap) is False
+        assert fired == [] and sim.now == 0.0 and sim.events_processed == 0
 
 
 class TestLatencyModels:

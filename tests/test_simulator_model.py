@@ -225,7 +225,7 @@ def test_simulator_matches_the_sorted_list_model(program):
 @given(program=st.lists(_ops, min_size=1, max_size=30))
 @settings(max_examples=200, deadline=None, derandomize=True)
 def test_plain_loop_matches_the_sorted_list_model(program):
-    # no tick hook: every ``run`` without ``max_events`` takes the plain loop
+    # no hook: the drain adds to ``events_processed`` on exit, not per event
     _check_against_the_model(program, hooked=False)
 
 
