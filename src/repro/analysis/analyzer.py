@@ -10,9 +10,7 @@ A finding is silenced only by an allow comment carrying a reason:
 Markers are read from comment tokens, so one inside a string literal is
 text, not an allow.  Each rule id an allow names must silence at least
 one finding and name a registered rule; otherwise the allow is *stale*.
-Whether an allow silences nothing is judged only where its rule sees
-all it reads (:meth:`Rule.judges_allows`): GPB009 only on a run over
-the whole package that defines the event vocabulary.
+Every rule reads one file, so every run judges every allow it reads.
 """
 
 from __future__ import annotations
@@ -27,9 +25,8 @@ from typing import Iterable, Sequence
 
 from repro.analysis.drules import determinism_rules
 from repro.analysis.findings import Finding
-from repro.analysis.orules import observability_rules
 from repro.analysis.prules import protocol_rules
-from repro.analysis.rules import Module, Project, Rule
+from repro.analysis.rules import Module, Rule
 from repro.common.errors import ConfigurationError
 
 #: Directory names never descended into (relative to each analyzed
@@ -42,7 +39,7 @@ _SKIP_DIRS = frozenset({
 
 def all_rules() -> list[Rule]:
     """The registered rule set, in id order."""
-    rules = [*determinism_rules(), *protocol_rules(), *observability_rules()]
+    rules = [*determinism_rules(), *protocol_rules()]
     return sorted(rules, key=lambda r: r.rule_id)
 
 
@@ -86,8 +83,8 @@ def _normalize(path: Path) -> str:
         return resolved.as_posix()
 
 
-def load_modules(paths: Sequence[Path]) -> Project:
-    """Parse every python file under *paths* into a :class:`Project`.
+def load_modules(paths: Sequence[Path]) -> dict[str, Module]:
+    """Parse every python file under *paths*, keyed by normalized path.
 
     Raises:
         ConfigurationError: on unreadable or syntactically invalid
@@ -109,7 +106,7 @@ def load_modules(paths: Sequence[Path]) -> Project:
         raise ConfigurationError(
             "no python files found under: "
             + ", ".join(str(p) for p in paths))
-    return Project(modules=modules)
+    return modules
 
 
 #: ``# gpb: allow[-file] GPB001[, GPB003] -- reason`` inside a comment.
@@ -138,22 +135,20 @@ def _read_allows(source: str) -> Iterable[tuple[int, bool, bool, str]]:
 
 def analyze(paths: Sequence[Path]) -> AnalysisResult:
     """Run every registered rule over *paths* and apply allow comments."""
-    project = load_modules(paths)
+    modules = load_modules(paths)
     rules = all_rules()
     raw: list[Finding] = []
-    for rel in sorted(project.modules):
+    for rel in sorted(modules):
         for rule in rules:
-            raw.extend(rule.check_module(project.modules[rel]))
-    for rule in rules:
-        raw.extend(rule.check_project(project))
+            raw.extend(rule.check_module(modules[rel]))
 
     registered = {rule.rule_id for rule in rules}
-    result = AnalysisResult(files_analyzed=len(project.modules))
+    result = AnalysisResult(files_analyzed=len(modules))
     # (path, line or 0 for a file allow, rule id) -> the allow's line
     allows: dict[tuple[str, int, str], int] = {}
-    for rel in sorted(project.modules):
+    for rel in sorted(modules):
         for line, whole_file, whole_line, rule_id in _read_allows(
-                project.modules[rel].source):
+                modules[rel].source):
             key = (rel, 0 if whole_file else line, rule_id)
             if rule_id not in registered:
                 why = "names a rule that is not registered"
@@ -175,8 +170,7 @@ def analyze(paths: Sequence[Path]) -> AnalysisResult:
                 break
         else:
             result.findings.append(finding)
-    judged = {rule.rule_id for rule in rules if rule.judges_allows(project)}
     result.stale_suppressions.extend(
         f"{key[0]}:{line}: {key[2]} (allow that silences no finding)"
-        for key, line in allows.items() if key not in used and key[2] in judged)
+        for key, line in allows.items() if key not in used)
     return result

@@ -4,9 +4,7 @@ Exit codes:
 
 * ``0`` -- analysis ran and found nothing unsuppressed and no stale
   allow;
-* ``1`` -- at least one finding or stale ``# gpb: allow`` comment (a
-  GPB009 allow counts as silencing nothing only on a run over the whole
-  package that defines the event vocabulary);
+* ``1`` -- at least one finding or stale ``# gpb: allow`` comment;
 * ``2`` -- usage or configuration error (bad path, unparseable input).
 """
 

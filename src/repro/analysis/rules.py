@@ -5,25 +5,19 @@ A rule is a subclass of :class:`Rule` with a stable ``rule_id``
 as its catalog entry in ``docs/static-analysis.md`` (rendered by
 ``python -m repro.analysis --doc``).  Rules inspect parsed modules --
 never the running program -- and yield :class:`~repro.analysis.findings.Finding`
-records with precise ``file:line:col`` locations.
-
-Two hook points exist:
-
-* :meth:`Rule.check_module` runs once per analyzed file and covers
-  single-file properties (wall-clock calls, float equality, unbounded
-  growth, ...);
-* :meth:`Rule.check_project` runs once per analysis with access to
-  every parsed module, and covers the one property that reads a
-  cross-file table: the event-kind vocabulary (GPB009).
+records with precise ``file:line:col`` locations.  Every rule reads one
+file at a time through :meth:`Rule.check_module` (wall-clock calls,
+float equality, inline quorum arithmetic, ...); what only a run can
+show -- which event kinds are recorded, what memory is retained --
+is checked by tier-1 tests that run the program instead.
 
 A rule is one bug class; each way of writing that bug is an *arm* of
 the rule with its own finding message.  Rules are registered by
 :func:`repro.analysis.analyzer.all_rules` from
-:mod:`repro.analysis.drules`, :mod:`repro.analysis.prules` and
-:mod:`repro.analysis.orules`; the fixture self-test
-(``tests/test_analysis_rules.py``) requires at least one planted
-violation per rule and findings on the fixture tree that are exactly
-the plants; each arm keeps a plant of its own.
+:mod:`repro.analysis.drules` and :mod:`repro.analysis.prules`; the
+fixture self-test (``tests/test_analysis_rules.py``) requires at least
+one planted violation per rule and findings on the fixture tree that
+are exactly the plants; each arm keeps a plant of its own.
 """
 
 from __future__ import annotations
@@ -31,7 +25,7 @@ from __future__ import annotations
 import ast
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterable, Iterator
+from typing import Iterable
 
 from repro.analysis.findings import Finding
 
@@ -62,24 +56,9 @@ class Module:
                     self._parents[child] = parent
         return self._parents
 
-    def parents_of(self, node: ast.AST) -> Iterator[ast.AST]:
-        """Ancestors of *node*, innermost first."""
-        parents = self.parent_map()
-        current = parents.get(node)
-        while current is not None:
-            yield current
-            current = parents.get(current)
-
     def segments(self) -> tuple[str, ...]:
         """Path segments of :attr:`rel` (used for package scoping)."""
         return tuple(self.rel.split("/"))
-
-
-@dataclass(slots=True)
-class Project:
-    """Every module of one analysis run, keyed by normalized path."""
-
-    modules: dict[str, Module]
 
 
 class Rule:
@@ -91,17 +70,8 @@ class Rule:
     title: str = ""
 
     def check_module(self, module: Module) -> Iterable[Finding]:
-        """Yield findings for one file (single-file rules)."""
+        """Yield findings for one file."""
         return ()
-
-    def check_project(self, project: Project) -> Iterable[Finding]:
-        """Yield findings needing the whole module set (cross-file tables)."""
-        return ()
-
-    def judges_allows(self, project: Project) -> bool:
-        """Whether an allow of this rule that silences nothing on
-        *project* is stale: always for a rule that reads one file."""
-        return True
 
     # -- shared helpers ---------------------------------------------------
 

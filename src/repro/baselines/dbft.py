@@ -17,6 +17,7 @@ from dataclasses import dataclass
 
 from repro.common.config import GPBFTConfig, NetworkConfig, TopologySpec
 from repro.common.errors import ConfigurationError
+from repro.common.eventlog import EV_DBFT_COMMITTED
 from repro.pbft.messages import RawOperation
 
 #: Block capacity (transactions).
@@ -121,7 +122,7 @@ class DBFTNetwork:
                 for tx_id in batch:
                     self._committed_at[tx_id] = self.sim.now
                     self.events.record(
-                        self.sim.now, "dbft.committed", tx_id=tx_id,
+                        self.sim.now, EV_DBFT_COMMITTED, tx_id=tx_id,
                         latency=self.sim.now - self._submit_times[tx_id],
                     )
             else:

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 from repro.common.config import NetworkConfig
 from repro.common.errors import ConfigurationError
-from repro.common.eventlog import EV_POS_COMMITTED, EventLog
+from repro.common.eventlog import EV_POS_BLOCK, EV_POS_COMMITTED, EventLog
 from repro.common.rng import DeterministicRNG
 from repro.net.message import RawPayload
 from repro.net.network import SimulatedNetwork
@@ -28,7 +28,7 @@ from repro.net.simulator import Simulator
 MAX_TXS_PER_BLOCK = 500
 #: Kind of the transaction-announcement gossip, a ``RawPayload``
 #: carrying the tx id.
-TX_KIND = "pos.tx"  # gpb: allow GPB009 -- the kind's one definition site, as a message class's kind() would be
+TX_KIND = "pos.tx"
 
 
 @dataclass(frozen=True, slots=True)
@@ -58,7 +58,7 @@ class _PoSBlock:
 
     @property
     def kind(self) -> str:
-        return "pos.block"
+        return EV_POS_BLOCK
 
     @property
     def size_bytes(self) -> int:
@@ -130,7 +130,7 @@ class PoSNetwork:
         def handle(payload) -> None:
             if payload.kind == TX_KIND:
                 self.mempools[validator].add(payload.body)
-            elif payload.kind == "pos.block":
+            elif payload.kind == EV_POS_BLOCK:
                 self.mempools[validator] -= set(payload.tx_ids)
         return handle
 
@@ -144,7 +144,7 @@ class PoSNetwork:
         for tx_id in txs:
             self._block_of_tx[tx_id] = len(self.chain) - 1
         self.network.multicast(leader, range(self.n), block)
-        self.events.record(self.sim.now, "pos.block", node=leader,
+        self.events.record(self.sim.now, EV_POS_BLOCK, node=leader,
                            slot=self._slot, txs=len(txs))
         self._update_commitments()
         self.sim.schedule(self.config.slot_interval_s, self._run_slot)

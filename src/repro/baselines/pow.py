@@ -34,8 +34,8 @@ HASH_RATE_PER_MINER = 1e6
 MAX_TXS_PER_BLOCK = 500
 #: Kinds of the two gossips, each a ``RawPayload``: a mined block, and a
 #: transaction announcement carrying the tx id.
-BLOCK_KIND = "pow.block"  # gpb: allow GPB009 -- the kind's one definition site, as a message class's kind() would be
-TX_KIND = "pow.tx"  # gpb: allow GPB009 -- the kind's one definition site, as a message class's kind() would be
+BLOCK_KIND = "pow.block"
+TX_KIND = "pow.tx"
 
 
 @dataclass(frozen=True, slots=True)

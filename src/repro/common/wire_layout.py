@@ -38,8 +38,9 @@ Codec and handler fields (empty string means "not applicable"):
   than dispatched by kind (transactions, blocks, era-switch payloads)
   carry an empty handler.
 
-The dict is a *pure literal*: the analyzer's event-kind rule
-(``GPB009``) reads its keys from the AST as a vocabulary of wire kinds.
+The dict is a *pure literal* (``tests/test_codec.py`` parses it with
+``ast.literal_eval``), so the wire vocabulary can be read without
+importing the package.
 """
 
 from __future__ import annotations
@@ -96,7 +97,7 @@ WIRE_MESSAGES: dict[str, dict[str, str]] = {
         "handler_module": "repro/pbft/client.py",
         "handler": "on_reply",
     },
-    "pbft.view_change": {  # gpb: allow GPB009 -- wire kind that doubles as an event kind; GPB009 reads the table's keys as literals
+    "pbft.view_change": {
         "layout": "IIII64s",
         "encoder": "encode_view_change",
         "decoder": "",
@@ -104,7 +105,7 @@ WIRE_MESSAGES: dict[str, dict[str, str]] = {
         "handler_module": "repro/pbft/replica.py",
         "handler": "on_view_change",
     },
-    "pbft.new_view": {  # gpb: allow GPB009 -- wire kind that doubles as an event kind; GPB009 reads the table's keys as literals
+    "pbft.new_view": {
         "layout": "IIII64s",
         "item": "I64x",
         "encoder": "encode_new_view",

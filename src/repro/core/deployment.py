@@ -216,7 +216,7 @@ class GPBFTDeployment:
                 cycle = profile.duty_cycle(phase_s=phase)
                 driver = AvailabilityDriver(self.network, node_id, cycle)
                 driver.start()
-                self.availability.append(driver)  # gpb: allow GPB015 -- one driver per duty-cycled node, appended only while building
+                self.availability.append(driver)
 
     @property
     def committee(self) -> tuple[int, ...]:
@@ -251,7 +251,7 @@ class GPBFTDeployment:
             node.ledger.append(block)
             total += block.size_bytes
         if total > 0:
-            self.network.stats.on_send(from_node, "chain.sync", total)  # gpb: allow GPB009 -- traffic-stats category, not an event/wire kind; chain-sync bytes are accounted, never encoded or dispatched
+            self.network.stats.on_send(from_node, "chain.sync", total)
             self.network.stats.on_deliver(node.node_id, total)
 
     # ------------------------------------------------------------------

@@ -89,7 +89,7 @@ class EraHistory:
             started_at=at,
             switch_started_at=self._switching_since,
         )
-        self._records.append(record)  # gpb: allow GPB015 -- one record per era switch; the era history is the product
+        self._records.append(record)
         self._switching_since = None
         return record
 

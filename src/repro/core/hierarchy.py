@@ -331,7 +331,7 @@ class HierarchicalDeployment:
                 self, index, spec.zones[index].name, dep, client,
                 backbone_id, faults=gateway_faults.get(index))
             self.backbone.register(backbone_id, gateway.receive)
-            self.gateways.append(gateway)  # gpb: allow GPB015 -- one gateway per zone, appended only in __init__
+            self.gateways.append(gateway)
             self.sim.schedule(CHECKPOINT_INTERVAL_S, gateway._checkpoint_tick)
 
         self._xzone_nonce = 0

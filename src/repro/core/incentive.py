@@ -143,7 +143,7 @@ class IncentiveEngine:
             endorser_reward_each=per_endorser,
             endorsers_paid=tuple(paid),
         )
-        self.history.append(event)  # gpb: allow GPB015 -- the reward audit trail is the product; growth is one event per produced block, bounded by run length
+        self.history.append(event)
         return event
 
     def balance(self, node: int) -> float:

@@ -74,6 +74,9 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.obs.core import Observability
     from repro.workloads.profiles import DeviceProfile
 
+#: Transactions a block-mode producer packs into one block at most.
+MAX_BLOCK_TXS = 100
+
 
 class GPBFTNode:
     """One participant in a G-PBFT network.
@@ -514,7 +517,7 @@ class GPBFTNode:
         )
         if producer != self.node_id:
             return
-        txs = self.mempool.peek_batch(max_txs=100)
+        txs = self.mempool.peek_batch(max_txs=MAX_BLOCK_TXS)
         block = Block.assemble(
             height=height,
             parent=self.ledger.head.digest(),

@@ -43,6 +43,10 @@ from repro.workloads.streams import (
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.obs import Observability
 
+#: Completions each ``agg`` pool client remembers and executed ops each
+#: replica's log keeps: the window that keeps a day's memory flat.
+AGG_RETENTION = 2_000
+
 
 def _arrival_times(total: int, mean_interval: float, seed: int) -> list[float]:
     """Poisson arrival times at aggregate rate 1/mean_interval.
@@ -283,12 +287,12 @@ def _gpbft_agg_point(
             # every op id is fresh, so the replay-dedup window only has
             # to span in-flight requests; the default bound would retain
             # a whole day's completions per pool slot
-            client.completed_bound = 2_000
+            client.completed_bound = AGG_RETENTION
         for node in sorted(cluster.executors):
             # likewise: a day is ~n/zones executed ops per replica,
             # under the default trim threshold, so the (seq, op_id)
             # log would otherwise grow linearly until midnight
-            cluster.executors[node].bound = 2_000
+            cluster.executors[node].bound = AGG_RETENTION
         all_clients.extend(clients)
         submits = [_agg_submit(client, zone.name, slot)
                    for slot, client in enumerate(clients)]

@@ -154,7 +154,7 @@ class Observability:
         if network is not None:
             self.registry.counter("net.messages_sent")
             self.registry.counter("net.bytes_sent")
-            self._watched.append(Watch(self.zone, network.stats))  # gpb: allow GPB015 -- one entry per bound network, never per message
+            self._watched.append(Watch(self.zone, network.stats))
         if self.timeseries is not None or self._hb is not None:
             sim.set_tick_hook(self._on_tick)
 

@@ -130,7 +130,7 @@ class Tracer:
             return None
         span.end = self._clock() if at is None else at
         span.args.update(args)
-        self._closed.append(span)  # gpb: allow GPB015 -- capture-scoped span buffer; city-scale runs bound it via head sampling (ObsConfig.sample_rate)
+        self._closed.append(span)
         return span
 
     def instant(
@@ -144,7 +144,7 @@ class Tracer:
             node=node, start=t, end=t, args=dict(args),
         )
         self._next_sid += 1
-        self._closed.append(span)  # gpb: allow GPB015 -- capture-scoped span buffer; instants are rare (elections), not per-request
+        self._closed.append(span)
         return span
 
     def finish(self, at: float | None = None) -> None:

@@ -27,9 +27,10 @@ from repro.net.simulator import ScheduledEvent, Simulator
 from repro.pbft.messages import ClientRequest, Operation, Reply
 
 #: Completed-latency entries kept per client before the oldest are
-#: evicted (GPB015 bound convention).  Far above any per-client request
-#: count in the tests and experiment sweeps; million-request aggregated
-#: runs rely on the eviction to keep client memory flat.
+#: evicted (``tests/test_bounded_memory.py`` holds a client to its
+#: bound).  Far above any per-client request count in the tests and
+#: experiment sweeps; million-request aggregated runs rely on the
+#: eviction to keep client memory flat.
 COMPLETED_BOUND = 100_000
 
 

@@ -26,10 +26,11 @@ if TYPE_CHECKING:
 
 
 #: Executed (seq, op_id) records kept per replica before the oldest are
-#: trimmed (GPB015 bound convention).  The rolling state digest is
-#: unaffected; only ``committed_ops`` queries lose sight of the trimmed
-#: prefix, far beyond what any test or sweep inspects.  Million-request
-#: aggregated runs rely on the trim to keep executor memory flat.
+#: trimmed (``tests/test_bounded_memory.py`` holds a log to twice its
+#: bound).  The rolling state digest is unaffected; only
+#: ``committed_ops`` queries lose sight of the trimmed prefix, far beyond
+#: what any test or sweep inspects.  Million-request aggregated runs
+#: rely on the trim to keep executor memory flat.
 _EXECUTED_OPS_BOUND = 50_000
 
 

@@ -30,9 +30,9 @@ _COMMIT_BYTES = wire_struct("pbft.commit").size
 _CHECKPOINT_BYTES = wire_struct("pbft.checkpoint").size
 _REPLY_BYTES = wire_struct("pbft.reply").size
 _PREPARED_PROOF_BYTES = wire_struct("pbft.prepared_proof").size
-_VIEW_CHANGE_BYTES = wire_struct("pbft.view_change").size  # gpb: allow GPB009 -- wire kind, not an event
-_NEW_VIEW_BYTES = wire_struct("pbft.new_view").size  # gpb: allow GPB009 -- wire kind, not an event
-_NEW_VIEW_VOTE_BYTES = wire_struct("pbft.new_view", "item").size  # gpb: allow GPB009 -- wire kind, not an event
+_VIEW_CHANGE_BYTES = wire_struct("pbft.view_change").size
+_NEW_VIEW_BYTES = wire_struct("pbft.new_view").size
+_NEW_VIEW_VOTE_BYTES = wire_struct("pbft.new_view", "item").size
 
 
 @runtime_checkable

@@ -5,10 +5,8 @@ Every arm of every rule has a planted violation under
 the offending line.  The tests assert the analyzer finds *exactly*
 those plants -- no misses (an arm regressed) and no extras (a rule got
 noisy) -- plus the allow comments, the CLI exit codes, and the
-acceptance gate that the real tree is clean with no stale allow.  Plants sit under ``pbft/`` or ``obs/`` where a rule scopes
-by package; GPB015's ``pbft`` plant includes a list grown from a
-private event-log subscriber, which only a scan of every method of a
-protocol class reaches.
+acceptance gate that the real tree is clean with no stale allow.  A
+plant sits under ``pbft/`` where its rule scopes by package.
 """
 
 from __future__ import annotations
@@ -169,21 +167,6 @@ class TestSuppressions:
         assert [f.rule_id for f in result.findings] == ["GPB001"]
         assert result.suppressed == []
         assert result.stale_suppressions == []
-
-    def test_gpb009_allow_is_judged_only_over_the_whole_vocabulary_package(
-            self, tmp_path, capsys):
-        pkg = tmp_path / "pkg"
-        pkg.mkdir()
-        (pkg / "__init__.py").write_text("")
-        (pkg / "eventlog.py").write_text('EV_TX = "tx.done"\n')
-        (pkg / "mod.py").write_text("x = 1  # gpb: allow GPB009 -- was a kind\n")
-        assert analysis_main([str(pkg)]) == 1
-        assert [stale.rpartition("/")[2]
-                for stale in analyze([pkg]).stale_suppressions] == [
-            "mod.py:1: GPB009 (allow that silences no finding)"]
-        # without the rest of the package the rule cannot tell
-        assert analysis_main([str(pkg / "mod.py")]) == 0
-        assert analysis_main([str(pkg / "mod.py"), str(pkg / "eventlog.py")]) == 0
 
 
 class TestCli:

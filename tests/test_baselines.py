@@ -6,7 +6,7 @@ from repro.baselines.dbft import DBFTConfig, DBFTNetwork, elect_delegates
 from repro.baselines.pos import PoSConfig, PoSNetwork, slot_leader
 from repro.baselines.pow import PoWConfig, PoWNetwork
 from repro.common.errors import ConfigurationError
-from repro.common.eventlog import EV_POW_MINED
+from repro.common.eventlog import EV_POS_BLOCK, EV_POW_MINED
 
 
 class TestPoW:
@@ -97,7 +97,7 @@ class TestPoS:
     def test_blocks_every_slot(self):
         net = PoSNetwork(n_validators=4, config=PoSConfig(slot_interval_s=5.0), seed=6)
         net.run(until=100.0)
-        assert net.events.count("pos.block") == 20
+        assert net.events.count(EV_POS_BLOCK) == 20
 
 
 class TestDBFT:

@@ -161,8 +161,7 @@ class TestRegistryWiring:
         check_registry_entry(kind)
 
     def test_table_is_a_pure_literal(self):
-        # GPB009 reads the table's keys from the AST, as a wire-kind
-        # vocabulary, without importing it
+        # the table is data: its wire vocabulary reads without an import
         tree = ast.parse((REPO_ROOT / "src" / "repro" / "common"
                           / "wire_layout.py").read_text())
         tables = [node.value for node in tree.body

@@ -332,9 +332,9 @@ class TestReport:
         snap = cap.snapshot()
         assert snap["counters"]["net.messages_sent"]["total"] == 1417
         sketches = snap["sketches"]
-        assert sketches["era.switch_downtime_s"]["count"] == 10  # gpb: allow GPB009 -- observability instrument name, its own namespace
-        prepares = sketches["pbft.prepare_wait_s"]["count"]  # gpb: allow GPB009 -- observability instrument name, its own namespace
-        commits = sketches["pbft.commit_wait_s"]["count"]  # gpb: allow GPB009 -- observability instrument name, its own namespace
+        assert sketches["era.switch_downtime_s"]["count"] == 10
+        prepares = sketches["pbft.prepare_wait_s"]["count"]
+        commits = sketches["pbft.commit_wait_s"]["count"]
         assert prepares + commits == 140
 
     def test_render_report_has_phase_table_and_era_line(self):

@@ -368,7 +368,7 @@ class TestFlightRecorder:
         assert bundle["extra"]["group"] == "z0"
         assert bundle["extra"]["view_changes"] == STORM_THRESHOLD
         # the storm check runs before the facade counts the view change
-        counted = bundle["instruments"]["counters"]["pbft.view_changes"]  # gpb: allow GPB009 -- observability instrument name, its own namespace
+        counted = bundle["instruments"]["counters"]["pbft.view_changes"]
         assert counted["total"] == STORM_THRESHOLD - 1
 
     def test_spread_out_view_changes_never_storm(self):
@@ -618,7 +618,7 @@ class TestCaptureV2:
     def test_span_sketches_follow_the_sample_and_frames_do_not(self):
         # 20 requests on 10 replicas: one latency and ten prepare and
         # commit waits per traced request; the frames count every commit
-        sketched = ("request.latency_s", "pbft.prepare_wait_s", "pbft.commit_wait_s")  # gpb: allow GPB009 -- observability instrument names, their own namespace
+        sketched = ("request.latency_s", "pbft.prepare_wait_s", "pbft.commit_wait_s")
         counts = {}
         for rate in (1.0, 0.5, 0.0):
             obs, _ = capture_run(protocol="pbft", n=10, submissions=20, seed=0,
