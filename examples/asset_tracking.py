@@ -11,7 +11,8 @@ point of putting tracking data on a blockchain.
 Run:  python examples/asset_tracking.py
 """
 
-from repro.metrics.latency import LatencySamples
+from repro.common.eventlog import EV_REQUEST_COMPLETED
+from repro.metrics.latency import BoxplotStats
 from repro.workloads import asset_tracking_scenario
 
 #: The warehouse: one scan a minute keeps the sightings inside what the
@@ -33,9 +34,9 @@ def main() -> None:
     scenario.start()
     scenario.run(DURATION_S)
 
-    samples = LatencySamples()
-    samples.add_from_events(deployment.events)
-    stats = samples.stats()
+    stats = BoxplotStats.from_samples(
+        event.data["latency"]
+        for event in deployment.events.of_kind(EV_REQUEST_COMPLETED))
     print(f"\nsightings committed: {stats.count}")
     print(f"commit latency: median {stats.median:.2f}s, max {stats.maximum:.2f}s")
     print(f"chain height: {deployment.nodes[0].ledger.height}, "

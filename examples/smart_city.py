@@ -17,9 +17,9 @@ from repro.common.config import (
     EraConfig,
     GPBFTConfig,
 )
-from repro.metrics.latency import LatencySamples
+from repro.metrics.latency import BoxplotStats
 from repro.workloads import smart_city_scenario
-from repro.common.eventlog import EV_ERA_SWITCH_COMPLETED
+from repro.common.eventlog import EV_ERA_SWITCH_COMPLETED, EV_REQUEST_COMPLETED
 
 
 def main() -> None:
@@ -46,9 +46,9 @@ def main() -> None:
     scenario.run(2 * 3600.0)
 
     # -- consensus health --------------------------------------------------
-    samples = LatencySamples()
-    samples.add_from_events(deployment.events)
-    stats = samples.stats()
+    stats = BoxplotStats.from_samples(
+        event.data["latency"]
+        for event in deployment.events.of_kind(EV_REQUEST_COMPLETED))
     print(f"\ncommitted transactions: {stats.count}")
     print(f"consensus latency: median {stats.median:.2f} s, "
           f"p75 {stats.q3:.2f} s, max {stats.maximum:.2f} s")

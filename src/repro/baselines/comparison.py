@@ -14,9 +14,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.baselines.dbft import DBFTConfig, DBFTNetwork
-from repro.baselines.pos import PoSConfig, PoSNetwork
-from repro.baselines.pow import PoWConfig, PoWNetwork
+from repro.baselines.dbft import DBFTNetwork
+from repro.baselines.pos import PoSNetwork
+from repro.baselines.pow import PoWNetwork
 from repro.common.eventlog import EV_REQUEST_COMPLETED
 from repro.experiments import scenario
 from repro.metrics.collector import render_table
@@ -104,17 +104,13 @@ def measured_table4(n_small: int = 8, n_large: int = 32, seed: int = 0) -> tuple
         ("PBFT", lambda n: _measure("pbft", n, seed), "<33.3% faulty replicas"),
         ("G-PBFT", lambda n: _measure("gpbft", n, seed), "<33.3% endorsers"),
         ("dBFT", lambda n: _measure_chain(
-            DBFTNetwork(n_validators=n, config=DBFTConfig(), seed=seed)),
-         "<33.3% delegates"),
+            DBFTNetwork(n_validators=n, seed=seed)), "<33.3% delegates"),
         # confirmations need several blocks: PoW runs twice as long
         ("PoW", lambda n: _measure_chain(
-            PoWNetwork(n_miners=n, config=PoWConfig(block_interval_s=30.0),
-                       seed=seed), _HORIZON_S * 2),
+            PoWNetwork(n_miners=n, seed=seed), _HORIZON_S * 2),
          "<50% hash rate (<25% w/ selfish mining)"),
         ("PoS", lambda n: _measure_chain(
-            PoSNetwork(n_validators=n, config=PoSConfig(slot_interval_s=15.0),
-                       seed=seed)),
-         "<50% stake"),
+            PoSNetwork(n_validators=n, seed=seed)), "<50% stake"),
     )
     rows: list[MechanismRow] = []
     for name, measure, tolerance in mechanisms:

@@ -13,8 +13,6 @@ speed despite the small committee.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from repro.common.config import GPBFTConfig, NetworkConfig, TopologySpec
 from repro.common.errors import ConfigurationError
 from repro.common.eventlog import EV_DBFT_COMMITTED
@@ -22,25 +20,10 @@ from repro.pbft.messages import RawOperation
 
 #: Block capacity (transactions).
 MAX_TXS_PER_BLOCK = 500
-
-
-@dataclass(frozen=True, slots=True)
-class DBFTConfig:
-    """dBFT model parameters.
-
-    Attributes:
-        n_delegates: committee size (NEO runs 7).
-        block_interval_s: minimum spacing between blocks (15 s in NEO).
-    """
-
-    n_delegates: int = 7
-    block_interval_s: float = 15.0
-
-    def __post_init__(self) -> None:
-        if self.n_delegates < 4:
-            raise ConfigurationError("dBFT needs at least 4 delegates")
-        if self.block_interval_s <= 0:
-            raise ConfigurationError("block interval must be positive")
+#: Committee size (NEO runs 7).
+N_DELEGATES = 7
+#: Minimum spacing between blocks (15 s in NEO).
+BLOCK_INTERVAL_S = 15.0
 
 
 def elect_delegates(stakes: dict[int, float], votes: dict[int, int], c: int) -> tuple[int, ...]:
@@ -72,24 +55,17 @@ class DBFTNetwork:
 
     Args:
         n_validators: total stakeholders (only delegates run consensus).
-        config: dBFT parameters.
         seed: deterministic run seed.
     """
 
-    def __init__(
-        self,
-        n_validators: int,
-        config: DBFTConfig | None = None,
-        seed: int = 0,
-    ) -> None:
-        self.config = config or DBFTConfig()
-        if n_validators < self.config.n_delegates:
+    def __init__(self, n_validators: int, seed: int = 0) -> None:
+        if n_validators < N_DELEGATES:
             raise ConfigurationError("fewer validators than delegates")
         # every validator votes for (id mod delegates), a deterministic
         # stand-in for NEO's on-chain voting market
         stakes = {v: 1.0 + (v % 5) for v in range(n_validators)}
-        votes = {v: v % self.config.n_delegates for v in range(n_validators)}
-        self.delegates = elect_delegates(stakes, votes, self.config.n_delegates)
+        votes = {v: v % N_DELEGATES for v in range(n_validators)}
+        self.delegates = elect_delegates(stakes, votes, N_DELEGATES)
         cluster_config = GPBFTConfig(network=NetworkConfig(seed=seed))
         self.cluster = TopologySpec.cluster(
             n_replicas=len(self.delegates), n_clients=1, config=cluster_config
@@ -100,7 +76,7 @@ class DBFTNetwork:
         self._submit_times: dict[str, float] = {}
         self._committed_at: dict[str, float] = {}
         self._block_counter = 0
-        self.sim.schedule(self.config.block_interval_s, self._produce_block)
+        self.sim.schedule(BLOCK_INTERVAL_S, self._produce_block)
 
     def _produce_block(self) -> None:
         """Pack pending txs into one block-operation and order it."""
@@ -112,7 +88,7 @@ class DBFTNetwork:
             size = 80 + 200 * len(batch)
             rid = self.cluster.submit(RawOperation(op_id=op_id, size_bytes=size))
             self._watch_block(rid, tuple(batch))
-        self.sim.schedule(self.config.block_interval_s, self._produce_block)
+        self.sim.schedule(BLOCK_INTERVAL_S, self._produce_block)
 
     def _watch_block(self, rid: str, batch: tuple[str, ...]) -> None:
         client = self.cluster.any_client

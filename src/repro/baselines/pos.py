@@ -6,7 +6,7 @@ Time is divided into slots; the leader of each slot is drawn
 deterministically with probability proportional to stake (the same
 committable lottery the G-PBFT incentive engine uses).  The leader
 packs its mempool into a block and broadcasts it; a transaction is
-committed when its block is ``confirmations`` slots deep.  No hashing
+committed when its block is ``CONFIRMATIONS`` slots deep.  No hashing
 is expended -- that is PoS's entire computing-overhead story -- but the
 broadcast traffic and multi-slot confirmation latency remain.
 """
@@ -26,28 +26,13 @@ from repro.net.simulator import Simulator
 
 #: Block capacity (transactions).
 MAX_TXS_PER_BLOCK = 500
+#: Seconds between slots (block time).
+SLOT_INTERVAL_S = 15.0
+#: Depth at which a transaction is final.
+CONFIRMATIONS = 2
 #: Kind of the transaction-announcement gossip, a ``RawPayload``
 #: carrying the tx id.
 TX_KIND = "pos.tx"
-
-
-@dataclass(frozen=True, slots=True)
-class PoSConfig:
-    """PoS model parameters.
-
-    Attributes:
-        slot_interval_s: seconds between slots (block time).
-        confirmations: depth at which a transaction is final.
-    """
-
-    slot_interval_s: float = 15.0
-    confirmations: int = 2
-
-    def __post_init__(self) -> None:
-        if self.slot_interval_s <= 0:
-            raise ConfigurationError("slot interval must be positive")
-        if self.confirmations < 1:
-            raise ConfigurationError("confirmations must be >= 1")
 
 
 @dataclass(frozen=True, slots=True)
@@ -92,7 +77,6 @@ class PoSNetwork:
 
     Args:
         n_validators: network size.
-        config: PoS parameters.
         stakes: validator -> stake; uniform when omitted.
         seed: deterministic run seed.
     """
@@ -100,13 +84,11 @@ class PoSNetwork:
     def __init__(
         self,
         n_validators: int,
-        config: PoSConfig | None = None,
         stakes: dict[int, float] | None = None,
         seed: int = 0,
     ) -> None:
         if n_validators < 1:
             raise ConfigurationError("need at least one validator")
-        self.config = config or PoSConfig()
         self.n = n_validators
         self.stakes = stakes or {v: 1.0 for v in range(n_validators)}
         if set(self.stakes) != set(range(n_validators)):
@@ -124,7 +106,7 @@ class PoSNetwork:
         for validator in range(n_validators):
             self.network.register(validator, self._make_handler(validator))
         self._slot = 0
-        self.sim.schedule(self.config.slot_interval_s, self._run_slot)
+        self.sim.schedule(SLOT_INTERVAL_S, self._run_slot)
 
     def _make_handler(self, validator: int):
         def handle(payload) -> None:
@@ -147,15 +129,14 @@ class PoSNetwork:
         self.events.record(self.sim.now, EV_POS_BLOCK, node=leader,
                            slot=self._slot, txs=len(txs))
         self._update_commitments()
-        self.sim.schedule(self.config.slot_interval_s, self._run_slot)
+        self.sim.schedule(SLOT_INTERVAL_S, self._run_slot)
 
     def _update_commitments(self) -> None:
-        depth_needed = self.config.confirmations
         tip = len(self.chain) - 1
         for tx_id, index in self._block_of_tx.items():
             if tx_id in self._committed_at:
                 continue
-            if tip - index + 1 >= depth_needed:
+            if tip - index + 1 >= CONFIRMATIONS:
                 self._committed_at[tx_id] = self.sim.now
                 self.events.record(
                     self.sim.now, EV_POS_COMMITTED, tx_id=tx_id,

@@ -2,14 +2,14 @@
 
 Model
 -----
-Every miner hashes at a configured rate; the time until *some* miner
-finds a block is exponential with mean ``block_interval_s``, and the
+Every miner hashes at a fixed rate; the time until *some* miner
+finds a block is exponential with mean ``BLOCK_INTERVAL_S``, and the
 winner is drawn proportionally to hash rate (the standard memoryless
 decomposition of PoW).  The winner packs its mempool into a block and
 broadcasts it; peers adopt the longest chain (ties: first received),
 which makes near-simultaneous finds produce short-lived forks and
 orphans exactly as in real PoW.  A transaction is *committed* when the
-block containing it is ``confirmations`` deep on a node's best chain.
+block containing it is ``CONFIRMATIONS`` deep on a node's best chain.
 
 Measured quantities: commit latency, bytes moved (block gossip), hash
 work expended (rate x elapsed time), and orphan rate.
@@ -30,33 +30,17 @@ from repro.net.simulator import Simulator
 
 #: Hashes/second each miner expends (sets the computing-overhead metric).
 HASH_RATE_PER_MINER = 1e6
+#: Expected time between blocks network-wide (600 s in Bitcoin; IoT
+#: chains use tens of seconds).
+BLOCK_INTERVAL_S = 30.0
+#: Chain depth at which a transaction is final (6 in Bitcoin folklore).
+CONFIRMATIONS = 3
 #: Block capacity (transactions).
 MAX_TXS_PER_BLOCK = 500
 #: Kinds of the two gossips, each a ``RawPayload``: a mined block, and a
 #: transaction announcement carrying the tx id.
 BLOCK_KIND = "pow.block"
 TX_KIND = "pow.tx"
-
-
-@dataclass(frozen=True, slots=True)
-class PoWConfig:
-    """PoW model parameters.
-
-    Attributes:
-        block_interval_s: expected time between blocks network-wide
-            (600 s in Bitcoin; IoT chains use tens of seconds).
-        confirmations: chain depth at which a transaction is final
-            (6 in Bitcoin folklore).
-    """
-
-    block_interval_s: float = 30.0
-    confirmations: int = 3
-
-    def __post_init__(self) -> None:
-        if self.block_interval_s <= 0:
-            raise ConfigurationError("block interval must be positive")
-        if self.confirmations < 1:
-            raise ConfigurationError("confirmations must be >= 1")
 
 
 @dataclass(frozen=True, slots=True)
@@ -117,19 +101,12 @@ class PoWNetwork:
 
     Args:
         n_miners: network size.
-        config: PoW parameters.
         seed: deterministic run seed.
     """
 
-    def __init__(
-        self,
-        n_miners: int,
-        config: PoWConfig | None = None,
-        seed: int = 0,
-    ) -> None:
+    def __init__(self, n_miners: int, seed: int = 0) -> None:
         if n_miners < 1:
             raise ConfigurationError("need at least one miner")
-        self.config = config or PoWConfig()
         self.sim = Simulator()
         self.network = SimulatedNetwork(
             self.sim, NetworkConfig(seed=seed, processing_rate=1e9))
@@ -148,7 +125,7 @@ class PoWNetwork:
     # -- mining -------------------------------------------------------------
 
     def _schedule_next_block(self) -> None:
-        delay = self.rng.exponential(self.config.block_interval_s)
+        delay = self.rng.exponential(BLOCK_INTERVAL_S)
         self._mine_timer = self.sim.schedule(delay, self._mine_block)
 
     def _mine_block(self) -> None:
@@ -200,9 +177,8 @@ class PoWNetwork:
 
     def _update_commitments(self, state: _MinerState) -> None:
         chain = state.chain()
-        depth_needed = self.config.confirmations
         for block in chain:
-            if state.best.height - block.height + 1 < depth_needed:
+            if state.best.height - block.height + 1 < CONFIRMATIONS:
                 continue
             for tx_id in block.tx_ids:
                 if tx_id in self._tx_submit_times and tx_id not in self._committed_at:

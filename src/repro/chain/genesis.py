@@ -35,14 +35,14 @@ class EndorserRecord:
     csc: CryptoSpatialCoordinate
 
     @classmethod
-    def for_node(cls, node: int, position: LatLng, precision: int = 12) -> "EndorserRecord":
+    def for_node(cls, node: int, position: LatLng) -> "EndorserRecord":
         """Derive the record of *node* standing at *position*."""
         keys = KeyPair.generate(node)
         anchor = address_from_public_key(keys.public)
         return cls(
             node=node,
             public_key=keys.public,
-            csc=CryptoSpatialCoordinate.from_point(position, anchor, precision),
+            csc=CryptoSpatialCoordinate.from_point(position, anchor),
         )
 
 
@@ -112,17 +112,15 @@ class GenesisBlock:
 def build_genesis(
     endorser_positions: dict[int, LatLng],
     policy: CommitteeConfig | None = None,
-    precision: int = 12,
 ) -> GenesisBlock:
     """Build a genesis block for core endorsers at the given positions.
 
     Args:
         endorser_positions: node id -> fixed physical location.
         policy: admittance policy; defaults to the paper's (min 4, max 40).
-        precision: CSC geohash precision.
     """
     records = tuple(
-        EndorserRecord.for_node(node, pos, precision)
+        EndorserRecord.for_node(node, pos)
         for node, pos in sorted(endorser_positions.items())
     )
     return GenesisBlock(endorsers=records, policy=policy or CommitteeConfig())

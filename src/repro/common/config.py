@@ -65,11 +65,11 @@ class NetworkConfig:
             5.64 s at 202 nodes) and ~27 s at n = 202; the constant
             per-node transaction workload of Fig. 3 then drives PBFT@202
             toward saturation and the paper's ~251 s tail.
-        base_latency_s: fixed propagation delay added to every delivery.
-        latency_jitter_s: half-width of the uniform jitter applied on top
-            of ``base_latency_s``.
         seed: base seed for the network's jitter/drop random stream.
 
+    Propagation is fixed: every delivery takes 10 ms plus uniform jitter
+    in [0, 5 ms] (``repro.net.latency.BASE_LATENCY_S`` and
+    ``LATENCY_JITTER_S``); another model is set on the network itself.
     Nothing else is modelled: the paper's analysis attributes latency to
     receive-side processing, so senders have unlimited bandwidth, and a
     message costs exactly its payload's serialized size (ints 4 B,
@@ -80,16 +80,11 @@ class NetworkConfig:
     """
 
     processing_rate: float = 10.0
-    base_latency_s: float = 0.010
-    latency_jitter_s: float = 0.005
     seed: int = 0
 
     def __post_init__(self) -> None:
-        for name in ("processing_rate", "base_latency_s", "latency_jitter_s"):
-            _require_finite(self, name)
+        _require_finite(self, "processing_rate")
         _require(self.processing_rate > 0, "processing_rate must be positive")
-        _require(self.base_latency_s >= 0, "base_latency_s must be >= 0")
-        _require(self.latency_jitter_s >= 0, "latency_jitter_s must be >= 0")
 
 
 @dataclass(frozen=True)
@@ -171,15 +166,14 @@ class ElectionConfig:
             reported fewer locations than this over the audit window is
             judged invalid.
         audit_window_s: Algorithm 1's look-back period ``t``.
-        csc_precision: geohash length used for CSC equality; 12 characters
-            is roughly the paper's "one square metre" resolution.
+
+    CSC equality is judged at ``repro.geo.csc.CSC_PRECISION``.
     """
 
     stationary_hours: float = DEFAULT_STATIONARY_HOURS
     report_interval_s: float = 6 * SECONDS_PER_HOUR
     min_reports: int = 3
     audit_window_s: float = 24 * SECONDS_PER_HOUR
-    csc_precision: int = 12
 
     def __post_init__(self) -> None:
         _require_finite(self, "report_interval_s")
@@ -187,7 +181,6 @@ class ElectionConfig:
         _require(self.report_interval_s > 0, "report_interval_s must be > 0")
         _require(self.min_reports >= 1, "min_reports must be >= 1")
         _require(self.audit_window_s > 0, "audit_window_s must be > 0")
-        _require(1 <= self.csc_precision <= 24, "csc_precision must be in [1, 24]")
 
 
 @dataclass(frozen=True)
@@ -210,32 +203,6 @@ class EraConfig:
             _require_finite(self, name)
         _require(self.period_s > 0, "era period must be > 0")
         _require(self.switch_duration_s >= 0, "switch duration must be >= 0")
-
-
-@dataclass(frozen=True)
-class IncentiveConfig:
-    """Reward split and proposer weighting (section III-B5).
-
-    Attributes:
-        producer_share: fraction of the transaction fee paid to the block
-            producer (0.70 in the paper).
-        endorser_share: fraction shared among the endorsing committee
-            (0.30 in the paper).  Shares must sum to 1.
-        timer_weighting: when True, the chance of being picked as block
-            producer is proportional to the endorser's geographic timer.
-    """
-
-    producer_share: float = 0.70
-    endorser_share: float = 0.30
-    timer_weighting: bool = True
-
-    def __post_init__(self) -> None:
-        _require(0 <= self.producer_share <= 1, "producer_share must be in [0, 1]")
-        _require(0 <= self.endorser_share <= 1, "endorser_share must be in [0, 1]")
-        _require(
-            abs(self.producer_share + self.endorser_share - 1.0) < 1e-9,
-            "producer_share + endorser_share must equal 1",
-        )
 
 
 @dataclass(frozen=True)

@@ -10,8 +10,8 @@ A direct implementation of the paper's pseudo-code (section III-D):
   coordinates, makes the candidate a new endorser in the next era.
 
 "Same coordinates" is evaluated at CSC precision (the paper compares
-``lng``/``lat`` exactly; GPS jitter makes cell-level equality the
-practical reading, and the precision is configurable up to exact).
+``lng``/``lat`` exactly; GPS jitter makes equality of the ~1 m^2 CSC
+cell the practical reading).
 The caller runs this every ``T`` seconds, as the paper's outer
 ``while IsEndorser()`` loop does.
 """
@@ -41,9 +41,9 @@ class AuthenticationResult:
     reasons: dict[int, str] = field(default_factory=dict)
 
 
-def _reports_consistent(reports, precision: int) -> bool:
+def _reports_consistent(reports) -> bool:
     """True iff every report claims the same CSC cell."""
-    cells = {r.geohash(precision) for r in reports}
+    cells = {r.geohash() for r in reports}
     return len(cells) <= 1
 
 
@@ -80,7 +80,7 @@ def authenticate_geographic(
             invalid.append(v)
             reasons[v] = f"only {len(reports)} reports in window (< {cfg.min_reports})"
             continue
-        if not _reports_consistent(reports, cfg.csc_precision):
+        if not _reports_consistent(reports):
             invalid.append(v)
             reasons[v] = "location changed during audit window"
             continue
@@ -98,7 +98,7 @@ def authenticate_geographic(
         if len(reports) < cfg.min_reports:
             reasons.setdefault(c, f"only {len(reports)} reports in window")
             continue
-        if not _reports_consistent(reports, cfg.csc_precision):
+        if not _reports_consistent(reports):
             reasons.setdefault(c, "moved during audit window")
             continue
         qualified.append(c)

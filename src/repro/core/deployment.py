@@ -111,10 +111,7 @@ class GPBFTDeployment:
         }
         endorser_ids = tuple(range(id_base, id_base + n_endorsers))
         self.genesis = build_genesis(
-            {node: self.positions[node] for node in endorser_ids},
-            policy=policy,
-            precision=self.config.election.csc_precision,
-        )
+            {node: self.positions[node] for node in endorser_ids}, policy=policy)
 
         # -- nodes ------------------------------------------------------------
         # indexed directory: nodes route and witness via spatial queries
@@ -179,7 +176,6 @@ class GPBFTDeployment:
             node.admission = ReportAdmission(
                 LocationAuditor(
                     witness_range_m=self.witness_range_m,
-                    precision=self.config.election.csc_precision,
                     # a cell claim holds for a full reporting round: one 1 m^2
                     # cell hosts one fixed device, so a second identity
                     # claiming it inside the round is a duplicate

@@ -62,7 +62,7 @@ class ElectionTable:
         history.add(report)
         entry = ElectionEntry(
             node=report.node,
-            csc_geohash=report.geohash(self.config.csc_precision),
+            csc_geohash=report.geohash(),
             timestamp=report.timestamp,
             geographic_timer=self.geographic_timer(report.node, report.timestamp),
         )
@@ -88,7 +88,7 @@ class ElectionTable:
         history = self._histories.get(node)
         if history is None:
             return 0.0
-        anchor = history.stationary_since(self.config.csc_precision)
+        anchor = history.stationary_since()
         if anchor is None:
             return 0.0
         anchor = max(anchor, self._timer_reset_at.get(node, 0.0))

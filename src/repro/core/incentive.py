@@ -3,8 +3,9 @@
 * Block producers are selected with probability proportional to their
   geographic timer ("a longer time in the geographic timer will have a
   higher chance of generating a new block").
-* The producer of a block earns **70 %** of its transaction fees; the
-  endorsers who endorsed it share the remaining **30 %**.
+* The producer of a block earns **70 %** of its transaction fees
+  (``PRODUCER_SHARE``); the endorsers who endorsed it share the
+  remaining **30 %** (``ENDORSER_SHARE``).
 * Producing a block resets the producer's geographic timer.
 * Endorsers flagged for misbehaviour (missed block / fork) are excluded
   from rewards until cleared.
@@ -20,15 +21,18 @@ import hashlib
 from collections import defaultdict
 from dataclasses import dataclass
 
-from repro.common.config import IncentiveConfig
 from repro.common.errors import ConsensusError
+
+#: Share of a block's fees paid to its producer (section III-B5).
+PRODUCER_SHARE = 0.70
+#: Share of a block's fees split among the other endorsers.
+ENDORSER_SHARE = 0.30
 
 
 def select_producer(
     timers: dict[int, float],
     era: int,
     height: int,
-    timer_weighting: bool = True,
     attempt: int = 0,
 ) -> int:
     """Deterministically pick the next block producer.
@@ -37,7 +41,6 @@ def select_producer(
         timers: endorser id -> geographic timer seconds (>= 0).
         era: current era (lottery domain separation).
         height: chain height the block will occupy.
-        timer_weighting: when False, a uniform deterministic rotation.
         attempt: fallback round.  The lottery for a given (era, height)
             is deterministic, so a crashed winner would stall block
             production forever; endorsers that see no block appear
@@ -57,8 +60,6 @@ def select_producer(
         raise ConsensusError("geographic timers must be non-negative")
     seed = hashlib.sha256(f"producer:{era}:{height}:{attempt}".encode()).digest()
     draw = int.from_bytes(seed[:8], "big") / float(1 << 64)
-    if not timer_weighting:
-        return nodes[int(draw * len(nodes)) % len(nodes)]
     total = sum(timers[n] for n in nodes)
     if total <= 0:
         return nodes[int(draw * len(nodes)) % len(nodes)]
@@ -83,14 +84,9 @@ class RewardEvent:
 
 
 class IncentiveEngine:
-    """Account balances and payout rules.
+    """Account balances and payout rules."""
 
-    Args:
-        config: fee split and weighting flags.
-    """
-
-    def __init__(self, config: IncentiveConfig | None = None) -> None:
-        self.config = config or IncentiveConfig()
+    def __init__(self) -> None:
         self.balances: dict[int, float] = defaultdict(float)
         self.blocks_produced: dict[int, int] = defaultdict(int)
         self._excluded: set[int] = set()
@@ -111,8 +107,8 @@ class IncentiveEngine:
     def on_block(self, height: int, producer: int, endorsers, total_fee: float) -> RewardEvent:
         """Pay out one committed block's fees.
 
-        The producer gets ``producer_share``; the *other* endorsers split
-        ``endorser_share`` equally.  Excluded nodes are skipped (their
+        The producer gets ``PRODUCER_SHARE``; the *other* endorsers split
+        ``ENDORSER_SHARE`` equally.  Excluded nodes are skipped (their
         share is burned, not redistributed -- misbehaviour must not
         increase anyone's payout).
 
@@ -121,8 +117,8 @@ class IncentiveEngine:
         """
         if total_fee < 0:
             raise ConsensusError("total fee must be >= 0")
-        producer_cut = self.config.producer_share * total_fee
-        endorser_pool = self.config.endorser_share * total_fee
+        producer_cut = PRODUCER_SHARE * total_fee
+        endorser_pool = ENDORSER_SHARE * total_fee
         others = [e for e in sorted(set(endorsers)) if e != producer]
         per_endorser = endorser_pool / len(others) if others else 0.0
 

@@ -512,9 +512,7 @@ class GPBFTNode:
             self._produce_attempt = 0
         timers = self.election_table.timers(self.committee, self.sim.now)
         producer = select_producer(
-            timers, self.era, height, self.incentive.config.timer_weighting,
-            attempt=self._produce_attempt,
-        )
+            timers, self.era, height, attempt=self._produce_attempt)
         if producer != self.node_id:
             return
         txs = self.mempool.peek_batch(max_txs=MAX_BLOCK_TXS)

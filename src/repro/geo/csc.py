@@ -13,6 +13,10 @@ from repro.crypto.address import Address
 from repro.geo.coords import LatLng
 from repro.geo.geohash import geohash_bounds, geohash_encode
 
+#: Geohash length of a CSC cell and of every CSC equality test: 12
+#: characters is roughly the paper's "one square metre" resolution.
+CSC_PRECISION = 12
+
 
 @dataclass(frozen=True, slots=True)
 class CryptoSpatialCoordinate:
@@ -30,9 +34,9 @@ class CryptoSpatialCoordinate:
         geohash_bounds(self.geohash)  # validates alphabet and non-emptiness
 
     @classmethod
-    def from_point(cls, point: LatLng, anchor: Address, precision: int = 12) -> "CryptoSpatialCoordinate":
-        """Build the CSC of *point* at *precision* characters."""
-        return cls(geohash=geohash_encode(point, precision), anchor=anchor)
+    def from_point(cls, point: LatLng, anchor: Address) -> "CryptoSpatialCoordinate":
+        """Build the CSC of *point* at ``CSC_PRECISION`` characters."""
+        return cls(geohash=geohash_encode(point, CSC_PRECISION), anchor=anchor)
 
     def key(self) -> str:
         """Stable string key used by election tables and logs."""

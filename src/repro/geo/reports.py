@@ -15,6 +15,7 @@ from dataclasses import dataclass, field
 from repro.common.errors import GeoError
 from repro.common.wire_layout import wire_struct
 from repro.geo.coords import LatLng
+from repro.geo.csc import CSC_PRECISION
 from repro.geo.geohash import geohash_encode
 
 #: Serialized size of one report record, read once from the layout
@@ -28,9 +29,8 @@ class GeoReport:
 
     The geohash cell is an immutable function of the frozen position
     and is asked for again and again -- by every endorser's election
-    table, once per report a stationarity walk passes -- so the last
-    ``(precision, cell)`` answer is kept on the report: one slot, since
-    a deployment asks at one precision.
+    table, once per report a stationarity walk passes -- so the cell is
+    kept on the report once computed.
 
     Attributes:
         node: reporting device id.
@@ -41,19 +41,19 @@ class GeoReport:
     node: int
     position: LatLng
     timestamp: float
-    _cell: tuple[int, str] | None = field(default=None, init=False, repr=False, compare=False)
+    _cell: str | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.timestamp < 0:
             raise GeoError(f"report timestamp must be >= 0, got {self.timestamp}")
 
-    def geohash(self, precision: int = 12) -> str:
-        """Geohash of the claimed position at *precision* (memoized)."""
-        cached = self._cell
-        if cached is None or cached[0] != precision:
-            cached = (precision, geohash_encode(self.position, precision))
-            object.__setattr__(self, "_cell", cached)
-        return cached[1]
+    def geohash(self) -> str:
+        """CSC cell of the claimed position (memoized)."""
+        cell = self._cell
+        if cell is None:
+            cell = geohash_encode(self.position, CSC_PRECISION)
+            object.__setattr__(self, "_cell", cell)
+        return cell
 
     @property
     def size_bytes(self) -> int:
@@ -101,7 +101,7 @@ class ReportHistory:
         hi = bisect.bisect_right(self._times, now)
         return self._reports[lo:hi]
 
-    def stationary_since(self, precision: int = 12) -> float | None:
+    def stationary_since(self) -> float | None:
         """Earliest timestamp from which every later report shares the
         latest report's geohash cell.
 
@@ -112,10 +112,10 @@ class ReportHistory:
         """
         if not self._reports:
             return None
-        current = self._reports[-1].geohash(precision)
+        current = self._reports[-1].geohash()
         anchor = self._reports[-1].timestamp
         for report in reversed(self._reports):
-            if report.geohash(precision) != current:
+            if report.geohash() != current:
                 break
             anchor = report.timestamp
         return anchor

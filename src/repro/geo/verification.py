@@ -76,9 +76,8 @@ class LocationAuditor:
             (radio/sensor range).  Statements from witnesses standing
             outside this range of the claim are ignored as incompetent.
         min_witnesses: corroborating statements needed to accept a claim.
-        round_seconds: two claims of the same cell whose timestamps fall
-            within one round are "at the same time" for exclusivity.
-        precision: geohash precision at which exclusivity is evaluated.
+        round_seconds: two claims of the same CSC cell whose timestamps
+            fall within one round are "at the same time" for exclusivity.
     """
 
     def __init__(
@@ -86,7 +85,6 @@ class LocationAuditor:
         witness_range_m: float = 150.0,
         min_witnesses: int = 1,
         round_seconds: float = 60.0,
-        precision: int = 12,
     ) -> None:
         if witness_range_m <= 0:
             raise GeoError("witness_range_m must be positive")
@@ -97,7 +95,6 @@ class LocationAuditor:
         self.witness_range_m = witness_range_m
         self.min_witnesses = min_witnesses
         self.round_seconds = round_seconds
-        self.precision = precision
         # cell geohash -> list of (node, timestamp) claims seen so far
         self._claims: dict[str, list[tuple[int, float]]] = {}
 
@@ -108,7 +105,7 @@ class LocationAuditor:
         ``round_seconds``.  Repeat claims by the same node never conflict
         with themselves.
         """
-        cell = report.geohash(self.precision)
+        cell = report.geohash()
         entries = self._claims.setdefault(cell, [])
         conflicts = tuple(
             node

@@ -1,4 +1,4 @@
-"""Consensus-latency samples and boxplot statistics.
+"""Boxplot statistics of consensus-latency samples.
 
 The paper's Figure 3 shows boxplots of consensus latency per group of
 ten runs: whiskers at min/max, box at the quartiles, line at the median.
@@ -13,7 +13,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.common.errors import ConfigurationError
-from repro.common.eventlog import EV_REQUEST_COMPLETED, EventLog
 
 
 @dataclass(frozen=True, slots=True)
@@ -68,35 +67,3 @@ class BoxplotStats:
             f"{self.minimum:9.3f} {self.q1:9.3f} {self.median:9.3f} "
             f"{self.q3:9.3f} {self.maximum:9.3f} {self.mean:9.3f}"
         )
-
-
-class LatencySamples:
-    """Accumulates request latencies across repetitions."""
-
-    def __init__(self) -> None:
-        self._samples: list[float] = []
-
-    def __len__(self) -> int:
-        return len(self._samples)
-
-    def add(self, latency_s: float) -> None:
-        """Record one commit latency.
-
-        Raises:
-            ConfigurationError: on a negative latency (harness bug).
-        """
-        if latency_s < 0:
-            raise ConfigurationError(f"negative latency {latency_s}")
-        self._samples.append(float(latency_s))
-
-    def add_from_events(self, events: EventLog) -> int:
-        """Pull every ``request.completed`` latency out of *events*."""
-        added = 0
-        for event in events.of_kind(EV_REQUEST_COMPLETED):
-            self.add(event.data["latency"])
-            added += 1
-        return added
-
-    def stats(self) -> BoxplotStats:
-        """Boxplot summary of everything recorded so far."""
-        return BoxplotStats.from_samples(self._samples)

@@ -19,6 +19,10 @@ from repro.geo.coords import LatLng, haversine_m
 
 #: Speed of light in fibre, m/s (propagation floor for DistanceLatency).
 FIBRE_SPEED_M_S = 2.0e8
+#: The network's default propagation: a fixed delay plus uniform jitter
+#: in [0, LATENCY_JITTER_S] (``UniformLatency``).
+BASE_LATENCY_S = 0.010
+LATENCY_JITTER_S = 0.005
 
 
 class LatencyModel(abc.ABC):

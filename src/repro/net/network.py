@@ -76,7 +76,8 @@ from typing import Callable, Iterable, Protocol, Sequence
 from repro.common.config import NetworkConfig
 from repro.common.errors import NetworkError
 from repro.common.rng import DeterministicRNG
-from repro.net.latency import LatencyModel, UniformLatency
+from repro.net.latency import (
+    BASE_LATENCY_S, LATENCY_JITTER_S, LatencyModel, UniformLatency)
 from repro.net.message import Payload
 from repro.net.simulator import ScheduledEvent, Simulator
 from repro.net.stats import TrafficStats
@@ -173,8 +174,9 @@ class SimulatedNetwork:
 
     Args:
         sim: the event loop to schedule deliveries on.
-        config: processing rate, latency and seed.
-        latency: propagation model; defaults to uniform jitter from config.
+        config: processing rate and seed.
+        latency: propagation model; defaults to ``BASE_LATENCY_S`` plus
+            uniform jitter up to ``LATENCY_JITTER_S``.
         rng: random stream for jitter and drops; forked from config.seed
             when omitted.
     """
@@ -188,9 +190,7 @@ class SimulatedNetwork:
     ) -> None:
         self.sim = sim
         self.config = config or NetworkConfig()
-        self.latency = latency or UniformLatency(
-            self.config.base_latency_s, self.config.latency_jitter_s
-        )
+        self.latency = latency or UniformLatency(BASE_LATENCY_S, LATENCY_JITTER_S)
         self.rng = rng or DeterministicRNG(self.config.seed, "network")
         # node id -> port, made on first mention: by register, by a
         # fault, or by a message to an id nobody has registered.  The

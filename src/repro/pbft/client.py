@@ -39,7 +39,6 @@ class _PendingRequest:
     request: ClientRequest
     replies: dict[bytes, set[int]] = field(default_factory=dict)
     timer: ScheduledEvent | None = None
-    completed: bool = False
     retries: int = 0
     #: the backed-off retry delay has reached ``retry_backoff_max_s``
     capped: bool = False
@@ -86,7 +85,6 @@ class PBFTClient:
         self.f = tolerated_faults(len(self.committee))
         self.view_hint = 0
         self._pending: dict[str, _PendingRequest] = {}
-        self._submit_times: dict[str, float] = {}
         self.completed: dict[str, float] = {}  # request_id -> latency seconds
         #: eviction bound for ``completed``; replay dedup only needs to
         #: cover requests that could still be legitimately resubmitted,
@@ -110,7 +108,6 @@ class PBFTClient:
             return rid
         entry = _PendingRequest(request=request)
         self._pending[rid] = entry
-        self._submit_times[rid] = self.sim.now
         if self.events is not None:
             self.events.record(self.sim.now, EV_REQUEST_SUBMITTED, node=self.node_id,
                                request_id=rid, committee_size=len(self.committee))
@@ -127,7 +124,7 @@ class PBFTClient:
     def on_reply(self, reply: Reply) -> None:
         """Count matching result digests; f+1 completes the request."""
         entry = self._pending.get(reply.request_id)
-        if entry is None or entry.completed:
+        if entry is None:
             return
         if reply.sender not in self._committee_set:
             return
@@ -135,13 +132,10 @@ class PBFTClient:
         senders = entry.replies.setdefault(reply.result_digest, set())
         senders.add(reply.sender)
         if len(senders) >= self.f + 1:
-            entry.completed = True
             if entry.timer is not None:
                 entry.timer.cancel()
             rid = reply.request_id
-            # pop, not read: a completed request's submit time would
-            # otherwise leak forever (one float per request served)
-            latency = self.sim.now - self._submit_times.pop(rid)
+            latency = self.sim.now - entry.request.timestamp
             self.completed[rid] = latency
             self.completed_count += 1
             if len(self.completed) > self.completed_bound:
@@ -159,7 +153,7 @@ class PBFTClient:
 
     def _retry(self, rid: str) -> None:
         entry = self._pending.get(rid)
-        if entry is None or entry.completed:
+        if entry is None:
             return
         # broadcast so backups forward to the primary and arm timers
         entry.retries += 1

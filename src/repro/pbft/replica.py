@@ -712,7 +712,10 @@ class PBFTReplica:
         """Adopt the new view announced by its primary."""
         if msg.sender != self.primary_of(msg.new_view):
             return
-        if msg.new_view <= self.view and not self.in_view_change:
+        # never back to an older view; the current one only to end its
+        # own view change
+        if msg.new_view < self.view or (
+                msg.new_view == self.view and not self.in_view_change):
             return
         if len(msg.view_change_senders) < quorum_size(self.f):
             return

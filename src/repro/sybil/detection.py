@@ -164,7 +164,7 @@ class ReportAdmission:
             )
             return self._reject(report.node, verdict)
 
-        cell = report.geohash(self.auditor.precision)
+        cell = report.geohash()
         owner = self._cell_owner.get(cell)
         if (
             owner is not None

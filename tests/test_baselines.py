@@ -2,35 +2,36 @@
 
 import pytest
 
-from repro.baselines.dbft import DBFTConfig, DBFTNetwork, elect_delegates
-from repro.baselines.pos import PoSConfig, PoSNetwork, slot_leader
-from repro.baselines.pow import PoWConfig, PoWNetwork
+from repro.baselines import dbft, pos, pow as pow_model
+from repro.baselines.dbft import DBFTNetwork, elect_delegates
+from repro.baselines.pos import PoSNetwork, slot_leader
+from repro.baselines.pow import PoWNetwork
 from repro.common.errors import ConfigurationError
 from repro.common.eventlog import EV_POS_BLOCK, EV_POW_MINED
+from repro.net.latency import ConstantLatency
 
 
 class TestPoW:
     def test_blocks_are_mined_at_roughly_the_target_rate(self):
-        net = PoWNetwork(n_miners=5, config=PoWConfig(block_interval_s=20.0), seed=1)
-        net.run(until=2000.0)
+        net = PoWNetwork(n_miners=5, seed=1)
+        net.run(until=100 * pow_model.BLOCK_INTERVAL_S)
         mined = net.events.count(EV_POW_MINED)
         assert 60 < mined < 140  # ~100 expected
 
     def test_transactions_confirm_after_k_blocks(self):
-        config = PoWConfig(block_interval_s=10.0, confirmations=3)
-        net = PoWNetwork(n_miners=4, config=config, seed=2)
+        net = PoWNetwork(n_miners=4, seed=2)
         net.submit_tx("tx-a")
-        net.run(until=600.0)
+        net.run(until=20 * pow_model.BLOCK_INTERVAL_S)
         latencies = net.commit_latencies()
         assert "tx-a" in latencies
         # needs >= confirmations blocks: at least ~2 block intervals
-        assert latencies["tx-a"] > config.block_interval_s
+        assert latencies["tx-a"] > pow_model.BLOCK_INTERVAL_S
 
     def test_chains_converge_across_miners(self):
-        net = PoWNetwork(n_miners=6, config=PoWConfig(block_interval_s=5.0), seed=3)
+        net = PoWNetwork(n_miners=6, seed=3)
         for k in range(5):
             net.submit_tx(f"tx-{k}")
-        net.run(until=500.0)
+        net.run(until=100 * pow_model.BLOCK_INTERVAL_S)
         # all miners agree on a long common prefix
         chains = [tuple(b.digest for b in m.chain())
                   for _, m in sorted(net.miners.items())]
@@ -40,15 +41,16 @@ class TestPoW:
         assert len({c[:prefix_len] for c in chains}) == 1
 
     def test_orphan_rate_grows_when_blocks_outpace_propagation(self):
-        # blocks every 0.2 s vs ~15 ms propagation: frequent near-ties
-        # fork the chain; at 60 s intervals forks are rare
-        fast = PoWNetwork(n_miners=8, config=PoWConfig(block_interval_s=0.2), seed=9)
-        fast.run(until=120.0)
-        slow = PoWNetwork(n_miners=8, config=PoWConfig(block_interval_s=60.0), seed=9)
-        slow.run(until=12_000.0)
-        fast_rate = fast.orphans / max(1, fast.events.count(EV_POW_MINED))
-        slow_rate = slow.orphans / max(1, slow.events.count(EV_POW_MINED))
-        assert fast_rate > slow_rate
+        # propagation as long as a block interval: frequent near-ties
+        # fork the chain; at the default ~15 ms forks are rare
+        lagged = PoWNetwork(n_miners=8, seed=9)
+        lagged.network.latency = ConstantLatency(pow_model.BLOCK_INTERVAL_S)
+        prompt = PoWNetwork(n_miners=8, seed=9)
+        for net in (lagged, prompt):
+            net.run(until=200 * pow_model.BLOCK_INTERVAL_S)
+        lagged_rate = lagged.orphans / max(1, lagged.events.count(EV_POW_MINED))
+        prompt_rate = prompt.orphans / max(1, prompt.events.count(EV_POW_MINED))
+        assert lagged_rate > prompt_rate
 
     def test_hash_work_grows_with_time_and_miners(self):
         small = PoWNetwork(n_miners=2, seed=4)
@@ -60,10 +62,6 @@ class TestPoW:
     def test_validation(self):
         with pytest.raises(ConfigurationError):
             PoWNetwork(n_miners=0)
-        with pytest.raises(ConfigurationError):
-            PoWConfig(block_interval_s=0)
-        with pytest.raises(ConfigurationError):
-            PoWConfig(confirmations=0)
 
 
 class TestPoS:
@@ -80,23 +78,22 @@ class TestPoS:
             slot_leader({0: 0.0}, 0)
 
     def test_commit_latency_is_confirmation_bound(self):
-        config = PoSConfig(slot_interval_s=10.0, confirmations=2)
-        net = PoSNetwork(n_validators=5, config=config, seed=5)
+        net = PoSNetwork(n_validators=5, seed=5)
         net.submit_tx("tx-a")
-        net.run(until=300.0)
+        net.run(until=20 * pos.SLOT_INTERVAL_S)
         latencies = net.commit_latencies()
         assert "tx-a" in latencies
         # inclusion in the next slot + one extra confirmation slot
-        assert latencies["tx-a"] >= config.slot_interval_s
-        assert latencies["tx-a"] <= 4 * config.slot_interval_s
+        assert latencies["tx-a"] >= pos.SLOT_INTERVAL_S
+        assert latencies["tx-a"] <= 4 * pos.SLOT_INTERVAL_S
 
     def test_stake_must_cover_validator_set(self):
         with pytest.raises(ConfigurationError):
             PoSNetwork(n_validators=3, stakes={0: 1.0})
 
     def test_blocks_every_slot(self):
-        net = PoSNetwork(n_validators=4, config=PoSConfig(slot_interval_s=5.0), seed=6)
-        net.run(until=100.0)
+        net = PoSNetwork(n_validators=4, seed=6)
+        net.run(until=20 * pos.SLOT_INTERVAL_S)
         assert net.events.count(EV_POS_BLOCK) == 20
 
 
@@ -112,28 +109,22 @@ class TestDBFT:
             elect_delegates({0: 1.0}, {0: 7}, 3)
 
     def test_blocks_paced_at_interval(self):
-        net = DBFTNetwork(n_validators=20,
-                          config=DBFTConfig(n_delegates=4, block_interval_s=10.0),
-                          seed=7)
+        net = DBFTNetwork(n_validators=20, seed=7)
         for k in range(4):
             net.submit_tx(f"tx-{k}")
-        net.run(until=120.0)
+        net.run(until=8 * dbft.BLOCK_INTERVAL_S)
         latencies = net.commit_latencies()
         assert len(latencies) == 4
         # latency floor is the block interval (the paper's "Low speed")
-        assert min(latencies.values()) >= 1.0
-        assert max(latencies.values()) >= 5.0
+        assert min(latencies.values()) >= dbft.BLOCK_INTERVAL_S
 
     def test_committee_size_is_delegate_count_not_n(self):
-        net = DBFTNetwork(n_validators=50,
-                          config=DBFTConfig(n_delegates=7), seed=8)
-        assert len(net.delegates) == 7
+        net = DBFTNetwork(n_validators=50, seed=8)
+        assert len(net.delegates) == dbft.N_DELEGATES == 7
 
     def test_validation(self):
         with pytest.raises(ConfigurationError):
-            DBFTNetwork(n_validators=3, config=DBFTConfig(n_delegates=7))
-        with pytest.raises(ConfigurationError):
-            DBFTConfig(n_delegates=3)
+            DBFTNetwork(n_validators=dbft.N_DELEGATES - 1)
 
 
 class TestMeasuredTable4:

@@ -12,6 +12,7 @@ from repro.core.election import ElectionTable
 from repro.core.era import EraHistory
 from repro.core.incentive import IncentiveEngine, select_producer
 from repro.geo.coords import LatLng
+from repro.geo.csc import CSC_PRECISION
 from repro.geo.reports import GeoReport
 
 HK = LatLng(22.3193, 114.1694)
@@ -110,11 +111,9 @@ class TestElectionTable:
         for report in (first, second):
             for table in tables:
                 table.observe(report)
-        assert encoded == [FAST.csc_precision] * 2
+        assert encoded == [CSC_PRECISION] * 2
         assert tables[-1].geographic_timer(1, 600.0) == 600.0
-        # the slot holds one precision; another one re-encodes, correctly
-        assert first.geohash(5) == real(HK, 5) and first.geohash(5) == first.geohash(12)[:5]
-        assert encoded[2:] == [5, 12]
+        assert first.geohash() == real(HK, CSC_PRECISION)
         assert first == GeoReport(node=1, position=HK, timestamp=0.0)  # memo not compared
 
 
@@ -259,11 +258,6 @@ class TestSelectProducer:
         timers = {0: 0.0, 1: 0.0, 2: 0.0}
         picks = {select_producer(timers, 1, h) for h in range(100)}
         assert picks == {0, 1, 2}
-
-    def test_unweighted_mode_rotation(self):
-        timers = {0: 1000.0, 1: 0.0}
-        picks = {select_producer(timers, 1, h, timer_weighting=False) for h in range(50)}
-        assert picks == {0, 1}
 
     def test_validation(self):
         with pytest.raises(ConsensusError):

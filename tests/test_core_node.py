@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.common.config import GPBFTConfig, TopologySpec
+from repro.common.config import TopologySpec
 from repro.common.errors import ConsensusError
 from repro.core.messages import (
     BlockProposalOperation,
@@ -87,11 +87,10 @@ class TestNodeRouting:
     def test_multicast_keeps_the_local_hand_off_between_its_neighbours(self):
         # zero latency: every copy is due now, so the simulator's
         # sequence order is the only order there is
-        from repro.common.config import NetworkConfig
+        from repro.net.latency import ConstantLatency
 
-        config = GPBFTConfig(network=NetworkConfig(
-            base_latency_s=0.0, latency_jitter_s=0.0))
-        dep = TopologySpec.single(4, 4, seed=26, config=config, start_reports=False).build()
+        dep = TopologySpec.single(4, 4, seed=26, start_reports=False).build()
+        dep.network.latency = ConstantLatency(0.0)
         fired = []
         # a wake carries the destination's port, the hand-off the payload
         dep.sim.set_step_hook(lambda event: fired.append(

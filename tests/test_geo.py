@@ -180,14 +180,14 @@ class TestGeohash:
 
 class TestCSC:
     def test_from_point_and_center(self):
-        csc = CryptoSpatialCoordinate.from_point(HK, ANCHOR, 12)
+        csc = CryptoSpatialCoordinate.from_point(HK, ANCHOR)
         assert len(csc.geohash) == 12
         assert haversine_m(geohash_decode(csc.geohash), HK) < 0.1
 
     def test_same_cell_ignores_anchor(self):
         other_anchor = Address(b"\x02" * 20)
-        a = CryptoSpatialCoordinate.from_point(HK, ANCHOR, 10)
-        b = CryptoSpatialCoordinate.from_point(HK, other_anchor, 10)
+        a = CryptoSpatialCoordinate.from_point(HK, ANCHOR)
+        b = CryptoSpatialCoordinate.from_point(HK, other_anchor)
         assert a.geohash == b.geohash
         assert a.key() != b.key()
 

@@ -27,7 +27,7 @@ from repro.metrics.collector import (
     render_series,
     render_table,
 )
-from repro.metrics.latency import BoxplotStats, LatencySamples
+from repro.metrics.latency import BoxplotStats
 
 
 class TestBoxplotStats:
@@ -54,13 +54,9 @@ class TestBoxplotStats:
         log.record(1.0, EV_REQUEST_COMPLETED, latency=0.5)
         log.record(2.0, EV_REQUEST_COMPLETED, latency=0.7)
         log.record(3.0, "other")
-        samples = LatencySamples()
-        assert samples.add_from_events(log) == 2
-        assert samples.stats().count == 2
-
-    def test_negative_latency_rejected(self):
-        with pytest.raises(ConfigurationError):
-            LatencySamples().add(-0.1)
+        stats = BoxplotStats.from_samples(
+            event.data["latency"] for event in log.of_kind(EV_REQUEST_COMPLETED))
+        assert stats.count == 2 and stats.median == pytest.approx(0.6)
 
 
 class TestSweepResult:

@@ -363,8 +363,9 @@ class TestSimulatedNetwork:
 
     def test_serial_processing_rate(self):
         # 10 messages at 10 msg/s must take ~1 s after arrival
-        sim, net = self._net(processing_rate=10.0, base_latency_s=0.0,
-                             latency_jitter_s=0.0)
+        sim = Simulator()
+        net = SimulatedNetwork(sim, NetworkConfig(processing_rate=10.0),
+                               latency=ConstantLatency(0.0))
         times = []
         net.register(0, lambda p: times.append(sim.now))
         net.register(1, lambda p: None)
@@ -572,8 +573,8 @@ class TestSimulatedNetwork:
     def test_bandwidth_zero_means_unlimited(self):
         # senders have no NIC model: large messages leave at once
         sim = Simulator()
-        net = SimulatedNetwork(sim, NetworkConfig(
-            base_latency_s=0.0, latency_jitter_s=0.0, processing_rate=1e9))
+        net = SimulatedNetwork(sim, NetworkConfig(processing_rate=1e9),
+                               latency=ConstantLatency(0.0))
         times = []
         net.register(0, lambda p: times.append(sim.now))
         net.register(1, lambda p: None)

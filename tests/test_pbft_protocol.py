@@ -16,9 +16,9 @@ from repro.pbft import (
 )
 from repro.net.simulator import Simulator
 from repro.pbft.faults import HonestFaults, MuteFaults, SelectiveDropFaults
-from repro.pbft.messages import ClientRequest, Commit, Prepare, PrePrepare
+from repro.pbft.messages import ClientRequest, Commit, NewView, Prepare, PrePrepare
 from repro.pbft.replica import PBFTReplica
-from repro.common.eventlog import EV_PBFT_STATE_TRANSFER
+from repro.common.eventlog import EV_PBFT_ENTERED_VIEW, EV_PBFT_STATE_TRANSFER, EventLog
 
 
 def fast_config(**pbft_overrides) -> GPBFTConfig:
@@ -439,3 +439,23 @@ def test_counted_votes_advance_the_instance_from_receive():
     replica.receive(Commit(view=0, seq=1, digest=digest, sender=2))
     assert executed == [1]
     assert outbox.sent[-1][0] == 9 and outbox.sent[-1][1].kind == "pbft.reply"
+
+
+def test_a_stale_new_view_does_not_take_a_changing_replica_back():
+    # a replica in view 2 that is changing to view 3 refuses view 1's
+    # NewView, and still takes view 3's
+    log = EventLog()
+    replica = PBFTReplica(node_id=0, committee=(0, 1, 2, 3), sim=Simulator(),
+                          transport=_Outbox(), event_log=log)
+    replica._enter_view(2)
+    replica.start_view_change(3)
+
+    def new_view(view):
+        return NewView(new_view=view, view_change_senders=(1, 2, 3),
+                       pre_prepares=(), sender=replica.primary_of(view))
+
+    replica.receive(new_view(1))
+    assert replica.view == 2 and replica.in_view_change
+    replica.receive(new_view(3))
+    assert replica.view == 3 and not replica.in_view_change
+    assert [e.data["view"] for e in log.of_kind(EV_PBFT_ENTERED_VIEW)] == [2, 3]

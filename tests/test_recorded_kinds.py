@@ -40,6 +40,7 @@ from repro.common.config import (
 from repro.common.eventlog import (
     EV_DBFT_COMMITTED,
     EV_POS_BLOCK,
+    EV_REQUEST_COMPLETED,
     EVENT_KINDS,
     EventLog,
 )
@@ -47,8 +48,7 @@ from repro.core import node as gpbft_node
 from repro.core.messages import BlockProposalOperation
 from repro.experiments import runner
 from repro.geo.coords import LatLng
-from repro.metrics import latency
-from repro.metrics.latency import LatencySamples
+from repro.metrics import throughput
 from repro.metrics.throughput import throughput_from_events
 from repro.obs import Observability
 from repro.obs.obsconfig import ObsConfig
@@ -73,7 +73,7 @@ def _obs() -> Observability:
 
 def _measure(host) -> None:
     """Read the host's log the way the metrics do."""
-    LatencySamples().add_from_events(host.events)
+    list(host.events.of_kind(EV_REQUEST_COMPLETED))
     throughput_from_events(host.events, 0.0, host.sim.now + 1.0)
 
 
@@ -209,7 +209,7 @@ def case_baselines() -> None:
                 dbft.DBFTNetwork(n_validators=8, seed=1)):
         net.submit_tx("tx-a")
         net.run(until=600.0)
-        LatencySamples().add_from_events(net.events)
+        list(net.events.of_kind(EV_REQUEST_COMPLETED))
 
 
 CASES = {case.__name__[len("case_"):]: case for case in (
@@ -284,7 +284,7 @@ def test_every_registered_kind_is_recorded_by_some_case(seen):
 
 @pytest.mark.parametrize("module, name, typo, check", [
     (gpbft_node, "EV_TX_COMMITTED", "tx.comitted", "recorded"),
-    (latency, "EV_REQUEST_COMPLETED", "request.complete", "queried"),
+    (throughput, "EV_REQUEST_SUBMITTED", "request.submit", "queried"),
 ], ids=["typo-recorded", "typo-queried"])
 def test_a_typod_kind_fails_the_check(monkeypatch, module, name, typo, check):
     monkeypatch.setattr(module, name, typo)

@@ -73,7 +73,7 @@ class TestAdmissionFilter:
     def _admission(self, positions, **kwargs):
         oracle = GroundTruthWitnessOracle(positions, witness_range_m=200.0)
         auditor = LocationAuditor(witness_range_m=200.0, min_witnesses=1,
-                                  round_seconds=900.0, precision=12)
+                                  round_seconds=900.0)
         return ReportAdmission(auditor, oracle, **kwargs)
 
     def test_truthful_report_with_neighbors_accepted(self):
