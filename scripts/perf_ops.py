@@ -12,6 +12,11 @@ copies per operation, then the top *K* functions by instructions with
 their calls and instructions per call.  A cost that is paid per
 operation, not per copy, weighs most where an operation reaches few
 copies: a small committee.
+Beside the tracer, a ``sys.setprofile`` hook counts the calls Python
+code makes into C functions (``c_call`` events): their total, also per
+delivered message, and the top *K* C callees by calls -- a SHA-256 is
+one ``_hashlib.openssl_sha256``, a heap push one ``_heapq.heappush``.
+C functions that C code calls directly are not seen.
 Before that it runs one plain round of the same seed and prints what the
 cyclic garbage collector did during it -- passes per generation and
 seconds spent inside them -- and then the cyclic garbage the round left:
@@ -26,12 +31,12 @@ reference counting frees everything a round churns.
 
 The counts depend on the code and the seed and on nothing else, so one
 run per side is an exact A/B on a machine whose wall clock drifts: copy
-this file into the other checkout's ``scripts/`` and run it there.  They
-say nothing about time spent inside C (heap operations, hashing), which
-is what ``scripts/perf_ab.py`` is for.  The collector's pass counts
-repeat as long as nothing else in the process allocates differently;
-its seconds are a clock reading and do not.  A traced round takes 30-60
-times its plain wall time.
+this file into the other checkout's ``scripts/`` and run it there.  A
+cut inside C shows as fewer C calls, but how long each took is a clock
+reading, which is what ``scripts/perf_ab.py`` is for.  The collector's
+pass counts repeat as long as nothing else in the process allocates
+differently; its seconds are a clock reading and do not.  A traced round
+takes 30-60 times its plain wall time.
 
 With ``--max-calls-per-msg`` the exit code is 1 when the round spent
 more Python calls per delivered message than that (CI's hot-path guard).
@@ -63,6 +68,7 @@ class OpCounter:
     def __init__(self) -> None:
         self.calls: defaultdict[CodeType, int] = defaultdict(int)
         self.instructions: defaultdict[CodeType, int] = defaultdict(int)
+        self.c_calls: defaultdict[tuple[str | None, str], int] = defaultdict(int)
 
     def _on_call(self, frame: FrameType, event: str, arg: Any) -> Any:
         self.calls[frame.f_code] += 1
@@ -75,12 +81,19 @@ class OpCounter:
             self.instructions[frame.f_code] += 1
         return self._on_opcode
 
+    def _on_profile(self, frame: FrameType, event: str, arg: Any) -> None:
+        if event == "c_call":
+            self.c_calls[getattr(arg, "__module__", None), arg.__qualname__] += 1
+
     def run(self, fn: Any) -> None:
-        """Call *fn()* with counting on; frames already running are not counted."""
+        """Call *fn()* with counting on; frames already running are not
+        counted (their C calls are)."""
         sys.settrace(self._on_call)
+        sys.setprofile(self._on_profile)
         try:
             fn()
         finally:
+            sys.setprofile(None)
             sys.settrace(None)
 
 
@@ -119,6 +132,11 @@ def _name(code: CodeType) -> str:
     return f"{where}:{code.co_qualname}"
 
 
+def _c_name(key: tuple[str | None, str]) -> str:
+    module, qualname = key
+    return qualname if module is None else f"{module}.{qualname}"
+
+
 def positive_finite(text: str) -> float:
     """``--max-calls-per-msg``'s type: a bound a round can pass or fail
     (``calls / msgs > nan`` is never true, so ``nan`` would pass them all)."""
@@ -150,6 +168,7 @@ def main(argv: list[str] | None = None) -> int:
 
     calls = sum(counter.calls.values())
     instructions = sum(counter.instructions.values())
+    c_calls = sum(counter.c_calls.values())
     msgs = outcome.msgs
     # a multicast that goes copy by copy (iid drops on, or a replaced
     # ``send``) adds its sends to this; no benchmark round does
@@ -159,6 +178,7 @@ def main(argv: list[str] | None = None) -> int:
     print(f"delivered messages     {msgs:>12d}")
     print(f"python calls           {calls:>12d}  {calls / msgs:8.2f} per message")
     print(f"bytecode instructions  {instructions:>12d}  {instructions / msgs:8.1f} per message")
+    print(f"C calls                {c_calls:>12d}  {c_calls / msgs:8.2f} per message")
     print(f"send operations        {ops:>12d}  {msgs / ops if ops else 0.0:8.2f} "
           f"delivered copies per operation")
     print(collector)
@@ -168,6 +188,10 @@ def main(argv: list[str] | None = None) -> int:
         n, k = counter.instructions[code], counter.calls[code]
         print(f"| `{_name(code)}` | {n} | {n / instructions:.1%} | {k} | "
               f"{n / k if k else 0.0:.1f} |")
+    print(f"\n| C function | calls | share | per message |\n|---|---|---|---|")
+    for key in sorted(counter.c_calls, key=lambda k: (-counter.c_calls[k], _c_name(k)))[:args.top]:
+        k = counter.c_calls[key]
+        print(f"| `{_c_name(key)}` | {k} | {k / c_calls:.1%} | {k / msgs:.3f} |")
     if outcome.problems:
         print("perf_ops: the round failed its output checks: "
               + "; ".join(outcome.problems), file=sys.stderr)

@@ -21,6 +21,10 @@ never this registry.
 This gives honest-path correctness (``verify(sign(m)) == True``), strict
 rejection of tampered messages and wrong keys, and realistic byte sizes,
 without external crypto dependencies.
+
+Every receiver of a broadcast verifies it, so verdicts for known keys
+are cached by (public key, signature) beside the message bytes: a
+repeat check is a dict probe and a byte comparison, no hash or HMAC.
 """
 
 from __future__ import annotations
@@ -42,16 +46,19 @@ PUBLIC_KEY_BYTES = 32
 # every PBFT deployment assumes (replicas know each other's keys).
 _SECRET_REGISTRY: dict[bytes, bytes] = {}
 
-#: Upper bound on interned verification results; the cache is cleared
-#: wholesale at the bound (simple, and re-verification is always safe).
+#: Bounds on the verification cache: entries, and message bytes held
+#: across them.  The cache is cleared wholesale when either would be
+#: passed (simple, and re-verification is always safe); a message over
+#: the byte budget is checked but never cached.
 _VERIFY_CACHE_MAX = 65536
+_VERIFY_CACHE_BUDGET = 16 * 1024 * 1024
 
-# Interned verification outcomes keyed by (public key bytes, message
-# digest, signature bytes).  Verification is a pure function of that
-# triple once the key pair exists, so a committee re-checking the same
-# signed message pays the two HMAC rounds only once.  Unknown keys are
+# Verification outcomes: (public key bytes, signature bytes) ->
+# (message bytes, verdict), the message an immutable copy so that a hit
+# is a byte comparison a mutated buffer cannot pass.  Unknown keys are
 # never cached: registering the pair later must flip the answer.
-_VERIFY_CACHE: dict[tuple[bytes, bytes, bytes], bool] = {}
+_VERIFY_CACHE: dict[tuple[bytes, bytes], tuple[bytes, bool]] = {}
+_verify_cache_bytes = 0  # message bytes the cache holds
 
 
 @dataclass(frozen=True, slots=True)
@@ -84,25 +91,35 @@ class PublicKey:
         private key matching this public key.
 
         Unknown public keys (no registered key pair) verify nothing.
-        Results for known keys are interned in a bounded module cache
-        keyed by (public key, message digest, signature), so quorums
-        re-verifying one broadcast message hash it once and skip the
-        HMAC recomputation afterwards.
+        Results for known keys are cached by (public key, signature)
+        together with the message bytes, so quorums re-verifying one
+        broadcast message pay the HMAC once and afterwards only compare
+        bytes.  Only an exact ``bytes`` message is answered from the
+        cache (a ``memoryview`` compares by item format, a subclass may
+        redefine ``==``): a ``bytearray`` or view is checked in full.
         """
+        global _verify_cache_bytes
+        key = (self.value, signature.value)
+        entry = _VERIFY_CACHE.get(key)
+        if entry is not None and type(message) is bytes and entry[0] == message:
+            return entry[1]
         if not isinstance(message, (bytes, bytearray, memoryview)):
             raise TypeError("message must be bytes")
         secret = _SECRET_REGISTRY.get(self.value)
         if secret is None:
             return False
-        key = (self.value, hashlib.sha256(message).digest(), signature.value)
-        cached = _VERIFY_CACHE.get(key)
-        if cached is not None:
-            return cached
-        expected = _compute_tag(secret, bytes(message))
-        ok = hmac.compare_digest(expected, signature.value)
-        if len(_VERIFY_CACHE) >= _VERIFY_CACHE_MAX:
+        message = bytes(message)
+        ok = hmac.compare_digest(_compute_tag(secret, message), signature.value)
+        if entry is not None:
+            _verify_cache_bytes -= len(entry[0])
+        size = len(message)
+        if (len(_VERIFY_CACHE) >= _VERIFY_CACHE_MAX
+                or _verify_cache_bytes + size > _VERIFY_CACHE_BUDGET):
             _VERIFY_CACHE.clear()
-        _VERIFY_CACHE[key] = ok
+            _verify_cache_bytes = 0
+        if size <= _VERIFY_CACHE_BUDGET:
+            _VERIFY_CACHE[key] = (message, ok)
+            _verify_cache_bytes += size
         return ok
 
 

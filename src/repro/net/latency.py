@@ -25,6 +25,16 @@ BASE_LATENCY_S = 0.010
 LATENCY_JITTER_S = 0.005
 
 
+def _checked(name: str, value: float, positive: bool = False) -> float:
+    """*value* if it is finite and >= 0 (> 0 when *positive*); otherwise
+    ``NetworkError`` naming *name*.  An infinite delay would park a
+    message in the simulator forever, a NaN one would order nowhere."""
+    if not (math.isfinite(value) and (value > 0 if positive else value >= 0)):
+        bound = "> 0" if positive else ">= 0"
+        raise NetworkError(f"{name} must be finite and {bound}, got {value!r}")
+    return value
+
+
 class LatencyModel(abc.ABC):
     """Computes one-way propagation delay for a message."""
 
@@ -48,9 +58,7 @@ class ConstantLatency(LatencyModel):
     """Every message takes exactly *delay_s* seconds."""
 
     def __init__(self, delay_s: float) -> None:
-        if delay_s < 0:
-            raise NetworkError("delay must be >= 0")
-        self.delay_s = delay_s
+        self.delay_s = _checked("delay_s", delay_s)
 
     def sample(self, src: int, dst: int, rng: DeterministicRNG) -> float:
         """Draw one propagation delay for (src, dst)."""
@@ -61,10 +69,8 @@ class UniformLatency(LatencyModel):
     """Base delay plus uniform jitter in [0, jitter_s] -- the default."""
 
     def __init__(self, base_s: float, jitter_s: float) -> None:
-        if base_s < 0 or jitter_s < 0:
-            raise NetworkError("latency parameters must be >= 0")
-        self.base_s = base_s
-        self.jitter_s = jitter_s
+        self.base_s = _checked("base_s", base_s)
+        self.jitter_s = _checked("jitter_s", jitter_s)
 
     def sample(self, src: int, dst: int, rng: DeterministicRNG) -> float:
         """Draw one propagation delay for (src, dst)."""
@@ -94,12 +100,8 @@ class LognormalLatency(LatencyModel):
     """
 
     def __init__(self, median_s: float, sigma: float = 0.5) -> None:
-        if median_s <= 0:
-            raise NetworkError("median must be positive")
-        if sigma < 0:
-            raise NetworkError("sigma must be >= 0")
-        self.median_s = median_s
-        self.sigma = sigma
+        self.median_s = _checked("median_s", median_s, positive=True)
+        self.sigma = _checked("sigma", sigma)
         self._mu = math.log(median_s)
 
     def sample(self, src: int, dst: int, rng: DeterministicRNG) -> float:
@@ -122,11 +124,9 @@ class DistanceLatency(LatencyModel):
         per_hop_s: float = 0.001,
         default_s: float = 0.010,
     ) -> None:
-        if per_hop_s < 0 or default_s < 0:
-            raise NetworkError("latency parameters must be >= 0")
         self.positions = dict(positions)
-        self.per_hop_s = per_hop_s
-        self.default_s = default_s
+        self.per_hop_s = _checked("per_hop_s", per_hop_s)
+        self.default_s = _checked("default_s", default_s)
 
     def sample(self, src: int, dst: int, rng: DeterministicRNG) -> float:
         """Draw one propagation delay for (src, dst)."""

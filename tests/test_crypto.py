@@ -3,6 +3,7 @@
 import pytest
 
 from repro.common.errors import CryptoError
+from repro.crypto import keys
 from repro.crypto.address import Address, address_from_public_key
 from repro.crypto.hashing import HASH_BYTES, digest_concat, sha256, sha256_hex
 from repro.crypto.keys import KeyPair, PrivateKey, PublicKey, Signature, SIGNATURE_BYTES
@@ -76,6 +77,117 @@ class TestKeys:
     def test_signature_requires_64_bytes(self):
         with pytest.raises(CryptoError):
             Signature(b"short")
+
+
+class _Counting:
+    """Stands in for a module and counts calls of its functions."""
+
+    def __init__(self, module):
+        self._module = module
+        self.calls = 0
+
+    def __getattr__(self, name):
+        attr = getattr(self._module, name)
+        if not callable(attr):
+            return attr
+
+        def counted(*args, **kwargs):
+            self.calls += 1
+            return attr(*args, **kwargs)
+        return counted
+
+
+class TestVerifyCache:
+    @pytest.fixture(autouse=True)
+    def fresh_cache(self, monkeypatch):
+        monkeypatch.setattr(keys, "_VERIFY_CACHE", {})
+        monkeypatch.setattr(keys, "_verify_cache_bytes", 0, raising=False)
+
+    def test_a_repeat_verify_hashes_nothing(self, monkeypatch):
+        kp = KeyPair.generate(20)
+        message = b"prepare" * 16
+        sig = kp.sign(message)
+        assert kp.verify(message, sig)
+        counted = {name: _Counting(getattr(keys, name)) for name in ("hashlib", "hmac")}
+        for name, stand_in in counted.items():
+            monkeypatch.setattr(keys, name, stand_in)
+        assert kp.verify(message, sig)
+        assert {name: c.calls for name, c in counted.items()} == {"hashlib": 0, "hmac": 0}
+
+    def test_a_tampered_message_is_rejected_after_the_original_was_cached(self):
+        kp = KeyPair.generate(21)
+        sig = kp.sign(b"commit 7")
+        assert kp.verify(b"commit 7", sig)
+        assert not kp.verify(b"commit 8", sig)
+        assert not kp.verify(b"commit 7\x00", sig)
+        assert kp.verify(b"commit 7", sig)
+
+    def test_a_mutated_bytearray_is_verified_again(self):
+        kp = KeyPair.generate(22)
+        buf = bytearray(b"reply 3")
+        sig = kp.sign(bytes(buf))
+        assert kp.verify(buf, sig)
+        buf[-1] ^= 1
+        assert not kp.verify(buf, sig)
+
+    @pytest.mark.parametrize("wrap", [bytearray, memoryview])
+    def test_buffer_inputs_verify(self, wrap):
+        kp = KeyPair.generate(23)
+        sig = kp.sign(b"view change")
+        assert kp.verify(wrap(b"view change"), sig)
+        assert kp.verify(b"view change", sig)  # the cached copy is bytes
+        assert kp.verify(wrap(b"view change"), sig)
+
+    def test_values_equal_to_the_cached_bytes_but_not_those_bytes_are_checked(self):
+        # a bool-format view compares by truth value and a bytes subclass
+        # may redefine ==; neither may borrow the cached verdict
+        class AlwaysEqual(bytes):
+            __hash__ = bytes.__hash__
+
+            def __eq__(self, other):
+                return True
+
+        kp = KeyPair.generate(24)
+        sig = kp.sign(b"\x01\x00\x01")
+        assert kp.verify(b"\x01\x00\x01", sig)
+        truthy = memoryview(b"\x07\x00\x02").cast("?")
+        assert truthy == b"\x01\x00\x01"
+        assert not kp.verify(truthy, sig)
+        assert not kp.verify(AlwaysEqual(b"forged"), sig)
+
+    def test_str_raises_even_after_a_hit(self):
+        kp = KeyPair.generate(25)
+        sig = kp.sign(b"abc")
+        assert kp.verify(b"abc", sig) and kp.verify(b"abc", sig)
+        with pytest.raises(TypeError):
+            kp.verify("abc", sig)  # type: ignore[arg-type]
+
+    def test_an_unknown_key_is_not_cached(self):
+        sig = KeyPair.generate(26).sign(b"m")
+        assert not PublicKey(b"\x56" * 32).verify(b"m", sig)
+        assert keys._VERIFY_CACHE == {}
+
+    def test_the_entry_bound_holds(self):
+        pk = KeyPair.generate(27).public
+        for i in range(keys._VERIFY_CACHE_MAX + 10):
+            assert not pk.verify(b"m", Signature(i.to_bytes(SIGNATURE_BYTES, "big")))
+            assert len(keys._VERIFY_CACHE) <= keys._VERIFY_CACHE_MAX
+        assert 0 < len(keys._VERIFY_CACHE) < keys._VERIFY_CACHE_MAX
+
+    def test_the_byte_budget_holds(self):
+        kp = KeyPair.generate(28)
+        budget = keys._VERIFY_CACHE_BUDGET
+        message = bytes(300_000)
+        for i in range(2 * budget // len(message)):
+            sig = Signature(i.to_bytes(SIGNATURE_BYTES, "big"))
+            assert not kp.verify(i.to_bytes(8, "big") + message, sig)
+            held = sum(len(m) for m, _ in keys._VERIFY_CACHE.values())
+            assert held == keys._verify_cache_bytes <= budget
+        # a tag over a message larger than the budget is checked, not kept
+        huge = bytes(budget + 1)
+        assert kp.verify(huge, kp.sign(huge))
+        assert all(len(m) <= budget for m, _ in keys._VERIFY_CACHE.values())
+        assert keys._verify_cache_bytes <= budget
 
 
 class TestMerkle:

@@ -3,6 +3,7 @@
 # gpb: allow-file GPB004 -- exact asserts on deterministic delivery times from seeded latency models
 
 import inspect
+import math
 
 import pytest
 
@@ -278,6 +279,31 @@ class TestLatencyModels:
             UniformLatency(-0.1, 0.0)
         with pytest.raises(NetworkError):
             LognormalLatency(0.0)
+
+    @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+    @pytest.mark.parametrize("name, build", [
+        ("delay_s", lambda v: ConstantLatency(v)),
+        ("base_s", lambda v: UniformLatency(v, 0.0)),
+        ("jitter_s", lambda v: UniformLatency(0.01, v)),
+        ("median_s", lambda v: LognormalLatency(v)),
+        ("sigma", lambda v: LognormalLatency(0.02, sigma=v)),
+        ("per_hop_s", lambda v: DistanceLatency({}, per_hop_s=v)),
+        ("default_s", lambda v: DistanceLatency({}, default_s=v)),
+    ])
+    def test_non_finite_parameters_are_refused_by_name(self, name, build, bad):
+        with pytest.raises(NetworkError, match=f"{name} must be finite"):
+            build(bad)
+
+    def test_an_infinite_delay_cannot_reach_a_network(self):
+        # it used to: the send was accepted and never delivered, one
+        # event pending forever with no error
+        with pytest.raises(NetworkError, match="base_s"):
+            sim = Simulator()
+            net = SimulatedNetwork(sim, latency=UniformLatency(math.inf, 0.0))
+            net.register(0, lambda p: None)
+            net.register(1, lambda p: None)
+            net.send(0, 1, RawPayload("k", 10))
+            sim.run(until=100.0)
 
 
 class TestSimulatedNetwork:
