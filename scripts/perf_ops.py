@@ -2,6 +2,7 @@
 """Count what one benchmark round costs the interpreter: a counter that repeats.
 
     scripts/perf_ops.py WORKLOAD [--seed N] [--top K] [--max-calls-per-msg X]
+    scripts/perf_ops.py WORKLOAD --setup [--seed N] [--top K] [--max-setup-calls X]
 
 Builds one round of a ``perfbench`` workload (imported read-only from
 this checkout), runs its timed ``run`` call under ``sys.settrace`` with
@@ -42,11 +43,19 @@ With ``--max-calls-per-msg`` the exit code is 1 when the round spent
 more Python calls per delivered message than that (CI's hot-path guard).
 A bound that no round can exceed or meet (``nan``, ``inf``, zero or
 negative) is refused with exit code 2 before anything runs.
+
+With ``--setup`` it counts the round's construction (``cls(seed)``, what
+the benchmark's ``setup_s`` times) instead of its ``run``: one untraced
+build first, so imports and first-use work are not counted, then a
+traced one, printed as totals and the same two top-*K* tables.
+``--max-setup-calls`` exits 1 when that build made more Python calls,
+and refuses the same impossible bounds with exit code 2.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import gc
 import math
 import sys
@@ -138,16 +147,56 @@ def _c_name(key: tuple[str | None, str]) -> str:
 
 
 def positive_finite(text: str) -> float:
-    """``--max-calls-per-msg``'s type: a bound a round can pass or fail
-    (``calls / msgs > nan`` is never true, so ``nan`` would pass them all)."""
+    """The bounds' type: one a count can pass or fail (``calls > nan`` is
+    never true, so ``nan`` would pass them all)."""
     value = float(text)
     if not (math.isfinite(value) and value > 0):
         raise argparse.ArgumentTypeError(f"must be a positive finite number, got {text!r}")
     return value
 
 
+def print_tables(counter: OpCounter, top: int, msgs: int | None) -> None:
+    """The top-*top* functions by instructions and C callees by calls;
+    a C callee's calls are also given per delivered message when *msgs*
+    is."""
+    instructions = sum(counter.instructions.values())
+    c_calls = sum(counter.c_calls.values())
+    print(f"\n| function | instructions | share | calls | per call |\n|---|---|---|---|---|")
+    ranked = sorted(counter.instructions, key=lambda c: (-counter.instructions[c], _name(c)))
+    for code in ranked[:top]:
+        n, k = counter.instructions[code], counter.calls[code]
+        print(f"| `{_name(code)}` | {n} | {n / instructions:.1%} | {k} | "
+              f"{n / k if k else 0.0:.1f} |")
+    if msgs is None:
+        print(f"\n| C function | calls | share |\n|---|---|---|")
+    else:
+        print(f"\n| C function | calls | share | per message |\n|---|---|---|---|")
+    for key in sorted(counter.c_calls, key=lambda k: (-counter.c_calls[k], _c_name(k)))[:top]:
+        k = counter.c_calls[key]
+        per_msg = "" if msgs is None else f" {k / msgs:.3f} |"
+        print(f"| `{_c_name(key)}` | {k} | {k / c_calls:.1%} |{per_msg}")
+
+
+def count_setup(cls: Any, seed: int, top: int, bound: float | None) -> int:
+    """Trace one build of workload *cls* after an untraced one and print
+    the counts; 1 when it made more Python calls than *bound*."""
+    cls(seed)
+    counter = OpCounter()
+    counter.run(functools.partial(cls, seed))
+    calls = sum(counter.calls.values())
+    print(f"workload {cls.name}  seed {seed}  setup (one build, after an untraced one)")
+    print(f"python calls           {calls:>12d}")
+    print(f"bytecode instructions  {sum(counter.instructions.values()):>12d}")
+    print(f"C calls                {sum(counter.c_calls.values()):>12d}")
+    print_tables(counter, top, None)
+    if bound is not None and calls > bound:
+        print(f"perf_ops: {calls} Python calls in setup exceeds {bound}", file=sys.stderr)
+        return 1
+    return 0
+
+
 def main(argv: list[str] | None = None) -> int:
-    """Trace one round and print the counts."""
+    """Trace one round (or its build) and print the counts."""
     from perfbench.workloads import BY_NAME
     from repro.net.network import SimulatedNetwork
 
@@ -158,7 +207,17 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--top", type=int, default=10, metavar="K")
     parser.add_argument("--max-calls-per-msg", type=positive_finite, default=None,
                         metavar="X")
+    parser.add_argument("--setup", action="store_true",
+                        help="count the workload's construction, not its run")
+    parser.add_argument("--max-setup-calls", type=positive_finite, default=None,
+                        metavar="X")
     args = parser.parse_args(argv)
+    if args.setup and args.max_calls_per_msg is not None:
+        parser.error("--max-calls-per-msg bounds a run; --setup counts no messages")
+    if args.max_setup_calls is not None and not args.setup:
+        parser.error("--max-setup-calls needs --setup")
+    if args.setup:
+        return count_setup(BY_NAME[args.workload], args.seed, args.top, args.max_setup_calls)
 
     collector = collector_line(BY_NAME[args.workload](args.seed).run)
     workload = BY_NAME[args.workload](args.seed)
@@ -182,16 +241,7 @@ def main(argv: list[str] | None = None) -> int:
     print(f"send operations        {ops:>12d}  {msgs / ops if ops else 0.0:8.2f} "
           f"delivered copies per operation")
     print(collector)
-    print(f"\n| function | instructions | share | calls | per call |\n|---|---|---|---|---|")
-    ranked = sorted(counter.instructions, key=lambda c: (-counter.instructions[c], _name(c)))
-    for code in ranked[:args.top]:
-        n, k = counter.instructions[code], counter.calls[code]
-        print(f"| `{_name(code)}` | {n} | {n / instructions:.1%} | {k} | "
-              f"{n / k if k else 0.0:.1f} |")
-    print(f"\n| C function | calls | share | per message |\n|---|---|---|---|")
-    for key in sorted(counter.c_calls, key=lambda k: (-counter.c_calls[k], _c_name(k)))[:args.top]:
-        k = counter.c_calls[key]
-        print(f"| `{_c_name(key)}` | {k} | {k / c_calls:.1%} | {k / msgs:.3f} |")
+    print_tables(counter, args.top, msgs)
     if outcome.problems:
         print("perf_ops: the round failed its output checks: "
               + "; ".join(outcome.problems), file=sys.stderr)

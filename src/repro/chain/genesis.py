@@ -8,7 +8,7 @@ whitelist, minimum number, and maximum number of endorsers."
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from repro.common.config import CommitteeConfig
 from repro.common.errors import MembershipError
@@ -50,15 +50,22 @@ class EndorserRecord:
 class GenesisBlock:
     """Era-0 chain configuration, readable by every node.
 
+    One artifact per deployment: the sorted committee, the digest and
+    block 0 are derived once, when the genesis is validated, so every
+    node's ledger holds the same block 0 object (blocks are immutable).
+
     Attributes:
         endorsers: the core nodes appointed at system initiation.
         policy: admittance policy (min/max/blacklist/whitelist).
         chain_id: label binding blocks to this deployment.
+        endorser_ids: sorted ids of the era-0 committee (derived).
     """
 
     endorsers: tuple[EndorserRecord, ...]
     policy: CommitteeConfig
     chain_id: str = "gpbft-sim"
+    endorser_ids: tuple[int, ...] = field(init=False, repr=False, compare=False)
+    _block: Block = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         ids = [e.node for e in self.endorsers]
@@ -77,36 +84,25 @@ class GenesisBlock:
         banned = set(ids) & self.policy.blacklist
         if banned:
             raise MembershipError(f"blacklisted nodes in genesis committee: {sorted(banned)}")
-
-    @property
-    def endorser_ids(self) -> tuple[int, ...]:
-        """Sorted ids of the era-0 committee."""
-        return tuple(sorted(e.node for e in self.endorsers))
-
-    def digest(self) -> bytes:
-        """Digest the genesis config (used as block 0's parent anchor)."""
         parts = [self.chain_id.encode()]
         for e in sorted(self.endorsers, key=lambda r: r.node):
-            parts.append(str(e.node).encode())
-            parts.append(e.public_key.value)
-            parts.append(e.csc.key().encode())
+            parts += (str(e.node).encode(), e.public_key.value, e.csc.key().encode())
         parts.append(repr((self.policy.min_endorsers, self.policy.max_endorsers)).encode())
         parts.append(repr(sorted(self.policy.blacklist)).encode())
         parts.append(repr(sorted(self.policy.whitelist)).encode())
-        return digest_concat(*parts)
+        ids.sort()
+        object.__setattr__(self, "endorser_ids", tuple(ids))
+        object.__setattr__(self, "_block", Block.assemble(
+            height=0, parent=digest_concat(*parts), era=0, view=0, seq=0,
+            proposer=ids[0], timestamp=0.0, transactions=()))
+
+    def digest(self) -> bytes:
+        """Digest the genesis config (block 0's parent anchor)."""
+        return self._block.header.parent
 
     def block(self) -> Block:
-        """Materialize block 0 (empty transaction list, era 0)."""
-        return Block.assemble(
-            height=0,
-            parent=self.digest(),
-            era=0,
-            view=0,
-            seq=0,
-            proposer=self.endorser_ids[0],
-            timestamp=0.0,
-            transactions=(),
-        )
+        """Block 0 (no transactions, era 0), the same object every call."""
+        return self._block
 
 
 def build_genesis(

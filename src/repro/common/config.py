@@ -51,6 +51,14 @@ def _require_finite(section: object, name: str) -> None:
     _require(math.isfinite(value), f"{name} must be finite, got {value}")
 
 
+def _require_count(name: str, value: object, optional: bool = False) -> None:
+    """Refuse a size that is not integral: a bool, a float, a str, or
+    ``None`` unless the size is *optional*."""
+    _require((optional and value is None) or (
+        not isinstance(value, bool) and hasattr(type(value), "__index__")),
+        f"{name} must be an integer, got {value!r}")
+
+
 @dataclass(frozen=True)
 class NetworkConfig:
     """Parameters of the simulated message-passing substrate.
@@ -290,6 +298,8 @@ class ZoneSpec:
 
     def __post_init__(self) -> None:
         _require(bool(self.name), "zone name must be non-empty")
+        for name in ("n_nodes", "n_endorsers", "id_base"):
+            _require_count(name, getattr(self, name), optional=name == "n_endorsers")
         _require(self.n_nodes >= 1, "zone needs at least one node")
         _require(self.n_endorsers is None or self.n_endorsers >= 1,
                  "n_endorsers must be >= 1 when given")
@@ -339,6 +349,8 @@ class TopologySpec:
                  f"unknown protocol {self.protocol!r}")
         _require(self.mode in ("per_tx", "block"),
                  f"unknown mode {self.mode!r}")
+        for name in ("n_replicas", "n_clients", "seed", "event_capacity"):
+            _require_count(name, getattr(self, name), optional=name == "event_capacity")
         for name in ("block_interval_s", "witness_range_m"):
             _require_finite(self, name)
         _require(self.block_interval_s > 0.0, "block_interval_s must be > 0")
@@ -405,6 +417,7 @@ class TopologySpec:
         sized to the zone count, is split into a ``1 x n_zones`` grid;
         zone *i* gets node ids starting at ``i * ZONE_ID_STRIDE``.
         """
+        _require_count("n_zones", n_zones)
         _require(n_zones >= 2, "zoned topologies need >= 2 zones")
         from repro.geo.coords import LatLng, Region
         from repro.geo.zones import ZoneMap

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.common.config import CommitteeConfig
+from repro.common.config import CommitteeConfig, TopologySpec
 from repro.common.errors import (
     ChainError,
     ForkError,
@@ -10,6 +10,7 @@ from repro.common.errors import (
     ValidationError,
 )
 from repro.chain.block import Block, BlockHeader
+from repro.chain import genesis as genesis_module
 from repro.chain.genesis import build_genesis
 from repro.chain.ledger import Ledger
 from repro.chain.mempool import Mempool
@@ -111,6 +112,35 @@ class TestGenesis:
         with pytest.raises(MembershipError):
             build_genesis({i: HK for i in range(4)},
                           policy=CommitteeConfig(blacklist=frozenset({2})))
+
+    @staticmethod
+    def _digests_per_build(monkeypatch, n):
+        calls = []
+
+        def counting(*parts):
+            calls.append(parts)
+            return digest_concat(*parts)
+
+        monkeypatch.setattr(genesis_module, "digest_concat", counting)
+        dep = TopologySpec.single(n, 4).build()
+        return len(calls), dep
+
+    def test_a_deployment_seals_its_genesis_once(self, monkeypatch):
+        # one digest per build, not one per node's ledger
+        small, _ = self._digests_per_build(monkeypatch, 12)
+        wide, dep = self._digests_per_build(monkeypatch, 60)
+        assert small == wide == 1
+        blocks = {id(node.ledger.block_at(0)) for node in dep.nodes.values()}
+        assert blocks == {id(dep.genesis.block())}
+        assert dep.genesis.block().header.parent == dep.genesis.digest()
+
+    def test_every_build_derives_its_own_genesis(self, monkeypatch):
+        # a process-wide cache would make the second build free
+        first, a = self._digests_per_build(monkeypatch, 12)
+        second, b = self._digests_per_build(monkeypatch, 12)
+        assert first == second == 1
+        assert a.genesis.block() is not b.genesis.block()
+        assert a.genesis.block().digest() == b.genesis.block().digest()
 
 
 class TestLedger:

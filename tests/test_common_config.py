@@ -4,6 +4,7 @@
 
 import dataclasses
 
+import numpy as np
 import pytest
 
 from repro.common.config import (
@@ -14,6 +15,7 @@ from repro.common.config import (
     NetworkConfig,
     PBFTConfig,
     TopologySpec,
+    ZoneSpec,
 )
 from repro.common.errors import ConfigurationError
 
@@ -64,6 +66,30 @@ class TestTopologySpec:
     def test_rejects_an_infinite_float(self, field):
         with pytest.raises(ConfigurationError, match=f"^{field} must be finite"):
             TopologySpec.single(4, **{field: float("inf")})
+
+    @pytest.mark.parametrize("build, field", [
+        (lambda v: TopologySpec.single(v, 4), "n_nodes"),
+        (lambda v: TopologySpec.single(10, v), "n_endorsers"),
+        (lambda v: TopologySpec.single(10, 4, seed=v), "seed"),
+        (lambda v: TopologySpec.cluster(v), "n_replicas"),
+        (lambda v: TopologySpec.cluster(5, n_clients=v), "n_clients"),
+        (lambda v: TopologySpec.cluster(event_capacity=v), "event_capacity"),
+        (lambda v: TopologySpec.zoned(v, 8), "n_zones"),
+        (lambda v: TopologySpec.zoned(2, v), "n_nodes"),
+        (lambda v: TopologySpec(zones=(ZoneSpec("z0", 8, id_base=v),)), "id_base"),
+    ])
+    @pytest.mark.parametrize("value", [True, 300.0, 10.5, "300"])
+    def test_a_size_that_is_not_an_integer_is_refused_by_name(self, build, field, value):
+        # each used to die later with a raw TypeError, or (a bool) be
+        # read as 1 and refused for a reason that is not the real one
+        with pytest.raises(ConfigurationError, match=f"^{field} must be an integer"):
+            build(value)
+
+    def test_a_numpy_integer_is_a_size(self):
+        spec = TopologySpec.single(np.int64(12), np.int32(4), seed=np.int64(3))
+        assert spec.deployment_zone().n_nodes == 12
+        assert TopologySpec.zoned(np.int64(2), 8).n_zones == 2
+        assert TopologySpec.cluster(np.int16(4), event_capacity=np.int64(300)).n_replicas == 4
 
 
 class TestCommitteeConfig:

@@ -31,6 +31,21 @@ def test_perf_ops_refuses_a_calls_bound_no_round_can_fail(bound, monkeypatch, ca
     assert "--max-calls-per-msg" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("args", [
+    ["--setup", "--max-setup-calls", "nan"], ["--setup", "--max-setup-calls", "inf"],
+    ["--setup", "--max-setup-calls", "0"], ["--setup", "--max-setup-calls", "-5"],
+    ["--max-setup-calls", "10000"], ["--setup", "--max-calls-per-msg", "5"]])
+def test_perf_ops_refuses_a_setup_bound_no_build_can_fail(args, monkeypatch, capsys):
+    perf_ops = _script("perf_ops")
+    # neither a build nor a round may start
+    monkeypatch.setattr(perf_ops, "count_setup", pytest.fail)
+    monkeypatch.setattr(perf_ops, "collector_line", pytest.fail)
+    with pytest.raises(SystemExit) as exit_info:
+        perf_ops.main(["gpbft_paper_n202", *args])
+    assert exit_info.value.code == 2
+    assert "--max-" in capsys.readouterr().err
+
+
 def test_perf_ops_takes_a_positive_finite_bound():
     assert math.isclose(_script("perf_ops").positive_finite("9.5"), 9.5)
 
