@@ -126,10 +126,10 @@ class EventLog:
     it retains, while the columns' floats, strings, ints and dicts of
     atomic values are never tracked.
 
-    Live consumers (e.g. the invariant monitors of ``repro.verify``) can
-    :meth:`subscribe` a callback that fires synchronously on every
-    append; with no subscribers the append hot path pays one truthiness
-    check.
+    Live consumers (invariant monitors, the observability facade) can
+    :meth:`subscribe` a callback to one kind; an append calls only its
+    kind's callbacks, and with no subscribers the append hot path pays
+    one truthiness check.
 
     Args:
         capacity: when given, only the newest *capacity* events are
@@ -149,7 +149,7 @@ class EventLog:
         self._node: list[int] = []
         self._data: list[dict[str, Any]] = []
         self._counts: dict[str, int] = {}
-        self._subscribers: list[Callable[[Event], None]] = []
+        self._subscribers: dict[str, list[Callable[[Event], None]]] = {}
         self._capacity = capacity
         #: events ever appended (monotonic, immune to capacity eviction)
         self.total_appended = 0
@@ -164,14 +164,17 @@ class EventLog:
         return _new(Event, (self._at[index], self._kind[index],
                             self._node[index], self._data[index]))
 
-    def subscribe(self, callback: Callable[[Event], None]) -> None:
-        """Call *callback(event)* synchronously on every future append.
+    def subscribe(self, kind: str, callback: Callable[[Event], None]) -> None:
+        """Call *callback(event)* synchronously on every future append of *kind*.
 
         Callbacks run inside :meth:`record`, after the event is stored,
-        so a subscriber that raises aborts the appending simulation step
-        with full context -- exactly what invariant monitors want.
+        in subscription order, so a subscriber that raises aborts the
+        appending simulation step with full context.  A kind outside
+        :data:`EVENT_KINDS` raises ValueError.
         """
-        self._subscribers.append(callback)
+        if kind not in EVENT_KINDS:
+            raise ValueError(f"cannot subscribe to unknown event kind {kind!r}")
+        self._subscribers.setdefault(kind, []).append(callback)
 
     def count(self, kind: str) -> int:
         """O(1) count of events of *kind* (hot-loop friendly)."""
@@ -199,7 +202,7 @@ class EventLog:
                 del column[:cut]
         event = _new(Event, (at, kind, node, data))
         if self._subscribers:
-            for callback in self._subscribers:
+            for callback in self._subscribers.get(kind, ()):
                 callback(event)
         return event
 

@@ -122,7 +122,7 @@ class ZoneGateway:
         #: kept for the run as its replay protection
         self.committed: dict[str, None] = {}
         self._ckpt_seq = 0
-        deployment.events.subscribe(self._on_zone_event)
+        deployment.events.subscribe(EV_TX_COMMITTED, self._on_zone_event)
 
     # -- backbone side -----------------------------------------------------
 
@@ -160,9 +160,7 @@ class ZoneGateway:
         self._outbound[env.tx.tx_id] = env
 
     def _on_zone_event(self, event: Event) -> None:
-        """Zone event-log subscriber: react to local tx commits."""
-        if event.kind != EV_TX_COMMITTED:
-            return
+        """Zone event-log subscriber: react to a local tx commit."""
         tx_id = event.data.get("tx_id")
         if tx_id in self._outbound:
             # first endorser to commit proves the tx to the gateway;
@@ -254,14 +252,8 @@ class HierarchicalDeployment:
         self.monitors = None
         self._harness = None
         if self.config.verify.monitors:
-            from repro.verify.invariants import (
-                CrossShardPrefixConsistencyMonitor,
-                MonitorHarness,
-                default_monitors,
-            )
-            self._harness = MonitorHarness(
-                self, monitors=default_monitors()
-                + [CrossShardPrefixConsistencyMonitor()])
+            from repro.verify.invariants import MonitorHarness
+            self._harness = MonitorHarness(self)
 
         # -- zone deployments (own networks, event logs, monitors) --------
         self.zones: list[GPBFTDeployment] = []

@@ -76,7 +76,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument(
         "--jobs",
-        type=_positive_int,
+        type=at_least(1),
         default=1,
         help="worker processes for sweep points (1 = in-process)",
     )
@@ -94,12 +94,17 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _positive_int(raw: str) -> int:
-    """argparse type for ``--jobs``: an integer >= 1."""
-    value = int(raw)
-    if value < 1:
-        raise argparse.ArgumentTypeError("must be >= 1")
-    return value
+def at_least(low: int):
+    """argparse type for an integer flag that must be ``>= low``."""
+    def parse(raw: str) -> int:
+        try:
+            value = int(raw)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"invalid int value: {raw!r}") from None
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be >= {low}, got {value}")
+        return value
+    return parse
 
 
 def _non_negative_float(raw: str) -> float:
@@ -159,11 +164,11 @@ def _agg_main(argv: list[str]) -> int:
         description="Run one aggregated city-scale day with optional "
                     "streaming observability.",
     )
-    parser.add_argument("--requests", type=_positive_int, default=10_000,
+    parser.add_argument("--requests", type=at_least(1), default=10_000,
                         help="total offered requests across all zones")
-    parser.add_argument("--zones", type=_positive_int, default=8)
-    parser.add_argument("--replicas-per-zone", type=_positive_int, default=4)
-    parser.add_argument("--pool-size", type=_positive_int, default=4)
+    parser.add_argument("--zones", type=at_least(2), default=8)
+    parser.add_argument("--replicas-per-zone", type=at_least(4), default=4)
+    parser.add_argument("--pool-size", type=at_least(1), default=4)
     parser.add_argument("--duration", type=positive_float, default=3_600.0,
                         help="simulated seconds of offered load")
     parser.add_argument("--seed", type=int, default=0)

@@ -136,18 +136,27 @@ class IndexedDirectory(dict):
     """A node-id -> position directory that maintains a spatial index.
 
     Drop-in replacement for the plain ``dict`` the deployment shares
-    with every node: assignments keep :attr:`index` synchronized, so
-    witness oracles can answer range queries in near-O(1) instead of
-    scanning the whole population per report.  Nodes are only ever
-    added or moved, never removed: a ``del`` would leave the index stale.
+    with every node: witness oracles answer range queries through
+    :attr:`index` in near-O(1) instead of scanning the whole population
+    per report.  The index is built from the directory on the first
+    read of :attr:`index` (only a Sybil-protected deployment reads it),
+    and assignments keep it synchronized from then on.  Nodes are only
+    ever added or moved, never removed: a ``del`` would leave the index
+    stale.
     """
 
-    def __init__(self, *args, **kwargs) -> None:
-        super().__init__(*args, **kwargs)
-        self.index = SpatialIndex()
-        for node, position in self.items():
-            self.index.insert(node, position)
+    _index: SpatialIndex | None = None
+
+    @property
+    def index(self) -> SpatialIndex:
+        """The spatial index over the directory, built on first read."""
+        if self._index is None:
+            self._index = SpatialIndex()
+            for node, position in self.items():
+                self._index.insert(node, position)
+        return self._index
 
     def __setitem__(self, node: int, position: LatLng) -> None:
         super().__setitem__(node, position)
-        self.index.insert(node, position)
+        if self._index is not None:
+            self._index.insert(node, position)

@@ -33,9 +33,8 @@ city-scale pieces, all off by default:
   time-series see every request whatever the rate;
 * the flight recorder (:attr:`Observability.flight`), which dumps each
   attached host log's recent events as a per-group ring
-  (:meth:`Observability.attach_host`).  The facade's own subscription
-  feeds it the log's view changes, so a host log carries one obs
-  subscriber whatever is on.
+  (:meth:`Observability.attach_host`) and subscribes its storm counter
+  to the log's view changes.
 
 Zone-sharded runs call :meth:`Observability.for_zone` per zone: the
 clones share one tracer, registry, time-series, and recorder, but
@@ -45,6 +44,7 @@ label frames and rings with their zone.
 from __future__ import annotations
 
 import copy
+from functools import partial
 from typing import Any, Sequence
 
 from repro.common import eventlog as ev
@@ -70,7 +70,8 @@ class Observability:
     :meth:`finish` before exporting.
 
     A fact an event log records reaches the facade only through that
-    log (the kind -> handler table ``_HANDLERS``).  A fact gets a hook
+    log: :meth:`listen` subscribes each entry of the kind -> handler
+    table ``_HANDLERS`` to its kind.  A fact gets a hook
     method only when no log records it; five do: ``pbft_preprepare``
     and ``pbft_prepared`` (an event per phase would put
     ``EventLog.record`` on the obs-off hot path), ``state_transfer``
@@ -198,21 +199,20 @@ class Observability:
 
         With the flight recorder active, the log is also attached as the
         ring of this facade's zone label (or a fresh ``g{n}`` group),
-        its view changes feed the recorder's storm trigger, and the
-        host's monitor harness ``on_violation`` hook
-        points at the recorder so an
+        its view changes feed the recorder's storm trigger ahead of the
+        facade's own handler, and the host's monitor harness
+        ``on_violation`` hook points at the recorder so an
         :class:`~repro.verify.invariants.InvariantViolation` dumps a
         post-mortem bundle before propagating.
         """
         flight = self.flight
-        group = None
         if flight is not None:
             group = self._zone if self._zone is not None else f"g{len(flight.groups)}"
             flight.attach(host.events, group)
             monitors = getattr(host, "monitors", None)
             if monitors is not None and hasattr(monitors, "on_violation"):
                 monitors.on_violation = flight.on_violation
-        self.listen(host.events, storm_group=group)
+        self.listen(host.events)
 
     def finish(self) -> None:
         """Seal the capture: close spans, flush windows, export gauges."""
@@ -225,39 +225,22 @@ class Observability:
 
     # -- facts read off event logs ----------------------------------------
 
-    def listen(self, events: EventLog, zone_names: Sequence[str] = (),
-               storm_group: str | None = None) -> None:
-        """Turn every future record in *events* into spans and instruments.
+    def listen(self, events: EventLog, zone_names: Sequence[str] = ()) -> None:
+        """Turn every future record in *events* of a kind ``_HANDLERS``
+        reads into spans and instruments.
 
         *zone_names* labels the zone index ``hier.*`` / ``xzone.*``
-        events carry (a hierarchy's own log).  With *storm_group*, each
-        view change first counts toward that flight-recorder group's
-        storm trigger, so a storm dump holds the instruments as they
-        stood before the view change that tripped it.
+        events carry (a hierarchy's own log).
         """
-        handlers = self._HANDLERS
-        flight = self.flight
-        if storm_group is not None and flight is not None:
-            def view_change(obs: Observability, event: Event,
-                            zones: Sequence[str]) -> None:
-                flight.view_change(storm_group, event.at)
-                obs._view_change_started(event, zones)
-
-            handlers = {**handlers, ev.EV_PBFT_VIEW_CHANGE: view_change}
-
-        def on_event(event: Event) -> None:
-            handler = handlers.get(event.kind)
-            if handler is not None:
-                handler(self, event, zone_names)
-
-        events.subscribe(on_event)
+        for kind, handler in self._HANDLERS.items():
+            events.subscribe(kind, partial(handler, self, zone_names))
 
     def _traced(self, rid: str) -> bool:
         """Whether request *rid*'s spans are kept (head sampling)."""
         rate = self.config.sample_rate
         return rate >= 1.0 or sample_key(rid) < rate
 
-    def _request_submitted(self, event: Event, _zones: Sequence[str]) -> None:
+    def _request_submitted(self, _zones: Sequence[str], event: Event) -> None:
         """A client submitted a request to a committee of that size."""
         rid = event.data["request_id"]
         if self.timeseries is not None:
@@ -267,7 +250,7 @@ class Observability:
         self.tracer.open(f"req/{rid}", "request", cat="request", node=event.node,
                          request_id=rid, committee_size=event.data["committee_size"])
 
-    def _request_completed(self, event: Event, _zones: Sequence[str]) -> None:
+    def _request_completed(self, _zones: Sequence[str], event: Event) -> None:
         """A client saw a reply quorum; records e2e latency."""
         rid = event.data["request_id"]
         if self.timeseries is not None:
@@ -276,7 +259,7 @@ class Observability:
         if span is not None:
             self.registry.sketch("request.latency_s").observe(span.duration)
 
-    def _pbft_executed(self, event: Event, _zones: Sequence[str]) -> None:
+    def _pbft_executed(self, _zones: Sequence[str], event: Event) -> None:
         """A replica collected its commit quorum and executed the request."""
         data = event.data
         if not self._traced(data["request_id"]):
@@ -285,7 +268,7 @@ class Observability:
         if span is not None:
             self.registry.sketch("pbft.commit_wait_s").observe(span.duration)
 
-    def _view_change_started(self, event: Event, _zones: Sequence[str]) -> None:
+    def _view_change_started(self, _zones: Sequence[str], event: Event) -> None:
         """A replica broadcast a view-change vote."""
         epoch, new_view = event.data["epoch"], event.data["new_view"]
         self.registry.counter("pbft.view_changes").inc()
@@ -294,17 +277,17 @@ class Observability:
         self.tracer.open(f"vc/{event.node}/{epoch}/{new_view}", "view-change", cat="view",
                          node=event.node, epoch=epoch, new_view=new_view)
 
-    def _view_entered(self, event: Event, _zones: Sequence[str]) -> None:
+    def _view_entered(self, _zones: Sequence[str], event: Event) -> None:
         """A replica entered a view (closes a pending view-change span)."""
         self.tracer.close(f"vc/{event.node}/{event.data['epoch']}/{event.data['view']}")
 
-    def _era_switch_started(self, event: Event, _zones: Sequence[str]) -> None:
+    def _era_switch_started(self, _zones: Sequence[str], event: Event) -> None:
         """A node's switch into the next era began."""
         era = event.data["new_era"]
         self.tracer.open(f"era/{event.node}/{era}", "era-switch", cat="era",
                          node=event.node, at=event.at, era=era)
 
-    def _era_switch_completed(self, event: Event, _zones: Sequence[str]) -> None:
+    def _era_switch_completed(self, _zones: Sequence[str], event: Event) -> None:
         """A node's switch finished; records its downtime."""
         if self.timeseries is not None:
             self.timeseries.era_switch(self.zone, event.at)
@@ -313,21 +296,21 @@ class Observability:
         if span is not None:
             self.registry.sketch("era.switch_downtime_s").observe(span.duration)
 
-    def _election_round(self, event: Event, _zones: Sequence[str]) -> None:
+    def _election_round(self, _zones: Sequence[str], event: Event) -> None:
         """An endorser-election audit ran on a node."""
         data = event.data
         self.registry.counter("gpbft.election_rounds").inc()
         self.tracer.instant("election", cat="election", node=event.node, era=data["era"],
                             candidates=data["candidates"], elected=data["qualified"])
 
-    def _zone_checkpoint_submitted(self, event: Event, zones: Sequence[str]) -> None:
+    def _zone_checkpoint_submitted(self, zones: Sequence[str], event: Event) -> None:
         """A zone gateway submitted a checkpoint to the top layer."""
         zone, seq = zones[event.data["zone"]], event.data["seq"]
         self.tracer.open(f"ckpt/{zone}/{seq}", "zone-checkpoint", cat="hier",
                          zone=zone, seq=seq, txs=event.data["txs"])
         self.registry.counter("hier.checkpoints_submitted").child(zone).inc()
 
-    def _zone_checkpoint_committed(self, event: Event, zones: Sequence[str]) -> None:
+    def _zone_checkpoint_committed(self, zones: Sequence[str], event: Event) -> None:
         """The top layer committed a zone checkpoint; records latency."""
         zone = zones[event.data["zone"]]
         span = self.tracer.close(f"ckpt/{zone}/{event.data['seq']}")
@@ -336,11 +319,11 @@ class Observability:
         self.registry.counter("hier.checkpoints_committed").child(zone).inc()
         self.registry.counter("hier.xzone_txs_ordered").inc(event.data["txs"])
 
-    def _xzone_delivered(self, event: Event, zones: Sequence[str]) -> None:
+    def _xzone_delivered(self, zones: Sequence[str], event: Event) -> None:
         """An ordered inter-zone tx reached its destination gateway."""
         self.registry.counter("hier.xzone_txs_delivered").child(zones[event.data["zone"]]).inc()
 
-    def _xzone_committed(self, event: Event, zones: Sequence[str]) -> None:
+    def _xzone_committed(self, zones: Sequence[str], event: Event) -> None:
         """The destination zone committed a delivered inter-zone tx."""
         self.registry.counter("hier.xzone_txs_committed").child(zones[event.data["zone"]]).inc()
 
@@ -385,7 +368,7 @@ class Observability:
             self.timeseries.depth(self.zone, depth, self._now())
 
 
-    #: event kind -> handler ``(self, event, zone_names)``
+    #: event kind -> handler ``(self, zone_names, event)``
     _HANDLERS = {
         ev.EV_REQUEST_SUBMITTED: _request_submitted,
         ev.EV_REQUEST_COMPLETED: _request_completed,

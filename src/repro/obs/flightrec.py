@@ -18,10 +18,10 @@ Dumps fire on three triggers: an invariant violation (wired through
 ``MonitorHarness.on_violation``), a view-change storm
 (:data:`STORM_THRESHOLD` view-change events inside one
 :data:`STORM_WINDOW_S` for a single group, counted by
-:meth:`FlightRecorder.view_change`, which the facade calls from its own
-event-log dispatch), or an explicit :meth:`FlightRecorder.dump` call.
-The recorder stores no events of its own and subscribes to no log, and
-the in-memory dump list keeps only the most recent few bundles.
+:meth:`FlightRecorder.view_change`, which :meth:`FlightRecorder.attach`
+subscribes to the group's ``pbft.view_change`` events), or an explicit
+:meth:`FlightRecorder.dump` call.  The recorder stores no events of its
+own, and the in-memory dump list keeps only the most recent few bundles.
 """
 
 from __future__ import annotations
@@ -29,9 +29,17 @@ from __future__ import annotations
 import json
 import os
 from collections import deque
+from functools import partial
 from typing import Any, Callable
 
-from repro.common.eventlog import TRACE_WINDOW, EventLog, event_to_json, jsonable
+from repro.common.eventlog import (
+    EV_PBFT_VIEW_CHANGE,
+    TRACE_WINDOW,
+    Event,
+    EventLog,
+    event_to_json,
+    jsonable,
+)
 
 #: Version of the dump bundle layout; bump on incompatible changes.
 DUMP_SCHEMA = 1
@@ -80,11 +88,14 @@ class FlightRecorder:
         return sorted(self._logs)
 
     def attach(self, events: EventLog, group: str) -> None:
-        """Dump *events*' tail as *group*'s ring."""
+        """Dump *events*' tail as *group*'s ring, and count its view
+        changes toward *group*'s storm trigger."""
         self._logs[group] = events
+        events.subscribe(EV_PBFT_VIEW_CHANGE, partial(self.view_change, group))
 
-    def view_change(self, group: str, at: float) -> None:
+    def view_change(self, group: str, event: Event) -> None:
         """Count *group*'s view changes; dump once when a storm trips."""
+        at = event.at
         start = self._storm_start.get(group)
         if start is None or at >= start + STORM_WINDOW_S:
             self._storm_start[group] = at

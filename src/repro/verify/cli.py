@@ -20,6 +20,7 @@ import sys
 from pathlib import Path
 
 from repro.common.errors import ConfigurationError
+from repro.experiments.cli import at_least
 from repro.experiments.engine import Engine
 from repro.verify.explorer import (
     DEFAULT_ARTIFACT_DIR,
@@ -42,19 +43,6 @@ def _fault(raw: str) -> tuple[int, str]:
         raise argparse.ArgumentTypeError(f"bad node id {node!r}") from None
 
 
-def _at_least(low: int):
-    """argparse type for an integer flag that must be ``>= low``."""
-    def parse(raw: str) -> int:
-        try:
-            value = int(raw)
-        except ValueError:
-            raise argparse.ArgumentTypeError(f"invalid int value: {raw!r}") from None
-        if value < low:
-            raise argparse.ArgumentTypeError(f"must be >= {low}, got {value}")
-        return value
-    return parse
-
-
 def build_parser() -> argparse.ArgumentParser:
     """Build the argparse parser for ``repro verify``."""
     parser = argparse.ArgumentParser(
@@ -69,7 +57,7 @@ def build_parser() -> argparse.ArgumentParser:
                         default="pbft", help="protocol to explore")
     parser.add_argument("--n", type=int, default=4,
                         help="committee / deployment size")
-    parser.add_argument("--seeds", type=_at_least(1), default=8,
+    parser.add_argument("--seeds", type=at_least(1), default=8,
                         help="number of seeded schedules to explore")
     parser.add_argument("--submissions", type=int, default=5,
                         help="transactions submitted per schedule")
@@ -87,7 +75,7 @@ def build_parser() -> argparse.ArgumentParser:
                         help="worker processes for the schedule fan-out")
     parser.add_argument("--out", type=Path, default=DEFAULT_ARTIFACT_DIR,
                         help="directory for failing-schedule artifacts")
-    parser.add_argument("--shrink-budget", type=_at_least(0), default=48,
+    parser.add_argument("--shrink-budget", type=at_least(0), default=48,
                         help="max extra runs spent shrinking a failure")
     return parser
 

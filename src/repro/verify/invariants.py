@@ -1,15 +1,15 @@
 """Runtime invariant monitors for G-PBFT / PBFT simulations.
 
-A :class:`MonitorHarness` subscribes to a harness host's
+A :class:`MonitorHarness` subscribes a set of :class:`Monitor` plugins,
+each to the event kinds it declares, on a harness host's
 :class:`~repro.common.eventlog.EventLog` (a
-:class:`~repro.pbft.cluster.PBFTCluster` or a
-:class:`~repro.core.deployment.GPBFTDeployment`) and feeds every event,
-synchronously, to a set of :class:`Monitor` plugins.  A monitor that
+:class:`~repro.pbft.cluster.PBFTCluster`, a
+:class:`~repro.core.deployment.GPBFTDeployment` or a hierarchy).  A monitor that
 observes a safety violation raises a structured
 :class:`InvariantViolation` carrying the offending event and the recent
 trace window, which aborts the simulation step with full context.
 
-The five default monitors cover the protocol's core safety surface:
+The six default monitors cover the protocol's core safety surface:
 
 * :class:`PrefixConsistencyMonitor` -- no two replicas execute different
   requests at the same (epoch, sequence) slot; ledgers stay
@@ -23,6 +23,8 @@ The five default monitors cover the protocol's core safety surface:
   stays well-formed.
 * :class:`SybilCapMonitor` -- committees never exceed ``max_endorsers``
   and never contain blacklisted identities.
+* :class:`CrossShardPrefixConsistencyMonitor` -- inter-zone commits
+  follow the top layer's global order.
 
 Monitoring is opt-in via ``GPBFTConfig.verify.monitors``; with it off
 the hot paths pay a single truthiness check (see
@@ -31,6 +33,7 @@ the hot paths pay a single truthiness check (see
 
 from __future__ import annotations
 
+from functools import partial
 from typing import Callable, NoReturn
 
 from repro.common.errors import EraSwitchError, ReproError
@@ -84,14 +87,17 @@ class InvariantViolation(ReproError):
 class Monitor:
     """Base class for invariant monitors.
 
-    Subclasses override :meth:`on_event` (called synchronously for every
-    recorded event) and/or :meth:`finish` (called once after the run by
+    Subclasses declare :attr:`kinds` and override :meth:`on_event`
+    (called synchronously for every recorded event of those kinds)
+    and/or :meth:`finish` (called once after the run by
     :meth:`MonitorHarness.check_final`), raising through
     :meth:`MonitorHarness.fail` on violation.
     """
 
     #: Stable identifier, used in violation reports and shrink oracles.
     name = "monitor"
+    #: Event kinds :meth:`on_event` receives.
+    kinds: tuple[str, ...] = ()
 
     def on_event(self, harness: "MonitorHarness", event: Event) -> None:
         """Observe one event (default: ignore)."""
@@ -112,6 +118,7 @@ class PrefixConsistencyMonitor(Monitor):
     """
 
     name = "prefix-consistency"
+    kinds = (EV_PBFT_EXECUTED, EV_TX_COMMITTED)
 
     def __init__(self) -> None:
         self._slots: dict[tuple[int, int], str] = {}
@@ -130,7 +137,7 @@ class PrefixConsistencyMonitor(Monitor):
                     f"slot epoch={key[0]} seq={key[1]} executed as "
                     f"{rid!r} on node {event.node} but {seen!r} elsewhere"
                 ), event)
-        elif event.kind == EV_TX_COMMITTED and harness.mode == "per_tx":
+        elif harness.mode == "per_tx":
             height = event.data["height"]
             block = (event.data["tx_id"], event.data["digest"])
             seen = self._heights.setdefault(height, block)
@@ -159,11 +166,10 @@ class QuorumCertificateMonitor(Monitor):
     """
 
     name = "quorum-certificate"
+    kinds = (EV_PBFT_EXECUTED,)
 
     def on_event(self, harness: "MonitorHarness", event: Event) -> None:
         """Validate the certificate behind a ``pbft.executed`` event."""
-        if event.kind != EV_PBFT_EXECUTED:
-            return
         replica = harness.replica(event.node)
         if replica is None:
             return
@@ -195,14 +201,13 @@ class ViewChangeMonotonicityMonitor(Monitor):
     """Entered views must strictly increase per (replica, epoch)."""
 
     name = "view-monotonicity"
+    kinds = (EV_PBFT_ENTERED_VIEW,)
 
     def __init__(self) -> None:
         self._entered: dict[tuple[int, int], int] = {}
 
     def on_event(self, harness: "MonitorHarness", event: Event) -> None:
         """Track ``pbft.entered_view`` events per replica and epoch."""
-        if event.kind != EV_PBFT_ENTERED_VIEW:
-            return
         key = (event.node, event.data.get("epoch", 0))
         view = event.data["view"]
         last = self._entered.get(key)
@@ -226,8 +231,8 @@ class EraSwitchAtomicityMonitor(Monitor):
     """
 
     name = "era-atomicity"
-
-    _COMMIT_KINDS = (EV_TX_COMMITTED, EV_BLOCK_COMMITTED)
+    kinds = (EV_ERA_SWITCH_STARTED, EV_ERA_SWITCH_COMPLETED,
+             EV_TX_COMMITTED, EV_BLOCK_COMMITTED)
 
     def __init__(self) -> None:
         self._switching: set[int] = set()
@@ -244,7 +249,7 @@ class EraSwitchAtomicityMonitor(Monitor):
                     node.era_history.validate()
                 except EraSwitchError as exc:
                     harness.fail(self, f"era timeline invalid: {exc}", event)
-        elif event.kind in self._COMMIT_KINDS and event.node in self._switching:
+        elif event.node in self._switching:
             harness.fail(self, (
                 f"node {event.node} committed ({event.kind}) during its "
                 "era switch period"
@@ -261,11 +266,10 @@ class SybilCapMonitor(Monitor):
     """
 
     name = "sybil-cap"
+    kinds = (EV_ERA_SWITCH_COMPLETED,)
 
     def on_event(self, harness: "MonitorHarness", event: Event) -> None:
         """Audit the committee installed by an era switch."""
-        if event.kind != EV_ERA_SWITCH_COMPLETED:
-            return
         node = harness.node(event.node)
         if node is None:
             return
@@ -299,12 +303,12 @@ class CrossShardPrefixConsistencyMonitor(Monitor):
       index, so every zone's inter-zone history is a prefix of the one
       global checkpoint sequence.
 
-    Attached automatically (alongside :func:`default_monitors`) by
-    ``HierarchicalDeployment`` when monitors are enabled; it is inert on
-    single-zone hosts, which never emit xzone events.
+    Part of :func:`default_monitors`; it is inert on single-zone hosts,
+    which never record xzone events, so it costs them nothing.
     """
 
     name = "cross-shard-prefix"
+    kinds = (EV_XZONE_ORDERED, EV_XZONE_COMMITTED)
 
     def __init__(self) -> None:
         # (dst zone, tx id) -> global index assigned by the top layer
@@ -317,8 +321,6 @@ class CrossShardPrefixConsistencyMonitor(Monitor):
         if event.kind == EV_XZONE_ORDERED:
             key = (event.data["zone"], event.data["tx_id"])
             self._ordered[key] = (event.data["top_seq"], event.data["pos"])
-            return
-        if event.kind != EV_XZONE_COMMITTED:
             return
         zone = event.data["zone"]
         tx_id = event.data["tx_id"]
@@ -339,13 +341,14 @@ class CrossShardPrefixConsistencyMonitor(Monitor):
 
 
 def default_monitors() -> list[Monitor]:
-    """Fresh instances of the five standard safety monitors."""
+    """Fresh instances of the six standard safety monitors."""
     return [
         PrefixConsistencyMonitor(),
         QuorumCertificateMonitor(),
         ViewChangeMonotonicityMonitor(),
         EraSwitchAtomicityMonitor(),
         SybilCapMonitor(),
+        CrossShardPrefixConsistencyMonitor(),
     ]
 
 
@@ -353,14 +356,14 @@ class MonitorHarness:
     """Attaches monitors to a cluster/deployment's event stream.
 
     Args:
-        host: a :class:`~repro.pbft.cluster.PBFTCluster` or
-            :class:`~repro.core.deployment.GPBFTDeployment` (anything
-            with an ``events`` :class:`~repro.common.eventlog.EventLog`).
+        host: a :class:`~repro.pbft.cluster.PBFTCluster`, a
+            :class:`~repro.core.deployment.GPBFTDeployment` or a hierarchy
+            (anything with an ``events`` :class:`~repro.common.eventlog.EventLog`).
         monitors: monitor instances to attach; defaults to
             :func:`default_monitors`.
 
-    The harness subscribes immediately; every event recorded by *host*
-    from then on flows through every monitor, and a violation raises
+    The harness subscribes each monitor to its :attr:`Monitor.kinds`
+    immediately, in monitor order, and a violation raises
     :class:`InvariantViolation` out of the simulation step that caused
     it.  Call :meth:`check_final` after the run for end-of-run checks.
 
@@ -378,7 +381,9 @@ class MonitorHarness:
     def __init__(self, host, monitors: list[Monitor] | None = None) -> None:
         self.host = host
         self.monitors = list(monitors) if monitors is not None else default_monitors()
-        host.events.subscribe(self._on_event)
+        for monitor in self.monitors:
+            for kind in monitor.kinds:
+                host.events.subscribe(kind, partial(monitor.on_event, self))
 
     # -- host accessors ---------------------------------------------------
 
@@ -417,10 +422,6 @@ class MonitorHarness:
         return True
 
     # -- event flow -------------------------------------------------------
-
-    def _on_event(self, event: Event) -> None:
-        for monitor in self.monitors:
-            monitor.on_event(self, event)
 
     def fail(self, monitor: Monitor, message: str,
              event: Event | None = None) -> NoReturn:

@@ -148,7 +148,9 @@ class TestBadValuesExit2:
     @pytest.mark.parametrize("flag,value", [
         ("--duration", "0"), ("--window", "0"), ("--sample-rate", "2"),
         ("--heartbeat", "-1"), ("--drain-slack", "nan"),
-        ("--drain-slack", "-5"), ("--drain-slack", "inf")])
+        ("--drain-slack", "-5"), ("--drain-slack", "inf"),
+        # a zoned topology needs two zones, and PBFT four replicas
+        ("--zones", "1"), ("--replicas-per-zone", "3")])
     def test_agg(self, flag, value, capsys):
         argv = ["agg", "--requests", "8", "--zones", "2", "--duration", "10",
                 flag, value]

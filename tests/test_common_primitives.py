@@ -10,7 +10,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.common.eventlog import Event, EventLog
+from repro.common.eventlog import (
+    EV_BLOCK_COMMITTED,
+    EV_TX_COMMITTED,
+    EV_TX_SUBMITTED,
+    Event,
+    EventLog,
+)
 from repro.common.quorum import primary_for_view
 from repro.common.rng import DeterministicRNG
 
@@ -184,15 +190,25 @@ class TestEventLog:
                      copy.deepcopy(recorded), eval(repr(recorded))):
             assert twin == recorded and type(twin) is Event
 
-    def test_subscribers_run_in_order_after_the_event_is_stored(self):
+    def test_a_record_reaches_only_its_kind_in_subscription_order(self):
         log = EventLog()
         seen = []
-        log.subscribe(lambda e: seen.append(("first", e.kind, len(log))))
-        log.subscribe(lambda e: seen.append(("second", e.kind, len(log))))
-        log.record(1.0, "a")
-        log.record(2.0, "b")
-        assert seen == [("first", "a", 1), ("second", "a", 1),
-                        ("first", "b", 2), ("second", "b", 2)]
+        log.subscribe(EV_TX_COMMITTED, lambda e: seen.append(("first", e.kind, len(log))))
+        log.subscribe(EV_BLOCK_COMMITTED, lambda e: seen.append(("other", e.kind, len(log))))
+        log.subscribe(EV_TX_COMMITTED, lambda e: seen.append(("second", e.kind, len(log))))
+        log.record(1.0, EV_TX_COMMITTED)
+        log.record(2.0, EV_TX_SUBMITTED)
+        log.record(3.0, EV_TX_COMMITTED)
+        # each callback runs after its event is stored; the unread kind
+        # and the other kind's callback are never involved
+        assert seen == [("first", EV_TX_COMMITTED, 1), ("second", EV_TX_COMMITTED, 1),
+                        ("first", EV_TX_COMMITTED, 3), ("second", EV_TX_COMMITTED, 3)]
+
+    def test_subscribing_to_an_unknown_kind_names_it(self):
+        log = EventLog()
+        with pytest.raises(ValueError, match="'no.such.kind'"):
+            log.subscribe("no.such.kind", lambda e: None)
+        assert log._subscribers == {}
 
     def test_records_add_no_object_the_collector_tracks(self):
         # the log keeps columns, not Event tuples (a tuple holding a dict

@@ -3,10 +3,13 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.common.config import TopologySpec
 from repro.common.errors import GeoError
 from repro.common.rng import DeterministicRNG
+from repro.geo import index as index_module
 from repro.geo.coords import LatLng, Region, haversine_m
-from repro.geo.index import SpatialIndex
+from repro.geo.geohash import geohash_encode
+from repro.geo.index import IndexedDirectory, SpatialIndex
 
 HK = LatLng(22.3193, 114.1694)
 REGION = Region.around(HK, 800.0)
@@ -95,3 +98,42 @@ class TestWithin:
     def test_negative_radius_rejected(self):
         with pytest.raises(GeoError):
             SpatialIndex().within(HK, -1.0)
+
+
+class TestIndexedDirectory:
+    @staticmethod
+    def _counted_encodes(monkeypatch):
+        """Calls of ``geohash_encode`` made from ``repro.geo.index``."""
+        calls = []
+
+        def encode(position, precision):
+            calls.append(position)
+            return geohash_encode(position, precision)
+
+        monkeypatch.setattr(index_module, "geohash_encode", encode)
+        return calls
+
+    def test_a_build_without_sybil_protection_never_encodes(self, monkeypatch):
+        # only the Sybil witness oracle reads the index, so a deployment
+        # without it never builds one
+        calls = self._counted_encodes(monkeypatch)
+        host = TopologySpec.single(60, 12).build()
+        host.run(until=5.0)
+        assert calls == []
+        assert host.directory._index is None
+
+    def test_the_index_is_built_on_first_read_and_kept_in_sync(self, monkeypatch):
+        _, positions = populated_index(count=30, seed=7)
+        calls = self._counted_encodes(monkeypatch)
+        directory = IndexedDirectory(positions)
+        assert calls == []
+        moved = REGION.sample(DeterministicRNG(8))
+        directory[3] = moved
+        directory[30] = HK
+        index = directory.index
+        assert len(calls) == 31 and directory.index is index
+        directory[4] = moved
+        assert index.within(moved, 0.0) == [3, 4]
+        for radius in (100.0, 400.0):
+            assert index.within(HK, radius) == sorted(
+                n for n, p in directory.items() if haversine_m(HK, p) <= radius)

@@ -429,13 +429,21 @@ class TestObservabilityFacadeV2:
         assert obs.flight is None
         assert obs.config.sample_rate == 1.0
 
-    def test_a_host_log_holds_one_obs_subscriber(self):
-        # the recorder's ring and storm count ride on the facade's own
-        # subscription: turning it on adds no second callback per event
-        for config in (ObsConfig(), ObsConfig(timeseries=True,
-                                              flight_recorder=True)):
-            host = TopologySpec.cluster(4).build(obs=Observability(config))
-            assert len(host.events._subscribers) == 1
+    def test_each_kind_holds_at_most_one_obs_callback(self):
+        # a kind no handler reads holds no callback; with the recorder
+        # on, only pbft.view_change gains one: the storm counter, ahead
+        # of the facade's own handler
+        for recorder in (False, True):
+            obs = Observability(ObsConfig(timeseries=True,
+                                          flight_recorder=recorder))
+            host = TopologySpec.cluster(4).build(obs=obs)
+            subscribers = host.events._subscribers
+            assert set(subscribers) == set(Observability._HANDLERS)
+            for kind, callbacks in subscribers.items():
+                expected = [Observability._HANDLERS[kind]]
+                if recorder and kind == EV_PBFT_VIEW_CHANGE:
+                    expected.insert(0, obs.flight.view_change)
+                assert [cb.func for cb in callbacks] == expected
 
     def test_attach_host_routes_violations_to_the_recorder(self):
         obs = Observability(ObsConfig(flight_recorder=True))

@@ -49,6 +49,27 @@ def test_named_script_exists(source, script):
     assert (ROOT / script).is_file(), f"{source} names {script}"
 
 
+def _recipe_lines(makefile):
+    """The Makefile's recipe lines, backslash continuations joined."""
+    lines, current = [], ""
+    for line in makefile.splitlines():
+        if line.startswith("\t") or current:
+            current += line.rstrip("\\").strip() + " "
+            if not line.endswith("\\"):
+                lines.append(current.strip())
+                current = ""
+    return lines
+
+
+def test_every_python_recipe_sets_pythonpath():
+    # a checkout without `pip install -e .` runs every recipe that
+    # imports repro only if the recipe points Python at src/ itself
+    bare = [line for line in _recipe_lines((ROOT / "Makefile").read_text())
+            if "pip install" not in line
+            and line.count("$(PYTHON)") != line.count("PYTHONPATH=src $(PYTHON)")]
+    assert bare == []
+
+
 def _runtime_obs_imports(tree):
     """Line numbers of ``repro.obs`` imports outside ``if TYPE_CHECKING:``."""
     found = []

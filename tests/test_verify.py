@@ -16,7 +16,13 @@ from types import SimpleNamespace
 import pytest
 
 from repro.common.errors import ConfigurationError
-from repro.common.eventlog import EV_PBFT_ENTERED_VIEW, EventLog, event_to_json
+from repro.common.eventlog import (
+    EV_PBFT_ENTERED_VIEW,
+    EV_TX_COMMITTED,
+    EVENT_KINDS,
+    EventLog,
+    event_to_json,
+)
 from repro.experiments.engine import Engine
 from repro.verify import InvariantViolation, MonitorHarness
 from repro.verify.cli import main as verify_main
@@ -31,7 +37,11 @@ from repro.verify.explorer import (
     shrink_schedule,
     write_artifact,
 )
-from repro.verify.invariants import ViewChangeMonotonicityMonitor
+from repro.verify.invariants import (
+    Monitor,
+    ViewChangeMonotonicityMonitor,
+    default_monitors,
+)
 from repro.verify.replay import load_artifact, replay_artifact
 
 QUORUM_BUG = ((1, "quorum_undercount"),)
@@ -258,6 +268,34 @@ class TestMonitorHarness:
         host.events.record(1.0, EV_PBFT_ENTERED_VIEW, 0, view=5, epoch=0)
         # same node re-entering view 1 in the next epoch is legal
         host.events.record(2.0, EV_PBFT_ENTERED_VIEW, 0, view=1, epoch=1)
+
+    def test_a_monitor_sees_exactly_its_kinds(self):
+        class Probe(Monitor):
+            name = "probe"
+            kinds = (EV_TX_COMMITTED, EV_PBFT_ENTERED_VIEW)
+
+            def __init__(self):
+                self.seen = []
+
+            def on_event(self, harness, event):
+                self.seen.append(event.kind)
+
+        host = self._host()
+        probe = Probe()
+        MonitorHarness(host, monitors=[probe])
+        for at, kind in enumerate(sorted(EVENT_KINDS)):
+            host.events.record(float(at), kind, 0)
+        assert probe.seen == sorted(Probe.kinds)
+
+    def test_default_panel_includes_cross_shard_prefix(self):
+        assert [m.name for m in default_monitors()] == [
+            "prefix-consistency", "quorum-certificate", "view-monotonicity",
+            "era-atomicity", "sybil-cap", "cross-shard-prefix"]
+        host = self._host()
+        harness = MonitorHarness(host)
+        # every kind a default monitor declares is subscribed, nothing else
+        assert set(host.events._subscribers) == {
+            kind for monitor in harness.monitors for kind in monitor.kinds}
 
 
 class TestMutationSelfTest:
