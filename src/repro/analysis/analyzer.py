@@ -2,7 +2,7 @@
 
 A finding is silenced only by an allow comment carrying a reason:
 
-* ``x = f()  # gpb: allow GPB001[, GPB003] -- reason`` silences the
+* ``x = f()  # gpb: allow GPB004[, GPB005] -- reason`` silences the
   named rules on its own line;
 * a whole-line ``# gpb: allow-file GPB004 -- reason`` silences the
   named rules anywhere in its file (the rules still check the file).
@@ -109,7 +109,7 @@ def load_modules(paths: Sequence[Path]) -> dict[str, Module]:
     return modules
 
 
-#: ``# gpb: allow[-file] GPB001[, GPB003] -- reason`` inside a comment.
+#: ``# gpb: allow[-file] GPB004[, GPB005] -- reason`` inside a comment.
 _ALLOW_RE = re.compile(
     r"#\s*gpb:\s*allow(?P<file>-file)?\s+"
     r"(?P<ids>GPB\d{3}(?:\s*,\s*GPB\d{3})*)\s*--\s*\S")

@@ -10,7 +10,7 @@ class Finding:
     """One rule violation at a precise source location.
 
     Attributes:
-        rule_id: stable rule identifier, e.g. ``"GPB003"``.
+        rule_id: stable rule identifier, e.g. ``"GPB005"``.
         path: file the violation lives in, as a normalized (posix,
             relative where possible) path string.
         line: 1-based line number.

@@ -1,15 +1,16 @@
 """Rule framework for the determinism & protocol-safety analyzer.
 
 A rule is a subclass of :class:`Rule` with a stable ``rule_id``
-(``GPB001``...), a one-line ``title``, and a class docstring that doubles
+(``GPB004``...), a one-line ``title``, and a class docstring that doubles
 as its catalog entry in ``docs/static-analysis.md`` (rendered by
 ``python -m repro.analysis --doc``).  Rules inspect parsed modules --
 never the running program -- and yield :class:`~repro.analysis.findings.Finding`
 records with precise ``file:line:col`` locations.  Every rule reads one
-file at a time through :meth:`Rule.check_module` (wall-clock calls,
-float equality, inline quorum arithmetic, ...); what only a run can
-show -- which event kinds are recorded, what memory is retained --
-is checked by tier-1 tests that run the program instead.
+file at a time through :meth:`Rule.check_module` (float equality,
+inline quorum arithmetic, ...); what only a run can show -- which
+event kinds are recorded, what memory is retained, whether a run
+depends on its process -- is checked by tier-1 tests that run the
+program instead.
 
 A rule is one bug class; each way of writing that bug is an *arm* of
 the rule with its own finding message.  Rules are registered by
@@ -23,7 +24,7 @@ are exactly the plants; each arm keeps a plant of its own.
 from __future__ import annotations
 
 import ast
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable
 
@@ -46,15 +47,6 @@ class Module:
     rel: str
     source: str
     tree: ast.Module
-    _parents: dict[ast.AST, ast.AST] = field(default_factory=dict)
-
-    def parent_map(self) -> dict[ast.AST, ast.AST]:
-        """Child -> parent links for the whole tree, built lazily."""
-        if not self._parents:
-            for parent in ast.walk(self.tree):
-                for child in ast.iter_child_nodes(parent):
-                    self._parents[child] = parent
-        return self._parents
 
     def segments(self) -> tuple[str, ...]:
         """Path segments of :attr:`rel` (used for package scoping)."""
@@ -64,7 +56,7 @@ class Module:
 class Rule:
     """Base class for analyzer rules."""
 
-    #: Stable identifier, e.g. ``"GPB001"``.
+    #: Stable identifier, e.g. ``"GPB004"``.
     rule_id: str = ""
     #: One-line summary shown by ``--doc`` and ``--list-rules``.
     title: str = ""

@@ -109,7 +109,7 @@ class Mempool:
             ranked = sorted(self._pool.values(), key=lambda t: (-t.fee, t.tx_id))
             return ranked[:max_txs]
         out = []
-        for tx in self._pool.values():  # gpb: allow GPB003 -- FIFO serving order is the contract: the pool is an OrderedDict, insertion order is the batch order
+        for tx in self._pool.values():  # FIFO: insertion order is the batch order
             out.append(tx)
             if len(out) >= max_txs:
                 break

@@ -229,9 +229,9 @@ def main(argv: list[str] | None = None) -> int:
         args.out.mkdir(parents=True, exist_ok=True)
 
     for name in names:
-        started = time.perf_counter()  # gpb: allow GPB001 -- wall-clock telemetry: measures real elapsed time of an experiment for the progress banner; never feeds simulated results
+        started = time.perf_counter()
         result = _EXPERIMENTS[name](profile, engine)
-        elapsed = time.perf_counter() - started  # gpb: allow GPB001 -- wall-clock telemetry: second half of the elapsed-time measurement above
+        elapsed = time.perf_counter() - started
         print(f"\n{'=' * 72}\n{name} ({args.profile} profile, {elapsed:.1f}s)\n{'=' * 72}")
         print(result.text)
         if args.out is not None:

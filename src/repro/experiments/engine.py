@@ -156,9 +156,9 @@ def _execute_point(spec: PointSpec) -> tuple[float | list[float] | dict, float, 
     """
     from repro.experiments import scenario
 
-    started = time.perf_counter()  # gpb: allow GPB001 -- wall-clock telemetry for the cache summary; never in a cache key or a result value
+    started = time.perf_counter()
     value = run_point(spec)
-    wall_s = time.perf_counter() - started  # gpb: allow GPB001 -- second half of the wall_s measurement above
+    wall_s = time.perf_counter() - started
     return value, wall_s, scenario.last_event_count()
 
 

@@ -218,8 +218,12 @@ def _gpbft_agg_point(
 ) -> dict:
     """One aggregated city-scale day: *n* requests across zoned committees.
 
-    The topology is the paper's city grid (``TopologySpec.zoned``): one
-    endorser committee per zone, all co-hosted on a single simulator.
+    This is a day of flat PBFT committees, not a G-PBFT day.
+    ``TopologySpec.zoned`` supplies only the zone names and per-zone
+    seeds; each zone then runs one independent *replicas_per_zone*
+    replica ``TopologySpec.cluster``, all sharing a single simulator and
+    ordering ``RawOperation`` payloads.  There are no geo-tagged
+    transactions, no chain, no election and no era switch.
     Light clients are not simulated as objects -- each zone's fleet is
     one :class:`~repro.workloads.streams.AggregatedArrivals` stream
     (``workload="aggregate"``, the default here) driving a small pool of

@@ -418,7 +418,7 @@ class Heartbeat:
         """Emit a progress line when the wall interval has elapsed."""
         import time
 
-        wall = time.perf_counter()  # gpb: allow GPB001 -- operator progress heartbeat: measures real elapsed time only, never feeds simulated state
+        wall = time.perf_counter()
         if self._wall_start is None:
             self._wall_start = self._wall_last = wall
             self._events_last = events_processed

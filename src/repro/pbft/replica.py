@@ -233,7 +233,7 @@ class PBFTReplica:
         before the new-era committee relaunches.
         """
         self.stopped = True
-        for timer in self._timers.values():  # gpb: allow GPB003 -- cancel() is per-timer and idempotent, so the order cannot be observed
+        for timer in self._timers.values():
             timer.cancel()
         self._timers.clear()
         if self._view_change_timer is not None:
@@ -587,7 +587,7 @@ class PBFTReplica:
         if new_view <= self.view:
             return
         self.in_view_change = True
-        for timer in self._timers.values():  # gpb: allow GPB003 -- cancel() is per-timer and idempotent, so the order cannot be observed
+        for timer in self._timers.values():
             timer.cancel()
         self._timers.clear()
         proofs = tuple(

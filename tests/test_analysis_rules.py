@@ -82,7 +82,7 @@ class TestMutationSelfTest:
             assert re.match(r".+:\d+:\d+: GPB\d{3} .+", finding.render())
 
 
-_STAMP = "import time\n\n\ndef stamp():\n    return time.time()"
+_QUORUM = "def prepared(votes, f):\n    return votes >= 2 * f + 1"
 
 
 def _stale(tmp_path, source: str) -> list[str]:
@@ -98,11 +98,11 @@ def _stale(tmp_path, source: str) -> list[str]:
 
 class TestSuppressions:
     def test_inline_allow_silences_a_finding(self, tmp_path):
-        (tmp_path / "mod.py").write_text(_STAMP + "\n")
+        (tmp_path / "mod.py").write_text(_QUORUM + "\n")
         assert len(analyze([tmp_path]).findings) == 1
 
         (tmp_path / "mod.py").write_text(
-            _STAMP + "  # gpb: allow GPB001 -- test fixture\n")
+            _QUORUM + "  # gpb: allow GPB005 -- test fixture\n")
         result = analyze([tmp_path])
         assert result.findings == []
         assert len(result.suppressed) == 1
@@ -110,26 +110,26 @@ class TestSuppressions:
 
     def test_inline_allow_requires_matching_rule_id(self, tmp_path):
         (tmp_path / "mod.py").write_text(
-            _STAMP + "  # gpb: allow GPB003 -- wrong rule\n")
-        assert [f.rule_id for f in analyze([tmp_path]).findings] == ["GPB001"]
+            _QUORUM + "  # gpb: allow GPB004 -- wrong rule\n")
+        assert [f.rule_id for f in analyze([tmp_path]).findings] == ["GPB005"]
         # the id that silenced nothing is stale on its own
-        assert _stale(tmp_path, _STAMP + "  # gpb: allow GPB001, GPB003 -- both\n"
-                      ) == ["mod.py:5: GPB003 (allow that silences no finding)"]
+        assert _stale(tmp_path, _QUORUM + "  # gpb: allow GPB005, GPB004 -- both\n"
+                      ) == ["mod.py:2: GPB004 (allow that silences no finding)"]
         assert analyze([tmp_path]).findings == []
 
     def test_allow_without_a_reason_is_not_an_allow(self, tmp_path):
         (tmp_path / "mod.py").write_text(
-            _STAMP + "  # gpb: allow GPB001\n")
+            _QUORUM + "  # gpb: allow GPB005\n")
         assert len(analyze([tmp_path]).findings) == 1
 
     def test_inline_allow_of_a_retired_rule_is_stale(self, tmp_path):
-        stale = _stale(tmp_path, "x = 1  # gpb: allow GPB013 -- old\n")
+        stale = _stale(tmp_path, "x = 1  # gpb: allow GPB001 -- a clock\n")
         assert stale == [
-            "mod.py:1: GPB013 (names a rule that is not registered)"]
+            "mod.py:1: GPB001 (names a rule that is not registered)"]
 
     def test_line_allow_that_silences_nothing_is_stale(self, tmp_path):
-        stale = _stale(tmp_path, "x = 1  # gpb: allow GPB001 -- was a clock\n")
-        assert stale == ["mod.py:1: GPB001 (allow that silences no finding)"]
+        stale = _stale(tmp_path, "x = 1  # gpb: allow GPB005 -- was a quorum\n")
+        assert stale == ["mod.py:1: GPB005 (allow that silences no finding)"]
 
     def test_file_allow_that_silences_nothing_is_stale(self, tmp_path):
         stale = _stale(
@@ -152,19 +152,19 @@ class TestSuppressions:
             self, tmp_path):
         (tmp_path / "mod.py").write_text(
             "# gpb: allow-file GPB004 -- exact asserts\n"
-            "assert 0.5 == 0.5\nassert 1.5 != 2.5\n" + _STAMP + "\n")
+            "assert 0.5 == 0.5\nassert 1.5 != 2.5\n" + _QUORUM + "\n")
         result = analyze([tmp_path])
         assert [f.rule_id for f in result.suppressed] == ["GPB004", "GPB004"]
-        assert [f.rule_id for f in result.findings] == ["GPB001"]
+        assert [f.rule_id for f in result.findings] == ["GPB005"]
         assert result.stale_suppressions == []
 
     def test_marker_inside_a_string_is_neither_an_allow_nor_stale(
             self, tmp_path):
         (tmp_path / "mod.py").write_text(
-            _STAMP + ', "# gpb: allow GPB001 -- quoted"\n'
+            _QUORUM + ', "# gpb: allow GPB005 -- quoted"\n'
             'DOC = """\n# gpb: allow-file GPB004 -- quoted\n"""\n')
         result = analyze([tmp_path])
-        assert [f.rule_id for f in result.findings] == ["GPB001"]
+        assert [f.rule_id for f in result.findings] == ["GPB005"]
         assert result.suppressed == []
         assert result.stale_suppressions == []
 
@@ -174,7 +174,7 @@ class TestCli:
         code = analysis_main([str(FIXTURES)])
         assert code == 1
         out = capsys.readouterr().out
-        assert "GPB001" in out and re.search(r":\d+:\d+: GPB", out)
+        assert "GPB005" in out and re.search(r":\d+:\d+: GPB", out)
 
     def test_exit_0_on_clean_tree(self, tmp_path, capsys):
         (tmp_path / "ok.py").write_text('"""Clean module."""\nX = 1\n')
@@ -188,13 +188,12 @@ class TestCli:
         assert analysis_main([str(tmp_path)]) == 2
 
     def test_json_format(self, tmp_path, capsys):
-        (tmp_path / "mod.py").write_text(
-            "import time\n\n\ndef stamp():\n    return time.time()\n")
+        (tmp_path / "mod.py").write_text(_QUORUM + "\n")
         code = analysis_main([str(tmp_path), "--format", "json"])
         assert code == 1
         payload = json.loads(capsys.readouterr().out)
-        assert payload["findings"][0]["rule"] == "GPB001"
-        assert payload["findings"][0]["line"] == 5
+        assert payload["findings"][0]["rule"] == "GPB005"
+        assert payload["findings"][0]["line"] == 2
 
     def test_list_rules(self, capsys):
         assert analysis_main(["--list-rules"]) == 0
@@ -209,7 +208,8 @@ class TestCli:
             env={"PYTHONPATH": str(REPO_ROOT / "src"), "PATH": "/usr/bin:/bin"},
         )
         assert proc.returncode == 0
-        assert "GPB001" in proc.stdout
+        assert re.findall(r"^GPB\d{3}", proc.stdout, re.M) == [
+            "GPB004", "GPB005", "GPB007", "GPB008"]
 
 
 class TestAcceptance:

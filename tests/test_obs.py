@@ -483,18 +483,3 @@ class TestCli:
         bad = tmp_path / "bad.json"
         bad.write_text('{"nope": 1}')
         assert main(["validate", str(bad)]) == 2
-
-
-class TestAnalyzerSpanArm:
-    def test_wall_clock_inside_span_body_is_gpb001_only(self, tmp_path):
-        from repro.analysis import analyze
-
-        (tmp_path / "eventlog.py").write_text('EV_X = "x.kind"\n')
-        (tmp_path / "mod.py").write_text(
-            "import time\n"
-            "def f(tracer):\n"
-            "    with tracer.span('k', 'work'):\n"
-            "        return time.perf_counter()\n"
-        )
-        rules = [f.rule_id for f in analyze([tmp_path]).findings]
-        assert rules == ["GPB001"]  # one wall-clock rule, span or not

@@ -1,6 +1,6 @@
-"""The two measuring scripts refuse an option value that would make their
+"""The measuring scripts refuse an option value that would make their
 verdict meaningless, before they run anything (``scripts/perf_ops.py``,
-``scripts/perf_ab.py``)."""
+``scripts/perf_ab.py``, ``scripts/perf_overhead.py``)."""
 
 from __future__ import annotations
 
@@ -64,3 +64,31 @@ def test_perf_ab_refuses_fewer_than_two_pairs_before_any_run(pairs, monkeypatch,
 
 def test_perf_ab_takes_two_pairs():
     assert _script("perf_ab").pair_count("2") == 2
+
+
+@pytest.mark.parametrize("args", [
+    ["wire_replay"], ["pbft_wide_n202"], ["gpbft_city_12z", "--pairs", "2"],
+    ["failover_n16", "--pairs", "0"], ["failover_n16", "--pairs", "-1"]])
+def test_perf_overhead_refuses_before_any_round(args, monkeypatch, capsys):
+    perf_overhead = _script("perf_overhead")
+    monkeypatch.setattr(perf_overhead, "time_round", pytest.fail)
+    with pytest.raises(SystemExit) as exit_info:
+        perf_overhead.main(args)
+    assert exit_info.value.code == 2
+    err = capsys.readouterr().err
+    assert "--pairs" in err or "has no variant" in err
+
+
+def test_perf_overhead_reads_the_median_of_the_pair_ratios(monkeypatch, capsys):
+    perf_overhead = _script("perf_overhead")
+    monkeypatch.setattr(perf_overhead, "time_round", lambda cls, seed, variant: (
+        1.0 if variant == "plain" else 1.5, "same"))
+    assert perf_overhead.main(["gpbft_city_12z", "--pairs", "3"]) == 0
+    assert "obs.on_overhead_ratio: median 1.500" in capsys.readouterr().out
+
+
+def test_perf_overhead_fails_when_the_variant_simulates_something_else(monkeypatch):
+    perf_overhead = _script("perf_overhead")
+    monkeypatch.setattr(perf_overhead, "time_round", lambda cls, seed, variant: (
+        1.0, variant))
+    assert perf_overhead.main(["failover_n16", "--pairs", "3"]) == 1
