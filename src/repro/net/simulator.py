@@ -5,16 +5,26 @@ and executed in (time, insertion-order) order, so runs are exactly
 reproducible.  All protocol code in this repository is written against
 this loop; nothing uses wall-clock time.
 
-The queue is one binary heap of ``(time, seq, event)`` tuples.  ``seq``
-is unique, so the heap orders entries by comparing floats and ints in C
-and never compares two events.  Cancellation is lazy: a cancelled entry
-stays in the heap until it surfaces or until more than half the heap is
-cancelled, when the heap is filtered and re-heapified (fire order
-depends only on the ``(time, seq)`` keys, never on the heap's layout).
+The queue is a binary heap of ``(time, seq, event)`` tuples plus one
+FIFO *lane* of the same tuples.  ``seq`` is unique, so both order
+entries by comparing floats and ints in C and never compare two events.
+Cancellation is lazy: a cancelled entry stays in the heap until it
+surfaces or until more than half the heap is cancelled, when the heap
+is filtered and re-heapified (fire order depends only on the
+``(time, seq)`` keys, never on the heap's layout).
 
-A busy network port re-queues its one completion event itself, without
-``schedule_at``'s frame: new ``time``, a fresh ``seq`` from ``_counter``
-and ``_sim`` set, pushed onto ``_heap``.
+The lane holds completions re-queued with one fixed delay,
+``_lane_delay``, the interval of the first port completion a network
+schedules.  A busy network port
+re-queues its one completion event itself, without ``schedule_at``'s
+frame: new ``time`` ``now + interval`` and a fresh ``seq`` from
+``_counter``, appended to ``_lane`` when the interval is the lane's
+delay and pushed onto ``_heap`` (with ``_sim`` set) otherwise.  ``now``
+never decreases and ``seq`` only rises, so each append is later than
+the one before by ``(time, seq)``: the lane is sorted as it stands, and
+``_drain`` fires the lesser of its head and the heap's.  Lane entries
+are never cancelled -- only port completions go there -- so a lane event
+has ``_sim`` unset and ``cancel`` on it would not stop it.
 
 One loop, ``_drain``, serves ``run``, ``run_for``, ``step`` and
 ``run_until_condition``, with or without a hook.  It pauses CPython's
@@ -31,6 +41,7 @@ from __future__ import annotations
 import gc
 import itertools
 import math
+from collections import deque
 from heapq import heapify, heappop, heappush
 from typing import Any, Callable
 
@@ -83,6 +94,9 @@ class Simulator:
     def __init__(self) -> None:
         self.now = 0.0
         self._heap: list[tuple[float, int, ScheduledEvent]] = []
+        # fixed-delay completions in (time, seq) order (module docstring)
+        self._lane: deque[tuple[float, int, ScheduledEvent]] = deque()
+        self._lane_delay: float | None = None
         self._counter = itertools.count()
         self._events_processed = 0
         self._step_hook: Callable[[ScheduledEvent], None] | None = None
@@ -98,13 +112,16 @@ class Simulator:
 
     @property
     def pending(self) -> int:
-        """Number of scheduled, not-yet-fired, not-cancelled events."""
-        return len(self._heap) - self._cancelled
+        """Number of scheduled, not-yet-fired, not-cancelled events: the
+        heap's live entries plus the lane, whose entries are never
+        cancelled."""
+        return len(self._heap) - self._cancelled + len(self._lane)
 
     @property
     def heap_size(self) -> int:
-        """Queued entries including cancelled ones (test/diagnostic)."""
-        return len(self._heap)
+        """Queued entries including cancelled ones, lane and heap
+        together (test/diagnostic)."""
+        return len(self._heap) + len(self._lane)
 
     def schedule(self, delay: float, callback: Callable[..., Any], *args: Any) -> ScheduledEvent:
         """Schedule *callback(args)* to run *delay* seconds from now.
@@ -181,15 +198,17 @@ class Simulator:
                done: Callable[[], bool] | None) -> int:
         """Fire events in (time, seq) order; return how many fired.
 
-        Stops when the queue is empty, the next live event is later than
-        *until*, ``done()`` is true, or *max_events* have fired.  The cap
+        Each event is the lesser head of the lane and the heap, one
+        tuple comparison while both hold entries.  Stops when both are
+        empty, the next live event is later than *until*, ``done()`` is
+        true, or *max_events* have fired.  The cap
         and the condition share one flag and the two hooks another, so a
         plain ``run`` pays two flag tests per event.  A hooked drain
         counts ``events_processed`` per event, since the hooks may read
         it; an unhooked one adds its count on exit.  Both add, so a
         nested drain's events count too.
         """
-        heap = self._heap
+        heap, lane = self._heap, self._lane
         until = math.inf if until is None else until
         bounded = max_events is not None or done is not None
         tick, step = self._tick_hook, self._step_hook
@@ -200,19 +219,31 @@ class Simulator:
         collecting = gc.isenabled()
         gc.disable()
         try:
-            while heap:
-                time, _, event = heap[0]
-                if event.cancelled:
+            while True:
+                # the lesser (time, seq) head of the lane and the heap
+                if lane and (not heap or lane[0] < heap[0]):
+                    time, _, event = lane[0]
+                    if time > until:
+                        break
+                    if bounded and (done is not None and done()
+                                    or max_events is not None and fired >= max_events):
+                        break
+                    lane.popleft()
+                elif heap:
+                    time, _, event = heap[0]
+                    if event.cancelled:
+                        heappop(heap)
+                        self._cancelled -= 1
+                        continue
+                    if time > until:
+                        break
+                    if bounded and (done is not None and done()
+                                    or max_events is not None and fired >= max_events):
+                        break
                     heappop(heap)
-                    self._cancelled -= 1
-                    continue
-                if time > until:
+                    event._sim = None
+                else:
                     break
-                if bounded and (done is not None and done()
-                                or max_events is not None and fired >= max_events):
-                    break
-                heappop(heap)
-                event._sim = None
                 if hooked:
                     if time > self.now and tick is not None:
                         tick(time)
@@ -259,9 +290,10 @@ class Simulator:
         """
         _check_bound("until", until)
         fired = self._drain(until, max_events, None)
-        heap = self._heap
+        heap, lane = self._heap, self._lane
         # a live event still due by *until* means max_events ended the drain
-        if until is not None and until > self.now and not (heap and heap[0][0] <= until):
+        if until is not None and until > self.now and not (
+                heap and heap[0][0] <= until or lane and lane[0][0] <= until):
             self.now = until
         return fired
 

@@ -89,7 +89,17 @@ WINDOWS = {
     # cancelled entries wait for compaction, which runs once they
     # outnumber the live ones (and the floor)
     "Simulator._heap": lambda sim: 2 * sim.pending + simulator._COMPACT_MIN_CANCELLED,
+    # at most one entry per busy port: each holds a distinct port's one
+    # completion event
+    "Simulator._lane": lambda sim: len({entry[2] for entry in sim._lane}),
+    # a port's arrived FIFO is its backlog (the in-flight heap is judged
+    # as everything else is)
+    "_Port.arrived": lambda port: _BACKLOG,
 }
+
+#: The runs here offer far less than a node serves, so a backlog is one
+#: burst: a fan-out of each kind from each of a few dozen peers at most.
+_BACKLOG = 1024
 
 #: Every replica here runs the default PBFT window.
 _WATERMARK = GPBFTConfig().pbft.watermark_window

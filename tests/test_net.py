@@ -337,6 +337,23 @@ class TestSimulatedNetwork:
         done.cancel()  # after firing: no longer counted anywhere
         assert (sim.pending, sim.heap_size) == (0, 0)
 
+    def test_a_capped_run_leaves_the_clock_before_a_lane_completion_still_due(self):
+        sim = Simulator()
+        net = SimulatedNetwork(sim, NetworkConfig(processing_rate=1.0),
+                               latency=ConstantLatency(0.0))
+        got = []
+        net.register(0, lambda p: None)
+        net.register(1, lambda p: got.append((sim.now, p.kind)))
+        for kind in "abc":
+            net.send(0, 1, RawPayload(kind, 10))
+        sim.run(until=1.0)
+        # b's completion at 2.0 rides the lane, the heap is empty
+        assert (len(sim._heap), len(sim._lane), sim.pending) == (0, 1, 1)
+        assert sim.run(until=5.0, max_events=0) == 0
+        assert sim.now == 1.0  # not 5.0: the lane still holds an event due by then
+        sim.run()
+        assert got == [(1.0, "a"), (2.0, "b"), (3.0, "c")]
+
     def test_delivery_and_accounting(self):
         sim, net = self._net()
         got = []

@@ -20,9 +20,16 @@ What the contract leaves open is the order of two completions at
 that never happens, handlers answer what they receive, and the global
 call sequence must match.  With constant latency it happens all the
 time, handlers only record, and the comparison is per node.
+
+Some runs add a second network at another (or the same) processing rate
+on the same simulator, playing the same program with its own seed: its
+completions share the event queue with the first network's, on the
+simulator's fixed-delay lane or on its heap.
 """
 
 from __future__ import annotations
+
+from functools import partial
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -41,16 +48,11 @@ NODES = (0, 1, 2, 3, 4)
 NOBODY = 99
 
 
-class _Oracle:
-    """One event per arrival, one per completion, slots handed out FIFO."""
+class _Loop:
+    """The oracle's event queue: a plain list, re-sorted before each fire."""
 
-    def __init__(self, config, latency, drop):
+    def __init__(self):
         self.now, self._seq, self._events = 0.0, 0, []
-        self.config, self.latency, self.drop = config, latency, drop
-        self.rng = DeterministicRNG(config.seed, "network")
-        self.stats = TrafficStats()
-        self.handlers, self.offline, self.partition = {}, set(), {}
-        self.intervals, self.fifo = {}, {}
 
     def schedule_at(self, time, callback, *args):
         self._events.append((time, self._seq, callback, args))
@@ -61,6 +63,25 @@ class _Oracle:
             self._events.sort(key=lambda event: event[:2])
             self.now, _, callback, args = self._events.pop(0)
             callback(*args)
+
+
+class _Oracle:
+    """One event per arrival, one per completion, slots handed out FIFO."""
+
+    def __init__(self, loop, config, latency, drop):
+        self.loop = loop
+        self.config, self.latency, self.drop = config, latency, drop
+        self.rng = DeterministicRNG(config.seed, "network")
+        self.stats = TrafficStats()
+        self.handlers, self.offline, self.partition = {}, set(), {}
+        self.intervals, self.fifo = {}, {}
+
+    @property
+    def now(self):
+        return self.loop.now
+
+    def schedule_at(self, time, callback, *args):
+        self.loop.schedule_at(time, callback, *args)
 
     def set_offline(self, node, offline):
         (self.offline.add if offline else self.offline.discard)(node)
@@ -110,58 +131,62 @@ class _Oracle:
 
 
 class _Run:
-    """Drives one program against the real network or the oracle."""
+    """Drives one program against the real networks or their oracles.
 
-    def __init__(self, config, latency, drop, real, echo):
+    Each of *configs* is one network on the shared event queue, and
+    each plays the whole program; a call records the network's index.
+    """
+
+    def __init__(self, configs, latency, drop, real, echo):
         self.calls, self.echo = [], echo
-        if real:
-            self.sim = Simulator()
-            self.net = SimulatedNetwork(self.sim, config, latency)
-            self.net.set_drop_probability(drop)
-            for node in NODES:
-                self.net.register(node, lambda p, node=node: self.handle(
-                    self.sim.now, node, p.body[2], p))
-            self.at, self.send = self.sim.schedule_at, self.net.send
-            self.multicast = self.net.multicast
-        else:
-            self.sim = self.net = oracle = _Oracle(config, latency, drop)
-            oracle.handlers = dict.fromkeys(NODES, self.handle)
-            self.at, self.send = oracle.schedule_at, oracle.send
-            self.multicast = oracle.multicast
+        self.sim = Simulator() if real else _Loop()
+        self.nets = []
+        for index, config in enumerate(configs):
+            if real:
+                net = SimulatedNetwork(self.sim, config, latency())
+                net.set_drop_probability(drop)
+                for node in NODES:
+                    net.register(node, lambda p, node=node, index=index: self.handle(
+                        index, self.sim.now, node, p.body[2], p))
+            else:
+                net = _Oracle(self.sim, config, latency(), drop)
+                net.handlers = dict.fromkeys(NODES, partial(self.handle, index))
+            self.nets.append(net)
 
-    def handle(self, now, dst, src, payload):
-        self.calls.append((now, dst, src, payload))
+    def handle(self, index, now, dst, src, payload):
+        self.calls.append((now, index, dst, src, payload))
         ttl = payload.body[1]
         if self.echo and ttl > 0:
             answer = RawPayload(payload.kind, payload.size_bytes,
                                 (payload.body[0], ttl - 1, dst))
             for peer in (src, (dst + ttl) % len(NODES)):
                 if peer != dst:
-                    self.send(dst, peer, answer)
+                    self.nets[index].send(dst, peer, answer)
 
-    def apply(self, op):
+    def apply(self, net, op):
         kind, _, *args = op
         if kind == "send":
             src, dst, count, size, ttl = args
             for i in range(count):
-                self.send(src, dst, RawPayload(f"k{size % 3}", size, (i, ttl, src)))
+                net.send(src, dst, RawPayload(f"k{size % 3}", size, (i, ttl, src)))
         elif kind == "multicast":
             src, size, ttl = args
-            self.multicast(src, NODES + (NOBODY,),
-                           RawPayload("cast", size, (0, ttl, src)))
+            net.multicast(src, NODES + (NOBODY,),
+                          RawPayload("cast", size, (0, ttl, src)))
         elif kind == "offline":
-            self.net.set_offline(*args)
+            net.set_offline(*args)
         elif kind == "partition":
-            self.net.set_partition(dict(zip(NODES, args[0])) if args[0] else None)
+            net.set_partition(dict(zip(NODES, args[0])) if args[0] else None)
         else:
             assert kind == "interval", op
-            self.net.set_processing_interval(*args)
+            net.set_processing_interval(*args)
 
     def run(self, program):
         for op in program:  # queued first: at a tie, an op precedes traffic
-            self.at(op[1], self.apply, op)
+            for net in self.nets:
+                self.sim.schedule_at(op[1], self.apply, net, op)
         self.sim.run()
-        return self.calls, self.net.stats.snapshot()
+        return self.calls, [net.stats.snapshot() for net in self.nets]
 
 
 # everything on a 0.05 s grid, like the 0.1 s slot: ties are the rule
@@ -191,41 +216,53 @@ _MODELS = {"uniform": UniformLatency, "constant": ConstantLatency,
 
 
 @given(program=st.lists(_ops, min_size=1, max_size=25), latency=_latency,
-       drop=st.sampled_from([0.0, 0.0, 0.3]), seed=st.integers(0, 5))
+       drop=st.sampled_from([0.0, 0.0, 0.3]), seed=st.integers(0, 5),
+       second=st.sampled_from([None, None, 4.0, 10.0]))
 @settings(max_examples=300, deadline=None, derandomize=True)
+# a backlogged node slowed mid-run, beside a network at another rate on
+# the same simulator: equal arrivals, and completions on the lane and
+# on the heap at once
+@example(program=[("send", 0.0, 1, 0, 6, 10, 0), ("multicast", 0.0, 2, 10, 0),
+                  ("send", 0.05, 3, 0, 4, 10, 0), ("interval", 0.15, 0, 0.25),
+                  ("multicast", 0.2, 4, 10, 0)],
+         latency=("constant", 0.05), drop=0.0, seed=0, second=4.0)
 # an arrival at the very instant of a crash is lost, one at the very
 # instant of recovery is kept, also behind a backlog: faults go first
 @example(program=[("send", 0.0, 1, 0, 1, 10, 0), ("offline", 0.0, 0, True),
                   ("offline", 0.05, 0, False)],
-         latency=("constant", 0.0), drop=0.0, seed=0)
+         latency=("constant", 0.0), drop=0.0, seed=0, second=None)
 @example(program=[("send", 0.0, 1, 0, 3, 10, 0), ("send", 0.1, 1, 0, 1, 10, 0),
                   ("offline", 0.1, 0, True), ("offline", 3 * 0.05, 0, False)],
-         latency=("constant", 0.05), drop=0.0, seed=0)
+         latency=("constant", 0.05), drop=0.0, seed=0, second=None)
 @example(program=[("send", 0.0, 1, 0, 3, 10, 0), ("send", 0.05, 1, 0, 1, 10, 0),
                   ("offline", 0.1, 0, True), ("offline", 0.2, 0, False)],
-         latency=("constant", 0.05), drop=0.0, seed=0)
+         latency=("constant", 0.05), drop=0.0, seed=0, second=None)
 @example(program=[("send", 0.0, 1, 0, 3, 10, 0), ("send", 0.05, 1, 0, 1, 10, 0),
                   ("offline", 0.1, 0, True), ("offline", 3 * 0.05, 0, True),
                   ("offline", 0.2, 0, False)],
-         latency=("constant", 0.05), drop=0.0, seed=0)
-def test_network_matches_the_event_per_arrival_model(program, latency, drop, seed):
-    config = NetworkConfig(processing_rate=10.0, seed=seed)
+         latency=("constant", 0.05), drop=0.0, seed=0, second=None)
+def test_network_matches_the_event_per_arrival_model(program, latency, drop, seed,
+                                                      second):
+    configs = [NetworkConfig(processing_rate=10.0, seed=seed)]
+    if second is not None:
+        configs.append(NetworkConfig(processing_rate=second, seed=seed + 7))
     # equal delays make equal-time completions; sigma 0 is a constant
     jittered = latency[0] != "constant" and latency[-1] > 0
 
     def model():
         return _MODELS[latency[0]](*latency[1:])
 
-    real = _Run(config, model(), drop, real=True, echo=jittered)
+    real = _Run(configs, model, drop, real=True, echo=jittered)
     calls, stats = real.run(program)
-    want_calls, want_stats = _Run(config, model(), drop, real=False,
+    want_calls, want_stats = _Run(configs, model, drop, real=False,
                                   echo=jittered).run(program)
     if not jittered:  # same-instant completions at different nodes: any order
-        calls.sort(key=lambda call: call[:2])
-        want_calls.sort(key=lambda call: call[:2])
+        calls.sort(key=lambda call: call[:3])
+        want_calls.sort(key=lambda call: call[:3])
     assert calls == want_calls
     assert stats == want_stats
-    assert real.sim.pending == 0 and not any(port.inbox for port in real.net._ports.values())
+    assert real.sim.pending == 0 and not any(
+        port.inbox or port.arrived for net in real.nets for port in net._ports.values())
 
 
 class _Scripted(LatencyModel):
@@ -318,26 +355,46 @@ class TestContractEdges:
             net.multicast(0, range(3), RawPayload("k", 10))
 
 
-def test_backlogged_burst_costs_one_event_per_message_and_a_node_sized_heap():
+def test_backlogged_burst_costs_one_event_per_message_on_the_lane_and_a_fifo():
     nodes = 202
     sim = Simulator()
     net = SimulatedNetwork(sim, NetworkConfig(processing_rate=10.0))
     for node in range(nodes):
         net.register(node, lambda p: None)
-    peak = 0
+    peak = lane_peak = 0
+    firsts = 0  # completions filed on the heap
+    process = net._process
+
+    def serve(port):
+        # every service start, wakes included, comes through here
+        nonlocal firsts, lane_peak
+        first = port.done is None
+        process(port)
+        # what has arrived waits in the FIFO, never in the in-flight heap
+        assert not port.inbox or port.inbox[0][0] > sim.now
+        if port.serving is not None:
+            if first:
+                firsts += 1
+            else:  # the handlers send nothing: the lane's tail is this one
+                assert sim._lane[-1][2] is port.done
+        lane_peak = max(lane_peak, len(sim._lane))
 
     def watch(_event):
         nonlocal peak
         peak = max(peak, sim.heap_size)
 
+    net._process = serve
     payload = RawPayload("burst", 100)
+    # staggered so that copies keep arriving behind a backlog
     for src in range(nodes):
-        net.multicast(src, range(nodes), payload)
-        peak = max(peak, sim.heap_size)
+        sim.schedule_at(src * 0.005, net.multicast, src, range(nodes), payload)
     sim.set_step_hook(watch)
     sim.run()
     assert net.stats.messages_delivered == nodes * (nodes - 1)
     assert sim.events_processed <= 1.05 * net.stats.messages_delivered
+    # the heap held wakes and each node's first completion; every later
+    # completion rode the lane, one entry per busy node
+    assert firsts == nodes and lane_peak <= nodes
     # one completion or wake per node, plus superseded wakes not yet
     # compacted away; an event per in-flight message would be ~nodes**2
     assert peak <= 3 * nodes

@@ -1,10 +1,12 @@
 """The measuring scripts refuse an option value that would make their
 verdict meaningless, before they run anything (``scripts/perf_ops.py``,
-``scripts/perf_ab.py``, ``scripts/perf_overhead.py``)."""
+``scripts/perf_ab.py``, ``scripts/perf_overhead.py``,
+``scripts/check_sim_digests.py``)."""
 
 from __future__ import annotations
 
 import importlib.util
+import json
 import math
 from pathlib import Path
 
@@ -92,3 +94,46 @@ def test_perf_overhead_fails_when_the_variant_simulates_something_else(monkeypat
     monkeypatch.setattr(perf_overhead, "time_round", lambda cls, seed, variant: (
         1.0, variant))
     assert perf_overhead.main(["failover_n16", "--pairs", "3"]) == 1
+
+
+def test_check_sim_digests_refuses_an_unknown_workload_before_any_run(monkeypatch, capsys):
+    check = _script("check_sim_digests")
+    monkeypatch.setattr(check, "run_digest", pytest.fail)
+    assert check.main(["--workload", "pbft_wide_n202", "--workload", "nope"]) == 2
+    assert "unknown workload: nope" in capsys.readouterr().err
+
+
+def test_check_sim_digests_pins_every_workload_at_both_seeds():
+    check = _script("check_sim_digests")
+    pinned = json.loads(check.PIN.read_text())
+    assert set(pinned) == set(check.WORKLOADS)
+    assert all(set(by_seed) == set(check.SEEDS) for by_seed in pinned.values())
+
+
+def test_check_sim_digests_names_every_digest_that_differs(monkeypatch, capsys):
+    check = _script("check_sim_digests")
+    pinned = json.loads(check.PIN.read_text())
+    moved = {("failover_n16", "23"), ("wire_replay", "0")}
+    monkeypatch.setattr(check, "run_digest", lambda workload, seed: (
+        "0" * 64 if (workload, str(seed)) in moved else pinned[workload][str(seed)]))
+    assert check.main([]) == 1
+    differ = [line for line in capsys.readouterr().out.splitlines()
+              if line.startswith("DIFFER")]
+    assert sorted(differ) == [
+        f"DIFFER failover_n16 seed 23: pinned {pinned['failover_n16']['23'][:16]}, "
+        f"measured {'0' * 16}",
+        f"DIFFER wire_replay seed 0: pinned {pinned['wire_replay']['0'][:16]}, "
+        f"measured {'0' * 16}"]
+    assert check.differences(pinned, {"wire_replay": {"23": "f" * 64}}) == [
+        f"wire_replay seed 23: pinned {pinned['wire_replay']['23'][:16]}, "
+        f"measured {'f' * 16}"]
+    assert check.differences({}, {"wire_replay": {"0": "f" * 64}}) == [
+        f"wire_replay seed 0: pinned nothing, measured {'f' * 16}"]
+
+
+def test_check_sim_digests_passes_when_every_digest_equals_its_pin(monkeypatch):
+    check = _script("check_sim_digests")
+    pinned = json.loads(check.PIN.read_text())
+    monkeypatch.setattr(check, "run_digest",
+                        lambda workload, seed: pinned[workload][str(seed)])
+    assert check.main(["--workload", "overload_ladder_n4"]) == 0

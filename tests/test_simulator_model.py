@@ -1,21 +1,54 @@
 """Model-based property test for the simulator's event queue.
 
 One generated program -- schedules, cancels and partial drains, with
-callbacks that schedule and cancel in turn -- is run twice: on
-:class:`repro.net.simulator.Simulator` and on a reference that keeps a
-plain list and re-sorts it by ``(time, seq)`` before every fire.  The
-two runs must agree on everything a caller can see: which event fires
-when, every return value, and ``now`` / ``pending`` /
+callbacks that schedule, cancel and re-queue themselves in turn -- is
+run twice: on :class:`repro.net.simulator.Simulator` and on a reference
+that keeps a plain list and re-sorts it by ``(time, seq)`` before every
+fire.  The two runs must agree on everything a caller can see: which
+event fires when, every return value, and ``now`` / ``pending`` /
 ``events_processed`` after every step.  Nothing here depends on how the
 queue is laid out, so the same test holds for any implementation of the
 ``(time, insertion-seq)`` contract.
+
+A re-queue is what a busy network port does with its fired completion:
+the same event, ``now + delay`` and a fresh seq, filed on the
+simulator's fixed-delay lane when the delay is the lane's and on its
+heap otherwise (:func:`_requeue`, the network's inline code as a
+function).  The reference schedules a new event instead.  A re-queued
+event is a port completion, which nothing cancels, so cancels skip it.
 """
 
 from __future__ import annotations
 
+import operator
+from functools import partial
+from heapq import heappush
+
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.net.simulator import _COMPACT_MIN_CANCELLED, Simulator
+
+#: The two re-queue delays: the one the first re-queue makes the lane's,
+#: and a shorter one, which must then go to the heap (or the reverse).
+_LANE_DELAYS = {"long": 0.25, "short": 0.1}
+
+
+def _requeue(sim, event, delay, lane_takes=operator.eq):
+    """File the fired *event* again, *delay* from now, as a port does.
+
+    *lane_takes* compares the delay with the lane's; ``operator.le``
+    plants a bug: a shorter completion filed into the lane too.
+    """
+    if sim._lane_delay is None:
+        sim._lane_delay = delay
+    event.time = time = sim.now + delay
+    event.seq = seq = next(sim._counter)
+    if lane_takes(delay, sim._lane_delay):
+        sim._lane.append((time, seq, event))
+    else:
+        event._sim = sim
+        heappush(sim._heap, (time, seq, event))
 
 
 class _RefEvent:
@@ -92,12 +125,16 @@ class _Reference:
 class _Run:
     """Executes one program against *sim* and records what it saw."""
 
-    def __init__(self, sim):
+    def __init__(self, sim, requeue=_requeue):
         self.sim = sim
+        self.requeue = requeue
         self.handles = []
         self.trace = []
         self.fired = 0
         self.results = []
+        # handle -> re-queues made so far, for every handle whose action
+        # re-queues it: a completion, which cancels skip
+        self.requeued = {}
 
     def tick(self, time):
         self.trace.append(("tick", time))
@@ -105,11 +142,35 @@ class _Run:
     def fire(self, handle, action):
         self.trace.append(("fire", handle, self.sim.now))
         self.fired += 1
+        again = True
         for op in action:
-            self.apply(op)
+            if op[0] != "requeue":
+                self.apply(op)
+            elif again:  # the first re-queue op sets the delays
+                again = False
+                self.again(handle, action, op[1])
+
+    def again(self, handle, action, delays):
+        """Re-queue the event firing now with the next of *delays*."""
+        done = self.requeued[handle]
+        if done == len(delays):
+            return
+        self.requeued[handle] = done + 1
+        delay = _LANE_DELAYS[delays[done]]
+        if isinstance(self.sim, Simulator):
+            self.requeue(self.sim, self.handles[handle], delay)
+        else:
+            self.handles[handle] = self.sim.schedule(delay, self.fire, handle, action)
+
+    def cancellable(self):
+        """``(index, handle)`` of every handle a cancel may hit."""
+        return [(i, event) for i, event in enumerate(self.handles)
+                if i not in self.requeued]
 
     def spawn(self, how, delay, action):
         handle = len(self.handles)
+        if any(op[0] == "requeue" for op in action):
+            self.requeued[handle] = 0
         if how == "in":
             event = self.sim.schedule(delay, self.fire, handle, action)
         else:
@@ -125,11 +186,16 @@ class _Run:
             _, count, stride = op
             for i in range(count):
                 self.spawn("in", 1.0 + (i % stride) * 0.25, ())
+        elif kind == "ports":  # busy ports, 0.05 s apart, re-queueing alike
+            _, count, requeue = op
+            for i in range(count):
+                self.spawn("in", 0.05 * i, (requeue,))
         elif kind == "cancel":
-            if self.handles:
-                self.handles[op[1] % len(self.handles)].cancel()
+            live = self.cancellable()
+            if live:
+                live[op[1] % len(live)][1].cancel()
         elif kind == "mass_cancel":
-            for i, event in enumerate(self.handles):
+            for i, event in self.cancellable():
                 if i % op[1]:
                     event.cancel()
         else:
@@ -192,10 +258,13 @@ _delays = st.one_of(
 _how = st.sampled_from(["in", "at"])
 _cancel = st.tuples(st.just("cancel"), st.integers(0, 400))
 _mass_cancel = st.tuples(st.just("mass_cancel"), st.integers(2, 5))
+# the delays of a callback's successive re-queues, mostly the lane's
+_requeues = st.tuples(st.just("requeue"), st.lists(
+    st.sampled_from(["long", "long", "short"]), min_size=1, max_size=6).map(tuple))
 _in_callback = st.recursive(
     st.just(()),
     lambda inner: st.lists(
-        st.one_of(_cancel, _mass_cancel,
+        st.one_of(_cancel, _mass_cancel, _requeues, _requeues,
                   st.tuples(st.just("spawn"), _how, _delays, inner)),
         max_size=3).map(tuple),
     max_leaves=4,
@@ -204,6 +273,7 @@ _ops = st.one_of(
     st.tuples(st.just("spawn"), _how, _delays, _in_callback),
     st.tuples(st.just("spawn"), _how, _delays, _in_callback),
     st.tuples(st.just("burst"), st.integers(70, 160), st.integers(1, 40)),
+    st.tuples(st.just("ports"), st.integers(1, 8), _requeues),
     _cancel,
     _mass_cancel,
     st.tuples(st.just("step")),
@@ -229,9 +299,20 @@ def test_plain_loop_matches_the_sorted_list_model(program):
     _check_against_the_model(program, hooked=False)
 
 
-def _check_against_the_model(program, hooked):
+def test_the_model_catches_a_short_completion_filed_into_the_lane():
+    # 0.25 s makes the lane; the 0.1 s re-queue at 0.1 lands at 0.2,
+    # ahead of the lane's 0.25 entry, and would fire after it
+    program = [("spawn", "in", 0.0, (("requeue", ("long",)),)),
+               ("spawn", "in", 0.1, (("requeue", ("short",)),))]
+    _check_against_the_model(program, hooked=False)
+    with pytest.raises(AssertionError):
+        _check_against_the_model(program, hooked=False,
+                                 requeue=partial(_requeue, lane_takes=operator.le))
+
+
+def _check_against_the_model(program, hooked, requeue=_requeue):
     sim, ref = Simulator(), _Reference()
-    real, model = _Run(sim), _Run(ref)
+    real, model = _Run(sim, requeue), _Run(ref)
     if hooked:
         sim.set_tick_hook(real.tick)
     for op in program + [("run",)]:
