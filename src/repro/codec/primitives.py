@@ -8,13 +8,24 @@ itself does not make, so codec bugs and malformed frames surface as
 misparses: ``struct`` pads or truncates a wrong-length ``Ns`` field
 without complaint, skips ``x`` padding without reading it, and reports
 every other problem as a bare ``struct.error``.
+
+Every frame passes through a record, so each record generates its
+``pack`` and ``unpack`` once, as :mod:`dataclasses` generates
+``__init__``: one Python call each, with the raw-width and padding
+checks unrolled and ``struct``'s own size check translated, where a
+generic method paid a star-args call and a loop.  ``pack`` takes the
+layout's arity, so a wrong number of values is a ``TypeError`` (an
+encoder bug, never malformed input), not a ``ValidationError``.
+:meth:`Record.unpack_head` returns the rest as a ``memoryview``: a
+decoder reads a run of embedded frames without copying the buffer once
+per frame, and converts any view it returns to ``bytes``.
 """
 
 from __future__ import annotations
 
 import re
 import struct
-from typing import Any
+from typing import Any, Callable
 
 from repro.common.errors import ValidationError
 from repro.common.wire_layout import wire_struct
@@ -29,75 +40,90 @@ class Record:
 
     Attributes:
         size: the record's length in bytes.
+        pack: ``pack(*values)``, the record's bytes; integers must fit
+            their field and raw fields must have exactly their width.
+        unpack: ``unpack(data)``, the fields of a buffer that is exactly
+            one record long.
     """
+
+    pack: Callable[..., bytes]
+    unpack: Callable[[bytes | memoryview], tuple[Any, ...]]
 
     def __init__(self, kind: str, part: str = "layout") -> None:
         self._struct = wire_struct(kind, part)
         self._name = f"{kind} {part}"
         self.size = self._struct.size
-        # (position among the packed values, width) of each raw-bytes
-        # field, and (start, end, zeroes) of each run of padding bytes
-        raw: list[tuple[int, int]] = []
-        pads: list[tuple[int, int, bytes]] = []
+        # one check per raw-bytes field (its width) and per run of
+        # padding bytes (zeroes), in the layout's order
+        raw: list[str] = []
+        pads: list[str] = []
         position = offset = 0
         for count, code in _CODE.findall(self._struct.format):
             width = struct.calcsize(">" + count + code)
             if code == "x":
-                pads.append((offset, offset + width, bytes(width)))
+                pads += [f"    if data[base + {offset}:base + {offset + width}]"
+                         f" != {bytes(width)!r}:",
+                         "        raise ValidationError(f'{name}: nonzero "
+                         f"padding at bytes {offset}-{offset + width - 1}')"]
             elif code == "s":
-                raw.append((position, width))
+                raw += [f"    if len(v{position}) != {width}:",
+                        "        raise ValidationError(f'{name}: raw field "
+                        f"expected {width} bytes, got {{len(v{position})}}')"]
                 position += 1
             else:
                 position += int(count or 1)
             offset += width
-        self._raw = tuple(raw)
-        self._pads = tuple(pads)
+        self._padded = bool(pads)
+        values = ", ".join(f"v{i}" for i in range(position))
+        source = [
+            f"def pack({values}):",
+            "    try:",
+            f"        data = struct_pack({values})",
+            "    except struct_error as exc:",
+            "        raise ValidationError(f'{name}: {exc}') from exc",
+            *raw,
+            "    return data",
+            "def check_pads(data, base=0):",
+            *pads,
+            "    return",
+            "def unpack(data):",
+            "    try:",
+            "        values = struct_unpack(data)",
+            "    except struct_error:",
+            "        raise ValidationError(f'{name}: need exactly {size} bytes,"
+            " got {len(data)}') from None",
+            *(["    check_pads(data)"] if pads else []),
+            "    return values",
+        ]
+        namespace: dict[str, Any] = {"struct_pack": self._struct.pack,
+                                     "struct_unpack": self._struct.unpack,
+                                     "struct_error": struct.error,
+                                     "ValidationError": ValidationError,
+                                     "name": self._name, "size": self.size}
+        exec(compile("\n".join(source), f"<{self._name} record>", "exec"),
+             namespace)
+        self.pack = namespace["pack"]
+        self.unpack = namespace["unpack"]
+        self._check_pads = namespace["check_pads"]
 
-    def pack(self, *values: Any) -> bytes:
-        """The record's bytes; integers must fit their field and raw
-        fields must have exactly their width."""
-        try:
-            data = self._struct.pack(*values)
-        except struct.error as exc:
-            raise ValidationError(f"{self._name}: {exc}") from exc
-        for position, width in self._raw:
-            if len(values[position]) != width:
-                raise ValidationError(f"{self._name}: raw field expected {width} "
-                                      f"bytes, got {len(values[position])}")
-        return data
-
-    def _check_pads(self, data: bytes, base: int = 0) -> None:
-        """Refuse the record at *base* unless its padding is zeroes."""
-        for start, end, zeroes in self._pads:
-            if data[base + start:base + end] != zeroes:
-                raise ValidationError(f"{self._name}: nonzero padding at "
-                                      f"bytes {start}-{end - 1}")
-
-    def unpack(self, data: bytes) -> tuple[Any, ...]:
-        """The fields of a buffer that is exactly one record long."""
-        if len(data) != self.size:
-            raise ValidationError(f"{self._name}: need exactly {self.size} "
-                                  f"bytes, got {len(data)}")
-        if self._pads:
-            self._check_pads(data)
-        return self._struct.unpack(data)
-
-    def unpack_head(self, data: bytes) -> tuple[tuple[Any, ...], bytes]:
-        """The fields of the record *data* starts with, and the rest."""
+    def unpack_head(self, data: bytes | memoryview
+                    ) -> tuple[tuple[Any, ...], memoryview]:
+        """The fields of the record *data* starts with, and a view of
+        the rest."""
         if len(data) < self.size:
             raise ValidationError(f"{self._name}: truncated, need {self.size} "
                                   f"bytes, have {len(data)}")
-        if self._pads:
+        if self._padded:
             self._check_pads(data)
-        return self._struct.unpack_from(data), data[self.size:]
+        return self._struct.unpack_from(data), memoryview(data)[self.size:]
 
-    def unpack_each(self, data: bytes) -> list[tuple[Any, ...]]:
+    def unpack_each(self, data: bytes | memoryview) -> list[tuple[Any, ...]]:
         """The fields of every record in a buffer that holds a whole
         number of them and nothing else."""
         if len(data) % self.size:
             raise ValidationError(f"{self._name}: {len(data)} bytes is not a "
                                   f"whole number of {self.size}-byte records")
-        if self._pads:
+        if self._padded:
             for base in range(0, len(data), self.size):
                 self._check_pads(data, base)
         return list(self._struct.iter_unpack(data))

@@ -78,7 +78,7 @@ _NEW_VIEW = Record("pbft.new_view")
 _NEW_VIEW_VOTE = Record("pbft.new_view", "item")
 
 
-def _expect_end(rest: bytes) -> None:
+def _expect_end(rest: memoryview) -> None:
     if rest:
         raise ValidationError(f"{len(rest)} trailing bytes after decode")
 
@@ -95,7 +95,7 @@ def decode_geo_report(data: bytes) -> GeoReport:
     """Inverse of :func:`encode_geo_report`."""
     node, lng, lat, ts = _GEO.unpack(data)
     try:
-        return GeoReport(node=node, position=LatLng(lat, lng), timestamp=ts)
+        return GeoReport(node, LatLng(lat, lng), ts)
     except GeoError as exc:
         raise ValidationError(f"geo.report: {exc}") from exc
 
@@ -121,14 +121,15 @@ def encode_transaction(tx: Transaction, signature: bytes = _ZERO_SIG) -> bytes:
     return header + payload + _TX_TAIL.pack(encode_geo_report(tx.geo), signature)
 
 
-def _read_transaction(data: bytes) -> tuple[Transaction, bytes, bytes]:
+def _read_transaction(data: bytes | memoryview
+                      ) -> tuple[Transaction, bytes, memoryview]:
     """The transaction frame *data* starts with: (tx, signature, rest)."""
     (kind, sender, nonce, fee, payload_bytes, word, action), rest = \
         _TX.unpack_head(data)
     if len(rest) < payload_bytes:
         raise ValidationError(f"truncated transaction: {payload_bytes} B of "
                               f"payload declared, {len(rest)} remain")
-    payload, rest = rest[:payload_bytes], rest[payload_bytes:]
+    payload, rest = bytes(rest[:payload_bytes]), rest[payload_bytes:]
     (geo_bytes, signature), rest = _TX_TAIL.unpack_head(rest)
     if kind != _TX_KIND_NORMAL:
         raise ValidationError(f"unknown transaction kind tag {kind}")
@@ -146,10 +147,8 @@ def _read_transaction(data: bytes) -> tuple[Transaction, bytes, bytes]:
         value = payload[key_len:key_len + value_len].decode()
     except UnicodeDecodeError as exc:
         raise ValidationError(f"key/value is not UTF-8: {exc}") from exc
-    tx = NormalTransaction(
-        sender=sender, nonce=nonce, fee=fee, geo=decode_geo_report(geo_bytes),
-        payload_bytes=payload_bytes, key=key, value=value,
-    )
+    tx = NormalTransaction(sender, nonce, fee, decode_geo_report(geo_bytes),
+                           payload_bytes, key, value)
     return tx, signature, rest
 
 
@@ -170,8 +169,7 @@ def encode_prepare(msg: Prepare, signature: bytes = _ZERO_SIG) -> bytes:
 def decode_prepare(data: bytes, epoch: int = 0) -> tuple[Prepare, bytes]:
     """Inverse of :func:`encode_prepare` (epoch rides in the view word)."""
     view, seq, sender, digest, signature = _PREPARE.unpack(data)
-    return Prepare(view=view, seq=seq, digest=digest, sender=sender,
-                   epoch=epoch), signature
+    return Prepare(view, seq, digest, sender, epoch), signature
 
 
 def encode_commit(msg: Commit, signature: bytes = _ZERO_SIG) -> bytes:
@@ -182,8 +180,7 @@ def encode_commit(msg: Commit, signature: bytes = _ZERO_SIG) -> bytes:
 def decode_commit(data: bytes, epoch: int = 0) -> tuple[Commit, bytes]:
     """Inverse of :func:`encode_commit`."""
     view, seq, sender, digest, signature = _COMMIT.unpack(data)
-    return Commit(view=view, seq=seq, digest=digest, sender=sender,
-                  epoch=epoch), signature
+    return Commit(view, seq, digest, sender, epoch), signature
 
 
 def encode_checkpoint(msg: Checkpoint, signature: bytes = _ZERO_SIG) -> bytes:
@@ -194,8 +191,7 @@ def encode_checkpoint(msg: Checkpoint, signature: bytes = _ZERO_SIG) -> bytes:
 def decode_checkpoint(data: bytes, epoch: int = 0) -> tuple[Checkpoint, bytes]:
     """Inverse of :func:`encode_checkpoint`."""
     seq, sender, digest, signature = _CHECKPOINT.unpack(data)
-    return Checkpoint(seq=seq, state_digest=digest, sender=sender,
-                      epoch=epoch), signature
+    return Checkpoint(seq, digest, sender, epoch), signature
 
 
 def encode_reply(msg: Reply, signature: bytes = _ZERO_SIG) -> bytes:
@@ -215,8 +211,8 @@ def decode_reply(data: bytes, request_id: str = "") -> tuple[Reply, bytes]:
             (keyed by client + timestamp); empty when unknown.
     """
     view, client, sender, timestamp, digest, signature = _REPLY.unpack(data)
-    return Reply(view=view, timestamp=timestamp, client=client, sender=sender,
-                 request_id=request_id, result_digest=digest), signature
+    return Reply(view, timestamp, client, sender, request_id,
+                 digest), signature
 
 
 def encode_request(msg: ClientRequest, op_bytes: bytes,
@@ -242,7 +238,7 @@ def decode_request(data: bytes) -> tuple[int, float, bytes, bytes]:
         operation with the codec matching its kind.
     """
     (client, timestamp, signature), op_bytes = _REQUEST.unpack_head(data)
-    return client, timestamp, signature, op_bytes
+    return client, timestamp, signature, bytes(op_bytes)
 
 
 def encode_pre_prepare(msg: PrePrepare, request_bytes: bytes,
@@ -264,7 +260,7 @@ def decode_pre_prepare(data: bytes) -> tuple[int, int, int, bytes, bytes, bytes]
     """
     (view, seq, sender, digest, signature), request_bytes = \
         _PRE_PREPARE.unpack_head(data)
-    return view, seq, sender, digest, signature, request_bytes
+    return view, seq, sender, digest, signature, bytes(request_bytes)
 
 
 # -- blocks ----------------------------------------------------------------
@@ -280,15 +276,14 @@ def encode_block_header(header: BlockHeader,
                               header.parent, header.tx_root, signature)
 
 
-def _read_block_header(data: bytes) -> tuple[BlockHeader, bytes, bytes]:
+def _read_block_header(data: bytes) -> tuple[BlockHeader, bytes, memoryview]:
     """The header frame *data* starts with: (header, signature, rest)."""
     from repro.chain.block import BlockHeader
 
     (height, era, view, seq, proposer, timestamp, parent, tx_root,
      signature), rest = _BLOCK_HEADER.unpack_head(data)
-    header = BlockHeader(height=height, parent=parent, era=era, view=view,
-                         seq=seq, proposer=proposer, timestamp=timestamp,
-                         tx_root=tx_root)
+    header = BlockHeader(height, parent, era, view, seq, proposer, timestamp,
+                         tx_root)
     return header, signature, rest
 
 
@@ -341,10 +336,9 @@ def decode_era_switch(data: bytes) -> EraSwitchOperation:
                               f"{n_removed} ids, carries {len(ids)}")
     added_at = n_committee + n_added
     try:
-        return EraSwitchOperation(new_era=new_era,
-                                  committee=tuple(ids[:n_committee]),
-                                  added=tuple(ids[n_committee:added_at]),
-                                  removed=tuple(ids[added_at:]))
+        return EraSwitchOperation(new_era, tuple(ids[:n_committee]),
+                                  tuple(ids[n_committee:added_at]),
+                                  tuple(ids[added_at:]))
     except ConsensusError as exc:
         raise ValidationError(f"gpbft.era_switch: {exc}") from exc
 
@@ -357,7 +351,8 @@ def encode_xzone_tx(msg: InterZoneTx, signature: bytes = _ZERO_SIG) -> bytes:
             + encode_transaction(msg.tx) + _XZONE_TAIL.pack(signature))
 
 
-def _read_xzone_tx(data: bytes) -> tuple[InterZoneTx, bytes, bytes]:
+def _read_xzone_tx(data: bytes | memoryview
+                   ) -> tuple[InterZoneTx, bytes, memoryview]:
     """The envelope frame *data* starts with: (envelope, signature, rest)."""
     from repro.core.messages import InterZoneTx
 
@@ -365,7 +360,7 @@ def _read_xzone_tx(data: bytes) -> tuple[InterZoneTx, bytes, bytes]:
     tx, _tx_sig, rest = _read_transaction(rest)
     (signature,), rest = _XZONE_TAIL.unpack_head(rest)
     try:
-        envelope = InterZoneTx(src_zone=src_zone, dst_zone=dst_zone, tx=tx)
+        envelope = InterZoneTx(src_zone, dst_zone, tx)
     except ConsensusError as exc:
         raise ValidationError(f"gpbft.xzone_tx: {exc}") from exc
     return envelope, signature, rest
@@ -399,8 +394,7 @@ def decode_zone_checkpoint(data: bytes) -> ZoneCheckpointOperation:
     if len(txs) != count:
         raise ValidationError(f"zone checkpoint declares {count} envelopes, "
                               f"carries {len(txs)}")
-    return ZoneCheckpointOperation(zone=zone, seq=seq, era=era,
-                                   height=height, head=head, txs=tuple(txs))
+    return ZoneCheckpointOperation(zone, seq, era, height, head, tuple(txs))
 
 
 # -- view changes ---------------------------------------------------------------

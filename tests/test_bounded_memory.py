@@ -13,6 +13,13 @@ key is held to one of three contracts:
   and 2H (:data:`PRODUCTS`: one ledger block per commit, ...);
 * **everything else** -- its total is no larger at 2H than at H.
 
+Those walks come after a drain, when the network's queues are empty,
+so each run is also walked under load: right after the first send at
+or after 30 s before its horizon, which has just put an envelope in
+flight.  Only windows judge that walk: a backlog that grows with the
+horizon outgrows its window there even when the drain empties it
+before the end.
+
 The items of a window or a product are records that the bound already
 counts, so their own containers are walked last and judged one at a
 time: none may outgrow its window or, without one, be larger at 2H
@@ -24,6 +31,7 @@ walk skips it.
 from __future__ import annotations
 
 import dataclasses
+import math
 import types
 from collections import Counter, deque
 from functools import partial
@@ -47,6 +55,7 @@ from repro.core.node import MAX_BLOCK_TXS
 from repro.common.rng import DeterministicRNG
 from repro.experiments import runner
 from repro.net import simulator
+from repro.net.network import SimulatedNetwork
 from repro.obs import Observability
 from repro.obs.obsconfig import ObsConfig
 from repro.obs.timeseries import _SKETCH_BUCKETS, Timeseries
@@ -92,10 +101,17 @@ WINDOWS = {
     # at most one entry per busy port: each holds a distinct port's one
     # completion event
     "Simulator._lane": lambda sim: len({entry[2] for entry in sim._lane}),
-    # a port's arrived FIFO is its backlog (the in-flight heap is judged
-    # as everything else is)
+    # a port's backlog: envelopes in flight, and those that have arrived
+    "_Port.inbox": lambda port: _BACKLOG,
     "_Port.arrived": lambda port: _BACKLOG,
 }
+
+#: The network's queues: empty once a run drains, so only the walk
+#: under load reads them.
+_QUEUES = ("_Port.inbox", "_Port.arrived", "Simulator._lane")
+
+#: How long before H the walk under load is armed.
+_LOADED_LEAD_S = 30.0
 
 #: The runs here offer far less than a node serves, so a backlog is one
 #: burst: a fan-out of each kind from each of a few dozen peers at most.
@@ -221,10 +237,12 @@ def walk(roots) -> Walk:
 
 @dataclasses.dataclass
 class Run:
-    """One finished run: its hosts, its facade and its mode."""
+    """One finished run: its hosts, its facade, its mode and the walk
+    taken under load."""
 
     hosts: list
     obs: Observability
+    loaded: Walk
     mode: str = "per_tx"
 
     def count(self, kind: str) -> int:
@@ -251,20 +269,58 @@ def built(monkeypatch):
     return hosts
 
 
-def _agg_day(built, horizon: float) -> Run:
+@pytest.fixture
+def loaded(monkeypatch):
+    """The walks taken under load; ``_arm`` arms the next one."""
+    armed = types.SimpleNamespace(at=math.inf, roots=None, walks=[])
+    send = SimulatedNetwork.send
+
+    def walking_send(network, src, dst, payload):
+        send(network, src, dst, payload)
+        if network.sim.now >= armed.at:
+            armed.at = math.inf
+            armed.walks.append(walk(armed.roots()))
+
+    monkeypatch.setattr(SimulatedNetwork, "send", walking_send)
+    return armed
+
+
+def _arm(loaded, horizon: float, roots) -> None:
+    """Walk ``roots()`` after the first send at or after
+    ``horizon - _LOADED_LEAD_S``: the load still runs, and the send has
+    just put an envelope in flight."""
+    loaded.at, loaded.roots = horizon - _LOADED_LEAD_S, roots
+
+
+def _loaded_walk(loaded) -> Walk:
+    """The walk the run just finished took under load."""
+    assert loaded.at == math.inf and loaded.walks, "no send under load"
+    return loaded.walks.pop()
+
+
+def _agg_day(built, loaded, horizon: float) -> Run:
     """The day's ``agg`` path at 0.8 req/s over two zones."""
     obs = _obs()
+    _arm(loaded, horizon, lambda: [*built, obs])
     out = runner._gpbft_agg_point(int(0.8 * horizon), 0, zones=2,
                                   duration_s=horizon, event_capacity=256,
                                   obs=obs)
     assert out["completed"] == out["offered"] > 0, out
-    return Run(list(built), obs)
+    return Run(list(built), obs, _loaded_walk(loaded))
 
 
-def _deployment(built, horizon: float, mode: str) -> Run:
+#: Seconds the slowed endorser of :func:`_deployment` takes per message
+#: while the load runs: it serves about half as fast as its messages
+#: arrive.
+_SLOW_INTERVAL_S = 0.7
+
+
+def _deployment(built, loaded, horizon: float, mode: str,
+                slow: int | None = None) -> Run:
     """Ten nodes, four genesis endorsers, audits every 120 s and an
     election table whose prune runs inside H; each node submits every
-    60 s on average until H, then the run drains for 300 s."""
+    60 s on average until H, then the run drains for 300 s.  Node
+    *slow*, if given, serves at ``_SLOW_INTERVAL_S`` until H."""
     config = GPBFTConfig().replace(
         election=ElectionConfig(stationary_hours=0.02, report_interval_s=30.0),
         era=EraConfig(period_s=120.0, switch_duration_s=5.0))
@@ -273,6 +329,13 @@ def _deployment(built, horizon: float, mode: str) -> Run:
         event_capacity=256)
     obs = _obs()
     host = spec.build(obs=obs)
+    if slow is not None:
+        network = host.network
+        normal = network.processing_interval(slow)
+        network.set_processing_interval(slow, _SLOW_INTERVAL_S)
+        host.sim.schedule_at(horizon, network.set_processing_interval, slow,
+                             normal)
+    _arm(loaded, horizon, lambda: [host, obs])
     rng = DeterministicRNG(0, "load")
     for node in sorted(host.nodes):
         load = PoissonArrivals(host.sim, partial(host.submit_from, node),
@@ -281,13 +344,15 @@ def _deployment(built, horizon: float, mode: str) -> Run:
         host.sim.schedule_at(horizon, load.stop)
     host.run(until=horizon + 300.0)
     obs.finish()
-    return Run(list(built), obs, mode)
+    return Run(list(built), obs, _loaded_walk(loaded), mode)
 
 
 def _faults(at_h: Run, at_2h: Run) -> list[str]:
     """Every contract the two runs break, one line each."""
     h, h2 = walk([*at_h.hosts, at_h.obs]), walk([*at_2h.hosts, at_2h.obs])
     faults = h.over + h2.over
+    faults += [f"under load: {line}"
+               for line in at_h.loaded.over + at_2h.loaded.over]
     for key, unit in PRODUCTS.items():
         grew, expected = h2.total[key] - h.total[key], unit(at_2h) - unit(at_h)
         if grew != expected:
@@ -302,32 +367,52 @@ def _faults(at_h: Run, at_2h: Run) -> list[str]:
 
 
 def _judge(at_h: Run, at_2h: Run) -> None:
+    for run in (at_h, at_2h):
+        backlog = {key: run.loaded.total[key] for key in _QUEUES}
+        assert sum(backlog.values()), f"the walk under load read {backlog}"
     faults = _faults(at_h, at_2h)
     assert not faults, "\n".join(faults)
 
 
-def test_the_days_agg_path_holds_flat_memory(built, monkeypatch):
+def test_the_days_agg_path_holds_flat_memory(built, loaded, monkeypatch):
     # windows small enough to fill inside H
     monkeypatch.setattr(runner, "AGG_RETENTION", 200)
-    at_h = _agg_day(built, 2_500.0)
+    at_h = _agg_day(built, loaded, 2_500.0)
     built.clear()
-    at_2h = _agg_day(built, 5_000.0)
+    at_2h = _agg_day(built, loaded, 5_000.0)
     _judge(at_h, at_2h)
 
 
 @pytest.mark.parametrize("mode", ["per_tx", "block"])
-def test_a_deployment_holds_flat_memory(built, mode):
-    at_h = _deployment(built, 600.0, mode)
+def test_a_deployment_holds_flat_memory(built, loaded, mode):
+    at_h = _deployment(built, loaded, 600.0, mode)
     built.clear()
-    at_2h = _deployment(built, 1_200.0, mode)
+    at_2h = _deployment(built, loaded, 1_200.0, mode)
     _judge(at_h, at_2h)
+
+
+def test_a_backlog_that_grows_with_the_horizon_fails_under_load(built,
+                                                                 loaded):
+    # an endorser slower than its arrivals until H: its arrived FIFO
+    # grows with the horizon (about 800 envelopes at H, 1 400 at 2H),
+    # and the drain empties it before the end.  The slow endorser also
+    # stalls its committee, so the walks after the drain find other
+    # faults; none of them is the network's
+    at_h = _deployment(built, loaded, 600.0, "per_tx", slow=2)
+    built.clear()
+    at_2h = _deployment(built, loaded, 1_200.0, "per_tx", slow=2)
+    faults = _faults(at_h, at_2h)
+    assert any(fault.startswith("under load: _Port.arrived holds")
+               for fault in faults), faults
+    assert not any(fault.startswith("_Port.") for fault in faults), faults
 
 
 @pytest.mark.parametrize("cls, method", [
     (PBFTReplica, "receive"),  # once per message
     (Timeseries, "_flush_window"),  # once per window of frames
 ])
-def test_a_list_grown_per_call_fails_the_check(built, monkeypatch, cls, method):
+def test_a_list_grown_per_call_fails_the_check(built, loaded, monkeypatch, cls,
+                                               method):
     original = getattr(cls, method)
 
     def planted(self, *args, **kwargs):
@@ -335,8 +420,8 @@ def test_a_list_grown_per_call_fails_the_check(built, monkeypatch, cls, method):
         return original(self, *args, **kwargs)
 
     monkeypatch.setattr(cls, method, planted)
-    at_h = _deployment(built, 600.0, "per_tx")
+    at_h = _deployment(built, loaded, 600.0, "per_tx")
     built.clear()
-    at_2h = _deployment(built, 1_200.0, "per_tx")
+    at_2h = _deployment(built, loaded, 1_200.0, "per_tx")
     grew = f"{cls.__name__}.planted grew"
     assert any(fault.startswith(grew) for fault in _faults(at_h, at_2h))

@@ -58,6 +58,18 @@ class TestKeys:
             "220640ead23b5da0e4ab277aef8a2675719c484bc16e96d1c67809d69cac9194"
             "fd8e7d2b5e66bf8e0226482196f7c95b20694893c6729c306d512087ce6a781c")
 
+    def test_a_pair_signs_and_verifies_with_its_halves_own_methods(self):
+        kp = KeyPair.generate(9)
+        assert kp.sign == kp.private.sign and kp.verify == kp.public.verify
+        sig = KeyPair.sign(kp, b"m")  # the methods the attributes shadow
+        assert sig == kp.sign(b"m") and KeyPair.verify(kp, b"m", sig)
+        # the bound methods are no fields: equality, hash and repr are
+        # those of (private, public)
+        same = KeyPair(kp.private, kp.public)
+        assert same == kp and hash(same) == hash(kp)
+        assert repr(kp) == (f"KeyPair(private={kp.private!r}, "
+                            f"public={kp.public!r})")
+
     def test_signature_size_matches_ed25519(self):
         kp = KeyPair.generate(8)
         assert len(kp.sign(b"x").value) == SIGNATURE_BYTES == 64

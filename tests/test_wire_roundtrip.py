@@ -316,6 +316,53 @@ def _dropped_signatures(name):
             for offset in range(field.start, field.start + field.width)}
 
 
+#: The kind of the frames each kind carries after its head record.
+EMBEDS = {"pbft.pre_prepare": "pbft.request",
+          "chain.block": "chain.transaction",
+          "gpbft.xzone_tx": "chain.transaction",
+          "gpbft.zone_checkpoint": "gpbft.xzone_tx"}
+
+
+def _head_end(kind, start=0):
+    """Where the head record of the *kind* frame at *start* ends."""
+    head = "chain.block_header" if kind == "chain.block" else kind
+    return _record(head, "layout", start)[1]
+
+
+def _embedded(kind, data, start=0):
+    """(start, end) of every frame the *kind* frame at *start* in *data*
+    embeds, nested ones included: a pre-prepare's request, a block's
+    transactions, an envelope's transaction, a checkpoint's envelopes."""
+    inner = EMBEDS.get(kind)
+    spans = []
+    at = _head_end(kind, start)
+    while inner is not None and at < len(data):
+        end = _layout(inner, data, at)[1]
+        spans += [(at, end), *_embedded(inner, data, at)]
+        at = end
+        if kind == "gpbft.xzone_tx":  # one transaction, then the tail
+            break
+    return spans
+
+
+def _raw_fields(value):
+    """Every bytes-like value a decoded *value* holds, through tuples
+    (messages included), lists and the slots and attributes of the
+    package's own objects."""
+    if isinstance(value, (bytes, bytearray, memoryview)):
+        yield value
+    elif isinstance(value, (tuple, list)):
+        for item in value:
+            yield from _raw_fields(item)
+    elif type(value).__module__.startswith("repro."):
+        names = list(getattr(value, "__dict__", ()))
+        for cls in type(value).__mro__:
+            names += cls.__dict__.get("__slots__", ())
+        for name in names:
+            if hasattr(value, name) and not name.startswith("__"):
+                yield from _raw_fields(getattr(value, name))
+
+
 def _count_edges(name):
     """(label, frame) for every count or length field of *name*'s sample
     frame set to 0, 1, its maximum, maximum + 1 (modulo its u32 word, so
@@ -626,6 +673,53 @@ class TestMalformedInputRejection:
     @settings(max_examples=40)
     def test_random_bytes_never_crash(self, name, data):
         assert_contract(name, data, "random bytes")
+
+
+class TestSplicedFrames:
+    """Frames built from other frames' parts: an embedded frame cut
+    short with more after it, and one kind's head on another's body."""
+
+    @pytest.mark.parametrize("name", ["pre_prepare", "block", "xzone_tx",
+                                      "zone_checkpoint"])
+    def test_an_embedded_frame_cut_short_meets_the_contract(self, name):
+        data = FRAMES[name][0]
+        spans = _embedded(KINDS[name], data)
+        assert spans
+        for start, end in spans:
+            for cut in range(start + 1, end):
+                # the cut frame followed by what came after it, and by
+                # the whole frame again
+                assert_contract(name, data[:cut] + data[end:],
+                                f"frame {start}-{end} cut at {cut}")
+                assert_contract(name, data[:cut] + data[start:],
+                                f"frame {start}-{end} cut at {cut}, "
+                                "then the whole frame")
+
+    @pytest.mark.parametrize("head, body", [
+        (head, body) for head in sorted(FRAMES) for body in sorted(FRAMES)
+        if head != body])
+    def test_a_head_on_another_kinds_body_meets_the_contract(self, head,
+                                                             body):
+        data = (FRAMES[head][0][:_head_end(KINDS[head])]
+                + FRAMES[body][0][_head_end(KINDS[body]):])
+        for name in (head, body):
+            assert_contract(name, data, f"{head} head on {body} body")
+
+
+class TestDecodedFieldsAreBytes:
+    """A decoder reads embedded frames through views of its buffer and
+    returns every raw field as ``bytes``: a view would compare equal to
+    its bytes, so the round trips above cannot tell."""
+
+    #: The decoders whose values hold no raw field at all.
+    NO_RAW = {"geo_report", "era_switch"}
+
+    @pytest.mark.parametrize("name", sorted(FRAMES))
+    def test_every_raw_field_is_bytes(self, name):
+        data, decode, _ = FRAMES[name]
+        raw = list(_raw_fields(decode(data)))
+        assert bool(raw) != (name in self.NO_RAW)
+        assert [type(field) for field in raw] == [bytes] * len(raw)
 
 
 class TestCanonicalDecoding:
