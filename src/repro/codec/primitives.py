@@ -73,7 +73,6 @@ class Record:
             else:
                 position += int(count or 1)
             offset += width
-        self._padded = bool(pads)
         values = ", ".join(f"v{i}" for i in range(position))
         source = [
             f"def pack({values}):",
@@ -83,9 +82,7 @@ class Record:
             "        raise ValidationError(f'{name}: {exc}') from exc",
             *raw,
             "    return data",
-            "def check_pads(data, base=0):",
-            *pads,
-            "    return",
+            *(["def check_pads(data, base=0):", *pads] if pads else []),
             "def unpack(data):",
             "    try:",
             "        values = struct_unpack(data)",
@@ -104,7 +101,8 @@ class Record:
              namespace)
         self.pack = namespace["pack"]
         self.unpack = namespace["unpack"]
-        self._check_pads = namespace["check_pads"]
+        # None for a layout without padding
+        self._check_pads = namespace.get("check_pads")
 
     def unpack_head(self, data: bytes | memoryview
                     ) -> tuple[tuple[Any, ...], memoryview]:
@@ -113,7 +111,7 @@ class Record:
         if len(data) < self.size:
             raise ValidationError(f"{self._name}: truncated, need {self.size} "
                                   f"bytes, have {len(data)}")
-        if self._padded:
+        if self._check_pads is not None:
             self._check_pads(data)
         return self._struct.unpack_from(data), memoryview(data)[self.size:]
 
@@ -123,7 +121,7 @@ class Record:
         if len(data) % self.size:
             raise ValidationError(f"{self._name}: {len(data)} bytes is not a "
                                   f"whole number of {self.size}-byte records")
-        if self._padded:
+        if self._check_pads is not None:
             for base in range(0, len(data), self.size):
                 self._check_pads(data, base)
         return list(self._struct.iter_unpack(data))

@@ -13,12 +13,12 @@ key is held to one of three contracts:
   and 2H (:data:`PRODUCTS`: one ledger block per commit, ...);
 * **everything else** -- its total is no larger at 2H than at H.
 
-Those walks come after a drain, when the network's queues are empty,
-so each run is also walked under load: right after the first send at
-or after 30 s before its horizon, which has just put an envelope in
-flight.  Only windows judge that walk: a backlog that grows with the
-horizon outgrows its window there even when the drain empties it
-before the end.
+Those walks come after a drain, so the network's queues
+(:data:`_QUEUES`) must read 0 there.  Each run is also walked under
+load: right after the first send at or after 30 s before its horizon,
+which has just put an envelope in flight.  Only windows judge that
+walk: a backlog that grows with the horizon outgrows its window there
+even when the drain empties it before the end.
 
 The items of a window or a product are records that the bound already
 counts, so their own containers are walked last and judged one at a
@@ -106,8 +106,8 @@ WINDOWS = {
     "_Port.arrived": lambda port: _BACKLOG,
 }
 
-#: The network's queues: empty once a run drains, so only the walk
-#: under load reads them.
+#: The network's queues: every walk after a drain must read them at 0,
+#: so their windows judge only the walk under load.
 _QUEUES = ("_Port.inbox", "_Port.arrived", "Simulator._lane")
 
 #: How long before H the walk under load is armed.
@@ -316,11 +316,12 @@ _SLOW_INTERVAL_S = 0.7
 
 
 def _deployment(built, loaded, horizon: float, mode: str,
-                slow: int | None = None) -> Run:
+                slow: int | None = None, recover: bool = True) -> Run:
     """Ten nodes, four genesis endorsers, audits every 120 s and an
     election table whose prune runs inside H; each node submits every
     60 s on average until H, then the run drains for 300 s.  Node
-    *slow*, if given, serves at ``_SLOW_INTERVAL_S`` until H."""
+    *slow*, if given, serves at ``_SLOW_INTERVAL_S`` until H, or to the
+    end unless it should *recover*."""
     config = GPBFTConfig().replace(
         election=ElectionConfig(stationary_hours=0.02, report_interval_s=30.0),
         era=EraConfig(period_s=120.0, switch_duration_s=5.0))
@@ -333,8 +334,9 @@ def _deployment(built, loaded, horizon: float, mode: str,
         network = host.network
         normal = network.processing_interval(slow)
         network.set_processing_interval(slow, _SLOW_INTERVAL_S)
-        host.sim.schedule_at(horizon, network.set_processing_interval, slow,
-                             normal)
+        if recover:
+            host.sim.schedule_at(horizon, network.set_processing_interval,
+                                 slow, normal)
     _arm(loaded, horizon, lambda: [host, obs])
     rng = DeterministicRNG(0, "load")
     for node in sorted(host.nodes):
@@ -351,6 +353,9 @@ def _faults(at_h: Run, at_2h: Run) -> list[str]:
     """Every contract the two runs break, one line each."""
     h, h2 = walk([*at_h.hosts, at_h.obs]), walk([*at_2h.hosts, at_2h.obs])
     faults = h.over + h2.over
+    faults += [f"{key} holds {drained.total[key] + drained.records[key]} "
+               "after the drain" for drained in (h, h2) for key in _QUEUES
+               if drained.total[key] or drained.records[key]]
     faults += [f"under load: {line}"
                for line in at_h.loaded.over + at_2h.loaded.over]
     for key, unit in PRODUCTS.items():
@@ -405,6 +410,18 @@ def test_a_backlog_that_grows_with_the_horizon_fails_under_load(built,
     assert any(fault.startswith("under load: _Port.arrived holds")
                for fault in faults), faults
     assert not any(fault.startswith("_Port.") for fault in faults), faults
+
+
+def test_a_backlog_left_after_the_drain_fails(built, loaded):
+    # the slowed endorser never recovers, so a few hundred envelopes
+    # outlive the drain on its port: fewer than the port's window, so
+    # only the rule that a drained walk reads every queue at 0 finds
+    # them (one run, judged against itself, grows nothing)
+    run = _deployment(built, loaded, 600.0, "per_tx", slow=2, recover=False)
+    network = [fault for fault in _faults(run, run) if "_Port." in fault]
+    assert network and all(fault.startswith("_Port.arrived holds")
+                           and fault.endswith("after the drain")
+                           for fault in network), network
 
 
 @pytest.mark.parametrize("cls, method", [
