@@ -147,9 +147,9 @@ class GPBFTDeployment:
 
     def _add_node(self, node_id: int, position: LatLng, rng_label: str, *,
                   faults=None, profile=None) -> GPBFTNode:
-        """Build, wire and register one node -- genesis population and
-        Sybil identity alike -- that reports *position* and draws from
-        the deployment RNG's *rng_label* fork."""
+        """Build and wire one node -- genesis population and Sybil
+        identity alike; it registers its own port -- that reports
+        *position* and draws from the deployment RNG's *rng_label* fork."""
         node = GPBFTNode(
             node_id=node_id,
             position=position,
@@ -168,7 +168,6 @@ class GPBFTDeployment:
         )
         node._chain_sync_hook = self._chain_sync
         self.nodes[node_id] = node
-        self.network.register(node_id, node.receive)
         if self._oracle is not None:
             from repro.geo.verification import LocationAuditor
             from repro.sybil.detection import ReportAdmission

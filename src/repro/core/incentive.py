@@ -91,6 +91,9 @@ class IncentiveEngine:
         self.blocks_produced: dict[int, int] = defaultdict(int)
         self._excluded: set[int] = set()
         self.history: list[RewardEvent] = []
+        # (endorsers, producer, the other endorsers sorted) of the last
+        # block paid: a committee pays block after block the same way
+        self._others_of: tuple = (None, None, ())
 
     # -- sanctions ----------------------------------------------------------
 
@@ -119,18 +122,20 @@ class IncentiveEngine:
             raise ConsensusError("total fee must be >= 0")
         producer_cut = PRODUCER_SHARE * total_fee
         endorser_pool = ENDORSER_SHARE * total_fee
-        others = [e for e in sorted(set(endorsers)) if e != producer]
+        last_endorsers, last_producer, others = self._others_of
+        if producer != last_producer or endorsers != last_endorsers:
+            others = tuple(e for e in sorted(set(endorsers)) if e != producer)
+            self._others_of = (tuple(endorsers), producer, others)
         per_endorser = endorser_pool / len(others) if others else 0.0
 
-        paid: list[int] = []
-        if producer not in self._excluded:
-            self.balances[producer] += producer_cut
+        excluded = self._excluded
+        balances = self.balances
+        if producer not in excluded:
+            balances[producer] += producer_cut
         self.blocks_produced[producer] += 1
-        for e in others:
-            if e in self._excluded:
-                continue
-            self.balances[e] += per_endorser
-            paid.append(e)
+        paid = [e for e in others if e not in excluded] if excluded else others
+        for e in paid:
+            balances[e] += per_endorser
 
         event = RewardEvent(
             height=height,

@@ -21,6 +21,8 @@ and chain-syncs newly added endorsers.
 
 from __future__ import annotations
 
+from collections import deque
+from types import MethodType
 from typing import TYPE_CHECKING, Callable
 
 from repro.common.config import GPBFTConfig
@@ -63,7 +65,7 @@ from repro.core.messages import (
 )
 from repro.geo.coords import LatLng, haversine_m
 from repro.geo.reports import GeoReport
-from repro.net.network import NodeInterface, SimulatedNetwork
+from repro.net.network import SimulatedNetwork
 from repro.net.simulator import Simulator
 from repro.pbft.client import PBFTClient
 from repro.pbft.faults import FaultModel, HonestFaults
@@ -82,8 +84,8 @@ class GPBFTNode:
     """One participant in a G-PBFT network.
 
     Args:
-        node_id: unique id; must be registered with *network* by the
-            caller (the deployment wires the handler).
+        node_id: unique id; the node registers it with *network* and
+            routes its port (see ``_route``).
         position: current physical location.
         sim: shared simulator.
         network: shared simulated network.  The replica sends through a
@@ -161,7 +163,7 @@ class GPBFTNode:
         # consensus traffic that raced ahead of our activation (a newly
         # elected endorser can see era-N pre-prepares before the
         # CommitteeInfo that makes it a member); replayed on activation
-        self._preactivation_buffer: list = []
+        self._preactivation_buffer: deque = deque(maxlen=self._preactivation_cap)
         self._suspects: set[int] = set()
         self._tx_nonce = 0
         self._audit_timer = None
@@ -177,6 +179,7 @@ class GPBFTNode:
         # deployment (see repro.sybil.detection.ReportAdmission)
         self.admission = None
 
+        self._interface = network.register(node_id, self.receive)
         # device-side client for submitting operations
         self.client = PBFTClient(
             node_id=node_id,
@@ -253,28 +256,33 @@ class GPBFTNode:
     # ------------------------------------------------------------------
 
     def _dispatch(self, payload) -> None:
-        """Handle one inbound payload: from the network, or handed to
-        itself by a send or multicast that lists this node."""
-        kind = getattr(payload, "kind", "")
-        handler = self._HANDLERS.get(kind)
+        """Handle one inbound payload: from the network while the node
+        routes its own port (see ``_route``), or handed to itself by a
+        send or multicast that lists this node."""
+        handler = self._HANDLERS.get(payload.kind)
         if handler is not None:
             handler(self, payload)
-        elif kind.startswith("pbft.") and not self.switching:
-            # the replica's kinds -- prepares and commits, nine tenths of
-            # an endorser's traffic -- pay one table miss and no call
-            if self.replica is not None:
-                self.replica.receive(payload)
-            else:
-                # not (yet) an active endorser: keep a bounded window of
-                # consensus traffic in case a CommitteeInfo is in flight
-                self._preactivation_buffer.append(payload)
-                if len(self._preactivation_buffer) > self._preactivation_cap:
-                    self._preactivation_buffer.pop(0)
+        elif self.replica is not None:
+            # halted below the minimum: the replica's kinds still flow
+            self.replica.receive(payload)
+        elif not self.switching:
+            # not (yet) an active endorser: keep a bounded window of
+            # consensus traffic in case a CommitteeInfo is in flight
+            self._preactivation_buffer.append(payload)
 
-    #: The handler the deployment registers with the network.  The same
-    #: function as the local hand-off, whose scheduled callback keeps the
-    #: qualname ``GPBFTNode._dispatch`` that schedule fingerprints hash.
+    #: The node's handler on its port.  The same function as the local
+    #: hand-off, whose scheduled callback keeps the qualname
+    #: ``GPBFTNode._dispatch`` that schedule fingerprints hash.
     receive = _dispatch
+
+    def _route(self) -> None:
+        """Swap the port's handler at an edge of the routing state: an
+        active endorser neither switching nor halted delivers straight to
+        its replica, which hands the node's kinds back (``host``), so a
+        vote costs what it does on a cluster; otherwise the node's
+        ``receive`` keeps the pre-activation window, switch and halt."""
+        direct = self.replica is not None and not (self.switching or self.halted_below_minimum)
+        self.network.set_handler(self.node_id, self.replica.receive if direct else self.receive)
 
     def _on_reply(self, reply) -> None:
         self.client.receive(reply)
@@ -354,7 +362,7 @@ class GPBFTNode:
             node_id=self.node_id,
             committee=self.committee,
             sim=self.sim,
-            transport=NodeInterface(self.network, self.node_id),
+            transport=self._interface,
             config=self.config.pbft,
             executor=self._execute_operation,
             state_digest_fn=lambda: self.ledger.state.root,
@@ -362,6 +370,8 @@ class GPBFTNode:
             faults=self.faults,
             epoch=self.era,
             obs=self.obs,
+            host={kind: MethodType(handler, self) for kind, handler
+                  in self._HANDLERS.items() if kind != ClientRequest.kind},
         )
         if self._audit_timer is None:
             self._audit_timer = self.sim.schedule(self.config.era.period_s, self._audit_loop)
@@ -369,14 +379,16 @@ class GPBFTNode:
             self._block_timer = self.sim.schedule(self.block_interval_s, self._block_loop)
         # replay consensus traffic that arrived before activation; the
         # replica's epoch filter discards anything from older eras
-        backlog, self._preactivation_buffer = self._preactivation_buffer, []
-        for payload in backlog:
-            self.replica.receive(payload)
+        backlog = self._preactivation_buffer
+        while backlog:
+            self.replica.receive(backlog.popleft())
+        self._route()
 
     def _deactivate_endorser(self) -> None:
         if self.replica is not None:
             self.replica.shutdown()
             self.replica = None
+            self._route()
         for timer_name in ("_audit_timer", "_block_timer"):
             timer = getattr(self, timer_name)
             if timer is not None:
@@ -410,6 +422,8 @@ class GPBFTNode:
             backlog, self._switch_buffer = self._switch_buffer, []
             for request in backlog:
                 self.replica.receive(request)
+        if self.halted_below_minimum != was_halted:
+            self._route()
         if self.halted_below_minimum and not was_halted:
             self._record(EV_GPBFT_HALTED_BELOW_MINIMUM, committee=len(self.committee))
 
@@ -622,6 +636,7 @@ class GPBFTNode:
         if self.replica is not None:
             self.replica.shutdown()
             self.replica = None
+            self._route()
         self._record(EV_ERA_SWITCH_STARTED, new_era=op.new_era)
         self.sim.schedule(
             self.config.era.switch_duration_s, self._complete_era_switch, op, carried
@@ -713,8 +728,9 @@ class GPBFTNode:
     _chain_sync_hook: Callable | None = None
 
     #: kind -> handler of the kinds the node consumes itself, one lookup
-    #: per delivered message; the rest of ``pbft.*`` is the replica's
-    #: (see ``_dispatch``).  Class-level: see ``PBFTReplica._HANDLERS``.
+    #: per message it receives; every other kind is the replica's (see
+    #: ``_dispatch``).  Class-level: see ``PBFTReplica._HANDLERS``; an
+    #: active replica holds these bound, requests aside (``host``).
     _HANDLERS = {
         Reply.kind: _on_reply,
         ClientRequest.kind: _on_pbft_request,

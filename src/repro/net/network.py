@@ -273,6 +273,15 @@ class SimulatedNetwork:
         port.handler = handler
         return NodeInterface(self, node_id)
 
+    def set_handler(self, node_id: int, handler: Handler) -> None:
+        """Swap the receive callback of the registered *node_id* (a host
+        routing by its own state does so at that state's edges); the next
+        delivery reads it.  An unregistered id is a ``NetworkError``."""
+        port = self._ports.get(node_id)
+        if port is None or port.handler is None:
+            raise NetworkError(f"node {node_id} is not registered")
+        port.handler = handler
+
     def set_processing_interval(self, node_id: int, interval_s: float) -> None:
         """Override the per-message processing time of one node.
 
@@ -569,5 +578,5 @@ class SimulatedNetwork:
             return
         port.delivered += 1
         port.delivered_bytes += envelope[6]  # size_bytes
-        # service only starts at a registered port; handlers are never removed
+        # service only starts at a registered port; handlers are swapped, never removed
         port.handler(envelope[4])  # payload

@@ -93,6 +93,8 @@ class PBFTReplica:
         obs: observability facade for the facts *event_log* does not
             carry (phase entries, state-transfer attempts); the rest it
             reads off the log.
+        host: kind -> handler of kinds the host consumes, none of them
+            this replica's: ``receive`` hands them back, past the faults.
     """
 
     def __init__(
@@ -109,6 +111,7 @@ class PBFTReplica:
         epoch: int = 0,
         state_transfer_fn: Callable[[int], int | None] | None = None,
         obs: "Observability | None" = None,
+        host: dict[str, Callable[[object], None]] | None = None,
     ) -> None:
         self.committee = tuple(committee)
         if len(set(self.committee)) != len(self.committee):
@@ -129,6 +132,7 @@ class PBFTReplica:
         self.epoch = epoch
         self._state_transfer_fn = state_transfer_fn
         self._obs = obs
+        self._host = host or {}
 
         self.n = len(self.committee)
         self.f = max_faulty(self.n)
@@ -273,21 +277,23 @@ class PBFTReplica:
     # -- dispatch ---------------------------------------------------------------
 
     def receive(self, payload) -> None:
-        """Entry point for every protocol message addressed to us; hosts
-        register it with the network as the handler itself.
+        """Entry point for every message addressed to us; hosts register
+        it with the network as the handler itself.
 
         Prepares and commits -- O(n^2) per instance where everything
         else is O(n) or rarer -- pass their one gate here and are counted
         where they land: one for a later view waits for that view, one
         for another era or view, during a view change or from outside
         the committee is ignored.  The log methods are looked up per
-        call: ``perfbench`` wraps them on the class.
+        call: ``perfbench`` wraps them on the class.  The host's kinds
+        go back to it (see ``host``); any other kind is ignored.
         """
         if self.stopped:
             return
         kind = payload.kind
         faults = self._faults
-        if faults.drop_incoming(kind) if self._filters else faults.crashed:
+        if (faults.drop_incoming(kind) if self._filters
+                else faults.crashed) and kind not in self._host:
             return
         is_prepare = kind == Prepare.kind
         if is_prepare or kind == Commit.kind:
@@ -309,12 +315,15 @@ class PBFTReplica:
                     or state.prepared_flag and not state.commit_sent):
                 self._advance(state)
             return
+        handler = self._HANDLERS.get(kind)
+        if handler is None:
+            handler = self._host.get(kind)
+            if handler is not None:
+                handler(payload)
+            return
         if getattr(payload, "epoch", self.epoch) != self.epoch:
             return  # stale traffic from another era
-        handler = self._HANDLERS.get(kind)
-        if handler is not None:
-            # unknown kinds are ignored: the node may co-host other protocols
-            handler(self, payload)
+        handler(self, payload)
 
     # -- client requests -----------------------------------------------------------
 

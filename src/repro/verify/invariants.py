@@ -197,6 +197,35 @@ class QuorumCertificateMonitor(Monitor):
             ), event)
 
 
+class ExactlyOnceMonitor(Monitor):
+    """A replica executes each request at most once per era.
+
+    Keeps the sequence every (replica, era, request id) first executed
+    at, and fails when the id executes again at another sequence: a
+    late retry of a request whose record a stable checkpoint dropped is
+    assigned a fresh one.  Its table grows with every execution, and
+    checkpoint GC still lets that retry through, so it is not one of
+    :func:`default_monitors` yet.
+    """
+
+    name = "exactly-once"
+    kinds = (EV_PBFT_EXECUTED,)
+
+    def __init__(self) -> None:
+        self._seqs: dict[tuple[int, int, str], int] = {}
+
+    def on_event(self, harness: "MonitorHarness", event: Event) -> None:
+        """Fail when a request id executes at a second sequence."""
+        data = event.data
+        key = (event.node, data.get("epoch", 0), data["request_id"])
+        first = self._seqs.setdefault(key, data["seq"])
+        if first != data["seq"]:
+            harness.fail(self, (
+                f"node {event.node} executed {key[2]!r} at seq={data['seq']} "
+                f"after seq={first} in epoch {key[1]}"
+            ), event)
+
+
 class ViewChangeMonotonicityMonitor(Monitor):
     """Entered views must strictly increase per (replica, epoch)."""
 

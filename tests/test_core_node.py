@@ -213,3 +213,112 @@ class TestNodeLifecycle:
         node._execute_block_proposal(BlockProposalOperation(block=bad, producer=2))
         assert 2 in node._suspects
         assert 2 in node.incentive._excluded
+
+
+def _announce(node, era, committee, senders):
+    for sender in senders:
+        node._on_committee_info(CommitteeInfo(era=era, committee=committee, sender=sender))
+
+
+class TestPortRouting:
+    """An active endorser's port delivers straight to its replica; the
+    node takes its port back at every edge where it must gate traffic."""
+
+    def test_every_routing_edge_swaps_the_handler(self):
+        from repro.common.config import CommitteeConfig, GPBFTConfig
+        from tests.test_net import assert_ports_routed
+
+        config = GPBFTConfig(committee=CommitteeConfig(min_endorsers=5))
+        dep = TopologySpec.single(7, 5, config=config, seed=41, start_reports=False).build()
+        routes = [assert_ports_routed(dep.network, dep.nodes)]  # build
+        dep.force_era_switch()
+        assert dep.sim.run_until_condition(lambda: dep.nodes[0].switching, horizon=30.0)
+        routes.append(assert_ports_routed(dep.network, dep.nodes))  # switch starts
+        assert dep.sim.run_until_condition(
+            lambda: all(dep.nodes[m].era == 1 and not dep.nodes[m].switching
+                        for m in range(5)), horizon=30.0)
+        routes.append(assert_ports_routed(dep.network, dep.nodes))  # switch completes
+        _announce(dep.nodes[4], 2, (0, 1, 2, 3, 5, 6), (0, 1))  # loses its seat
+        _announce(dep.nodes[5], 2, (0, 1, 2, 3, 5, 6), (0, 1))  # newly elected
+        routes.append(assert_ports_routed(dep.network, dep.nodes))
+        _announce(dep.nodes[0], 3, (0, 1, 2, 3), (1, 2))  # below min_endorsers
+        assert dep.nodes[0].halted_below_minimum
+        routes.append(assert_ports_routed(dep.network, dep.nodes))
+        _announce(dep.nodes[0], 4, (0, 1, 2, 3, 5), (1, 2))  # back at the minimum
+        assert not dep.nodes[0].halted_below_minimum
+        routes.append(assert_ports_routed(dep.network, dep.nodes))
+        assert [[route[n] for n in (0, 4, 5)] for route in routes] == [
+            ["replica", "replica", "node"],
+            ["node", "node", "node"],
+            ["replica", "replica", "node"],
+            ["replica", "node", "replica"],
+            ["node", "node", "replica"],
+            ["replica", "node", "replica"],
+        ]
+
+    @pytest.mark.parametrize("model", ["crashed", "drops"])
+    def test_a_faulty_endorser_still_consumes_its_own_kinds(self, model):
+        from repro.pbft.faults import CrashFaults, SelectiveDropFaults
+        from repro.pbft.messages import Reply
+
+        faults = (CrashFaults(crashed=True) if model == "crashed"
+                  else SelectiveDropFaults({Reply.kind, "geo.report"}))
+        dep = TopologySpec.single(6, 4, seed=42, start_reports=False).build(
+            faults={3: faults})
+        node = dep.nodes[3]
+        assert dep.network._ports[3].handler.__self__ is node.replica
+        dep.nodes[5].send_geo_report()
+        # a crashed replica drops its own request; the retry (600 s on)
+        # reaches the other three, whose replies its client consumes
+        rid = node.submit_transaction()
+        dep.run(until=650.0)
+        assert [row.node for row in node.election_table.rows(5)] == [5]
+        assert rid in node.client.completed
+
+    def test_a_request_replayed_from_the_switch_buffer_runs_once(self, monkeypatch):
+        from repro.pbft.messages import ClientRequest
+        from repro.pbft.replica import PBFTReplica
+
+        seen = []
+        on_request = PBFTReplica._HANDLERS[ClientRequest.kind]
+
+        def counted(replica, request):
+            seen.append((replica.node_id, request.request_id))
+            on_request(replica, request)
+
+        monkeypatch.setitem(PBFTReplica._HANDLERS, ClientRequest.kind, counted)
+        dep = TopologySpec.single(6, 4, seed=43, start_reports=False).build()
+        node = dep.nodes[2]
+        dep.force_era_switch()
+        assert dep.sim.run_until_condition(lambda: node.switching, horizon=30.0)
+        request = ClientRequest(client=5, timestamp=dep.sim.now, op=TxOperation(make_tx(5)))
+        dep.network.send(5, 2, request)
+        assert dep.sim.run_until_condition(lambda: node._switch_buffer, horizon=30.0)
+        assert (2, request.request_id) not in seen
+        assert dep.sim.run_until_condition(lambda: not node.switching, horizon=30.0)
+        assert seen.count((2, request.request_id)) == 1
+
+    def test_the_preactivation_window_replays_its_latest_messages_in_order(self, monkeypatch):
+        from repro.pbft.messages import Prepare
+        from repro.pbft.replica import PBFTReplica
+
+        dep = TopologySpec.single(6, 4, seed=44, start_reports=False).build()
+        node = dep.nodes[5]
+        cap, extra = node._preactivation_cap, 7
+        assert node._preactivation_buffer.maxlen == cap
+        votes = [Prepare(0, seq, b"\x00" * 32, seq % 4, epoch=1)
+                 for seq in range(1, cap + extra + 1)]
+        for vote in votes:
+            dep.network._ports[5].handler(vote)
+        replayed = []
+        receive = PBFTReplica.receive
+
+        def recorded(replica, payload):
+            if replica.node_id == 5:
+                replayed.append(payload)
+            receive(replica, payload)
+
+        monkeypatch.setattr(PBFTReplica, "receive", recorded)
+        _announce(node, 1, (0, 1, 2, 3, 5), (0, 1))
+        assert node.replica is not None and not node._preactivation_buffer
+        assert replayed == votes[extra:]

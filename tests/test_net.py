@@ -377,6 +377,24 @@ class TestSimulatedNetwork:
         assert got[0] == [] and {id(p) for p in got[1]} == {id(unicast), id(broadcast)}
         assert got[2][0] is broadcast and got[3][0] is broadcast
 
+    def test_a_swapped_handler_takes_the_next_delivery(self):
+        sim, net = self._net()
+        net.latency = ConstantLatency(0.01)
+        first, second = [], []
+        net.register(0, first.append)
+        net.register(1, lambda p: None)
+        net.send(1, 0, RawPayload("a", 10))
+        net.send(1, 0, RawPayload("b", 10))
+        sim.run_until_condition(lambda: len(first) == 1)
+        net.set_handler(0, second.append)
+        sim.run()
+        assert [p.kind for p in first] == ["a"] and [p.kind for p in second] == ["b"]
+        # a destination nobody registered has a port, but no handler to swap
+        net.send(1, 7, RawPayload("c", 10))
+        for node_id in (7, 8):
+            with pytest.raises(NetworkError, match=f"node {node_id} is not registered"):
+                net.set_handler(node_id, second.append)
+
     @pytest.mark.parametrize("interval", [float("nan"), float("inf"), 0.0, -0.1])
     def test_processing_interval_must_be_positive_and_finite(self, interval):
         sim, net = self._net()
@@ -699,20 +717,46 @@ class TestHostsRegisterBoundReceive:
         self._assert_bound_receive(cluster.network,
                                    {**cluster.replicas, **cluster.clients})
 
-    def test_deployment(self):
+    def test_deployment_ports_follow_the_routing_rule(self):
         from repro.common.config import TopologySpec
 
         dep = TopologySpec.single(6, 4, start_reports=False).build()
-        self._assert_bound_receive(dep.network, dep.nodes)
+        routed = assert_ports_routed(dep.network, dep.nodes)
+        assert routed == {0: "replica", 1: "replica", 2: "replica", 3: "replica",
+                          4: "node", 5: "node"}
 
-    def test_hierarchy(self):
+    def test_hierarchy_ports_follow_the_routing_rule(self):
         from repro.common.config import TopologySpec
 
         hier = TopologySpec.zoned(2, 5, start_reports=False).build()
         for zone in hier.zones:
-            self._assert_bound_receive(zone.network, zone.nodes)
+            assert "replica" in assert_ports_routed(zone.network, zone.nodes).values()
         gateways = {gateway.backbone_id: gateway for gateway in hier.gateways}
         self._assert_bound_receive(hier.backbone, {**hier.replicas, **gateways})
+
+
+def assert_ports_routed(network, nodes) -> dict:
+    """Hold every G-PBFT node's port to the routing rule: its handler is
+    a bound ``receive`` with no wrapper, the active replica's for an
+    active endorser neither switching eras nor halted below the minimum,
+    the node's otherwise; a stopped replica never holds it.  Returns
+    node id -> ``"replica"`` or ``"node"``."""
+    handlers = {node_id: port.handler for node_id, port in network._ports.items()
+                if port.handler is not None}
+    assert set(handlers) == set(nodes)
+    routed = {}
+    for node_id, node in nodes.items():
+        replica = node.replica
+        direct = (replica is not None and not node.switching
+                  and not node.halted_below_minimum)
+        owner = replica if direct else node
+        handler = handlers[node_id]
+        assert inspect.ismethod(handler), (node_id, handler)
+        assert handler.__self__ is owner, (node_id, handler)
+        assert handler.__func__ is type(owner).receive, (node_id, handler)
+        assert not getattr(handler.__self__, "stopped", False), node_id
+        routed[node_id] = "replica" if direct else "node"
+    return routed
 
 
 class TestSimulatorCompaction:

@@ -38,6 +38,7 @@ from repro.verify.explorer import (
     write_artifact,
 )
 from repro.verify.invariants import (
+    ExactlyOnceMonitor,
     Monitor,
     ViewChangeMonotonicityMonitor,
     default_monitors,
@@ -142,6 +143,35 @@ class TestRunSchedule:
         violation = outcome.result.violation
         assert violation["monitor"] == "quorum-certificate"
         assert violation["trace"], "violation must carry its trace window"
+
+    @pytest.mark.parametrize("planted", [False, True])
+    def test_planted_forgotten_execution_trips_the_exactly_once_monitor(self, planted):
+        from repro.pbft.messages import ClientRequest, RawOperation
+        from tests.test_exactly_once import small_cluster
+
+        cluster = small_cluster(seed=0, checkpoint_interval=1000, watermark_window=4000)
+        MonitorHarness(cluster, monitors=[ExactlyOnceMonitor()])
+        cluster.sim.run(until=30.0)
+        client = cluster.any_client
+        op = RawOperation(op_id="late-retry")
+        rid = client.submit(op)
+        cluster.sim.run(until=40.0)
+        assert rid in client.completed
+        if planted:
+            # every replica forgets what it executed, as checkpoint GC does
+            for replica in cluster.replicas.values():
+                replica._executed_requests.clear()
+                replica._assigned.clear()
+        retry = ClientRequest(client=client.node_id, timestamp=30.0, op=op)
+        assert retry.request_id == rid
+        cluster.network.multicast(client.node_id, sorted(cluster.replicas), retry)
+        if not planted:
+            cluster.sim.run(until=50.0)  # answered from the executed table
+            return
+        with pytest.raises(InvariantViolation) as exc:
+            cluster.sim.run(until=50.0)
+        assert exc.value.monitor == "exactly-once"
+        assert f"executed {rid!r} at seq=" in exc.value.message
 
     def test_clean_zoned_schedule_passes_and_is_deterministic(self):
         first = run_schedule(_zoned()).result
