@@ -3,6 +3,7 @@
 
     scripts/perf_ops.py WORKLOAD [--seed N] [--top K] [--max-calls-per-msg X]
     scripts/perf_ops.py WORKLOAD --setup [--seed N] [--top K] [--max-setup-calls X]
+    scripts/perf_ops.py WORKLOAD --memory [--seed N] [--top K] [--max-peak-mb X]
 
 Builds one round of a ``perfbench`` workload (imported read-only from
 this checkout), runs its timed ``run`` call under ``sys.settrace`` with
@@ -50,6 +51,15 @@ build first, so imports and first-use work are not counted, then a
 traced one, printed as totals and the same two top-*K* tables.
 ``--max-setup-calls`` exits 1 when that build made more Python calls,
 and refuses the same impossible bounds with exit code 2.
+
+With ``--memory`` it builds one round untraced and runs it under
+``tracemalloc``: the bytes still allocated at the end of the run (with
+the round alive) and the peak while it ran, both counting only blocks
+allocated during the run, then the top *K* source lines by bytes alive
+at the end.  Allocation sizes depend on the code and the seed, not on
+the clock or the hash seed, so the counts repeat like the others.
+``--max-peak-mb`` exits 1 when the peak is above that many megabytes
+(10**6 bytes) and refuses the same impossible bounds with exit code 2.
 """
 
 from __future__ import annotations
@@ -60,6 +70,7 @@ import gc
 import math
 import sys
 import time
+import tracemalloc
 from collections import defaultdict
 from pathlib import Path
 from types import CodeType, FrameType
@@ -132,13 +143,16 @@ def collector_line(fn: Any) -> str:
             f"cyclic garbage         {gc.collect():>12d}  objects the plain round left")
 
 
-def _name(code: CodeType) -> str:
-    path = Path(code.co_filename)
+def _where(filename: str) -> str:
+    path = Path(filename)
     try:
-        where = str(path.resolve().relative_to(ROOT))
+        return str(path.resolve().relative_to(ROOT))
     except ValueError:
-        where = path.name
-    return f"{where}:{code.co_qualname}"
+        return path.name
+
+
+def _name(code: CodeType) -> str:
+    return f"{_where(code.co_filename)}:{code.co_qualname}"
 
 
 def _c_name(key: tuple[str | None, str]) -> str:
@@ -195,6 +209,38 @@ def count_setup(cls: Any, seed: int, top: int, bound: float | None) -> int:
     return 0
 
 
+def count_memory(workload: Any, top: int, bound: float | None) -> int:
+    """Run the built *workload* under ``tracemalloc`` and print its end
+    and peak bytes and top sites; 1 when the peak is above *bound* MB
+    or the round failed its output checks."""
+    tracemalloc.start()
+    try:
+        workload.run()
+        end, peak = tracemalloc.get_traced_memory()
+        snapshot = tracemalloc.take_snapshot()
+    finally:
+        tracemalloc.stop()
+    outcome = workload.outcome()
+    print(f"workload {workload.name}  sim_digest {outcome.digest[:16]}  "
+          f"(one run under tracemalloc)")
+    print(f"traced end             {end:>12d} B  {end / 1e6:8.2f} MB")
+    print(f"traced peak            {peak:>12d} B  {peak / 1e6:8.2f} MB")
+    print(f"\n| allocation site | bytes at end | share | blocks |\n|---|---|---|---|")
+    for stat in snapshot.statistics("lineno")[:top]:
+        frame = stat.traceback[0]
+        print(f"| `{_where(frame.filename)}:{frame.lineno}` | {stat.size} | "
+              f"{stat.size / end if end else 0.0:.1%} | {stat.count} |")
+    if outcome.problems:
+        print("perf_ops: the round failed its output checks: "
+              + "; ".join(outcome.problems), file=sys.stderr)
+        return 1
+    if bound is not None and peak > bound * 1e6:
+        print(f"perf_ops: a traced peak of {peak / 1e6:.2f} MB exceeds {bound} MB",
+              file=sys.stderr)
+        return 1
+    return 0
+
+
 def main(argv: list[str] | None = None) -> int:
     """Trace one round (or its build) and print the counts."""
     from perfbench.workloads import BY_NAME
@@ -211,13 +257,24 @@ def main(argv: list[str] | None = None) -> int:
                         help="count the workload's construction, not its run")
     parser.add_argument("--max-setup-calls", type=positive_finite, default=None,
                         metavar="X")
+    parser.add_argument("--memory", action="store_true",
+                        help="trace the run's allocations, not its calls")
+    parser.add_argument("--max-peak-mb", type=positive_finite, default=None,
+                        metavar="X")
     args = parser.parse_args(argv)
-    if args.setup and args.max_calls_per_msg is not None:
-        parser.error("--max-calls-per-msg bounds a run; --setup counts no messages")
+    if args.setup and args.memory:
+        parser.error("--setup and --memory count different things; pick one")
+    if (args.setup or args.memory) and args.max_calls_per_msg is not None:
+        parser.error("--max-calls-per-msg bounds a counted run; "
+                     "--setup and --memory count no calls per message")
     if args.max_setup_calls is not None and not args.setup:
         parser.error("--max-setup-calls needs --setup")
+    if args.max_peak_mb is not None and not args.memory:
+        parser.error("--max-peak-mb needs --memory")
     if args.setup:
         return count_setup(BY_NAME[args.workload], args.seed, args.top, args.max_setup_calls)
+    if args.memory:
+        return count_memory(BY_NAME[args.workload](args.seed), args.top, args.max_peak_mb)
 
     collector = collector_line(BY_NAME[args.workload](args.seed).run)
     workload = BY_NAME[args.workload](args.seed)

@@ -24,6 +24,7 @@ from repro.common.eventlog import EV_REQUEST_COMPLETED, EV_REQUEST_SUBMITTED, Ev
 from repro.common.quorum import tolerated_faults
 from repro.net.network import Transport
 from repro.net.simulator import ScheduledEvent, Simulator
+from repro.pbft.log import roster
 from repro.pbft.messages import ClientRequest, Operation, Reply
 
 #: Completed-latency entries kept per client before the oldest are
@@ -74,9 +75,9 @@ class PBFTClient:
             raise ConsensusError("client needs a non-empty committee")
         self.node_id = node_id
         self.committee = tuple(committee)
-        # a reply's sender is checked once per reply received: a probe,
-        # not a scan of the committee (kept in step by update_committee)
-        self._committee_set = frozenset(self.committee)
+        # a reply's sender is checked once per reply received: a probe
+        # of the committee's shared roster (kept in step by update_committee)
+        self._roster = roster(self.committee)
         self.sim = sim
         self._transport = transport
         self.config = config or PBFTConfig()
@@ -126,7 +127,7 @@ class PBFTClient:
         entry = self._pending.get(reply.request_id)
         if entry is None:
             return
-        if reply.sender not in self._committee_set:
+        if reply.sender not in self._roster:
             return
         self.view_hint = max(self.view_hint, reply.view)
         senders = entry.replies.setdefault(reply.result_digest, set())
@@ -189,6 +190,6 @@ class PBFTClient:
         if not committee:
             raise ConsensusError("committee must be non-empty")
         self.committee = tuple(committee)
-        self._committee_set = frozenset(self.committee)
+        self._roster = roster(self.committee)
         self.f = tolerated_faults(len(self.committee))
         self.view_hint = 0

@@ -1,17 +1,22 @@
 """Per-replica message log and quorum certificates.
 
 The log tracks, for every (view, sequence) consensus instance, the
-pre-prepare and the sets of distinct replicas that sent matching prepare
-and commit messages, and answers the two classic predicates:
+pre-prepare and the distinct replicas that sent matching prepare and
+commit messages, and answers the two classic predicates:
 
 * ``prepared(v, n)``  -- pre-prepare present plus **2f** prepares from
   distinct replicas (the pre-prepare counts as the primary's prepare);
 * ``committed_local(v, n)`` -- prepared plus **2f+1** matching commits.
+
+The voters are an ``int`` bitmask over committee positions, read
+through the committee's shared :func:`roster`: a vote ORs in its
+sender's bit and a quorum is a ``bit_count()``.  At n = 202 a mask is a
+52-byte int where a ``set`` of ids was an 8 KiB hash table.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro.common.errors import ConsensusError
 from repro.common.quorum import max_faulty, quorum_size
@@ -24,11 +29,13 @@ class InstanceState:
 
     ``prepared_flag`` and ``committed_flag`` are maintained
     incrementally by :class:`MessageLog` as votes arrive -- both
-    predicates are monotone (vote sets only grow), so the flags flip
-    once and the hot-path checks become attribute reads instead of
-    re-counting the vote sets per message.  ``digest`` is the accepted
-    pre-prepare's, or the first vote's while none has arrived; votes
-    for another digest are not counted.
+    predicates are monotone (vote masks only gain bits), so the flags
+    flip once and the hot-path checks become attribute reads instead of
+    re-counting the votes per message.  ``prepares`` and ``commits`` are
+    bitmasks over the committee roster (:meth:`MessageLog.voters`
+    decodes one).  ``digest`` is the accepted pre-prepare's, or the
+    first vote's while none has arrived; votes for another digest are
+    not counted.
     """
 
     view: int
@@ -36,8 +43,8 @@ class InstanceState:
     digest: bytes | None = None
     request: ClientRequest | None = None
     pre_prepare: PrePrepare | None = None
-    prepares: set[int] = field(default_factory=set)
-    commits: set[int] = field(default_factory=set)
+    prepares: int = 0
+    commits: int = 0
     prepare_sent: bool = False
     commit_sent: bool = False
     executed: bool = False
@@ -51,12 +58,34 @@ class InstanceState:
 #: replica memory without bound.
 MAX_CONFLICT_EVIDENCE = 64
 
+#: Rosters cached, the oldest evicted past it.  A host holds a few
+#: committees at once; the bound stops a long process that builds
+#: committee after committee, and an evicted roster lives on where held.
+ROSTER_BOUND = 64
+_rosters: dict[tuple[int, ...], dict[int, int]] = {}
+
+
+def roster(committee: tuple[int, ...]) -> dict[int, int]:
+    """The roster of *committee*: member id -> ``1 << position``.
+
+    Built once and shared, read-only, by every replica and client of
+    the committee; a repeated id yields a roster shorter than it.
+    """
+    found = _rosters.get(committee)
+    if found is None:
+        found = {member: 1 << position for position, member in enumerate(committee)}
+        if len(_rosters) >= ROSTER_BOUND:
+            del _rosters[next(iter(_rosters))]
+        _rosters[committee] = found
+    return found
+
 
 class MessageLog:
     """Quorum bookkeeping for one replica.
 
     Args:
-        n: committee size.
+        roster: the committee's :func:`roster`; a vote from an id it
+            does not hold is not counted.
         replica_id: owner's node id (its own prepares/commits count).
         prepare_quorum: votes required by :meth:`prepared`; defaults to
             the protocol-correct ``2f+1`` (pre-prepare included).  Only
@@ -66,12 +95,14 @@ class MessageLog:
             defaults to ``2f+1``.
     """
 
-    def __init__(self, n: int, replica_id: int,
+    def __init__(self, roster: dict[int, int], replica_id: int,
                  prepare_quorum: int | None = None,
                  commit_quorum: int | None = None) -> None:
+        n = len(roster)
         if n < 4:
             raise ConsensusError(f"PBFT needs n >= 4 replicas, got {n}")
         self.n = n
+        self._roster = roster
         self.f = max_faulty(n)
         self.replica_id = replica_id
         default_quorum = quorum_size(self.f)
@@ -91,6 +122,10 @@ class MessageLog:
             state = InstanceState(view=view, seq=seq)
             self._instances[key] = state
         return state
+
+    def voters(self, mask: int) -> set[int]:
+        """The member ids whose bits *mask* holds."""
+        return {member for member, bit in self._roster.items() if mask & bit}
 
     def instances(self) -> list[InstanceState]:
         """All tracked instances, in (view, seq) order."""
@@ -132,36 +167,38 @@ class MessageLog:
         state.request = msg.request
         # the primary's pre-prepare doubles as its prepare, and may be
         # what completes a quorum of votes that arrived ahead of it
-        state.prepares.add(msg.sender)
-        if len(state.prepares) >= self.prepare_quorum:
+        state.prepares = prepares = state.prepares | self._roster.get(msg.sender, 0)
+        if prepares.bit_count() >= self.prepare_quorum:
             state.prepared_flag = True
-            if len(state.commits) >= self.commit_quorum:
+            if state.commits.bit_count() >= self.commit_quorum:
                 state.committed_flag = True
         return state
 
     def add_prepare(self, msg: Prepare) -> InstanceState:
         """Count a prepare and hand back the instance it belongs to.
 
-        One body per vote: get-or-create, digest check, count, flags.
-        The instance comes back whether or not the vote counted, so the
-        caller advances it without a second lookup; a vote for another
-        digest leaves ``prepares`` as it was, and so does a sender that
-        already voted (the set ignores it).
+        One body per vote: get-or-create, roster and digest checks,
+        count, flags.  The instance comes back whether or not the vote
+        counted, so the caller advances it without a second lookup; a
+        vote from outside the roster (which fixes no digest either) or
+        for another digest leaves ``prepares`` as it was.
         """
         key = (msg.view, msg.seq)
         state = self._instances.get(key)
         if state is None:
             state = self._instances[key] = InstanceState(msg.view, msg.seq)
+        bit = self._roster.get(msg.sender)
+        if bit is None:
+            return state
         if state.digest is None:
             state.digest = msg.digest
         elif state.digest != msg.digest:
             return state
-        prepares = state.prepares
-        prepares.add(msg.sender)
+        state.prepares = prepares = state.prepares | bit
         if (not state.prepared_flag and state.pre_prepare is not None
-                and len(prepares) >= self.prepare_quorum):
+                and prepares.bit_count() >= self.prepare_quorum):
             state.prepared_flag = True
-            if len(state.commits) >= self.commit_quorum:
+            if state.commits.bit_count() >= self.commit_quorum:
                 state.committed_flag = True
         return state
 
@@ -174,14 +211,16 @@ class MessageLog:
         state = self._instances.get(key)
         if state is None:
             state = self._instances[key] = InstanceState(msg.view, msg.seq)
+        bit = self._roster.get(msg.sender)
+        if bit is None:
+            return state
         if state.digest is None:
             state.digest = msg.digest
         elif state.digest != msg.digest:
             return state
-        commits = state.commits
-        commits.add(msg.sender)
+        state.commits = commits = state.commits | bit
         if (state.prepared_flag and not state.committed_flag
-                and len(commits) >= self.commit_quorum):
+                and commits.bit_count() >= self.commit_quorum):
             state.committed_flag = True
         return state
 

@@ -44,7 +44,7 @@ from repro.crypto.hashing import sha256
 from repro.net.network import Transport
 from repro.net.simulator import ScheduledEvent, Simulator
 from repro.pbft.faults import FaultModel, HonestFaults
-from repro.pbft.log import InstanceState, MessageLog
+from repro.pbft.log import InstanceState, MessageLog, roster
 from repro.pbft.messages import (
     Checkpoint,
     ClientRequest,
@@ -114,12 +114,12 @@ class PBFTReplica:
         host: dict[str, Callable[[object], None]] | None = None,
     ) -> None:
         self.committee = tuple(committee)
-        if len(set(self.committee)) != len(self.committee):
+        # membership checks run once per vote received: a probe of the
+        # committee's shared roster, not a scan of the tuple
+        self._roster = roster(self.committee)
+        if len(self._roster) != len(self.committee):
             raise ConsensusError("committee contains duplicate ids")
-        # membership checks run once per vote received; at n=202 a tuple
-        # scan is ~100 comparisons, a frozenset probe is one hash
-        self._committee_set = frozenset(self.committee)
-        if node_id not in self.committee:
+        if node_id not in self._roster:
             raise ConsensusError(f"replica {node_id} not in committee {self.committee}")
         self.node_id = node_id
         self.sim = sim
@@ -144,7 +144,7 @@ class PBFTReplica:
         # the hot-path predicates stay plain integer comparisons
         quorum = quorum_size(self.f)
         self.log = MessageLog(
-            self.n, node_id,
+            self._roster, node_id,
             prepare_quorum=quorum + self.faults.quorum_skew("prepare"),
             commit_quorum=quorum + self.faults.quorum_skew("commit"),
         )
@@ -304,7 +304,7 @@ class PBFTReplica:
                 if view > self.view:
                     self._stash_future(payload)
                 return
-            if self.in_view_change or payload.sender not in self._committee_set:
+            if self.in_view_change or payload.sender not in self._roster:
                 return
             if is_prepare:
                 state = self.log.add_prepare(payload)
@@ -487,7 +487,8 @@ class PBFTReplica:
         if events is not None:
             events.record(self.sim.now, EV_PBFT_EXECUTED, node=self.node_id, seq=seq,
                           view=state.view, request_id=rid, epoch=self.epoch,
-                          prepares=len(state.prepares), commits=len(state.commits))
+                          prepares=state.prepares.bit_count(),
+                          commits=state.commits.bit_count())
         reply = Reply(
             view=state.view,
             timestamp=request.timestamp,
@@ -513,7 +514,7 @@ class PBFTReplica:
 
     def on_checkpoint(self, msg: Checkpoint) -> None:
         """Collect checkpoint votes; 2f+1 matching -> stable, GC the log."""
-        if msg.sender not in self._committee_set:
+        if msg.sender not in self._roster:
             return
         self._note_checkpoint(msg)
 
@@ -605,7 +606,7 @@ class PBFTReplica:
                 seq=s.seq,
                 digest=s.digest,
                 request=s.request,
-                prepare_count=len(s.prepares),
+                prepare_count=s.prepares.bit_count(),
             )
             # all prepared instances above the stable checkpoint -- the
             # executed ones too, or a new primary could reuse their seqs
@@ -638,7 +639,7 @@ class PBFTReplica:
 
     def on_view_change(self, msg: ViewChange) -> None:
         """Collect view-change votes; lead or join as appropriate."""
-        if msg.sender not in self._committee_set or msg.new_view <= self.view:
+        if msg.sender not in self._roster or msg.new_view <= self.view:
             return
         self._note_view_change(msg)
 

@@ -189,7 +189,7 @@ class QuorumCertificateMonitor(Monitor):
         if event.data.get("epoch", replica.epoch) != replica.epoch:
             return  # replica already rolled to a new era; senders are gone
         state = replica.log.instance(event.data["view"], event.data["seq"])
-        outsiders = (state.prepares | state.commits) - set(replica.committee)
+        outsiders = replica.log.voters(state.prepares | state.commits) - set(replica.committee)
         if outsiders:
             harness.fail(self, (
                 f"node {event.node} counted votes from non-members "

@@ -13,6 +13,10 @@ key is held to one of three contracts:
   and 2H (:data:`PRODUCTS`: one ledger block per commit, ...);
 * **everything else** -- its total is no larger at 2H than at H.
 
+The roster cache (:func:`repro.pbft.log.roster`) is module state no
+host reaches, so it is walked on its own and held to
+:data:`~repro.pbft.log.ROSTER_BOUND`.
+
 Those walks come after a drain, so the network's queues
 (:data:`_QUEUES`) must read 0 there.  Each run is also walked under
 load: right after the first send at or after 30 s before its horizon,
@@ -51,6 +55,7 @@ from repro.common.eventlog import (
     EV_TX_COMMITTED,
     EVENT_KINDS,
 )
+from repro.core.messages import EraSwitchOperation
 from repro.core.node import MAX_BLOCK_TXS
 from repro.common.rng import DeterministicRNG
 from repro.experiments import runner
@@ -59,6 +64,7 @@ from repro.net.network import SimulatedNetwork
 from repro.obs import Observability
 from repro.obs.obsconfig import ObsConfig
 from repro.obs.timeseries import _SKETCH_BUCKETS, Timeseries
+from repro.pbft import log as pbft_log
 from repro.pbft.replica import PBFTReplica
 from repro.workloads.arrivals import PoissonArrivals
 
@@ -349,10 +355,18 @@ def _deployment(built, loaded, horizon: float, mode: str,
     return Run(list(built), obs, _loaded_walk(loaded), mode)
 
 
+def _roster_cache_faults() -> list[str]:
+    """The roster cache, walked: more rosters than its bound is a fault."""
+    size = walk([pbft_log._rosters]).total["root"]
+    if size > pbft_log.ROSTER_BOUND:
+        return [f"roster cache holds {size} > {pbft_log.ROSTER_BOUND}"]
+    return []
+
+
 def _faults(at_h: Run, at_2h: Run) -> list[str]:
     """Every contract the two runs break, one line each."""
     h, h2 = walk([*at_h.hosts, at_h.obs]), walk([*at_2h.hosts, at_2h.obs])
-    faults = h.over + h2.over
+    faults = h.over + h2.over + _roster_cache_faults()
     faults += [f"{key} holds {drained.total[key] + drained.records[key]} "
                "after the drain" for drained in (h, h2) for key in _QUEUES
                if drained.total[key] or drained.records[key]]
@@ -442,3 +456,33 @@ def test_a_list_grown_per_call_fails_the_check(built, loaded, monkeypatch, cls,
     at_2h = _deployment(built, loaded, 1_200.0, "per_tx")
     grew = f"{cls.__name__}.planted grew"
     assert any(fault.startswith(grew) for fault in _faults(at_h, at_2h))
+
+
+def test_era_switches_keep_the_roster_cache_within_its_bound(monkeypatch):
+    # each switch swaps the committee's fourth seat, so the run asks for
+    # more committees than the cache holds: it must evict, and every
+    # relaunched replica must still hold its own committee's roster
+    built_rosters = []
+
+    class Recording(dict):
+        def __setitem__(self, committee, found):
+            built_rosters.append(committee)
+            super().__setitem__(committee, found)
+
+    monkeypatch.setattr(pbft_log, "_rosters", Recording())
+    monkeypatch.setattr(pbft_log, "ROSTER_BOUND", 3)
+    dep = TopologySpec.single(9, 4, seed=3, start_reports=False).build()
+    for k in range(10):
+        committee = (0, 1, 2, 4 + k % 5)
+        lead, old = dep.nodes[dep.committee[0]], set(dep.committee)
+        lead.client.submit(EraSwitchOperation(
+            new_era=lead.era + 1, committee=committee,
+            added=tuple(sorted(set(committee) - old)),
+            removed=tuple(sorted(old - set(committee)))))
+        dep.run(until=dep.sim.now + 60.0)
+        assert dep.committee == committee
+        assert not _roster_cache_faults()
+        for member in committee:
+            replica = dep.nodes[member].replica
+            assert replica.epoch == k + 1 and replica._roster == pbft_log.roster(committee)
+    assert len(set(built_rosters)) == 6 and len(built_rosters) > 6

@@ -220,6 +220,17 @@ def _announce(node, era, committee, senders):
         node._on_committee_info(CommitteeInfo(era=era, committee=committee, sender=sender))
 
 
+@pytest.mark.xfail(strict=True, reason="ROADMAP item 2")
+def test_an_announced_era_relaunches_a_continuing_members_replica():
+    # a member that adopts a new era and committee from f+1 announcements
+    # keeps its old replica, whose epoch ignores the new era's traffic
+    dep = TopologySpec.single(7, 5, seed=41, start_reports=False).build()
+    node = dep.nodes[0]
+    _announce(node, 2, (0, 1, 2, 3, 4, 5), (1, 2))
+    assert node.era == 2 and node.is_member and node.replica is not None
+    assert node.replica.epoch == node.era
+
+
 class TestPortRouting:
     """An active endorser's port delivers straight to its replica; the
     node takes its port back at every edge where it must gate traffic."""

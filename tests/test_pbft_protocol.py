@@ -186,8 +186,8 @@ class TestLiveReplicaFollowsItsFaultModelAndView:
         replica.faults = SelectiveDropFaults({Commit.kind})
         assert request("deaf-to-commits") > 0
         assert replica.log.instance(0, 3).prepared_flag
-        assert replica.log.instance(0, 3).commits == {1}
-        assert peer.log.instance(0, 3).commits == {0, 2, 3}
+        assert replica.log.voters(replica.log.instance(0, 3).commits) == {1}
+        assert peer.log.voters(peer.log.instance(0, 3).commits) == {0, 2, 3}
         # a completed view change: the primary is the new view's
         replica.faults = HonestFaults()
         assert replica.primary == 0 and not replica.is_primary
@@ -376,7 +376,7 @@ class TestVoteGate:
         replica.receive(self._vote(vote_cls, sender=3))  # a duplicate counts once
         [state] = replica.log.instances()
         assert (state.view, state.seq, state.digest) == (1, 1, self.DIGEST)
-        assert getattr(state, votes_of) == {2, 3}
+        assert replica.log.voters(getattr(state, votes_of)) == {2, 3}
 
     @pytest.mark.parametrize("changed", [
         dict(epoch=1), dict(epoch=3),  # another era
@@ -415,7 +415,7 @@ class TestVoteGate:
         assert replica.log.instances() == [] and replica._future_messages == {3: [early]}
         replica._enter_view(3)
         [state] = replica.log.instances()
-        assert state.view == 3 and getattr(state, votes_of) == {2}
+        assert state.view == 3 and replica.log.voters(getattr(state, votes_of)) == {2}
         assert replica._future_messages == {}
 
 

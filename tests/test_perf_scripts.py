@@ -8,6 +8,7 @@ from __future__ import annotations
 import importlib.util
 import json
 import math
+import types
 from pathlib import Path
 
 import pytest
@@ -46,6 +47,43 @@ def test_perf_ops_refuses_a_setup_bound_no_build_can_fail(args, monkeypatch, cap
         perf_ops.main(["gpbft_paper_n202", *args])
     assert exit_info.value.code == 2
     assert "--max-" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("args", [
+    ["--memory", "--max-peak-mb", "nan"], ["--memory", "--max-peak-mb", "inf"],
+    ["--memory", "--max-peak-mb", "0"], ["--memory", "--max-peak-mb", "-2"],
+    ["--max-peak-mb", "12"], ["--memory", "--setup"],
+    ["--memory", "--max-calls-per-msg", "5"]])
+def test_perf_ops_refuses_a_peak_bound_no_run_can_fail(args, monkeypatch, capsys):
+    perf_ops = _script("perf_ops")
+    # no round may be built, counted or traced
+    monkeypatch.setattr(perf_ops, "count_memory", pytest.fail)
+    monkeypatch.setattr(perf_ops, "count_setup", pytest.fail)
+    monkeypatch.setattr(perf_ops, "collector_line", pytest.fail)
+    with pytest.raises(SystemExit) as exit_info:
+        perf_ops.main(["pbft_wide_n202", *args])
+    assert exit_info.value.code == 2
+    assert "--m" in capsys.readouterr().err
+
+
+def test_perf_ops_memory_exits_1_on_a_peak_above_its_bound(capsys):
+    perf_ops = _script("perf_ops")
+
+    class Round:
+        """About 1.1 MB kept alive by its run."""
+        name = "stub"
+
+        def run(self):
+            self.kept = [bytes(1000) for _ in range(1000)]
+
+        def outcome(self):
+            return types.SimpleNamespace(digest="0" * 16, problems=[])
+
+    assert perf_ops.count_memory(Round(), 3, 0.5) == 1
+    assert "exceeds 0.5 MB" in capsys.readouterr().err
+    assert perf_ops.count_memory(Round(), 3, 5.0) == 0
+    out = capsys.readouterr().out
+    assert "traced peak" in out and "tests/test_perf_scripts.py" in out
 
 
 def test_perf_ops_takes_a_positive_finite_bound():

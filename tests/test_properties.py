@@ -16,7 +16,7 @@ from repro.geo.geohash import geohash_bounds, geohash_decode, geohash_encode
 from repro.geo.reports import GeoReport, ReportHistory
 from repro.metrics.latency import BoxplotStats
 from repro.core.incentive import IncentiveEngine, select_producer
-from repro.pbft.log import MessageLog
+from repro.pbft.log import MessageLog, roster
 from repro.pbft.messages import ClientRequest, Commit, Prepare, PrePrepare, RawOperation
 
 # strategies -----------------------------------------------------------------
@@ -89,7 +89,7 @@ class TestCryptoProperties:
 class TestQuorumProperties:
     @given(n=st.integers(min_value=4, max_value=100))
     def test_f_bound(self, n):
-        log = MessageLog(n, 0)
+        log = MessageLog(roster(tuple(range(n))), 0)
         # 3f + 1 <= n always
         assert 3 * log.f + 1 <= n  # gpb: allow GPB005 -- property test re-derives the bound independently of repro.common.quorum on purpose
         assert 3 * (log.f + 1) + 1 > n
@@ -98,7 +98,7 @@ class TestQuorumProperties:
            prepares=st.integers(min_value=0, max_value=40))
     def test_prepared_threshold_exact(self, n, prepares):
         prepares = min(prepares, n - 1)
-        log = MessageLog(n, 0)
+        log = MessageLog(roster(tuple(range(n))), 0)
         request = ClientRequest(client=99, timestamp=0.0, op=RawOperation("x"))
         digest = request.digest()
         log.add_pre_prepare(

@@ -18,6 +18,7 @@ import pytest
 from repro.common.errors import ConfigurationError
 from repro.common.eventlog import (
     EV_PBFT_ENTERED_VIEW,
+    EV_PBFT_EXECUTED,
     EV_TX_COMMITTED,
     EVENT_KINDS,
     EventLog,
@@ -40,6 +41,7 @@ from repro.verify.explorer import (
 from repro.verify.invariants import (
     ExactlyOnceMonitor,
     Monitor,
+    QuorumCertificateMonitor,
     ViewChangeMonotonicityMonitor,
     default_monitors,
 )
@@ -316,6 +318,26 @@ class TestMonitorHarness:
         for at, kind in enumerate(sorted(EVENT_KINDS)):
             host.events.record(float(at), kind, 0)
         assert probe.seen == sorted(Probe.kinds)
+
+    def test_the_certificate_monitor_names_a_counted_non_member(self):
+        from repro.pbft.log import MessageLog, roster
+        from repro.pbft.messages import Commit, Prepare
+
+        # a log whose roster admits id 9, which the replica's committee
+        # does not hold: the monitor decodes the masks and names it
+        digest = b"\x05" * 32
+        log = MessageLog(roster((0, 1, 2, 3, 9)), 1)
+        for sender in (1, 2, 9):
+            log.add_prepare(Prepare(view=0, seq=1, digest=digest, sender=sender))
+            log.add_commit(Commit(view=0, seq=1, digest=digest, sender=sender))
+        host = self._host()
+        host.replicas[1] = SimpleNamespace(f=1, epoch=0, committee=(0, 1, 2, 3), log=log)
+        MonitorHarness(host, monitors=[QuorumCertificateMonitor()])
+        with pytest.raises(InvariantViolation) as exc:
+            host.events.record(1.0, EV_PBFT_EXECUTED, 1, seq=1, view=0, epoch=0,
+                               prepares=3, commits=3)
+        assert exc.value.monitor == "quorum-certificate"
+        assert "non-members [9] at seq=1" in str(exc.value)
 
     def test_default_panel_includes_cross_shard_prefix(self):
         assert [m.name for m in default_monitors()] == [
