@@ -98,9 +98,8 @@ class DBFTNetwork:
                 for tx_id in batch:
                     self._committed_at[tx_id] = self.sim.now
                     self.events.record(
-                        self.sim.now, EV_DBFT_COMMITTED, tx_id=tx_id,
-                        latency=self.sim.now - self._submit_times[tx_id],
-                    )
+                        self.sim.now, EV_DBFT_COMMITTED, -1, tx_id,
+                        self.sim.now - self._submit_times[tx_id])
             else:
                 self.sim.schedule(0.5, check)
 

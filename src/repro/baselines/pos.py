@@ -126,8 +126,7 @@ class PoSNetwork:
         for tx_id in txs:
             self._block_of_tx[tx_id] = len(self.chain) - 1
         self.network.multicast(leader, range(self.n), block)
-        self.events.record(self.sim.now, EV_POS_BLOCK, node=leader,
-                           slot=self._slot, txs=len(txs))
+        self.events.record(self.sim.now, EV_POS_BLOCK, leader, self._slot, len(txs))
         self._update_commitments()
         self.sim.schedule(SLOT_INTERVAL_S, self._run_slot)
 
@@ -139,9 +138,8 @@ class PoSNetwork:
             if tip - index + 1 >= CONFIRMATIONS:
                 self._committed_at[tx_id] = self.sim.now
                 self.events.record(
-                    self.sim.now, EV_POS_COMMITTED, tx_id=tx_id,
-                    latency=self.sim.now - self._tx_submit_times[tx_id],
-                )
+                    self.sim.now, EV_POS_COMMITTED, -1, tx_id,
+                    self.sim.now - self._tx_submit_times[tx_id])
 
     # -- workload & measurement -------------------------------------------
 

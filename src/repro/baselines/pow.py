@@ -142,8 +142,7 @@ class PoWNetwork:
             tx_ids=txs,
             mined_at=self.sim.now,
         )
-        self.events.record(self.sim.now, EV_POW_MINED, node=winner,
-                           height=block.height, txs=len(txs))
+        self.events.record(self.sim.now, EV_POW_MINED, winner, block.height, len(txs))
         self._accept_block(winner, block)
         self.network.multicast(
             winner, range(self.n), RawPayload(BLOCK_KIND, block.size_bytes, block))
@@ -184,9 +183,8 @@ class PoWNetwork:
                 if tx_id in self._tx_submit_times and tx_id not in self._committed_at:
                     self._committed_at[tx_id] = self.sim.now
                     self.events.record(
-                        self.sim.now, EV_POW_COMMITTED, node=0, tx_id=tx_id,
-                        latency=self.sim.now - self._tx_submit_times[tx_id],
-                    )
+                        self.sim.now, EV_POW_COMMITTED, 0, tx_id,
+                        self.sim.now - self._tx_submit_times[tx_id])
 
     # -- workload ------------------------------------------------------------
 

@@ -4,9 +4,12 @@ Consensus experiments need an audit trail: when each request entered the
 system, when each phase transition fired, when era switches started and
 finished.  :class:`EventLog` is an append-only, time-ordered record that
 experiments query after the run (e.g. to compute consensus latency as
-``committed.at - submitted.at``).  It stores the fields of its events in
-parallel columns and builds :class:`Event` tuples only for a reader, so
-a long audit trail is not rescanned by the cyclic garbage collector.
+``committed.at - submitted.at``).  An event is a row of declared
+fields: each kind names its payload fields once, at its ``EV_*``
+constant (:data:`FIELDS`), and :meth:`EventLog.record` stores the values
+in that order as one tuple.  An :class:`Event` and its ``data`` dict are
+built for a reader, so the trail holds no dict per event and a reader
+cannot change what the log holds.
 
 This module is also the single home of the event-kind vocabulary: every
 kind ever recorded into an :class:`EventLog` is a module-level ``EV_*``
@@ -14,68 +17,82 @@ constant below, collected in :data:`EVENT_KINDS`, and consumers
 (replicas, monitors, metrics, the observability layer) import those
 constants instead of repeating the strings.
 ``tests/test_recorded_kinds.py`` runs every topology and mode and
-fails if a kind is recorded or queried that :data:`EVENT_KINDS` does
-not hold, so a typo'd kind cannot silently split the vocabulary.
+fails on a kind recorded or queried outside :data:`EVENT_KINDS`, on a
+recorded row whose length is not its kind's field count, and on a row
+that does not hash, so no typo'd kind or dropped value goes unnoticed.
 """
 
 from __future__ import annotations
 
-from functools import partial
+from array import array
 from typing import Any, Callable, Iterator
 
 from repro.common.record import TupleRecord
 
+#: kind -> the names of its payload values, in the order
+#: :meth:`EventLog.record` takes them.
+FIELDS: dict[str, tuple[str, ...]] = {}
+
+
+def _kind(kind: str, *fields: str) -> str:
+    """Declare *kind* with its payload *fields*; returns *kind*."""
+    FIELDS[kind] = fields
+    return kind
+
+
 # -- event-kind vocabulary -------------------------------------------------
 # Request lifecycle (client side).
-EV_REQUEST_SUBMITTED = "request.submitted"
-EV_REQUEST_COMPLETED = "request.completed"
+EV_REQUEST_SUBMITTED = _kind("request.submitted", "request_id", "committee_size")
+EV_REQUEST_COMPLETED = _kind("request.completed", "request_id", "latency")
 
 # PBFT replica protocol events.
-EV_PBFT_ASSIGNED = "pbft.assigned"
-EV_PBFT_EXECUTED = "pbft.executed"
-EV_PBFT_CHECKPOINT_STABLE = "pbft.checkpoint_stable"
-EV_PBFT_STATE_TRANSFER = "pbft.state_transfer"
-EV_PBFT_VIEW_CHANGE = "pbft.view_change"
-EV_PBFT_NEW_VIEW = "pbft.new_view"
-EV_PBFT_ENTERED_VIEW = "pbft.entered_view"
+EV_PBFT_ASSIGNED = _kind("pbft.assigned", "seq", "view", "request_id")
+EV_PBFT_EXECUTED = _kind("pbft.executed",
+                         "seq", "view", "request_id", "epoch", "prepares", "commits")
+EV_PBFT_CHECKPOINT_STABLE = _kind("pbft.checkpoint_stable", "seq")
+EV_PBFT_STATE_TRANSFER = _kind("pbft.state_transfer", "seq")
+EV_PBFT_VIEW_CHANGE = _kind("pbft.view_change", "new_view", "epoch")
+EV_PBFT_NEW_VIEW = _kind("pbft.new_view", "new_view", "reproposed")
+EV_PBFT_ENTERED_VIEW = _kind("pbft.entered_view", "view", "epoch")
 
 # Chain / transaction events.
-EV_TX_SUBMITTED = "tx.submitted"
-EV_TX_COMMITTED = "tx.committed"
-EV_BLOCK_PROPOSED = "block.proposed"
-EV_BLOCK_COMMITTED = "block.committed"
-EV_BLOCK_REJECTED = "block.rejected"
+EV_TX_SUBMITTED = _kind("tx.submitted", "tx_id")
+EV_TX_COMMITTED = _kind("tx.committed", "tx_id", "height", "digest")
+EV_BLOCK_PROPOSED = _kind("block.proposed", "height", "txs")
+EV_BLOCK_COMMITTED = _kind("block.committed", "producer", "height", "txs")
+EV_BLOCK_REJECTED = _kind("block.rejected", "producer", "height")
 
 # G-PBFT node / election / era events.
-EV_GEO_REPORT_REJECTED = "geo.report_rejected"
-EV_GPBFT_AUDIT = "gpbft.audit"
-EV_GPBFT_ACTIVATED = "gpbft.activated"
-EV_GPBFT_DEACTIVATED = "gpbft.deactivated"
-EV_GPBFT_HALTED_BELOW_MINIMUM = "gpbft.halted_below_minimum"
-EV_ERA_SWITCH_PROPOSED = "era.switch_proposed"
-EV_ERA_SWITCH_STARTED = "era.switch_started"
-EV_ERA_SWITCH_COMPLETED = "era.switch_completed"
+EV_GEO_REPORT_REJECTED = _kind("geo.report_rejected", "subject")
+EV_GPBFT_AUDIT = _kind("gpbft.audit", "era", "invalid", "qualified",
+                       "planned_add", "planned_remove", "candidates")
+EV_GPBFT_ACTIVATED = _kind("gpbft.activated", "era")
+EV_GPBFT_DEACTIVATED = _kind("gpbft.deactivated", "era")
+EV_GPBFT_HALTED_BELOW_MINIMUM = _kind("gpbft.halted_below_minimum", "committee")
+EV_ERA_SWITCH_PROPOSED = _kind("era.switch_proposed", "new_era", "added", "removed")
+EV_ERA_SWITCH_STARTED = _kind("era.switch_started", "new_era")
+EV_ERA_SWITCH_COMPLETED = _kind("era.switch_completed", "era", "committee_size")
 
 # Hierarchical (zone-sharded) deployments: inter-zone transaction
 # lifecycle and top-layer checkpoint ordering.
-EV_XZONE_SUBMITTED = "xzone.submitted"
-EV_XZONE_ORDERED = "xzone.ordered"
-EV_XZONE_DELIVERED = "xzone.delivered"
-EV_XZONE_COMMITTED = "xzone.committed"
-EV_HIER_CHECKPOINT_SUBMITTED = "hier.checkpoint_submitted"
-EV_HIER_CHECKPOINT_COMMITTED = "hier.checkpoint_committed"
+EV_XZONE_SUBMITTED = _kind("xzone.submitted", "tx_id", "src_zone", "dst_zone")
+EV_XZONE_ORDERED = _kind("xzone.ordered", "tx_id", "zone", "src_zone", "top_seq", "pos")
+EV_XZONE_DELIVERED = _kind("xzone.delivered", "tx_id", "zone", "src_zone")
+EV_XZONE_COMMITTED = _kind("xzone.committed", "tx_id", "zone", "src_zone")
+EV_HIER_CHECKPOINT_SUBMITTED = _kind("hier.checkpoint_submitted", "zone", "seq", "txs")
+EV_HIER_CHECKPOINT_COMMITTED = _kind("hier.checkpoint_committed",
+                                     "zone", "seq", "txs", "top_seq")
 
 # Comparison baselines (PoW / PoS / dBFT simulators).
-EV_POW_MINED = "pow.mined"
-EV_POW_COMMITTED = "pow.committed"
-EV_POS_BLOCK = "pos.block"
-EV_POS_COMMITTED = "pos.committed"
-EV_DBFT_COMMITTED = "dbft.committed"
+EV_POW_MINED = _kind("pow.mined", "height", "txs")
+EV_POW_COMMITTED = _kind("pow.committed", "tx_id", "latency")
+EV_POS_BLOCK = _kind("pos.block", "slot", "txs")
+EV_POS_COMMITTED = _kind("pos.committed", "tx_id", "latency")
+EV_DBFT_COMMITTED = _kind("dbft.committed", "tx_id", "latency")
 
-#: Every registered event kind: the value of each ``EV_*`` name above,
-#: so a new kind is registered where it is defined.
-EVENT_KINDS: frozenset[str] = frozenset(
-    value for name, value in globals().items() if name.startswith("EV_"))
+#: Every registered event kind: each kind declared above, so a new kind
+#: is registered where it is defined.
+EVENT_KINDS: frozenset[str] = frozenset(FIELDS)
 
 
 #: Most recent events a post-mortem carries: an invariant violation's
@@ -89,13 +106,15 @@ _new = tuple.__new__
 class Event(TupleRecord):
     """One timestamped occurrence: the immutable tuple ``(at, kind, node, data)``.
 
-    :meth:`EventLog.record` builds the tuple directly, with no Python frame.
+    :class:`EventLog` builds one from a stored row for each read, so
+    every reader gets a ``data`` dict of its own.
 
     Attributes:
         at: simulated time in seconds.
         kind: machine-readable event kind, e.g. ``"tx.committed"``.
         node: id of the node the event happened on (-1 for system events).
-        data: free-form payload (request ids, era numbers, byte counts...).
+        data: the payload by field name (request ids, era numbers, byte
+            counts...), in the order :data:`FIELDS` declares for *kind*.
     """
 
     __slots__ = ()
@@ -109,8 +128,14 @@ class Event(TupleRecord):
         return _new(cls, (at, kind, node, {} if data is None else data))
 
 
-#: One row of an :class:`EventLog`'s columns as an :class:`Event`, built in C.
-_event = partial(_new, Event)
+def _event(at: float, kind: str, node: int, values: tuple[Any, ...]) -> Event:
+    """The :class:`Event` of one stored row; raises ValueError when the
+    row does not hold one value per field its kind declares."""
+    fields = FIELDS.get(kind, ())
+    if len(values) != len(fields):
+        raise ValueError(f"{kind!r} declares the fields {fields}, "
+                         f"a row holds {len(values)} values")
+    return _new(Event, (at, kind, node, dict(zip(fields, values))))
 
 
 class EventLog:
@@ -120,11 +145,11 @@ class EventLog:
     discrete-event simulator guarantees; the log enforces it so that a
     scheduling bug surfaces here rather than as a corrupted experiment.
 
-    It keeps four parallel columns (``at``, ``kind``, ``node``, ``data``)
-    and builds an :class:`Event` only for a reader or a subscriber: an
-    event tuple holds a dict, so the cyclic collector tracks every one
-    it retains, while the columns' floats, strings, ints and dicts of
-    atomic values are never tracked.
+    It keeps four parallel columns: times in an ``array('d')`` (no float
+    object per event), kinds, nodes and each event's tuple of values.
+    An :class:`Event` is built only for a reader or a subscriber, and
+    the cyclic collector untracks a row of atomic values at its first
+    pass, so a long trail costs it nothing.
 
     Live consumers (invariant monitors, the observability facade) can
     :meth:`subscribe` a callback to one kind; an append calls only its
@@ -144,10 +169,10 @@ class EventLog:
     def __init__(self, capacity: int | None = None) -> None:
         if capacity is not None and capacity < 1:
             raise ValueError("capacity must be >= 1 when given")
-        self._at: list[float] = []
+        self._at = array("d")
         self._kind: list[str] = []
         self._node: list[int] = []
-        self._data: list[dict[str, Any]] = []
+        self._data: list[tuple[Any, ...]] = []
         self._counts: dict[str, int] = {}
         self._subscribers: dict[str, list[Callable[[Event], None]]] = {}
         self._capacity = capacity
@@ -158,11 +183,7 @@ class EventLog:
         return len(self._at)
 
     def __iter__(self) -> Iterator[Event]:
-        return map(_event, zip(self._at, self._kind, self._node, self._data))
-
-    def _row(self, index: int) -> Event:
-        return _new(Event, (self._at[index], self._kind[index],
-                            self._node[index], self._data[index]))
+        return map(_event, self._at, self._kind, self._node, self._data)
 
     def subscribe(self, kind: str, callback: Callable[[Event], None]) -> None:
         """Call *callback(event)* synchronously on every future append of *kind*.
@@ -180,9 +201,9 @@ class EventLog:
         """O(1) count of events of *kind* (hot-loop friendly)."""
         return self._counts.get(kind, 0)
 
-    def record(self, at: float, kind: str, node: int = -1, **data: Any) -> Event:
-        """Append an event around this call's own ``data`` dict, returned
-        as an :class:`Event`; raises ValueError on a time regression."""
+    def record(self, at: float, kind: str, node: int = -1, *values: Any) -> None:
+        """Append an event, *values* in the order :data:`FIELDS` declares
+        for *kind*; raises ValueError on a time regression."""
         times = self._at
         if times and at < times[-1] - 1e-9:
             raise ValueError(f"event log regression: {kind} at {at} "
@@ -190,7 +211,7 @@ class EventLog:
         times.append(at)
         self._kind.append(kind)
         self._node.append(node)
-        self._data.append(data)
+        self._data.append(values)
         self._counts[kind] = self._counts.get(kind, 0) + 1
         self.total_appended += 1
         capacity = self._capacity
@@ -200,23 +221,23 @@ class EventLog:
             cut = len(times) - capacity
             for column in (times, self._kind, self._node, self._data):
                 del column[:cut]
-        event = _new(Event, (at, kind, node, data))
-        if self._subscribers:
-            for callback in self._subscribers.get(kind, ()):
+        if self._subscribers and kind in self._subscribers:
+            event = _event(at, kind, node, values)
+            for callback in self._subscribers[kind]:
                 callback(event)
-        return event
 
     def tail(self, n: int) -> list[Event]:
         """The newest *n* retained events, oldest first."""
         if n <= 0:
             return []
-        return list(map(_event, zip(self._at[-n:], self._kind[-n:],
-                                    self._node[-n:], self._data[-n:])))
+        return list(map(_event, self._at[-n:], self._kind[-n:],
+                        self._node[-n:], self._data[-n:]))
 
     def of_kind(self, kind: str) -> list[Event]:
         """All events whose kind equals *kind*, in time order."""
-        kinds = self._kind
-        return [self._row(i) for i in range(len(kinds)) if kinds[i] == kind]
+        kinds, times, nodes, rows = self._kind, self._at, self._node, self._data
+        return [_event(times[i], kind, nodes[i], rows[i])
+                for i in range(len(kinds)) if kinds[i] == kind]
 
 
 def event_to_json(event: Event) -> dict[str, Any]:

@@ -196,15 +196,13 @@ class ZoneGateway:
         tx_id = env.tx.tx_id
         if ordered is not None:
             self.hier.events.record(
-                now, EV_XZONE_ORDERED, node=self.backbone_id, tx_id=tx_id,
-                zone=self.index, src_zone=env.src_zone,
-                top_seq=ordered[0], pos=ordered[1])
+                now, EV_XZONE_ORDERED, self.backbone_id, tx_id, self.index,
+                env.src_zone, ordered[0], ordered[1])
         if tx_id in self._watch or tx_id in self.committed:
             return  # duplicate delivery (client retry or re-execution)
         self._watch[tx_id] = env
-        self.hier.events.record(now, EV_XZONE_DELIVERED,
-                                node=self.backbone_id, tx_id=tx_id,
-                                zone=self.index, src_zone=env.src_zone)
+        self.hier.events.record(now, EV_XZONE_DELIVERED, self.backbone_id,
+                                tx_id, self.index, env.src_zone)
         target = self.deployment.committee[0]
         self.deployment.nodes[target].submit_transaction(env.tx)
 
@@ -362,8 +360,7 @@ class HierarchicalDeployment:
             txs=tuple(gateway.take_pending()),
         )
         self.events.record(self.sim.now, EV_HIER_CHECKPOINT_SUBMITTED,
-                           node=gateway.backbone_id, zone=gateway.index,
-                           seq=op.seq, txs=len(op.txs))
+                           gateway.backbone_id, gateway.index, op.seq, len(op.txs))
         return op
 
     def _on_zone_checkpoint(self, seat: int, op: ZoneCheckpointOperation,
@@ -378,8 +375,7 @@ class HierarchicalDeployment:
         """
         if seat == self.seats[0]:
             self.events.record(self.sim.now, EV_HIER_CHECKPOINT_COMMITTED,
-                               node=seat, zone=op.zone, seq=op.seq,
-                               txs=len(op.txs), top_seq=top_seq)
+                               seat, op.zone, op.seq, len(op.txs), top_seq)
         for pos, env in enumerate(op.txs):
             if self._delivery_seat(env.dst_zone) == seat:
                 self.gateways[env.dst_zone]._on_xzone_tx(
@@ -388,9 +384,8 @@ class HierarchicalDeployment:
     def _note_xzone_commit(self, gateway: ZoneGateway, env: InterZoneTx,
                            event: Event) -> None:
         """Record a destination-zone commit on the hierarchy log."""
-        self.events.record(event.at, EV_XZONE_COMMITTED, node=event.node,
-                           tx_id=env.tx.tx_id, zone=gateway.index,
-                           src_zone=env.src_zone)
+        self.events.record(event.at, EV_XZONE_COMMITTED, event.node,
+                           env.tx.tx_id, gateway.index, env.src_zone)
 
     # -- workload ----------------------------------------------------------
 
@@ -418,8 +413,8 @@ class HierarchicalDeployment:
                                    value=f"{src}>{dst_zone}")
         env = InterZoneTx(src_zone=src, dst_zone=dst_zone, tx=tx)
         self.gateways[src].track_outbound(env)
-        self.events.record(self.sim.now, EV_XZONE_SUBMITTED, node=node_id,
-                           tx_id=tx.tx_id, src_zone=src, dst_zone=dst_zone)
+        self.events.record(self.sim.now, EV_XZONE_SUBMITTED, node_id,
+                           tx.tx_id, src, dst_zone)
         node.submit_transaction(tx)
         return tx.tx_id
 

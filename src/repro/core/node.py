@@ -203,9 +203,9 @@ class GPBFTNode:
         """True iff this node sits in the current committee."""
         return self.node_id in self.committee
 
-    def _record(self, kind: str, **data) -> None:
+    def _record(self, kind: str, *values) -> None:
         if self.events is not None:
-            self.events.record(self.sim.now, kind, node=self.node_id, **data)
+            self.events.record(self.sim.now, kind, self.node_id, *values)
 
     def send(self, dst: int, payload) -> None:
         """Transport: a copy addressed to this node bypasses the network."""
@@ -312,7 +312,7 @@ class GPBFTNode:
         if not self.is_member:
             return  # only endorsers maintain election tables
         if self.admission is not None and not self.admission.admit(msg.report):
-            self._record(EV_GEO_REPORT_REJECTED, subject=msg.report.node)
+            self._record(EV_GEO_REPORT_REJECTED, msg.report.node)
             return
         try:
             self.election_table.observe(msg.report)
@@ -348,7 +348,7 @@ class GPBFTNode:
             tx = self.next_transaction(key=f"k{self.node_id}", value=str(self._tx_nonce))
         if self.mode == "per_tx":
             return self.client.submit(TxOperation(tx))
-        self._record(EV_TX_SUBMITTED, tx_id=tx.tx_id)
+        self._record(EV_TX_SUBMITTED, tx.tx_id)
         self.send(self._first_hop(), TxSubmission(tx))
         return tx.tx_id
 
@@ -425,7 +425,7 @@ class GPBFTNode:
         if self.halted_below_minimum != was_halted:
             self._route()
         if self.halted_below_minimum and not was_halted:
-            self._record(EV_GPBFT_HALTED_BELOW_MINIMUM, committee=len(self.committee))
+            self._record(EV_GPBFT_HALTED_BELOW_MINIMUM, len(self.committee))
 
     # ------------------------------------------------------------------
     # execution of ordered operations
@@ -463,8 +463,7 @@ class GPBFTNode:
         self.ledger.append(block)
         self.incentive.on_block(block.header.height, proposer, self.committee, tx.fee)
         self._observe_tx_geo(tx)
-        self._record(EV_TX_COMMITTED, tx_id=tx.tx_id, height=block.header.height,
-                     digest=block.digest())
+        self._record(EV_TX_COMMITTED, tx.tx_id, block.header.height, block.digest())
 
     def _execute_block_proposal(self, op: BlockProposalOperation) -> None:
         block = op.block
@@ -475,7 +474,7 @@ class GPBFTNode:
         except ChainError:
             self._suspects.add(op.producer)
             self.incentive.exclude(op.producer)
-            self._record(EV_BLOCK_REJECTED, producer=op.producer, height=block.header.height)
+            self._record(EV_BLOCK_REJECTED, op.producer, block.header.height)
             return
         self.incentive.on_block(
             block.header.height, op.producer, self.committee, block.total_fees
@@ -487,10 +486,9 @@ class GPBFTNode:
         self.mempool.remove_committed(block.transactions)
         for tx in block.transactions:
             self._observe_tx_geo(tx)
-            self._record(EV_TX_COMMITTED, tx_id=tx.tx_id, height=block.header.height,
-                         digest=block.digest())
-        self._record(EV_BLOCK_COMMITTED, producer=op.producer, height=block.header.height,
-                     txs=len(block.transactions))
+            self._record(EV_TX_COMMITTED, tx.tx_id, block.header.height, block.digest())
+        self._record(EV_BLOCK_COMMITTED, op.producer, block.header.height,
+                     len(block.transactions))
 
     def _observe_tx_geo(self, tx: Transaction) -> None:
         """Transactions carry geo info at the end of the body; feed it to
@@ -540,7 +538,7 @@ class GPBFTNode:
             timestamp=self.sim.now,
             transactions=txs,
         )
-        self._record(EV_BLOCK_PROPOSED, height=height, txs=len(txs))
+        self._record(EV_BLOCK_PROPOSED, height, len(txs))
         self.client.submit(BlockProposalOperation(block=block, producer=self.node_id))
 
     def _on_tx_submission(self, msg: TxSubmission) -> None:
@@ -597,15 +595,8 @@ class GPBFTNode:
                 qualified.add(node)
         invalid = set(result.invalid_endorsers) | (self._suspects & set(self.committee))
         delta = self.committee_manager.plan_delta(sorted(qualified), sorted(invalid))
-        self._record(
-            EV_GPBFT_AUDIT,
-            era=self.era,
-            invalid=len(invalid),
-            qualified=len(qualified),
-            planned_add=len(delta.added),
-            planned_remove=len(delta.removed),
-            candidates=len(candidates),
-        )
+        self._record(EV_GPBFT_AUDIT, self.era, len(invalid), len(qualified),
+                     len(delta.added), len(delta.removed), len(candidates))
         if delta.empty:
             return
         # the lowest-id valid continuing member proposes the switch;
@@ -623,8 +614,7 @@ class GPBFTNode:
             added=delta.added,
             removed=delta.removed,
         )
-        self._record(EV_ERA_SWITCH_PROPOSED, new_era=op.new_era,
-                     added=list(op.added), removed=list(op.removed))
+        self._record(EV_ERA_SWITCH_PROPOSED, op.new_era, op.added, op.removed)
         self.client.submit(op)
 
     def _execute_era_switch(self, op: EraSwitchOperation) -> None:
@@ -637,7 +627,7 @@ class GPBFTNode:
             self.replica.shutdown()
             self.replica = None
             self._route()
-        self._record(EV_ERA_SWITCH_STARTED, new_era=op.new_era)
+        self._record(EV_ERA_SWITCH_STARTED, op.new_era)
         self.sim.schedule(
             self.config.era.switch_duration_s, self._complete_era_switch, op, carried
         )
@@ -655,7 +645,7 @@ class GPBFTNode:
             # a fresh election clears old sanctions (new-era clean slate)
             self.incentive.reinstate(node)
         self.client.update_committee(self.committee)
-        self._record(EV_ERA_SWITCH_COMPLETED, era=self.era, committee_size=len(self.committee))
+        self._record(EV_ERA_SWITCH_COMPLETED, self.era, len(self.committee))
 
         survivors = [m for m in old_committee if m in self.committee]
         if self.is_member:
@@ -707,11 +697,11 @@ class GPBFTNode:
         self.client.update_committee(self.committee)
         if self.is_member and not was_member:
             # newly elected: sync the chain before joining consensus
-            self._record(EV_GPBFT_ACTIVATED, era=self.era)
+            self._record(EV_GPBFT_ACTIVATED, self.era)
             self._sync_chain(info.sender)
             self._activate_endorser()
         elif not self.is_member and was_member:
-            self._record(EV_GPBFT_DEACTIVATED, era=self.era)
+            self._record(EV_GPBFT_DEACTIVATED, self.era)
             self._deactivate_endorser()
 
     def _sync_chain(self, from_node: int) -> None:

@@ -110,8 +110,8 @@ class PBFTClient:
         entry = _PendingRequest(request=request)
         self._pending[rid] = entry
         if self.events is not None:
-            self.events.record(self.sim.now, EV_REQUEST_SUBMITTED, node=self.node_id,
-                               request_id=rid, committee_size=len(self.committee))
+            self.events.record(self.sim.now, EV_REQUEST_SUBMITTED, self.node_id,
+                               rid, len(self.committee))
         first_hop = self._route_fn() if self._route_fn is not None else self.believed_primary
         self._transport.send(first_hop, request)
         entry.timer = self.sim.schedule(self.config.request_retry_timeout_s, self._retry, rid)
@@ -144,13 +144,8 @@ class PBFTClient:
                 del self.completed[next(iter(self.completed))]
             del self._pending[rid]
             if self.events is not None:
-                self.events.record(
-                    self.sim.now,
-                    EV_REQUEST_COMPLETED,
-                    node=self.node_id,
-                    request_id=rid,
-                    latency=latency,
-                )
+                self.events.record(self.sim.now, EV_REQUEST_COMPLETED,
+                                   self.node_id, rid, latency)
 
     def _retry(self, rid: str) -> None:
         entry = self._pending.get(rid)

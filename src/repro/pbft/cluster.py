@@ -25,7 +25,7 @@ if TYPE_CHECKING:
     from repro.obs.core import Observability
 
 
-#: Executed (seq, op_id) records kept per replica before the oldest are
+#: Executed op ids kept per replica before the oldest are
 #: trimmed (``tests/test_bounded_memory.py`` holds a log to twice its
 #: bound).  The rolling state digest is unaffected; only
 #: ``committed_ops`` queries lose sight of the trimmed prefix, far beyond
@@ -42,15 +42,18 @@ class ExecutedLog:
     """
 
     def __init__(self) -> None:
-        self.ops: list[tuple[int, str]] = []
+        #: executed op ids in seq order: execution is gap-free in seq order
+        #: and a state transfer installs a peer's whole log
+        self.ops: list[str] = []
         #: per-instance trim bound; day-long aggregated points lower it
         #: so executor memory plateaus well before the default would
         self.bound = _EXECUTED_OPS_BOUND
         self._digest = sha256(b"exec-log")
 
     def execute(self, op, seq: int) -> bytes:
-        """Log *op* at *seq* and fold it into the digest; returns it."""
-        self.ops.append((seq, op.op_id))
+        """Log *op*, executed at *seq*, and fold it into the digest;
+        returns it."""
+        self.ops.append(op.op_id)
         if len(self.ops) > 2 * self.bound:
             # amortized trim: drop the oldest half in one slice so the
             # per-execute cost stays O(1)
@@ -69,7 +72,7 @@ class ExecutedLog:
 
     def op_ids(self) -> list[str]:
         """Executed op ids in sequence order."""
-        return [op_id for _seq, op_id in sorted(self.ops)]
+        return list(self.ops)
 
 
 def prefixes_agree(sequences) -> bool:

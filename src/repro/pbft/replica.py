@@ -209,9 +209,9 @@ class PBFTReplica:
         """H = h + window: highest acceptable sequence number."""
         return self.stable_seq + self.config.watermark_window
 
-    def _record(self, kind: str, **data) -> None:
+    def _record(self, kind: str, *values) -> None:
         if self.events is not None:
-            self.events.record(self.sim.now, kind, node=self.node_id, **data)
+            self.events.record(self.sim.now, kind, self.node_id, *values)
 
     def _unicast(self, dst: int, payload) -> None:
         faults = self._faults
@@ -362,8 +362,8 @@ class PBFTReplica:
         digest = request.digest()
         events = self.events
         if events is not None:
-            events.record(self.sim.now, EV_PBFT_ASSIGNED, node=self.node_id,
-                          seq=seq, view=self.view, request_id=rid)
+            events.record(self.sim.now, EV_PBFT_ASSIGNED, self.node_id,
+                          seq, self.view, rid)
         own = PrePrepare(
             view=self.view, seq=seq, digest=digest, request=request,
             sender=self.node_id, epoch=self.epoch,
@@ -485,10 +485,9 @@ class PBFTReplica:
         # can audit the execution without reaching into the log
         events = self.events
         if events is not None:
-            events.record(self.sim.now, EV_PBFT_EXECUTED, node=self.node_id, seq=seq,
-                          view=state.view, request_id=rid, epoch=self.epoch,
-                          prepares=state.prepares.bit_count(),
-                          commits=state.commits.bit_count())
+            events.record(self.sim.now, EV_PBFT_EXECUTED, self.node_id, seq,
+                          state.view, rid, self.epoch, state.prepares.bit_count(),
+                          state.commits.bit_count())
         reply = Reply(
             view=state.view,
             timestamp=request.timestamp,
@@ -531,7 +530,7 @@ class PBFTReplica:
                 del self._checkpoint_votes[s]
             for s in [s for s in self._committed_by_seq if s <= msg.seq]:
                 del self._committed_by_seq[s]
-            self._record(EV_PBFT_CHECKPOINT_STABLE, seq=msg.seq)
+            self._record(EV_PBFT_CHECKPOINT_STABLE, msg.seq)
             # GC replay protection for requests the whole quorum has
             # durably executed -- they can never be legitimately
             # re-proposed past a stable checkpoint
@@ -561,7 +560,7 @@ class PBFTReplica:
         if installed is not None and installed > self.last_executed:
             self.last_executed = installed
             self.next_seq = max(self.next_seq, installed + 1)
-            self._record(EV_PBFT_STATE_TRANSFER, seq=installed)
+            self._record(EV_PBFT_STATE_TRANSFER, installed)
 
     def _drain_parked_requests(self) -> None:
         """Propose requests parked while the watermark window was full."""
@@ -620,7 +619,7 @@ class PBFTReplica:
             sender=self.node_id,
             epoch=self.epoch,
         )
-        self._record(EV_PBFT_VIEW_CHANGE, new_view=new_view, epoch=self.epoch)
+        self._record(EV_PBFT_VIEW_CHANGE, new_view, self.epoch)
         if self._view_change_timer is not None:
             self._view_change_timer.cancel()
         self._view_change_timer = self.sim.schedule(
@@ -708,7 +707,7 @@ class PBFTReplica:
             sender=self.node_id,
             epoch=self.epoch,
         )
-        self._record(EV_PBFT_NEW_VIEW, new_view=new_view, reproposed=len(pre_prepares))
+        self._record(EV_PBFT_NEW_VIEW, new_view, len(pre_prepares))
         self._multicast(nv)
         self._enter_view(new_view)
         self.next_seq = max(max_s, self.last_executed, self.next_seq - 1) + 1
@@ -752,7 +751,7 @@ class PBFTReplica:
         self._view_change_votes = {
             v: votes for v, votes in self._view_change_votes.items() if v > new_view
         }
-        self._record(EV_PBFT_ENTERED_VIEW, view=new_view, epoch=self.epoch)
+        self._record(EV_PBFT_ENTERED_VIEW, new_view, self.epoch)
         # replay protocol messages that arrived before we entered the view
         for view in sorted(v for v in self._future_messages if v <= new_view):
             for msg in self._future_messages.pop(view):

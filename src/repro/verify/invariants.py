@@ -127,7 +127,7 @@ class PrefixConsistencyMonitor(Monitor):
     def on_event(self, harness: "MonitorHarness", event: Event) -> None:
         """Cross-check executed slots and committed heights."""
         if event.kind == EV_PBFT_EXECUTED:
-            key = (event.data.get("epoch", 0), event.data["seq"])
+            key = (event.data["epoch"], event.data["seq"])
             rid = event.data["request_id"]
             seen = self._slots.get(key)
             if seen is None:
@@ -174,19 +174,18 @@ class QuorumCertificateMonitor(Monitor):
         if replica is None:
             return
         need = quorum_size(replica.f)
-        prepares = event.data.get("prepares")
-        commits = event.data.get("commits")
-        if prepares is not None and prepares < need:
+        prepares, commits = event.data["prepares"], event.data["commits"]
+        if prepares < need:
             harness.fail(self, (
                 f"node {event.node} executed seq={event.data['seq']} with "
                 f"{prepares} prepares < required {need}"
             ), event)
-        if commits is not None and commits < need:
+        if commits < need:
             harness.fail(self, (
                 f"node {event.node} executed seq={event.data['seq']} with "
                 f"{commits} commits < required {need}"
             ), event)
-        if event.data.get("epoch", replica.epoch) != replica.epoch:
+        if event.data["epoch"] != replica.epoch:
             return  # replica already rolled to a new era; senders are gone
         state = replica.log.instance(event.data["view"], event.data["seq"])
         outsiders = replica.log.voters(state.prepares | state.commits) - set(replica.committee)
@@ -217,7 +216,7 @@ class ExactlyOnceMonitor(Monitor):
     def on_event(self, harness: "MonitorHarness", event: Event) -> None:
         """Fail when a request id executes at a second sequence."""
         data = event.data
-        key = (event.node, data.get("epoch", 0), data["request_id"])
+        key = (event.node, data["epoch"], data["request_id"])
         first = self._seqs.setdefault(key, data["seq"])
         if first != data["seq"]:
             harness.fail(self, (
@@ -237,7 +236,7 @@ class ViewChangeMonotonicityMonitor(Monitor):
 
     def on_event(self, harness: "MonitorHarness", event: Event) -> None:
         """Track ``pbft.entered_view`` events per replica and epoch."""
-        key = (event.node, event.data.get("epoch", 0))
+        key = (event.node, event.data["epoch"])
         view = event.data["view"]
         last = self._entered.get(key)
         if last is not None and view <= last:

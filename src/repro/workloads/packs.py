@@ -349,7 +349,7 @@ def _sybil_drip_pack(n: int, seed: int) -> dict:
         rejected = sum(
             1 for event in dep.events
             if event.kind == EV_GEO_REPORT_REJECTED
-            and event.data.get("subject") in sybil_ids)
+            and event.data["subject"] in sybil_ids)
         seats = len(sybil_ids & set(dep.committee))
         committed, rate = _commit_stats(submitted, dep.completed_latencies())
         return dep, sybil_ids, rejected, seats, committed, rate, violation

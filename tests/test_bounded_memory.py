@@ -24,6 +24,11 @@ which has just put an envelope in flight.  Only windows judge that
 walk: a backlog that grows with the horizon outgrows its window there
 even when the drain empties it before the end.
 
+A window judges only the containers a walk reaches, so every
+:data:`WINDOWS` key must be reached by some case or be listed in
+:data:`UNREACHED` with the reason: a container renamed, or retyped to
+something the walk does not count, cannot leave its window idle.
+
 The items of a window or a product are records that the bound already
 counts, so their own containers are walked last and judged one at a
 time: none may outgrow its window or, without one, be larger at 2H
@@ -37,6 +42,7 @@ from __future__ import annotations
 import dataclasses
 import math
 import types
+from array import array
 from collections import Counter, deque
 from functools import partial
 
@@ -70,7 +76,7 @@ from repro.workloads.arrivals import PoissonArrivals
 
 _LEAVES = (str, bytes, int, float, complex, bool, type(None), range, type,
            types.ModuleType, types.BuiltinFunctionType)
-_CONTAINERS = (list, tuple, dict, set, frozenset, deque)
+_CONTAINERS = (list, tuple, dict, set, frozenset, deque, array)
 
 
 def _per_seq(replica: PBFTReplica) -> int:
@@ -111,6 +117,10 @@ WINDOWS = {
     "_Port.inbox": lambda port: _BACKLOG,
     "_Port.arrived": lambda port: _BACKLOG,
 }
+
+#: Windows no case here reaches, with the reason.  A window nothing
+#: reaches judges nothing, so each one is reached or listed here.
+UNREACHED: dict[str, str] = {}
 
 #: The network's queues: every walk after a drain must read them at 0,
 #: so their windows judge only the walk under load.
@@ -408,6 +418,25 @@ def test_a_deployment_holds_flat_memory(built, loaded, mode):
     built.clear()
     at_2h = _deployment(built, loaded, 1_200.0, mode)
     _judge(at_h, at_2h)
+
+
+def _reached(run: Run) -> set[str]:
+    """Every key a walk of *run* found a container under, drained or
+    under load."""
+    walks = (walk([*run.hosts, run.obs]), run.loaded)
+    return {key for found in walks for key in (*found.total, *found.records)}
+
+
+def test_every_window_is_reached_by_some_case(built, loaded, monkeypatch):
+    # a container renamed or retyped out of the walk's view would leave
+    # its window judging nothing, and every run would still pass
+    monkeypatch.setattr(runner, "AGG_RETENTION", 200)
+    reached = _reached(_agg_day(built, loaded, 2_500.0))
+    for mode in ("per_tx", "block"):
+        built.clear()
+        reached |= _reached(_deployment(built, loaded, 600.0, mode))
+    assert sorted(set(WINDOWS) - reached - set(UNREACHED)) == []
+    assert sorted(set(UNREACHED) & reached) == [], "listed but reached"
 
 
 def test_a_backlog_that_grows_with_the_horizon_fails_under_load(built,

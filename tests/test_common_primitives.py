@@ -12,6 +12,9 @@ from hypothesis import strategies as st
 
 from repro.common.eventlog import (
     EV_BLOCK_COMMITTED,
+    EV_PBFT_ASSIGNED,
+    EV_PBFT_CHECKPOINT_STABLE,
+    EV_PBFT_STATE_TRANSFER,
     EV_TX_COMMITTED,
     EV_TX_SUBMITTED,
     Event,
@@ -137,23 +140,33 @@ class TestEventLog:
     def test_append_and_query(self):
         log = EventLog()
         log.record(1.0, "a", node=1)
-        log.record(2.0, "b", node=2, extra=7)
+        log.record(2.0, EV_TX_COMMITTED, 2, "t7", 3, b"d")
         assert len(log) == 2
-        assert log.of_kind("b")[0].data["extra"] == 7
+        assert log.of_kind(EV_TX_COMMITTED)[0].data == {
+            "tx_id": "t7", "height": 3, "digest": b"d"}
         assert log.of_kind("a")[-1].at == 1.0
 
-    def test_records_never_share_a_data_dict(self):
-        # record() keeps the **data dict of its call instead of copying
-        # it; that is only sound while every call gets a dict of its own
+    def test_a_reader_cannot_change_what_the_log_holds(self):
+        # the log stores each row's values and builds a data dict per
+        # read, so no two reads (nor a subscriber) share one
         log = EventLog()
-        shared = {"seq": 1}
-        first = log.record(1.0, "a", **shared)
-        second = log.record(2.0, "a", **shared)
-        bare = log.record(3.0, "a"), log.record(4.0, "a")
-        first.data["seq"] = 99
-        assert second.data == shared == {"seq": 1}
-        assert first.data is not second.data and first.data is not shared
-        assert bare[0].data == {} and bare[0].data is not bare[1].data
+        delivered = []
+        log.subscribe(EV_PBFT_CHECKPOINT_STABLE, delivered.append)
+        assert log.record(1.0, EV_PBFT_CHECKPOINT_STABLE, 0, 1) is None
+        log.record(2.0, "a")
+        for read in (delivered[0], log.tail(2)[0], log.of_kind(EV_PBFT_CHECKPOINT_STABLE)[0],
+                     next(iter(log))):
+            assert read.data == {"seq": 1}
+            read.data["seq"] = 99
+        assert log.tail(1)[0].data == {} and log.tail(1)[0].data is not log.tail(1)[0].data
+        assert [e.data for e in log] == [{"seq": 1}, {}]
+
+    def test_a_row_that_misses_a_declared_field_fails_its_read(self):
+        log = EventLog()
+        log.record(1.0, EV_PBFT_ASSIGNED, 0, 4, 0)
+        with pytest.raises(ValueError, match="'pbft.assigned' declares the fields "
+                           r"\('seq', 'view', 'request_id'\), a row holds 2 values"):
+            log.of_kind(EV_PBFT_ASSIGNED)
 
     def test_count_is_maintained(self):
         log = EventLog()
@@ -183,9 +196,12 @@ class TestEventLog:
         assert (event.at, event.kind, event.node, event.data) == (1.5, "a", -1, {})
         assert Event(at=1.5, kind="a").data is not event.data
         assert event == Event(1.5, "a", -1, {})
-        recorded = EventLog().record(2.0, "b", node=3, seq=4)
-        assert recorded == Event(at=2.0, kind="b", node=3, data={"seq": 4})
-        assert repr(recorded) == "Event(at=2.0, kind='b', node=3, data={'seq': 4})"
+        log = EventLog()
+        log.record(2.0, EV_PBFT_STATE_TRANSFER, 3, 4)
+        recorded = log.tail(1)[0]
+        assert recorded == Event(at=2.0, kind=EV_PBFT_STATE_TRANSFER, node=3, data={"seq": 4})
+        assert repr(recorded) == ("Event(at=2.0, kind='pbft.state_transfer', node=3, "
+                                  "data={'seq': 4})")
         for twin in (pickle.loads(pickle.dumps(recorded)), copy.copy(recorded),
                      copy.deepcopy(recorded), eval(repr(recorded))):
             assert twin == recorded and type(twin) is Event
@@ -196,9 +212,9 @@ class TestEventLog:
         log.subscribe(EV_TX_COMMITTED, lambda e: seen.append(("first", e.kind, len(log))))
         log.subscribe(EV_BLOCK_COMMITTED, lambda e: seen.append(("other", e.kind, len(log))))
         log.subscribe(EV_TX_COMMITTED, lambda e: seen.append(("second", e.kind, len(log))))
-        log.record(1.0, EV_TX_COMMITTED)
-        log.record(2.0, EV_TX_SUBMITTED)
-        log.record(3.0, EV_TX_COMMITTED)
+        log.record(1.0, EV_TX_COMMITTED, 0, "t1", 1, b"")
+        log.record(2.0, EV_TX_SUBMITTED, 0, "t2")
+        log.record(3.0, EV_TX_COMMITTED, 0, "t2", 2, b"")
         # each callback runs after its event is stored; the unread kind
         # and the other kind's callback are never involved
         assert seen == [("first", EV_TX_COMMITTED, 1), ("second", EV_TX_COMMITTED, 1),
@@ -211,28 +227,30 @@ class TestEventLog:
         assert log._subscribers == {}
 
     def test_records_add_no_object_the_collector_tracks(self):
-        # the log keeps columns, not Event tuples (a tuple holding a dict
-        # is always tracked): 10 000 atomic events cost the collector nothing
+        # the log keeps columns of atomic rows, not Event tuples (a tuple
+        # holding a dict is always tracked): the collector untracks each
+        # row at its first pass, so 10 000 events cost it nothing
         log = EventLog()
         gc.collect()
         before = len(gc.get_objects())
         for i in range(10_000):
-            log.record(float(i), "tick", node=i % 4, seq=i, request_id=f"r{i}")
+            log.record(float(i), EV_PBFT_ASSIGNED, i % 4, i, 0, f"r{i}")
         gc.collect()
         assert len(gc.get_objects()) - before < 50
-        assert len(log) == 10_000 and log.count("tick") == 10_000
+        assert len(log) == 10_000 and log.count(EV_PBFT_ASSIGNED) == 10_000
 
     def test_ring_tail_and_of_kind_read_the_columns(self):
+        even, odd = EV_PBFT_CHECKPOINT_STABLE, EV_PBFT_STATE_TRANSFER
         log = EventLog(capacity=4)
         for i in range(11):
-            log.record(float(i), "even" if i % 2 == 0 else "odd", node=i, seq=i)
+            log.record(float(i), even if i % 2 == 0 else odd, i, i)
         # trimmed to the newest 4 when it passed 8, then two more appended
         assert [e.node for e in log] == [5, 6, 7, 8, 9, 10]
-        assert log.tail(3) == [Event(8.0, "even", 8, {"seq": 8}),
-                               Event(9.0, "odd", 9, {"seq": 9}),
-                               Event(10.0, "even", 10, {"seq": 10})]
+        assert log.tail(3) == [Event(8.0, even, 8, {"seq": 8}),
+                               Event(9.0, odd, 9, {"seq": 9}),
+                               Event(10.0, even, 10, {"seq": 10})]
         assert all(type(e) is Event for e in log.tail(100))
         assert len(log.tail(100)) == 6 and log.tail(0) == log.tail(-1) == []
-        assert [e.at for e in log.of_kind("odd")] == [5.0, 7.0, 9.0]
+        assert [e.at for e in log.of_kind(odd)] == [5.0, 7.0, 9.0]
         assert log.of_kind("absent") == []
-        assert log.count("even") == 6 and log.total_appended == 11
+        assert log.count(even) == 6 and log.total_appended == 11

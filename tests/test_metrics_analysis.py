@@ -51,8 +51,8 @@ class TestBoxplotStats:
 
     def test_latency_samples_from_events(self):
         log = EventLog()
-        log.record(1.0, EV_REQUEST_COMPLETED, latency=0.5)
-        log.record(2.0, EV_REQUEST_COMPLETED, latency=0.7)
+        log.record(1.0, EV_REQUEST_COMPLETED, -1, "r1", 0.5)
+        log.record(2.0, EV_REQUEST_COMPLETED, -1, "r2", 0.7)
         log.record(3.0, "other")
         stats = BoxplotStats.from_samples(
             event.data["latency"] for event in log.of_kind(EV_REQUEST_COMPLETED))

@@ -148,9 +148,8 @@ def _traced(rate, rids):
     log = EventLog()
     obs.listen(log)
     for rid in rids:
-        log.record(0.0, EV_REQUEST_SUBMITTED, node=0, request_id=rid,
-                   committee_size=4)
-        log.record(0.0, EV_REQUEST_COMPLETED, node=0, request_id=rid)
+        log.record(0.0, EV_REQUEST_SUBMITTED, 0, rid, 4)
+        log.record(0.0, EV_REQUEST_COMPLETED, 0, rid, 0.0)
     return [span.args["request_id"] for span in obs.tracer.spans]
 
 
@@ -344,7 +343,7 @@ def _storm_feed(times):
     host = _StubHost()
     obs.for_zone("z0").attach_host(host)
     for k, at in enumerate(times):
-        host.events.record(at, EV_PBFT_VIEW_CHANGE, node=k, epoch=0, new_view=1)
+        host.events.record(at, EV_PBFT_VIEW_CHANGE, k, 1, 0)
     return obs.flight
 
 
@@ -354,7 +353,7 @@ class TestFlightRecorder:
         log = EventLog()
         flight.attach(log, "z0")
         for k in range(300):
-            log.record(float(k), EV_PBFT_ASSIGNED, node=1, seq=k)
+            log.record(float(k), EV_PBFT_ASSIGNED, 1, k, 0, f"r{k}")
         bundle = flight.dump("on-demand", at=300.0)
         ring = bundle["rings"]["z0"]
         assert len(ring) == TRACE_WINDOW == 256
@@ -389,7 +388,7 @@ class TestFlightRecorder:
         flight = FlightRecorder(str(tmp_path))
         log = EventLog()
         flight.attach(log, "z0")
-        log.record(1.0, EV_PBFT_ASSIGNED, node=1, seq=0)
+        log.record(1.0, EV_PBFT_ASSIGNED, 1, 0, 0, "r0")
         flight.dump("on-demand", at=1.0)
         flight.dump("on-demand", at=2.0)
         names = sorted(p.name for p in tmp_path.iterdir())
@@ -449,7 +448,7 @@ class TestObservabilityFacadeV2:
         obs = Observability(ObsConfig(flight_recorder=True))
         host = _StubHost()
         obs.for_zone("z0").attach_host(host)
-        host.events.record(1.0, EV_PBFT_ASSIGNED, node=0, seq=1)
+        host.events.record(1.0, EV_PBFT_ASSIGNED, 0, 1, 0, "r1")
         assert host.monitors.on_violation == obs.flight.on_violation
         with pytest.raises(InvariantViolation):
             host.monitors.fail(_StubMonitor(), "planted failure")
@@ -484,10 +483,8 @@ class TestObservabilityFacadeV2:
         log_a, log_b = EventLog(), EventLog()
         za.listen(log_a)
         zb.listen(log_b)
-        log_a.record(0.0, EV_REQUEST_SUBMITTED, node=0, request_id="r1",
-                     committee_size=4)
-        log_b.record(0.0, EV_REQUEST_SUBMITTED, node=1, request_id="r2",
-                     committee_size=4)
+        log_a.record(0.0, EV_REQUEST_SUBMITTED, 0, "r1", 4)
+        log_b.record(0.0, EV_REQUEST_SUBMITTED, 1, "r2", 4)
         obs.timeseries.finish(1.0)
         assert [f["zone"] for f in obs.timeseries.frames_tail] == ["zA", "zB"]
 
@@ -514,9 +511,8 @@ class TestObservabilityFacadeV2:
         log = EventLog()
         obs.listen(log)
         for k in range(25):
-            log.record(0.0, EV_REQUEST_SUBMITTED, node=0, request_id=f"r{k}",
-                       committee_size=4)
-            log.record(0.0, EV_REQUEST_COMPLETED, node=0, request_id=f"r{k}")
+            log.record(0.0, EV_REQUEST_SUBMITTED, 0, f"r{k}", 4)
+            log.record(0.0, EV_REQUEST_COMPLETED, 0, f"r{k}", 0.0)
         obs.timeseries.finish(1.0)
         assert obs.tracer.spans == []
         frame = obs.timeseries.frames_tail[-1]

@@ -18,7 +18,12 @@ from repro.net.simulator import Simulator
 from repro.pbft.faults import HonestFaults, MuteFaults, SelectiveDropFaults
 from repro.pbft.messages import ClientRequest, Commit, NewView, Prepare, PrePrepare
 from repro.pbft.replica import PBFTReplica
-from repro.common.eventlog import EV_PBFT_ENTERED_VIEW, EV_PBFT_STATE_TRANSFER, EventLog
+from repro.common.eventlog import (
+    EV_PBFT_ENTERED_VIEW,
+    EV_PBFT_EXECUTED,
+    EV_PBFT_STATE_TRANSFER,
+    EventLog,
+)
 
 
 def fast_config(**pbft_overrides) -> GPBFTConfig:
@@ -300,8 +305,15 @@ class TestStateTransfer:
             cluster.submit(RawOperation(f"after-{i}"))
         cluster.run(until=3000)
         assert cluster.replicas[3].last_executed == cluster.replicas[0].last_executed
+        # replica 3 installed a peer's log, then executed past it itself:
+        # its op ids, kept without their seqs, still read in seq order
+        [transfer] = cluster.events.of_kind(EV_PBFT_STATE_TRANSFER)
+        own = [e.data["seq"] for e in cluster.events.of_kind(EV_PBFT_EXECUTED)
+               if e.node == 3 and e.at >= transfer.at]
+        assert transfer.node == 3 and own and min(own) == transfer.data["seq"] + 1
+        assert sorted(cluster.committed_ops(0)) == sorted(
+            ["warm", *(f"missed-{i}" for i in range(12)), *(f"after-{i}" for i in range(8))])
         assert cluster.committed_ops(3) == cluster.committed_ops(0)
-        assert cluster.events.of_kind(EV_PBFT_STATE_TRANSFER)
 
     def test_transfer_traffic_is_accounted(self):
         cluster, faults = self._cluster()

@@ -5,14 +5,21 @@ monitors, metrics and observability layer read.  These tests run every
 topology and mode -- single, cluster, zoned, hierarchy, block mode, an
 era switch, an audit, a Sybil admission, a state transfer and the three
 baselines -- with every invariant monitor and every observability
-feature on wherever a host takes them, and check three things:
+feature on wherever a host takes them, and check four things:
 
 * after each case, every key of every :class:`EventLog`'s per-kind
   counts is a registered kind (the counts are exact at any capacity);
 * every kind passed to :meth:`EventLog.count` or
   :meth:`EventLog.of_kind` while the cases run is a registered kind;
+* every row recorded while the cases run holds one value per field its
+  kind declares (:data:`~repro.common.eventlog.FIELDS`), so a value
+  dropped or added at a call site fails even where nothing reads it,
+  and holds no mutable value (a row must hash), so no reader can
+  change what the log holds through a ``data`` dict's value;
 * every registered kind is recorded by some case, or is listed in
   :data:`UNREACHED` with the reason.
+
+No kind may declare a field name twice.
 
 A raw literal equal to a current constant is no fault at runtime; if
 the constant later drifts, the literal's reader queries a kind nothing
@@ -38,10 +45,12 @@ from repro.common.config import (
     VerifyConfig,
 )
 from repro.common.eventlog import (
+    EV_BLOCK_PROPOSED,
     EV_DBFT_COMMITTED,
     EV_POS_BLOCK,
     EV_REQUEST_COMPLETED,
     EVENT_KINDS,
+    FIELDS,
     EventLog,
 )
 from repro.core import node as gpbft_node
@@ -219,10 +228,16 @@ CASES = {case.__name__[len("case_"):]: case for case in (
 
 @dataclasses.dataclass
 class Seen:
-    """Kinds recorded and queried while the cases ran, per case."""
+    """Kinds recorded and queried while the cases ran, per case; the
+    ``(kind, length)`` of each row whose length is not its kind's field
+    count and the kinds of rows that do not hash, per case that recorded
+    one."""
 
     recorded: dict[str, set[str]] = dataclasses.field(default_factory=dict)
     queried: dict[str, set[str]] = dataclasses.field(default_factory=dict)
+    misshapen: dict[str, list[tuple[str, int]]] = dataclasses.field(
+        default_factory=dict)
+    mutable: dict[str, list[str]] = dataclasses.field(default_factory=dict)
 
 
 def run_cases(monkeypatch, cases=CASES) -> Seen:
@@ -230,7 +245,10 @@ def run_cases(monkeypatch, cases=CASES) -> Seen:
     seen = Seen()
     logs: list[EventLog] = []
     queried: set[str] = set()
+    misshapen: set[tuple[str, int]] = set()
+    mutable: set[str] = set()
     init, count, of_kind = EventLog.__init__, EventLog.count, EventLog.of_kind
+    record = EventLog.record
 
     def watched_init(log, *args, **kwargs):
         init(log, *args, **kwargs)
@@ -244,15 +262,31 @@ def run_cases(monkeypatch, cases=CASES) -> Seen:
         queried.add(kind)
         return of_kind(log, kind)
 
+    def watched_record(log, at, kind, node=-1, *values):
+        if len(values) != len(FIELDS.get(kind, ())):
+            misshapen.add((kind, len(values)))
+        try:
+            hash(values)
+        except TypeError:
+            mutable.add(kind)
+        record(log, at, kind, node, *values)
+
     monkeypatch.setattr(EventLog, "__init__", watched_init)
     monkeypatch.setattr(EventLog, "count", watched_count)
     monkeypatch.setattr(EventLog, "of_kind", watched_of_kind)
+    monkeypatch.setattr(EventLog, "record", watched_record)
     for name, case in cases.items():
         logs.clear()
         queried.clear()
+        misshapen.clear()
+        mutable.clear()
         case()
         seen.recorded[name] = {kind for log in logs for kind in log._counts}
         seen.queried[name] = set(queried)
+        if misshapen:
+            seen.misshapen[name] = sorted(misshapen)
+        if mutable:
+            seen.mutable[name] = sorted(mutable)
     return seen
 
 
@@ -274,6 +308,35 @@ def test_every_recorded_kind_is_registered(seen):
 
 def test_every_queried_kind_is_registered(seen):
     assert unknown(seen.queried) == {}
+
+
+def test_every_recorded_row_holds_its_kinds_fields(seen):
+    assert seen.misshapen == {}
+    assert seen.mutable == {}
+
+
+def duplicated(table=FIELDS) -> dict[str, list[str]]:
+    """kind -> the field names *table* declares for it more than once."""
+    return {kind: sorted({f for f in fields if fields.count(f) > 1})
+            for kind, fields in table.items() if len(set(fields)) < len(fields)}
+
+
+def test_no_kind_declares_a_field_twice():
+    assert duplicated() == {}
+    assert duplicated({"k": ("seq", "view", "seq")}) == {"k": ["seq"]}
+
+
+def test_a_dropped_value_fails_the_check(monkeypatch):
+    # nothing reads block.proposed in this case, so only the row check
+    # sees the proposer's height go missing
+    record = gpbft_node.GPBFTNode._record
+
+    def dropping(node, kind, *values):
+        record(node, kind, *(values[1:] if kind == EV_BLOCK_PROPOSED else values))
+
+    monkeypatch.setattr(gpbft_node.GPBFTNode, "_record", dropping)
+    seen = run_cases(monkeypatch, {"block": case_block})
+    assert seen.misshapen == {"block": [(EV_BLOCK_PROPOSED, 1)]}
 
 
 def test_every_registered_kind_is_recorded_by_some_case(seen):

@@ -192,7 +192,7 @@ class TestBoundedMemorySatellites:
     def test_eventlog_capacity_ring(self):
         log = EventLog(capacity=100)
         for i in range(1000):
-            log.record(float(i), EV_REQUEST_SUBMITTED, node=1)
+            log.record(float(i), EV_REQUEST_SUBMITTED, 1, f"r{i}", 4)
         assert log.total_appended == 1000
         assert log.count(EV_REQUEST_SUBMITTED) == 1000  # counts stay exact
         assert 100 <= len(log) <= 200  # amortized ring keeps <= 2x capacity
@@ -206,7 +206,7 @@ class TestBoundedMemorySatellites:
             EventLog(capacity=0)
         unbounded = EventLog()
         for i in range(300):
-            unbounded.record(float(i), EV_REQUEST_SUBMITTED)
+            unbounded.record(float(i), EV_REQUEST_SUBMITTED, -1, f"r{i}", 4)
         assert len(unbounded) == 300
 
     def test_zone_workload_validation(self):
@@ -225,7 +225,7 @@ class TestBoundedMemorySatellites:
         assert spec.zone_topology(1).event_capacity == 500
         cluster = TopologySpec.cluster(4, event_capacity=500).build()
         for i in range(1200):
-            cluster.events.record(float(i), EV_REQUEST_SUBMITTED)
+            cluster.events.record(float(i), EV_REQUEST_SUBMITTED, -1, f"r{i}", 4)
         assert len(cluster.events) <= 1000
 
     def test_event_capacity_holds_a_whole_trace_window(self):
@@ -235,8 +235,8 @@ class TestBoundedMemorySatellites:
             TopologySpec.cluster(4, event_capacity=TRACE_WINDOW - 1)
         cluster = TopologySpec.cluster(4, event_capacity=TRACE_WINDOW).build()
         for i in range(3 * TRACE_WINDOW + 7):
-            cluster.events.record(float(i), EV_REQUEST_SUBMITTED, seq=i)
-        assert [e.data["seq"] for e in cluster.events.tail(TRACE_WINDOW)] == list(
+            cluster.events.record(float(i), EV_REQUEST_SUBMITTED, -1, i, 4)
+        assert [e.data["request_id"] for e in cluster.events.tail(TRACE_WINDOW)] == list(
             range(2 * TRACE_WINDOW + 7, 3 * TRACE_WINDOW + 7))
 
     def test_client_completion_bound_and_backoff_default(self):

@@ -23,8 +23,8 @@ class TestFromEvents:
     def _log(self):
         log = EventLog()
         for t in range(20):
-            log.record(float(t), EV_REQUEST_SUBMITTED, request_id=str(t))
-            log.record(t + 0.5, EV_REQUEST_COMPLETED, request_id=str(t), latency=0.5)
+            log.record(float(t), EV_REQUEST_SUBMITTED, -1, str(t), 4)
+            log.record(t + 0.5, EV_REQUEST_COMPLETED, -1, str(t), 0.5)
         return log
 
     def test_window_counts(self):
@@ -44,6 +44,6 @@ class TestFromEvents:
 
     def test_custom_kinds(self):
         log = EventLog()
-        log.record(1.0, EV_TX_COMMITTED, tx_id="a")
+        log.record(1.0, EV_TX_COMMITTED, -1, "a", 1, b"")
         sample = throughput_from_events(log, 0.0, 10.0, commit_kind=EV_TX_COMMITTED)
         assert sample.committed == 1

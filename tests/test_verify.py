@@ -21,6 +21,7 @@ from repro.common.eventlog import (
     EV_PBFT_EXECUTED,
     EV_TX_COMMITTED,
     EVENT_KINDS,
+    FIELDS,
     EventLog,
     event_to_json,
 )
@@ -285,9 +286,9 @@ class TestMonitorHarness:
     def test_view_monotonicity_fires_on_regression(self):
         host = self._host()
         MonitorHarness(host, monitors=[ViewChangeMonotonicityMonitor()])
-        host.events.record(1.0, EV_PBFT_ENTERED_VIEW, 0, view=2)
+        host.events.record(1.0, EV_PBFT_ENTERED_VIEW, 0, 2, 0)
         with pytest.raises(InvariantViolation) as exc:
-            host.events.record(2.0, EV_PBFT_ENTERED_VIEW, 0, view=2)
+            host.events.record(2.0, EV_PBFT_ENTERED_VIEW, 0, 2, 0)
         violation = exc.value
         assert violation.monitor == "view-monotonicity"
         # the trace window ends with the offending event, serializably
@@ -297,9 +298,9 @@ class TestMonitorHarness:
     def test_epochs_have_independent_view_timelines(self):
         host = self._host()
         MonitorHarness(host, monitors=[ViewChangeMonotonicityMonitor()])
-        host.events.record(1.0, EV_PBFT_ENTERED_VIEW, 0, view=5, epoch=0)
+        host.events.record(1.0, EV_PBFT_ENTERED_VIEW, 0, 5, 0)
         # same node re-entering view 1 in the next epoch is legal
-        host.events.record(2.0, EV_PBFT_ENTERED_VIEW, 0, view=1, epoch=1)
+        host.events.record(2.0, EV_PBFT_ENTERED_VIEW, 0, 1, 1)
 
     def test_a_monitor_sees_exactly_its_kinds(self):
         class Probe(Monitor):
@@ -316,7 +317,7 @@ class TestMonitorHarness:
         probe = Probe()
         MonitorHarness(host, monitors=[probe])
         for at, kind in enumerate(sorted(EVENT_KINDS)):
-            host.events.record(float(at), kind, 0)
+            host.events.record(float(at), kind, 0, *[None] * len(FIELDS[kind]))
         assert probe.seen == sorted(Probe.kinds)
 
     def test_the_certificate_monitor_names_a_counted_non_member(self):
@@ -334,8 +335,7 @@ class TestMonitorHarness:
         host.replicas[1] = SimpleNamespace(f=1, epoch=0, committee=(0, 1, 2, 3), log=log)
         MonitorHarness(host, monitors=[QuorumCertificateMonitor()])
         with pytest.raises(InvariantViolation) as exc:
-            host.events.record(1.0, EV_PBFT_EXECUTED, 1, seq=1, view=0, epoch=0,
-                               prepares=3, commits=3)
+            host.events.record(1.0, EV_PBFT_EXECUTED, 1, 1, 0, "r1", 0, 3, 3)
         assert exc.value.monitor == "quorum-certificate"
         assert "non-members [9] at seq=1" in str(exc.value)
 
