@@ -10,16 +10,15 @@ install:
 test:
 	PYTHONPATH=src $(PYTHON) -m pytest tests/
 
-# static analysis: determinism/protocol rules (docs/static-analysis.md)
-# plus the docstring gate
+# the docstring gate; the checks that replaced the old lint rules run the
+# program and live in tier-1 (docs/verification.md)
 lint:
-	PYTHONPATH=src $(PYTHON) -m repro.analysis src tests examples
 	PYTHONPATH=src $(PYTHON) scripts/check_docstrings.py
 
 # ROADMAP item 4, "success is a number": src/ may shrink but not grow
 # unnoticed.  Lower the ceiling to what a PR lands at; raising it needs
 # a reason in CHANGES.md.
-LOC_CEILING = 19203
+LOC_CEILING = 18344
 loc:
 	@lines=$$(find src -name '*.py' | xargs cat | wc -l); \
 	echo "src/ Python lines: $$lines (ceiling $(LOC_CEILING))"; \

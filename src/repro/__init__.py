@@ -19,7 +19,6 @@ Package tour (bottom of the import graph first):
 * :mod:`repro.workloads` -- fleets, mobility, arrivals, scenarios
 * :mod:`repro.metrics` -- latency/traffic measurement and rendering,
   and the paper's closed-form models (section IV)
-* :mod:`repro.analysis` -- the determinism & protocol-safety analyzer
 * :mod:`repro.experiments` -- regenerates every table and figure
 
 Quickstart::
@@ -46,6 +45,5 @@ __all__ = [
     "sybil",
     "workloads",
     "metrics",
-    "analysis",
     "experiments",
 ]

@@ -13,7 +13,7 @@ experiment, test, and example pulls them from one place:
 Calibration constants (processing rate, payload sizes) are chosen so
 the *shape and order of magnitude* of the paper's Table III fall out of
 the simulation; the derivations are documented inline and verified by
-``tests/test_analysis.py`` and the Table III benchmark.
+``tests/test_metrics_analysis.py`` and the Table III benchmark.
 """
 
 from __future__ import annotations

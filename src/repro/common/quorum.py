@@ -1,11 +1,13 @@
 """Shared Byzantine quorum arithmetic and primary rotation.
 
-Every quorum threshold in the protocol stack must come from this module
-rather than inline ``2*f + 1`` expressions: the static analyzer
-(:mod:`repro.analysis`, rule ``GPB005``) rejects inline quorum
-arithmetic anywhere else, so a future off-by-one (``2f`` instead of
-``2f+1``, or ``n - f`` confusion) can only be introduced in one audited
-place.
+Every quorum threshold in the protocol stack comes from this module,
+so an off-by-one (``2f`` instead of ``2f+1``, or ``n - f`` confusion)
+has one place to live.  Two checks catch one: the
+``quorum-certificate`` monitor (:mod:`repro.verify.invariants`) fails a
+run in which a replica executes on fewer than ``2f + 1`` prepares or
+commits (``tests/test_verify.py`` plants a ``2f`` threshold to hold it
+to that), and ``tests/test_common_primitives.py::TestQuorum`` tables
+these functions against n = 3f+1, 3f+2 and 3f+3 for every n up to 202.
 
 The arithmetic follows Castro & Liskov (OSDI'99): with ``n = 3f + 1``
 replicas, safety needs any two quorums to intersect in at least one

@@ -202,7 +202,7 @@ class GPBFTDeployment:
         base_rate = self.config.network.processing_rate
         for node_id in sorted(self.profile_map):
             profile = self.profile_map[node_id]
-            if profile.cpu_scale != 1.0:  # gpb: allow GPB004 -- 1.0 is the exact uniform sentinel, never the result of arithmetic
+            if profile.cpu_scale != 1.0:
                 self.network.set_processing_interval(
                     node_id, profile.processing_interval_s(base_rate))
             if profile.duty_fraction < 1.0:

@@ -156,7 +156,7 @@ class PBFTClient:
         self._transport.multicast(self.committee, entry.request)
         timeout = self.config.request_retry_timeout_s
         factor = self.config.retry_backoff_factor
-        if factor != 1.0:  # gpb: allow GPB004 -- 1.0 is the exact no-backoff sentinel from config, never the result of arithmetic
+        if factor > 1.0:
             # exponential backoff up to the configured ceiling; the
             # default factor of 1.0 skips this branch entirely, keeping
             # the constant retransmission schedule bit-identical.  With a

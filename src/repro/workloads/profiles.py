@@ -149,7 +149,7 @@ class DeviceProfile:
     @property
     def is_uniform(self) -> bool:
         """True iff this profile changes nothing about the simulation."""
-        return (self.cpu_scale == 1.0  # gpb: allow GPB004 -- 1.0 is the exact uniform sentinel, never the result of arithmetic
+        return (self.cpu_scale == 1.0
                 and self.mempool_capacity is None
                 and self.log_bound is None and self.duty_fraction >= 1.0)
 

@@ -1,6 +1,4 @@
-"""Unit tests: ids, RNG, and event log (repro.common)."""
-
-# gpb: allow-file GPB004 -- exact asserts on deterministic primitive outputs (seeded RNG draws round-trip bit-identically)
+"""Unit tests: ids, quorum arithmetic, RNG, and event log (repro.common)."""
 
 import copy
 import gc
@@ -20,7 +18,14 @@ from repro.common.eventlog import (
     Event,
     EventLog,
 )
-from repro.common.quorum import primary_for_view
+from repro.common.errors import QuorumError
+from repro.common.quorum import (
+    max_faulty,
+    primary_for_view,
+    quorum_size,
+    tolerated_faults,
+    weak_certificate_size,
+)
 from repro.common.rng import DeterministicRNG
 
 
@@ -54,6 +59,49 @@ class TestIds:
     def test_primary_rejects_negative_view(self):
         with pytest.raises(ValueError):
             primary_for_view(-1, 4)
+
+
+#: (n, f) for n = 3f+1, 3f+2 and 3f+3, every n up to 202
+QUORUM_TABLE = [(3 * f + k, f) for f in range(68) for k in (1, 2, 3) if 3 * f + k <= 202]
+
+
+class TestQuorum:
+    def test_the_table_covers_every_committee_size(self):
+        assert [n for n, _ in QUORUM_TABLE] == list(range(1, 203))
+
+    @pytest.mark.parametrize("k", [1, 2, 3], ids=["3f+1", "3f+2", "3f+3"])
+    def test_fault_bounds(self, k):
+        for n, f in QUORUM_TABLE:
+            if n != 3 * f + k:
+                continue
+            assert tolerated_faults(n) == f
+            if n < 4:
+                with pytest.raises(QuorumError):
+                    max_faulty(n)
+            else:
+                assert max_faulty(n) == f
+
+    def test_thresholds(self):
+        for _, f in QUORUM_TABLE:
+            assert quorum_size(f) == 2 * f + 1
+            assert weak_certificate_size(f) == f + 1
+
+    @pytest.mark.parametrize("function, bad", [
+        (max_faulty, 3), (tolerated_faults, 0), (tolerated_faults, -1),
+        (quorum_size, -1), (weak_certificate_size, -1),
+    ], ids=["max_faulty-n3", "tolerated_faults-n0", "tolerated_faults-n-1",
+            "quorum_size-f-1", "weak_certificate_size-f-1"])
+    def test_out_of_range_inputs_raise(self, function, bad):
+        with pytest.raises(QuorumError):
+            function(bad)
+
+    def test_two_quorums_at_3f_plus_1_share_f_plus_1_members(self):
+        # two q-sets out of n overlap in at least 2q - n members, and
+        # some pair in exactly that many.  At n = 3f+2 and 3f+3 that is
+        # f and f-1, short of f+1: quorum_size reads f, not n
+        for n, f in QUORUM_TABLE:
+            if n == 3 * f + 1:
+                assert 2 * quorum_size(f) - n == weak_certificate_size(f)
 
 
 class TestDeterministicRNG:

@@ -6,8 +6,6 @@ reports carry the paper's comparisons.  The full-scale reproduction runs
 live in ``benchmarks/``.
 """
 
-# gpb: allow-file GPB004 -- exact asserts that cached sweep results replay bit-identically (the cache contract under test)
-
 import json
 from pathlib import Path
 

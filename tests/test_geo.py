@@ -1,7 +1,5 @@
 """Unit tests: coordinates, geohash, CSC, reports, verification (repro.geo)."""
 
-# gpb: allow-file GPB004 -- exact asserts on haversine fixed points (zero distance, meridian symmetry) that hold exactly in IEEE-754
-
 import math
 
 import pytest

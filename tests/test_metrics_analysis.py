@@ -1,7 +1,5 @@
 """Tests: metrics (latency, traffic, collector) and analysis models."""
 
-# gpb: allow-file GPB004 -- exact asserts on percentile/mean arithmetic over hand-built samples chosen to be exactly representable
-
 import math
 
 import pytest

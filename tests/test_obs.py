@@ -7,8 +7,6 @@ shared network tap, and a golden per-phase breakdown for one fixed
 n=10 G-PBFT scenario.
 """
 
-# gpb: allow-file GPB004 -- exact asserts on span timestamps taken from the simulated clock (exact by construction)
-
 from __future__ import annotations
 
 import hashlib

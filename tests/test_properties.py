@@ -1,7 +1,5 @@
 """Property-based tests (hypothesis) on core data structures and invariants."""
 
-# gpb: allow-file GPB004 -- hypothesis properties assert exact round-trips of encoded floats (codec must be lossless)
-
 import math
 
 from hypothesis import given, settings, strategies as st
@@ -91,7 +89,7 @@ class TestQuorumProperties:
     def test_f_bound(self, n):
         log = MessageLog(roster(tuple(range(n))), 0)
         # 3f + 1 <= n always
-        assert 3 * log.f + 1 <= n  # gpb: allow GPB005 -- property test re-derives the bound independently of repro.common.quorum on purpose
+        assert 3 * log.f + 1 <= n
         assert 3 * (log.f + 1) + 1 > n
 
     @given(n=st.integers(min_value=4, max_value=40),
@@ -107,7 +105,7 @@ class TestQuorumProperties:
         for sender in range(1, prepares + 1):
             log.add_prepare(Prepare(view=0, seq=1, digest=digest, sender=sender))
         # pre-prepare counts as the primary's prepare: need 2f more
-        assert log.prepared(0, 1) == (prepares + 1 >= 2 * log.f + 1)  # gpb: allow GPB005 -- property test re-derives the threshold independently on purpose
+        assert log.prepared(0, 1) == (prepares + 1 >= 2 * log.f + 1)
 
     @given(view=st.integers(min_value=0, max_value=10_000),
            n=st.integers(min_value=1, max_value=100))

@@ -165,7 +165,7 @@ class TestEndToEndAttack:
         attacker = dep.add_sybils(3, strategy=SybilStrategy.EMPTY_CELL)
         for identity in attacker.identities:
             node = dep.nodes[identity.node_id]
-            assert node.block_interval_s == 2.0 and node.obs is obs  # gpb: allow GPB004 -- the spec value handed through unchanged, never computed
+            assert node.block_interval_s == 2.0 and node.obs is obs
             assert node.admission is not None
             assert node.position == identity.claimed_position
             assert dep.directory[identity.node_id] == identity.true_position

@@ -15,6 +15,7 @@ from types import SimpleNamespace
 
 import pytest
 
+from repro.common.config import GPBFTConfig, TopologySpec, VerifyConfig
 from repro.common.errors import ConfigurationError
 from repro.common.eventlog import (
     EV_PBFT_ENTERED_VIEW,
@@ -26,6 +27,8 @@ from repro.common.eventlog import (
     event_to_json,
 )
 from repro.experiments.engine import Engine
+from repro.pbft import replica as replica_module
+from repro.pbft.messages import RawOperation
 from repro.verify import InvariantViolation, MonitorHarness
 from repro.verify.cli import main as verify_main
 from repro.verify import explorer
@@ -149,7 +152,7 @@ class TestRunSchedule:
 
     @pytest.mark.parametrize("planted", [False, True])
     def test_planted_forgotten_execution_trips_the_exactly_once_monitor(self, planted):
-        from repro.pbft.messages import ClientRequest, RawOperation
+        from repro.pbft.messages import ClientRequest
         from tests.test_exactly_once import small_cluster
 
         cluster = small_cluster(seed=0, checkpoint_interval=1000, watermark_window=4000)
@@ -188,6 +191,42 @@ class TestRunSchedule:
         violation = outcome.result.violation
         assert violation["monitor"] == "cross-shard-prefix"
         assert "never ordered" in violation["message"]
+
+
+class TestAWrongQuorumThresholdIsCaught:
+    """A replica that takes 2f votes for a quorum executes on a short
+    certificate, and the quorum-certificate monitor fails the run.  The
+    replica resolves its log's thresholds from the ``quorum_size`` it
+    imported, so that binding is the one a wrong formula would reach."""
+
+    @staticmethod
+    def _run(cluster):
+        client = cluster.any_client
+        for k in range(3):
+            cluster.sim.schedule_at(1.0 + k, client.submit, RawOperation(op_id=f"op-{k}"))
+        cluster.sim.run(until=60.0)
+        return client
+
+    @staticmethod
+    def _cluster():
+        config = GPBFTConfig(verify=VerifyConfig(monitors=True))
+        return TopologySpec.cluster(4, 1, config=config).build()
+
+    def test_the_2f_plus_1_thresholds_pass(self):
+        assert len(self._run(self._cluster()).completed) == 3
+
+    @pytest.mark.parametrize("where", ["replica", "log"])
+    def test_a_2f_threshold_trips_the_certificate_monitor(self, monkeypatch, where):
+        if where == "replica":
+            monkeypatch.setattr(replica_module, "quorum_size", lambda f: 2 * f)
+        cluster = self._cluster()
+        if where == "log":
+            for replica in cluster.replicas.values():
+                replica.log.prepare_quorum = replica.log.commit_quorum = 2 * replica.f
+        with pytest.raises(InvariantViolation) as exc:
+            self._run(cluster)
+        assert exc.value.monitor == "quorum-certificate"
+        assert "executed seq=1 with 2 prepares < required 3" in exc.value.message
 
 
 class TestPerturbationsAreNetworkFaults:
