@@ -18,7 +18,7 @@ lint:
 # ROADMAP item 4, "success is a number": src/ may shrink but not grow
 # unnoticed.  Lower the ceiling to what a PR lands at; raising it needs
 # a reason in CHANGES.md.
-LOC_CEILING = 18344
+LOC_CEILING = 18363
 loc:
 	@lines=$$(find src -name '*.py' | xargs cat | wc -l); \
 	echo "src/ Python lines: $$lines (ceiling $(LOC_CEILING))"; \

@@ -16,8 +16,8 @@ Modules:
 * :mod:`repro.net.latency` -- pluggable propagation-delay models;
 * :mod:`repro.net.network` -- the network itself: interfaces, unicast,
   multicast, faults (offline nodes, partitions, drops), serial
-  receive-queues of plain-tuple envelopes; a registered handler is
-  called with each delivered payload, ``handler(payload)``;
+  receive-queues of envelopes in flight and payloads arrived; each
+  delivered payload is handed to its handler, ``handler(payload)``;
 * :mod:`repro.net.stats` -- per-node / per-kind traffic accounting, the
   one record of what was sent, dropped and delivered.
 """

@@ -4,9 +4,9 @@ Every protocol message knows its serialized size, so the
 communication-cost experiments (Figures 5-6, Table III) can charge bytes
 without actually serializing anything on the hot path.  Payload classes
 implement the :class:`Payload` protocol by exposing ``size_bytes`` and a
-``kind`` string; the network reads both once per send and files the
-payload in a plain tuple, its envelope (layout in
-:mod:`repro.net.network`), and hands the receiver the payload alone.
+``kind`` string; the network reads both once per send operation, files
+the payload and its size in a plain tuple, its envelope (layout in
+:mod:`repro.net.network`), and keeps the payload alone once it arrives.
 """
 
 from __future__ import annotations

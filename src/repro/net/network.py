@@ -17,36 +17,40 @@ evaluation confirms.  Propagation alone would never reproduce that.
 
 Everything the network knows about one node id sits in one record, its
 *port*: the receive handler, two queues of the messages bound for it --
-the *inbox*, a heap of those still in flight ordered by (arrival time,
-send order), and *arrived*, a FIFO of those that have arrived and wait
-for service -- the processing interval, since when it has been offline,
-whether a message is in service, the wake it has armed, and what it has
-sent and delivered.  ``send`` looks the destination's port up once,
-fixes the arrival time and files the message in the inbox; the
-simulator events that follow carry the port, so delivery never looks a
-node up.  A message in flight is one plain tuple, its *envelope*, which
-both queues hold as is::
+the *inbox*, a heap of those still in flight, and *arrived*, a FIFO of
+those that have arrived and wait for service -- the processing
+interval, since when it has been offline, the message in service, the
+wake it has armed, and what it has sent, admitted, lost and delivered.
+``send`` looks the destination's port up once, fixes the arrival time
+and files the message in the inbox; the simulator events that follow
+carry the port, so delivery never looks a node up.  A message in flight
+is one plain tuple, its *envelope*, ``(arrive, envelope_id, payload,
+size_bytes)``; one that has arrived is its payload alone.  Ids rise with
+send operations -- ``send`` draws one per copy, ``multicast`` one that
+every copy shares, and a port never holds two copies of one operation --
+so ``(arrive, envelope_id)`` orders an inbox and a comparison stops there.
 
-    (arrive, envelope_id, src, dst, payload, kind, size_bytes)   # 0..6
-
-``envelope_id`` is unique and rises with send order, so a comparison
-stops there; ``size_bytes`` is the payload's serialized size, all a
-message costs on the wire.
-
-Each service start moves every inbox envelope that has arrived by then
-to the back of the FIFO and serves the FIFO's head.  That is the order
-one heap of both would pop: delays are never negative and the clock
-never goes back, so an envelope still in flight at a move arrives no
-earlier than one moved, and at an equal arrival it was sent later.  A
-backlogged node's queue is thus a deque whose ends are O(1), while the
-heap holds the few envelopes in flight (under one on average in every
-benchmark workload).  When the FIFO is empty and one envelope has
-arrived, it is served straight from the inbox.
+Each service start *admits* every envelope that arrived before it: the
+payload moves to the back of the FIFO and its size to the port's
+``admitted_bytes``, unless the port has no handler or the node went
+offline at or before the arrival, which drops it.  The FIFO's head is
+served; with the FIFO empty, an envelope that has arrived is served
+straight from the inbox, judged the same way.  That is the order one
+heap of both would pop: delays are never negative and the clock never
+goes back, so an envelope still in flight at a move arrives no earlier
+than one moved, and at an equal arrival it was sent later.  One arriving
+at the very instant of a start waits for the next, so a fault at that
+instant still judges it.  A backlogged node's queue is thus a deque
+whose ends are O(1), while the heap holds the few envelopes in flight
+(under one on average in every benchmark workload).
 
 A handler is called with the payload alone, ``handler(payload)``.
 Ports count their own sends and deliveries, a send bumps
 :class:`TrafficStats`' per-kind maps in place, and the stats read the
-ports when asked: no counter costs a call.
+ports when asked: no counter costs a call.  A port's ``delivered_bytes``
+is read as what it admitted, less ``lost_bytes`` (messages whose service
+completed while the node was offline) and what still waits or is in
+service.
 
 Only completions are simulator events.  A busy node owns one simulator
 entry, the completion of the message in service; when it fires, the
@@ -65,10 +69,10 @@ that instant).
 ``multicast`` is ``send`` for a whole fan-out -- PBFT's prepare and
 commit phases are all-to-all broadcasts, so this is where the traffic
 is: the payload's kind and size are read once, the traffic counters are
-charged once with a copy count, every delay is drawn in one call, and
-one pass files the copies.  It is the same simulation as one ``send``
-per destination: the same random draws in the same order, the same
-envelope order and the same wakes.
+charged once with a copy count, every delay is drawn in one call, one
+envelope id serves every copy, and one pass files the copies.  It is the
+same simulation as one ``send`` per destination: the same random draws
+in the same order, the same order in every inbox and the same wakes.
 
 A small committee's send reaches two or three copies, so what an
 operation costs before its first copy weighs as much as a copy.  For an
@@ -161,35 +165,45 @@ class _Port:
             for a destination nobody ever registers.
         inbox: heap of the envelopes still in flight (see the module
             docstring).
-        arrived: FIFO of the envelopes that have arrived, oldest first.
+        arrived: FIFO of the admitted payloads that wait, oldest first.
         interval: seconds one message occupies the node.
         offline_since: when the node went offline, ``None`` while up.
-        serving: the message in service (its completion is queued), or
+        serving: the payload in service (its completion is queued), or
             ``None`` while the node is idle.
         done: the node's completion event, made at its first slot and
             re-queued for every slot after it.
         wake: the armed wake of an idle node with pending arrivals.
         sent: copies sent, dropped ones too.
-        delivered, delivered_bytes: messages handed to the handler, and
-            their on-wire bytes.
+        delivered: messages handed to the handler.
+        admitted_bytes, lost_bytes: on-wire bytes admitted, and those
+            of messages whose service completed while the node was offline.
     """
 
     __slots__ = ("node_id", "handler", "inbox", "arrived", "interval", "offline_since",
-                 "serving", "done", "wake", "sent", "delivered", "delivered_bytes")
+                 "serving", "done", "wake", "sent", "delivered", "admitted_bytes",
+                 "lost_bytes")
 
     def __init__(self, node_id: int, interval: float) -> None:
         self.node_id = node_id
         self.handler: Handler | None = None
         self.inbox: list[tuple] = []
-        self.arrived: deque[tuple] = deque()
+        self.arrived: deque[Payload] = deque()
         self.interval = interval
         self.offline_since: float | None = None
-        self.serving: tuple | None = None
+        self.serving: Payload | None = None
         self.done: ScheduledEvent | None = None
         self.wake: ScheduledEvent | None = None
         self.sent = 0
         self.delivered = 0
-        self.delivered_bytes = 0
+        self.admitted_bytes = 0
+        self.lost_bytes = 0
+
+    @property
+    def delivered_bytes(self) -> int:
+        """On-wire bytes handed to the handler: those admitted, less
+        those lost and those still waiting or in service."""
+        held = self.arrived if self.serving is None else [*self.arrived, self.serving]
+        return self.admitted_bytes - self.lost_bytes - sum(p.size_bytes for p in held)
 
 
 class SimulatedNetwork:
@@ -225,7 +239,7 @@ class SimulatedNetwork:
         self._offline_count = 0
         self._partition: dict[int, int] = {}
         self._processing_interval = 1.0 / self.config.processing_rate
-        # ids rise with send order, so equal arrival times keep it
+        # ids rise with send operations, so equal arrival times keep order
         self._envelope_ids = itertools.count()
         # iid drops (off until ``set_drop_probability``) interleave their
         # draws with the delays copy by copy: with them on, a multicast
@@ -323,17 +337,16 @@ class SimulatedNetwork:
             return
         port.offline_since = None
         self._offline_count -= 1
-        # what arrived during the outage and still waits behind the
-        # backlog was lost on arrival; earlier arrivals keep their slot
+        # what arrived during the outage and is still in flight was lost
+        # on arrival; the FIFO holds only what arrived before the outage
         now = self.sim.now
-        for queue in (port.arrived, port.inbox):
-            kept = [envelope for envelope in queue
-                    if not since <= envelope[0] < now]  # arrive
-            if len(kept) != len(queue):
-                self.stats.on_drop(len(queue) - len(kept))
-                queue.clear()  # in place, the FIFO keeping its order
-                queue.extend(kept)
-        heapify(port.inbox)
+        inbox = port.inbox
+        kept = [envelope for envelope in inbox
+                if not since <= envelope[0] < now]  # arrive
+        if len(kept) != len(inbox):
+            self.stats.on_drop(len(inbox) - len(kept))
+            inbox[:] = kept
+            heapify(inbox)
 
     def set_partition(self, groups: dict[int, int] | None) -> None:
         """Partition nodes into groups; traffic only flows within a group.
@@ -405,8 +418,7 @@ class SimulatedNetwork:
             else:
                 x = rng.doubles(1)[0]
             arrive = self.sim.now + (uniform[0] + uniform[1] * x)
-        heappush(port.inbox,
-                 (arrive, next(self._envelope_ids), src, dst, payload, kind, size))
+        heappush(port.inbox, (arrive, next(self._envelope_ids), payload, size))
         if port.serving is not None:
             return  # admitted when the message in service completes
         wake = port.wake
@@ -423,8 +435,8 @@ class SimulatedNetwork:
         bytes are charged per recipient, a copy to an offline or
         other-partition destination is charged and counted as dropped
         without drawing a delay, the delays are the doubles the per-copy
-        draws would have produced, envelope ids and wakes follow
-        destination order.  Each destination's port is looked up once
+        draws would have produced, one envelope id for every copy, wakes
+        in destination order.  Each destination's port is looked up once
         and takes its copy, its serving test and its wake from there.
 
         The copies go through :meth:`send` one by one when drops are on
@@ -491,15 +503,14 @@ class SimulatedNetwork:
             else:
                 draws = rng.doubles(len(targets))
         now = self.sim.now
-        envelope_ids = self._envelope_ids
+        envelope_id = next(self._envelope_ids)  # one per operation
         schedule_at = self.sim.schedule_at
         for dst, x in zip(targets, draws):
             arrive = now + (base + jitter * x)
             port = ports(dst)
             if port is None:
                 port = self._port(dst)
-            heappush(port.inbox,
-                     (arrive, next(envelope_ids), src, dst, payload, kind, size))
+            heappush(port.inbox, (arrive, envelope_id, payload, size))
             if port.serving is not None:
                 continue  # admitted when the message in service completes
             wake = port.wake
@@ -521,38 +532,45 @@ class SimulatedNetwork:
 
         The next slot starts first, so the node's next completion is
         sequenced ahead of anything the handler schedules.  It goes to
-        the earliest message that has arrived by now -- the FIFO's head,
-        once every arrived envelope has moved there -- and the
-        arrival-time checks run here: a node nobody registered is never
-        busy, so its inbox is read at the instant of arrival, and an
-        offline one lost whatever arrived since it went down.  With
-        nothing to serve the node goes idle, behind a wake if a message
-        is still on its way.  The completion is the port's one event:
-        only the first is scheduled, so a wrapper of ``schedule_at`` sees
-        every completion's callback, and each later slot re-queues it here.
+        the earliest message that has arrived by now, and what else has
+        arrived is admitted behind it (see the module docstring): a node
+        nobody registered is never busy, so its inbox is read at the
+        instant of arrival.  With nothing to serve the node goes idle,
+        behind a wake if a message is still on its way.  The completion
+        is the port's one event: only the first is scheduled, so a
+        wrapper of ``schedule_at`` sees every completion's callback, and
+        each later slot re-queues it here.
         """
-        envelope = port.serving
+        payload = port.serving
         inbox, arrived = port.inbox, port.arrived
         sim = self.sim
         now = sim.now
         while True:
             if arrived:
-                while inbox and inbox[0][0] <= now:  # the head's ``arrive``
-                    arrived.append(heappop(inbox))
                 due = arrived.popleft()
-            elif inbox and inbox[0][0] <= now:
-                due = heappop(inbox)  # served straight, the rest queue behind
-                while inbox and inbox[0][0] <= now:
-                    arrived.append(heappop(inbox))
+            elif inbox and inbox[0][0] <= now:  # the head's ``arrive``
+                arrive, _, due, size = heappop(inbox)  # served straight
+                since = port.offline_since
+                if port.handler is None or (since is not None and arrive >= since):
+                    self.stats.on_drop()
+                    continue
+                port.admitted_bytes += size
             else:
                 port.serving = None
                 if inbox:
                     port.wake = sim.schedule_at(inbox[0][0], self._wake, port)
                 break
-            since = port.offline_since
-            if port.handler is None or (since is not None and due[0] >= since):
-                self.stats.on_drop()
-                continue
+            if inbox and inbox[0][0] < now:
+                # admitted behind it; the port has a handler, or the
+                # FIFO would be empty and nothing served straight
+                since = port.offline_since
+                while inbox and inbox[0][0] < now:
+                    arrive, _, queued, size = heappop(inbox)
+                    if since is None or arrive < since:
+                        arrived.append(queued)
+                        port.admitted_bytes += size
+                    else:
+                        self.stats.on_drop()
             port.serving = due
             interval = port.interval
             done = port.done
@@ -571,12 +589,12 @@ class SimulatedNetwork:
                     done._sim = sim
                     heappush(sim._heap, (time, seq, done))
             break
-        if envelope is None:
+        if payload is None:
             return
         if port.offline_since is not None:
             self.stats.on_drop()
+            port.lost_bytes += payload.size_bytes
             return
         port.delivered += 1
-        port.delivered_bytes += envelope[6]  # size_bytes
         # service only starts at a registered port; handlers are swapped, never removed
-        port.handler(envelope[4])  # payload
+        port.handler(payload)

@@ -61,8 +61,9 @@ class TrafficStats:
 
     A byte is counted in one place, with no call: a network send bumps
     the per-kind maps (the only record of bytes sent) and the sending
-    port's ``sent``, a delivery the receiving port's
-    ``delivered``/``delivered_bytes``.
+    port's ``sent``, a delivery the receiving port's ``delivered``; the
+    port charges a message's bytes when it admits it and reads its
+    ``delivered_bytes`` from that.
     :meth:`on_send` and :meth:`on_deliver` charge a modelled transfer --
     a state transfer, a chain sync -- that no port carries.  The per-node
     maps and the totals fold ports and charges when read.

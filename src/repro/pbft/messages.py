@@ -126,8 +126,8 @@ _new = tuple.__new__
 class _Message(TupleRecord):
     """A hot message kind: an immutable tuple led by the class's ``kind``.
 
-    Like :class:`~repro.net.message.Envelope`, one is built per phase and
-    read by every peer.  A subclass declares its fields and writes
+    One is built per phase and read by every peer (a multicast files one
+    object in every copy).  A subclass declares its fields and writes
     ``__new__`` (see :class:`~repro.common.record.TupleRecord`); it sets
     ``kind`` and ``size_bytes`` (verified by repro.codec) at class level.
     The leading kind keeps a prepare from equalling a commit with the

@@ -103,6 +103,14 @@ class TestQuorum:
             if n == 3 * f + 1:
                 assert 2 * quorum_size(f) - n == weak_certificate_size(f)
 
+    @pytest.mark.xfail(strict=True, reason="ROADMAP item 16")
+    def test_two_quorums_share_f_plus_1_members_at_every_committee_size(self):
+        # at n = 6, f = 1: two quorums of 3 can be disjoint; the
+        # threshold that holds everywhere is ceil((n + f + 1) / 2)
+        short = [n for n in range(4, 203)
+                 if 2 * quorum_size(max_faulty(n)) - n < max_faulty(n) + 1]
+        assert short == []
+
 
 class TestDeterministicRNG:
     def test_same_seed_same_stream(self):

@@ -1,6 +1,7 @@
 """Unit tests: simulator, network, latency models, stats (repro.net)."""
 
 import inspect
+import itertools
 import math
 
 import pytest
@@ -532,8 +533,8 @@ class TestSimulatedNetwork:
             assert net.stats.bytes_sent == 201 * 10  # payload size x copies
             assert net.stats.bytes_by_kind == {"k": 201 * 10}
             others = [n for n in range(202) if n != 7]
-            ids = [net._ports[dst].inbox[0][1] for dst in others]
-            assert ids == sorted(ids)  # envelope ids rise in destination order
+            ids = {net._ports[dst].inbox[0][1] for dst in others}
+            assert len(ids) == 1  # one envelope id for the whole operation
             sim.run()
             assert sorted(got) == others
 
@@ -590,8 +591,10 @@ class TestSimulatedNetwork:
                     for dst in range(6):
                         if dst != src:
                             net.send(src, dst, payload)
-            # every filed envelope but its payload object
-            filed = {node: sorted(e[:4] + e[5:] for e in port.inbox)
+            # each port's envelopes in (arrive, id) order, ids aside: a
+            # multicast's copies share one id where sends draw one each
+            filed = {node: [(arrive, payload, size)
+                            for arrive, _, payload, size in sorted(port.inbox)]
                      for node, port in net._ports.items()}
             sim.run()
             return filed, got, net.rng.random()
@@ -648,15 +651,21 @@ class TestSimulatedNetwork:
         got = []
         for node in range(3):
             net.register(node, got.append)
+        # ids past CPython's small-int cache, so ``is`` tells one id
+        # object from two equal ones
+        first = 2 ** 40
+        net._envelope_ids = itertools.count(first)
         payload = RawPayload("k", 100)
         net.send(0, 1, payload)
         net.multicast(0, range(3), payload)
         filed = sorted(entry for node in (1, 2) for entry in net._ports[node].inbox)
         # a plain tuple: immutable, no Python frame to build, no field names
         assert all(type(entry) is tuple for entry in filed)
-        assert filed == [(0.25, 0, 0, 1, payload, "k", 100),
-                         (0.25, 1, 0, 1, payload, "k", 100),
-                         (0.25, 2, 0, 2, payload, "k", 100)]
+        assert filed == [(0.25, first, payload, 100),
+                         (0.25, first + 1, payload, 100),
+                         (0.25, first + 1, payload, 100)]
+        # the multicast drew one id, and both copies hold that one object
+        assert filed[1][1] is filed[2][1]
         sim.run()
         assert len(got) == 3 and all(entry is payload for entry in got)
         assert [(net._ports[node].delivered, net._ports[node].delivered_bytes)
@@ -856,6 +865,86 @@ class TestStatsUnderMulticast:
         assert net.stats.bytes_by_kind == {"kind.a": 4 * 10, "kind.b": 4 * 30}
         assert net.stats.messages_by_kind == {"kind.a": 4, "kind.b": 4}
         assert net.stats.messages_delivered == 8
+
+
+class TestBytesChargedAtAdmission:
+    """A port charges bytes when a message enters its FIFO and reads what
+    it delivered as admitted, less lost, less still waiting or in service."""
+
+    def test_delivered_bytes_equal_what_handlers_received_mid_run_and_after_a_crash(self):
+        sim = Simulator()
+        net = SimulatedNetwork(sim, NetworkConfig(processing_rate=10.0),
+                               ConstantLatency(0.01))
+        got = []
+        net.register(0, lambda p: got.append(p.size_bytes))
+        net.register(1, lambda p: None)
+        for size in (10, 20, 40, 80, 160):  # all arrive at 0.01
+            net.send(1, 0, RawPayload("k", size))
+        sim.schedule_at(0.12, net.send, 1, 0, RawPayload("k", 320))  # arrives 0.13
+        stats = net.stats
+
+        def agree():
+            assert stats.bytes_received_by_node[0] == sum(got)
+            assert stats.snapshot().bytes_delivered == sum(got)
+
+        sim.run(until=0.15)
+        port = net._ports[0]
+        # 10 delivered, 20 in service, three admitted behind it, 320 in flight
+        assert got == [10] and port.serving.size_bytes == 20
+        assert [p.size_bytes for p in port.arrived] == [40, 80, 160]
+        assert [entry[3] for entry in port.inbox] == [320]
+        agree()
+        sim.schedule_at(0.25, net.set_offline, 0)  # 40 in service, 80 160 320 admitted
+        sim.run(until=0.45)
+        assert got == [10, 20] and port.lost_bytes == 40 + 80
+        agree()
+        sim.run()
+        assert port.lost_bytes == 40 + 80 + 160 + 320
+        assert stats.messages_dropped == 4
+        agree()
+        net.set_offline(0, False)
+        net.send(1, 0, RawPayload("k", 640))
+        sim.run()
+        assert got == [10, 20, 640]
+        agree()
+
+    def test_an_arrival_at_the_crash_instant_is_lost_after_a_start_at_that_instant(self):
+        # node 0 serves a1 from 0.25 to 0.5; x arrives at 0.5, the instant a
+        # completion starts a2's slot and, after it, the node crashes
+        sim = Simulator()
+        net = SimulatedNetwork(sim, NetworkConfig(processing_rate=4.0),
+                               ConstantLatency(0.25))
+        got = []
+        net.register(0, lambda p: got.append(p.kind))
+        net.register(1, lambda p: None)
+        for kind in ("a1", "a2", "a3"):
+            net.send(1, 0, RawPayload(kind, 10))
+        sim.schedule_at(0.25, net.send, 1, 0, RawPayload("x", 10))
+        # filed after a1's completion, so it fires after it at 0.5
+        sim.schedule_at(0.3, sim.schedule_at, 0.5, net.set_offline, 0)
+        sim.schedule_at(0.6, net.set_offline, 0, False)
+        sim.run()
+        assert got == ["a1", "a2", "a3"]
+        assert net.stats.messages_dropped == 1
+        assert net.stats.bytes_received_by_node[0] == 30
+
+    def test_a_burst_fifo_holds_the_multicast_payload_itself(self):
+        nodes = 202
+        sim = Simulator()
+        net = SimulatedNetwork(sim, NetworkConfig(processing_rate=10.0))
+        for node in range(nodes):
+            net.register(node, lambda p: None)
+        payload = RawPayload("burst", 100)
+        for src in range(nodes):
+            sim.schedule_at(src * 0.005, net.multicast, src, range(nodes), payload)
+        sim.run(until=5.0)
+        ports = net._ports.values()
+        waiting = [item for port in ports for item in port.arrived]
+        assert len(waiting) > nodes  # a backlog at every busy node
+        assert all(item is payload for item in waiting)
+        assert all(port.serving is payload for port in ports)
+        sim.run()
+        assert net.stats.bytes_delivered == nodes * (nodes - 1) * 100
 
 
 class TestTrafficStats:
